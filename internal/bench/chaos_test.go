@@ -41,16 +41,21 @@ func TestChaosChecksumsStableAcrossLoss(t *testing.T) {
 // with cache invalidations from pin starvation, and retransmissions
 // from loss.
 func TestReliabilityTable(t *testing.T) {
-	rows := ReliabilityTable(7)
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.RDMANacks == 0 || r.Invalidations == 0 {
-			t.Errorf("%s: pin churn produced no NACK/invalidation (%+v)", r.Transport, r)
+	// Seed 20 is the regression seed of the orphan retransmit timer: an
+	// ACK overtaken by its own retransmit used to end that run with a
+	// delivered packet reported undeliverable (runChaosMark panics).
+	for _, seed := range []int64{7, 20} {
+		rows := ReliabilityTable(seed)
+		if len(rows) != 2 {
+			t.Fatalf("seed %d: rows: %d", seed, len(rows))
 		}
-		if r.Drops == 0 || r.Retransmits == 0 || r.AcksSent == 0 {
-			t.Errorf("%s: chaos run did no reliability work (%+v)", r.Transport, r)
+		for _, r := range rows {
+			if r.RDMANacks == 0 || r.Invalidations == 0 {
+				t.Errorf("seed %d, %s: pin churn produced no NACK/invalidation (%+v)", seed, r.Transport, r)
+			}
+			if r.Drops == 0 || r.Retransmits == 0 || r.AcksSent == 0 {
+				t.Errorf("seed %d, %s: chaos run did no reliability work (%+v)", seed, r.Transport, r)
+			}
 		}
 	}
 }

@@ -67,8 +67,8 @@ func NoCache() CacheConfig { return CacheConfig{} }
 type ExecMode int
 
 const (
-	// ExecGoroutine (the default) backs every thread with a goroutine
-	// parked/resumed through the kernel's channel handoff. It supports
+	// ExecGoroutine (the default) backs every thread with a sim.Proc,
+	// a coroutine the kernel switches to and from directly. It supports
 	// arbitrary Go control flow in bodies (Runtime.Run) and is the
 	// reference semantics.
 	ExecGoroutine ExecMode = iota

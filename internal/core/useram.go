@@ -6,9 +6,11 @@ package core
 // SVD resolution with requeue-on-unknown, base-address piggybacking
 // into the remote address cache, coalescing-aware reply framing and
 // span phase attribution all come for free. A handler runs on the
-// target node's AM dispatcher (a simulation process in both execution
-// modes, so handler-side Sleep and Resource.Acquire are parity-safe)
-// and returns the reply payload; request arguments travel as two
+// target node's AM dispatcher (a simulation process — a coroutine of
+// the kernel's event loop — in both execution modes, so handler-side
+// Sleep and Resource.Acquire are parity-safe and cost one coroutine
+// switch each way, not a trip through the Go scheduler) and returns
+// the reply payload; request arguments travel as two
 // uint64s in the envelope, anything larger belongs in shared memory.
 
 import (

@@ -106,9 +106,9 @@ func New(k *sim.Kernel, topo Topology, wire WireModel) *Fabric {
 	f.ports = make([]*Port, topo.Nodes())
 	for i := range f.ports {
 		f.ports[i] = &Port{
-			TX:  sim.NewResource(k, fmt.Sprintf("nic%d.tx", i), 1),
-			AM:  sim.NewQueue[any](k, fmt.Sprintf("nic%d.am", i)),
-			DMA: sim.NewQueue[any](k, fmt.Sprintf("nic%d.dma", i)),
+			TX:  sim.NewResourceIdx(k, "nic", i, ".tx", 1),
+			AM:  sim.NewQueueIdx[any](k, "nic", i, ".am"),
+			DMA: sim.NewQueueIdx[any](k, "nic", i, ".dma"),
 		}
 	}
 	return f

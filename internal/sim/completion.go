@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Completion is a one-shot future: processes Wait on it, and some other
 // process or kernel callback Completes it, waking all waiters at the
@@ -177,33 +174,24 @@ func (c *Completion) CompleteAfter(d Duration, v any) {
 // times, and waiters proceed when the count reaches zero. It is used
 // for fence semantics (wait for all outstanding PUT acknowledgements).
 type Counter struct {
-	k          *Kernel
-	namePrefix string
-	nameIdx    int    // -1: namePrefix is the full name
-	ws         string // memoized park diagnostic, built on first wait
-	pending    int
-	waiters    []waiter
+	k *Kernel
+	lazyName
+	ws      string // memoized park diagnostic, built on first wait
+	pending int
+	waiters []waiter
 }
 
 // NewCounter returns a counter expecting n arrivals. n may be zero, in
 // which case Wait returns immediately.
 func NewCounter(k *Kernel, name string, n int) *Counter {
-	return &Counter{k: k, namePrefix: name, nameIdx: -1, pending: n}
+	return &Counter{k: k, lazyName: lazyName{name, -1, ""}, pending: n}
 }
 
 // NewCounterIdx is NewCounter with an index-derived name (prefix +
 // idx), rendered only when diagnostics ask for it — per-thread fence
 // counters at 128k threads allocate no name strings.
 func NewCounterIdx(k *Kernel, prefix string, idx int, n int) *Counter {
-	return &Counter{k: k, namePrefix: prefix, nameIdx: idx, pending: n}
-}
-
-// Name returns the counter's name, rendered on demand.
-func (c *Counter) Name() string {
-	if c.nameIdx < 0 {
-		return c.namePrefix
-	}
-	return c.namePrefix + strconv.Itoa(c.nameIdx)
+	return &Counter{k: k, lazyName: lazyName{prefix, idx, ""}, pending: n}
 }
 
 func (c *Counter) parkState() string {

@@ -1,25 +1,24 @@
 package sim
 
-import "strconv"
-
 // This file adds the continuation execution mode: simulated threads
 // that run as state machines of kernel callbacks instead of parked
-// goroutines. A goroutine-backed Proc pays two channel handoffs (a
-// park and a resume through the Go scheduler) every time it blocks;
-// a Cont pays one closure scheduled on the event heap. At the
-// hundred-thousand-thread scales the paper's SVD argument is about,
-// that difference — and the per-goroutine stacks — is what bounds the
-// simulator, so the hot blocking primitives (Sleep, Completion.Wait,
+// coroutines. A Proc pays two coroutine switches (a park and a resume,
+// each handing the OS thread straight to the other side — see proc.go)
+// every time it blocks, and keeps a stack while it does; a Cont pays
+// one closure scheduled on the event heap. At the hundred-thousand-
+// thread scales the paper's SVD argument is about, that difference —
+// and the per-process stacks — is what bounds the simulator, so the
+// hot blocking primitives (Sleep, Completion.Wait,
 // Counter.Wait, Resource.Acquire, Queue.Pop) all have continuation
 // variants whose kernel event sequences are bit-identical to their
 // blocking twins: a run executed in either mode produces the same
 // (time, seq) event stream, clock, and statistics.
 
 // waiter is one parked consumer of a Completion, Counter or Queue:
-// either a goroutine-backed process to resume or a continuation
-// callback to schedule. Exactly one field is set. Waking either form
-// costs exactly one kernel event, which is what keeps the two
-// execution modes' event streams identical.
+// either a process to resume or a continuation callback to schedule.
+// Exactly one field is set. Waking either form costs exactly one
+// kernel event, which is what keeps the two execution modes' event
+// streams identical.
 type waiter struct {
 	p  *Proc
 	fn func()
@@ -31,29 +30,19 @@ func (k *Kernel) wake(w waiter) {
 }
 
 // Cont is a continuation-mode simulated thread: a chain of callbacks
-// scheduled directly on the event heap, with no goroutine and no
-// channels behind it. Bodies are written in continuation-passing
+// scheduled directly on the event heap, with no coroutine and no
+// stack behind it. Bodies are written in continuation-passing
 // style — each blocking primitive takes the rest of the computation
 // as a callback — and must call Finish exactly once when the thread's
 // program is complete; a live (unfinished) Cont keeps deadlock
 // detection armed exactly like a blocked Proc.
 type Cont struct {
-	k          *Kernel
-	namePrefix string
-	nameIdx    int // -1: prefix is the full name
-	seq        uint64
-	state      string // diagnostic: what the continuation waits on
-	since      Time   // virtual time it last blocked
-	finished   bool
-}
-
-// Name returns the continuation's name, rendered on demand so spawning
-// 128k threads performs no string formatting.
-func (c *Cont) Name() string {
-	if c.nameIdx < 0 {
-		return c.namePrefix
-	}
-	return c.namePrefix + strconv.Itoa(c.nameIdx)
+	k *Kernel
+	lazyName
+	seq      uint64
+	state    string // diagnostic: what the continuation waits on
+	since    Time   // virtual time it last blocked
+	finished bool
 }
 
 // Kernel returns the kernel the continuation runs under.
@@ -90,7 +79,7 @@ func (k *Kernel) SpawnCIdx(prefix string, idx int, body func(c *Cont)) *Cont {
 
 func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
 	k.procSeq++
-	c := &Cont{k: k, namePrefix: prefix, nameIdx: idx, seq: k.procSeq, state: "starting"}
+	c := &Cont{k: k, lazyName: lazyName{prefix, idx, ""}, seq: k.procSeq, state: "starting"}
 	if k.conts == nil {
 		k.conts = make(map[*Cont]struct{})
 	}

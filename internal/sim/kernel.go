@@ -3,8 +3,28 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
+
+// lazyName is a diagnostic name rendered on demand. Names only exist
+// for deadlock reports and panic attribution, so mass construction —
+// 128k threads, six resources, queues and dispatchers per node — never
+// formats or allocates one.
+type lazyName struct {
+	prefix string
+	idx    int // < 0: prefix is the whole name
+	suffix string
+}
+
+// Name returns the name: prefix alone, or prefix+idx+suffix
+// ("node", 3, ".cpu" renders "node3.cpu").
+func (n *lazyName) Name() string {
+	if n.idx < 0 {
+		return n.prefix
+	}
+	return n.prefix + strconv.Itoa(n.idx) + n.suffix
+}
 
 // event is a scheduled occurrence: either a process to resume or a
 // callback to run in kernel context.
@@ -102,17 +122,6 @@ func (h *eventHeap) popEv() event {
 	return root
 }
 
-type parkMsg struct {
-	p        *Proc
-	finished bool
-	panicVal any // non-nil if the process panicked; re-raised by Run
-}
-
-// poisonPill unwinds a parked process during Shutdown; the spawn
-// wrapper recognises it and exits the goroutine without reporting a
-// process panic.
-type poisonPill struct{}
-
 // Kernel is the discrete-event simulation engine. Create one with
 // NewKernel, spawn processes with Spawn, then call Run.
 //
@@ -120,10 +129,9 @@ type poisonPill struct{}
 // touched from process bodies or kernel callbacks; the kernel
 // guarantees these never run concurrently.
 type Kernel struct {
-	now    Time
-	heap   eventHeap
-	seq    uint64
-	parked chan parkMsg
+	now  Time
+	heap eventHeap
+	seq  uint64
 
 	procs   map[*Proc]struct{} // live (spawned, not finished) processes
 	conts   map[*Cont]struct{} // live continuation-mode threads (see cont.go)
@@ -137,10 +145,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		parked: make(chan parkMsg),
-		procs:  make(map[*Proc]struct{}),
-	}
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
 // Now reports the current virtual time.
@@ -196,52 +201,41 @@ func (k *Kernel) AfterTimer(d Duration, fn func()) *Timer {
 // it to start at the current time. It may be called before Run or from
 // any process or callback during the run.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	return k.spawn(name, -1, body, false)
+	return k.spawn(lazyName{name, -1, ""}, body, false)
 }
 
 // SpawnIdx is Spawn with an index-derived name (prefix + idx, rendered
 // only when diagnostics ask for it), so spawning 128k threads performs
 // no name formatting or string allocation.
 func (k *Kernel) SpawnIdx(prefix string, idx int, body func(p *Proc)) *Proc {
-	return k.spawn(prefix, idx, body, false)
+	return k.spawn(lazyName{prefix, idx, ""}, body, false)
 }
 
 // SpawnDaemon creates a service process (a dispatcher loop) that is
 // expected to block forever: it does not keep Run alive and is ignored
 // by deadlock detection. Run returns cleanly once only daemons remain.
 func (k *Kernel) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return k.spawn(name, -1, body, true)
+	return k.spawn(lazyName{name, -1, ""}, body, true)
 }
 
-func (k *Kernel) spawn(prefix string, idx int, body func(p *Proc), daemon bool) *Proc {
+// SpawnDaemonIdx is SpawnDaemon with an index-derived name (prefix +
+// idx + suffix, rendered only when diagnostics ask for it) for the
+// per-node service loops.
+func (k *Kernel) SpawnDaemonIdx(prefix string, idx int, suffix string, body func(p *Proc)) *Proc {
+	return k.spawn(lazyName{prefix, idx, suffix}, body, true)
+}
+
+func (k *Kernel) spawn(name lazyName, body func(p *Proc), daemon bool) *Proc {
 	k.procSeq++
 	p := &Proc{
-		k:          k,
-		namePrefix: prefix,
-		nameIdx:    idx,
-		seq:        k.procSeq,
-		resume:     make(chan struct{}),
-		state:      "starting",
-		daemon:     daemon,
+		k:        k,
+		lazyName: name,
+		seq:      k.procSeq,
+		state:    "starting",
+		daemon:   daemon,
 	}
 	k.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
-		if p.poisoned { // killed before it ever ran
-			k.parked <- parkMsg{p: p, finished: true}
-			return
-		}
-		defer func() {
-			msg := parkMsg{p: p, finished: true}
-			if r := recover(); r != nil {
-				if _, poisoned := r.(poisonPill); !poisoned {
-					msg.panicVal = r
-				}
-			}
-			k.parked <- msg
-		}()
-		body(p)
-	}()
+	p.start(body)
 	k.schedule(k.now, p, nil)
 	return p
 }
@@ -251,7 +245,7 @@ func (k *Kernel) spawn(prefix string, idx int, body func(p *Proc), daemon bool) 
 // live processes remain blocked with no pending events, which usually
 // indicates a protocol bug (a completion never completed).
 //
-// Run does not release the goroutines backing still-blocked processes;
+// Run does not release the coroutines backing still-blocked processes;
 // callers that build many kernels must call Shutdown once the run (and
 // any post-run inspection) is over.
 func (k *Kernel) Run() error {
@@ -303,36 +297,37 @@ func (k *Kernel) Run() error {
 			}
 			continue
 		}
-		ev.p.state = "running"
-		ev.p.resume <- struct{}{}
-		msg := <-k.parked
-		if msg.finished {
-			msg.p.state = "finished"
-			delete(k.procs, msg.p)
-		}
-		if msg.panicVal != nil {
-			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", msg.p.Name(), k.now, msg.panicVal))
+		p := ev.p
+		p.state = "running"
+		if _, parked := p.next(); !parked {
+			k.finish(p)
 		}
 	}
 	return nil
 }
 
-// Shutdown releases the goroutines of every live process — parked,
-// not-yet-started, or daemon — by resuming each with a poison pill
-// that unwinds its body. Call it once a kernel is done (after Run
-// returns, whether normally, by Stop/SetLimit, or with a deadlock);
-// sweeps that build hundreds of runtimes would otherwise accumulate
-// the parked goroutines forever. The kernel must not be used again
-// afterwards.
+// finish retires a process whose body has returned or been unwound,
+// re-raising the body's panic, if any, with the process named.
+func (k *Kernel) finish(p *Proc) {
+	p.state = "finished"
+	delete(k.procs, p)
+	if p.panicVal != nil {
+		panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, p.panicVal))
+	}
+}
+
+// Shutdown releases the coroutines of every live process — parked,
+// not-yet-started, or daemon — by stopping each in spawn order, which
+// unwinds a parked body with a poison pill and cancels an unstarted
+// one. Call it once a kernel is done (after Run returns, whether
+// normally, by Stop/SetLimit, or with a deadlock); sweeps that build
+// hundreds of runtimes would otherwise accumulate the parked
+// goroutines forever. The kernel must not be used again afterwards.
 func (k *Kernel) Shutdown() {
 	for c := range k.conts { // continuations hold no goroutines: just drop them
 		c.finished = true
 	}
 	k.conts = nil
-	if len(k.procs) == 0 {
-		k.heap.ev = nil
-		return
-	}
 	// Deterministic kill order: spawn order.
 	victims := make([]*Proc, 0, len(k.procs))
 	for p := range k.procs {
@@ -340,21 +335,8 @@ func (k *Kernel) Shutdown() {
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
 	for _, p := range victims {
-		p.poisoned = true
-		for {
-			p.resume <- struct{}{}
-			msg := <-k.parked
-			if msg.finished {
-				msg.p.state = "finished"
-				delete(k.procs, msg.p)
-			}
-			if msg.panicVal != nil {
-				panic(fmt.Sprintf("sim: process %q panicked during shutdown: %v", msg.p.Name(), msg.panicVal))
-			}
-			if msg.finished && msg.p == p {
-				break
-			}
-		}
+		p.stop()
+		k.finish(p)
 	}
 	k.heap.ev = nil
 }

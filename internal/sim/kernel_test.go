@@ -426,9 +426,9 @@ func TestSpawnFromProcessAndCallback(t *testing.T) {
 
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(string), "boom") {
-			t.Fatalf("recover = %v", r)
+		want := `sim: process "bomber" panicked at 1.000us: boom`
+		if r := recover(); r != want {
+			t.Fatalf("recover = %v, want %q", r, want)
 		}
 	}()
 	k := NewKernel()

@@ -1,30 +1,46 @@
+//go:build go1.23
+
 package sim
 
-import "strconv"
+import "iter"
 
-// Proc is a simulated process: a goroutine that runs under the
-// kernel's strict one-at-a-time handoff discipline. A Proc's methods
-// may only be called from its own body.
+// Proc is a simulated process: a coroutine of the kernel's event loop.
+// Run resumes it with next, the body hands control back with yield,
+// and each switch passes the OS thread directly to the other side —
+// no run queue, no channel, no second thread — so exactly one of
+// kernel and process is ever running. A Proc's methods may only be
+// called from its own body.
 type Proc struct {
-	k          *Kernel
-	namePrefix string
-	nameIdx    int    // -1: namePrefix is the full name
-	seq        uint64 // spawn order; fixes Shutdown's kill order
-	resume     chan struct{}
-	state      string // diagnostic: what the process is blocked on
-	since      Time   // virtual time the process last parked
-	daemon     bool   // service loop; ignored by deadlock detection
-	poisoned   bool   // Shutdown in progress: unwind instead of running
+	k *Kernel
+	lazyName
+	seq    uint64 // spawn order; fixes Shutdown's kill order
+	state  string // diagnostic: what the process is blocked on
+	since  Time   // virtual time the process last parked
+	daemon bool   // service loop; ignored by deadlock detection
+
+	next     func() (struct{}, bool) // resume the body; false once it has returned
+	yield    func(struct{}) bool     // park the body; false once Shutdown stopped it
+	stop     func()                  // unwind a parked body, or cancel an unstarted one
+	panicVal any                     // the body's panic, re-raised by the kernel
 }
 
-// Name returns the process name, rendered on demand: names only exist
-// for diagnostics (deadlock reports, panic attribution), so mass
-// spawns with SpawnIdx never pay for formatting them.
-func (p *Proc) Name() string {
-	if p.nameIdx < 0 {
-		return p.namePrefix
-	}
-	return p.namePrefix + strconv.Itoa(p.nameIdx)
+// poisonPill unwinds the body of a process stopped by Shutdown; start
+// recognises it and ends the coroutine without reporting a panic.
+type poisonPill struct{}
+
+// start backs p with a coroutine that will run body at the first next.
+func (p *Proc) start(body func(p *Proc)) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, poisoned := r.(poisonPill); !poisoned {
+					p.panicVal = r
+				}
+			}
+		}()
+		body(p)
+	})
 }
 
 // Kernel returns the kernel the process runs under.
@@ -34,18 +50,15 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Time { return p.k.now }
 
 // park hands control back to the kernel and blocks until resumed.
+// Once Shutdown has stopped the process every park — the one it was
+// blocked in and any a deferred function attempts while unwinding —
+// panics with the poison pill instead of returning.
 func (p *Proc) park(state string) {
-	if p.poisoned {
-		panic(poisonPill{})
-	}
 	p.state = state
 	p.since = p.k.now
-	p.k.parked <- parkMsg{p: p}
-	<-p.resume
-	if p.poisoned {
+	if !p.yield(struct{}{}) {
 		panic(poisonPill{})
 	}
-	p.state = "running"
 }
 
 // Sleep advances the process's virtual time by d (holding nothing).

@@ -6,21 +6,34 @@ package sim
 // message's arrival time, and either a dispatcher process loops on Pop
 // or a callback engine drains it via Notify/TryPop.
 type Queue[T any] struct {
-	k        *Kernel
-	name     string
-	popState string // precomputed park diagnostic
-	items    []T    // live window is items[head:]
-	head     int
-	waiters  []waiter // consumers parked in Pop/PopC
-	notify   func()   // callback consumer hook, invoked after each Push
-	pushes   int64
-	maxLen   int
+	k *Kernel
+	lazyName
+	ws      string // memoized park diagnostic, built on first blocked pop
+	items   []T    // live window is items[head:]
+	head    int
+	waiters []waiter // consumers parked in Pop/PopC
+	notify  func()   // callback consumer hook, invoked after each Push
+	pushes  int64
+	maxLen  int
 }
 
 // NewQueue returns an empty queue. The name appears in deadlock
 // diagnostics.
 func NewQueue[T any](k *Kernel, name string) *Queue[T] {
-	return &Queue[T]{k: k, name: name, popState: "pop " + name}
+	return NewQueueIdx[T](k, name, -1, "")
+}
+
+// NewQueueIdx is NewQueue with an index-derived name (prefix + idx +
+// suffix, rendered only when diagnostics ask for it).
+func NewQueueIdx[T any](k *Kernel, prefix string, idx int, suffix string) *Queue[T] {
+	return &Queue[T]{k: k, lazyName: lazyName{prefix, idx, suffix}}
+}
+
+func (q *Queue[T]) popState() string {
+	if q.ws == "" {
+		q.ws = "pop " + q.Name()
+	}
+	return q.ws
 }
 
 // Len reports the number of queued items.
@@ -85,7 +98,7 @@ func (q *Queue[T]) take() T {
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
 		q.waiters = append(q.waiters, waiter{p: p})
-		p.park(q.popState)
+		p.park(q.popState())
 	}
 	return q.take()
 }
@@ -100,7 +113,7 @@ func (q *Queue[T]) PopC(ct *Cont, fn func(v T)) {
 		fn(q.take())
 		return
 	}
-	ct.block(q.popState)
+	ct.block(q.popState())
 	q.waiters = append(q.waiters, waiter{fn: func() {
 		ct.unblock()
 		q.PopC(ct, fn)

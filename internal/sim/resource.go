@@ -9,9 +9,9 @@ package sim
 // (it never blocks), which lets asynchronous protocol steps free
 // hardware they held. Kernel callbacks acquire via AcquireC.
 type Resource struct {
-	k         *Kernel
-	name      string
-	parkState string // precomputed park diagnostic
+	k *Kernel
+	lazyName
+	ws        string // memoized park diagnostic, built on first queued acquire
 	capacity  int
 	inUse     int
 	queue     []resWaiter
@@ -35,14 +35,26 @@ type resWaiter struct {
 // NewResource returns a resource with the given capacity (number of
 // slots that may be held simultaneously). Capacity must be positive.
 func NewResource(k *Kernel, name string, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: resource capacity must be positive: " + name)
-	}
-	return &Resource{k: k, name: name, parkState: "acquire " + name, capacity: capacity}
+	return NewResourceIdx(k, name, -1, "", capacity)
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
+// NewResourceIdx is NewResource with an index-derived name (prefix +
+// idx + suffix, rendered only when diagnostics ask for it) for the
+// per-node hardware a machine builds by the hundred.
+func NewResourceIdx(k *Kernel, prefix string, idx int, suffix string, capacity int) *Resource {
+	r := &Resource{k: k, lazyName: lazyName{prefix, idx, suffix}, capacity: capacity}
+	if capacity <= 0 {
+		panic("sim: resource capacity must be positive: " + r.Name())
+	}
+	return r
+}
+
+func (r *Resource) parkState() string {
+	if r.ws == "" {
+		r.ws = "acquire " + r.Name()
+	}
+	return r.ws
+}
 
 // Capacity returns the number of slots.
 func (r *Resource) Capacity() int { return r.capacity }
@@ -80,7 +92,7 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	since := r.k.now
 	r.pushWaiter(resWaiter{p: p, since: since})
-	p.park(r.parkState)
+	p.park(r.parkState())
 	r.totalWait += r.k.now - since
 	// The releasing side transferred the slot to us: inUse unchanged.
 }
@@ -117,7 +129,7 @@ func (r *Resource) AcquireCont(ct *Cont, fn func()) {
 	}
 	// fn is queued directly — no unblock wrapper; the stale state
 	// string is harmless (diagnostics only inspect blocked conts).
-	ct.block(r.parkState)
+	ct.block(r.parkState())
 	r.pushWaiter(resWaiter{fn: fn, since: r.k.now})
 }
 
@@ -146,7 +158,7 @@ func (r *Resource) TryAcquire() bool {
 // Release frees a slot, handing it to the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
-		panic("sim: release of idle resource " + r.name)
+		panic("sim: release of idle resource " + r.Name())
 	}
 	if r.queueLen() > 0 {
 		w := r.popWaiter()

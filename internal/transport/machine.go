@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strconv"
 
 	"xlupc/internal/fabric"
 	"xlupc/internal/flight"
@@ -134,13 +135,25 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 		Fab:  fabric.New(k, prof.NewTopo(n), prof.Wire),
 	}
 	m.Nodes = make([]*Node, n)
+	// Overlapping transports get one AM dispatcher per handler context;
+	// non-overlapping ones a single dispatcher (GM progress is
+	// single-threaded polling). Their name suffixes are shared by
+	// every node.
+	contexts := 1
+	if prof.CommOverlap && prof.CommCapacity > 1 {
+		contexts = prof.CommCapacity
+	}
+	disp := make([]string, contexts)
+	for c := range disp {
+		disp[c] = ".amdisp" + strconv.Itoa(c)
+	}
 	for i := 0; i < n; i++ {
 		nd := &Node{
 			ID:   i,
 			M:    m,
 			Mem:  mem.NewSpace(i),
 			Pins: mem.NewPinTable(i, prof.Reg, prof.PinPolicy),
-			CPU:  sim.NewResource(k, fmt.Sprintf("node%d.cpu", i), prof.Cores),
+			CPU:  sim.NewResourceIdx(k, "node", i, ".cpu", prof.Cores),
 		}
 		if prof.PinEvictor != mem.EvictLRU {
 			nd.Pins.SetEvictor(prof.PinEvictor.New(prof.Reg))
@@ -153,12 +166,12 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 			if cap <= 0 {
 				cap = 1
 			}
-			nd.Comm = sim.NewResource(k, fmt.Sprintf("node%d.comm", i), cap)
+			nd.Comm = sim.NewResourceIdx(k, "node", i, ".comm", cap)
 		} else {
 			nd.Comm = nd.CPU
 		}
 		m.Nodes[i] = nd
-		m.spawnDispatchers(nd)
+		m.spawnDispatchers(nd, disp)
 	}
 	return m
 }
@@ -260,22 +273,17 @@ func (m *Machine) noteRecovered(node int) {
 	})
 }
 
-func (m *Machine) spawnDispatchers(nd *Node) {
+// spawnDispatchers starts one AM dispatcher on nd per name suffix.
+func (m *Machine) spawnDispatchers(nd *Node, suffixes []string) {
 	port := m.Fab.Port(nd.ID)
 	// The AM dispatchers drain incoming active messages. Each message
 	// is serviced by its header handler, which must run on the Comm
 	// resource: the compute CPU itself when the transport does not
 	// overlap computation and communication — so a busy CPU stalls
 	// remote requests, the effect behind the paper's Field analysis —
-	// or a dedicated engine when it does. Overlapping transports get
-	// one dispatcher per handler context; non-overlapping ones a
-	// single dispatcher (GM progress is single-threaded polling).
-	contexts := 1
-	if m.Prof.CommOverlap && m.Prof.CommCapacity > 1 {
-		contexts = m.Prof.CommCapacity
-	}
-	for c := 0; c < contexts; c++ {
-		m.K.SpawnDaemon(fmt.Sprintf("node%d.amdisp%d", nd.ID, c), func(p *sim.Proc) {
+	// or a dedicated engine when it does.
+	for _, suffix := range suffixes {
+		m.K.SpawnDaemonIdx("node", nd.ID, suffix, func(p *sim.Proc) {
 			for {
 				raw := port.AM.Pop(p)
 				if b, ok := raw.(*batchMsg); ok {

@@ -86,6 +86,7 @@ type relPacket struct {
 	rto     sim.Time // current timeout (doubles per retry)
 	attempt int      // retransmissions performed so far
 	lastTx  sim.Time // when the latest copy went on the wire
+	acked   bool     // ACK received: a retransmit still on the TX port must not re-arm
 }
 
 // RelStats counts the reliable layer's work.
@@ -271,6 +272,12 @@ func (rl *reliability) expire(pk *relPacket) {
 	tx.AcquireC(func() {
 		m.Fab.InjectC(int(env.src), int(env.dst), env.wire, env.class, env, func(sim.Time) {
 			tx.Release()
+			if pk.acked {
+				// The ACK of an earlier copy arrived while this one waited
+				// for TX or serialized, and dropped the packet from
+				// inflight: a timer armed now could never be cancelled.
+				return
+			}
 			pk.lastTx = m.K.Now()
 			rl.arm(pk)
 		})
@@ -301,6 +308,7 @@ func (rl *reliability) deliver(dst int, class fabric.Class, raw any) {
 		key := relKey{v.src, v.dst, v.seq, v.epoch}
 		if pk, ok := rl.inflight[key]; ok {
 			pk.timer.Cancel()
+			pk.acked = true
 			delete(rl.inflight, key)
 		} // else: duplicate or late ACK, harmless
 	case *envelope:

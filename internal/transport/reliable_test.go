@@ -308,3 +308,42 @@ func TestCrashRestartSeqRestartsInNewEpoch(t *testing.T) {
 		t.Fatalf("restarted channel suppressed as duplicate: %+v", rs)
 	}
 }
+
+// An ACK that arrives while a retransmit of the same packet is still
+// on the sender's TX port must retire the packet for good: the
+// retransmit's completion must not re-arm a timer on a packet nobody
+// tracks any more (every later ACK would miss inflight, and a fully
+// delivered packet would end the run as undeliverable).
+func TestAckDuringRetransmitDoesNotOrphanTimer(t *testing.T) {
+	payload := make([]byte, 4096) // serialization long enough to straddle the ACK
+	// exchange runs one AM under rto and reports when the sender had the
+	// packet tracked and when the run drained.
+	exchange := func(rto sim.Time) (tracked, end sim.Time, m *Machine) {
+		k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: rto, MaxRetries: 3, HeaderBytes: 8})
+		delivered := 0
+		m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { delivered++ })
+		k.Spawn("sender", func(p *sim.Proc) {
+			m.SendAM(p, 0, 1, hPing, nil, payload, 0)
+			tracked = p.Now()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		k.Shutdown()
+		if delivered != 1 {
+			t.Fatalf("rto %v: delivered %d times, want 1", rto, delivered)
+		}
+		return tracked, k.Now(), m
+	}
+	// Clean pass: the run's last event is the ACK's arrival.
+	tracked, acked, _ := exchange(50 * sim.Ms)
+	// Second pass: the timer fires 1 ns before that ACK lands, so the
+	// ACK arrives while the retransmit serializes.
+	_, _, m := exchange(acked - tracked - sim.Ns)
+	if te := m.FatalError(); te != nil {
+		t.Fatalf("delivered and ACKed packet reported dead: %v", te)
+	}
+	if rs := m.RelStats(); rs.Retransmits != 1 || rs.DupSuppressed != 1 {
+		t.Fatalf("want exactly one retransmit, suppressed as a duplicate: %+v", rs)
+	}
+}

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"xlupc/internal/mem"
@@ -454,4 +456,36 @@ func TestRDMAGetNackUnderLimitedPinning(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The machine's per-node names are index-derived and rendered on
+// demand; deadlock reports must still read exactly as they did when
+// NewMachine formatted every name up front.
+func TestMachineNamesInDeadlockReport(t *testing.T) {
+	k, m := newTestMachine(t, LAPI(), 4)
+	nd, port := m.Nodes[3], m.Fab.Port(2)
+	for _, got := range [][2]string{
+		{nd.CPU.Name(), "node3.cpu"}, {nd.Comm.Name(), "node3.comm"},
+		{port.TX.Name(), "nic2.tx"}, {port.AM.Name(), "nic2.am"}, {port.DMA.Name(), "nic2.dma"},
+	} {
+		if got[0] != got[1] {
+			t.Errorf("name %q, want %q", got[0], got[1])
+		}
+	}
+	k.Spawn("hog", func(p *sim.Proc) {
+		for i := 0; i <= nd.CPU.Capacity(); i++ {
+			nd.CPU.Acquire(p)
+		}
+	})
+	k.Spawn("thief", func(p *sim.Proc) { port.AM.Pop(p) })
+	err := k.Run()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want deadlock, got %v", err)
+	}
+	want := "hog: acquire node3.cpu|thief: pop nic2.am"
+	if got := strings.Join(de.Blocked, "|"); got != want {
+		t.Fatalf("blocked = %q, want %q", got, want)
+	}
+	k.Shutdown()
 }
