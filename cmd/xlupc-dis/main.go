@@ -12,12 +12,48 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"xlupc/internal/bench"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/transport"
 )
+
+// sweep is one transport's share of the figure.
+type sweep struct {
+	prof   *transport.Profile
+	scales []bench.Scale
+}
+
+// sweepsFor resolves -profile and -maxthreads into the sweeps to run,
+// so that a bad value fails before any of them starts: an unknown
+// profile, or a -maxthreads below a chosen profile's smallest machine,
+// which would print that profile's table with no rows.
+func sweepsFor(profName string, maxThreads int) ([]sweep, error) {
+	names := []string{profName}
+	if profName == "both" {
+		names = []string{"gm", "lapi"}
+	}
+	var out []sweep
+	for _, name := range names {
+		prof := transport.ByName(name)
+		if prof == nil {
+			return nil, fmt.Errorf("unknown profile %q", name)
+		}
+		scalesOf := bench.GMScales
+		if name == "lapi" {
+			scalesOf = bench.LAPIScales
+		}
+		scales := scalesOf(maxThreads)
+		if len(scales) == 0 {
+			return nil, fmt.Errorf("-maxthreads (%d) must be at least %d, the smallest %s machine",
+				maxThreads, scalesOf(math.MaxInt32)[0].Threads, name)
+		}
+		out = append(out, sweep{prof, scales})
+	}
+	return out, nil
+}
 
 func main() {
 	profName := flag.String("profile", "both", "transport profile: gm, lapi or both")
@@ -27,31 +63,21 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
+	sweeps, err := sweepsFor(*profName, *maxThreads)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-dis: %v\n", err)
+		os.Exit(2)
+	}
 	bench.SetParallelism(*parallel)
 	stopProf := pf.MustStart("xlupc-dis")
 	defer stopProf()
 
-	run := func(name string) {
-		prof := transport.ByName(name)
-		if prof == nil {
-			fmt.Fprintf(os.Stderr, "xlupc-dis: unknown profile %q\n", name)
-			os.Exit(2)
-		}
-		scales := bench.GMScales(*maxThreads)
-		if name == "lapi" {
-			scales = bench.LAPIScales(*maxThreads)
-		}
+	for _, sw := range sweeps {
 		if *reps > 1 {
-			bench.PrintFig9CI(os.Stdout, prof, scales, *reps, *seed)
+			bench.PrintFig9CI(os.Stdout, sw.prof, sw.scales, *reps, *seed)
 		} else {
-			bench.PrintFig9(os.Stdout, prof, scales, *seed)
+			bench.PrintFig9(os.Stdout, sw.prof, sw.scales, *seed)
 		}
 		fmt.Println()
 	}
-	if *profName == "both" {
-		run("gm")
-		run("lapi")
-		return
-	}
-	run(*profName)
 }

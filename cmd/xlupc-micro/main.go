@@ -37,12 +37,12 @@ func main() {
 	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (figures are bit-identical; host performance differs)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	bench.SetParallelism(*parallel)
-	mode, err := bench.ParseExec(*execFlag)
+	mode, err := bench.ParseSweepFlags(*execFlag, *reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
 		os.Exit(2)
 	}
+	bench.SetParallelism(*parallel)
 	bench.SetExec(mode)
 	stopProf := pf.MustStart("xlupc-micro")
 	defer stopProf()

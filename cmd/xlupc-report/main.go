@@ -44,12 +44,12 @@ func main() {
 	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (report figures are bit-identical; host performance differs)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	bench.SetParallelism(*parallel)
-	mode, err := bench.ParseExec(*execFlag)
+	mode, err := bench.ParseSweepFlags(*execFlag, *reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
 	}
+	bench.SetParallelism(*parallel)
 	bench.SetExec(mode)
 
 	var flightW io.Writer = os.Stderr

@@ -1,7 +1,8 @@
 // Engine throughput benchmarks: raw event rate and allocation profile
 // of the simulation kernel, plus a paper-scale sweep point. These gauge
-// the simulator itself (events/sec of the specialized heap, callback
-// fast paths, process handoff) rather than reproducing a figure.
+// the simulator itself (events/sec of the lane event queue and of its
+// overflow heap, callback fast paths, process handoff) rather than
+// reproducing a figure.
 package xlupc
 
 import (
@@ -33,24 +34,51 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkEngineFanout measures heap throughput under a wide pending
-// set: 1024 concurrent timers rescheduling themselves, so every push
-// and pop sifts through a populated 4-ary heap.
+// BenchmarkEngineFanout measures queue throughput under a wide pending
+// set with recurring delays, the model's usual traffic: 1024 concurrent
+// timers rescheduling themselves with one of 7 periods, so after the
+// first round every push and pop is a FIFO lane operation plus a fix-up
+// of the 7-entry head heap.
 func BenchmarkEngineFanout(b *testing.B) {
+	benchFanout(b, func(i int) func() sim.Duration {
+		period := sim.Duration(10 + i%7)
+		return func() sim.Duration { return period }
+	})
+}
+
+// BenchmarkEngineFanoutIrregular is the same fan-out with a fresh
+// pseudo-random delay on every reschedule (jitter, computed deadlines):
+// no delay recurs, so every event takes the fallback path — a table
+// miss, then the 4-ary overflow heap over all 1024 pending events.
+func BenchmarkEngineFanoutIrregular(b *testing.B) {
+	benchFanout(b, func(i int) func() sim.Duration {
+		x := uint64(i)*0x9E3779B97F4A7C15 + 1
+		return func() sim.Duration {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return sim.Duration(10 + x%(1<<40))
+		}
+	})
+}
+
+// benchFanout runs 1024 self-rescheduling timers for b.N events;
+// delays(i) returns timer i's next-delay function.
+func benchFanout(b *testing.B, delays func(i int) func() sim.Duration) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
 	const width = 1024
 	n := 0
 	for i := 0; i < width; i++ {
-		period := sim.Duration(10 + i%7)
+		next := delays(i)
 		var tick func()
 		tick = func() {
 			n++
 			if n < b.N {
-				k.After(period, tick)
+				k.After(next(), tick)
 			}
 		}
-		k.After(period, tick)
+		k.After(next(), tick)
 	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {

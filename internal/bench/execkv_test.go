@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"xlupc/internal/core"
@@ -139,6 +140,29 @@ func TestParseRatesAndFracs(t *testing.T) {
 	for _, bad := range []int64{0, -5} {
 		if err := ValidatePositive("-ops", bad); err == nil {
 			t.Errorf("ValidatePositive accepted %d", bad)
+		}
+	}
+}
+
+func TestParseSweepFlags(t *testing.T) {
+	for _, c := range []struct {
+		exec string
+		reps int
+		mode core.ExecMode
+		err  string // substring of the error; "" = accepted
+	}{
+		{"goroutine", 1, core.ExecGoroutine, ""},
+		{"cont", 20, core.ExecCont, ""},
+		{"goroutine", 0, 0, "-reps (0) must be positive"},
+		{"cont", -1, 0, "-reps (-1) must be positive"},
+		{"threads", 10, 0, "threads"},
+	} {
+		mode, err := ParseSweepFlags(c.exec, c.reps)
+		switch {
+		case c.err == "" && (err != nil || mode != c.mode):
+			t.Errorf("ParseSweepFlags(%q, %d) = %v, %v; want %v", c.exec, c.reps, mode, err, c.mode)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("ParseSweepFlags(%q, %d): error %v, want one mentioning %q", c.exec, c.reps, err, c.err)
 		}
 	}
 }

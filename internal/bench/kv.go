@@ -55,6 +55,13 @@ type KVResult struct {
 // options, same figures — bit for bit — whatever the mode or the host
 // parallelism.
 func RunKV(o KVOpts) KVResult {
+	res, _ := runKV(o)
+	return res
+}
+
+// runKV is RunKV that also hands back the runtime, for tests that look
+// at the simulator underneath the figures.
+func runKV(o KVOpts) (KVResult, *core.Runtime) {
 	w := o.workload()
 	if err := w.Validate(); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
@@ -139,7 +146,7 @@ func RunKV(o KVOpts) KVResult {
 		}
 	}
 	res.HitRate = ks.HitRate()
-	return res
+	return res, rt
 }
 
 // KVSkewPoint is one Zipf-skew measurement: the cached one-sided

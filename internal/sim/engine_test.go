@@ -8,9 +8,9 @@ import (
 )
 
 // TestEventHeapProperty pushes events in random time order and checks
-// the heap drains them in nondecreasing (time, seq) order — the 4-ary
-// specialization must behave exactly like the interface heap it
-// replaced.
+// the heap drains them in nondecreasing (time, seq) order. The heap is
+// the event queue's overflow store and the oracle the lane queue is
+// checked against (lanes_test.go), so its own order is checked here.
 func TestEventHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var h eventHeap

@@ -52,11 +52,12 @@ func (t *Timer) Cancel() {
 }
 
 // eventHeap is a hand-specialized 4-ary min-heap over []event, ordered
-// by (t, seq). Compared with container/heap it avoids the interface
-// boxing (one allocation per Push) and the Less/Swap indirection that
-// dominated the event loop's profile; the 4-ary shape halves the tree
-// depth, trading slightly more comparisons per level for far fewer
-// cache-missing levels on the deep heaps large sweeps build.
+// by (t, seq): the event queue's overflow store (see lanes.go) and the
+// oracle its tests compare against. Compared with container/heap it
+// avoids the interface boxing (one allocation per Push) and the
+// Less/Swap indirection that dominated the event loop's profile; the
+// 4-ary shape halves the tree depth, trading slightly more comparisons
+// per level for far fewer cache-missing levels on deep heaps.
 type eventHeap struct {
 	ev []event
 }
@@ -129,9 +130,9 @@ func (h *eventHeap) popEv() event {
 // touched from process bodies or kernel callbacks; the kernel
 // guarantees these never run concurrently.
 type Kernel struct {
-	now  Time
-	heap eventHeap
-	seq  uint64
+	now Time
+	q   laneQueue
+	seq uint64
 
 	procs   map[*Proc]struct{} // live (spawned, not finished) processes
 	conts   map[*Cont]struct{} // live continuation-mode threads (see cont.go)
@@ -156,6 +157,10 @@ func (k *Kernel) Now() Time { return k.now }
 // the host-profiling events/second figure.
 func (k *Kernel) Events() int64 { return k.events }
 
+// QueueStats reports where the event queue filed the events scheduled
+// so far (host-side; see QueueStats). Valid after Shutdown too.
+func (k *Kernel) QueueStats() QueueStats { return k.q.stats }
+
 // SetLimit makes Run stop (without error) once the clock would pass t.
 // A zero limit means no limit.
 func (k *Kernel) SetLimit(t Time) { k.limit = t }
@@ -169,7 +174,7 @@ func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", t, k.now))
 	}
 	k.seq++
-	k.heap.pushEv(event{t: t, seq: k.seq, p: p, fn: fn})
+	k.q.push(k.now, t, k.seq, p, fn, nil)
 }
 
 // At schedules fn to run in kernel context at absolute time t.
@@ -193,7 +198,7 @@ func (k *Kernel) AfterTimer(d Duration, fn func()) *Timer {
 	}
 	tm := &Timer{}
 	k.seq++
-	k.heap.pushEv(event{t: t, seq: k.seq, fn: fn, tm: tm})
+	k.q.push(k.now, t, k.seq, nil, fn, tm)
 	return tm
 }
 
@@ -249,18 +254,18 @@ func (k *Kernel) spawn(name lazyName, body func(p *Proc), daemon bool) *Proc {
 // callers that build many kernels must call Shutdown once the run (and
 // any post-run inspection) is over.
 func (k *Kernel) Run() error {
+	// h is the queue's head, looked up once per event: every path below
+	// that pops or lets events be scheduled refreshes it.
+	h, src := k.q.head()
 	for !k.stopped {
 		// Discard cancelled timers before inspecting the head: they
 		// must neither advance the clock nor hide an otherwise-drained
 		// queue from deadlock detection or the time limit.
-		for k.heap.Len() > 0 {
-			h := k.heap.peek()
-			if h.tm == nil || !h.tm.cancelled {
-				break
-			}
-			k.heap.popEv()
+		for h != nil && h.tm != nil && h.tm.cancelled {
+			k.q.take(src)
+			h, src = k.q.head()
 		}
-		if k.heap.Len() == 0 {
+		if h == nil {
 			if len(k.conts) > 0 {
 				return k.deadlock()
 			}
@@ -271,37 +276,35 @@ func (k *Kernel) Run() error {
 			}
 			return nil
 		}
-		if k.limit > 0 && k.heap.peek().t > k.limit {
+		if k.limit > 0 && h.t > k.limit {
 			return nil
 		}
-		ev := k.heap.popEv()
-		k.now = ev.t
+		fn, p := h.fn, h.p
+		k.now = h.t
+		k.q.take(src)
 		k.events++
-		if ev.fn != nil {
+		if fn != nil {
 			// Callback events run inline; consecutive same-time
 			// callbacks drain here without touching the Go scheduler.
-			ev.fn()
-			for !k.stopped && k.heap.Len() > 0 {
-				nx := k.heap.peek()
-				if nx.fn == nil || nx.t != k.now {
-					break
+			fn()
+			h, src = k.q.head()
+			for !k.stopped && h != nil && h.fn != nil && h.t == k.now {
+				fn = h.fn
+				live := h.tm == nil || !h.tm.cancelled
+				k.q.take(src)
+				if live {
+					k.events++
+					fn()
 				}
-				if nx.tm != nil && nx.tm.cancelled {
-					k.heap.popEv()
-					continue
-				}
-				fn := nx.fn
-				k.heap.popEv()
-				k.events++
-				fn()
+				h, src = k.q.head()
 			}
 			continue
 		}
-		p := ev.p
 		p.state = "running"
 		if _, parked := p.next(); !parked {
 			k.finish(p)
 		}
+		h, src = k.q.head()
 	}
 	return nil
 }
@@ -338,7 +341,7 @@ func (k *Kernel) Shutdown() {
 		p.stop()
 		k.finish(p)
 	}
-	k.heap.ev = nil
+	k.q.release()
 }
 
 // BlockedProc describes one process left parked at deadlock time: the
