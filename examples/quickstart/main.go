@@ -34,12 +34,11 @@ func run(cache core.CacheConfig) (sim.Time, core.RunStats) {
 		a := t.AllAlloc("counters", elems, 8, block)
 
 		// Phase 1: every thread initializes the elements affine to it
-		// (local writes through shared memory).
-		for i := int64(0); i < elems; i++ {
-			if a.Owner(i) == t.ID() {
-				t.PutUint64(a.At(i), uint64(t.ID()*1000)+uint64(i))
-			}
-		}
+		// (local writes through shared memory) — upc_forall with
+		// affinity &a[i].
+		t.ForAll(a, func(i int64) {
+			t.PutUint64(a.At(i), uint64(t.ID()*1000)+uint64(i))
+		})
 		t.Barrier()
 
 		// Phase 2: read the block that belongs to the next thread —

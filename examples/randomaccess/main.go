@@ -38,11 +38,7 @@ func run(cache core.CacheConfig) (sim.Time, float64, uint64) {
 	var check uint64
 	st, err := rt.Run(func(t *core.Thread) {
 		table := t.AllAlloc("table", tableSz, 8, tableSz/threads)
-		for i := int64(0); i < tableSz; i++ {
-			if table.Owner(i) == t.ID() {
-				t.PutUint64(table.At(i), uint64(i))
-			}
-		}
+		t.ForAll(table, func(i int64) { t.PutUint64(table.At(i), uint64(i)) })
 		t.Barrier()
 
 		// Random updates: read, xor, write back. (Like HPCC

@@ -186,11 +186,7 @@ func runNackChurn(prof *transport.Profile, seed int64) core.RunStats {
 		var as []*core.SharedArray
 		for i := 0; i < arrays; i++ {
 			a := t.AllAlloc(fmt.Sprintf("A%d", i), elems, 8, elems/threads)
-			for j := int64(0); j < elems; j++ {
-				if a.Owner(j) == t.ID() {
-					t.PutUint64(a.At(j), uint64(i*1000+int(j)))
-				}
-			}
+			t.ForAll(a, func(j int64) { t.PutUint64(a.At(j), uint64(i*1000+int(j))) })
 			as = append(as, a)
 		}
 		t.Barrier()

@@ -119,6 +119,23 @@ func (t *Thread) localCBC(a *SharedArray, then func(cb *svd.ControlBlock)) {
 	t.c.Sleep(1*sim.Us, try)
 }
 
+// ForAllC is Thread.ForAll in continuation-passing style: body runs
+// for each owned index in ascending order and calls next when its
+// operations have completed; then runs after the last one.
+func (t *Thread) ForAllC(a *SharedArray, body func(i int64, next func()), then func()) {
+	l := a.l
+	i := l.NextOwned(t.id, 0)
+	sim.Loop(func(next func()) {
+		if i >= l.NumElems {
+			then()
+			return
+		}
+		idx := i
+		i = l.NextOwned(t.id, idx+1)
+		body(idx, next)
+	})
+}
+
 // --- Element accessors -------------------------------------------------
 
 // GetC is Thread.Get in continuation-passing style.

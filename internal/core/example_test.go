@@ -92,7 +92,7 @@ func ExampleThread_AllAlloc2D() {
 	}
 	if _, err := rt.Run(func(t *core.Thread) {
 		m := t.AllAlloc2D("M", 8, 8, 8, 4, 4)
-		if m.Owner(1, 2) == t.ID() {
+		if t.ID() == m.Owner(1, 2) { // MYTHREAD == upc_threadof(&M[1][2]): one element, not a scan
 			t.PutUint64(m.At(1, 2), 42)
 		}
 		t.Barrier()

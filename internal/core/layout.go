@@ -77,6 +77,32 @@ func (l Layout) Owner(i int64) int {
 	return int((i / l.Block) % int64(l.Threads))
 }
 
+// NextOwned reports the smallest index ≥ i that is affine to thread,
+// or NumElems when there is none — the O(1) cursor every affinity walk
+// (Thread.ForAll, Thread.ForAllC) steps with, so enumerating a thread's
+// elements costs its share of the array rather than a test of every
+// index.
+func (l Layout) NextOwned(thread int, i int64) int64 {
+	if i >= l.NumElems {
+		return l.NumElems
+	}
+	if l.Home >= 0 {
+		if thread == l.Home {
+			return i
+		}
+		return l.NumElems
+	}
+	blk := i / l.Block
+	ahead := (int64(thread) - blk%int64(l.Threads) + int64(l.Threads)) % int64(l.Threads)
+	if ahead == 0 {
+		return i // already inside one of thread's blocks
+	}
+	if next := (blk + ahead) * l.Block; next < l.NumElems {
+		return next
+	}
+	return l.NumElems
+}
+
 // NodeOf reports the node that owns element i.
 func (l Layout) NodeOf(i int64) int {
 	return l.Owner(i) / l.ThreadsPerNode

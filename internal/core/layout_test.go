@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -207,4 +209,88 @@ func FuzzLayoutChunkOffset(f *testing.F) {
 			t.Fatalf("run %d invalid at %d", run, i)
 		}
 	})
+}
+
+// ownedNaive is the reference NextOwned replaces: every index tested
+// with Owner.
+func ownedNaive(l Layout, thread int) []int64 {
+	var out []int64
+	for i := int64(0); i < l.NumElems; i++ {
+		if l.Owner(i) == thread {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// ownedWalk enumerates thread's indices by stepping NextOwned from 0.
+func ownedWalk(l Layout, thread int) []int64 {
+	var out []int64
+	for i := l.NextOwned(thread, 0); i < l.NumElems; i = l.NextOwned(thread, i+1) {
+		out = append(out, i)
+	}
+	return out
+}
+
+func homeLayout(l Layout, home int) Layout {
+	l.Home = home
+	return l
+}
+
+func TestNextOwnedMatchesOwnerFilter(t *testing.T) {
+	cases := []struct {
+		name string
+		l    Layout
+	}{
+		{"even", NewLayout(4, 2, 8, 3, 24)},
+		{"ragged last block", NewLayout(4, 2, 8, 7, 45)},
+		{"block >= NumElems", NewLayout(4, 2, 8, 100, 45)},
+		{"indefinite block", NewLayout(4, 2, 8, 0, 45)},
+		{"one thread", NewLayout(1, 1, 8, 5, 43)},
+		{"fewer blocks than threads", NewLayout(8, 2, 8, 4, 10)}, // threads 3..7 own nothing
+		{"block 1", NewLayout(3, 1, 8, 1, 10)},
+		{"one element", NewLayout(4, 2, 8, 3, 1)},
+		{"home 2 of 4", homeLayout(NewLayout(4, 2, 8, 10, 100), 2)},
+	}
+	for _, c := range cases {
+		covered := int64(0)
+		for th := 0; th < c.l.Threads; th++ {
+			want, got := ownedNaive(c.l, th), ownedWalk(c.l, th)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: thread %d walks %v, owns %v", c.name, th, got, want)
+			}
+			covered += int64(len(got))
+			// From every starting index, not only from a previous hit.
+			for i := int64(0); i <= c.l.NumElems+2; i++ {
+				next := c.l.NumElems
+				if k, ok := slices.BinarySearch(want, i); ok || k < len(want) {
+					next = want[k]
+				}
+				if g := c.l.NextOwned(th, i); g != next {
+					t.Errorf("%s: NextOwned(%d, %d) = %d, want %d", c.name, th, i, g, next)
+				}
+			}
+		}
+		if covered != c.l.NumElems {
+			t.Errorf("%s: threads cover %d of %d indices", c.name, covered, c.l.NumElems)
+		}
+	}
+}
+
+// Property, seeded: on random shapes (home-pinned one time in four)
+// the walk of every thread equals the Owner filter, in order.
+func TestPropertyNextOwnedMatchesOwnerFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for iter := 0; iter < 300; iter++ {
+		threads := rng.Intn(16) + 1
+		l := NewLayout(threads, 1, 8, int64(rng.Intn(40)), int64(rng.Intn(600)+1))
+		if rng.Intn(4) == 0 {
+			l.Home = rng.Intn(threads)
+		}
+		for th := 0; th < threads; th++ {
+			if want, got := ownedNaive(l, th), ownedWalk(l, th); !slices.Equal(got, want) {
+				t.Fatalf("%+v: thread %d walks %v, owns %v", l, th, got, want)
+			}
+		}
+	}
 }

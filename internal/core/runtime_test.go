@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"xlupc/internal/sim"
@@ -633,6 +634,34 @@ func TestForAllCoversExactlyOwnedIndices(t *testing.T) {
 	}
 	if len(seen) != elems {
 		t.Fatalf("covered %d indices, want %d", len(seen), elems)
+	}
+
+	// ForAllC under RunCont must visit the same indices in the same
+	// order, and run then exactly once, after the last of them.
+	visitedC := make([][]int64, threads)
+	c := cfg(threads, nodes, transport.GM(), NoCache())
+	c.Exec = ExecCont
+	rt, err := NewRuntime(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RunCont(func(th *Thread, done func()) {
+		th.AllAllocC("A", elems, 8, 7, func(a *SharedArray) {
+			th.ForAllC(a, func(i int64, next func()) {
+				visitedC[th.ID()] = append(visitedC[th.ID()], i)
+				th.PutUint64C(a.At(i), uint64(i), next) // a real wait between steps
+			}, func() {
+				visitedC[th.ID()] = append(visitedC[th.ID()], -1)
+				th.BarrierC(done)
+			})
+		})
+	}); err != nil {
+		t.Fatalf("cont run: %v", err)
+	}
+	for id := range visited {
+		if want := append(visited[id], -1); !slices.Equal(visitedC[id], want) {
+			t.Errorf("thread %d: ForAllC visited %v, want ForAll's %v", id, visitedC[id], want)
+		}
 	}
 }
 

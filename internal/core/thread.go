@@ -144,28 +144,12 @@ func (t *Thread) localCB(a *SharedArray) *svd.ControlBlock {
 
 // ForAll runs body once for every index of a that is affine to this
 // thread, in ascending order — upc_forall with affinity &a[i]. It
-// walks owned blocks directly rather than filtering all indices.
+// steps Layout.NextOwned from owned index to owned index rather than
+// filtering all indices.
 func (t *Thread) ForAll(a *SharedArray, body func(i int64)) {
 	l := a.l
-	if l.Home >= 0 {
-		if l.Home == t.id {
-			for i := int64(0); i < l.NumElems; i++ {
-				body(i)
-			}
-		}
-		return
-	}
-	// First block owned by this thread is block number t.id; blocks
-	// recur every Threads blocks.
-	for blk := int64(t.id); blk*l.Block < l.NumElems; blk += int64(l.Threads) {
-		lo := blk * l.Block
-		hi := lo + l.Block
-		if hi > l.NumElems {
-			hi = l.NumElems
-		}
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
+	for i := l.NextOwned(t.id, 0); i < l.NumElems; i = l.NextOwned(t.id, i+1) {
+		body(i)
 	}
 }
 

@@ -8,7 +8,6 @@ package dis
 // the other.
 
 import (
-	"bytes"
 	"fmt"
 
 	"xlupc/internal/core"
@@ -52,18 +51,10 @@ func PointerC(t *core.Thread, p Params, done func(uint64)) {
 	n := p.PointerLen
 	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
 	t.AllAllocC("pointer", n, 8, blk, func(a *core.SharedArray) {
-		i := int64(0)
-		sim.Loop(func(next func()) {
-			for i < n && a.Owner(i) != t.ID() {
-				i++
-			}
-			if i == n {
-				t.BarrierC(func() { pointerChase(t, p, a, done) })
-				return
-			}
-			idx := i
-			i++
-			t.PutUint64C(a.At(idx), p.hash(uint64(idx)^0xF00D)%uint64(n), next)
+		t.ForAllC(a, func(i int64, next func()) {
+			t.PutUint64C(a.At(i), p.hash(uint64(i)^0xF00D)%uint64(n), next)
+		}, func() {
+			t.BarrierC(func() { pointerChase(t, p, a, done) })
 		})
 	})
 }
@@ -105,18 +96,10 @@ func UpdateC(t *core.Thread, p Params, done func(uint64)) {
 	n := p.UpdateLen
 	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
 	t.AllAllocC("update", n, 8, blk, func(a *core.SharedArray) {
-		i := int64(0)
-		sim.Loop(func(next func()) {
-			for i < n && a.Owner(i) != t.ID() {
-				i++
-			}
-			if i == n {
-				t.BarrierC(func() { updateHops(t, p, a, done) })
-				return
-			}
-			idx := i
-			i++
-			t.PutUint64C(a.At(idx), p.hash(uint64(idx)^0xCAFE)%uint64(n), next)
+		t.ForAllC(a, func(i int64, next func()) {
+			t.PutUint64C(a.At(i), p.hash(uint64(i)^0xCAFE)%uint64(n), next)
+		}, func() {
+			t.BarrierC(func() { updateHops(t, p, a, done) })
 		})
 	})
 }
@@ -251,12 +234,12 @@ func NeighborhoodC(t *core.Thread, p Params, done func(uint64)) {
 		lo := int64(t.ID()) * rowsPer * cols
 		hi := lo + rowsPer*cols
 		i := lo
+		row := make([]byte, cols)
 		sim.Loop(func(next func()) {
 			if i >= hi {
 				t.BarrierC(func() { neighborhoodSample(t, p, a, done) })
 				return
 			}
-			row := make([]byte, cols)
 			for c := range row {
 				row[c] = byte(p.hash(uint64(i) + uint64(c)))
 			}
@@ -272,6 +255,7 @@ func neighborhoodSample(t *core.Thread, p Params, a *core.SharedArray, done func
 	cols := p.NeighborhoodCols
 	rows := rowsPer * int64(t.Threads())
 	var sum uint64
+	var px [3]byte // the sample pixel and its two partners
 	myTopRow := int64(t.ID()) * rowsPer
 	s := 0
 	sim.Loop(func(next func()) {
@@ -288,14 +272,11 @@ func neighborhoodSample(t *core.Thread, p Params, a *core.SharedArray, done func
 		if r2 >= rows {
 			r2 -= rows // wrap the bottom band to thread 0
 		}
-		t.GetC(a.At(r*cols+c), func(b1 []byte) {
-			v1 := b1[0]
-			t.GetC(a.At(r2*cols+c), func(b2 []byte) { // vertical partner: possibly remote
-				v2 := b2[0]
-				t.GetC(a.At(r*cols+c2), func(b3 []byte) { // horizontal partner: local band
-					v3 := b3[0]
+		t.GetBulkC(px[0:1], a.At(r*cols+c), func() {
+			t.GetBulkC(px[1:2], a.At(r2*cols+c), func() { // vertical partner: possibly remote
+				t.GetBulkC(px[2:3], a.At(r*cols+c2), func() { // horizontal partner: local band
 					t.ComputeC(p.HopCompute, func() {
-						sum += uint64(v1)*3 + uint64(v2)*5 + uint64(v3)*7
+						sum += uint64(px[0])*3 + uint64(px[1])*5 + uint64(px[2])*7
 						next()
 					})
 				})
@@ -309,20 +290,19 @@ func FieldC(t *core.Thread, p Params, done func(uint64)) {
 	blk := p.FieldBlock
 	n := blk * int64(t.Threads())
 	t.AllAllocC("field", n, 1, blk, func(a *core.SharedArray) {
+		// Init image and every round's snapshot (see Field).
+		local := make([]byte, blk)
 		lo := int64(t.ID()) * blk
-		buf := make([]byte, blk)
-		for i := range buf {
-			buf[i] = byte('a' + p.hash(uint64(lo)+uint64(i))%4)
+		for i := range local {
+			local[i] = byte('a' + p.hash(uint64(lo)+uint64(i))%4)
 		}
-		t.PutBulkC(a.At(lo), buf, func() {
-			t.BarrierC(func() { fieldRounds(t, p, a, done) })
+		t.PutBulkC(a.At(lo), local, func() {
+			t.BarrierC(func() { fieldRounds(t, p, a, local, done) })
 		})
 	})
 }
 
-var fieldDelim = []byte{'Z'}
-
-func fieldRounds(t *core.Thread, p Params, a *core.SharedArray, done func(uint64)) {
+func fieldRounds(t *core.Thread, p Params, a *core.SharedArray, local []byte, done func(uint64)) {
 	blk := p.FieldBlock
 	n := blk * int64(t.Threads())
 	lo := int64(t.ID()) * blk
@@ -330,6 +310,10 @@ func fieldRounds(t *core.Thread, p Params, a *core.SharedArray, done func(uint64
 	tokLen := p.FieldTokenLen
 	succ := (lo + blk) % n
 	sampleBase := ((int64(t.ID()) + int64(t.ThreadsPerNode())) % int64(t.Threads())) * blk
+	tok := make([]byte, tokLen)
+	edge := make([]byte, 2*(tokLen-1))
+	sample := make([]byte, p.FieldSampleBytes)
+	var matches []int64
 	round := 0
 	sim.Loop(func(nextRound func()) {
 		if round == p.FieldTokens {
@@ -338,36 +322,21 @@ func fieldRounds(t *core.Thread, p Params, a *core.SharedArray, done func(uint64
 		}
 		rd := round
 		round++
-		tok := make([]byte, tokLen)
 		for i := range tok {
 			tok[i] = byte('a' + p.hash(uint64(rd)*31+uint64(i))%4)
 		}
 		// Snapshot the local block through shared memory.
-		local := make([]byte, blk)
 		t.GetBulkC(local, a.At(lo), func() {
 			jitter := 700 + int64(p.hash(uint64(rd)*1009+uint64(t.ID()))%601)
 			segTime := sim.Time(blk) * p.FieldScanPerByte * sim.Time(jitter) / 1000 /
 				sim.Time(p.FieldSegments)
-			sample := make([]byte, p.FieldSampleBytes)
 			seg := 0
 			sim.Loop(func(nextSeg func()) {
 				if seg == p.FieldSegments {
 					// Overhang: extend the search across the block boundary.
-					overhang := tokLen - 1
-					ext := make([]byte, overhang)
-					t.GetBulkC(ext, a.At(succ), func() {
-						scan := append(local, ext...)
-						var matches []int64
-						for i := 0; i+int(tokLen) <= len(scan); {
-							j := bytes.Index(scan[i:], tok)
-							if j < 0 {
-								break
-							}
-							i += j
-							found++
-							matches = append(matches, (lo+int64(i))%n)
-							i += int(tokLen)
-						}
+					t.GetBulkC(edge[tokLen-1:], a.At(succ), func() {
+						matches = appendMatches(matches[:0], local, edge, tok, lo, n)
+						found += uint64(len(matches))
 						t.BarrierC(func() {
 							mi := 0
 							sim.Loop(func(nextPut func()) {

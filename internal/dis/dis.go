@@ -163,8 +163,9 @@ func Checksum(checks []uint64) uint64 {
 }
 
 // hash derives the workload hash for a parameter set (splitmix64 over
-// the salted input).
-func (p Params) hash(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
+// the salted input). Pointer receiver: it runs once per byte of Field
+// and Neighborhood data, and Params is a 200-byte struct.
+func (p *Params) hash(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
 
 // splitmix64 provides a deterministic, thread-count-independent hash
 // used to initialize shared data so checksums are comparable across

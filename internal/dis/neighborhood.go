@@ -25,8 +25,8 @@ func Neighborhood(t *core.Thread, p Params) uint64 {
 	// Owners fill their band.
 	lo := int64(t.ID()) * rowsPer * cols
 	hi := lo + rowsPer*cols
+	row := make([]byte, cols)
 	for i := lo; i < hi; i += cols {
-		row := make([]byte, cols)
 		for c := range row {
 			row[c] = byte(p.hash(uint64(i) + uint64(c)))
 		}
@@ -38,6 +38,7 @@ func Neighborhood(t *core.Thread, p Params) uint64 {
 	// stencil distance below and to the right. The vertical partner
 	// is remote for the bottom `Dist` rows of the band.
 	var sum uint64
+	var px [3]byte // the sample pixel and its two partners
 	myTopRow := int64(t.ID()) * rowsPer
 	for s := 0; s < p.NeighborhoodSamples; s++ {
 		r := myTopRow + (int64(s)*131)%rowsPer
@@ -47,11 +48,11 @@ func Neighborhood(t *core.Thread, p Params) uint64 {
 		if r2 >= rows {
 			r2 -= rows // wrap the bottom band to thread 0
 		}
-		v1 := t.Get(a.At(r*cols + c))[0]
-		v2 := t.Get(a.At(r2*cols + c))[0] // vertical partner: possibly remote
-		v3 := t.Get(a.At(r*cols + c2))[0] // horizontal partner: local band
+		t.GetBulk(px[0:1], a.At(r*cols+c))
+		t.GetBulk(px[1:2], a.At(r2*cols+c)) // vertical partner: possibly remote
+		t.GetBulk(px[2:3], a.At(r*cols+c2)) // horizontal partner: local band
 		t.Compute(p.HopCompute)
-		sum += uint64(v1)*3 + uint64(v2)*5 + uint64(v3)*7
+		sum += uint64(px[0])*3 + uint64(px[1])*5 + uint64(px[2])*7
 	}
 	t.Barrier()
 	return sum

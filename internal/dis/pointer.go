@@ -23,11 +23,9 @@ func Pointer(t *core.Thread, p Params) uint64 {
 
 	// Owners initialize their blocks with a hash-derived successor
 	// permutation-ish field: A[i] = h(i) mod n.
-	for i := int64(0); i < n; i++ {
-		if a.Owner(i) == t.ID() {
-			t.PutUint64(a.At(i), p.hash(uint64(i)^0xF00D)%uint64(n))
-		}
-	}
+	t.ForAll(a, func(i int64) {
+		t.PutUint64(a.At(i), p.hash(uint64(i)^0xF00D)%uint64(n))
+	})
 	t.Barrier()
 
 	pos := int64(p.hash(uint64(t.ID())^0xBEEF) % uint64(n))
@@ -62,11 +60,9 @@ func Update(t *core.Thread, p Params) uint64 {
 	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
 	a := t.AllAlloc("update", n, 8, blk)
 
-	for i := int64(0); i < n; i++ {
-		if a.Owner(i) == t.ID() {
-			t.PutUint64(a.At(i), p.hash(uint64(i)^0xCAFE)%uint64(n))
-		}
-	}
+	t.ForAll(a, func(i int64) {
+		t.PutUint64(a.At(i), p.hash(uint64(i)^0xCAFE)%uint64(n))
+	})
 	t.Barrier()
 
 	var check uint64
