@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
 
@@ -167,5 +168,49 @@ func TestAllocGuardCoalesce(t *testing.T) {
 	t.Logf("coalesced 8xNbGet+SyncAll round: %.2f allocs", per)
 	if per > 64 {
 		t.Errorf("coalesced round allocates %.2f (> 64): flush path regressed", per)
+	}
+}
+
+// barrierBody runs ops whole-machine barriers (every thread takes part).
+func barrierBody(th *core.Thread, ops int) {
+	for i := 0; i < ops; i++ {
+		th.Barrier()
+	}
+}
+
+// TestAllocGuardBarrier bounds a barrier: per round, 8 threads on 4
+// nodes each fence, combine in shared memory and — the representatives
+// — run two dissemination rounds. Measured 44: what the protocol sends
+// and waits on (message headers, round and release completions, their
+// waiter lists). The ladder itself — fence, SyncAll, the steps between
+// the waits — adds nothing per thread, and the bound leaves it no room
+// to start.
+func TestAllocGuardBarrier(t *testing.T) {
+	per := marginal(t, 64, guardCfg(func(c *core.Config) { c.Threads, c.Nodes = 8, 4 }), barrierBody)
+	t.Logf("barrier, 8 threads / 4 nodes: %.2f allocs", per)
+	if per > 46 {
+		t.Errorf("barrier allocates %.2f (> 46): the barrier ladder regressed", per)
+	}
+}
+
+// computeBody alternates two threads of one node on its CPU.
+func computeBody(th *core.Thread, ops int) {
+	for i := 0; i < ops; i++ {
+		th.Compute(100 * sim.Ns)
+	}
+}
+
+// TestAllocGuardCompute bounds Compute — acquire a core, hold it,
+// release it — which allocates nothing, contended or not.
+func TestAllocGuardCompute(t *testing.T) {
+	per := marginal(t, 256, guardCfg(func(c *core.Config) {
+		c.Threads, c.Nodes = 4, 1
+		p := *c.Profile
+		p.Cores = 2 // four threads on two cores: half the acquisitions queue
+		c.Profile = &p
+	}), computeBody)
+	t.Logf("Compute, 4 threads on 2 cores: %.2f allocs", per)
+	if per > 0.1 {
+		t.Errorf("Compute allocates %.2f (> 0.1): the compute ladder regressed", per)
 	}
 }

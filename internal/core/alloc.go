@@ -58,6 +58,18 @@ func (ns *nodeState) installArray(h svd.Handle, kind svd.Kind, name string, l La
 	return cb
 }
 
+// allocReq is a collective allocation in progress on a node: what its
+// representative was asked for and, once chosen, under which handle.
+type allocReq struct {
+	kind     svd.Kind
+	name     string
+	elemSize int
+	block    int64
+	numElems int64
+	h        svd.Handle
+	l        Layout
+}
+
 // AllAlloc is upc_all_alloc: a collective allocation of a shared array
 // of numElems elements of elemSize bytes, distributed block-cyclically
 // with the given block size (elements per block; <=0 means indefinite,
@@ -67,29 +79,69 @@ func (t *Thread) AllAlloc(name string, numElems int64, elemSize int, block int64
 	return t.AllAllocKind(svd.KindArray, name, numElems, elemSize, block)
 }
 
+// AllAllocC is AllAlloc in continuation-passing style.
+func (t *Thread) AllAllocC(name string, numElems int64, elemSize int, block int64, then func(a *SharedArray)) {
+	t.AllAllocKindC(svd.KindArray, name, numElems, elemSize, block, then)
+}
+
 // AllAllocKind is AllAlloc with an explicit SVD object kind, so layers
 // above the runtime (internal/kv) can label their segments distinctly
 // in every replica's directory.
 func (t *Thread) AllAllocKind(kind svd.Kind, name string, numElems int64, elemSize int, block int64) *SharedArray {
+	t.p.ParkWake()
+	t.allAlloc(kind, name, numElems, elemSize, block)
+	t.p.Await()
+	return t.arr
+}
+
+// AllAllocKindC is AllAllocKind in continuation-passing style.
+func (t *Thread) AllAllocKindC(kind svd.Kind, name string, numElems int64, elemSize int, block int64, then func(a *SharedArray)) {
+	t.thenT = then
+	t.park(pcThenArray)
+	t.allAlloc(kind, name, numElems, elemSize, block)
+}
+
+// allAlloc allocates collectively and leaves the array in t.arr: a
+// barrier, the node representatives install the object, and a closing
+// barrier carries it to their co-located threads.
+func (t *Thread) allAlloc(kind svd.Kind, name string, numElems int64, elemSize int, block int64) {
 	if numElems <= 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("core: AllAlloc(%s) with nonpositive size", name))
 	}
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.p.Now())
-	span.SetProto("collective")
-	t.Barrier()
-	ns := t.ns
+	t.aspan = t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
+	t.aspan.SetProto("collective")
 	if t.isNodeRep() {
-		l := t.rt.layout(elemSize, block, numElems)
-		idx := ns.dir.NextIndex(svd.AllPartition)
-		h := svd.Handle{Part: svd.AllPartition, Index: idx}
-		t.Compute(allocCPUCost)
-		ns.installArray(h, kind, name, l)
-		ns.collective = &SharedArray{rt: t.rt, h: h, l: l, name: name}
+		t.ns.alloc = allocReq{kind: kind, name: name, elemSize: elemSize, block: block, numElems: numElems}
 	}
-	t.Barrier()
-	a := ns.collective.(*SharedArray)
-	span.Finish(t.p.Now())
-	return a
+	t.park(pcAllocOpened)
+	t.barrier()
+}
+
+func (t *Thread) allocOpened() {
+	t.park(pcAllocClosed)
+	if !t.isNodeRep() {
+		t.barrier()
+		return
+	}
+	req := &t.ns.alloc
+	req.l = t.rt.layout(req.elemSize, req.block, req.numElems)
+	req.h = svd.Handle{Part: svd.AllPartition, Index: t.ns.dir.NextIndex(svd.AllPartition)}
+	t.park(pcAllocInstall)
+	t.compute(allocCPUCost)
+}
+
+func (t *Thread) allocInstall() {
+	ns, req := t.ns, &t.ns.alloc
+	ns.installArray(req.h, req.kind, req.name, req.l)
+	ns.collective = &SharedArray{rt: t.rt, h: req.h, l: req.l, name: req.name}
+	t.barrier()
+}
+
+func (t *Thread) allocClosed() {
+	t.arr = t.ns.collective.(*SharedArray)
+	t.aspan.Finish(t.Now())
+	t.aspan = nil
+	t.c.Resume()
 }
 
 // GlobalAlloc is upc_global_alloc: a single thread allocates a
@@ -102,9 +154,9 @@ func (t *Thread) GlobalAlloc(name string, numElems int64, elemSize int, block in
 	if numElems <= 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("core: GlobalAlloc(%s) with nonpositive size", name))
 	}
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.p.Now())
+	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
 	span.SetProto("global")
-	defer func() { span.Finish(t.p.Now()) }()
+	defer func() { span.Finish(t.Now()) }()
 	l := t.rt.layout(elemSize, block, numElems)
 	h := svd.Handle{Part: int32(t.id), Index: t.ns.dir.NextIndex(int32(t.id))}
 	t.Compute(allocCPUCost)
@@ -127,9 +179,9 @@ func (t *Thread) LocalAlloc(name string, numElems int64, elemSize int) *SharedAr
 	if numElems <= 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("core: LocalAlloc(%s) with nonpositive size", name))
 	}
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.p.Now())
+	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
 	span.SetProto("local")
-	defer func() { span.Finish(t.p.Now()) }()
+	defer func() { span.Finish(t.Now()) }()
 	l := t.rt.layout(elemSize, numElems, numElems)
 	l.Home = t.id
 	h := svd.Handle{Part: int32(t.id), Index: t.ns.dir.NextIndex(int32(t.id))}
@@ -158,38 +210,69 @@ func (rt *Runtime) layout(elemSize int, block, numElems int64) Layout {
 // RDMA can land in recycled memory. The program must quiesce accesses
 // to the object first (fence + barrier), as UPC requires.
 func (t *Thread) Free(a *SharedArray) {
-	t.Fence()
-	span := t.rt.tel.StartSpan("free", t.id, t.ns.id, t.p.Now())
-	defer func() { span.Finish(t.p.Now()) }()
-	acks := sim.NewCounter(t.rt.K, "free-acks", t.rt.cfg.Nodes-1)
-	req := &freeReq{H: a.h, Acks: acks}
-	for n := 0; n < t.rt.cfg.Nodes; n++ {
-		if n != t.ns.id {
-			t.rt.M.SendAM(t.p, t.ns.id, n, hFreeReq, req, nil, 0)
-		}
-	}
-	t.ns.dropObject(t.p, a.h)
-	acks.Wait(t.p)
+	t.FreeC(a, t.p.Wake())
+	t.p.Await()
 }
 
-// dropObject performs the local part of a free on node ns.
-func (ns *nodeState) dropObject(p *sim.Proc, h svd.Handle) {
-	if ns.cache != nil {
-		n := ns.cache.InvalidateHandle(h.Key())
-		p.Sleep(sim.Time(n) * ns.rt.cfg.Profile.CacheLookupCost)
-		ns.rt.recordCacheInval(ns.id, -1, h.Key(), n)
-	}
-	cb, ok := ns.dir.LookupAny(h)
-	if !ok {
-		panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, h))
-	}
-	if cb.HasLocal {
-		if cost := ns.tn.Pins.Unpin(cb.LocalBase, p.Now()); cost > 0 {
-			p.Sleep(cost)
+// FreeC is Free in continuation-passing style: fence, broadcast the
+// free request, drop the local replica, then wait for every peer's
+// acknowledgement. (Frees are rare enough to afford their closures.)
+func (t *Thread) FreeC(a *SharedArray, then func()) {
+	t.FenceC(func() {
+		span := t.rt.tel.StartSpan("free", t.id, t.ns.id, t.Now())
+		acks := sim.NewCounter(t.rt.K, "free-acks", t.rt.cfg.Nodes-1)
+		req := &freeReq{H: a.h, Acks: acks}
+		n := 0
+		sim.Loop(func(next func()) {
+			for n < t.rt.cfg.Nodes && n == t.ns.id {
+				n++
+			}
+			if n == t.rt.cfg.Nodes {
+				t.ns.dropObjectC(t.c, a.h, func() {
+					acks.WaitFn(t.c, func() {
+						span.Finish(t.Now())
+						then()
+					})
+				})
+				return
+			}
+			dst := n
+			n++
+			t.rt.M.SendAMSpanC(t.c, t.ns.id, dst, hFreeReq, req, nil, 0, nil, next)
+		})
+	})
+}
+
+// dropObjectC performs the local part of a free on node ns, on behalf
+// of ct — the freeing thread, or the dispatcher serving its request:
+// eagerly invalidate the address-cache entries, deregister and free the
+// local piece, and mark the handle freed.
+func (ns *nodeState) dropObjectC(ct *sim.Cont, h svd.Handle, then func()) {
+	afterInval := func() {
+		cb, ok := ns.dir.LookupAny(h)
+		if !ok {
+			panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, h))
 		}
-		ns.tn.Mem.Free(cb.LocalBase)
+		if !cb.HasLocal {
+			ns.dir.MarkFreed(h)
+			then()
+			return
+		}
+		ct.Sleep(ns.tn.Pins.Unpin(cb.LocalBase, ns.rt.K.Now()), func() {
+			ns.tn.Mem.Free(cb.LocalBase)
+			ns.dir.MarkFreed(h)
+			then()
+		})
 	}
-	ns.dir.MarkFreed(h)
+	if ns.cache == nil {
+		afterInval()
+		return
+	}
+	n := ns.cache.InvalidateHandle(h.Key())
+	ct.Sleep(sim.Time(n)*ns.rt.cfg.Profile.CacheLookupCost, func() {
+		ns.rt.recordCacheInval(ns.id, -1, h.Key(), n)
+		afterInval()
+	})
 }
 
 func (rt *Runtime) handleAllocNotify(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
@@ -211,7 +294,8 @@ func (rt *Runtime) handleFreeReq(p *sim.Proc, n *transport.Node, msg *transport.
 		rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
 		return
 	}
-	ns.dropObject(p, m.H)
+	ns.dropObjectC(p.Cont(), m.H, p.Wake())
+	p.Await()
 	rt.M.ReplyAM(p, n.ID, msg.Src, hFreeAck, &freeAck{Acks: m.Acks}, nil, 0)
 }
 

@@ -70,7 +70,7 @@ func (ns *nodeState) rmw(addr mem.Addr, op transport.AtomicOp, a, b uint64) uint
 	return old
 }
 
-// --- Blocking API -------------------------------------------------------
+// --- Blocking operations -------------------------------------------------
 
 // FetchAdd atomically adds delta to the 8-byte element at r and
 // returns the element's previous value. Concurrent atomics from any
@@ -78,21 +78,48 @@ func (ns *nodeState) rmw(addr mem.Addr, op transport.AtomicOp, a, b uint64) uint
 // Lock). On RDMA transports with a warm address cache this is one
 // NIC-executed message.
 func (t *Thread) FetchAdd(r Ref, delta uint64) uint64 {
-	return t.atomicRMW(r, transport.AtomicFetchAdd, delta, 0)
+	t.p.ParkWake()
+	t.atomicRMW(r, transport.AtomicFetchAdd, delta, 0)
+	t.p.Await()
+	return t.old
+}
+
+// FetchAddC is FetchAdd in continuation-passing style.
+func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
+	t.thenT = then
+	t.park(pcThenOld)
+	t.atomicRMW(r, transport.AtomicFetchAdd, delta, 0)
 }
 
 // CompareSwap atomically installs swap in the 8-byte element at r iff
 // it currently equals expect, returning the previous value and whether
 // the swap happened.
 func (t *Thread) CompareSwap(r Ref, expect, swap uint64) (old uint64, swapped bool) {
-	old = t.atomicRMW(r, transport.AtomicCompareSwap, expect, swap)
-	return old, old == expect
+	t.p.ParkWake()
+	t.atomicRMW(r, transport.AtomicCompareSwap, expect, swap)
+	t.p.Await()
+	return t.old, t.old == expect
+}
+
+// CompareSwapC is CompareSwap in continuation-passing style.
+func (t *Thread) CompareSwapC(r Ref, expect, swap uint64, then func(old uint64, swapped bool)) {
+	t.thenT = then
+	t.park(pcThenCAS)
+	t.atomicRMW(r, transport.AtomicCompareSwap, expect, swap)
 }
 
 // Accumulate atomically adds delta to the 8-byte element at r without
 // fetching the previous value — the response carries no data word, so
 // accumulations batch tighter than FetchAdd.
 func (t *Thread) Accumulate(r Ref, delta uint64) {
+	t.p.ParkWake()
+	t.atomicRMW(r, transport.AtomicAccumulate, delta, 0)
+	t.p.Await()
+}
+
+// AccumulateC is Accumulate in continuation-passing style.
+func (t *Thread) AccumulateC(r Ref, delta uint64, then func()) {
+	t.c.Park(sim.Func(then), 0)
 	t.atomicRMW(r, transport.AtomicAccumulate, delta, 0)
 }
 
@@ -102,62 +129,93 @@ func (t *Thread) AtomicAddU64(r Ref, delta uint64) uint64 {
 	return t.FetchAdd(r, delta)
 }
 
-// atomicRMW is the blocking remote-atomic driver: local fast path,
-// cache-hit NIC descriptor, NACK healing, AM fallback — the same
-// protocol ladder getRun climbs.
-func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) uint64 {
+// atomicRMW is the remote-atomic ladder: local fast path, cache-hit
+// NIC descriptor, NACK healing, AM fallback — the one getRun climbs.
+// It leaves the element's previous value in t.old.
+func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) {
 	checkAtomic(r)
 	a := r.A
-	prof := t.rt.cfg.Profile
 	rn := a.l.NodeOf(r.Idx)
-	off := a.l.ChunkOffset(r.Idx)
+	t.a, t.off, t.aop, t.a1, t.a2 = a, a.l.ChunkOffset(r.Idx), op, a1, a2
 
 	if rn == t.ns.id {
 		// Home-node fast path: shared memory, no network.
-		cb := t.localCB(a)
-		t.p.Sleep(prof.ShmLatency + atomicCPUCost)
-		t.localAtomics++
-		return t.ns.rmw(cb.LocalBase+mem.Addr(off), op, a1, a2)
+		t.localAtomic()
+		return
 	}
 
-	start := t.p.Now()
-	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
-	span.SetBytes(op.OperandBytes())
+	t.rn, t.start = rn, t.Now()
+	t.span = t.rt.tel.StartSpan("atomic", t.id, t.ns.id, t.start)
+	t.span.SetBytes(op.OperandBytes())
 	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+op.String()+`"`, 1)
-	defer func() {
-		span.Finish(t.p.Now())
-		t.atomics++
-		t.atomicTime += t.p.Now() - start
-	}()
-
 	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			old, nack, ok := t.rt.M.RDMAAtomicSpan(t.p, t.ns.id, rn,
-				base, base+mem.Addr(off), op, a1, a2, t.atomicFetchBuf(op), ep, span)
-			if ok {
-				return old
-			}
-			if nack.Stale {
-				// The target restarted under a new incarnation: flush every
-				// cached address for it, then fall through to the AM path,
-				// whose reply re-piggybacks the fresh base.
-				if !t.healStale(rn, nack.Epoch, "atomic", span) {
-					return 0
-				}
-				t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-			} else {
-				// The target deregistered the region (limited pinning).
-				t.ns.cache.Remove(cacheKey(a.h, rn))
-				t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-			}
-		}
+		t.t0 = t.Now()
+		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcAtomicLookup))
+		return
 	}
-	span.SetProto("am")
-	return t.amAtomic(a, rn, off, op, a1, a2, span)
+	t.park(pcAtomicFinish)
+	t.amAtomic()
+}
+
+func (t *Thread) localAtomic() {
+	if !t.lookupLocal() {
+		t.park(pcLocalAtomic)
+		t.localCB()
+		return
+	}
+	t.c.Sleep(t.rt.cfg.Profile.ShmLatency+atomicCPUCost, t.after(pcLocalAtomicDone))
+}
+
+func (t *Thread) localAtomicDone() {
+	t.localAtomics++
+	t.old = t.ns.rmw(t.cb.LocalBase+mem.Addr(t.off), t.aop, t.a1, t.a2)
+	t.a, t.cb = nil, nil
+	t.c.Resume()
+}
+
+// atomicLookup runs after the cache-lookup cost: a hit goes
+// NIC-descriptor, a miss to the AM path.
+func (t *Thread) atomicLookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		t.span.SetProto("rdma")
+		t.rt.M.RDMAAtomicSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
+			t.aop, t.a1, t.a2, t.atomicFetchBuf(t.aop), ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
+		return
+	}
+	t.park(pcAtomicFinish)
+	t.amAtomic()
+}
+
+func (t *Thread) atomicRDMADone() {
+	if t.rdma.OK {
+		t.old = t.rdma.Old
+		t.atomicFinish()
+		return
+	}
+	t.park(pcAtomicFinish)
+	t.atomicNacked()
+}
+
+// atomicNacked heals after a refused NIC atomic (see getNacked) and
+// redoes it over the AM path, whose reply re-piggybacks the fresh base.
+// The caller has parked what finishes the operation.
+func (t *Thread) atomicNacked() {
+	if nk := t.rdma.Nack; nk.Stale {
+		t.healStaleC(t.rn, nk.Epoch, "atomic", t.span, func(ok bool) {
+			if !ok {
+				t.old, t.out = 0, nil
+				t.c.Resume()
+				return
+			}
+			t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
+			t.amAtomic()
+		})
+		return
+	}
+	t.ns.cache.Remove(cacheKey(t.a.h, t.rn))
+	t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
+	t.amAtomic()
 }
 
 // atomicFetchBuf is the posted 8-byte result buffer of a blocking NIC
@@ -172,352 +230,146 @@ func (t *Thread) atomicFetchBuf(op transport.AtomicOp) []byte {
 
 // amAtomic is the active-message atomic: the handler combines on the
 // target CPU and replies with the previous value.
-func (t *Thread) amAtomic(a *SharedArray, rn int, off int64, op transport.AtomicOp, a1, a2 uint64, span *telemetry.Span) uint64 {
-	done := sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hAtomic,
-		&atomicReq{H: a.h, Off: off, Op: op, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-		nil, op.OperandBytes(), span)
-	t.p.Wait(done)
-	old := done.Value().(uint64)
-	t.rt.K.Recycle(done)
-	return old
+func (t *Thread) amAtomic() {
+	t.span.SetProto("am")
+	t.done = sim.NewCompletion(t.rt.K, "atomic")
+	t.request(pcAMAtomicDone, t.rn, hAtomic,
+		&atomicReq{H: t.a.h, Off: t.off, Op: t.aop, A: t.a1, B: t.a2, WantAddr: t.ns.cache != nil, Done: t.done},
+		t.aop.OperandBytes())
 }
 
-// --- Continuation-mode twins (mirror the blocking API step for step) ----
-
-// FetchAddC is Thread.FetchAdd in continuation-passing style.
-func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
-	t.atomicRMWC(r, transport.AtomicFetchAdd, delta, 0, then)
+func (t *Thread) amAtomicDone() {
+	t.old = t.done.Value().(uint64)
+	t.reply()
 }
 
-// CompareSwapC is Thread.CompareSwap in continuation-passing style.
-func (t *Thread) CompareSwapC(r Ref, expect, swap uint64, then func(old uint64, swapped bool)) {
-	t.atomicRMWC(r, transport.AtomicCompareSwap, expect, swap, func(old uint64) {
-		then(old, old == expect)
-	})
+// atomicFinish closes out the remote atomic: span, counters.
+func (t *Thread) atomicFinish() {
+	t.a = nil
+	t.atomicRetired()
 }
 
-// AccumulateC is Thread.Accumulate in continuation-passing style.
-func (t *Thread) AccumulateC(r Ref, delta uint64, then func()) {
-	t.atomicRMWC(r, transport.AtomicAccumulate, delta, 0, func(uint64) { then() })
+// atomicRetired charges a finished remote atomic to the thread.
+func (t *Thread) atomicRetired() {
+	t.span.Finish(t.Now())
+	t.atomics++
+	t.atomicTime += t.Now() - t.start
+	t.span = nil
+	t.c.Resume()
 }
 
-// atomicRMWC is atomicRMW in continuation-passing style. The hot paths
-// (local, cache-hit NIC) run on the thread's pre-bound op state so
-// they build no closures; the rare fallbacks may.
-func (t *Thread) atomicRMWC(r Ref, op transport.AtomicOp, a1, a2 uint64, then func(old uint64)) {
-	checkAtomic(r)
-	a := r.A
-	prof := t.rt.cfg.Profile
-	rn := a.l.NodeOf(r.Idx)
-	off := a.l.ChunkOffset(r.Idx)
-
-	if rn == t.ns.id {
-		if cb, ok := t.localCBFast(a); ok {
-			t.localAtomicDoC(cb, off, op, a1, a2, then)
-			return
-		}
-		t.localCBC(a, func(cb *svd.ControlBlock) { t.localAtomicDoC(cb, off, op, a1, a2, then) })
-		return
-	}
-
-	start := t.Now()
-	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
-	span.SetBytes(op.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+op.String()+`"`, 1)
-	o := t.ops()
-	o.aa, o.arn, o.aoff, o.aop, o.aarg1, o.aarg2 = a, rn, off, op, a1, a2
-	o.aspan, o.astart, o.athen = span, start, then
-
-	if t.ns.cache != nil {
-		o.at0 = t.Now()
-		t.c.Sleep(prof.CacheLookupCost, o.aLookupFn)
-		return
-	}
-	span.SetProto("am")
-	t.amAtomicC(a, rn, off, op, a1, a2, span, o.aFinishFn)
-}
-
-// localAtomicDoC performs a home-node atomic against a resolved control
-// block — zero closures: the post-sleep step is pre-bound.
-func (t *Thread) localAtomicDoC(cb *svd.ControlBlock, off int64, op transport.AtomicOp, a1, a2 uint64, then func(old uint64)) {
-	prof := t.rt.cfg.Profile
-	o := t.ops()
-	o.zaddr, o.zop, o.za1, o.za2, o.zthen = cb.LocalBase+mem.Addr(off), op, a1, a2, then
-	t.c.Sleep(prof.ShmLatency+atomicCPUCost, o.zFn)
-}
-
-// amAtomicC is amAtomic in continuation-passing style.
-func (t *Thread) amAtomicC(a *SharedArray, rn int, off int64, op transport.AtomicOp, a1, a2 uint64, span *telemetry.Span, then func(old uint64)) {
-	done := sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMSpanC(t.c, t.ns.id, rn, hAtomic,
-		&atomicReq{H: a.h, Off: off, Op: op, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-		nil, op.OperandBytes(), span, func() {
-			done.WaitC(t.c, func(v any) {
-				old := v.(uint64)
-				t.rt.K.Recycle(done)
-				then(old)
-			})
-		})
-}
-
-// --- Split-phase atomics (mirror nbio.go) -------------------------------
+// --- Split-phase atomics -------------------------------------------------
 
 // NbFetchAdd starts a split-phase fetch-add on the 8-byte element at
 // r: the previous value is stored into *out when the handle retires
 // (Sync, a fence or a barrier). With coalescing enabled, batched
 // atomics to one destination share a single doorbell frame.
 func (t *Thread) NbFetchAdd(r Ref, delta uint64, out *uint64) Handle {
-	return t.nbAtomic(r, transport.AtomicFetchAdd, delta, 0, out)
+	t.p.ParkWake()
+	t.nbAtomic(r, transport.AtomicFetchAdd, delta, out)
+	t.p.Await()
+	return t.h
+}
+
+// NbFetchAddC is NbFetchAdd in continuation-passing style.
+func (t *Thread) NbFetchAddC(r Ref, delta uint64, out *uint64, then func(h Handle)) {
+	t.thenT = then
+	t.park(pcThenHandle)
+	t.nbAtomic(r, transport.AtomicFetchAdd, delta, out)
 }
 
 // NbAccumulate starts a split-phase accumulate (add, no result) on the
 // 8-byte element at r — the one-message-per-update primitive of the
 // RandomAccess/GUPS pattern.
 func (t *Thread) NbAccumulate(r Ref, delta uint64) Handle {
-	return t.nbAtomic(r, transport.AtomicAccumulate, delta, 0, nil)
+	t.p.ParkWake()
+	t.nbAtomic(r, transport.AtomicAccumulate, delta, nil)
+	t.p.Await()
+	return t.h
 }
 
-func (t *Thread) nbAtomic(r Ref, op transport.AtomicOp, a1, a2 uint64, out *uint64) Handle {
-	nb := t.newNbOp()
-	t.nbAtomicRun(nb, r, op, a1, a2, out)
-	if len(nb.subs) == 0 {
-		t.freeNbOp(nb)
-		return Handle{} // local: the combine already happened
-	}
-	t.nbOut = append(t.nbOut, nb)
-	return Handle{op: nb, gen: nb.gen}
-}
-
-// nbAtomicRun issues one split-phase atomic: local combines complete
-// at issue, remote ones go NIC-descriptor (cache hit) or coalesced AM
-// without waiting. NACK healing happens at retire, inside Sync, where
-// blocking is the semantics.
-func (t *Thread) nbAtomicRun(nb *nbOp, r Ref, aop transport.AtomicOp, a1, a2 uint64, out *uint64) {
-	checkAtomic(r)
-	a := r.A
-	prof := t.rt.cfg.Profile
-	rn := a.l.NodeOf(r.Idx)
-	off := a.l.ChunkOffset(r.Idx)
-	start := t.p.Now()
-
-	if rn == t.ns.id {
-		cb := t.localCB(a)
-		t.p.Sleep(prof.ShmLatency + atomicCPUCost)
-		t.localAtomics++
-		old := t.ns.rmw(cb.LocalBase+mem.Addr(off), aop, a1, a2)
-		if out != nil {
-			*out = old
-		}
-		return
-	}
-
-	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
-	span.SetBytes(aop.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+aop.String()+`"`, 1)
-	finish := func() {
-		span.Finish(t.p.Now())
-		t.atomics++
-		t.atomicTime += t.p.Now() - start
-	}
-
-	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			// Split-phase fetches need a result buffer that outlives the
-			// issue; the thread's staging word would alias across
-			// outstanding handles.
-			var fetch []byte
-			if aop.ResultBytes() > 0 {
-				fetch = make([]byte, 8)
-			}
-			res := t.rt.M.RDMAAtomicStart(t.p, t.ns.id, rn,
-				base, base+mem.Addr(off), aop, a1, a2, fetch, ep, span)
-			nb.subs = append(nb.subs, nbSub{done: res, fin: func() {
-				val := res.Value()
-				data := res.Bytes()
-				t.rt.K.Recycle(res)
-				if nk, nack := val.(transport.Nack); nack {
-					// Redo over the AM path, synchronously — we are already
-					// inside Sync, so blocking here is the semantics.
-					if nk.Stale {
-						if !t.healStale(rn, nk.Epoch, "atomic", span) {
-							finish()
-							return
-						}
-						t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-					} else {
-						t.ns.cache.Remove(cacheKey(a.h, rn))
-						t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-					}
-					span.SetProto("am")
-					old := t.amAtomic(a, rn, off, aop, a1, a2, span)
-					if out != nil {
-						*out = old
-					}
-				} else if out != nil && data != nil {
-					*out = byteOrder.Uint64(data)
-				}
-				finish()
-			}})
-			return
-		}
-	}
-	span.SetProto("am")
-	done := sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMCoalesced(t.p, t.ns.id, rn, hAtomic,
-		&atomicReq{H: a.h, Off: off, Op: aop, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-		nil, aop.OperandBytes(), span)
-	nb.subs = append(nb.subs, nbSub{done: done, fin: func() {
-		if out != nil {
-			*out = done.Value().(uint64)
-		}
-		t.rt.K.Recycle(done)
-		finish()
-	}})
-}
-
-// NbFetchAddC is Thread.NbFetchAdd in continuation-passing style.
-func (t *Thread) NbFetchAddC(r Ref, delta uint64, out *uint64, then func(h Handle)) {
-	t.nbAtomicC(r, transport.AtomicFetchAdd, delta, 0, out, then)
-}
-
-// NbAccumulateC is Thread.NbAccumulate in continuation-passing style.
+// NbAccumulateC is NbAccumulate in continuation-passing style.
 func (t *Thread) NbAccumulateC(r Ref, delta uint64, then func(h Handle)) {
-	t.nbAtomicC(r, transport.AtomicAccumulate, delta, 0, nil, then)
+	t.thenT = then
+	t.park(pcThenHandle)
+	t.nbAtomic(r, transport.AtomicAccumulate, delta, nil)
 }
 
-func (t *Thread) nbAtomicC(r Ref, op transport.AtomicOp, a1, a2 uint64, out *uint64, then func(h Handle)) {
-	nb := t.newNbOp()
-	t.nbAtomicRunC(nb, r, op, a1, a2, out, func() {
-		if len(nb.subs) == 0 {
-			t.freeNbOp(nb)
-			then(Handle{})
-			return
-		}
-		t.nbOut = append(t.nbOut, nb)
-		then(Handle{op: nb, gen: nb.gen})
-	})
-}
+// nbAtomic issues one split-phase atomic and leaves its handle in t.h:
+// local combines complete at issue, remote ones go
+// NIC-descriptor (cache hit) or coalesced AM without waiting. NACK
+// healing happens at retire, inside Sync, where blocking is the
+// semantics.
+func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint64) {
+	t.nb = t.newNbOp()
+	t.park(pcNbIssued)
 
-// nbAtomicRunC mirrors nbAtomicRun step for step; the NACK fallback at
-// retire carries the continuation (finC), like nbGetRunC.
-func (t *Thread) nbAtomicRunC(nb *nbOp, r Ref, aop transport.AtomicOp, a1, a2 uint64, out *uint64, then func()) {
 	checkAtomic(r)
 	a := r.A
-	prof := t.rt.cfg.Profile
 	rn := a.l.NodeOf(r.Idx)
-	off := a.l.ChunkOffset(r.Idx)
-	start := t.Now()
-
+	t.a, t.off, t.aop, t.a1, t.a2, t.out = a, a.l.ChunkOffset(r.Idx), aop, delta, 0, out
 	if rn == t.ns.id {
-		resolved := func(cb *svd.ControlBlock) {
-			t.c.Sleep(prof.ShmLatency+atomicCPUCost, func() {
-				t.localAtomics++
-				old := t.ns.rmw(cb.LocalBase+mem.Addr(off), aop, a1, a2)
-				if out != nil {
-					*out = old
-				}
-				then()
-			})
-		}
-		if cb, ok := t.localCBFast(a); ok {
-			resolved(cb)
-			return
-		}
-		t.localCBC(a, resolved)
+		t.park(pcStoreOld)
+		t.localAtomic()
 		return
 	}
 
-	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
-	span.SetBytes(aop.OperandBytes())
+	t.rn, t.start = rn, t.Now()
+	t.span = t.rt.tel.StartSpan("atomic", t.id, t.ns.id, t.start)
+	t.span.SetBytes(aop.OperandBytes())
 	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+aop.String()+`"`, 1)
-	finish := func(fin func()) {
-		span.Finish(t.Now())
-		t.atomics++
-		t.atomicTime += t.Now() - start
-		fin()
-	}
-
-	issueAM := func() {
-		span.SetProto("am")
-		done := sim.NewCompletion(t.rt.K, "atomic")
-		t.rt.M.SendAMCoalescedC(t.c, t.ns.id, rn, hAtomic,
-			&atomicReq{H: a.h, Off: off, Op: aop, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-			nil, aop.OperandBytes(), span, func() {
-				nb.subs = append(nb.subs, nbSub{done: done, finC: func(fin func()) {
-					if out != nil {
-						*out = done.Value().(uint64)
-					}
-					t.rt.K.Recycle(done)
-					finish(fin)
-				}})
-				then()
-			})
-	}
-
 	if t.ns.cache != nil {
-		t0 := t.Now()
-		t.c.Sleep(prof.CacheLookupCost, func() {
-			span.Phase(telemetry.PhaseCacheLookup, t0, t.Now())
-			if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-				span.SetProto("rdma")
-				var fetch []byte
-				if aop.ResultBytes() > 0 {
-					fetch = make([]byte, 8)
-				}
-				t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, rn,
-					base, base+mem.Addr(off), aop, a1, a2, fetch, ep, span,
-					func(res *sim.Completion) {
-						nb.subs = append(nb.subs, nbSub{done: res, finC: func(fin func()) {
-							val := res.Value()
-							data := res.Bytes()
-							t.rt.K.Recycle(res)
-							if nk, nack := val.(transport.Nack); nack {
-								// Redo over the AM path — the retire itself
-								// carries the continuation.
-								retry := func() {
-									span.SetProto("am")
-									t.amAtomicC(a, rn, off, aop, a1, a2, span, func(old uint64) {
-										if out != nil {
-											*out = old
-										}
-										finish(fin)
-									})
-								}
-								if nk.Stale {
-									t.healStaleC(rn, nk.Epoch, "atomic", span, func(cont bool) {
-										if !cont {
-											finish(fin)
-											return
-										}
-										t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-										retry()
-									})
-									return
-								}
-								t.ns.cache.Remove(cacheKey(a.h, rn))
-								t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-								retry()
-								return
-							}
-							if out != nil && data != nil {
-								*out = byteOrder.Uint64(data)
-							}
-							finish(fin)
-						}})
-						then()
-					})
-				return
-			}
-			issueAM()
-		})
+		t.t0 = t.Now()
+		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcNbAtomicLookup))
 		return
 	}
-	issueAM()
+	t.nbAtomicAM()
+}
+
+// storeOld delivers a split-phase atomic's previous value.
+func (t *Thread) storeOld() {
+	if t.out != nil {
+		*t.out = t.old
+		t.out = nil
+	}
+	t.c.Resume()
+}
+
+func (t *Thread) nbAtomicLookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		t.span.SetProto("rdma")
+		// Split-phase fetches need a result buffer that outlives the
+		// issue; the thread's staging word would alias across
+		// outstanding handles.
+		var fetch []byte
+		if t.aop.ResultBytes() > 0 {
+			fetch = make([]byte, 8)
+		}
+		t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
+			t.aop, t.a1, t.a2, fetch, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
+		return
+	}
+	t.nbAtomicAM()
+}
+
+func (t *Thread) nbAtomicStarted() { t.issued(subAtomicRDMA, t.rdma.Done) }
+
+func (t *Thread) nbAtomicAM() {
+	t.span.SetProto("am")
+	t.done = sim.NewCompletion(t.rt.K, "atomic")
+	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hAtomic,
+		&atomicReq{H: t.a.h, Off: t.off, Op: t.aop, A: t.a1, B: t.a2, WantAddr: t.ns.cache != nil, Done: t.done},
+		nil, t.aop.OperandBytes(), t.span, t.after(pcNbAtomicSent))
+}
+
+func (t *Thread) nbAtomicSent() { t.issued(subAtomic, t.done) }
+
+// redoneAtomic runs when a NIC atomic refused at retire has been redone
+// over the AM path.
+func (t *Thread) redoneAtomic() {
+	t.park(pcAtomicFinish)
+	t.storeOld()
 }
 
 // --- Target-side handlers ----------------------------------------------

@@ -44,6 +44,12 @@ type nodeBarrier struct {
 	recv    map[dissKey]bool
 	waiters map[dissKey]*sim.Completion
 
+	// The representative's progress through the inter-node phase: the
+	// dissemination distance (or flat-release destination) it is at, and
+	// the message it is waiting for.
+	round   int
+	waitKey dissKey
+
 	// Flat-barrier master state (node 0 only).
 	flatCount     map[int64]int
 	flatWait      *sim.Completion
@@ -67,32 +73,51 @@ const localBarrierCost = 150 * sim.Ns
 // Barrier is upc_barrier: it implies a fence, combines intra-node, and
 // disseminates across nodes.
 func (t *Thread) Barrier() {
-	t.Fence()
-	span := t.rt.tel.StartSpan("barrier", t.id, t.ns.id, t.p.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateBarrier, t.p.Now())
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-	}()
-	nb := t.ns.barrier
-	tpn := t.rt.cfg.ThreadsPerNode()
-	t.p.Sleep(localBarrierCost)
+	t.p.ParkWake()
+	t.barrier()
+	t.p.Await()
+}
 
+// BarrierC is Barrier in continuation-passing style.
+func (t *Thread) BarrierC(then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.barrier()
+}
+
+func (t *Thread) barrier() {
+	t.park(pcBarrierFenced)
+	t.fence()
+}
+
+func (t *Thread) barrierFenced() {
+	t.bspan = t.rt.tel.StartSpan("barrier", t.id, t.ns.id, t.Now())
+	t.rt.cfg.Trace.Begin(t.id, trace.StateBarrier, t.Now())
+	t.park(pcBarrierDone)
+	t.c.Sleep(localBarrierCost, t.after(pcBarrierArrive))
+}
+
+func (t *Thread) barrierArrive() {
+	nb := t.ns.barrier
 	nb.arrived++
-	if nb.arrived < tpn {
+	if nb.arrived < t.rt.cfg.ThreadsPerNode() {
 		if nb.release == nil {
 			nb.release = sim.NewCompletion(t.rt.K, "barrier-release")
 		}
-		t.p.Wait(nb.release)
+		nb.release.WaitFn(t.c, t.c.Resumer())
 		return
 	}
 	// Last arriver is the representative: run the inter-node phase.
-	epoch := nb.epoch
+	t.park(pcBarrierRelease)
+	nb.round = 1
 	if t.rt.cfg.FlatBarrier {
-		nb.flat(t.p, epoch)
+		t.flat()
 	} else {
-		nb.disseminate(t.p, epoch)
+		t.disseminate()
 	}
+}
+
+func (t *Thread) barrierRelease() {
+	nb := t.ns.barrier
 	rel := nb.release
 	nb.release = nil
 	nb.arrived = 0
@@ -100,66 +125,104 @@ func (t *Thread) Barrier() {
 	if rel != nil {
 		rel.Complete(nil)
 	}
+	t.c.Resume()
 }
 
-// disseminate runs the representative's rounds for one epoch.
-func (nb *nodeBarrier) disseminate(p *sim.Proc, epoch int64) {
+func (t *Thread) barrierDone() {
+	t.rt.cfg.Trace.End(t.id, t.Now())
+	t.bspan.Finish(t.Now())
+	t.bspan = nil
+	t.c.Resume()
+}
+
+// barrierSend sends one barrier notification of the current epoch.
+func (t *Thread) barrierSend(dst, round, sent int) {
+	nb := t.ns.barrier
+	t.rt.M.SendAMSpanC(t.c, nb.ns.id, dst, hBarrier,
+		&barrierMsg{Epoch: nb.epoch, Round: round}, nil, 0, nil, t.after(sent))
+}
+
+// disseminate runs the representative's rounds for one epoch: round d
+// notifies the node d ahead and waits for the node d behind.
+func (t *Thread) disseminate() {
+	nb := t.ns.barrier
 	n := nb.rt.cfg.Nodes
-	for dist := 1; dist < n; dist *= 2 {
-		partner := (nb.ns.id + dist) % n
-		nb.rt.M.SendAM(p, nb.ns.id, partner, hBarrier,
-			&barrierMsg{Epoch: epoch, Round: dist}, nil, 0)
-		key := dissKey{epoch: epoch, round: dist}
-		if nb.recv[key] {
-			delete(nb.recv, key)
-			continue
-		}
-		c := sim.NewCompletion(nb.rt.K, "barrier-round")
-		nb.waiters[key] = c
-		p.Wait(c)
-		delete(nb.waiters, key)
+	if nb.round >= n {
+		t.c.Resume()
+		return
 	}
+	t.barrierSend((nb.ns.id+nb.round)%n, nb.round, pcBarrierSent)
+}
+
+func (t *Thread) barrierSent() {
+	nb := t.ns.barrier
+	d := nb.round
+	nb.round *= 2
+	t.park(pcDisseminate)
+	t.await(dissKey{epoch: nb.epoch, round: d})
+}
+
+// await blocks until the barrier message for key arrives (buffered or
+// future).
+func (t *Thread) await(key dissKey) {
+	nb := t.ns.barrier
+	if nb.recv[key] {
+		delete(nb.recv, key)
+		t.c.Resume()
+		return
+	}
+	c := sim.NewCompletion(nb.rt.K, "barrier-round")
+	nb.waiters[key] = c
+	nb.waitKey = key
+	c.WaitFn(t.c, t.after(pcBarrierMsg))
+}
+
+func (t *Thread) barrierMsgIn() {
+	nb := t.ns.barrier
+	delete(nb.waiters, nb.waitKey)
+	t.c.Resume()
 }
 
 // flat is the master/slave barrier ablation: every representative
 // reports to node 0, which releases everyone once all have arrived.
 // O(n) messages serialized through one node — the scalability
 // bottleneck the dissemination design avoids.
-func (nb *nodeBarrier) flat(p *sim.Proc, epoch int64) {
-	n := nb.rt.cfg.Nodes
+func (t *Thread) flat() {
+	nb := t.ns.barrier
 	if nb.ns.id != 0 {
-		nb.rt.M.SendAM(p, nb.ns.id, 0, hBarrier,
-			&barrierMsg{Epoch: epoch, Round: flatArrive}, nil, 0)
-		nb.await(p, dissKey{epoch: epoch, round: flatRelease})
+		t.barrierSend(0, flatArrive, pcFlatArrived)
 		return
 	}
 	// Master: collect n-1 arrivals, then release everyone.
-	need := n - 1
-	if nb.flatCount[epoch] < need {
+	if need := nb.rt.cfg.Nodes - 1; nb.flatCount[nb.epoch] < need {
 		c := sim.NewCompletion(nb.rt.K, "flat-barrier")
 		nb.flatWait = c
-		nb.flatWaitEpoch = epoch
+		nb.flatWaitEpoch = nb.epoch
 		nb.flatTarget = need
-		p.Wait(c)
-	}
-	delete(nb.flatCount, epoch)
-	for dst := 1; dst < n; dst++ {
-		nb.rt.M.SendAM(p, 0, dst, hBarrier,
-			&barrierMsg{Epoch: epoch, Round: flatRelease}, nil, 0)
-	}
-}
-
-// await blocks until the barrier message for key arrives (buffered or
-// future).
-func (nb *nodeBarrier) await(p *sim.Proc, key dissKey) {
-	if nb.recv[key] {
-		delete(nb.recv, key)
+		c.WaitFn(t.c, t.after(pcFlatCollected))
 		return
 	}
-	c := sim.NewCompletion(nb.rt.K, "barrier-round")
-	nb.waiters[key] = c
-	p.Wait(c)
-	delete(nb.waiters, key)
+	t.flatCollected()
+}
+
+func (t *Thread) flatArrived() { t.await(dissKey{epoch: t.ns.barrier.epoch, round: flatRelease}) }
+
+func (t *Thread) flatCollected() {
+	nb := t.ns.barrier
+	delete(nb.flatCount, nb.epoch)
+	t.flatRelease()
+}
+
+// flatRelease releases node nb.round, then the ones after it.
+func (t *Thread) flatRelease() {
+	nb := t.ns.barrier
+	if nb.round >= nb.rt.cfg.Nodes {
+		t.c.Resume()
+		return
+	}
+	dst := nb.round
+	nb.round++
+	t.barrierSend(dst, flatRelease, pcFlatRelease)
 }
 
 func (rt *Runtime) handleBarrier(p *sim.Proc, n *transport.Node, msg *transport.Msg) {

@@ -68,16 +68,17 @@ type ExecMode int
 
 const (
 	// ExecGoroutine (the default) backs every thread with a sim.Proc,
-	// a coroutine the kernel switches to and from directly. It supports
-	// arbitrary Go control flow in bodies (Runtime.Run) and is the
-	// reference semantics.
+	// a coroutine the kernel switches to and from directly, so bodies
+	// (Runtime.Run) use arbitrary Go control flow and the blocking
+	// methods — each the ...C method of the same name plus an Await.
 	ExecGoroutine ExecMode = iota
 	// ExecCont runs thread bodies as continuation state-machines
 	// scheduled directly on the event heap (Runtime.RunCont): no
 	// goroutine, no channels, no per-thread stack — the mode that makes
 	// 100k-thread sweeps feasible. Bodies must be written in
 	// continuation-passing style against the Thread's ...C methods.
-	// Both modes produce bit-identical RunStats for the same workload.
+	// Both modes run the same implementation of every operation and
+	// produce bit-identical RunStats for the same workload.
 	ExecCont
 )
 

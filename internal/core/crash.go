@@ -6,7 +6,6 @@ import (
 	"xlupc/internal/fault"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
-	"xlupc/internal/telemetry"
 )
 
 // CrashMode selects what happens when an operation discovers its target
@@ -112,27 +111,5 @@ func (rt *Runtime) staleAbort(node int, ep uint32, op string, at sim.Time) bool 
 		rt.crashErr = &CrashError{Node: node, Epoch: ep, Op: op, At: at}
 		rt.K.Stop()
 	}
-	return true
-}
-
-// healStale is the initiator-side recovery of a stale-epoch NACK, in
-// process context: flush every cached address for the restarted node
-// (each entry pays the lookup cost, attributed as the epoch_recovery
-// phase) so the subsequent AM fallback re-populates from fresh
-// piggybacked bases. Returns false under CrashFail, where the run is
-// aborting and the caller must not retry.
-func (t *Thread) healStale(rn int, ep uint32, op string, span *telemetry.Span) bool {
-	if t.rt.staleAbort(rn, ep, op, t.p.Now()) {
-		return false
-	}
-	t0 := t.p.Now()
-	n := t.ns.cache.InvalidateNode(int32(rn))
-	if n > 0 {
-		t.p.Sleep(sim.Time(n) * t.rt.cfg.Profile.CacheLookupCost)
-	}
-	span.Phase(telemetry.PhaseEpochRecovery, t0, t.p.Now())
-	t.rt.staleInvalidated += int64(n)
-	t.rt.tel.Add("xlupc_stale_recoveries_total", `op="`+op+`"`, 1)
-	t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
 	return true
 }

@@ -303,199 +303,357 @@ func (rt *Runtime) handleRTR(p *sim.Proc, n *transport.Node, msg *transport.Msg)
 }
 
 // --- Initiator-side operations ------------------------------------------
+//
+// One run of a GET or PUT climbs the paper's ladder: shared memory when
+// the element is on this node; else probe the address cache and, on a
+// hit, go one-sided; else — or when the target refuses the one-sided
+// operation — the active-message path, whose reply piggybacks the base
+// address that fills the cache for next time.
 
 // getRun reads len(dst) bytes at element idx, which the caller
 // guarantees is a single-affinity contiguous run.
 func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
 	prof := t.rt.cfg.Profile
-	size := len(dst)
 	rn := a.l.NodeOf(idx)
-	start := t.p.Now()
+	start := t.Now()
+	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), dst, start
 
 	if rn == t.ns.id {
 		// Intra-node: shared memory, no network.
-		cb := t.localCB(a)
-		span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-		span.SetProto("local")
-		span.SetBytes(size)
-		t.p.Sleep(prof.ShmLatency + sim.BytesTime(size, prof.ShmByteTime))
-		t.ns.tn.Mem.Read(dst, cb.LocalBase+mem.Addr(a.l.ChunkOffset(idx)))
-		span.Finish(t.p.Now())
-		t.localGets++
-		return
-	}
-
-	off := a.l.ChunkOffset(idx)
-	span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-	span.SetBytes(size)
-	t.rt.cfg.Trace.Begin(t.id, trace.StateGetWait, start)
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-		t.gets++
-		t.getTime += t.p.Now() - start
-	}()
-
-	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			// RDMA fast path: final remote address computed locally.
-			span.SetProto("rdma")
-			data, nack, ok := t.rt.M.RDMAGetSpan(t.p, t.ns.id, rn, base, base+mem.Addr(off), dst, size, ep, span)
-			if ok {
-				copy(dst, data)
-				return
-			}
-			if nack.Stale {
-				// The target restarted under a new incarnation: flush
-				// every cached address for it, then fall through to the
-				// AM path, whose reply re-piggybacks the fresh base.
-				if !t.healStale(rn, nack.Epoch, "get", span) {
-					return
-				}
-				t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="stale_epoch"`, 1)
-			} else {
-				// The target deregistered the region (limited pinning):
-				// drop the stale entry and fall through to the slow path,
-				// which will repin and repopulate.
-				t.ns.cache.Remove(cacheKey(a.h, rn))
-				t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
-			}
+		if t.lookupLocal() {
+			t.localGet()
+			return
 		}
-	}
-	if size <= prof.EagerMax || !prof.SupportsRDMA {
-		// Eager always; transports without one-sided hardware stream
-		// large transfers through the copy path too.
-		span.SetProto("eager")
-		t.eagerGet(a, rn, off, dst, span)
+		t.park(pcLocalGet)
+		t.localCB()
 		return
 	}
-	// Rendezvous: fetch the remote base address, then zero-copy RDMA.
-	span.SetProto("rendezvous")
-	res := t.rendezvous(a, rn, size, span)
-	if !res.ok {
-		span.SetProto("eager")
-		t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="pin_refused"`, 1)
-		t.eagerGet(a, rn, off, dst, span) // registration refused: copy path
+
+	t.rn = rn
+	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
+	t.span.SetBytes(len(dst))
+	t.rt.cfg.Trace.Begin(t.id, trace.StateGetWait, start)
+	if t.ns.cache != nil {
+		t.t0 = t.Now()
+		t.c.Sleep(prof.CacheLookupCost, t.after(pcGetLookup))
 		return
 	}
-	data, nack, ok := t.rt.M.RDMAGetSpan(t.p, t.ns.id, rn, res.base, res.base+mem.Addr(off), dst, size, res.epoch, span)
-	if !ok {
-		if nack.Stale { // the target restarted between the RTR and the transfer
-			if !t.healStale(rn, nack.Epoch, "get", span) {
+	t.getSlow()
+}
+
+func (t *Thread) localGet() {
+	prof := t.rt.cfg.Profile
+	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, t.start)
+	t.span.SetProto("local")
+	t.span.SetBytes(len(t.buf))
+	t.c.Sleep(prof.ShmLatency+sim.BytesTime(len(t.buf), prof.ShmByteTime), t.after(pcLocalGetDone))
+}
+
+func (t *Thread) localGetDone() {
+	t.ns.tn.Mem.Read(t.buf, t.cb.LocalBase+mem.Addr(t.off))
+	t.localGets++
+	t.localDone()
+}
+
+// localDone closes a shared-memory access.
+func (t *Thread) localDone() {
+	t.span.Finish(t.Now())
+	t.buf, t.span = nil, nil
+	t.c.Resume()
+}
+
+// getLookup runs after the cache-lookup cost: a hit goes one-sided, a
+// miss to the slow (eager or rendezvous) path.
+func (t *Thread) getLookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		// RDMA fast path: final remote address computed locally.
+		t.span.SetProto("rdma")
+		t.rt.M.RDMAGetSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, len(t.buf), ep, t.span, &t.rdma, t.after(pcGetRDMADone))
+		return
+	}
+	t.getSlow()
+}
+
+// getRDMADone finishes a cache-hit one-sided read, or falls back to
+// the whole slow path, whose reply re-piggybacks the fresh base.
+func (t *Thread) getRDMADone() {
+	if t.rdma.OK {
+		copy(t.buf, t.rdma.Data)
+		t.getFinish()
+		return
+	}
+	t.park(pcGetFinish)
+	t.getNacked((*Thread).getSlowParked)
+}
+
+// getNacked heals after a refused one-sided read and retries with
+// retry — unless the run is aborting under CrashFail. A stale epoch
+// means the target restarted under a new incarnation: every cached
+// address for it is flushed. Otherwise the target deregistered the
+// region (limited pinning): only that entry is stale.
+func (t *Thread) getNacked(retry func(*Thread)) {
+	if nk := t.rdma.Nack; nk.Stale {
+		t.healStaleC(t.rn, nk.Epoch, "get", t.span, func(ok bool) {
+			if !ok {
+				t.c.Resume()
 				return
 			}
 			t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="stale_epoch"`, 1)
-		} else { // evicted between the RTR and the transfer
-			if t.ns.cache != nil {
-				t.ns.cache.Remove(cacheKey(a.h, rn))
-			}
-			t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
-		}
-		span.SetProto("eager")
-		t.eagerGet(a, rn, off, dst, span)
+			retry(t)
+		})
 		return
 	}
-	copy(dst, data)
+	if t.ns.cache != nil {
+		t.ns.cache.Remove(cacheKey(t.a.h, t.rn))
+	}
+	t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
+	retry(t)
 }
 
-func (t *Thread) eagerGet(a *SharedArray, rn int, off int64, dst []byte, span *telemetry.Span) {
-	done := sim.NewCompletion(t.rt.K, "get")
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hGetReq,
-		&getReq{H: a.h, Off: off, Size: len(dst), WantAddr: t.ns.cache != nil, Done: done}, nil, 0, span)
-	t.p.Wait(done)
-	copy(dst, done.Bytes())
-	t.rt.K.Recycle(done) // handler's only reference died with the reply
+// getSlow is everything after the cache-hit attempt (or in its absence).
+func (t *Thread) getSlow() {
+	t.park(pcGetFinish)
+	t.getSlowParked()
 }
 
-func (t *Thread) rendezvous(a *SharedArray, rn int, size int, span *telemetry.Span) rtrResult {
-	done := sim.NewCompletion(t.rt.K, "rts")
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hRTS, &rts{H: a.h, Size: size, Done: done}, nil, 0, span)
-	t.p.Wait(done)
-	res := done.Value().(rtrResult)
-	t.rt.K.Recycle(done)
-	return res
+// getSlowParked is getSlow with getFinish already parked, as everything
+// on the slow path expects.
+func (t *Thread) getSlowParked() {
+	prof := t.rt.cfg.Profile
+	if len(t.buf) <= prof.EagerMax || !prof.SupportsRDMA {
+		// Eager always; transports without one-sided hardware stream
+		// large transfers through the copy path too.
+		t.eagerGet()
+		return
+	}
+	// Rendezvous: fetch the remote base address, then zero-copy RDMA.
+	t.span.SetProto("rendezvous")
+	t.park(pcGetRendezvoused)
+	t.rendezvous()
+}
+
+func (t *Thread) getRendezvoused() {
+	res := t.rtr
+	if !res.ok {
+		t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="pin_refused"`, 1)
+		t.eagerGet() // registration refused: copy path
+		return
+	}
+	t.rt.M.RDMAGetSpanC(t.c, t.ns.id, t.rn, res.base, res.base+mem.Addr(t.off), t.buf, len(t.buf), res.epoch, t.span, &t.rdma, t.after(pcGetRDMA2Done))
+}
+
+// getRDMA2Done is getRDMADone after a rendezvous: the target restarted,
+// or evicted the region, between the RTR and the transfer.
+func (t *Thread) getRDMA2Done() {
+	if t.rdma.OK {
+		copy(t.buf, t.rdma.Data)
+		t.c.Resume()
+		return
+	}
+	t.getNacked((*Thread).eagerGet)
+}
+
+// getFinish closes out the remote GET: trace, span, counters.
+func (t *Thread) getFinish() {
+	t.a, t.buf = nil, nil
+	t.rt.cfg.Trace.End(t.id, t.Now())
+	t.getRetired()
+}
+
+// getRetired charges a finished remote GET to the thread.
+func (t *Thread) getRetired() {
+	t.span.Finish(t.Now())
+	t.span = nil
+	t.gets++
+	t.getTime += t.Now() - t.start
+	t.c.Resume()
+}
+
+// eagerGet fetches the run over the active-message path: the target
+// copies the data into the reply.
+func (t *Thread) eagerGet() {
+	t.span.SetProto("eager")
+	t.done = sim.NewCompletion(t.rt.K, "get")
+	t.request(pcEagerDone, t.rn, hGetReq,
+		&getReq{H: t.a.h, Off: t.off, Size: len(t.buf), WantAddr: t.ns.cache != nil, Done: t.done}, 0)
+}
+
+func (t *Thread) eagerDone() {
+	copy(t.buf, t.done.Bytes())
+	t.reply()
+}
+
+// reply recycles the completion a reply arrived on — the handler's only
+// reference died with the reply — and continues.
+func (t *Thread) reply() {
+	t.rt.K.Recycle(t.done)
+	t.done = nil
+	t.c.Resume()
+}
+
+// rendezvous asks the target to translate and pin the run's object,
+// leaving the answer in t.rtr.
+func (t *Thread) rendezvous() {
+	t.done = sim.NewCompletion(t.rt.K, "rts")
+	t.request(pcRTSDone, t.rn, hRTS, &rts{H: t.a.h, Size: len(t.buf), Done: t.done}, 0)
+}
+
+func (t *Thread) rtsDone() {
+	t.rtr = t.done.Value().(rtrResult)
+	t.reply()
 }
 
 // putRun writes src at element idx (a single-affinity contiguous run).
 // Remote PUTs are asynchronous: they complete under the thread's fence.
 func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 	prof := t.rt.cfg.Profile
-	size := len(src)
 	rn := a.l.NodeOf(idx)
-	start := t.p.Now()
+	start := t.Now()
+	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), src, start
 
 	if rn == t.ns.id {
-		cb := t.localCB(a)
-		span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-		span.SetProto("local")
-		span.SetBytes(size)
-		t.p.Sleep(prof.ShmLatency + sim.BytesTime(size, prof.ShmByteTime))
-		t.ns.tn.Mem.Write(cb.LocalBase+mem.Addr(a.l.ChunkOffset(idx)), src)
-		span.Finish(t.p.Now())
-		t.localPuts++
+		if t.lookupLocal() {
+			t.localPut()
+			return
+		}
+		t.park(pcLocalPut)
+		t.localCB()
 		return
 	}
 
-	off := a.l.ChunkOffset(idx)
 	// The PUT span ends at initiator-local completion — the time the
 	// thread is actually blocked; the in-flight ACK's target-side
 	// phases keep accumulating and still count in attribution.
-	span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-	span.SetBytes(size)
+	t.rn = rn
+	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
+	t.span.SetBytes(len(src))
 	t.rt.cfg.Trace.Begin(t.id, trace.StatePut, start)
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-		t.puts++
-		t.putTime += t.p.Now() - start
-	}()
-
 	if t.ns.cache != nil && t.rt.putCache {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			data := append([]byte(nil), src...)
-			remote := t.rt.M.RDMAPutSpan(t.p, t.ns.id, rn, base, base+mem.Addr(off), data, ep, span)
-			t.fence.Add(1)
-			t.watchPut(remote, a, rn, off, data, span, nil)
-			return
-		}
-	}
-	if size <= prof.EagerMax || !prof.SupportsRDMA {
-		// Copy into a pre-registered bounce buffer, then fire and forget.
-		span.SetProto("eager")
-		t0 := t.p.Now()
-		t.p.Sleep(sim.BytesTime(size, prof.CopyByteTime))
-		span.Phase(telemetry.PhaseCopy, t0, t.p.Now())
-		data := append([]byte(nil), src...)
-		t.fence.Add(1)
-		t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hPutReq,
-			&putReq{H: a.h, Off: off, WantAddr: t.ns.cache != nil, Fence: t.fence}, data, 0, span)
+		t.t0 = t.Now()
+		t.c.Sleep(prof.CacheLookupCost, t.after(pcPutLookup))
 		return
 	}
-	span.SetProto("rendezvous")
-	res := t.rendezvous(a, rn, size, span)
+	t.putSlow()
+}
+
+func (t *Thread) localPut() {
+	prof := t.rt.cfg.Profile
+	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, t.start)
+	t.span.SetProto("local")
+	t.span.SetBytes(len(t.buf))
+	t.c.Sleep(prof.ShmLatency+sim.BytesTime(len(t.buf), prof.ShmByteTime), t.after(pcLocalPutDone))
+}
+
+func (t *Thread) localPutDone() {
+	t.ns.tn.Mem.Write(t.cb.LocalBase+mem.Addr(t.off), t.buf)
+	t.localPuts++
+	t.localDone()
+}
+
+func (t *Thread) putLookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		t.span.SetProto("rdma")
+		t.park(pcPutFinish)
+		t.putRDMA(base, ep)
+		return
+	}
+	t.putSlow()
+}
+
+// putRDMA writes the run one-sided. The origin buffer must survive
+// until the remote completion (and a possible retry), so the PUT
+// captures the caller's bytes.
+func (t *Thread) putRDMA(base mem.Addr, ep uint32) {
+	t.buf = append([]byte(nil), t.buf...)
+	t.rt.M.RDMAPutSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcPutRDMADone))
+}
+
+func (t *Thread) putRDMADone() {
+	t.acks.Add(1)
+	t.watchPut(t.rdma.Done, t.a, t.rn, t.off, t.buf, t.span, nil)
+	t.c.Resume()
+}
+
+// putSlow is everything after the PUT-cache attempt (or in its absence).
+func (t *Thread) putSlow() {
+	t.park(pcPutFinish)
+	prof := t.rt.cfg.Profile
+	if len(t.buf) <= prof.EagerMax || !prof.SupportsRDMA {
+		t.putEager(pcPutCopied)
+		return
+	}
+	t.span.SetProto("rendezvous")
+	t.park(pcPutRendezvoused)
+	t.rendezvous()
+}
+
+// putEager copies into a pre-registered bounce buffer, then fires and
+// forgets; copied is the step that sends.
+func (t *Thread) putEager(copied int) {
+	t.span.SetProto("eager")
+	t.t0 = t.Now()
+	t.c.Sleep(sim.BytesTime(len(t.buf), t.rt.cfg.Profile.CopyByteTime), t.after(copied))
+}
+
+func (t *Thread) putCopied()       { t.putSend(t.ns.cache != nil) }
+func (t *Thread) putCopiedNoAddr() { t.putSend(false) }
+
+func (t *Thread) putSend(wantAddr bool) {
+	t.span.Phase(telemetry.PhaseCopy, t.t0, t.Now())
+	data := append([]byte(nil), t.buf...)
+	t.acks.Add(1)
+	t.rt.M.SendAMSpanC(t.c, t.ns.id, t.rn, hPutReq,
+		&putReq{H: t.a.h, Off: t.off, WantAddr: wantAddr, Fence: t.acks}, data, 0, t.span, t.c.Resumer())
+}
+
+func (t *Thread) putRendezvoused() {
+	res := t.rtr
 	if !res.ok {
-		span.SetProto("eager")
 		t.rt.tel.Add("xlupc_put_fallbacks_total", `reason="pin_refused"`, 1)
-		t0 := t.p.Now()
-		t.p.Sleep(sim.BytesTime(size, prof.CopyByteTime))
-		span.Phase(telemetry.PhaseCopy, t0, t.p.Now())
-		data := append([]byte(nil), src...)
-		t.fence.Add(1)
-		t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hPutReq,
-			&putReq{H: a.h, Off: off, WantAddr: false, Fence: t.fence}, data, 0, span)
+		t.putEager(pcPutCopiedNoAddr)
 		return
 	}
-	data := append([]byte(nil), src...)
-	remote := t.rt.M.RDMAPutSpan(t.p, t.ns.id, rn, res.base, res.base+mem.Addr(off), data, res.epoch, span)
-	t.fence.Add(1)
-	t.watchPut(remote, a, rn, off, data, span, nil)
+	t.putRDMA(res.base, res.epoch)
+}
+
+func (t *Thread) putFinish() {
+	t.a, t.buf = nil, nil
+	t.rt.cfg.Trace.End(t.id, t.Now())
+	t.putRetired()
+}
+
+// putRetired charges a finished remote PUT to the thread.
+func (t *Thread) putRetired() {
+	t.span.Finish(t.Now())
+	t.span = nil
+	t.puts++
+	t.putTime += t.Now() - t.start
+	t.c.Resume()
+}
+
+// healStaleC is the initiator-side recovery of a stale-epoch NACK:
+// flush every cached address for the restarted node (each entry pays
+// the lookup cost, attributed as the epoch_recovery phase) so the
+// subsequent AM fallback re-populates from fresh piggybacked bases.
+// then receives false under CrashFail, where the run is aborting and
+// the caller must not retry. (Crash recovery is rare enough to afford
+// its closures.)
+func (t *Thread) healStaleC(rn int, ep uint32, op string, span *telemetry.Span, then func(ok bool)) {
+	if t.rt.staleAbort(rn, ep, op, t.Now()) {
+		then(false)
+		return
+	}
+	t0 := t.Now()
+	n := t.ns.cache.InvalidateNode(int32(rn))
+	t.c.Sleep(sim.Time(n)*t.rt.cfg.Profile.CacheLookupCost, func() {
+		span.Phase(telemetry.PhaseEpochRecovery, t0, t.Now())
+		t.rt.staleInvalidated += int64(n)
+		t.rt.tel.Add("xlupc_stale_recoveries_total", `op="`+op+`"`, 1)
+		t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
+		then(true)
+	})
 }
 
 // watchPut completes an asynchronous RDMA PUT under the thread's
@@ -509,7 +667,7 @@ func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 // WantAddr so the ACK re-piggybacks the fresh base — or aborts the run
 // under CrashFail.
 func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off int64, data []byte, span *telemetry.Span, done *sim.Completion) {
-	f := t.fence
+	f := t.acks
 	remote.Then(func(v any) {
 		nk, isNack := v.(transport.Nack)
 		if !isNack {

@@ -23,25 +23,43 @@ type Handle struct {
 // Handles to retired (and since recycled) operations report false.
 func (h Handle) Valid() bool { return h.op != nil && h.op.gen == h.gen }
 
-// nbOp is the per-handle state: one sub-operation per single-affinity
-// run of the transfer, retired in issue order. Descriptors are recycled
-// through the issuing thread's free list; gen is bumped on recycle so a
-// stale Handle can never alias a newer operation.
+// nbOp is the per-handle state: one sub-operation per remote
+// single-affinity run of the transfer, retired in issue order.
+// Descriptors are recycled through the issuing thread's free list; gen
+// is bumped on recycle so a stale Handle can never alias a newer
+// operation.
 type nbOp struct {
 	subs    []nbSub
 	retired bool
 	gen     uint32
 }
 
+// What a sub-operation is, which decides its retire work.
+const (
+	subGet        = iota // eager GET: done carries the reply
+	subGetRDMA           // one-sided GET: done carries the data or a Nack
+	subPut               // PUT, either way: done fires at target visibility
+	subAtomic            // AM atomic: done carries the previous value
+	subAtomicRDMA        // NIC atomic: done carries it, or a Nack
+)
+
 // nbSub is one remote run of a split-phase operation: the completion
-// the issuing thread waits on at Sync, and the retire work (copy-out,
-// NACK fallback, span finish, counters) that runs once it fires — fin
-// for goroutine-mode issues, finC (continuation-passing, NACK fallback
-// included) for continuation-mode ones. At most one is set.
+// the issuing thread waits on at Sync, and what the retire work that
+// runs once it fires needs — where to copy the data out to, what to
+// redo over the active-message path after a Nack, the span to finish
+// and the issue time the thread's counters are charged from.
 type nbSub struct {
-	done *sim.Completion
-	fin  func()
-	finC func(then func())
+	kind   int
+	done   *sim.Completion
+	a      *SharedArray
+	rn     int
+	off    int64
+	dst    []byte  // GET: the caller's buffer
+	out    *uint64 // atomic: where the previous value goes, if anywhere
+	aop    transport.AtomicOp
+	a1, a2 uint64
+	span   *telemetry.Span
+	start  sim.Time
 }
 
 // newNbOp takes a descriptor from the thread's free list (or allocates
@@ -60,9 +78,7 @@ func (t *Thread) newNbOp() *nbOp {
 func (t *Thread) freeNbOp(op *nbOp) {
 	op.gen++
 	op.retired = false
-	for i := range op.subs {
-		op.subs[i] = nbSub{}
-	}
+	clear(op.subs)
 	op.subs = op.subs[:0]
 	t.nbPool = append(t.nbPool, op)
 }
@@ -74,33 +90,17 @@ func (t *Thread) freeNbOp(op *nbOp) {
 // through the coalescing buffers when the runtime has them enabled.
 // dst must not be read, and the array region not written, until Sync.
 func (t *Thread) NbGet(dst []byte, r Ref) Handle {
-	es := int64(r.A.l.ElemSize)
-	if int64(len(dst))%es != 0 {
-		panic("core: NbGet length not a multiple of element size")
-	}
-	n := int64(len(dst)) / es
-	if n == 0 {
-		return Handle{}
-	}
-	r.A.check(r.Idx + n - 1)
-	op := t.newNbOp()
-	idx, off := r.Idx, int64(0)
-	for n > 0 {
-		run := r.A.l.ContigRun(idx)
-		if run > n {
-			run = n
-		}
-		t.nbGetRun(op, r.A, idx, dst[off*es:(off+run)*es])
-		idx += run
-		off += run
-		n -= run
-	}
-	if len(op.subs) == 0 {
-		t.freeNbOp(op)
-		return Handle{} // fully local: the data is already in dst
-	}
-	t.nbOut = append(t.nbOut, op)
-	return Handle{op: op, gen: op.gen}
+	t.p.ParkWake()
+	t.nbIssue(bulkNbGet, "NbGet", r, dst)
+	t.p.Await()
+	return t.h
+}
+
+// NbGetC is NbGet in continuation-passing style.
+func (t *Thread) NbGetC(dst []byte, r Ref, then func(h Handle)) {
+	t.thenT = then
+	t.park(pcThenHandle)
+	t.nbIssue(bulkNbGet, "NbGet", r, dst)
 }
 
 // NbPut starts a split-phase write of len(src) bytes of consecutive
@@ -110,45 +110,95 @@ func (t *Thread) NbGet(dst []byte, r Ref) Handle {
 // and leaves visibility to the fence). Transfers above the eager limit
 // keep the blocking rendezvous pipeline and retire under the fence.
 func (t *Thread) NbPut(r Ref, src []byte) Handle {
-	es := int64(r.A.l.ElemSize)
-	if int64(len(src))%es != 0 {
-		panic("core: NbPut length not a multiple of element size")
-	}
-	n := int64(len(src)) / es
+	t.p.ParkWake()
+	t.nbIssue(bulkNbPut, "NbPut", r, src)
+	t.p.Await()
+	return t.h
+}
+
+// NbPutC is NbPut in continuation-passing style.
+func (t *Thread) NbPutC(r Ref, src []byte, then func(h Handle)) {
+	t.thenT = then
+	t.park(pcThenHandle)
+	t.nbIssue(bulkNbPut, "NbPut", r, src)
+}
+
+// nbIssue issues a split-phase transfer run by run and leaves its
+// handle in t.h.
+func (t *Thread) nbIssue(kind int, name string, r Ref, buf []byte) {
+	n := runElems(name, len(buf), r)
 	if n == 0 {
-		return Handle{}
+		t.h = Handle{}
+		t.c.Resume()
+		return
 	}
-	r.A.check(r.Idx + n - 1)
-	op := t.newNbOp()
-	idx, off := r.Idx, int64(0)
-	for n > 0 {
-		run := r.A.l.ContigRun(idx)
-		if run > n {
-			run = n
-		}
-		t.nbPutRun(op, r.A, idx, src[off*es:(off+run)*es])
-		idx += run
-		off += run
-		n -= run
-	}
+	t.nb = t.newNbOp()
+	t.park(pcNbIssued)
+	t.bulk(kind, r, n, buf)
+}
+
+// nbIssued finishes a split-phase issue: hand out a live handle, or
+// free the descriptor when every run completed locally (the work is
+// already done).
+func (t *Thread) nbIssued() {
+	op := t.nb
+	t.nb = nil
 	if len(op.subs) == 0 {
 		t.freeNbOp(op)
-		return Handle{}
+		t.h = Handle{}
+	} else {
+		t.nbOut = append(t.nbOut, op)
+		t.h = Handle{op: op, gen: op.gen}
 	}
-	t.nbOut = append(t.nbOut, op)
-	return Handle{op: op, gen: op.gen}
+	t.c.Resume()
+}
+
+// issued records the run in flight as a sub-operation of the handle
+// being issued, to be retired through done.
+func (t *Thread) issued(kind int, done *sim.Completion) {
+	t.nb.subs = append(t.nb.subs, nbSub{
+		kind: kind, done: done,
+		a: t.a, rn: t.rn, off: t.off, dst: t.buf, out: t.out,
+		aop: t.aop, a1: t.a1, a2: t.a2,
+		span: t.span, start: t.start,
+	})
+	t.a, t.buf, t.out, t.span, t.done = nil, nil, nil, nil, nil
+	t.c.Resume()
 }
 
 // Sync blocks until the operation behind h has completed: the thread's
 // node flushes its coalescing buffers (parked sub-messages must leave)
 // and the handle's sub-operations are retired in issue order.
 func (t *Thread) Sync(h Handle) {
+	t.p.ParkWake()
+	t.sync(h)
+	t.p.Await()
+}
+
+// SyncC is Sync in continuation-passing style.
+func (t *Thread) SyncC(h Handle, then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.sync(h)
+}
+
+func (t *Thread) sync(h Handle) {
 	op := h.op
 	if op == nil || op.gen != h.gen || op.retired {
+		t.c.Resume()
 		return
 	}
-	t.rt.M.FlushCoalesced(t.p, t.ns.id)
-	t.retire(op)
+	t.syncOp = op
+	t.rt.M.FlushCoalescedC(t.c, t.ns.id, t.after(pcSyncFlushed))
+}
+
+func (t *Thread) syncFlushed() {
+	t.park(pcSyncRetired)
+	t.retire(t.syncOp)
+}
+
+func (t *Thread) syncRetired() {
+	op := t.syncOp
+	t.syncOp = nil
 	for i, o := range t.nbOut {
 		if o == op {
 			t.nbOut = append(t.nbOut[:i], t.nbOut[i+1:]...)
@@ -156,187 +206,224 @@ func (t *Thread) Sync(h Handle) {
 		}
 	}
 	t.freeNbOp(op)
+	t.c.Resume()
 }
 
 // SyncAll retires every outstanding split-phase handle of this thread,
 // in issue order. Fences and barriers call it first, so the blocking
 // memory-consistency points also cover split-phase traffic.
 func (t *Thread) SyncAll() {
-	if len(t.nbOut) == 0 {
-		return
-	}
-	t.rt.M.FlushCoalesced(t.p, t.ns.id)
-	for len(t.nbOut) > 0 {
-		op := t.nbOut[0]
-		t.nbOut[0] = nil
-		t.nbOut = t.nbOut[1:]
-		t.retire(op)
-		t.freeNbOp(op)
-	}
-	t.nbOut = t.nbOut[:0]
+	t.p.ParkWake()
+	t.syncAll()
+	t.p.Await()
 }
 
+// SyncAllC is SyncAll in continuation-passing style.
+func (t *Thread) SyncAllC(then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.syncAll()
+}
+
+func (t *Thread) syncAll() {
+	if len(t.nbOut) == 0 {
+		t.c.Resume()
+		return
+	}
+	t.rt.M.FlushCoalescedC(t.c, t.ns.id, t.after(pcSyncAllNext))
+}
+
+// syncAllNext retires nbOut[si]. The list is drained by index and
+// truncated in place at the end, so it keeps its backing array from
+// round to round.
+func (t *Thread) syncAllNext() {
+	if t.si == len(t.nbOut) {
+		t.nbOut = t.nbOut[:0]
+		t.si = 0
+		t.c.Resume()
+		return
+	}
+	t.park(pcSyncAllRetired)
+	t.retire(t.nbOut[t.si])
+}
+
+func (t *Thread) syncAllRetired() {
+	t.freeNbOp(t.nbOut[t.si])
+	t.nbOut[t.si] = nil
+	t.si++
+	t.syncAllNext()
+}
+
+// retire waits for op's sub-operations in issue order and runs the
+// retire work of each.
 func (t *Thread) retire(op *nbOp) {
 	if op.retired {
+		t.c.Resume()
 		return
 	}
 	op.retired = true
-	for _, sub := range op.subs {
-		if sub.done != nil {
-			t.p.Wait(sub.done)
-		}
-		if sub.fin != nil {
-			sub.fin()
-		}
+	t.rop, t.ri = op, 0
+	t.retireNext()
+}
+
+func (t *Thread) retireNext() {
+	if t.ri == len(t.rop.subs) {
+		t.rop = nil
+		t.c.Resume()
+		return
 	}
+	t.rop.subs[t.ri].done.WaitFn(t.c, t.after(pcRetireWoke))
+}
+
+// retireWoke runs the retire work of the sub-operation whose completion
+// fired. A Nack means the run has to be redone over the active-message
+// path, synchronously — the thread is inside Sync, so blocking is the
+// semantics: a stale epoch (the target restarted) flushes the whole
+// node from the cache first; a plain Nack (the target deregistered the
+// region mid-flight) drops just the stale entry.
+func (t *Thread) retireWoke() {
+	sub := &t.rop.subs[t.ri]
+	t.ri++
+	t.park(pcRetireNext)
+	done := sub.done
+	val, data := done.Value(), done.Bytes()
+	t.rt.K.Recycle(done)
+	t.span, t.start = sub.span, sub.start
+	nk, nacked := val.(transport.Nack)
+	if nacked {
+		t.a, t.rn, t.off, t.buf, t.out = sub.a, sub.rn, sub.off, sub.dst, sub.out
+		t.aop, t.a1, t.a2 = sub.aop, sub.a1, sub.a2
+		t.rdma.Nack = nk
+	}
+	switch sub.kind {
+	case subGet:
+		copy(sub.dst, data)
+		t.getRetired()
+	case subGetRDMA:
+		if nacked {
+			t.park(pcRedoneGet)
+			t.getNacked((*Thread).eagerGet)
+			return
+		}
+		copy(sub.dst, data)
+		t.getRetired()
+	case subPut:
+		t.putRetired()
+	case subAtomic:
+		if sub.out != nil {
+			*sub.out = val.(uint64)
+		}
+		t.atomicRetired()
+	case subAtomicRDMA:
+		if nacked {
+			t.park(pcRedoneAtomic)
+			t.atomicNacked()
+			return
+		}
+		if sub.out != nil && data != nil {
+			*sub.out = byteOrder.Uint64(data)
+		}
+		t.atomicRetired()
+	}
+}
+
+func (t *Thread) redoneGet() {
+	t.a, t.buf = nil, nil
+	t.getRetired()
 }
 
 // nbGetRun issues one single-affinity run of a split-phase GET.
-func (t *Thread) nbGetRun(op *nbOp, a *SharedArray, idx int64, dst []byte) {
+func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
 	prof := t.rt.cfg.Profile
-	size := len(dst)
 	rn := a.l.NodeOf(idx)
-	start := t.p.Now()
-
-	if rn == t.ns.id {
+	if rn == t.ns.id || (len(dst) > prof.EagerMax && prof.SupportsRDMA) {
 		// Intra-node runs complete at issue, exactly like the blocking
-		// path: there is nothing to overlap.
-		cb := t.localCB(a)
-		span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-		span.SetProto("local")
-		span.SetBytes(size)
-		t.p.Sleep(prof.ShmLatency + sim.BytesTime(size, prof.ShmByteTime))
-		t.ns.tn.Mem.Read(dst, cb.LocalBase+mem.Addr(a.l.ChunkOffset(idx)))
-		span.Finish(t.p.Now())
-		t.localGets++
-		return
-	}
-
-	if size > prof.EagerMax && prof.SupportsRDMA {
-		// Rendezvous-sized transfers stay blocking: nothing small to
-		// batch, and the zero-copy pipeline overlaps within the transfer.
+		// path: there is nothing to overlap. Rendezvous-sized transfers
+		// stay blocking too: nothing small to batch, and the zero-copy
+		// pipeline overlaps within the transfer.
 		t.getRun(a, idx, dst)
 		return
 	}
-
-	off := a.l.ChunkOffset(idx)
-	span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-	span.SetBytes(size)
-	finish := func() {
-		span.Finish(t.p.Now())
-		t.gets++
-		t.getTime += t.p.Now() - start
-	}
-
+	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), dst, t.Now()
+	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, t.start)
+	t.span.SetBytes(len(dst))
 	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			res := t.rt.M.RDMAGetStart(t.p, t.ns.id, rn, base, base+mem.Addr(off), dst, size, ep, span)
-			op.subs = append(op.subs, nbSub{done: res, fin: func() {
-				val := res.Value()
-				data := res.Bytes()
-				t.rt.K.Recycle(res)
-				if nk, nack := val.(transport.Nack); nack {
-					// Redo the run over the eager path, synchronously —
-					// we are already inside Sync, so blocking here is the
-					// semantics. A stale epoch (the target restarted)
-					// flushes the whole node from the cache first; a
-					// plain NACK (the target deregistered the region
-					// mid-flight) drops just the stale entry.
-					if nk.Stale {
-						if !t.healStale(rn, nk.Epoch, "get", span) {
-							finish()
-							return
-						}
-						t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="stale_epoch"`, 1)
-					} else {
-						t.ns.cache.Remove(cacheKey(a.h, rn))
-						t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
-					}
-					span.SetProto("eager")
-					t.eagerGet(a, rn, off, dst, span)
-				} else {
-					copy(dst, data)
-				}
-				finish()
-			}})
-			return
-		}
+		t.t0 = t.Now()
+		t.c.Sleep(prof.CacheLookupCost, t.after(pcNbGetLookup))
+		return
 	}
-	span.SetProto("eager")
-	done := sim.NewCompletion(t.rt.K, "get")
-	t.rt.M.SendAMCoalesced(t.p, t.ns.id, rn, hGetReq,
-		&getReq{H: a.h, Off: off, Size: size, WantAddr: t.ns.cache != nil, Done: done}, nil, 0, span)
-	op.subs = append(op.subs, nbSub{done: done, fin: func() {
-		copy(dst, done.Bytes())
-		t.rt.K.Recycle(done)
-		finish()
-	}})
+	t.nbGetEager()
 }
+
+func (t *Thread) nbGetLookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		t.span.SetProto("rdma")
+		t.rt.M.RDMAGetStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, len(t.buf), ep, t.span, &t.rdma, t.after(pcNbGetStarted))
+		return
+	}
+	t.nbGetEager()
+}
+
+func (t *Thread) nbGetStarted() { t.issued(subGetRDMA, t.rdma.Done) }
+
+func (t *Thread) nbGetEager() {
+	t.span.SetProto("eager")
+	t.done = sim.NewCompletion(t.rt.K, "get")
+	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hGetReq,
+		&getReq{H: t.a.h, Off: t.off, Size: len(t.buf), WantAddr: t.ns.cache != nil, Done: t.done}, nil, 0, t.span, t.after(pcNbGetSent))
+}
+
+func (t *Thread) nbGetSent() { t.issued(subGet, t.done) }
 
 // nbPutRun issues one single-affinity run of a split-phase PUT.
-func (t *Thread) nbPutRun(op *nbOp, a *SharedArray, idx int64, src []byte) {
+func (t *Thread) nbPutRun(a *SharedArray, idx int64, src []byte) {
 	prof := t.rt.cfg.Profile
-	size := len(src)
 	rn := a.l.NodeOf(idx)
-	start := t.p.Now()
-
-	if rn == t.ns.id {
-		cb := t.localCB(a)
-		span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-		span.SetProto("local")
-		span.SetBytes(size)
-		t.p.Sleep(prof.ShmLatency + sim.BytesTime(size, prof.ShmByteTime))
-		t.ns.tn.Mem.Write(cb.LocalBase+mem.Addr(a.l.ChunkOffset(idx)), src)
-		span.Finish(t.p.Now())
-		t.localPuts++
+	if rn == t.ns.id || (len(src) > prof.EagerMax && prof.SupportsRDMA) {
+		t.putRun(a, idx, src) // local, or async under the fence, as always
 		return
 	}
-
-	if size > prof.EagerMax && prof.SupportsRDMA {
-		t.putRun(a, idx, src) // async under the fence, as always
-		return
-	}
-
-	off := a.l.ChunkOffset(idx)
-	span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-	span.SetBytes(size)
-	done := sim.NewCompletion(t.rt.K, "nb-put")
-
+	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), src, t.Now()
+	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, t.start)
+	t.span.SetBytes(len(src))
+	t.done = sim.NewCompletion(t.rt.K, "nb-put")
 	if t.ns.cache != nil && t.rt.putCache {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			data := append([]byte(nil), src...)
-			remote := t.rt.M.RDMAPutStart(t.p, t.ns.id, rn, base, base+mem.Addr(off), data, ep, span)
-			t.fence.Add(1)
-			t.watchPut(remote, a, rn, off, data, span, done)
-			op.subs = append(op.subs, nbSub{done: done, fin: func() {
-				t.rt.K.Recycle(done)
-				span.Finish(t.p.Now())
-				t.puts++
-				t.putTime += t.p.Now() - start
-			}})
-			return
-		}
+		t.t0 = t.Now()
+		t.c.Sleep(prof.CacheLookupCost, t.after(pcNbPutLookup))
+		return
 	}
-	span.SetProto("eager")
-	t0 := t.p.Now()
-	t.p.Sleep(sim.BytesTime(size, prof.CopyByteTime))
-	span.Phase(telemetry.PhaseCopy, t0, t.p.Now())
-	data := append([]byte(nil), src...)
-	t.fence.Add(1)
-	t.rt.M.SendAMCoalesced(t.p, t.ns.id, rn, hPutReq,
-		&putReq{H: a.h, Off: off, WantAddr: t.ns.cache != nil, Fence: t.fence, Done: done}, data, 0, span)
-	op.subs = append(op.subs, nbSub{done: done, fin: func() {
-		t.rt.K.Recycle(done)
-		span.Finish(t.p.Now())
-		t.puts++
-		t.putTime += t.p.Now() - start
-	}})
+	t.nbPutEager()
 }
+
+func (t *Thread) nbPutLookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		t.span.SetProto("rdma")
+		t.buf = append([]byte(nil), t.buf...)
+		t.rt.M.RDMAPutStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcNbPutStarted))
+		return
+	}
+	t.nbPutEager()
+}
+
+func (t *Thread) nbPutStarted() {
+	t.acks.Add(1)
+	t.watchPut(t.rdma.Done, t.a, t.rn, t.off, t.buf, t.span, t.done)
+	t.issued(subPut, t.done)
+}
+
+func (t *Thread) nbPutEager() {
+	t.span.SetProto("eager")
+	t.t0 = t.Now()
+	t.c.Sleep(sim.BytesTime(len(t.buf), t.rt.cfg.Profile.CopyByteTime), t.after(pcNbPutCopied))
+}
+
+func (t *Thread) nbPutCopied() {
+	t.span.Phase(telemetry.PhaseCopy, t.t0, t.Now())
+	data := append([]byte(nil), t.buf...)
+	t.acks.Add(1)
+	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hPutReq,
+		&putReq{H: t.a.h, Off: t.off, WantAddr: t.ns.cache != nil, Fence: t.acks, Done: t.done}, data, 0, t.span, t.after(pcNbPutSent))
+}
+
+func (t *Thread) nbPutSent() { t.issued(subPut, t.done) }

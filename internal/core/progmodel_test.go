@@ -1,0 +1,505 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+
+	"xlupc/internal/sim"
+)
+
+// A generated UPC program and the sequential model that predicts it
+// (TestPropertyRandomProgramMatchesReference).
+//
+// Shape: two shared arrays of 8-byte elements — data (written with
+// PUTs, read with GETs) and ctr (updated with atomics) — and a number
+// of epochs, each a write phase and a read phase closed by barriers.
+// In a write phase every element has at most one writer, chosen up
+// front, and is written at most once; atomics on a counter come from
+// one thread, in one style (blocking, or split-phase without an
+// order-dependent result), except the last counter, which every
+// thread accumulates into. A thread reads its own writes back only
+// after a fence. Read phases read anything: nothing is written in
+// them. Midway the data array is freed and allocated afresh. So the
+// order threads run in cannot change any returned value, and a model
+// that executes the threads one after the other predicts all of them.
+
+const (
+	progThreads, progNodes = 8, 4
+	progEpochs             = 4
+	progDataElems          = 96 // block 4: a 10-element run spans up to 4 threads
+	progDataBlock          = 4
+	progCtrElems           = 24
+	progCtrBlock           = 3
+	progMaxRun             = 10
+)
+
+type stepKind int
+
+const (
+	stPut stepKind = iota
+	stPutBulk
+	stNbPut
+	stGet
+	stGetBulk
+	stNbGet
+	stSync
+	stSyncAll
+	stFence
+	stBarrier
+	stFetchAdd
+	stCompareSwap
+	stAccumulate
+	stNbFetchAdd
+	stNbAccumulate
+	stFreeRealloc // collective: thread 0 frees data, everyone allocates it afresh
+)
+
+var stepNames = [...]string{"Put", "PutBulk", "NbPut", "Get", "GetBulk", "NbGet", "Sync", "SyncAll",
+	"Fence", "Barrier", "FetchAdd", "CompareSwap", "Accumulate", "NbFetchAdd", "NbAccumulate", "Free+AllAlloc"}
+
+func (k stepKind) String() string { return stepNames[k] }
+
+// progStep is one operation of one thread's script, with the result
+// the model expects of it.
+type progStep struct {
+	kind   stepKind
+	arr    int      // 0 = data, 1 = ctr
+	idx    int64    // first element
+	vals   []uint64 // values to write (PUT kinds) or expected (GET kinds)
+	a1, a2 uint64   // atomic operands: delta, or (expect, swap)
+	want   uint64   // expected previous value of a fetching atomic
+	slot   int      // handle slot: set by split-phase issues, read by stSync
+}
+
+type program struct {
+	steps [progThreads][]progStep
+	slots [progThreads]int // handle slots each thread uses
+}
+
+func progValue(epoch int, idx int64) uint64 {
+	return uint64(epoch+1)*1_000_000 + uint64(idx)
+}
+
+// genProgram builds the scripts for seed, executing the model as it
+// goes.
+func genProgram(seed int64) *program {
+	rng := rand.New(rand.NewSource(seed))
+	pr := &program{}
+	model := [2][]uint64{make([]uint64, progDataElems), make([]uint64, progCtrElems)}
+	emit := func(th int, s progStep) { pr.steps[th] = append(pr.steps[th], s) }
+	all := func(k stepKind) {
+		for th := 0; th < progThreads; th++ {
+			emit(th, progStep{kind: k})
+		}
+	}
+	newSlot := func(th int) int {
+		pr.slots[th]++
+		return pr.slots[th] - 1
+	}
+	snapshot := func(arr int, idx int64, n int) []uint64 {
+		return append([]uint64(nil), model[arr][idx:idx+int64(n)]...)
+	}
+	// read emits one GET of n elements at idx in a random style.
+	read := func(th, arr int, idx int64, n int) {
+		want := snapshot(arr, idx, n)
+		switch style := rng.Intn(3); {
+		case style == 0 && n == 1:
+			emit(th, progStep{kind: stGet, arr: arr, idx: idx, vals: want})
+		case style == 2:
+			slot := newSlot(th)
+			emit(th, progStep{kind: stNbGet, arr: arr, idx: idx, vals: want, slot: slot})
+			if rng.Intn(2) == 0 {
+				emit(th, progStep{kind: stSync, slot: slot})
+			}
+		default:
+			emit(th, progStep{kind: stGetBulk, arr: arr, idx: idx, vals: want})
+		}
+	}
+
+	type seg struct {
+		idx int64
+		n   int
+	}
+	for e := 0; e < progEpochs; e++ {
+		// Write phase. Hand out the data array in runs, and the counters
+		// one by one, each to one thread or to nobody.
+		var segs [progThreads][]seg
+		for i := int64(0); i < progDataElems; {
+			n := 1 + rng.Intn(progMaxRun)
+			if i+int64(n) > progDataElems {
+				n = int(progDataElems - i)
+			}
+			if w := rng.Intn(progThreads+2) - 2; w >= 0 {
+				segs[w] = append(segs[w], seg{i, n})
+			}
+			i += int64(n)
+		}
+		var ctrs [progThreads][]int64
+		for c := int64(0); c < progCtrElems-1; c++ {
+			if w := rng.Intn(progThreads+2) - 2; w >= 0 {
+				ctrs[w] = append(ctrs[w], c)
+			}
+		}
+		for th := 0; th < progThreads; th++ {
+			type task struct {
+				s   seg
+				ctr int64 // >= 0: an atomic task on this counter
+			}
+			var tasks []task
+			for _, s := range segs[th] {
+				tasks = append(tasks, task{s: s, ctr: -1})
+			}
+			for _, c := range ctrs[th] {
+				tasks = append(tasks, task{ctr: c})
+			}
+			tasks = append(tasks, task{ctr: progCtrElems - 1})
+			rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
+			for _, tk := range tasks {
+				if tk.ctr < 0 {
+					vals := make([]uint64, tk.s.n)
+					for k := range vals {
+						vals[k] = progValue(e, tk.s.idx+int64(k))
+						model[0][tk.s.idx+int64(k)] = vals[k]
+					}
+					switch rng.Intn(3) {
+					case 0:
+						for k, v := range vals {
+							emit(th, progStep{kind: stPut, idx: tk.s.idx + int64(k), vals: []uint64{v}})
+						}
+					case 1:
+						emit(th, progStep{kind: stPutBulk, idx: tk.s.idx, vals: vals})
+					default:
+						slot := newSlot(th)
+						emit(th, progStep{kind: stNbPut, idx: tk.s.idx, vals: vals, slot: slot})
+						if rng.Intn(3) == 0 {
+							emit(th, progStep{kind: stSync, slot: slot})
+						}
+					}
+					continue
+				}
+				c := tk.ctr
+				cur := &model[1][c]
+				delta := func() uint64 { return uint64(1 + rng.Intn(1000)) }
+				style := rng.Intn(5)
+				if c == progCtrElems-1 {
+					style = 2 + 2*rng.Intn(2) // shared: accumulate only, either flavour
+				}
+				switch style {
+				case 0:
+					for k := 1 + rng.Intn(3); k > 0; k-- {
+						d := delta()
+						emit(th, progStep{kind: stFetchAdd, arr: 1, idx: c, a1: d, want: *cur})
+						*cur += d
+					}
+				case 1:
+					expect, swap := *cur, delta()
+					if rng.Intn(2) == 0 {
+						expect++ // must fail and leave the word alone
+					}
+					emit(th, progStep{kind: stCompareSwap, arr: 1, idx: c, a1: expect, a2: swap, want: *cur})
+					if expect == *cur {
+						*cur = swap
+					}
+				case 2:
+					for k := 1 + rng.Intn(3); k > 0; k-- {
+						d := delta()
+						emit(th, progStep{kind: stAccumulate, arr: 1, idx: c, a1: d})
+						*cur += d
+					}
+				case 3:
+					d := delta()
+					emit(th, progStep{kind: stNbFetchAdd, arr: 1, idx: c, a1: d, want: *cur, slot: newSlot(th)})
+					*cur += d
+				default:
+					for k := 1 + rng.Intn(3); k > 0; k-- {
+						d := delta()
+						emit(th, progStep{kind: stNbAccumulate, arr: 1, idx: c, a1: d, slot: newSlot(th)})
+						*cur += d
+					}
+				}
+			}
+			// Read some of it back: own writes are ordered by a fence.
+			if len(segs[th]) > 0 && rng.Intn(2) == 0 {
+				emit(th, progStep{kind: stFence})
+				s := segs[th][rng.Intn(len(segs[th]))]
+				read(th, 0, s.idx, s.n)
+			}
+			if rng.Intn(4) == 0 {
+				emit(th, progStep{kind: stSyncAll})
+			}
+		}
+		all(stBarrier)
+
+		// Read phase.
+		for th := 0; th < progThreads; th++ {
+			for k := 2 + rng.Intn(4); k > 0; k-- {
+				arr, elems := 0, int64(progDataElems)
+				if rng.Intn(4) == 0 {
+					arr, elems = 1, progCtrElems
+				}
+				idx := rng.Int63n(elems)
+				n := 1 + rng.Intn(progMaxRun)
+				if idx+int64(n) > elems {
+					n = int(elems - idx)
+				}
+				read(th, arr, idx, n)
+			}
+			if rng.Intn(2) == 0 {
+				emit(th, progStep{kind: stSyncAll})
+			}
+		}
+		all(stBarrier)
+
+		if e == progEpochs/2-1 {
+			all(stFreeRealloc)
+			clear(model[0])
+		}
+	}
+	// Final memory, read by thread 0 after the last barrier.
+	emit(0, progStep{kind: stGetBulk, arr: 0, idx: 0, vals: snapshot(0, 0, progDataElems)})
+	emit(0, progStep{kind: stGetBulk, arr: 1, idx: 0, vals: snapshot(1, 0, progCtrElems)})
+	return pr
+}
+
+// progThread is the interpreter state of one thread, shared by both
+// interpreters: the arrays, the handle slots, and the split-phase
+// results still to be checked once their handle has retired.
+type progThread struct {
+	th      *Thread
+	pr      *program
+	fail    func(thread, step int, msg string)
+	arr     [2]*SharedArray
+	handles []Handle
+	pending []progPending
+}
+
+type progPending struct {
+	step int
+	slot int
+	buf  []byte  // NbGet destination
+	out  *uint64 // NbFetchAdd result
+}
+
+func (pt *progThread) encode(vals []uint64) []byte {
+	b := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		byteOrder.PutUint64(b[8*i:], v)
+	}
+	return b
+}
+
+func (pt *progThread) checkBytes(step int, got []byte) {
+	want := pt.pr.steps[pt.th.ID()][step].vals
+	for i, w := range want {
+		if g := byteOrder.Uint64(got[8*i:]); g != w {
+			pt.fail(pt.th.ID(), step, fmt.Sprintf("element %d = %d, model says %d",
+				pt.pr.steps[pt.th.ID()][step].idx+int64(i), g, w))
+			return
+		}
+	}
+}
+
+func (pt *progThread) checkOld(step int, got uint64) {
+	if want := pt.pr.steps[pt.th.ID()][step].want; got != want {
+		pt.fail(pt.th.ID(), step, fmt.Sprintf("previous value %d, model says %d", got, want))
+	}
+}
+
+// retired checks the split-phase results whose handle has retired: the
+// one in slot, or all of them when slot < 0.
+func (pt *progThread) retired(slot int) {
+	keep := pt.pending[:0]
+	for _, p := range pt.pending {
+		if slot >= 0 && p.slot != slot {
+			keep = append(keep, p)
+			continue
+		}
+		if p.buf != nil {
+			pt.checkBytes(p.step, p.buf)
+		} else {
+			pt.checkOld(p.step, *p.out)
+		}
+	}
+	pt.pending = keep
+}
+
+func (pt *progThread) ref(s *progStep) Ref { return pt.arr[s.arr].At(s.idx) }
+
+func newProgThread(th *Thread, pr *program, fail func(thread, step int, msg string)) *progThread {
+	return &progThread{th: th, pr: pr, fail: fail, handles: make([]Handle, pr.slots[th.ID()])}
+}
+
+// runBlocking interprets the thread's script against the blocking API.
+func (pr *program) runBlocking(th *Thread, fail func(thread, step int, msg string)) {
+	pt := newProgThread(th, pr, fail)
+	pt.arr[0] = th.AllAlloc("data", progDataElems, 8, progDataBlock)
+	pt.arr[1] = th.AllAlloc("ctr", progCtrElems, 8, progCtrBlock)
+	steps := pr.steps[th.ID()]
+	for i := range steps {
+		s := &steps[i]
+		switch s.kind {
+		case stPut:
+			th.PutUint64(pt.ref(s), s.vals[0])
+		case stPutBulk:
+			th.PutBulk(pt.ref(s), pt.encode(s.vals))
+		case stNbPut:
+			pt.handles[s.slot] = th.NbPut(pt.ref(s), pt.encode(s.vals))
+		case stGet:
+			var b [8]byte
+			byteOrder.PutUint64(b[:], th.GetUint64(pt.ref(s)))
+			pt.checkBytes(i, b[:])
+		case stGetBulk:
+			buf := make([]byte, 8*len(s.vals))
+			th.GetBulk(buf, pt.ref(s))
+			pt.checkBytes(i, buf)
+		case stNbGet:
+			buf := make([]byte, 8*len(s.vals))
+			pt.handles[s.slot] = th.NbGet(buf, pt.ref(s))
+			pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, buf: buf})
+		case stSync:
+			th.Sync(pt.handles[s.slot])
+			pt.retired(s.slot)
+		case stSyncAll:
+			th.SyncAll()
+			pt.retired(-1)
+		case stFence:
+			th.Fence()
+			pt.retired(-1)
+		case stBarrier:
+			th.Barrier()
+			pt.retired(-1)
+		case stFetchAdd:
+			pt.checkOld(i, th.FetchAdd(pt.ref(s), s.a1))
+		case stCompareSwap:
+			old, swapped := th.CompareSwap(pt.ref(s), s.a1, s.a2)
+			pt.checkOld(i, old)
+			if swapped != (s.want == s.a1) {
+				fail(th.ID(), i, fmt.Sprintf("swapped = %v with previous %d, expect %d", swapped, old, s.a1))
+			}
+		case stAccumulate:
+			th.Accumulate(pt.ref(s), s.a1)
+		case stNbFetchAdd:
+			out := new(uint64)
+			pt.handles[s.slot] = th.NbFetchAdd(pt.ref(s), s.a1, out)
+			pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, out: out})
+		case stNbAccumulate:
+			pt.handles[s.slot] = th.NbAccumulate(pt.ref(s), s.a1)
+		case stFreeRealloc:
+			if th.ID() == 0 {
+				th.Free(pt.arr[0])
+			}
+			pt.arr[0] = th.AllAlloc("data", progDataElems, 8, progDataBlock)
+		}
+	}
+}
+
+// runCont interprets the thread's script against the continuation API.
+func (pr *program) runCont(th *Thread, fail func(thread, step int, msg string), done func()) {
+	pt := newProgThread(th, pr, fail)
+	steps := pr.steps[th.ID()]
+	i := -1
+	run := func() {
+		sim.Loop(func(next func()) {
+			i++
+			if i == len(steps) {
+				done()
+				return
+			}
+			i := i
+			s := &steps[i]
+			switch s.kind {
+			case stPut:
+				th.PutUint64C(pt.ref(s), s.vals[0], next)
+			case stPutBulk:
+				th.PutBulkC(pt.ref(s), pt.encode(s.vals), next)
+			case stNbPut:
+				th.NbPutC(pt.ref(s), pt.encode(s.vals), func(h Handle) {
+					pt.handles[s.slot] = h
+					next()
+				})
+			case stGet:
+				th.GetUint64C(pt.ref(s), func(v uint64) {
+					var b [8]byte
+					byteOrder.PutUint64(b[:], v)
+					pt.checkBytes(i, b[:])
+					next()
+				})
+			case stGetBulk:
+				buf := make([]byte, 8*len(s.vals))
+				th.GetBulkC(buf, pt.ref(s), func() {
+					pt.checkBytes(i, buf)
+					next()
+				})
+			case stNbGet:
+				buf := make([]byte, 8*len(s.vals))
+				th.NbGetC(buf, pt.ref(s), func(h Handle) {
+					pt.handles[s.slot] = h
+					pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, buf: buf})
+					next()
+				})
+			case stSync:
+				th.SyncC(pt.handles[s.slot], func() {
+					pt.retired(s.slot)
+					next()
+				})
+			case stSyncAll, stFence, stBarrier:
+				op := th.SyncAllC
+				if s.kind == stFence {
+					op = th.FenceC
+				} else if s.kind == stBarrier {
+					op = th.BarrierC
+				}
+				op(func() {
+					pt.retired(-1)
+					next()
+				})
+			case stFetchAdd:
+				th.FetchAddC(pt.ref(s), s.a1, func(old uint64) {
+					pt.checkOld(i, old)
+					next()
+				})
+			case stCompareSwap:
+				th.CompareSwapC(pt.ref(s), s.a1, s.a2, func(old uint64, swapped bool) {
+					pt.checkOld(i, old)
+					if swapped != (s.want == s.a1) {
+						fail(th.ID(), i, fmt.Sprintf("swapped = %v with previous %d, expect %d", swapped, old, s.a1))
+					}
+					next()
+				})
+			case stAccumulate:
+				th.AccumulateC(pt.ref(s), s.a1, next)
+			case stNbFetchAdd:
+				out := new(uint64)
+				th.NbFetchAddC(pt.ref(s), s.a1, out, func(h Handle) {
+					pt.handles[s.slot] = h
+					pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, out: out})
+					next()
+				})
+			case stNbAccumulate:
+				th.NbAccumulateC(pt.ref(s), s.a1, func(h Handle) {
+					pt.handles[s.slot] = h
+					next()
+				})
+			case stFreeRealloc:
+				realloc := func() {
+					th.AllAllocC("data", progDataElems, 8, progDataBlock, func(a *SharedArray) {
+						pt.arr[0] = a
+						next()
+					})
+				}
+				if th.ID() == 0 {
+					th.FreeC(pt.arr[0], realloc)
+				} else {
+					realloc()
+				}
+			}
+		})
+	}
+	th.AllAllocC("data", progDataElems, 8, progDataBlock, func(a *SharedArray) {
+		pt.arr[0] = a
+		th.AllAllocC("ctr", progCtrElems, 8, progCtrBlock, func(c *SharedArray) {
+			pt.arr[1] = c
+			run()
+		})
+	})
+}

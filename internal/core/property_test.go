@@ -1,101 +1,90 @@
 package core
 
 import (
-	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"xlupc/internal/transport"
 )
 
 // The strongest end-to-end property: a randomly generated barrier-
-// synchronized UPC program produces exactly the memory contents a
-// trivial sequential reference model predicts, on every transport,
-// with the cache on or off, under either pinning policy.
-//
-// Program shape: E epochs; in each epoch every thread overwrites a
-// random subset of its own elements with values derived from
-// (epoch, index), then reads random elements written in earlier epochs
-// and checks them against the reference. Barriers separate epochs, so
-// the reference is simply "the latest epoch that wrote the element".
+// synchronized UPC program returns exactly the values, and leaves
+// exactly the memory, a trivial sequential reference model predicts —
+// on both transports, with the cache off or tiny, with and without
+// coalescing — and does so identically (same RunStats) whether it is
+// written against the blocking API under Run or the continuation API
+// under RunCont. The program generator and its model are in
+// genProgram; the two interpreters below walk the same per-thread
+// scripts.
 func TestPropertyRandomProgramMatchesReference(t *testing.T) {
-	value := func(epoch int, idx int64) uint64 {
-		return uint64(epoch+1)*1_000_000 + uint64(idx)
+	type variant struct {
+		name     string
+		prof     func() *transport.Profile
+		cache    CacheConfig
+		coalesce bool
 	}
-	f := func(seed int64, cacheOn bool, lapi bool) bool {
-		const threads, nodes, elems, epochs = 8, 4, 96, 4
-		prof := transport.GM()
-		if lapi {
-			prof = transport.LAPI()
-		}
-		cc := NoCache()
-		if cacheOn {
-			cc = CacheConfig{Enabled: true, Capacity: 5} // small: force evictions
-		}
-		rt, err := NewRuntime(Config{
-			Threads: threads, Nodes: nodes, Profile: prof, Cache: cc, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Reference: lastWriter[i] = last epoch that wrote element i.
-		// Writes are chosen deterministically from the seed so the
-		// reference can be computed up front.
-		writes := make([][]bool, epochs) // [epoch][elem] written?
-		rng := rand.New(rand.NewSource(seed))
-		for e := range writes {
-			writes[e] = make([]bool, elems)
-			for i := 0; i < elems; i++ {
-				writes[e][i] = rng.Intn(3) == 0
+	var variants []variant
+	for _, tr := range []struct {
+		name string
+		prof func() *transport.Profile
+	}{{"gm", transport.GM}, {"lapi", transport.LAPI}} {
+		for _, cc := range []struct {
+			name string
+			cc   CacheConfig
+		}{{"nocache", NoCache()}, {"cache5", CacheConfig{Enabled: true, Capacity: 5}}} { // small: force evictions
+			for _, coal := range []bool{false, true} {
+				name := tr.name + "/" + cc.name
+				if coal {
+					name += "/coalesce"
+				}
+				variants = append(variants, variant{name, tr.prof, cc.cc, coal})
 			}
 		}
-		refAt := func(epoch int, idx int64) (uint64, bool) {
-			for e := epoch; e >= 0; e-- {
-				if writes[e][idx] {
-					return value(e, idx), true
+	}
+	for _, v := range variants {
+		for seed := int64(1); seed <= 12; seed++ {
+			pr := genProgram(seed)
+			cfg := Config{
+				Threads: progThreads, Nodes: progNodes, Profile: v.prof(), Cache: v.cache, Seed: seed,
+			}
+			if v.coalesce {
+				cc := transport.DefaultCoalConfig()
+				cfg.Coalesce = &cc
+			}
+			fail := func(mode string) func(thread, step int, msg string) {
+				return func(thread, step int, msg string) {
+					t.Errorf("seed %d, config %s, %s: thread %d op %d (%v): %s",
+						seed, v.name, mode, thread, step, pr.steps[thread][step].kind, msg)
 				}
 			}
-			return 0, false
-		}
 
-		okMu := sync.Mutex{}
-		ok := true
-		_, err = rt.Run(func(th *Thread) {
-			a := th.AllAlloc("P", elems, 8, 4)
-			myRng := rand.New(rand.NewSource(seed ^ int64(th.ID()+1)))
-			for e := 0; e < epochs; e++ {
-				th.ForAll(a, func(i int64) {
-					if writes[e][i] {
-						th.PutUint64(a.At(i), value(e, i))
-					}
-				})
-				th.Barrier()
-				for r := 0; r < 10; r++ {
-					i := int64(myRng.Intn(elems))
-					want, written := refAt(e, i)
-					if !written {
-						continue // never written: zero or anything prior
-					}
-					if got := th.GetUint64(a.At(i)); got != want {
-						okMu.Lock()
-						ok = false
-						okMu.Unlock()
-						t.Logf("epoch %d thread %d: P[%d]=%d want %d", e, th.ID(), i, got, want)
-					}
-				}
-				th.Barrier()
+			cfg.Exec = ExecGoroutine
+			rt, err := NewRuntime(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err != nil {
-			t.Log(err)
-			return false
+			stG, err := rt.Run(func(th *Thread) { pr.runBlocking(th, fail("blocking")) })
+			if err != nil {
+				t.Fatalf("seed %d, config %s, blocking: %v", seed, v.name, err)
+			}
+
+			cfg.Exec = ExecCont
+			rt, err = NewRuntime(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stC, err := rt.RunCont(func(th *Thread, done func()) { pr.runCont(th, fail("cont"), done) })
+			if err != nil {
+				t.Fatalf("seed %d, config %s, cont: %v", seed, v.name, err)
+			}
+			if !reflect.DeepEqual(stG, stC) {
+				t.Errorf("seed %d, config %s: RunStats diverged:\n blocking: %+v\n cont:     %+v", seed, v.name, stG, stC)
+			}
+			if t.Failed() {
+				return
+			}
 		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -83,8 +83,10 @@ type nodeState struct {
 
 	// collective carries the node representative's result (e.g. the
 	// freshly allocated array) to the node's other threads across the
-	// closing barrier of a collective operation.
+	// closing barrier of a collective operation; alloc is what the
+	// representative is allocating until then.
 	collective any
+	alloc      allocReq
 
 	// user holds node-scoped singletons of user-level protocols
 	// (per-node locks, counters); see nodeLocal in useram.go.
@@ -144,10 +146,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.registerHandlers()
 	rt.scheduleCrashes()
-	rt.threads = make([]*Thread, cfg.Threads)
-	for t := 0; t < cfg.Threads; t++ {
-		rt.threads[t] = newThread(rt, t)
-	}
+	rt.threads = newThreads(rt)
 	return rt, nil
 }
 
@@ -189,10 +188,47 @@ func (rt *Runtime) Run(body func(t *Thread)) (RunStats, error) {
 	for _, th := range rt.threads {
 		th := th
 		rt.K.SpawnIdx("upc", th.id, func(p *sim.Proc) {
-			th.p = p
+			th.p, th.c = p, p.Cont()
 			body(th)
 			th.Fence() // drain outstanding PUTs before exiting
 			rt.bodyDone()
+		})
+	}
+	return rt.finishRun(rt.K.Run())
+}
+
+// ContBody is a continuation-mode program body: invoked once per UPC
+// thread, written in continuation-passing style against the Thread's
+// ...C methods, calling done exactly once when the thread's program is
+// complete.
+type ContBody func(t *Thread, done func())
+
+// RunCont executes body once per UPC thread as continuation
+// state-machines on the event heap — no goroutines, no channels, no
+// per-thread stacks — driving the simulation to completion. It is the
+// execution mode that makes 100k-thread sweeps feasible; bodies that
+// need arbitrary Go control flow use Run instead. RunCont may be
+// called once per Runtime and requires Config.Exec == ExecCont.
+func (rt *Runtime) RunCont(body ContBody) (RunStats, error) {
+	if rt.ran {
+		return RunStats{}, fmt.Errorf("core: Runtime.RunCont called twice; build a fresh Runtime per run")
+	}
+	if rt.cfg.Exec != ExecCont {
+		return RunStats{}, fmt.Errorf("core: Runtime.RunCont needs Config.Exec == ExecCont; use Run for goroutine mode")
+	}
+	rt.ran = true
+	defer rt.K.Shutdown()
+	rt.liveBodies = len(rt.threads)
+	for _, th := range rt.threads {
+		th := th
+		rt.K.SpawnCIdx("upc", th.id, func(c *sim.Cont) {
+			th.c = c
+			body(th, func() {
+				th.FenceC(func() { // drain outstanding PUTs before exiting
+					c.Finish()
+					rt.bodyDone()
+				})
+			})
 		})
 	}
 	return rt.finishRun(rt.K.Run())

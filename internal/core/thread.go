@@ -7,23 +7,42 @@ import (
 
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/trace"
+	"xlupc/internal/transport"
 )
 
-// Thread is one UPC thread. Bodies passed to Runtime.Run receive their
-// Thread and use it for every interaction with shared memory and the
-// simulated machine. A Thread's methods may only be called from its
-// own body (the simulation kernel runs one process at a time, so this
-// is a discipline, not a locking requirement).
+// Thread is one UPC thread. Bodies passed to Runtime.Run or RunCont
+// receive their Thread and use it for every interaction with shared
+// memory and the simulated machine. A Thread's methods may only be
+// called from its own body (the simulation kernel runs one process at
+// a time, so this is a discipline, not a locking requirement).
+//
+// Every operation that takes virtual time exists once, as a ladder of
+// steps: the lower-case method (getRun, barrier, ...) starts it and
+// returns when the thread has to wait, each later step runs from the
+// kernel event that ends the wait, and the last one resumes whatever
+// the thread had parked beneath the ladder (sim.Cont.Then). What is
+// parked there decides the API style. The ...C methods park the
+// caller's then; the blocking methods park the wake of the process
+// they are called on, and Await it. Nested ladders (a barrier's fence,
+// a fence's SyncAll, a GET's eager leg) park their caller's next step.
+// A thread is sequential, so there is at most one ladder of each kind
+// in progress and its state lives here, in opState, rather than in a
+// closure per step.
 type Thread struct {
 	rt *Runtime
 	id int
 	ns *nodeState
-	p  *sim.Proc // goroutine mode (Runtime.Run); nil under ExecCont
-	c  *sim.Cont // continuation mode (Runtime.RunCont); nil under ExecGoroutine
+	p  *sim.Proc // the process the body runs on under Run; nil under RunCont
+	c  *sim.Cont // holds the parked steps; under Run, p's companion
 
-	fence *sim.Counter
-	rng   *rand.Rand
+	// Next to the above because every step reads it, and at scale every
+	// step finds the thread cold in the cache.
+	opState
+
+	acks *sim.Counter // PUTs not yet acknowledged: what a fence waits for
+	rng  *rand.Rand
 
 	// nbOut is the issue-ordered list of outstanding split-phase
 	// handles; SyncAll (and through it every fence and barrier) drains
@@ -43,11 +62,6 @@ type Thread struct {
 	// in bounded chunks, instead of allocating n*elemSize up front.
 	xfer []byte
 
-	// cops is the continuation-mode pre-bound op state machine (see
-	// contops.go); nil until the thread's first shared access under
-	// ExecCont, and always nil in goroutine mode.
-	cops *contOps
-
 	// Counters for RunStats.
 	gets, puts            int64
 	localGets, localPuts  int64
@@ -56,14 +70,292 @@ type Thread struct {
 	atomicTime            sim.Time
 }
 
-func newThread(rt *Runtime, id int) *Thread {
-	return &Thread{
-		rt:    rt,
-		id:    id,
-		ns:    rt.nodeOfThread(id),
-		fence: sim.NewCounterIdx(rt.K, "fence", id, 0),
+// opState is the state of the ladders a thread has in progress.
+type opState struct {
+	// The data operation in flight — one contiguous run of a GET, PUT or
+	// atomic, a user AM call, or a run being redone at retire: where it
+	// goes, the caller's buffer, its span and clock readings.
+	a         *SharedArray
+	rn        int
+	off       int64
+	buf       []byte
+	span      *telemetry.Span
+	start, t0 sim.Time
+	cb        *svd.ControlBlock // local access: the resolved control block
+	done      *sim.Completion   // the reply awaited (eager GET, RTS, AM atomic, user AM)
+	rdma      transport.RDMAResult
+	rtr       rtrResult
+	aop       transport.AtomicOp
+	a1, a2    uint64
+	out       *uint64 // split-phase atomic: where the previous value goes
+
+	// The callback of a ...C method that passes the operation's result
+	// on — a func of whichever type that method takes. One is enough: a
+	// caller continues only after its operation has.
+	thenT any
+
+	// Results, for the blocking caller to pick up after Await and the
+	// typed ...C forms to hand to thenT.
+	old uint64       // atomic: previous value
+	n   int          // CallAM: reply length
+	h   Handle       // split-phase issue
+	arr *SharedArray // collective allocation
+
+	// A transfer being split into per-affinity runs (see bulk), or GetC's
+	// fresh slice (bulkBuf), which is one run and so finds the slot idle.
+	bulkKind int
+	bulkA    *SharedArray
+	bulkIdx  int64
+	bulkN    int64
+	bulkBuf  []byte
+
+	// Split-phase bookkeeping: the handle being issued, the one a Sync
+	// is retiring, SyncAll's position in nbOut, and retire's position in
+	// the handle it is working on.
+	nb     *nbOp
+	syncOp *nbOp
+	si     int
+	rop    *nbOp
+	ri     int
+
+	// Enclosing ladders: Compute's duration and the spans of a fence, a
+	// barrier and a collective allocation.
+	d                   sim.Duration
+	fspan, bspan, aspan *telemetry.Span
+}
+
+// newThreads builds the runtime's threads, and their fence counters,
+// as two slabs.
+func newThreads(rt *Runtime) []*Thread {
+	n := rt.cfg.Threads
+	slab, acks := make([]Thread, n), sim.NewCounters(rt.K, "fence", n)
+	ths := make([]*Thread, n)
+	for id := range slab {
+		slab[id] = Thread{rt: rt, id: id, ns: rt.nodeOfThread(id), acks: &acks[id]}
+		ths[id] = &slab[id]
+	}
+	return ths
+}
+
+// Step numbers of the thread's ladders (see steps).
+const (
+	pcThenW64 = iota
+	pcThenBytes
+	pcThenOld
+	pcThenCAS
+	pcThenHandle
+	pcThenN
+	pcThenArray
+
+	pcComputeAcquired
+	pcComputeDone
+	pcFenceSynced
+	pcFenceDone
+	pcBulkNext
+
+	pcLocalCB
+	pcLocalGet
+	pcLocalGetDone
+	pcLocalPut
+	pcLocalPutDone
+	pcLocalAtomic
+	pcLocalAtomicDone
+	pcStoreOld
+
+	pcGetLookup
+	pcGetRDMADone
+	pcGetRendezvoused
+	pcGetRDMA2Done
+	pcGetFinish
+	pcAwaitReply
+	pcEagerDone
+	pcRTSDone
+
+	pcPutLookup
+	pcPutRDMADone
+	pcPutCopied
+	pcPutCopiedNoAddr
+	pcPutRendezvoused
+	pcPutFinish
+
+	pcAtomicLookup
+	pcAtomicRDMADone
+	pcAMAtomicDone
+	pcAtomicFinish
+
+	pcUserDone
+
+	pcNbIssued
+	pcNbGetLookup
+	pcNbGetStarted
+	pcNbGetSent
+	pcNbPutLookup
+	pcNbPutStarted
+	pcNbPutCopied
+	pcNbPutSent
+	pcNbAtomicLookup
+	pcNbAtomicStarted
+	pcNbAtomicSent
+
+	pcSyncFlushed
+	pcSyncRetired
+	pcSyncAllNext
+	pcSyncAllRetired
+	pcRetireWoke
+	pcRetireNext
+	pcRedoneGet
+	pcRedoneAtomic
+
+	pcBarrierFenced
+	pcBarrierArrive
+	pcBarrierRelease
+	pcBarrierDone
+	pcBarrierSent
+	pcBarrierMsg
+	pcDisseminate
+	pcFlatArrived
+	pcFlatCollected
+	pcFlatRelease
+
+	pcAllocOpened
+	pcAllocInstall
+	pcAllocClosed
+
+	numSteps
+)
+
+// steps maps a step number to the method that runs it. (Filled in by
+// init because the methods refer back to it.)
+var steps [numSteps]func(*Thread)
+
+func init() {
+	steps = [numSteps]func(*Thread){
+		pcThenW64:    (*Thread).callThenW64,
+		pcThenBytes:  (*Thread).callThenBytes,
+		pcThenOld:    (*Thread).callThenOld,
+		pcThenCAS:    (*Thread).callThenCAS,
+		pcThenHandle: (*Thread).callThenHandle,
+		pcThenN:      (*Thread).callThenN,
+		pcThenArray:  (*Thread).callThenArray,
+
+		pcComputeAcquired: (*Thread).computeAcquired,
+		pcComputeDone:     (*Thread).computeDone,
+		pcFenceSynced:     (*Thread).fenceSynced,
+		pcFenceDone:       (*Thread).fenceDone,
+		pcBulkNext:        (*Thread).bulkNext,
+
+		pcLocalCB:         (*Thread).localCB,
+		pcLocalGet:        (*Thread).localGet,
+		pcLocalGetDone:    (*Thread).localGetDone,
+		pcLocalPut:        (*Thread).localPut,
+		pcLocalPutDone:    (*Thread).localPutDone,
+		pcLocalAtomic:     (*Thread).localAtomic,
+		pcLocalAtomicDone: (*Thread).localAtomicDone,
+		pcStoreOld:        (*Thread).storeOld,
+
+		pcGetLookup:       (*Thread).getLookup,
+		pcGetRDMADone:     (*Thread).getRDMADone,
+		pcGetRendezvoused: (*Thread).getRendezvoused,
+		pcGetRDMA2Done:    (*Thread).getRDMA2Done,
+		pcGetFinish:       (*Thread).getFinish,
+		pcAwaitReply:      (*Thread).awaitReply,
+		pcEagerDone:       (*Thread).eagerDone,
+		pcRTSDone:         (*Thread).rtsDone,
+
+		pcPutLookup:       (*Thread).putLookup,
+		pcPutRDMADone:     (*Thread).putRDMADone,
+		pcPutCopied:       (*Thread).putCopied,
+		pcPutCopiedNoAddr: (*Thread).putCopiedNoAddr,
+		pcPutRendezvoused: (*Thread).putRendezvoused,
+		pcPutFinish:       (*Thread).putFinish,
+
+		pcAtomicLookup:   (*Thread).atomicLookup,
+		pcAtomicRDMADone: (*Thread).atomicRDMADone,
+		pcAMAtomicDone:   (*Thread).amAtomicDone,
+		pcAtomicFinish:   (*Thread).atomicFinish,
+
+		pcUserDone: (*Thread).userDone,
+
+		pcNbIssued:        (*Thread).nbIssued,
+		pcNbGetLookup:     (*Thread).nbGetLookup,
+		pcNbGetStarted:    (*Thread).nbGetStarted,
+		pcNbGetSent:       (*Thread).nbGetSent,
+		pcNbPutLookup:     (*Thread).nbPutLookup,
+		pcNbPutStarted:    (*Thread).nbPutStarted,
+		pcNbPutCopied:     (*Thread).nbPutCopied,
+		pcNbPutSent:       (*Thread).nbPutSent,
+		pcNbAtomicLookup:  (*Thread).nbAtomicLookup,
+		pcNbAtomicStarted: (*Thread).nbAtomicStarted,
+		pcNbAtomicSent:    (*Thread).nbAtomicSent,
+
+		pcSyncFlushed:    (*Thread).syncFlushed,
+		pcSyncRetired:    (*Thread).syncRetired,
+		pcSyncAllNext:    (*Thread).syncAllNext,
+		pcSyncAllRetired: (*Thread).syncAllRetired,
+		pcRetireWoke:     (*Thread).retireWoke,
+		pcRetireNext:     (*Thread).retireNext,
+		pcRedoneGet:      (*Thread).redoneGet,
+		pcRedoneAtomic:   (*Thread).redoneAtomic,
+
+		pcBarrierFenced:  (*Thread).barrierFenced,
+		pcBarrierArrive:  (*Thread).barrierArrive,
+		pcBarrierRelease: (*Thread).barrierRelease,
+		pcBarrierDone:    (*Thread).barrierDone,
+		pcBarrierSent:    (*Thread).barrierSent,
+		pcBarrierMsg:     (*Thread).barrierMsgIn,
+		pcDisseminate:    (*Thread).disseminate,
+		pcFlatArrived:    (*Thread).flatArrived,
+		pcFlatCollected:  (*Thread).flatCollected,
+		pcFlatRelease:    (*Thread).flatRelease,
+
+		pcAllocOpened:  (*Thread).allocOpened,
+		pcAllocInstall: (*Thread).allocInstall,
+		pcAllocClosed:  (*Thread).allocClosed,
 	}
 }
+
+// Step runs step pc of the ladder it belongs to (sim.Stepper).
+func (t *Thread) Step(pc int) { steps[pc](t) }
+
+// park parks step pc beneath whatever the thread starts next.
+func (t *Thread) park(pc int) { t.c.Park(t, pc) }
+
+// after is park for a wait: it parks step pc and returns the func that
+// runs it, to hand to the primitive the thread is about to wait in.
+func (t *Thread) after(pc int) func() { return t.c.Then(t, pc) }
+
+// The callThen steps are what a ...C method taking a typed callback
+// parks first: the operation is complete, run the callback on its
+// result. (One taking a plain func() parks that, as a sim.Func.)
+
+// typed takes the caller's callback out of thenT.
+func (t *Thread) typed() any {
+	then := t.thenT
+	t.thenT = nil
+	return then
+}
+
+func (t *Thread) callThenW64()    { t.typed().(func(uint64))(byteOrder.Uint64(t.w64[:])) }
+func (t *Thread) callThenOld()    { t.typed().(func(uint64))(t.old) }
+func (t *Thread) callThenCAS()    { t.typed().(func(uint64, bool))(t.old, t.old == t.a1) }
+func (t *Thread) callThenHandle() { t.typed().(func(Handle))(t.h) }
+func (t *Thread) callThenN()      { t.typed().(func(int))(t.n) }
+func (t *Thread) callThenArray()  { t.typed().(func(*SharedArray))(t.arr) }
+func (t *Thread) callThenBytes() {
+	dst := t.bulkBuf
+	t.bulkBuf = nil
+	t.typed().(func([]byte))(dst)
+}
+
+// request sends an active message that will be answered by completing
+// t.done; step pc runs when the reply is in.
+func (t *Thread) request(pc int, rn int, id transport.HandlerID, meta any, extra int) {
+	t.park(pc)
+	t.rt.M.SendAMSpanC(t.c, t.ns.id, rn, id, meta, nil, extra, t.span, t.after(pcAwaitReply))
+}
+
+// awaitReply runs once a request is on the wire.
+func (t *Thread) awaitReply() { t.done.WaitFn(t.c, t.c.Resumer()) }
 
 // ID is the UPC thread id (MYTHREAD).
 func (t *Thread) ID() int { return t.id }
@@ -100,46 +392,101 @@ func (t *Thread) Rand() *rand.Rand {
 // node's cores for d. On transports with no communication overlap this
 // is exactly the time the node cannot serve remote requests.
 func (t *Thread) Compute(d sim.Duration) {
+	t.p.ParkWake()
+	t.compute(d)
+	t.p.Await()
+}
+
+// ComputeC is Compute in continuation-passing style.
+func (t *Thread) ComputeC(d sim.Duration, then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.compute(d)
+}
+
+func (t *Thread) compute(d sim.Duration) {
 	if d <= 0 {
+		t.c.Resume()
 		return
 	}
-	t.rt.cfg.Trace.Begin(t.id, trace.StateCompute, t.p.Now())
-	t.ns.tn.CPU.Use(t.p, d)
-	t.rt.cfg.Trace.End(t.id, t.p.Now())
+	t.rt.cfg.Trace.Begin(t.id, trace.StateCompute, t.Now())
+	t.d = d
+	t.ns.tn.CPU.AcquireCont(t.c, t.after(pcComputeAcquired))
+}
+
+func (t *Thread) computeAcquired() { t.c.Sleep(t.d, t.after(pcComputeDone)) }
+
+func (t *Thread) computeDone() {
+	t.ns.tn.CPU.Release()
+	t.rt.cfg.Trace.End(t.id, t.Now())
+	t.c.Resume()
 }
 
 // Sleep advances the thread without occupying a core (idle wait).
 func (t *Thread) Sleep(d sim.Duration) { t.p.Sleep(d) }
+
+// SleepC is Sleep in continuation-passing style.
+func (t *Thread) SleepC(d sim.Duration, then func()) { t.c.Sleep(d, then) }
 
 // Fence blocks until every PUT this thread issued has completed at its
 // target (upc_fence). Outstanding split-phase handles are retired
 // first, so a fence is a full consistency point for non-blocking
 // traffic too.
 func (t *Thread) Fence() {
-	t.SyncAll()
-	if t.fence.Pending() == 0 {
-		return
-	}
-	span := t.rt.tel.StartSpan("fence", t.id, t.ns.id, t.p.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateFenceWait, t.p.Now())
-	t.fence.Wait(t.p)
-	t.rt.cfg.Trace.End(t.id, t.p.Now())
-	span.Finish(t.p.Now())
+	t.p.ParkWake()
+	t.fence()
+	t.p.Await()
 }
 
-// localCB resolves the thread's own node's control block for an array,
-// waiting briefly if the allocation notification is still in flight.
-func (t *Thread) localCB(a *SharedArray) *svd.ControlBlock {
-	for {
-		cb, ok := t.ns.dir.LookupAny(a.h)
-		if ok {
-			if cb.Freed {
-				panic(fmt.Sprintf("core: thread %d: access to freed array %s", t.id, a.name))
-			}
-			return cb
-		}
-		t.p.Sleep(1 * sim.Us)
+// FenceC is Fence in continuation-passing style.
+func (t *Thread) FenceC(then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.fence()
+}
+
+func (t *Thread) fence() {
+	t.park(pcFenceSynced)
+	t.syncAll()
+}
+
+func (t *Thread) fenceSynced() {
+	if t.acks.Pending() == 0 {
+		t.c.Resume()
+		return
 	}
+	t.fspan = t.rt.tel.StartSpan("fence", t.id, t.ns.id, t.Now())
+	t.rt.cfg.Trace.Begin(t.id, trace.StateFenceWait, t.Now())
+	t.acks.WaitFn(t.c, t.after(pcFenceDone))
+}
+
+func (t *Thread) fenceDone() {
+	t.rt.cfg.Trace.End(t.id, t.Now())
+	t.fspan.Finish(t.Now())
+	t.fspan = nil
+	t.c.Resume()
+}
+
+// localCB waits briefly for the allocation notification of t.a, still
+// in flight when lookupLocal failed, and resumes once it has landed.
+func (t *Thread) localCB() {
+	if t.lookupLocal() {
+		t.c.Resume()
+		return
+	}
+	t.c.Sleep(1*sim.Us, t.after(pcLocalCB))
+}
+
+// lookupLocal resolves the control block of t.a on the thread's own
+// node into t.cb, if the node knows the array yet.
+func (t *Thread) lookupLocal() bool {
+	cb, ok := t.ns.dir.LookupAny(t.a.h)
+	if !ok {
+		return false
+	}
+	if cb.Freed {
+		panic(fmt.Sprintf("core: thread %d: access to freed array %s", t.id, t.a.name))
+	}
+	t.cb = cb
+	return true
 }
 
 // ForAll runs body once for every index of a that is affine to this
@@ -153,6 +500,23 @@ func (t *Thread) ForAll(a *SharedArray, body func(i int64)) {
 	}
 }
 
+// ForAllC is ForAll in continuation-passing style: body runs for each
+// owned index in ascending order and calls next when its operations
+// have completed; then runs after the last one.
+func (t *Thread) ForAllC(a *SharedArray, body func(i int64, next func()), then func()) {
+	l := a.l
+	i := l.NextOwned(t.id, 0)
+	sim.Loop(func(next func()) {
+		if i >= l.NumElems {
+			then()
+			return
+		}
+		idx := i
+		i = l.NextOwned(t.id, idx+1)
+		body(idx, next)
+	})
+}
+
 // --- Element accessors -------------------------------------------------
 
 // Get reads the single element at r into a fresh byte slice.
@@ -162,14 +526,34 @@ func (t *Thread) Get(r Ref) []byte {
 	return dst
 }
 
+// GetC is Get in continuation-passing style. One element is one run,
+// so the fresh slice can wait in the (idle) slot of the run splitter.
+func (t *Thread) GetC(r Ref, then func(data []byte)) {
+	t.thenT = then
+	t.park(pcThenBytes)
+	dst := make([]byte, r.A.l.ElemSize)
+	t.bulkBuf = dst
+	t.getBulk(dst, r)
+}
+
 // Put writes one element's bytes at r. PUTs complete asynchronously;
 // Fence or Barrier waits for them.
 func (t *Thread) Put(r Ref, data []byte) {
+	checkElem(r, data)
+	t.PutBulk(r, data)
+}
+
+// PutC is Put in continuation-passing style.
+func (t *Thread) PutC(r Ref, data []byte, then func()) {
+	checkElem(r, data)
+	t.PutBulkC(r, data, then)
+}
+
+func checkElem(r Ref, data []byte) {
 	if len(data) != r.A.l.ElemSize {
 		panic(fmt.Sprintf("core: Put of %d bytes into %s with element size %d",
 			len(data), r.A.name, r.A.l.ElemSize))
 	}
-	t.PutBulk(r, data)
 }
 
 // GetUint64 reads element r of an 8-byte-element array. It stages
@@ -180,12 +564,25 @@ func (t *Thread) GetUint64(r Ref) uint64 {
 	return byteOrder.Uint64(t.w64[:])
 }
 
+// GetUint64C is GetUint64 in continuation-passing style.
+func (t *Thread) GetUint64C(r Ref, then func(v uint64)) {
+	t.thenT = then
+	t.park(pcThenW64)
+	t.getBulk(t.w64[:], r)
+}
+
 // PutUint64 writes element r of an 8-byte-element array. Safe to stage
 // through the shared 8-byte buffer: every PUT path captures the source
 // bytes before the call returns control to the thread.
 func (t *Thread) PutUint64(r Ref, v uint64) {
 	byteOrder.PutUint64(t.w64[:], v)
 	t.PutBulk(r, t.w64[:])
+}
+
+// PutUint64C is PutUint64 in continuation-passing style.
+func (t *Thread) PutUint64C(r Ref, v uint64, then func()) {
+	byteOrder.PutUint64(t.w64[:], v)
+	t.PutBulkC(r, t.w64[:], then)
 }
 
 // GetFloat64 reads element r of an 8-byte-element array as a float64.
@@ -251,50 +648,111 @@ func (t *Thread) Fill(r Ref, n int64, b byte) {
 // (upc_memget). len(dst) must be a multiple of the element size. The
 // transfer is split into per-affinity contiguous runs.
 func (t *Thread) GetBulk(dst []byte, r Ref) {
-	es := int64(r.A.l.ElemSize)
-	if int64(len(dst))%es != 0 {
-		panic("core: GetBulk length not a multiple of element size")
-	}
-	n := int64(len(dst)) / es
-	if n == 0 {
+	t.p.ParkWake()
+	t.getBulk(dst, r)
+	t.p.Await()
+}
+
+// GetBulkC is GetBulk in continuation-passing style.
+func (t *Thread) GetBulkC(dst []byte, r Ref, then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.getBulk(dst, r)
+}
+
+func (t *Thread) getBulk(dst []byte, r Ref) {
+	if n := runElems("GetBulk", len(dst), r); n > 0 {
+		t.bulk(bulkGet, r, n, dst)
 		return
 	}
-	r.A.check(r.Idx + n - 1)
-	idx, off := r.Idx, int64(0)
-	for n > 0 {
-		run := r.A.l.ContigRun(idx)
-		if run > n {
-			run = n
-		}
-		t.getRun(r.A, idx, dst[off*es:(off+run)*es])
-		idx += run
-		off += run
-		n -= run
-	}
+	t.c.Resume()
 }
 
 // PutBulk writes len(src) bytes of consecutive elements starting at r
 // (upc_memput). len(src) must be a multiple of the element size.
 func (t *Thread) PutBulk(r Ref, src []byte) {
-	es := int64(r.A.l.ElemSize)
-	if int64(len(src))%es != 0 {
-		panic("core: PutBulk length not a multiple of element size")
-	}
-	n := int64(len(src)) / es
-	if n == 0 {
+	t.p.ParkWake()
+	t.putBulk(r, src)
+	t.p.Await()
+}
+
+// PutBulkC is PutBulk in continuation-passing style.
+func (t *Thread) PutBulkC(r Ref, src []byte, then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.putBulk(r, src)
+}
+
+func (t *Thread) putBulk(r Ref, src []byte) {
+	if n := runElems("PutBulk", len(src), r); n > 0 {
+		t.bulk(bulkPut, r, n, src)
 		return
 	}
-	r.A.check(r.Idx + n - 1)
-	idx, off := r.Idx, int64(0)
-	for n > 0 {
-		run := r.A.l.ContigRun(idx)
-		if run > n {
-			run = n
-		}
-		t.putRun(r.A, idx, src[off*es:(off+run)*es])
-		idx += run
-		off += run
-		n -= run
+	t.c.Resume()
+}
+
+// runElems validates a bulk transfer of size bytes at r and returns
+// its length in elements.
+func runElems(op string, size int, r Ref) int64 {
+	es := int64(r.A.l.ElemSize)
+	if int64(size)%es != 0 {
+		panic("core: " + op + " length not a multiple of element size")
+	}
+	n := int64(size) / es
+	if n > 0 {
+		r.A.check(r.Idx + n - 1)
+	}
+	return n
+}
+
+// The transfers bulk splits into single-affinity contiguous runs.
+const (
+	bulkGet = iota
+	bulkPut
+	bulkNbGet
+	bulkNbPut
+)
+
+// bulk performs a transfer of n elements at r, through buf, one run at
+// a time.
+func (t *Thread) bulk(kind int, r Ref, n int64, buf []byte) {
+	if r.A.l.ContigRun(r.Idx) >= n {
+		// A single run — every element access and most bulk transfers.
+		t.run(kind, r.A, r.Idx, buf)
+		return
+	}
+	t.bulkKind, t.bulkA, t.bulkIdx, t.bulkN, t.bulkBuf = kind, r.A, r.Idx, n, buf
+	t.bulkNext()
+}
+
+func (t *Thread) bulkNext() {
+	if t.bulkN == 0 {
+		t.bulkA, t.bulkBuf = nil, nil
+		t.c.Resume()
+		return
+	}
+	a, idx := t.bulkA, t.bulkIdx
+	run := a.l.ContigRun(idx)
+	if run > t.bulkN {
+		run = t.bulkN
+	}
+	size := run * int64(a.l.ElemSize)
+	part := t.bulkBuf[:size]
+	t.bulkBuf = t.bulkBuf[size:]
+	t.bulkIdx += run
+	t.bulkN -= run
+	t.park(pcBulkNext)
+	t.run(t.bulkKind, a, idx, part)
+}
+
+func (t *Thread) run(kind int, a *SharedArray, idx int64, buf []byte) {
+	switch kind {
+	case bulkGet:
+		t.getRun(a, idx, buf)
+	case bulkPut:
+		t.putRun(a, idx, buf)
+	case bulkNbGet:
+		t.nbGetRun(a, idx, buf)
+	case bulkNbPut:
+		t.nbPutRun(a, idx, buf)
 	}
 }
 

@@ -217,28 +217,34 @@ func (rt *Runtime) handleUserRep(p *sim.Proc, n *transport.Node, msg *transport.
 // returning the payload length. extra models the wire bytes of the
 // operation's arguments beyond the fixed envelope. op labels the span.
 func (t *Thread) CallAM(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string) int {
-	span := t.rt.tel.StartSpan(op, t.id, t.ns.id, t.p.Now())
-	span.SetProto("am")
-	done := sim.NewCompletion(t.rt.K, op)
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hUserReq,
-		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: done}, nil, extra, span)
-	t.p.Wait(done)
-	n := copy(reply, done.Bytes())
-	t.rt.K.Recycle(done) // handler's only reference died with the reply
-	span.Finish(t.p.Now())
-	return n
+	t.p.ParkWake()
+	t.callAM(a, rn, id, argA, argB, extra, reply, op)
+	t.p.Await()
+	return t.n
 }
 
-// CallAMC is CallAM in continuation-passing style; the in-flight
-// fields and both steps live in the thread's pre-bound op state.
+// CallAMC is CallAM in continuation-passing style.
 func (t *Thread) CallAMC(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string, then func(n int)) {
-	span := t.rt.tel.StartSpan(op, t.id, t.ns.id, t.Now())
-	span.SetProto("am")
-	o := t.ops()
-	done := sim.NewCompletion(t.rt.K, op)
-	o.udst, o.udone, o.uspan, o.uthen = reply, done, span, then
-	t.rt.M.SendAMSpanC(t.c, t.ns.id, rn, hUserReq,
-		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: done}, nil, extra, span, o.uSendFn)
+	t.thenT = then
+	t.park(pcThenN)
+	t.callAM(a, rn, id, argA, argB, extra, reply, op)
+}
+
+// callAM makes the call and leaves the reply length in t.n.
+func (t *Thread) callAM(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string) {
+	t.span = t.rt.tel.StartSpan(op, t.id, t.ns.id, t.Now())
+	t.span.SetProto("am")
+	t.buf = reply
+	t.done = sim.NewCompletion(t.rt.K, op)
+	t.request(pcUserDone, rn, hUserReq,
+		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: t.done}, extra)
+}
+
+func (t *Thread) userDone() {
+	t.n = copy(t.buf, t.done.Bytes())
+	t.span.Finish(t.Now())
+	t.buf, t.span = nil, nil
+	t.reply()
 }
 
 // NodeLocal returns this thread's node-scoped singleton under key,
@@ -247,8 +253,11 @@ func (t *Thread) NodeLocal(key string, build func(k *sim.Kernel) any) any {
 	return t.ns.nodeLocal(key, build)
 }
 
-// Acquire takes r on the thread (goroutine mode).
-func (t *Thread) Acquire(r *sim.Resource) { r.Acquire(t.p) }
+// Acquire takes r on the thread.
+func (t *Thread) Acquire(r *sim.Resource) {
+	t.AcquireC(r, t.p.Wake())
+	t.p.Await()
+}
 
 // AcquireC is Acquire in continuation-passing style.
 func (t *Thread) AcquireC(r *sim.Resource, then func()) { r.AcquireCont(t.c, then) }

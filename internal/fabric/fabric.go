@@ -192,35 +192,15 @@ func (f *Fabric) dropDown(dst int) bool {
 	return true
 }
 
-// Inject sends a message of size wire bytes from src to dst, arriving
-// on dst's queue for the given class. The calling process must already
-// hold src's TX port; Inject charges the serialization time (the
-// caller keeps holding TX through it), then schedules delivery after
-// the route latency. It returns the arrival time.
+// InjectC sends a message of size wire bytes from src to dst, arriving
+// on dst's queue for the given class. The caller must already hold
+// src's TX port and keep holding it through done: InjectC charges the
+// serialization time by scheduling done after it (at once for a
+// zero-width message), then delivery after the route latency. done
+// receives the nominal arrival time.
 //
 // Sending to the local node is a protocol bug — co-located threads
 // communicate through shared memory, never the NIC — and panics.
-func (f *Fabric) Inject(p *sim.Proc, src, dst int, size int, class Class, m any) sim.Time {
-	if src == dst {
-		panic(fmt.Sprintf("fabric: node %d sending to itself", src))
-	}
-	f.messages++
-	f.bytes += int64(size)
-	seq := uint64(f.messages) // injection ordinal, fixed before the sleep
-	if f.fr != nil {
-		f.fr.Record(src, flight.Event{
-			T: f.k.Now(), Kind: flight.KindSend, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-		})
-	}
-	p.Sleep(f.wire.Serialize(size))
-	return f.deliver(seq, src, dst, size, class, m)
-}
-
-// InjectC is Inject for kernel-callback senders (the DMA engine's
-// handoff-free path): serialization is modelled by scheduling done
-// after the serialize time instead of sleeping a process. The caller
-// must hold src's TX through done, which receives the arrival time.
 func (f *Fabric) InjectC(src, dst int, size int, class Class, m any, done func(arrive sim.Time)) {
 	if src == dst {
 		panic(fmt.Sprintf("fabric: node %d sending to itself", src))

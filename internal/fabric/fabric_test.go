@@ -85,6 +85,14 @@ func TestWireLatencyBudget(t *testing.T) {
 	}
 }
 
+// inject is how a test process sends: InjectC with the process's Wake,
+// then Await. The caller holds src's TX port, and gets control back
+// when the message is serialized.
+func inject(f *Fabric, p *sim.Proc, src, dst, size int, class Class, m any) {
+	f.InjectC(src, dst, size, class, m, p.Cont().ThenAt(p, 0))
+	p.Await()
+}
+
 func TestInjectDeliversAtWireTime(t *testing.T) {
 	k := sim.NewKernel()
 	f := New(k, NewFlat(2, 2), testWire())
@@ -92,7 +100,7 @@ func TestInjectDeliversAtWireTime(t *testing.T) {
 	var got any
 	k.Spawn("sender", func(p *sim.Proc) {
 		f.Port(0).TX.Acquire(p)
-		f.Inject(p, 0, 1, 1000, ClassAM, "payload")
+		inject(f, p, 0, 1, 1000, ClassAM, "payload")
 		f.Port(0).TX.Release()
 		sentDone = p.Now()
 	})
@@ -126,8 +134,8 @@ func TestInjectClassesSeparateQueues(t *testing.T) {
 	k.Spawn("sender", func(p *sim.Proc) {
 		tx := f.Port(0).TX
 		tx.Acquire(p)
-		f.Inject(p, 0, 1, 10, ClassAM, "am")
-		f.Inject(p, 0, 1, 10, ClassDMA, "dma")
+		inject(f, p, 0, 1, 10, ClassAM, "am")
+		inject(f, p, 0, 1, 10, ClassDMA, "dma")
 		tx.Release()
 	})
 	k.Spawn("amrecv", func(p *sim.Proc) { am = f.Port(1).AM.Pop(p) })
@@ -149,7 +157,7 @@ func TestTXContentionSerializesInjection(t *testing.T) {
 		k.Spawn("sender", func(p *sim.Proc) {
 			tx := f.Port(0).TX
 			tx.Acquire(p)
-			f.Inject(p, 0, dst, 1000, ClassAM, dst)
+			inject(f, p, 0, dst, 1000, ClassAM, dst)
 			tx.Release()
 		})
 		k.Spawn("recv", func(p *sim.Proc) {
@@ -180,7 +188,7 @@ func TestSelfSendPanics(t *testing.T) {
 	f := New(k, NewFlat(2, 1), testWire())
 	k.Spawn("bad", func(p *sim.Proc) {
 		f.Port(0).TX.Acquire(p)
-		f.Inject(p, 0, 0, 10, ClassAM, nil)
+		inject(f, p, 0, 0, 10, ClassAM, nil)
 	})
 	_ = k.Run()
 }
@@ -194,7 +202,7 @@ func TestMessagesArriveInOrderPerSender(t *testing.T) {
 		tx := f.Port(0).TX
 		for i := 0; i < n; i++ {
 			tx.Acquire(p)
-			f.Inject(p, 0, 1, 100, ClassAM, i)
+			inject(f, p, 0, 1, 100, ClassAM, i)
 			tx.Release()
 		}
 	})

@@ -112,31 +112,16 @@ func (c *Completion) Complete(v any) {
 	}
 }
 
-// WaitC blocks a continuation-mode thread until the completion
-// completes, then runs fn with the completed value. The continuation
-// twin of Proc.Wait, with the same event cost: an already-done
-// completion continues inline (zero events), otherwise the wake is one
-// scheduled event, exactly like resuming a parked process.
-func (c *Completion) WaitC(ct *Cont, fn func(v any)) {
-	if c.done {
-		fn(c.val)
-		return
-	}
-	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: func() {
-		ct.unblock()
-		fn(c.val)
-	}})
-}
-
-// WaitFn is the zero-alloc form of WaitC for pre-bound callbacks: fn
-// is stored as the waiter directly — no wrapper closure — so a pooled
-// state machine whose step func was built once can wait without
-// allocating. fn reads the completed value via Value itself, and the
-// continuation's diagnostic state is not reset when it runs (stale
-// state on a running continuation is harmless; diagnostics only
-// inspect blocked ones). Event cost is identical to WaitC: inline when
-// done, one wake event otherwise.
+// WaitFn blocks a continuation-mode thread until the completion
+// completes, then runs fn — the continuation twin of Proc.Wait, with
+// the same event cost: an already-done completion continues inline
+// (zero events), otherwise the wake is one scheduled event, exactly
+// like resuming a parked process. fn is stored as the waiter directly
+// — no wrapper closure — so a state machine whose step func exists
+// already waits without allocating. fn reads the completed value via
+// Value itself, and the continuation's diagnostic state is not reset
+// when it runs (stale state on a running continuation is harmless;
+// diagnostics only inspect blocked ones).
 func (c *Completion) WaitFn(ct *Cont, fn func()) {
 	if c.done {
 		fn()
@@ -153,9 +138,9 @@ func (c *Completion) WaitFn(ct *Cont, fn func()) {
 // completions, and push to queues.
 //
 // Then is NOT the way a continuation-mode thread waits — Then runs
-// inline at Complete time while a waiter (Wait/WaitC) runs one
+// inline at Complete time while a waiter (Wait/WaitFn) runs one
 // scheduled event later; mixing them up reorders the event stream
-// between execution modes. Use WaitC to block a Cont.
+// between execution modes. Use WaitFn to block a Cont.
 func (c *Completion) Then(fn func(v any)) {
 	if c.done {
 		fn(c.val)
@@ -187,11 +172,15 @@ func NewCounter(k *Kernel, name string, n int) *Counter {
 	return &Counter{k: k, lazyName: lazyName{name, -1, ""}, pending: n}
 }
 
-// NewCounterIdx is NewCounter with an index-derived name (prefix +
-// idx), rendered only when diagnostics ask for it — per-thread fence
-// counters at 128k threads allocate no name strings.
-func NewCounterIdx(k *Kernel, prefix string, idx int, n int) *Counter {
-	return &Counter{k: k, lazyName: lazyName{prefix, idx, ""}, pending: n}
+// NewCounters returns n counters expecting no arrivals, named prefix +
+// their index, in one allocation — a fence counter per thread at 128k
+// threads is one object, not 128k.
+func NewCounters(k *Kernel, prefix string, n int) []Counter {
+	cs := make([]Counter, n)
+	for i := range cs {
+		cs[i] = Counter{k: k, lazyName: lazyName{prefix, i, ""}}
+	}
+	return cs
 }
 
 func (c *Counter) parkState() string {
@@ -229,19 +218,19 @@ func (c *Counter) Wait(p *Proc) {
 	}
 }
 
-// WaitC blocks a continuation-mode thread until the counter reaches
-// zero, then runs fn — the continuation twin of Wait, including the
-// recheck: if new arrivals were registered between the wake being
-// scheduled and running, the continuation re-registers (at no extra
-// event cost), exactly like the blocking loop re-parking.
-func (c *Counter) WaitC(ct *Cont, fn func()) {
+// WaitFn blocks a continuation-mode thread until the counter reaches
+// zero, then runs fn — the continuation twin of Wait, with the same
+// event cost (inline at zero, one wake event otherwise) and one
+// difference: fn is stored as the waiter directly, so nothing re-checks
+// the count when it runs. That suits every counter whose arrivals are
+// all registered before anyone waits or only by the waiting thread
+// itself (a fence: a thread blocked in it issues nothing); fn must
+// re-check Pending and wait again where that is not so.
+func (c *Counter) WaitFn(ct *Cont, fn func()) {
 	if c.pending == 0 {
 		fn()
 		return
 	}
 	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: func() {
-		ct.unblock()
-		c.WaitC(ct, fn)
-	}})
+	c.waiters = append(c.waiters, waiter{fn: fn})
 }

@@ -12,7 +12,9 @@ package sim
 // Counter.Wait, Resource.Acquire, Queue.Pop) all have continuation
 // variants whose kernel event sequences are bit-identical to their
 // blocking twins: a run executed in either mode produces the same
-// (time, seq) event stream, clock, and statistics.
+// (time, seq) event stream, clock, and statistics. Layers above build
+// each operation once, on the continuation variants, and a process
+// reaches it through its companion Cont (Proc.Cont, Proc.Await).
 
 // waiter is one parked consumer of a Completion, Counter or Queue:
 // either a process to resume or a continuation callback to schedule.
@@ -29,6 +31,29 @@ func (k *Kernel) wake(w waiter) {
 	k.schedule(k.now, w.p, w.fn)
 }
 
+// Stepper is something whose asynchronous steps are numbered: Step(pc)
+// runs step pc. A state machine that parks (s, pc) on a Cont with Then
+// gets a continuation without building a closure per step.
+type Stepper interface{ Step(pc int) }
+
+// Func makes a plain callback a Stepper (its one step is to run), so
+// that a caller's then can be parked like any other continuation.
+type Func func()
+
+func (f Func) Step(int) { f() }
+
+// frame is one parked continuation: step pc of s.
+type frame struct {
+	s  Stepper
+	pc int
+}
+
+// maxFrames bounds how deep one thread's pending continuations nest.
+// The deepest ladder is nine: a process's wake, the caller's callback,
+// then allocation → barrier → fence → sync → retire → fallback GET →
+// AM send.
+const maxFrames = 12
+
 // Cont is a continuation-mode simulated thread: a chain of callbacks
 // scheduled directly on the event heap, with no coroutine and no
 // stack behind it. Bodies are written in continuation-passing
@@ -36,13 +61,106 @@ func (k *Kernel) wake(w waiter) {
 // as a callback — and must call Finish exactly once when the thread's
 // program is complete; a live (unfinished) Cont keeps deadlock
 // detection armed exactly like a blocked Proc.
+//
+// A Cont also carries the one thing a sequential thread needs in place
+// of a stack: the frames of the continuations it has pending, innermost
+// last (see Then). Every Proc has a companion Cont (Proc.Cont), which
+// is what lets a process call the continuation form of an operation and
+// Await it.
 type Cont struct {
-	k *Kernel
-	lazyName
-	seq      uint64
+	// Every wait of every thread touches state, since, sp and the
+	// innermost frames, and at scale no two consecutive events belong
+	// to the same thread: these sit together so that a wait costs one
+	// cache line of the Cont, not three.
+	k        *Kernel
+	resumeFn func() // bound on first use, handed out by every Then
 	state    string // diagnostic: what the continuation waits on
 	since    Time   // virtual time it last blocked
+	sp       int32
+	running  bool // a step is executing: a nested resume is left to its loop
+	again    bool // ... and this tells the loop there is one
 	finished bool
+	frames   [maxFrames]frame
+
+	at         Time // argument of the pending ThenAt continuation
+	resumeAtFn func(Time)
+	lazyName
+	seq uint64
+}
+
+// Then parks step pc of s as the thread's innermost pending
+// continuation and returns the func that runs it. The func is the same
+// value every time — it runs whichever frame is innermost — so frames
+// must complete in LIFO order, each exactly once; a sequential thread's
+// continuations do by construction (an operation finishes everything
+// it started before it continues its caller). Nothing is allocated.
+func (c *Cont) Then(s Stepper, pc int) func() {
+	c.Park(s, pc)
+	return c.Resumer()
+}
+
+// Park is Then without the func: for a ladder about to start a nested
+// one, which will find the frame when it Resumes.
+func (c *Cont) Park(s Stepper, pc int) {
+	if c.sp == maxFrames {
+		panic("sim: continuation " + c.Name() + " nests deeper than maxFrames")
+	}
+	c.frames[c.sp] = frame{s, pc}
+	c.sp++
+}
+
+// Resumer returns Resume as a func value — the one Then returns — for a
+// ladder whose last act is a wait: handed to the primitive it waits in,
+// it continues the ladder's caller directly.
+func (c *Cont) Resumer() func() {
+	if c.resumeFn == nil {
+		c.resumeFn = c.Resume
+	}
+	return c.resumeFn
+}
+
+// ThenAt is Then for continuations that receive a time (an injection's
+// arrival time): the step reads it back with At.
+func (c *Cont) ThenAt(s Stepper, pc int) func(Time) {
+	c.Park(s, pc)
+	if c.resumeAtFn == nil {
+		c.resumeAtFn = func(t Time) {
+			c.at = t
+			c.Resume()
+		}
+	}
+	return c.resumeAtFn
+}
+
+// At returns the time passed to the continuation parked with ThenAt.
+func (c *Cont) At() Time { return c.at }
+
+// Resume runs the innermost frame: how a ladder of steps returns to
+// whatever was parked beneath it. A step that completes synchronously
+// resumes its caller from inside its own execution; like Loop, Resume
+// turns that recursion into iteration: the nested call only flags, and
+// the outer loop runs the frame once the current step has returned —
+// which, the continuation call being the step's last act, is the same
+// order. This is also what keeps a process woken from inside a step
+// correct: the rest of its program runs on its coroutine while that
+// step is still on the kernel's stack, and the next operation it
+// starts is picked up here when it parks.
+func (c *Cont) Resume() {
+	if c.running {
+		c.again = true
+		return
+	}
+	c.running = true
+	for {
+		c.again = false
+		c.sp--
+		f := &c.frames[c.sp]
+		f.s.Step(f.pc)
+		if !c.again {
+			break
+		}
+	}
+	c.running = false
 }
 
 // Kernel returns the kernel the continuation runs under.

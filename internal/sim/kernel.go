@@ -239,6 +239,7 @@ func (k *Kernel) spawn(name lazyName, body func(p *Proc), daemon bool) *Proc {
 		state:    "starting",
 		daemon:   daemon,
 	}
+	p.c = Cont{k: k, lazyName: name, state: "running"}
 	k.procs[p] = struct{}{}
 	p.start(body)
 	k.schedule(k.now, p, nil)
@@ -383,8 +384,14 @@ func (k *Kernel) deadlock() error {
 		if p.daemon {
 			continue
 		}
-		blocked = append(blocked, p.Name()+": "+p.state)
-		procs = append(procs, BlockedProc{Name: p.Name(), State: p.state, Since: p.since})
+		state, since := p.state, p.since
+		if p.awaiting {
+			// What the awaited operation is blocked on now, which need
+			// not be what it was blocked on when the process parked.
+			state, since = p.c.state, p.c.since
+		}
+		blocked = append(blocked, p.Name()+": "+state)
+		procs = append(procs, BlockedProc{Name: p.Name(), State: state, Since: since})
 	}
 	for c := range k.conts {
 		blocked = append(blocked, c.Name()+": "+c.state)

@@ -11,17 +11,27 @@ import "iter"
 // kernel and process is ever running. A Proc's methods may only be
 // called from its own body.
 type Proc struct {
-	k *Kernel
-	lazyName
-	seq    uint64 // spawn order; fixes Shutdown's kill order
-	state  string // diagnostic: what the process is blocked on
-	since  Time   // virtual time the process last parked
-	daemon bool   // service loop; ignored by deadlock detection
-
+	// What a park and a resume touch comes first, next to the hot head
+	// of c (see Cont).
+	k        *Kernel
 	next     func() (struct{}, bool) // resume the body; false once it has returned
 	yield    func(struct{}) bool     // park the body; false once Shutdown stopped it
-	stop     func()                  // unwind a parked body, or cancel an unstarted one
-	panicVal any                     // the body's panic, re-raised by the kernel
+	state    string                  // diagnostic: what the process is blocked on
+	since    Time                    // virtual time the process last parked
+	awaiting bool                    // parked in Await
+	woken    bool                    // the awaited operation completed before Await was reached
+	daemon   bool                    // service loop; ignored by deadlock detection
+
+	// c is the process's companion continuation: what it passes to the
+	// continuation form of an operation it then Awaits. It is never in
+	// the kernel's live set — the process is — and only lends the
+	// operation its frames and its diagnostic state.
+	c Cont
+
+	lazyName
+	seq      uint64 // spawn order; fixes Shutdown's kill order
+	stop     func() // unwind a parked body, or cancel an unstarted one
+	panicVal any    // the body's panic, re-raised by the kernel
 }
 
 // poisonPill unwinds the body of a process stopped by Shutdown; start
@@ -94,6 +104,53 @@ func (p *Proc) Wait(c *Completion) {
 func (p *Proc) WaitAll(cs ...*Completion) {
 	for _, c := range cs {
 		p.Wait(c)
+	}
+}
+
+// Cont returns the process's companion continuation, to be passed to
+// the continuation form of an operation the process will Await.
+func (p *Proc) Cont() *Cont { return &p.c }
+
+// Wake returns the completion callback for the operation the process
+// is about to Await: a continuation form is called with Wake() as its
+// then, and Await returns once that has run. Like any Then it is the
+// Cont's one resume func, so it allocates nothing per operation.
+func (p *Proc) Wake() func() { return p.c.Then(p, 0) }
+
+// ParkWake is Wake for an operation started as a ladder of steps on the
+// process's Cont rather than through a then: the wake is the frame the
+// ladder finds beneath it when it Resumes.
+func (p *Proc) ParkWake() { p.c.Park(p, 0) }
+
+// Await blocks the process until the operation started with Wake has
+// completed. If it completed synchronously — Wake's func already ran —
+// Await returns at once: no park, no event. Otherwise the process
+// parks here and is resumed inline from the kernel callback that
+// completes the operation, at the (time, seq) position where a
+// continuation-mode thread would have run its callback: the blocking
+// call costs exactly the events of its continuation form.
+func (p *Proc) Await() {
+	if p.woken {
+		p.woken = false
+		return
+	}
+	p.awaiting = true
+	p.park(p.c.state)
+}
+
+// Step is the wake: the one step a Proc has (see Wake).
+func (p *Proc) Step(int) {
+	if !p.awaiting {
+		if p.woken {
+			panic("sim: process " + p.Name() + " woken twice")
+		}
+		p.woken = true
+		return
+	}
+	p.awaiting = false
+	p.state = "running"
+	if _, parked := p.next(); !parked {
+		p.k.finish(p)
 	}
 }
 

@@ -133,17 +133,6 @@ func (r *Resource) AcquireCont(ct *Cont, fn func()) {
 	r.pushWaiter(resWaiter{fn: fn, since: r.k.now})
 }
 
-// UseCont acquires a slot, holds it for service time d, releases it,
-// and continues with then — the continuation twin of Use.
-func (r *Resource) UseCont(ct *Cont, d Duration, then func()) {
-	r.AcquireCont(ct, func() {
-		ct.Sleep(d, func() {
-			r.Release()
-			then()
-		})
-	})
-}
-
 // TryAcquire takes a slot if one is free, reporting whether it did.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && r.queueLen() == 0 {

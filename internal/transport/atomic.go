@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"xlupc/internal/fabric"
 	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
@@ -123,224 +122,31 @@ func (m *Machine) freeDMAAtomic(op *dmaAtomic) {
 	m.pool.atomics = append(m.pool.atomics, op)
 }
 
-// RDMAAtomicSpan executes op on the 8-byte word at raddr in dst's
-// memory and blocks the caller until the result returns. old is the
-// word's previous value (zero for AtomicAccumulate); ok is false when
-// the target NACKed (stale epoch or deregistered region) and the
-// caller must heal and fall back to the active-message path. fetch,
-// when non-nil, is the posted 8-byte result buffer. The step sequence
-// mirrors RDMAGetSpan exactly.
-func (m *Machine) RDMAAtomicSpan(p *sim.Proc, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span) (old uint64, nack Nack, ok bool) {
-	m.rdmaCount++
+// RDMAAtomicSpanC executes aop on the 8-byte word at raddr in dst's
+// memory on behalf of thread ct: then runs once the result has
+// returned, with res.Old the word's previous value (zero for
+// AtomicAccumulate) or, when the target NACKed (stale epoch or
+// deregistered region), res.OK false and the caller left to heal and
+// fall back to the active-message path. fetch, when non-nil, is the
+// posted 8-byte result buffer. The steps are RDMAGetSpanC's.
+func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	done := sim.NewCompletion(m.K, "rdma-atomic")
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
 	op := m.newDMAAtomic()
 	*op = dmaAtomic{initiator: src, base: base, raddr: raddr, op: aop, arg1: arg1, arg2: arg2, fetch: fetch, epoch: epoch, done: done, span: span}
-	wire := m.Prof.RDMADescBytes + aop.OperandBytes()
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, wire, fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, wire, fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	p.Wait(done)
-	lat := p.Now()
-	p.Sleep(m.Prof.RDMAExtraLatency)
-	span.Phase(telemetry.PhaseRDMALatency, lat, p.Now())
-	val := done.Value()
-	data := done.Bytes()
-	m.K.Recycle(done)
-	if nk, isNack := val.(Nack); isNack {
-		m.noteNack("atomic")
-		return 0, nk, false
-	}
-	if data != nil {
-		old = atomicOrder.Uint64(data)
-	}
-	return old, Nack{}, true
+	m.postRead(ct, txAtomic, src, dst, m.Prof.RDMADescBytes+aop.OperandBytes(), op, done, span, res, then)
 }
 
-// RDMAAtomicStart issues a NIC atomic without blocking: the returned
-// completion fires at the initiator with the old value ([]byte, nil
+// RDMAAtomicStartC issues a NIC atomic without waiting for it: then
+// runs once the descriptor is injected (or parked in the doorbell
+// batch, so batched atomics to one destination share a single frame),
+// and res.Done fires at the initiator with the old value ([]byte, nil
 // for accumulations) or a Nack, after the RDMA-mode extra latency.
-// With coalescing enabled the descriptor joins the (src,dst) doorbell
-// batch, so batched atomics to one destination share a single frame.
-func (m *Machine) RDMAAtomicStart(p *sim.Proc, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span) *sim.Completion {
-	m.rdmaCount++
+func (m *Machine) RDMAAtomicStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	done := sim.NewCompletion(m.K, "rdma-atomic")
-	res := m.nbResult(done, "atomic", span)
+	res.Done = m.nbResult(done, "atomic", span)
 	op := m.newDMAAtomic()
 	*op = dmaAtomic{initiator: src, base: base, raddr: raddr, op: aop, arg1: arg1, arg2: arg2, fetch: fetch, epoch: epoch, done: done, span: span}
-	wire := m.Prof.RDMADescBytes + aop.OperandBytes()
-	if c := m.coal; c != nil {
-		c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, wire, span)
-		return res
-	}
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, wire, fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, wire, fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	return res
-}
-
-// rdmaAtomicOp is the pooled state machine behind RDMAAtomicSpanC —
-// the rdmaGetOp pattern: fields in a pooled record, steps as funcs
-// bound once, so the continuation-mode atomic hot path builds no
-// closures. It holds no injected object at rest, so it pools safely
-// under the reliable layer.
-type rdmaAtomicOp struct {
-	m     *Machine
-	ct    *sim.Cont
-	src   int
-	dst   int
-	base  mem.Addr
-	raddr mem.Addr
-	aop   AtomicOp
-	arg1  uint64
-	arg2  uint64
-	fetch []byte
-	epoch uint32
-	span  *telemetry.Span
-	then  func(old uint64, nack Nack, ok bool)
-
-	done    *sim.Completion
-	tx      *sim.Resource
-	op      *dmaAtomic
-	t0, lat sim.Time
-
-	acquireFn func()
-	injectFn  func()
-	finishFn  func(arrive sim.Time)
-	wokeFn    func()
-	latFn     func()
-}
-
-func (m *Machine) newRDMAAtomicOp() *rdmaAtomicOp {
-	if n := len(m.pool.ratomics); n > 0 {
-		g := m.pool.ratomics[n-1]
-		m.pool.ratomics = m.pool.ratomics[:n-1]
-		return g
-	}
-	g := &rdmaAtomicOp{m: m}
-	g.acquireFn = g.acquire
-	g.injectFn = g.inject
-	g.finishFn = g.finish
-	g.wokeFn = g.woke
-	g.latFn = g.afterLatency
-	return g
-}
-
-// RDMAAtomicSpanC is RDMAAtomicSpan for a continuation-mode thread,
-// mirroring the blocking twin step for step.
-func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, then func(old uint64, nack Nack, ok bool)) {
-	m.rdmaCount++
-	g := m.newRDMAAtomicOp()
-	g.ct, g.src, g.dst, g.base, g.raddr, g.aop, g.arg1, g.arg2, g.fetch, g.epoch, g.span, g.then = ct, src, dst, base, raddr, aop, arg1, arg2, fetch, epoch, span, then
-	g.done = sim.NewCompletion(m.K, "rdma-atomic")
-	g.t0 = m.K.Now()
-	ct.Sleep(m.Prof.RDMASetup, g.acquireFn)
-}
-
-func (g *rdmaAtomicOp) acquire() {
-	g.tx = g.m.Fab.Port(g.src).TX
-	g.tx.AcquireCont(g.ct, g.injectFn)
-}
-
-func (g *rdmaAtomicOp) inject() {
-	m := g.m
-	op := m.newDMAAtomic()
-	*op = dmaAtomic{initiator: g.src, base: g.base, raddr: g.raddr, op: g.aop, arg1: g.arg1, arg2: g.arg2, fetch: g.fetch, epoch: g.epoch, done: g.done, span: g.span}
-	g.op = op
-	wire := m.Prof.RDMADescBytes + g.aop.OperandBytes()
-	if m.rel != nil {
-		m.rel.injectC(g.src, g.dst, wire, fabric.ClassDMA, op, g.span, g.finishFn)
-		return
-	}
-	m.Fab.InjectC(g.src, g.dst, wire, fabric.ClassDMA, op, g.finishFn)
-}
-
-func (g *rdmaAtomicOp) finish(arrive sim.Time) {
-	g.op.arrived = arrive
-	g.tx.Release()
-	g.op.sent = g.m.K.Now()
-	g.span.Phase(telemetry.PhaseRDMASetup, g.t0, g.op.sent)
-	g.op = nil // the engine owns (and frees) the descriptor from here
-	g.done.WaitFn(g.ct, g.wokeFn)
-}
-
-func (g *rdmaAtomicOp) woke() {
-	g.lat = g.m.K.Now()
-	g.ct.Sleep(g.m.Prof.RDMAExtraLatency, g.latFn)
-}
-
-func (g *rdmaAtomicOp) afterLatency() {
-	m := g.m
-	g.span.Phase(telemetry.PhaseRDMALatency, g.lat, m.K.Now())
-	val := g.done.Value()
-	data := g.done.Bytes()
-	m.K.Recycle(g.done)
-	then := g.then
-	g.ct, g.span, g.then, g.done, g.tx, g.fetch = nil, nil, nil, nil, nil, nil
-	m.pool.ratomics = append(m.pool.ratomics, g)
-	if nk, isNack := val.(Nack); isNack {
-		m.noteNack("atomic")
-		then(0, nk, false)
-		return
-	}
-	var old uint64
-	if data != nil {
-		old = atomicOrder.Uint64(data)
-	}
-	then(old, Nack{}, true)
-}
-
-// RDMAAtomicStartC is RDMAAtomicStart for a continuation-mode thread:
-// then runs once the descriptor is injected (or parked in the doorbell
-// batch) with the completion that fires with the old value or a Nack.
-func (m *Machine) RDMAAtomicStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, then func(res *sim.Completion)) {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-atomic")
-	res := m.nbResult(done, "atomic", span)
-	op := m.newDMAAtomic()
-	*op = dmaAtomic{initiator: src, base: base, raddr: raddr, op: aop, arg1: arg1, arg2: arg2, fetch: fetch, epoch: epoch, done: done, span: span}
-	wire := m.Prof.RDMADescBytes + aop.OperandBytes()
-	if c := m.coal; c != nil {
-		c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, wire, span, func() {
-			then(res)
-		})
-		return
-	}
-	t0 := m.K.Now()
-	ct.Sleep(m.Prof.RDMASetup, func() {
-		tx := m.Fab.Port(src).TX
-		tx.AcquireCont(ct, func() {
-			finish := func(arrive sim.Time) {
-				op.arrived = arrive
-				tx.Release()
-				op.sent = m.K.Now()
-				span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-				then(res)
-			}
-			if m.rel != nil {
-				m.rel.injectC(src, dst, wire, fabric.ClassDMA, op, span, finish)
-				return
-			}
-			m.Fab.InjectC(src, dst, wire, fabric.ClassDMA, op, finish)
-		})
-	})
+	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+aop.OperandBytes(), op, span, then)
 }
 
 // serveAtomic starts engine service of an atomic descriptor — the

@@ -2,7 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"xlupc/internal/fabric"
 	"xlupc/internal/flight"
@@ -119,6 +119,7 @@ type coalescer struct {
 	m     *Machine
 	cfg   CoalConfig
 	bufs  map[coalKey]*coalBuf
+	syncs []*coalSync // free list
 	stats CoalStats
 }
 
@@ -154,27 +155,36 @@ func (c *coalescer) buf(key coalKey) *coalBuf {
 	return b
 }
 
-// append parks one operation in its buffer, charging the (small) append
-// cost to the calling process, and flushes inline when a threshold
-// trips. subwire is the operation's contribution to the frame.
-func (c *coalescer) append(p *sim.Proc, key coalKey, op any, subwire int, span *telemetry.Span) {
+// appendCont parks one operation of thread ct in its buffer, charging
+// the (small) append cost, and flushes inline when a threshold trips;
+// then runs once the operation is parked (or the flush it tripped is on
+// the wire). subwire is the operation's contribution to the frame.
+func (c *coalescer) appendCont(ct *sim.Cont, key coalKey, op any, subwire int, span *telemetry.Span, then func()) {
 	if key.src == key.dst {
 		panic(fmt.Sprintf("transport: node %d coalescing to itself", key.src))
 	}
-	p.Sleep(c.cfg.AppendCost)
-	b := c.buf(key)
+	o := c.m.newTxOp(ct, txAppend, key.src, key.dst, subwire, key.class, op, span, then)
+	ct.Sleep(c.cfg.AppendCost, ct.Then(o, txAppended))
+}
+
+// appended runs once the append cost is paid.
+func (o *txOp) appended() {
+	c := o.m.coal
+	b := c.buf(coalKey{src: o.src, dst: o.dst, class: o.class})
 	if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
 		b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
 	}
-	b.ops = append(b.ops, op)
-	b.spans = append(b.spans, span)
-	b.queued = append(b.queued, p.Now())
-	b.bytes += subwire
+	b.ops = append(b.ops, o.obj)
+	b.spans = append(b.spans, o.span)
+	b.queued = append(b.queued, c.m.K.Now())
+	b.bytes += o.wire
 	c.stats.Msgs++
 	c.m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
 	if len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes {
-		c.flush(p, b, "size")
+		o.flush(b, "size")
+		return
 	}
+	o.finish()
 }
 
 // take detaches a buffer for flushing: cancels its timer, removes it
@@ -253,47 +263,31 @@ func (b *coalBuf) stamp(frame any, flushStart, sent, arrived sim.Time) {
 		span.Phase(telemetry.PhaseCoalFlush, b.queued[i], flushStart)
 	}
 	for _, op := range b.ops {
-		switch o := op.(type) {
-		case *Msg:
-			o.sent, o.arrived = sent, arrived
-		case *dmaGet:
-			o.sent, o.arrived = sent, arrived
-		case *dmaPut:
-			o.sent, o.arrived = sent, arrived
-		case *dmaAtomic:
-			o.sent, o.arrived = sent, arrived
-		}
+		stamp(op, sent, arrived)
 	}
 }
 
-// flush injects a buffer's frame from process context: one send
-// overhead, one TX acquisition, one serialization for the whole batch.
-func (c *coalescer) flush(p *sim.Proc, b *coalBuf, reason string) {
+// flushCont injects a buffer's frame on behalf of thread ct: one send
+// overhead, one TX acquisition, one serialization for the whole batch;
+// then runs once the frame is on the wire (at once when somebody else
+// already flushed the buffer).
+func (c *coalescer) flushCont(ct *sim.Cont, b *coalBuf, reason string, then func()) {
+	c.m.newTxOp(ct, txFlush, 0, 0, 0, 0, nil, nil, then).flush(b, reason)
+}
+
+// flush turns the record into the flush of b.
+func (o *txOp) flush(b *coalBuf, reason string) {
+	c := o.m.coal
 	if !c.take(b) {
+		o.finish()
 		return
 	}
 	c.noteFlush(reason)
-	flushStart := p.Now()
-	frame, wire := c.frame(b)
-	p.Sleep(c.m.Prof.SendOverhead)
-	tx := c.m.Fab.Port(b.key.src).TX
-	tx.Acquire(p)
-	var arrived sim.Time
-	if rl := c.m.rel; rl != nil {
-		arrived = rl.inject(p, b.key.src, b.key.dst, wire, b.key.class, frame, nil)
-	} else {
-		arrived = c.m.Fab.Inject(p, b.key.src, b.key.dst, wire, b.key.class, frame)
-	}
-	tx.Release()
-	sent := p.Now()
-	b.stamp(frame, flushStart, sent, arrived)
-	phase := telemetry.PhaseSend
-	if b.key.class == fabric.ClassDMA {
-		phase = telemetry.PhaseRDMASetup
-	}
-	for _, span := range b.spans {
-		span.Phase(phase, flushStart, sent)
-	}
+	o.kind, o.buf, o.span = txFlush, b, nil
+	o.src, o.dst, o.class = b.key.src, b.key.dst, b.key.class
+	o.t0 = c.m.K.Now()
+	o.obj, o.wire = c.frame(b)
+	o.send(c.m.Prof.SendOverhead)
 }
 
 // flushC is the timer-fired flush: kernel context, no process to
@@ -319,39 +313,75 @@ func (c *coalescer) flushC(b *coalBuf) {
 	})
 }
 
-// FlushCoalesced flushes every buffer node src has open, in
-// deterministic (dst, class) order. Sync, fence and end-of-batch
-// service call it; a machine without coalescing no-ops.
-func (m *Machine) FlushCoalesced(p *sim.Proc, src int) {
-	c := m.coal
-	if c == nil {
-		return
-	}
-	var keys []coalKey
-	for k, b := range c.bufs {
-		if k.src == src && len(b.ops) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dst != keys[j].dst {
-			return keys[i].dst < keys[j].dst
-		}
-		return keys[i].class < keys[j].class
-	})
-	for _, k := range keys {
-		c.flush(p, c.bufs[k], "sync")
-	}
+// coalSync is one FlushCoalescedC in progress: the buffers to flush,
+// in order. Pooled, keys and all.
+type coalSync struct {
+	c    *coalescer
+	ct   *sim.Cont
+	keys []coalKey
+	then func()
 }
 
-// SendAMCoalesced queues an active message into the (src,dst)
-// coalescing buffer, or falls back to an individual SendAMSpan when
-// coalescing is off. The logical message keeps its own handler, meta,
-// payload and span; only the wire framing is shared.
-func (m *Machine) SendAMCoalesced(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
+// FlushCoalescedC flushes every buffer node src has open, in
+// deterministic (dst, class) order, on behalf of thread ct, and then
+// runs then. Sync, fence and barrier call it; a machine without
+// coalescing continues at once.
+func (m *Machine) FlushCoalescedC(ct *sim.Cont, src int, then func()) {
 	c := m.coal
 	if c == nil {
-		m.SendAMSpan(p, src, dst, id, meta, payload, extra, span)
+		then()
+		return
+	}
+	var o *coalSync
+	if n := len(c.syncs); n > 0 {
+		o = c.syncs[n-1]
+		c.syncs = c.syncs[:n-1]
+	} else {
+		o = &coalSync{c: c}
+	}
+	o.ct, o.then = ct, then
+	for k, b := range c.bufs {
+		if k.src == src && len(b.ops) > 0 {
+			o.keys = append(o.keys, k)
+		}
+	}
+	// Descending, because Step takes them off the end.
+	slices.SortFunc(o.keys, func(a, b coalKey) int {
+		if a.dst != b.dst {
+			return b.dst - a.dst
+		}
+		return int(b.class) - int(a.class)
+	})
+	o.Step(0)
+}
+
+// Step flushes the next buffer, or finishes.
+func (o *coalSync) Step(int) {
+	c := o.c
+	for n := len(o.keys); n > 0; n = len(o.keys) {
+		k := o.keys[n-1]
+		o.keys = o.keys[:n-1]
+		// Another thread of the node may have flushed (and so unmapped)
+		// the buffer while this one was busy with an earlier key.
+		if b := c.bufs[k]; b != nil {
+			c.flushCont(o.ct, b, "sync", o.ct.Then(o, 0))
+			return
+		}
+	}
+	then := o.then
+	o.ct, o.then = nil, nil
+	c.syncs = append(c.syncs, o)
+	then()
+}
+
+// SendAMCoalescedC queues an active message of thread ct into the
+// (src,dst) coalescing buffer, or falls back to an individual
+// SendAMSpanC when coalescing is off. The logical message keeps its
+// own handler, meta, payload and span; only the wire framing is shared.
+func (m *Machine) SendAMCoalescedC(ct *sim.Cont, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span, then func()) {
+	c := m.coal
+	if c == nil {
+		m.SendAMSpanC(ct, src, dst, id, meta, payload, extra, span, then)
 		return
 	}
 	if src == dst {
@@ -363,7 +393,7 @@ func (m *Machine) SendAMCoalesced(p *sim.Proc, src, dst int, id HandlerID, meta 
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
 	msg.wire = sub
 	msg.Span = span
-	c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassAM}, msg, sub, span)
+	c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassAM}, msg, sub, span, then)
 }
 
 // ReplyToSpan replies to req from inside its handler. While req is
@@ -435,7 +465,8 @@ func (m *Machine) serveBatch(p *sim.Proc, nd *Node, b *batchMsg) {
 		}
 	}
 	if len(reply.ops) > 0 {
-		c.flush(p, reply, "sync")
+		c.flushCont(p.Cont(), reply, "sync", p.Wake())
+		p.Await()
 	} else {
 		reply.closed = true
 	}

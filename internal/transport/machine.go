@@ -323,19 +323,15 @@ func (m *Machine) spawnDispatchers(nd *Node, suffixes []string) {
 	m.startDMAEngine(nd)
 }
 
-// SendAM injects an active message from node src toward dst, charging
-// the initiator's CPU send overhead and NIC injection. It returns once
-// the message is on the wire; delivery and handling are asynchronous.
-// extra widens the wire size beyond header+payload (piggybacked data).
-func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
-	m.SendAMSpan(p, src, dst, id, meta, payload, extra, nil)
-}
-
-// SendAMSpan is SendAM carrying a telemetry span: the initiator's send
-// phase (software overhead plus NIC injection) is attributed to it, and
-// the span rides with the message so the target's dispatcher and
-// handler attribute their phases into the same operation.
-func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
+// SendAMSpanC injects an active message from node src toward dst on
+// behalf of thread ct, charging the initiator's CPU send overhead and
+// NIC injection: then runs once the message is on the wire; delivery
+// and handling are asynchronous. extra widens the wire size beyond
+// header+payload (piggybacked data). The initiator's send phase
+// (software overhead plus NIC injection) is attributed to span, which
+// rides with the message so the target's dispatcher and handler
+// attribute their phases into the same operation.
+func (m *Machine) SendAMSpanC(ct *sim.Cont, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span, then func()) {
 	if src == dst {
 		panic("transport: AM to self; intra-node traffic must use shared memory")
 	}
@@ -344,18 +340,19 @@ func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, 
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
 	msg.wire = m.Prof.AMHeaderBytes + len(payload) + extra
 	msg.Span = span
-	t0 := p.Now()
-	p.Sleep(m.Prof.SendOverhead)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		msg.arrived = m.rel.inject(p, src, dst, msg.wire, fabric.ClassAM, msg, span)
-	} else {
-		msg.arrived = m.Fab.Inject(p, src, dst, msg.wire, fabric.ClassAM, msg)
-	}
-	tx.Release()
-	msg.sent = p.Now()
-	span.Phase(telemetry.PhaseSend, t0, msg.sent)
+	m.newTxOp(ct, txAM, src, dst, msg.wire, fabric.ClassAM, msg, span, then).send(m.Prof.SendOverhead)
+}
+
+// SendAMSpan is SendAMSpanC for a process (dispatcher handlers, locks,
+// collectives): it returns once the message is on the wire.
+func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
+	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.Wake())
+	p.Await()
+}
+
+// SendAM is SendAMSpan without a telemetry span.
+func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
+	m.SendAMSpan(p, src, dst, id, meta, payload, extra, nil)
 }
 
 // ReplyAM is SendAM for use inside handlers (identical mechanics; the

@@ -18,13 +18,10 @@ type pools struct {
 	atomics []*dmaAtomic
 	resps   []*dmaResp
 
-	// Continuation-mode initiator state machines (see cont.go and
-	// atomic.go). These hold no injected object, so they are safe to
-	// pool even under the reliable layer.
-	rgets    []*rdmaGetOp
-	rputs    []*rdmaPutOp
-	ratomics []*rdmaAtomicOp
-	ams      []*amSendOp
+	// Initiator-side send records (see txOp). These hold no injected
+	// object at rest, so they are safe to pool even under the reliable
+	// layer.
+	txops []*txOp
 }
 
 // Retain marks the message as requeued by its handler: the dispatcher

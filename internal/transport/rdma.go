@@ -71,151 +71,285 @@ type Nack struct {
 	Epoch uint32 // target's current incarnation (stale NACKs only)
 }
 
-// RDMAGet performs a one-sided read of size bytes at raddr in dst's
-// memory, blocking the calling process until the data arrives. ok is
-// false when the target NACKed (deregistered region, or stale epoch);
-// the caller must invalidate and fall back. The descriptor carries the
-// target's live epoch, so this convenience form never goes stale —
-// cached-address paths use RDMAGetSpan with the epoch they cached.
-func (m *Machine) RDMAGet(p *sim.Proc, src, dst int, base, raddr mem.Addr, size int) (data []byte, ok bool) {
-	data, _, ok = m.RDMAGetSpan(p, src, dst, base, raddr, nil, size, m.Nodes[dst].Epoch, nil)
-	return data, ok
+// RDMAResult receives the outcome of an initiator-side RDMA call. The
+// caller owns it (a thread has one, since it blocks in at most one
+// such call at a time); the call fills it in before its then runs.
+type RDMAResult struct {
+	// Done is set when the call is made. For a PUT it fires when the
+	// data is globally visible in target memory (or with a Nack), which
+	// fences wait on; for a split-phase start it fires at the initiator
+	// with the data ([]byte) or a Nack once the RDMA-mode extra latency
+	// has elapsed.
+	Done *sim.Completion
+
+	// Outcome of a blocking read or atomic. OK is false when the target
+	// NACKed, and Nack then tells the caller whether one entry went
+	// stale (deregistration) or the whole node did (crash) — a single
+	// eviction or a node-wide flush — before it falls back to the
+	// active-message path.
+	Data []byte // the data read; aliases the posted buffer, if any
+	Old  uint64 // an atomic's previous value (zero for AtomicAccumulate)
+	Nack Nack
+	OK   bool
 }
 
-// RDMAGetSpan is RDMAGet carrying the initiator's believed target epoch
-// and a telemetry span: descriptor setup and injection, target DMA
-// service, completion and the RDMA-mode extra latency are attributed to
-// it phase by phase. On failure the returned Nack tells the caller
-// whether one entry went stale (deregistration) or the whole node did
-// (crash), which decide between a single eviction and a node-wide flush.
-// When into is non-nil it is the posted receive buffer (len(into) must
-// equal size): the data lands there with no per-read allocation, and
-// the returned data aliases it.
-func (m *Machine) RDMAGetSpan(p *sim.Proc, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span) (data []byte, nack Nack, ok bool) {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-get")
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	op := m.newDMAGet()
-	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op, span)
+// txKind is what an injection is, which decides what happens once it
+// is on the wire.
+type txKind uint8
+
+const (
+	txAM     txKind = iota // active message, or split-phase descriptor: done when sent
+	txRead                 // blocking read: await the response, then the RDMA-mode latency
+	txAtomic               // blocking atomic: a read whose data is the previous value
+	txWrite                // blocking write: the RDMA-mode latency only
+	txFlush                // coalesced frame: stamp every operation in it
+	txAppend               // operation joining a coalescing buffer (becomes a txFlush if that fills it)
+)
+
+// txOp steps.
+const (
+	txAcquire  = iota // software overhead paid: queue for the NIC
+	txInject          // holding the TX port: serialize
+	txSent            // on the wire
+	txWoke            // response arrived
+	txLatency         // RDMA-mode latency elapsed
+	txAppended        // append cost paid
+)
+
+// txOp is the one initiator-side send path: software overhead, TX
+// arbitration, serialization, and — for blocking one-sided operations
+// — the wait for the response and the RDMA-mode latency. Active
+// messages, RDMA descriptors and coalesced frames all go through it,
+// from continuation-mode threads and (through Proc.Cont and Await)
+// from processes alike. Records are pooled and their steps are frames
+// on the sender's Cont, so a send allocates nothing. A record holds no
+// injected object at rest, so pooling is safe under the reliable layer
+// too.
+type txOp struct {
+	m     *Machine
+	ct    *sim.Cont
+	kind  txKind
+	src   int
+	dst   int
+	wire  int
+	class fabric.Class
+	obj   any // what is injected: *Msg, a dma descriptor, or a frame
+	span  *telemetry.Span
+	then  func()
+
+	t0, lat sim.Time
+	tx      *sim.Resource
+	done    *sim.Completion // txRead, txAtomic: the response
+	res     *RDMAResult     // txRead, txAtomic: where the outcome goes
+	buf     *coalBuf        // txFlush: the buffer being flushed
+}
+
+func (m *Machine) newTxOp(ct *sim.Cont, kind txKind, src, dst, wire int, class fabric.Class, obj any, span *telemetry.Span, then func()) *txOp {
+	var o *txOp
+	if n := len(m.pool.txops); n > 0 {
+		o = m.pool.txops[n-1]
+		m.pool.txops = m.pool.txops[:n-1]
 	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op)
+		o = &txOp{m: m}
 	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	p.Wait(done)
-	// RDMA mode adds latency (the HPS trait) without occupying any
-	// engine: charge it to the initiator's roundtrip.
-	lat := p.Now()
-	p.Sleep(m.Prof.RDMAExtraLatency)
-	span.Phase(telemetry.PhaseRDMALatency, lat, p.Now())
-	val := done.Value()
-	data = done.Bytes()
-	m.K.Recycle(done) // fully consumed: no reference survives this call
+	o.ct, o.kind, o.src, o.dst, o.wire, o.class, o.obj, o.span, o.then = ct, kind, src, dst, wire, class, obj, span, then
+	o.t0 = m.K.Now()
+	return o
+}
+
+// finish recycles the record and continues the sender.
+func (o *txOp) finish() {
+	m, then := o.m, o.then
+	o.ct, o.obj, o.span, o.then, o.tx, o.done, o.res, o.buf = nil, nil, nil, nil, nil, nil, nil, nil
+	m.pool.txops = append(m.pool.txops, o)
+	then()
+}
+
+// send starts the path: the sender pays the software overhead d first.
+func (o *txOp) send(d sim.Duration) { o.ct.Sleep(d, o.ct.Then(o, txAcquire)) }
+
+func (o *txOp) Step(pc int) {
+	m, ct := o.m, o.ct
+	switch pc {
+	case txAcquire:
+		o.tx = m.Fab.Port(o.src).TX
+		if !o.tx.TryAcquire() {
+			o.tx.AcquireCont(ct, ct.Then(o, txInject))
+			return
+		}
+		fallthrough
+	case txInject:
+		if m.rel != nil {
+			m.rel.injectC(o.src, o.dst, o.wire, o.class, o.obj, o.span, ct.ThenAt(o, txSent))
+			return
+		}
+		m.Fab.InjectC(o.src, o.dst, o.wire, o.class, o.obj, ct.ThenAt(o, txSent))
+	case txSent:
+		o.sent(ct.At())
+	case txWoke:
+		// RDMA mode adds latency (the HPS trait) without occupying any
+		// engine: charge it to the initiator's roundtrip.
+		o.lat = m.K.Now()
+		if d := m.Prof.RDMAExtraLatency; d > 0 {
+			ct.Sleep(d, ct.Then(o, txLatency))
+			return
+		}
+		fallthrough
+	case txLatency:
+		o.span.Phase(telemetry.PhaseRDMALatency, o.lat, m.K.Now())
+		if o.kind != txWrite {
+			o.outcome()
+		}
+		o.finish()
+	case txAppended:
+		o.appended()
+	}
+}
+
+// sent runs when the injection is serialized onto the wire, arriving
+// at arrive: free the port, stamp what was sent, and either continue
+// the sender or (blocking one-sided operations) wait.
+func (o *txOp) sent(arrive sim.Time) {
+	m := o.m
+	o.tx.Release()
+	now := m.K.Now()
+	phase := telemetry.PhaseSend
+	if o.class == fabric.ClassDMA {
+		phase = telemetry.PhaseRDMASetup
+	}
+	if o.kind == txFlush {
+		o.buf.stamp(o.obj, o.t0, now, arrive)
+		for _, span := range o.buf.spans {
+			span.Phase(phase, o.t0, now)
+		}
+		o.finish()
+		return
+	}
+	stamp(o.obj, now, arrive)
+	o.span.Phase(phase, o.t0, now)
+	o.obj = nil // the target owns (and frees) it from here
+	switch o.kind {
+	case txRead, txAtomic:
+		o.done.WaitFn(o.ct, o.ct.Then(o, txWoke))
+	case txWrite:
+		// Hardware completion of the origin side: the buffer is reusable
+		// after the RDMA-mode latency.
+		o.Step(txWoke)
+	default:
+		o.finish()
+	}
+}
+
+// outcome hands a blocking read's or atomic's response to the caller.
+func (o *txOp) outcome() {
+	m := o.m
+	val, data := o.done.Value(), o.done.Bytes()
+	m.K.Recycle(o.done) // fully consumed: no reference survives this call
 	if nk, isNack := val.(Nack); isNack {
-		m.noteNack("get")
-		return nil, nk, false
+		if o.kind == txAtomic {
+			m.noteNack("atomic")
+		} else {
+			m.noteNack("get")
+		}
+		*o.res = RDMAResult{Nack: nk}
+		return
 	}
-	return data, Nack{}, true
-}
-
-// RDMAPut performs a one-sided write of data to raddr in dst's memory.
-// It blocks the caller until the origin buffer is reusable — injection
-// plus the transport's RDMA-mode completion latency (the HPS trait
-// that makes small cached PUTs a net loss on LAPI) — and returns a
-// completion that fires when the data is globally visible in target
-// memory, which fences wait on.
-func (m *Machine) RDMAPut(p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte) *sim.Completion {
-	return m.RDMAPutSpan(p, src, dst, base, raddr, data, m.Nodes[dst].Epoch, nil)
-}
-
-// RDMAPutSpan is RDMAPut carrying the initiator's believed target epoch
-// and a telemetry span.
-func (m *Machine) RDMAPutSpan(p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span) *sim.Completion {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-put")
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	op := m.newDMAPut()
-	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op)
+	*o.res = RDMAResult{Data: data, OK: true}
+	if o.kind == txAtomic && data != nil {
+		o.res.Old = atomicOrder.Uint64(data)
 	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	lat := p.Now()
-	p.Sleep(m.Prof.RDMAExtraLatency) // hardware completion of the origin side
-	span.Phase(telemetry.PhaseRDMALatency, lat, p.Now())
-	return done
 }
 
-// RDMAGetStart issues a one-sided read without blocking: the returned
-// completion fires at the initiator with the data ([]byte) or a Nack,
-// after the transport's RDMA-mode extra latency has elapsed. With
-// coalescing enabled the descriptor joins the (src,dst) doorbell batch
-// instead of paying its own setup, TX arbitration and injection.
-func (m *Machine) RDMAGetStart(p *sim.Proc, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span) *sim.Completion {
+// stamp records the injection and arrival times on a sent operation.
+func stamp(op any, sent, arrived sim.Time) {
+	switch o := op.(type) {
+	case *Msg:
+		o.sent, o.arrived = sent, arrived
+	case *dmaGet:
+		o.sent, o.arrived = sent, arrived
+	case *dmaPut:
+		o.sent, o.arrived = sent, arrived
+	case *dmaAtomic:
+		o.sent, o.arrived = sent, arrived
+	}
+}
+
+// postRead sends the descriptor of a blocking read or atomic, whose
+// response completes done and whose outcome goes to res.
+func (m *Machine) postRead(ct *sim.Cont, kind txKind, src, dst, wire int, op any, done *sim.Completion, span *telemetry.Span, res *RDMAResult, then func()) {
 	m.rdmaCount++
+	o := m.newTxOp(ct, kind, src, dst, wire, fabric.ClassDMA, op, span, then)
+	o.done, o.res = done, res
+	o.send(m.Prof.RDMASetup)
+}
+
+// startDMA issues one split-phase RDMA descriptor: then runs once it
+// is injected — or, with coalescing enabled, parked in the (src,dst)
+// doorbell batch instead of paying its own setup, TX arbitration and
+// injection.
+func (m *Machine) startDMA(ct *sim.Cont, src, dst, wire int, op any, span *telemetry.Span, then func()) {
+	m.rdmaCount++
+	if c := m.coal; c != nil {
+		c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, wire, span, then)
+		return
+	}
+	m.newTxOp(ct, txAM, src, dst, wire, fabric.ClassDMA, op, span, then).send(m.Prof.RDMASetup)
+}
+
+// RDMAGetSpanC performs a one-sided read of size bytes at raddr in
+// dst's memory on behalf of thread ct: then runs, with the outcome in
+// res, once the data has arrived and the RDMA-mode extra latency has
+// elapsed. base is the pinned region raddr lies in, epoch the target
+// incarnation the initiator believes in (cached-address paths pass the
+// epoch they cached), span the operation's telemetry span: descriptor
+// setup and injection, target DMA service, completion and the extra
+// latency are attributed to it phase by phase. When into is non-nil it
+// is the posted receive buffer (len(into) must equal size): the data
+// lands there with no per-read allocation, and res.Data aliases it.
+func (m *Machine) RDMAGetSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	done := sim.NewCompletion(m.K, "rdma-get")
-	res := m.nbResult(done, "get", span)
 	op := m.newDMAGet()
 	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	if c := m.coal; c != nil {
-		c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, m.Prof.RDMADescBytes, span)
-		return res
-	}
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	return res
+	m.postRead(ct, txRead, src, dst, m.Prof.RDMADescBytes, op, done, span, res, then)
 }
 
-// RDMAPutStart issues a one-sided write without blocking the caller
-// through the RDMA-mode completion latency. The returned completion
-// fires when the data is globally visible in target memory (or with a
-// Nack); fences and split-phase handles wait on it. With coalescing
-// enabled the descriptor and its payload join the doorbell batch.
-func (m *Machine) RDMAPutStart(p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span) *sim.Completion {
-	m.rdmaCount++
+// RDMAPutSpanC performs a one-sided write of data to raddr in dst's
+// memory: then runs once the origin buffer is reusable — injection plus
+// the transport's RDMA-mode completion latency (the HPS trait that
+// makes small cached PUTs a net loss on LAPI) — and res.Done, set
+// before RDMAPutSpanC returns, fires when the data is globally visible
+// in target memory.
+func (m *Machine) RDMAPutSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	done := sim.NewCompletion(m.K, "rdma-put")
+	res.Done = done
 	op := m.newDMAPut()
 	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
-	if c := m.coal; c != nil {
-		c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, m.Prof.RDMADescBytes+len(data), span)
-		return done
-	}
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	return done
+	m.rdmaCount++
+	m.newTxOp(ct, txWrite, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span, then).send(m.Prof.RDMASetup)
+}
+
+// RDMAGetStartC issues a one-sided read without waiting for it: then
+// runs once the descriptor is injected (or parked in the doorbell
+// batch), and res.Done, set before RDMAGetStartC returns, fires at the
+// initiator with the data or a Nack.
+func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
+	done := sim.NewCompletion(m.K, "rdma-get")
+	res.Done = m.nbResult(done, "get", span)
+	op := m.newDMAGet()
+	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
+	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes, op, span, then)
+}
+
+// RDMAPutStartC issues a one-sided write without blocking the caller
+// through the RDMA-mode completion latency. res.Done fires when the
+// data is globally visible in target memory (or with a Nack); fences
+// and split-phase handles wait on it.
+func (m *Machine) RDMAPutStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
+	done := sim.NewCompletion(m.K, "rdma-put")
+	res.Done = done
+	op := m.newDMAPut()
+	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
+	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+len(data), op, span, then)
 }
 
 // nbResult wraps a split-phase RDMA read's completion: the

@@ -108,6 +108,8 @@ type reliability struct {
 	inflight map[relKey]*relPacket
 	seen     map[relKey]struct{} // receiver-side dedup
 
+	sends []*relSend // free list
+
 	stats  RelStats
 	failed *TransportError // first exhausted budget; ends the run
 }
@@ -192,23 +194,39 @@ func (rl *reliability) peerReset(node int) {
 	}
 }
 
-// inject is the process-context send path (the caller holds src's TX,
-// exactly like fabric.Inject). It returns the nominal arrival time.
-func (rl *reliability) inject(p *sim.Proc, src, dst int, wire int, class fabric.Class, inner any, span *telemetry.Span) sim.Time {
-	env := rl.wrap(src, dst, wire, class, inner, span)
-	arrive := rl.m.Fab.Inject(p, src, dst, env.wire, class, env)
-	rl.track(env)
-	return arrive
+// relSend is one framed injection being serialized: the packet is
+// tracked, and the sender continued, once it is on the wire. Pooled,
+// with sent bound once per record, so framing adds no closure per
+// packet.
+type relSend struct {
+	rl   *reliability
+	env  *envelope
+	done func(arrive sim.Time)
+	sent func(arrive sim.Time)
 }
 
-// injectC is the kernel-callback send path (fabric.InjectC semantics:
-// the caller holds src's TX through done).
+// injectC frames inner and sends it (fabric.InjectC semantics: the
+// caller holds src's TX through done, which receives the nominal
+// arrival time).
 func (rl *reliability) injectC(src, dst int, wire int, class fabric.Class, inner any, span *telemetry.Span, done func(arrive sim.Time)) {
-	env := rl.wrap(src, dst, wire, class, inner, span)
-	rl.m.Fab.InjectC(src, dst, env.wire, class, env, func(arrive sim.Time) {
-		rl.track(env)
-		done(arrive)
-	})
+	var s *relSend
+	if n := len(rl.sends); n > 0 {
+		s = rl.sends[n-1]
+		rl.sends = rl.sends[:n-1]
+	} else {
+		s = &relSend{rl: rl}
+		s.sent = s.onWire
+	}
+	s.env, s.done = rl.wrap(src, dst, wire, class, inner, span), done
+	rl.m.Fab.InjectC(src, dst, s.env.wire, class, s.env, s.sent)
+}
+
+func (s *relSend) onWire(arrive sim.Time) {
+	rl, env, done := s.rl, s.env, s.done
+	s.env, s.done = nil, nil
+	rl.sends = append(rl.sends, s)
+	rl.track(env)
+	done(arrive)
 }
 
 // track registers the packet for retransmission and arms its timer.

@@ -108,10 +108,10 @@ func TestReliableRDMAUnderChaos(t *testing.T) {
 	k.Spawn("initiator", func(p *sim.Proc) {
 		for i := 0; i < 25; i++ {
 			want := []byte{byte(i), byte(i + 1), byte(i + 2), byte(i + 3)}
-			ack := m.RDMAPut(p, 0, 1, base, base+mem.Addr(4*i), want)
+			ack := rdmaPut(m, p, 0, 1, base, base+mem.Addr(4*i), want, m.Nodes[1].Epoch)
 			p.Wait(ack)
 			k.Recycle(ack)
-			got, ok := m.RDMAGet(p, 0, 1, base, base+mem.Addr(4*i), 4)
+			got, _, ok := rdmaGet(m, p, 0, 1, base, base+mem.Addr(4*i), 4, m.Nodes[1].Epoch)
 			if !ok {
 				t.Errorf("op %d: unexpected NACK", i)
 				continue
@@ -213,7 +213,7 @@ func TestCrashStaleEpochNackAndRecovery(t *testing.T) {
 		}
 		p.Sleep(backAt - p.Now() + sim.Us) // wait out the restart window
 
-		data, nack, ok := m.RDMAGetSpan(p, 0, 1, base, base, nil, 4, oldEpoch, nil)
+		data, nack, ok := rdmaGet(m, p, 0, 1, base, base, 4, oldEpoch)
 		if ok || data != nil {
 			t.Errorf("stale-epoch GET succeeded: %v", data)
 		}
@@ -221,14 +221,14 @@ func TestCrashStaleEpochNackAndRecovery(t *testing.T) {
 			t.Errorf("GET nack = %+v, want stale with epoch 1", nack)
 		}
 
-		ack := m.RDMAPutSpan(p, 0, 1, base, base, []byte{9, 9}, oldEpoch, nil)
+		ack := rdmaPut(m, p, 0, 1, base, base, []byte{9, 9}, oldEpoch)
 		p.Wait(ack)
 		if nk, isNack := ack.Value().(Nack); !isNack || !nk.Stale || nk.Epoch != 1 {
 			t.Errorf("PUT completion = %v, want stale nack with epoch 1", ack.Value())
 		}
 		k.Recycle(ack)
 
-		data, nack, ok = m.RDMAGetSpan(p, 0, 1, base, base, nil, 4, 1, nil)
+		data, nack, ok = rdmaGet(m, p, 0, 1, base, base, 4, 1)
 		if !ok {
 			t.Errorf("fresh-epoch GET nacked: %+v", nack)
 		} else if string(data) != string([]byte{1, 2, 3, 4}) {

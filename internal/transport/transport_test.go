@@ -23,6 +23,25 @@ func newTestMachine(t *testing.T, prof *Profile, nodes int) (*sim.Kernel, *Machi
 	return k, NewMachine(k, prof, nodes)
 }
 
+// rdmaGet and rdmaPut are how a test process performs a blocking
+// one-sided operation: the continuation form with the process's Wake,
+// then Await. epoch is the target incarnation the initiator believes
+// in. rdmaPut returns the completion that fires when the data is
+// visible in target memory.
+func rdmaGet(m *Machine, p *sim.Proc, src, dst int, base, raddr mem.Addr, size int, epoch uint32) (data []byte, nack Nack, ok bool) {
+	var res RDMAResult
+	m.RDMAGetSpanC(p.Cont(), src, dst, base, raddr, nil, size, epoch, nil, &res, p.Wake())
+	p.Await()
+	return res.Data, res.Nack, res.OK
+}
+
+func rdmaPut(m *Machine, p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32) *sim.Completion {
+	var res RDMAResult
+	m.RDMAPutSpanC(p.Cont(), src, dst, base, raddr, data, epoch, nil, &res, p.Wake())
+	p.Await()
+	return res.Done
+}
+
 func TestProfilesSane(t *testing.T) {
 	gm, lapi := GM(), LAPI()
 	if gm.CommOverlap || !lapi.CommOverlap {
@@ -174,7 +193,7 @@ func TestRDMAGetMovesData(t *testing.T) {
 	}
 	var got []byte
 	k.Spawn("initiator", func(p *sim.Proc) {
-		data, ok := m.RDMAGet(p, 0, 1, base, base+128, 4)
+		data, _, ok := rdmaGet(m, p, 0, 1, base, base+128, 4, m.Nodes[1].Epoch)
 		if !ok {
 			t.Error("unexpected NACK")
 		}
@@ -201,7 +220,7 @@ func TestRDMAGetUnpinnedPanics(t *testing.T) {
 	k, m := newTestMachine(t, GM(), 2)
 	base := m.Nodes[1].Mem.Alloc(64)
 	k.Spawn("initiator", func(p *sim.Proc) {
-		m.RDMAGet(p, 0, 1, base, base, 8)
+		rdmaGet(m, p, 0, 1, base, base, 8, m.Nodes[1].Epoch)
 	})
 	_ = k.Run()
 }
@@ -216,7 +235,7 @@ func TestRDMAPutWritesAndFences(t *testing.T) {
 	data := []byte("rdma put payload")
 	var localDone, remoteDone sim.Time
 	k.Spawn("initiator", func(p *sim.Proc) {
-		done := m.RDMAPut(p, 0, 1, base, base+16, data)
+		done := rdmaPut(m, p, 0, 1, base, base+16, data, m.Nodes[1].Epoch)
 		localDone = p.Now()
 		p.Wait(done)
 		remoteDone = p.Now()
@@ -247,7 +266,7 @@ func TestLAPIPutExtraLatency(t *testing.T) {
 		var d sim.Time
 		k.Spawn("initiator", func(p *sim.Proc) {
 			start := p.Now()
-			m.RDMAPut(p, 0, 1, base, base, []byte{1, 2, 3, 4})
+			rdmaPut(m, p, 0, 1, base, base, []byte{1, 2, 3, 4}, m.Nodes[1].Epoch)
 			d = p.Now() - start
 			k.Stop()
 		})
@@ -285,7 +304,7 @@ func TestRDMABypassesBusyCPU(t *testing.T) {
 		var done sim.Time
 		k.Spawn("initiator", func(p *sim.Proc) {
 			p.Sleep(1 * sim.Us)
-			m.RDMAGet(p, 0, 1, base, base, 8)
+			rdmaGet(m, p, 0, 1, base, base, 8, m.Nodes[1].Epoch)
 			done = p.Now()
 			k.Stop()
 		})
@@ -323,7 +342,7 @@ func TestRDMAGetScalesWithSize(t *testing.T) {
 		var d sim.Time
 		k.Spawn("initiator", func(p *sim.Proc) {
 			start := p.Now()
-			m.RDMAGet(p, 0, 1, base, base, size)
+			rdmaGet(m, p, 0, 1, base, base, size, m.Nodes[1].Epoch)
 			d = p.Now() - start
 			k.Stop()
 		})
@@ -447,7 +466,7 @@ func TestRDMAGetNackUnderLimitedPinning(t *testing.T) {
 	}
 	target.Pins.Unpin(base, 0) // simulate an eviction
 	k.Spawn("initiator", func(p *sim.Proc) {
-		data, ok := m.RDMAGet(p, 0, 1, base, base, 8)
+		data, _, ok := rdmaGet(m, p, 0, 1, base, base, 8, m.Nodes[1].Epoch)
 		if ok || data != nil {
 			t.Errorf("expected NACK, got %v/%v", data, ok)
 		}
