@@ -58,20 +58,8 @@ func main() {
 	threads := flag.Int("threads", 16, "UPC threads")
 	nodes := flag.Int("nodes", 4, "cluster nodes")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (the application kernels have no continuation port yet, so cont is rejected)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-
-	mode, err := bench.ParseExec(*execFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xlupc-apps: %v\n", err)
-		os.Exit(2)
-	}
-	if mode == core.ExecCont {
-		fmt.Fprintf(os.Stderr, "xlupc-apps: -exec cont not supported: the CG and IS kernels are blocking-only (run the stressmark commands for continuation-mode figures)\n")
-		os.Exit(2)
-	}
-	bench.SetExec(mode)
 
 	prof := transport.ByName(*profName)
 	if prof == nil {

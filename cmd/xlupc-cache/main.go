@@ -44,25 +44,19 @@ func main() {
 	rounds := flag.Int("rounds", 0, "churn rounds per pressure run (0 = figure default)")
 	threads := flag.Int("threads", 0, "UPC threads for -pressure/-adapt (0 = figure default)")
 	nodes := flag.Int("nodes", 0, "cluster nodes for -pressure/-adapt (0 = figure default)")
-	execFlag := flag.String("exec", "", "execution mode: goroutine (default) or cont")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
 	bench.SetParallelism(*parallel)
-	em, err := bench.ParseExec(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
-	bench.SetExec(em)
 	stopProf := pf.MustStart("xlupc-cache")
 	defer stopProf()
 
 	switch {
 	case *pressure:
 		o := bench.DefaultPressure()
-		o.Fracs, err = bench.ParseFracs("-pin-budget", *pinBudget)
-		if err != nil {
+		var err error
+		if o.Fracs, err = bench.ParseFracs("-pin-budget", *pinBudget); err != nil {
 			fatal(err)
 		}
 		if *rounds != 0 {

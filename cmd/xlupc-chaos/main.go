@@ -63,16 +63,9 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	flightOn := flag.Bool("flight", false, "attach a flight recorder to every run; a failing run dumps its last events per involved node to stderr (costs no virtual time: sweep figures are unchanged)")
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean sweep writes an on-demand representative capture there instead")
-	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (figures are bit-identical; host performance differs)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
 	bench.SetParallelism(*parallel)
-	mode, err := bench.ParseExec(*execFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
-		os.Exit(2)
-	}
-	bench.SetExec(mode)
 
 	var flightW io.Writer = os.Stderr
 	var flightFile *os.File

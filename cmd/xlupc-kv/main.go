@@ -10,14 +10,13 @@
 // SLO curves: tail latency and availability against injected packet
 // loss and against node crash/restart rates. All randomness derives
 // from -seed; two invocations with the same flags produce
-// byte-identical output, in either -exec mode.
+// byte-identical output.
 //
 // Usage:
 //
 //	xlupc-kv                                      # both transports, default sweeps
 //	xlupc-kv -profile gm -thetas 0,0.5,0.9,0.99 -readmix 0.5,0.95
 //	xlupc-kv -losses 0,0.02,0.05 -crashes 0,0.2 -restart-delay 200
-//	xlupc-kv -exec cont                           # continuation-mode execution
 package main
 
 import (
@@ -51,17 +50,11 @@ func main() {
 	crashList := flag.String("crashes", "0,0.1", "comma-separated node crash rates for the SLO curve (empty disables it)")
 	restartUs := flag.Float64("restart-delay", 150, "maximum node restart delay in µs for the crash curve")
 	seed := flag.Int64("seed", 1, "simulation seed (drives keys, mixes and every injected fault)")
-	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (figures are bit-identical; host performance differs)")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
 	bench.SetParallelism(*parallel)
 
-	mode, err := bench.ParseExec(*execFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	bench.SetExec(mode)
 	if err := bench.ValidateScale(*threads, *nodes); err != nil {
 		fatalf("%v", err)
 	}

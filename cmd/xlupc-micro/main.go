@@ -34,16 +34,13 @@ func main() {
 	updates := flag.Int64("updates", 96, "updates per thread for the GUPS figure")
 	words := flag.Int64("words", 256, "table words per thread for the GUPS figure")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
-	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (figures are bit-identical; host performance differs)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	mode, err := bench.ParseSweepFlags(*execFlag, *reps)
-	if err != nil {
+	if err := bench.ParseSweepFlags(*reps); err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
 		os.Exit(2)
 	}
 	bench.SetParallelism(*parallel)
-	bench.SetExec(mode)
 	stopProf := pf.MustStart("xlupc-micro")
 	defer stopProf()
 

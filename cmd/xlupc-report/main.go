@@ -38,19 +38,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	host := flag.Bool("host", false, "append the host-performance table (wall clock, kernel events/s, allocs per event; host-side, not deterministic)")
-	scale := flag.Bool("scale", false, "append the big-scale dual-mode sweep (32k threads / 1k nodes with -full, 8k / 256 otherwise); virtual columns are deterministic, host columns are not")
+	scale := flag.Bool("scale", false, "append the big-scale sweep (32k threads / 1k nodes with -full, 8k / 256 otherwise); virtual columns are deterministic, host columns are not")
 	flightOn := flag.Bool("flight", false, "attach a flight recorder to the chaos/crash runs; a failing run dumps its last events per involved node to stderr (costs no virtual time: report figures are unchanged)")
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean report writes an on-demand representative capture there instead")
-	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (report figures are bit-identical; host performance differs)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	mode, err := bench.ParseSweepFlags(*execFlag, *reps)
-	if err != nil {
+	if err := bench.ParseSweepFlags(*reps); err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
 	}
 	bench.SetParallelism(*parallel)
-	bench.SetExec(mode)
 
 	var flightW io.Writer = os.Stderr
 	var flightFile *os.File
@@ -153,8 +150,8 @@ func main() {
 		if !*full {
 			o.Threads, o.Nodes = 8192, 256
 		}
-		section(w, "Big-scale sweep: continuation vs goroutine execution",
-			"n/a — host-side scaling figure; both execution modes must agree bit for bit on the virtual columns")
+		section(w, "Big-scale sweep: the simulator's own cost at scale",
+			"n/a — host-side scaling figure; only the virtual columns are deterministic")
 		if _, err := bench.PrintScale(w, o); err != nil {
 			fail(err)
 		}

@@ -105,68 +105,6 @@ func adaptBody(t *core.Thread, o AdaptOpts) uint64 {
 	return acc
 }
 
-// adaptBodyC is adaptBody in continuation-passing style, step-for-step
-// identical so both execution modes produce bit-identical stats.
-func adaptBodyC(t *core.Thread, o AdaptOpts, done func(uint64)) {
-	nT := t.Threads()
-	tpn := t.ThreadsPerNode()
-	elems := int64(o.BlockElems) * int64(nT)
-	arrays := make([]*core.SharedArray, o.Arrays)
-	acc := pressMix(1, 0, t.ID(), 0)
-	scan := func() {
-		i, j := 0, -1
-		sim.Loop(func(next func()) {
-			if i == o.Iters {
-				t.BarrierC(func() { done(acc) })
-				return
-			}
-			ai, node := adaptTarget(t.ID(), i, j, nT/tpn, tpn)
-			owner := node * tpn
-			ii := i
-			if i%8 == 7 {
-				if j++; j == adaptBurst {
-					i, j = i+1, -1
-				}
-			} else {
-				i++
-				if i%8 == 7 {
-					j = 0
-				}
-			}
-			t.GetUint64C(arrays[ai].At(int64(owner)*int64(o.BlockElems)), func(v uint64) {
-				acc ^= v + uint64(ii)*0x9E3779B97F4A7C15
-				next()
-			})
-		})
-	}
-	seed := func() {
-		ai := 0
-		sim.Loop(func(next func()) {
-			if ai == o.Arrays {
-				t.BarrierC(scan)
-				return
-			}
-			a := arrays[ai]
-			v := pressMix(0, ai, t.ID(), 0)
-			ai++
-			t.PutUint64C(a.At(int64(t.ID())*int64(o.BlockElems)), v, next)
-		})
-	}
-	ai := 0
-	sim.Loop(func(next func()) {
-		if ai == o.Arrays {
-			seed()
-			return
-		}
-		slot := ai
-		ai++
-		t.AllAllocC(fmt.Sprintf("adapt-%d", slot), elems, 8, int64(o.BlockElems), func(a *core.SharedArray) {
-			arrays[slot] = a
-			next()
-		})
-	})
-}
-
 // AdaptPoint is one cache-sizing variant's measurement.
 type AdaptPoint struct {
 	Variant  string // "fixed" or "adaptive"
@@ -191,21 +129,14 @@ func runAdapt(prof *transport.Profile, o AdaptOpts, adaptive bool) AdaptPoint {
 	cache := adaptCacheConfig(o, adaptive)
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: prof,
-		Cache: cache, Seed: o.Seed, Exec: Exec(),
+		Cache: cache, Seed: o.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	checks := make([]uint64, cfg.Threads)
-	var st core.RunStats
-	if cfg.Exec == core.ExecCont {
-		st, err = rt.RunCont(func(t *core.Thread, done func()) {
-			adaptBodyC(t, o, func(c uint64) { checks[t.ID()] = c; done() })
-		})
-	} else {
-		st, err = rt.Run(func(t *core.Thread) { checks[t.ID()] = adaptBody(t, o) })
-	}
+	st, err := rt.Run(func(t *core.Thread) { checks[t.ID()] = adaptBody(t, o) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: adapt run failed: %v", err))
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/kv"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
@@ -212,5 +213,96 @@ func TestAllocGuardCompute(t *testing.T) {
 	t.Logf("Compute, 4 threads on 2 cores: %.2f allocs", per)
 	if per > 0.1 {
 		t.Errorf("Compute allocates %.2f (> 0.1): the compute ladder regressed", per)
+	}
+}
+
+// kvGuardKey is a uniform key stream over the preloaded population.
+func kvGuardKey(tid, i int) uint64 {
+	return 1 + gupsHash(uint64(tid)<<32|uint64(i))%kvGuardKeys
+}
+
+const kvGuardKeys = 4096
+
+// kvBody preloads a table, then runs ops Gets (or Puts) of uniform keys
+// on every thread through the blocking methods.
+func kvBody(put bool) func(th *core.Thread, ops int) {
+	return func(th *core.Thread, ops int) {
+		tb := kv.New(th, kv.Options{Name: "kv", NumKeys: kvGuardKeys})
+		kv.Preload(th, tb, kvGuardKeys)
+		for i := 0; i < ops; i++ {
+			if key := kvGuardKey(th.ID(), i); put {
+				tb.Put(th, key, uint64(i))
+			} else {
+				tb.Get(th, key)
+			}
+		}
+		th.Barrier()
+	}
+}
+
+// kvBodyC is kvBody through the ...C forms, for RunCont. Its loop is
+// one closure per thread, so what the guard counts is the table's.
+func kvBodyC(put bool, ops int) core.ContBody {
+	return func(th *core.Thread, done func()) {
+		kv.NewC(th, kv.Options{Name: "kv", NumKeys: kvGuardKeys}, func(tb *kv.Table) {
+			kv.PreloadC(th, tb, kvGuardKeys, func(int64) {
+				i := 0
+				var next func(bool)
+				got := func(_ uint64, ok bool) { next(ok) }
+				next = func(bool) {
+					if i == ops {
+						th.BarrierC(done)
+						return
+					}
+					key := kvGuardKey(th.ID(), i)
+					i++
+					if put {
+						tb.PutC(th, key, uint64(i), next)
+					} else {
+						tb.GetC(th, key, got)
+					}
+				}
+				next(true)
+			})
+		})
+	}
+}
+
+// TestAllocGuardKV bounds one KV operation, 8 threads on 4 nodes, in
+// both API styles. A Get allocates nothing — its steps are bound once
+// per Table — beyond the occasional address-cache miss; a Put is an AM
+// three times in four (request record, completion, reply byte), and
+// the blocking shim adds nothing to either.
+func TestAllocGuardKV(t *testing.T) {
+	cfgFn := guardCfg(func(c *core.Config) { c.Threads, c.Nodes = 8, 4 })
+	marginalC := func(k int, put bool) float64 {
+		run := func(ops int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				rt, err := core.NewRuntime(cfgFn())
+				if err != nil {
+					panic(err)
+				}
+				if _, err := rt.RunCont(kvBodyC(put, ops)); err != nil {
+					panic(err)
+				}
+			})
+		}
+		return (run(2*k) - run(k)) / float64(k)
+	}
+	const k, threads = 512, 8
+	for _, c := range []struct {
+		name  string
+		per   float64 // per operation: every thread runs k of them
+		bound float64
+	}{
+		{"Get", marginal(t, k, cfgFn, kvBody(false)) / threads, 0.05},
+		{"GetC", marginalC(k, false) / threads, 0.05},
+		{"Put", marginal(t, k, cfgFn, kvBody(true)) / threads, 3.05},
+		{"PutC", marginalC(k, true) / threads, 3.05},
+	} {
+		t.Logf("kv %s: %.3f allocs", c.name, c.per)
+		if c.per > c.bound {
+			t.Errorf("kv %s allocates %.3f (> %.2f): the operation's steps regressed to per-call closures", c.name, c.per, c.bound)
+		}
 	}
 }

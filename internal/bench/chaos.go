@@ -57,10 +57,9 @@ type ChaosPoint struct {
 	DupSuppressed int64
 }
 
-// runChaosMark runs one stressmark under the given fault config (in
-// the configured execution mode) and returns its stats, the combined
-// self-verification checksum, and the runtime (for flight-recorder
-// post-mortems).
+// runChaosMark runs one stressmark under the given fault config and
+// returns its stats, the combined self-verification checksum, and the
+// runtime (for flight-recorder post-mortems).
 func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, fc *fault.Config, seed int64) (core.RunStats, uint64, *core.Runtime) {
 	return runMark(mark, core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: seed,

@@ -1,7 +1,7 @@
 package bench
 
 // CI bench smoke: runs the checked-in 32k-thread / 1k-node Figure-8
-// point in continuation mode and fails when a host metric regresses
+// point and fails when a host metric regresses
 // more than 15% against testdata/big32k_baseline.json. The virtual
 // columns (events, checksum) must match the baseline exactly — they
 // are deterministic, so any drift there is a semantics change, not a
@@ -17,8 +17,6 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
-
-	"xlupc/internal/core"
 )
 
 type big32kBaseline struct {
@@ -42,7 +40,6 @@ func TestBenchSmoke32k(t *testing.T) {
 	}
 
 	o := DefaultBigOpts()
-	o.Exec = core.ExecCont
 	sp, err := ScaleMark(o)
 	if err != nil {
 		t.Fatal(err)

@@ -48,10 +48,9 @@ type CrashPoint struct {
 }
 
 // runCrashMark runs one stressmark over the reliable layer with the
-// given crash schedule (nil = crash-free baseline), in the configured
-// execution mode, and returns its stats, the combined
-// self-verification checksum, and the runtime (for flight-recorder
-// post-mortems).
+// given crash schedule (nil = crash-free baseline), and returns its
+// stats, the combined self-verification checksum, and the runtime (for
+// flight-recorder post-mortems).
 func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.CrashConfig, seed int64) (core.RunStats, uint64, *core.Runtime) {
 	rc := transport.DefaultRelConfig()
 	return runMark(mark, core.Config{

@@ -114,38 +114,23 @@ func LAPIScales(maxThreads int) []Scale {
 	return out
 }
 
-// runMark builds a runtime from cfg (stamping in the package's
-// execution mode) and runs stressmark mark on every thread, returning
-// the run stats, the combined self-verification checksum, and the
-// runtime (for flight-recorder post-mortems). In continuation mode
-// the stressmark's CPS twin runs instead; the parity contract makes
-// the results bit-identical.
+// runMark builds a runtime from cfg and runs stressmark mark on every
+// thread, returning the run stats, the combined self-verification
+// checksum, and the runtime (for flight-recorder post-mortems).
 func runMark(mark string, cfg core.Config, p dis.Params) (core.RunStats, uint64, *core.Runtime) {
-	cfg.Exec = Exec()
+	fn, err := dis.ByName(mark)
+	if err != nil {
+		panic(err)
+	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	checks := make([]uint64, cfg.Threads)
-	var st core.RunStats
-	if cfg.Exec == core.ExecCont {
-		fnC, cerr := dis.ByNameC(mark)
-		if cerr != nil {
-			panic(cerr)
-		}
-		st, err = rt.RunCont(func(t *core.Thread, done func()) {
-			fnC(t, p, func(c uint64) { checks[t.ID()] = c; done() })
-		})
-	} else {
-		fn, gerr := dis.ByName(mark)
-		if gerr != nil {
-			panic(gerr)
-		}
-		st, err = rt.Run(func(t *core.Thread) { checks[t.ID()] = fn(t, p) })
-	}
+	st, err := rt.Run(func(t *core.Thread) { checks[t.ID()] = fn(t, p) })
 	if err != nil {
-		// Run/RunCont already auto-dumped the flight tail when a dump
-		// sink is configured; the panic carries the typed cause.
+		// Run already auto-dumped the flight tail when a dump sink is
+		// configured; the panic carries the typed cause.
 		panic(fmt.Sprintf("bench: %s run failed: %v", mark, err))
 	}
 	return st, dis.Checksum(checks), rt
@@ -303,40 +288,20 @@ func PrintFig9CI(w io.Writer, prof *transport.Profile, scales []Scale, reps int,
 // workload.
 func MissOverhead(prof *transport.Profile, seed int64) (pct float64) {
 	run := func(cc core.CacheConfig) sim.Time {
-		cfg := core.Config{
-			Threads: 8, Nodes: 4, Profile: prof, Cache: cc, Seed: seed, Exec: Exec(),
-		}
-		rt, err := core.NewRuntime(cfg)
+		rt, err := core.NewRuntime(core.Config{
+			Threads: 8, Nodes: 4, Profile: prof, Cache: cc, Seed: seed,
+		})
 		if err != nil {
 			panic(err)
 		}
-		var st core.RunStats
-		if cfg.Exec == core.ExecCont {
-			st, err = rt.RunCont(func(t *core.Thread, done func()) {
-				t.AllAllocC("mo", 1024, 8, 128, func(a *core.SharedArray) {
-					t.BarrierC(func() {
-						i := 0
-						sim.Loop(func(next func()) {
-							if i == 600 {
-								t.BarrierC(done)
-								return
-							}
-							i++
-							t.GetUint64C(a.At(int64(t.Rand().Intn(1024))), func(uint64) { next() })
-						})
-					})
-				})
-			})
-		} else {
-			st, err = rt.Run(func(t *core.Thread) {
-				a := t.AllAlloc("mo", 1024, 8, 128)
-				t.Barrier()
-				for i := 0; i < 600; i++ {
-					t.GetUint64(a.At(int64(t.Rand().Intn(1024))))
-				}
-				t.Barrier()
-			})
-		}
+		st, err := rt.Run(func(t *core.Thread) {
+			a := t.AllAlloc("mo", 1024, 8, 128)
+			t.Barrier()
+			for i := 0; i < 600; i++ {
+				t.GetUint64(a.At(int64(t.Rand().Intn(1024))))
+			}
+			t.Barrier()
+		})
 		if err != nil {
 			panic(err)
 		}

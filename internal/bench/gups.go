@@ -99,16 +99,15 @@ func (o GUPSOpts) batch() int64 {
 	return o.Batch
 }
 
-// RunGUPS runs the update stream under one protocol in the configured
-// execution mode. Same options, same figures — bit for bit — whatever
-// the mode or the host parallelism.
+// RunGUPS runs the update stream under one protocol. Same options, same
+// figures — bit for bit — whatever the host parallelism.
 func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	if o.Words <= 0 || o.Updates <= 0 {
 		panic(fmt.Sprintf("bench: gups needs positive words (%d) and updates (%d)", o.Words, o.Updates))
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: o.Prof,
-		Cache: core.DefaultCache(), Seed: o.Seed, Flight: flightCfg.Load(), Exec: Exec(),
+		Cache: core.DefaultCache(), Seed: o.Seed, Flight: flightCfg.Load(),
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
@@ -116,14 +115,7 @@ func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	}
 	checks := make([]uint64, cfg.Threads)
 	var span sim.Time
-	var st core.RunStats
-	if cfg.Exec == core.ExecCont {
-		st, err = rt.RunCont(func(t *core.Thread, done func()) {
-			gupsBodyC(t, proto, o, checks, &span, done)
-		})
-	} else {
-		st, err = rt.Run(func(t *core.Thread) { gupsBody(t, proto, o, checks, &span) })
-	}
+	st, err := rt.Run(func(t *core.Thread) { gupsBody(t, proto, o, checks, &span) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: gups run failed: %v", err))
 	}
@@ -138,8 +130,7 @@ func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	return res
 }
 
-// gupsBody is the blocking-mode thread body. gupsBodyC mirrors it
-// statement for statement; when editing one side, edit the other.
+// gupsBody is the thread body.
 func gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span *sim.Time) {
 	n := int64(t.Threads()) * o.Words
 	a := t.AllAlloc("gups", n, 8, o.Words)
@@ -187,95 +178,6 @@ func gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span
 	}
 	checks[t.ID()] = sum
 	t.Barrier()
-}
-
-// gupsBodyC mirrors gupsBody in continuation-passing style.
-func gupsBodyC(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span *sim.Time, done func()) {
-	n := int64(t.Threads()) * o.Words
-	t.AllAllocC("gups", n, 8, o.Words, func(a *core.SharedArray) {
-		base := int64(t.ID()) * o.Words
-		i := int64(0)
-		sim.Loop(func(next func()) {
-			if i < o.Words {
-				idx := base + i
-				i++
-				t.PutUint64C(a.At(idx), gupsHash(uint64(o.Seed)^uint64(idx)), next)
-				return
-			}
-			t.BarrierC(func() {
-				t0 := t.Now()
-				pbase := o.partner(t.ID()) * o.Words
-				finish := func() {
-					t.FenceC(func() {
-						t.BarrierC(func() {
-							if t.ID() == 0 {
-								*span = t.Now() - t0
-							}
-							var sum uint64
-							j := int64(0)
-							sim.Loop(func(nextRead func()) {
-								if j == o.Words {
-									checks[t.ID()] = sum
-									t.BarrierC(done)
-									return
-								}
-								idx := base + j
-								j++
-								t.GetUint64C(a.At(idx), func(v uint64) {
-									sum = sum*0x100000001b3 ^ v
-									nextRead()
-								})
-							})
-						})
-					})
-				}
-				k := int64(0)
-				switch proto {
-				case GUPSSplit:
-					sim.Loop(func(nextUpd func()) {
-						if k == o.Updates {
-							t.SyncAllC(finish)
-							return
-						}
-						off, delta := o.draw(t.ID(), k)
-						k++
-						t.NbAccumulateC(a.At(pbase+off), delta, func(core.Handle) {
-							if k%o.batch() == 0 {
-								t.SyncAllC(nextUpd)
-								return
-							}
-							nextUpd()
-						})
-					})
-				case GUPSAtomic:
-					sim.Loop(func(nextUpd func()) {
-						if k == o.Updates {
-							finish()
-							return
-						}
-						off, delta := o.draw(t.ID(), k)
-						k++
-						t.FetchAddC(a.At(pbase+off), delta, func(uint64) { nextUpd() })
-					})
-				default: // GUPSGetPut
-					sim.Loop(func(nextUpd func()) {
-						if k == o.Updates {
-							finish()
-							return
-						}
-						off, delta := o.draw(t.ID(), k)
-						k++
-						at := a.At(pbase + off)
-						t.GetUint64C(at, func(v uint64) {
-							t.PutUint64C(at, v+delta, func() {
-								t.FenceC(nextUpd)
-							})
-						})
-					})
-				}
-			})
-		})
-	})
 }
 
 // GUPSPoint is one protocol's row of the figure, with the improvement

@@ -40,22 +40,6 @@ func TestGUPSDeterminism(t *testing.T) {
 	}
 }
 
-// TestGUPSExecModeParity runs every protocol under both execution
-// modes: the figures — and the full RunStats, atomic counters
-// included — must be bit-identical.
-func TestGUPSExecModeParity(t *testing.T) {
-	for _, proto := range GUPSProtos() {
-		prev := SetExec(core.ExecGoroutine)
-		g := RunGUPS(proto, gupsOpts())
-		SetExec(core.ExecCont)
-		c := RunGUPS(proto, gupsOpts())
-		SetExec(prev)
-		if !reflect.DeepEqual(g, c) {
-			t.Errorf("%s exec modes diverged:\ngoroutine: %+v\ncont:      %+v", proto, g, c)
-		}
-	}
-}
-
 // TestGUPSAtomicBeatsGetPut is the figure's acceptance claim: on both
 // transports the one-message remote-atomic protocol finishes the
 // update phase faster than blocking GET+compute+PUT, with identical

@@ -50,10 +50,9 @@ type KVResult struct {
 	HitRate  float64 // address-cache hit rate on the kv object's lines alone
 }
 
-// RunKV runs the sharded KV dataplane under the given options in the
-// configured execution mode and returns the merged result. Same
-// options, same figures — bit for bit — whatever the mode or the host
-// parallelism.
+// RunKV runs the sharded KV dataplane under the given options and
+// returns the merged result. Same options, same figures — bit for bit —
+// whatever the host parallelism.
 func RunKV(o KVOpts) KVResult {
 	res, _ := runKV(o)
 	return res
@@ -72,7 +71,7 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: o.Prof, Cache: cc,
-		Seed: o.Seed, Fault: o.Fault, Crash: o.Crash, Flight: flightCfg.Load(), Exec: Exec(),
+		Seed: o.Seed, Fault: o.Fault, Crash: o.Crash, Flight: flightCfg.Load(),
 	}
 	if o.Crash != nil {
 		rc := transport.DefaultRelConfig()
@@ -91,36 +90,26 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	var handle uint64
-	var st core.RunStats
-	if cfg.Exec == core.ExecCont {
-		st, err = rt.RunCont(func(t *core.Thread, done func()) {
-			kv.NewC(t, ko, func(tb *kv.Table) {
-				if t.ID() == 0 {
-					handle = tb.Array().Handle().Key()
-				}
-				kv.PreloadC(t, tb, w.NumKeys, func(int64) {
-					kv.RunLoadC(t, tb, w, z, func(r kv.ThreadResult) {
-						results[t.ID()] = r
-						tables[t.ID()] = tb.Stats
-						done()
-					})
-				})
-			})
-		})
-	} else {
-		st, err = rt.Run(func(t *core.Thread) {
-			tb := kv.New(t, ko)
+	// The load generator exists in continuation form only (the
+	// benchmark's kv_mixed workload pins it), so the run has no
+	// coroutine per thread.
+	st, err := rt.RunCont(func(t *core.Thread, done func()) {
+		kv.NewC(t, ko, func(tb *kv.Table) {
 			if t.ID() == 0 {
 				handle = tb.Array().Handle().Key()
 			}
-			kv.Preload(t, tb, w.NumKeys)
-			results[t.ID()] = kv.RunLoad(t, tb, w, z)
-			tables[t.ID()] = tb.Stats
+			kv.PreloadC(t, tb, w.NumKeys, func(int64) {
+				kv.RunLoadC(t, tb, w, z, func(r kv.ThreadResult) {
+					results[t.ID()] = r
+					tables[t.ID()] = tb.Stats
+					done()
+				})
+			})
 		})
-	}
+	})
 	if err != nil {
-		// Run/RunCont already auto-dumped the flight tail when a dump
-		// sink is configured; the panic carries the typed cause.
+		// RunCont already auto-dumped the flight tail when a dump sink
+		// is configured; the panic carries the typed cause.
 		panic(fmt.Sprintf("bench: kv run failed: %v", err))
 	}
 	res := KVResult{Merged: kv.Merge(results), Run: st, Elapsed: st.Elapsed}

@@ -1,0 +1,95 @@
+package bench
+
+import (
+	"strings"
+	"testing"
+
+	"xlupc/internal/transport"
+)
+
+// TestKVCachedBeatsAMOnlySweep is the acceptance claim at driver
+// level: across the skew sweep, the cached one-sided path improves on
+// AM-only, and more so where the hit rate is high.
+func TestKVCachedBeatsAMOnlySweep(t *testing.T) {
+	sc := Scale{Threads: 8, Nodes: 4}
+	pts := KVSkewSweep(transport.GM(), sc, []float64{0, 0.9, 0.99}, KVOpts{
+		Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0, Seed: 3,
+	})
+	for _, pt := range pts {
+		if pt.Improvement <= 0 {
+			t.Errorf("theta %.2f: cached path not faster (improvement %.1f%%)", pt.Theta, pt.Improvement)
+		}
+		if pt.Cached.HitRate < 0.5 {
+			t.Errorf("theta %.2f: kv hit rate %.2f unexpectedly low", pt.Theta, pt.Cached.HitRate)
+		}
+		if pt.Cached.Merged.Ops != pt.AMOnly.Merged.Ops {
+			t.Errorf("theta %.2f: op counts diverged: %d vs %d",
+				pt.Theta, pt.Cached.Merged.Ops, pt.AMOnly.Merged.Ops)
+		}
+	}
+}
+
+// TestKVCurvesCompleteUnderHazards: loss and crash runs must finish
+// every op (the curves panic otherwise) with nonzero availability.
+func TestKVCurvesCompleteUnderHazards(t *testing.T) {
+	sc := Scale{Threads: 8, Nodes: 4}
+	o := KVOpts{Ops: 50, Keys: 512, Theta: 0.9, ReadFrac: 0.9, Rate: 120000, Seed: 9}
+	loss := KVLossCurve(transport.GM(), sc, []float64{0.02}, o)
+	if loss[0].Availability <= 0 {
+		t.Errorf("loss curve availability %v, want > 0", loss[0].Availability)
+	}
+	crash := KVCrashCurve(transport.GM(), sc, []float64{0.2}, 150, o)
+	if crash[0].Availability <= 0 {
+		t.Errorf("crash curve availability %v, want > 0", crash[0].Availability)
+	}
+	if crash[0].Result.Run.Crashes == 0 {
+		t.Errorf("crash curve at rate 0.2 crashed no nodes — schedule not applied")
+	}
+}
+
+func TestParseRatesAndFracs(t *testing.T) {
+	if got, err := ParseRates("-losses", " 0, 0.5 ,0.99,"); err != nil || len(got) != 3 {
+		t.Errorf("ParseRates = %v, %v", got, err)
+	}
+	for _, bad := range []string{"1", "1.5", "-0.1", "NaN", "x"} {
+		if _, err := ParseRates("-losses", bad); err == nil {
+			t.Errorf("ParseRates accepted %q", bad)
+		}
+	}
+	if got, err := ParseFracs("-readmix", "0,0.5,1"); err != nil || len(got) != 3 {
+		t.Errorf("ParseFracs = %v, %v", got, err)
+	}
+	for _, bad := range []string{"1.01", "-0.1", "NaN"} {
+		if _, err := ParseFracs("-readmix", bad); err == nil {
+			t.Errorf("ParseFracs accepted %q", bad)
+		}
+	}
+	if err := ValidatePositive("-ops", 1); err != nil {
+		t.Errorf("ValidatePositive rejected 1: %v", err)
+	}
+	for _, bad := range []int64{0, -5} {
+		if err := ValidatePositive("-ops", bad); err == nil {
+			t.Errorf("ValidatePositive accepted %d", bad)
+		}
+	}
+}
+
+func TestParseSweepFlags(t *testing.T) {
+	for _, c := range []struct {
+		reps int
+		err  string // substring of the error; "" = accepted
+	}{
+		{1, ""},
+		{20, ""},
+		{0, "-reps (0) must be positive"},
+		{-1, "-reps (-1) must be positive"},
+	} {
+		err := ParseSweepFlags(c.reps)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("ParseSweepFlags(%d) = %v; want it accepted", c.reps, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("ParseSweepFlags(%d): error %v, want one mentioning %q", c.reps, err, c.err)
+		}
+	}
+}

@@ -61,85 +61,42 @@ func MicroLatency(op Op, cached bool, o MicroOpts) stats.Sample {
 			cc.PutMode = core.PutCacheOn
 		}
 	}
-	cfg := core.Config{
+	rt, err := core.NewRuntime(core.Config{
 		Threads: 2, Nodes: 2, Profile: o.Prof, Cache: cc, Seed: o.Seed,
-		Fault: o.Fault, Exec: Exec(),
-	}
-	rt, err := core.NewRuntime(cfg)
+		Fault: o.Fault,
+	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	var lat stats.Sample
-	if cfg.Exec == core.ExecCont {
-		_, err = rt.RunCont(func(t *core.Thread, done func()) { microLatencyBodyC(t, op, o, &lat, done) })
-	} else {
-		_, err = rt.Run(func(t *core.Thread) {
-			elems := int64(o.Size) * 2
-			a := t.AllAlloc("micro", elems, 1, int64(o.Size)) // [0,Size) on t0/n0, [Size,2Size) on t1/n1
-			t.Barrier()
-			if t.ID() == 0 {
-				buf := make([]byte, o.Size)
-				target := a.At(int64(o.Size)) // node 1's block
-				for i := 0; i < o.Warm; i++ {
-					runOp(t, op, target, buf)
-					t.Fence()
-				}
-				for i := 0; i < o.Reps; i++ {
-					t0 := t.Now()
-					runOp(t, op, target, buf)
-					lat.Add((t.Now() - t0).Usecs())
-					// Let asynchronous completions drain between
-					// repetitions, as a loop with per-iteration result
-					// checks would.
-					t.Sleep(2 * sim.Us)
-				}
+	_, err = rt.Run(func(t *core.Thread) {
+		elems := int64(o.Size) * 2
+		a := t.AllAlloc("micro", elems, 1, int64(o.Size)) // [0,Size) on t0/n0, [Size,2Size) on t1/n1
+		t.Barrier()
+		if t.ID() == 0 {
+			buf := make([]byte, o.Size)
+			target := a.At(int64(o.Size)) // node 1's block
+			for i := 0; i < o.Warm; i++ {
+				runOp(t, op, target, buf)
 				t.Fence()
 			}
-			t.Barrier()
-		})
-	}
+			for i := 0; i < o.Reps; i++ {
+				t0 := t.Now()
+				runOp(t, op, target, buf)
+				lat.Add((t.Now() - t0).Usecs())
+				// Let asynchronous completions drain between
+				// repetitions, as a loop with per-iteration result
+				// checks would.
+				t.Sleep(2 * sim.Us)
+			}
+			t.Fence()
+		}
+		t.Barrier()
+	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	return lat
-}
-
-// microLatencyBodyC mirrors MicroLatency's blocking body statement for
-// statement in continuation-passing style (same ops, same fences, same
-// drain sleeps), so both execution modes time identical schedules.
-func microLatencyBodyC(t *core.Thread, op Op, o MicroOpts, lat *stats.Sample, done func()) {
-	elems := int64(o.Size) * 2
-	t.AllAllocC("micro", elems, 1, int64(o.Size), func(a *core.SharedArray) {
-		t.BarrierC(func() {
-			if t.ID() != 0 {
-				t.BarrierC(done)
-				return
-			}
-			buf := make([]byte, o.Size)
-			target := a.At(int64(o.Size))
-			w := 0
-			sim.Loop(func(nextWarm func()) {
-				if w < o.Warm {
-					w++
-					runOpC(t, op, target, buf, func() { t.FenceC(nextWarm) })
-					return
-				}
-				r := 0
-				sim.Loop(func(nextRep func()) {
-					if r == o.Reps {
-						t.FenceC(func() { t.BarrierC(done) })
-						return
-					}
-					r++
-					t0 := t.Now()
-					runOpC(t, op, target, buf, func() {
-						lat.Add((t.Now() - t0).Usecs())
-						t.SleepC(2*sim.Us, nextRep)
-					})
-				})
-			})
-		})
-	})
 }
 
 func runOp(t *core.Thread, op Op, target core.Ref, buf []byte) {
@@ -147,13 +104,5 @@ func runOp(t *core.Thread, op Op, target core.Ref, buf []byte) {
 		t.GetBulk(buf, target)
 	} else {
 		t.PutBulk(target, buf)
-	}
-}
-
-func runOpC(t *core.Thread, op Op, target core.Ref, buf []byte, then func()) {
-	if op == OpGet {
-		t.GetBulkC(buf, target, then)
-	} else {
-		t.PutBulkC(target, buf, then)
 	}
 }

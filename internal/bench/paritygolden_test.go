@@ -9,6 +9,7 @@ import (
 
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
+	"xlupc/internal/fault"
 	"xlupc/internal/transport"
 )
 
@@ -39,58 +40,180 @@ func parityRowOf(st core.RunStats, checksum uint64) parityRow {
 	}
 }
 
-// TestParityGolden pins every point of TestContModeParity's matrix,
-// plus TestContModeMicroParity's, to absolute values recorded from the
-// tree that still had a separate blocking implementation, in both
-// execution modes. The blocking API is a shim over the continuation
-// ladders, so the parity tests compare one implementation with itself
-// and cannot see a change that moves both modes together; this can.
-// Regenerate deliberately with
+// parityConfig is one (config, params) point of the golden matrix.
+type parityConfig struct {
+	name string
+	cfg  core.Config
+	p    dis.Params
+}
+
+func parityMatrix() []parityConfig {
+	const threads, nodes = 8, 4
+	base := func() core.Config {
+		return core.Config{
+			Threads: threads, Nodes: nodes,
+			Profile: transport.GM(),
+			Cache:   core.DefaultCache(),
+			Seed:    42,
+		}
+	}
+	pts := []parityConfig{}
+
+	c := base()
+	pts = append(pts, parityConfig{"gm-cached", c, dis.Default(threads)})
+
+	c = base()
+	c.Cache = core.NoCache()
+	pts = append(pts, parityConfig{"gm-nocache", c, dis.Default(threads)})
+
+	c = base()
+	c.Profile = transport.LAPI()
+	pts = append(pts, parityConfig{"lapi-cached", c, dis.Default(threads)})
+
+	c = base()
+	cc := transport.DefaultCoalConfig()
+	c.Coalesce = &cc
+	p := dis.Default(threads)
+	p.SplitPhase = true
+	pts = append(pts, parityConfig{"gm-coalesce-splitphase", c, p})
+
+	c = base()
+	p = dis.Default(threads)
+	p.Atomic = true
+	pts = append(pts, parityConfig{"gm-atomic-update", c, p})
+
+	c = base()
+	c.Profile = transport.LAPI()
+	p = dis.Default(threads)
+	p.Atomic = true
+	pts = append(pts, parityConfig{"lapi-atomic-update", c, p})
+
+	c = base()
+	cc = transport.DefaultCoalConfig()
+	c.Coalesce = &cc
+	p = dis.Default(threads)
+	p.Atomic, p.SplitPhase = true, true
+	pts = append(pts, parityConfig{"gm-coalesce-atomic-splitphase", c, p})
+
+	c = base()
+	c.Fault = &fault.Config{Drop: 0.01}
+	rel := transport.DefaultRelConfig()
+	c.Rel = &rel
+	pts = append(pts, parityConfig{"gm-faulty-reliable", c, dis.Default(threads)})
+
+	c = base()
+	c.FlatBarrier = true
+	pts = append(pts, parityConfig{"gm-flat-barrier", c, dis.Default(threads)})
+
+	return pts
+}
+
+// microBody is the microbenchmark shape (blocking one-op-at-a-time
+// GET/PUT between two nodes), including the Fence cadence of the
+// Figure 6/7 harness.
+func microBody(t *core.Thread, size int) {
+	elems := int64(size) * 2
+	a := t.AllAlloc("micro", elems, 1, int64(size))
+	t.Barrier()
+	if t.ID() == 0 {
+		buf := make([]byte, size)
+		target := a.At(int64(size))
+		for i := 0; i < 4; i++ {
+			t.GetBulk(buf, target)
+			t.PutBulk(target, buf)
+			t.Fence()
+		}
+	}
+	t.Barrier()
+}
+
+// The rows of testdata/parity_golden.json were recorded from the tree
+// that still had a separate blocking implementation beside the
+// continuation one, when TestContModeParity and TestContModeMicroParity
+// ran every point in both modes and TestParityGolden pinned what the
+// modes agreed on. Each point has one body now. The tests keep their
+// names — the suite's history is keyed by them — and divide the file
+// between them: every row is checked once.
+
+func loadParityGolden(t *testing.T) map[string]parityRow {
+	t.Helper()
+	raw, err := os.ReadFile(parityGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]parityRow{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", parityGoldenFile, err)
+	}
+	return want
+}
+
+func checkParityRow(t *testing.T, want map[string]parityRow, key string, got parityRow) {
+	t.Helper()
+	if w, ok := want[key]; !ok {
+		t.Errorf("%s: no golden row", key)
+	} else if got != w {
+		t.Errorf("%s:\n got  %+v\n want %+v", key, got, w)
+	}
+}
+
+func matrixRow(pc parityConfig, mark string) parityRow {
+	st, ck, _ := runMark(mark, pc.cfg, pc.p)
+	return parityRowOf(st, ck)
+}
+
+func microRow(t *testing.T) parityRow {
+	t.Helper()
+	rt, err := core.NewRuntime(core.Config{
+		Threads: 2, Nodes: 2,
+		Profile: transport.GM(),
+		Cache:   core.DefaultCache(),
+		Seed:    3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rt.Run(func(th *core.Thread) { microBody(th, 1024) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parityRowOf(st, 0)
+}
+
+// TestContModeParity checks every stressmark, over a matrix of
+// transport/cache/coalescing/fault configs, against its golden row
+// (checksum, Elapsed, KernelEvents, Messages, op counts, cache hits).
+func TestContModeParity(t *testing.T) {
+	want := loadParityGolden(t)
+	for _, pc := range parityMatrix() {
+		t.Run(pc.name, func(t *testing.T) {
+			for _, s := range dis.Suite() {
+				t.Run(s.Name, func(t *testing.T) {
+					checkParityRow(t, want, pc.name+"/"+s.Name, matrixRow(pc, s.Name))
+				})
+			}
+		})
+	}
+}
+
+// TestContModeMicroParity checks the microbenchmark shape against its
+// golden row.
+func TestContModeMicroParity(t *testing.T) {
+	checkParityRow(t, loadParityGolden(t), "micro", microRow(t))
+}
+
+// TestParityGolden checks that the golden file holds exactly the rows
+// the two tests above look up, so that a point dropped from the matrix
+// does not leave its row behind. Regenerate the file deliberately with
 // `go test ./internal/bench -run TestParityGolden -update`.
 func TestParityGolden(t *testing.T) {
-	want := map[string]parityRow{}
-	if !*updateParityGolden {
-		raw, err := os.ReadFile(parityGoldenFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatalf("%s: %v", parityGoldenFile, err)
-		}
-	}
-
-	got := map[string]parityRow{}
-	check := func(key string, blocking, cont parityRow) {
-		got[key] = blocking
-		if *updateParityGolden {
-			if blocking != cont {
-				t.Fatalf("%s: exec modes disagree, refusing to record:\n goroutine %+v\n cont      %+v", key, blocking, cont)
-			}
-			return
-		}
-		w, ok := want[key]
-		if !ok {
-			t.Errorf("%s: no golden row", key)
-			return
-		}
-		if blocking != w {
-			t.Errorf("%s (goroutine):\n got  %+v\n want %+v", key, blocking, w)
-		}
-		if cont != w {
-			t.Errorf("%s (cont):\n got  %+v\n want %+v", key, cont, w)
-		}
-	}
-
-	for _, pc := range parityMatrix() {
-		for _, s := range dis.Suite() {
-			stG, stC, ckG, ckC := runBothModes(t, s.Name, pc.cfg, pc.p)
-			check(pc.name+"/"+s.Name, parityRowOf(stG, ckG), parityRowOf(stC, ckC))
-		}
-	}
-	stG, stC := runMicroBothModes(t)
-	check("micro", parityRowOf(stG, 0), parityRowOf(stC, 0))
-
 	if *updateParityGolden {
+		got := map[string]parityRow{"micro": microRow(t)}
+		for _, pc := range parityMatrix() {
+			for _, s := range dis.Suite() {
+				got[pc.name+"/"+s.Name] = matrixRow(pc, s.Name)
+			}
+		}
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -100,37 +223,8 @@ func TestParityGolden(t *testing.T) {
 		}
 		return
 	}
-	if len(want) != len(got) {
-		t.Errorf("%s has %d rows, the matrix has %d", parityGoldenFile, len(want), len(got))
+	want := loadParityGolden(t)
+	if n := len(parityMatrix())*len(dis.Suite()) + 1; len(want) != n {
+		t.Errorf("%s has %d rows, the matrix has %d", parityGoldenFile, len(want), n)
 	}
-}
-
-// runMicroBothModes runs TestContModeMicroParity's point (same config,
-// same bodies) in both execution modes.
-func runMicroBothModes(t *testing.T) (stG, stC core.RunStats) {
-	t.Helper()
-	const size = 1024
-	cfg := core.Config{
-		Threads: 2, Nodes: 2,
-		Profile: transport.GM(),
-		Cache:   core.DefaultCache(),
-		Seed:    3,
-	}
-	cfg.Exec = core.ExecGoroutine
-	rtG, err := core.NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stG, err = rtG.Run(func(th *core.Thread) { microBody(th, size) }); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Exec = core.ExecCont
-	rtC, err := core.NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stC, err = rtC.RunCont(func(th *core.Thread, done func()) { microBodyC(th, size, done) }); err != nil {
-		t.Fatal(err)
-	}
-	return stG, stC
 }

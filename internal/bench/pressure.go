@@ -212,7 +212,7 @@ func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, f
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: prof,
-		Cache: core.DefaultCache(), Seed: o.Seed, Exec: Exec(),
+		Cache: core.DefaultCache(), Seed: o.Seed,
 		Pin: pressurePin(variant, mt),
 	}
 	rt, err := core.NewRuntime(cfg)
@@ -220,14 +220,7 @@ func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, f
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	checks := make([]uint64, cfg.Threads)
-	var st core.RunStats
-	if cfg.Exec == core.ExecCont {
-		st, err = rt.RunCont(func(t *core.Thread, done func()) {
-			pressureBodyC(t, o, func(c uint64) { checks[t.ID()] = c; done() })
-		})
-	} else {
-		st, err = rt.Run(func(t *core.Thread) { checks[t.ID()] = pressureBody(t, o) })
-	}
+	st, err := rt.Run(func(t *core.Thread) { checks[t.ID()] = pressureBody(t, o) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: pressure run (%s, frac %.2f) failed: %v", variant, frac, err))
 	}
@@ -315,94 +308,4 @@ func PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []Press
 	}
 	fmt.Fprintf(w, "# checksums identical across all pin policies\n")
 	return pts
-}
-
-// pressureBodyC is pressureBody in continuation-passing style,
-// step-for-step identical so both execution modes produce bit-identical
-// stats and checksums.
-func pressureBodyC(t *core.Thread, o PressureOpts, done func(uint64)) {
-	nT := t.Threads()
-	elems := int64(o.BlockElems) * int64(nT)
-	arrays := make([]*core.SharedArray, o.Arrays)
-	var acc uint64
-	r := 0
-	var round func()
-	round = func() {
-		if r == o.Rounds {
-			done(acc)
-			return
-		}
-		rr := r
-		r++
-
-		freePhase := func() {
-			if t.ID() == 0 {
-				fi := 0
-				sim.Loop(func(next func()) {
-					if fi == o.Arrays {
-						t.BarrierC(round)
-						return
-					}
-					a := arrays[fi]
-					fi++
-					t.FreeC(a, next)
-				})
-				return
-			}
-			t.BarrierC(round)
-		}
-
-		scanPhase := func() {
-			s, k := 0, 0
-			sim.Loop(func(next func()) {
-				if s == o.Scans {
-					t.BarrierC(freePhase)
-					return
-				}
-				victim := pressureVictim(t.ID(), s, rr, nT)
-				vbase := int64(victim) * int64(o.BlockElems)
-				ai := pressureArray(s, k, o.Arrays)
-				kk := k
-				ss := s
-				if k++; k == o.Arrays {
-					s, k = s+1, 0
-				}
-				t.GetUint64C(arrays[ai].At(vbase+int64(ss%pressW)), func(v uint64) {
-					acc ^= v + uint64(kk)*0x9E3779B97F4A7C15
-					next()
-				})
-			})
-		}
-
-		seedPhase := func() {
-			base := int64(t.ID()) * int64(o.BlockElems)
-			si, wi := 0, 0
-			sim.Loop(func(next func()) {
-				if si == o.Arrays {
-					t.BarrierC(scanPhase)
-					return
-				}
-				aidx, w := si, wi
-				if wi++; wi == pressW {
-					si, wi = si+1, 0
-				}
-				t.PutUint64C(arrays[aidx].At(base+int64(w)), pressMix(rr, aidx, t.ID(), w), next)
-			})
-		}
-
-		ai := 0
-		sim.Loop(func(next func()) {
-			if ai == o.Arrays {
-				seedPhase()
-				return
-			}
-			idx := ai
-			ai++
-			t.AllAllocC(fmt.Sprintf("press-%d-%d", rr, idx), elems, 8, int64(o.BlockElems), func(a *core.SharedArray) {
-				arrays[idx] = a
-				next()
-			})
-		})
-	}
-	round()
 }

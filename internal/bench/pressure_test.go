@@ -5,14 +5,13 @@ package bench
 // completed sweep already proves the output-identity half of the
 // contract; the tests below pin down the performance story (pin-all or
 // LRU degrades, an adaptive rung wins) and the bit-identity of the
-// sweep across repeats, execution modes and sweep parallelism.
+// sweep across repeats and sweep parallelism.
 
 import (
 	"reflect"
 	"runtime"
 	"testing"
 
-	"xlupc/internal/core"
 	"xlupc/internal/transport"
 )
 
@@ -39,18 +38,6 @@ func TestPressureSweepDeterministic(t *testing.T) {
 	runtime.GOMAXPROCS(old)
 	if !reflect.DeepEqual(a, c) {
 		t.Fatal("pressure sweep depends on GOMAXPROCS")
-	}
-}
-
-func TestPressureSweepExecModeParity(t *testing.T) {
-	o := testPressureOpts()
-	prev := SetExec(core.ExecGoroutine)
-	defer SetExec(prev)
-	g := PressureSweep(transport.GM(), o)
-	SetExec(core.ExecCont)
-	c := PressureSweep(transport.GM(), o)
-	if !reflect.DeepEqual(g, c) {
-		t.Fatalf("continuation mode changed the pressure figure:\n%+v\nvs\n%+v", g, c)
 	}
 }
 
@@ -147,11 +134,5 @@ func TestAdaptSweepDeterministic(t *testing.T) {
 	f1, a1 := AdaptSweep(transport.GM(), o)
 	if f0 != f1 || a0 != a1 {
 		t.Fatalf("adapt sweep diverged:\n%+v %+v\nvs\n%+v %+v", f0, a0, f1, a1)
-	}
-	prev := SetExec(core.ExecCont)
-	defer SetExec(prev)
-	f2, a2 := AdaptSweep(transport.GM(), o)
-	if f0 != f2 || a0 != a2 {
-		t.Fatalf("continuation mode changed the adapt figure:\n%+v %+v\nvs\n%+v %+v", f0, a0, f2, a2)
 	}
 }

@@ -1,15 +1,16 @@
 package bench
 
 // Big-scale sweep: a Figure-8-style pointer-chase point sized for tens
-// of thousands of threads, used to measure the simulator's own cost in
-// each execution mode (goroutine vs continuation). The workload is
-// deliberately not one of the dis stressmarks: their initialisation
-// loops scan the whole array per thread (O(threads²) total), which is
-// fine at benchmark scale but unusable at 32k threads. Here each
-// thread owns exactly one contiguous block and initialises only that,
-// so setup is O(total elements) and the run is dominated by the remote
-// GET fast path — the code the continuation port and the zero-alloc
-// pass target.
+// of thousands of threads, used to measure the simulator's own cost.
+// The workload is deliberately not one of the dis stressmarks: their
+// initialisation loops scan the whole array per thread (O(threads²)
+// total), which is fine at benchmark scale but unusable at 32k
+// threads. Here each thread owns exactly one contiguous block and
+// initialises only that, so setup is O(total elements) and the run is
+// dominated by the remote GET fast path. The body is written in
+// continuation-passing style and runs under RunCont: a coroutine stack
+// per thread is what bounds the thread count, and reaching 32k–128k
+// threads is this point's purpose.
 
 import (
 	"fmt"
@@ -32,7 +33,6 @@ type BigOpts struct {
 	Hops int
 	Prof *transport.Profile
 	Seed int64
-	Exec core.ExecMode
 	// CacheCap sizes the per-node address cache. A chase over the whole
 	// array touches every node, so a capacity below Nodes thrashes the
 	// cache and pushes the steady state onto the eager AM path; the
@@ -65,29 +65,8 @@ func bigHash(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// bigBody is the blocking workload: fill the owned block, barrier,
-// chase Hops pointers (mostly remote GETs), barrier. bigBodyC mirrors
-// it statement for statement; edit both together.
-func bigBody(t *core.Thread, o BigOpts) uint64 {
-	n := o.ElemsPerThread * int64(t.Threads())
-	a := t.AllAlloc("big", n, 8, o.ElemsPerThread)
-	lo := int64(t.ID()) * o.ElemsPerThread
-	for i := int64(0); i < o.ElemsPerThread; i++ {
-		t.PutUint64(a.At(lo+i), bigHash(uint64(lo+i)^uint64(o.Seed))%uint64(n))
-	}
-	t.Barrier()
-	pos := int64(bigHash(uint64(t.ID())^0xB16) % uint64(n))
-	var check uint64
-	for h := 0; h < o.Hops; h++ {
-		v := t.GetUint64(a.At(pos))
-		check ^= v + uint64(h)
-		pos = int64(v)
-	}
-	t.Barrier()
-	return check
-}
-
-// bigBodyC is bigBody in continuation-passing style.
+// bigBodyC is the workload: fill the owned block, barrier, chase Hops
+// pointers (mostly remote GETs), barrier.
 func bigBodyC(t *core.Thread, o BigOpts, done func(uint64)) {
 	n := o.ElemsPerThread * int64(t.Threads())
 	t.AllAllocC("big", n, 8, o.ElemsPerThread, func(a *core.SharedArray) {
@@ -131,11 +110,9 @@ func bigChase(t *core.Thread, o BigOpts, a *core.SharedArray, done func(uint64))
 	t.GetUint64C(a.At(pos), step)
 }
 
-// ScalePoint is one big-scale measurement: the virtual result (mode
-// independent — both execution modes must agree bit for bit) plus the
-// host cost of computing it in the chosen mode.
+// ScalePoint is one big-scale measurement: the virtual result plus the
+// host cost of computing it.
 type ScalePoint struct {
-	Mode         string
 	Threads      int
 	Nodes        int
 	Elapsed      sim.Time
@@ -148,15 +125,8 @@ type ScalePoint struct {
 	BytesPerThread float64 // host bytes allocated per simulated thread
 }
 
-func execName(m core.ExecMode) string {
-	if m == core.ExecCont {
-		return "cont"
-	}
-	return "goroutine"
-}
-
-// ScaleMark runs the big-scale workload once in o.Exec mode and
-// measures the host cost (wall clock, allocations) of the run.
+// ScaleMark runs the big-scale workload once and measures the host
+// cost (wall clock, allocations) of the run.
 func ScaleMark(o BigOpts) (ScalePoint, error) {
 	cap := o.CacheCap
 	if cap <= 0 {
@@ -166,7 +136,7 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 	cache.Capacity = cap
 	cfg := core.Config{
 		Threads: o.Threads, Nodes: o.Nodes, Profile: o.Prof,
-		Cache: cache, Seed: o.Seed, Exec: o.Exec,
+		Cache: cache, Seed: o.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
@@ -178,17 +148,12 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	var st core.RunStats
-	if o.Exec == core.ExecCont {
-		st, err = rt.RunCont(func(t *core.Thread, done func()) {
-			bigBodyC(t, o, func(c uint64) {
-				checks[t.ID()] = c
-				done()
-			})
+	st, err := rt.RunCont(func(t *core.Thread, done func()) {
+		bigBodyC(t, o, func(c uint64) {
+			checks[t.ID()] = c
+			done()
 		})
-	} else {
-		st, err = rt.Run(func(t *core.Thread) { checks[t.ID()] = bigBody(t, o) })
-	}
+	})
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
@@ -200,7 +165,6 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 		check ^= bigHash(c + uint64(i))
 	}
 	sp := ScalePoint{
-		Mode:    execName(o.Exec),
 		Threads: o.Threads, Nodes: o.Nodes,
 		Elapsed:      st.Elapsed,
 		KernelEvents: st.KernelEvents,
@@ -220,35 +184,20 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 	return sp, nil
 }
 
-// PrintScale runs the big-scale point in both execution modes and
-// prints the comparison the PR description quotes: events/sec,
-// allocs/op and bytes per thread side by side, plus the continuation
-// speedup. The virtual columns must agree between rows; a mismatch is
-// reported loudly (it would mean the determinism contract is broken).
-func PrintScale(w io.Writer, o BigOpts) ([2]ScalePoint, error) {
-	var pts [2]ScalePoint
+// PrintScale runs the big-scale point and prints its virtual columns
+// beside the host cost: events/sec, allocs per event and bytes per
+// thread.
+func PrintScale(w io.Writer, o BigOpts) (ScalePoint, error) {
 	fmt.Fprintf(w, "# Big-scale sweep — %s, %d threads / %d nodes, %d elems/thread, %d hops (host columns vary with machine load)\n",
 		o.Prof.Name, o.Threads, o.Nodes, o.ElemsPerThread, o.Hops)
-	fmt.Fprintf(w, "%10s %12s %12s %17s | %10s %12s %10s %12s\n",
-		"mode", "virt-time", "events", "checksum", "wall", "events/s", "allocs/ev", "bytes/thread")
-	for i, mode := range []core.ExecMode{core.ExecGoroutine, core.ExecCont} {
-		oo := o
-		oo.Exec = mode
-		sp, err := ScaleMark(oo)
-		if err != nil {
-			return pts, err
-		}
-		pts[i] = sp
-		fmt.Fprintf(w, "%10s %12v %12d %17x | %10v %12.0f %10.2f %12.0f\n",
-			sp.Mode, sp.Elapsed, sp.KernelEvents, sp.Checksum,
-			sp.Wall.Round(time.Millisecond), sp.EventsPerSec, sp.AllocsPerEv, sp.BytesPerThread)
+	fmt.Fprintf(w, "%12s %12s %17s | %10s %12s %10s %12s\n",
+		"virt-time", "events", "checksum", "wall", "events/s", "allocs/ev", "bytes/thread")
+	sp, err := ScaleMark(o)
+	if err != nil {
+		return sp, err
 	}
-	g, c := pts[0], pts[1]
-	if g.KernelEvents != c.KernelEvents || g.Checksum != c.Checksum || g.Elapsed != c.Elapsed {
-		fmt.Fprintf(w, "!! execution modes diverged: determinism contract broken\n")
-	} else if g.EventsPerSec > 0 {
-		fmt.Fprintf(w, "continuation speedup: %.2fx events/sec, %.2fx bytes/thread\n",
-			c.EventsPerSec/g.EventsPerSec, g.BytesPerThread/c.BytesPerThread)
-	}
-	return pts, nil
+	fmt.Fprintf(w, "%12v %12d %17x | %10v %12.0f %10.2f %12.0f\n",
+		sp.Elapsed, sp.KernelEvents, sp.Checksum,
+		sp.Wall.Round(time.Millisecond), sp.EventsPerSec, sp.AllocsPerEv, sp.BytesPerThread)
+	return sp, nil
 }

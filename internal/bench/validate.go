@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"xlupc/internal/core"
 )
 
 // ValidateScale checks the thread/node counts the hybrid mapping
@@ -79,13 +77,10 @@ func ValidatePositive(flagName string, v int64) error {
 	return nil
 }
 
-// ParseSweepFlags checks the two flags every figure of xlupc-micro and
+// ParseSweepFlags checks the flag every figure of xlupc-micro and
 // xlupc-report depends on, before any sweep or host profile starts:
-// -reps (zero repetitions would not fail — every row of every table
-// would print as n/a, with exit status 0) and -exec.
-func ParseSweepFlags(exec string, reps int) (core.ExecMode, error) {
-	if err := ValidatePositive("-reps", int64(reps)); err != nil {
-		return 0, err
-	}
-	return ParseExec(exec)
+// zero repetitions would not fail — every row of every table would
+// print as n/a, with exit status 0.
+func ParseSweepFlags(reps int) error {
+	return ValidatePositive("-reps", int64(reps))
 }

@@ -62,23 +62,15 @@ func DefaultCache() CacheConfig {
 // NoCache returns the baseline configuration.
 func NoCache() CacheConfig { return CacheConfig{} }
 
-// ExecMode selects how UPC thread bodies execute under the simulation
-// kernel.
+// ExecMode, its constants and Config.Exec select nothing: Run backs
+// every thread with a coroutine and RunCont with none, whatever the
+// field holds. They stay declared only because benchmark/api.go, which
+// is frozen while its baseline stands, still assigns them; they go when
+// it stops.
 type ExecMode int
 
 const (
-	// ExecGoroutine (the default) backs every thread with a sim.Proc,
-	// a coroutine the kernel switches to and from directly, so bodies
-	// (Runtime.Run) use arbitrary Go control flow and the blocking
-	// methods — each the ...C method of the same name plus an Await.
 	ExecGoroutine ExecMode = iota
-	// ExecCont runs thread bodies as continuation state-machines
-	// scheduled directly on the event heap (Runtime.RunCont): no
-	// goroutine, no channels, no per-thread stack — the mode that makes
-	// 100k-thread sweeps feasible. Bodies must be written in
-	// continuation-passing style against the Thread's ...C methods.
-	// Both modes run the same implementation of every operation and
-	// produce bit-identical RunStats for the same workload.
 	ExecCont
 )
 
@@ -93,10 +85,7 @@ type Config struct {
 	// Profile selects the transport (transport.GM() or
 	// transport.LAPI()). Required.
 	Profile *transport.Profile
-	// Exec selects goroutine-backed (default) or continuation-mode
-	// thread execution; see ExecMode. Run requires ExecGoroutine,
-	// RunCont requires ExecCont.
-	Exec ExecMode
+	Exec    ExecMode // unread; see ExecMode
 	// Cache configures the remote address cache.
 	Cache CacheConfig
 	// Seed drives all pseudo-randomness in the run (workloads,

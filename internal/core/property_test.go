@@ -59,7 +59,6 @@ func TestPropertyRandomProgramMatchesReference(t *testing.T) {
 				}
 			}
 
-			cfg.Exec = ExecGoroutine
 			rt, err := NewRuntime(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -69,7 +68,6 @@ func TestPropertyRandomProgramMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d, config %s, blocking: %v", seed, v.name, err)
 			}
 
-			cfg.Exec = ExecCont
 			rt, err = NewRuntime(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -167,15 +167,14 @@ func (rt *Runtime) nodeOfThread(t int) *nodeState {
 }
 
 // Run executes body once per UPC thread (SPMD), driving the simulation
-// to completion, and returns the run's statistics. The body receives
-// the Thread it runs as; thread 0 is the UPC "main" thread by
-// convention. Run may be called once per Runtime.
+// to completion, and returns the run's statistics. Each thread is a
+// coroutine of the kernel, so the body uses arbitrary Go control flow
+// and the blocking methods. It receives the Thread it runs as; thread 0
+// is the UPC "main" thread by convention. Run may be called once per
+// Runtime.
 func (rt *Runtime) Run(body func(t *Thread)) (RunStats, error) {
 	if rt.ran {
 		return RunStats{}, fmt.Errorf("core: Runtime.Run called twice; build a fresh Runtime per run")
-	}
-	if rt.cfg.Exec != ExecGoroutine {
-		return RunStats{}, fmt.Errorf("core: Runtime.Run needs Config.Exec == ExecGoroutine; use RunCont for continuation mode")
 	}
 	rt.ran = true
 	// Whatever way the run ends — clean completion, Stop, an event
@@ -207,14 +206,13 @@ type ContBody func(t *Thread, done func())
 // state-machines on the event heap — no goroutines, no channels, no
 // per-thread stacks — driving the simulation to completion. It is the
 // execution mode that makes 100k-thread sweeps feasible; bodies that
-// need arbitrary Go control flow use Run instead. RunCont may be
-// called once per Runtime and requires Config.Exec == ExecCont.
+// need arbitrary Go control flow use Run instead; a blocking method
+// called from a RunCont body panics. Both run the same implementation
+// of every operation and produce bit-identical RunStats for the same
+// program. RunCont may be called once per Runtime.
 func (rt *Runtime) RunCont(body ContBody) (RunStats, error) {
 	if rt.ran {
 		return RunStats{}, fmt.Errorf("core: Runtime.RunCont called twice; build a fresh Runtime per run")
-	}
-	if rt.cfg.Exec != ExecCont {
-		return RunStats{}, fmt.Errorf("core: Runtime.RunCont needs Config.Exec == ExecCont; use Run for goroutine mode")
 	}
 	rt.ran = true
 	defer rt.K.Shutdown()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"xlupc/internal/sim"
@@ -326,6 +327,28 @@ func TestUseAfterFreePanics(t *testing.T) {
 	})
 }
 
+// A blocking method called from a RunCont body has no process to park:
+// the panic must say so, and reach RunCont's caller like any other body
+// panic.
+func TestBlockingCallUnderRunContNamesItself(t *testing.T) {
+	defer func() {
+		const want = "blocking call on a continuation-mode thread"
+		if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("recovered %v, want a panic mentioning %q", r, want)
+		}
+	}()
+	rt, err := NewRuntime(cfg(2, 2, transport.GM(), NoCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = rt.RunCont(func(th *Thread, done func()) {
+		th.AllAllocC("A", 32, 8, 16, func(a *SharedArray) {
+			th.GetUint64(a.At(20))
+			done()
+		})
+	})
+}
+
 func TestBarrierSynchronizes(t *testing.T) {
 	const threads, nodes, rounds = 8, 4, 5
 	counters := make([]int, threads)
@@ -639,9 +662,7 @@ func TestForAllCoversExactlyOwnedIndices(t *testing.T) {
 	// ForAllC under RunCont must visit the same indices in the same
 	// order, and run then exactly once, after the last of them.
 	visitedC := make([][]int64, threads)
-	c := cfg(threads, nodes, transport.GM(), NoCache())
-	c.Exec = ExecCont
-	rt, err := NewRuntime(c)
+	rt, err := NewRuntime(cfg(threads, nodes, transport.GM(), NoCache()))
 	if err != nil {
 		t.Fatal(err)
 	}

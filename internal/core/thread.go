@@ -427,6 +427,14 @@ func (t *Thread) Sleep(d sim.Duration) { t.p.Sleep(d) }
 // SleepC is Sleep in continuation-passing style.
 func (t *Thread) SleepC(d sim.Duration, then func()) { t.c.Sleep(d, then) }
 
+// Wake and Await are how a layer above core gives an operation it wrote
+// in continuation form a blocking form too, the way every blocking
+// method here is built: pass Wake() as the then — call it before the
+// operation starts, once per operation — and Await returns when the
+// operation has run it. No kernel event is added. (See sim.Proc.Wake.)
+func (t *Thread) Wake() func() { return t.p.Wake() }
+func (t *Thread) Await()       { t.p.Await() }
+
 // Fence blocks until every PUT this thread issued has completed at its
 // target (upc_fence). Outstanding split-phase handles are retired
 // first, so a fence is a full consistency point for non-blocking

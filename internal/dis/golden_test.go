@@ -25,35 +25,20 @@ type goldenRow struct {
 	CacheHits    int64  `json:"cache_hits"`
 }
 
-// runGolden executes one stressmark in one execution mode.
-func runGolden(t *testing.T, mark string, cfg core.Config, exec core.ExecMode) goldenRow {
+// runGolden executes one stressmark.
+func runGolden(t *testing.T, mark string, cfg core.Config) goldenRow {
 	t.Helper()
-	cfg.Exec = exec
+	fn, err := ByName(mark)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Default(cfg.Threads)
 	checks := make([]uint64, cfg.Threads)
-	var st core.RunStats
-	if exec == core.ExecCont {
-		fn, ferr := ByNameC(mark)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		st, err = rt.RunCont(func(th *core.Thread, done func()) {
-			fn(th, p, func(c uint64) {
-				checks[th.ID()] = c
-				done()
-			})
-		})
-	} else {
-		fn, ferr := ByName(mark)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		st, err = rt.Run(func(th *core.Thread) { checks[th.ID()] = fn(th, p) })
-	}
+	st, err := rt.Run(func(th *core.Thread) { checks[th.ID()] = fn(th, p) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +52,10 @@ func runGolden(t *testing.T, mark string, cfg core.Config, exec core.ExecMode) g
 }
 
 // TestStressmarkGolden pins every stressmark to absolute values
-// recorded from the tree before the affinity-walk rewrite, in both
-// execution modes. TestContModeParity only compares the blocking and
-// continuation twins with each other, so it cannot see a change that
-// moves both the same way; this can. Regenerate deliberately with
+// recorded from the tree before the affinity-walk rewrite: the
+// checksum tests compare runs of this tree with each other and cannot
+// see a change that moves them all the same way; this can. Regenerate
+// deliberately with
 // `go test ./internal/dis -run TestStressmarkGolden -update`.
 func TestStressmarkGolden(t *testing.T) {
 	scales := []struct {
@@ -110,20 +95,15 @@ func TestStressmarkGolden(t *testing.T) {
 					Threads: sc.threads, Nodes: sc.nodes,
 					Profile: sc.prof(), Cache: c.cc, Seed: 7,
 				}
-				blocking := runGolden(t, s.Name, cfg, core.ExecGoroutine)
-				cont := runGolden(t, s.Name, cfg, core.ExecCont)
-				if blocking != cont {
-					t.Errorf("%s: exec modes disagree:\n goroutine %+v\n cont      %+v", key, blocking, cont)
-				}
-				got[key] = blocking
+				got[key] = runGolden(t, s.Name, cfg)
 				if *updateGolden {
 					continue
 				}
 				w, ok := want[key]
 				if !ok {
 					t.Errorf("%s: no golden row", key)
-				} else if blocking != w {
-					t.Errorf("%s:\n got  %+v\n want %+v", key, blocking, w)
+				} else if got[key] != w {
+					t.Errorf("%s:\n got  %+v\n want %+v", key, got[key], w)
 				}
 			}
 		}

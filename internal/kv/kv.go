@@ -170,6 +170,13 @@ type slotRef struct {
 // Table is one thread's view of the shared key-value store. Each
 // thread constructs its own instance over the collectively allocated
 // segment; Stats and the scratch buffers are therefore thread-private.
+//
+// Every operation exists once, in continuation-passing style (GetC,
+// PutC, DeleteC, IncrC): a ladder of steps, each started by the core
+// operation the one before it waited in. A thread has one operation in
+// flight, so the ladder's state lives here, in op, and its steps are
+// func values bound once, in do — an operation allocates no closures.
+// The blocking methods are those plus core.Thread's Wake and Await.
 type Table struct {
 	a     *core.SharedArray
 	g     geom
@@ -185,6 +192,59 @@ type Table struct {
 	// memoized keys are never deleted, so a slot, once found, stays put
 	// (puts update in place).
 	loc map[uint64]slotRef
+
+	lk *sim.Resource // this node's shard lock, resolved on first write
+	op
+	do steps
+
+	// What a blocking method parks for its ...C form to complete: the
+	// thread's wake, and where keepVal/keepOK leave the result.
+	wake  func()
+	val   uint64
+	found bool
+}
+
+// op is the operation in flight.
+type op struct {
+	t         *core.Thread
+	key, arg  uint64 // arg: Put's value, Incr's delta
+	del, incr bool   // which of Put/Delete, Get/Incr the shared steps serve
+	shard     int    // the key's owner thread
+	home      int    // ... and its node
+	local     bool
+	b0, probe int64 // the key's home bucket, and how far along its window
+	idx       int64 // the line probe reads
+
+	// Write path: the scan under the lock, the slot being written and
+	// its line's sequence word.
+	ws  writeScan
+	tgt slotRef
+	seq uint64
+
+	thenVal func(uint64, bool) // the caller's then: Get, Incr
+	thenOK  func(bool)         // ... Put, Delete
+}
+
+// steps are the methods an operation hands to core as its next step.
+type steps struct {
+	probed, reread, scan, scanned                   func()
+	seqRead, seqOdd, inWindow, slotWritten, seqEven func()
+	lookedUp, wrote                                 func(n int)
+	added                                           func(old uint64)
+	keepVal                                         func(uint64, bool)
+	keepOK                                          func(bool)
+}
+
+func newTable(a *core.SharedArray, g geom, o Options) *Table {
+	tb := &Table{a: a, g: g, opts: o}
+	tb.do = steps{
+		probed: tb.probed, reread: tb.reread, scan: tb.scan, scanned: tb.scanned,
+		seqRead: tb.seqRead, seqOdd: tb.seqOdd, inWindow: tb.inWindow,
+		slotWritten: tb.slotWritten, seqEven: tb.seqEven,
+		lookedUp: tb.lookedUp, wrote: tb.wrote, added: tb.added,
+		keepVal: tb.keepVal, keepOK: tb.keepOK,
+	}
+	return tb
 }
 
 // normalize fills Options defaults and derives the geometry.
@@ -207,27 +267,25 @@ func normalize(o *Options, threads int) geom {
 	return geom{threads: threads, buckets: b, window: o.WriteWindow, lockKey: "kv:" + o.Name + ":lock"}
 }
 
-// New collectively builds the table: thread 0 registers the AM
+// NewC collectively builds the table: thread 0 registers the AM
 // handlers (before the allocation's opening barrier, so no kv AM can
 // race registration) and every thread allocates the shared bucket
 // segment — one block per shard, labelled KindKV in every SVD replica.
-func New(t *core.Thread, o Options) *Table {
-	g := normalize(&o, t.Threads())
-	if t.ID() == 0 {
-		registerHandlers(t.Runtime(), g)
-	}
-	a := t.AllAllocKind(svd.KindKV, o.Name, int64(g.threads)*g.shardWords(), 8, g.shardWords())
-	return &Table{a: a, g: g, opts: o}
-}
-
-// NewC is New in continuation-passing style for ExecCont bodies.
 func NewC(t *core.Thread, o Options, then func(*Table)) {
 	g := normalize(&o, t.Threads())
 	if t.ID() == 0 {
 		registerHandlers(t.Runtime(), g)
 	}
 	t.AllAllocKindC(svd.KindKV, o.Name, int64(g.threads)*g.shardWords(), 8, g.shardWords(),
-		func(a *core.SharedArray) { then(&Table{a: a, g: g, opts: o}) })
+		func(a *core.SharedArray) { then(newTable(a, g, o)) })
+}
+
+// New is NewC for a blocking body.
+func New(t *core.Thread, o Options) (tb *Table) {
+	wake := t.Wake()
+	NewC(t, o, func(x *Table) { tb = x; wake() })
+	t.Await()
+	return tb
 }
 
 // Array exposes the underlying shared segment (tests, diagnostics).
@@ -243,124 +301,177 @@ func (tb *Table) HomeNode(key uint64) int {
 
 // lock returns this node's shard lock: writers and AM lookups
 // serialize under it; one-sided readers never take it.
-func (tb *Table) lock(t *core.Thread) *sim.Resource {
-	key := tb.g.lockKey
-	return t.NodeLocal(key, func(k *sim.Kernel) any { return sim.NewResource(k, key, 1) }).(*sim.Resource)
+func (tb *Table) lock() *sim.Resource {
+	if tb.lk == nil {
+		key := tb.g.lockKey
+		tb.lk = tb.t.NodeLocal(key, func(k *sim.Kernel) any { return sim.NewResource(k, key, 1) }).(*sim.Resource)
+	}
+	return tb.lk
+}
+
+// --- Blocking forms -------------------------------------------------------
+
+// Get is GetC for a blocking body; likewise Put, Delete and Incr.
+func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
+	tb.wake = t.Wake()
+	tb.GetC(t, key, tb.do.keepVal)
+	t.Await()
+	return tb.val, tb.found
+}
+
+func (tb *Table) Put(t *core.Thread, key, val uint64) bool {
+	tb.wake = t.Wake()
+	tb.PutC(t, key, val, tb.do.keepOK)
+	t.Await()
+	return tb.found
+}
+
+func (tb *Table) Delete(t *core.Thread, key uint64) bool {
+	tb.wake = t.Wake()
+	tb.DeleteC(t, key, tb.do.keepOK)
+	t.Await()
+	return tb.found
+}
+
+func (tb *Table) Incr(t *core.Thread, key, delta uint64) (uint64, bool) {
+	tb.wake = t.Wake()
+	tb.IncrC(t, key, delta, tb.do.keepVal)
+	t.Await()
+	return tb.val, tb.found
+}
+
+func (tb *Table) keepVal(v uint64, ok bool) {
+	tb.val, tb.found = v, ok
+	tb.wake()
+}
+
+func (tb *Table) keepOK(ok bool) {
+	tb.found = ok
+	tb.wake()
+}
+
+// --- Starting and finishing an operation ---------------------------------
+
+// begin records who operates on which key, and where the key lives.
+func (tb *Table) begin(t *core.Thread, key uint64) {
+	tb.t, tb.key = t, key
+	tb.shard = tb.g.shardOf(key)
+	tb.home = tb.a.Layout().NodeOf(tb.g.lineIdx(tb.shard, 0))
+	tb.local = tb.home == t.Node()
+	if tb.local {
+		tb.Stats.LocalOps++
+	} else {
+		tb.Stats.RemoteOps++
+	}
+	tb.b0, tb.probe = tb.g.bucketOf(key), 0
+}
+
+// finishVal and finishOK complete the operation. The caller's then may
+// start the next one, so it is taken out of op first and called last.
+func (tb *Table) finishVal(v uint64, ok bool) {
+	then := tb.thenVal
+	tb.thenVal = nil
+	then(v, ok)
+}
+
+func (tb *Table) finishOK(ok bool) {
+	then := tb.thenOK
+	tb.thenOK = nil
+	then(ok)
+}
+
+func checkKey(key uint64) {
+	if key == emptyKey || key == tombstone {
+		panic(fmt.Sprintf("kv: key %#x collides with a slot sentinel", key))
+	}
 }
 
 // --- Read path ----------------------------------------------------------
 
-// Get reads key, returning its value and presence. Remote reads are
-// one-sided through the address cache; a torn line (odd seq) retries
-// exactly once through the authoritative lookup AM.
-func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
-	tb.Stats.Gets++
-	g := tb.g
-	shard := g.shardOf(key)
-	home := tb.a.Layout().NodeOf(g.lineIdx(shard, 0))
-	local := home == t.Node()
-	if local {
-		tb.Stats.LocalOps++
-	} else {
-		tb.Stats.RemoteOps++
-	}
-	if !local && tb.opts.ReadViaAM {
-		return tb.amGet(t, home, key)
-	}
-	b0 := g.bucketOf(key)
-	for w := int64(0); w < probeWindow; w++ {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		t.GetBulk(tb.line[:], tb.a.At(idx))
-		for binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-			if !local {
-				// Torn one-sided read: the write landed mid-window.
-				// One AM retry is authoritative — the handler runs
-				// under the shard lock at the home node.
-				tb.Stats.TornRetries++
-				return tb.amGet(t, home, key)
-			}
-			// Local torn read: the writer finishes within its window,
-			// so a spaced re-read converges.
-			tb.Stats.TornRereads++
-			t.Sleep(rereadBackoff)
-			t.GetBulk(tb.line[:], tb.a.At(idx))
-		}
-		if v, ok, stop := scanLine(tb.line[:], key); stop {
-			if ok {
-				tb.Stats.Found++
-			} else {
-				tb.Stats.Misses++
-			}
-			return v, ok
-		}
-	}
-	tb.Stats.Misses++
-	return 0, false
-}
-
-// GetC mirrors Get step for step in continuation-passing style.
+// GetC reads key and passes then its value and presence. Remote reads
+// are one-sided through the address cache; a torn line (odd seq)
+// retries exactly once through the authoritative lookup AM.
 func (tb *Table) GetC(t *core.Thread, key uint64, then func(val uint64, ok bool)) {
 	tb.Stats.Gets++
-	g := tb.g
-	shard := g.shardOf(key)
-	home := tb.a.Layout().NodeOf(g.lineIdx(shard, 0))
-	local := home == t.Node()
-	if local {
-		tb.Stats.LocalOps++
-	} else {
-		tb.Stats.RemoteOps++
-	}
-	if !local && tb.opts.ReadViaAM {
-		tb.amGetC(t, home, key, then)
+	tb.begin(t, key)
+	tb.incr, tb.thenVal = false, then
+	if !tb.local && tb.opts.ReadViaAM {
+		tb.amGet()
 		return
 	}
-	b0 := g.bucketOf(key)
-	var w int64
-	var probe, check func()
-	probe = func() {
-		if w >= probeWindow {
-			tb.Stats.Misses++
-			then(0, false)
-			return
-		}
-		t.GetBulkC(tb.line[:], tb.a.At(g.lineIdx(shard, (b0+w)%g.buckets)), check)
-	}
-	check = func() {
-		if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-			if !local {
-				tb.Stats.TornRetries++
-				tb.amGetC(t, home, key, then)
-				return
-			}
-			tb.Stats.TornRereads++
-			t.SleepC(rereadBackoff, func() {
-				t.GetBulkC(tb.line[:], tb.a.At(g.lineIdx(shard, (b0+w)%g.buckets)), check)
-			})
-			return
-		}
-		if v, ok, stop := scanLine(tb.line[:], key); stop {
-			if ok {
-				tb.Stats.Found++
-			} else {
-				tb.Stats.Misses++
-			}
-			then(v, ok)
-			return
-		}
-		w++
-		probe()
-	}
-	probe()
+	tb.readLine()
 }
 
-// scanLine inspects a consistent bucket line for key: (value, found,
+// readLine reads the next line of the key's probe window with no lock
+// held (Get, and Incr resolving a key to its slot); probed looks at it.
+func (tb *Table) readLine() {
+	if tb.probe >= probeWindow {
+		tb.resolved(0, false)
+		return
+	}
+	tb.idx = tb.g.lineIdx(tb.shard, (tb.b0+tb.probe)%tb.g.buckets)
+	tb.reread()
+}
+
+func (tb *Table) reread() { tb.t.GetBulkC(tb.line[:], tb.a.At(tb.idx), tb.do.probed) }
+
+func (tb *Table) probed() {
+	if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
+		switch {
+		case tb.incr:
+			// Incr has no slot-level AM to fall back to, and resolves a
+			// key once per thread: it re-reads like a local Get, uncounted.
+		case !tb.local:
+			// Torn one-sided read: the write landed mid-window. One AM
+			// retry is authoritative — the handler runs under the shard
+			// lock at the home node.
+			tb.Stats.TornRetries++
+			tb.amGet()
+			return
+		default:
+			tb.Stats.TornRereads++
+		}
+		// The writer finishes within its window, so a spaced re-read
+		// converges.
+		tb.t.SleepC(rereadBackoff, tb.do.reread)
+		return
+	}
+	if slot, ok, stop := findKey(tb.line[:], tb.key); stop {
+		tb.resolved(slot, ok)
+		return
+	}
+	tb.probe++
+	tb.readLine()
+}
+
+// resolved ends the probe: the key is in slot of the line just read, or
+// nowhere.
+func (tb *Table) resolved(slot int, ok bool) {
+	switch {
+	case !ok:
+		tb.Stats.Misses++
+		tb.finishVal(0, false)
+	case tb.incr:
+		ref := slotRef{tb.idx, slot}
+		if tb.loc == nil {
+			tb.loc = make(map[uint64]slotRef)
+		}
+		tb.loc[tb.key] = ref
+		tb.add(ref)
+	default:
+		tb.Stats.Found++
+		tb.finishVal(binary.LittleEndian.Uint64(tb.line[16+16*slot:]), true)
+	}
+}
+
+// findKey inspects a consistent bucket line for key: (slot, found,
 // stop). stop is false only when the line is full of other live keys
 // or tombstones, i.e. probing must continue.
-func scanLine(line []byte, key uint64) (v uint64, ok, stop bool) {
+func findKey(line []byte, key uint64) (slot int, ok, stop bool) {
 	for s := 0; s < slotsPerBucket; s++ {
 		k := binary.LittleEndian.Uint64(line[8+16*s:])
 		if k == key {
-			return binary.LittleEndian.Uint64(line[16+16*s:]), true, true
+			return s, true, true
 		}
 		if k == emptyKey {
 			// Inserts fill the first free slot and deletes only ever
@@ -372,329 +483,161 @@ func scanLine(line []byte, key uint64) (v uint64, ok, stop bool) {
 	return 0, false, false
 }
 
-func (tb *Table) amGet(t *core.Thread, home int, key uint64) (uint64, bool) {
+func (tb *Table) amGet() {
 	tb.Stats.AMLookups++
-	n := t.CallAM(tb.a, home, hLookup, key, 0, lookupWireBytes, tb.rep[:], "kv_lookup")
-	if n == 0 {
-		tb.Stats.Misses++
-		return 0, false
-	}
-	tb.Stats.Found++
-	return binary.LittleEndian.Uint64(tb.rep[:]), true
+	tb.t.CallAMC(tb.a, tb.home, hLookup, tb.key, 0, lookupWireBytes, tb.rep[:], "kv_lookup", tb.do.lookedUp)
 }
 
-func (tb *Table) amGetC(t *core.Thread, home int, key uint64, then func(uint64, bool)) {
-	tb.Stats.AMLookups++
-	t.CallAMC(tb.a, home, hLookup, key, 0, lookupWireBytes, tb.rep[:], "kv_lookup", func(n int) {
-		if n == 0 {
-			tb.Stats.Misses++
-			then(0, false)
-			return
-		}
-		tb.Stats.Found++
-		then(binary.LittleEndian.Uint64(tb.rep[:]), true)
-	})
+func (tb *Table) lookedUp(n int) {
+	if n == 0 {
+		tb.Stats.Misses++
+		tb.finishVal(0, false)
+		return
+	}
+	tb.Stats.Found++
+	tb.finishVal(binary.LittleEndian.Uint64(tb.rep[:]), true)
 }
 
 // --- Write path ---------------------------------------------------------
 
-// Put installs (key, val), updating in place when the key exists. It
+// PutC installs (key, val), updating in place when the key exists. It
 // reports false when the probe window is full (overflow). Writes at
 // the home node go direct under the shard lock; remote writes ship as
 // AMs executed there.
-func (tb *Table) Put(t *core.Thread, key, val uint64) bool {
-	checkKey(key)
-	tb.Stats.Puts++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-		return tb.directPut(t, key, val)
-	}
-	tb.Stats.RemoteOps++
-	n := t.CallAM(tb.a, tb.HomeNode(key), hPut, key, val, putWireBytes, tb.rep[:], "kv_put")
-	if n != 1 {
-		panic(fmt.Sprintf("kv: put reply of %d bytes", n))
-	}
-	if tb.rep[0] != statusOK {
-		tb.Stats.Overflows++
-		return false
-	}
-	return true
-}
-
-// PutC mirrors Put.
 func (tb *Table) PutC(t *core.Thread, key, val uint64, then func(ok bool)) {
 	checkKey(key)
 	tb.Stats.Puts++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-		tb.directPutC(t, key, val, then)
-		return
-	}
-	tb.Stats.RemoteOps++
-	t.CallAMC(tb.a, tb.HomeNode(key), hPut, key, val, putWireBytes, tb.rep[:], "kv_put", func(n int) {
-		if n != 1 {
-			panic(fmt.Sprintf("kv: put reply of %d bytes", n))
-		}
-		if tb.rep[0] != statusOK {
-			tb.Stats.Overflows++
-			then(false)
-			return
-		}
-		then(true)
-	})
+	tb.write(t, key, val, false, then)
 }
 
-// Delete removes key, reporting whether it was present.
-func (tb *Table) Delete(t *core.Thread, key uint64) bool {
-	checkKey(key)
-	tb.Stats.Deletes++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-		return tb.directDelete(t, key)
-	}
-	tb.Stats.RemoteOps++
-	n := t.CallAM(tb.a, tb.HomeNode(key), hDelete, key, 0, deleteWireBytes, tb.rep[:], "kv_delete")
-	if n != 1 {
-		panic(fmt.Sprintf("kv: delete reply of %d bytes", n))
-	}
-	return tb.rep[0] == statusOK
-}
-
-// DeleteC mirrors Delete.
+// DeleteC removes key, reporting whether it was present.
 func (tb *Table) DeleteC(t *core.Thread, key uint64, then func(ok bool)) {
 	checkKey(key)
 	tb.Stats.Deletes++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-		tb.directDeleteC(t, key, then)
+	tb.write(t, key, 0, true, then)
+}
+
+func (tb *Table) write(t *core.Thread, key, val uint64, del bool, then func(ok bool)) {
+	tb.begin(t, key)
+	tb.arg, tb.del, tb.thenOK = val, del, then
+	if tb.local {
+		tb.ws = writeScan{}
+		t.AcquireC(tb.lock(), tb.do.scan)
 		return
 	}
-	tb.Stats.RemoteOps++
-	t.CallAMC(tb.a, tb.HomeNode(key), hDelete, key, 0, deleteWireBytes, tb.rep[:], "kv_delete", func(n int) {
-		if n != 1 {
-			panic(fmt.Sprintf("kv: delete reply of %d bytes", n))
-		}
-		then(tb.rep[0] == statusOK)
-	})
-}
-
-func checkKey(key uint64) {
-	if key == emptyKey || key == tombstone {
-		panic(fmt.Sprintf("kv: key %#x collides with a slot sentinel", key))
+	id, wire, name := hPut, putWireBytes, "kv_put"
+	if del {
+		id, wire, name = hDelete, deleteWireBytes, "kv_delete"
 	}
+	t.CallAMC(tb.a, tb.home, id, key, val, wire, tb.rep[:], name, tb.do.wrote)
 }
 
-// scan walks the probe window under the shard lock, returning the
-// key's slot if present, else the first free (empty or tombstone)
-// slot. Reads go through the thread's local GET path (the caller holds
-// the shard's home-node lock, so lines are consistent).
-func (tb *Table) scan(t *core.Thread, key uint64) (hit, free slotRef, hitOK, freeOK bool) {
-	g := tb.g
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	for w := int64(0); w < probeWindow; w++ {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		t.GetBulk(tb.line[:], tb.a.At(idx))
-		hit, free, hitOK, freeOK = scanLineWrite(tb.line[:], key, idx, free, freeOK)
-		if hitOK || stopAtEmpty(tb.line[:]) {
-			return
-		}
+func (tb *Table) wrote(n int) {
+	if n != 1 {
+		panic(fmt.Sprintf("kv: write reply of %d bytes", n))
 	}
-	return
-}
-
-// scanC mirrors scan.
-func (tb *Table) scanC(t *core.Thread, key uint64, then func(hit, free slotRef, hitOK, freeOK bool)) {
-	g := tb.g
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var free slotRef
-	freeOK := false
-	var w int64
-	var step func()
-	step = func() {
-		if w >= probeWindow {
-			then(slotRef{}, free, false, freeOK)
-			return
-		}
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		t.GetBulkC(tb.line[:], tb.a.At(idx), func() {
-			var hit slotRef
-			var hitOK bool
-			hit, free, hitOK, freeOK = scanLineWrite(tb.line[:], key, idx, free, freeOK)
-			if hitOK {
-				then(hit, free, true, freeOK)
-				return
-			}
-			if stopAtEmpty(tb.line[:]) {
-				then(slotRef{}, free, false, freeOK)
-				return
-			}
-			w++
-			step()
-		})
+	ok := tb.rep[0] == statusOK
+	if !ok && !tb.del {
+		tb.Stats.Overflows++
 	}
-	step()
+	tb.finishOK(ok)
 }
 
-// scanLineWrite is the write-path per-line scan: find key, and track
-// the first free slot across lines.
-func scanLineWrite(line []byte, key uint64, idx int64, free slotRef, freeOK bool) (slotRef, slotRef, bool, bool) {
+// scan walks the probe window under the shard lock, looking for the
+// key's slot and noting the first free (empty or tombstone) one. Reads
+// go through the thread's local GET path (it holds the shard's
+// home-node lock, so lines are consistent).
+func (tb *Table) scan() {
+	if tb.probe >= probeWindow {
+		tb.place()
+		return
+	}
+	tb.idx = tb.g.lineIdx(tb.shard, (tb.b0+tb.probe)%tb.g.buckets)
+	tb.t.GetBulkC(tb.line[:], tb.a.At(tb.idx), tb.do.scanned)
+}
+
+func (tb *Table) scanned() {
+	if tb.ws.add(tb.line[:], tb.key, tb.idx) {
+		tb.place()
+		return
+	}
+	tb.probe++
+	tb.scan()
+}
+
+// writeScan is what the write path learns walking a key's probe window:
+// the key's slot if it is present, and the first free one.
+type writeScan struct {
+	hit, free     slotRef
+	hitOK, freeOK bool
+}
+
+// add folds in the consistent line at idx and reports whether the walk
+// is over: the key was found, or an empty slot proves it absent.
+func (ws *writeScan) add(line []byte, key uint64, idx int64) (stop bool) {
 	for s := 0; s < slotsPerBucket; s++ {
 		k := binary.LittleEndian.Uint64(line[8+16*s:])
 		if k == key {
-			return slotRef{idx, s}, free, true, freeOK
+			ws.hit, ws.hitOK = slotRef{idx, s}, true
+			return true
 		}
-		if (k == emptyKey || k == tombstone) && !freeOK {
-			free, freeOK = slotRef{idx, s}, true
+		if (k == emptyKey || k == tombstone) && !ws.freeOK {
+			ws.free, ws.freeOK = slotRef{idx, s}, true
 		}
 		if k == emptyKey {
-			// Empty proves absence; the free slot is already recorded.
-			return slotRef{}, free, false, freeOK
-		}
-	}
-	return slotRef{}, free, false, freeOK
-}
-
-func isEmptySlot(line []byte, s int) bool {
-	return binary.LittleEndian.Uint64(line[8+16*s:]) == emptyKey
-}
-
-func stopAtEmpty(line []byte) bool {
-	for s := 0; s < slotsPerBucket; s++ {
-		if isEmptySlot(line, s) {
 			return true
 		}
 	}
 	return false
 }
 
-// writeSlot runs the seqlock write protocol on tgt: seq goes odd, the
-// slot is written inside the window, seq goes even. Caller holds the
-// shard lock.
-func (tb *Table) writeSlot(t *core.Thread, tgt slotRef, key, val uint64) {
-	at := tb.a.At(tgt.line)
-	t.GetBulk(tb.w[:8], at)
-	seq := binary.LittleEndian.Uint64(tb.w[:8])
-	t.PutUint64(at, seq+1)
-	t.Sleep(tb.g.window)
-	binary.LittleEndian.PutUint64(tb.w[0:8], key)
-	binary.LittleEndian.PutUint64(tb.w[8:16], val)
-	t.PutBulk(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tb.w[:16])
-	t.PutUint64(at, seq+2)
-}
-
-// writeSlotC mirrors writeSlot.
-func (tb *Table) writeSlotC(t *core.Thread, tgt slotRef, key, val uint64, then func()) {
-	at := tb.a.At(tgt.line)
-	t.GetBulkC(tb.w[:8], at, func() {
-		seq := binary.LittleEndian.Uint64(tb.w[:8])
-		t.PutUint64C(at, seq+1, func() {
-			t.SleepC(tb.g.window, func() {
-				binary.LittleEndian.PutUint64(tb.w[0:8], key)
-				binary.LittleEndian.PutUint64(tb.w[8:16], val)
-				t.PutBulkC(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tb.w[:16], func() {
-					t.PutUint64C(at, seq+2, then)
-				})
-			})
-		})
-	})
-}
-
-// deleteSlot tombstones tgt's key word under the seqlock protocol.
-func (tb *Table) deleteSlot(t *core.Thread, tgt slotRef) {
-	at := tb.a.At(tgt.line)
-	t.GetBulk(tb.w[:8], at)
-	seq := binary.LittleEndian.Uint64(tb.w[:8])
-	t.PutUint64(at, seq+1)
-	t.Sleep(tb.g.window)
-	t.PutUint64(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tombstone)
-	t.PutUint64(at, seq+2)
-}
-
-// deleteSlotC mirrors deleteSlot.
-func (tb *Table) deleteSlotC(t *core.Thread, tgt slotRef, then func()) {
-	at := tb.a.At(tgt.line)
-	t.GetBulkC(tb.w[:8], at, func() {
-		seq := binary.LittleEndian.Uint64(tb.w[:8])
-		t.PutUint64C(at, seq+1, func() {
-			t.SleepC(tb.g.window, func() {
-				t.PutUint64C(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tombstone, func() {
-					t.PutUint64C(at, seq+2, then)
-				})
-			})
-		})
-	})
-}
-
-func (tb *Table) directPut(t *core.Thread, key, val uint64) bool {
-	lock := tb.lock(t)
-	t.Acquire(lock)
-	hit, free, hitOK, freeOK := tb.scan(t, key)
-	tgt := hit
-	if !hitOK {
-		if !freeOK {
-			lock.Release()
+// place ends the scan: write the key's slot, or the first free one for
+// a Put of a new key, and fail a Delete of an absent key or a Put that
+// found the window full.
+func (tb *Table) place() {
+	switch {
+	case tb.ws.hitOK:
+		tb.tgt = tb.ws.hit
+	case tb.del || !tb.ws.freeOK:
+		tb.lk.Release()
+		if !tb.del {
 			tb.Stats.Overflows++
-			return false
 		}
-		tgt = free
+		tb.finishOK(false)
+		return
+	default:
+		tb.tgt = tb.ws.free
 	}
-	tb.writeSlot(t, tgt, key, val)
-	lock.Release()
-	return true
+	// The seqlock write protocol: seq goes odd, the slot is written
+	// inside the window, seq goes even.
+	tb.t.GetBulkC(tb.w[:8], tb.a.At(tb.tgt.line), tb.do.seqRead)
 }
 
-func (tb *Table) directPutC(t *core.Thread, key, val uint64, then func(ok bool)) {
-	lock := tb.lock(t)
-	t.AcquireC(lock, func() {
-		tb.scanC(t, key, func(hit, free slotRef, hitOK, freeOK bool) {
-			tgt := hit
-			if !hitOK {
-				if !freeOK {
-					lock.Release()
-					tb.Stats.Overflows++
-					then(false)
-					return
-				}
-				tgt = free
-			}
-			tb.writeSlotC(t, tgt, key, val, func() {
-				lock.Release()
-				then(true)
-			})
-		})
-	})
+func (tb *Table) seqRead() {
+	tb.seq = binary.LittleEndian.Uint64(tb.w[:8])
+	tb.t.PutUint64C(tb.a.At(tb.tgt.line), tb.seq+1, tb.do.seqOdd)
 }
 
-func (tb *Table) directDelete(t *core.Thread, key uint64) bool {
-	lock := tb.lock(t)
-	t.Acquire(lock)
-	hit, _, hitOK, _ := tb.scan(t, key)
-	if !hitOK {
-		lock.Release()
-		return false
+func (tb *Table) seqOdd() { tb.t.SleepC(tb.g.window, tb.do.inWindow) }
+
+func (tb *Table) inWindow() {
+	slot := tb.a.At(tb.tgt.line + int64(1+2*tb.tgt.slot))
+	if tb.del {
+		tb.t.PutUint64C(slot, tombstone, tb.do.slotWritten)
+		return
 	}
-	tb.deleteSlot(t, hit)
-	lock.Release()
-	return true
+	binary.LittleEndian.PutUint64(tb.w[0:8], tb.key)
+	binary.LittleEndian.PutUint64(tb.w[8:16], tb.arg)
+	tb.t.PutBulkC(slot, tb.w[:16], tb.do.slotWritten)
 }
 
-func (tb *Table) directDeleteC(t *core.Thread, key uint64, then func(ok bool)) {
-	lock := tb.lock(t)
-	t.AcquireC(lock, func() {
-		tb.scanC(t, key, func(hit, _ slotRef, hitOK, _ bool) {
-			if !hitOK {
-				lock.Release()
-				then(false)
-				return
-			}
-			tb.deleteSlotC(t, hit, func() {
-				lock.Release()
-				then(true)
-			})
-		})
-	})
+func (tb *Table) slotWritten() {
+	tb.t.PutUint64C(tb.a.At(tb.tgt.line), tb.seq+2, tb.do.seqEven)
+}
+
+func (tb *Table) seqEven() {
+	tb.lk.Release()
+	tb.finishOK(true)
 }
 
 // --- Increment path (remote atomics) -------------------------------------
@@ -704,12 +647,12 @@ func (tb *Table) directDeleteC(t *core.Thread, key uint64, then func(ok bool)) {
 // 2+2s).
 func valueIdx(tgt slotRef) int64 { return tgt.line + int64(2+2*tgt.slot) }
 
-// Incr atomically adds delta to key's value word with one FetchAdd
+// IncrC atomically adds delta to key's value word with one FetchAdd
 // executed at the home node — a single message instead of the
-// GET+compute+PUT round trip — returning the pre-add value and whether
-// the key was present. The slot is located with a probe read on first
-// use and memoized thread-locally, so a hot counter costs exactly one
-// atomic per Incr. This rides on a stable-residency assumption: keys
+// GET+compute+PUT round trip — passing then the pre-add value and
+// whether the key was present. The slot is located with a probe read on
+// first use and memoized thread-locally, so a hot counter costs exactly
+// one atomic per Incr. This rides on a stable-residency assumption: keys
 // Incr touches must never be deleted (a tombstoned slot can be reused
 // by a different key, and a memoized reference would then adjust the
 // wrong value) — counter tables that never Delete satisfy it by
@@ -718,129 +661,21 @@ func valueIdx(tgt slotRef) int64 { return tgt.line + int64(2+2*tgt.slot) }
 // key is the caller's bug, exactly as it would be in the native
 // runtime. The raw add does not preserve the load generator's
 // key-echo value encoding, so Incr tables are not checkValue tables.
-func (tb *Table) Incr(t *core.Thread, key, delta uint64) (uint64, bool) {
-	checkKey(key)
-	tb.Stats.Incrs++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-	} else {
-		tb.Stats.RemoteOps++
-	}
-	ref, ok := tb.locate(t, key)
-	if !ok {
-		tb.Stats.Misses++
-		return 0, false
-	}
-	return t.FetchAdd(tb.a.At(valueIdx(ref)), delta), true
-}
-
-// IncrC mirrors Incr.
 func (tb *Table) IncrC(t *core.Thread, key, delta uint64, then func(old uint64, ok bool)) {
 	checkKey(key)
 	tb.Stats.Incrs++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-	} else {
-		tb.Stats.RemoteOps++
-	}
-	tb.locateC(t, key, func(ref slotRef, ok bool) {
-		if !ok {
-			tb.Stats.Misses++
-			then(0, false)
-			return
-		}
-		t.FetchAddC(tb.a.At(valueIdx(ref)), delta, func(old uint64) { then(old, true) })
-	})
-}
-
-// locate resolves key to its slot with consistent line reads and
-// memoizes the result. A torn line re-reads after a backoff (writer
-// windows are finite, so this converges) — locate has no slot-level
-// AM to fall back to, and it runs once per key per thread.
-func (tb *Table) locate(t *core.Thread, key uint64) (slotRef, bool) {
+	tb.begin(t, key)
+	tb.arg, tb.incr, tb.thenVal = delta, true, then
 	if ref, ok := tb.loc[key]; ok {
-		return ref, true
-	}
-	g := tb.g
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	for w := int64(0); w < probeWindow; w++ {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		t.GetBulk(tb.line[:], tb.a.At(idx))
-		for binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-			t.Sleep(rereadBackoff)
-			t.GetBulk(tb.line[:], tb.a.At(idx))
-		}
-		if ref, ok, stop := locateLine(tb.line[:], key, idx); stop {
-			if ok {
-				tb.memoize(key, ref)
-			}
-			return ref, ok
-		}
-	}
-	return slotRef{}, false
-}
-
-// locateC mirrors locate.
-func (tb *Table) locateC(t *core.Thread, key uint64, then func(slotRef, bool)) {
-	if ref, ok := tb.loc[key]; ok {
-		then(ref, true)
+		tb.add(ref)
 		return
 	}
-	g := tb.g
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var w int64
-	var probe, check func()
-	probe = func() {
-		if w >= probeWindow {
-			then(slotRef{}, false)
-			return
-		}
-		t.GetBulkC(tb.line[:], tb.a.At(g.lineIdx(shard, (b0+w)%g.buckets)), check)
-	}
-	check = func() {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-			t.SleepC(rereadBackoff, func() {
-				t.GetBulkC(tb.line[:], tb.a.At(idx), check)
-			})
-			return
-		}
-		if ref, ok, stop := locateLine(tb.line[:], key, idx); stop {
-			if ok {
-				tb.memoize(key, ref)
-			}
-			then(ref, ok)
-			return
-		}
-		w++
-		probe()
-	}
-	probe()
+	tb.readLine()
 }
 
-// locateLine scans a consistent line for key's slot: (ref, found,
-// stop), with stop=false meaning the probe must continue.
-func locateLine(line []byte, key uint64, idx int64) (slotRef, bool, bool) {
-	for s := 0; s < slotsPerBucket; s++ {
-		k := binary.LittleEndian.Uint64(line[8+16*s:])
-		if k == key {
-			return slotRef{idx, s}, true, true
-		}
-		if k == emptyKey {
-			return slotRef{}, false, true
-		}
-	}
-	return slotRef{}, false, false
-}
+func (tb *Table) add(ref slotRef) { tb.t.FetchAddC(tb.a.At(valueIdx(ref)), tb.arg, tb.do.added) }
 
-func (tb *Table) memoize(key uint64, ref slotRef) {
-	if tb.loc == nil {
-		tb.loc = make(map[uint64]slotRef)
-	}
-	tb.loc[key] = ref
-}
+func (tb *Table) added(old uint64) { tb.finishVal(old, true) }
 
 // --- Home-node AM handlers ----------------------------------------------
 
@@ -876,31 +711,29 @@ func lookupAM(c *core.UserCtx, g geom) []byte {
 	var line [bucketBytes]byte
 	for w := int64(0); w < probeWindow; w++ {
 		readLineAM(c, g.lineIdx(shard, (b0+w)%g.buckets), line[:])
-		if v, ok, stop := scanLine(line[:], key); stop {
+		if slot, ok, stop := findKey(line[:], key); stop {
 			if !ok {
 				return nil
 			}
-			rep := make([]byte, 8)
-			binary.LittleEndian.PutUint64(rep, v)
-			return rep
+			return append([]byte(nil), line[16+16*slot:][:8]...)
 		}
 	}
 	return nil
 }
 
-// scanAM is the handler-side write scan (mirrors Table.scan).
-func scanAM(c *core.UserCtx, g geom, key uint64, line []byte) (hit, free slotRef, hitOK, freeOK bool) {
+// scanAM is the handler-side write scan (Table.scan in one piece).
+func scanAM(c *core.UserCtx, g geom, key uint64) (ws writeScan) {
 	shard := g.shardOf(key)
 	b0 := g.bucketOf(key)
+	var line [bucketBytes]byte
 	for w := int64(0); w < probeWindow; w++ {
 		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		readLineAM(c, idx, line)
-		hit, free, hitOK, freeOK = scanLineWrite(line, key, idx, free, freeOK)
-		if hitOK || stopAtEmpty(line) {
-			return
+		readLineAM(c, idx, line[:])
+		if ws.add(line[:], key, idx) {
+			break
 		}
 	}
-	return
+	return ws
 }
 
 // writeSlotAM runs the seqlock write protocol through the handler's
@@ -931,14 +764,13 @@ func putAM(c *core.UserCtx, g geom) []byte {
 	lock := ctxLock(c, g)
 	c.Acquire(lock)
 	defer lock.Release()
-	var line [bucketBytes]byte
-	hit, free, hitOK, freeOK := scanAM(c, g, key, line[:])
-	tgt := hit
-	if !hitOK {
-		if !freeOK {
+	ws := scanAM(c, g, key)
+	tgt := ws.hit
+	if !ws.hitOK {
+		if !ws.freeOK {
 			return []byte{statusFail}
 		}
-		tgt = free
+		tgt = ws.free
 	}
 	writeSlotAM(c, g, tgt, key, val)
 	return []byte{statusOK}
@@ -949,12 +781,11 @@ func deleteAM(c *core.UserCtx, g geom) []byte {
 	lock := ctxLock(c, g)
 	c.Acquire(lock)
 	defer lock.Release()
-	var line [bucketBytes]byte
-	hit, _, hitOK, _ := scanAM(c, g, key, line[:])
-	if !hitOK {
+	ws := scanAM(c, g, key)
+	if !ws.hitOK {
 		return []byte{statusFail}
 	}
-	writeSlotAM(c, g, hit, key, tombstone)
+	writeSlotAM(c, g, ws.hit, key, tombstone)
 	return []byte{statusOK}
 }
 

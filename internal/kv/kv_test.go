@@ -18,8 +18,8 @@ func testWorkload() Workload {
 	return Workload{Ops: 120, NumKeys: testKeys, Theta: 0.9, ReadFrac: 0.9, Rate: 100000}
 }
 
-func testConfig(exec core.ExecMode, cc core.CacheConfig) core.Config {
-	return core.Config{Threads: 8, Nodes: 4, Profile: transport.GM(), Cache: cc, Seed: 42, Exec: exec}
+func testConfig(cc core.CacheConfig) core.Config {
+	return core.Config{Threads: 8, Nodes: 4, Profile: transport.GM(), Cache: cc, Seed: 42}
 }
 
 func mustZipf(t *testing.T, n int64, theta float64) *Zipf {
@@ -31,31 +31,10 @@ func mustZipf(t *testing.T, n int64, theta float64) *Zipf {
 	return z
 }
 
-// runGoroutine runs preload + load in goroutine mode and returns the
-// run stats plus the merged generator result.
-func runGoroutine(t *testing.T, cfg core.Config, o Options, w Workload) (core.RunStats, ThreadResult) {
+// runLoad runs preload + load and returns the run stats plus the merged
+// generator result.
+func runLoad(t *testing.T, cfg core.Config, o Options, w Workload) (core.RunStats, ThreadResult) {
 	t.Helper()
-	rt, err := core.NewRuntime(cfg)
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	z := mustZipf(t, w.NumKeys, w.Theta)
-	results := make([]ThreadResult, cfg.Threads)
-	st, err := rt.Run(func(th *core.Thread) {
-		tb := New(th, o)
-		Preload(th, tb, w.NumKeys)
-		results[th.ID()] = RunLoad(th, tb, w, z)
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return st, Merge(results)
-}
-
-// runCont is runGoroutine under ExecCont.
-func runCont(t *testing.T, cfg core.Config, o Options, w Workload) (core.RunStats, ThreadResult) {
-	t.Helper()
-	cfg.Exec = core.ExecCont
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
@@ -79,12 +58,12 @@ func runCont(t *testing.T, cfg core.Config, o Options, w Workload) (core.RunStat
 }
 
 // TestKVDeterminism: the same seed must give bit-identical results
-// across repeat runs, host GOMAXPROCS, and both execution modes.
+// across repeat runs and host GOMAXPROCS.
 func TestKVDeterminism(t *testing.T) {
 	o := Options{Name: "kv", NumKeys: testKeys}
 	w := testWorkload()
-	st1, m1 := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
-	st2, m2 := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
+	st1, m1 := runLoad(t, testConfig(core.DefaultCache()), o, w)
+	st2, m2 := runLoad(t, testConfig(core.DefaultCache()), o, w)
 	if m1.Checksum != m2.Checksum {
 		t.Fatalf("repeat run checksum diverged: %#x vs %#x", m1.Checksum, m2.Checksum)
 	}
@@ -93,23 +72,12 @@ func TestKVDeterminism(t *testing.T) {
 	}
 
 	prev := runtime.GOMAXPROCS(1)
-	st3, m3 := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
+	st3, m3 := runLoad(t, testConfig(core.DefaultCache()), o, w)
 	runtime.GOMAXPROCS(prev)
 	if m3.Checksum != m1.Checksum || !reflect.DeepEqual(st3, st1) {
 		t.Fatalf("GOMAXPROCS=1 run diverged: %#x vs %#x", m3.Checksum, m1.Checksum)
 	}
-
-	stc, mc := runCont(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
-	if mc.Checksum != m1.Checksum {
-		t.Fatalf("exec-mode checksum diverged: goroutine %#x vs cont %#x", m1.Checksum, mc.Checksum)
-	}
-	if !reflect.DeepEqual(stc, st1) {
-		t.Fatalf("exec-mode stats diverged:\ngoroutine %+v\ncont      %+v", st1, stc)
-	}
-	if !reflect.DeepEqual(mc, m1) {
-		t.Fatalf("exec-mode merged results diverged:\ngoroutine %+v\ncont      %+v", m1, mc)
-	}
-	if m1.Ops != int64(testConfig(core.ExecGoroutine, core.DefaultCache()).Threads)*w.Ops {
+	if m1.Ops != int64(testConfig(core.DefaultCache()).Threads)*w.Ops {
 		t.Fatalf("op count %d, want %d", m1.Ops, 8*w.Ops)
 	}
 }
@@ -120,7 +88,7 @@ func TestKVDeterminism(t *testing.T) {
 // CI. Regenerate deliberately by updating the constant.
 func TestKVGoldenChecksum(t *testing.T) {
 	const golden = uint64(0x9a6a08d8cfc4d696)
-	_, m := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), Options{Name: "kv", NumKeys: testKeys}, testWorkload())
+	_, m := runLoad(t, testConfig(core.DefaultCache()), Options{Name: "kv", NumKeys: testKeys}, testWorkload())
 	if m.Checksum != golden {
 		t.Fatalf("golden checksum diverged: got %#x, want %#x", m.Checksum, golden)
 	}
@@ -132,10 +100,10 @@ func TestCachedBeatsAMOnly(t *testing.T) {
 	o := Options{Name: "kv", NumKeys: testKeys}
 	w := testWorkload()
 	w.Rate = 0 // closed loop: elapsed time is pure op latency
-	_, cached := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
+	_, cached := runLoad(t, testConfig(core.DefaultCache()), o, w)
 	amOnly := o
 	amOnly.ReadViaAM = true
-	_, am := runGoroutine(t, testConfig(core.ExecGoroutine, core.NoCache()), amOnly, w)
+	_, am := runLoad(t, testConfig(core.NoCache()), amOnly, w)
 	if cached.Ops != am.Ops {
 		t.Fatalf("op counts diverged: %d vs %d", cached.Ops, am.Ops)
 	}
@@ -146,137 +114,363 @@ func TestCachedBeatsAMOnly(t *testing.T) {
 	}
 }
 
-// TestTornReadRetry provokes the Storm read protocol's torn-read path
-// deterministically: a one-sided GET lands inside a writer's widened
-// seqlock window, observes the odd sequence word, and must retry
-// exactly once through the lookup AM, returning the post-write value.
-func TestTornReadRetry(t *testing.T) {
-	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 7}
+// step is one entry of a thread's script: a table operation, or a
+// sleep or barrier that places it in time.
+type step struct {
+	op       byte // 'g'et, 'p'ut, 'd'elete, 'i'ncr, 's'leep, 'b'arrier
+	key, arg uint64
+	d        sim.Duration
+}
+
+// outcome is what a table operation returned (val stays 0 for Put and
+// Delete).
+type outcome struct {
+	val uint64
+	ok  bool
+}
+
+// scriptRun is everything a scripted run can be compared on.
+type scriptRun struct {
+	Out   [][]outcome // per thread, in script order
+	Table []Stats     // per thread
+	Run   core.RunStats
+}
+
+// runScript builds a table (preloading keys 1..preload), then runs
+// script(tb, thread id) on every thread: through the blocking methods
+// under Run, or through the ...C forms under RunCont. Both end with a
+// barrier.
+func runScript(t *testing.T, cps bool, cfg core.Config, o Options, preload int64, script func(tb *Table, tid int) []step) scriptRun {
+	t.Helper()
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
-	o := Options{Name: "torn", NumKeys: 64, WriteWindow: 60 * sim.Us}
-	var torn, rereads, amLookups int64
-	var got uint64
-	var gotOK bool
-	var key uint64
-	_, err = rt.Run(func(th *core.Thread) {
-		tb := New(th, o)
-		// Deterministic key homed on node 1, read from node 0.
-		for k := uint64(1); ; k++ {
-			if tb.HomeNode(k) == 1 {
-				key = k
-				break
+	r := scriptRun{Out: make([][]outcome, cfg.Threads), Table: make([]Stats, cfg.Threads)}
+	if !cps {
+		r.Run, err = rt.Run(func(th *core.Thread) {
+			id := th.ID()
+			tb := New(th, o)
+			if preload > 0 {
+				Preload(th, tb, preload)
 			}
-		}
-		owner := tb.ShardOf(key)
-		if th.ID() == owner {
-			if !tb.Put(th, key, encodeValue(key, 1)) {
-				panic("seed put failed")
+			for _, s := range script(tb, id) {
+				var v uint64
+				var ok bool
+				switch s.op {
+				case 'g':
+					v, ok = tb.Get(th, s.key)
+				case 'p':
+					ok = tb.Put(th, s.key, s.arg)
+				case 'd':
+					ok = tb.Delete(th, s.key)
+				case 'i':
+					v, ok = tb.Incr(th, s.key, s.arg)
+				case 's':
+					th.Sleep(s.d)
+					continue
+				case 'b':
+					th.Barrier()
+					continue
+				}
+				r.Out[id] = append(r.Out[id], outcome{v, ok})
 			}
-		}
-		th.Barrier()
-		if th.ID() == 0 {
-			// Warm the address cache: miss (AM with piggyback), then hit.
-			if _, ok := tb.Get(th, key); !ok {
-				panic("warm read missed")
-			}
-			if _, ok := tb.Get(th, key); !ok {
-				panic("warm read missed")
-			}
-			if tb.Stats.AMLookups != 0 {
-				panic("warm reads should ride the runtime GET path, not kv AMs")
-			}
-		}
-		th.Barrier()
-		switch th.ID() {
-		case owner:
-			// Open a 60µs write window immediately after the barrier.
-			tb.Put(th, key, encodeValue(key, 2))
-		case 0:
-			// Issue a one-sided read ~10µs in: it lands mid-window.
-			th.Sleep(10 * sim.Us)
-			got, gotOK = tb.Get(th, key)
-			torn = tb.Stats.TornRetries
-			rereads = tb.Stats.TornRereads
-			amLookups = tb.Stats.AMLookups
-		}
-		th.Barrier()
-	})
+			th.Barrier()
+			r.Table[id] = tb.Stats
+		})
+	} else {
+		r.Run, err = rt.RunCont(func(th *core.Thread, done func()) {
+			id := th.ID()
+			NewC(th, o, func(tb *Table) {
+				var steps []step
+				i := 0
+				var next func()
+				val := func(v uint64, ok bool) {
+					r.Out[id] = append(r.Out[id], outcome{v, ok})
+					next()
+				}
+				okOnly := func(ok bool) { val(0, ok) }
+				next = func() {
+					if i == len(steps) {
+						th.BarrierC(func() {
+							r.Table[id] = tb.Stats
+							done()
+						})
+						return
+					}
+					s := steps[i]
+					i++
+					switch s.op {
+					case 'g':
+						tb.GetC(th, s.key, val)
+					case 'p':
+						tb.PutC(th, s.key, s.arg, okOnly)
+					case 'd':
+						tb.DeleteC(th, s.key, okOnly)
+					case 'i':
+						tb.IncrC(th, s.key, s.arg, val)
+					case 's':
+						th.SleepC(s.d, next)
+					case 'b':
+						th.BarrierC(next)
+					}
+				}
+				start := func(int64) {
+					steps = script(tb, id)
+					next()
+				}
+				if preload > 0 {
+					PreloadC(th, tb, preload, start)
+				} else {
+					start(0)
+				}
+			})
+		})
+	}
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run (cps=%v): %v", cps, err)
 	}
-	if torn != 1 {
-		t.Fatalf("TornRetries = %d, want exactly 1", torn)
+	return r
+}
+
+// bothStyles runs the script through the blocking shims and through the
+// ...C forms and requires the two runs to agree on every returned value,
+// every thread's table counters and the whole RunStats: the shim adds
+// nothing to its continuation form, not even a kernel event.
+func bothStyles(t *testing.T, cfg core.Config, o Options, preload int64, script func(tb *Table, tid int) []step) scriptRun {
+	t.Helper()
+	blocking := runScript(t, false, cfg, o, preload, script)
+	cps := runScript(t, true, cfg, o, preload, script)
+	if !reflect.DeepEqual(blocking.Out, cps.Out) {
+		t.Errorf("returned values diverged:\n blocking %+v\n cps      %+v", blocking.Out, cps.Out)
 	}
-	if rereads != 0 {
-		t.Fatalf("TornRereads = %d, want 0 (reader is remote)", rereads)
+	if !reflect.DeepEqual(blocking.Table, cps.Table) {
+		t.Errorf("table stats diverged:\n blocking %+v\n cps      %+v", blocking.Table, cps.Table)
 	}
-	if amLookups != 1 {
-		t.Fatalf("AMLookups = %d, want exactly 1 (the retry)", amLookups)
+	if !reflect.DeepEqual(blocking.Run, cps.Run) {
+		t.Errorf("RunStats diverged:\n blocking %+v\n cps      %+v", blocking.Run, cps.Run)
 	}
-	if !gotOK || got != encodeValue(key, 2) {
-		t.Fatalf("torn retry returned (%#x, %v), want the post-write value %#x", got, gotOK, encodeValue(key, 2))
+	return blocking
+}
+
+// keyOnNode is the first key at or after from homed on node.
+func keyOnNode(tb *Table, from uint64, node int) uint64 {
+	for k := from; ; k++ {
+		if tb.HomeNode(k) == node {
+			return k
+		}
 	}
 }
 
-// TestPutDeleteGet exercises the full op mix including tombstone reuse.
-func TestPutDeleteGet(t *testing.T) {
-	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 3}
-	rt, err := core.NewRuntime(cfg)
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	_, err = rt.Run(func(th *core.Thread) {
-		tb := New(th, Options{Name: "pdg", NumKeys: 128})
-		th.Barrier()
-		if th.ID() == 0 {
-			for k := uint64(1); k <= 32; k++ {
-				if !tb.Put(th, k, encodeValue(k, 9)) {
-					panic("put failed")
-				}
+// TestTornReadRetry is the Get script: a miss that fills the address
+// cache, a hit, an absent key, and then the Storm read protocol's
+// torn-read paths provoked deterministically — a one-sided GET lands
+// inside a writer's widened seqlock window, observes the odd sequence
+// word, and must retry exactly once through the lookup AM, returning
+// the post-write value, while a reader on the writer's own node re-reads
+// until the window closes. A second pass ships every remote read as an
+// AM (ReadViaAM).
+func TestTornReadRetry(t *testing.T) {
+	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 7}
+	var key, absent uint64
+	var owner, mate int
+	script := func(tb *Table, tid int) []step {
+		// Deterministic key homed on node 1, read from node 0 and from
+		// the owner's node-mate.
+		key, absent = keyOnNode(tb, 1, 1), keyOnNode(tb, 1<<40, 1)
+		owner = tb.ShardOf(key)
+		mate = owner ^ 1
+		switch tid {
+		case owner:
+			return []step{
+				{op: 'p', key: key, arg: encodeValue(key, 1)},
+				{op: 'b'}, {op: 'b'},
+				// Open a 60µs write window immediately after the barrier.
+				{op: 'p', key: key, arg: encodeValue(key, 2)},
 			}
-			for k := uint64(1); k <= 32; k++ {
-				v, ok := tb.Get(th, k)
-				if !ok || v != encodeValue(k, 9) {
-					panic("get after put")
-				}
+		case 0:
+			return []step{
+				{op: 'b'},
+				// Warm the address cache: miss (AM with piggyback), then hit.
+				{op: 'g', key: key}, {op: 'g', key: key},
+				{op: 'g', key: absent},
+				{op: 'b'},
+				// Issue a one-sided read ~10µs in: it lands mid-window.
+				{op: 's', d: 10 * sim.Us},
+				{op: 'g', key: key},
 			}
-			for k := uint64(1); k <= 32; k += 2 {
-				if !tb.Delete(th, k) {
-					panic("delete of present key")
-				}
-				if tb.Delete(th, k) {
-					panic("double delete succeeded")
-				}
-			}
-			for k := uint64(1); k <= 32; k++ {
-				v, ok := tb.Get(th, k)
-				if k%2 == 1 {
-					if ok {
-						panic("get after delete")
-					}
-				} else if !ok || v != encodeValue(k, 9) {
-					panic("survivor key lost")
-				}
-			}
-			// Tombstoned slots must be reusable.
-			for k := uint64(1); k <= 32; k += 2 {
-				if !tb.Put(th, k, encodeValue(k, 10)) {
-					panic("reinsert into tombstone failed")
-				}
-			}
-			for k := uint64(1); k <= 32; k += 2 {
-				if v, ok := tb.Get(th, k); !ok || v != encodeValue(k, 10) {
-					panic("reinserted key wrong")
-				}
+		case mate:
+			return []step{
+				{op: 'b'}, {op: 'b'},
+				{op: 's', d: 10 * sim.Us},
+				{op: 'g', key: key},
 			}
 		}
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		return []step{{op: 'b'}, {op: 'b'}}
+	}
+	o := Options{Name: "torn", NumKeys: 64, WriteWindow: 60 * sim.Us}
+
+	r := bothStyles(t, cfg, o, 0, script)
+	v1, v2 := encodeValue(key, 1), encodeValue(key, 2)
+	want := []outcome{{v1, true}, {v1, true}, {0, false}, {v2, true}}
+	if !reflect.DeepEqual(r.Out[0], want) {
+		t.Fatalf("remote reader saw %+v, want %+v (the last is the post-write value)", r.Out[0], want)
+	}
+	if st := r.Table[0]; st.TornRetries != 1 || st.TornRereads != 0 || st.AMLookups != 1 {
+		t.Fatalf("remote reader: TornRetries %d, TornRereads %d, AMLookups %d; want 1, 0 and 1 (the retry; warm reads ride the runtime GET path)",
+			st.TornRetries, st.TornRereads, st.AMLookups)
+	}
+	if got := r.Out[mate]; len(got) != 1 || got[0] != (outcome{v2, true}) {
+		t.Fatalf("node-mate reader saw %+v, want the post-write value %#x", got, v2)
+	}
+	if st := r.Table[mate]; st.TornRereads == 0 || st.TornRetries != 0 || st.AMLookups != 0 {
+		t.Fatalf("node-mate reader: TornRereads %d, TornRetries %d, AMLookups %d; want re-reads only", st.TornRereads, st.TornRetries, st.AMLookups)
+	}
+
+	o.ReadViaAM = true
+	r = bothStyles(t, cfg, o, 0, script)
+	if !reflect.DeepEqual(r.Out[0], want) {
+		t.Fatalf("ReadViaAM: remote reader saw %+v, want %+v", r.Out[0], want)
+	}
+	if st := r.Table[0]; st.AMLookups != st.Gets || st.TornRetries != 0 {
+		t.Fatalf("ReadViaAM: %d of %d remote reads were AMs, %d torn retries; want all and none", st.AMLookups, st.Gets, st.TornRetries)
+	}
+}
+
+// TestPutDeleteGet is the Put and Delete script: inserts, reads back,
+// deletes of present and absent keys, reads of the survivors, reuse of
+// the tombstoned slots, in-place updates, and a probe window filled
+// until a Put overflows — at the writer's own shard (direct, under the
+// lock) and at a remote one (by AM).
+func TestPutDeleteGet(t *testing.T) {
+	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 3}
+	// sameWindow lists n keys above 1000 that hash to one probe window of
+	// a shard on node.
+	sameWindow := func(tb *Table, node, n int) []uint64 {
+		first := keyOnNode(tb, 1000, node)
+		s, b := tb.g.shardOf(first), tb.g.bucketOf(first)
+		var keys []uint64
+		for k := first; len(keys) < n; k++ {
+			if tb.g.shardOf(k) == s && tb.g.bucketOf(k) == b {
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	const window = probeWindow * slotsPerBucket
+	script := func(tb *Table, tid int) []step {
+		if tid != 0 {
+			return nil
+		}
+		var ss []step
+		for k := uint64(1); k <= 32; k++ {
+			ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 9)})
+		}
+		for k := uint64(1); k <= 32; k++ {
+			ss = append(ss, step{op: 'g', key: k})
+		}
+		for k := uint64(1); k <= 32; k += 2 {
+			ss = append(ss, step{op: 'd', key: k}, step{op: 'd', key: k})
+		}
+		for k := uint64(1); k <= 32; k++ {
+			ss = append(ss, step{op: 'g', key: k})
+		}
+		for k := uint64(1); k <= 32; k++ { // odd keys reuse tombstones, even ones update in place
+			ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 10)})
+		}
+		for k := uint64(1); k <= 32; k++ {
+			ss = append(ss, step{op: 'g', key: k})
+		}
+		for node := 0; node < 2; node++ {
+			for _, k := range sameWindow(tb, node, window+1) {
+				ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 11)})
+			}
+		}
+		return ss
+	}
+	r := bothStyles(t, cfg, Options{Name: "pdg", NumKeys: 128}, 0, script)
+
+	out := r.Out[0]
+	take := func(n int) []outcome {
+		head := out[:n]
+		out = out[n:]
+		return head
+	}
+	for i, o := range take(32) {
+		if !o.ok {
+			t.Fatalf("put of key %d failed", i+1)
+		}
+	}
+	for i, o := range take(32) {
+		if k := uint64(i + 1); o != (outcome{encodeValue(k, 9), true}) {
+			t.Fatalf("get after put of key %d: %+v", k, o)
+		}
+	}
+	for i, o := range take(32) {
+		if present := i%2 == 0; o.ok != present {
+			t.Fatalf("delete %d of key %d reported %v", i%2+1, 2*(i/2)+1, o.ok)
+		}
+	}
+	for i, o := range take(32) {
+		k := uint64(i + 1)
+		if want := (outcome{encodeValue(k, 9), true}); k%2 == 1 && o.ok || k%2 == 0 && o != want {
+			t.Fatalf("after the deletes key %d reads %+v", k, o)
+		}
+	}
+	for i, o := range take(32) {
+		if !o.ok {
+			t.Fatalf("rewrite of key %d failed (odd keys reuse a tombstone)", i+1)
+		}
+	}
+	for i, o := range take(32) {
+		if k := uint64(i + 1); o != (outcome{encodeValue(k, 10), true}) {
+			t.Fatalf("rewritten key %d reads %+v", k, o)
+		}
+	}
+	for node := 0; node < 2; node++ {
+		puts := take(window + 1)
+		if !puts[0].ok || puts[window].ok {
+			t.Fatalf("node %d: filling one probe window: first put %v, put %d %v; want true and an overflow", node, puts[0].ok, window+1, puts[window].ok)
+		}
+	}
+	if st := r.Table[0]; st.Overflows < 2 || st.LocalOps == 0 || st.RemoteOps == 0 {
+		t.Fatalf("stats %+v: want overflows at both nodes, and both local and remote ops", st)
+	}
+}
+
+// TestStylesAgreeUnderContention runs a seeded random mix of all four
+// operations from every thread at once over a key space small enough
+// that writers queue on the shard locks and readers meet open write
+// windows, through both API styles.
+func TestStylesAgreeUnderContention(t *testing.T) {
+	const numKeys, opsPerThread = 24, 150
+	script := func(tb *Table, tid int) []step {
+		rng := rand.New(rand.NewSource(int64(1000 + tid)))
+		ss := make([]step, opsPerThread)
+		for i := range ss {
+			key := uint64(1 + rng.Intn(numKeys))
+			switch p := rng.Intn(10); {
+			case p < 5:
+				ss[i] = step{op: 'g', key: key}
+			case p < 8:
+				ss[i] = step{op: 'p', key: key, arg: encodeValue(key, uint32(i))}
+			case p < 9:
+				ss[i] = step{op: 'd', key: key}
+			default:
+				// Incr's keys are never deleted: above the Delete range.
+				ss[i] = step{op: 'i', key: numKeys + key, arg: 1}
+			}
+		}
+		return ss
+	}
+	o := Options{Name: "mix", NumKeys: 2 * numKeys, WriteWindow: 2 * sim.Us}
+	r := bothStyles(t, testConfig(core.DefaultCache()), o, 2*numKeys, script)
+	var total Stats
+	for _, st := range r.Table {
+		total.Add(st)
+	}
+	if total.TornRetries == 0 || total.TornRereads == 0 || total.Deletes == 0 || total.Incrs == 0 {
+		t.Fatalf("the mix did not reach every path: %+v", total)
 	}
 }
 
@@ -460,104 +654,46 @@ func TestPreloadContents(t *testing.T) {
 	}
 }
 
-// TestIncr: the FetchAdd-backed increment path returns exact pre-add
-// values, concurrent increments from every thread never lose an
-// update, absent keys report false, and both execution modes agree.
+// TestIncr is the Incr script: the FetchAdd-backed increment path
+// returns exact pre-add values, concurrent increments from every thread
+// never lose an update (the first locates the slot, the rest use the
+// memo), and absent keys report false.
 func TestIncr(t *testing.T) {
 	const numKeys = 64
-	const key, absent, perThread = uint64(7), uint64(numKeys + 100), int64(25)
-	run := func(exec core.ExecMode) (final uint64, incrs, misses int64) {
-		cfg := testConfig(exec, core.DefaultCache())
-		rt, err := core.NewRuntime(cfg)
-		if err != nil {
-			t.Fatalf("NewRuntime: %v", err)
+	const key, absent, perThread = uint64(7), uint64(numKeys + 100), 25
+	cfg := testConfig(core.DefaultCache())
+	owner := -1
+	script := func(tb *Table, tid int) []step {
+		owner = tb.ShardOf(key)
+		var ss []step
+		for i := 0; i < perThread; i++ {
+			ss = append(ss, step{op: 'i', key: key, arg: 2})
 		}
-		if exec == core.ExecCont {
-			_, err = rt.RunCont(func(th *core.Thread, done func()) {
-				NewC(th, Options{Name: "incr", NumKeys: numKeys}, func(tb *Table) {
-					PreloadC(th, tb, numKeys, func(int64) {
-						var i int64
-						var step func()
-						step = func() {
-							if i < perThread {
-								i++
-								tb.IncrC(th, key, 2, func(_ uint64, ok bool) {
-									if !ok {
-										panic("Incr missed a preloaded key")
-									}
-									step()
-								})
-								return
-							}
-							th.BarrierC(func() {
-								verify := func() {
-									tb.IncrC(th, absent, 1, func(_ uint64, ok bool) {
-										if ok {
-											panic("Incr of absent key reported present")
-										}
-										misses = tb.Stats.Misses
-										th.BarrierC(done)
-									})
-								}
-								if th.ID() != tb.ShardOf(key) {
-									verify()
-									return
-								}
-								tb.GetC(th, key, func(v uint64, ok bool) {
-									if !ok {
-										panic("incremented key vanished")
-									}
-									final = v
-									incrs = tb.Stats.Incrs
-									verify()
-								})
-							})
-						}
-						step()
-					})
-				})
-			})
-		} else {
-			_, err = rt.Run(func(th *core.Thread) {
-				tb := New(th, Options{Name: "incr", NumKeys: numKeys})
-				Preload(th, tb, numKeys)
-				for i := int64(0); i < perThread; i++ {
-					if _, ok := tb.Incr(th, key, 2); !ok {
-						panic("Incr missed a preloaded key")
-					}
-				}
-				th.Barrier()
-				if th.ID() == tb.ShardOf(key) {
-					v, ok := tb.Get(th, key)
-					if !ok {
-						panic("incremented key vanished")
-					}
-					final = v
-					incrs = tb.Stats.Incrs
-				}
-				if _, ok := tb.Incr(th, absent, 1); ok {
-					panic("Incr of absent key reported present")
-				}
-				misses = tb.Stats.Misses
-				th.Barrier()
-			})
+		ss = append(ss, step{op: 'b'})
+		if tid == owner {
+			ss = append(ss, step{op: 'g', key: key})
 		}
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return
+		return append(ss, step{op: 'i', key: absent, arg: 1})
 	}
-	want := encodeValue(key, 0) + uint64(8*perThread)*2
-	for _, exec := range []core.ExecMode{core.ExecGoroutine, core.ExecCont} {
-		final, incrs, misses := run(exec)
-		if final != want {
-			t.Fatalf("exec %v: final value %#x, want %#x (lost updates?)", exec, final, want)
+	r := bothStyles(t, cfg, Options{Name: "incr", NumKeys: numKeys}, numKeys, script)
+
+	seen := map[uint64]bool{}
+	for tid, out := range r.Out {
+		for _, o := range out[:perThread] {
+			if !o.ok || seen[o.val] {
+				t.Fatalf("thread %d: Incr returned (%#x, %v): a miss, or a pre-add value seen twice", tid, o.val, o.ok)
+			}
+			seen[o.val] = true
 		}
-		if incrs != perThread {
-			t.Fatalf("exec %v: owner thread counted %d incrs, want %d", exec, incrs, perThread)
+		if last := out[len(out)-1]; last.ok {
+			t.Fatalf("thread %d: Incr of an absent key reported present", tid)
 		}
-		if misses == 0 {
-			t.Fatalf("exec %v: absent-key Incr did not count a miss", exec)
+		if st := r.Table[tid]; st.Incrs != perThread+1 || st.Misses != 1 {
+			t.Fatalf("thread %d counted %d incrs and %d misses, want %d and 1", tid, st.Incrs, st.Misses, perThread+1)
 		}
+	}
+	want := encodeValue(key, 0) + uint64(cfg.Threads*perThread)*2
+	if final := r.Out[owner][perThread]; final != (outcome{want, true}) {
+		t.Fatalf("final value %+v, want %#x (lost updates?)", final, want)
 	}
 }

@@ -7,8 +7,8 @@ package kv
 // convention. Key popularity is scrambled-Zipfian, the read/write mix
 // a Bernoulli draw, and every random decision comes from the thread's
 // deterministic source in a fixed order (key first, then op kind), so
-// a run is bit-reproducible for a config seed across repeats, host
-// parallelism and both execution modes.
+// a run is bit-reproducible for a config seed across repeats and host
+// parallelism.
 
 import (
 	"fmt"
@@ -196,43 +196,36 @@ func preloadPartition(t *core.Thread, tb *Table, numKeys int64) [][]uint64 {
 	}).([][]uint64)
 }
 
-// Preload collectively installs every key in [1, NumKeys]: each thread
+// PreloadC collectively installs every key in [1, NumKeys]: each thread
 // inserts the keys its shard owns (all home-local direct writes, in
 // ascending key order, exactly as the old skip-scan produced), and the
-// closing barrier orders the population before any load. Returns this
-// thread's insert count.
-func Preload(t *core.Thread, tb *Table, numKeys int64) int64 {
-	var n int64
-	for _, key := range preloadPartition(t, tb, numKeys)[t.ID()] {
-		if !tb.Put(t, key, encodeValue(key, 0)) {
-			panic(fmt.Sprintf("kv: preload overflow inserting key %d — grow BucketsPerShard", key))
-		}
-		n++
-	}
-	t.Barrier()
-	return n
-}
-
-// PreloadC mirrors Preload.
+// closing barrier orders the population before any load. It passes then
+// this thread's insert count.
 func PreloadC(t *core.Thread, tb *Table, numKeys int64, then func(n int64)) {
 	mine := preloadPartition(t, tb, numKeys)[t.ID()]
-	var n int64
-	var step func()
-	step = func() {
-		if n >= int64(len(mine)) {
-			t.BarrierC(func() { then(n) })
+	n := 0
+	var next func(ok bool)
+	next = func(ok bool) {
+		if !ok {
+			panic(fmt.Sprintf("kv: preload overflow inserting key %d — grow BucketsPerShard", mine[n-1]))
+		}
+		if n == len(mine) {
+			t.BarrierC(func() { then(int64(n)) })
 			return
 		}
 		k := mine[n]
-		tb.PutC(t, k, encodeValue(k, 0), func(ok bool) {
-			if !ok {
-				panic(fmt.Sprintf("kv: preload overflow inserting key %d — grow BucketsPerShard", k))
-			}
-			n++
-			step()
-		})
+		n++
+		tb.PutC(t, k, encodeValue(k, 0), next)
 	}
-	step()
+	next(true)
+}
+
+// Preload is PreloadC for a blocking body.
+func Preload(t *core.Thread, tb *Table, numKeys int64) (n int64) {
+	wake := t.Wake()
+	PreloadC(t, tb, numKeys, func(m int64) { n = m; wake() })
+	t.Await()
+	return n
 }
 
 // fnv1a constants (64-bit).
@@ -250,53 +243,8 @@ func mix64(h, v uint64) uint64 {
 	return h
 }
 
-// RunLoad drives one thread's share of the workload to completion and
-// returns its result. The caller preloads and barriers first.
-func RunLoad(t *core.Thread, tb *Table, w Workload, z *Zipf) ThreadResult {
-	if err := w.Validate(); err != nil {
-		panic(err)
-	}
-	rng := t.Rand()
-	tel := t.Runtime().Config().Telemetry
-	interval, slo := w.interval(), w.slo()
-	start := t.Now()
-	res := ThreadResult{Thread: t.ID()}
-	h := uint64(fnvOffset)
-	for i := int64(0); i < w.Ops; i++ {
-		issue := t.Now()
-		if interval > 0 {
-			issue = start + sim.Time(i)*interval
-			if now := t.Now(); now < issue {
-				t.Sleep(issue - now)
-			}
-		}
-		key := ScrambleKey(z.Next(rng), w.NumKeys)
-		read := rng.Float64() < w.ReadFrac
-		var val uint64
-		var ok bool
-		if read {
-			val, ok = tb.Get(t, key)
-			if ok {
-				checkValue(key, val)
-			}
-			res.Reads++
-			if ok {
-				res.Found++
-			}
-		} else {
-			val = encodeValue(key, uint32(i))
-			ok = tb.Put(t, key, val)
-			res.Writes++
-		}
-		lat := t.Now() - issue
-		h = accountOp(&res, tel, read, key, val, ok, lat, slo, h)
-	}
-	res.Checksum = h
-	return res
-}
-
-// RunLoadC mirrors RunLoad step for step (same draw order, same
-// accounting) in continuation-passing style.
+// RunLoadC drives one thread's share of the workload to completion and
+// passes then its result. The caller preloads and barriers first.
 func RunLoadC(t *core.Thread, tb *Table, w Workload, z *Zipf, then func(ThreadResult)) {
 	if err := w.Validate(); err != nil {
 		panic(err)

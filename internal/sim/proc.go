@@ -71,9 +71,19 @@ func (p *Proc) park(state string) {
 	}
 }
 
+// blocking panics when p is nil: a thread that runs as a bare Cont has
+// no process, and a blocking call made on it would otherwise die on a
+// nil dereference that names neither the call nor the remedy.
+func (p *Proc) blocking() {
+	if p == nil {
+		panic("sim: blocking call on a continuation-mode thread: use the ...C form")
+	}
+}
+
 // Sleep advances the process's virtual time by d (holding nothing).
 // A non-positive d returns immediately without yielding.
 func (p *Proc) Sleep(d Duration) {
+	p.blocking()
 	if d <= 0 {
 		return
 	}
@@ -115,12 +125,18 @@ func (p *Proc) Cont() *Cont { return &p.c }
 // is about to Await: a continuation form is called with Wake() as its
 // then, and Await returns once that has run. Like any Then it is the
 // Cont's one resume func, so it allocates nothing per operation.
-func (p *Proc) Wake() func() { return p.c.Then(p, 0) }
+func (p *Proc) Wake() func() {
+	p.blocking()
+	return p.c.Then(p, 0)
+}
 
 // ParkWake is Wake for an operation started as a ladder of steps on the
 // process's Cont rather than through a then: the wake is the frame the
 // ladder finds beneath it when it Resumes.
-func (p *Proc) ParkWake() { p.c.Park(p, 0) }
+func (p *Proc) ParkWake() {
+	p.blocking()
+	p.c.Park(p, 0)
+}
 
 // Await blocks the process until the operation started with Wake has
 // completed. If it completed synchronously — Wake's func already ran —
@@ -130,6 +146,7 @@ func (p *Proc) ParkWake() { p.c.Park(p, 0) }
 // continuation-mode thread would have run its callback: the blocking
 // call costs exactly the events of its continuation form.
 func (p *Proc) Await() {
+	p.blocking()
 	if p.woken {
 		p.woken = false
 		return
