@@ -28,12 +28,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
 	"xlupc/internal/bench"
-	"xlupc/internal/flight"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
@@ -67,19 +65,10 @@ func main() {
 	flag.Parse()
 	bench.SetParallelism(*parallel)
 
-	var flightW io.Writer = os.Stderr
-	var flightFile *os.File
-	if *flightDump != "" {
-		*flightOn = true
-		f, err := os.Create(*flightDump)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
-			os.Exit(2)
-		}
-		flightFile, flightW = f, f
-	}
-	if *flightOn {
-		bench.SetFlight(&flight.Config{Dump: flightW})
+	finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
+		os.Exit(2)
 	}
 
 	if err := bench.ValidateScale(*threads, *nodes); err != nil {
@@ -149,17 +138,9 @@ func main() {
 	} else {
 		run(*profName)
 	}
-	if flightFile != nil {
-		// The sweep finished without a failure dump; leave a
-		// representative capture behind so the file is never empty.
-		if err := bench.FlightCapture(flightFile, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "xlupc-chaos: flight capture: %v\n", err)
-			ok = false
-		}
-		if err := flightFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
-			ok = false
-		}
+	if err := finishFlight(*seed); err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
+		ok = false
 	}
 	if !ok {
 		stopProf()

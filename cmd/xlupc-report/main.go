@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"xlupc/internal/bench"
-	"xlupc/internal/flight"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/transport"
 )
@@ -49,19 +48,10 @@ func main() {
 	}
 	bench.SetParallelism(*parallel)
 
-	var flightW io.Writer = os.Stderr
-	var flightFile *os.File
-	if *flightDump != "" {
-		*flightOn = true
-		f, err := os.Create(*flightDump)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
-			os.Exit(2)
-		}
-		flightFile, flightW = f, f
-	}
-	if *flightOn {
-		bench.SetFlight(&flight.Config{Dump: flightW})
+	finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
+		os.Exit(2)
 	}
 	stopProf := pf.MustStart("xlupc-report")
 
@@ -157,15 +147,8 @@ func main() {
 		}
 	}
 
-	if flightFile != nil {
-		// The report finished without a failure dump; leave a
-		// representative capture behind so the file is never empty.
-		if err := bench.FlightCapture(flightFile, *seed); err != nil {
-			fail(fmt.Errorf("flight capture: %v", err))
-		}
-		if err := flightFile.Close(); err != nil {
-			fail(err)
-		}
+	if err := finishFlight(*seed); err != nil {
+		fail(err)
 	}
 	if err := w.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: writing report: %v\n", err)

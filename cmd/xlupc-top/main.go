@@ -1,10 +1,10 @@
 // Command xlupc-top answers the paper's §4.6 question — where does a
-// remote access's time actually go? — with the telemetry layer's
-// per-operation spans instead of a Paraver trace. It runs one DIS
-// stressmark with and without the remote address cache and prints, per
-// operation kind, a phase-attribution table — how much virtual time
-// went to cache probes, wire, waiting for the target CPU, AM handling,
-// SVD resolution, registration, copies and DMA service — plus the
+// remote access's time actually go? — from the telemetry layer's
+// per-operation spans. It runs one DIS stressmark with and without the
+// remote address cache and prints, per operation kind, a
+// phase-attribution table — how much virtual time went to cache
+// probes, wire, waiting for the target CPU, AM handling, SVD
+// resolution, registration, copies and DMA service — plus the
 // latency-quantile table (P50/P95/P99) of every op/protocol series.
 //
 // On GM (no computation/communication overlap) the uncached run's GETs
@@ -12,11 +12,19 @@
 // computing and the AM handlers queue for the CPU. On LAPI the
 // dedicated communication processor absorbs that component.
 //
+// With -states it prints the paper's Paraver view of the same runs
+// instead: the time the threads spent per state (computing, blocked in
+// a GET, in the barrier, …) and the longest single GET wait. Without
+// the cache on GM the GET waits at Field's overhangs are "abnormally
+// large" because the target CPUs are busy scanning; with the cache the
+// accesses go over RDMA and the waits collapse.
+//
 // Usage:
 //
 //	xlupc-top -bench=field -profile=gm
 //	xlupc-top -bench=pointer -profile=lapi -threads 32 -nodes 8
 //	xlupc-top -bench=field -chrome trace.json -prom metrics.prom
+//	xlupc-top -bench=field -states -prv trace.prv
 package main
 
 import (
@@ -29,7 +37,9 @@ import (
 	"xlupc/internal/bench"
 	"xlupc/internal/core"
 	hostprof "xlupc/internal/prof"
+	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
+	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -41,6 +51,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	chrome := flag.String("chrome", "", "write the cached run's spans as Chrome trace-event JSON to this file")
 	prom := flag.String("prom", "", "write the cached run's metrics in Prometheus text format to this file")
+	states := flag.Bool("states", false, "print the per-thread-state time breakdown instead of the phase tables")
+	prv := flag.String("prv", "", "write the cached run's state intervals as Paraver-like records to this file")
 	pf := hostprof.Register(nil)
 	flag.Parse()
 
@@ -67,11 +79,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Fprintf(w, "# %s on %s, %d threads / %d nodes — phase attribution of operation time\n",
-		*mark, prof.Name, *threads, *nodes)
+	view := "phase attribution of operation time"
+	if *states {
+		view = "per-state time breakdown"
+	}
+	fmt.Fprintf(w, "# %s on %s, %d threads / %d nodes — %s\n", *mark, prof.Name, *threads, *nodes, view)
 
 	var cachedTel *telemetry.Telemetry
-	for _, cached := range []bool{false, true} {
+	var getWait [2]sim.Time // uncached, cached
+	for i, cached := range []bool{false, true} {
 		cc, label := core.NoCache(), "without cache"
 		if cached {
 			cc, label = core.DefaultCache(), "with cache"
@@ -83,6 +99,17 @@ func main() {
 		if cached {
 			cachedTel = tel
 		}
+		if *states {
+			tr := trace.FromSpans(tel)
+			fmt.Fprintf(w, "\n%-13s  (virtual time %v)\n", label, st.Elapsed)
+			for _, p := range tr.Profiles() {
+				fmt.Fprintf(w, "  %-12s %12v  %5.1f%%\n", p.State, p.Total, 100*p.Share)
+			}
+			worst := tr.MaxInterval(trace.StateGetWait)
+			fmt.Fprintf(w, "  longest single GET wait: %v (thread %d)\n", worst.Dur(), worst.Thread)
+			getWait[i] = tr.TotalByState()[trace.StateGetWait]
+			continue
+		}
 		fmt.Fprintf(w, "\n%s  (virtual time %v, %d msgs, %d AM, %d RDMA, cache hit rate %.1f%%)\n",
 			label, st.Elapsed, st.Messages, st.AMOps, st.RDMAOps, 100*st.Cache.HitRate())
 		if err := bench.PrintPhaseTables(w, tel, "get", "put", "barrier"); err != nil {
@@ -93,6 +120,16 @@ func main() {
 		}
 	}
 
+	if *states && getWait[0] > 0 {
+		fmt.Fprintf(w, "\nGET wait time reduction from the cache: %.1f%%\n",
+			100*(float64(getWait[0])-float64(getWait[1]))/float64(getWait[0]))
+	}
+	if *prv != "" {
+		if err := writeExport(*prv, trace.FromSpans(cachedTel).WritePRV); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(w, "trace records written to %s\n", *prv)
+	}
 	if *chrome != "" {
 		if err := writeExport(*chrome, cachedTel.WriteChromeTrace); err != nil {
 			fail(err)

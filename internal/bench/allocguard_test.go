@@ -149,13 +149,13 @@ func atomicBody(th *core.Thread, ops int) {
 
 // TestAllocGuardAtomic bounds the cached remote-atomic fast path. One
 // FetchAdd is a single RDMA atomic round trip — pooled descriptor,
-// pooled packets, w64 staging — so its budget is roughly half a
-// GET+PUT round.
+// pooled packets, w64 staging — and allocates nothing: with no hub
+// attached not even the op label of xlupc_atomic_ops_total is built.
 func TestAllocGuardAtomic(t *testing.T) {
 	per := marginal(t, 256, guardCfg(nil), atomicBody)
 	t.Logf("cached FetchAdd: %.2f allocs", per)
-	if per > 8 {
-		t.Errorf("cached FetchAdd allocates %.2f (> 8): atomic hot path regressed", per)
+	if per > 0.05 {
+		t.Errorf("cached FetchAdd allocates %.2f (> 0.05): atomic hot path regressed", per)
 	}
 }
 

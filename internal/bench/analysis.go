@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"xlupc/internal/core"
-	"xlupc/internal/dis"
 	"xlupc/internal/svd"
 	"xlupc/internal/trace"
 	"xlupc/internal/transport"
@@ -35,20 +34,6 @@ func PrintFootprint(w io.Writer) {
 // form: the share of time the Field stressmark's threads spend blocked
 // in remote GETs on GM, with and without the address cache.
 func PrintFieldTrace(w io.Writer, seed int64) {
-	run := func(cc core.CacheConfig) *trace.Trace {
-		tr := trace.New()
-		rt, err := core.NewRuntime(core.Config{
-			Threads: 16, Nodes: 4, Profile: transport.GM(), Cache: cc, Seed: seed, Trace: tr,
-		})
-		if err != nil {
-			panic(err)
-		}
-		p := dis.Default(16)
-		if _, err := rt.Run(func(t *core.Thread) { dis.Field(t, p) }); err != nil {
-			panic(err)
-		}
-		return tr
-	}
 	for _, cached := range []bool{false, true} {
 		cc := core.NoCache()
 		label := "without cache"
@@ -56,18 +41,18 @@ func PrintFieldTrace(w io.Writer, seed int64) {
 			cc = core.DefaultCache()
 			label = "with cache"
 		}
-		tr := run(cc)
-		total := tr.TotalByState()
-		var sum int64
-		for _, v := range total {
-			sum += int64(v)
+		tel, _, err := PhaseRun("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, cc, seed)
+		if err != nil {
+			panic(err)
 		}
-		gw := total[trace.StateGetWait]
-		pct := 0.0
-		if sum > 0 {
-			pct = 100 * float64(gw) / float64(sum)
+		tr := trace.FromSpans(tel)
+		var gw trace.Profile
+		for _, p := range tr.Profiles() {
+			if p.State == trace.StateGetWait {
+				gw = p
+			}
 		}
 		fmt.Fprintf(w, "%-14s GET-wait %v (%.1f%% of traced time), longest single wait %v\n",
-			label, gw, pct, tr.MaxInterval(trace.StateGetWait).Dur())
+			label, gw.Total, 100*gw.Share, tr.MaxInterval(trace.StateGetWait).Dur())
 	}
 }

@@ -29,9 +29,6 @@ func SetFlight(cfg *flight.Config) *flight.Config {
 	return flightCfg.Swap(cfg)
 }
 
-// Flight reports the sweep drivers' current flight configuration.
-func Flight() *flight.Config { return flightCfg.Load() }
-
 // divergenceDump writes rt's all-node flight tail (when a recorder is
 // attached and a dump sink configured) before a checksum-divergence
 // panic, so the wire history leading to the divergence is not lost with

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -90,6 +92,49 @@ func TestParseSweepFlags(t *testing.T) {
 			t.Errorf("ParseSweepFlags(%d) = %v; want it accepted", c.reps, err)
 		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
 			t.Errorf("ParseSweepFlags(%d): error %v, want one mentioning %q", c.reps, err, c.err)
+		}
+	}
+}
+
+func TestParseFlightFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name    string
+		on      bool
+		path    string
+		err     string // substring of the error; "" = accepted
+		flight  bool   // a recorder is attached to the sweeps afterwards
+		capture bool   // finish leaves a non-empty file at path
+	}{
+		{"off", false, "", "", false, false},
+		{"-flight", true, "", "", true, false},
+		{"-flight-dump implies -flight", false, filepath.Join(dir, "a.dump"), "", true, true},
+		{"both", true, filepath.Join(dir, "b.dump"), "", true, true},
+		{"bad path", false, filepath.Join(dir, "missing", "x.dump"), "no such file or directory", false, false},
+	} {
+		SetFlight(nil)
+		finish, err := ParseFlightFlags(c.on, c.path)
+		attached := SetFlight(nil) != nil
+		switch {
+		case c.err != "":
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.err)
+			}
+			continue
+		case err != nil:
+			t.Errorf("%s: %v; want it accepted", c.name, err)
+			continue
+		}
+		if attached != c.flight {
+			t.Errorf("%s: recorder attached = %v, want %v", c.name, attached, c.flight)
+		}
+		if err := finish(1); err != nil {
+			t.Errorf("%s: finish: %v", c.name, err)
+		}
+		if c.capture {
+			if raw, err := os.ReadFile(c.path); err != nil || len(raw) == 0 {
+				t.Errorf("%s: clean run left %d bytes in %s (err %v), want a capture", c.name, len(raw), c.path, err)
+			}
 		}
 	}
 }

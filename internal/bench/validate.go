@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"os"
 	"strconv"
 	"strings"
+
+	"xlupc/internal/flight"
 )
 
 // ValidateScale checks the thread/node counts the hybrid mapping
@@ -83,4 +87,32 @@ func ValidatePositive(flagName string, v int64) error {
 // print as n/a, with exit status 0.
 func ParseSweepFlags(reps int) error {
 	return ValidatePositive("-reps", int64(reps))
+}
+
+// ParseFlightFlags applies the -flight / -flight-dump pair of
+// xlupc-report and xlupc-chaos before any sweep starts: -flight
+// attaches a recorder to every chaos/crash run (SetFlight) dumping to
+// stderr; -flight-dump PATH implies it and dumps to PATH instead (an
+// unwritable PATH is a usage error: exit 2). The caller runs finish
+// after its sweeps: it adds a representative capture (FlightCapture)
+// so a clean run does not leave PATH empty, and closes the file.
+func ParseFlightFlags(on bool, dumpPath string) (finish func(seed int64) error, err error) {
+	if dumpPath == "" {
+		if on {
+			SetFlight(&flight.Config{Dump: os.Stderr})
+		}
+		return func(int64) error { return nil }, nil
+	}
+	f, err := os.Create(dumpPath)
+	if err != nil {
+		return nil, err
+	}
+	SetFlight(&flight.Config{Dump: f})
+	return func(seed int64) error {
+		err := FlightCapture(f, seed)
+		if err != nil {
+			err = fmt.Errorf("flight capture: %v", err)
+		}
+		return errors.Join(err, f.Close())
+	}, nil
 }

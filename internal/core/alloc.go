@@ -296,7 +296,7 @@ func (rt *Runtime) handleFreeReq(p *sim.Proc, n *transport.Node, msg *transport.
 	}
 	ns.dropObjectC(p.Cont(), m.H, p.Wake())
 	p.Await()
-	rt.M.ReplyAM(p, n.ID, msg.Src, hFreeAck, &freeAck{Acks: m.Acks}, nil, 0)
+	rt.M.SendAM(p, n.ID, msg.Src, hFreeAck, &freeAck{Acks: m.Acks}, nil, 0)
 }
 
 func (rt *Runtime) handleFreeAck(p *sim.Proc, n *transport.Node, msg *transport.Msg) {

@@ -147,7 +147,7 @@ func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) {
 	t.rn, t.start = rn, t.Now()
 	t.span = t.rt.tel.StartSpan("atomic", t.id, t.ns.id, t.start)
 	t.span.SetBytes(op.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+op.String()+`"`, 1)
+	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", op.String(), 1)
 	if t.ns.cache != nil {
 		t.t0 = t.Now()
 		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcAtomicLookup))
@@ -316,8 +316,9 @@ func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint
 
 	t.rn, t.start = rn, t.Now()
 	t.span = t.rt.tel.StartSpan("atomic", t.id, t.ns.id, t.start)
+	t.span.MarkSplit()
 	t.span.SetBytes(aop.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+aop.String()+`"`, 1)
+	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", aop.String(), 1)
 	if t.ns.cache != nil {
 		t.t0 = t.Now()
 		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcNbAtomicLookup))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"xlupc/internal/sim"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -91,7 +90,6 @@ func (t *Thread) barrier() {
 
 func (t *Thread) barrierFenced() {
 	t.bspan = t.rt.tel.StartSpan("barrier", t.id, t.ns.id, t.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateBarrier, t.Now())
 	t.park(pcBarrierDone)
 	t.c.Sleep(localBarrierCost, t.after(pcBarrierArrive))
 }
@@ -129,7 +127,6 @@ func (t *Thread) barrierRelease() {
 }
 
 func (t *Thread) barrierDone() {
-	t.rt.cfg.Trace.End(t.id, t.Now())
 	t.bspan.Finish(t.Now())
 	t.bspan = nil
 	t.c.Resume()

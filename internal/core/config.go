@@ -15,7 +15,6 @@ import (
 	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/telemetry"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -91,15 +90,13 @@ type Config struct {
 	// Seed drives all pseudo-randomness in the run (workloads,
 	// eviction tie-breaks), making runs reproducible.
 	Seed int64
-	// Trace, when non-nil, receives Paraver-style per-thread state
-	// intervals (compute, get-wait, barrier, ...) — the tooling behind
-	// the paper's §4.6 Field analysis. Tracing costs no virtual time.
-	Trace *trace.Trace
 	// Telemetry, when non-nil, receives metrics and per-operation spans
 	// from every layer of the run: protocol choices, phase timings,
-	// cache/pin/resource statistics. Like Trace it costs no virtual
-	// time — a run with telemetry finishes at the identical virtual
-	// instant as one without.
+	// cache/pin/resource statistics, plus the compute intervals between
+	// operations (trace.FromSpans turns the two into the per-thread
+	// state view of the paper's §4.6 Field analysis). It costs no
+	// virtual time — a run with telemetry finishes at the identical
+	// virtual instant as one without.
 	Telemetry *telemetry.Telemetry
 	// Pin, when non-nil, overrides the profile's pinning policy and
 	// registration limits — the knob behind the pin-everything vs

@@ -8,7 +8,6 @@ import (
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -286,7 +285,7 @@ func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg)
 	t0 = p.Now()
 	base, epoch := ns.pinChunk(p, cb) // rendezvous always registers
 	msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	rt.M.ReplyAMSpan(p, n.ID, msg.Src, hRTR,
+	rt.M.SendAMSpan(p, n.ID, msg.Src, hRTR,
 		&rtr{H: m.H, Base: base, Epoch: epoch, OK: base != 0, Done: m.Done}, nil, piggybackBytes, msg.Span)
 }
 
@@ -332,7 +331,6 @@ func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
 	t.rn = rn
 	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
 	t.span.SetBytes(len(dst))
-	t.rt.cfg.Trace.Begin(t.id, trace.StateGetWait, start)
 	if t.ns.cache != nil {
 		t.t0 = t.Now()
 		t.c.Sleep(prof.CacheLookupCost, t.after(pcGetLookup))
@@ -454,10 +452,10 @@ func (t *Thread) getRDMA2Done() {
 	t.getNacked((*Thread).eagerGet)
 }
 
-// getFinish closes out the remote GET: trace, span, counters.
+// getFinish closes out the remote GET — a blocking one, or a
+// split-phase one redone at retire: span, counters.
 func (t *Thread) getFinish() {
 	t.a, t.buf = nil, nil
-	t.rt.cfg.Trace.End(t.id, t.Now())
 	t.getRetired()
 }
 
@@ -528,7 +526,6 @@ func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 	t.rn = rn
 	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
 	t.span.SetBytes(len(src))
-	t.rt.cfg.Trace.Begin(t.id, trace.StatePut, start)
 	if t.ns.cache != nil && t.rt.putCache {
 		t.t0 = t.Now()
 		t.c.Sleep(prof.CacheLookupCost, t.after(pcPutLookup))
@@ -620,7 +617,6 @@ func (t *Thread) putRendezvoused() {
 
 func (t *Thread) putFinish() {
 	t.a, t.buf = nil, nil
-	t.rt.cfg.Trace.End(t.id, t.Now())
 	t.putRetired()
 }
 
@@ -650,7 +646,7 @@ func (t *Thread) healStaleC(rn int, ep uint32, op string, span *telemetry.Span, 
 	t.c.Sleep(sim.Time(n)*t.rt.cfg.Profile.CacheLookupCost, func() {
 		span.Phase(telemetry.PhaseEpochRecovery, t0, t.Now())
 		t.rt.staleInvalidated += int64(n)
-		t.rt.tel.Add("xlupc_stale_recoveries_total", `op="`+op+`"`, 1)
+		t.rt.tel.AddLabeled("xlupc_stale_recoveries_total", "op", op, 1)
 		t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
 		then(true)
 	})

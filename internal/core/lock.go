@@ -5,7 +5,6 @@ import (
 
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -78,11 +77,7 @@ func (ns *nodeState) lockState(h svd.Handle) *lockHome {
 // Lock acquires l (upc_lock), blocking until granted.
 func (t *Thread) Lock(l *Lock) {
 	span := t.rt.tel.StartSpan("lock", t.id, t.ns.id, t.p.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateLockWait, t.p.Now())
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-	}()
+	defer func() { span.Finish(t.p.Now()) }()
 	if t.ns.id == l.home {
 		t.p.Sleep(lockCPUCost)
 		lh := t.ns.lockState(l.h)
@@ -159,7 +154,7 @@ func (rt *Runtime) handleLockReq(p *sim.Proc, n *transport.Node, msg *transport.
 	lh := ns.lockState(m.H)
 	if !lh.held {
 		lh.held = true
-		rt.M.ReplyAM(p, n.ID, msg.Src, hLockGrant, &lockGrant{Done: m.Done}, nil, 0)
+		rt.M.SendAM(p, n.ID, msg.Src, hLockGrant, &lockGrant{Done: m.Done}, nil, 0)
 		return
 	}
 	lh.queue = append(lh.queue, &lockWaiter{node: msg.Src, done: m.Done})
@@ -184,7 +179,7 @@ func (rt *Runtime) handleLockTry(p *sim.Proc, n *transport.Node, msg *transport.
 	if ok {
 		lh.held = true
 	}
-	rt.M.ReplyAM(p, n.ID, msg.Src, hLockTryRep, &tryResult{OK: ok, Done: m.Done}, nil, 0)
+	rt.M.SendAM(p, n.ID, msg.Src, hLockTryRep, &tryResult{OK: ok, Done: m.Done}, nil, 0)
 }
 
 func (rt *Runtime) handleLockTryRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {

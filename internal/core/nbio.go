@@ -300,7 +300,7 @@ func (t *Thread) retireWoke() {
 		t.getRetired()
 	case subGetRDMA:
 		if nacked {
-			t.park(pcRedoneGet)
+			t.park(pcGetFinish)
 			t.getNacked((*Thread).eagerGet)
 			return
 		}
@@ -326,11 +326,6 @@ func (t *Thread) retireWoke() {
 	}
 }
 
-func (t *Thread) redoneGet() {
-	t.a, t.buf = nil, nil
-	t.getRetired()
-}
-
 // nbGetRun issues one single-affinity run of a split-phase GET.
 func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
 	prof := t.rt.cfg.Profile
@@ -345,6 +340,7 @@ func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
 	}
 	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), dst, t.Now()
 	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, t.start)
+	t.span.MarkSplit()
 	t.span.SetBytes(len(dst))
 	if t.ns.cache != nil {
 		t.t0 = t.Now()
@@ -385,6 +381,7 @@ func (t *Thread) nbPutRun(a *SharedArray, idx int64, src []byte) {
 	}
 	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), src, t.Now()
 	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, t.start)
+	t.span.MarkSplit()
 	t.span.SetBytes(len(src))
 	t.done = sim.NewCompletion(t.rt.K, "nb-put")
 	if t.ns.cache != nil && t.rt.putCache {

@@ -9,6 +9,7 @@ import (
 
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
@@ -871,9 +872,9 @@ func TestRunTwiceRejected(t *testing.T) {
 // Tracing integration: a traced run records the expected states with
 // plausible durations and costs no virtual time.
 func TestTraceIntegration(t *testing.T) {
-	run := func(tr *trace.Trace) sim.Time {
+	run := func(tel *telemetry.Telemetry) sim.Time {
 		c := cfg(4, 2, transport.GM(), DefaultCache())
-		c.Trace = tr
+		c.Telemetry = tel
 		st := mustRun(t, c, func(th *Thread) {
 			a := th.AllAlloc("A", 32, 8, 8)
 			th.Barrier()
@@ -886,13 +887,13 @@ func TestTraceIntegration(t *testing.T) {
 		})
 		return st.Elapsed
 	}
-	tr := trace.New()
-	traced := run(tr)
+	tel := telemetry.New()
+	traced := run(tel)
 	untraced := run(nil)
 	if traced != untraced {
 		t.Fatalf("tracing changed virtual time: %v vs %v", traced, untraced)
 	}
-	totals := tr.TotalByState()
+	totals := trace.FromSpans(tel).TotalByState()
 	if totals[trace.StateCompute] < 4*5*sim.Us {
 		t.Errorf("compute time %v under-recorded", totals[trace.StateCompute])
 	}

@@ -8,7 +8,6 @@ import (
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -203,7 +202,6 @@ const (
 	pcSyncAllRetired
 	pcRetireWoke
 	pcRetireNext
-	pcRedoneGet
 	pcRedoneAtomic
 
 	pcBarrierFenced
@@ -294,7 +292,6 @@ func init() {
 		pcSyncAllRetired: (*Thread).syncAllRetired,
 		pcRetireWoke:     (*Thread).retireWoke,
 		pcRetireNext:     (*Thread).retireNext,
-		pcRedoneGet:      (*Thread).redoneGet,
 		pcRedoneAtomic:   (*Thread).redoneAtomic,
 
 		pcBarrierFenced:  (*Thread).barrierFenced,
@@ -408,8 +405,7 @@ func (t *Thread) compute(d sim.Duration) {
 		t.c.Resume()
 		return
 	}
-	t.rt.cfg.Trace.Begin(t.id, trace.StateCompute, t.Now())
-	t.d = d
+	t.t0, t.d = t.Now(), d
 	t.ns.tn.CPU.AcquireCont(t.c, t.after(pcComputeAcquired))
 }
 
@@ -417,7 +413,7 @@ func (t *Thread) computeAcquired() { t.c.Sleep(t.d, t.after(pcComputeDone)) }
 
 func (t *Thread) computeDone() {
 	t.ns.tn.CPU.Release()
-	t.rt.cfg.Trace.End(t.id, t.Now())
+	t.rt.tel.AddCompute(t.id, t.t0, t.Now())
 	t.c.Resume()
 }
 
@@ -462,12 +458,10 @@ func (t *Thread) fenceSynced() {
 		return
 	}
 	t.fspan = t.rt.tel.StartSpan("fence", t.id, t.ns.id, t.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateFenceWait, t.Now())
 	t.acks.WaitFn(t.c, t.after(pcFenceDone))
 }
 
 func (t *Thread) fenceDone() {
-	t.rt.cfg.Trace.End(t.id, t.Now())
 	t.fspan.Finish(t.Now())
 	t.fspan = nil
 	t.c.Resume()

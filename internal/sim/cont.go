@@ -9,7 +9,7 @@ package sim
 // thread scales the paper's SVD argument is about, that difference —
 // and the per-process stacks — is what bounds the simulator, so the
 // hot blocking primitives (Sleep, Completion.Wait,
-// Counter.Wait, Resource.Acquire, Queue.Pop) all have continuation
+// Counter.Wait, Resource.Acquire) all have continuation
 // variants whose kernel event sequences are bit-identical to their
 // blocking twins: a run executed in either mode produces the same
 // (time, seq) event stream, clock, and statistics. Layers above build

@@ -11,7 +11,7 @@ type Queue[T any] struct {
 	ws      string // memoized park diagnostic, built on first blocked pop
 	items   []T    // live window is items[head:]
 	head    int
-	waiters []waiter // consumers parked in Pop/PopC
+	waiters []waiter // consumers parked in Pop
 	notify  func()   // callback consumer hook, invoked after each Push
 	pushes  int64
 	maxLen  int
@@ -101,23 +101,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		p.park(q.popState())
 	}
 	return q.take()
-}
-
-// PopC removes the oldest item and passes it to fn, blocking a
-// continuation-mode thread until one is available — the continuation
-// twin of Pop, including the re-check after a wake: if another
-// consumer drained the queue first, the continuation re-registers,
-// exactly like the blocking loop re-parking.
-func (q *Queue[T]) PopC(ct *Cont, fn func(v T)) {
-	if q.Len() > 0 {
-		fn(q.take())
-		return
-	}
-	ct.block(q.popState())
-	q.waiters = append(q.waiters, waiter{fn: func() {
-		ct.unblock()
-		q.PopC(ct, fn)
-	}})
 }
 
 // TryPop removes and returns the oldest item without blocking.

@@ -60,6 +60,11 @@ type Span struct {
 	End    sim.Time // -1 while open
 	Phases []Phase
 
+	// Split marks a span opened by split-phase issue (NbGet, NbPut,
+	// NbFetchAdd): its thread runs on while it is open, so it is the
+	// operation's latency, not time the thread waited.
+	Split bool
+
 	tel *Telemetry
 }
 
@@ -68,6 +73,13 @@ type Span struct {
 func (s *Span) SetProto(proto string) {
 	if s != nil {
 		s.Proto = proto
+	}
+}
+
+// MarkSplit records that the operation was issued split-phase.
+func (s *Span) MarkSplit() {
+	if s != nil {
+		s.Split = true
 	}
 }
 
@@ -94,18 +106,6 @@ func (s *Span) Dur() sim.Time {
 		return 0
 	}
 	return s.End - s.Start
-}
-
-// Attributed sums the recorded phases.
-func (s *Span) Attributed() sim.Time {
-	if s == nil {
-		return 0
-	}
-	var t sim.Time
-	for _, ph := range s.Phases {
-		t += ph.Dur()
-	}
-	return t
 }
 
 // Finish closes the span at the given time and feeds the registry:

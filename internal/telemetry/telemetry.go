@@ -24,17 +24,24 @@ import (
 // Telemetry is one run's telemetry hub: a metrics registry plus the
 // span store. Create with New; attach to a run via core.Config.
 type Telemetry struct {
-	reg   Registry
-	spans []*Span
+	reg      Registry
+	spans    []*Span
+	computes []Compute
+}
+
+// Compute is one interval of modeled local computation: what the
+// spans do not cover of "where do the threads spend their time"
+// (§4.6). It is kept beside them, not as a span, so the exports and
+// metrics describe runtime operations only.
+type Compute struct {
+	Thread     int
+	Start, End sim.Time
 }
 
 // New returns an empty, enabled telemetry hub.
 func New() *Telemetry {
 	return &Telemetry{reg: Registry{metrics: make(map[string]*metric)}}
 }
-
-// Enabled reports whether the hub records anything (nil = disabled).
-func (t *Telemetry) Enabled() bool { return t != nil }
 
 // Registry exposes the metrics registry, or nil when disabled.
 func (t *Telemetry) Registry() *Registry {
@@ -64,6 +71,22 @@ func (t *Telemetry) StartSpan(op string, thread, node int, at sim.Time) *Span {
 	return s
 }
 
+// AddCompute records that thread computed over [start, end].
+func (t *Telemetry) AddCompute(thread int, start, end sim.Time) {
+	if t == nil {
+		return
+	}
+	t.computes = append(t.computes, Compute{Thread: thread, Start: start, End: end})
+}
+
+// Computes returns the compute intervals recorded so far, in end order.
+func (t *Telemetry) Computes() []Compute {
+	if t == nil {
+		return nil
+	}
+	return t.computes
+}
+
 // Add increments the counter name{labels} by n. labels is a
 // pre-formatted Prometheus label body (`key="value",...`) or "".
 func (t *Telemetry) Add(name, labels string, n int64) {
@@ -71,6 +94,15 @@ func (t *Telemetry) Add(name, labels string, n int64) {
 		return
 	}
 	t.reg.Counter(name, labels).Add(n)
+}
+
+// AddLabeled is Add for the series name{key="value"}; the label body
+// is built only when the hub is attached.
+func (t *Telemetry) AddLabeled(name, key, value string, n int64) {
+	if t == nil {
+		return
+	}
+	t.reg.Counter(name, key+`="`+value+`"`).Add(n)
 }
 
 // Set sets the gauge name{labels} to v.

@@ -225,10 +225,12 @@ func TestKindConflictPanics(t *testing.T) {
 
 func TestNilTelemetryIsSafe(t *testing.T) {
 	var tel *Telemetry
-	if tel.Enabled() {
-		t.Fatal("nil must report disabled")
-	}
 	tel.Add("a", "", 1)
+	tel.AddLabeled("a", "k", "v", 1)
+	tel.AddCompute(0, 0, 10)
+	if tel.Computes() != nil {
+		t.Fatal("nil Computes must be empty")
+	}
 	tel.Set("b", "", 2)
 	tel.Observe("c", "", 3)
 	s := tel.StartSpan("get", 0, 0, 0)
@@ -236,11 +238,12 @@ func TestNilTelemetryIsSafe(t *testing.T) {
 		t.Fatal("StartSpan on nil must return nil")
 	}
 	s.SetProto("rdma")
+	s.MarkSplit()
 	s.SetBytes(8)
 	s.Phase(PhaseWire, 0, 10)
 	s.Finish(10)
-	if s.Dur() != 0 || s.Attributed() != 0 {
-		t.Fatal("nil span must report zeros")
+	if s.Dur() != 0 {
+		t.Fatal("nil span must report zero")
 	}
 	if a := tel.Attribute("get"); a.Spans != 0 {
 		t.Fatal("nil Attribute must be empty")
@@ -346,7 +349,7 @@ func TestChromeTraceValidAndMonotone(t *testing.T) {
 func TestPrometheusNoDuplicateFamilies(t *testing.T) {
 	tel := New()
 	tel.Add("xlupc_msgs_total", `profile="gm"`, 3)
-	tel.Add("xlupc_msgs_total", `profile="lapi"`, 4)
+	tel.AddLabeled("xlupc_msgs_total", "profile", "lapi", 4) // the same series key as the pre-formatted form
 	tel.Set("xlupc_cache_hit_rate", "", 0.75)
 	tel.Observe("xlupc_op_latency", `op="get"`, 12345)
 	tel.Observe("xlupc_op_latency", `op="put"`, 54321)
@@ -365,6 +368,7 @@ func TestPrometheusNoDuplicateFamilies(t *testing.T) {
 	}
 	for _, want := range []string{
 		`xlupc_msgs_total{profile="gm"} 3`,
+		`xlupc_msgs_total{profile="lapi"} 4`,
 		"xlupc_cache_hit_rate 0.75",
 		`xlupc_op_latency_count{op="get"} 1`,
 		`le="+Inf"`,
@@ -376,5 +380,31 @@ func TestPrometheusNoDuplicateFamilies(t *testing.T) {
 	// Deterministic: a second rendering is identical.
 	if tel.Snapshot() != out {
 		t.Fatal("snapshot not deterministic")
+	}
+}
+
+// Compute intervals and the split mark feed the state view only: a hub
+// that carries them exports the same bytes as one that does not.
+func TestComputeAndSplitStayOutOfExports(t *testing.T) {
+	export := func(extra bool) string {
+		tel := New()
+		s := tel.StartSpan("get", 1, 0, 100)
+		s.SetProto("eager")
+		if extra {
+			s.MarkSplit()
+			tel.AddCompute(1, 0, 100)
+		}
+		s.Finish(400)
+		var sb strings.Builder
+		if err := tel.WriteChromeTrace(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if err := tel.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if export(true) != export(false) {
+		t.Fatalf("exports differ:\n%s\nvs\n%s", export(true), export(false))
 	}
 }

@@ -1,11 +1,11 @@
-// Package trace provides the Paraver-style state tracing the paper
-// used to analyze the Field stressmark (§4.6): per-thread intervals
+// Package trace provides the Paraver-style state view the paper used
+// to analyze the Field stressmark (§4.6): per-thread intervals
 // labelled with what the thread was doing (computing, waiting on a
-// GET, in a barrier, …) plus point events, with aggregation queries
-// and a writer producing a Paraver-like record stream.
+// GET, in a barrier, …), with aggregation queries and a writer
+// producing a Paraver-like record stream.
 //
-// The runtime emits intervals when a Trace is attached to a Config;
-// tracing costs no virtual time.
+// The runtime records one thing, the telemetry hub's spans and compute
+// intervals; FromSpans is the view of them this package queries.
 package trace
 
 import (
@@ -14,25 +14,24 @@ import (
 	"sort"
 
 	"xlupc/internal/sim"
+	"xlupc/internal/telemetry"
 )
 
 // State labels what a thread is doing during an interval.
 type State uint8
 
 const (
-	StateRunning   State = iota // program code outside the runtime
-	StateCompute                // modeled local computation
+	StateCompute   State = iota // modeled local computation
 	StateGetWait                // blocked in a GET
 	StatePut                    // issuing a PUT (initiator overhead)
 	StateFenceWait              // waiting for PUT completions
 	StateBarrier                // in the barrier
 	StateLockWait               // acquiring a lock
-	StateAlloc                  // allocation/free operations
 	numStates
 )
 
 var stateNames = [numStates]string{
-	"running", "compute", "get-wait", "put", "fence-wait", "barrier", "lock-wait", "alloc",
+	"compute", "get-wait", "put", "fence-wait", "barrier", "lock-wait",
 }
 
 func (s State) String() string {
@@ -52,18 +51,10 @@ type Interval struct {
 // Dur is the interval's length.
 func (iv Interval) Dur() sim.Time { return iv.End - iv.Start }
 
-// Event is a point annotation.
-type Event struct {
-	Thread int
-	Name   string
-	At     sim.Time
-}
-
-// Trace accumulates intervals and events for one run. The zero value
-// is not usable; call New.
+// Trace accumulates the intervals of one run. The zero value is not
+// usable; call New or FromSpans.
 type Trace struct {
 	intervals []Interval
-	events    []Event
 	open      map[int]*Interval
 }
 
@@ -75,18 +66,12 @@ func New() *Trace {
 // Begin opens a state interval for a thread, closing any interval that
 // was open (threads are in exactly one state at a time).
 func (tr *Trace) Begin(thread int, s State, at sim.Time) {
-	if tr == nil {
-		return
-	}
 	tr.End(thread, at)
 	tr.open[thread] = &Interval{Thread: thread, State: s, Start: at, End: -1}
 }
 
 // End closes the thread's open interval, if any, at the given time.
 func (tr *Trace) End(thread int, at sim.Time) {
-	if tr == nil {
-		return
-	}
 	if iv := tr.open[thread]; iv != nil {
 		iv.End = at
 		if iv.End > iv.Start { // drop zero-length intervals
@@ -96,19 +81,44 @@ func (tr *Trace) End(thread int, at sim.Time) {
 	}
 }
 
-// Mark records a point event.
-func (tr *Trace) Mark(thread int, name string, at sim.Time) {
-	if tr == nil {
-		return
-	}
-	tr.events = append(tr.events, Event{Thread: thread, Name: name, At: at})
+// waitStates maps a span's operation to the state its initiator is in
+// while it is open; alloc, free, atomic and user AMs have none.
+var waitStates = map[string]State{
+	"get":     StateGetWait,
+	"put":     StatePut,
+	"fence":   StateFenceWait,
+	"barrier": StateBarrier,
+	"lock":    StateLockWait,
 }
 
-// Intervals returns the closed intervals in emission order.
-func (tr *Trace) Intervals() []Interval { return tr.intervals }
+// FromSpans builds the state view of the run tel recorded: one
+// interval per finished remote span of a blocking operation (a local
+// access is not a wait, nor is a split-phase span, whose thread runs on
+// until the Sync that retires it) plus the hub's compute intervals, in
+// end order, ties in the hub's order. A nil hub gives an empty view.
+func FromSpans(tel *telemetry.Telemetry) *Trace {
+	var ivs []Interval
+	for _, s := range tel.Spans() {
+		st, ok := waitStates[s.Op]
+		if !ok || s.End < s.Start || s.Proto == "local" || s.Split {
+			continue
+		}
+		ivs = append(ivs, Interval{Thread: s.Thread, State: st, Start: s.Start, End: s.End})
+	}
+	for _, c := range tel.Computes() {
+		ivs = append(ivs, Interval{Thread: c.Thread, State: StateCompute, Start: c.Start, End: c.End})
+	}
+	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].End < ivs[j].End })
+	tr := New()
+	for _, iv := range ivs {
+		tr.Begin(iv.Thread, iv.State, iv.Start)
+		tr.End(iv.Thread, iv.End)
+	}
+	return tr
+}
 
-// Events returns the point events in emission order.
-func (tr *Trace) Events() []Event { return tr.events }
+// Intervals returns the closed intervals in the order End closed them.
+func (tr *Trace) Intervals() []Interval { return tr.intervals }
 
 // TotalByState sums interval durations per state across all threads.
 func (tr *Trace) TotalByState() map[State]sim.Time {
@@ -144,8 +154,7 @@ func (tr *Trace) MaxInterval(s State) Interval {
 
 // WritePRV emits the trace as Paraver-like records, one per line:
 //
-//	1:<thread>:<start_ps>:<end_ps>:<state>     state record
-//	2:<thread>:<time_ps>:<name>                event record
+//	1:<thread>:<start_ps>:<end_ps>:<state>
 //
 // sorted by start time. (Real .prv headers carry machine topology the
 // simulation does not need; the record bodies follow the same shape.)
@@ -154,13 +163,6 @@ func (tr *Trace) WritePRV(w io.Writer) error {
 	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
 	for _, iv := range ivs {
 		if _, err := fmt.Fprintf(w, "1:%d:%d:%d:%s\n", iv.Thread, iv.Start, iv.End, iv.State); err != nil {
-			return err
-		}
-	}
-	evs := append([]Event(nil), tr.events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for _, ev := range evs {
-		if _, err := fmt.Fprintf(w, "2:%d:%d:%s\n", ev.Thread, ev.At, ev.Name); err != nil {
 			return err
 		}
 	}

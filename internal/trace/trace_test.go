@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"xlupc/internal/sim"
+	"xlupc/internal/telemetry"
 )
 
 func TestBeginEndIntervals(t *testing.T) {
@@ -46,11 +48,53 @@ func TestZeroLengthIntervalsDropped(t *testing.T) {
 	}
 }
 
+// A detached hub (nil) gives an empty view whose queries and writer
+// work, so callers need no second nil check.
 func TestNilTraceIsSafe(t *testing.T) {
-	var tr *Trace
-	tr.Begin(0, StateCompute, 0) // must not panic
-	tr.End(0, 1)
-	tr.Mark(0, "x", 2)
+	tr := FromSpans(nil)
+	if len(tr.Intervals()) != 0 || len(tr.Profiles()) != 0 || tr.MaxInterval(StateGetWait).Dur() != 0 {
+		t.Fatalf("view of a nil hub is not empty: %+v", tr.Intervals())
+	}
+	if err := tr.WritePRV(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FromSpans keeps what blocked a thread and drops the rest.
+func TestFromSpans(t *testing.T) {
+	tel := telemetry.New()
+	span := func(op, proto string, thread int, start, end sim.Time) *telemetry.Span {
+		s := tel.StartSpan(op, thread, 0, start)
+		s.SetProto(proto)
+		if end >= 0 {
+			s.Finish(end)
+		}
+		return s
+	}
+	span("get", "eager", 0, 10, 30)
+	span("get", "local", 0, 30, 31)           // shared memory: not a wait
+	span("get", "rdma", 1, 0, 50).MarkSplit() // the thread ran on
+	span("get", "rdma", 1, 60, -1)            // never finished
+	span("alloc", "collective", 2, 0, 5)      // no §4.6 state
+	span("kv_put", "am", 2, 5, 9)             // user AM: no §4.6 state
+	span("barrier", "", 1, 50, 55)
+	span("put", "rdma", 0, 31, 31) // zero length
+	tel.AddCompute(2, 9, 20)
+
+	want := []Interval{
+		{Thread: 2, State: StateCompute, Start: 9, End: 20},
+		{Thread: 0, State: StateGetWait, Start: 10, End: 30},
+		{Thread: 1, State: StateBarrier, Start: 50, End: 55},
+	}
+	got := FromSpans(tel).Intervals()
+	if len(got) != len(want) {
+		t.Fatalf("intervals %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("interval %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
 }
 
 func TestTotalsAndThreadTotal(t *testing.T) {
@@ -104,17 +148,13 @@ func TestWritePRVFormat(t *testing.T) {
 	tr := New()
 	tr.Begin(2, StateBarrier, 5*sim.Us)
 	tr.End(2, 7*sim.Us)
-	tr.Mark(2, "free", 6*sim.Us)
 	var sb strings.Builder
 	if err := tr.WritePRV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "1:2:5000000:7000000:barrier") {
-		t.Fatalf("state record missing:\n%s", out)
-	}
-	if !strings.Contains(out, "2:2:6000000:free") {
-		t.Fatalf("event record missing:\n%s", out)
+	if out != "1:2:5000000:7000000:barrier\n" {
+		t.Fatalf("state record wrong:\n%s", out)
 	}
 }
 
@@ -192,7 +232,8 @@ func TestWritePRVPropagatesWriteErrors(t *testing.T) {
 	tr.End(0, 10*sim.Us)
 	tr.Begin(1, StateGetWait, 5*sim.Us)
 	tr.End(1, 20*sim.Us)
-	tr.Mark(0, "ev", 15*sim.Us)
+	tr.Begin(0, StateBarrier, 15*sim.Us)
+	tr.End(0, 16*sim.Us)
 
 	// Count how many writes a full dump takes, then fail at each
 	// earlier position in turn: every failure must surface.

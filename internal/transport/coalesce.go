@@ -249,7 +249,7 @@ func (c *coalescer) noteFlush(reason string) {
 	default:
 		c.stats.SyncFlushes++
 	}
-	c.m.Tel.Add("xlupc_coalesce_flushes_total", `reason="`+reason+`"`, 1)
+	c.m.Tel.AddLabeled("xlupc_coalesce_flushes_total", "reason", reason, 1)
 }
 
 // stamp records the coalesce-flush phase (buffer residency) and the

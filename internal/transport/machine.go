@@ -234,7 +234,7 @@ func (m *Machine) CrashNode(node int, backAt sim.Time) uint32 {
 	if m.rel != nil {
 		m.rel.peerReset(node)
 	}
-	m.Tel.Add("xlupc_crash_total", fmt.Sprintf(`node="%d"`, node), 1)
+	m.Tel.AddLabeled("xlupc_crash_total", "node", strconv.Itoa(node), 1)
 	m.FR.Record(node, flight.Event{
 		T: m.K.Now(), Kind: flight.KindCrash,
 		Src: int32(node), Dst: -1, Seq: uint64(nd.Epoch), Arg: int64(backAt),
@@ -249,7 +249,7 @@ func (m *Machine) noteStale(op string) {
 		return
 	}
 	m.crash.stats.StaleNacks++
-	m.Tel.Add("xlupc_stale_nacks_total", `op="`+op+`"`, 1)
+	m.Tel.AddLabeled("xlupc_stale_nacks_total", "op", op, 1)
 }
 
 // noteRecovered marks a restarted node as fully recovered the first
@@ -344,7 +344,10 @@ func (m *Machine) SendAMSpanC(ct *sim.Cont, src, dst int, id HandlerID, meta any
 }
 
 // SendAMSpan is SendAMSpanC for a process (dispatcher handlers, locks,
-// collectives): it returns once the message is on the wire.
+// collectives): it returns once the message is on the wire. A handler
+// replies with it too — the dispatcher is the sending process and keeps
+// holding Comm, so on non-overlapping transports reply construction
+// occupies the CPU.
 func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
 	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.Wake())
 	p.Await()
@@ -353,16 +356,4 @@ func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, 
 // SendAM is SendAMSpan without a telemetry span.
 func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
 	m.SendAMSpan(p, src, dst, id, meta, payload, extra, nil)
-}
-
-// ReplyAM is SendAM for use inside handlers (identical mechanics; the
-// dispatcher is the sending process and keeps holding Comm, so on
-// non-overlapping transports reply construction occupies the CPU).
-func (m *Machine) ReplyAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
-	m.SendAM(p, src, dst, id, meta, payload, extra)
-}
-
-// ReplyAMSpan is ReplyAM carrying the operation's span into the reply.
-func (m *Machine) ReplyAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
-	m.SendAMSpan(p, src, dst, id, meta, payload, extra, span)
 }

@@ -388,7 +388,7 @@ func (m *Machine) nbResult(done *sim.Completion, opName string, span *telemetry.
 // noteNack counts an RDMA NACK observed by the initiator.
 func (m *Machine) noteNack(op string) {
 	m.nacks++
-	m.Tel.Add("xlupc_rdma_nacks_total", `op="`+op+`"`, 1)
+	m.Tel.AddLabeled("xlupc_rdma_nacks_total", "op", op, 1)
 }
 
 // recordNack flight-records an RDMA refusal at the target engine. For

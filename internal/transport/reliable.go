@@ -255,7 +255,7 @@ func (rl *reliability) expire(pk *relPacket) {
 		// RTO are untouched, and the real retransmit happens (and
 		// records its retry phase) once the peer is back.
 		rl.stats.Parked++
-		m.Tel.Add("xlupc_transport_parked_total", `class="`+classLabel(env.class)+`"`, 1)
+		m.Tel.AddLabeled("xlupc_transport_parked_total", "class", classLabel(env.class), 1)
 		m.FR.Record(int(env.src), flight.Event{
 			T: m.K.Now(), Kind: flight.KindPark, Class: flclass(env.class),
 			Src: env.src, Dst: env.dst, Seq: env.seq, Arg: int64(du),
@@ -269,7 +269,7 @@ func (rl *reliability) expire(pk *relPacket) {
 			Src:   int(env.src), Dst: int(env.dst), Seq: env.seq,
 			Attempts: pk.attempt + 1, At: m.K.Now(),
 		}
-		m.Tel.Add("xlupc_transport_failures_total", `class="`+rl.failed.Class+`"`, 1)
+		m.Tel.AddLabeled("xlupc_transport_failures_total", "class", rl.failed.Class, 1)
 		m.FR.Record(int(env.src), flight.Event{
 			T: m.K.Now(), Kind: flight.KindRetryFail, Class: flclass(env.class),
 			Src: env.src, Dst: env.dst, Seq: env.seq, Arg: int64(pk.attempt + 1),
@@ -280,7 +280,7 @@ func (rl *reliability) expire(pk *relPacket) {
 	pk.attempt++
 	pk.rto *= 2
 	rl.stats.Retransmits++
-	m.Tel.Add("xlupc_transport_retransmits_total", `class="`+classLabel(env.class)+`"`, 1)
+	m.Tel.AddLabeled("xlupc_transport_retransmits_total", "class", classLabel(env.class), 1)
 	m.FR.Record(int(env.src), flight.Event{
 		T: m.K.Now(), Kind: flight.KindRetransmit, Class: flclass(env.class),
 		Src: env.src, Dst: env.dst, Seq: env.seq, Arg: int64(pk.attempt),
@@ -336,7 +336,7 @@ func (rl *reliability) deliver(dst int, class fabric.Class, raw any) {
 		key := relKey{v.src, v.dst, v.seq, v.epoch}
 		if _, dup := rl.seen[key]; dup {
 			rl.stats.DupSuppressed++
-			rl.m.Tel.Add("xlupc_transport_dup_suppressed_total", `class="`+classLabel(v.class)+`"`, 1)
+			rl.m.Tel.AddLabeled("xlupc_transport_dup_suppressed_total", "class", classLabel(v.class), 1)
 			rl.m.FR.Record(dst, flight.Event{
 				T: rl.m.K.Now(), Kind: flight.KindDupSuppress, Class: flclass(v.class),
 				Src: v.src, Dst: v.dst, Seq: v.seq,

@@ -72,7 +72,7 @@ func TestAMRoundTrip(t *testing.T) {
 	}
 	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
 		p.Sleep(1 * sim.Us) // handler work
-		m.ReplyAM(p, n.ID, msg.Src, hPong, msg.Meta, nil, 0)
+		m.SendAM(p, n.ID, msg.Src, hPong, msg.Meta, nil, 0)
 	})
 	m.Handle(hPong, func(p *sim.Proc, n *Node, msg *Msg) {
 		msg.Meta.(*pingMeta).done.Complete(nil)
