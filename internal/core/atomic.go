@@ -382,18 +382,9 @@ func (t *Thread) redoneAtomic() {
 func (rt *Runtime) handleAtomic(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
 	ns := rt.nodes[n.ID]
 	m := msg.Meta.(*atomicReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
+	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
+	if !ok {
 		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
 	}
 	// Charge the cost first, then update in one indivisible step so
 	// parallel handler contexts (LAPI) cannot interleave mid-RMW.

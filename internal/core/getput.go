@@ -171,25 +171,36 @@ func (ns *nodeState) pinChunk(p *sim.Proc, cb *svd.ControlBlock) (mem.Addr, uint
 	return base, epoch
 }
 
-func (rt *Runtime) handleGetReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*getReq)
+// translate is the target-side preamble of every request that names a
+// shared object: resolve handle h in the SVD and, when the initiator
+// wants the address (wantAddr), pin the chunk and return the (base,
+// epoch) pair to piggyback on the reply. ok is false when the handle
+// is not known yet and msg was requeued: the handler returns at once.
+func (ns *nodeState) translate(p *sim.Proc, msg *transport.Msg, h svd.Handle, wantAddr bool) (cb *svd.ControlBlock, base mem.Addr, epoch uint32, ok bool) {
 	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
+	cb, requeued := ns.resolve(p, h, msg)
 	if requeued {
-		return
+		return nil, 0, 0, false
 	}
 	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
+	if wantAddr {
 		t0 = p.Now()
 		base, epoch = ns.pinChunk(p, cb)
 		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
 	}
+	return cb, base, epoch, true
+}
+
+func (rt *Runtime) handleGetReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+	ns := rt.nodes[n.ID]
+	m := msg.Meta.(*getReq)
+	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
+	if !ok {
+		return
+	}
 	// Eager reply: the data is copied into a (pre-registered) bounce
 	// buffer before injection — the copy cost that RDMA avoids.
-	t0 = p.Now()
+	t0 := p.Now()
 	p.Sleep(sim.BytesTime(m.Size, rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
 	data := n.Mem.ReadAlloc(cb.LocalBase+mem.Addr(m.Off), m.Size)
@@ -240,21 +251,12 @@ func (rt *Runtime) insertPiggyback(p *sim.Proc, ns *nodeState, src int, own svd.
 func (rt *Runtime) handlePutReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
 	ns := rt.nodes[n.ID]
 	m := msg.Meta.(*putReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
+	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
+	if !ok {
 		return
 	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	}
 	// Copy from the receive bounce buffer into place.
-	t0 = p.Now()
+	t0 := p.Now()
 	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
 	n.Mem.Write(cb.LocalBase+mem.Addr(m.Off), msg.Payload)
@@ -276,15 +278,10 @@ func (rt *Runtime) handlePutAck(p *sim.Proc, n *transport.Node, msg *transport.M
 func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
 	ns := rt.nodes[n.ID]
 	m := msg.Meta.(*rts)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
+	_, base, epoch, ok := ns.translate(p, msg, m.H, true) // rendezvous always registers
+	if !ok {
 		return
 	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	t0 = p.Now()
-	base, epoch := ns.pinChunk(p, cb) // rendezvous always registers
-	msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
 	rt.M.SendAMSpan(p, n.ID, msg.Src, hRTR,
 		&rtr{H: m.H, Base: base, Epoch: epoch, OK: base != 0, Done: m.Done}, nil, piggybackBytes, msg.Span)
 }

@@ -504,6 +504,12 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 	if rt.cfg.Cache.Adaptive != nil {
 		tel.Add("xlupc_addrcache_resizes_total", "", st.Cache.Resizes)
 	}
+	// The header bytes coalescing kept off the wire: a gauge, because a
+	// one-message frame saves a negative amount (its sub-header) and the
+	// run's total moves both ways.
+	if rt.cfg.Coalesce != nil {
+		tel.Set("xlupc_coalesce_saved_bytes", "", float64(st.CoalSavedBytes))
+	}
 	// Atomic aggregates likewise only exist once an atomic was issued
 	// (the per-op xlupc_atomic_ops_total counters appear at issue time),
 	// so exporter output for atomic-free runs stays identical.

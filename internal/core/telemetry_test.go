@@ -199,3 +199,31 @@ func TestRunStatsPinCounters(t *testing.T) {
 		t.Errorf("free must deregister: unpins=%d deregTime=%v", st.Unpins, st.DeregTime)
 	}
 }
+
+// A hub attached to a coalescing run must survive a one-message frame,
+// whose "saved" bytes are negative: the saving is published once, as a
+// gauge equal to RunStats.CoalSavedBytes, and the hub stays free.
+func TestTelemetryWithCoalescing(t *testing.T) {
+	c := coalCfg(4, 2, transport.GM(), DefaultCache())
+	body := func(th *Thread) {
+		a := th.AllAlloc("A", 64, 8, 8)
+		th.Barrier()
+		var buf [8]byte
+		th.Sync(th.NbGet(buf[:], a.At(int64((th.ID()+2)%4)*8)))
+		th.Barrier()
+	}
+	plain := mustRun(t, c, body)
+	tel := telemetry.New()
+	c.Telemetry = tel
+	instr := mustRun(t, c, body)
+	if plain.CoalSavedBytes >= 0 {
+		t.Fatalf("workload saved %d bytes: it must send one-message frames", plain.CoalSavedBytes)
+	}
+	if got := tel.Registry().Gauge("xlupc_coalesce_saved_bytes", "").Value(); got != float64(instr.CoalSavedBytes) {
+		t.Errorf("gauge %v, RunStats.CoalSavedBytes %d", got, instr.CoalSavedBytes)
+	}
+	if plain.Elapsed != instr.Elapsed || plain.KernelEvents != instr.KernelEvents || plain.CoalSavedBytes != instr.CoalSavedBytes {
+		t.Errorf("hub changed the run: %v/%d events/%d saved without, %v/%d/%d with",
+			plain.Elapsed, plain.KernelEvents, plain.CoalSavedBytes, instr.Elapsed, instr.KernelEvents, instr.CoalSavedBytes)
+	}
+}

@@ -171,18 +171,9 @@ func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {
 func (rt *Runtime) handleUserReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
 	ns := rt.nodes[n.ID]
 	m := msg.Meta.(*userReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
+	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
+	if !ok {
 		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
 	}
 	h := rt.userHandlers[m.ID]
 	if h == nil {
@@ -190,7 +181,7 @@ func (rt *Runtime) handleUserReq(p *sim.Proc, n *transport.Node, msg *transport.
 	}
 	ctx := UserCtx{rt: rt, ns: ns, p: p, msg: msg, req: m, cb: cb}
 	reply := h(&ctx)
-	t0 = p.Now()
+	t0 := p.Now()
 	p.Sleep(sim.BytesTime(len(reply), rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
 	pairs, extra := pairsFor(msg, m.H, base, epoch)

@@ -164,9 +164,6 @@ func NewPinTable(node int, model CostModel, policy PinPolicy) *PinTable {
 // Policy returns the table's pinning policy.
 func (t *PinTable) Policy() PinPolicy { return t.policy }
 
-// EvictorName returns the active victim policy's identifier.
-func (t *PinTable) EvictorName() string { return t.ev.Name() }
-
 // SetEvictor replaces the victim policy. It must be called before any
 // region is pinned — swapping policies mid-run would lose the evictor's
 // view of the live set.

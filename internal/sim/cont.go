@@ -176,9 +176,6 @@ func (c *Cont) block(state string) {
 	c.since = c.k.now
 }
 
-// unblock marks the continuation runnable again.
-func (c *Cont) unblock() { c.state = "running" }
-
 // SpawnC creates a continuation-mode thread named name and schedules
 // body to start at the current time — one kernel event, exactly like
 // Spawn's start event for a goroutine process. The body runs in
@@ -225,10 +222,9 @@ func (c *Cont) Finish() {
 
 // Sleep runs then after d of virtual time — the continuation twin of
 // Proc.Sleep: one kernel event for positive d, an inline continue
-// otherwise. then is scheduled directly (no unblock wrapper is
-// allocated); the state string goes stale — still "sleeping" — while
-// then runs, which is fine because diagnostics only ever inspect
-// blocked continuations.
+// otherwise. then is scheduled directly; the state string goes stale
+// — still "sleeping" — while then runs, which is fine because
+// diagnostics only ever inspect blocked continuations.
 func (c *Cont) Sleep(d Duration, then func()) {
 	if d <= 0 {
 		then()

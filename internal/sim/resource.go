@@ -127,8 +127,8 @@ func (r *Resource) AcquireCont(ct *Cont, fn func()) {
 		fn()
 		return
 	}
-	// fn is queued directly — no unblock wrapper; the stale state
-	// string is harmless (diagnostics only inspect blocked conts).
+	// fn is queued directly; the stale state string is harmless
+	// (diagnostics only inspect blocked conts).
 	ct.block(r.parkState())
 	r.pushWaiter(resWaiter{fn: fn, since: r.k.now})
 }

@@ -87,7 +87,7 @@ type batchMsg struct {
 // dmaFrame is one coalesced doorbell write: several RDMA descriptors
 // delivered to the target DMA engine as a single arrival.
 type dmaFrame struct {
-	ops  []any // *dmaGet / *dmaPut / *dmaAtomic
+	ops  []any // *dmaOp requests
 	wire int
 }
 
@@ -105,7 +105,7 @@ type coalKey struct {
 // coalBuf is one (src,dst,class) coalescing buffer.
 type coalBuf struct {
 	key    coalKey
-	ops    []any // *Msg for AM, *dmaGet/*dmaPut for DMA
+	ops    []any // *Msg for AM, *dmaOp for DMA
 	spans  []*telemetry.Span
 	queued []sim.Time
 	bytes  int // accumulated sub-frame wire bytes
@@ -132,9 +132,6 @@ func (m *Machine) EnableCoalescing(cfg CoalConfig) {
 	}
 	m.coal = &coalescer{m: m, cfg: cfg.withDefaults(), bufs: make(map[coalKey]*coalBuf)}
 }
-
-// CoalesceEnabled reports whether the machine coalesces small messages.
-func (m *Machine) CoalesceEnabled() bool { return m.coal != nil }
 
 // CoalStats reports the coalescer's counters (zero value when off).
 func (m *Machine) CoalStats() CoalStats {
@@ -230,7 +227,6 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 	c.stats.Frames++
 	c.stats.SavedBytes += int64(unbatched - wire)
 	c.m.Tel.Add("xlupc_coalesce_frames_total", "", 1)
-	c.m.Tel.Add("xlupc_coalesce_saved_bytes_total", "", int64(unbatched-wire))
 	c.m.FR.Record(b.key.src, flight.Event{
 		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: flclass(b.key.class),
 		Src: int32(b.key.src), Dst: int32(b.key.dst),

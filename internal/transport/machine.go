@@ -52,9 +52,6 @@ type Msg struct {
 	retained bool
 }
 
-// WireSize reports the message's size on the wire.
-func (m *Msg) WireSize() int { return m.wire }
-
 // Machine is a simulated cluster: fabric plus per-node software state
 // and the NIC/AM dispatcher processes.
 type Machine struct {

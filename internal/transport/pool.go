@@ -1,8 +1,8 @@
 package transport
 
 // Free-lists for the per-operation descriptor structs on the hot
-// paths: active messages and RDMA descriptors. Pooling is enabled only
-// while the reliable-delivery layer is off (m.rel == nil): the
+// paths: active messages and RDMA work requests, one list each. Pooling
+// is enabled only while the reliable-delivery layer is off (m.rel == nil): the
 // reliable layer retains injected envelopes for retransmission and its
 // fault injector can deliver the same pointer twice, so a descriptor's
 // lifetime is unbounded there. Without it every injected object is
@@ -12,11 +12,8 @@ package transport
 // pool (never corrupts it) — EnableChaos must in any case run before
 // traffic starts.
 type pools struct {
-	msgs    []*Msg
-	gets    []*dmaGet
-	puts    []*dmaPut
-	atomics []*dmaAtomic
-	resps   []*dmaResp
+	msgs []*Msg
+	dmas []*dmaOp
 
 	// Initiator-side send records (see txOp). These hold no injected
 	// object at rest, so they are safe to pool even under the reliable
@@ -53,59 +50,21 @@ func (m *Machine) freeMsg(msg *Msg) {
 	m.pool.msgs = append(m.pool.msgs, msg)
 }
 
-func (m *Machine) newDMAGet() *dmaGet {
+func (m *Machine) newDMAOp() *dmaOp {
 	if m.rel == nil {
-		if n := len(m.pool.gets); n > 0 {
-			op := m.pool.gets[n-1]
-			m.pool.gets = m.pool.gets[:n-1]
+		if n := len(m.pool.dmas); n > 0 {
+			op := m.pool.dmas[n-1]
+			m.pool.dmas = m.pool.dmas[:n-1]
 			return op
 		}
 	}
-	return &dmaGet{}
+	return &dmaOp{}
 }
 
-func (m *Machine) freeDMAGet(op *dmaGet) {
+func (m *Machine) freeDMAOp(op *dmaOp) {
 	if m.rel != nil {
 		return
 	}
-	*op = dmaGet{}
-	m.pool.gets = append(m.pool.gets, op)
-}
-
-func (m *Machine) newDMAPut() *dmaPut {
-	if m.rel == nil {
-		if n := len(m.pool.puts); n > 0 {
-			op := m.pool.puts[n-1]
-			m.pool.puts = m.pool.puts[:n-1]
-			return op
-		}
-	}
-	return &dmaPut{}
-}
-
-func (m *Machine) freeDMAPut(op *dmaPut) {
-	if m.rel != nil {
-		return
-	}
-	*op = dmaPut{}
-	m.pool.puts = append(m.pool.puts, op)
-}
-
-func (m *Machine) newDMAResp() *dmaResp {
-	if m.rel == nil {
-		if n := len(m.pool.resps); n > 0 {
-			op := m.pool.resps[n-1]
-			m.pool.resps = m.pool.resps[:n-1]
-			return op
-		}
-	}
-	return &dmaResp{}
-}
-
-func (m *Machine) freeDMAResp(op *dmaResp) {
-	if m.rel != nil {
-		return
-	}
-	*op = dmaResp{}
-	m.pool.resps = append(m.pool.resps, op)
+	*op = dmaOp{}
+	m.pool.dmas = append(m.pool.dmas, op)
 }

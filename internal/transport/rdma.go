@@ -10,50 +10,53 @@ import (
 	"xlupc/internal/telemetry"
 )
 
-// dmaGet is an RDMA read descriptor serviced by the target's DMA
-// engine: fetch size bytes at raddr and stream them back, no CPU.
-type dmaGet struct {
+// dmaKind is the opcode of an RDMA work request.
+type dmaKind uint8
+
+const (
+	dmaRead       dmaKind = iota // fetch size bytes at raddr and stream them back
+	dmaWrite                     // deposit buf at raddr
+	dmaRMW                       // apply aop to the 8-byte word at raddr
+	dmaCompletion                // carry a read's or RMW's outcome back to the initiator NIC
+)
+
+// dmaLabel names a request opcode in counters and messages, and
+// dmaDoneName names its completion.
+var (
+	dmaLabel    = [...]string{dmaRead: "get", dmaWrite: "put", dmaRMW: "atomic"}
+	dmaDoneName = [...]string{dmaRead: "rdma-get", dmaWrite: "rdma-put", dmaRMW: "rdma-atomic"}
+)
+
+// dmaOp is the one RDMA work request, serviced by a NIC's DMA engine
+// with no CPU: the three requests a target engine executes and the
+// completion an initiator engine retires differ by opcode only. Data
+// completions ride the typed data lane (no per-op interface boxing);
+// NACKs use the any-valued one.
+type dmaOp struct {
+	kind      dmaKind
+	aop       AtomicOp // RMW: the combine function
+	epoch     uint32   // target incarnation the initiator believes in
 	initiator int
-	base      mem.Addr // pinned-region base, for the pin-table LRU
+	base      mem.Addr // pinned-region base, for the pin-table check and LRU
 	raddr     mem.Addr
-	size      int
-	dst       []byte // posted receive buffer: the engine deposits the
-	// data here directly (like a real NIC) instead of allocating a
-	// bounce buffer per read; nil falls back to an allocated copy.
-	epoch uint32          // target incarnation the initiator believes in
-	done  *sim.Completion // completes at the initiator with []byte
+	done      *sim.Completion // completes at the initiator: []byte, nil or a Nack
+
+	// buf is the read's posted receive buffer (the engine deposits the
+	// data there directly, like a real NIC; nil falls back to an
+	// allocated copy of size bytes), the write's payload, the RMW's
+	// posted 8-byte result word (nil for accumulations) or the
+	// completion's data, which aliases the request's buf.
+	buf  []byte
+	size int
+
+	arg1 uint64 // RMW: delta (fetch-add/accumulate) or expected (CAS)
+	arg2 uint64 // RMW: replacement (CAS only)
+
+	val any // completion: the Nack, if the target refused
 
 	span    *telemetry.Span
 	sent    sim.Time // injection time, start of the wire phase
-	arrived sim.Time // physical delivery time at the target NIC
-}
-
-// dmaPut is an RDMA write descriptor: the payload travelled with the
-// descriptor; the target engine deposits it at raddr.
-type dmaPut struct {
-	initiator int
-	base      mem.Addr
-	raddr     mem.Addr
-	data      []byte
-	epoch     uint32
-	done      *sim.Completion // completes when the data is in target memory
-
-	span    *telemetry.Span
-	sent    sim.Time
-	arrived sim.Time
-}
-
-// dmaResp carries an RDMA completion back to the initiator NIC. Data
-// responses ride the typed data lane (no per-op interface boxing);
-// NACKs use the any-valued one.
-type dmaResp struct {
-	done *sim.Completion
-	val  any
-	data []byte
-
-	span    *telemetry.Span
-	sent    sim.Time
-	arrived sim.Time
+	arrived sim.Time // physical delivery time at the servicing NIC
 }
 
 // Nack is the completion value of an RDMA operation refused at the
@@ -179,11 +182,7 @@ func (o *txOp) Step(pc int) {
 		}
 		fallthrough
 	case txInject:
-		if m.rel != nil {
-			m.rel.injectC(o.src, o.dst, o.wire, o.class, o.obj, o.span, ct.ThenAt(o, txSent))
-			return
-		}
-		m.Fab.InjectC(o.src, o.dst, o.wire, o.class, o.obj, ct.ThenAt(o, txSent))
+		m.inject(o.src, o.dst, o.wire, o.class, o.obj, o.span, ct.ThenAt(o, txSent))
 	case txSent:
 		o.sent(ct.At())
 	case txWoke:
@@ -265,35 +264,42 @@ func stamp(op any, sent, arrived sim.Time) {
 	switch o := op.(type) {
 	case *Msg:
 		o.sent, o.arrived = sent, arrived
-	case *dmaGet:
-		o.sent, o.arrived = sent, arrived
-	case *dmaPut:
-		o.sent, o.arrived = sent, arrived
-	case *dmaAtomic:
+	case *dmaOp:
 		o.sent, o.arrived = sent, arrived
 	}
 }
 
-// postRead sends the descriptor of a blocking read or atomic, whose
-// response completes done and whose outcome goes to res.
-func (m *Machine) postRead(ct *sim.Cont, kind txKind, src, dst, wire int, op any, done *sim.Completion, span *telemetry.Span, res *RDMAResult, then func()) {
+// newDMA builds the request of one one-sided operation, completion
+// included. The pooled record arrives zeroed, so only the fields every
+// request has are filled here and the caller adds its opcode's own
+// (a struct literal would rewrite the whole record a second time).
+func (m *Machine) newDMA(kind dmaKind, src int, base, raddr mem.Addr, buf []byte, epoch uint32, span *telemetry.Span) *dmaOp {
+	op := m.newDMAOp()
+	op.kind, op.initiator, op.base, op.raddr, op.buf, op.epoch, op.span = kind, src, base, raddr, buf, epoch, span
+	op.done = sim.NewCompletion(m.K, dmaDoneName[kind])
+	return op
+}
+
+// postRead sends the request of a blocking read or atomic, whose
+// response completes op.done and whose outcome goes to res.
+func (m *Machine) postRead(ct *sim.Cont, kind txKind, src, dst, wire int, op *dmaOp, res *RDMAResult, then func()) {
 	m.rdmaCount++
-	o := m.newTxOp(ct, kind, src, dst, wire, fabric.ClassDMA, op, span, then)
-	o.done, o.res = done, res
+	o := m.newTxOp(ct, kind, src, dst, wire, fabric.ClassDMA, op, op.span, then)
+	o.done, o.res = op.done, res
 	o.send(m.Prof.RDMASetup)
 }
 
-// startDMA issues one split-phase RDMA descriptor: then runs once it
-// is injected — or, with coalescing enabled, parked in the (src,dst)
+// startDMA issues one split-phase request: then runs once it is
+// injected — or, with coalescing enabled, parked in the (src,dst)
 // doorbell batch instead of paying its own setup, TX arbitration and
 // injection.
-func (m *Machine) startDMA(ct *sim.Cont, src, dst, wire int, op any, span *telemetry.Span, then func()) {
+func (m *Machine) startDMA(ct *sim.Cont, src, dst, wire int, op *dmaOp, then func()) {
 	m.rdmaCount++
 	if c := m.coal; c != nil {
-		c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, wire, span, then)
+		c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, wire, op.span, then)
 		return
 	}
-	m.newTxOp(ct, txAM, src, dst, wire, fabric.ClassDMA, op, span, then).send(m.Prof.RDMASetup)
+	m.newTxOp(ct, txAM, src, dst, wire, fabric.ClassDMA, op, op.span, then).send(m.Prof.RDMASetup)
 }
 
 // RDMAGetSpanC performs a one-sided read of size bytes at raddr in
@@ -307,10 +313,9 @@ func (m *Machine) startDMA(ct *sim.Cont, src, dst, wire int, op any, span *telem
 // is the posted receive buffer (len(into) must equal size): the data
 // lands there with no per-read allocation, and res.Data aliases it.
 func (m *Machine) RDMAGetSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
-	done := sim.NewCompletion(m.K, "rdma-get")
-	op := m.newDMAGet()
-	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	m.postRead(ct, txRead, src, dst, m.Prof.RDMADescBytes, op, done, span, res, then)
+	op := m.newDMA(dmaRead, src, base, raddr, into, epoch, span)
+	op.size = size
+	m.postRead(ct, txRead, src, dst, m.Prof.RDMADescBytes, op, res, then)
 }
 
 // RDMAPutSpanC performs a one-sided write of data to raddr in dst's
@@ -320,10 +325,8 @@ func (m *Machine) RDMAGetSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr,
 // before RDMAPutSpanC returns, fires when the data is globally visible
 // in target memory.
 func (m *Machine) RDMAPutSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
-	done := sim.NewCompletion(m.K, "rdma-put")
-	res.Done = done
-	op := m.newDMAPut()
-	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
+	op := m.newDMA(dmaWrite, src, base, raddr, data, epoch, span)
+	res.Done = op.done
 	m.rdmaCount++
 	m.newTxOp(ct, txWrite, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span, then).send(m.Prof.RDMASetup)
 }
@@ -333,11 +336,10 @@ func (m *Machine) RDMAPutSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr,
 // batch), and res.Done, set before RDMAGetStartC returns, fires at the
 // initiator with the data or a Nack.
 func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
-	done := sim.NewCompletion(m.K, "rdma-get")
-	res.Done = m.nbResult(done, "get", span)
-	op := m.newDMAGet()
-	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes, op, span, then)
+	op := m.newDMA(dmaRead, src, base, raddr, into, epoch, span)
+	op.size = size
+	res.Done = m.nbResult(op)
+	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes, op, then)
 }
 
 // RDMAPutStartC issues a one-sided write without blocking the caller
@@ -345,18 +347,18 @@ func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr
 // data is globally visible in target memory (or with a Nack); fences
 // and split-phase handles wait on it.
 func (m *Machine) RDMAPutStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
-	done := sim.NewCompletion(m.K, "rdma-put")
-	res.Done = done
-	op := m.newDMAPut()
-	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
-	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+len(data), op, span, then)
+	op := m.newDMA(dmaWrite, src, base, raddr, data, epoch, span)
+	res.Done = op.done
+	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+len(data), op, then)
 }
 
 // nbResult wraps a split-phase RDMA read's completion: the
 // caller-visible completion fires only after the transport's RDMA-mode
 // extra latency, and NACKs are counted when the initiator observes
 // them, matching the blocking path's accounting.
-func (m *Machine) nbResult(done *sim.Completion, opName string, span *telemetry.Span) *sim.Completion {
+func (m *Machine) nbResult(op *dmaOp) *sim.Completion {
+	// Copied out now: the record is recycled before done fires.
+	done, opName, span := op.done, dmaLabel[op.kind], op.span
 	res := sim.NewCompletion(m.K, "rdma-nb")
 	done.Then(func(v any) {
 		if _, nack := v.(Nack); nack {
@@ -402,10 +404,10 @@ func (e *dmaEngine) recordNack(kind flight.Kind, initiator int, seq uint64) {
 	})
 }
 
-// dmaEngine is a node's NIC DMA engine: it services RDMA descriptors
+// dmaEngine is a node's NIC DMA engine: it services RDMA work requests
 // with no CPU involvement, one at a time, entirely as kernel callbacks
 // — the handoff-free replacement for the parked dispatcher process
-// (two channel rendezvous per hop) the engine used to be. Descriptors
+// (two channel rendezvous per hop) the engine used to be. Requests
 // wait in the port's DMA queue while the engine is busy, so queue
 // telemetry keeps measuring real residency.
 type dmaEngine struct {
@@ -414,47 +416,39 @@ type dmaEngine struct {
 	port *fabric.Port
 	busy bool
 
-	// pending holds the descriptors of an unpacked doorbell batch; they
+	// pending holds the requests of an unpacked doorbell batch; they
 	// are serviced in order before the engine pops the next wire frame.
 	pending []any
 
-	// The engine services one descriptor at a time, so its multi-event
-	// service chains keep their in-flight state here and step through
-	// pre-bound funcs (built once at engine construction) instead of
-	// allocating a closure per event.
-	curGet    *dmaGet
-	curPut    *dmaPut
-	curAtomic *dmaAtomic
-	curResp   *dmaResp
-	respDst   int
-	respWire  int
-	t0        sim.Time
-	w64       [8]byte // atomic RMW staging word (one op in service at a time)
+	// The engine services one request at a time, so its multi-event
+	// service chain keeps its in-flight state here — cur is the request
+	// in service, then the completion being streamed back — and steps
+	// through pre-bound funcs (built once at engine construction)
+	// instead of allocating a closure per event.
+	cur      *dmaOp
+	respDst  int
+	respWire int
+	t0       sim.Time
+	w64      [8]byte // RMW staging word (one op in service at a time)
 
-	serveNextFn   func()
-	serveGetFn    func()
-	servePutFn    func()
-	serveAtomicFn func()
-	serveRespFn   func()
-	respDoneFn    func(arrive sim.Time)
-	injectRespFn  func()
+	serveNextFn  func()
+	servedFn     func()
+	respDoneFn   func(arrive sim.Time)
+	injectRespFn func()
 }
 
 func (m *Machine) startDMAEngine(nd *Node) {
 	e := &dmaEngine{m: m, nd: nd, port: m.Fab.Port(nd.ID)}
 	e.serveNextFn = e.serveNext
-	e.serveGetFn = e.serveGet2
-	e.servePutFn = e.servePut2
-	e.serveAtomicFn = e.serveAtomic2
-	e.serveRespFn = e.serveResp2
+	e.servedFn = e.served
 	e.respDoneFn = e.respDone
 	e.injectRespFn = e.injectResp
 	e.port.DMA.Notify(e.kick)
 }
 
-// kick reacts to a descriptor arriving on the DMA queue. Service
-// starts as a fresh kernel event at the current time — not inline in
-// the delivery event — preserving the event interleaving (and thus TX
+// kick reacts to a request arriving on the DMA queue. Service starts
+// as a fresh kernel event at the current time — not inline in the
+// delivery event — preserving the event interleaving (and thus TX
 // arbitration order) of a process dispatcher woken by the push.
 func (e *dmaEngine) kick() {
 	if e.busy {
@@ -464,9 +458,10 @@ func (e *dmaEngine) kick() {
 	e.m.K.After(0, e.serveNextFn)
 }
 
-// serveNext starts service of the oldest queued descriptor, or idles
-// the engine when none is pending. Each service chain re-enters here
-// when its descriptor is fully injected/completed.
+// serveNext starts service of the oldest queued request, or idles the
+// engine when none is pending: charge its wire phase and hold the
+// engine for the service time. The chain re-enters here when the
+// request is fully completed or its answer injected.
 func (e *dmaEngine) serveNext() {
 	var raw any
 	if len(e.pending) > 0 {
@@ -480,53 +475,63 @@ func (e *dmaEngine) serveNext() {
 			return
 		}
 	}
-	switch op := raw.(type) {
-	case *dmaFrame:
-		// A doorbell batch: unpack and service its descriptors in order.
+	if f, ok := raw.(*dmaFrame); ok {
+		// A doorbell batch: unpack and service its requests in order.
 		// pending is necessarily empty here — frames are only popped off
 		// the wire queue, never nested.
-		e.pending = op.ops
+		e.pending = f.ops
 		e.serveNext()
-	case *dmaGet:
-		e.serveGet(op)
-	case *dmaPut:
-		e.servePut(op)
-	case *dmaAtomic:
-		e.serveAtomic(op)
-	case *dmaResp:
-		e.serveResp(op)
-	default:
+		return
+	}
+	op, ok := raw.(*dmaOp)
+	if !ok {
 		panic(fmt.Sprintf("transport: node %d: bad DMA op %T", e.nd.ID, raw))
 	}
-}
-
-func (e *dmaEngine) serveGet(op *dmaGet) {
 	op.span.Phase(telemetry.PhaseWire, op.sent, op.arrived)
-	e.curGet = op
+	e.cur = op
 	e.t0 = e.m.K.Now()
-	e.m.K.After(e.m.Prof.RDMATargetCost, e.serveGetFn)
+	cost := e.m.Prof.RDMATargetCost
+	if op.kind == dmaCompletion {
+		cost = e.m.Prof.RDMARecvCost
+	}
+	e.m.K.After(cost, e.servedFn)
 }
 
-// serveGet2 is the post-service-time step of a GET descriptor.
-func (e *dmaEngine) serveGet2() {
+// served is the post-service-time step. A completion is retired into
+// its initiator's sim.Completion. A request passes the one admission
+// check — the epoch guard, then the pin table — and has its memory
+// effect; the engine is single-served, so nothing interleaves mid-RMW.
+func (e *dmaEngine) served() {
 	m, k := e.m, e.m.K
-	op, t0 := e.curGet, e.t0
-	e.curGet = nil
-	// Queue residency behind earlier descriptors plus the engine's
+	op, t0 := e.cur, e.t0
+	e.cur = nil
+	if op.kind == dmaCompletion {
+		// Queue residency at the initiator NIC plus the completion
+		// service itself.
+		op.span.Phase(telemetry.PhaseRDMARecv, op.arrived, t0)
+		op.span.Phase(telemetry.PhaseRDMARecv, t0, k.Now())
+		done, val, data := op.done, op.val, op.buf
+		m.freeDMAOp(op)
+		if val != nil {
+			done.Complete(val)
+		} else {
+			done.CompleteBytes(data)
+		}
+		e.serveNext()
+		return
+	}
+	// Queue residency behind earlier requests plus the engine's
 	// service time — all DMA-engine occupancy, no CPU.
 	op.span.Phase(telemetry.PhaseDMATarget, op.arrived, t0)
 	op.span.Phase(telemetry.PhaseDMATarget, t0, k.Now())
 	if op.epoch != e.nd.Epoch {
-		// The descriptor was built against a previous incarnation:
-		// its address describes the pre-crash layout and must not be
+		// The request was built against a previous incarnation: its
+		// address describes the pre-crash layout and must not be
 		// dereferenced. NACK with the current epoch so the initiator
 		// can flush everything it cached for this node.
-		m.noteStale("get")
+		m.noteStale(dmaLabel[op.kind])
 		e.recordNack(flight.KindStaleNack, op.initiator, uint64(op.epoch))
-		resp := m.newDMAResp()
-		*resp = dmaResp{done: op.done, val: Nack{Stale: true, Epoch: e.nd.Epoch}, span: op.span}
-		e.sendResp(op.initiator, m.Prof.RDMADescBytes, resp)
-		m.freeDMAGet(op)
+		e.answer(op, Nack{Stale: true, Epoch: e.nd.Epoch}, nil, 0)
 		return
 	}
 	m.noteRecovered(e.nd.ID)
@@ -535,125 +540,89 @@ func (e *dmaEngine) serveGet2() {
 		// (where it can only be a runtime bug: the epoch matched, so
 		// the registration cannot have been lost to a crash).
 		if e.nd.Pins.Policy() != mem.PinLimited {
-			panic(fmt.Sprintf("transport: node %d: RDMA access to unpinned region %#x under pin-all", e.nd.ID, op.base))
+			panic(fmt.Sprintf("transport: node %d: RDMA %s to unpinned region %#x under pin-all", e.nd.ID, dmaLabel[op.kind], op.base))
+		}
+		if op.kind == dmaWrite {
+			// No response travels back for the initiator to count it on.
+			m.noteNack("put")
 		}
 		e.recordNack(flight.KindPinNack, op.initiator, uint64(op.base))
-		resp := m.newDMAResp()
-		*resp = dmaResp{done: op.done, val: Nack{}, span: op.span}
-		e.sendResp(op.initiator, m.Prof.RDMADescBytes, resp)
-		m.freeDMAGet(op)
+		e.answer(op, Nack{}, nil, 0)
 		return
 	}
-	data := op.dst
-	if data != nil {
-		e.nd.Mem.Read(data, op.raddr)
-	} else {
-		data = e.nd.Mem.ReadAlloc(op.raddr, op.size)
+	var data []byte
+	var extra int
+	switch op.kind {
+	case dmaRead:
+		data, extra = op.buf, op.size
+		if data != nil {
+			e.nd.Mem.Read(data, op.raddr)
+		} else {
+			data = e.nd.Mem.ReadAlloc(op.raddr, op.size)
+		}
+	case dmaWrite:
+		e.nd.Mem.Write(op.raddr, op.buf)
+	case dmaRMW:
+		e.nd.Mem.Read(e.w64[:], op.raddr)
+		old := atomicOrder.Uint64(e.w64[:])
+		atomicOrder.PutUint64(e.w64[:], op.aop.Apply(old, op.arg1, op.arg2))
+		e.nd.Mem.Write(op.raddr, e.w64[:])
+		m.FR.Record(e.nd.ID, flight.Event{
+			T: k.Now(), Kind: flight.KindAtomic, Class: flight.ClassDMA,
+			Src: int32(op.initiator), Dst: int32(e.nd.ID),
+			Seq: uint64(op.raddr), Arg: int64(op.aop),
+		})
+		if op.buf != nil {
+			atomicOrder.PutUint64(op.buf, old)
+			data = op.buf
+		}
+		extra = op.aop.ResultBytes()
 	}
-	resp := m.newDMAResp()
-	*resp = dmaResp{done: op.done, data: data, span: op.span}
-	e.sendResp(op.initiator, m.Prof.RDMADescBytes+op.size, resp)
-	m.freeDMAGet(op)
+	e.answer(op, nil, data, extra)
+}
+
+// answer ends a request's service with val (a Nack, or nil) and data.
+// A write completes its done on the spot — visibility in target memory
+// is the event fences wait on; a read or RMW streams a completion of
+// the descriptor plus extra data bytes back to the initiator NIC.
+func (e *dmaEngine) answer(op *dmaOp, val any, data []byte, extra int) {
+	m := e.m
+	kind, initiator, done, span := op.kind, op.initiator, op.done, op.span
+	m.freeDMAOp(op)
+	if kind == dmaWrite {
+		done.Complete(val)
+		e.serveNext()
+		return
+	}
+	resp := m.newDMAOp()
+	resp.kind, resp.done, resp.val, resp.buf, resp.span = dmaCompletion, done, val, data, span
+	e.sendResp(initiator, m.Prof.RDMADescBytes+extra, resp)
 }
 
 // sendResp streams an RDMA completion back to the initiator: acquire
 // the node's TX port (FIFO with every other sender on the node), hold
-// it through serialization, then move on to the next descriptor. The
-// in-flight response rides the engine's cur fields through the two
+// it through serialization, then move on to the next request. The
+// in-flight completion rides the engine's cur slot through the two
 // pre-bound steps (the engine stays busy until the injection finishes,
 // so there is never more than one).
-func (e *dmaEngine) sendResp(dst int, wire int, resp *dmaResp) {
-	e.curResp = resp
+func (e *dmaEngine) sendResp(dst int, wire int, resp *dmaOp) {
+	e.cur = resp
 	e.respDst = dst
 	e.respWire = wire
 	e.port.TX.AcquireC(e.injectRespFn)
 }
 
-// injectResp runs holding the TX port: hand the response to the wire.
+// injectResp runs holding the TX port: hand the completion to the wire.
 func (e *dmaEngine) injectResp() {
-	resp := e.curResp
-	if rl := e.m.rel; rl != nil {
-		rl.injectC(e.nd.ID, e.respDst, e.respWire, fabric.ClassDMA, resp, resp.span, e.respDoneFn)
-		return
-	}
-	e.m.Fab.InjectC(e.nd.ID, e.respDst, e.respWire, fabric.ClassDMA, resp, e.respDoneFn)
+	e.m.inject(e.nd.ID, e.respDst, e.respWire, fabric.ClassDMA, e.cur, e.cur.span, e.respDoneFn)
 }
 
-// respDone runs when the response is serialized onto the wire.
+// respDone runs when the completion is serialized onto the wire.
 func (e *dmaEngine) respDone(arrive sim.Time) {
-	resp := e.curResp
-	e.curResp = nil
+	resp := e.cur
+	e.cur = nil
 	resp.arrived = arrive
 	e.port.TX.Release()
 	resp.sent = e.m.K.Now()
-	e.serveNext()
-}
-
-func (e *dmaEngine) servePut(op *dmaPut) {
-	op.span.Phase(telemetry.PhaseWire, op.sent, op.arrived)
-	e.curPut = op
-	e.t0 = e.m.K.Now()
-	e.m.K.After(e.m.Prof.RDMATargetCost, e.servePutFn)
-}
-
-// servePut2 is the post-service-time step of a PUT descriptor.
-func (e *dmaEngine) servePut2() {
-	m, k := e.m, e.m.K
-	op, t0 := e.curPut, e.t0
-	e.curPut = nil
-	op.span.Phase(telemetry.PhaseDMATarget, op.arrived, t0)
-	op.span.Phase(telemetry.PhaseDMATarget, t0, k.Now())
-	if op.epoch != e.nd.Epoch {
-		m.noteStale("put")
-		e.recordNack(flight.KindStaleNack, op.initiator, uint64(op.epoch))
-		done := op.done
-		m.freeDMAPut(op)
-		done.Complete(Nack{Stale: true, Epoch: e.nd.Epoch})
-		e.serveNext()
-		return
-	}
-	m.noteRecovered(e.nd.ID)
-	if !e.nd.Pins.TouchOK(op.base, k.Now()) {
-		if e.nd.Pins.Policy() != mem.PinLimited {
-			panic(fmt.Sprintf("transport: node %d: RDMA write to unpinned region %#x under pin-all", e.nd.ID, op.base))
-		}
-		m.noteNack("put")
-		e.recordNack(flight.KindPinNack, op.initiator, uint64(op.base))
-		done := op.done
-		m.freeDMAPut(op)
-		done.Complete(Nack{})
-		e.serveNext()
-		return
-	}
-	e.nd.Mem.Write(op.raddr, op.data)
-	done := op.done
-	m.freeDMAPut(op)
-	done.Complete(nil)
-	e.serveNext()
-}
-
-func (e *dmaEngine) serveResp(op *dmaResp) {
-	op.span.Phase(telemetry.PhaseWire, op.sent, op.arrived)
-	e.curResp = op
-	e.t0 = e.m.K.Now()
-	e.m.K.After(e.m.Prof.RDMARecvCost, e.serveRespFn)
-}
-
-// serveResp2 is the post-receive-cost step of an inbound completion.
-func (e *dmaEngine) serveResp2() {
-	m, k := e.m, e.m.K
-	op, t0 := e.curResp, e.t0
-	e.curResp = nil
-	// Queue residency at the initiator NIC plus the completion
-	// service itself.
-	op.span.Phase(telemetry.PhaseRDMARecv, op.arrived, t0)
-	op.span.Phase(telemetry.PhaseRDMARecv, t0, k.Now())
-	done, val, data := op.done, op.val, op.data
-	m.freeDMAResp(op)
-	if val != nil {
-		done.Complete(val)
-	} else {
-		done.CompleteBytes(data)
-	}
 	e.serveNext()
 }

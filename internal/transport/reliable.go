@@ -205,6 +205,16 @@ type relSend struct {
 	sent func(arrive sim.Time)
 }
 
+// inject puts obj on the wire from src, through the reliable layer
+// when it is on (fabric.InjectC semantics either way).
+func (m *Machine) inject(src, dst, wire int, class fabric.Class, obj any, span *telemetry.Span, done func(arrive sim.Time)) {
+	if m.rel != nil {
+		m.rel.injectC(src, dst, wire, class, obj, span, done)
+		return
+	}
+	m.Fab.InjectC(src, dst, wire, class, obj, done)
+}
+
 // injectC frames inner and sends it (fabric.InjectC semantics: the
 // caller holds src's TX through done, which receives the nominal
 // arrival time).

@@ -95,7 +95,7 @@ func TestReliableDeliversExactlyOnceUnderChaos(t *testing.T) {
 }
 
 // RDMA GET/PUT must survive the same hazards: payloads correct, each
-// completion fired exactly once (a replayed dmaResp would panic on
+// completion fired exactly once (a replayed response would panic on
 // double-completion of a recycled completion).
 func TestReliableRDMAUnderChaos(t *testing.T) {
 	fc := fault.Config{Drop: 0.15, Corrupt: 0.1, Duplicate: 0.2, Delay: 0.2, DelayMax: 5 * sim.Us}
