@@ -63,17 +63,6 @@ type Ref struct {
 // Add advances the pointer n elements.
 func (r Ref) Add(n int64) Ref { return r.A.At(r.Idx + n) }
 
-// Diff is the element distance to another pointer into the same array.
-func (r Ref) Diff(o Ref) int64 {
-	if r.A != o.A {
-		panic("core: pointer difference across distinct shared arrays")
-	}
-	return r.Idx - o.Idx
-}
-
-// ThreadOf reports the thread the referenced element is affine to.
-func (r Ref) ThreadOf() int { return r.A.Owner(r.Idx) }
-
 // Phase reports the element's position in its block.
 func (r Ref) Phase() int64 { return r.A.Phase(r.Idx) }
 

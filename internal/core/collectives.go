@@ -112,8 +112,7 @@ func (cs *collState) awaitColl(p *sim.Proc, k *sim.Kernel, key collKey) *collMsg
 	}
 	c := sim.NewCompletion(k, fmt.Sprintf("coll e%d from %d", key.epoch, key.from))
 	cs.waiters[key] = c
-	var p2 *sim.Proc = p
-	p2.Wait(c)
+	p.Wait(c)
 	delete(cs.waiters, key)
 	return c.Value().(*collMsg)
 }

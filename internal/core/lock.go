@@ -18,9 +18,6 @@ type Lock struct {
 	name string
 }
 
-// Handle returns the lock's SVD handle.
-func (l *Lock) Handle() svd.Handle { return l.h }
-
 // lockHome is the home node's state for one lock.
 type lockHome struct {
 	held  bool
@@ -76,8 +73,8 @@ func (ns *nodeState) lockState(h svd.Handle) *lockHome {
 
 // Lock acquires l (upc_lock), blocking until granted.
 func (t *Thread) Lock(l *Lock) {
-	span := t.rt.tel.StartSpan("lock", t.id, t.ns.id, t.p.Now())
-	defer func() { span.Finish(t.p.Now()) }()
+	span := t.rt.tel.StartSpan("lock", t.id, t.ns.id, t.Now())
+	defer func() { span.Finish(t.Now()) }()
 	if t.ns.id == l.home {
 		t.p.Sleep(lockCPUCost)
 		lh := t.ns.lockState(l.h)

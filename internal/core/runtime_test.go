@@ -332,22 +332,42 @@ func TestUseAfterFreePanics(t *testing.T) {
 // the panic must say so, and reach RunCont's caller like any other body
 // panic.
 func TestBlockingCallUnderRunContNamesItself(t *testing.T) {
-	defer func() {
-		const want = "blocking call on a continuation-mode thread"
-		if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
-			t.Fatalf("recovered %v, want a panic mentioning %q", r, want)
-		}
-	}()
-	rt, err := NewRuntime(cfg(2, 2, transport.GM(), NoCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = rt.RunCont(func(th *Thread, done func()) {
-		th.AllAllocC("A", 32, 8, 16, func(a *SharedArray) {
-			th.GetUint64(a.At(20))
-			done()
+	const want = "blocking call on a continuation-mode thread"
+	for _, tc := range []struct {
+		name string
+		call func(th *Thread, a *SharedArray, lk *Lock)
+	}{
+		{"GetUint64", func(th *Thread, a *SharedArray, _ *Lock) { th.GetUint64(a.At(20)) }},
+		{"Lock", func(th *Thread, _ *SharedArray, lk *Lock) { th.Lock(lk) }},
+		{"TryLock", func(th *Thread, _ *SharedArray, lk *Lock) { th.TryLock(lk) }},
+		{"Unlock", func(th *Thread, _ *SharedArray, lk *Lock) { th.Unlock(lk) }},
+		{"AllReduceU64", func(th *Thread, _ *SharedArray, _ *Lock) { th.AllReduceU64(1, ReduceSum) }},
+		{"Sleep", func(th *Thread, _ *SharedArray, _ *Lock) { th.Sleep(sim.Us) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+					t.Fatalf("recovered %v, want a panic mentioning %q", r, want)
+				}
+			}()
+			rt, err := NewRuntime(cfg(2, 2, transport.GM(), NoCache()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.K.Shutdown()
+			// Homed on node 0 and called by thread 1 on node 1: every
+			// lock call takes its remote (AM) arm.
+			lk := &Lock{rt: rt, home: 0, name: "L"}
+			_, _ = rt.RunCont(func(th *Thread, done func()) {
+				th.AllAllocC("A", 32, 8, 16, func(a *SharedArray) {
+					if th.ID() == 1 {
+						tc.call(th, a, lk)
+					}
+					done()
+				})
+			})
 		})
-	})
+	}
 }
 
 func TestBarrierSynchronizes(t *testing.T) {

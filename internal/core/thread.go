@@ -96,7 +96,7 @@ type opState struct {
 	// Results, for the blocking caller to pick up after Await and the
 	// typed ...C forms to hand to thenT.
 	old uint64       // atomic: previous value
-	n   int          // CallAM: reply length
+	n   int          // CallAMC: reply length
 	h   Handle       // split-phase issue
 	arr *SharedArray // collective allocation
 
@@ -392,12 +392,6 @@ func (t *Thread) Compute(d sim.Duration) {
 	t.p.ParkWake()
 	t.compute(d)
 	t.p.Await()
-}
-
-// ComputeC is Compute in continuation-passing style.
-func (t *Thread) ComputeC(d sim.Duration, then func()) {
-	t.c.Park(sim.Func(then), 0)
-	t.compute(d)
 }
 
 func (t *Thread) compute(d sim.Duration) {

@@ -78,30 +78,15 @@ type UserCtx struct {
 	rt  *Runtime
 	ns  *nodeState
 	p   *sim.Proc
-	msg *transport.Msg
 	req *userReq
 	cb  *svd.ControlBlock
 }
 
-// Node is the node the handler executes on.
-func (c *UserCtx) Node() int { return c.ns.id }
-
-// Src is the requesting node.
-func (c *UserCtx) Src() int { return c.msg.Src }
-
 // Args returns the request's two argument words.
 func (c *UserCtx) Args() (a, b uint64) { return c.req.A, c.req.B }
 
-// Now is the current virtual time.
-func (c *UserCtx) Now() sim.Time { return c.p.Now() }
-
 // Sleep advances the dispatcher (models handler compute).
 func (c *UserCtx) Sleep(d sim.Duration) { c.p.Sleep(d) }
-
-// Proc exposes the dispatcher process for blocking primitives
-// (Resource.Acquire). Handlers run on the AM dispatcher in both
-// execution modes, so blocking here is parity-safe by construction.
-func (c *UserCtx) Proc() *sim.Proc { return c.p }
 
 // Acquire takes r on the dispatcher process.
 func (c *UserCtx) Acquire(r *sim.Resource) { r.Acquire(c.p) }
@@ -179,7 +164,7 @@ func (rt *Runtime) handleUserReq(p *sim.Proc, n *transport.Node, msg *transport.
 	if h == nil {
 		panic(fmt.Sprintf("core: user AM for unregistered handler id %d", m.ID))
 	}
-	ctx := UserCtx{rt: rt, ns: ns, p: p, msg: msg, req: m, cb: cb}
+	ctx := UserCtx{rt: rt, ns: ns, p: p, req: m, cb: cb}
 	reply := h(&ctx)
 	t0 := p.Now()
 	p.Sleep(sim.BytesTime(len(reply), rt.cfg.Profile.CopyByteTime))
@@ -203,26 +188,13 @@ func (rt *Runtime) handleUserRep(p *sim.Proc, n *transport.Node, msg *transport.
 
 // --- Initiator side ----------------------------------------------------
 
-// CallAM sends a user AM anchored at array a to node rn and blocks
-// until the reply arrives, copying its payload into reply and
-// returning the payload length. extra models the wire bytes of the
+// CallAMC sends a user AM anchored at array a to node rn and, once the
+// reply has arrived and its payload is copied into reply, runs then
+// with the payload length. extra models the wire bytes of the
 // operation's arguments beyond the fixed envelope. op labels the span.
-func (t *Thread) CallAM(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string) int {
-	t.p.ParkWake()
-	t.callAM(a, rn, id, argA, argB, extra, reply, op)
-	t.p.Await()
-	return t.n
-}
-
-// CallAMC is CallAM in continuation-passing style.
 func (t *Thread) CallAMC(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string, then func(n int)) {
 	t.thenT = then
 	t.park(pcThenN)
-	t.callAM(a, rn, id, argA, argB, extra, reply, op)
-}
-
-// callAM makes the call and leaves the reply length in t.n.
-func (t *Thread) callAM(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string) {
 	t.span = t.rt.tel.StartSpan(op, t.id, t.ns.id, t.Now())
 	t.span.SetProto("am")
 	t.buf = reply

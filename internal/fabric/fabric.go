@@ -114,18 +114,6 @@ func New(k *sim.Kernel, topo Topology, wire WireModel) *Fabric {
 	return f
 }
 
-// Kernel returns the simulation kernel.
-func (f *Fabric) Kernel() *sim.Kernel { return f.k }
-
-// Topology returns the topology.
-func (f *Fabric) Topology() Topology { return f.topo }
-
-// Wire returns the wire model.
-func (f *Fabric) Wire() WireModel { return f.wire }
-
-// Nodes is the number of nodes.
-func (f *Fabric) Nodes() int { return f.topo.Nodes() }
-
 // Port returns node n's attachment.
 func (f *Fabric) Port(n int) *Port { return f.ports[n] }
 

@@ -50,9 +50,6 @@ func NewZipf(n int64, theta float64) (*Zipf, error) {
 	return z, nil
 }
 
-// Theta reports the sampler's skew.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 func zeta(n int64, theta float64) float64 {
 	var s float64
 	for i := int64(1); i <= n; i++ {

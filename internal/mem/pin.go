@@ -186,9 +186,6 @@ func (t *PinTable) SetLazyUnpin(cfg *LazyConfig) {
 	}
 }
 
-// LazyUnpin reports whether the lazy-unpin dead-list is enabled.
-func (t *PinTable) LazyUnpin() bool { return t.lazy != nil }
-
 // SetFlightRecorder attaches (or, with nil, detaches) a flight
 // recorder; evictions, parks and reuse hits are recorded on the owning
 // node's ring.

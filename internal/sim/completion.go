@@ -11,8 +11,8 @@ type Completion struct {
 	done    bool
 	at      Time
 	val     any
-	bytes   []byte // typed payload lane (CompleteBytes); unboxed []byte
-	waiters []waiter
+	bytes   []byte   // typed payload lane (CompleteBytes); unboxed []byte
+	waiters []func() // parked consumers, in registration order
 	thens   []func(v any)
 
 	ws    string // memoized park diagnostic ("waiting on <name>")
@@ -113,12 +113,12 @@ func (c *Completion) Complete(v any) {
 }
 
 // WaitFn blocks a continuation-mode thread until the completion
-// completes, then runs fn — the continuation twin of Proc.Wait, with
-// the same event cost: an already-done completion continues inline
-// (zero events), otherwise the wake is one scheduled event, exactly
-// like resuming a parked process. fn is stored as the waiter directly
-// — no wrapper closure — so a state machine whose step func exists
-// already waits without allocating. fn reads the completed value via
+// completes, then runs fn: an already-done completion continues inline
+// (zero events), otherwise fn joins the waiter list — where Proc.Wait
+// puts a process's resume func — and the wake is one scheduled event.
+// fn is stored as the waiter directly — no wrapper closure — so a
+// state machine whose step func exists already waits without
+// allocating. fn reads the completed value via
 // Value itself, and the continuation's diagnostic state is not reset
 // when it runs (stale state on a running continuation is harmless;
 // diagnostics only inspect blocked ones).
@@ -128,7 +128,7 @@ func (c *Completion) WaitFn(ct *Cont, fn func()) {
 		return
 	}
 	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: fn})
+	c.waiters = append(c.waiters, fn)
 }
 
 // Then registers fn to run once the completion completes. fn executes
@@ -163,7 +163,7 @@ type Counter struct {
 	lazyName
 	ws      string // memoized park diagnostic, built on first wait
 	pending int
-	waiters []waiter
+	waiters []func()
 }
 
 // NewCounter returns a counter expecting n arrivals. n may be zero, in
@@ -213,24 +213,24 @@ func (c *Counter) Arrive() {
 // Wait blocks p until the counter reaches zero.
 func (c *Counter) Wait(p *Proc) {
 	for c.pending > 0 {
-		c.waiters = append(c.waiters, waiter{p: p})
+		c.waiters = append(c.waiters, p.resumer())
 		p.park(c.parkState())
 	}
 }
 
 // WaitFn blocks a continuation-mode thread until the counter reaches
-// zero, then runs fn — the continuation twin of Wait, with the same
-// event cost (inline at zero, one wake event otherwise) and one
-// difference: fn is stored as the waiter directly, so nothing re-checks
-// the count when it runs. That suits every counter whose arrivals are
-// all registered before anyone waits or only by the waiting thread
-// itself (a fence: a thread blocked in it issues nothing); fn must
-// re-check Pending and wait again where that is not so.
+// zero, then runs fn: inline at zero, one wake event otherwise, like
+// Wait, with one difference: fn is the waiter itself, so nothing
+// re-checks the count when it runs. That suits every counter whose
+// arrivals are all registered before anyone waits or only by the
+// waiting thread itself (a fence: a thread blocked in it issues
+// nothing); fn must re-check Pending and wait again where that is not
+// so.
 func (c *Counter) WaitFn(ct *Cont, fn func()) {
 	if c.pending == 0 {
 		fn()
 		return
 	}
 	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: fn})
+	c.waiters = append(c.waiters, fn)
 }

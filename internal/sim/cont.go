@@ -1,35 +1,23 @@
 package sim
 
-// This file adds the continuation execution mode: simulated threads
-// that run as state machines of kernel callbacks instead of parked
-// coroutines. A Proc pays two coroutine switches (a park and a resume,
-// each handing the OS thread straight to the other side — see proc.go)
-// every time it blocks, and keeps a stack while it does; a Cont pays
-// one closure scheduled on the event heap. At the hundred-thousand-
+// This file holds the continuation side of the engine: simulated
+// threads that run as state machines of kernel callbacks instead of
+// parked coroutines. A Proc pays two coroutine switches (a park and a
+// resume, each handing the OS thread straight to the other side — see
+// proc.go) every time it blocks, and keeps a stack while it does; a
+// Cont pays one callback on the event queue. At the hundred-thousand-
 // thread scales the paper's SVD argument is about, that difference —
-// and the per-process stacks — is what bounds the simulator, so the
-// hot blocking primitives (Sleep, Completion.Wait,
-// Counter.Wait, Resource.Acquire) all have continuation
-// variants whose kernel event sequences are bit-identical to their
-// blocking twins: a run executed in either mode produces the same
-// (time, seq) event stream, clock, and statistics. Layers above build
-// each operation once, on the continuation variants, and a process
+// and the per-process stacks — is what bounds the simulator.
+//
+// The kernel knows one kind of event and the primitives one kind of
+// waiter: a func(). A continuation files its next step; a process files
+// its resume func (Proc.resumeFn, bound at spawn) in the same queue slot
+// or waiter list. So Sleep, Completion.Wait/WaitFn, Counter.Wait/WaitFn,
+// Resource.Acquire/AcquireCont and Queue.Pop have one wake path each,
+// and a run produces the same (time, seq) event stream, clock and
+// statistics whichever way its threads are written. Layers above build
+// each operation once, as a ladder of steps on a Cont, and a process
 // reaches it through its companion Cont (Proc.Cont, Proc.Await).
-
-// waiter is one parked consumer of a Completion, Counter or Queue:
-// either a process to resume or a continuation callback to schedule.
-// Exactly one field is set. Waking either form costs exactly one
-// kernel event, which is what keeps the two execution modes' event
-// streams identical.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-// wake schedules the waiter to run at the current time.
-func (k *Kernel) wake(w waiter) {
-	k.schedule(k.now, w.p, w.fn)
-}
 
 // Stepper is something whose asynchronous steps are numbered: Step(pc)
 // runs step pc. A state machine that parks (s, pc) on a Cont with Then
@@ -163,12 +151,6 @@ func (c *Cont) Resume() {
 	c.running = false
 }
 
-// Kernel returns the kernel the continuation runs under.
-func (c *Cont) Kernel() *Kernel { return c.k }
-
-// Now reports the current virtual time.
-func (c *Cont) Now() Time { return c.k.now }
-
 // block records what the continuation is about to wait on, for
 // deadlock diagnostics (the analogue of Proc.park's state tracking).
 func (c *Cont) block(state string) {
@@ -199,7 +181,7 @@ func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
 		k.conts = make(map[*Cont]struct{})
 	}
 	k.conts[c] = struct{}{}
-	k.schedule(k.now, nil, func() {
+	k.wake(func() {
 		if c.finished { // Shutdown ran before the start event
 			return
 		}
@@ -220,18 +202,18 @@ func (c *Cont) Finish() {
 	delete(c.k.conts, c)
 }
 
-// Sleep runs then after d of virtual time — the continuation twin of
-// Proc.Sleep: one kernel event for positive d, an inline continue
-// otherwise. then is scheduled directly; the state string goes stale
-// — still "sleeping" — while then runs, which is fine because
-// diagnostics only ever inspect blocked continuations.
+// Sleep runs then after d of virtual time: one kernel event for
+// positive d, an inline continue otherwise, as for Proc.Sleep. then is
+// scheduled directly; the state string goes stale — still "sleeping" —
+// while then runs, which is fine because diagnostics only ever inspect
+// blocked continuations.
 func (c *Cont) Sleep(d Duration, then func()) {
 	if d <= 0 {
 		then()
 		return
 	}
 	c.block("sleeping")
-	c.k.schedule(c.k.now+d, nil, then)
+	c.k.schedule(c.k.now+d, then)
 }
 
 // Loop drives an asynchronous loop without growing the stack: step is

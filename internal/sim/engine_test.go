@@ -3,8 +3,11 @@ package sim
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestEventHeapProperty pushes events in random time order and checks
@@ -164,6 +167,91 @@ func TestAcquireCInterleavesFIFOWithProcs(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("got order %v, want %v", order, want)
 		}
+	}
+}
+
+// TestOneWaiterKind checks that a parked process is its resume func in
+// the same list a continuation's step sits in: registered alternately
+// on each primitive, the two forms wake in registration order for one
+// kernel event apiece, a resource charges both the same queueing time,
+// and the event that carries either has no process field.
+func TestOneWaiterKind(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("event is %d bytes, want 32 (t, seq, fn, tm)", got)
+	}
+	k := NewKernel()
+	done := NewCompletion(k, "done")
+	cnt := NewCounter(k, "cnt", 1)
+	res := NewResource(k, "res", 1)
+	q := NewQueue[int](k, "q")
+	var order []string
+	var events []int64 // k.Events() inside each wake
+	note := func(id string) {
+		order = append(order, id)
+		events = append(events, k.Events())
+	}
+	// Spawn start events run in spawn order, so this is the order the
+	// four waiters of a group register in.
+	alternate := func(name string, proc func(*Proc), cont func(*Cont, func())) {
+		for i := 0; i < 4; i++ {
+			id := name + strconv.Itoa(i)
+			if i%2 == 0 {
+				k.Spawn(id, func(p *Proc) { proc(p); note(id) })
+			} else {
+				k.SpawnC(id, func(c *Cont) { cont(c, func() { note(id); c.Finish() }) })
+			}
+		}
+	}
+	alternate("completion", func(p *Proc) { p.Wait(done) },
+		func(c *Cont, then func()) { done.WaitFn(c, then) })
+	alternate("counter", func(p *Proc) { cnt.Wait(p) },
+		func(c *Cont, then func()) { cnt.WaitFn(c, then) })
+	if !res.TryAcquire() {
+		t.Fatal("idle resource refused TryAcquire")
+	}
+	alternate("resource", func(p *Proc) { res.Acquire(p); res.Release() },
+		func(c *Cont, then func()) { res.AcquireCont(c, func() { res.Release(); then() }) })
+	for i := 0; i < 2; i++ {
+		id := "queue" + strconv.Itoa(i)
+		k.Spawn(id, func(p *Proc) {
+			if v := q.Pop(p); v != i {
+				t.Errorf("%s popped %d", id, v)
+			}
+			note(id)
+		})
+	}
+	// One group per instant, so nothing else shares the woken events'.
+	k.At(10, func() { done.Complete(nil) })
+	k.At(20, cnt.Arrive)
+	k.At(30, res.Release)
+	k.At(40, func() { q.Push(0); q.Push(1) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+
+	var want []string
+	for _, g := range []string{"completion", "counter", "resource"} {
+		for i := 0; i < 4; i++ {
+			want = append(want, g+strconv.Itoa(i))
+		}
+	}
+	want = append(want, "queue0", "queue1")
+	if !slices.Equal(order, want) {
+		t.Fatalf("wake order %v, want %v", order, want)
+	}
+	for i := 1; i < len(events); i++ {
+		step := int64(1)
+		if i%4 == 0 { // first of a group: the At event that woke it came between
+			step = 2
+		}
+		if events[i]-events[i-1] != step {
+			t.Errorf("%s woke %d events after %s, want %d", order[i], events[i]-events[i-1], order[i-1], step)
+		}
+	}
+	// Four acquirers queued at 0, each granted at 30.
+	if st := res.Stats(); st.Acquires != 5 || st.TotalWait != 4*30 {
+		t.Errorf("resource stats %+v, want 5 acquires and 120 of queueing", st)
 	}
 }
 

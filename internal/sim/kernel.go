@@ -26,13 +26,13 @@ func (n *lazyName) Name() string {
 	return n.prefix + strconv.Itoa(n.idx) + n.suffix
 }
 
-// event is a scheduled occurrence: either a process to resume or a
-// callback to run in kernel context.
+// event is a scheduled occurrence: a callback to run in kernel context
+// at time t. There is no other kind — resuming a process is the callback
+// the process bound at spawn (Proc.resumeFn), filed like any other.
 type event struct {
 	t   Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
-	p   *Proc  // non-nil: resume this process
-	fn  func() // non-nil: run this callback (must not block)
+	fn  func() // runs in kernel context (must not block)
 	tm  *Timer // non-nil: cancellable (AfterTimer); skipped when cancelled
 }
 
@@ -92,7 +92,7 @@ func (h *eventHeap) popEv() event {
 	root := h.ev[0]
 	n := len(h.ev) - 1
 	last := h.ev[n]
-	h.ev[n] = event{} // release the closure/proc for GC
+	h.ev[n] = event{} // release the closure for GC
 	h.ev = h.ev[:n]
 	if n > 0 {
 		// Sift the last element down from the root.
@@ -169,18 +169,22 @@ func (k *Kernel) SetLimit(t Time) { k.limit = t }
 // events are discarded.
 func (k *Kernel) Stop() { k.stopped = true }
 
-func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
+func (k *Kernel) schedule(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", t, k.now))
 	}
 	k.seq++
-	k.q.push(k.now, t, k.seq, p, fn, nil)
+	k.q.push(k.now, t, k.seq, fn, nil)
 }
+
+// wake schedules fn to run at the current time, behind whatever the
+// instant already holds: a parked waiter, a spawn's start, a Yield.
+func (k *Kernel) wake(fn func()) { k.schedule(k.now, fn) }
 
 // At schedules fn to run in kernel context at absolute time t.
 // fn must not block (no Sleep/Wait/Acquire); it may schedule further
 // events, complete completions, and push to queues.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
+func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn) }
 
 // After schedules fn to run d from now. See At for restrictions on fn.
 func (k *Kernel) After(d Duration, fn func()) { k.At(k.now+d, fn) }
@@ -198,7 +202,7 @@ func (k *Kernel) AfterTimer(d Duration, fn func()) *Timer {
 	}
 	tm := &Timer{}
 	k.seq++
-	k.q.push(k.now, t, k.seq, nil, fn, tm)
+	k.q.push(k.now, t, k.seq, fn, tm)
 	return tm
 }
 
@@ -242,7 +246,7 @@ func (k *Kernel) spawn(name lazyName, body func(p *Proc), daemon bool) *Proc {
 	p.c = Cont{k: k, lazyName: name, state: "running"}
 	k.procs[p] = struct{}{}
 	p.start(body)
-	k.schedule(k.now, p, nil)
+	k.wake(p.resumeFn)
 	return p
 }
 
@@ -280,32 +284,25 @@ func (k *Kernel) Run() error {
 		if k.limit > 0 && h.t > k.limit {
 			return nil
 		}
-		fn, p := h.fn, h.p
+		fn := h.fn
 		k.now = h.t
 		k.q.take(src)
 		k.events++
-		if fn != nil {
-			// Callback events run inline; consecutive same-time
-			// callbacks drain here without touching the Go scheduler.
-			fn()
-			h, src = k.q.head()
-			for !k.stopped && h != nil && h.fn != nil && h.t == k.now {
-				fn = h.fn
-				live := h.tm == nil || !h.tm.cancelled
-				k.q.take(src)
-				if live {
-					k.events++
-					fn()
-				}
-				h, src = k.q.head()
-			}
-			continue
-		}
-		p.state = "running"
-		if _, parked := p.next(); !parked {
-			k.finish(p)
-		}
+		fn()
 		h, src = k.q.head()
+		// The rest of the instant drains here, past the checks above:
+		// while the clock stands still the limit cannot be crossed, and
+		// a cancelled timer is dropped uncounted as it would be there.
+		for !k.stopped && h != nil && h.t == k.now {
+			fn = h.fn
+			live := h.tm == nil || !h.tm.cancelled
+			k.q.take(src)
+			if live {
+				k.events++
+				fn()
+			}
+			h, src = k.q.head()
+		}
 	}
 	return nil
 }

@@ -44,12 +44,12 @@ func (r *ring) front() *event { return &r.buf[r.head] }
 // and in take: event is too wide for the compiler to keep in registers,
 // and whole-struct copies of a value just assembled on the stack stall
 // on store forwarding — measurably, at one or two pending events.
-func (r *ring) add(t Time, seq uint64, p *Proc, fn func(), tm *Timer) {
+func (r *ring) add(t Time, seq uint64, fn func(), tm *Timer) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	s := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
-	s.t, s.seq, s.p, s.fn, s.tm = t, seq, p, fn, tm
+	s.t, s.seq, s.fn, s.tm = t, seq, fn, tm
 	r.n++
 }
 
@@ -63,7 +63,7 @@ func (r *ring) grow() {
 // drop removes the front event.
 func (r *ring) drop() {
 	s := &r.buf[r.head]
-	s.p, s.fn, s.tm = nil, nil, nil // release the closure/proc for GC
+	s.fn, s.tm = nil, nil // release the closure for GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 }
@@ -124,9 +124,8 @@ func slotOf(d Duration) int {
 	return int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - tableBits)) // Fibonacci hashing
 }
 
-// push files the event (t, seq, p, fn, tm), scheduled at virtual time
-// now.
-func (q *laneQueue) push(now, t Time, seq uint64, p *Proc, fn func(), tm *Timer) {
+// push files the event (t, seq, fn, tm), scheduled at virtual time now.
+func (q *laneQueue) push(now, t Time, seq uint64, fn func(), tm *Timer) {
 	q.pending++
 	if q.pending > q.stats.MaxPending {
 		q.stats.MaxPending = q.pending
@@ -134,7 +133,7 @@ func (q *laneQueue) push(now, t Time, seq uint64, p *Proc, fn func(), tm *Timer)
 	d := t - now
 	if d == 0 {
 		q.stats.NowPushes++
-		q.now.add(t, seq, p, fn, tm)
+		q.now.add(t, seq, fn, tm)
 		return
 	}
 	if i := q.laneFor(d); i >= 0 {
@@ -145,14 +144,14 @@ func (q *laneQueue) push(now, t Time, seq uint64, p *Proc, fn func(), tm *Timer)
 			if ln.n == 0 {
 				q.headPush(laneHead{t, seq, i})
 			}
-			ln.add(t, seq, p, fn, tm)
+			ln.add(t, seq, fn, tm)
 			ln.tail, ln.used = t, seq
 			q.stats.LanePushes++
 			return
 		}
 	}
 	q.stats.OverflowPushes++
-	q.over.pushEv(event{t: t, seq: seq, p: p, fn: fn, tm: tm})
+	q.over.pushEv(event{t: t, seq: seq, fn: fn, tm: tm})
 }
 
 // laneFor returns the lane serving delay d, or -1 to send the event to

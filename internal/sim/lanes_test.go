@@ -327,7 +327,7 @@ func TestLaneRefusesOutOfOrderPush(t *testing.T) {
 	var q laneQueue
 	nows := []Time{100, 100, 100, 40, 100, 60}
 	for i, now := range nows {
-		q.push(now, now+10, uint64(i+1), nil, nil, nil)
+		q.push(now, now+10, uint64(i+1), nil, nil)
 	}
 	if st := q.stats; st.LanePushes != 3 || st.OverflowPushes != 3 {
 		t.Fatalf("want the first (unseen) and both backward pushes in overflow: %+v", st)

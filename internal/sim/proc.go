@@ -5,15 +5,18 @@ package sim
 import "iter"
 
 // Proc is a simulated process: a coroutine of the kernel's event loop.
-// Run resumes it with next, the body hands control back with yield,
-// and each switch passes the OS thread directly to the other side —
-// no run queue, no channel, no second thread — so exactly one of
-// kernel and process is ever running. A Proc's methods may only be
-// called from its own body.
+// resumeFn continues it with next, the body hands control back with
+// yield, and each switch passes the OS thread directly to the other
+// side — no run queue, no channel, no second thread — so exactly one of
+// kernel and process is ever running. To the kernel a process is just
+// its resumeFn, filed as an event or registered as a waiter wherever a
+// continuation's step would be. A Proc's methods may only be called
+// from its own body.
 type Proc struct {
 	// What a park and a resume touch comes first, next to the hot head
 	// of c (see Cont).
 	k        *Kernel
+	resumeFn func()                  // run the body until it parks or returns; bound once, by start
 	next     func() (struct{}, bool) // resume the body; false once it has returned
 	yield    func(struct{}) bool     // park the body; false once Shutdown stopped it
 	state    string                  // diagnostic: what the process is blocked on
@@ -38,7 +41,10 @@ type Proc struct {
 // recognises it and ends the coroutine without reporting a panic.
 type poisonPill struct{}
 
-// start backs p with a coroutine that will run body at the first next.
+// start backs p with a coroutine that will run body at the first
+// resume, and binds the resume func: run the body until it next parks,
+// retire the process if it returned instead. A literal, not a method
+// value: one frame less to return through after a coroutine switch.
 func (p *Proc) start(body func(p *Proc)) {
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -51,6 +57,12 @@ func (p *Proc) start(body func(p *Proc)) {
 		}()
 		body(p)
 	})
+	p.resumeFn = func() {
+		p.state = "running"
+		if _, parked := p.next(); !parked {
+			p.k.finish(p)
+		}
+	}
 }
 
 // Kernel returns the kernel the process runs under.
@@ -80,33 +92,43 @@ func (p *Proc) blocking() {
 	}
 }
 
+// resumer returns what a process about to park files as its event or
+// its waiter; every process-form primitive gets it here, through the
+// one check for a thread that has no process.
+func (p *Proc) resumer() func() {
+	p.blocking()
+	return p.resumeFn
+}
+
 // Sleep advances the process's virtual time by d (holding nothing).
 // A non-positive d returns immediately without yielding.
 func (p *Proc) Sleep(d Duration) {
-	p.blocking()
+	resume := p.resumer()
 	if d <= 0 {
 		return
 	}
-	p.k.schedule(p.k.now+d, p, nil)
+	p.k.schedule(p.k.now+d, resume)
 	p.park("sleeping")
 }
 
 // SleepUntil blocks the process until absolute time t.
 func (p *Proc) SleepUntil(t Time) {
+	resume := p.resumer()
 	if t <= p.k.now {
 		return
 	}
-	p.k.schedule(t, p, nil)
+	p.k.schedule(t, resume)
 	p.park("sleeping")
 }
 
 // Wait blocks the process until c is completed. If c is already
 // complete it returns immediately without yielding.
 func (p *Proc) Wait(c *Completion) {
+	resume := p.resumer()
 	if c.done {
 		return
 	}
-	c.waiters = append(c.waiters, waiter{p: p})
+	c.waiters = append(c.waiters, resume)
 	p.park(c.parkState())
 }
 
@@ -119,7 +141,10 @@ func (p *Proc) WaitAll(cs ...*Completion) {
 
 // Cont returns the process's companion continuation, to be passed to
 // the continuation form of an operation the process will Await.
-func (p *Proc) Cont() *Cont { return &p.c }
+func (p *Proc) Cont() *Cont {
+	p.blocking()
+	return &p.c
+}
 
 // Wake returns the completion callback for the operation the process
 // is about to Await: a continuation form is called with Wake() as its
@@ -165,15 +190,12 @@ func (p *Proc) Step(int) {
 		return
 	}
 	p.awaiting = false
-	p.state = "running"
-	if _, parked := p.next(); !parked {
-		p.k.finish(p)
-	}
+	p.resumeFn()
 }
 
 // Yield reschedules the process at the current time, letting any other
 // events already queued for this instant run first.
 func (p *Proc) Yield() {
-	p.k.schedule(p.k.now, p, nil)
+	p.k.wake(p.resumer())
 	p.park("yielding")
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -415,5 +416,34 @@ func TestContFrameOverflowPanics(t *testing.T) {
 	}()
 	for i := 0; i <= maxFrames; i++ {
 		c.Park(r, i)
+	}
+}
+
+// A thread that runs as a bare Cont has no process; every process-form
+// primitive called for it must say so, not die on a nil dereference.
+func TestProcessFormOnNilProcNamesItself(t *testing.T) {
+	k := NewKernel()
+	busy := NewResource(k, "busy", 1)
+	busy.TryAcquire()
+	var p *Proc
+	for name, call := range map[string]func(){
+		"Sleep":            func() { p.Sleep(Us) },
+		"SleepUntil":       func() { p.SleepUntil(Us) },
+		"Yield":            func() { p.Yield() },
+		"Wait":             func() { p.Wait(NewCompletion(k, "c")) },
+		"Cont":             func() { p.Cont() },
+		"Counter.Wait":     func() { NewCounter(k, "n", 1).Wait(p) },
+		"Resource.Acquire": func() { busy.Acquire(p) },
+		"Queue.Pop":        func() { NewQueue[int](k, "q").Pop(p) },
+	} {
+		func() {
+			defer func() {
+				const want = "blocking call on a continuation-mode thread"
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+					t.Errorf("%s on a nil Proc: recovered %v, want a panic mentioning %q", name, r, want)
+				}
+			}()
+			call()
+		}()
 	}
 }

@@ -11,7 +11,7 @@ type Queue[T any] struct {
 	ws      string // memoized park diagnostic, built on first blocked pop
 	items   []T    // live window is items[head:]
 	head    int
-	waiters []waiter // consumers parked in Pop
+	waiters []func() // consumers parked in Pop
 	notify  func()   // callback consumer hook, invoked after each Push
 	pushes  int64
 	maxLen  int
@@ -63,7 +63,7 @@ func (q *Queue[T]) Push(v T) {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
 		n := copy(q.waiters, q.waiters[1:])
-		q.waiters[n] = waiter{} // release for GC
+		q.waiters[n] = nil // release for GC
 		q.waiters = q.waiters[:n]
 		q.k.wake(w)
 	}
@@ -97,7 +97,7 @@ func (q *Queue[T]) take() T {
 // available.
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
-		q.waiters = append(q.waiters, waiter{p: p})
+		q.waiters = append(q.waiters, p.resumer())
 		p.park(q.popState())
 	}
 	return q.take()

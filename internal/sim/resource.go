@@ -24,10 +24,9 @@ type Resource struct {
 	busyTime  Duration
 }
 
-// resWaiter is one queued acquirer: a parked process, or a callback to
-// grant the slot to (the handoff-free path).
+// resWaiter is one queued acquirer: what the slot is granted to (a
+// process's resume func or a callback alike) and when it queued.
 type resWaiter struct {
-	p     *Proc
 	fn    func()
 	since Time
 }
@@ -69,7 +68,12 @@ func (r *Resource) accumulate() {
 
 func (r *Resource) queueLen() int { return len(r.queue) - r.queueHead }
 
-func (r *Resource) pushWaiter(w resWaiter) { r.queue = append(r.queue, w) }
+// enqueue files fn behind the acquirers already waiting; Release grants
+// it the slot.
+func (r *Resource) enqueue(fn func()) {
+	r.acquires++
+	r.queue = append(r.queue, resWaiter{fn, r.k.now})
+}
 
 func (r *Resource) popWaiter() resWaiter {
 	w := r.queue[r.queueHead]
@@ -82,58 +86,8 @@ func (r *Resource) popWaiter() resWaiter {
 	return w
 }
 
-// Acquire blocks p until a slot is available and takes it.
-func (r *Resource) Acquire(p *Proc) {
-	r.acquires++
-	if r.inUse < r.capacity && r.queueLen() == 0 {
-		r.accumulate()
-		r.inUse++
-		return
-	}
-	since := r.k.now
-	r.pushWaiter(resWaiter{p: p, since: since})
-	p.park(r.parkState())
-	r.totalWait += r.k.now - since
-	// The releasing side transferred the slot to us: inUse unchanged.
-}
-
-// AcquireC takes a slot on behalf of a kernel callback: fn runs —
-// holding the slot — as soon as one is available, immediately when the
-// resource is free, otherwise as a kernel callback when a Release
-// grants it (FIFO with process acquirers). fn must not block; the slot
-// is held until a matching Release.
-func (r *Resource) AcquireC(fn func()) {
-	r.acquires++
-	if r.inUse < r.capacity && r.queueLen() == 0 {
-		r.accumulate()
-		r.inUse++
-		fn()
-		return
-	}
-	r.pushWaiter(resWaiter{fn: fn, since: r.k.now})
-}
-
-// AcquireCont blocks a continuation-mode thread until a slot is
-// available, then runs fn holding it — the continuation twin of
-// Acquire, with the same event cost (inline grant when free, one
-// kernel event when queued behind a Release) and the same FIFO
-// ordering and wait-time accounting. The slot is held until a matching
-// Release, which may come from a later continuation step.
-func (r *Resource) AcquireCont(ct *Cont, fn func()) {
-	r.acquires++
-	if r.inUse < r.capacity && r.queueLen() == 0 {
-		r.accumulate()
-		r.inUse++
-		fn()
-		return
-	}
-	// fn is queued directly; the stale state string is harmless
-	// (diagnostics only inspect blocked conts).
-	ct.block(r.parkState())
-	r.pushWaiter(resWaiter{fn: fn, since: r.k.now})
-}
-
-// TryAcquire takes a slot if one is free, reporting whether it did.
+// TryAcquire takes a slot if one is free and nobody is queued for it,
+// reporting whether it did: the admission test of every acquire form.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && r.queueLen() == 0 {
 		r.accumulate()
@@ -144,6 +98,43 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
+// Acquire blocks p until a slot is available and takes it.
+func (r *Resource) Acquire(p *Proc) {
+	resume := p.resumer()
+	if r.TryAcquire() {
+		return
+	}
+	r.enqueue(resume)
+	p.park(r.parkState())
+	// The releasing side transferred the slot to us: inUse unchanged.
+}
+
+// AcquireC takes a slot on behalf of a kernel callback: fn runs —
+// holding the slot — as soon as one is available, immediately when the
+// resource is free, otherwise as a kernel callback when a Release
+// grants it (FIFO with process acquirers). fn must not block; the slot
+// is held until a matching Release.
+func (r *Resource) AcquireC(fn func()) {
+	if r.TryAcquire() {
+		fn()
+		return
+	}
+	r.enqueue(fn)
+}
+
+// AcquireCont is AcquireC for a continuation-mode thread: a queued
+// acquire also records what the thread is blocked on, for deadlock
+// diagnostics. (The state string goes stale once fn runs, which is
+// harmless: diagnostics only inspect blocked conts.)
+func (r *Resource) AcquireCont(ct *Cont, fn func()) {
+	if r.TryAcquire() {
+		fn()
+		return
+	}
+	ct.block(r.parkState())
+	r.enqueue(fn)
+}
+
 // Release frees a slot, handing it to the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -151,12 +142,8 @@ func (r *Resource) Release() {
 	}
 	if r.queueLen() > 0 {
 		w := r.popWaiter()
-		if w.p != nil {
-			r.k.schedule(r.k.now, w.p, nil)
-		} else {
-			r.totalWait += r.k.now - w.since
-			r.k.schedule(r.k.now, nil, w.fn)
-		}
+		r.totalWait += r.k.now - w.since
+		r.k.wake(w.fn)
 		return // slot transferred; inUse unchanged
 	}
 	r.accumulate()

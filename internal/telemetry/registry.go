@@ -145,14 +145,6 @@ func (h *Histogram) Count() int64 {
 	return h.m.count
 }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() sim.Time {
-	if h == nil || h.m == nil {
-		return 0
-	}
-	return h.m.sum
-}
-
 // Min and Max return the sample extremes (0 when empty).
 func (h *Histogram) Min() sim.Time {
 	if h == nil || h.m == nil || h.m.count == 0 {
