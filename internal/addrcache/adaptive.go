@@ -6,6 +6,11 @@
 // hitting grow their share; peers that only stream misses shrink to a
 // floor, so a cold scan against one node cannot wash out another
 // node's hot working set.
+//
+// The bookkeeping is one record per target node the cache has seen
+// (window hits, share, resident entries), in one slice kept ascending by
+// node id and found by binary search: O(peers seen) on every node, not
+// O(nodes), and iterated in a deterministic order.
 package addrcache
 
 import "sort"
@@ -46,17 +51,20 @@ func (c AdaptiveConfig) effMinPer() int {
 	return c.MinPer
 }
 
-// adaptState is the bookkeeping behind an adaptive cache: window hit
-// counts, the current share apportionment, and per-peer residency.
-// Peers are kept as a sorted slice so every decision iterates them in
-// a deterministic order.
+// peerState is what adaptive sizing keeps per target node.
+type peerState struct {
+	node    int32
+	winHits int64 // hits since the last re-apportionment
+	share   int   // current apportionment; the floor until the first one
+	count   int   // resident entries
+}
+
+// adaptState is the bookkeeping behind an adaptive cache: one record
+// per target node ever looked up or inserted, ascending by node id.
 type adaptState struct {
-	cfg     AdaptiveConfig
-	peers   []int32 // every target node ever looked up, ascending
-	winHits map[int32]int64
-	share   map[int32]int // current apportionment; absent = floor
-	count   map[int32]int // resident entries per peer
-	looks   int           // lookups since the last re-apportionment
+	cfg   AdaptiveConfig
+	peers []peerState
+	looks int // lookups since the last re-apportionment
 }
 
 // NewAdaptive returns a cache whose capacity is cfg.Budget, divided
@@ -65,24 +73,19 @@ type adaptState struct {
 // with New but unused.
 func NewAdaptive(cfg AdaptiveConfig, seed int64) *Cache {
 	c := New(cfg.Budget, LRU, seed)
-	c.adapt = &adaptState{
-		cfg:     cfg,
-		winHits: make(map[int32]int64),
-		share:   make(map[int32]int),
-		count:   make(map[int32]int),
-	}
+	c.adapt = &adaptState{cfg: cfg}
 	return c
 }
-
-// Adaptive reports whether per-peer adaptive sizing is enabled.
-func (c *Cache) Adaptive() bool { return c.adapt != nil }
 
 // Share reports the peer's current entry share (adaptive caches only).
 func (c *Cache) Share(node int32) int {
 	if c.adapt == nil {
 		return 0
 	}
-	return c.adapt.shareOf(node)
+	if i, ok := c.adapt.find(node); ok {
+		return c.adapt.peers[i].share
+	}
+	return c.adapt.cfg.effMinPer()
 }
 
 // Resident reports how many cached entries target the peer.
@@ -90,34 +93,37 @@ func (c *Cache) Resident(node int32) int {
 	if c.adapt == nil {
 		return 0
 	}
-	return c.adapt.count[node]
-}
-
-func (a *adaptState) shareOf(node int32) int {
-	if s, ok := a.share[node]; ok {
-		return s
+	if i, ok := c.adapt.find(node); ok {
+		return c.adapt.peers[i].count
 	}
-	return a.cfg.effMinPer()
+	return 0
 }
 
-// seen registers a peer on first contact, keeping the slice sorted.
-func (a *adaptState) seen(node int32) {
-	i := sort.Search(len(a.peers), func(i int) bool { return a.peers[i] >= node })
-	if i < len(a.peers) && a.peers[i] == node {
-		return
+// find is the position of node's record in peers, or where it belongs.
+func (a *adaptState) find(node int32) (int, bool) {
+	i := sort.Search(len(a.peers), func(i int) bool { return a.peers[i].node >= node })
+	return i, i < len(a.peers) && a.peers[i].node == node
+}
+
+// peer returns node's record, registering the node on first contact.
+// The pointer is good until the next registration.
+func (a *adaptState) peer(node int32) *peerState {
+	i, ok := a.find(node)
+	if !ok {
+		a.peers = append(a.peers, peerState{})
+		copy(a.peers[i+1:], a.peers[i:])
+		a.peers[i] = peerState{node: node, share: a.cfg.effMinPer()}
 	}
-	a.peers = append(a.peers, 0)
-	copy(a.peers[i+1:], a.peers[i:])
-	a.peers[i] = node
+	return &a.peers[i]
 }
 
-// note records one lookup's outcome and re-apportions shares when the
-// window closes.
+// adaptNote records one lookup's outcome and re-apportions shares when
+// the window closes.
 func (c *Cache) adaptNote(node int32, hit bool) {
 	a := c.adapt
-	a.seen(node)
+	p := a.peer(node)
 	if hit {
-		a.winHits[node]++
+		p.winHits++
 	}
 	a.looks++
 	if a.looks >= a.cfg.effWindow() {
@@ -142,31 +148,31 @@ func (c *Cache) reapportion() {
 		// Budget can't even cover the floors: hand out floors in id
 		// order until it runs dry.
 		left := budget
-		for _, p := range a.peers {
+		for i := range a.peers {
 			s := minPer
 			if s > left {
 				s = left
 			}
-			a.share[p] = s
+			a.peers[i].share = s
 			left -= s
 		}
 	} else {
 		extra := budget - minPer*n
 		var hits int64
-		for _, p := range a.peers {
-			hits += a.winHits[p]
+		for i := range a.peers {
+			hits += a.peers[i].winHits
 		}
 		type claim struct {
-			node int32
+			p    *peerState
 			base int
 			rem  int64 // largest-remainder numerator
 		}
 		claims := make([]claim, 0, n)
 		given := 0
-		for _, p := range a.peers {
-			cl := claim{node: p}
+		for i := range a.peers {
+			cl := claim{p: &a.peers[i]}
 			if hits > 0 {
-				w := a.winHits[p]
+				w := cl.p.winHits
 				cl.base = int(int64(extra) * w / hits)
 				cl.rem = int64(extra) * w % hits
 			}
@@ -179,59 +185,49 @@ func (c *Cache) reapportion() {
 			if claims[i].rem != claims[j].rem {
 				return claims[i].rem > claims[j].rem
 			}
-			if a.winHits[claims[i].node] != a.winHits[claims[j].node] {
-				return a.winHits[claims[i].node] > a.winHits[claims[j].node]
+			if claims[i].p.winHits != claims[j].p.winHits {
+				return claims[i].p.winHits > claims[j].p.winHits
 			}
-			return claims[i].node < claims[j].node
+			return claims[i].p.node < claims[j].p.node
 		})
 		for i := range claims {
 			if given < extra {
 				claims[i].base++
 				given++
 			}
-			a.share[claims[i].node] = minPer + claims[i].base
+			claims[i].p.share = minPer + claims[i].base
 		}
 	}
-	for p := range a.winHits {
-		delete(a.winHits, p)
+	for i := range a.peers {
+		a.peers[i].winHits = 0
 	}
 	c.stats.Resizes++
 }
 
-// adaptEvict frees one slot for an insert targeting node ins: the
-// victim is the LRU entry of the peer most over its share (ties to the
-// smaller id), falling back to the inserting peer's own LRU entry and
-// finally the global tail. Shrunken shares are thus enforced lazily,
-// one insert at a time, with no bulk teardown at re-apportionment.
-func (c *Cache) adaptEvict(ins int32) {
-	a := c.adapt
-	var victimPeer int32
-	over := 0
-	for _, p := range a.peers {
-		if o := a.count[p] - a.shareOf(p); o > over {
-			over, victimPeer = o, p
+// adaptVictim picks the slot to free for an insert targeting node ins:
+// the LRU entry of the peer most over its share (ties to the smaller
+// id), falling back to the inserting peer's own LRU entry and finally
+// the global tail. Shrunken shares are thus enforced lazily, one insert
+// at a time, with no bulk teardown at re-apportionment.
+func (c *Cache) adaptVictim(ins int32) int32 {
+	over, victimPeer := 0, ins
+	for i := range c.adapt.peers {
+		if p := &c.adapt.peers[i]; p.count-p.share > over {
+			over, victimPeer = p.count-p.share, p.node
 		}
 	}
-	var victim *entry
-	if over > 0 {
-		victim = c.lruOf(victimPeer)
+	if v := c.lruOf(victimPeer); v != none {
+		return v
 	}
-	if victim == nil && a.count[ins] > 0 {
-		victim = c.lruOf(ins)
-	}
-	if victim == nil {
-		victim = c.tail
-	}
-	c.dropEntry(victim)
-	c.stats.Evictions++
+	return c.tail
 }
 
-// lruOf returns the least-recently-used entry targeting node, or nil.
-func (c *Cache) lruOf(node int32) *entry {
-	for e := c.tail; e != nil; e = e.prev {
-		if e.key.Node == node {
-			return e
+// lruOf returns the least-recently-used slot targeting node, or none.
+func (c *Cache) lruOf(node int32) int32 {
+	for i := c.tail; i != none; i = c.slots[i].prev {
+		if c.slots[i].key.Node == node {
+			return i
 		}
 	}
-	return nil
+	return none
 }

@@ -22,7 +22,7 @@ func touch(c *Cache, k Key) bool {
 // the others keep the floor share.
 func TestAdaptiveSharesFollowHits(t *testing.T) {
 	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 16}, 1)
-	if !c.Adaptive() || c.Capacity() != 6 {
+	if c.Share(1) != DefaultMinPer || c.Capacity() != 6 {
 		t.Fatal("adaptive cache misconfigured")
 	}
 	// Peer 1: four hot keys hit repeatedly. Peers 2 and 3: one cold

@@ -7,11 +7,14 @@
 // a miss falls back to the active-message path, which piggybacks the
 // base address on its reply so the next access hits.
 //
-// The cache "is currently implemented as a dynamic hash table [whose]
-// size is allowed to increase on demand to a fixed limit of 100
-// entries" — here the limit is configurable (the paper's Figure 8
-// sweeps 4, 10 and 100) with LRU eviction, plus a random-eviction
-// variant used as an ablation.
+// The paper's cache is a hash table whose "size is allowed to increase
+// on demand to a fixed limit of 100 entries". Here that is three
+// fields: a slab of slots that grows on demand to the capacity (the
+// limit is configurable — Figure 8 sweeps 4, 10 and 100), one map from
+// key to slot number, and the recency order, threaded through the slots
+// by number, that LRU eviction reads from the tail. Random eviction and
+// the unbounded table are ablations; per-peer adaptive sizing is in
+// adaptive.go.
 package addrcache
 
 import (
@@ -44,12 +47,17 @@ func (p EvictPolicy) String() string {
 	return "lru"
 }
 
-type entry struct {
+// slot is one cache entry, or a vacated one waiting on the free list
+// (chained through next).
+type slot struct {
 	key        Key
 	addr       mem.Addr
 	epoch      uint32 // target-node incarnation that advertised addr
-	prev, next *entry // LRU list; head = most recent
+	prev, next int32  // recency order, by slot number; none ends it
 }
+
+// none is the slot number that ends the recency order and the free list.
+const none int32 = -1
 
 // Stats are the cache's monotonic counters.
 type Stats struct {
@@ -63,23 +71,6 @@ type Stats struct {
 
 // Lookups is the total number of Lookup calls.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses }
-
-// KeyStats are one key's hit/miss counters, tracked across residency:
-// misses count even while the key is absent, so a key's hit rate
-// reflects its whole access history, not just its cached stretches.
-type KeyStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// HitRate is Hits over all lookups of the key, or 0 when none.
-func (s KeyStats) HitRate() float64 {
-	n := s.Hits + s.Misses
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(n)
-}
 
 // HitRate is Hits over Lookups, or 0 when there were no lookups.
 func (s Stats) HitRate() float64 {
@@ -101,13 +92,14 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	capacity int
 	policy   EvictPolicy
-	m        map[Key]*entry
-	head     *entry // most recently used
-	tail     *entry // least recently used
+	slots    []slot        // grows on demand, to capacity when that is positive
+	index    map[Key]int32 // key -> its slot
+	head     int32         // most recently used
+	tail     int32         // least recently used
+	free     int32         // vacated slots, reused before slots grows
 	rng      *rand.Rand
 	stats    Stats
-	perKey   map[Key]KeyStats // built on first lookup; value-typed, so updates allocate nothing
-	adapt    *adaptState      // nil = fixed capacity (the default); see adaptive.go
+	adapt    *adaptState // nil = fixed capacity (the default); see adaptive.go
 }
 
 // New returns an empty cache. The seed only matters for RandomEvict.
@@ -115,7 +107,10 @@ func New(capacity int, policy EvictPolicy, seed int64) *Cache {
 	return &Cache{
 		capacity: capacity,
 		policy:   policy,
-		m:        make(map[Key]*entry),
+		index:    make(map[Key]int32),
+		head:     none,
+		tail:     none,
+		free:     none,
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
@@ -124,33 +119,42 @@ func New(capacity int, policy EvictPolicy, seed int64) *Cache {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len reports the current number of entries.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache) Len() int { return len(c.index) }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *Cache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev != none {
+		c.slots[s.prev].next = s.next
 	} else {
-		c.head = e.next
+		c.head = s.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if s.next != none {
+		c.slots[s.next].prev = s.prev
 	} else {
-		c.tail = e.prev
+		c.tail = s.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (c *Cache) pushFront(e *entry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
+func (c *Cache) pushFront(i int32) {
+	c.slots[i].prev, c.slots[i].next = none, c.head
+	if c.head != none {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
 	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
+	c.head = i
+}
+
+// touch makes slot i the most recently used. Only LRU reads the order
+// that way: under random eviction it stays the insertion order the
+// seeded walk from the tail counts along.
+func (c *Cache) touch(i int32) {
+	if c.policy == LRU && c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
@@ -165,44 +169,28 @@ func (c *Cache) Lookup(k Key) (mem.Addr, bool) {
 // epoch the address was advertised under. RDMA descriptors carry it so
 // the target can NACK addresses minted by a pre-crash incarnation.
 func (c *Cache) LookupEpoch(k Key) (mem.Addr, uint32, bool) {
-	if c.perKey == nil {
-		c.perKey = make(map[Key]KeyStats)
-	}
-	ks := c.perKey[k]
-	e, ok := c.m[k]
-	if !ok {
+	i, ok := c.index[k]
+	if ok {
+		c.stats.Hits++
+	} else {
 		c.stats.Misses++
-		ks.Misses++
-		c.perKey[k] = ks
-		if c.adapt != nil {
-			c.adaptNote(k.Node, false)
-		}
+	}
+	if c.adapt != nil {
+		c.adaptNote(k.Node, ok)
+	}
+	if !ok {
 		return 0, 0, false
 	}
-	c.stats.Hits++
-	ks.Hits++
-	c.perKey[k] = ks
-	if c.adapt != nil {
-		c.adaptNote(k.Node, true)
-	}
-	if c.policy == LRU && c.head != e {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-	return e.addr, e.epoch, true
+	c.touch(i)
+	return c.slots[i].addr, c.slots[i].epoch, true
 }
-
-// KeyStats returns k's hit/miss counters — the per-(object, node)
-// accounting behind per-shard hit-rate reporting in internal/kv. The
-// zero value is returned for keys never looked up.
-func (c *Cache) KeyStats(k Key) KeyStats { return c.perKey[k] }
 
 // Contains reports whether k is resident, without touching the hit or
 // miss counters or the entry's recency. The runtime uses it to skip
 // re-inserting addresses that arrived several times on one coalesced
 // reply frame.
 func (c *Cache) Contains(k Key) bool {
-	_, ok := c.m[k]
+	_, ok := c.index[k]
 	return ok
 }
 
@@ -220,66 +208,84 @@ func (c *Cache) InsertEpoch(k Key, addr mem.Addr, epoch uint32) {
 	if c.capacity == 0 {
 		return
 	}
-	if e, ok := c.m[k]; ok {
-		e.addr = addr
-		e.epoch = epoch
-		if c.policy == LRU && c.head != e {
-			c.unlink(e)
-			c.pushFront(e)
-		}
+	if i, ok := c.index[k]; ok {
+		c.slots[i].addr, c.slots[i].epoch = addr, epoch
+		c.touch(i)
 		return
 	}
-	if c.capacity > 0 && len(c.m) >= c.capacity {
-		if c.adapt != nil {
-			c.adaptEvict(k.Node)
-		} else {
-			c.evict()
-		}
+	if c.capacity > 0 && len(c.index) >= c.capacity {
+		c.drop(c.victim(k.Node))
+		c.stats.Evictions++
 	}
-	e := &entry{key: k, addr: addr, epoch: epoch}
-	c.m[k] = e
-	c.pushFront(e)
+	i := c.free
+	if i != none {
+		c.free = c.slots[i].next
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, slot{})
+	}
+	c.slots[i] = slot{key: k, addr: addr, epoch: epoch}
+	c.pushFront(i)
+	c.index[k] = i
 	if c.adapt != nil {
-		c.adapt.seen(k.Node)
-		c.adapt.count[k.Node]++
+		c.adapt.peer(k.Node).count++
 	}
 	c.stats.Inserts++
 }
 
-// dropEntry removes e from the map, the recency list and the adaptive
-// residency counts — the one place every removal path funnels through.
-func (c *Cache) dropEntry(e *entry) {
-	c.unlink(e)
-	delete(c.m, e.key)
+// drop removes slot i's entry from the index, the recency order and the
+// adaptive residency counts and puts the slot on the free list — the
+// one place every removal path funnels through.
+func (c *Cache) drop(i int32) {
+	k := c.slots[i].key
+	c.unlink(i)
+	delete(c.index, k)
 	if c.adapt != nil {
-		c.adapt.count[e.key.Node]--
+		c.adapt.peer(k.Node).count--
 	}
+	c.slots[i] = slot{next: c.free}
+	c.free = i
 }
 
-func (c *Cache) evict() {
-	var victim *entry
-	switch c.policy {
-	case RandomEvict:
-		i := c.rng.Intn(len(c.m))
-		victim = c.tail
-		for ; i > 0; i-- {
-			victim = victim.prev
-		}
-	default:
-		victim = c.tail
+// victim picks the entry a full cache gives up for an insert targeting
+// node.
+func (c *Cache) victim(node int32) int32 {
+	if c.adapt != nil {
+		return c.adaptVictim(node)
 	}
-	c.dropEntry(victim)
-	c.stats.Evictions++
+	v := c.tail
+	if c.policy == RandomEvict {
+		for i := c.rng.Intn(len(c.index)); i > 0; i-- {
+			v = c.slots[v].prev
+		}
+	}
+	return v
 }
 
 // Remove drops the entry for k if present. Callers remove entries
 // proven stale (an RDMA NACK from a deregistered target), so a hit
 // here counts as an invalidation.
 func (c *Cache) Remove(k Key) {
-	if e, ok := c.m[k]; ok {
-		c.dropEntry(e)
+	if i, ok := c.index[k]; ok {
+		c.drop(i)
 		c.stats.Invalidations++
 	}
+}
+
+// invalidate drops every entry whose key matches and returns how many
+// there were.
+func (c *Cache) invalidate(match func(Key) bool) int {
+	n := 0
+	for i := c.head; i != none; {
+		next := c.slots[i].next
+		if match(c.slots[i].key) {
+			c.drop(i)
+			n++
+		}
+		i = next
+	}
+	c.stats.Invalidations += int64(n)
+	return n
 }
 
 // InvalidateHandle eagerly drops every entry for the given shared
@@ -288,17 +294,7 @@ func (c *Cache) Remove(k Key) {
 // shared object is deallocated"). It returns the number of entries
 // dropped.
 func (c *Cache) InvalidateHandle(handle uint64) int {
-	n := 0
-	for e := c.head; e != nil; {
-		next := e.next
-		if e.key.Handle == handle {
-			c.dropEntry(e)
-			n++
-		}
-		e = next
-	}
-	c.stats.Invalidations += int64(n)
-	return n
+	return c.invalidate(func(k Key) bool { return k.Handle == handle })
 }
 
 // InvalidateNode drops every entry whose target is the given node —
@@ -306,24 +302,14 @@ func (c *Cache) InvalidateHandle(handle uint64) int {
 // restarted, so every address cached for it describes the previous
 // incarnation's layout. It returns the number of entries dropped.
 func (c *Cache) InvalidateNode(node int32) int {
-	n := 0
-	for e := c.head; e != nil; {
-		next := e.next
-		if e.key.Node == node {
-			c.dropEntry(e)
-			n++
-		}
-		e = next
-	}
-	c.stats.Invalidations += int64(n)
-	return n
+	return c.invalidate(func(k Key) bool { return k.Node == node })
 }
 
 // Keys returns the cached keys in MRU-to-LRU order (diagnostics).
 func (c *Cache) Keys() []Key {
-	out := make([]Key, 0, len(c.m))
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.key)
+	out := make([]Key, 0, len(c.index))
+	for i := c.head; i != none; i = c.slots[i].next {
+		out = append(out, c.slots[i].key)
 	}
 	return out
 }

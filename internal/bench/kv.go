@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"xlupc/internal/addrcache"
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
 	"xlupc/internal/kv"
@@ -47,7 +46,7 @@ type KVResult struct {
 	Run      core.RunStats
 	Elapsed  sim.Time
 	OpsPerMs float64 // completed ops per virtual millisecond, all threads
-	HitRate  float64 // address-cache hit rate on the kv object's lines alone
+	HitRate  float64 // address-cache hit rate; the kv object is all a KV run looks up
 }
 
 // RunKV runs the sharded KV dataplane under the given options and
@@ -89,15 +88,11 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 		// Unreachable after w.Validate(), which covers the same ranges.
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	var handle uint64
 	// The load generator exists in continuation form only (the
 	// benchmark's kv_mixed workload pins it), so the run has no
 	// coroutine per thread.
 	st, err := rt.RunCont(func(t *core.Thread, done func()) {
 		kv.NewC(t, ko, func(tb *kv.Table) {
-			if t.ID() == 0 {
-				handle = tb.Array().Handle().Key()
-			}
 			kv.PreloadC(t, tb, w.NumKeys, func(int64) {
 				kv.RunLoadC(t, tb, w, z, func(r kv.ThreadResult) {
 					results[t.ID()] = r
@@ -119,22 +114,9 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 	if us := st.Elapsed.Usecs(); us > 0 {
 		res.OpsPerMs = float64(res.Merged.Ops) / (us / 1000)
 	}
-	// Per-object hit rate: fold the per-(handle, home-node) counters of
-	// every initiating node's cache — the kv object's lines alone, not
-	// whatever else the run looked up.
-	var ks addrcache.KeyStats
-	for n := 0; n < cfg.Nodes; n++ {
-		c := rt.Cache(n)
-		if c == nil {
-			continue
-		}
-		for m := 0; m < cfg.Nodes; m++ {
-			s := c.KeyStats(addrcache.Key{Handle: handle, Node: int32(m)})
-			ks.Hits += s.Hits
-			ks.Misses += s.Misses
-		}
-	}
-	res.HitRate = ks.HitRate()
+	// The kv object is the only thing a KV run looks up, so the run's
+	// cache counters are that object's.
+	res.HitRate = st.Cache.HitRate()
 	return res, rt
 }
 

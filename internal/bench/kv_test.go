@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,5 +139,46 @@ func TestParseFlightFlags(t *testing.T) {
 				t.Errorf("%s: clean run left %d bytes in %s (err %v), want a capture", c.name, len(raw), c.path, err)
 			}
 		}
+	}
+}
+
+const kvHitRateGoldenFile = "testdata/kv_hitrate_golden.json"
+
+// TestKVHitRateGolden pins xlupc-kv's hit-rate column. The golden was
+// recorded while the column was folded from per-key counters of the kv
+// object's lines alone; the kv object is the only thing a KV run looks
+// up, so the run's global cache counters must reproduce it bit for bit.
+func TestKVHitRateGolden(t *testing.T) {
+	got := make(map[string]float64)
+	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
+		for _, sc := range []Scale{{16, 4}, {64, 16}} {
+			pts := KVSkewSweep(prof, sc, []float64{0, 0.9, 0.99}, KVOpts{
+				Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0, Seed: 3,
+			})
+			for _, pt := range pts {
+				got[fmt.Sprintf("%s/%v/theta=%.2f", prof.Name, sc, pt.Theta)] = pt.Cached.HitRate
+			}
+		}
+	}
+	if *updateParityGolden {
+		b, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(kvHitRateGoldenFile, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(kvHitRateGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]float64
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("kv hit rates diverge from the golden:\n got %v\nwant %v", got, want)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"xlupc/internal/transport"
 )
 
-var updateParityGolden = flag.Bool("update", false, "rewrite testdata/parity_golden.json from this tree")
+var updateParityGolden = flag.Bool("update", false, "rewrite the testdata goldens (parity_golden.json, kv_hitrate_golden.json) from this tree")
 
 const parityGoldenFile = "testdata/parity_golden.json"
 

@@ -19,9 +19,6 @@ type SharedArray struct {
 	name string
 }
 
-// Handle returns the array's universal SVD handle.
-func (a *SharedArray) Handle() svd.Handle { return a.h }
-
 // Name returns the diagnostic name given at allocation.
 func (a *SharedArray) Name() string { return a.name }
 

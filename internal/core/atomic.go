@@ -19,7 +19,6 @@ import (
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
-	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
@@ -145,16 +144,8 @@ func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) {
 	}
 
 	t.rn, t.start = rn, t.Now()
-	t.span = t.rt.tel.StartSpan("atomic", t.id, t.ns.id, t.start)
-	t.span.SetBytes(op.OperandBytes())
 	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", op.String(), 1)
-	if t.ns.cache != nil {
-		t.t0 = t.Now()
-		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcAtomicLookup))
-		return
-	}
-	t.park(pcAtomicFinish)
-	t.amAtomic()
+	t.remote(kindAtomic, op.OperandBytes())
 }
 
 func (t *Thread) localAtomic() {
@@ -173,16 +164,13 @@ func (t *Thread) localAtomicDone() {
 	t.c.Resume()
 }
 
-// atomicLookup runs after the cache-lookup cost: a hit goes
-// NIC-descriptor, a miss to the AM path.
-func (t *Thread) atomicLookup() {
-	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
-	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
-		t.span.SetProto("rdma")
-		t.rt.M.RDMAAtomicSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-			t.aop, t.a1, t.a2, t.atomicFetchBuf(t.aop), ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
-		return
-	}
+// atomicHit ships the NIC-executed descriptor.
+func (t *Thread) atomicHit(base mem.Addr, ep uint32) {
+	t.rt.M.RDMAAtomicSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
+		t.aop, t.a1, t.a2, t.atomicFetchBuf(t.aop), ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
+}
+
+func (t *Thread) atomicMiss() {
 	t.park(pcAtomicFinish)
 	t.amAtomic()
 }
@@ -194,28 +182,7 @@ func (t *Thread) atomicRDMADone() {
 		return
 	}
 	t.park(pcAtomicFinish)
-	t.atomicNacked()
-}
-
-// atomicNacked heals after a refused NIC atomic (see getNacked) and
-// redoes it over the AM path, whose reply re-piggybacks the fresh base.
-// The caller has parked what finishes the operation.
-func (t *Thread) atomicNacked() {
-	if nk := t.rdma.Nack; nk.Stale {
-		t.healStaleC(t.rn, nk.Epoch, "atomic", t.span, func(ok bool) {
-			if !ok {
-				t.old, t.out = 0, nil
-				t.c.Resume()
-				return
-			}
-			t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-			t.amAtomic()
-		})
-		return
-	}
-	t.ns.cache.Remove(cacheKey(t.a.h, t.rn))
-	t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-	t.amAtomic()
+	t.nacked("atomic", (*Thread).amAtomic)
 }
 
 // atomicFetchBuf is the posted 8-byte result buffer of a blocking NIC
@@ -315,16 +282,8 @@ func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint
 	}
 
 	t.rn, t.start = rn, t.Now()
-	t.span = t.rt.tel.StartSpan("atomic", t.id, t.ns.id, t.start)
-	t.span.MarkSplit()
-	t.span.SetBytes(aop.OperandBytes())
 	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", aop.String(), 1)
-	if t.ns.cache != nil {
-		t.t0 = t.Now()
-		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcNbAtomicLookup))
-		return
-	}
-	t.nbAtomicAM()
+	t.remote(kindNbAtomic, aop.OperandBytes())
 }
 
 // storeOld delivers a split-phase atomic's previous value.
@@ -336,22 +295,16 @@ func (t *Thread) storeOld() {
 	t.c.Resume()
 }
 
-func (t *Thread) nbAtomicLookup() {
-	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
-	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
-		t.span.SetProto("rdma")
-		// Split-phase fetches need a result buffer that outlives the
-		// issue; the thread's staging word would alias across
-		// outstanding handles.
-		var fetch []byte
-		if t.aop.ResultBytes() > 0 {
-			fetch = make([]byte, 8)
-		}
-		t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-			t.aop, t.a1, t.a2, fetch, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
-		return
+func (t *Thread) nbAtomicHit(base mem.Addr, ep uint32) {
+	// Split-phase fetches need a result buffer that outlives the
+	// issue; the thread's staging word would alias across
+	// outstanding handles.
+	var fetch []byte
+	if t.aop.ResultBytes() > 0 {
+		fetch = make([]byte, 8)
 	}
-	t.nbAtomicAM()
+	t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
+		t.aop, t.a1, t.a2, fetch, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
 }
 
 func (t *Thread) nbAtomicStarted() { t.issued(subAtomicRDMA, t.rdma.Done) }

@@ -26,7 +26,6 @@ type PutCacheMode int
 const (
 	PutCacheAuto PutCacheMode = iota
 	PutCacheOn
-	PutCacheOff
 )
 
 // CacheConfig configures the remote address cache.
@@ -208,12 +207,5 @@ func (c *Config) putCacheEnabled() bool {
 	if !c.Cache.Enabled {
 		return false
 	}
-	switch c.Cache.PutMode {
-	case PutCacheOn:
-		return true
-	case PutCacheOff:
-		return false
-	default:
-		return c.Profile.PutCacheEnabled
-	}
+	return c.Cache.PutMode == PutCacheOn || c.Profile.PutCacheEnabled
 }

@@ -175,3 +175,70 @@ func TestInactiveCrashConfigIsFree(t *testing.T) {
 		t.Fatalf("inactive crash config did crash work: %+v", st)
 	}
 }
+
+// A stale-epoch NACK must heal on a node that has no address cache too:
+// the rendezvous leg of a large transfer goes one-sided with the base
+// the RTR carried, so a target restart between the RTR and the transfer
+// NACKs it stale whether or not the initiator caches anything. Each
+// thread round-trips a block no other thread writes, so the final array
+// must equal its initial fill.
+func TestStaleNackWithoutCache(t *testing.T) {
+	const threads, nodes, rounds = 8, 4, 40
+	prof := transport.GM()
+	elems := int64(4 * prof.EagerMax / 8) // per block: four times the eager limit
+	fill := func(th, i int64) uint64 { return uint64(th)<<32 | uint64(i)*2654435761 }
+	for _, dir := range []string{"get", "put"} {
+		var stale int64
+		for seed := int64(1); seed <= 8; seed++ {
+			c := cfg(threads, nodes, prof, NoCache())
+			c.Seed = seed
+			c.Crash = &CrashConfig{CrashConfig: fault.CrashConfig{
+				Prob: 0.5, Every: 100 * sim.Us,
+				RestartMin: 10 * sim.Us, RestartMax: 30 * sim.Us,
+				Horizon: 50 * sim.Ms,
+			}}
+			st := mustRun(t, c, func(th *Thread) {
+				a := th.AllAlloc("A", threads*elems, 8, elems)
+				own := make([]byte, elems*8)
+				for i := int64(0); i < elems; i++ {
+					byteOrder.PutUint64(own[i*8:], fill(int64(th.ID()), i))
+				}
+				th.PutBulk(a.At(int64(th.ID())*elems), own)
+				th.Barrier()
+				// The block of a thread on the next node, which only this
+				// thread touches from here on.
+				peer := int64((th.ID() + threads/nodes) % threads)
+				want := make([]byte, elems*8)
+				for i := int64(0); i < elems; i++ {
+					byteOrder.PutUint64(want[i*8:], fill(peer, i))
+				}
+				buf := make([]byte, elems*8)
+				for r := 0; r < rounds; r++ {
+					if dir == "get" {
+						th.GetBulk(buf, a.At(peer*elems))
+						if string(buf) != string(want) {
+							t.Errorf("%s seed %d: thread %d round %d read a corrupt block", dir, seed, th.ID(), r)
+							break
+						}
+					} else {
+						th.PutBulk(a.At(peer*elems), want)
+						th.Fence()
+					}
+				}
+				th.Barrier()
+				th.GetBulk(buf, a.At(int64(th.ID())*elems))
+				if string(buf) != string(own) {
+					t.Errorf("%s seed %d: block of thread %d differs from its initial fill", dir, seed, th.ID())
+				}
+				th.Barrier()
+			})
+			stale += st.StaleNacks
+			if st.Crashes == 0 {
+				t.Errorf("%s seed %d: crash schedule never fired", dir, seed)
+			}
+		}
+		if stale == 0 {
+			t.Errorf("%s: no stale NACK in eight seeds; the path under test never ran", dir)
+		}
+	}
+}

@@ -220,11 +220,12 @@ func (rt *Runtime) handleGetRep(p *sim.Proc, n *transport.Node, msg *transport.M
 }
 
 // insertPiggyback fills the initiator's cache from a reply's
-// piggybacked addresses: the replier's own (handle, base), exactly as
-// the blocking protocol always has, plus any extra pairs accumulated
-// across the sub-messages of a coalesced frame. Every new entry pays
-// the insert cost; pairs already resident (an earlier reply of the same
-// frame filled them) are skipped without charge.
+// piggybacked addresses — the one place the cache is filled: the
+// replier's own (handle, base), exactly as the blocking protocol always
+// has, plus any extra pairs accumulated across the sub-messages of a
+// coalesced frame. Every new entry pays the insert cost; pairs already
+// resident (an earlier reply of the same frame filled them) are skipped
+// without charge.
 func (rt *Runtime) insertPiggyback(p *sim.Proc, ns *nodeState, src int, own svd.Handle, base mem.Addr, epoch uint32, pairs []addrPair, span *telemetry.Span) {
 	if ns.cache == nil || (base == 0 && len(pairs) == 0) {
 		return
@@ -289,12 +290,7 @@ func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg)
 func (rt *Runtime) handleRTR(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
 	ns := rt.nodes[n.ID]
 	m := msg.Meta.(*rtr)
-	if m.OK && ns.cache != nil {
-		t0 := p.Now()
-		p.Sleep(rt.cfg.Profile.CacheInsertCost)
-		ns.cache.InsertEpoch(cacheKey(m.H, msg.Src), m.Base, m.Epoch)
-		msg.Span.Phase(telemetry.PhaseCacheInsert, t0, p.Now())
-	}
+	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, nil, msg.Span) // Base is 0 unless OK
 	m.Done.Complete(rtrResult{base: m.Base, epoch: m.Epoch, ok: m.OK})
 }
 
@@ -306,13 +302,69 @@ func (rt *Runtime) handleRTR(p *sim.Proc, n *transport.Node, msg *transport.Msg)
 // operation — the active-message path, whose reply piggybacks the base
 // address that fills the cache for next time.
 
+// remoteKind is what differs between the kinds of remote operation
+// where the address cache is consulted.
+type remoteKind struct {
+	op    string // the span's name
+	split bool   // split-phase: the span is latency, not time the thread waits
+	put   bool   // consults the cache only where the profile caches PUTs
+	hit   func(t *Thread, base mem.Addr, epoch uint32)
+	miss  func(t *Thread)
+}
+
+// remoteKinds is indexed by kind. (Filled in by init, like steps.)
+var remoteKinds [numKinds]remoteKind
+
+func init() {
+	remoteKinds = [numKinds]remoteKind{
+		kindGet:      {"get", false, false, (*Thread).getHit, (*Thread).getSlow},
+		kindPut:      {"put", false, true, (*Thread).putHit, (*Thread).putSlow},
+		kindNbGet:    {"get", true, false, (*Thread).nbGetHit, (*Thread).nbGetEager},
+		kindNbPut:    {"put", true, true, (*Thread).nbPutHit, (*Thread).nbPutEager},
+		kindAtomic:   {"atomic", false, false, (*Thread).atomicHit, (*Thread).atomicMiss},
+		kindNbAtomic: {"atomic", true, false, (*Thread).nbAtomicHit, (*Thread).nbAtomicAM},
+	}
+}
+
+// remote starts the remote operation the caller has set up (t.a, t.rn,
+// t.off, t.start): it opens the span and consults the address cache —
+// the one place a lookup is paid for. A node without a cache, and a PUT
+// where the profile does not cache PUTs, goes straight to the kind's
+// miss path.
+func (t *Thread) remote(kind, bytes int) {
+	k := &remoteKinds[kind]
+	t.span = t.rt.tel.StartSpan(k.op, t.id, t.ns.id, t.start)
+	if k.split {
+		t.span.MarkSplit()
+	}
+	t.span.SetBytes(bytes)
+	if t.ns.cache != nil && (!k.put || t.rt.putCache) {
+		t.kind, t.t0 = kind, t.Now()
+		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcLookup))
+		return
+	}
+	k.miss(t)
+}
+
+// lookup runs after the cache-lookup cost: a hit goes one-sided with
+// the final remote address computed locally, a miss takes the kind's
+// active-message path.
+func (t *Thread) lookup() {
+	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
+	k := &remoteKinds[t.kind]
+	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
+		t.span.SetProto("rdma")
+		k.hit(t, base, ep)
+		return
+	}
+	k.miss(t)
+}
+
 // getRun reads len(dst) bytes at element idx, which the caller
 // guarantees is a single-affinity contiguous run.
 func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
-	prof := t.rt.cfg.Profile
 	rn := a.l.NodeOf(idx)
-	start := t.Now()
-	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), dst, start
+	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), dst, t.Now()
 
 	if rn == t.ns.id {
 		// Intra-node: shared memory, no network.
@@ -326,14 +378,7 @@ func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
 	}
 
 	t.rn = rn
-	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-	t.span.SetBytes(len(dst))
-	if t.ns.cache != nil {
-		t.t0 = t.Now()
-		t.c.Sleep(prof.CacheLookupCost, t.after(pcGetLookup))
-		return
-	}
-	t.getSlow()
+	t.remote(kindGet, len(dst))
 }
 
 func (t *Thread) localGet() {
@@ -357,17 +402,8 @@ func (t *Thread) localDone() {
 	t.c.Resume()
 }
 
-// getLookup runs after the cache-lookup cost: a hit goes one-sided, a
-// miss to the slow (eager or rendezvous) path.
-func (t *Thread) getLookup() {
-	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
-	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
-		// RDMA fast path: final remote address computed locally.
-		t.span.SetProto("rdma")
-		t.rt.M.RDMAGetSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, len(t.buf), ep, t.span, &t.rdma, t.after(pcGetRDMADone))
-		return
-	}
-	t.getSlow()
+func (t *Thread) getHit(base mem.Addr, ep uint32) {
+	t.rt.M.RDMAGetSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, len(t.buf), ep, t.span, &t.rdma, t.after(pcGetRDMADone))
 }
 
 // getRDMADone finishes a cache-hit one-sided read, or falls back to
@@ -379,31 +415,65 @@ func (t *Thread) getRDMADone() {
 		return
 	}
 	t.park(pcGetFinish)
-	t.getNacked((*Thread).getSlowParked)
+	t.nacked("get", (*Thread).getSlowParked)
 }
 
-// getNacked heals after a refused one-sided read and retries with
-// retry — unless the run is aborting under CrashFail. A stale epoch
-// means the target restarted under a new incarnation: every cached
-// address for it is flushed. Otherwise the target deregistered the
-// region (limited pinning): only that entry is stale.
-func (t *Thread) getNacked(retry func(*Thread)) {
-	if nk := t.rdma.Nack; nk.Stale {
-		t.healStaleC(t.rn, nk.Epoch, "get", t.span, func(ok bool) {
-			if !ok {
-				t.c.Resume()
-				return
-			}
-			t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="stale_epoch"`, 1)
-			retry(t)
-		})
+// nacked answers a refused one-sided read or atomic: it heals the
+// cache and redoes the operation with retry over the active-message
+// path, whose reply re-piggybacks the fresh base. The caller has parked
+// what finishes the operation and names it (op is "get" or "atomic"):
+// at retire, opState belongs to a later one. A plain NACK means the
+// target deregistered the region (limited pinning), so only that entry
+// is stale. A stale epoch means the target restarted under a new
+// incarnation: every address cached for it is flushed, each paying the
+// lookup cost (the epoch_recovery phase) — unless the run is aborting
+// under CrashFail. (Crash recovery is rare enough to afford its
+// closure.)
+func (t *Thread) nacked(op string, retry func(*Thread)) {
+	nk := t.rdma.Nack
+	if !nk.Stale {
+		t.ns.forget(t.a.h, t.rn)
+		t.rt.tel.Add("xlupc_"+op+"_fallbacks_total", `reason="nack"`, 1)
+		retry(t)
 		return
 	}
-	if t.ns.cache != nil {
-		t.ns.cache.Remove(cacheKey(t.a.h, t.rn))
+	if t.rt.staleAbort(t.rn, nk.Epoch, op, t.Now()) {
+		t.old, t.out = 0, nil
+		t.c.Resume()
+		return
 	}
-	t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
-	retry(t)
+	t0, n := t.Now(), t.ns.flushNode(t.rn)
+	t.c.Sleep(sim.Time(n)*t.rt.cfg.Profile.CacheLookupCost, func() {
+		t.flushed(n, t.rn, nk.Epoch, op, t.span, t0)
+		t.rt.tel.Add("xlupc_"+op+"_fallbacks_total", `reason="stale_epoch"`, 1)
+		retry(t)
+	})
+}
+
+// forget drops the one entry a plain NACK proved stale.
+func (ns *nodeState) forget(h svd.Handle, rn int) {
+	if ns.cache != nil {
+		ns.cache.Remove(cacheKey(h, rn))
+	}
+}
+
+// flushNode drops every address cached for node rn, which restarted,
+// and returns how many there were: none on a node without a cache,
+// where a rendezvous transfer can still be NACKed stale.
+func (ns *nodeState) flushNode(rn int) int {
+	if ns.cache == nil {
+		return 0
+	}
+	return ns.cache.InvalidateNode(int32(rn))
+}
+
+// flushed accounts for a stale-epoch recovery that flushed n entries
+// for node rn, starting at t0.
+func (t *Thread) flushed(n, rn int, ep uint32, op string, span *telemetry.Span, t0 sim.Time) {
+	span.Phase(telemetry.PhaseEpochRecovery, t0, t.Now())
+	t.rt.staleInvalidated += int64(n)
+	t.rt.tel.AddLabeled("xlupc_stale_recoveries_total", "op", op, 1)
+	t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
 }
 
 // getSlow is everything after the cache-hit attempt (or in its absence).
@@ -446,7 +516,7 @@ func (t *Thread) getRDMA2Done() {
 		t.c.Resume()
 		return
 	}
-	t.getNacked((*Thread).eagerGet)
+	t.nacked("get", (*Thread).eagerGet)
 }
 
 // getFinish closes out the remote GET — a blocking one, or a
@@ -502,10 +572,8 @@ func (t *Thread) rtsDone() {
 // putRun writes src at element idx (a single-affinity contiguous run).
 // Remote PUTs are asynchronous: they complete under the thread's fence.
 func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
-	prof := t.rt.cfg.Profile
 	rn := a.l.NodeOf(idx)
-	start := t.Now()
-	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), src, start
+	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), src, t.Now()
 
 	if rn == t.ns.id {
 		if t.lookupLocal() {
@@ -521,14 +589,7 @@ func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 	// thread is actually blocked; the in-flight ACK's target-side
 	// phases keep accumulating and still count in attribution.
 	t.rn = rn
-	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-	t.span.SetBytes(len(src))
-	if t.ns.cache != nil && t.rt.putCache {
-		t.t0 = t.Now()
-		t.c.Sleep(prof.CacheLookupCost, t.after(pcPutLookup))
-		return
-	}
-	t.putSlow()
+	t.remote(kindPut, len(src))
 }
 
 func (t *Thread) localPut() {
@@ -545,15 +606,9 @@ func (t *Thread) localPutDone() {
 	t.localDone()
 }
 
-func (t *Thread) putLookup() {
-	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
-	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
-		t.span.SetProto("rdma")
-		t.park(pcPutFinish)
-		t.putRDMA(base, ep)
-		return
-	}
-	t.putSlow()
+func (t *Thread) putHit(base mem.Addr, ep uint32) {
+	t.park(pcPutFinish)
+	t.putRDMA(base, ep)
 }
 
 // putRDMA writes the run one-sided. The origin buffer must survive
@@ -626,29 +681,6 @@ func (t *Thread) putRetired() {
 	t.c.Resume()
 }
 
-// healStaleC is the initiator-side recovery of a stale-epoch NACK:
-// flush every cached address for the restarted node (each entry pays
-// the lookup cost, attributed as the epoch_recovery phase) so the
-// subsequent AM fallback re-populates from fresh piggybacked bases.
-// then receives false under CrashFail, where the run is aborting and
-// the caller must not retry. (Crash recovery is rare enough to afford
-// its closures.)
-func (t *Thread) healStaleC(rn int, ep uint32, op string, span *telemetry.Span, then func(ok bool)) {
-	if t.rt.staleAbort(rn, ep, op, t.Now()) {
-		then(false)
-		return
-	}
-	t0 := t.Now()
-	n := t.ns.cache.InvalidateNode(int32(rn))
-	t.c.Sleep(sim.Time(n)*t.rt.cfg.Profile.CacheLookupCost, func() {
-		span.Phase(telemetry.PhaseEpochRecovery, t0, t.Now())
-		t.rt.staleInvalidated += int64(n)
-		t.rt.tel.AddLabeled("xlupc_stale_recoveries_total", "op", op, 1)
-		t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
-		then(true)
-	})
-}
-
 // watchPut completes an asynchronous RDMA PUT under the thread's
 // fence (and, for split-phase PUTs, under the handle's completion). A
 // NACK (the limited-pinning policy deregistered the region mid-flight)
@@ -680,23 +712,18 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 			t.rt.tel.Add("xlupc_put_retries_total", `reason="stale_epoch"`, 1)
 			t.rt.K.Spawn(fmt.Sprintf("put-stale-retry %d", t.id), func(p *sim.Proc) {
 				t0 := p.Now()
-				n := t.ns.cache.InvalidateNode(int32(rn))
+				n := t.ns.flushNode(rn)
 				if n > 0 {
 					p.Sleep(sim.Time(n) * prof.CacheLookupCost)
 				}
-				span.Phase(telemetry.PhaseEpochRecovery, t0, p.Now())
-				t.rt.staleInvalidated += int64(n)
-				t.rt.tel.Add("xlupc_stale_recoveries_total", `op="put"`, 1)
-				t.rt.recordCacheInval(t.ns.id, rn, uint64(nk.Epoch), n)
+				t.flushed(n, rn, nk.Epoch, "put", span, t0)
 				p.Sleep(sim.BytesTime(len(data), prof.CopyByteTime))
 				t.rt.M.SendAMSpan(p, t.ns.id, rn, hPutReq,
 					&putReq{H: a.h, Off: off, WantAddr: t.ns.cache != nil, Fence: f, Done: done}, data, 0, span)
 			})
 			return
 		}
-		if t.ns.cache != nil {
-			t.ns.cache.Remove(cacheKey(a.h, rn))
-		}
+		t.ns.forget(a.h, rn)
 		t.rt.tel.Add("xlupc_put_retries_total", `reason="nack"`, 1)
 		t.rt.K.Spawn(fmt.Sprintf("put-retry %d", t.id), func(p *sim.Proc) {
 			p.Sleep(sim.BytesTime(len(data), prof.CopyByteTime))

@@ -91,7 +91,7 @@ func (t *Thread) freeNbOp(op *nbOp) {
 // dst must not be read, and the array region not written, until Sync.
 func (t *Thread) NbGet(dst []byte, r Ref) Handle {
 	t.p.ParkWake()
-	t.nbIssue(bulkNbGet, "NbGet", r, dst)
+	t.nbIssue(kindNbGet, "NbGet", r, dst)
 	t.p.Await()
 	return t.h
 }
@@ -100,7 +100,7 @@ func (t *Thread) NbGet(dst []byte, r Ref) Handle {
 func (t *Thread) NbGetC(dst []byte, r Ref, then func(h Handle)) {
 	t.thenT = then
 	t.park(pcThenHandle)
-	t.nbIssue(bulkNbGet, "NbGet", r, dst)
+	t.nbIssue(kindNbGet, "NbGet", r, dst)
 }
 
 // NbPut starts a split-phase write of len(src) bytes of consecutive
@@ -111,7 +111,7 @@ func (t *Thread) NbGetC(dst []byte, r Ref, then func(h Handle)) {
 // keep the blocking rendezvous pipeline and retire under the fence.
 func (t *Thread) NbPut(r Ref, src []byte) Handle {
 	t.p.ParkWake()
-	t.nbIssue(bulkNbPut, "NbPut", r, src)
+	t.nbIssue(kindNbPut, "NbPut", r, src)
 	t.p.Await()
 	return t.h
 }
@@ -120,7 +120,7 @@ func (t *Thread) NbPut(r Ref, src []byte) Handle {
 func (t *Thread) NbPutC(r Ref, src []byte, then func(h Handle)) {
 	t.thenT = then
 	t.park(pcThenHandle)
-	t.nbIssue(bulkNbPut, "NbPut", r, src)
+	t.nbIssue(kindNbPut, "NbPut", r, src)
 }
 
 // nbIssue issues a split-phase transfer run by run and leaves its
@@ -301,7 +301,7 @@ func (t *Thread) retireWoke() {
 	case subGetRDMA:
 		if nacked {
 			t.park(pcGetFinish)
-			t.getNacked((*Thread).eagerGet)
+			t.nacked("get", (*Thread).eagerGet)
 			return
 		}
 		copy(sub.dst, data)
@@ -316,7 +316,7 @@ func (t *Thread) retireWoke() {
 	case subAtomicRDMA:
 		if nacked {
 			t.park(pcRedoneAtomic)
-			t.atomicNacked()
+			t.nacked("atomic", (*Thread).amAtomic)
 			return
 		}
 		if sub.out != nil && data != nil {
@@ -339,25 +339,11 @@ func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
 		return
 	}
 	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), dst, t.Now()
-	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, t.start)
-	t.span.MarkSplit()
-	t.span.SetBytes(len(dst))
-	if t.ns.cache != nil {
-		t.t0 = t.Now()
-		t.c.Sleep(prof.CacheLookupCost, t.after(pcNbGetLookup))
-		return
-	}
-	t.nbGetEager()
+	t.remote(kindNbGet, len(dst))
 }
 
-func (t *Thread) nbGetLookup() {
-	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
-	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
-		t.span.SetProto("rdma")
-		t.rt.M.RDMAGetStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, len(t.buf), ep, t.span, &t.rdma, t.after(pcNbGetStarted))
-		return
-	}
-	t.nbGetEager()
+func (t *Thread) nbGetHit(base mem.Addr, ep uint32) {
+	t.rt.M.RDMAGetStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, len(t.buf), ep, t.span, &t.rdma, t.after(pcNbGetStarted))
 }
 
 func (t *Thread) nbGetStarted() { t.issued(subGetRDMA, t.rdma.Done) }
@@ -380,27 +366,13 @@ func (t *Thread) nbPutRun(a *SharedArray, idx int64, src []byte) {
 		return
 	}
 	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), src, t.Now()
-	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, t.start)
-	t.span.MarkSplit()
-	t.span.SetBytes(len(src))
 	t.done = sim.NewCompletion(t.rt.K, "nb-put")
-	if t.ns.cache != nil && t.rt.putCache {
-		t.t0 = t.Now()
-		t.c.Sleep(prof.CacheLookupCost, t.after(pcNbPutLookup))
-		return
-	}
-	t.nbPutEager()
+	t.remote(kindNbPut, len(src))
 }
 
-func (t *Thread) nbPutLookup() {
-	t.span.Phase(telemetry.PhaseCacheLookup, t.t0, t.Now())
-	if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(t.a.h, t.rn)); hit {
-		t.span.SetProto("rdma")
-		t.buf = append([]byte(nil), t.buf...)
-		t.rt.M.RDMAPutStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcNbPutStarted))
-		return
-	}
-	t.nbPutEager()
+func (t *Thread) nbPutHit(base mem.Addr, ep uint32) {
+	t.buf = append([]byte(nil), t.buf...)
+	t.rt.M.RDMAPutStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcNbPutStarted))
 }
 
 func (t *Thread) nbPutStarted() {

@@ -156,11 +156,6 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // Node returns node n's runtime state (test and tooling hook).
 func (rt *Runtime) node(n int) *nodeState { return rt.nodes[n] }
 
-// Cache returns node n's remote address cache, nil when caching is off
-// — the hook layers above the runtime use to report per-object hit
-// rates (addrcache.Cache.KeyStats).
-func (rt *Runtime) Cache(n int) *addrcache.Cache { return rt.nodes[n].cache }
-
 // nodeOfThread maps a UPC thread id to its node.
 func (rt *Runtime) nodeOfThread(t int) *nodeState {
 	return rt.nodes[t/rt.cfg.ThreadsPerNode()]

@@ -80,6 +80,7 @@ type opState struct {
 	buf       []byte
 	span      *telemetry.Span
 	start, t0 sim.Time
+	kind      int               // remote: which row of remoteKinds consults the cache
 	cb        *svd.ControlBlock // local access: the resolved control block
 	done      *sim.Completion   // the reply awaited (eager GET, RTS, AM atomic, user AM)
 	rdma      transport.RDMAResult
@@ -161,7 +162,7 @@ const (
 	pcLocalAtomicDone
 	pcStoreOld
 
-	pcGetLookup
+	pcLookup
 	pcGetRDMADone
 	pcGetRendezvoused
 	pcGetRDMA2Done
@@ -170,14 +171,12 @@ const (
 	pcEagerDone
 	pcRTSDone
 
-	pcPutLookup
 	pcPutRDMADone
 	pcPutCopied
 	pcPutCopiedNoAddr
 	pcPutRendezvoused
 	pcPutFinish
 
-	pcAtomicLookup
 	pcAtomicRDMADone
 	pcAMAtomicDone
 	pcAtomicFinish
@@ -185,14 +184,11 @@ const (
 	pcUserDone
 
 	pcNbIssued
-	pcNbGetLookup
 	pcNbGetStarted
 	pcNbGetSent
-	pcNbPutLookup
 	pcNbPutStarted
 	pcNbPutCopied
 	pcNbPutSent
-	pcNbAtomicLookup
 	pcNbAtomicStarted
 	pcNbAtomicSent
 
@@ -251,7 +247,7 @@ func init() {
 		pcLocalAtomicDone: (*Thread).localAtomicDone,
 		pcStoreOld:        (*Thread).storeOld,
 
-		pcGetLookup:       (*Thread).getLookup,
+		pcLookup:          (*Thread).lookup,
 		pcGetRDMADone:     (*Thread).getRDMADone,
 		pcGetRendezvoused: (*Thread).getRendezvoused,
 		pcGetRDMA2Done:    (*Thread).getRDMA2Done,
@@ -260,14 +256,12 @@ func init() {
 		pcEagerDone:       (*Thread).eagerDone,
 		pcRTSDone:         (*Thread).rtsDone,
 
-		pcPutLookup:       (*Thread).putLookup,
 		pcPutRDMADone:     (*Thread).putRDMADone,
 		pcPutCopied:       (*Thread).putCopied,
 		pcPutCopiedNoAddr: (*Thread).putCopiedNoAddr,
 		pcPutRendezvoused: (*Thread).putRendezvoused,
 		pcPutFinish:       (*Thread).putFinish,
 
-		pcAtomicLookup:   (*Thread).atomicLookup,
 		pcAtomicRDMADone: (*Thread).atomicRDMADone,
 		pcAMAtomicDone:   (*Thread).amAtomicDone,
 		pcAtomicFinish:   (*Thread).atomicFinish,
@@ -275,14 +269,11 @@ func init() {
 		pcUserDone: (*Thread).userDone,
 
 		pcNbIssued:        (*Thread).nbIssued,
-		pcNbGetLookup:     (*Thread).nbGetLookup,
 		pcNbGetStarted:    (*Thread).nbGetStarted,
 		pcNbGetSent:       (*Thread).nbGetSent,
-		pcNbPutLookup:     (*Thread).nbPutLookup,
 		pcNbPutStarted:    (*Thread).nbPutStarted,
 		pcNbPutCopied:     (*Thread).nbPutCopied,
 		pcNbPutSent:       (*Thread).nbPutSent,
-		pcNbAtomicLookup:  (*Thread).nbAtomicLookup,
 		pcNbAtomicStarted: (*Thread).nbAtomicStarted,
 		pcNbAtomicSent:    (*Thread).nbAtomicSent,
 
@@ -364,7 +355,7 @@ func (t *Thread) Threads() int { return t.rt.cfg.Threads }
 func (t *Thread) Node() int { return t.ns.id }
 
 // Runtime returns the runtime this thread belongs to, so layers above
-// (internal/kv) can register user-AM handlers and read cache state.
+// (internal/kv) can register user-AM handlers.
 func (t *Thread) Runtime() *Runtime { return t.rt }
 
 // ThreadsPerNode is the hybrid fan-out (co-located threads share
@@ -657,7 +648,7 @@ func (t *Thread) GetBulkC(dst []byte, r Ref, then func()) {
 
 func (t *Thread) getBulk(dst []byte, r Ref) {
 	if n := runElems("GetBulk", len(dst), r); n > 0 {
-		t.bulk(bulkGet, r, n, dst)
+		t.bulk(kindGet, r, n, dst)
 		return
 	}
 	t.c.Resume()
@@ -679,7 +670,7 @@ func (t *Thread) PutBulkC(r Ref, src []byte, then func()) {
 
 func (t *Thread) putBulk(r Ref, src []byte) {
 	if n := runElems("PutBulk", len(src), r); n > 0 {
-		t.bulk(bulkPut, r, n, src)
+		t.bulk(kindPut, r, n, src)
 		return
 	}
 	t.c.Resume()
@@ -699,12 +690,17 @@ func runElems(op string, size int, r Ref) int64 {
 	return n
 }
 
-// The transfers bulk splits into single-affinity contiguous runs.
+// The kinds of data operation: the four transfers that bulk splits into
+// single-affinity contiguous runs, and the atomics. A remote one
+// consults the address cache by its row of remoteKinds.
 const (
-	bulkGet = iota
-	bulkPut
-	bulkNbGet
-	bulkNbPut
+	kindGet = iota
+	kindPut
+	kindNbGet
+	kindNbPut
+	kindAtomic
+	kindNbAtomic
+	numKinds
 )
 
 // bulk performs a transfer of n elements at r, through buf, one run at
@@ -741,13 +737,13 @@ func (t *Thread) bulkNext() {
 
 func (t *Thread) run(kind int, a *SharedArray, idx int64, buf []byte) {
 	switch kind {
-	case bulkGet:
+	case kindGet:
 		t.getRun(a, idx, buf)
-	case bulkPut:
+	case kindPut:
 		t.putRun(a, idx, buf)
-	case bulkNbGet:
+	case kindNbGet:
 		t.nbGetRun(a, idx, buf)
-	case bulkNbPut:
+	case kindNbPut:
 		t.nbPutRun(a, idx, buf)
 	}
 }

@@ -288,9 +288,6 @@ func New(t *core.Thread, o Options) (tb *Table) {
 	return tb
 }
 
-// Array exposes the underlying shared segment (tests, diagnostics).
-func (tb *Table) Array() *core.SharedArray { return tb.a }
-
 // ShardOf reports the owner thread of a key (load placement, tests).
 func (tb *Table) ShardOf(key uint64) int { return tb.g.shardOf(key) }
 
