@@ -17,11 +17,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"xlupc/internal/bench"
+	"xlupc/internal/dis"
 	"xlupc/internal/mem"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/transport"
@@ -30,6 +32,25 @@ import (
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "xlupc-cache: %v\n", err)
 	os.Exit(2)
+}
+
+// fig8For resolves -mark and -maxthreads into the panels and scales of
+// Figure 8, so that a bad value fails before anything runs: a misspelt
+// stressmark, or a -maxthreads below the smallest machine, which would
+// print every panel with no rows.
+func fig8For(mark string, maxThreads int) (marks []string, scales []bench.Scale, err error) {
+	marks = []string{"pointer", "neighborhood"}
+	if mark != "both" {
+		if _, err := dis.ByName(mark); err != nil {
+			return nil, nil, err
+		}
+		marks = []string{mark}
+	}
+	if scales = bench.GMScales(maxThreads); len(scales) == 0 {
+		return nil, nil, fmt.Errorf("-maxthreads (%d) must be at least %d, the smallest gm machine",
+			maxThreads, bench.GMScales(math.MaxInt32)[0].Threads)
+	}
+	return marks, scales, nil
 }
 
 func main() {
@@ -48,6 +69,10 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
+	marks, scales, err := fig8For(*mark, *maxThreads)
+	if err != nil && !*pressure && !*adapt { // the other two figures read neither flag
+		fatal(err)
+	}
 	bench.SetParallelism(*parallel)
 	stopProf := pf.MustStart("xlupc-cache")
 	defer stopProf()
@@ -105,11 +130,6 @@ func main() {
 				os.Exit(2)
 			}
 			caps = append(caps, v)
-		}
-		scales := bench.GMScales(*maxThreads)
-		marks := []string{"pointer", "neighborhood"}
-		if *mark != "both" {
-			marks = []string{*mark}
 		}
 		for _, m := range marks {
 			bench.PrintFig8(os.Stdout, m, scales, caps, *seed)

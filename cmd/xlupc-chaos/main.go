@@ -32,6 +32,7 @@ import (
 	"os"
 
 	"xlupc/internal/bench"
+	"xlupc/internal/dis"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
@@ -47,6 +48,25 @@ func parseRates(flagName, list string) []float64 {
 		os.Exit(2)
 	}
 	return rates
+}
+
+// checkRun validates what every sweep of the command is built from —
+// the stressmark, the machine and the restart window — so that a bad
+// value fails before any run starts.
+func checkRun(mark string, threads, nodes int, restartUs float64) error {
+	if _, err := dis.ByName(mark); err != nil {
+		return err
+	}
+	if err := bench.ValidateScale(threads, nodes); err != nil {
+		return err
+	}
+	// A NaN or infinite delay would poison the virtual-time arithmetic of
+	// every restart window; zero or negative would make restarts instant
+	// (degenerate) and anything past a second dwarfs the simulated runs.
+	if math.IsNaN(restartUs) || math.IsInf(restartUs, 0) || restartUs <= 0 || restartUs > 1e6 {
+		return fmt.Errorf("bad -restart-delay %v (want 0 < µs <= 1e6)", restartUs)
+	}
+	return nil
 }
 
 func main() {
@@ -65,24 +85,16 @@ func main() {
 	flag.Parse()
 	bench.SetParallelism(*parallel)
 
+	if err := checkRun(*mark, *threads, *nodes, *restartUs); err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
+		os.Exit(2)
+	}
 	finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
 		os.Exit(2)
 	}
-
-	if err := bench.ValidateScale(*threads, *nodes); err != nil {
-		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
-		os.Exit(2)
-	}
 	crashing := *crashList != ""
-	// A NaN or infinite delay would poison the virtual-time arithmetic of
-	// every restart window; zero or negative would make restarts instant
-	// (degenerate) and anything past a second dwarfs the simulated runs.
-	if math.IsNaN(*restartUs) || math.IsInf(*restartUs, 0) || *restartUs <= 0 || *restartUs > 1e6 {
-		fmt.Fprintf(os.Stderr, "xlupc-chaos: bad -restart-delay %v (want 0 < µs <= 1e6)\n", *restartUs)
-		os.Exit(2)
-	}
 	restart := sim.Time(*restartUs * float64(sim.Us))
 
 	var losses, crashes []float64

@@ -11,6 +11,7 @@ package bench
 // it.
 
 import (
+	"runtime"
 	"testing"
 
 	"xlupc/internal/core"
@@ -156,6 +157,77 @@ func TestAllocGuardAtomic(t *testing.T) {
 	t.Logf("cached FetchAdd: %.2f allocs", per)
 	if per > 0.05 {
 		t.Errorf("cached FetchAdd allocates %.2f (> 0.05): atomic hot path regressed", per)
+	}
+}
+
+// amBody runs ops AM round trips without an address cache: a blocking
+// eager GET, or an active-message FetchAdd.
+func amBody(atomic bool) func(th *core.Thread, ops int) {
+	return func(th *core.Thread, ops int) {
+		a := th.AllAlloc("guard", 512, 8, 256)
+		th.Barrier()
+		if th.ID() == 0 {
+			r := a.At(256) // node 1's block
+			th.PutUint64(r, 1000)
+			th.Fence()
+			for i := 0; i < ops; i++ {
+				if atomic {
+					_ = th.FetchAdd(r, 1) // previous values above 255: boxed
+				} else {
+					_ = th.GetUint64(r)
+				}
+			}
+		}
+		th.Barrier()
+	}
+}
+
+// marginalBytes is marginal for host bytes allocated per op.
+func marginalBytes(k int, cfgFn func() core.Config, body func(th *core.Thread, ops int)) float64 {
+	run := func(ops int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rt, err := core.NewRuntime(cfgFn())
+		if err != nil {
+			panic(err)
+		}
+		if _, err := rt.Run(func(th *core.Thread) { body(th, ops) }); err != nil {
+			panic(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	run(k) // grow the pools' backing arrays once
+	return (float64(run(2*k)) - float64(run(k))) / float64(k)
+}
+
+// TestAllocGuardAM bounds an active-message round trip, the path every
+// remote access takes without an address cache: the request header, the
+// completion it is answered through, the answer's header and what it
+// carries (an eager GET's data, an atomic's boxed previous value). The
+// bytes bound is there for the answer header: every kind of answer is
+// the one 80-byte reply, so a field added to it is paid by all of them
+// and shows here. (The bounds are the request's size class, the reply's
+// and the 8-byte value, plus 12 bytes: the race detector's build reads 8
+// higher, pool growth up to 4, and the next size class is 16 away.)
+func TestAllocGuardAM(t *testing.T) {
+	noCache := guardCfg(func(c *core.Config) { c.Cache = core.NoCache() })
+	for _, c := range []struct {
+		name        string
+		body        func(th *core.Thread, ops int)
+		count, size float64
+	}{
+		{"uncached GET", amBody(false), 3.05, 48 + 80 + 8 + 12},
+		{"AM FetchAdd", amBody(true), 3.05, 64 + 80 + 8 + 12},
+	} {
+		per, bytes := marginal(t, 256, noCache, c.body), marginalBytes(256, noCache, c.body)
+		t.Logf("%s: %.2f allocs, %.1f bytes", c.name, per, bytes)
+		if per > c.count {
+			t.Errorf("%s allocates %.2f (> %.2f): the AM round trip regressed", c.name, per, c.count)
+		}
+		if bytes > c.size {
+			t.Errorf("%s allocates %.1f bytes (> %.0f): a header of the AM round trip grew", c.name, bytes, c.size)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheC
 // whole claim — and a cache-on/cache-off divergence panics outright.
 func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64) []ChaosPoint {
 	if _, err := dis.ByName(mark); err != nil {
-		panic(err)
+		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	pts := make([]ChaosPoint, len(losses))
 	parfor(len(losses), func(i int) {

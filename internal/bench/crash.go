@@ -66,7 +66,7 @@ func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.Crash
 // checksum diverging from the baseline panics outright.
 func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64) []CrashPoint {
 	if _, err := dis.ByName(mark); err != nil {
-		panic(err)
+		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	base, baseSum, _ := runCrashMark(mark, sc, prof, nil, seed)
 	pts := make([]CrashPoint, len(rates))

@@ -120,7 +120,7 @@ func LAPIScales(maxThreads int) []Scale {
 func runMark(mark string, cfg core.Config, p dis.Params) (core.RunStats, uint64, *core.Runtime) {
 	fn, err := dis.ByName(mark)
 	if err != nil {
-		panic(err)
+		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
@@ -155,7 +155,7 @@ type HitRatePoint struct {
 // and cache capacities (4, 10, 100 in the paper).
 func Fig8(mark string, scales []Scale, capacities []int, seed int64) []HitRatePoint {
 	if _, err := dis.ByName(mark); err != nil {
-		panic(err)
+		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	out := make([]HitRatePoint, len(capacities)*len(scales))
 	parfor(len(out), func(i int) {
@@ -237,7 +237,7 @@ func PrintFig9(w io.Writer, prof *transport.Profile, scales []Scale, seed int64)
 // reads the mean and the 95% confidence half-width.
 func Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int, seed int64) stats.Sample {
 	if _, err := dis.ByName(mark); err != nil {
-		panic(err)
+		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	imps := make([]float64, reps)
 	parfor(reps, func(r int) {

@@ -34,10 +34,6 @@ type freeReq struct {
 	Acks *sim.Counter
 }
 
-type freeAck struct {
-	Acks *sim.Counter
-}
-
 // installArray registers the control block for layout l on node ns and
 // allocates the node's chunk if it owns part of the object.
 func (ns *nodeState) installArray(h svd.Handle, kind svd.Kind, name string, l Layout) *svd.ControlBlock {
@@ -296,11 +292,7 @@ func (rt *Runtime) handleFreeReq(p *sim.Proc, n *transport.Node, msg *transport.
 	}
 	ns.dropObjectC(p.Cont(), m.H, p.Wake())
 	p.Await()
-	rt.M.SendAM(p, n.ID, msg.Src, hFreeAck, &freeAck{Acks: m.Acks}, nil, 0)
-}
-
-func (rt *Runtime) handleFreeAck(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	msg.Meta.(*freeAck).Acks.Arrive()
+	rt.answer(p, msg, &reply{Fence: m.Acks}, nil, 0)
 }
 
 // isNodeRep reports whether this thread is its node's representative

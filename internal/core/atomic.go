@@ -37,17 +37,6 @@ type atomicReq struct {
 	Done     *sim.Completion // completes with the previous value (uint64)
 }
 
-// atomicRep carries the previous value plus the piggybacked base
-// address back to the initiator, exactly like getRep.
-type atomicRep struct {
-	H     svd.Handle
-	Base  mem.Addr
-	Epoch uint32
-	Old   uint64
-	Done  *sim.Completion
-	Pairs []addrPair
-}
-
 // checkAtomic validates the element for the 8-byte atomics.
 func checkAtomic(r Ref) {
 	if r.A.l.ElemSize != 8 {
@@ -343,15 +332,5 @@ func (rt *Runtime) handleAtomic(p *sim.Proc, n *transport.Node, msg *transport.M
 	// parallel handler contexts (LAPI) cannot interleave mid-RMW.
 	p.Sleep(atomicCPUCost)
 	old := ns.rmw(cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hAtomicRep,
-		&atomicRep{H: m.H, Base: base, Epoch: epoch, Old: old, Done: m.Done, Pairs: pairs},
-		nil, m.Op.ResultBytes()+extra, msg.Span)
-}
-
-func (rt *Runtime) handleAtomicRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*atomicRep)
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Done.Complete(m.Old)
+	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Val: old}, nil, m.Op.ResultBytes())
 }

@@ -89,14 +89,21 @@ type getReq struct {
 	Done     *sim.Completion // initiator-side; completed by the reply
 }
 
-// getRep carries the data (as payload) and optionally the base address
-// back to the initiator.
-type getRep struct {
+// reply is the one header every answer travels under, whatever was
+// asked: what an answer can carry is a payload (an eager GET's data, a
+// user AM's reply), one value (an atomic's previous word, a lock
+// attempt's outcome, a rendezvous rtrResult), an arrival at a fence (a
+// PUT's or a free's ACK), a completion to fire, and the piggybacked base
+// address of H with the frame's extra pairs. handleReply retires them
+// all.
+type reply struct {
 	H     svd.Handle
-	Base  mem.Addr // 0: not piggybacked (pin failed or WantAddr false)
+	Base  mem.Addr // 0: not piggybacked (pin failed, or the request did not want it)
 	Epoch uint32   // target incarnation that advertised Base
-	Done  *sim.Completion
-	Pairs []addrPair // extra piggybacked addresses from the same frame
+	Pairs []addrPair
+	Fence *sim.Counter    // nil: nothing fenced
+	Done  *sim.Completion // completed with the payload if there is one, else with Val
+	Val   any
 }
 
 // putReq carries PUT data (as payload) to the target.
@@ -108,39 +115,19 @@ type putReq struct {
 	Done     *sim.Completion // split-phase handle; nil for blocking PUTs
 }
 
-// putAck acknowledges a PUT, optionally piggybacking the base address
-// (the paper populates the cache "either on the data stream or on the
-// ACK message").
-type putAck struct {
-	H     svd.Handle
-	Base  mem.Addr
-	Epoch uint32
-	Fence *sim.Counter
-	Done  *sim.Completion
-	Pairs []addrPair
-}
-
 // rts is the rendezvous request-to-send for large transfers: the
-// target translates and pins, then answers with an rtr carrying the
-// base address so the transfer itself is zero-copy RDMA.
+// target translates and pins, then answers with the base address (an
+// rtrResult) so the transfer itself is zero-copy RDMA.
 type rts struct {
 	H    svd.Handle
 	Size int
 	Done *sim.Completion // completed with rtrResult at the initiator
 }
 
-type rtr struct {
-	H     svd.Handle
-	Base  mem.Addr
-	Epoch uint32
-	OK    bool // pinning succeeded; false forces the eager fallback
-	Done  *sim.Completion
-}
-
 type rtrResult struct {
 	base  mem.Addr
 	epoch uint32
-	ok    bool
+	ok    bool // pinning succeeded; false forces the eager fallback
 }
 
 // --- Target-side handlers ----------------------------------------------
@@ -204,23 +191,42 @@ func (rt *Runtime) handleGetReq(p *sim.Proc, n *transport.Node, msg *transport.M
 	p.Sleep(sim.BytesTime(m.Size, rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
 	data := n.Mem.ReadAlloc(cb.LocalBase+mem.Addr(m.Off), m.Size)
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hGetRep, &getRep{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Pairs: pairs}, data, extra, msg.Span)
+	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done}, data, 0)
 }
 
-func (rt *Runtime) handleGetRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*getRep)
-	// Copy out of the receive bounce buffer.
+// answer replies to the request msg from inside its handler: rep joins
+// the pairs of msg's frame (pairsFor) and travels with payload and extra
+// wire bytes of its own plus those of the addresses it carries.
+func (rt *Runtime) answer(p *sim.Proc, msg *transport.Msg, rep *reply, payload []byte, extra int) {
+	pairs, piggyback := pairsFor(msg, rep.H, rep.Base, rep.Epoch)
+	rep.Pairs = pairs
+	rt.M.ReplyToSpan(p, msg, hReply, rep, payload, extra+piggyback, msg.Span)
+}
+
+// handleReply retires an answer at the initiator, always in this order:
+// copy the payload out of the receive bounce buffer, fill the cache from
+// the piggybacked addresses, arrive at the fence, fire the completion.
+// What an answer does not carry costs nothing: an empty payload sleeps
+// no time and records no phase.
+func (rt *Runtime) handleReply(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+	m := msg.Meta.(*reply)
 	t0 := p.Now()
 	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Done.CompleteBytes(msg.Payload)
+	rt.insertPiggyback(p, rt.nodes[n.ID], msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
+	if m.Fence != nil {
+		m.Fence.Arrive()
+	}
+	if len(msg.Payload) > 0 {
+		m.Done.CompleteBytes(msg.Payload)
+	} else if m.Done != nil {
+		m.Done.Complete(m.Val)
+	}
 }
 
 // insertPiggyback fills the initiator's cache from a reply's
-// piggybacked addresses — the one place the cache is filled: the
+// piggybacked addresses — the one place the cache is filled, called
+// from the one place a reply is retired: the
 // replier's own (handle, base), exactly as the blocking protocol always
 // has, plus any extra pairs accumulated across the sub-messages of a
 // coalesced frame. Every new entry pays the insert cost; pairs already
@@ -261,19 +267,9 @@ func (rt *Runtime) handlePutReq(p *sim.Proc, n *transport.Node, msg *transport.M
 	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
 	n.Mem.Write(cb.LocalBase+mem.Addr(m.Off), msg.Payload)
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hPutAck,
-		&putAck{H: m.H, Base: base, Epoch: epoch, Fence: m.Fence, Done: m.Done, Pairs: pairs}, nil, extra, msg.Span)
-}
-
-func (rt *Runtime) handlePutAck(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*putAck)
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Fence.Arrive()
-	if m.Done != nil {
-		m.Done.Complete(nil)
-	}
+	// The ACK may carry the base address too (the paper populates the
+	// cache "either on the data stream or on the ACK message").
+	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Fence: m.Fence, Done: m.Done}, nil, 0)
 }
 
 func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
@@ -283,15 +279,11 @@ func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg)
 	if !ok {
 		return
 	}
-	rt.M.SendAMSpan(p, n.ID, msg.Src, hRTR,
-		&rtr{H: m.H, Base: base, Epoch: epoch, OK: base != 0, Done: m.Done}, nil, piggybackBytes, msg.Span)
-}
-
-func (rt *Runtime) handleRTR(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*rtr)
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, nil, msg.Span) // Base is 0 unless OK
-	m.Done.Complete(rtrResult{base: m.Base, epoch: m.Epoch, ok: m.OK})
+	// Not through answer: the address is what was asked for, so its bytes
+	// are on the wire even when the pin was refused (base 0).
+	rt.M.SendAMSpan(p, n.ID, msg.Src, hReply,
+		&reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Val: rtrResult{base: base, epoch: epoch, ok: base != 0}},
+		nil, piggybackBytes, msg.Span)
 }
 
 // --- Initiator-side operations ------------------------------------------

@@ -29,12 +29,13 @@ type lockWaiter struct {
 	done *sim.Completion
 }
 
+// lockReq asks the home node for the lock; the answer completes Done
+// with whether it was granted. A Try request (upc_lock_attempt) is
+// answered at once either way; a plain one is answered when granted,
+// at once or after waiting its turn in the home queue.
 type lockReq struct {
 	H    svd.Handle
-	Done *sim.Completion
-}
-
-type lockGrant struct {
+	Try  bool
 	Done *sim.Completion
 }
 
@@ -106,7 +107,7 @@ func (t *Thread) TryLock(l *Lock) bool {
 		return true
 	}
 	done := sim.NewCompletion(t.rt.K, "trylock "+l.name)
-	t.rt.M.SendAM(t.p, t.ns.id, l.home, hLockTry, &lockReq{H: l.h, Done: done}, nil, 0)
+	t.rt.M.SendAM(t.p, t.ns.id, l.home, hLockReq, &lockReq{H: l.h, Try: true, Done: done}, nil, 0)
 	t.p.Wait(done)
 	v := done.Value().(bool)
 	t.rt.K.Recycle(done)
@@ -141,7 +142,7 @@ func (rt *Runtime) homeUnlock(p *sim.Proc, home *nodeState, h svd.Handle) {
 		w.done.Complete(nil)
 		return
 	}
-	rt.M.SendAM(p, home.id, w.node, hLockGrant, &lockGrant{Done: w.done}, nil, 0)
+	rt.M.SendAM(p, home.id, w.node, hReply, &reply{Done: w.done, Val: true}, nil, 0)
 }
 
 func (rt *Runtime) handleLockReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
@@ -149,39 +150,13 @@ func (rt *Runtime) handleLockReq(p *sim.Proc, n *transport.Node, msg *transport.
 	m := msg.Meta.(*lockReq)
 	p.Sleep(lockCPUCost)
 	lh := ns.lockState(m.H)
-	if !lh.held {
-		lh.held = true
-		rt.M.SendAM(p, n.ID, msg.Src, hLockGrant, &lockGrant{Done: m.Done}, nil, 0)
+	if lh.held && !m.Try {
+		lh.queue = append(lh.queue, &lockWaiter{node: msg.Src, done: m.Done})
 		return
 	}
-	lh.queue = append(lh.queue, &lockWaiter{node: msg.Src, done: m.Done})
-}
-
-func (rt *Runtime) handleLockGrant(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	msg.Meta.(*lockGrant).Done.Complete(nil)
-}
-
-// tryResult carries a TryLock outcome back to the initiator.
-type tryResult struct {
-	OK   bool
-	Done *sim.Completion
-}
-
-func (rt *Runtime) handleLockTry(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*lockReq)
-	p.Sleep(lockCPUCost)
-	lh := ns.lockState(m.H)
-	ok := !lh.held
-	if ok {
-		lh.held = true
-	}
-	rt.M.SendAM(p, n.ID, msg.Src, hLockTryRep, &tryResult{OK: ok, Done: m.Done}, nil, 0)
-}
-
-func (rt *Runtime) handleLockTryRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	m := msg.Meta.(*tryResult)
-	m.Done.Complete(m.OK)
+	granted := !lh.held
+	lh.held = true
+	rt.answer(p, msg, &reply{Done: m.Done, Val: granted}, nil, 0)
 }
 
 func (rt *Runtime) handleUnlockReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {

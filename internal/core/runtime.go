@@ -19,25 +19,17 @@ import (
 // Active-message handler ids used by the runtime's protocols.
 const (
 	hGetReq transport.HandlerID = iota + 1
-	hGetRep
 	hPutReq
-	hPutAck
-	hRTS // rendezvous request-to-send (GET and PUT variants in meta)
-	hRTR // rendezvous ready/reply with remote base address
+	hRTS // rendezvous request-to-send, for a GET or a PUT
 	hAllocNotify
 	hFreeReq
-	hFreeAck
 	hBarrier
-	hLockReq
-	hLockGrant
+	hLockReq // Lock and TryLock
 	hUnlockReq
 	hColl
 	hAtomic
-	hAtomicRep
-	hLockTry
-	hLockTryRep
 	hUserReq // user-level AM request (useram.go)
-	hUserRep
+	hReply   // the answer to any of the above that has one (getput.go)
 )
 
 // Runtime is one simulated execution of a UPC program: a kernel, a
@@ -565,25 +557,17 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 
 func (rt *Runtime) registerHandlers() {
 	rt.M.Handle(hGetReq, rt.handleGetReq)
-	rt.M.Handle(hGetRep, rt.handleGetRep)
 	rt.M.Handle(hPutReq, rt.handlePutReq)
-	rt.M.Handle(hPutAck, rt.handlePutAck)
 	rt.M.Handle(hRTS, rt.handleRTS)
-	rt.M.Handle(hRTR, rt.handleRTR)
 	rt.M.Handle(hAllocNotify, rt.handleAllocNotify)
 	rt.M.Handle(hFreeReq, rt.handleFreeReq)
-	rt.M.Handle(hFreeAck, rt.handleFreeAck)
 	rt.M.Handle(hBarrier, rt.handleBarrier)
 	rt.M.Handle(hLockReq, rt.handleLockReq)
-	rt.M.Handle(hLockGrant, rt.handleLockGrant)
 	rt.M.Handle(hUnlockReq, rt.handleUnlockReq)
 	rt.M.Handle(hColl, rt.handleColl)
 	rt.M.Handle(hAtomic, rt.handleAtomic)
-	rt.M.Handle(hAtomicRep, rt.handleAtomicRep)
-	rt.M.Handle(hLockTry, rt.handleLockTry)
-	rt.M.Handle(hLockTryRep, rt.handleLockTryRep)
 	rt.M.Handle(hUserReq, rt.handleUserReq)
-	rt.M.Handle(hUserRep, rt.handleUserRep)
+	rt.M.Handle(hReply, rt.handleReply)
 }
 
 // RunLocal returns the run-scoped host-side singleton under key,

@@ -101,8 +101,7 @@ type opState struct {
 	h   Handle       // split-phase issue
 	arr *SharedArray // collective allocation
 
-	// A transfer being split into per-affinity runs (see bulk), or GetC's
-	// fresh slice (bulkBuf), which is one run and so finds the slot idle.
+	// A transfer being split into per-affinity runs (see bulk).
 	bulkKind int
 	bulkA    *SharedArray
 	bulkIdx  int64
@@ -140,7 +139,6 @@ func newThreads(rt *Runtime) []*Thread {
 // Step numbers of the thread's ladders (see steps).
 const (
 	pcThenW64 = iota
-	pcThenBytes
 	pcThenOld
 	pcThenCAS
 	pcThenHandle
@@ -225,7 +223,6 @@ var steps [numSteps]func(*Thread)
 func init() {
 	steps = [numSteps]func(*Thread){
 		pcThenW64:    (*Thread).callThenW64,
-		pcThenBytes:  (*Thread).callThenBytes,
 		pcThenOld:    (*Thread).callThenOld,
 		pcThenCAS:    (*Thread).callThenCAS,
 		pcThenHandle: (*Thread).callThenHandle,
@@ -329,11 +326,6 @@ func (t *Thread) callThenCAS()    { t.typed().(func(uint64, bool))(t.old, t.old 
 func (t *Thread) callThenHandle() { t.typed().(func(Handle))(t.h) }
 func (t *Thread) callThenN()      { t.typed().(func(int))(t.n) }
 func (t *Thread) callThenArray()  { t.typed().(func(*SharedArray))(t.arr) }
-func (t *Thread) callThenBytes() {
-	dst := t.bulkBuf
-	t.bulkBuf = nil
-	t.typed().(func([]byte))(dst)
-}
 
 // request sends an active message that will be answered by completing
 // t.done; step pc runs when the reply is in.
@@ -513,34 +505,14 @@ func (t *Thread) Get(r Ref) []byte {
 	return dst
 }
 
-// GetC is Get in continuation-passing style. One element is one run,
-// so the fresh slice can wait in the (idle) slot of the run splitter.
-func (t *Thread) GetC(r Ref, then func(data []byte)) {
-	t.thenT = then
-	t.park(pcThenBytes)
-	dst := make([]byte, r.A.l.ElemSize)
-	t.bulkBuf = dst
-	t.getBulk(dst, r)
-}
-
 // Put writes one element's bytes at r. PUTs complete asynchronously;
 // Fence or Barrier waits for them.
 func (t *Thread) Put(r Ref, data []byte) {
-	checkElem(r, data)
-	t.PutBulk(r, data)
-}
-
-// PutC is Put in continuation-passing style.
-func (t *Thread) PutC(r Ref, data []byte, then func()) {
-	checkElem(r, data)
-	t.PutBulkC(r, data, then)
-}
-
-func checkElem(r Ref, data []byte) {
 	if len(data) != r.A.l.ElemSize {
 		panic(fmt.Sprintf("core: Put of %d bytes into %s with element size %d",
 			len(data), r.A.name, r.A.l.ElemSize))
 	}
+	t.PutBulk(r, data)
 }
 
 // GetUint64 reads element r of an 8-byte-element array. It stages

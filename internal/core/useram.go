@@ -47,16 +47,6 @@ type userReq struct {
 	Done     *sim.Completion // initiator-side; completed by the reply
 }
 
-// userRep carries the handler's reply payload plus the piggybacked
-// base address, exactly like getRep.
-type userRep struct {
-	H     svd.Handle
-	Base  mem.Addr
-	Epoch uint32
-	Done  *sim.Completion
-	Pairs []addrPair
-}
-
 // HandleUser registers h under id for this run. Must be called before
 // any traffic uses the id — from a thread body ahead of its first
 // collective is early enough, since registration is host-side and
@@ -165,25 +155,11 @@ func (rt *Runtime) handleUserReq(p *sim.Proc, n *transport.Node, msg *transport.
 		panic(fmt.Sprintf("core: user AM for unregistered handler id %d", m.ID))
 	}
 	ctx := UserCtx{rt: rt, ns: ns, p: p, req: m, cb: cb}
-	reply := h(&ctx)
+	payload := h(&ctx)
 	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(reply), rt.cfg.Profile.CopyByteTime))
+	p.Sleep(sim.BytesTime(len(payload), rt.cfg.Profile.CopyByteTime))
 	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hUserRep,
-		&userRep{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Pairs: pairs}, reply, extra, msg.Span)
-}
-
-// handleUserRep mirrors handleGetRep: copy out, absorb piggybacked
-// addresses, complete the caller with the payload.
-func (rt *Runtime) handleUserRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*userRep)
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Done.CompleteBytes(msg.Payload)
+	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done}, payload, 0)
 }
 
 // --- Initiator side ----------------------------------------------------
@@ -216,11 +192,5 @@ func (t *Thread) NodeLocal(key string, build func(k *sim.Kernel) any) any {
 	return t.ns.nodeLocal(key, build)
 }
 
-// Acquire takes r on the thread.
-func (t *Thread) Acquire(r *sim.Resource) {
-	t.AcquireC(r, t.p.Wake())
-	t.p.Await()
-}
-
-// AcquireC is Acquire in continuation-passing style.
+// AcquireC takes r on the thread, then runs then.
 func (t *Thread) AcquireC(r *sim.Resource, then func()) { r.AcquireCont(t.c, then) }

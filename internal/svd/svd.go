@@ -115,9 +115,6 @@ func NewDirectory(node, threads int) *Directory {
 	}
 }
 
-// Threads returns the number of UPC threads (thread partitions).
-func (d *Directory) Threads() int { return d.threads }
-
 func (d *Directory) checkPart(part int32) {
 	if part != AllPartition && (part < 0 || int(part) >= d.threads) {
 		panic(fmt.Sprintf("svd: node %d: invalid partition %d (threads=%d)", d.node, part, d.threads))
