@@ -36,12 +36,30 @@ import (
 
 	"xlupc/internal/bench"
 	"xlupc/internal/core"
+	"xlupc/internal/dis"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
 	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
+
+// checkRun validates what the runs are built from — the stressmark, the
+// transport and the machine — so that a bad value fails before the host
+// profiler starts or a header is printed, and returns the profile.
+func checkRun(mark, profName string, threads, nodes int) (*transport.Profile, error) {
+	if _, err := dis.ByName(mark); err != nil {
+		return nil, err
+	}
+	prof := transport.ByName(profName)
+	if prof == nil {
+		return nil, fmt.Errorf("unknown profile %q", profName)
+	}
+	if err := bench.ValidateScale(threads, nodes); err != nil {
+		return nil, err
+	}
+	return prof, nil
+}
 
 func main() {
 	mark := flag.String("bench", "field", "DIS stressmark to profile")
@@ -56,12 +74,8 @@ func main() {
 	pf := hostprof.Register(nil)
 	flag.Parse()
 
-	prof := transport.ByName(*profName)
-	if prof == nil {
-		fmt.Fprintf(os.Stderr, "xlupc-top: unknown profile %q\n", *profName)
-		os.Exit(2)
-	}
-	if err := bench.ValidateScale(*threads, *nodes); err != nil {
+	prof, err := checkRun(*mark, *profName, *threads, *nodes)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-top: %v\n", err)
 		os.Exit(2)
 	}

@@ -11,6 +11,7 @@ package bench
 // it.
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -228,6 +229,92 @@ func TestAllocGuardAM(t *testing.T) {
 		if bytes > c.size {
 			t.Errorf("%s allocates %.1f bytes (> %.0f): a header of the AM round trip grew", c.name, bytes, c.size)
 		}
+	}
+}
+
+// guardUser is the user-AM handler id of the round-trip guard.
+const guardUser core.UserHandlerID = 0
+
+// guardAM is the round-trip guard's handler: it sleeps, reads the
+// anchor's first word, writes it back incremented, and replies with it.
+// Its state is a record of its own with its steps bound once, so what
+// the guard counts is the dispatch machinery's.
+type guardAM struct {
+	c                    *core.UserCtx
+	reply                func([]byte)
+	word                 [8]byte
+	slept, read, written func()
+}
+
+func newGuardAM() *guardAM {
+	g := &guardAM{}
+	g.slept = func() { g.c.ReadLocalC(0, g.word[:], g.read) }
+	g.read = func() {
+		binary.LittleEndian.PutUint64(g.word[:], binary.LittleEndian.Uint64(g.word[:])+1)
+		g.c.WriteLocalC(0, g.word[:], g.written)
+	}
+	g.written = func() { g.reply(g.word[:]) }
+	return g
+}
+
+func (g *guardAM) serve(c *core.UserCtx, reply func([]byte)) {
+	g.c, g.reply = c, reply
+	c.SleepC(50*sim.Ns, g.slept)
+}
+
+// userAMBodyC runs ops user-AM round trips from thread 0 to node 1. Its
+// loop is one closure per thread, so what the guard counts is the round
+// trip's.
+func userAMBodyC(ops int) core.ContBody {
+	return func(th *core.Thread, done func()) {
+		th.AllAllocC("guard", 512, 8, 256, func(a *core.SharedArray) {
+			th.BarrierC(func() {
+				if th.ID() != 0 {
+					th.BarrierC(done)
+					return
+				}
+				var reply [8]byte
+				i := 0
+				var next func(int)
+				next = func(int) {
+					if i == ops {
+						th.BarrierC(done)
+						return
+					}
+					i++
+					th.CallAMC(a, 1, guardUser, 0, 0, 8, reply[:], "user", next)
+				}
+				next(0)
+			})
+		})
+	}
+}
+
+// TestAllocGuardUserAM bounds a user-AM round trip to a handler that
+// sleeps, reads and writes locally: the request record and the answer's
+// header, and nothing per message on the target side. The tree whose
+// dispatchers were processes read 3.00 here (it built a handler context
+// per message); the bound is the ladders' reading, 2.00, so that a
+// closure or a record built per message on the target side fails it.
+func TestAllocGuardUserAM(t *testing.T) {
+	cfg := guardCfg(func(c *core.Config) { c.Cache = core.NoCache() })
+	run := func(ops int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			rt, err := core.NewRuntime(cfg())
+			if err != nil {
+				panic(err)
+			}
+			rt.HandleUser(guardUser, newGuardAM().serve)
+			if _, err := rt.RunCont(userAMBodyC(ops)); err != nil {
+				panic(err)
+			}
+		})
+	}
+	const k = 256
+	per := (run(2*k) - run(k)) / k
+	t.Logf("user AM round trip: %.2f allocs", per)
+	if per > 2.05 {
+		t.Errorf("user AM round trip allocates %.2f (> 2.05): the handler side regressed", per)
 	}
 }
 

@@ -239,60 +239,104 @@ func (t *Thread) FreeC(a *SharedArray, then func()) {
 	})
 }
 
-// dropObjectC performs the local part of a free on node ns, on behalf
-// of ct — the freeing thread, or the dispatcher serving its request:
-// eagerly invalidate the address-cache entries, deregister and free the
-// local piece, and mark the handle freed.
+// dropObjectC performs the local part of a free on node ns on behalf of
+// ct, the freeing thread, and then runs then. (The dispatcher serving a
+// peer's free request runs the same ladder on its own record.)
 func (ns *nodeState) dropObjectC(ct *sim.Cont, h svd.Handle, then func()) {
-	afterInval := func() {
-		cb, ok := ns.dir.LookupAny(h)
-		if !ok {
-			panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, h))
-		}
-		if !cb.HasLocal {
-			ns.dir.MarkFreed(h)
-			then()
-			return
-		}
-		ct.Sleep(ns.tn.Pins.Unpin(cb.LocalBase, ns.rt.K.Now()), func() {
-			ns.tn.Mem.Free(cb.LocalBase)
-			ns.dir.MarkFreed(h)
-			then()
-		})
-	}
+	ct.Park(sim.Func(then), 0)
+	(&dropOp{}).start(ns, ct, h)
+}
+
+// dropOp is the local part of a free in progress on node ns, on behalf
+// of ct: eagerly invalidate the address-cache entries, deregister and
+// free the local piece, and mark the handle freed; then resume what ct
+// parked beneath it.
+type dropOp struct {
+	ns *nodeState
+	ct *sim.Cont
+	h  svd.Handle
+	cb *svd.ControlBlock
+	n  int // cache entries invalidated
+}
+
+// dropOp steps.
+const (
+	dropInvalidated = iota
+	dropUnpinned
+)
+
+func (d *dropOp) start(ns *nodeState, ct *sim.Cont, h svd.Handle) {
+	d.ns, d.ct, d.h = ns, ct, h
 	if ns.cache == nil {
-		afterInval()
+		d.deregister()
 		return
 	}
-	n := ns.cache.InvalidateHandle(h.Key())
-	ct.Sleep(sim.Time(n)*ns.rt.cfg.Profile.CacheLookupCost, func() {
-		ns.rt.recordCacheInval(ns.id, -1, h.Key(), n)
-		afterInval()
-	})
+	d.n = ns.cache.InvalidateHandle(h.Key())
+	ct.Sleep(sim.Time(d.n)*ns.rt.cfg.Profile.CacheLookupCost, ct.Then(d, dropInvalidated))
 }
 
-func (rt *Runtime) handleAllocNotify(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*allocNotify)
-	l := rt.layout(m.ElemSize, m.Block, m.NumElems)
+func (d *dropOp) Step(pc int) {
+	ns := d.ns
+	switch pc {
+	case dropInvalidated:
+		ns.rt.recordCacheInval(ns.id, -1, d.h.Key(), d.n)
+		d.deregister()
+	case dropUnpinned:
+		ns.tn.Mem.Free(d.cb.LocalBase)
+		d.freed()
+	}
+}
+
+// deregister looks the object up and unpins its local piece, if any.
+func (d *dropOp) deregister() {
+	ns := d.ns
+	cb, ok := ns.dir.LookupAny(d.h)
+	if !ok {
+		panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, d.h))
+	}
+	if !cb.HasLocal {
+		d.freed()
+		return
+	}
+	d.cb = cb
+	d.ct.Sleep(ns.tn.Pins.Unpin(cb.LocalBase, ns.rt.K.Now()), d.ct.Then(d, dropUnpinned))
+}
+
+func (d *dropOp) freed() {
+	d.ns.dir.MarkFreed(d.h)
+	ct := d.ct
+	d.ct, d.cb = nil, nil
+	ct.Resume()
+}
+
+func (rt *Runtime) handleAllocNotify(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
+	ct.Sleep(allocCPUCost, x.after(hcAllocCharged))
+}
+
+func (x *amCtx) allocCharged() {
+	m := x.msg.Meta.(*allocNotify)
+	l := x.rt.layout(m.ElemSize, m.Block, m.NumElems)
 	l.Home = m.Home
-	p.Sleep(allocCPUCost)
-	ns.installArray(m.H, m.Kind, m.Name, l)
+	x.ns.installArray(m.H, m.Kind, m.Name, l)
+	x.then()
 }
 
-func (rt *Runtime) handleFreeReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+func (rt *Runtime) handleFreeReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
 	ns := rt.nodes[n.ID]
 	m := msg.Meta.(*freeReq)
 	if _, ok := ns.dir.LookupAny(m.H); !ok {
-		// Allocation notify still in flight; retry shortly.
-		port := rt.M.Fab.Port(ns.id)
-		msg.Retain() // redelivered below; the dispatcher must not recycle it
-		rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
+		rt.requeue(ns, msg)
+		then()
 		return
 	}
-	ns.dropObjectC(p.Cont(), m.H, p.Wake())
-	p.Await()
-	rt.answer(p, msg, &reply{Fence: m.Acks}, nil, 0)
+	x := rt.serve(ct, n, msg, then)
+	x.park(hcFreeDropped)
+	x.drop.start(ns, ct, m.H)
+}
+
+func (x *amCtx) freeDropped() {
+	x.answer(&reply{Fence: x.msg.Meta.(*freeReq).Acks}, nil, 0)
 }
 
 // isNodeRep reports whether this thread is its node's representative

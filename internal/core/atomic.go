@@ -321,16 +321,20 @@ func (t *Thread) redoneAtomic() {
 // advertise, combine on the target CPU, and reply with the previous
 // value plus the piggybacked base — so an AM-fallback atomic repairs
 // the initiator's cache and later atomics return to the NIC path.
-func (rt *Runtime) handleAtomic(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleAtomic(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
 	m := msg.Meta.(*atomicReq)
-	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
-	if !ok {
-		return
-	}
+	x.translate(m.H, m.WantAddr, hcAtomicTranslated)
+}
+
+func (x *amCtx) atomicTranslated() {
 	// Charge the cost first, then update in one indivisible step so
 	// parallel handler contexts (LAPI) cannot interleave mid-RMW.
-	p.Sleep(atomicCPUCost)
-	old := ns.rmw(cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
-	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Val: old}, nil, m.Op.ResultBytes())
+	x.ct.Sleep(atomicCPUCost, x.after(hcAtomicApplied))
+}
+
+func (x *amCtx) atomicApplied() {
+	m := x.msg.Meta.(*atomicReq)
+	old := x.ns.rmw(x.cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
+	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: old}, nil, m.Op.ResultBytes())
 }

@@ -222,7 +222,7 @@ func (t *Thread) flatRelease() {
 	t.barrierSend(dst, flatRelease, pcFlatRelease)
 }
 
-func (rt *Runtime) handleBarrier(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+func (rt *Runtime) handleBarrier(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
 	nb := rt.nodes[n.ID].barrier
 	m := msg.Meta.(*barrierMsg)
 	if m.Round == flatArrive {
@@ -232,12 +232,14 @@ func (rt *Runtime) handleBarrier(p *sim.Proc, n *transport.Node, msg *transport.
 			nb.flatWait = nil
 			c.Complete(nil)
 		}
+		then()
 		return
 	}
 	key := dissKey{epoch: m.Epoch, round: m.Round}
 	if c, ok := nb.waiters[key]; ok {
 		c.Complete(nil)
-		return
+	} else {
+		nb.recv[key] = true
 	}
-	nb.recv[key] = true
+	then()
 }

@@ -117,15 +117,16 @@ func (cs *collState) awaitColl(p *sim.Proc, k *sim.Kernel, key collKey) *collMsg
 	return c.Value().(*collMsg)
 }
 
-func (rt *Runtime) handleColl(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+func (rt *Runtime) handleColl(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
 	cs := rt.nodes[n.ID].coll
 	m := msg.Meta.(*collMsg)
 	key := collKey{epoch: m.Epoch, from: m.From}
 	if c, ok := cs.waiters[key]; ok {
 		c.Complete(m)
-		return
+	} else {
+		cs.recv[key] = m
 	}
-	cs.recv[key] = m
+	then()
 }
 
 // sendColl ships a collective message to another node.

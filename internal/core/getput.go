@@ -131,76 +131,28 @@ type rtrResult struct {
 }
 
 // --- Target-side handlers ----------------------------------------------
+//
+// Each handler is a ladder of steps on its dispatcher context (amCtx,
+// runtime.go).
 
-// pinChunk applies the greedy pin-everything policy on first remote
-// access: the whole local chunk of the object is registered at once.
-// It returns the (base address, incarnation epoch) pair to advertise —
-// base 0 if pinning failed (registration limits) — and charges the
-// registration cost to the dispatcher (the target CPU on
-// non-overlapping transports).
-func (ns *nodeState) pinChunk(p *sim.Proc, cb *svd.ControlBlock) (mem.Addr, uint32) {
-	if !cb.HasLocal {
-		panic(fmt.Sprintf("core: node %d asked to pin %v, which it does not own", ns.id, cb.Handle))
-	}
-	cost, err := ns.tn.Pins.Pin(cb.LocalBase, cb.LocalSize, cb.Handle.Key(), p.Now())
-	// Capture the advertised pair before sleeping the registration cost:
-	// a crash mid-sleep relocates the chunk and bumps the epoch together,
-	// so the initiator receives a coherent stale (base, epoch) — which
-	// heals through a clean stale-NACK — never a fresh base under an old
-	// epoch or vice versa.
-	base, epoch := cb.LocalBase, ns.tn.Epoch
-	if cost > 0 {
-		p.Sleep(cost)
-	}
-	if err != nil {
-		return 0, epoch
-	}
-	return base, epoch
-}
-
-// translate is the target-side preamble of every request that names a
-// shared object: resolve handle h in the SVD and, when the initiator
-// wants the address (wantAddr), pin the chunk and return the (base,
-// epoch) pair to piggyback on the reply. ok is false when the handle
-// is not known yet and msg was requeued: the handler returns at once.
-func (ns *nodeState) translate(p *sim.Proc, msg *transport.Msg, h svd.Handle, wantAddr bool) (cb *svd.ControlBlock, base mem.Addr, epoch uint32, ok bool) {
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, h, msg)
-	if requeued {
-		return nil, 0, 0, false
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	if wantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	}
-	return cb, base, epoch, true
-}
-
-func (rt *Runtime) handleGetReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleGetReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
 	m := msg.Meta.(*getReq)
-	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
-	if !ok {
-		return
-	}
+	x.translate(m.H, m.WantAddr, hcGetTranslated)
+}
+
+func (x *amCtx) getTranslated() {
 	// Eager reply: the data is copied into a (pre-registered) bounce
 	// buffer before injection — the copy cost that RDMA avoids.
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(m.Size, rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	data := n.Mem.ReadAlloc(cb.LocalBase+mem.Addr(m.Off), m.Size)
-	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done}, data, 0)
+	x.t0 = x.rt.K.Now()
+	x.ct.Sleep(sim.BytesTime(x.msg.Meta.(*getReq).Size, x.rt.cfg.Profile.CopyByteTime), x.after(hcGetCopied))
 }
 
-// answer replies to the request msg from inside its handler: rep joins
-// the pairs of msg's frame (pairsFor) and travels with payload and extra
-// wire bytes of its own plus those of the addresses it carries.
-func (rt *Runtime) answer(p *sim.Proc, msg *transport.Msg, rep *reply, payload []byte, extra int) {
-	pairs, piggyback := pairsFor(msg, rep.H, rep.Base, rep.Epoch)
-	rep.Pairs = pairs
-	rt.M.ReplyToSpan(p, msg, hReply, rep, payload, extra+piggyback, msg.Span)
+func (x *amCtx) getCopied() {
+	m := x.msg.Meta.(*getReq)
+	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
+	data := x.ns.tn.Mem.ReadAlloc(x.cb.LocalBase+mem.Addr(m.Off), m.Size)
+	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done}, data, 0)
 }
 
 // handleReply retires an answer at the initiator, always in this order:
@@ -208,82 +160,107 @@ func (rt *Runtime) answer(p *sim.Proc, msg *transport.Msg, rep *reply, payload [
 // the piggybacked addresses, arrive at the fence, fire the completion.
 // What an answer does not carry costs nothing: an empty payload sleeps
 // no time and records no phase.
-func (rt *Runtime) handleReply(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	m := msg.Meta.(*reply)
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	rt.insertPiggyback(p, rt.nodes[n.ID], msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
+func (rt *Runtime) handleReply(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
+	x.t0 = rt.K.Now()
+	ct.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime), x.after(hcReplyCopied))
+}
+
+func (x *amCtx) replyCopied() {
+	m := x.msg.Meta.(*reply)
+	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
+	if x.ns.cache == nil || (m.Base == 0 && len(m.Pairs) == 0) {
+		x.replyFilled()
+		return
+	}
+	x.park(hcReplyFilled)
+	x.t0, x.pi = x.rt.K.Now(), -2
+	x.insertPiggyback()
+}
+
+func (x *amCtx) replyFilled() {
+	m, payload := x.msg.Meta.(*reply), x.msg.Payload
 	if m.Fence != nil {
 		m.Fence.Arrive()
 	}
-	if len(msg.Payload) > 0 {
-		m.Done.CompleteBytes(msg.Payload)
+	if len(payload) > 0 {
+		m.Done.CompleteBytes(payload)
 	} else if m.Done != nil {
 		m.Done.Complete(m.Val)
 	}
+	x.then()
 }
 
 // insertPiggyback fills the initiator's cache from a reply's
-// piggybacked addresses — the one place the cache is filled, called
-// from the one place a reply is retired: the
-// replier's own (handle, base), exactly as the blocking protocol always
-// has, plus any extra pairs accumulated across the sub-messages of a
-// coalesced frame. Every new entry pays the insert cost; pairs already
+// piggybacked addresses — the one place the cache is filled, reached
+// from the one place a reply is retired: the replier's own (handle,
+// base), exactly as the blocking protocol always has, plus any extra
+// pairs accumulated across the sub-messages of a coalesced frame. Every
+// new entry pays the insert cost, then is inserted; pairs already
 // resident (an earlier reply of the same frame filled them) are skipped
-// without charge.
-func (rt *Runtime) insertPiggyback(p *sim.Proc, ns *nodeState, src int, own svd.Handle, base mem.Addr, epoch uint32, pairs []addrPair, span *telemetry.Span) {
-	if ns.cache == nil || (base == 0 && len(pairs) == 0) {
+// without charge. It is its own next step: x.pi is the entry whose cost
+// has just been paid (-1: the replier's own; -2 on entry, none).
+func (x *amCtx) insertPiggyback() {
+	m, src, cache := x.msg.Meta.(*reply), x.msg.Src, x.ns.cache
+	cost := x.rt.cfg.Profile.CacheInsertCost
+	switch {
+	case x.pi >= 0:
+		pr := m.Pairs[x.pi]
+		cache.InsertEpoch(cacheKey(pr.H, src), pr.Base, pr.Epoch)
+	case x.pi == -1:
+		cache.InsertEpoch(cacheKey(m.H, src), m.Base, m.Epoch)
+	case m.Base != 0:
+		x.pi = -1
+		x.ct.Sleep(cost, x.after(hcFill))
+		return
+	default:
+		x.pi = -1
+	}
+	for x.pi++; x.pi < len(m.Pairs); x.pi++ {
+		pr := m.Pairs[x.pi]
+		if pr.Base == 0 || pr.H == m.H || cache.Contains(cacheKey(pr.H, src)) {
+			continue
+		}
+		x.ct.Sleep(cost, x.after(hcFill))
 		return
 	}
-	t0 := p.Now()
-	if base != 0 {
-		p.Sleep(rt.cfg.Profile.CacheInsertCost)
-		ns.cache.InsertEpoch(cacheKey(own, src), base, epoch)
-	}
-	for _, pr := range pairs {
-		if pr.Base == 0 || pr.H == own {
-			continue
-		}
-		k := cacheKey(pr.H, src)
-		if ns.cache.Contains(k) {
-			continue
-		}
-		p.Sleep(rt.cfg.Profile.CacheInsertCost)
-		ns.cache.InsertEpoch(k, pr.Base, pr.Epoch)
-	}
-	span.Phase(telemetry.PhaseCacheInsert, t0, p.Now())
+	x.msg.Span.Phase(telemetry.PhaseCacheInsert, x.t0, x.rt.K.Now())
+	x.ct.Resume()
 }
 
-func (rt *Runtime) handlePutReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handlePutReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
 	m := msg.Meta.(*putReq)
-	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
-	if !ok {
-		return
-	}
+	x.translate(m.H, m.WantAddr, hcPutTranslated)
+}
+
+func (x *amCtx) putTranslated() {
 	// Copy from the receive bounce buffer into place.
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	n.Mem.Write(cb.LocalBase+mem.Addr(m.Off), msg.Payload)
+	x.t0 = x.rt.K.Now()
+	x.ct.Sleep(sim.BytesTime(len(x.msg.Payload), x.rt.cfg.Profile.CopyByteTime), x.after(hcPutCopied))
+}
+
+func (x *amCtx) putCopied() {
+	m := x.msg.Meta.(*putReq)
+	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
+	x.ns.tn.Mem.Write(x.cb.LocalBase+mem.Addr(m.Off), x.msg.Payload)
 	// The ACK may carry the base address too (the paper populates the
 	// cache "either on the data stream or on the ACK message").
-	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Fence: m.Fence, Done: m.Done}, nil, 0)
+	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Fence: m.Fence, Done: m.Done}, nil, 0)
 }
 
-func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*rts)
-	_, base, epoch, ok := ns.translate(p, msg, m.H, true) // rendezvous always registers
-	if !ok {
-		return
-	}
+func (rt *Runtime) handleRTS(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
+	x.translate(msg.Meta.(*rts).H, true, hcRTSTranslated) // rendezvous always registers
+}
+
+func (x *amCtx) rtsTranslated() {
+	m, msg := x.msg.Meta.(*rts), x.msg
 	// Not through answer: the address is what was asked for, so its bytes
 	// are on the wire even when the pin was refused (base 0).
-	rt.M.SendAMSpan(p, n.ID, msg.Src, hReply,
-		&reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Val: rtrResult{base: base, epoch: epoch, ok: base != 0}},
-		nil, piggybackBytes, msg.Span)
+	x.rt.M.SendAMSpanC(x.ct, msg.Dst, msg.Src, hReply,
+		&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: rtrResult{base: x.base, epoch: x.epoch, ok: x.base != 0}},
+		nil, piggybackBytes, msg.Span, x.then)
 }
 
 // --- Initiator-side operations ------------------------------------------

@@ -119,49 +119,60 @@ func (t *Thread) TryLock(l *Lock) bool {
 func (t *Thread) Unlock(l *Lock) {
 	if t.ns.id == l.home {
 		t.p.Sleep(lockCPUCost)
-		t.rt.homeUnlock(t.p, t.rt.nodes[l.home], l.h)
+		t.rt.homeUnlockC(t.c, t.ns, l.h, t.p.Wake())
+		t.p.Await()
 		return
 	}
 	t.rt.M.SendAM(t.p, t.ns.id, l.home, hUnlockReq, &unlockReq{H: l.h}, nil, 0)
 }
 
-// homeUnlock passes the lock to the next waiter or releases it.
-// It runs on the home node (thread or dispatcher context).
-func (rt *Runtime) homeUnlock(p *sim.Proc, home *nodeState, h svd.Handle) {
+// homeUnlockC passes the lock to the next waiter or releases it, on
+// behalf of ct — the unlocking thread at the home node, or the
+// dispatcher context serving a remote unlock — then runs then: at once,
+// or once the grant to a remote waiter is on the wire.
+func (rt *Runtime) homeUnlockC(ct *sim.Cont, home *nodeState, h svd.Handle, then func()) {
 	lh := home.lockState(h)
 	if !lh.held {
 		panic(fmt.Sprintf("core: unlock of unheld lock %v", h))
 	}
 	if len(lh.queue) == 0 {
 		lh.held = false
+		then()
 		return
 	}
 	w := lh.queue[0]
 	lh.queue = lh.queue[1:]
 	if w.node == home.id {
 		w.done.Complete(nil)
+		then()
 		return
 	}
-	rt.M.SendAM(p, home.id, w.node, hReply, &reply{Done: w.done, Val: true}, nil, 0)
+	rt.M.SendAMSpanC(ct, home.id, w.node, hReply, &reply{Done: w.done, Val: true}, nil, 0, nil, then)
 }
 
-func (rt *Runtime) handleLockReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*lockReq)
-	p.Sleep(lockCPUCost)
-	lh := ns.lockState(m.H)
+func (rt *Runtime) handleLockReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
+	ct.Sleep(lockCPUCost, x.after(hcLockCharged))
+}
+
+func (x *amCtx) lockCharged() {
+	m := x.msg.Meta.(*lockReq)
+	lh := x.ns.lockState(m.H)
 	if lh.held && !m.Try {
-		lh.queue = append(lh.queue, &lockWaiter{node: msg.Src, done: m.Done})
+		lh.queue = append(lh.queue, &lockWaiter{node: x.msg.Src, done: m.Done})
+		x.then()
 		return
 	}
 	granted := !lh.held
 	lh.held = true
-	rt.answer(p, msg, &reply{Done: m.Done, Val: granted}, nil, 0)
+	x.answer(&reply{Done: m.Done, Val: granted}, nil, 0)
 }
 
-func (rt *Runtime) handleUnlockReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*unlockReq)
-	p.Sleep(lockCPUCost)
-	rt.homeUnlock(p, ns, m.H)
+func (rt *Runtime) handleUnlockReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
+	ct.Sleep(lockCPUCost, x.after(hcUnlockCharged))
+}
+
+func (x *amCtx) unlockCharged() {
+	x.rt.homeUnlockC(x.ct, x.ns, x.msg.Meta.(*unlockReq).H, x.then)
 }

@@ -42,17 +42,16 @@ type roundTripRow struct {
 // stores argument B there instead.
 const userEcho UserHandlerID = 0
 
-func userEchoAM(c *UserCtx) []byte {
+func userEchoAM(c *UserCtx, reply func([]byte)) {
 	n, v := c.Args()
 	if n == 0 {
-		var w [8]byte
-		byteOrder.PutUint64(w[:], v)
-		c.WriteLocal(0, w[:])
-		return nil
+		w := make([]byte, 8)
+		byteOrder.PutUint64(w, v)
+		c.WriteLocalC(0, w, func() { reply(nil) })
+		return
 	}
-	reply := make([]byte, n)
-	c.ReadLocal(0, reply)
-	return reply
+	payload := make([]byte, n)
+	c.ReadLocalC(0, payload, func() { reply(payload) })
 }
 
 // callAM is CallAMC for a blocking body.

@@ -83,6 +83,10 @@ type nodeState struct {
 	// user holds node-scoped singletons of user-level protocols
 	// (per-node locks, counters); see nodeLocal in useram.go.
 	user map[string]any
+
+	// ctxs holds the handler state of each of the node's AM dispatcher
+	// contexts (see serve).
+	ctxs []amCtx
 }
 
 // NewRuntime builds the simulated cluster for cfg.
@@ -114,6 +118,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		m.SetFlightRecorder(rt.fr)
 	}
 	rt.nodes = make([]*nodeState, cfg.Nodes)
+	nctx := m.AMContexts()
+	ctxs := make([]amCtx, cfg.Nodes*nctx)
 	for i := 0; i < cfg.Nodes; i++ {
 		ns := &nodeState{
 			rt:    rt,
@@ -121,6 +127,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			tn:    m.Nodes[i],
 			dir:   svd.NewDirectory(i, cfg.Threads),
 			locks: make(map[svd.Handle]*lockHome),
+			ctxs:  ctxs[i*nctx : (i+1)*nctx : (i+1)*nctx],
+		}
+		for c := range ns.ctxs {
+			x := &ns.ctxs[c]
+			x.rt, x.ns, x.user.x = rt, ns, x
 		}
 		// The cache only pays off where one-sided hardware exists; on
 		// RDMA-less transports (BlueGene/L, TCP) the runtime leaves it
@@ -164,11 +175,11 @@ func (rt *Runtime) Run(body func(t *Thread)) (RunStats, error) {
 		return RunStats{}, fmt.Errorf("core: Runtime.Run called twice; build a fresh Runtime per run")
 	}
 	rt.ran = true
-	// Whatever way the run ends — clean completion, Stop, an event
-	// limit, a deadlock error, or a panic unwinding through Run — the
-	// dispatcher daemons (and, on error paths, stranded program threads)
-	// are still parked on their goroutines. Release them so repeated
-	// simulations (sweeps, benchmarks) do not accumulate goroutines.
+	// Whatever way the run ends other than cleanly — Stop, an event
+	// limit, a deadlock error, or a panic unwinding through Run —
+	// stranded program threads are still parked on their goroutines.
+	// Release them so repeated simulations (sweeps, benchmarks) do not
+	// accumulate goroutines.
 	defer rt.K.Shutdown()
 	rt.liveBodies = len(rt.threads)
 	for _, th := range rt.threads {
@@ -588,22 +599,205 @@ func (rt *Runtime) RunLocal(key string, build func() any) any {
 	return v
 }
 
-// resolve looks a handle up in node ns's SVD replica from within an AM
-// handler. If the handle is not yet known (its allocation notification
-// is still in flight), the message is requeued after a short delay
-// rather than blocking the dispatcher; the caller must return
-// immediately when resolve reports requeued=true.
-func (ns *nodeState) resolve(p *sim.Proc, h svd.Handle, msg *transport.Msg) (cb *svd.ControlBlock, requeued bool) {
-	p.Sleep(ns.rt.cfg.Profile.SVDLookupCost)
-	cb, ok := ns.dir.LookupAny(h)
+// --- Target side ---------------------------------------------------------
+
+// amCtx is what one AM dispatcher context of a node has in progress.
+// Every handler is a ladder of steps on the context's continuation,
+// like a thread's operations on its own (see Thread): the handle method
+// starts it, each later step runs from the kernel event that ends a
+// wait, and the last one runs the dispatcher's then. A context serves
+// one message at a time, so the ladder's state lives here, in a record
+// built once per context, rather than in a closure per message.
+type amCtx struct {
+	rt   *Runtime
+	ns   *nodeState
+	ct   *sim.Cont
+	msg  *transport.Msg
+	then func() // the dispatcher's: the handler is done
+
+	// translate: what it was asked, where the handler goes on, and what
+	// it found.
+	h     svd.Handle
+	want  bool
+	next  int
+	cb    *svd.ControlBlock
+	base  mem.Addr
+	epoch uint32
+
+	t0 sim.Time
+	pi int // insertPiggyback: the pair whose insert cost is paid (-1: the replier's own)
+
+	drop dropOp // handleFreeReq's local part of the free
+
+	// The user AM being served: the context its handler runs in, the
+	// reply continuation it is given (bound at the context's first user
+	// AM) and the payload it replied with.
+	user      UserCtx
+	userReply func(payload []byte)
+	payload   []byte
+}
+
+// Step numbers of the handlers' ladders (see amSteps).
+const (
+	hcResolved = iota
+	hcPinned
+	hcGetTranslated
+	hcGetCopied
+	hcPutTranslated
+	hcPutCopied
+	hcRTSTranslated
+	hcAtomicTranslated
+	hcAtomicApplied
+	hcUserTranslated
+	hcUserRead
+	hcUserWritten
+	hcUserCopied
+	hcReplyCopied
+	hcFill
+	hcReplyFilled
+	hcAllocCharged
+	hcFreeDropped
+	hcLockCharged
+	hcUnlockCharged
+
+	numAMSteps
+)
+
+// amSteps maps a step number to the method that runs it. (Filled in by
+// init because the methods refer back to it.)
+var amSteps [numAMSteps]func(*amCtx)
+
+func init() {
+	amSteps = [numAMSteps]func(*amCtx){
+		hcResolved:         (*amCtx).resolved,
+		hcPinned:           (*amCtx).pinned,
+		hcGetTranslated:    (*amCtx).getTranslated,
+		hcGetCopied:        (*amCtx).getCopied,
+		hcPutTranslated:    (*amCtx).putTranslated,
+		hcPutCopied:        (*amCtx).putCopied,
+		hcRTSTranslated:    (*amCtx).rtsTranslated,
+		hcAtomicTranslated: (*amCtx).atomicTranslated,
+		hcAtomicApplied:    (*amCtx).atomicApplied,
+		hcUserTranslated:   (*amCtx).userTranslated,
+		hcUserRead:         (*amCtx).userRead,
+		hcUserWritten:      (*amCtx).userWritten,
+		hcUserCopied:       (*amCtx).userCopied,
+		hcReplyCopied:      (*amCtx).replyCopied,
+		hcFill:             (*amCtx).insertPiggyback,
+		hcReplyFilled:      (*amCtx).replyFilled,
+		hcAllocCharged:     (*amCtx).allocCharged,
+		hcFreeDropped:      (*amCtx).freeDropped,
+		hcLockCharged:      (*amCtx).lockCharged,
+		hcUnlockCharged:    (*amCtx).unlockCharged,
+	}
+}
+
+// Step runs step pc of the handler in progress (sim.Stepper).
+func (x *amCtx) Step(pc int) { amSteps[pc](x) }
+
+// park parks step pc beneath whatever the handler starts next.
+func (x *amCtx) park(pc int) { x.ct.Park(x, pc) }
+
+// after parks step pc and returns the func that runs it, to hand to the
+// primitive the handler is about to wait in.
+func (x *amCtx) after(pc int) func() { return x.ct.Then(x, pc) }
+
+// serve returns the record of the dispatcher context ct of node n, set
+// to serve msg and run then when done. A node has a record per context
+// (one on GM, four at most), built with the runtime; a context claims
+// the first free one with the first message it serves.
+func (rt *Runtime) serve(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) *amCtx {
+	ctxs := rt.nodes[n.ID].ctxs
+	i := 0
+	for ctxs[i].ct != ct && ctxs[i].ct != nil {
+		i++
+	}
+	x := &ctxs[i]
+	x.ct, x.msg, x.then = ct, msg, then
+	return x
+}
+
+// translate is the target-side preamble of every request that names a
+// shared object: resolve handle h in the SVD and, when the initiator
+// wants the address, pin the chunk and leave the (base, epoch) pair to
+// piggyback on the reply in x; then the handler goes on at step next.
+// When the handle is not known yet the message is requeued and the
+// handler ends instead.
+func (x *amCtx) translate(h svd.Handle, want bool, next int) {
+	x.h, x.want, x.next, x.t0 = h, want, next, x.rt.K.Now()
+	x.ct.Sleep(x.rt.cfg.Profile.SVDLookupCost, x.after(hcResolved))
+}
+
+// resolved looks the handle up once the lookup cost is paid. If the
+// handle is not yet known (its allocation notification is still in
+// flight), the message is requeued after a short delay rather than
+// blocking the dispatcher.
+func (x *amCtx) resolved() {
+	ns := x.ns
+	cb, ok := ns.dir.LookupAny(x.h)
 	if !ok { // unknown: retry once the notification lands
-		port := ns.rt.M.Fab.Port(ns.id)
-		msg.Retain() // redelivered below; the dispatcher must not recycle it
-		ns.rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
-		return nil, true
+		x.rt.requeue(ns, x.msg)
+		x.then()
+		return
 	}
 	if cb.Freed {
-		panic(fmt.Sprintf("core: node %d: remote access to freed object %v (%s)", ns.id, h, cb.Name))
+		panic(fmt.Sprintf("core: node %d: remote access to freed object %v (%s)", ns.id, x.h, cb.Name))
 	}
-	return cb, false
+	x.cb = cb
+	x.msg.Span.Phase(telemetry.PhaseSVDResolve, x.t0, x.rt.K.Now())
+	x.base, x.epoch = 0, 0
+	if !x.want {
+		x.Step(x.next)
+		return
+	}
+	x.t0 = x.rt.K.Now()
+	x.pinChunk()
+}
+
+// requeue redelivers msg to node ns after a short delay: the object it
+// names is not known there yet (its allocation notification is still in
+// flight).
+func (rt *Runtime) requeue(ns *nodeState, msg *transport.Msg) {
+	port := rt.M.Fab.Port(ns.id)
+	msg.Retain() // redelivered below; the dispatcher must not recycle it
+	rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
+}
+
+// pinChunk applies the greedy pin-everything policy on first remote
+// access: the whole local chunk of the object is registered at once,
+// and (base, epoch) — base 0 if pinning failed (registration limits) —
+// is what the reply advertises. The registration cost is charged to the
+// dispatcher (the target CPU on non-overlapping transports).
+func (x *amCtx) pinChunk() {
+	ns, cb := x.ns, x.cb
+	if !cb.HasLocal {
+		panic(fmt.Sprintf("core: node %d asked to pin %v, which it does not own", ns.id, cb.Handle))
+	}
+	cost, err := ns.tn.Pins.Pin(cb.LocalBase, cb.LocalSize, cb.Handle.Key(), x.rt.K.Now())
+	// Capture the advertised pair before sleeping the registration cost:
+	// a crash mid-sleep relocates the chunk and bumps the epoch together,
+	// so the initiator receives a coherent stale (base, epoch) — which
+	// heals through a clean stale-NACK — never a fresh base under an old
+	// epoch or vice versa.
+	x.base, x.epoch = cb.LocalBase, ns.tn.Epoch
+	if err != nil {
+		x.base = 0
+	}
+	x.ct.Sleep(cost, x.after(hcPinned))
+}
+
+func (x *amCtx) pinned() {
+	x.msg.Span.Phase(telemetry.PhaseRegistration, x.t0, x.rt.K.Now())
+	x.Step(x.next)
+}
+
+// answer replies to the request x is serving, as the handler's last
+// act: rep joins the pairs of the request's frame (pairsFor) and travels
+// with payload and extra wire bytes of its own plus those of the
+// addresses it carries.
+func (x *amCtx) answer(rep *reply, payload []byte, extra int) {
+	msg := x.msg
+	pairs, piggyback := pairsFor(msg, rep.H, rep.Base, rep.Epoch)
+	rep.Pairs = pairs
+	x.rt.M.ReplyToSpanC(x.ct, msg, hReply, rep, payload, extra+piggyback, msg.Span, x.then)
 }

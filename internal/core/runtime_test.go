@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
@@ -1020,5 +1022,89 @@ func TestTryLockContention(t *testing.T) {
 	})
 	if wins != 1 {
 		t.Fatalf("%d TryLocks succeeded, want exactly 1", wins)
+	}
+}
+
+// goroutinesAtMost samples runtime.NumGoroutine until it is at most
+// want, with settling retries (goroutine exits are asynchronous), and
+// returns the last reading.
+func goroutinesAtMost(want int) int {
+	n := 0
+	for try := 0; try < 100; try++ {
+		runtime.GC()
+		if n = runtime.NumGoroutine(); n <= want {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return n
+}
+
+// TestNoServiceCoroutines checks the target side owns no goroutine: a
+// runtime's AM dispatcher contexts are callback engines, so NewRuntime
+// starts none, a RunCont program of AM GETs and user AMs runs on none
+// at all, and a Run program on one per thread — not one per thread plus
+// one per node per dispatcher context — on GM (one context per node)
+// and LAPI (four).
+func TestNoServiceCoroutines(t *testing.T) {
+	const threads, nodes = 8, 4
+	for _, prof := range []func() *transport.Profile{transport.GM, transport.LAPI} {
+		p := prof()
+		t.Run(p.Name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			newRT := func() *Runtime {
+				rt, err := NewRuntime(cfg(threads, nodes, p, NoCache()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.HandleUser(userEcho, userEchoAM)
+				return rt
+			}
+
+			rt := newRT()
+			if n := goroutinesAtMost(base); n > base {
+				t.Errorf("NewRuntime started %d goroutines", n-base)
+			}
+			peak := 0
+			sample := func() { peak = max(peak, runtime.NumGoroutine()) }
+			if _, err := rt.RunCont(func(th *Thread, done func()) {
+				th.AllAllocC("A", 64, 8, 8, func(a *SharedArray) {
+					rn := (th.Node() + 1) % nodes
+					var reply [8]byte
+					th.GetUint64C(a.At(int64(rn*16)), func(uint64) {
+						th.CallAMC(a, rn, userEcho, 8, 0, 16, reply[:], "user", func(int) {
+							sample()
+							th.BarrierC(done)
+						})
+					})
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if peak > base {
+				t.Errorf("RunCont ran on %d goroutines besides the test's", peak-base)
+			}
+
+			rt, peak = newRT(), 0
+			mustRunRT(t, rt, func(th *Thread) {
+				a := th.AllAlloc("A", 64, 8, 8)
+				sample() // every thread is alive until the closing barrier
+				rn := (th.Node() + 1) % nodes
+				th.GetUint64(a.At(int64(rn * 16)))
+				var reply [8]byte
+				callAM(th, a, rn, 8, 0, reply[:])
+				th.Barrier()
+			})
+			if peak > base+threads {
+				t.Errorf("Run ran on %d goroutines besides the test's, want one per thread (%d)", peak-base, threads)
+			}
+		})
+	}
+}
+
+func mustRunRT(t *testing.T, rt *Runtime, body func(th *Thread)) {
+	t.Helper()
+	if _, err := rt.Run(body); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 }

@@ -5,13 +5,14 @@ package core
 // protocols over the same machinery the runtime's GET/PUT AMs use —
 // SVD resolution with requeue-on-unknown, base-address piggybacking
 // into the remote address cache, coalescing-aware reply framing and
-// span phase attribution all come for free. A handler runs on the
-// target node's AM dispatcher (a simulation process — a coroutine of
-// the kernel's event loop — in both execution modes, so handler-side
-// Sleep and Resource.Acquire are parity-safe and cost one coroutine
-// switch each way, not a trip through the Go scheduler) and returns
-// the reply payload; request arguments travel as two
-// uint64s in the envelope, anything larger belongs in shared memory.
+// span phase attribution all come for free. A handler is a ladder of
+// steps on the target node's AM dispatcher context, like the runtime's
+// own handlers: it waits only through the context's ...C primitives
+// (handler-side sleeps, resource acquisitions and local accesses cost
+// the event a thread's would, and no coroutine switch), and hands the
+// reply payload to the continuation it is given; request arguments
+// travel as two uint64s in the envelope, anything larger belongs in
+// shared memory.
 
 import (
 	"fmt"
@@ -31,11 +32,13 @@ type UserHandlerID uint8
 // maxUserHandlers bounds the user handler table.
 const maxUserHandlers = 8
 
-// UserHandler executes one user AM at the target node and returns the
-// reply payload. The returned slice must be freshly allocated (or
-// immutable): concurrent AMs at one node interleave at sleep points,
-// so a shared scratch buffer would tear replies.
-type UserHandler func(c *UserCtx) []byte
+// UserHandler executes one user AM at the target node, in context c,
+// and passes the reply payload to reply as its last act. The payload
+// must be freshly allocated (or immutable): concurrent AMs at one node
+// interleave at their waits, so a shared scratch buffer would tear
+// replies. State the handler keeps across its waits belongs in a record
+// of its own, not in a closure per message.
+type UserHandler func(c *UserCtx, reply func(payload []byte))
 
 // userReq is the user-AM request envelope. A and B are the operation's
 // arguments; H anchors SVD resolution and address piggybacking.
@@ -62,67 +65,90 @@ func (rt *Runtime) HandleUser(id UserHandlerID, h UserHandler) {
 }
 
 // UserCtx is the execution context a UserHandler receives: the target
-// node's state, the dispatcher process, and the resolved control block
-// of the request's anchor object.
+// node's state, the dispatcher context serving the request, and the
+// resolved control block of the request's anchor object. A context
+// serves one request at a time, and its UserCtx is the same value for
+// every request it serves.
 type UserCtx struct {
-	rt  *Runtime
-	ns  *nodeState
-	p   *sim.Proc
+	x   *amCtx
 	req *userReq
-	cb  *svd.ControlBlock
+
+	// The local access in progress: where, and the caller's buffer.
+	off int64
+	buf []byte
 }
 
 // Args returns the request's two argument words.
 func (c *UserCtx) Args() (a, b uint64) { return c.req.A, c.req.B }
 
-// Sleep advances the dispatcher (models handler compute).
-func (c *UserCtx) Sleep(d sim.Duration) { c.p.Sleep(d) }
+// SleepC advances the dispatcher context by d (models handler compute),
+// then runs then.
+func (c *UserCtx) SleepC(d sim.Duration, then func()) { c.x.ct.Sleep(d, then) }
 
-// Acquire takes r on the dispatcher process.
-func (c *UserCtx) Acquire(r *sim.Resource) { r.Acquire(c.p) }
+// AcquireC takes r on the dispatcher context, then runs then.
+func (c *UserCtx) AcquireC(r *sim.Resource, then func()) { r.AcquireCont(c.x.ct, then) }
 
 // checkLocal bounds-checks a local access against the anchor's chunk.
 func (c *UserCtx) checkLocal(off int64, n int) {
-	if !c.cb.HasLocal {
-		panic(fmt.Sprintf("core: user AM local access to %v on node %d, which owns no piece", c.cb.Handle, c.ns.id))
+	if !c.x.cb.HasLocal {
+		panic(fmt.Sprintf("core: user AM local access to %v on node %d, which owns no piece", c.x.cb.Handle, c.x.ns.id))
 	}
-	if off < 0 || off+int64(n) > int64(c.cb.LocalSize) {
+	if off < 0 || off+int64(n) > int64(c.x.cb.LocalSize) {
 		panic(fmt.Sprintf("core: user AM local access [%d,%d) outside %v chunk of %d bytes",
-			off, off+int64(n), c.cb.Handle, c.cb.LocalSize))
+			off, off+int64(n), c.x.cb.Handle, c.x.cb.LocalSize))
 	}
 }
 
-// ReadLocal reads len(dst) bytes at byte offset off of the anchor
+// ReadLocalC reads len(dst) bytes at byte offset off of the anchor
 // object's local chunk, paying the same shared-memory cost a local
-// thread access would.
-func (c *UserCtx) ReadLocal(off int64, dst []byte) {
-	c.checkLocal(off, len(dst))
-	prof := c.rt.cfg.Profile
-	c.p.Sleep(prof.ShmLatency + sim.BytesTime(len(dst), prof.ShmByteTime))
-	c.ns.tn.Mem.Read(dst, c.cb.LocalBase+mem.Addr(off))
+// thread access would, then runs then.
+func (c *UserCtx) ReadLocalC(off int64, dst []byte, then func()) {
+	c.local(off, dst, then, hcUserRead)
 }
 
-// WriteLocal writes src at byte offset off of the anchor object's
-// local chunk.
-func (c *UserCtx) WriteLocal(off int64, src []byte) {
-	c.checkLocal(off, len(src))
-	prof := c.rt.cfg.Profile
-	c.p.Sleep(prof.ShmLatency + sim.BytesTime(len(src), prof.ShmByteTime))
-	c.ns.tn.Mem.Write(c.cb.LocalBase+mem.Addr(off), src)
+// WriteLocalC writes src at byte offset off of the anchor object's
+// local chunk, then runs then.
+func (c *UserCtx) WriteLocalC(off int64, src []byte, then func()) {
+	c.local(off, src, then, hcUserWritten)
+}
+
+// local starts a local access of buf at off whose memory effect is step
+// pc, once the shared-memory cost is paid.
+func (c *UserCtx) local(off int64, buf []byte, then func(), pc int) {
+	c.checkLocal(off, len(buf))
+	prof := c.x.rt.cfg.Profile
+	c.x.ct.Park(sim.Func(then), 0)
+	c.off, c.buf = off, buf
+	c.x.ct.Sleep(prof.ShmLatency+sim.BytesTime(len(buf), prof.ShmByteTime), c.x.after(pc))
+}
+
+func (x *amCtx) userRead() {
+	c := &x.user
+	x.ns.tn.Mem.Read(c.buf, x.cb.LocalBase+mem.Addr(c.off))
+	c.buf = nil
+	x.ct.Resume()
+}
+
+func (x *amCtx) userWritten() {
+	c := &x.user
+	x.ns.tn.Mem.Write(x.cb.LocalBase+mem.Addr(c.off), c.buf)
+	c.buf = nil
+	x.ct.Resume()
 }
 
 // NodeLocal returns the node-scoped singleton under key, building it
 // on first use — per-node locks and counters for user protocols.
 func (c *UserCtx) NodeLocal(key string, build func(k *sim.Kernel) any) any {
-	return c.ns.nodeLocal(key, build)
+	return c.x.ns.nodeLocal(key, build)
 }
 
 // ChunkOffset translates a global element index of the anchor object
-// into a byte offset inside this node's chunk, for ReadLocal/WriteLocal.
-// Handlers work in the same global indices initiators use; the layout
-// arithmetic (block-cyclic distribution, per-thread regions) lives here.
+// into a byte offset inside this node's chunk, for ReadLocalC and
+// WriteLocalC. Handlers work in the same global indices initiators use;
+// the layout arithmetic (block-cyclic distribution, per-thread regions)
+// lives here.
 func (c *UserCtx) ChunkOffset(idx int64) int64 {
-	l := NewLayout(c.rt.cfg.Threads, c.rt.cfg.ThreadsPerNode(), c.cb.ElemSize, c.cb.Block, c.cb.NumElems)
+	l := NewLayout(c.x.rt.cfg.Threads, c.x.rt.cfg.ThreadsPerNode(), c.x.cb.ElemSize, c.x.cb.Block, c.x.cb.NumElems)
 	return l.ChunkOffset(idx)
 }
 
@@ -143,23 +169,36 @@ func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {
 // handleUserReq mirrors handleGetReq: resolve, optionally pin and
 // advertise, run the user handler, and reply with its payload (paying
 // the bounce-buffer copy cost the eager path always pays).
-func (rt *Runtime) handleUserReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleUserReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
+	x := rt.serve(ct, n, msg, then)
 	m := msg.Meta.(*userReq)
-	cb, base, epoch, ok := ns.translate(p, msg, m.H, m.WantAddr)
-	if !ok {
-		return
-	}
-	h := rt.userHandlers[m.ID]
+	x.translate(m.H, m.WantAddr, hcUserTranslated)
+}
+
+func (x *amCtx) userTranslated() {
+	m := x.msg.Meta.(*userReq)
+	h := x.rt.userHandlers[m.ID]
 	if h == nil {
 		panic(fmt.Sprintf("core: user AM for unregistered handler id %d", m.ID))
 	}
-	ctx := UserCtx{rt: rt, ns: ns, p: p, req: m, cb: cb}
-	payload := h(&ctx)
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	rt.answer(p, msg, &reply{H: m.H, Base: base, Epoch: epoch, Done: m.Done}, payload, 0)
+	x.user.req = m
+	if x.userReply == nil {
+		x.userReply = x.userReplied
+	}
+	h(&x.user, x.userReply)
+}
+
+// userReplied is the reply continuation a user handler is given.
+func (x *amCtx) userReplied(payload []byte) {
+	x.payload, x.t0 = payload, x.rt.K.Now()
+	x.ct.Sleep(sim.BytesTime(len(payload), x.rt.cfg.Profile.CopyByteTime), x.after(hcUserCopied))
+}
+
+func (x *amCtx) userCopied() {
+	m, payload := x.msg.Meta.(*userReq), x.payload
+	x.payload = nil
+	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
+	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done}, payload, 0)
 }
 
 // --- Initiator side ----------------------------------------------------

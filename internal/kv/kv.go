@@ -676,115 +676,197 @@ func (tb *Table) added(old uint64) { tb.finishVal(old, true) }
 
 // --- Home-node AM handlers ----------------------------------------------
 
+// server is the home-node side of the kv protocol, registered once per
+// run: three user-AM handlers that serialize with local writers under
+// the per-node shard lock, so everything they read is consistent (even
+// sequence words) and authoritative. Each request is one ladder of
+// steps, like a Table operation, over a record of its own (amOp) taken
+// from a free list — no more are ever in use than the run has
+// dispatcher contexts — so serving a request allocates nothing but a
+// found value's reply.
+type server struct {
+	g    geom
+	free []*amOp
+}
+
+// Reply payloads of the put and delete handlers: one status byte each,
+// immutable, so no request builds its own.
+var (
+	okReply   = []byte{statusOK}
+	failReply = []byte{statusFail}
+)
+
 // registerHandlers installs the kv protocol in the runtime's user-AM
-// table. Handlers run on the target node's AM dispatcher and serialize
-// with local writers under the per-node shard lock, so everything they
-// read is consistent (even sequence words) and authoritative.
+// table.
 func registerHandlers(rt *core.Runtime, g geom) {
-	rt.HandleUser(hLookup, func(c *core.UserCtx) []byte { return lookupAM(c, g) })
-	rt.HandleUser(hPut, func(c *core.UserCtx) []byte { return putAM(c, g) })
-	rt.HandleUser(hDelete, func(c *core.UserCtx) []byte { return deleteAM(c, g) })
+	s := &server{g: g}
+	rt.HandleUser(hLookup, s.lookup)
+	rt.HandleUser(hPut, s.put)
+	rt.HandleUser(hDelete, s.delete)
+}
+
+func (s *server) lookup(c *core.UserCtx, reply func([]byte)) { s.start(hLookup, c, reply) }
+func (s *server) put(c *core.UserCtx, reply func([]byte))    { s.start(hPut, c, reply) }
+func (s *server) delete(c *core.UserCtx, reply func([]byte)) { s.start(hDelete, c, reply) }
+
+// amOp is one request in service at its home node: the handler side of
+// Table.op. A lookup walks the key's probe window for its slot; a put or
+// delete walks it as Table.scan does, then runs the seqlock write
+// protocol on the slot through the context's local-memory primitives.
+type amOp struct {
+	s     *server
+	c     *core.UserCtx
+	reply func([]byte)
+
+	id       core.UserHandlerID
+	key, val uint64 // val: tombstone for a delete, which writes the key word only
+	lock     *sim.Resource
+	shard    int
+	b0       int64
+	probe    int64
+	idx      int64
+	line     [bucketBytes]byte
+
+	ws  writeScan
+	tgt slotRef
+	off int64 // the target line's byte offset in the chunk
+	seq uint64
+	w   [16]byte
+
+	do amSteps
+}
+
+// amSteps are the methods a request hands to its context as its next
+// step, bound once per record.
+type amSteps struct {
+	locked, lineRead, seqRead, seqOdd, inWindow, slotWritten, seqEven func()
+}
+
+// start takes a record and begins the request: everything it does
+// happens under the node's shard lock.
+func (s *server) start(id core.UserHandlerID, c *core.UserCtx, reply func([]byte)) {
+	var op *amOp
+	if n := len(s.free); n > 0 {
+		op = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		op = &amOp{s: s}
+		op.do = amSteps{
+			locked: op.locked, lineRead: op.lineRead, seqRead: op.seqRead, seqOdd: op.seqOdd,
+			inWindow: op.inWindow, slotWritten: op.slotWritten, seqEven: op.seqEven,
+		}
+	}
+	op.id, op.c, op.reply = id, c, reply
+	op.key, op.val = c.Args()
+	if id == hDelete {
+		op.val = tombstone
+	}
+	op.lock = ctxLock(c, s.g)
+	c.AcquireC(op.lock, op.do.locked)
+}
+
+// finish releases the shard lock — every path of a request ends here —
+// returns the record and replies.
+func (op *amOp) finish(payload []byte) {
+	op.lock.Release()
+	reply := op.reply
+	op.c, op.reply, op.lock = nil, nil, nil
+	op.s.free = append(op.s.free, op)
+	reply(payload)
 }
 
 func ctxLock(c *core.UserCtx, g geom) *sim.Resource {
 	return c.NodeLocal(g.lockKey, func(k *sim.Kernel) any { return sim.NewResource(k, g.lockKey, 1) }).(*sim.Resource)
 }
 
-// readLineAM reads bucket line idx of the anchor segment into line.
-func readLineAM(c *core.UserCtx, idx int64, line []byte) {
-	c.ReadLocal(c.ChunkOffset(idx), line)
-	if binary.LittleEndian.Uint64(line[:8])&1 == 1 {
+func (op *amOp) locked() {
+	g := op.s.g
+	op.shard, op.b0, op.probe, op.ws = g.shardOf(op.key), g.bucketOf(op.key), 0, writeScan{}
+	op.readLine()
+}
+
+// readLine reads the next line of the key's probe window into line, or
+// ends the walk.
+func (op *amOp) readLine() {
+	g := op.s.g
+	if op.probe >= probeWindow {
+		if op.id == hLookup {
+			op.finish(nil)
+			return
+		}
+		op.place()
+		return
+	}
+	op.idx = g.lineIdx(op.shard, (op.b0+op.probe)%g.buckets)
+	op.c.ReadLocalC(op.c.ChunkOffset(op.idx), op.line[:], op.do.lineRead)
+}
+
+func (op *amOp) lineRead() {
+	if binary.LittleEndian.Uint64(op.line[:8])&1 == 1 {
 		panic("kv: odd sequence under the shard lock")
 	}
-}
-
-func lookupAM(c *core.UserCtx, g geom) []byte {
-	key, _ := c.Args()
-	lock := ctxLock(c, g)
-	c.Acquire(lock)
-	defer lock.Release()
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var line [bucketBytes]byte
-	for w := int64(0); w < probeWindow; w++ {
-		readLineAM(c, g.lineIdx(shard, (b0+w)%g.buckets), line[:])
-		if slot, ok, stop := findKey(line[:], key); stop {
+	if op.id == hLookup {
+		if slot, ok, stop := findKey(op.line[:], op.key); stop {
 			if !ok {
-				return nil
+				op.finish(nil)
+				return
 			}
-			return append([]byte(nil), line[16+16*slot:][:8]...)
+			op.finish(append([]byte(nil), op.line[16+16*slot:][:8]...))
+			return
 		}
+	} else if op.ws.add(op.line[:], op.key, op.idx) {
+		op.place()
+		return
 	}
-	return nil
+	op.probe++
+	op.readLine()
 }
 
-// scanAM is the handler-side write scan (Table.scan in one piece).
-func scanAM(c *core.UserCtx, g geom, key uint64) (ws writeScan) {
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var line [bucketBytes]byte
-	for w := int64(0); w < probeWindow; w++ {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		readLineAM(c, idx, line[:])
-		if ws.add(line[:], key, idx) {
-			break
-		}
+// place ends a write's scan: write the key's slot, or the first free one
+// for a put of a new key, and fail a delete of an absent key or a put
+// that found the window full.
+func (op *amOp) place() {
+	switch {
+	case op.ws.hitOK:
+		op.tgt = op.ws.hit
+	case op.id == hDelete || !op.ws.freeOK:
+		op.finish(failReply)
+		return
+	default:
+		op.tgt = op.ws.free
 	}
-	return ws
+	// The seqlock write protocol: seq goes odd, the slot is written
+	// inside the window, seq goes even.
+	op.off = op.c.ChunkOffset(op.tgt.line)
+	op.c.ReadLocalC(op.off, op.w[:8], op.do.seqRead)
 }
 
-// writeSlotAM runs the seqlock write protocol through the handler's
-// local-memory primitives; val==tombstone tombstones the key word only.
-func writeSlotAM(c *core.UserCtx, g geom, tgt slotRef, key, val uint64) {
-	off := c.ChunkOffset(tgt.line)
-	var w [16]byte
-	c.ReadLocal(off, w[:8])
-	seq := binary.LittleEndian.Uint64(w[:8])
-	binary.LittleEndian.PutUint64(w[:8], seq+1)
-	c.WriteLocal(off, w[:8])
-	c.Sleep(g.window)
-	slotOff := off + int64(8+16*tgt.slot)
-	if val == tombstone {
-		binary.LittleEndian.PutUint64(w[:8], tombstone)
-		c.WriteLocal(slotOff, w[:8])
-	} else {
-		binary.LittleEndian.PutUint64(w[0:8], key)
-		binary.LittleEndian.PutUint64(w[8:16], val)
-		c.WriteLocal(slotOff, w[:16])
-	}
-	binary.LittleEndian.PutUint64(w[:8], seq+2)
-	c.WriteLocal(off, w[:8])
+func (op *amOp) seqRead() {
+	op.seq = binary.LittleEndian.Uint64(op.w[:8])
+	binary.LittleEndian.PutUint64(op.w[:8], op.seq+1)
+	op.c.WriteLocalC(op.off, op.w[:8], op.do.seqOdd)
 }
 
-func putAM(c *core.UserCtx, g geom) []byte {
-	key, val := c.Args()
-	lock := ctxLock(c, g)
-	c.Acquire(lock)
-	defer lock.Release()
-	ws := scanAM(c, g, key)
-	tgt := ws.hit
-	if !ws.hitOK {
-		if !ws.freeOK {
-			return []byte{statusFail}
-		}
-		tgt = ws.free
+func (op *amOp) seqOdd() { op.c.SleepC(op.s.g.window, op.do.inWindow) }
+
+func (op *amOp) inWindow() {
+	slotOff := op.off + int64(8+16*op.tgt.slot)
+	if op.val == tombstone {
+		binary.LittleEndian.PutUint64(op.w[:8], tombstone)
+		op.c.WriteLocalC(slotOff, op.w[:8], op.do.slotWritten)
+		return
 	}
-	writeSlotAM(c, g, tgt, key, val)
-	return []byte{statusOK}
+	binary.LittleEndian.PutUint64(op.w[0:8], op.key)
+	binary.LittleEndian.PutUint64(op.w[8:16], op.val)
+	op.c.WriteLocalC(slotOff, op.w[:16], op.do.slotWritten)
 }
 
-func deleteAM(c *core.UserCtx, g geom) []byte {
-	key, _ := c.Args()
-	lock := ctxLock(c, g)
-	c.Acquire(lock)
-	defer lock.Release()
-	ws := scanAM(c, g, key)
-	if !ws.hitOK {
-		return []byte{statusFail}
-	}
-	writeSlotAM(c, g, ws.hit, key, tombstone)
-	return []byte{statusOK}
+func (op *amOp) slotWritten() {
+	binary.LittleEndian.PutUint64(op.w[:8], op.seq+2)
+	op.c.WriteLocalC(op.off, op.w[:8], op.do.seqEven)
 }
+
+func (op *amOp) seqEven() { op.finish(okReply) }
 
 // splitmix64 is the table's key hash (thread-count-independent, so the
 // same key population is comparable across machine sizes).

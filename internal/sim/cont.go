@@ -13,11 +13,13 @@ package sim
 // waiter: a func(). A continuation files its next step; a process files
 // its resume func (Proc.resumeFn, bound at spawn) in the same queue slot
 // or waiter list. So Sleep, Completion.Wait/WaitFn, Counter.Wait/WaitFn,
-// Resource.Acquire/AcquireCont and Queue.Pop have one wake path each,
-// and a run produces the same (time, seq) event stream, clock and
+// Resource.Acquire/AcquireCont and Queue.Pop/WaitFn have one wake path
+// each, and a run produces the same (time, seq) event stream, clock and
 // statistics whichever way its threads are written. Layers above build
 // each operation once, as a ladder of steps on a Cont, and a process
-// reaches it through its companion Cont (Proc.Cont, Proc.Await).
+// reaches it through its companion Cont (Proc.Cont, Proc.Await); the
+// service engines that serve a node's queues (SpawnService) are Conts
+// too.
 
 // Stepper is something whose asynchronous steps are numbered: Step(pc)
 // runs step pc. A state machine that parks (s, pc) on a Cont with Then
@@ -188,6 +190,19 @@ func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
 		c.state = "running"
 		body(c)
 	})
+	return c
+}
+
+// SpawnService starts a service engine: a state machine of callbacks
+// that serves a queue for the rest of the run. Step pc of s runs first,
+// on the returned continuation, as one
+// event at the current time — where spawn schedules a process's start.
+// The continuation never enters the live set: like a daemon it neither
+// keeps Run alive nor shows in a deadlock report, and it never
+// finishes. Its name is prefix + idx + suffix, rendered on demand.
+func (k *Kernel) SpawnService(prefix string, idx int, suffix string, s Stepper, pc int) *Cont {
+	c := &Cont{k: k, lazyName: lazyName{prefix, idx, suffix}, state: "starting"}
+	k.wake(c.Then(s, pc))
 	return c
 }
 

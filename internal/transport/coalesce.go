@@ -164,12 +164,17 @@ func (c *coalescer) appendCont(ct *sim.Cont, key coalKey, op any, subwire int, s
 	ct.Sleep(c.cfg.AppendCost, ct.Then(o, txAppended))
 }
 
-// appended runs once the append cost is paid.
+// appended runs once the append cost is paid. A reply (o.buf set: the
+// reply frame of the batch being served) joins that frame, which has no
+// timer and no size threshold: it is flushed when the batch is served.
 func (o *txOp) appended() {
 	c := o.m.coal
-	b := c.buf(coalKey{src: o.src, dst: o.dst, class: o.class})
-	if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
-		b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
+	b, reply := o.buf, o.buf != nil
+	if !reply {
+		b = c.buf(coalKey{src: o.src, dst: o.dst, class: o.class})
+		if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
+			b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
+		}
 	}
 	b.ops = append(b.ops, o.obj)
 	b.spans = append(b.spans, o.span)
@@ -177,7 +182,7 @@ func (o *txOp) appended() {
 	b.bytes += o.wire
 	c.stats.Msgs++
 	c.m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
-	if len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes {
+	if !reply && (len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes) {
 		o.flush(b, "size")
 		return
 	}
@@ -392,15 +397,16 @@ func (m *Machine) SendAMCoalescedC(ct *sim.Cont, src, dst int, id HandlerID, met
 	c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassAM}, msg, sub, span, then)
 }
 
-// ReplyToSpan replies to req from inside its handler. While req is
+// ReplyToSpanC replies to req from inside its handler, on the handler's
+// continuation ct, and runs then once the reply is sent. While req is
 // being served as part of a batch frame, the reply joins the batch's
 // reply buffer — the target answers a coalesced frame with one
 // coalesced frame — and otherwise (or with coalescing off) it is an
 // ordinary reply.
-func (m *Machine) ReplyToSpan(p *sim.Proc, req *Msg, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
+func (m *Machine) ReplyToSpanC(ct *sim.Cont, req *Msg, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span, then func()) {
 	c := m.coal
 	if c == nil || req.reply == nil || req.reply.closed {
-		m.SendAMSpan(p, req.Dst, req.Src, id, meta, payload, extra, span)
+		m.SendAMSpanC(ct, req.Dst, req.Src, id, meta, payload, extra, span, then)
 		return
 	}
 	b := req.reply
@@ -410,61 +416,61 @@ func (m *Machine) ReplyToSpan(p *sim.Proc, req *Msg, id HandlerID, meta any, pay
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = b.key.src, b.key.dst, id, meta, payload
 	msg.wire = sub
 	msg.Span = span
-	// No timer on reply buffers: the dispatcher flushes when the batch
-	// is fully served, so replies never linger.
-	p.Sleep(c.cfg.AppendCost)
-	b.ops = append(b.ops, msg)
-	b.spans = append(b.spans, span)
-	b.queued = append(b.queued, p.Now())
-	b.bytes += sub
-	c.stats.Msgs++
-	m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
+	o := m.newTxOp(ct, txAppend, b.key.src, b.key.dst, sub, fabric.ClassAM, msg, span, then)
+	o.buf = b
+	ct.Sleep(c.cfg.AppendCost, ct.Then(o, txAppended))
 }
 
-// serveBatch dispatches every sub-message of a coalesced frame under a
-// single Comm acquisition: the frame pays the full receive overhead
-// once, each sub-message only the smaller per-op entry cost. Replies
-// the handlers issue toward the frame's origin coalesce into one reply
-// frame, flushed when service ends.
-func (m *Machine) serveBatch(p *sim.Proc, nd *Node, b *batchMsg) {
-	c := m.coal
-	if c == nil {
-		panic(fmt.Sprintf("transport: node %d received a batch frame with coalescing off", nd.ID))
+// startBatch starts serving a coalesced frame: every sub-message is
+// dispatched under a single Comm acquisition, the frame paying the full
+// receive overhead once and each sub-message only the smaller per-op
+// entry cost. Replies the handlers issue toward the frame's origin
+// coalesce into one reply frame, flushed when service ends.
+func (e *amEngine) startBatch(b *batchMsg) {
+	m, ct := e.m, e.ct
+	if m.coal == nil {
+		panic(fmt.Sprintf("transport: node %d received a batch frame with coalescing off", e.nd.ID))
 	}
-	reply := &coalBuf{key: coalKey{src: nd.ID, dst: b.Src, class: fabric.ClassAM}}
-	scratch := &BatchScratch{}
-	acq := p.Now()
-	nd.Comm.Acquire(p)
-	recv := p.Now()
-	p.Sleep(m.Prof.RecvOverhead)
-	for _, msg := range b.msgs {
-		h := m.handlers[msg.Handler]
-		if h == nil {
-			panic(fmt.Sprintf("transport: node %d: no handler %d", nd.ID, msg.Handler))
+	e.batch, e.next = b, 0
+	e.reply = &coalBuf{key: coalKey{src: e.nd.ID, dst: b.Src, class: fabric.ClassAM}}
+	e.scratch = &BatchScratch{}
+	e.acq = m.K.Now()
+	e.nd.Comm.AcquireCont(ct, ct.Then(e, amBatchAcquired))
+}
+
+// serveSub starts on the frame's next sub-message, or ends the frame:
+// flush the reply frame, if the handlers answered into it, then let go
+// of Comm.
+func (e *amEngine) serveSub() {
+	m, ct, b := e.m, e.ct, e.batch
+	if e.next == len(b.msgs) {
+		if len(e.reply.ops) > 0 {
+			m.coal.flushCont(ct, e.reply, "sync", ct.Then(e, amBatchFlushed))
+			return
 		}
-		msg.Span.Phase(telemetry.PhaseWire, b.sent, b.arrived)
-		msg.Span.Phase(telemetry.PhaseCPUWait, b.arrived, acq)
-		msg.Span.Phase(telemetry.PhaseCPUWait, acq, recv)
-		t0 := p.Now()
-		p.Sleep(c.cfg.SubRecvOverhead)
-		msg.Span.Phase(telemetry.PhaseRecv, recv, recv+m.Prof.RecvOverhead)
-		msg.Span.Phase(telemetry.PhaseRecv, t0, p.Now())
-		msg.reply = reply
-		msg.Batch = scratch
-		msg.sent, msg.arrived = b.sent, b.arrived
-		h(p, nd, msg)
-		msg.reply = nil
-		if msg.retained {
-			msg.retained = false // will recycle after redelivery
-		} else {
-			m.freeMsg(msg)
-		}
+		e.reply.closed = true
+		e.Step(amBatchFlushed)
+		return
 	}
-	if len(reply.ops) > 0 {
-		c.flushCont(p.Cont(), reply, "sync", p.Wake())
-		p.Await()
-	} else {
-		reply.closed = true
+	msg := b.msgs[e.next]
+	if m.handlers[msg.Handler] == nil {
+		panic(fmt.Sprintf("transport: node %d: no handler %d", e.nd.ID, msg.Handler))
 	}
-	nd.Comm.Release()
+	msg.Span.Phase(telemetry.PhaseWire, b.sent, b.arrived)
+	msg.Span.Phase(telemetry.PhaseCPUWait, b.arrived, e.acq)
+	msg.Span.Phase(telemetry.PhaseCPUWait, e.acq, e.recv)
+	e.msg, e.t0 = msg, m.K.Now()
+	ct.Sleep(m.coal.cfg.SubRecvOverhead, ct.Then(e, amSubReceived))
+}
+
+// subReceived runs the sub-message's handler once its entry cost is
+// paid.
+func (e *amEngine) subReceived() {
+	m, msg, b := e.m, e.msg, e.batch
+	msg.Span.Phase(telemetry.PhaseRecv, e.recv, e.recv+m.Prof.RecvOverhead)
+	msg.Span.Phase(telemetry.PhaseRecv, e.t0, m.K.Now())
+	msg.reply = e.reply
+	msg.Batch = e.scratch
+	msg.sent, msg.arrived = b.sent, b.arrived
+	m.handlers[msg.Handler](e.ct, e.nd, msg, e.ct.Then(e, amSubHandled))
 }

@@ -16,11 +16,13 @@ import (
 // notification, …) under stable ids.
 type HandlerID uint8
 
-// Handler is a header handler executed by the target node's AM
-// dispatcher, in the dispatcher's process context: it may Sleep to
-// model cost, touch the node's memory and pin table, and send replies.
-// The base RecvOverhead has already been charged when it runs.
-type Handler func(p *sim.Proc, n *Node, m *Msg)
+// Handler is a header handler executed by one of the target node's AM
+// dispatcher contexts, as a ladder of steps on the context's
+// continuation ct: it may sleep on ct to model cost, touch the node's
+// memory and pin table, and send replies from ct, and it runs then as
+// its last act. The base RecvOverhead has already been charged when it
+// starts, and the context serves nothing else until then has run.
+type Handler func(ct *sim.Cont, n *Node, m *Msg, then func())
 
 // Msg is one active message.
 type Msg struct {
@@ -53,13 +55,15 @@ type Msg struct {
 }
 
 // Machine is a simulated cluster: fabric plus per-node software state
-// and the NIC/AM dispatcher processes.
+// and the engines that serve each node's NIC: AM dispatcher contexts and
+// the DMA engine.
 type Machine struct {
 	K        *sim.Kernel
 	Prof     *Profile
 	Fab      *fabric.Fabric
 	Nodes    []*Node
 	handlers [256]Handler
+	contexts int // AM dispatcher contexts per node
 
 	amCount   int64 // active messages sent
 	rdmaCount int64 // RDMA operations issued
@@ -124,7 +128,7 @@ type Node struct {
 }
 
 // NewMachine builds a cluster of n nodes over the profile's topology
-// and wire model and spawns the per-node dispatcher processes.
+// and wire model and starts every node's engines.
 func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 	m := &Machine{
 		K:    k,
@@ -136,11 +140,11 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 	// non-overlapping ones a single dispatcher (GM progress is
 	// single-threaded polling). Their name suffixes are shared by
 	// every node.
-	contexts := 1
+	m.contexts = 1
 	if prof.CommOverlap && prof.CommCapacity > 1 {
-		contexts = prof.CommCapacity
+		m.contexts = prof.CommCapacity
 	}
-	disp := make([]string, contexts)
+	disp := make([]string, m.contexts)
 	for c := range disp {
 		disp[c] = ".amdisp" + strconv.Itoa(c)
 	}
@@ -168,10 +172,14 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 			nd.Comm = nd.CPU
 		}
 		m.Nodes[i] = nd
-		m.spawnDispatchers(nd, disp)
+		m.startEngines(nd, disp)
 	}
 	return m
 }
+
+// AMContexts returns how many AM dispatcher contexts serve each node:
+// how many handlers a node can have in progress at once.
+func (m *Machine) AMContexts() int { return m.contexts }
 
 // Handle registers the handler for id. Registration happens before the
 // simulation starts; re-registration panics.
@@ -270,54 +278,131 @@ func (m *Machine) noteRecovered(node int) {
 	})
 }
 
-// spawnDispatchers starts one AM dispatcher on nd per name suffix.
-func (m *Machine) spawnDispatchers(nd *Node, suffixes []string) {
-	port := m.Fab.Port(nd.ID)
-	// The AM dispatchers drain incoming active messages. Each message
-	// is serviced by its header handler, which must run on the Comm
-	// resource: the compute CPU itself when the transport does not
-	// overlap computation and communication — so a busy CPU stalls
-	// remote requests, the effect behind the paper's Field analysis —
-	// or a dedicated engine when it does.
+// startEngines starts nd's AM dispatcher contexts, one per name suffix,
+// and its NIC's DMA engine. Both kinds run as kernel callbacks.
+func (m *Machine) startEngines(nd *Node, suffixes []string) {
+	q := m.Fab.Port(nd.ID).AM
 	for _, suffix := range suffixes {
-		m.K.SpawnDaemonIdx("node", nd.ID, suffix, func(p *sim.Proc) {
-			for {
-				raw := port.AM.Pop(p)
-				if b, ok := raw.(*batchMsg); ok {
-					m.serveBatch(p, nd, b)
-					continue
-				}
-				msg := raw.(*Msg)
-				h := m.handlers[msg.Handler]
-				if h == nil {
-					panic(fmt.Sprintf("transport: node %d: no handler %d", nd.ID, msg.Handler))
-				}
-				msg.Span.Phase(telemetry.PhaseWire, msg.sent, msg.arrived)
-				// Everything between physical arrival and handler start
-				// is the target being busy: queue residency behind
-				// earlier handlers plus waiting for a CPU/comm context.
-				// On non-overlapping transports this is the target CPU
-				// computing — the paper's §4.6 culprit.
-				acq := p.Now()
-				nd.Comm.Acquire(p)
-				msg.Span.Phase(telemetry.PhaseCPUWait, msg.arrived, acq)
-				msg.Span.Phase(telemetry.PhaseCPUWait, acq, p.Now())
-				recv := p.Now()
-				p.Sleep(m.Prof.RecvOverhead)
-				msg.Span.Phase(telemetry.PhaseRecv, recv, p.Now())
-				h(p, nd, msg)
-				nd.Comm.Release()
-				if msg.retained {
-					msg.retained = false // will recycle after redelivery
-				} else {
-					m.freeMsg(msg)
-				}
-			}
-		})
+		e := &amEngine{m: m, nd: nd, q: q}
+		e.ct = m.K.SpawnService("node", nd.ID, suffix, e, amPop)
 	}
-	// The NIC's DMA engine services RDMA descriptors with no CPU
-	// involvement; it runs as kernel callbacks, not a process.
 	m.startDMAEngine(nd)
+}
+
+// amEngine is one AM dispatcher context of a node: it drains the node's
+// AM queue and serves each message with its header handler, which must
+// run on the Comm resource — the compute CPU itself when the transport
+// does not overlap computation and communication, so a busy CPU stalls
+// remote requests (the effect behind the paper's Field analysis), or a
+// dedicated engine when it does. Like the DMA engine beside it, it is a
+// state machine of kernel callbacks, not a process: its steps are frames
+// on its continuation ct, and the message or coalesced frame in service
+// lives here. It makes the calls, in the same order, that the process
+// dispatcher it replaced made — its start event, its place in the
+// queue's waiter list, its Comm acquisitions, its sleeps — so the event
+// stream is the process's, without a coroutine switch per wait.
+type amEngine struct {
+	m  *Machine
+	nd *Node
+	q  *sim.Queue[any]
+	ct *sim.Cont
+
+	msg       *Msg      // the message in service
+	acq, recv sim.Time  // when it started waiting for Comm, and got it
+	t0        sim.Time  // when a sub-message's entry cost began
+	batch     *batchMsg // the coalesced frame in service, if any
+	next      int       // ... its next sub-message
+	reply     *coalBuf  // ... the reply frame its handlers answer into
+	scratch   *BatchScratch
+}
+
+// amEngine steps.
+const (
+	amPop           = iota // wait for the next message, or start serving it
+	amAcquired             // holding Comm: pay the receive overhead
+	amReceived             // run the handler
+	amHandled              // release Comm, serve the next message
+	amBatchAcquired        // a frame holds Comm: pay the receive overhead once
+	amBatchNext            // serve the frame's next sub-message, or end the frame
+	amSubReceived          // sub-message entry cost paid: run its handler
+	amSubHandled           // sub-message served
+	amBatchFlushed         // reply frame on the wire: release Comm
+)
+
+func (e *amEngine) Step(pc int) {
+	m, ct, now := e.m, e.ct, e.m.K.Now()
+	switch pc {
+	case amPop:
+		e.pop()
+	case amAcquired:
+		// Everything between physical arrival and handler start is the
+		// target being busy: queue residency behind earlier handlers
+		// plus waiting for a CPU/comm context. On non-overlapping
+		// transports this is the target CPU computing — the paper's
+		// §4.6 culprit.
+		e.msg.Span.Phase(telemetry.PhaseCPUWait, e.msg.arrived, e.acq)
+		e.msg.Span.Phase(telemetry.PhaseCPUWait, e.acq, now)
+		e.recv = now
+		ct.Sleep(m.Prof.RecvOverhead, ct.Then(e, amReceived))
+	case amReceived:
+		e.msg.Span.Phase(telemetry.PhaseRecv, e.recv, now)
+		m.handlers[e.msg.Handler](ct, e.nd, e.msg, ct.Then(e, amHandled))
+	case amHandled:
+		e.nd.Comm.Release()
+		m.served(e.msg)
+		e.msg = nil
+		e.pop()
+	case amBatchAcquired:
+		e.recv = now
+		ct.Sleep(m.Prof.RecvOverhead, ct.Then(e, amBatchNext))
+	case amBatchNext:
+		e.serveSub()
+	case amSubReceived:
+		e.subReceived()
+	case amSubHandled:
+		e.msg.reply = nil
+		m.served(e.msg)
+		e.msg = nil
+		e.next++
+		e.serveSub()
+	case amBatchFlushed:
+		e.nd.Comm.Release()
+		e.batch, e.reply, e.scratch = nil, nil, nil
+		e.pop()
+	}
+}
+
+// pop takes the next message off the queue and starts serving it, or
+// files the context in the queue's waiter list.
+func (e *amEngine) pop() {
+	m, ct := e.m, e.ct
+	raw, ok := e.q.TryPop()
+	if !ok {
+		e.q.WaitFn(ct, ct.Then(e, amPop))
+		return
+	}
+	if b, ok := raw.(*batchMsg); ok {
+		e.startBatch(b)
+		return
+	}
+	msg := raw.(*Msg)
+	if m.handlers[msg.Handler] == nil {
+		panic(fmt.Sprintf("transport: node %d: no handler %d", e.nd.ID, msg.Handler))
+	}
+	msg.Span.Phase(telemetry.PhaseWire, msg.sent, msg.arrived)
+	e.msg, e.acq = msg, m.K.Now()
+	e.nd.Comm.AcquireCont(ct, ct.Then(e, amAcquired))
+}
+
+// served recycles a message its handler is done with — unless the
+// handler requeued it (see Retain), in which case it recycles after
+// redelivery.
+func (m *Machine) served(msg *Msg) {
+	if msg.retained {
+		msg.retained = false
+		return
+	}
+	m.freeMsg(msg)
 }
 
 // SendAMSpanC injects an active message from node src toward dst on
@@ -327,7 +412,10 @@ func (m *Machine) spawnDispatchers(nd *Node, suffixes []string) {
 // header+payload (piggybacked data). The initiator's send phase
 // (software overhead plus NIC injection) is attributed to span, which
 // rides with the message so the target's dispatcher and handler
-// attribute their phases into the same operation.
+// attribute their phases into the same operation. A handler replies
+// with it too, from its context's continuation: the context keeps
+// holding Comm, so on non-overlapping transports reply construction
+// occupies the CPU.
 func (m *Machine) SendAMSpanC(ct *sim.Cont, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span, then func()) {
 	if src == dst {
 		panic("transport: AM to self; intra-node traffic must use shared memory")
@@ -340,11 +428,9 @@ func (m *Machine) SendAMSpanC(ct *sim.Cont, src, dst int, id HandlerID, meta any
 	m.newTxOp(ct, txAM, src, dst, msg.wire, fabric.ClassAM, msg, span, then).send(m.Prof.SendOverhead)
 }
 
-// SendAMSpan is SendAMSpanC for a process (dispatcher handlers, locks,
-// collectives): it returns once the message is on the wire. A handler
-// replies with it too — the dispatcher is the sending process and keeps
-// holding Comm, so on non-overlapping transports reply construction
-// occupies the CPU.
+// SendAMSpan is SendAMSpanC for a process (a blocking thread's locks,
+// collectives and allocation notices): it returns once the message is
+// on the wire.
 func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
 	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.Wake())
 	p.Await()

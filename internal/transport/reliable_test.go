@@ -28,7 +28,7 @@ func TestReliableZeroLossNoRetransmits(t *testing.T) {
 	k, m := chaosMachine(t, 2, fault.Config{}, DefaultRelConfig())
 	const pings = 20
 	got := 0
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { got++ })
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { got++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < pings; i++ {
 			m.SendAM(p, 0, 1, hPing, nil, nil, 0)
@@ -62,7 +62,7 @@ func TestReliableDeliversExactlyOnceUnderChaos(t *testing.T) {
 	const pings = 60
 	seen := make(map[int]int)
 	type meta struct{ i int }
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { seen[msg.Meta.(*meta).i]++ })
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { seen[msg.Meta.(*meta).i]++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < pings; i++ {
 			m.SendAM(p, 0, 1, hPing, &meta{i: i}, nil, 0)
@@ -138,7 +138,7 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 	fc := fault.Config{Drop: 1} // the wire eats everything
 	rc := RelConfig{RTO: 10 * sim.Us, MaxRetries: 3, HeaderBytes: 8}
 	k, m := chaosMachine(t, 2, fc, rc)
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { t.Error("delivered through Drop=1") })
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { t.Error("delivered through Drop=1"); then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
 		p.Sleep(sim.Ms) // park; the failure must end the run regardless
@@ -181,7 +181,7 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 // the dead timeout far behind it.
 func TestAckedTimersDoNotInflateElapsed(t *testing.T) {
 	k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: 50 * sim.Ms, MaxRetries: 2, HeaderBytes: 8})
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {})
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
 	})
@@ -255,7 +255,7 @@ func TestCrashParksRetransmitsAgainstRestart(t *testing.T) {
 	rc := RelConfig{RTO: 20 * sim.Us, MaxRetries: 2, HeaderBytes: 8}
 	k, m := chaosMachine(t, 2, fault.Config{}, rc)
 	got := 0
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { got++ })
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { got++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		// The down window (300 µs) is far longer than the whole backoff
 		// budget (20+40 µs): without parking this run must fail.
@@ -289,7 +289,7 @@ func TestCrashParksRetransmitsAgainstRestart(t *testing.T) {
 func TestCrashRestartSeqRestartsInNewEpoch(t *testing.T) {
 	k, m := chaosMachine(t, 2, fault.Config{}, DefaultRelConfig())
 	got := 0
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { got++ })
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { got++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 1, 0, hPing, nil, nil, 0) // seq 0, epoch 0
 		p.Sleep(50 * sim.Us)                  // let it deliver and ACK
@@ -321,7 +321,7 @@ func TestAckDuringRetransmitDoesNotOrphanTimer(t *testing.T) {
 	exchange := func(rto sim.Time) (tracked, end sim.Time, m *Machine) {
 		k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: rto, MaxRetries: 3, HeaderBytes: 8})
 		delivered := 0
-		m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) { delivered++ })
+		m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { delivered++; then() })
 		k.Spawn("sender", func(p *sim.Proc) {
 			m.SendAM(p, 0, 1, hPing, nil, payload, 0)
 			tracked = p.Now()

@@ -70,12 +70,14 @@ func TestAMRoundTrip(t *testing.T) {
 	type pingMeta struct {
 		done *sim.Completion
 	}
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
-		p.Sleep(1 * sim.Us) // handler work
-		m.SendAM(p, n.ID, msg.Src, hPong, msg.Meta, nil, 0)
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) {
+		ct.Sleep(1*sim.Us, func() { // handler work
+			m.SendAMSpanC(ct, n.ID, msg.Src, hPong, msg.Meta, nil, 0, nil, then)
+		})
 	})
-	m.Handle(hPong, func(p *sim.Proc, n *Node, msg *Msg) {
+	m.Handle(hPong, func(ct *sim.Cont, n *Node, msg *Msg, then func()) {
 		msg.Meta.(*pingMeta).done.Complete(nil)
+		then()
 	})
 	var rtt sim.Time
 	k.Spawn("pinger", func(p *sim.Proc) {
@@ -100,9 +102,10 @@ func TestAMRoundTrip(t *testing.T) {
 func TestAMPayloadDelivered(t *testing.T) {
 	k, m := newTestMachine(t, GM(), 2)
 	var got []byte
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) {
 		got = msg.Payload
 		k.Stop()
+		then()
 	})
 	want := []byte("eager payload")
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -136,8 +139,8 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 		}
 	}()
 	_, m := newTestMachine(t, GM(), 2)
-	m.Handle(hPing, func(*sim.Proc, *Node, *Msg) {})
-	m.Handle(hPing, func(*sim.Proc, *Node, *Msg) {})
+	m.Handle(hPing, func(*sim.Cont, *Node, *Msg, func()) {})
+	m.Handle(hPing, func(*sim.Cont, *Node, *Msg, func()) {})
 }
 
 // On GM the AM handler executes on the compute CPU: a node whose cores
@@ -146,8 +149,9 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 func TestOverlapVsNoOverlap(t *testing.T) {
 	run := func(prof *Profile) sim.Time {
 		k, m := newTestMachine(t, prof, 2)
-		m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
+		m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) {
 			msg.Meta.(*sim.Completion).Complete(nil)
+			then()
 		})
 		const busy = 200 * sim.Us
 		// Saturate node 1's cores with compute work.
@@ -408,12 +412,14 @@ func TestCommCapacityParallelism(t *testing.T) {
 	prof := LAPI()
 	k, m := newTestMachine(t, prof, 2)
 	var done []sim.Time
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
-		p.Sleep(10 * sim.Us)
-		done = append(done, p.Now())
-		if len(done) == 2 {
-			k.Stop()
-		}
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) {
+		ct.Sleep(10*sim.Us, func() {
+			done = append(done, k.Now())
+			if len(done) == 2 {
+				k.Stop()
+			}
+			then()
+		})
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
@@ -434,12 +440,14 @@ func TestCommCapacityParallelism(t *testing.T) {
 func TestGMHandlersSerialize(t *testing.T) {
 	k, m := newTestMachine(t, GM(), 2)
 	var done []sim.Time
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
-		p.Sleep(10 * sim.Us)
-		done = append(done, p.Now())
-		if len(done) == 2 {
-			k.Stop()
-		}
+	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) {
+		ct.Sleep(10*sim.Us, func() {
+			done = append(done, k.Now())
+			if len(done) == 2 {
+				k.Stop()
+			}
+			then()
+		})
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
