@@ -150,22 +150,7 @@ func (t *Thread) GlobalAlloc(name string, numElems int64, elemSize int, block in
 	if numElems <= 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("core: GlobalAlloc(%s) with nonpositive size", name))
 	}
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
-	span.SetProto("global")
-	defer func() { span.Finish(t.Now()) }()
-	l := t.rt.layout(elemSize, block, numElems)
-	h := svd.Handle{Part: int32(t.id), Index: t.ns.dir.NextIndex(int32(t.id))}
-	t.Compute(allocCPUCost)
-	t.ns.installArray(h, svd.KindArray, name, l)
-	a := &SharedArray{rt: t.rt, h: h, l: l, name: name}
-	note := &allocNotify{H: h, Kind: svd.KindArray, Name: name,
-		ElemSize: elemSize, Block: a.l.Block, NumElems: numElems, Home: -1}
-	for n := 0; n < t.rt.cfg.Nodes; n++ {
-		if n != t.ns.id {
-			t.rt.M.SendAM(t.p, t.ns.id, n, hAllocNotify, note, nil, 32)
-		}
-	}
-	return a
+	return t.ownAlloc("global", name, t.rt.layout(elemSize, block, numElems))
 }
 
 // LocalAlloc is upc_alloc: shared space with affinity entirely to the
@@ -175,23 +160,48 @@ func (t *Thread) LocalAlloc(name string, numElems int64, elemSize int) *SharedAr
 	if numElems <= 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("core: LocalAlloc(%s) with nonpositive size", name))
 	}
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
-	span.SetProto("local")
-	defer func() { span.Finish(t.Now()) }()
 	l := t.rt.layout(elemSize, numElems, numElems)
 	l.Home = t.id
+	return t.ownAlloc("local", name, l)
+}
+
+// ownAlloc allocates an object of layout l in the thread's own SVD
+// partition: it installs it on the thread's node and notifies every
+// other node, waiting only for each notice to be on the wire. proto
+// labels the span.
+func (t *Thread) ownAlloc(proto, name string, l Layout) *SharedArray {
+	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
+	span.SetProto(proto)
 	h := svd.Handle{Part: int32(t.id), Index: t.ns.dir.NextIndex(int32(t.id))}
-	t.Compute(allocCPUCost)
-	t.ns.installArray(h, svd.KindArray, name, l)
-	a := &SharedArray{rt: t.rt, h: h, l: l, name: name}
 	note := &allocNotify{H: h, Kind: svd.KindArray, Name: name,
-		ElemSize: elemSize, Block: l.Block, NumElems: numElems, Home: t.id}
-	for n := 0; n < t.rt.cfg.Nodes; n++ {
-		if n != t.ns.id {
-			t.rt.M.SendAM(t.p, t.ns.id, n, hAllocNotify, note, nil, 32)
+		ElemSize: l.ElemSize, Block: l.Block, NumElems: l.NumElems, Home: l.Home}
+	t.p.ParkWake()
+	t.c.Park(sim.Func(func() {
+		t.ns.installArray(h, svd.KindArray, name, l)
+		t.sendOthers(hAllocNotify, note, 32, func() {
+			span.Finish(t.Now())
+			t.c.Resume()
+		})
+	}), 0)
+	t.compute(allocCPUCost)
+	t.p.Await()
+	return &SharedArray{rt: t.rt, h: h, l: l, name: name}
+}
+
+// sendOthers sends meta to every other node, one active message after
+// another in node order, and runs then once the last is on the wire.
+func (t *Thread) sendOthers(id transport.HandlerID, meta any, extra int, then func()) {
+	dst := -1
+	sim.Loop(func(next func()) {
+		if dst++; dst == t.ns.id {
+			dst++
 		}
-	}
-	return a
+		if dst == t.rt.cfg.Nodes {
+			then()
+			return
+		}
+		t.rt.M.SendAMSpanC(t.c, t.ns.id, dst, id, meta, nil, extra, nil, next)
+	})
 }
 
 // layout builds the run's layout for an allocation request.
@@ -217,24 +227,13 @@ func (t *Thread) FreeC(a *SharedArray, then func()) {
 	t.FenceC(func() {
 		span := t.rt.tel.StartSpan("free", t.id, t.ns.id, t.Now())
 		acks := sim.NewCounter(t.rt.K, "free-acks", t.rt.cfg.Nodes-1)
-		req := &freeReq{H: a.h, Acks: acks}
-		n := 0
-		sim.Loop(func(next func()) {
-			for n < t.rt.cfg.Nodes && n == t.ns.id {
-				n++
-			}
-			if n == t.rt.cfg.Nodes {
-				t.ns.dropObjectC(t.c, a.h, func() {
-					acks.WaitFn(t.c, func() {
-						span.Finish(t.Now())
-						then()
-					})
+		t.sendOthers(hFreeReq, &freeReq{H: a.h, Acks: acks}, 0, func() {
+			t.ns.dropObjectC(t.c, a.h, func() {
+				acks.WaitFn(t.c, func() {
+					span.Finish(t.Now())
+					then()
 				})
-				return
-			}
-			dst := n
-			n++
-			t.rt.M.SendAMSpanC(t.c, t.ns.id, dst, hFreeReq, req, nil, 0, nil, next)
+			})
 		})
 	})
 }

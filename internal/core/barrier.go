@@ -40,14 +40,11 @@ type nodeBarrier struct {
 	arrived int
 	release *sim.Completion
 
-	recv    map[dissKey]bool
-	waiters map[dissKey]*sim.Completion
+	mail mailbox[dissKey, struct{}]
 
 	// The representative's progress through the inter-node phase: the
-	// dissemination distance (or flat-release destination) it is at, and
-	// the message it is waiting for.
-	round   int
-	waitKey dissKey
+	// dissemination distance (or flat-release destination) it is at.
+	round int
 
 	// Flat-barrier master state (node 0 only).
 	flatCount     map[int64]int
@@ -60,10 +57,44 @@ func newNodeBarrier(rt *Runtime, ns *nodeState) *nodeBarrier {
 	return &nodeBarrier{
 		rt:        rt,
 		ns:        ns,
-		recv:      make(map[dissKey]bool),
-		waiters:   make(map[dissKey]*sim.Completion),
+		mail:      newMailbox[dissKey, struct{}](),
 		flatCount: make(map[int64]int),
 	}
+}
+
+// mailbox holds the point-to-point messages of a node's barrier or
+// collectives, by what they are for, until its representative asks: a
+// message that arrives first is kept, a representative that asks first
+// waits on a completion the arrival completes.
+type mailbox[K comparable, V any] struct {
+	recv    map[K]V
+	waiters map[K]*sim.Completion
+}
+
+func newMailbox[K comparable, V any]() mailbox[K, V] {
+	return mailbox[K, V]{recv: make(map[K]V), waiters: make(map[K]*sim.Completion)}
+}
+
+// deliver hands v to whoever waits for key, or keeps it until asked.
+func (mb *mailbox[K, V]) deliver(key K, v V) {
+	if c, ok := mb.waiters[key]; ok {
+		delete(mb.waiters, key)
+		c.Complete(v)
+		return
+	}
+	mb.recv[key] = v
+}
+
+// take returns the message for key if it has arrived, and otherwise the
+// completion, named name, that its arrival will complete with it.
+func (mb *mailbox[K, V]) take(k *sim.Kernel, key K, name string) (v V, c *sim.Completion) {
+	if v, ok := mb.recv[key]; ok {
+		delete(mb.recv, key)
+		return v, nil
+	}
+	c = sim.NewCompletion(k, name)
+	mb.waiters[key] = c
+	return v, c
 }
 
 // localBarrierCost models the shared-memory combine per thread.
@@ -162,21 +193,10 @@ func (t *Thread) barrierSent() {
 // await blocks until the barrier message for key arrives (buffered or
 // future).
 func (t *Thread) await(key dissKey) {
-	nb := t.ns.barrier
-	if nb.recv[key] {
-		delete(nb.recv, key)
-		t.c.Resume()
+	if _, c := t.ns.barrier.mail.take(t.rt.K, key, "barrier-round"); c != nil {
+		c.WaitFn(t.c, t.c.Resumer())
 		return
 	}
-	c := sim.NewCompletion(nb.rt.K, "barrier-round")
-	nb.waiters[key] = c
-	nb.waitKey = key
-	c.WaitFn(t.c, t.after(pcBarrierMsg))
-}
-
-func (t *Thread) barrierMsgIn() {
-	nb := t.ns.barrier
-	delete(nb.waiters, nb.waitKey)
 	t.c.Resume()
 }
 
@@ -235,11 +255,6 @@ func (rt *Runtime) handleBarrier(ct *sim.Cont, n *transport.Node, msg *transport
 		then()
 		return
 	}
-	key := dissKey{epoch: m.Epoch, round: m.Round}
-	if c, ok := nb.waiters[key]; ok {
-		c.Complete(nil)
-	} else {
-		nb.recv[key] = true
-	}
+	nb.mail.deliver(dissKey{epoch: m.Epoch, round: m.Round}, struct{}{})
 	then()
 }

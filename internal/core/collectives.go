@@ -78,9 +78,8 @@ type collState struct {
 	parts   [][]byte // per-thread-slot staging for scatter/gather
 	release *sim.Completion
 
-	// Inter-node buffering, keyed by (epoch, sender's relative rank).
-	recv    map[collKey]*collMsg
-	waiters map[collKey]*sim.Completion
+	// Inter-node messages, keyed by (epoch, sender's relative rank).
+	mail mailbox[collKey, *collMsg]
 }
 
 type collKey struct {
@@ -96,149 +95,163 @@ type collMsg struct {
 	Data  []byte
 }
 
-func newCollState() *collState {
-	return &collState{
-		recv:    make(map[collKey]*collMsg),
-		waiters: make(map[collKey]*sim.Completion),
+// recvColl runs then with the message for key once it has arrived (it
+// may already have been buffered).
+func (t *Thread) recvColl(key collKey, then func(m *collMsg)) {
+	m, c := t.ns.coll.mail.take(t.rt.K, key, "coll-msg")
+	if c == nil {
+		then(m)
+		return
 	}
-}
-
-// awaitColl blocks until the message for key arrives (it may already
-// have been buffered).
-func (cs *collState) awaitColl(p *sim.Proc, k *sim.Kernel, key collKey) *collMsg {
-	if m, ok := cs.recv[key]; ok {
-		delete(cs.recv, key)
-		return m
-	}
-	c := sim.NewCompletion(k, fmt.Sprintf("coll e%d from %d", key.epoch, key.from))
-	cs.waiters[key] = c
-	p.Wait(c)
-	delete(cs.waiters, key)
-	return c.Value().(*collMsg)
+	c.WaitFn(t.c, func() { then(c.Value().(*collMsg)) })
 }
 
 func (rt *Runtime) handleColl(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
-	cs := rt.nodes[n.ID].coll
 	m := msg.Meta.(*collMsg)
-	key := collKey{epoch: m.Epoch, from: m.From}
-	if c, ok := cs.waiters[key]; ok {
-		c.Complete(m)
-	} else {
-		cs.recv[key] = m
-	}
+	rt.nodes[n.ID].coll.mail.deliver(collKey{epoch: m.Epoch, from: m.From}, m)
 	then()
 }
 
-// sendColl ships a collective message to another node.
-func (rt *Runtime) sendColl(p *sim.Proc, src, dst int, m *collMsg) {
-	rt.M.SendAM(p, src, dst, hColl, m, m.Data, 8)
+// sendColl ships a collective message to node dst; then runs once it is
+// on the wire.
+func (t *Thread) sendColl(dst int, m *collMsg, then func()) {
+	t.rt.M.SendAMSpanC(t.c, t.ns.id, dst, hColl, m, m.Data, 8, nil, then)
 }
 
-// enterColl performs the intra-node arrival phase. The representative
-// (the last arriver) gets rep=true and must run the inter-node phase,
-// then call releaseColl with the result; the other threads block and
-// receive that result through the returned completion.
-func (t *Thread) enterColl(contribute func(cs *collState)) (rep bool, cs *collState, release *sim.Completion) {
-	cs = t.ns.coll
-	t.p.Sleep(collCPUCost)
-	contribute(cs)
-	cs.arrived++
-	if cs.arrived < t.rt.cfg.ThreadsPerNode() {
-		if cs.release == nil {
-			cs.release = sim.NewCompletion(t.rt.K, fmt.Sprintf("coll-release n%d", t.ns.id))
-		}
-		release = cs.release
-		t.p.Wait(release)
-		return false, cs, release
-	}
-	return true, cs, nil
-}
-
-// releaseColl wakes the node's other threads, handing them the result
-// through the completion (the representative may immediately enter the
-// next collective, so waiters must not read shared state).
-func (t *Thread) releaseColl(cs *collState, result any) {
-	rel := cs.release
-	cs.release = nil
-	cs.arrived = 0
-	cs.epoch++
-	if rel != nil {
-		rel.Complete(result)
-	}
+// collective runs one collective on t, as a ladder of closures
+// (collectives are rare enough to afford them): a fence, then the
+// intra-node arrival phase, in which every thread pays the combine cost
+// and contributes. The node's last arriver is its representative: it
+// runs the inter-node phase, rep, which hands the node's result to
+// release. Every thread of the node then runs then with that result.
+func (t *Thread) collective(contribute func(cs *collState), rep func(cs *collState, release func(result any)), then func(result any)) {
+	t.FenceC(func() {
+		cs := t.ns.coll
+		t.c.Sleep(collCPUCost, func() {
+			contribute(cs)
+			cs.arrived++
+			if cs.arrived < t.rt.cfg.ThreadsPerNode() {
+				if cs.release == nil {
+					cs.release = sim.NewCompletion(t.rt.K, fmt.Sprintf("coll-release n%d", t.ns.id))
+				}
+				rel := cs.release
+				rel.WaitFn(t.c, func() { then(rel.Value()) })
+				return
+			}
+			rep(cs, func(result any) {
+				// The representative may enter the next collective at once,
+				// so the others get the result through the completion, not
+				// from shared state.
+				rel := cs.release
+				cs.release, cs.arrived = nil, 0
+				cs.epoch++
+				if rel != nil {
+					rel.Complete(result)
+				}
+				then(result)
+			})
+		})
+	})
 }
 
 // AllReduceU64 reduces one uint64 per thread with op and returns the
 // result on every thread (upc_all_reduce with UPC_IN_ALLSYNC |
 // UPC_OUT_ALLSYNC semantics).
 func (t *Thread) AllReduceU64(v uint64, op ReduceOp) uint64 {
-	t.Fence()
-	rep, cs, release := t.enterColl(func(cs *collState) {
+	t.p.ParkWake()
+	t.allReduce(v, op)
+	t.p.Await()
+	return t.old
+}
+
+// AllReduceU64C is AllReduceU64 in continuation-passing style.
+func (t *Thread) AllReduceU64C(v uint64, op ReduceOp, then func(r uint64)) {
+	t.thenT = then
+	t.park(pcThenOld)
+	t.allReduce(v, op)
+}
+
+// allReduce leaves the reduction in t.old.
+func (t *Thread) allReduce(v uint64, op ReduceOp) {
+	t.collective(func(cs *collState) {
 		if cs.arrived == 0 {
 			cs.acc, cs.op = v, op
 		} else {
 			cs.acc = op.apply(cs.acc, v)
 		}
-	})
-	if !rep {
-		return release.Value().(uint64)
-	}
-	n := t.rt.cfg.Nodes
-	epoch := cs.epoch
-	rel := t.ns.id // tree rooted at node 0: relative rank == node id
-	acc := cs.acc
-	// Binomial reduce toward relative rank 0.
-	for mask := 1; mask < n; mask <<= 1 {
-		if rel&mask == 0 {
-			src := rel + mask
-			if src < n {
-				m := cs.awaitColl(t.p, t.rt.K, collKey{epoch: epoch, from: src})
-				t.p.Sleep(collCPUCost)
-				acc = cs.op.apply(acc, m.Value)
-			}
-		} else {
-			t.rt.sendColl(t.p, t.ns.id, rel-mask, &collMsg{Epoch: epoch, From: rel, Value: acc})
-			break
+	}, func(cs *collState, release func(any)) {
+		n, epoch, acc := t.rt.cfg.Nodes, cs.epoch, cs.acc
+		rel := t.ns.id // tree rooted at node 0: relative rank == node id
+		// Binomial broadcast of the result back down the tree.
+		down := func() {
+			t.bcastTree(epoch, 0, acc, nil, func(m *collMsg) { release(m.Value) })
 		}
-	}
-	// Binomial broadcast of the result back down the tree.
-	acc = t.bcastTree(cs, epoch, 0, acc, nil).Value
-	t.releaseColl(cs, acc)
-	return acc
+		// Binomial reduce toward relative rank 0.
+		mask := 1
+		sim.Loop(func(next func()) {
+			if mask >= n {
+				down()
+				return
+			}
+			if rel&mask != 0 {
+				t.sendColl(rel-mask, &collMsg{Epoch: epoch, From: rel, Value: acc}, down)
+				return
+			}
+			src := rel + mask
+			mask <<= 1
+			if src >= n {
+				next()
+				return
+			}
+			t.recvColl(collKey{epoch: epoch, from: src}, func(m *collMsg) {
+				t.c.Sleep(collCPUCost, func() {
+					acc = cs.op.apply(acc, m.Value)
+					next()
+				})
+			})
+		})
+	}, func(r any) {
+		t.old = r.(uint64)
+		t.c.Resume()
+	})
 }
 
 // bcastTree runs a binomial broadcast among node representatives for
 // the given epoch, rooted at rootNode. Non-root nodes receive the
-// payload; every node forwards to its subtree. It returns the payload.
-func (t *Thread) bcastTree(cs *collState, epoch int64, rootNode int, value uint64, data []byte) *collMsg {
+// payload; every node forwards to its subtree, then runs then with the
+// payload.
+func (t *Thread) bcastTree(epoch int64, rootNode int, value uint64, data []byte, then func(m *collMsg)) {
 	n := t.rt.cfg.Nodes
 	rel := (t.ns.id - rootNode + n) % n
 	out := &collMsg{Epoch: epoch, Value: value, Data: data}
 	mask := 1
-	if rel != 0 {
-		for mask < n {
-			if rel&mask != 0 {
-				// Receive from the parent (tagged with n+parent so the
-				// downward wave cannot collide with an upward reduce
-				// in the same epoch).
-				m := cs.awaitColl(t.p, t.rt.K, collKey{epoch: epoch, from: n + (rel - mask)})
-				out.Value, out.Data = m.Value, m.Data
-				break
+	for mask < n && rel&mask == 0 {
+		mask <<= 1
+	}
+	forward := func() {
+		sim.Loop(func(next func()) {
+			if mask >>= 1; mask == 0 {
+				then(out)
+				return
 			}
-			mask <<= 1
-		}
-	} else {
-		for mask < n {
-			mask <<= 1
-		}
+			if dst := rel + mask; dst < n {
+				t.sendColl((dst+rootNode)%n,
+					&collMsg{Epoch: epoch, From: n + rel, Value: out.Value, Data: out.Data}, next)
+				return
+			}
+			next()
+		})
 	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		dst := rel + mask
-		if dst < n {
-			t.rt.sendColl(t.p, t.ns.id, (dst+rootNode)%n,
-				&collMsg{Epoch: epoch, From: n + rel, Value: out.Value, Data: out.Data})
-		}
+	if rel == 0 {
+		forward()
+		return
 	}
-	return out
+	// Receive from the parent (tagged with n+parent so the downward wave
+	// cannot collide with an upward reduce in the same epoch).
+	t.recvColl(collKey{epoch: epoch, from: n + (rel - mask)}, func(m *collMsg) {
+		out.Value, out.Data = m.Value, m.Data
+		forward()
+	})
 }
 
 // AllReduceF64 sums one float64 per thread and returns the total on
@@ -249,29 +262,37 @@ func (t *Thread) AllReduceF64(v float64) float64 {
 	return math.Float64frombits(t.AllReduceU64(math.Float64bits(v), ReduceFSum))
 }
 
+// copyOut is the last step of a collective that hands each thread bytes
+// of its node's result: the thread pays the shared-memory copy of size
+// bytes, then takes its private copy of part.
+func (t *Thread) copyOut(size int, part []byte, out *[]byte) {
+	t.c.Sleep(sim.BytesTime(size, t.rt.cfg.Profile.ShmByteTime), func() {
+		*out = append([]byte(nil), part...)
+		t.c.Resume()
+	})
+}
+
 // Broadcast distributes root's data to every thread (upc_all_broadcast
 // shape, staged through node representatives). Non-root threads pass
 // nil; every thread returns its own copy.
-func (t *Thread) Broadcast(root int, data []byte) []byte {
-	t.Fence()
+func (t *Thread) Broadcast(root int, data []byte) (out []byte) {
 	rootNode := t.rt.nodeOfThread(root).id
-	rep, cs, release := t.enterColl(func(cs *collState) {
+	t.p.ParkWake()
+	t.collective(func(cs *collState) {
 		if t.id == root {
 			cs.data = append([]byte(nil), data...)
 		}
+	}, func(cs *collState, release func(any)) {
+		t.bcastTree(cs.epoch, rootNode, 0, cs.data, func(m *collMsg) {
+			cs.data = nil
+			release(m.Data)
+		})
+	}, func(r any) {
+		all := r.([]byte)
+		t.copyOut(len(all), all, &out)
 	})
-	var out []byte
-	if rep {
-		m := t.bcastTree(cs, cs.epoch, rootNode, 0, cs.data)
-		out = m.Data
-		cs.data = nil
-		t.releaseColl(cs, out)
-	} else {
-		out = release.Value().([]byte)
-	}
-	// Each thread takes a private copy (intra-node shared-memory copy).
-	t.p.Sleep(sim.BytesTime(len(out), t.rt.cfg.Profile.ShmByteTime))
-	return append([]byte(nil), out...)
+	t.p.Await()
+	return out
 }
 
 // Message tag spaces for the point-to-point collective waves (the
@@ -282,102 +303,110 @@ func gatherTag(n, rel int) int  { return 3*n + rel }
 // Scatter splits root's data into Threads equal chunks and hands each
 // thread its own (upc_all_scatter shape). len(data) must divide by the
 // thread count; non-root threads pass nil.
-func (t *Thread) Scatter(root int, data []byte) []byte {
-	t.Fence()
-	n := t.rt.cfg.Nodes
-	tpn := t.rt.cfg.ThreadsPerNode()
+func (t *Thread) Scatter(root int, data []byte) (out []byte) {
+	n, tpn := t.rt.cfg.Nodes, t.rt.cfg.ThreadsPerNode()
 	rootNode := t.rt.nodeOfThread(root).id
 	if t.id == root && len(data)%t.Threads() != 0 {
 		panic(fmt.Sprintf("core: Scatter of %d bytes does not divide among %d threads", len(data), t.Threads()))
 	}
-	rep, cs, release := t.enterColl(func(cs *collState) {
+	t.p.ParkWake()
+	t.collective(func(cs *collState) {
 		if t.id == root {
 			cs.data = append([]byte(nil), data...)
 		}
-	})
-	var nodeSlice []byte
-	if rep {
+	}, func(cs *collState, release func(any)) {
 		epoch := cs.epoch
-		if t.ns.id == rootNode {
-			all := cs.data
-			cs.data = nil
-			chunk := len(all) / t.rt.cfg.Threads
-			for dst := 0; dst < n; dst++ {
-				lo := dst * tpn * chunk
-				hi := lo + tpn*chunk
-				if dst == t.ns.id {
-					nodeSlice = all[lo:hi]
-					continue
-				}
-				rel := (dst - rootNode + n) % n
-				t.rt.sendColl(t.p, t.ns.id, dst,
-					&collMsg{Epoch: epoch, From: scatterTag(n, rel), Data: all[lo:hi]})
-			}
-		} else {
+		if t.ns.id != rootNode {
 			rel := (t.ns.id - rootNode + n) % n
-			m := cs.awaitColl(t.p, t.rt.K, collKey{epoch: epoch, from: scatterTag(n, rel)})
-			nodeSlice = m.Data
+			t.recvColl(collKey{epoch: epoch, from: scatterTag(n, rel)}, func(m *collMsg) { release(m.Data) })
+			return
 		}
-		t.releaseColl(cs, nodeSlice)
-	} else {
-		nodeSlice = release.Value().([]byte)
-	}
-	chunk := len(nodeSlice) / tpn
-	slot := t.id % tpn
-	t.p.Sleep(sim.BytesTime(chunk, t.rt.cfg.Profile.ShmByteTime))
-	return append([]byte(nil), nodeSlice[slot*chunk:(slot+1)*chunk]...)
+		all := cs.data
+		cs.data = nil
+		chunk := len(all) / t.rt.cfg.Threads
+		var nodeSlice []byte
+		dst := 0
+		sim.Loop(func(next func()) {
+			if dst == n {
+				release(nodeSlice)
+				return
+			}
+			d := dst
+			dst++
+			lo := d * tpn * chunk
+			part := all[lo : lo+tpn*chunk]
+			if d == t.ns.id {
+				nodeSlice = part
+				next()
+				return
+			}
+			t.sendColl(d, &collMsg{Epoch: epoch, From: scatterTag(n, (d-rootNode+n)%n), Data: part}, next)
+		})
+	}, func(r any) {
+		nodeSlice := r.([]byte)
+		chunk := len(nodeSlice) / tpn
+		slot := t.id % tpn
+		t.copyOut(chunk, nodeSlice[slot*chunk:(slot+1)*chunk], &out)
+	})
+	t.p.Await()
+	return out
 }
 
 // Gather collects one equal-sized chunk from every thread at root
 // (upc_all_gather shape): root receives the concatenation in thread
 // order; everyone else receives nil.
-func (t *Thread) Gather(root int, chunk []byte) []byte {
-	t.Fence()
-	n := t.rt.cfg.Nodes
-	tpn := t.rt.cfg.ThreadsPerNode()
+func (t *Thread) Gather(root int, chunk []byte) (all []byte) {
+	n, tpn := t.rt.cfg.Nodes, t.rt.cfg.ThreadsPerNode()
 	rootNode := t.rt.nodeOfThread(root).id
-	rep, cs, release := t.enterColl(func(cs *collState) {
+	t.p.ParkWake()
+	t.collective(func(cs *collState) {
 		if cs.parts == nil {
 			cs.parts = make([][]byte, tpn)
 		}
 		cs.parts[t.id%tpn] = append([]byte(nil), chunk...)
-	})
-	var all []byte
-	if rep {
+	}, func(cs *collState, release func(any)) {
 		epoch := cs.epoch
 		var nodeBlob []byte
 		for _, p := range cs.parts {
 			nodeBlob = append(nodeBlob, p...)
 		}
 		cs.parts = nil
-		if t.ns.id == rootNode {
-			blobs := make([][]byte, n)
-			blobs[t.ns.id] = nodeBlob
-			for src := 0; src < n; src++ {
-				if src == t.ns.id {
-					continue
-				}
-				rel := (src - rootNode + n) % n
-				m := cs.awaitColl(t.p, t.rt.K, collKey{epoch: epoch, from: gatherTag(n, rel)})
-				blobs[src] = m.Data
-			}
-			for _, b := range blobs {
-				all = append(all, b...)
-			}
-		} else {
+		if t.ns.id != rootNode {
 			rel := (t.ns.id - rootNode + n) % n
-			t.rt.sendColl(t.p, t.ns.id, rootNode,
-				&collMsg{Epoch: epoch, From: gatherTag(n, rel), Data: nodeBlob})
+			t.sendColl(rootNode, &collMsg{Epoch: epoch, From: gatherTag(n, rel), Data: nodeBlob},
+				func() { release([]byte(nil)) })
+			return
 		}
-		t.releaseColl(cs, all)
-	} else {
-		if v := release.Value(); v != nil {
-			all = v.([]byte)
+		blobs := make([][]byte, n)
+		blobs[t.ns.id] = nodeBlob
+		src := 0
+		sim.Loop(func(next func()) {
+			if src == t.ns.id {
+				src++
+			}
+			if src == n {
+				var all []byte
+				for _, b := range blobs {
+					all = append(all, b...)
+				}
+				release(all)
+				return
+			}
+			s := src
+			src++
+			t.recvColl(collKey{epoch: epoch, from: gatherTag(n, (s-rootNode+n)%n)}, func(m *collMsg) {
+				blobs[s] = m.Data
+				next()
+			})
+		})
+	}, func(r any) {
+		if t.id != root {
+			t.c.Resume()
+			return
 		}
-	}
-	if t.id != root {
-		return nil
-	}
-	t.p.Sleep(sim.BytesTime(len(all), t.rt.cfg.Profile.ShmByteTime))
+		all = r.([]byte)
+		t.c.Sleep(sim.BytesTime(len(all), t.rt.cfg.Profile.ShmByteTime), t.c.Resumer())
+	})
+	t.p.Await()
 	return all
 }

@@ -5,13 +5,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"sort"
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/fault"
 	"xlupc/internal/kv"
+	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
@@ -74,13 +77,44 @@ func (d digest) final(th *core.Thread, a *core.SharedArray, elems int64) {
 	th.Barrier()
 }
 
-// dispatchProgram is one program of 16 threads on 4 nodes whose AM
-// traffic makes the target's dispatcher contexts contend: for the AM
-// queue, for Comm, for a lock taken inside a handler.
+// finalC is final in continuation-passing style.
+func (d digest) finalC(th *core.Thread, a *core.SharedArray, elems int64, then func()) {
+	if th.ID() != 0 {
+		th.BarrierC(then)
+		return
+	}
+	buf := make([]byte, elems*8)
+	th.GetBulkC(buf, a.At(0), func() {
+		for i := 0; i < len(buf); i += 8 {
+			d.add(th, binary.LittleEndian.Uint64(buf[i:]))
+		}
+		th.BarrierC(then)
+	})
+}
+
+// computeC is what Compute does, in continuation-passing style (Compute
+// has no ...C form): hold one of the node's cores for d. It leaves out
+// only the telemetry compute interval, which no row reads.
+func computeC(th *core.Thread, d sim.Duration, then func()) {
+	cpu := th.Runtime().M.Nodes[th.Node()].CPU
+	th.AcquireC(cpu, func() {
+		th.SleepC(d, func() {
+			cpu.Release()
+			then()
+		})
+	})
+}
+
+// dispatchProgram is one program, of 16 threads on 4 nodes unless tune
+// says otherwise, whose AM traffic makes the target's dispatcher
+// contexts contend: for the AM queue, for Comm, for a lock taken inside
+// a handler. A program with a cont body is run in both API styles, and
+// the RunCont run must reproduce the blocking row exactly.
 type dispatchProgram struct {
 	name string
 	tune func(c *core.Config)
 	body func(d digest) func(th *core.Thread)
+	cont func(d digest) core.ContBody
 }
 
 func dispatchPrograms() []dispatchProgram {
@@ -206,6 +240,41 @@ func dispatchPrograms() []dispatchProgram {
 				th.Barrier()
 				d.final(th, a, 16)
 			}
+		}, cont: func(d digest) core.ContBody {
+			return func(th *core.Thread, done func()) {
+				th.AllLockAllocC("L", func(l *core.Lock) {
+					th.AllAllocC("K", 16, 8, 1, func(a *core.SharedArray) {
+						th.BarrierC(func() {
+							i := 0
+							sim.Loop(func(next func()) {
+								if i == 2 {
+									th.TryLockC(l, func(got bool) {
+										d.add(th, b2u(got))
+										closing := func() { th.BarrierC(func() { d.finalC(th, a, 16, done) }) }
+										if got {
+											th.UnlockC(l, closing)
+											return
+										}
+										closing()
+									})
+									return
+								}
+								i++
+								th.LockC(l, func() {
+									th.GetUint64C(a.At(0), func(v uint64) {
+										d.add(th, v)
+										computeC(th, 500*sim.Ns, func() {
+											th.PutUint64C(a.At(0), v+1, func() {
+												th.FenceC(func() { th.UnlockC(l, next) })
+											})
+										})
+									})
+								})
+							})
+						})
+					})
+				})
+			}
 		}},
 		// Free of an object every node touched: each node's handler drops
 		// its cache entries and deregisters its piece.
@@ -232,9 +301,25 @@ func dispatchPrograms() []dispatchProgram {
 		}},
 		{name: "allreduce", body: func(d digest) func(th *core.Thread) {
 			return func(th *core.Thread) {
-				for i, op := range []core.ReduceOp{core.ReduceSum, core.ReduceMax, core.ReduceXor} {
+				for i, op := range reduceOps {
 					d.add(th, th.AllReduceU64(uint64(th.ID()*7+i), op))
 				}
+			}
+		}, cont: func(d digest) core.ContBody {
+			return func(th *core.Thread, done func()) {
+				i := 0
+				sim.Loop(func(next func()) {
+					if i == len(reduceOps) {
+						done()
+						return
+					}
+					v, op := uint64(th.ID()*7+i), reduceOps[i]
+					i++
+					th.AllReduceU64C(v, op, func(r uint64) {
+						d.add(th, r)
+						next()
+					})
+				})
 			}
 		}},
 		// A KV table under contended Put/Delete/Get of eight hot keys, reads
@@ -265,19 +350,127 @@ func dispatchPrograms() []dispatchProgram {
 				th.Barrier()
 			}
 		}},
+		{name: "collectives", body: collectives},
+		// Twelve nodes: the binomial trees' src < n and dst < n edges.
+		{name: "collectives_48x12", tune: func(c *core.Config) { c.Threads, c.Nodes = 48, 12 }, body: collectives},
+		// Cached PUTs through entries the limited-pinning policy has
+		// deregistered since: each is NACKed and retried over the AM path,
+		// blocking and split-phase.
+		{name: "put_nack_retry", tune: func(c *core.Config) {
+			c.Cache.PutMode = core.PutCacheOn
+			chunk := core.NewLayout(16, 4, 8, 8, 128).NodeChunkBytes(0)
+			c.Pin = &core.PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1}
+		}, body: func(d digest) func(th *core.Thread) {
+			return func(th *core.Thread) {
+				var as []*core.SharedArray
+				for i := 0; i < 4; i++ {
+					as = append(as, th.AllAlloc(fmt.Sprintf("N%d", i), 128, 8, 8))
+				}
+				th.Barrier()
+				// An element of a thread on the next node that only this
+				// thread writes.
+				e := int64((th.ID()+4)%16*8 + th.ID()%8)
+				for round := 0; round < 2; round++ {
+					for _, a := range as {
+						d.add(th, th.GetUint64(a.At(e)))
+					}
+					for i, a := range as {
+						v := uint64(th.ID()<<16 | round<<8 | i)
+						if round == 0 {
+							th.PutUint64(a.At(e), v)
+							continue
+						}
+						w := make([]byte, 8)
+						binary.LittleEndian.PutUint64(w, v)
+						th.NbPut(a.At(e), w)
+					}
+					th.SyncAll()
+				}
+				th.Barrier()
+				for _, a := range as {
+					d.final(th, a, 128)
+				}
+			}
+		}},
+		// Cached PUTs across transparent restarts: a stale-epoch NACK
+		// flushes the node's entries and retries over the AM path.
+		{name: "put_stale_retry", tune: func(c *core.Config) {
+			c.Cache.PutMode = core.PutCacheOn
+			c.Crash = &core.CrashConfig{CrashConfig: fault.CrashConfig{
+				Prob: 0.6, Every: 50 * sim.Us,
+				RestartMin: 20 * sim.Us, RestartMax: 40 * sim.Us,
+				Horizon: 5 * sim.Ms, MaxPerNode: 2,
+			}}
+		}, body: func(d digest) func(th *core.Thread) {
+			return func(th *core.Thread) {
+				a := th.AllAlloc("S", 128, 8, 8)
+				th.Barrier()
+				e := int64((th.ID()+4)%16*8 + th.ID()%8)
+				for i := 0; i < 24; i++ {
+					th.PutUint64(a.At(e), uint64(th.ID()<<8|i))
+					th.Compute(20 * sim.Us)
+				}
+				th.Barrier()
+				d.final(th, a, 128)
+			}
+		}},
+	}
+}
+
+var reduceOps = []core.ReduceOp{core.ReduceSum, core.ReduceMax, core.ReduceXor}
+
+// collectives runs each collective once, rooted off node 0, plus one
+// LocalAlloc, whose notices fan out to every node, and one Sleep.
+func collectives(d digest) func(th *core.Thread) {
+	var local *core.SharedArray
+	return func(th *core.Thread) {
+		n := th.Threads()
+		d.add(th, math.Float64bits(th.AllReduceF64(float64(th.ID())*0.5+0.25)))
+		var all []byte
+		if th.ID() == n/3 || th.ID() == n-1 {
+			all = make([]byte, n*8)
+			for i := range all {
+				all[i] = byte(i*7 + th.ID())
+			}
+		}
+		var bc []byte
+		if th.ID() == n/3 {
+			bc = all[:24]
+		}
+		for _, b := range th.Broadcast(n/3, bc) {
+			d.add(th, uint64(b))
+		}
+		var sc []byte
+		if th.ID() == n-1 {
+			sc = all
+		}
+		d.add(th, binary.LittleEndian.Uint64(th.Scatter(n-1, sc)))
+		chunk := make([]byte, 8)
+		binary.LittleEndian.PutUint64(chunk, uint64(th.ID()*th.ID()+1))
+		for _, b := range th.Gather(n/2+1, chunk) {
+			d.add(th, uint64(b))
+		}
+		if th.ID() == n-1 {
+			local = th.LocalAlloc("L", 8, 8)
+			for i := int64(0); i < 8; i++ {
+				th.PutUint64(local.At(i), uint64(i+11))
+			}
+		}
+		th.Sleep(sim.Duration(th.ID()%3) * 100 * sim.Ns)
+		th.Barrier()
+		d.final(th, local, 8)
 	}
 }
 
 // runDispatch runs one program and reduces it to its golden row.
-func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cached bool) dispatchRow {
+func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cached, cont bool) dispatchRow {
 	t.Helper()
-	const threads, nodes = 16, 4
 	cc := core.NoCache()
 	if cached {
 		cc = core.DefaultCache()
 	}
 	tel := telemetry.New()
-	c := core.Config{Threads: threads, Nodes: nodes, Profile: prof, Cache: cc, Seed: 5, Telemetry: tel}
+	c := core.Config{Threads: 16, Nodes: 4, Profile: prof, Cache: cc, Seed: 5, Telemetry: tel}
 	if dp.tune != nil {
 		dp.tune(&c)
 	}
@@ -285,11 +478,16 @@ func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cach
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := make(digest, threads)
+	d := make(digest, c.Threads)
 	for i := range d {
 		d[i] = 14695981039346656037
 	}
-	st, err := rt.Run(dp.body(d))
+	var st core.RunStats
+	if cont {
+		st, err = rt.RunCont(dp.cont(d))
+	} else {
+		st, err = rt.Run(dp.body(d))
+	}
 	if err != nil {
 		t.Fatalf("%s: %v", dp.name, err)
 	}
@@ -297,7 +495,7 @@ func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cach
 		ElapsedPs: int64(st.Elapsed), KernelEvents: st.KernelEvents,
 		Messages: st.Messages, NetBytes: st.NetBytes, Digest: d.sum(),
 	}
-	for n := 0; n < nodes; n++ {
+	for n := 0; n < c.Nodes; n++ {
 		cs := rt.M.Nodes[n].Comm.Stats()
 		row.Comm = append(row.Comm, fmt.Sprintf("%d %d %d", cs.Acquires, int64(cs.TotalWait), int64(cs.BusyTime)))
 		q := rt.M.Fab.Port(n).AM
@@ -342,7 +540,12 @@ func TestDispatchGolden(t *testing.T) {
 			for _, cached := range []bool{true, false} {
 				p := prof()
 				key := fmt.Sprintf("%s/%s/cache=%v", dp.name, p.Name, cached)
-				got[key] = runDispatch(t, dp, p, cached)
+				got[key] = runDispatch(t, dp, p, cached, false)
+				if dp.cont != nil {
+					if c := runDispatch(t, dp, p, cached, true); !reflect.DeepEqual(c, got[key]) {
+						t.Errorf("%s under RunCont:\n got  %+v\n want the blocking row %+v", key, c, got[key])
+					}
+				}
 				if update {
 					continue
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"xlupc/internal/addrcache"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
@@ -654,12 +652,12 @@ func (t *Thread) putRetired() {
 // fence (and, for split-phase PUTs, under the handle's completion). A
 // NACK (the limited-pinning policy deregistered the region mid-flight)
 // drops the stale cache entry and reissues the write over the
-// active-message path from a helper process; neither the fence nor the
-// handle releases until the retry's ACK lands, so fence semantics
-// survive eviction races. A stale-epoch NACK (the target restarted)
-// first flushes every cached address for the node, then retries with
-// WantAddr so the ACK re-piggybacks the fresh base — or aborts the run
-// under CrashFail.
+// active-message path (putRetry); neither the fence nor the handle
+// releases until the retry's ACK lands, so fence semantics survive
+// eviction races. A stale-epoch NACK (the target restarted) first
+// flushes every cached address for the node, then retries with WantAddr
+// so the ACK re-piggybacks the fresh base — or aborts the run under
+// CrashFail.
 func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off int64, data []byte, span *telemetry.Span, done *sim.Completion) {
 	f := t.acks
 	remote.Then(func(v any) {
@@ -671,33 +669,59 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 			}
 			return
 		}
-		prof := t.rt.cfg.Profile
 		if nk.Stale {
-			// Runs in kernel-callback context: the invalidation sweep and
-			// its cost move into the helper process.
 			if t.rt.staleAbort(rn, nk.Epoch, "put", t.rt.K.Now()) {
 				return
 			}
 			t.rt.tel.Add("xlupc_put_retries_total", `reason="stale_epoch"`, 1)
-			t.rt.K.Spawn(fmt.Sprintf("put-stale-retry %d", t.id), func(p *sim.Proc) {
-				t0 := p.Now()
-				n := t.ns.flushNode(rn)
-				if n > 0 {
-					p.Sleep(sim.Time(n) * prof.CacheLookupCost)
-				}
-				t.flushed(n, rn, nk.Epoch, "put", span, t0)
-				p.Sleep(sim.BytesTime(len(data), prof.CopyByteTime))
-				t.rt.M.SendAMSpan(p, t.ns.id, rn, hPutReq,
-					&putReq{H: a.h, Off: off, WantAddr: t.ns.cache != nil, Fence: f, Done: done}, data, 0, span)
-			})
+		} else {
+			t.ns.forget(a.h, rn)
+			t.rt.tel.Add("xlupc_put_retries_total", `reason="nack"`, 1)
+		}
+		r := &putRetry{t: t, rn: rn, data: data, span: span, nack: nk,
+			req: putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f, Done: done}}
+		r.ct = t.rt.K.SpawnService("put-retry", t.id, "", r, retryStart)
+	})
+}
+
+// putRetry is the reissue of thread t's NACKed RDMA PUT, on a
+// continuation of its own: the thread has moved on. It pays the
+// invalidation sweep of a stale-epoch NACK, then the copy into a bounce
+// buffer, then sends; the ACK arrives at the PUT's fence.
+type putRetry struct {
+	t    *Thread
+	ct   *sim.Cont
+	req  putReq // the write as an active message; after a stale NACK it wants the address
+	rn   int
+	data []byte
+	span *telemetry.Span
+	nack transport.Nack
+	t0   sim.Time
+	n    int // cache entries flushed
+}
+
+// putRetry steps.
+const (
+	retryStart = iota
+	retryFlushed
+	retryCopied
+)
+
+func (r *putRetry) Step(pc int) {
+	t, ns, ct := r.t, r.t.ns, r.ct
+	prof := t.rt.cfg.Profile
+	switch pc {
+	case retryStart:
+		if !r.nack.Stale {
+			ct.Sleep(sim.BytesTime(len(r.data), prof.CopyByteTime), ct.Then(r, retryCopied))
 			return
 		}
-		t.ns.forget(a.h, rn)
-		t.rt.tel.Add("xlupc_put_retries_total", `reason="nack"`, 1)
-		t.rt.K.Spawn(fmt.Sprintf("put-retry %d", t.id), func(p *sim.Proc) {
-			p.Sleep(sim.BytesTime(len(data), prof.CopyByteTime))
-			t.rt.M.SendAMSpan(p, t.ns.id, rn, hPutReq,
-				&putReq{H: a.h, Off: off, WantAddr: false, Fence: f, Done: done}, data, 0, span)
-		})
-	})
+		r.t0, r.n = t.Now(), ns.flushNode(r.rn)
+		ct.Sleep(sim.Time(r.n)*prof.CacheLookupCost, ct.Then(r, retryFlushed))
+	case retryFlushed:
+		t.flushed(r.n, r.rn, r.nack.Epoch, "put", r.span, r.t0)
+		ct.Sleep(sim.BytesTime(len(r.data), prof.CopyByteTime), ct.Then(r, retryCopied))
+	case retryCopied:
+		t.rt.M.SendAMSpanC(ct, ns.id, r.rn, hPutReq, &r.req, r.data, 0, r.span, func() {})
+	}
 }

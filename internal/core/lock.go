@@ -49,19 +49,33 @@ const lockCPUCost = 120 * sim.Ns
 // AllLockAlloc collectively creates a shared lock whose home is thread
 // 0's node (upc_all_lock_alloc). All threads receive the same lock.
 func (t *Thread) AllLockAlloc(name string) *Lock {
-	t.Barrier()
-	ns := t.ns
-	if t.isNodeRep() {
-		idx := ns.dir.NextIndex(svd.AllPartition)
-		h := svd.Handle{Part: svd.AllPartition, Index: idx}
-		ns.dir.Register(&svd.ControlBlock{Handle: h, Kind: svd.KindLock, Name: name})
-		if ns.id == 0 {
-			ns.locks[h] = &lockHome{}
+	t.allLockAlloc(name, t.p.Wake())
+	t.p.Await()
+	return t.ns.collective.(*Lock)
+}
+
+// AllLockAllocC is AllLockAlloc in continuation-passing style.
+func (t *Thread) AllLockAllocC(name string, then func(l *Lock)) {
+	t.allLockAlloc(name, func() { then(t.ns.collective.(*Lock)) })
+}
+
+// allLockAlloc is a barrier, the node representatives registering the
+// lock, and a closing barrier that carries it to their co-located
+// threads in ns.collective; then runs after it.
+func (t *Thread) allLockAlloc(name string, then func()) {
+	t.BarrierC(func() {
+		if t.isNodeRep() {
+			ns := t.ns
+			idx := ns.dir.NextIndex(svd.AllPartition)
+			h := svd.Handle{Part: svd.AllPartition, Index: idx}
+			ns.dir.Register(&svd.ControlBlock{Handle: h, Kind: svd.KindLock, Name: name})
+			if ns.id == 0 {
+				ns.locks[h] = &lockHome{}
+			}
+			ns.collective = &Lock{rt: t.rt, h: h, home: 0, name: name}
 		}
-		ns.collective = &Lock{rt: t.rt, h: h, home: 0, name: name}
-	}
-	t.Barrier()
-	return ns.collective.(*Lock)
+		t.BarrierC(then)
+	})
 }
 
 func (ns *nodeState) lockState(h svd.Handle) *lockHome {
@@ -74,56 +88,78 @@ func (ns *nodeState) lockState(h svd.Handle) *lockHome {
 
 // Lock acquires l (upc_lock), blocking until granted.
 func (t *Thread) Lock(l *Lock) {
+	t.LockC(l, t.p.Wake())
+	t.p.Await()
+}
+
+// LockC is Lock in continuation-passing style: then runs once the lock
+// is granted.
+func (t *Thread) LockC(l *Lock, then func()) {
 	span := t.rt.tel.StartSpan("lock", t.id, t.ns.id, t.Now())
-	defer func() { span.Finish(t.Now()) }()
-	if t.ns.id == l.home {
-		t.p.Sleep(lockCPUCost)
-		lh := t.ns.lockState(l.h)
-		if !lh.held {
-			lh.held = true
-			return
-		}
-		done := sim.NewCompletion(t.rt.K, "lock "+l.name)
-		lh.queue = append(lh.queue, &lockWaiter{node: t.ns.id, done: done})
-		t.p.Wait(done)
-		return
-	}
-	done := sim.NewCompletion(t.rt.K, "lock "+l.name)
-	t.rt.M.SendAM(t.p, t.ns.id, l.home, hLockReq, &lockReq{H: l.h, Done: done}, nil, 0)
-	t.p.Wait(done)
+	t.lock(l, false, func(bool) {
+		span.Finish(t.Now())
+		then()
+	})
 }
 
 // TryLock attempts to acquire l without blocking (upc_lock_attempt):
 // it reports whether the lock was acquired. Remote attempts still pay
 // one message round trip to the home node, as the real runtime's do.
-func (t *Thread) TryLock(l *Lock) bool {
-	if t.ns.id == l.home {
-		t.p.Sleep(lockCPUCost)
-		lh := t.ns.lockState(l.h)
-		if lh.held {
-			return false
-		}
-		lh.held = true
-		return true
+func (t *Thread) TryLock(l *Lock) (ok bool) {
+	wake := t.p.Wake()
+	t.lock(l, true, func(got bool) {
+		ok = got
+		wake()
+	})
+	t.p.Await()
+	return ok
+}
+
+// TryLockC is TryLock in continuation-passing style.
+func (t *Thread) TryLockC(l *Lock, then func(ok bool)) { t.lock(l, true, then) }
+
+// lock asks for l — with try, only if it is free — and runs then with
+// whether it was granted. (Locks are rare enough to afford closures.)
+func (t *Thread) lock(l *Lock, try bool, then func(ok bool)) {
+	if t.ns.id != l.home {
+		done := sim.NewCompletion(t.rt.K, "lock "+l.name)
+		t.rt.M.SendAMSpanC(t.c, t.ns.id, l.home, hLockReq, &lockReq{H: l.h, Try: try, Done: done}, nil, 0, nil, func() {
+			done.WaitFn(t.c, func() {
+				ok := done.Value().(bool)
+				t.rt.K.Recycle(done)
+				then(ok)
+			})
+		})
+		return
 	}
-	done := sim.NewCompletion(t.rt.K, "trylock "+l.name)
-	t.rt.M.SendAM(t.p, t.ns.id, l.home, hLockReq, &lockReq{H: l.h, Try: true, Done: done}, nil, 0)
-	t.p.Wait(done)
-	v := done.Value().(bool)
-	t.rt.K.Recycle(done)
-	return v
+	t.c.Sleep(lockCPUCost, func() {
+		lh := t.ns.lockState(l.h)
+		if free := !lh.held; free || try {
+			lh.held = true
+			then(free)
+			return
+		}
+		done := sim.NewCompletion(t.rt.K, "lock "+l.name)
+		lh.queue = append(lh.queue, &lockWaiter{node: t.ns.id, done: done})
+		done.WaitFn(t.c, func() { then(true) })
+	})
 }
 
 // Unlock releases l (upc_unlock). The next waiter, if any, is granted
 // in FIFO order.
 func (t *Thread) Unlock(l *Lock) {
-	if t.ns.id == l.home {
-		t.p.Sleep(lockCPUCost)
-		t.rt.homeUnlockC(t.c, t.ns, l.h, t.p.Wake())
-		t.p.Await()
+	t.UnlockC(l, t.p.Wake())
+	t.p.Await()
+}
+
+// UnlockC is Unlock in continuation-passing style: then runs once the
+// release is done at the home node, or on the wire to it.
+func (t *Thread) UnlockC(l *Lock, then func()) {
+	if t.ns.id != l.home {
+		t.rt.M.SendAMSpanC(t.c, t.ns.id, l.home, hUnlockReq, &unlockReq{H: l.h}, nil, 0, nil, then)
 		return
 	}
-	t.rt.M.SendAM(t.p, t.ns.id, l.home, hUnlockReq, &unlockReq{H: l.h}, nil, 0)
+	t.c.Sleep(lockCPUCost, func() { t.rt.homeUnlockC(t.c, t.ns, l.h, then) })
 }
 
 // homeUnlockC passes the lock to the next waiter or releases it, on

@@ -144,7 +144,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			}
 		}
 		ns.barrier = newNodeBarrier(rt, ns)
-		ns.coll = newCollState()
+		ns.coll = &collState{mail: newMailbox[collKey, *collMsg]()}
 		rt.nodes[i] = ns
 	}
 	rt.registerHandlers()

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"xlupc/internal/fault"
+	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
@@ -740,7 +742,8 @@ func TestHandlerRequeuesUntilNotifyArrives(t *testing.T) {
 	h := svd.Handle{Part: 0, Index: 0}
 	done := sim.NewCompletion(rt.K, "early-get")
 	rt.K.Spawn("injector", func(p *sim.Proc) {
-		rt.M.SendAM(p, 0, 1, hGetReq, &getReq{H: h, Off: 0, Size: 8, Done: done}, nil, 0)
+		rt.M.SendAMSpanC(p.Cont(), 0, 1, hGetReq, &getReq{H: h, Off: 0, Size: 8, Done: done}, nil, 0, nil, p.Wake())
+		p.Await()
 	})
 	rt.K.Spawn("late-alloc", func(p *sim.Proc) {
 		p.Sleep(50 * sim.Us) // long after the GET request arrived
@@ -1083,6 +1086,80 @@ func TestNoServiceCoroutines(t *testing.T) {
 			}
 			if peak > base {
 				t.Errorf("RunCont ran on %d goroutines besides the test's", peak-base)
+			}
+
+			// Cached PUTs the target's pin table has deregistered since, or
+			// that reach a restarted target, are NACKed and reissued over
+			// the AM path: on no goroutine either.
+			c := cfg(threads, nodes, p, DefaultCache())
+			c.Cache.PutMode = PutCacheOn
+			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(NewLayout(threads, threads/nodes, 8, 8, 64).NodeChunkBytes(0)) + 1}
+			c.Crash = &CrashConfig{CrashConfig: fault.CrashConfig{
+				Prob: 0.1, Every: 50 * sim.Us, RestartMin: 20 * sim.Us, RestartMax: 40 * sim.Us,
+				Horizon: 5 * sim.Ms,
+			}}
+			c.Telemetry = telemetry.New()
+			rt, err := NewRuntime(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak = 0
+			const arrays, rounds = 4, 3
+			val := func(th *Thread, r, i int) uint64 { return uint64(th.ID()<<16 | r<<8 | i) }
+			if _, err := rt.RunCont(func(th *Thread, done func()) {
+				var as []*SharedArray
+				// An element of a thread on the next node that only this
+				// thread writes.
+				e := int64((th.ID()+threads/nodes)%threads*8 + th.ID()%8)
+				step, r := 0, 0
+				sim.Loop(func(next func()) {
+					sample()
+					switch {
+					case len(as) < arrays:
+						th.AllAllocC(fmt.Sprintf("N%d", len(as)), 64, 8, 8, func(a *SharedArray) {
+							as = append(as, a)
+							next()
+						})
+					case r == rounds:
+						th.BarrierC(func() {
+							i := 0
+							sim.Loop(func(next func()) {
+								if i == arrays {
+									th.BarrierC(done)
+									return
+								}
+								th.GetUint64C(as[i].At(e), func(v uint64) {
+									if want := val(th, rounds-1, i); v != want {
+										t.Errorf("thread %d: N%d[%d] = %#x after the retries, want %#x", th.ID(), i, e, v, want)
+									}
+									i++
+									next()
+								})
+							})
+						})
+					case step < arrays: // warm the cache, evicting the pins of the others
+						step++
+						th.GetUint64C(as[step-1].At(e), func(uint64) { next() })
+					default: // PUT through the now stale entries
+						i := step - arrays
+						v := val(th, r, i)
+						if step++; step == 2*arrays {
+							step, r = 0, r+1
+						}
+						th.PutUint64C(as[i].At(e), v, func() { th.SleepC(20*sim.Us, next) })
+					}
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			reg := c.Telemetry.Registry()
+			for _, reason := range []string{"nack", "stale_epoch"} {
+				if reg.Counter("xlupc_put_retries_total", `reason="`+reason+`"`).Value() == 0 {
+					t.Errorf("no PUT retried for reason %s: the path under test never ran", reason)
+				}
+			}
+			if peak > base {
+				t.Errorf("RunCont with retried PUTs ran on %d goroutines besides the test's", peak-base)
 			}
 
 			rt, peak = newRT(), 0

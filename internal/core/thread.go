@@ -203,7 +203,6 @@ const (
 	pcBarrierRelease
 	pcBarrierDone
 	pcBarrierSent
-	pcBarrierMsg
 	pcDisseminate
 	pcFlatArrived
 	pcFlatCollected
@@ -287,7 +286,6 @@ func init() {
 		pcBarrierRelease: (*Thread).barrierRelease,
 		pcBarrierDone:    (*Thread).barrierDone,
 		pcBarrierSent:    (*Thread).barrierSent,
-		pcBarrierMsg:     (*Thread).barrierMsgIn,
 		pcDisseminate:    (*Thread).disseminate,
 		pcFlatArrived:    (*Thread).flatArrived,
 		pcFlatCollected:  (*Thread).flatCollected,
@@ -395,7 +393,10 @@ func (t *Thread) computeDone() {
 }
 
 // Sleep advances the thread without occupying a core (idle wait).
-func (t *Thread) Sleep(d sim.Duration) { t.p.Sleep(d) }
+func (t *Thread) Sleep(d sim.Duration) {
+	t.SleepC(d, t.p.Wake())
+	t.p.Await()
+}
 
 // SleepC is Sleep in continuation-passing style.
 func (t *Thread) SleepC(d sim.Duration, then func()) { t.c.Sleep(d, then) }

@@ -93,19 +93,36 @@ func inject(f *Fabric, p *sim.Proc, src, dst, size int, class Class, m any) {
 	p.Await()
 }
 
+// acquire and pop are a test process's blocking forms of
+// Resource.AcquireCont and Queue.WaitFn+TryPop, built the same way.
+func acquire(r *sim.Resource, p *sim.Proc) {
+	r.AcquireCont(p.Cont(), p.Wake())
+	p.Await()
+}
+
+func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
+	for {
+		if v, ok := q.TryPop(); ok {
+			return v
+		}
+		q.WaitFn(p.Cont(), p.Wake())
+		p.Await()
+	}
+}
+
 func TestInjectDeliversAtWireTime(t *testing.T) {
 	k := sim.NewKernel()
 	f := New(k, NewFlat(2, 2), testWire())
 	var sentDone, arrived sim.Time
 	var got any
 	k.Spawn("sender", func(p *sim.Proc) {
-		f.Port(0).TX.Acquire(p)
+		acquire(f.Port(0).TX, p)
 		inject(f, p, 0, 1, 1000, ClassAM, "payload")
 		f.Port(0).TX.Release()
 		sentDone = p.Now()
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
-		got = f.Port(1).AM.Pop(p)
+		got = pop(f.Port(1).AM, p)
 		arrived = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -133,13 +150,13 @@ func TestInjectClassesSeparateQueues(t *testing.T) {
 	var am, dma any
 	k.Spawn("sender", func(p *sim.Proc) {
 		tx := f.Port(0).TX
-		tx.Acquire(p)
+		acquire(tx, p)
 		inject(f, p, 0, 1, 10, ClassAM, "am")
 		inject(f, p, 0, 1, 10, ClassDMA, "dma")
 		tx.Release()
 	})
-	k.Spawn("amrecv", func(p *sim.Proc) { am = f.Port(1).AM.Pop(p) })
-	k.Spawn("dmarecv", func(p *sim.Proc) { dma = f.Port(1).DMA.Pop(p) })
+	k.Spawn("amrecv", func(p *sim.Proc) { am = pop(f.Port(1).AM, p) })
+	k.Spawn("dmarecv", func(p *sim.Proc) { dma = pop(f.Port(1).DMA, p) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +173,12 @@ func TestTXContentionSerializesInjection(t *testing.T) {
 		dst := i
 		k.Spawn("sender", func(p *sim.Proc) {
 			tx := f.Port(0).TX
-			tx.Acquire(p)
+			acquire(tx, p)
 			inject(f, p, 0, dst, 1000, ClassAM, dst)
 			tx.Release()
 		})
 		k.Spawn("recv", func(p *sim.Proc) {
-			f.Port(dst).AM.Pop(p)
+			pop(f.Port(dst).AM, p)
 			arrivals = append(arrivals, p.Now())
 		})
 	}
@@ -187,7 +204,7 @@ func TestSelfSendPanics(t *testing.T) {
 	k := sim.NewKernel()
 	f := New(k, NewFlat(2, 1), testWire())
 	k.Spawn("bad", func(p *sim.Proc) {
-		f.Port(0).TX.Acquire(p)
+		acquire(f.Port(0).TX, p)
 		inject(f, p, 0, 0, 10, ClassAM, nil)
 	})
 	_ = k.Run()
@@ -201,14 +218,14 @@ func TestMessagesArriveInOrderPerSender(t *testing.T) {
 	k.Spawn("sender", func(p *sim.Proc) {
 		tx := f.Port(0).TX
 		for i := 0; i < n; i++ {
-			tx.Acquire(p)
+			acquire(tx, p)
 			inject(f, p, 0, 1, 100, ClassAM, i)
 			tx.Release()
 		}
 	})
 	k.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			got = append(got, f.Port(1).AM.Pop(p).(int))
+			got = append(got, pop(f.Port(1).AM, p).(int))
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -44,7 +44,7 @@ func BenchmarkCompletionHandoff(b *testing.B) {
 	}
 	k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Wait(ping[i])
+			wait(p, ping[i])
 		}
 	})
 	k.Spawn("completer", func(p *Proc) {
@@ -67,7 +67,7 @@ func BenchmarkResourceContention(b *testing.B) {
 	for w := 0; w < workers; w++ {
 		k.Spawn("worker", func(p *Proc) {
 			for i := 0; i < per; i++ {
-				r.Use(p, 1*Ns)
+				use(r, p, 1*Ns)
 			}
 		})
 	}
@@ -80,11 +80,14 @@ func BenchmarkResourceContention(b *testing.B) {
 func BenchmarkQueueThroughput(b *testing.B) {
 	k := NewKernel()
 	q := NewQueue[int](k, "q")
-	k.SpawnDaemon("consumer", func(p *Proc) {
-		for {
-			q.Pop(p)
+	var consumer *Cont
+	var consume func()
+	consume = func() {
+		for _, ok := q.TryPop(); ok; _, ok = q.TryPop() {
 		}
-	})
+		q.WaitFn(consumer, consume)
+	}
+	consumer = k.SpawnService("consumer", -1, "", Func(consume), 0)
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1 * Ns)

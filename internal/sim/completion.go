@@ -2,9 +2,9 @@ package sim
 
 import "fmt"
 
-// Completion is a one-shot future: processes Wait on it, and some other
-// process or kernel callback Completes it, waking all waiters at the
-// current virtual time. A Completion may carry an arbitrary value.
+// Completion is a one-shot future: threads wait on it (WaitFn), and some
+// other thread or kernel callback Completes it, waking all waiters at
+// the current virtual time. A Completion may carry an arbitrary value.
 type Completion struct {
 	k       *Kernel
 	name    string
@@ -53,7 +53,7 @@ func (c *Completion) parkState() string {
 
 // Recycle returns a spent completion to the kernel's pool for reuse by
 // a future NewCompletion. The caller must guarantee the completion is
-// done and no other reference to it remains (no pending Wait, Then, or
+// done and no other reference to it remains (no pending WaitFn, Then, or
 // in-flight message carrying it); recycling a live completion corrupts
 // the simulation. Purely an allocation optimization — never required.
 func (k *Kernel) Recycle(c *Completion) {
@@ -114,14 +114,13 @@ func (c *Completion) Complete(v any) {
 
 // WaitFn blocks a continuation-mode thread until the completion
 // completes, then runs fn: an already-done completion continues inline
-// (zero events), otherwise fn joins the waiter list — where Proc.Wait
-// puts a process's resume func — and the wake is one scheduled event.
-// fn is stored as the waiter directly — no wrapper closure — so a
-// state machine whose step func exists already waits without
-// allocating. fn reads the completed value via
-// Value itself, and the continuation's diagnostic state is not reset
-// when it runs (stale state on a running continuation is harmless;
-// diagnostics only inspect blocked ones).
+// (zero events), otherwise fn joins the waiter list and the wake is one
+// scheduled event. fn is stored as the waiter directly — no wrapper
+// closure — so a state machine whose step func exists already waits
+// without allocating. fn reads the completed value via Value itself,
+// and the continuation's diagnostic state is not reset when it runs
+// (stale state on a running continuation is harmless; diagnostics only
+// inspect blocked ones).
 func (c *Completion) WaitFn(ct *Cont, fn func()) {
 	if c.done {
 		fn()
@@ -134,11 +133,11 @@ func (c *Completion) WaitFn(ct *Cont, fn func()) {
 // Then registers fn to run once the completion completes. fn executes
 // in kernel context at completion time, inline from Complete (or
 // immediately, if the completion is already done): it must not block
-// (no Sleep/Wait/Acquire), but may schedule events, complete other
+// (no Proc.Sleep or Await), but may schedule events, complete other
 // completions, and push to queues.
 //
 // Then is NOT the way a continuation-mode thread waits — Then runs
-// inline at Complete time while a waiter (Wait/WaitFn) runs one
+// inline at Complete time while a waiter (WaitFn) runs one
 // scheduled event later; mixing them up reorders the event stream
 // between execution modes. Use WaitFn to block a Cont.
 func (c *Completion) Then(fn func(v any)) {
@@ -167,7 +166,7 @@ type Counter struct {
 }
 
 // NewCounter returns a counter expecting n arrivals. n may be zero, in
-// which case Wait returns immediately.
+// which case WaitFn continues inline.
 func NewCounter(k *Kernel, name string, n int) *Counter {
 	return &Counter{k: k, lazyName: lazyName{name, -1, ""}, pending: n}
 }
@@ -210,22 +209,13 @@ func (c *Counter) Arrive() {
 	}
 }
 
-// Wait blocks p until the counter reaches zero.
-func (c *Counter) Wait(p *Proc) {
-	for c.pending > 0 {
-		c.waiters = append(c.waiters, p.resumer())
-		p.park(c.parkState())
-	}
-}
-
 // WaitFn blocks a continuation-mode thread until the counter reaches
-// zero, then runs fn: inline at zero, one wake event otherwise, like
-// Wait, with one difference: fn is the waiter itself, so nothing
-// re-checks the count when it runs. That suits every counter whose
-// arrivals are all registered before anyone waits or only by the
-// waiting thread itself (a fence: a thread blocked in it issues
-// nothing); fn must re-check Pending and wait again where that is not
-// so.
+// zero, then runs fn: inline at zero, one wake event otherwise. fn is
+// the waiter itself, so nothing re-checks the count when it runs. That
+// suits every counter whose arrivals are all registered before anyone
+// waits or only by the waiting thread itself (a fence: a thread blocked
+// in it issues nothing); fn must re-check Pending and wait again where
+// that is not so.
 func (c *Counter) WaitFn(ct *Cont, fn func()) {
 	if c.pending == 0 {
 		fn()

@@ -10,16 +10,16 @@ package sim
 // and the per-process stacks — is what bounds the simulator.
 //
 // The kernel knows one kind of event and the primitives one kind of
-// waiter: a func(). A continuation files its next step; a process files
-// its resume func (Proc.resumeFn, bound at spawn) in the same queue slot
-// or waiter list. So Sleep, Completion.Wait/WaitFn, Counter.Wait/WaitFn,
-// Resource.Acquire/AcquireCont and Queue.Pop/WaitFn have one wake path
-// each, and a run produces the same (time, seq) event stream, clock and
+// waiter: a func(). Every wait is a continuation form — Cont.Sleep,
+// Completion.WaitFn, Counter.WaitFn, Resource.AcquireCont and
+// Queue.WaitFn — that files the waiter's next step, so each has one wake
+// path, and a run produces the same (time, seq) event stream, clock and
 // statistics whichever way its threads are written. Layers above build
-// each operation once, as a ladder of steps on a Cont, and a process
-// reaches it through its companion Cont (Proc.Cont, Proc.Await); the
-// service engines that serve a node's queues (SpawnService) are Conts
-// too.
+// each operation once, as a ladder of steps on a Cont. A process reaches
+// it through its companion Cont: it passes its Wake as the ladder's then
+// and parks in Await (Proc.Cont, Proc.Await). The service engines that
+// serve a node's queues, and the odd one-off job such as a retried PUT,
+// are Conts too (SpawnService).
 
 // Stepper is something whose asynchronous steps are numbered: Step(pc)
 // runs step pc. A state machine that parks (s, pc) on a Cont with Then
@@ -154,7 +154,7 @@ func (c *Cont) Resume() {
 }
 
 // block records what the continuation is about to wait on, for
-// deadlock diagnostics (the analogue of Proc.park's state tracking).
+// deadlock diagnostics: a process's report is its companion's.
 func (c *Cont) block(state string) {
 	c.state = state
 	c.since = c.k.now
@@ -194,12 +194,13 @@ func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
 }
 
 // SpawnService starts a service engine: a state machine of callbacks
-// that serves a queue for the rest of the run. Step pc of s runs first,
-// on the returned continuation, as one
-// event at the current time — where spawn schedules a process's start.
-// The continuation never enters the live set: like a daemon it neither
-// keeps Run alive nor shows in a deadlock report, and it never
-// finishes. Its name is prefix + idx + suffix, rendered on demand.
+// that serves a queue for the rest of the run, or does one job beside
+// the threads. Step pc of s runs first, on the returned continuation, as
+// one event at the current time — where spawn schedules a process's
+// start.
+// The continuation never enters the live set: it neither keeps Run
+// alive nor shows in a deadlock report, and it need not finish. Its
+// name is prefix + idx + suffix, rendered on demand.
 func (k *Kernel) SpawnService(prefix string, idx int, suffix string, s Stepper, pc int) *Cont {
 	c := &Cont{k: k, lazyName: lazyName{prefix, idx, suffix}, state: "starting"}
 	k.wake(c.Then(s, pc))
@@ -218,7 +219,7 @@ func (c *Cont) Finish() {
 }
 
 // Sleep runs then after d of virtual time: one kernel event for
-// positive d, an inline continue otherwise, as for Proc.Sleep. then is
+// positive d, an inline continue otherwise. then is
 // scheduled directly; the state string goes stale — still "sleeping" —
 // while then runs, which is fine because diagnostics only ever inspect
 // blocked continuations.

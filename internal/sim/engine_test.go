@@ -83,18 +83,18 @@ func goroutinesSettleTo(t *testing.T, baseline int) int {
 	return n
 }
 
-// TestShutdownReleasesGoroutines drives a run that ends with daemons
-// (and, via Stop, regular processes) still parked, and checks Shutdown
-// unwinds their goroutines instead of leaking them.
+// TestShutdownReleasesGoroutines drives a run that ends, via Stop, with
+// processes still parked, and checks Shutdown unwinds their goroutines
+// instead of leaking them.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
 		k := NewKernel()
 		q := NewQueue[int](k, "inbox")
 		for d := 0; d < 4; d++ {
-			k.SpawnDaemon("daemon", func(p *Proc) {
+			k.Spawn("consumer", func(p *Proc) {
 				for {
-					q.Pop(p)
+					pop(q, p)
 				}
 			})
 		}
@@ -116,7 +116,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 }
 
 // TestShutdownIsIdempotent checks a second Shutdown (and one after a
-// clean run with no daemons) is harmless.
+// clean run) is harmless.
 func TestShutdownIsIdempotent(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) { p.Sleep(1) })
@@ -134,7 +134,7 @@ func TestAcquireCInterleavesFIFOWithProcs(t *testing.T) {
 	r := NewResource(k, "res", 1)
 	var order []string
 	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(100)
 		r.Release()
 	})
@@ -145,7 +145,7 @@ func TestAcquireCInterleavesFIFOWithProcs(t *testing.T) {
 			k.After(10, r.Release)
 		})
 		k.Spawn("waiter", func(p *Proc) { // queued second
-			r.Acquire(p)
+			acquire(r, p)
 			order = append(order, "proc")
 			p.Sleep(10)
 			r.Release()
@@ -170,11 +170,12 @@ func TestAcquireCInterleavesFIFOWithProcs(t *testing.T) {
 	}
 }
 
-// TestOneWaiterKind checks that a parked process is its resume func in
-// the same list a continuation's step sits in: registered alternately
-// on each primitive, the two forms wake in registration order for one
-// kernel event apiece, a resource charges both the same queueing time,
-// and the event that carries either has no process field.
+// TestOneWaiterKind checks that a parked process waits in the same list
+// a continuation's step sits in, as its companion Cont's resume func:
+// registered alternately on each primitive, the two forms wake in
+// registration order for one kernel event apiece, a resource charges
+// both the same queueing time, and the event that carries either has no
+// process field.
 func TestOneWaiterKind(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 32 {
 		t.Errorf("event is %d bytes, want 32 (t, seq, fn, tm)", got)
@@ -202,19 +203,19 @@ func TestOneWaiterKind(t *testing.T) {
 			}
 		}
 	}
-	alternate("completion", func(p *Proc) { p.Wait(done) },
+	alternate("completion", func(p *Proc) { wait(p, done) },
 		func(c *Cont, then func()) { done.WaitFn(c, then) })
-	alternate("counter", func(p *Proc) { cnt.Wait(p) },
+	alternate("counter", func(p *Proc) { waitCount(cnt, p) },
 		func(c *Cont, then func()) { cnt.WaitFn(c, then) })
 	if !res.TryAcquire() {
 		t.Fatal("idle resource refused TryAcquire")
 	}
-	alternate("resource", func(p *Proc) { res.Acquire(p); res.Release() },
+	alternate("resource", func(p *Proc) { acquire(res, p); res.Release() },
 		func(c *Cont, then func()) { res.AcquireCont(c, func() { res.Release(); then() }) })
 	for i := 0; i < 2; i++ {
 		id := "queue" + strconv.Itoa(i)
 		k.Spawn(id, func(p *Proc) {
-			if v := q.Pop(p); v != i {
+			if v := pop(q, p); v != i {
 				t.Errorf("%s popped %d", id, v)
 			}
 			note(id)

@@ -27,8 +27,9 @@ func (n *lazyName) Name() string {
 }
 
 // event is a scheduled occurrence: a callback to run in kernel context
-// at time t. There is no other kind — resuming a process is the callback
-// the process bound at spawn (Proc.resumeFn), filed like any other.
+// at time t. There is no other kind — starting a process is the callback
+// it bound at spawn (Proc.resumeFn), and waking one is its companion
+// Cont's resume, filed like any other.
 type event struct {
 	t   Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
@@ -124,7 +125,8 @@ func (h *eventHeap) popEv() event {
 }
 
 // Kernel is the discrete-event simulation engine. Create one with
-// NewKernel, spawn processes with Spawn, then call Run.
+// NewKernel, spawn processes with Spawn or continuation-mode threads
+// with SpawnC, then call Run.
 //
 // All simulation state (resources, queues, completions) must only be
 // touched from process bodies or kernel callbacks; the kernel
@@ -178,11 +180,11 @@ func (k *Kernel) schedule(t Time, fn func()) {
 }
 
 // wake schedules fn to run at the current time, behind whatever the
-// instant already holds: a parked waiter, a spawn's start, a Yield.
+// instant already holds: a parked waiter, a spawn's start.
 func (k *Kernel) wake(fn func()) { k.schedule(k.now, fn) }
 
 // At schedules fn to run in kernel context at absolute time t.
-// fn must not block (no Sleep/Wait/Acquire); it may schedule further
+// fn must not block (no Proc.Sleep or Await); it may schedule further
 // events, complete completions, and push to queues.
 func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn) }
 
@@ -210,38 +212,22 @@ func (k *Kernel) AfterTimer(d Duration, fn func()) *Timer {
 // it to start at the current time. It may be called before Run or from
 // any process or callback during the run.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	return k.spawn(lazyName{name, -1, ""}, body, false)
+	return k.spawn(lazyName{name, -1, ""}, body)
 }
 
 // SpawnIdx is Spawn with an index-derived name (prefix + idx, rendered
 // only when diagnostics ask for it), so spawning 128k threads performs
 // no name formatting or string allocation.
 func (k *Kernel) SpawnIdx(prefix string, idx int, body func(p *Proc)) *Proc {
-	return k.spawn(lazyName{prefix, idx, ""}, body, false)
+	return k.spawn(lazyName{prefix, idx, ""}, body)
 }
 
-// SpawnDaemon creates a service process (a dispatcher loop) that is
-// expected to block forever: it does not keep Run alive and is ignored
-// by deadlock detection. Run returns cleanly once only daemons remain.
-func (k *Kernel) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return k.spawn(lazyName{name, -1, ""}, body, true)
-}
-
-// SpawnDaemonIdx is SpawnDaemon with an index-derived name (prefix +
-// idx + suffix, rendered only when diagnostics ask for it) for the
-// per-node service loops.
-func (k *Kernel) SpawnDaemonIdx(prefix string, idx int, suffix string, body func(p *Proc)) *Proc {
-	return k.spawn(lazyName{prefix, idx, suffix}, body, true)
-}
-
-func (k *Kernel) spawn(name lazyName, body func(p *Proc), daemon bool) *Proc {
+func (k *Kernel) spawn(name lazyName, body func(p *Proc)) *Proc {
 	k.procSeq++
 	p := &Proc{
 		k:        k,
 		lazyName: name,
 		seq:      k.procSeq,
-		state:    "starting",
-		daemon:   daemon,
 	}
 	p.c = Cont{k: k, lazyName: name, state: "running"}
 	k.procs[p] = struct{}{}
@@ -271,13 +257,8 @@ func (k *Kernel) Run() error {
 			h, src = k.q.head()
 		}
 		if h == nil {
-			if len(k.conts) > 0 {
+			if len(k.procs) > 0 || len(k.conts) > 0 {
 				return k.deadlock()
-			}
-			for p := range k.procs {
-				if !p.daemon {
-					return k.deadlock()
-				}
 			}
 			return nil
 		}
@@ -310,15 +291,14 @@ func (k *Kernel) Run() error {
 // finish retires a process whose body has returned or been unwound,
 // re-raising the body's panic, if any, with the process named.
 func (k *Kernel) finish(p *Proc) {
-	p.state = "finished"
 	delete(k.procs, p)
 	if p.panicVal != nil {
 		panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, p.panicVal))
 	}
 }
 
-// Shutdown releases the coroutines of every live process — parked,
-// not-yet-started, or daemon — by stopping each in spawn order, which
+// Shutdown releases the coroutines of every live process — parked or
+// not yet started — by stopping each in spawn order, which
 // unwinds a parked body with a poison pill and cancels an unstarted
 // one. Call it once a kernel is done (after Run returns, whether
 // normally, by Stop/SetLimit, or with a deadlock); sweeps that build
@@ -378,17 +358,10 @@ func (k *Kernel) deadlock() error {
 	var blocked []string
 	var procs []BlockedProc
 	for p := range k.procs {
-		if p.daemon {
-			continue
-		}
-		state, since := p.state, p.since
-		if p.awaiting {
-			// What the awaited operation is blocked on now, which need
-			// not be what it was blocked on when the process parked.
-			state, since = p.c.state, p.c.since
-		}
-		blocked = append(blocked, p.Name()+": "+state)
-		procs = append(procs, BlockedProc{Name: p.Name(), State: state, Since: since})
+		// What the awaited operation is blocked on now, which need not
+		// be what it was blocked on when the process parked.
+		blocked = append(blocked, p.Name()+": "+p.c.state)
+		procs = append(procs, BlockedProc{Name: p.Name(), State: p.c.state, Since: p.c.since})
 	}
 	for c := range k.conts {
 		blocked = append(blocked, c.Name()+": "+c.state)

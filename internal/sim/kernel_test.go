@@ -9,6 +9,43 @@ import (
 	"testing/quick"
 )
 
+// wait, waitCount, acquire, use and pop are the blocking forms a test
+// process calls: the continuation form with the process's Wake, then
+// Await, the way every process-side wait is built.
+func wait(p *Proc, c *Completion) {
+	c.WaitFn(p.Cont(), p.Wake())
+	p.Await()
+}
+
+func waitCount(c *Counter, p *Proc) {
+	for c.Pending() > 0 {
+		c.WaitFn(p.Cont(), p.Wake())
+		p.Await()
+	}
+}
+
+func acquire(r *Resource, p *Proc) {
+	r.AcquireCont(p.Cont(), p.Wake())
+	p.Await()
+}
+
+// use holds a slot of r for d.
+func use(r *Resource, p *Proc, d Duration) {
+	acquire(r, p)
+	p.Sleep(d)
+	r.Release()
+}
+
+func pop[T any](q *Queue[T], p *Proc) T {
+	for {
+		if v, ok := q.TryPop(); ok {
+			return v
+		}
+		q.WaitFn(p.Cont(), p.Wake())
+		p.Await()
+	}
+}
+
 func TestSleepAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	var woke Time
@@ -88,8 +125,8 @@ func TestCompletionWakesWaiters(t *testing.T) {
 	k := NewKernel()
 	c := NewCompletion(k, "c")
 	var wokeA, wokeB Time
-	k.Spawn("a", func(p *Proc) { p.Wait(c); wokeA = p.Now() })
-	k.Spawn("b", func(p *Proc) { p.Wait(c); wokeB = p.Now() })
+	k.Spawn("a", func(p *Proc) { wait(p, c); wokeA = p.Now() })
+	k.Spawn("b", func(p *Proc) { wait(p, c); wokeB = p.Now() })
 	k.Spawn("completer", func(p *Proc) {
 		p.Sleep(4 * Us)
 		c.Complete("payload")
@@ -111,7 +148,7 @@ func TestWaitOnDoneCompletionReturnsImmediately(t *testing.T) {
 	ran := false
 	k.Spawn("a", func(p *Proc) {
 		c.Complete(nil)
-		p.Wait(c) // already done: no yield
+		wait(p, c) // already done: no yield
 		ran = true
 	})
 	if err := k.Run(); err != nil {
@@ -143,7 +180,7 @@ func TestCompleteAfter(t *testing.T) {
 	var woke Time
 	k.Spawn("a", func(p *Proc) {
 		c.CompleteAfter(10*Us, 42)
-		p.Wait(c)
+		wait(p, c)
 		woke = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -159,7 +196,7 @@ func TestCounterFence(t *testing.T) {
 	c := NewCounter(k, "fence", 3)
 	var woke Time
 	k.Spawn("waiter", func(p *Proc) {
-		c.Wait(p)
+		waitCount(c, p)
 		woke = p.Now()
 	})
 	for i := 1; i <= 3; i++ {
@@ -184,7 +221,7 @@ func TestCounterZeroWaitIsImmediate(t *testing.T) {
 	k := NewKernel()
 	done := false
 	k.Spawn("w", func(p *Proc) {
-		NewCounter(k, "z", 0).Wait(p)
+		waitCount(NewCounter(k, "z", 0), p)
 		done = true
 	})
 	if err := k.Run(); err != nil {
@@ -201,7 +238,7 @@ func TestResourceContentionSerializes(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("worker", func(p *Proc) {
-			r.Use(p, 10*Us)
+			use(r, p, 10*Us)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -232,7 +269,7 @@ func TestResourceCapacityParallelism(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn("worker", func(p *Proc) {
-			r.Use(p, 10*Us)
+			use(r, p, 10*Us)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -255,7 +292,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 		i := i
 		k.Spawn("w", func(p *Proc) {
 			p.Sleep(Time(i) * Ns) // stagger arrivals
-			r.Acquire(p)
+			acquire(r, p)
 			order = append(order, i)
 			p.Sleep(1 * Us)
 			r.Release()
@@ -311,7 +348,7 @@ func TestQueuePushPop(t *testing.T) {
 	var at []Time
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, q.Pop(p))
+			got = append(got, pop(q, p))
 			at = append(at, p.Now())
 		}
 	})
@@ -339,7 +376,7 @@ func TestQueueMultipleConsumers(t *testing.T) {
 	q := NewQueue[int](k, "mbox")
 	sum := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn("consumer", func(p *Proc) { sum += q.Pop(p) })
+		k.Spawn("consumer", func(p *Proc) { sum += pop(q, p) })
 	}
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(1 * Us)
@@ -376,7 +413,7 @@ func TestTryPop(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
 	c := NewCompletion(k, "never")
-	k.Spawn("stuck", func(p *Proc) { p.Wait(c) })
+	k.Spawn("stuck", func(p *Proc) { wait(p, c) })
 	err := k.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -484,27 +521,6 @@ func TestSchedulingIntoPastPanics(t *testing.T) {
 	_ = k.Run()
 }
 
-func TestYieldLetsQueuedEventsRun(t *testing.T) {
-	k := NewKernel()
-	var order []string
-	k.Spawn("a", func(p *Proc) {
-		p.Sleep(1 * Us)
-		order = append(order, "a1")
-		p.Yield()
-		order = append(order, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Sleep(1 * Us)
-		order = append(order, "b")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(order, ","); got != "a1,b,a2" {
-		t.Fatalf("order = %v", got)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		k := NewKernel()
@@ -515,7 +531,7 @@ func TestDeterminism(t *testing.T) {
 			d := Time(rng.Intn(1000)) * Ns
 			k.Spawn("w", func(p *Proc) {
 				p.Sleep(d)
-				r.Use(p, Time(rng.Intn(500))*Ns)
+				use(r, p, Time(rng.Intn(500))*Ns)
 				ends = append(ends, p.Now())
 			})
 		}
@@ -614,7 +630,7 @@ func TestPropertyResourceMakespan(t *testing.T) {
 		k := NewKernel()
 		r := NewResource(k, "r", c)
 		for i := 0; i < n; i++ {
-			k.Spawn("w", func(p *Proc) { r.Use(p, 1*Us) })
+			k.Spawn("w", func(p *Proc) { use(r, p, 1*Us) })
 		}
 		if err := k.Run(); err != nil {
 			return false
@@ -627,16 +643,21 @@ func TestPropertyResourceMakespan(t *testing.T) {
 	}
 }
 
+// A service engine waits for the rest of the run without keeping Run
+// alive or being reported as deadlocked.
 func TestDaemonDoesNotDeadlock(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, "svc")
 	served := 0
-	k.SpawnDaemon("dispatcher", func(p *Proc) {
-		for {
-			q.Pop(p)
+	var svc *Cont
+	var serve func()
+	serve = func() {
+		for _, ok := q.TryPop(); ok; _, ok = q.TryPop() {
 			served++
 		}
-	})
+		q.WaitFn(svc, serve)
+	}
+	svc = k.SpawnService("dispatcher", -1, "", Func(serve), 0)
 	k.Spawn("client", func(p *Proc) {
 		p.Sleep(1 * Us)
 		q.Push(1)
@@ -644,7 +665,7 @@ func TestDaemonDoesNotDeadlock(t *testing.T) {
 		p.Sleep(1 * Us)
 	})
 	if err := k.Run(); err != nil {
-		t.Fatalf("run ended with %v; daemons must not deadlock", err)
+		t.Fatalf("run ended with %v; services must not deadlock", err)
 	}
 	if served != 2 {
 		t.Fatalf("served %d, want 2", served)
@@ -653,8 +674,9 @@ func TestDaemonDoesNotDeadlock(t *testing.T) {
 
 func TestDaemonExcludedFromDeadlockReport(t *testing.T) {
 	k := NewKernel()
-	k.SpawnDaemon("svc", func(p *Proc) { p.Wait(NewCompletion(k, "never-svc")) })
-	k.Spawn("stuck", func(p *Proc) { p.Wait(NewCompletion(k, "never-user")) })
+	var svc *Cont
+	svc = k.SpawnService("svc", -1, "", Func(func() { NewCompletion(k, "never-svc").WaitFn(svc, func() {}) }), 0)
+	k.Spawn("stuck", func(p *Proc) { wait(p, NewCompletion(k, "never-user")) })
 	err := k.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -695,7 +717,7 @@ func TestCounterAdd(t *testing.T) {
 	c.Add(2)
 	var woke Time
 	k.Spawn("w", func(p *Proc) {
-		c.Wait(p)
+		waitCount(c, p)
 		woke = p.Now()
 	})
 	for i := 1; i <= 3; i++ {
@@ -722,37 +744,6 @@ func TestCounterOverArrivePanics(t *testing.T) {
 		c.Arrive()
 	})
 	_ = k.Run()
-}
-
-func TestSleepUntilAndWaitAll(t *testing.T) {
-	k := NewKernel()
-	c1 := NewCompletion(k, "c1")
-	c2 := NewCompletion(k, "c2")
-	var at Time
-	k.Spawn("a", func(p *Proc) {
-		p.SleepUntil(4 * Us)
-		if p.Now() != 4*Us {
-			t.Errorf("SleepUntil landed at %v", p.Now())
-		}
-		p.SleepUntil(1 * Us) // in the past: no-op
-		if p.Now() != 4*Us {
-			t.Errorf("past SleepUntil moved time to %v", p.Now())
-		}
-		p.WaitAll(c1, c2)
-		at = p.Now()
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Sleep(6 * Us)
-		c1.Complete(nil)
-		p.Sleep(2 * Us)
-		c2.Complete(nil)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 8*Us {
-		t.Fatalf("WaitAll returned at %v", at)
-	}
 }
 
 func TestProcAccessors(t *testing.T) {
@@ -823,7 +814,7 @@ func TestMD1QueueMatchesTheory(t *testing.T) {
 			p.Sleep(Time(rng.ExpFloat64() * meanInterarrival))
 			k.Spawn("job", func(jp *Proc) {
 				arrive := jp.Now()
-				r.Acquire(jp)
+				acquire(r, jp)
 				totalWait += jp.Now() - arrive
 				jp.Sleep(service)
 				r.Release()

@@ -8,10 +8,11 @@ import "iter"
 // resumeFn continues it with next, the body hands control back with
 // yield, and each switch passes the OS thread directly to the other
 // side — no run queue, no channel, no second thread — so exactly one of
-// kernel and process is ever running. To the kernel a process is just
-// its resumeFn, filed as an event or registered as a waiter wherever a
-// continuation's step would be. A Proc's methods may only be called
-// from its own body.
+// kernel and process is ever running. A process waits in one way only:
+// it starts an operation in continuation form on its companion Cont,
+// with Wake as the then, and parks in Await until that runs. To the
+// kernel it is just its resumeFn, filed as its start event and run by
+// the wake. A Proc's methods may only be called from its own body.
 type Proc struct {
 	// What a park and a resume touch comes first, next to the hot head
 	// of c (see Cont).
@@ -19,16 +20,14 @@ type Proc struct {
 	resumeFn func()                  // run the body until it parks or returns; bound once, by start
 	next     func() (struct{}, bool) // resume the body; false once it has returned
 	yield    func(struct{}) bool     // park the body; false once Shutdown stopped it
-	state    string                  // diagnostic: what the process is blocked on
-	since    Time                    // virtual time the process last parked
 	awaiting bool                    // parked in Await
 	woken    bool                    // the awaited operation completed before Await was reached
-	daemon   bool                    // service loop; ignored by deadlock detection
 
 	// c is the process's companion continuation: what it passes to the
 	// continuation form of an operation it then Awaits. It is never in
 	// the kernel's live set — the process is — and only lends the
-	// operation its frames and its diagnostic state.
+	// operation its frames and its diagnostic state, which is therefore
+	// what a deadlock report says the process is blocked on.
 	c Cont
 
 	lazyName
@@ -58,7 +57,6 @@ func (p *Proc) start(body func(p *Proc)) {
 		body(p)
 	})
 	p.resumeFn = func() {
-		p.state = "running"
 		if _, parked := p.next(); !parked {
 			p.k.finish(p)
 		}
@@ -71,18 +69,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park hands control back to the kernel and blocks until resumed.
-// Once Shutdown has stopped the process every park — the one it was
-// blocked in and any a deferred function attempts while unwinding —
-// panics with the poison pill instead of returning.
-func (p *Proc) park(state string) {
-	p.state = state
-	p.since = p.k.now
-	if !p.yield(struct{}{}) {
-		panic(poisonPill{})
-	}
-}
-
 // blocking panics when p is nil: a thread that runs as a bare Cont has
 // no process, and a blocking call made on it would otherwise die on a
 // nil dereference that names neither the call nor the remedy.
@@ -92,51 +78,13 @@ func (p *Proc) blocking() {
 	}
 }
 
-// resumer returns what a process about to park files as its event or
-// its waiter; every process-form primitive gets it here, through the
-// one check for a thread that has no process.
-func (p *Proc) resumer() func() {
-	p.blocking()
-	return p.resumeFn
-}
-
-// Sleep advances the process's virtual time by d (holding nothing).
-// A non-positive d returns immediately without yielding.
+// Sleep advances the process's virtual time by d (holding nothing): the
+// companion Cont's Sleep, awaited. A non-positive d returns immediately
+// without yielding.
 func (p *Proc) Sleep(d Duration) {
-	resume := p.resumer()
-	if d <= 0 {
-		return
-	}
-	p.k.schedule(p.k.now+d, resume)
-	p.park("sleeping")
-}
-
-// SleepUntil blocks the process until absolute time t.
-func (p *Proc) SleepUntil(t Time) {
-	resume := p.resumer()
-	if t <= p.k.now {
-		return
-	}
-	p.k.schedule(t, resume)
-	p.park("sleeping")
-}
-
-// Wait blocks the process until c is completed. If c is already
-// complete it returns immediately without yielding.
-func (p *Proc) Wait(c *Completion) {
-	resume := p.resumer()
-	if c.done {
-		return
-	}
-	c.waiters = append(c.waiters, resume)
-	p.park(c.parkState())
-}
-
-// WaitAll blocks until every completion in cs is complete.
-func (p *Proc) WaitAll(cs ...*Completion) {
-	for _, c := range cs {
-		p.Wait(c)
-	}
+	wake := p.Wake()
+	p.c.Sleep(d, wake)
+	p.Await()
 }
 
 // Cont returns the process's companion continuation, to be passed to
@@ -166,10 +114,13 @@ func (p *Proc) ParkWake() {
 // Await blocks the process until the operation started with Wake has
 // completed. If it completed synchronously — Wake's func already ran —
 // Await returns at once: no park, no event. Otherwise the process
-// parks here and is resumed inline from the kernel callback that
-// completes the operation, at the (time, seq) position where a
-// continuation-mode thread would have run its callback: the blocking
-// call costs exactly the events of its continuation form.
+// parks here, handing control back to the kernel, and is resumed inline
+// from the kernel callback that completes the operation, at the (time,
+// seq) position where a continuation-mode thread would have run its
+// callback: the blocking call costs exactly the events of its
+// continuation form. Once Shutdown has stopped the process every park —
+// the one it was blocked in and any a deferred function attempts while
+// unwinding — panics with the poison pill instead of returning.
 func (p *Proc) Await() {
 	p.blocking()
 	if p.woken {
@@ -177,7 +128,9 @@ func (p *Proc) Await() {
 		return
 	}
 	p.awaiting = true
-	p.park(p.c.state)
+	if !p.yield(struct{}{}) {
+		panic(poisonPill{})
+	}
 }
 
 // Step is the wake: the one step a Proc has (see Wake).
@@ -191,11 +144,4 @@ func (p *Proc) Step(int) {
 	}
 	p.awaiting = false
 	p.resumeFn()
-}
-
-// Yield reschedules the process at the current time, letting any other
-// events already queued for this instant run first.
-func (p *Proc) Yield() {
-	p.k.wake(p.resumer())
-	p.park("yielding")
 }

@@ -30,7 +30,7 @@ func TestShutdownBeforeStartEvent(t *testing.T) {
 	k.Shutdown()
 
 	k2 := NewKernel() // never run at all
-	k2.SpawnDaemon("idle", func(p *Proc) { t.Error("body ran without Run") })
+	k2.Spawn("idle", func(p *Proc) { t.Error("body ran without Run") })
 	k2.Shutdown()
 	if n := goroutinesSettleTo(t, baseline); n > baseline {
 		t.Fatalf("goroutines leaked: %d after, %d before", n, baseline)
@@ -50,7 +50,7 @@ func TestDeferredParkDuringUnwind(t *testing.T) {
 			p.Sleep(Us) // parks on a stopped coroutine: unwinds again
 			trail = append(trail, "slept")
 		}()
-		q.Pop(p)
+		pop(q, p)
 		trail = append(trail, "popped")
 	})
 	if err := k.Run(); err == nil {
@@ -68,7 +68,7 @@ func TestDeferredParkDuringUnwind(t *testing.T) {
 func TestGoexitInBodyEndsRunsCaller(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	k := NewKernel()
-	k.SpawnDaemon("bystander", func(p *Proc) { p.Sleep(Ms) })
+	k.Spawn("bystander", func(p *Proc) { p.Sleep(Ms) })
 	k.Spawn("quitter", func(p *Proc) {
 		p.Sleep(Us)
 		runtime.Goexit()
@@ -98,7 +98,7 @@ func TestGoexitInBodyEndsRunsCaller(t *testing.T) {
 // attributed like any other process panic.
 func TestPanicDuringUnwindSurfaces(t *testing.T) {
 	k := NewKernel()
-	k.SpawnDaemon("sore-loser", func(p *Proc) {
+	k.Spawn("sore-loser", func(p *Proc) {
 		defer func() { panic("bad cleanup") }()
 		p.Sleep(Ms)
 	})
@@ -124,12 +124,13 @@ func TestLazyNamesRenderInDiagnostics(t *testing.T) {
 	if cpu.Name() != "node3.cpu" || am.Name() != "nic12.am" {
 		t.Fatalf("names %q, %q", cpu.Name(), am.Name())
 	}
-	d := k.SpawnDaemonIdx("node", 3, ".amdisp0", func(p *Proc) { am.Pop(p) })
+	var d *Cont
+	d = k.SpawnService("node", 3, ".amdisp0", Func(func() { am.WaitFn(d, func() {}) }), 0)
 	k.SpawnIdx("thread", 7, func(p *Proc) {
-		cpu.Acquire(p)
-		cpu.Acquire(p)
+		acquire(cpu, p)
+		acquire(cpu, p)
 	})
-	k.Spawn("popper", func(p *Proc) { am.Pop(p) })
+	k.Spawn("popper", func(p *Proc) { pop(am, p) })
 	err := k.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
@@ -140,7 +141,7 @@ func TestLazyNamesRenderInDiagnostics(t *testing.T) {
 		t.Fatalf("blocked = %q, want %q", de.Blocked, want)
 	}
 	if d.Name() != "node3.amdisp0" {
-		t.Fatalf("daemon name %q", d.Name())
+		t.Fatalf("service name %q", d.Name())
 	}
 	k.Shutdown()
 }
@@ -419,22 +420,16 @@ func TestContFrameOverflowPanics(t *testing.T) {
 	}
 }
 
-// A thread that runs as a bare Cont has no process; every process-form
-// primitive called for it must say so, not die on a nil dereference.
+// A thread that runs as a bare Cont has no process; every process form
+// called for it must say so, not die on a nil dereference.
 func TestProcessFormOnNilProcNamesItself(t *testing.T) {
-	k := NewKernel()
-	busy := NewResource(k, "busy", 1)
-	busy.TryAcquire()
 	var p *Proc
 	for name, call := range map[string]func(){
-		"Sleep":            func() { p.Sleep(Us) },
-		"SleepUntil":       func() { p.SleepUntil(Us) },
-		"Yield":            func() { p.Yield() },
-		"Wait":             func() { p.Wait(NewCompletion(k, "c")) },
-		"Cont":             func() { p.Cont() },
-		"Counter.Wait":     func() { NewCounter(k, "n", 1).Wait(p) },
-		"Resource.Acquire": func() { busy.Acquire(p) },
-		"Queue.Pop":        func() { NewQueue[int](k, "q").Pop(p) },
+		"Sleep":    func() { p.Sleep(Us) },
+		"Cont":     func() { p.Cont() },
+		"Wake":     func() { p.Wake() },
+		"ParkWake": func() { p.ParkWake() },
+		"Await":    func() { p.Await() },
 	} {
 		func() {
 			defer func() {

@@ -1,19 +1,18 @@
 package sim
 
-// Queue is an unbounded FIFO mailbox connecting producers (processes
-// or kernel callbacks) to consumers. It is the delivery point for
+// Queue is an unbounded FIFO mailbox connecting producers (threads or
+// kernel callbacks) to consumers. It is the delivery point for
 // simulated network messages: the fabric schedules a Push at a
-// message's arrival time, and a consumer takes it off: a process with
-// Pop, or a callback engine with TryPop, waiting between items in the
-// same waiter list (WaitFn — the AM dispatcher contexts) or reacting to
-// every Push (Notify — the DMA engine).
+// message's arrival time, and a consumer takes it off with TryPop,
+// waiting between items in the waiter list (WaitFn — the AM dispatcher
+// contexts) or reacting to every Push (Notify — the DMA engine).
 type Queue[T any] struct {
 	k *Kernel
 	lazyName
 	ws      string // memoized park diagnostic, built on first blocked pop
 	items   []T    // live window is items[head:]
 	head    int
-	waiters []func() // consumers waiting in Pop or WaitFn
+	waiters []func() // consumers waiting in WaitFn
 	notify  func()   // callback consumer hook, invoked after each Push
 	pushes  int64
 	maxLen  int
@@ -95,24 +94,11 @@ func (q *Queue[T]) take() T {
 	return v
 }
 
-// Pop removes and returns the oldest item, blocking p until one is
-// available.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for q.Len() == 0 {
-		q.waiters = append(q.waiters, p.resumer())
-		p.park(q.popState())
-	}
-	return q.take()
-}
-
 // WaitFn blocks a continuation until the queue holds an item, then runs
 // fn: inline if it holds one now, otherwise fn joins the waiter list —
-// where Pop files a parked process's resume func, so one Push wakes
-// callback and process consumers alike in arrival order — and the wake
-// is one scheduled event. fn must TryPop, and wait again when that
-// fails: a consumer that was already running may have taken the item
-// first, exactly as a process woken in Pop finds the queue empty and
-// parks again.
+// one Push wakes one waiter, in arrival order — and the wake is one
+// scheduled event. fn must TryPop, and wait again when that fails: a
+// consumer that was already running may have taken the item first.
 func (q *Queue[T]) WaitFn(ct *Cont, fn func()) {
 	if q.Len() > 0 {
 		fn()

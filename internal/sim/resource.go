@@ -2,12 +2,10 @@ package sim
 
 // Resource is a FIFO server pool with fixed capacity, modelling
 // contended hardware: CPU cores, a NIC's injection port, a DMA engine.
-// Processes Acquire a slot, hold it for some service time, and Release
-// it; excess acquirers queue in arrival order.
-//
-// Release may be called from kernel callbacks as well as processes
-// (it never blocks), which lets asynchronous protocol steps free
-// hardware they held. Kernel callbacks acquire via AcquireC.
+// A thread acquires a slot (AcquireCont; a bare kernel callback,
+// AcquireC), holds it for some service time, and Releases it; excess
+// acquirers queue in arrival order. Release never blocks, so
+// asynchronous protocol steps free hardware they held.
 type Resource struct {
 	k *Kernel
 	lazyName
@@ -24,8 +22,8 @@ type Resource struct {
 	busyTime  Duration
 }
 
-// resWaiter is one queued acquirer: what the slot is granted to (a
-// process's resume func or a callback alike) and when it queued.
+// resWaiter is one queued acquirer: what the slot is granted to and
+// when it queued.
 type resWaiter struct {
 	fn    func()
 	since Time
@@ -98,22 +96,11 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// Acquire blocks p until a slot is available and takes it.
-func (r *Resource) Acquire(p *Proc) {
-	resume := p.resumer()
-	if r.TryAcquire() {
-		return
-	}
-	r.enqueue(resume)
-	p.park(r.parkState())
-	// The releasing side transferred the slot to us: inUse unchanged.
-}
-
 // AcquireC takes a slot on behalf of a kernel callback: fn runs —
 // holding the slot — as soon as one is available, immediately when the
 // resource is free, otherwise as a kernel callback when a Release
-// grants it (FIFO with process acquirers). fn must not block; the slot
-// is held until a matching Release.
+// grants it (FIFO with every other acquirer). fn must not block; the
+// slot is held until a matching Release.
 func (r *Resource) AcquireC(fn func()) {
 	if r.TryAcquire() {
 		fn()
@@ -135,7 +122,8 @@ func (r *Resource) AcquireCont(ct *Cont, fn func()) {
 	r.enqueue(fn)
 }
 
-// Release frees a slot, handing it to the oldest waiter if any.
+// Release frees a slot, handing it to the oldest waiter if any: the slot
+// transfers, inUse unchanged.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.Name())
@@ -148,14 +136,6 @@ func (r *Resource) Release() {
 	}
 	r.accumulate()
 	r.inUse--
-}
-
-// Use acquires a slot, holds it for service time d, and releases it.
-// This is the common "get served" pattern.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }
 
 // ResourceStats is a snapshot of a resource's accounting counters.

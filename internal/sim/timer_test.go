@@ -54,7 +54,7 @@ func TestCancelledTimerDoesNotMaskDeadlock(t *testing.T) {
 	k.Spawn("stuck", func(p *Proc) {
 		p.Sleep(Us)
 		tm.Cancel()
-		p.Wait(never)
+		wait(p, never)
 	})
 	err := k.Run()
 	var de *DeadlockError
@@ -75,17 +75,17 @@ func TestDeadlockErrorDetails(t *testing.T) {
 	q := NewQueue[int](k, "inbox")
 	r := NewResource(k, "nic.tx", 1)
 	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
+		acquire(r, p)
 		p.Sleep(3 * Us)
-		p.Wait(never)
+		wait(p, never)
 	})
 	k.Spawn("waiter", func(p *Proc) {
 		p.Sleep(1 * Us)
-		r.Acquire(p)
+		acquire(r, p)
 	})
 	k.Spawn("popper", func(p *Proc) {
 		p.Sleep(2 * Us)
-		q.Pop(p)
+		pop(q, p)
 	})
 	err := k.Run()
 	var de *DeadlockError
@@ -128,16 +128,16 @@ func TestShutdownWhileBlockedOnResourceAndQueue(t *testing.T) {
 	q := NewQueue[string](k, "arrivals")
 	c := NewCompletion(k, "transfer")
 	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Wait(c) // mid-transfer: holds the resource, waits forever
+		acquire(r, p)
+		wait(p, c) // mid-transfer: holds the resource, waits forever
 	})
 	k.Spawn("blocked-on-resource", func(p *Proc) {
 		p.Sleep(Us)
-		r.Acquire(p)
+		acquire(r, p)
 		t.Error("acquired a resource held across Shutdown")
 	})
 	k.Spawn("blocked-on-queue", func(p *Proc) {
-		q.Pop(p)
+		pop(q, p)
 		t.Error("popped from an empty queue across Shutdown")
 	})
 	k.Spawn("stopper", func(p *Proc) {

@@ -179,7 +179,7 @@ func attempt(m *Machine, p *sim.Proc, tel *telemetry.Telemetry, call dmaCall, ba
 	p.Await()
 	a := dmaAttempt{ThenPs: int64(p.Now())}
 	if done := res.Done; done != nil {
-		p.Wait(done)
+		wait(p, done)
 		a.DonePs, a.Value = int64(p.Now()), describeCompletion(done)
 	}
 	a.Result = fmt.Sprintf("ok:%v data:%s old:%#x nack:%+v", res.OK, hex.EncodeToString(res.Data), res.Old, res.Nack)
@@ -260,7 +260,7 @@ func runDMADoorbell(t *testing.T, prof *Profile) dmaRow {
 		m.FlushCoalescedC(p.Cont(), 0, p.Wake())
 		p.Await()
 		for _, o := range ops {
-			p.Wait(o.res.Done)
+			wait(p, o.res.Done)
 			o.a.DonePs, o.a.Value = int64(p.Now()), describeCompletion(o.res.Done)
 			o.a.Posted = hex.EncodeToString(o.posted)
 			o.span.Finish(p.Now())

@@ -427,16 +427,3 @@ func (m *Machine) SendAMSpanC(ct *sim.Cont, src, dst int, id HandlerID, meta any
 	msg.Span = span
 	m.newTxOp(ct, txAM, src, dst, msg.wire, fabric.ClassAM, msg, span, then).send(m.Prof.SendOverhead)
 }
-
-// SendAMSpan is SendAMSpanC for a process (a blocking thread's locks,
-// collectives and allocation notices): it returns once the message is
-// on the wire.
-func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
-	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.Wake())
-	p.Await()
-}
-
-// SendAM is SendAMSpan without a telemetry span.
-func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
-	m.SendAMSpan(p, src, dst, id, meta, payload, extra, nil)
-}

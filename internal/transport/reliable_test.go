@@ -31,7 +31,7 @@ func TestReliableZeroLossNoRetransmits(t *testing.T) {
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { got++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < pings; i++ {
-			m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+			sendAM(m, p, 0, 1, hPing, nil, nil, 0)
 		}
 		p.Sleep(2 * sim.Ms) // all deliveries land well before this
 		k.Stop()
@@ -65,7 +65,7 @@ func TestReliableDeliversExactlyOnceUnderChaos(t *testing.T) {
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { seen[msg.Meta.(*meta).i]++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < pings; i++ {
-			m.SendAM(p, 0, 1, hPing, &meta{i: i}, nil, 0)
+			sendAM(m, p, 0, 1, hPing, &meta{i: i}, nil, 0)
 		}
 	})
 	// Let the retransmit machinery drain; the run ends when only
@@ -109,7 +109,7 @@ func TestReliableRDMAUnderChaos(t *testing.T) {
 		for i := 0; i < 25; i++ {
 			want := []byte{byte(i), byte(i + 1), byte(i + 2), byte(i + 3)}
 			ack := rdmaPut(m, p, 0, 1, base, base+mem.Addr(4*i), want, m.Nodes[1].Epoch)
-			p.Wait(ack)
+			wait(p, ack)
 			k.Recycle(ack)
 			got, _, ok := rdmaGet(m, p, 0, 1, base, base+mem.Addr(4*i), 4, m.Nodes[1].Epoch)
 			if !ok {
@@ -140,7 +140,7 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 	k, m := chaosMachine(t, 2, fc, rc)
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { t.Error("delivered through Drop=1"); then() })
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
 		p.Sleep(sim.Ms) // park; the failure must end the run regardless
 	})
 	err := k.Run() // Stop() path: Run itself returns nil
@@ -183,7 +183,7 @@ func TestAckedTimersDoNotInflateElapsed(t *testing.T) {
 	k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: 50 * sim.Ms, MaxRetries: 2, HeaderBytes: 8})
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { then() })
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestCrashStaleEpochNackAndRecovery(t *testing.T) {
 		}
 
 		ack := rdmaPut(m, p, 0, 1, base, base, []byte{9, 9}, oldEpoch)
-		p.Wait(ack)
+		wait(p, ack)
 		if nk, isNack := ack.Value().(Nack); !isNack || !nk.Stale || nk.Epoch != 1 {
 			t.Errorf("PUT completion = %v, want stale nack with epoch 1", ack.Value())
 		}
@@ -260,7 +260,7 @@ func TestCrashParksRetransmitsAgainstRestart(t *testing.T) {
 		// The down window (300 µs) is far longer than the whole backoff
 		// budget (20+40 µs): without parking this run must fail.
 		m.CrashNode(1, p.Now()+300*sim.Us)
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -291,11 +291,11 @@ func TestCrashRestartSeqRestartsInNewEpoch(t *testing.T) {
 	got := 0
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { got++; then() })
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 1, 0, hPing, nil, nil, 0) // seq 0, epoch 0
-		p.Sleep(50 * sim.Us)                  // let it deliver and ACK
-		m.CrashNode(1, p.Now()+10*sim.Us)     // node 1 loses its seq counters
+		sendAM(m, p, 1, 0, hPing, nil, nil, 0) // seq 0, epoch 0
+		p.Sleep(50 * sim.Us)                   // let it deliver and ACK
+		m.CrashNode(1, p.Now()+10*sim.Us)      // node 1 loses its seq counters
 		p.Sleep(20 * sim.Us)
-		m.SendAM(p, 1, 0, hPing, nil, nil, 0) // seq 0 again — epoch 1
+		sendAM(m, p, 1, 0, hPing, nil, nil, 0) // seq 0 again — epoch 1
 		p.Sleep(50 * sim.Us)
 	})
 	if err := k.Run(); err != nil {
@@ -323,7 +323,7 @@ func TestAckDuringRetransmitDoesNotOrphanTimer(t *testing.T) {
 		delivered := 0
 		m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { delivered++; then() })
 		k.Spawn("sender", func(p *sim.Proc) {
-			m.SendAM(p, 0, 1, hPing, nil, payload, 0)
+			sendAM(m, p, 0, 1, hPing, nil, payload, 0)
 			tracked = p.Now()
 		})
 		if err := k.Run(); err != nil {

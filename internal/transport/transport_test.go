@@ -42,6 +42,34 @@ func rdmaPut(m *Machine, p *sim.Proc, src, dst int, base, raddr mem.Addr, data [
 	return res.Done
 }
 
+// sendAM, wait, acquire and pop are the blocking forms a test process
+// uses, built like rdmaGet: the continuation form with the process's
+// Wake, then Await.
+func sendAM(m *Machine, p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
+	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, nil, p.Wake())
+	p.Await()
+}
+
+func wait(p *sim.Proc, c *sim.Completion) {
+	c.WaitFn(p.Cont(), p.Wake())
+	p.Await()
+}
+
+func acquire(r *sim.Resource, p *sim.Proc) {
+	r.AcquireCont(p.Cont(), p.Wake())
+	p.Await()
+}
+
+func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
+	for {
+		if v, ok := q.TryPop(); ok {
+			return v
+		}
+		q.WaitFn(p.Cont(), p.Wake())
+		p.Await()
+	}
+}
+
 func TestProfilesSane(t *testing.T) {
 	gm, lapi := GM(), LAPI()
 	if gm.CommOverlap || !lapi.CommOverlap {
@@ -83,8 +111,8 @@ func TestAMRoundTrip(t *testing.T) {
 	k.Spawn("pinger", func(p *sim.Proc) {
 		done := sim.NewCompletion(k, "ping")
 		start := p.Now()
-		m.SendAM(p, 0, 1, hPing, &pingMeta{done: done}, nil, 0)
-		p.Wait(done)
+		sendAM(m, p, 0, 1, hPing, &pingMeta{done: done}, nil, 0)
+		wait(p, done)
 		rtt = p.Now() - start
 		k.Stop()
 	})
@@ -109,7 +137,7 @@ func TestAMPayloadDelivered(t *testing.T) {
 	})
 	want := []byte("eager payload")
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 0, 1, hPing, nil, want, 0)
+		sendAM(m, p, 0, 1, hPing, nil, want, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -127,7 +155,7 @@ func TestUnknownHandlerPanics(t *testing.T) {
 	}()
 	k, m := newTestMachine(t, GM(), 2)
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 0, 1, 99, nil, nil, 0)
+		sendAM(m, p, 0, 1, 99, nil, nil, 0)
 	})
 	_ = k.Run()
 }
@@ -157,7 +185,7 @@ func TestOverlapVsNoOverlap(t *testing.T) {
 		// Saturate node 1's cores with compute work.
 		for i := 0; i < prof.Cores; i++ {
 			k.Spawn("burner", func(p *sim.Proc) {
-				m.Nodes[1].CPU.Acquire(p)
+				acquire(m.Nodes[1].CPU, p)
 				p.Sleep(busy)
 				m.Nodes[1].CPU.Release()
 			})
@@ -166,8 +194,8 @@ func TestOverlapVsNoOverlap(t *testing.T) {
 		k.Spawn("pinger", func(p *sim.Proc) {
 			p.Sleep(1 * sim.Us) // let the burners grab the cores
 			done := sim.NewCompletion(k, "served")
-			m.SendAM(p, 0, 1, hPing, done, nil, 0)
-			p.Wait(done)
+			sendAM(m, p, 0, 1, hPing, done, nil, 0)
+			wait(p, done)
 			served = p.Now()
 			k.Stop()
 		})
@@ -241,7 +269,7 @@ func TestRDMAPutWritesAndFences(t *testing.T) {
 	k.Spawn("initiator", func(p *sim.Proc) {
 		done := rdmaPut(m, p, 0, 1, base, base+16, data, m.Nodes[1].Epoch)
 		localDone = p.Now()
-		p.Wait(done)
+		wait(p, done)
 		remoteDone = p.Now()
 		k.Stop()
 	})
@@ -300,7 +328,7 @@ func TestRDMABypassesBusyCPU(t *testing.T) {
 		}
 		for i := 0; i < prof.Cores; i++ {
 			k.Spawn("burner", func(p *sim.Proc) {
-				target.CPU.Acquire(p)
+				acquire(target.CPU, p)
 				p.Sleep(500 * sim.Us)
 				target.CPU.Release()
 			})
@@ -329,7 +357,7 @@ func TestAMToSelfPanics(t *testing.T) {
 	}()
 	k, m := newTestMachine(t, GM(), 2)
 	k.Spawn("bad", func(p *sim.Proc) {
-		m.SendAM(p, 0, 0, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 0, hPing, nil, nil, 0)
 	})
 	_ = k.Run()
 }
@@ -422,8 +450,8 @@ func TestCommCapacityParallelism(t *testing.T) {
 		})
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -450,8 +478,8 @@ func TestGMHandlersSerialize(t *testing.T) {
 		})
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
-		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
+		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -501,10 +529,10 @@ func TestMachineNamesInDeadlockReport(t *testing.T) {
 	}
 	k.Spawn("hog", func(p *sim.Proc) {
 		for i := 0; i <= nd.CPU.Capacity(); i++ {
-			nd.CPU.Acquire(p)
+			acquire(nd.CPU, p)
 		}
 	})
-	k.Spawn("thief", func(p *sim.Proc) { port.AM.Pop(p) })
+	k.Spawn("thief", func(p *sim.Proc) { pop(port.AM, p) })
 	err := k.Run()
 	var de *sim.DeadlockError
 	if !errors.As(err, &de) {
