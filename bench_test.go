@@ -231,13 +231,7 @@ func BenchmarkAblationPinPolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		peak := 0
-		for _, p := range st.PinnedPeak {
-			if p > peak {
-				peak = p
-			}
-		}
-		return st.Elapsed.Usecs(), peak
+		return st.Elapsed.Usecs(), st.MaxLive
 	}
 	for i := 0; i < b.N; i++ {
 		allUs, allPeak := run(core.PinConfig{Policy: mem.PinAll})

@@ -69,6 +69,16 @@ type Stats struct {
 	Resizes       int64 // adaptive share re-apportionments
 }
 
+// Add accumulates another cache's counts into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Inserts += o.Inserts
+	s.Evictions += o.Evictions
+	s.Invalidations += o.Invalidations
+	s.Resizes += o.Resizes
+}
+
 // Lookups is the total number of Lookup calls.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses }
 

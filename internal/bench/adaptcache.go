@@ -14,7 +14,6 @@ import (
 	"xlupc/internal/addrcache"
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
-	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
 
@@ -108,20 +107,8 @@ func adaptBody(t *core.Thread, o AdaptOpts) uint64 {
 // AdaptPoint is one cache-sizing variant's measurement.
 type AdaptPoint struct {
 	Variant  string // "fixed" or "adaptive"
-	Elapsed  sim.Time
 	Checksum uint64
-	Hits     int64
-	Misses   int64
-	Evicts   int64
-	Resizes  int64
-}
-
-// HitRate is Hits over all lookups.
-func (p AdaptPoint) HitRate() float64 {
-	if n := p.Hits + p.Misses; n > 0 {
-		return float64(p.Hits) / float64(n)
-	}
-	return 0
+	Run      core.RunStats
 }
 
 // runAdapt runs the workload under one cache-sizing variant.
@@ -144,11 +131,7 @@ func runAdapt(prof *transport.Profile, o AdaptOpts, adaptive bool) AdaptPoint {
 	if adaptive {
 		name = "adaptive"
 	}
-	return AdaptPoint{
-		Variant: name, Elapsed: st.Elapsed, Checksum: dis.Checksum(checks),
-		Hits: st.Cache.Hits, Misses: st.Cache.Misses,
-		Evicts: st.Cache.Evictions, Resizes: st.Cache.Resizes,
-	}
+	return AdaptPoint{Variant: name, Checksum: dis.Checksum(checks), Run: st}
 }
 
 // adaptCacheConfig builds the cache configuration for one sizing
@@ -183,10 +166,11 @@ func PrintAdaptCache(w io.Writer, prof *transport.Profile, o AdaptOpts) (fixed, 
 	fmt.Fprintf(w, "%9s %12s %8s %8s %8s %8s %9s\n",
 		"variant", "elapsed(us)", "hits", "misses", "evict", "resizes", "hit-rate")
 	for _, p := range []AdaptPoint{fixed, adaptive} {
+		c := p.Run.Cache
 		fmt.Fprintf(w, "%9s %12.1f %8d %8d %8d %8d %9.3f\n",
-			p.Variant, p.Elapsed.Usecs(), p.Hits, p.Misses, p.Evicts, p.Resizes, p.HitRate())
+			p.Variant, p.Run.Elapsed.Usecs(), c.Hits, c.Misses, c.Evictions, c.Resizes, c.HitRate())
 	}
 	fmt.Fprintf(w, "# gate adaptive-hit=%.3f fixed-hit=%.3f checksum=%#x\n",
-		adaptive.HitRate(), fixed.HitRate(), fixed.Checksum)
+		adaptive.Run.Cache.HitRate(), fixed.Run.Cache.HitRate(), fixed.Checksum)
 	return fixed, adaptive
 }

@@ -42,19 +42,11 @@ func ChaosFaults(loss float64) fault.Config {
 // ChaosPoint is one loss-rate measurement of a degradation curve.
 type ChaosPoint struct {
 	Loss        float64
-	HitRate     float64 // address-cache hit rate of the cached run
-	GetUs       float64 // mean small-message cached GET latency, µs
-	PutUs       float64 // mean small-message cached PUT latency, µs
-	Improvement float64 // stressmark improvement of the cache, %
-	Checksum    uint64  // stressmark self-verification value
-	Elapsed     sim.Time
-
-	// Hazards applied and reliability work performed (cached run).
-	Drops         int64
-	Corrupts      int64
-	Dups          int64
-	Retransmits   int64
-	DupSuppressed int64
+	GetUs       float64       // mean small-message cached GET latency, µs
+	PutUs       float64       // mean small-message cached PUT latency, µs
+	Improvement float64       // stressmark improvement of the cache, %
+	Checksum    uint64        // stressmark self-verification value
+	Run         core.RunStats // the cached run: hit rate, hazards applied, reliability work
 }
 
 // runChaosMark runs one stressmark under the given fault config and
@@ -93,18 +85,11 @@ func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64
 		put := MicroLatency(OpPut, true, mo)
 		pts[i] = ChaosPoint{
 			Loss:        losses[i],
-			HitRate:     w.Cache.HitRate(),
 			GetUs:       get.Mean(),
 			PutUs:       put.Mean(),
 			Improvement: stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs()),
 			Checksum:    wsum,
-			Elapsed:     w.Elapsed,
-
-			Drops:         w.NetDrops,
-			Corrupts:      w.NetCorrupts,
-			Dups:          w.NetDups,
-			Retransmits:   w.Retransmits,
-			DupSuppressed: w.DupSuppressed,
+			Run:         w,
 		}
 	})
 	return pts
@@ -119,9 +104,10 @@ func PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc Scale, los
 		"loss", "hit-rate", "get(us)", "put(us)", "improv(%)",
 		"drops", "corrupt", "dup", "retx", "dupsupp", "checksum")
 	for _, pt := range pts {
+		f, r := pt.Run.Fault, pt.Run.Rel
 		fmt.Fprintf(w, "%8.3f %9.2f %9.2f %9.2f %s %7d %8d %6d %6d %8d %17x\n",
-			pt.Loss, pt.HitRate, pt.GetUs, pt.PutUs, fmtImprov(10, pt.Improvement),
-			pt.Drops, pt.Corrupts, pt.Dups, pt.Retransmits, pt.DupSuppressed, pt.Checksum)
+			pt.Loss, pt.Run.Cache.HitRate(), pt.GetUs, pt.PutUs, fmtImprov(10, pt.Improvement),
+			f.Drops, f.Corrupts, f.Dups, r.Retransmits, r.DupSuppressed, pt.Checksum)
 	}
 	return pts
 }
@@ -129,15 +115,9 @@ func PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc Scale, los
 // RelRow is one transport's row of the reliability table: NACK traffic
 // from a pin-starved workload plus the chaos counters of a lossy run.
 type RelRow struct {
-	Transport     string
-	RDMANacks     int64 // NACKs from the pin-starved run
-	Invalidations int64 // stale cache entries dropped on NACK
-	Drops         int64 // remaining columns: lossy chaos run
-	Corrupts      int64
-	Dups          int64
-	Retransmits   int64
-	DupSuppressed int64
-	AcksSent      int64
+	Transport string
+	Nack      core.RunStats // the pin-starved run: NACKs, cache entries dropped on NACK
+	Chaos     core.RunStats // the lossy run
 }
 
 // ReliabilityTable measures the failure-handling machinery per
@@ -153,17 +133,7 @@ func ReliabilityTable(seed int64) []RelRow {
 		fc := ChaosFaults(0.02)
 		chaos, _, _ := runChaosMark("pointer", Scale{Threads: 8, Nodes: 4}, prof,
 			core.DefaultCache(), &fc, seed)
-		rows[i] = RelRow{
-			Transport:     prof.Name,
-			RDMANacks:     nack.RDMANacks,
-			Invalidations: nack.Cache.Invalidations,
-			Drops:         chaos.NetDrops,
-			Corrupts:      chaos.NetCorrupts,
-			Dups:          chaos.NetDups,
-			Retransmits:   chaos.Retransmits,
-			DupSuppressed: chaos.DupSuppressed,
-			AcksSent:      chaos.AcksSent,
-		}
+		rows[i] = RelRow{Transport: prof.Name, Nack: nack, Chaos: chaos}
 	})
 	return rows
 }
@@ -211,9 +181,10 @@ func PrintReliability(w io.Writer, seed int64) []RelRow {
 	fmt.Fprintf(w, "%10s %10s %12s %8s %9s %6s %6s %9s %7s\n",
 		"transport", "nacks", "invalidated", "drops", "corrupt", "dup", "retx", "dupsupp", "acks")
 	for _, r := range rows {
+		f, rel := r.Chaos.Fault, r.Chaos.Rel
 		fmt.Fprintf(w, "%10s %10d %12d %8d %9d %6d %6d %9d %7d\n",
-			r.Transport, r.RDMANacks, r.Invalidations,
-			r.Drops, r.Corrupts, r.Dups, r.Retransmits, r.DupSuppressed, r.AcksSent)
+			r.Transport, r.Nack.RDMANacks, r.Nack.Cache.Invalidations,
+			f.Drops, f.Corrupts, f.Dups, rel.Retransmits, rel.DupSuppressed, rel.Acks)
 	}
 	return rows
 }

@@ -28,10 +28,10 @@ func TestChaosChecksumsStableAcrossLoss(t *testing.T) {
 		if pts[1].Checksum != pts[0].Checksum {
 			t.Fatalf("%s: checksum moved with loss: %x vs %x", prof.Name, pts[0].Checksum, pts[1].Checksum)
 		}
-		if pts[0].Drops != 0 || pts[0].Retransmits != 0 {
+		if pts[0].Run.Fault.Drops != 0 || pts[0].Run.Rel.Retransmits != 0 {
 			t.Fatalf("%s: loss-free point injected hazards: %+v", prof.Name, pts[0])
 		}
-		if pts[1].Drops == 0 || pts[1].Retransmits == 0 {
+		if pts[1].Run.Fault.Drops == 0 || pts[1].Run.Rel.Retransmits == 0 {
 			t.Fatalf("%s: lossy point injected nothing: %+v", prof.Name, pts[1])
 		}
 	}
@@ -50,10 +50,10 @@ func TestReliabilityTable(t *testing.T) {
 			t.Fatalf("seed %d: rows: %d", seed, len(rows))
 		}
 		for _, r := range rows {
-			if r.RDMANacks == 0 || r.Invalidations == 0 {
+			if r.Nack.RDMANacks == 0 || r.Nack.Cache.Invalidations == 0 {
 				t.Errorf("seed %d, %s: pin churn produced no NACK/invalidation (%+v)", seed, r.Transport, r)
 			}
-			if r.Drops == 0 || r.Retransmits == 0 || r.AcksSent == 0 {
+			if r.Chaos.Fault.Drops == 0 || r.Chaos.Rel.Retransmits == 0 || r.Chaos.Rel.Acks == 0 {
 				t.Errorf("seed %d, %s: chaos run did no reliability work (%+v)", seed, r.Transport, r)
 			}
 		}

@@ -34,17 +34,10 @@ func CrashFaults(rate float64, restart sim.Time) *core.CrashConfig {
 // CrashPoint is one crash-rate measurement of a recovery curve.
 type CrashPoint struct {
 	Rate        float64
-	Crashes     int64   // nodes taken down
-	CrashDrops  int64   // arrivals dropped at dead NICs
-	StaleNacks  int64   // RDMA ops NACKed for a stale target epoch
-	Invalidated int64   // cache entries flushed by stale-NACK recovery
-	ParkedRetx  int64   // retransmits parked against restart timers
-	Retransmits int64   // reliable-layer re-injections
-	Recovered   int64   // restarts confirmed by a post-restart RDMA op
-	RecoveryUs  float64 // mean restart -> first-successful-op gap, µs
-	SlowdownPct float64 // elapsed vs the crash-free reliable baseline
-	Checksum    uint64  // stressmark self-verification value
-	Elapsed     sim.Time
+	RecoveryUs  float64       // mean restart -> first-successful-op gap, µs
+	SlowdownPct float64       // elapsed vs the crash-free reliable baseline
+	Checksum    uint64        // stressmark self-verification value
+	Run         core.RunStats // crashes, drops at dead NICs, stale NACKs, recoveries
 }
 
 // runCrashMark runs one stressmark over the reliable layer with the
@@ -79,22 +72,15 @@ func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64,
 				mark, rates[i], sum, baseSum))
 		}
 		recovery := 0.0
-		if st.Recovered > 0 {
-			recovery = st.RecoveryTime.Usecs() / float64(st.Recovered)
+		if st.Crash.Recovered > 0 {
+			recovery = st.Crash.RecoveryTime.Usecs() / float64(st.Crash.Recovered)
 		}
 		pts[i] = CrashPoint{
 			Rate:        rates[i],
-			Crashes:     st.Crashes,
-			CrashDrops:  st.CrashDrops,
-			StaleNacks:  st.StaleNacks,
-			Invalidated: st.StaleInvalidated,
-			ParkedRetx:  st.ParkedRetx,
-			Retransmits: st.Retransmits,
-			Recovered:   st.Recovered,
 			RecoveryUs:  recovery,
 			SlowdownPct: 100 * (st.Elapsed.Usecs() - base.Elapsed.Usecs()) / base.Elapsed.Usecs(),
 			Checksum:    sum,
-			Elapsed:     st.Elapsed,
+			Run:         st,
 		}
 	})
 	return pts
@@ -108,9 +94,10 @@ func PrintCrash(w io.Writer, mark string, prof *transport.Profile, sc Scale, rat
 	fmt.Fprintf(w, "%8s %8s %7s %7s %8s %7s %6s %5s %10s %9s %17s\n",
 		"rate", "crashes", "drops", "stale", "invalid", "parked", "retx", "recov", "recov(us)", "slow(%)", "checksum")
 	for _, pt := range pts {
+		st := pt.Run
 		fmt.Fprintf(w, "%8.3f %8d %7d %7d %8d %7d %6d %5d %10.2f %9.2f %17x\n",
-			pt.Rate, pt.Crashes, pt.CrashDrops, pt.StaleNacks, pt.Invalidated,
-			pt.ParkedRetx, pt.Retransmits, pt.Recovered, pt.RecoveryUs, pt.SlowdownPct, pt.Checksum)
+			pt.Rate, st.Crash.Crashes, st.Fault.CrashDrops, st.Crash.StaleNacks, st.StaleInvalidated,
+			st.Rel.Parked, st.Rel.Retransmits, st.Crash.Recovered, pt.RecoveryUs, pt.SlowdownPct, pt.Checksum)
 	}
 	return pts
 }

@@ -320,12 +320,7 @@ func PinUsage(prof *transport.Profile, sc Scale, seed int64) map[string]int {
 	suite := dis.Suite()
 	peaks := make([]int, len(suite))
 	parfor(len(suite), func(i int) {
-		st := runStressmark(suite[i].Name, sc, prof, core.DefaultCache(), seed)
-		for _, p := range st.PinnedPeak {
-			if p > peaks[i] {
-				peaks[i] = p
-			}
-		}
+		peaks[i] = runStressmark(suite[i].Name, sc, prof, core.DefaultCache(), seed).MaxLive
 	})
 	out := make(map[string]int, len(suite))
 	for i, s := range suite {

@@ -102,7 +102,7 @@ func TestGUPSAtomicExactlyOnceUnderLoss(t *testing.T) {
 	if want := uint64(threads * perThread); final != want {
 		t.Errorf("counter = %d, want exactly %d (lost or duplicated atomics)", final, want)
 	}
-	if st.Retransmits == 0 {
+	if st.Rel.Retransmits == 0 {
 		t.Error("no retransmits under 5%% loss: the test did not exercise the recovery path")
 	}
 	if st.AtomicOps+st.LocalAtomics == 0 {

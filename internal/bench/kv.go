@@ -237,6 +237,6 @@ func PrintKVSLO(w io.Writer, kind string, prof *transport.Profile, sc Scale, pts
 		fmt.Fprintf(w, "%8.3f %8.2f %8.2f %9.4f %7d %8d %7d %7d %7d\n",
 			pt.Rate, pt.Result.Merged.Quantile(0.50).Usecs(), pt.P99Us, pt.Availability,
 			pt.Result.Table.TornRetries, pt.Result.Table.AMLookups,
-			pt.Result.Run.Retransmits, pt.Result.Run.StaleNacks, pt.Result.Run.Crashes)
+			pt.Result.Run.Rel.Retransmits, pt.Result.Run.Crash.StaleNacks, pt.Result.Run.Crash.Crashes)
 	}
 }

@@ -39,15 +39,22 @@ func TestKVCachedBeatsAMOnlySweep(t *testing.T) {
 func TestKVCurvesCompleteUnderHazards(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 4}
 	o := KVOpts{Ops: 50, Keys: 512, Theta: 0.9, ReadFrac: 0.9, Rate: 120000, Seed: 9}
-	loss := KVLossCurve(transport.GM(), sc, []float64{0.02}, o)
-	if loss[0].Availability <= 0 {
-		t.Errorf("loss curve availability %v, want > 0", loss[0].Availability)
+	curves := map[string][]KVSLOPoint{
+		"loss":  KVLossCurve(transport.GM(), sc, []float64{0, 0.02}, o),
+		"crash": KVCrashCurve(transport.GM(), sc, []float64{0, 0.2}, 150, o),
 	}
-	crash := KVCrashCurve(transport.GM(), sc, []float64{0.2}, 150, o)
-	if crash[0].Availability <= 0 {
-		t.Errorf("crash curve availability %v, want > 0", crash[0].Availability)
+	for kind, pts := range curves {
+		for _, pt := range pts {
+			if pt.Availability <= 0 {
+				t.Errorf("%s curve at rate %g: availability %v, want > 0", kind, pt.Rate, pt.Availability)
+			}
+		}
 	}
-	if crash[0].Result.Run.Crashes == 0 {
+	crash := curves["crash"]
+	if crash[0].Result.Run.Crash.Crashes != 0 {
+		t.Errorf("crash curve at rate 0 crashed %d nodes", crash[0].Result.Run.Crash.Crashes)
+	}
+	if crash[1].Result.Run.Crash.Crashes == 0 {
 		t.Errorf("crash curve at rate 0.2 crashed no nodes — schedule not applied")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/mem"
-	"xlupc/internal/sim"
 	"xlupc/internal/stats"
 	"xlupc/internal/transport"
 )
@@ -182,18 +181,11 @@ func pressureBody(t *core.Thread, o PressureOpts) uint64 {
 // PressurePoint is one (budget fraction, pin variant) measurement of
 // the churn storm.
 type PressurePoint struct {
-	Frac     float64
-	Variant  string
-	MaxTotal int // pin budget in bytes
-	Elapsed  sim.Time
-	Checksum uint64
-
-	Pins, Evictions, Nacks    int64
-	Reuses, Parked, Reclaims  int64
-	GhostHits, Repins, Unpins int64
-	PeakPinned                int     // max over nodes of the live high-water mark
-	DeregUs, RegUs            float64 // virtual time spent (de)registering
-	Improvement               float64 // % makespan improvement vs pin-all at this frac
+	Frac        float64
+	Variant     string
+	Checksum    uint64
+	Improvement float64       // % makespan improvement vs pin-all at this frac
+	Run         core.RunStats // pin table counts (MaxLive: the fullest node's), NACKs
 }
 
 // pressureWorkingSet is the per-node pinned working set in bytes: every
@@ -224,20 +216,7 @@ func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, f
 	if err != nil {
 		panic(fmt.Sprintf("bench: pressure run (%s, frac %.2f) failed: %v", variant, frac, err))
 	}
-	pt := PressurePoint{
-		Frac: frac, Variant: variant, MaxTotal: mt,
-		Elapsed: st.Elapsed, Checksum: dis.Checksum(checks),
-		Pins: st.Pins, Evictions: st.PinEvictions, Nacks: st.RDMANacks,
-		Reuses: st.PinReuses, Parked: st.PinParked, Reclaims: st.PinReclaims,
-		GhostHits: st.PinGhostHits, Repins: st.PinRepins, Unpins: st.Unpins,
-		DeregUs: st.DeregTime.Usecs(), RegUs: st.RegTime.Usecs(),
-	}
-	for _, p := range st.PinnedPeak {
-		if p > pt.PeakPinned {
-			pt.PeakPinned = p
-		}
-	}
-	return pt
+	return PressurePoint{Frac: frac, Variant: variant, Checksum: dis.Checksum(checks), Run: st}
 }
 
 // PressureSweep runs the churn storm for every (frac, variant) pair and
@@ -262,7 +241,7 @@ func PressureSweep(prof *transport.Profile, o PressureOpts) []PressurePoint {
 					"bench: pressure checksum diverged at frac %.2f: %s=%#x vs %s=%#x — pin policy changed program output",
 					base.Frac, base.Variant, base.Checksum, row[j].Variant, row[j].Checksum))
 			}
-			row[j].Improvement = stats.Improvement(base.Elapsed.Usecs(), row[j].Elapsed.Usecs())
+			row[j].Improvement = stats.Improvement(base.Run.Elapsed.Usecs(), row[j].Run.Elapsed.Usecs())
 		}
 	}
 	return pts
@@ -283,27 +262,28 @@ func PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []Press
 		var pinAll, lru, bestAdaptive *PressurePoint
 		for j := range row {
 			p := &row[j]
+			st := p.Run
 			rr := 0.0
-			if p.Pins > 0 {
-				rr = float64(p.Reuses) / float64(p.Pins)
+			if st.Pins > 0 {
+				rr = float64(st.Reuses) / float64(st.Pins)
 			}
 			fmt.Fprintf(w, "%5.2f %10s %12.1f %8d %7d %7d %7d %7d %7d %8.1f %6d %10.2f %s\n",
-				f, p.Variant, p.Elapsed.Usecs(), p.Pins, p.Evictions, p.Nacks,
-				p.Reuses, p.Parked, p.Reclaims, p.DeregUs, p.PeakPinned, rr, fmtImprov(9, p.Improvement))
+				f, p.Variant, st.Elapsed.Usecs(), st.Pins, st.Evicted, st.RDMANacks,
+				st.Reuses, st.Parked, st.Reclaims, st.DeregTime.Usecs(), st.MaxLive, rr, fmtImprov(9, p.Improvement))
 			switch p.Variant {
 			case "pin-all":
 				pinAll = p
 			case "lru":
 				lru = p
 			default:
-				if bestAdaptive == nil || p.Elapsed < bestAdaptive.Elapsed {
+				if bestAdaptive == nil || p.Run.Elapsed < bestAdaptive.Run.Elapsed {
 					bestAdaptive = p
 				}
 			}
 		}
 		if pinAll != nil && lru != nil && bestAdaptive != nil {
 			fmt.Fprintf(w, "# gate frac=%.2f pin-all=%.1f lru=%.1f best-adaptive=%.1f best=%s checksum=%#x\n",
-				f, pinAll.Elapsed.Usecs(), lru.Elapsed.Usecs(), bestAdaptive.Elapsed.Usecs(), bestAdaptive.Variant, row[0].Checksum)
+				f, pinAll.Run.Elapsed.Usecs(), lru.Run.Elapsed.Usecs(), bestAdaptive.Run.Elapsed.Usecs(), bestAdaptive.Variant, row[0].Checksum)
 		}
 	}
 	fmt.Fprintf(w, "# checksums identical across all pin policies\n")

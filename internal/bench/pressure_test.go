@@ -76,30 +76,30 @@ func TestPressureGates(t *testing.T) {
 	// LRU.
 	tight := row(0)
 	pinAll, lru, cost := byName(tight, "pin-all"), byName(tight, "lru"), byName(tight, "cost")
-	if lru.Evictions == 0 {
+	if lru.Run.Evicted == 0 {
 		t.Fatal("tight budget provoked no LRU evictions: workload too small to thrash")
 	}
-	if lru.Elapsed <= pinAll.Elapsed {
-		t.Fatalf("LRU did not thrash: lru=%v pin-all=%v", lru.Elapsed, pinAll.Elapsed)
+	if lru.Run.Elapsed <= pinAll.Run.Elapsed {
+		t.Fatalf("LRU did not thrash: lru=%v pin-all=%v", lru.Run.Elapsed, pinAll.Run.Elapsed)
 	}
-	if cost.Elapsed >= lru.Elapsed {
-		t.Fatalf("cost-aware protection lost to LRU: cost=%v lru=%v", cost.Elapsed, lru.Elapsed)
+	if cost.Run.Elapsed >= lru.Run.Elapsed {
+		t.Fatalf("cost-aware protection lost to LRU: cost=%v lru=%v", cost.Run.Elapsed, lru.Run.Elapsed)
 	}
-	if pinAll.Evictions != 0 {
-		t.Fatalf("pin-all evicted %d registrations; it must degrade to AM, never evict", pinAll.Evictions)
+	if pinAll.Run.Evicted != 0 {
+		t.Fatalf("pin-all evicted %d registrations; it must degrade to AM, never evict", pinAll.Run.Evicted)
 	}
-	if pinAll.PeakPinned >= pressureWorkingSet(o) {
+	if pinAll.Run.MaxLive >= pressureWorkingSet(o) {
 		t.Fatal("tight budget did not constrain pin-all: peak pinned covers the working set")
 	}
 	// Full budget (last frac): lazy unpinning reuses registrations that
 	// eager policies re-pay every round.
 	full := row(len(o.Fracs) - 1)
 	eager, lazy := byName(full, "pin-all"), byName(full, "lru+lazy")
-	if lazy.Reuses == 0 {
+	if lazy.Run.Reuses == 0 {
 		t.Fatal("lazy rung recorded no registration reuse")
 	}
-	if lazy.Elapsed >= eager.Elapsed {
-		t.Fatalf("lazy registration cache lost to eager pin-all: lazy=%v eager=%v", lazy.Elapsed, eager.Elapsed)
+	if lazy.Run.Elapsed >= eager.Run.Elapsed {
+		t.Fatalf("lazy registration cache lost to eager pin-all: lazy=%v eager=%v", lazy.Run.Elapsed, eager.Run.Elapsed)
 	}
 	// Output identity across the whole ladder (the sweep also panics on
 	// divergence; assert it visibly here).
@@ -116,11 +116,11 @@ func TestPressureGates(t *testing.T) {
 func TestAdaptCacheGate(t *testing.T) {
 	o := DefaultAdapt()
 	fixed, adaptive := AdaptSweep(transport.GM(), o)
-	if adaptive.HitRate() <= fixed.HitRate() {
+	if adaptive.Run.Cache.HitRate() <= fixed.Run.Cache.HitRate() {
 		t.Fatalf("adaptive sizing did not raise the hit rate: adaptive=%.3f fixed=%.3f",
-			adaptive.HitRate(), fixed.HitRate())
+			adaptive.Run.Cache.HitRate(), fixed.Run.Cache.HitRate())
 	}
-	if adaptive.Resizes == 0 {
+	if adaptive.Run.Cache.Resizes == 0 {
 		t.Fatal("adaptive cache never re-apportioned")
 	}
 	if fixed.Checksum != adaptive.Checksum {

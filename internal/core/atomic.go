@@ -147,7 +147,7 @@ func (t *Thread) localAtomic() {
 }
 
 func (t *Thread) localAtomicDone() {
-	t.localAtomics++
+	t.ops.LocalAtomics++
 	t.old = t.ns.rmw(t.cb.LocalBase+mem.Addr(t.off), t.aop, t.a1, t.a2)
 	t.a, t.cb = nil, nil
 	t.c.Resume()
@@ -208,8 +208,8 @@ func (t *Thread) atomicFinish() {
 // atomicRetired charges a finished remote atomic to the thread.
 func (t *Thread) atomicRetired() {
 	t.span.Finish(t.Now())
-	t.atomics++
-	t.atomicTime += t.Now() - t.start
+	t.ops.AtomicOps++
+	t.ops.AtomicTime += t.Now() - t.start
 	t.span = nil
 	t.c.Resume()
 }

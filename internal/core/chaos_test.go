@@ -56,10 +56,10 @@ func TestChaosRunStaysCorrect(t *testing.T) {
 		fc := fault.Config{Drop: 0.05, Corrupt: 0.02, Duplicate: 0.05, Delay: 0.1, DelayMax: 10 * sim.Us,
 			StallEvery: sim.Ms, StallProb: 0.3, StallMax: 50 * sim.Us}
 		_, st := workload(chaosCfg(fc, prof))
-		if st.NetDrops == 0 || st.Retransmits == 0 {
-			t.Fatalf("%s: hazards did not fire (drops %d, retx %d)", prof.Name, st.NetDrops, st.Retransmits)
+		if st.Fault.Drops == 0 || st.Rel.Retransmits == 0 {
+			t.Fatalf("%s: hazards did not fire (drops %d, retx %d)", prof.Name, st.Fault.Drops, st.Rel.Retransmits)
 		}
-		if st.NetDups > 0 && st.DupSuppressed == 0 {
+		if st.Fault.Dups > 0 && st.Rel.DupSuppressed == 0 {
 			t.Fatalf("%s: duplicates delivered but none suppressed", prof.Name)
 		}
 	}
@@ -82,12 +82,12 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		})
 	}
 	a, b := run(3), run(3)
-	if a.Elapsed != b.Elapsed || a.NetDrops != b.NetDrops || a.Retransmits != b.Retransmits ||
-		a.Messages != b.Messages || a.DupSuppressed != b.DupSuppressed {
+	if a.Elapsed != b.Elapsed || a.Fault.Drops != b.Fault.Drops || a.Rel.Retransmits != b.Rel.Retransmits ||
+		a.Messages != b.Messages || a.Rel.DupSuppressed != b.Rel.DupSuppressed {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 	c := run(4)
-	if c.Elapsed == a.Elapsed && c.NetDrops == a.NetDrops && c.Retransmits == a.Retransmits {
+	if c.Elapsed == a.Elapsed && c.Fault.Drops == a.Fault.Drops && c.Rel.Retransmits == a.Rel.Retransmits {
 		t.Fatal("different seed produced an identical run")
 	}
 }
@@ -134,10 +134,10 @@ func TestRelWithoutFaultsIsQuiet(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if st.Retransmits != 0 || st.NetDrops != 0 || st.DupSuppressed != 0 {
+	if st.Rel.Retransmits != 0 || st.Fault.Drops != 0 || st.Rel.DupSuppressed != 0 {
 		t.Fatalf("clean wire produced reliability work: %+v", st)
 	}
-	if st.AcksSent == 0 {
+	if st.Rel.Acks == 0 {
 		t.Fatal("reliable layer sent no ACKs; it was not engaged")
 	}
 }

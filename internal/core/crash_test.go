@@ -69,26 +69,26 @@ func TestCrashRunHealsWithIdenticalResults(t *testing.T) {
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		t.Run(prof.Name, func(t *testing.T) {
 			clean, cst := crashWorkload(t, cfg(8, 4, prof, DefaultCache()))
-			if cst.Crashes != 0 {
-				t.Fatalf("fault-free run recorded %d crashes", cst.Crashes)
+			if cst.Crash.Crashes != 0 {
+				t.Fatalf("fault-free run recorded %d crashes", cst.Crash.Crashes)
 			}
 			sum, st := crashWorkload(t, crashCfg(prof))
 			if sum != clean {
 				t.Fatalf("crash run checksum %d, fault-free %d", sum, clean)
 			}
-			if st.Crashes == 0 {
+			if st.Crash.Crashes == 0 {
 				t.Fatal("crash schedule never fired; parameters too timid")
 			}
-			if st.CrashDrops == 0 {
+			if st.Fault.CrashDrops == 0 {
 				t.Fatal("no arrivals dropped at a down NIC")
 			}
-			if st.StaleNacks == 0 || st.StaleInvalidated == 0 {
+			if st.Crash.StaleNacks == 0 || st.StaleInvalidated == 0 {
 				t.Fatalf("stale-epoch path not exercised: %d nacks, %d invalidated",
-					st.StaleNacks, st.StaleInvalidated)
+					st.Crash.StaleNacks, st.StaleInvalidated)
 			}
-			if st.Recovered == 0 || st.RecoveryTime <= 0 {
+			if st.Crash.Recovered == 0 || st.Crash.RecoveryTime <= 0 {
 				t.Fatalf("no recovery recorded: %d recovered, %v recovery time",
-					st.Recovered, st.RecoveryTime)
+					st.Crash.Recovered, st.Crash.RecoveryTime)
 			}
 		})
 	}
@@ -104,15 +104,15 @@ func TestCrashDeterministicPerSeed(t *testing.T) {
 	}
 	sa, a := run(3)
 	sb, b := run(3)
-	if sa != sb || a.Elapsed != b.Elapsed || a.Crashes != b.Crashes ||
-		a.StaleNacks != b.StaleNacks || a.StaleInvalidated != b.StaleInvalidated ||
-		a.CrashDrops != b.CrashDrops || a.ParkedRetx != b.ParkedRetx ||
-		a.Recovered != b.Recovered || a.RecoveryTime != b.RecoveryTime ||
-		a.Messages != b.Messages || a.Retransmits != b.Retransmits {
+	if sa != sb || a.Elapsed != b.Elapsed || a.Crash.Crashes != b.Crash.Crashes ||
+		a.Crash.StaleNacks != b.Crash.StaleNacks || a.StaleInvalidated != b.StaleInvalidated ||
+		a.Fault.CrashDrops != b.Fault.CrashDrops || a.Rel.Parked != b.Rel.Parked ||
+		a.Crash.Recovered != b.Crash.Recovered || a.Crash.RecoveryTime != b.Crash.RecoveryTime ||
+		a.Messages != b.Messages || a.Rel.Retransmits != b.Rel.Retransmits {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 	_, c := run(4)
-	if c.Elapsed == a.Elapsed && c.Crashes == a.Crashes && c.StaleNacks == a.StaleNacks {
+	if c.Elapsed == a.Elapsed && c.Crash.Crashes == a.Crash.Crashes && c.Crash.StaleNacks == a.Crash.StaleNacks {
 		t.Fatal("different seed produced an identical crash run")
 	}
 }
@@ -171,7 +171,7 @@ func TestInactiveCrashConfigIsFree(t *testing.T) {
 		st.NetBytes != cleanSt.NetBytes || st.RDMAOps != cleanSt.RDMAOps {
 		t.Fatalf("inactive crash config perturbed the run:\n%+v\n%+v", st, cleanSt)
 	}
-	if st.Crashes != 0 || st.StaleNacks != 0 || st.ParkedRetx != 0 {
+	if st.Crash.Crashes != 0 || st.Crash.StaleNacks != 0 || st.Rel.Parked != 0 {
 		t.Fatalf("inactive crash config did crash work: %+v", st)
 	}
 }
@@ -232,8 +232,8 @@ func TestStaleNackWithoutCache(t *testing.T) {
 				}
 				th.Barrier()
 			})
-			stale += st.StaleNacks
-			if st.Crashes == 0 {
+			stale += st.Crash.StaleNacks
+			if st.Crash.Crashes == 0 {
 				t.Errorf("%s seed %d: crash schedule never fired", dir, seed)
 			}
 		}

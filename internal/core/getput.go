@@ -358,7 +358,7 @@ func (t *Thread) localGet() {
 
 func (t *Thread) localGetDone() {
 	t.ns.tn.Mem.Read(t.buf, t.cb.LocalBase+mem.Addr(t.off))
-	t.localGets++
+	t.ops.LocalGets++
 	t.localDone()
 }
 
@@ -497,8 +497,8 @@ func (t *Thread) getFinish() {
 func (t *Thread) getRetired() {
 	t.span.Finish(t.Now())
 	t.span = nil
-	t.gets++
-	t.getTime += t.Now() - t.start
+	t.ops.Gets++
+	t.ops.GetTime += t.Now() - t.start
 	t.c.Resume()
 }
 
@@ -569,7 +569,6 @@ func (t *Thread) localPut() {
 
 func (t *Thread) localPutDone() {
 	t.ns.tn.Mem.Write(t.cb.LocalBase+mem.Addr(t.off), t.buf)
-	t.localPuts++
 	t.localDone()
 }
 
@@ -643,8 +642,7 @@ func (t *Thread) putFinish() {
 func (t *Thread) putRetired() {
 	t.span.Finish(t.Now())
 	t.span = nil
-	t.puts++
-	t.putTime += t.Now() - t.start
+	t.ops.Puts++
 	t.c.Resume()
 }
 

@@ -217,14 +217,14 @@ func TestCoalesceStatsAndDeterminism(t *testing.T) {
 	if tOn != tOn2 {
 		t.Fatalf("coalesced run non-deterministic: %v vs %v", tOn, tOn2)
 	}
-	if stOff.CoalMsgs != 0 || stOff.CoalFrames != 0 {
+	if stOff.Coal.Msgs != 0 || stOff.Coal.Frames != 0 {
 		t.Fatalf("coalesce counters nonzero with feature off: %+v", stOff)
 	}
-	if stOn.CoalMsgs == 0 || stOn.CoalFrames == 0 {
-		t.Fatalf("no coalescing recorded: msgs=%d frames=%d", stOn.CoalMsgs, stOn.CoalFrames)
+	if stOn.Coal.Msgs == 0 || stOn.Coal.Frames == 0 {
+		t.Fatalf("no coalescing recorded: msgs=%d frames=%d", stOn.Coal.Msgs, stOn.Coal.Frames)
 	}
-	if stOn.CoalFrames >= stOn.CoalMsgs {
-		t.Fatalf("no batching: %d frames for %d messages", stOn.CoalFrames, stOn.CoalMsgs)
+	if stOn.Coal.Frames >= stOn.Coal.Msgs {
+		t.Fatalf("no batching: %d frames for %d messages", stOn.Coal.Frames, stOn.Coal.Msgs)
 	}
 	if !(tOn < tOff) {
 		t.Fatalf("coalesced split-phase not faster than blocking: on=%v off=%v", tOn, tOff)

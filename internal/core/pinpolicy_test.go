@@ -169,7 +169,7 @@ func TestPinLimitedGetNackFallsBack(t *testing.T) {
 	if st.Cache.Invalidations == 0 {
 		t.Fatal("NACKs occurred but no stale cache entry was invalidated")
 	}
-	if st.PinEvictions == 0 {
+	if st.Evicted == 0 {
 		t.Fatal("registration budget never forced an eviction")
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"xlupc/internal/transport"
 )
 
-var updateRoundTripGolden = flag.Bool("update", false, "rewrite testdata/roundtrip_golden.json from this tree")
+var updateRoundTripGolden = flag.Bool("update", false, "rewrite the testdata goldens (roundtrip, dispatch, prom) from this tree")
 
 const roundTripGoldenFile = "testdata/roundtrip_golden.json"
 

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"xlupc/internal/addrcache"
+	"xlupc/internal/fabric"
 	"xlupc/internal/fault"
 	"xlupc/internal/flight"
 	"xlupc/internal/mem"
@@ -309,7 +310,9 @@ func (rt *Runtime) recordCacheInval(node, rn int, key uint64, n int) {
 	})
 }
 
-// RunStats aggregates a finished run.
+// RunStats aggregates a finished run. Every count is declared once, in
+// the struct of the subsystem that keeps it; RunStats holds those
+// structs, summed over nodes and threads.
 type RunStats struct {
 	Elapsed sim.Time // virtual makespan of the program
 
@@ -318,141 +321,73 @@ type RunStats struct {
 	// denominator-independent half of the host events/second figure.
 	KernelEvents int64
 
-	// Cache behaviour, aggregated over nodes and per node.
-	Cache    addrcache.Stats
-	CachePer []addrcache.Stats
-	CacheLen []int // resident entries per node at exit
-
 	// Traffic.
-	Messages int64
-	NetBytes int64
-	AMOps    int64
-	RDMAOps  int64
+	Messages  int64
+	NetBytes  int64
+	AMOps     int64
+	RDMAOps   int64
+	RDMANacks int64 // RDMA operations NACKed by a deregistered or restarted target
 
-	// Per-thread operation counters, aggregated.
-	Gets, Puts           int64
-	LocalGets, LocalPuts int64
-	GetTime, PutTime     sim.Time
+	Cache        addrcache.Stats // summed over nodes
+	mem.PinStats                 // summed over nodes; MaxLive is the fullest table's peak
+	OpStats                      // summed over threads
 
-	// Remote atomics (all zero when no atomic was issued).
+	Fault fabric.FaultStats    // all zero when chaos is off
+	Rel   transport.RelStats   // all zero without reliable delivery
+	Coal  transport.CoalStats  // all zero when Coalesce is nil
+	Crash transport.CrashStats // all zero when Crash is nil
+
+	StaleInvalidated int64 // cache entries flushed by stale-NACK recovery
+}
+
+// OpStats is what a thread counts of its own operations.
+type OpStats struct {
+	Gets, Puts   int64    // remote GETs and PUTs retired
+	LocalGets    int64    // GETs served from the thread's own node
+	GetTime      sim.Time // initiator time blocked in remote GETs
 	AtomicOps    int64    // remote atomic operations (NIC or AM path)
 	LocalAtomics int64    // home-node atomic fast-path operations
 	AtomicTime   sim.Time // initiator time blocked in remote atomics
+}
 
-	// Pinned address table usage.
-	PinnedPeak   []int    // per node high-water mark of pinned entries
-	Pins         int64    // registrations performed, all nodes
-	Unpins       int64    // explicit deregistrations
-	PinEvictions int64    // limited-pinning evictor deregistrations
-	RegTime      sim.Time // virtual time spent registering memory
-	DeregTime    sim.Time // virtual time spent deregistering memory
-	RDMANacks    int64    // RDMA operations NACKed by a deregistered target
-
-	// Lazy-unpin registration cache and evictor extras (all zero when
-	// Pin leaves the default eager-LRU behaviour).
-	PinReuses    int64 // re-pins served for free from the dead-list
-	PinParked    int64 // lazy unpins that parked instead of deregistering
-	PinReclaims  int64 // parked registrations finally deregistered
-	PinGhostHits int64 // cost-aware evictor ghost-list recognitions
-	PinRepins    int64 // size-mismatched re-pins (dereg + fresh register)
-
-	// Fault injection and reliable delivery (all zero when chaos is off).
-	NetDrops      int64 // packets vanished on the wire
-	NetCorrupts   int64 // packets delivered corrupted (discarded at the NIC)
-	NetDups       int64 // packets delivered twice by the fabric
-	NetDelayed    int64 // packets given extra wire latency
-	NetStalled    int64 // arrivals held by a NIC-stall window
-	Retransmits   int64 // reliable-layer re-injections
-	DupSuppressed int64 // replayed packets discarded by target-side dedup
-	AcksSent      int64 // reliable-layer acknowledgements
-
-	// Message coalescing (all zero when Coalesce is nil).
-	CoalMsgs       int64 // sub-messages that travelled inside a frame
-	CoalFrames     int64 // coalesced wire frames flushed
-	CoalSavedBytes int64 // header bytes saved versus individual sends
-
-	// Crash/restart fault domain (all zero when Crash is nil).
-	Crashes          int64    // nodes taken down
-	CrashDrops       int64    // arrivals dropped at a down NIC
-	StaleNacks       int64    // RDMA ops NACKed for a stale target epoch
-	StaleInvalidated int64    // cache entries flushed by stale-NACK recovery
-	ParkedRetx       int64    // retransmits parked against a restart timer
-	Recovered        int64    // restarts confirmed by a post-restart RDMA op
-	RecoveryTime     sim.Time // sum of restart -> first-successful-op gaps
+// Add accumulates another thread's counts into s.
+func (s *OpStats) Add(o OpStats) {
+	s.Gets += o.Gets
+	s.Puts += o.Puts
+	s.LocalGets += o.LocalGets
+	s.GetTime += o.GetTime
+	s.AtomicOps += o.AtomicOps
+	s.LocalAtomics += o.LocalAtomics
+	s.AtomicTime += o.AtomicTime
 }
 
 func (rt *Runtime) stats() RunStats {
-	st := RunStats{Elapsed: rt.K.Now(), KernelEvents: rt.K.Events()}
-	st.Messages = rt.M.Fab.Messages()
-	st.NetBytes = rt.M.Fab.Bytes()
-	st.AMOps = rt.M.AMCount()
-	st.RDMAOps = rt.M.RDMACount()
+	st := RunStats{
+		Elapsed: rt.K.Now(), KernelEvents: rt.K.Events(),
+		Messages: rt.M.Fab.Messages(), NetBytes: rt.M.Fab.Bytes(),
+		AMOps: rt.M.AMCount(), RDMAOps: rt.M.RDMACount(), RDMANacks: rt.M.NackCount(),
+		Fault: rt.M.Fab.FaultStats(), Rel: rt.M.RelStats(),
+		Coal: rt.M.CoalStats(), Crash: rt.M.CrashStats(),
+		StaleInvalidated: rt.staleInvalidated,
+	}
 	for _, ns := range rt.nodes {
 		if ns.cache != nil {
-			cs := ns.cache.Stats()
-			st.CachePer = append(st.CachePer, cs)
-			st.CacheLen = append(st.CacheLen, ns.cache.Len())
-			st.Cache.Hits += cs.Hits
-			st.Cache.Misses += cs.Misses
-			st.Cache.Inserts += cs.Inserts
-			st.Cache.Evictions += cs.Evictions
-			st.Cache.Invalidations += cs.Invalidations
-			st.Cache.Resizes += cs.Resizes
+			st.Cache.Add(ns.cache.Stats())
 		}
-		st.PinnedPeak = append(st.PinnedPeak, ns.tn.Pins.MaxLive)
-		st.Pins += ns.tn.Pins.Pins
-		st.Unpins += ns.tn.Pins.Unpins
-		st.PinEvictions += ns.tn.Pins.Evicted
-		st.RegTime += ns.tn.Pins.RegTime
-		st.DeregTime += ns.tn.Pins.DeregTime
-		st.PinReuses += ns.tn.Pins.Reuses
-		st.PinParked += ns.tn.Pins.Parked
-		st.PinReclaims += ns.tn.Pins.Reclaims
-		st.PinGhostHits += ns.tn.Pins.GhostHits
-		st.PinRepins += ns.tn.Pins.Repins
+		st.PinStats.Add(ns.tn.Pins.PinStats)
 	}
-	st.RDMANacks = rt.M.NackCount()
-	fs := rt.M.Fab.FaultStats()
-	st.NetDrops = fs.Drops
-	st.NetCorrupts = fs.Corrupts
-	st.NetDups = fs.Dups
-	st.NetDelayed = fs.Delayed
-	st.NetStalled = fs.Stalled
-	rs := rt.M.RelStats()
-	st.Retransmits = rs.Retransmits
-	st.DupSuppressed = rs.DupSuppressed
-	st.AcksSent = rs.Acks
-	cs := rt.M.CoalStats()
-	st.CoalMsgs = cs.Msgs
-	st.CoalFrames = cs.Frames
-	st.CoalSavedBytes = cs.SavedBytes
-	crs := rt.M.CrashStats()
-	st.Crashes = crs.Crashes
-	st.CrashDrops = fs.CrashDrops
-	st.StaleNacks = crs.StaleNacks
-	st.StaleInvalidated = rt.staleInvalidated
-	st.ParkedRetx = rs.Parked
-	st.Recovered = crs.Recovered
-	st.RecoveryTime = crs.RecoveryTime
 	for _, th := range rt.threads {
-		st.Gets += th.gets
-		st.Puts += th.puts
-		st.LocalGets += th.localGets
-		st.LocalPuts += th.localPuts
-		st.GetTime += th.getTime
-		st.PutTime += th.putTime
-		st.AtomicOps += th.atomics
-		st.LocalAtomics += th.localAtomics
-		st.AtomicTime += th.atomicTime
+		st.OpStats.Add(th.ops)
 	}
 	rt.syncRegistry(st)
 	return st
 }
 
-// syncRegistry publishes the run's end-state — cache behaviour, pin
-// tables, resource utilization, queue depths, traffic totals — into the
-// telemetry registry, so exporters see the whole run without every
-// subsystem holding a registry reference during it. No-op when
+// syncRegistry publishes the run's end-state — the RunStats structs,
+// each node's cache and pin table, resource utilization, queue depths —
+// into the telemetry registry, so exporters see the whole run without
+// every subsystem holding a registry reference during it. Labelled
+// per-class and per-node counters stay live at their sites. No-op when
 // telemetry is off.
 func (rt *Runtime) syncRegistry(st RunStats) {
 	tel := rt.tel
@@ -467,35 +402,46 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 	// Fault and reliability metrics only exist when chaos is configured,
 	// keeping exporter output bit-identical to main when it is off.
 	if rt.cfg.Fault != nil || rt.cfg.Rel != nil {
-		tel.Add("xlupc_fault_drops_total", "", st.NetDrops)
-		tel.Add("xlupc_fault_corrupts_total", "", st.NetCorrupts)
-		tel.Add("xlupc_fault_dups_total", "", st.NetDups)
-		tel.Add("xlupc_fault_delays_total", "", st.NetDelayed)
-		tel.Add("xlupc_fault_stalls_total", "", st.NetStalled)
-		tel.Add("xlupc_rel_retransmits_total", "", st.Retransmits)
-		tel.Add("xlupc_rel_dup_suppressed_total", "", st.DupSuppressed)
-		tel.Add("xlupc_rel_acks_total", "", st.AcksSent)
+		tel.Add("xlupc_fault_drops_total", "", st.Fault.Drops)
+		tel.Add("xlupc_fault_corrupts_total", "", st.Fault.Corrupts)
+		tel.Add("xlupc_fault_dups_total", "", st.Fault.Dups)
+		tel.Add("xlupc_fault_delays_total", "", st.Fault.Delayed)
+		tel.Add("xlupc_fault_stalls_total", "", st.Fault.Stalled)
+		tel.Add("xlupc_rel_retransmits_total", "", st.Rel.Retransmits)
+		tel.Add("xlupc_rel_dup_suppressed_total", "", st.Rel.DupSuppressed)
+		tel.Add("xlupc_rel_acks_total", "", st.Rel.Acks)
+	}
+	// These three exist exactly when something was counted, as the live
+	// counters they replace did.
+	if st.Rel.CorruptDrops > 0 {
+		tel.Add("xlupc_transport_corrupt_drops_total", "", st.Rel.CorruptDrops)
+	}
+	if st.Coal.Msgs > 0 {
+		tel.Add("xlupc_coalesce_msgs_total", "", st.Coal.Msgs)
+	}
+	if st.Coal.Frames > 0 {
+		tel.Add("xlupc_coalesce_frames_total", "", st.Coal.Frames)
 	}
 	// Crash metrics likewise only exist when a crash schedule is
 	// configured, so exporter output with Crash nil stays identical.
 	if rt.cfg.Crash != nil {
-		tel.Add("xlupc_crash_nodes_total", "", st.Crashes)
-		tel.Add("xlupc_crash_drops_total", "", st.CrashDrops)
-		tel.Add("xlupc_crash_stale_nacks_total", "", st.StaleNacks)
+		tel.Add("xlupc_crash_nodes_total", "", st.Crash.Crashes)
+		tel.Add("xlupc_crash_drops_total", "", st.Fault.CrashDrops)
+		tel.Add("xlupc_crash_stale_nacks_total", "", st.Crash.StaleNacks)
 		tel.Add("xlupc_crash_stale_invalidated_total", "", st.StaleInvalidated)
-		tel.Add("xlupc_crash_parked_retx_total", "", st.ParkedRetx)
-		tel.Add("xlupc_crash_recovered_total", "", st.Recovered)
-		tel.Set("xlupc_crash_recovery_seconds", "", st.RecoveryTime.Secs())
+		tel.Add("xlupc_crash_parked_retx_total", "", st.Rel.Parked)
+		tel.Add("xlupc_crash_recovered_total", "", st.Crash.Recovered)
+		tel.Set("xlupc_crash_recovery_seconds", "", st.Crash.RecoveryTime.Secs())
 	}
 	// Lazy-unpin and evictor extras only exist when the Pin config opts
 	// into them, so exporter output for default-policy runs stays
 	// identical.
 	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy != nil || rt.cfg.Pin.Evictor != mem.EvictLRU) {
-		tel.Add("xlupc_pin_reuses_total", "", st.PinReuses)
-		tel.Add("xlupc_pin_parked_total", "", st.PinParked)
-		tel.Add("xlupc_pin_reclaims_total", "", st.PinReclaims)
-		tel.Add("xlupc_pin_ghost_hits_total", "", st.PinGhostHits)
-		tel.Add("xlupc_pin_repins_total", "", st.PinRepins)
+		tel.Add("xlupc_pin_reuses_total", "", st.Reuses)
+		tel.Add("xlupc_pin_parked_total", "", st.PinStats.Parked)
+		tel.Add("xlupc_pin_reclaims_total", "", st.Reclaims)
+		tel.Add("xlupc_pin_ghost_hits_total", "", st.GhostHits)
+		tel.Add("xlupc_pin_repins_total", "", st.Repins)
 	}
 	// Adaptive cache re-apportionments likewise appear only when the
 	// cache runs in adaptive mode.
@@ -506,7 +452,7 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 	// one-message frame saves a negative amount (its sub-header) and the
 	// run's total moves both ways.
 	if rt.cfg.Coalesce != nil {
-		tel.Set("xlupc_coalesce_saved_bytes", "", float64(st.CoalSavedBytes))
+		tel.Set("xlupc_coalesce_saved_bytes", "", float64(st.Coal.SavedBytes))
 	}
 	// Atomic aggregates likewise only exist once an atomic was issued
 	// (the per-op xlupc_atomic_ops_total counters appear at issue time),

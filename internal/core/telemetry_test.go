@@ -202,7 +202,7 @@ func TestRunStatsPinCounters(t *testing.T) {
 
 // A hub attached to a coalescing run must survive a one-message frame,
 // whose "saved" bytes are negative: the saving is published once, as a
-// gauge equal to RunStats.CoalSavedBytes, and the hub stays free.
+// gauge equal to RunStats.Coal.SavedBytes, and the hub stays free.
 func TestTelemetryWithCoalescing(t *testing.T) {
 	c := coalCfg(4, 2, transport.GM(), DefaultCache())
 	body := func(th *Thread) {
@@ -216,14 +216,14 @@ func TestTelemetryWithCoalescing(t *testing.T) {
 	tel := telemetry.New()
 	c.Telemetry = tel
 	instr := mustRun(t, c, body)
-	if plain.CoalSavedBytes >= 0 {
-		t.Fatalf("workload saved %d bytes: it must send one-message frames", plain.CoalSavedBytes)
+	if plain.Coal.SavedBytes >= 0 {
+		t.Fatalf("workload saved %d bytes: it must send one-message frames", plain.Coal.SavedBytes)
 	}
-	if got := tel.Registry().Gauge("xlupc_coalesce_saved_bytes", "").Value(); got != float64(instr.CoalSavedBytes) {
-		t.Errorf("gauge %v, RunStats.CoalSavedBytes %d", got, instr.CoalSavedBytes)
+	if got := tel.Registry().Gauge("xlupc_coalesce_saved_bytes", "").Value(); got != float64(instr.Coal.SavedBytes) {
+		t.Errorf("gauge %v, RunStats.Coal.SavedBytes %d", got, instr.Coal.SavedBytes)
 	}
-	if plain.Elapsed != instr.Elapsed || plain.KernelEvents != instr.KernelEvents || plain.CoalSavedBytes != instr.CoalSavedBytes {
+	if plain.Elapsed != instr.Elapsed || plain.KernelEvents != instr.KernelEvents || plain.Coal.SavedBytes != instr.Coal.SavedBytes {
 		t.Errorf("hub changed the run: %v/%d events/%d saved without, %v/%d/%d with",
-			plain.Elapsed, plain.KernelEvents, plain.CoalSavedBytes, instr.Elapsed, instr.KernelEvents, instr.CoalSavedBytes)
+			plain.Elapsed, plain.KernelEvents, plain.Coal.SavedBytes, instr.Elapsed, instr.KernelEvents, instr.Coal.SavedBytes)
 	}
 }

@@ -61,12 +61,7 @@ type Thread struct {
 	// in bounded chunks, instead of allocating n*elemSize up front.
 	xfer []byte
 
-	// Counters for RunStats.
-	gets, puts            int64
-	localGets, localPuts  int64
-	atomics, localAtomics int64
-	getTime, putTime      sim.Time
-	atomicTime            sim.Time
+	ops OpStats
 }
 
 // opState is the state of the ladders a thread has in progress.

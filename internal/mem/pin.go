@@ -138,9 +138,15 @@ type PinTable struct {
 	deadList  pinList // FIFO: head = parked longest ago
 	deadBytes int
 
-	// Counters.
-	Pins      int64
-	Unpins    int64
+	PinStats
+}
+
+// PinStats is what a pin table counts. The lazy-unpin and evictor
+// extras (Reuses through Repins) stay zero under the default eager-LRU
+// behaviour.
+type PinStats struct {
+	Pins      int64    // registrations performed
+	Unpins    int64    // explicit deregistrations
 	Evicted   int64    // PinLimited-policy deregistrations of live regions
 	Reuses    int64    // re-pins served for free from the dead-list
 	Parked    int64    // lazy unpins that parked instead of deregistering
@@ -150,6 +156,22 @@ type PinTable struct {
 	MaxLive   int      // high-water mark of simultaneously pinned entries
 	RegTime   sim.Time // virtual time charged for registrations
 	DeregTime sim.Time // virtual time charged for deregistrations (incl. evictions)
+}
+
+// Add accumulates another table's counts into s. MaxLive keeps the
+// larger mark: summed over nodes it is the fullest table's peak.
+func (s *PinStats) Add(o PinStats) {
+	s.Pins += o.Pins
+	s.Unpins += o.Unpins
+	s.Evicted += o.Evicted
+	s.Reuses += o.Reuses
+	s.Parked += o.Parked
+	s.Reclaims += o.Reclaims
+	s.GhostHits += o.GhostHits
+	s.Repins += o.Repins
+	s.MaxLive = max(s.MaxLive, o.MaxLive)
+	s.RegTime += o.RegTime
+	s.DeregTime += o.DeregTime
 }
 
 // NewPinTable returns an empty pinned address table for node.

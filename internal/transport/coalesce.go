@@ -66,12 +66,9 @@ func (c CoalConfig) withDefaults() CoalConfig {
 
 // CoalStats counts the coalescer's work.
 type CoalStats struct {
-	Msgs         int64 // operations routed through the coalescer
-	Frames       int64 // wire frames injected
-	SizeFlushes  int64 // flushes forced by MaxOps/MaxBytes
-	TimerFlushes int64 // flushes by the virtual-time backstop
-	SyncFlushes  int64 // explicit flushes (Sync, fence, end of batch service)
-	SavedBytes   int64 // header bytes the batching kept off the wire
+	Msgs       int64 // operations routed through the coalescer
+	Frames     int64 // wire frames injected
+	SavedBytes int64 // header bytes the batching kept off the wire
 }
 
 // batchMsg is one coalesced active-message frame: several logical AMs
@@ -181,7 +178,6 @@ func (o *txOp) appended() {
 	b.queued = append(b.queued, c.m.K.Now())
 	b.bytes += o.wire
 	c.stats.Msgs++
-	c.m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
 	if !reply && (len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes) {
 		o.flush(b, "size")
 		return
@@ -231,7 +227,6 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 	}
 	c.stats.Frames++
 	c.stats.SavedBytes += int64(unbatched - wire)
-	c.m.Tel.Add("xlupc_coalesce_frames_total", "", 1)
 	c.m.FR.Record(b.key.src, flight.Event{
 		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: flclass(b.key.class),
 		Src: int32(b.key.src), Dst: int32(b.key.dst),
@@ -240,16 +235,10 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 	return frame, wire
 }
 
-// noteFlush records one flush under its trigger.
+// noteFlush counts one flush under its trigger: "size" (MaxOps or
+// MaxBytes reached), "timer" (the virtual-time backstop) or an explicit
+// one (Sync, fence, end of batch service).
 func (c *coalescer) noteFlush(reason string) {
-	switch reason {
-	case "size":
-		c.stats.SizeFlushes++
-	case "timer":
-		c.stats.TimerFlushes++
-	default:
-		c.stats.SyncFlushes++
-	}
 	c.m.Tel.AddLabeled("xlupc_coalesce_flushes_total", "reason", reason, 1)
 }
 

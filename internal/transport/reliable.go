@@ -320,7 +320,6 @@ func (rl *reliability) deliver(dst int, class fabric.Class, raw any) {
 		// Integrity check failed: discard without ACK; the sender's
 		// timer retransmits. Applies to data and ACKs alike.
 		rl.stats.CorruptDrops++
-		rl.m.Tel.Add("xlupc_transport_corrupt_drops_total", "", 1)
 		if env, ok := v.Inner.(*envelope); ok {
 			rl.m.FR.Record(dst, flight.Event{
 				T: rl.m.K.Now(), Kind: flight.KindCorruptDrop, Class: flclass(env.class),
