@@ -335,7 +335,7 @@ func (rt *Runtime) handleFreeReq(ct *sim.Cont, n *transport.Node, msg *transport
 }
 
 func (x *amCtx) freeDropped() {
-	x.answer(&reply{Fence: x.msg.Meta.(*freeReq).Acks}, nil, 0)
+	x.answer(reply{Fence: x.msg.Meta.(*freeReq).Acks}, nil, 0)
 }
 
 // isNodeRep reports whether this thread is its node's representative

@@ -189,9 +189,15 @@ func (t *Thread) atomicFetchBuf(op transport.AtomicOp) []byte {
 func (t *Thread) amAtomic() {
 	t.span.SetProto("am")
 	t.done = sim.NewCompletion(t.rt.K, "atomic")
-	t.request(pcAMAtomicDone, t.rn, hAtomic,
-		&atomicReq{H: t.a.h, Off: t.off, Op: t.aop, A: t.a1, B: t.a2, WantAddr: t.ns.cache != nil, Done: t.done},
-		t.aop.OperandBytes())
+	t.request(pcAMAtomicDone, t.rn, hAtomic, t.atomicReq(), t.aop.OperandBytes())
+}
+
+// atomicReq returns a pooled request for the atomic t has set up; the
+// target handler puts it back.
+func (t *Thread) atomicReq() *atomicReq {
+	m := t.rt.hdr.atomic.Get()
+	*m = atomicReq{H: t.a.h, Off: t.off, Op: t.aop, A: t.a1, B: t.a2, WantAddr: t.ns.cache != nil, Done: t.done}
+	return m
 }
 
 func (t *Thread) amAtomicDone() {
@@ -301,8 +307,7 @@ func (t *Thread) nbAtomicStarted() { t.issued(subAtomicRDMA, t.rdma.Done) }
 func (t *Thread) nbAtomicAM() {
 	t.span.SetProto("am")
 	t.done = sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hAtomic,
-		&atomicReq{H: t.a.h, Off: t.off, Op: t.aop, A: t.a1, B: t.a2, WantAddr: t.ns.cache != nil, Done: t.done},
+	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hAtomic, t.atomicReq(),
 		nil, t.aop.OperandBytes(), t.span, t.after(pcNbAtomicSent))
 }
 
@@ -336,5 +341,7 @@ func (x *amCtx) atomicTranslated() {
 func (x *amCtx) atomicApplied() {
 	m := x.msg.Meta.(*atomicReq)
 	old := x.ns.rmw(x.cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
-	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: old}, nil, m.Op.ResultBytes())
+	rep, extra := reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: old}, m.Op.ResultBytes()
+	x.rt.hdr.atomic.Put(m)
+	x.answer(rep, nil, extra)
 }

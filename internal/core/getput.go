@@ -147,10 +147,13 @@ func (x *amCtx) getTranslated() {
 }
 
 func (x *amCtx) getCopied() {
-	m := x.msg.Meta.(*getReq)
-	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
-	data := x.ns.tn.Mem.ReadAlloc(x.cb.LocalBase+mem.Addr(m.Off), m.Size)
-	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done}, data, 0)
+	rt, m := x.rt, x.msg.Meta.(*getReq)
+	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, rt.K.Now())
+	data := rt.hdr.bounce.Get(m.Size)
+	x.ns.tn.Mem.Read(data, x.cb.LocalBase+mem.Addr(m.Off))
+	rep := reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done}
+	rt.hdr.get.Put(m)
+	x.answer(rep, data, 0)
 }
 
 // handleReply retires an answer at the initiator, always in this order:
@@ -160,6 +163,7 @@ func (x *amCtx) getCopied() {
 // no time and records no phase.
 func (rt *Runtime) handleReply(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
 	x := rt.serve(ct, n, msg, then)
+	rt.hdr.reply.Live(msg.Meta.(*reply))
 	x.t0 = rt.K.Now()
 	ct.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime), x.after(hcReplyCopied))
 }
@@ -178,13 +182,15 @@ func (x *amCtx) replyCopied() {
 
 func (x *amCtx) replyFilled() {
 	m, payload := x.msg.Meta.(*reply), x.msg.Payload
-	if m.Fence != nil {
-		m.Fence.Arrive()
+	fence, done, val := m.Fence, m.Done, m.Val
+	x.rt.hdr.reply.Put(m)
+	if fence != nil {
+		fence.Arrive()
 	}
 	if len(payload) > 0 {
-		m.Done.CompleteBytes(payload)
-	} else if m.Done != nil {
-		m.Done.Complete(m.Val)
+		done.CompleteBytes(payload)
+	} else if done != nil {
+		done.Complete(val)
 	}
 	x.then()
 }
@@ -239,12 +245,15 @@ func (x *amCtx) putTranslated() {
 }
 
 func (x *amCtx) putCopied() {
-	m := x.msg.Meta.(*putReq)
-	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
+	rt, m := x.rt, x.msg.Meta.(*putReq)
+	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, rt.K.Now())
 	x.ns.tn.Mem.Write(x.cb.LocalBase+mem.Addr(m.Off), x.msg.Payload)
+	rt.hdr.bounce.Put(x.msg.Payload)
 	// The ACK may carry the base address too (the paper populates the
 	// cache "either on the data stream or on the ACK message").
-	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Fence: m.Fence, Done: m.Done}, nil, 0)
+	rep := reply{H: m.H, Base: x.base, Epoch: x.epoch, Fence: m.Fence, Done: m.Done}
+	rt.hdr.put.Put(m)
+	x.answer(rep, nil, 0)
 }
 
 func (rt *Runtime) handleRTS(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
@@ -253,12 +262,12 @@ func (rt *Runtime) handleRTS(ct *sim.Cont, n *transport.Node, msg *transport.Msg
 }
 
 func (x *amCtx) rtsTranslated() {
-	m, msg := x.msg.Meta.(*rts), x.msg
+	rt, m, msg := x.rt, x.msg.Meta.(*rts), x.msg
+	rep := rt.newReply(reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: rtrResult{base: x.base, epoch: x.epoch, ok: x.base != 0}})
+	rt.hdr.rts.Put(m)
 	// Not through answer: the address is what was asked for, so its bytes
 	// are on the wire even when the pin was refused (base 0).
-	x.rt.M.SendAMSpanC(x.ct, msg.Dst, msg.Src, hReply,
-		&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: rtrResult{base: x.base, epoch: x.epoch, ok: x.base != 0}},
-		nil, piggybackBytes, msg.Span, x.then)
+	rt.M.SendAMSpanC(x.ct, msg.Dst, msg.Src, hReply, rep, nil, piggybackBytes, msg.Span, x.then)
 }
 
 // --- Initiator-side operations ------------------------------------------
@@ -507,12 +516,21 @@ func (t *Thread) getRetired() {
 func (t *Thread) eagerGet() {
 	t.span.SetProto("eager")
 	t.done = sim.NewCompletion(t.rt.K, "get")
-	t.request(pcEagerDone, t.rn, hGetReq,
-		&getReq{H: t.a.h, Off: t.off, Size: len(t.buf), WantAddr: t.ns.cache != nil, Done: t.done}, 0)
+	t.request(pcEagerDone, t.rn, hGetReq, t.getReq(), 0)
+}
+
+// getReq returns a pooled request for the run t has set up; the target
+// handler puts it back.
+func (t *Thread) getReq() *getReq {
+	m := t.rt.hdr.get.Get()
+	*m = getReq{H: t.a.h, Off: t.off, Size: len(t.buf), WantAddr: t.ns.cache != nil, Done: t.done}
+	return m
 }
 
 func (t *Thread) eagerDone() {
-	copy(t.buf, t.done.Bytes())
+	data := t.done.Bytes()
+	copy(t.buf, data)
+	t.rt.hdr.bounce.Put(data)
 	t.reply()
 }
 
@@ -528,7 +546,9 @@ func (t *Thread) reply() {
 // leaving the answer in t.rtr.
 func (t *Thread) rendezvous() {
 	t.done = sim.NewCompletion(t.rt.K, "rts")
-	t.request(pcRTSDone, t.rn, hRTS, &rts{H: t.a.h, Size: len(t.buf), Done: t.done}, 0)
+	m := t.rt.hdr.rts.Get()
+	*m = rts{H: t.a.h, Size: len(t.buf), Done: t.done}
+	t.request(pcRTSDone, t.rn, hRTS, m, 0)
 }
 
 func (t *Thread) rtsDone() {
@@ -581,7 +601,7 @@ func (t *Thread) putHit(base mem.Addr, ep uint32) {
 // until the remote completion (and a possible retry), so the PUT
 // captures the caller's bytes.
 func (t *Thread) putRDMA(base mem.Addr, ep uint32) {
-	t.buf = append([]byte(nil), t.buf...)
+	t.buf = t.rt.bounceCopy(t.buf)
 	t.rt.M.RDMAPutSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcPutRDMADone))
 }
 
@@ -617,10 +637,17 @@ func (t *Thread) putCopiedNoAddr() { t.putSend(false) }
 
 func (t *Thread) putSend(wantAddr bool) {
 	t.span.Phase(telemetry.PhaseCopy, t.t0, t.Now())
-	data := append([]byte(nil), t.buf...)
 	t.acks.Add(1)
 	t.rt.M.SendAMSpanC(t.c, t.ns.id, t.rn, hPutReq,
-		&putReq{H: t.a.h, Off: t.off, WantAddr: wantAddr, Fence: t.acks}, data, 0, t.span, t.c.Resumer())
+		t.rt.newPutReq(putReq{H: t.a.h, Off: t.off, WantAddr: wantAddr, Fence: t.acks}), t.rt.bounceCopy(t.buf), 0, t.span, t.c.Resumer())
+}
+
+// newPutReq returns a pooled PUT request holding r; the target handler
+// puts it back.
+func (rt *Runtime) newPutReq(r putReq) *putReq {
+	m := rt.hdr.put.Get()
+	*m = r
+	return m
 }
 
 func (t *Thread) putRendezvoused() {
@@ -661,6 +688,7 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 	remote.Then(func(v any) {
 		nk, isNack := v.(transport.Nack)
 		if !isNack {
+			t.rt.hdr.bounce.Put(data) // in place at the target: its last reader is done
 			f.Arrive()
 			if done != nil {
 				done.Complete(nil)
@@ -677,7 +705,7 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 			t.rt.tel.Add("xlupc_put_retries_total", `reason="nack"`, 1)
 		}
 		r := &putRetry{t: t, rn: rn, data: data, span: span, nack: nk,
-			req: putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f, Done: done}}
+			req: t.rt.newPutReq(putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f, Done: done})}
 		r.ct = t.rt.K.SpawnService("put-retry", t.id, "", r, retryStart)
 	})
 }
@@ -689,7 +717,7 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 type putRetry struct {
 	t    *Thread
 	ct   *sim.Cont
-	req  putReq // the write as an active message; after a stale NACK it wants the address
+	req  *putReq // the write as an active message; after a stale NACK it wants the address
 	rn   int
 	data []byte
 	span *telemetry.Span
@@ -720,6 +748,6 @@ func (r *putRetry) Step(pc int) {
 		t.flushed(r.n, r.rn, r.nack.Epoch, "put", r.span, r.t0)
 		ct.Sleep(sim.BytesTime(len(r.data), prof.CopyByteTime), ct.Then(r, retryCopied))
 	case retryCopied:
-		t.rt.M.SendAMSpanC(ct, ns.id, r.rn, hPutReq, &r.req, r.data, 0, r.span, func() {})
+		t.rt.M.SendAMSpanC(ct, ns.id, r.rn, hPutReq, r.req, r.data, 0, r.span, func() {})
 	}
 }

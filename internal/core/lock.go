@@ -183,7 +183,7 @@ func (rt *Runtime) homeUnlockC(ct *sim.Cont, home *nodeState, h svd.Handle, then
 		then()
 		return
 	}
-	rt.M.SendAMSpanC(ct, home.id, w.node, hReply, &reply{Done: w.done, Val: true}, nil, 0, nil, then)
+	rt.M.SendAMSpanC(ct, home.id, w.node, hReply, rt.newReply(reply{Done: w.done, Val: true}), nil, 0, nil, then)
 }
 
 func (rt *Runtime) handleLockReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
@@ -201,7 +201,7 @@ func (x *amCtx) lockCharged() {
 	}
 	granted := !lh.held
 	lh.held = true
-	x.answer(&reply{Done: m.Done, Val: granted}, nil, 0)
+	x.answer(reply{Done: m.Done, Val: granted}, nil, 0)
 }
 
 func (rt *Runtime) handleUnlockReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {

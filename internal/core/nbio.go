@@ -297,6 +297,7 @@ func (t *Thread) retireWoke() {
 	switch sub.kind {
 	case subGet:
 		copy(sub.dst, data)
+		t.rt.hdr.bounce.Put(data)
 		t.getRetired()
 	case subGetRDMA:
 		if nacked {
@@ -351,8 +352,7 @@ func (t *Thread) nbGetStarted() { t.issued(subGetRDMA, t.rdma.Done) }
 func (t *Thread) nbGetEager() {
 	t.span.SetProto("eager")
 	t.done = sim.NewCompletion(t.rt.K, "get")
-	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hGetReq,
-		&getReq{H: t.a.h, Off: t.off, Size: len(t.buf), WantAddr: t.ns.cache != nil, Done: t.done}, nil, 0, t.span, t.after(pcNbGetSent))
+	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hGetReq, t.getReq(), nil, 0, t.span, t.after(pcNbGetSent))
 }
 
 func (t *Thread) nbGetSent() { t.issued(subGet, t.done) }
@@ -371,7 +371,7 @@ func (t *Thread) nbPutRun(a *SharedArray, idx int64, src []byte) {
 }
 
 func (t *Thread) nbPutHit(base mem.Addr, ep uint32) {
-	t.buf = append([]byte(nil), t.buf...)
+	t.buf = t.rt.bounceCopy(t.buf)
 	t.rt.M.RDMAPutStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcNbPutStarted))
 }
 
@@ -389,10 +389,10 @@ func (t *Thread) nbPutEager() {
 
 func (t *Thread) nbPutCopied() {
 	t.span.Phase(telemetry.PhaseCopy, t.t0, t.Now())
-	data := append([]byte(nil), t.buf...)
 	t.acks.Add(1)
 	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hPutReq,
-		&putReq{H: t.a.h, Off: t.off, WantAddr: t.ns.cache != nil, Fence: t.acks, Done: t.done}, data, 0, t.span, t.after(pcNbPutSent))
+		t.rt.newPutReq(putReq{H: t.a.h, Off: t.off, WantAddr: t.ns.cache != nil, Fence: t.acks, Done: t.done}),
+		t.rt.bounceCopy(t.buf), 0, t.span, t.after(pcNbPutSent))
 }
 
 func (t *Thread) nbPutSent() { t.issued(subPut, t.done) }

@@ -50,6 +50,9 @@ type Runtime struct {
 	// userHandlers is the user-level AM dispatch table (useram.go).
 	userHandlers [maxUserHandlers]UserHandler
 
+	// hdr recycles protocol headers and bounce buffers (headers.go).
+	hdr headers
+
 	// runLocal holds run-scoped host-side singletons (see RunLocal).
 	runLocal map[string]any
 
@@ -738,12 +741,13 @@ func (x *amCtx) pinned() {
 }
 
 // answer replies to the request x is serving, as the handler's last
-// act: rep joins the pairs of the request's frame (pairsFor) and travels
-// with payload and extra wire bytes of its own plus those of the
-// addresses it carries.
-func (x *amCtx) answer(rep *reply, payload []byte, extra int) {
+// act: rep, in a pooled header, joins the pairs of the request's frame
+// (pairsFor) and travels with payload and extra wire bytes of its own
+// plus those of the addresses it carries. The caller has read its
+// request header for the last time and put it back.
+func (x *amCtx) answer(rep reply, payload []byte, extra int) {
 	msg := x.msg
 	pairs, piggyback := pairsFor(msg, rep.H, rep.Base, rep.Epoch)
 	rep.Pairs = pairs
-	x.rt.M.ReplyToSpanC(x.ct, msg, hReply, rep, payload, extra+piggyback, msg.Span, x.then)
+	x.rt.M.ReplyToSpanC(x.ct, msg, hReply, x.rt.newReply(rep), payload, extra+piggyback, msg.Span, x.then)
 }

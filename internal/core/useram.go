@@ -196,9 +196,11 @@ func (x *amCtx) userReplied(payload []byte) {
 
 func (x *amCtx) userCopied() {
 	m, payload := x.msg.Meta.(*userReq), x.payload
-	x.payload = nil
+	x.payload, x.user.req = nil, nil
 	x.msg.Span.Phase(telemetry.PhaseCopy, x.t0, x.rt.K.Now())
-	x.answer(&reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done}, payload, 0)
+	rep := reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done}
+	x.rt.hdr.user.Put(m)
+	x.answer(rep, payload, 0)
 }
 
 // --- Initiator side ----------------------------------------------------
@@ -214,8 +216,9 @@ func (t *Thread) CallAMC(a *SharedArray, rn int, id UserHandlerID, argA, argB ui
 	t.span.SetProto("am")
 	t.buf = reply
 	t.done = sim.NewCompletion(t.rt.K, op)
-	t.request(pcUserDone, rn, hUserReq,
-		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: t.done}, extra)
+	m := t.rt.hdr.user.Get()
+	*m = userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: t.done}
+	t.request(pcUserDone, rn, hUserReq, m, extra)
 }
 
 func (t *Thread) userDone() {

@@ -5,6 +5,7 @@ import (
 
 	"xlupc/internal/fault"
 	"xlupc/internal/flight"
+	"xlupc/internal/pool"
 	"xlupc/internal/sim"
 )
 
@@ -48,11 +49,20 @@ type Port struct {
 	DMA *sim.Queue[any]
 }
 
-// Corrupted wraps a payload whose integrity check fails at the
-// receiving NIC. The delivery hook (or handler) is expected to discard
-// it; with no reliable-delivery layer installed a corrupted packet
-// would wedge the run, so corruption requires one.
-type Corrupted struct{ Inner any }
+// Header is the link-level framing a packet carries beside its payload:
+// the reliable layer's channel sequence number and sender epoch, which
+// the receiver ACKs and dedups on, and whether the packet is itself an
+// ACK. Corrupt is set by the fabric on a copy whose integrity check
+// fails at the receiving NIC. The header travels by value in the
+// fabric's own records, so a late or duplicated copy never reads sender
+// state that has since been recycled. Unframed traffic carries the zero
+// Header.
+type Header struct {
+	Seq     uint64
+	Epoch   uint32
+	Ack     bool
+	Corrupt bool
+}
 
 // FaultStats counts the hazards the injector actually applied.
 type FaultStats struct {
@@ -76,7 +86,7 @@ type Fabric struct {
 	// Delivery hook: when set, arrivals are handed to it instead of
 	// being pushed onto the destination port's queues (the reliable
 	// transport interposes here for seq/ACK/dedup handling).
-	hook func(dst int, class Class, m any)
+	hook Hook
 
 	// down[n], when the slice exists, is the end of node n's current
 	// crash/restart window: packets arriving before it are dropped at
@@ -96,8 +106,8 @@ type Fabric struct {
 	// the wire's two scheduled events per packet — serialization and
 	// delivery — run pre-bound funcs on pooled records instead of
 	// allocating closures, so the fabric adds no per-packet garbage.
-	apool []*arrival
-	spool []*txSer
+	apool pool.Free[arrival]
+	spool pool.Free[txSer]
 }
 
 // New builds a fabric over the given topology and wire model.
@@ -127,11 +137,17 @@ func (f *Fabric) Bytes() int64    { return f.bytes }
 // independent hazards, like fresh packets on a real lossy wire.
 func (f *Fabric) SetInjector(inj *fault.Injector) { f.inj = inj }
 
+// Hook receives one physical arrival: the packet m sent from src, with
+// its header.
+type Hook func(src, dst int, class Class, h Header, m any)
+
 // SetDeliveryHook routes every arrival through fn instead of the
 // destination port's AM/DMA queues. The reliable transport installs
 // its seq/ACK/dedup handling here; fn runs in kernel context at the
-// arrival time and must not block.
-func (f *Fabric) SetDeliveryHook(fn func(dst int, class Class, m any)) { f.hook = fn }
+// arrival time and must not block. Without a hook a corrupted arrival
+// is discarded at the receiving NIC, as its checksum demands: nothing
+// retransmits it.
+func (f *Fabric) SetDeliveryHook(fn Hook) { f.hook = fn }
 
 // FaultStats reports the hazards applied so far.
 func (f *Fabric) FaultStats() FaultStats { return f.faults }
@@ -190,6 +206,11 @@ func (f *Fabric) dropDown(dst int) bool {
 // Sending to the local node is a protocol bug — co-located threads
 // communicate through shared memory, never the NIC — and panics.
 func (f *Fabric) InjectC(src, dst int, size int, class Class, m any, done func(arrive sim.Time)) {
+	f.InjectHdrC(src, dst, size, class, Header{}, m, done)
+}
+
+// InjectHdrC is InjectC for a framed packet: h travels with m.
+func (f *Fabric) InjectHdrC(src, dst int, size int, class Class, h Header, m any, done func(arrive sim.Time)) {
 	if src == dst {
 		panic(fmt.Sprintf("fabric: node %d sending to itself", src))
 	}
@@ -204,11 +225,11 @@ func (f *Fabric) InjectC(src, dst int, size int, class Class, m any, done func(a
 	}
 	ser := f.wire.Serialize(size)
 	if ser <= 0 { // zero-width message: no serialization event
-		done(f.deliver(seq, src, dst, size, class, m))
+		done(f.deliver(seq, src, dst, size, class, h, m))
 		return
 	}
 	s := f.newTxSer()
-	s.seq, s.src, s.dst, s.size, s.class, s.m, s.done = seq, src, dst, size, class, m, done
+	s.seq, s.src, s.dst, s.size, s.class, s.h, s.m, s.done = seq, src, dst, size, class, h, m, done
 	f.k.After(ser, s.run)
 }
 
@@ -223,38 +244,36 @@ type txSer struct {
 	dst   int
 	size  int
 	class Class
+	h     Header
 	m     any
 	done  func(arrive sim.Time)
 	run   func() // pre-bound to this record, built once per record
 }
 
 func (f *Fabric) newTxSer() *txSer {
-	if n := len(f.spool); n > 0 {
-		s := f.spool[n-1]
-		f.spool = f.spool[:n-1]
-		return s
+	s := f.spool.Get()
+	if s.f == nil {
+		s.f, s.run = f, s.fire
 	}
-	s := &txSer{f: f}
-	s.run = s.fire
 	return s
 }
 
 func (s *txSer) fire() {
 	f := s.f
-	seq, src, dst, size, class, m, done := s.seq, s.src, s.dst, s.size, s.class, s.m, s.done
+	seq, src, dst, size, class, h, m, done := s.seq, s.src, s.dst, s.size, s.class, s.h, s.m, s.done
 	s.m, s.done = nil, nil
-	f.spool = append(f.spool, s)
-	done(f.deliver(seq, src, dst, size, class, m))
+	f.spool.Put(s)
+	done(f.deliver(seq, src, dst, size, class, h, m))
 }
 
 // deliver applies any configured hazards to the packet and schedules
 // its arrival at dst after the route latency. It returns the nominal
 // (hazard-free) arrival time: senders pace themselves by it, and a
 // real sender cannot observe a drop or delay downstream of its NIC.
-func (f *Fabric) deliver(seq uint64, src, dst, size int, class Class, m any) sim.Time {
+func (f *Fabric) deliver(seq uint64, src, dst, size int, class Class, h Header, m any) sim.Time {
 	arrive := f.k.Now() + f.wire.Latency(f.topo, src, dst)
 	if f.inj == nil {
-		f.arriveAt(arrive, seq, src, dst, size, class, m)
+		f.arriveAt(arrive, seq, src, dst, size, class, h, m)
 		return arrive
 	}
 	d := f.inj.Decide(seq)
@@ -283,23 +302,22 @@ func (f *Fabric) deliver(seq uint64, src, dst, size int, class Class, m any) sim
 		})
 		at = clear
 	}
-	pkt := m
 	if d.Corrupt {
 		f.faults.Corrupts++
 		f.fr.Record(dst, flight.Event{
 			T: f.k.Now(), Kind: flight.KindCorrupt, Class: fclass(class),
 			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
 		})
-		pkt = Corrupted{Inner: m}
+		h.Corrupt = true
 	}
-	f.arriveAt(at, seq, src, dst, size, class, pkt)
+	f.arriveAt(at, seq, src, dst, size, class, h, m)
 	if d.Duplicate {
 		f.faults.Dups++
 		f.fr.Record(dst, flight.Event{
 			T: f.k.Now(), Kind: flight.KindDuplicate, Class: fclass(class),
 			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
 		})
-		f.arriveAt(at+d.DupDelay, seq, src, dst, size, class, pkt)
+		f.arriveAt(at+d.DupDelay, seq, src, dst, size, class, h, m)
 	}
 	return arrive
 }
@@ -308,9 +326,9 @@ func (f *Fabric) deliver(seq uint64, src, dst, size int, class Class, m any) sim
 // record so a delivery costs no closure allocation. A duplicated
 // packet gets two records (two independent arrival events), exactly
 // like the two closures it used to get.
-func (f *Fabric) arriveAt(at sim.Time, seq uint64, src, dst, size int, class Class, m any) {
+func (f *Fabric) arriveAt(at sim.Time, seq uint64, src, dst, size int, class Class, h Header, m any) {
 	a := f.newArrival()
-	a.seq, a.src, a.dst, a.size, a.class, a.m = seq, src, dst, size, class, m
+	a.seq, a.src, a.dst, a.size, a.class, a.h, a.m = seq, src, dst, size, class, h, m
 	f.k.At(at, a.run)
 }
 
@@ -322,18 +340,16 @@ type arrival struct {
 	dst   int
 	size  int
 	class Class
+	h     Header
 	m     any
 	run   func() // pre-bound to this record, built once per record
 }
 
 func (f *Fabric) newArrival() *arrival {
-	if n := len(f.apool); n > 0 {
-		a := f.apool[n-1]
-		f.apool = f.apool[:n-1]
-		return a
+	a := f.apool.Get()
+	if a.f == nil {
+		a.f, a.run = f, a.deliverNow
 	}
-	a := &arrival{f: f}
-	a.run = a.deliverNow
 	return a
 }
 
@@ -342,16 +358,19 @@ func (f *Fabric) newArrival() *arrival {
 // inline can reuse it.
 func (a *arrival) deliverNow() {
 	f := a.f
-	seq, src, dst, size, class, m := a.seq, a.src, a.dst, a.size, a.class, a.m
+	seq, src, dst, size, class, h, m := a.seq, a.src, a.dst, a.size, a.class, a.h, a.m
 	a.m = nil
-	f.apool = append(f.apool, a)
+	f.apool.Put(a)
 	if f.dropDown(dst) {
 		f.recordCrashDrop(seq, src, dst, class)
 		return
 	}
 	f.recordRecv(seq, src, dst, size, class)
 	if hook := f.hook; hook != nil {
-		hook(dst, class, m)
+		hook(src, dst, class, h, m)
+		return
+	}
+	if h.Corrupt {
 		return
 	}
 	switch class {

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"xlupc/internal/core"
+	"xlupc/internal/pool"
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 )
@@ -686,7 +687,7 @@ func (tb *Table) added(old uint64) { tb.finishVal(old, true) }
 // found value's reply.
 type server struct {
 	g    geom
-	free []*amOp
+	free pool.Free[amOp]
 }
 
 // Reply payloads of the put and delete handlers: one status byte each,
@@ -745,12 +746,9 @@ type amSteps struct {
 // start takes a record and begins the request: everything it does
 // happens under the node's shard lock.
 func (s *server) start(id core.UserHandlerID, c *core.UserCtx, reply func([]byte)) {
-	var op *amOp
-	if n := len(s.free); n > 0 {
-		op = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		op = &amOp{s: s}
+	op := s.free.Get()
+	if op.s == nil {
+		op.s = s
 		op.do = amSteps{
 			locked: op.locked, lineRead: op.lineRead, seqRead: op.seqRead, seqOdd: op.seqOdd,
 			inWindow: op.inWindow, slotWritten: op.slotWritten, seqEven: op.seqEven,
@@ -771,7 +769,7 @@ func (op *amOp) finish(payload []byte) {
 	op.lock.Release()
 	reply := op.reply
 	op.c, op.reply, op.lock = nil, nil, nil
-	op.s.free = append(op.s.free, op)
+	op.s.free.Put(op)
 	reply(payload)
 }
 

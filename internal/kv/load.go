@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 
 	"xlupc/internal/core"
 	"xlupc/internal/sim"
@@ -249,59 +250,89 @@ func RunLoadC(t *core.Thread, tb *Table, w Workload, z *Zipf, then func(ThreadRe
 	if err := w.Validate(); err != nil {
 		panic(err)
 	}
-	rng := t.Rand()
-	tel := t.Runtime().Config().Telemetry
-	interval, slo := w.interval(), w.slo()
-	start := t.Now()
-	res := &ThreadResult{Thread: t.ID()}
-	h := uint64(fnvOffset)
-	var i int64
-	var iter func()
-	iter = func() {
-		if i >= w.Ops {
-			res.Checksum = h
-			then(*res)
+	l := &loader{
+		t: t, tb: tb, w: w, z: z, rng: t.Rand(), tel: t.Runtime().Config().Telemetry,
+		interval: w.interval(), slo: w.slo(), start: t.Now(),
+		res: ThreadResult{Thread: t.ID()}, h: fnvOffset, then: then,
+	}
+	l.dispatchFn, l.gotFn, l.putFn = l.dispatch, l.got, l.put
+	l.iter()
+}
+
+// loader is one thread's load in progress: a ladder of steps over one
+// record, each bound once, so the loop allocates nothing per operation.
+type loader struct {
+	t        *core.Thread
+	tb       *Table
+	w        Workload
+	z        *Zipf
+	rng      *rand.Rand
+	tel      *telemetry.Telemetry
+	interval sim.Time
+	slo      sim.Time
+	start    sim.Time
+	res      ThreadResult
+	h        uint64 // the running digest
+	then     func(ThreadResult)
+
+	i        int64    // operations completed
+	issue    sim.Time // when the operation in flight was due
+	key, val uint64   // ... its key, and a Put's value
+
+	dispatchFn func()
+	gotFn      func(val uint64, ok bool)
+	putFn      func(ok bool)
+}
+
+// iter starts the next operation when it is due, or ends the load.
+func (l *loader) iter() {
+	if l.i >= l.w.Ops {
+		l.res.Checksum = l.h
+		l.then(l.res)
+		return
+	}
+	l.issue = l.t.Now()
+	if l.interval > 0 {
+		l.issue = l.start + sim.Time(l.i)*l.interval
+		if now := l.t.Now(); now < l.issue {
+			l.t.SleepC(l.issue-now, l.dispatchFn)
 			return
 		}
-		issue := t.Now()
-		dispatch := func() {
-			key := ScrambleKey(z.Next(rng), w.NumKeys)
-			read := rng.Float64() < w.ReadFrac
-			if read {
-				tb.GetC(t, key, func(val uint64, ok bool) {
-					if ok {
-						checkValue(key, val)
-					}
-					res.Reads++
-					if ok {
-						res.Found++
-					}
-					lat := t.Now() - issue
-					h = accountOp(res, tel, true, key, val, ok, lat, slo, h)
-					i++
-					iter()
-				})
-				return
-			}
-			val := encodeValue(key, uint32(i))
-			tb.PutC(t, key, val, func(ok bool) {
-				res.Writes++
-				lat := t.Now() - issue
-				h = accountOp(res, tel, false, key, val, ok, lat, slo, h)
-				i++
-				iter()
-			})
-		}
-		if interval > 0 {
-			issue = start + sim.Time(i)*interval
-			if now := t.Now(); now < issue {
-				t.SleepC(issue-now, dispatch)
-				return
-			}
-		}
-		dispatch()
 	}
-	iter()
+	l.dispatch()
+}
+
+// dispatch draws the operation's key, then its kind, and issues it.
+func (l *loader) dispatch() {
+	l.key = ScrambleKey(l.z.Next(l.rng), l.w.NumKeys)
+	if l.rng.Float64() < l.w.ReadFrac {
+		l.tb.GetC(l.t, l.key, l.gotFn)
+		return
+	}
+	l.val = encodeValue(l.key, uint32(l.i))
+	l.tb.PutC(l.t, l.key, l.val, l.putFn)
+}
+
+func (l *loader) got(val uint64, ok bool) {
+	if ok {
+		checkValue(l.key, val)
+		l.res.Found++
+	}
+	l.res.Reads++
+	l.done(true, val, ok)
+}
+
+func (l *loader) put(ok bool) {
+	l.res.Writes++
+	l.done(false, l.val, ok)
+}
+
+// done accounts the operation in flight and goes on to the next.
+func (l *loader) done(read bool, val uint64, ok bool) {
+	lat := l.t.Now() - l.issue
+	l.h = accountOp(&l.res, l.tel, read, l.key, val, ok, lat, l.slo, l.h)
+	l.i++
+	l.iter()
 }
 
 // accountOp folds one completed op into the result and the digest.

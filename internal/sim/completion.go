@@ -26,29 +26,36 @@ type Completion struct {
 // reused here, so hot protocol paths do not allocate one per
 // operation.
 func NewCompletion(k *Kernel, name string) *Completion {
-	if n := len(k.cpool); n > 0 {
-		c := k.cpool[n-1]
-		k.cpool = k.cpool[:n-1]
-		c.name = name
-		c.done = false
-		c.at = 0
-		c.val = nil
-		c.bytes = nil
-		return c
-	}
-	return &Completion{k: k, name: name}
+	c := k.cpool.Get()
+	c.k, c.name, c.done, c.at, c.val, c.bytes = k, name, false, 0, nil, nil
+	return c
 }
 
 // parkState renders the wait diagnostic lazily: nothing allocates until
 // something actually blocks on the completion, and the result is
 // memoized per name so pooled completions reused under the same
-// constant name pay a pointer-equal string compare, not a concat.
+// constant name pay a pointer-equal string compare, not a concat — and
+// one reused under another name looks the string up in the kernel's
+// table instead of building it again.
 func (c *Completion) parkState() string {
 	if c.wsFor != c.name {
-		c.ws = "waiting on " + c.name
+		c.ws = c.k.waitState(c.name)
 		c.wsFor = c.name
 	}
 	return c.ws
+}
+
+// waitState returns "waiting on "+name, built once per name per kernel.
+func (k *Kernel) waitState(name string) string {
+	s, ok := k.waitStates[name]
+	if !ok {
+		if k.waitStates == nil {
+			k.waitStates = make(map[string]string)
+		}
+		s = "waiting on " + name
+		k.waitStates[name] = s
+	}
+	return s
 }
 
 // Recycle returns a spent completion to the kernel's pool for reuse by
@@ -61,7 +68,7 @@ func (k *Kernel) Recycle(c *Completion) {
 	c.bytes = nil
 	c.waiters = c.waiters[:0]
 	c.thens = c.thens[:0]
-	k.cpool = append(k.cpool, c)
+	k.cpool.Put(c)
 }
 
 // Done reports whether the completion has completed.
@@ -93,6 +100,7 @@ func (c *Completion) CompletedAt() Time { return c.at }
 // time — no event is scheduled per callback. Completing twice is a bug
 // and panics.
 func (c *Completion) Complete(v any) {
+	c.k.cpool.Live(c)
 	if c.done {
 		panic(fmt.Sprintf("sim: completion %q completed twice", c.name))
 	}
@@ -122,6 +130,7 @@ func (c *Completion) Complete(v any) {
 // (stale state on a running continuation is harmless; diagnostics only
 // inspect blocked ones).
 func (c *Completion) WaitFn(ct *Cont, fn func()) {
+	c.k.cpool.Live(c)
 	if c.done {
 		fn()
 		return

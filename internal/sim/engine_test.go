@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"xlupc/internal/pool"
 )
 
 // TestEventHeapProperty pushes events in random time order and checks
@@ -334,6 +336,17 @@ func TestCompletionRecycle(t *testing.T) {
 	}
 	k.Recycle(c)
 	c2 := NewCompletion(k, "second")
+	if pool.Poison {
+		// The poison build retires what is recycled, zeroed: a late
+		// Complete of the dead completion must fail loudly.
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Complete of a recycled completion did not panic")
+			}
+		}()
+		c.Complete(nil)
+		return
+	}
 	if c2 != c {
 		t.Fatalf("NewCompletion did not reuse the recycled completion")
 	}

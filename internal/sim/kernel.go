@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"xlupc/internal/pool"
 )
 
 // lazyName is a diagnostic name rendered on demand. Names only exist
@@ -42,7 +44,13 @@ type event struct {
 // loop discards a cancelled event without advancing the clock, so
 // timers that almost always get cancelled (retransmit timeouts, watch
 // dogs) never stretch a run's makespan.
-type Timer struct{ cancelled bool }
+type Timer struct{ cancelled, queued bool }
+
+// Queued reports whether the timer's event is still in the kernel's
+// queue: armed and not yet run, or cancelled and not yet discarded. The
+// owner of a Timer re-armed through ArmTimer may arm or recycle it only
+// once this is false.
+func (t *Timer) Queued() bool { return t.queued }
 
 // Cancel marks the timer dead. Idempotent and nil-safe; cancelling a
 // timer whose callback already ran is harmless.
@@ -143,7 +151,8 @@ type Kernel struct {
 	limit   Time  // 0 = no limit
 	events  int64 // events processed by Run (host-profiling figure)
 
-	cpool []*Completion // recycled completions (see Recycle)
+	cpool      pool.Free[Completion] // recycled completions (see Recycle)
+	waitStates map[string]string     // completion name -> its wait diagnostic
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
@@ -198,14 +207,25 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now+d, fn) }
 // transport's retransmit timers), where a plain After would leave the
 // run's final virtual time pinned to the last dead timeout.
 func (k *Kernel) AfterTimer(d Duration, fn func()) *Timer {
+	tm := &Timer{}
+	k.ArmTimer(tm, d, fn)
+	return tm
+}
+
+// ArmTimer is AfterTimer on a Timer the caller owns — embedded in a
+// pooled record, so arming allocates nothing. tm must not be Queued: a
+// queued event still refers to it, cancelled or not.
+func (k *Kernel) ArmTimer(tm *Timer, d Duration, fn func()) {
 	t := k.now + d
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", t, k.now))
 	}
-	tm := &Timer{}
+	if tm.queued {
+		panic("sim: ArmTimer on a timer whose event is still queued")
+	}
+	*tm = Timer{queued: true}
 	k.seq++
 	k.q.push(k.now, t, k.seq, fn, tm)
-	return tm
 }
 
 // Spawn creates a new process named name executing body and schedules
@@ -253,6 +273,7 @@ func (k *Kernel) Run() error {
 		// must neither advance the clock nor hide an otherwise-drained
 		// queue from deadlock detection or the time limit.
 		for h != nil && h.tm != nil && h.tm.cancelled {
+			h.tm.queued = false
 			k.q.take(src)
 			h, src = k.q.head()
 		}
@@ -265,9 +286,12 @@ func (k *Kernel) Run() error {
 		if k.limit > 0 && h.t > k.limit {
 			return nil
 		}
-		fn := h.fn
+		fn, tm := h.fn, h.tm
 		k.now = h.t
 		k.q.take(src)
+		if tm != nil {
+			tm.queued = false
+		}
 		k.events++
 		fn()
 		h, src = k.q.head()
@@ -275,9 +299,12 @@ func (k *Kernel) Run() error {
 		// while the clock stands still the limit cannot be crossed, and
 		// a cancelled timer is dropped uncounted as it would be there.
 		for !k.stopped && h != nil && h.t == k.now {
-			fn = h.fn
-			live := h.tm == nil || !h.tm.cancelled
+			fn, tm = h.fn, h.tm
+			live := tm == nil || !tm.cancelled
 			k.q.take(src)
+			if tm != nil {
+				tm.queued = false
+			}
 			if live {
 				k.events++
 				fn()

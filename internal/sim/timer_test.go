@@ -45,6 +45,46 @@ func TestAfterTimerFiresWhenNotCancelled(t *testing.T) {
 	nilT.Cancel()
 }
 
+// A caller-owned timer is Queued from ArmTimer until its event leaves
+// the queue — fired, or cancelled and discarded — and only then may it
+// be armed again; re-arming it while queued would revive a cancelled
+// event, so ArmTimer refuses.
+func TestArmTimerQueuedUntilItsEventLeaves(t *testing.T) {
+	k := NewKernel()
+	var tm Timer
+	fired := 0
+	k.ArmTimer(&tm, 5*Us, func() { fired++ })
+	tm.Cancel()
+	if !tm.Queued() {
+		t.Fatal("a cancelled timer left the queue before its time")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ArmTimer re-armed a queued timer")
+			}
+		}()
+		k.ArmTimer(&tm, Us, func() { fired++ })
+	}()
+	k.After(6*Us, func() {
+		if tm.Queued() {
+			t.Error("the cancelled event was not discarded by its time")
+		}
+		k.ArmTimer(&tm, Us, func() {
+			fired++
+			if tm.Queued() {
+				t.Error("a firing timer still reads queued")
+			}
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 || k.Now() != 7*Us {
+		t.Fatalf("fired %d times, clock %v; want once, at 7us", fired, k.Now())
+	}
+}
+
 // Cancelled timers at the head of the queue must not mask a deadlock:
 // once they are discarded, blocked processes are still reported.
 func TestCancelledTimerDoesNotMaskDeadlock(t *testing.T) {

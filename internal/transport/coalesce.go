@@ -6,6 +6,7 @@ import (
 
 	"xlupc/internal/fabric"
 	"xlupc/internal/flight"
+	"xlupc/internal/pool"
 	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
 )
@@ -116,7 +117,7 @@ type coalescer struct {
 	m     *Machine
 	cfg   CoalConfig
 	bufs  map[coalKey]*coalBuf
-	syncs []*coalSync // free list
+	syncs pool.Free[coalSync]
 	stats CoalStats
 }
 
@@ -322,14 +323,8 @@ func (m *Machine) FlushCoalescedC(ct *sim.Cont, src int, then func()) {
 		then()
 		return
 	}
-	var o *coalSync
-	if n := len(c.syncs); n > 0 {
-		o = c.syncs[n-1]
-		c.syncs = c.syncs[:n-1]
-	} else {
-		o = &coalSync{c: c}
-	}
-	o.ct, o.then = ct, then
+	o := c.syncs.Get()
+	o.c, o.ct, o.then = c, ct, then
 	for k, b := range c.bufs {
 		if k.src == src && len(b.ops) > 0 {
 			o.keys = append(o.keys, k)
@@ -360,7 +355,7 @@ func (o *coalSync) Step(int) {
 	}
 	then := o.then
 	o.ct, o.then = nil, nil
-	c.syncs = append(c.syncs, o)
+	c.syncs.Put(o)
 	then()
 }
 

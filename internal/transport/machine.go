@@ -90,8 +90,7 @@ type Machine struct {
 	// recording at the cost of a pointer check per site.
 	FR *flight.Recorder
 
-	// pool holds the descriptor free-lists (see pool.go); active only
-	// while rel is nil.
+	// pool holds the descriptor free-lists (see pool.go).
 	pool pools
 }
 
@@ -386,6 +385,7 @@ func (e *amEngine) pop() {
 		return
 	}
 	msg := raw.(*Msg)
+	m.pool.msgs.Live(msg)
 	if m.handlers[msg.Handler] == nil {
 		panic(fmt.Sprintf("transport: node %d: no handler %d", e.nd.ID, msg.Handler))
 	}

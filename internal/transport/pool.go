@@ -1,24 +1,22 @@
 package transport
 
+import "xlupc/internal/pool"
+
 // Free-lists for the per-operation descriptor structs on the hot
-// paths: active messages and RDMA work requests, one list each. Pooling
-// is enabled only while the reliable-delivery layer is off (m.rel == nil): the
-// reliable layer retains injected envelopes for retransmission and its
-// fault injector can deliver the same pointer twice, so a descriptor's
-// lifetime is unbounded there. Without it every injected object is
-// delivered exactly once and consumed by exactly one service chain,
-// whose end is the single safe recycling point. The gate is checked on
-// both alloc and free, so enabling chaos mid-setup simply strands the
-// pool (never corrupts it) — EnableChaos must in any case run before
-// traffic starts.
+// paths: active messages, RDMA work requests and send records. An
+// injected message or descriptor is consumed by exactly one service
+// chain, whose end is its single recycling point — with the reliable
+// layer on too: a packet's copies carry their sequence header by value,
+// dedup hands the inner object to its service chain once, and a
+// retransmitted or duplicated copy that still names a recycled object
+// is discarded unread.
 type pools struct {
-	msgs []*Msg
-	dmas []*dmaOp
+	msgs pool.Free[Msg]
+	dmas pool.Free[dmaOp]
 
 	// Initiator-side send records (see txOp). These hold no injected
-	// object at rest, so they are safe to pool even under the reliable
-	// layer.
-	txops []*txOp
+	// object at rest.
+	txops pool.Free[txOp]
 }
 
 // Retain marks the message as requeued by its handler: the dispatcher
@@ -28,43 +26,19 @@ type pools struct {
 // recycling after its next service.
 func (m *Msg) Retain() { m.retained = true }
 
-func (m *Machine) newMsg() *Msg {
-	if m.rel == nil {
-		if n := len(m.pool.msgs); n > 0 {
-			msg := m.pool.msgs[n-1]
-			m.pool.msgs = m.pool.msgs[:n-1]
-			return msg
-		}
-	}
-	return &Msg{}
-}
+func (m *Machine) newMsg() *Msg { return m.pool.msgs.Get() }
 
 // freeMsg recycles a fully served message. Payload and Meta escape into
 // completion values and handler state routinely; only the Msg struct
 // itself is pooled, so those references stay valid.
 func (m *Machine) freeMsg(msg *Msg) {
-	if m.rel != nil {
-		return
-	}
 	*msg = Msg{}
-	m.pool.msgs = append(m.pool.msgs, msg)
+	m.pool.msgs.Put(msg)
 }
 
-func (m *Machine) newDMAOp() *dmaOp {
-	if m.rel == nil {
-		if n := len(m.pool.dmas); n > 0 {
-			op := m.pool.dmas[n-1]
-			m.pool.dmas = m.pool.dmas[:n-1]
-			return op
-		}
-	}
-	return &dmaOp{}
-}
+func (m *Machine) newDMAOp() *dmaOp { return m.pool.dmas.Get() }
 
 func (m *Machine) freeDMAOp(op *dmaOp) {
-	if m.rel != nil {
-		return
-	}
 	*op = dmaOp{}
-	m.pool.dmas = append(m.pool.dmas, op)
+	m.pool.dmas.Put(op)
 }

@@ -148,14 +148,8 @@ type txOp struct {
 }
 
 func (m *Machine) newTxOp(ct *sim.Cont, kind txKind, src, dst, wire int, class fabric.Class, obj any, span *telemetry.Span, then func()) *txOp {
-	var o *txOp
-	if n := len(m.pool.txops); n > 0 {
-		o = m.pool.txops[n-1]
-		m.pool.txops = m.pool.txops[:n-1]
-	} else {
-		o = &txOp{m: m}
-	}
-	o.ct, o.kind, o.src, o.dst, o.wire, o.class, o.obj, o.span, o.then = ct, kind, src, dst, wire, class, obj, span, then
+	o := m.pool.txops.Get()
+	o.m, o.ct, o.kind, o.src, o.dst, o.wire, o.class, o.obj, o.span, o.then = m, ct, kind, src, dst, wire, class, obj, span, then
 	o.t0 = m.K.Now()
 	return o
 }
@@ -164,7 +158,7 @@ func (m *Machine) newTxOp(ct *sim.Cont, kind txKind, src, dst, wire int, class f
 func (o *txOp) finish() {
 	m, then := o.m, o.then
 	o.ct, o.obj, o.span, o.then, o.tx, o.done, o.res, o.buf = nil, nil, nil, nil, nil, nil, nil, nil
-	m.pool.txops = append(m.pool.txops, o)
+	m.pool.txops.Put(o)
 	then()
 }
 
@@ -487,6 +481,7 @@ func (e *dmaEngine) serveNext() {
 	if !ok {
 		panic(fmt.Sprintf("transport: node %d: bad DMA op %T", e.nd.ID, raw))
 	}
+	e.m.pool.dmas.Live(op)
 	op.span.Phase(telemetry.PhaseWire, op.sent, op.arrived)
 	e.cur = op
 	e.t0 = e.m.K.Now()

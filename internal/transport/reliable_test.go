@@ -6,6 +6,7 @@ import (
 
 	"xlupc/internal/fault"
 	"xlupc/internal/mem"
+	"xlupc/internal/pool"
 	"xlupc/internal/sim"
 )
 
@@ -345,5 +346,75 @@ func TestAckDuringRetransmitDoesNotOrphanTimer(t *testing.T) {
 	}
 	if rs := m.RelStats(); rs.Retransmits != 1 || rs.DupSuppressed != 1 {
 		t.Fatalf("want exactly one retransmit, suppressed as a duplicate: %+v", rs)
+	}
+}
+
+// relWindow's dedup answers exactly as a set of every delivered
+// sequence number would, over shuffled, duplicated arrivals.
+func TestRelWindowMatchesSet(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		var w relWindow
+		set := make(map[uint64]bool)
+		x := seed
+		for i := 0; i < 2000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			// Mostly near the window's edge, like retransmissions and
+			// duplicates; now and then far ahead of it.
+			seq := w.next + x%8
+			if x%97 == 0 {
+				seq = w.next + 50 + x%50
+			}
+			if x%5 == 0 && w.next > 0 {
+				seq = x % w.next
+			}
+			if dup := w.deliver(seq); dup != set[seq] {
+				t.Fatalf("seed %d arrival %d: seq %d dup=%v, set says %v", seed, i, seq, dup, set[seq])
+			}
+			set[seq] = true
+		}
+		for s := range w.above {
+			if s <= w.next {
+				t.Fatalf("seed %d: %d held above next %d", seed, s, w.next)
+			}
+		}
+	}
+}
+
+// On a lossy, duplicating wire the reliable layer recycles its packets
+// and ACKs: a ping costs no allocation beyond the pools' growth, and
+// once every packet is in, each channel's dedup state is one counter.
+func TestReliablePacketsRecycle(t *testing.T) {
+	if pool.Poison {
+		t.Skip("the xlupcpoison build allocates every pooled record afresh")
+	}
+	fc := fault.Config{Drop: 0.05, Corrupt: 0.02, Duplicate: 0.05, Delay: 0.1, DelayMax: 5 * sim.Us}
+	run := func(pings int) (m *Machine) {
+		k, mm := chaosMachine(t, 2, fc, DefaultRelConfig())
+		mm.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { then() })
+		k.Spawn("sender", func(p *sim.Proc) {
+			for i := 0; i < pings; i++ {
+				sendAM(mm, p, 0, 1, hPing, nil, nil, 0)
+				p.Sleep(100 * sim.Us) // one ping in flight: the population stays flat
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return mm
+	}
+	m := run(300)
+	if m.RelStats().Retransmits == 0 || m.RelStats().DupSuppressed == 0 {
+		t.Fatalf("hazards did not bite: %+v", m.RelStats())
+	}
+	for ch, w := range m.rel.seen {
+		if len(w.above) != 0 {
+			t.Errorf("channel %+v: %d arrivals still held above %d", ch, len(w.above), w.next)
+		}
+	}
+	allocs := func(pings int) float64 { return testing.AllocsPerRun(3, func() { run(pings) }) }
+	if per := (allocs(600) - allocs(300)) / 300; per > 0.25 {
+		t.Errorf("a reliable ping allocates %.2f (> 0.25): packets or ACKs are not recycled", per)
 	}
 }
