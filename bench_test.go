@@ -243,32 +243,6 @@ func BenchmarkAblationPinPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBarrier contrasts the hierarchical dissemination
-// barrier with a flat master/slave barrier at 64 nodes.
-func BenchmarkAblationBarrier(b *testing.B) {
-	run := func(flat bool) float64 {
-		c := core.Config{Threads: 64, Nodes: 64, Profile: transport.GM(),
-			Cache: core.NoCache(), Seed: 1, FlatBarrier: flat}
-		rt, err := core.NewRuntime(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := rt.Run(func(t *core.Thread) {
-			for i := 0; i < 8; i++ {
-				t.Barrier()
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st.Elapsed.Usecs()
-	}
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(run(false), "dissemination_us")
-		b.ReportMetric(run(true), "flat_us")
-	}
-}
-
 // --- Application kernels (the §6 future-work measurement) ----------------
 
 func appImprovement(b *testing.B, kernel func(*core.Thread) bool) float64 {

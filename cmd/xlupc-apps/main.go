@@ -53,6 +53,16 @@ func run(kernel string, threads, nodes int, prof *transport.Profile, cc core.Cac
 	return st.Elapsed, summary, ok
 }
 
+// profileFor resolves -profile and checks -threads/-nodes, so that a bad
+// value fails before any kernel runs.
+func profileFor(name string, threads, nodes int) (*transport.Profile, error) {
+	prof := transport.ByName(name)
+	if prof == nil {
+		return nil, fmt.Errorf("unknown profile %q", name)
+	}
+	return prof, bench.ValidateScale(threads, nodes)
+}
+
 func main() {
 	profName := flag.String("profile", "gm", "transport profile: gm, lapi, bgl, tcp")
 	threads := flag.Int("threads", 16, "UPC threads")
@@ -61,12 +71,8 @@ func main() {
 	pf := hostprof.Register(nil)
 	flag.Parse()
 
-	prof := transport.ByName(*profName)
-	if prof == nil {
-		fmt.Fprintf(os.Stderr, "xlupc-apps: unknown profile %q\n", *profName)
-		os.Exit(2)
-	}
-	if err := bench.ValidateScale(*threads, *nodes); err != nil {
+	prof, err := profileFor(*profName, *threads, *nodes)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-apps: %v\n", err)
 		os.Exit(2)
 	}

@@ -53,6 +53,19 @@ func fig8For(mark string, maxThreads int) (marks []string, scales []bench.Scale,
 	return marks, scales, nil
 }
 
+// adaptFor resolves -threads, -nodes and -seed into the options of the
+// adaptive-sizing figure, so that a machine it cannot run on (fewer than
+// three nodes: it needs a hot peer and a cold one besides its own) fails
+// before anything runs.
+func adaptFor(threads, nodes int, seed int64) (bench.AdaptOpts, error) {
+	o := bench.DefaultAdapt()
+	if threads > 0 || nodes > 0 {
+		o.Scale = bench.Scale{Threads: threads, Nodes: nodes}
+	}
+	o.Seed = seed
+	return o, o.Validate()
+}
+
 func main() {
 	mark := flag.String("mark", "both", "stressmark: pointer, neighborhood or both")
 	maxThreads := flag.Int("maxthreads", 512, "largest thread count of the sweep (paper: 2048)")
@@ -112,15 +125,13 @@ func main() {
 		}
 		bench.PrintPressure(os.Stdout, transport.GM(), o)
 	case *adapt:
-		o := bench.DefaultAdapt()
-		if *threads > 0 || *nodes > 0 {
-			o.Scale = bench.Scale{Threads: *threads, Nodes: *nodes}
-		}
-		if err := bench.ValidateScale(o.Scale.Threads, o.Scale.Nodes); err != nil {
+		o, err := adaptFor(*threads, *nodes, *seed)
+		if err != nil {
 			fatal(err)
 		}
-		o.Seed = *seed
-		bench.PrintAdaptCache(os.Stdout, transport.GM(), o)
+		if err := bench.PrintAdaptCache(os.Stdout, transport.GM(), o); err != nil {
+			fatal(err)
+		}
 	default:
 		var caps []int
 		for _, c := range strings.Split(*capsFlag, ",") {

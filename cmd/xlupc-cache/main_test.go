@@ -37,3 +37,31 @@ func TestFig8For(t *testing.T) {
 		}
 	}
 }
+
+func TestAdaptFor(t *testing.T) {
+	for _, c := range []struct {
+		threads, nodes int
+		scale          string // the machine run; "" = the figure default
+		err            string // substring of the error; "" = accepted
+	}{
+		{0, 0, "8-4", ""},
+		{6, 3, "6-3", ""},
+		{12, 6, "12-6", ""},
+		{2, 2, "", "-nodes (2) must be at least 3"},
+		{6, 2, "", "-nodes (2) must be at least 3"},
+		{1, 1, "", "-nodes (1) must be at least 3"},
+		{5, 3, "", "must be a multiple of -nodes (3)"},
+		{8, 0, "", "need positive -threads (8) and -nodes (0)"},
+	} {
+		o, err := adaptFor(c.threads, c.nodes, 11)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("adaptFor(%d, %d): error %v, want one mentioning %q", c.threads, c.nodes, err, c.err)
+			}
+			continue
+		}
+		if err != nil || o.Scale.String() != c.scale {
+			t.Errorf("adaptFor(%d, %d) = %v, %v; want %s", c.threads, c.nodes, o.Scale, err, c.scale)
+		}
+	}
+}

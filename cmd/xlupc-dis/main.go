@@ -26,11 +26,15 @@ type sweep struct {
 	scales []bench.Scale
 }
 
-// sweepsFor resolves -profile and -maxthreads into the sweeps to run,
-// so that a bad value fails before any of them starts: an unknown
-// profile, or a -maxthreads below a chosen profile's smallest machine,
-// which would print that profile's table with no rows.
-func sweepsFor(profName string, maxThreads int) ([]sweep, error) {
+// sweepsFor resolves -profile, -maxthreads and -reps into the sweeps to
+// run, so that a bad value fails before any of them starts: an unknown
+// profile, a -maxthreads below a chosen profile's smallest machine,
+// which would print that profile's table with no rows, or fewer than
+// one rep per point.
+func sweepsFor(profName string, maxThreads, reps int) ([]sweep, error) {
+	if err := bench.ParseSweepFlags(reps); err != nil {
+		return nil, err
+	}
 	names := []string{profName}
 	if profName == "both" {
 		names = []string{"gm", "lapi"}
@@ -63,7 +67,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	sweeps, err := sweepsFor(*profName, *maxThreads)
+	sweeps, err := sweepsFor(*profName, *maxThreads, *reps)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-dis: %v\n", err)
 		os.Exit(2)

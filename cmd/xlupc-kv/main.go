@@ -31,111 +31,131 @@ import (
 	"xlupc/internal/transport"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "xlupc-kv: "+format+"\n", args...)
-	os.Exit(2)
+// kvFlags are the command's flag values.
+type kvFlags struct {
+	profile                string
+	threads, nodes         int
+	ops, keys              int64
+	thetas, readmix        string
+	rate, sloUs, restartUs float64
+	losses, crashes        string
+	seed                   int64
+}
+
+// plan is what the flags resolve to: the transports, the machine, the
+// workload every point shares, and the values each sweep runs over.
+type plan struct {
+	profs                          []*transport.Profile
+	sc                             bench.Scale
+	base                           bench.KVOpts
+	thetas, mixes, losses, crashes []float64
+	restart                        sim.Time
+}
+
+// planFor checks every flag and resolves them into the runs to make, so
+// that a bad value fails before any run starts.
+func planFor(f kvFlags) (plan, error) {
+	p := plan{sc: bench.Scale{Threads: f.threads, Nodes: f.nodes}}
+	if err := bench.ValidateScale(f.threads, f.nodes); err != nil {
+		return p, err
+	}
+	if err := bench.ValidatePositive("-ops", f.ops); err != nil {
+		return p, err
+	}
+	if err := bench.ValidatePositive("-keys", f.keys); err != nil {
+		return p, err
+	}
+	var err error
+	if p.thetas, err = bench.ParseRates("-thetas", f.thetas); err != nil {
+		return p, err
+	}
+	if len(p.thetas) == 0 {
+		return p, fmt.Errorf("no skew values")
+	}
+	if p.mixes, err = bench.ParseFracs("-readmix", f.readmix); err != nil {
+		return p, err
+	}
+	if len(p.mixes) == 0 {
+		return p, fmt.Errorf("no read-mix values")
+	}
+	if math.IsNaN(f.rate) || math.IsInf(f.rate, 0) || f.rate < 0 {
+		return p, fmt.Errorf("bad -rate %v (want finite, >= 0)", f.rate)
+	}
+	if math.IsNaN(f.sloUs) || math.IsInf(f.sloUs, 0) || f.sloUs <= 0 {
+		return p, fmt.Errorf("bad -slo-us %v (want finite, > 0)", f.sloUs)
+	}
+	if math.IsNaN(f.restartUs) || math.IsInf(f.restartUs, 0) || f.restartUs <= 0 || f.restartUs > 1e6 {
+		return p, fmt.Errorf("bad -restart-delay %v (want 0 < µs <= 1e6)", f.restartUs)
+	}
+	if p.losses, err = bench.ParseRates("-losses", f.losses); err != nil {
+		return p, err
+	}
+	if p.crashes, err = bench.ParseRates("-crashes", f.crashes); err != nil {
+		return p, err
+	}
+	p.restart = sim.Time(f.restartUs * float64(sim.Us))
+	if f.profile == "both" {
+		p.profs = []*transport.Profile{transport.GM(), transport.LAPI()}
+	} else if prof := transport.ByName(f.profile); prof != nil {
+		p.profs = []*transport.Profile{prof}
+	} else {
+		return p, fmt.Errorf("unknown profile %q", f.profile)
+	}
+	p.base = bench.KVOpts{
+		Ops: f.ops, Keys: f.keys, Rate: f.rate,
+		SLO: sim.Duration(f.sloUs * float64(sim.Us)), Seed: f.seed,
+	}
+	return p, nil
 }
 
 func main() {
-	profName := flag.String("profile", "both", "transport profile: gm, lapi or both")
-	threads := flag.Int("threads", 8, "UPC threads (= KV shards)")
-	nodes := flag.Int("nodes", 4, "cluster nodes")
-	ops := flag.Int64("ops", 200, "operations per thread")
-	keys := flag.Int64("keys", 4096, "key population")
-	thetaList := flag.String("thetas", "0,0.9,0.99", "comma-separated Zipfian skews in [0,1) for the skew sweep; SLO curves use the last (most skewed)")
-	mixList := flag.String("readmix", "0.9", "comma-separated GET fractions in [0,1]; SLO curves use the first")
-	rate := flag.Float64("rate", 150000, "offered rate per thread in ops/s (0 = closed loop)")
-	sloUs := flag.Float64("slo-us", 200, "per-op latency SLO in µs for availability accounting")
-	lossList := flag.String("losses", "0,0.01,0.05", "comma-separated packet-loss rates for the SLO curve (empty disables it)")
-	crashList := flag.String("crashes", "0,0.1", "comma-separated node crash rates for the SLO curve (empty disables it)")
-	restartUs := flag.Float64("restart-delay", 150, "maximum node restart delay in µs for the crash curve")
-	seed := flag.Int64("seed", 1, "simulation seed (drives keys, mixes and every injected fault)")
+	var f kvFlags
+	flag.StringVar(&f.profile, "profile", "both", "transport profile: gm, lapi or both")
+	flag.IntVar(&f.threads, "threads", 8, "UPC threads (= KV shards)")
+	flag.IntVar(&f.nodes, "nodes", 4, "cluster nodes")
+	flag.Int64Var(&f.ops, "ops", 200, "operations per thread")
+	flag.Int64Var(&f.keys, "keys", 4096, "key population")
+	flag.StringVar(&f.thetas, "thetas", "0,0.9,0.99", "comma-separated Zipfian skews in [0,1) for the skew sweep; SLO curves use the last (most skewed)")
+	flag.StringVar(&f.readmix, "readmix", "0.9", "comma-separated GET fractions in [0,1]; SLO curves use the first")
+	flag.Float64Var(&f.rate, "rate", 150000, "offered rate per thread in ops/s (0 = closed loop)")
+	flag.Float64Var(&f.sloUs, "slo-us", 200, "per-op latency SLO in µs for availability accounting")
+	flag.StringVar(&f.losses, "losses", "0,0.01,0.05", "comma-separated packet-loss rates for the SLO curve (empty disables it)")
+	flag.StringVar(&f.crashes, "crashes", "0,0.1", "comma-separated node crash rates for the SLO curve (empty disables it)")
+	flag.Float64Var(&f.restartUs, "restart-delay", 150, "maximum node restart delay in µs for the crash curve")
+	flag.Int64Var(&f.seed, "seed", 1, "simulation seed (drives keys, mixes and every injected fault)")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
 	bench.SetParallelism(*parallel)
-
-	if err := bench.ValidateScale(*threads, *nodes); err != nil {
-		fatalf("%v", err)
-	}
-	if err := bench.ValidatePositive("-ops", *ops); err != nil {
-		fatalf("%v", err)
-	}
-	if err := bench.ValidatePositive("-keys", *keys); err != nil {
-		fatalf("%v", err)
-	}
-	thetas, err := bench.ParseRates("-thetas", *thetaList)
+	p, err := planFor(f)
 	if err != nil {
-		fatalf("%v", err)
-	}
-	if len(thetas) == 0 {
-		fatalf("no skew values")
-	}
-	mixes, err := bench.ParseFracs("-readmix", *mixList)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if len(mixes) == 0 {
-		fatalf("no read-mix values")
-	}
-	if math.IsNaN(*rate) || math.IsInf(*rate, 0) || *rate < 0 {
-		fatalf("bad -rate %v (want finite, >= 0)", *rate)
-	}
-	if math.IsNaN(*sloUs) || math.IsInf(*sloUs, 0) || *sloUs <= 0 {
-		fatalf("bad -slo-us %v (want finite, > 0)", *sloUs)
-	}
-	if math.IsNaN(*restartUs) || math.IsInf(*restartUs, 0) || *restartUs <= 0 || *restartUs > 1e6 {
-		fatalf("bad -restart-delay %v (want 0 < µs <= 1e6)", *restartUs)
-	}
-	losses, err := bench.ParseRates("-losses", *lossList)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	crashes, err := bench.ParseRates("-crashes", *crashList)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	restart := sim.Time(*restartUs * float64(sim.Us))
-
-	var profs []*transport.Profile
-	if *profName == "both" {
-		profs = []*transport.Profile{transport.GM(), transport.LAPI()}
-	} else {
-		prof := transport.ByName(*profName)
-		if prof == nil {
-			fatalf("unknown profile %q", *profName)
-		}
-		profs = []*transport.Profile{prof}
+		fmt.Fprintf(os.Stderr, "xlupc-kv: %v\n", err)
+		os.Exit(2)
 	}
 
 	stopProf := pf.MustStart("xlupc-kv")
 	defer stopProf()
 
-	sc := bench.Scale{Threads: *threads, Nodes: *nodes}
-	base := bench.KVOpts{
-		Ops: *ops, Keys: *keys, Rate: *rate,
-		SLO: sim.Duration(*sloUs * float64(sim.Us)), Seed: *seed,
-	}
-	for _, prof := range profs {
-		for _, mix := range mixes {
-			o := base
+	for _, prof := range p.profs {
+		for _, mix := range p.mixes {
+			o := p.base
 			o.ReadFrac = mix
-			bench.PrintKVSkew(os.Stdout, prof, sc, thetas, o)
+			bench.PrintKVSkew(os.Stdout, prof, p.sc, p.thetas, o)
 			fmt.Println()
 		}
 		// The SLO curves run at the sweep's most skewed point (the
 		// cache-friendliest, so hazards — not misses — set the tail)
 		// and its first read mix.
-		o := base
-		o.ReadFrac, o.Theta = mixes[0], thetas[len(thetas)-1]
-		if len(losses) > 0 {
-			pts := bench.KVLossCurve(prof, sc, losses, o)
-			bench.PrintKVSLO(os.Stdout, "loss", prof, sc, pts, o)
+		o := p.base
+		o.ReadFrac, o.Theta = p.mixes[0], p.thetas[len(p.thetas)-1]
+		if len(p.losses) > 0 {
+			pts := bench.KVLossCurve(prof, p.sc, p.losses, o)
+			bench.PrintKVSLO(os.Stdout, "loss", prof, p.sc, pts, o)
 			fmt.Println()
 		}
-		if len(crashes) > 0 {
-			pts := bench.KVCrashCurve(prof, sc, crashes, restart, o)
-			bench.PrintKVSLO(os.Stdout, "crash", prof, sc, pts, o)
+		if len(p.crashes) > 0 {
+			pts := bench.KVCrashCurve(prof, p.sc, p.crashes, p.restart, o)
+			bench.PrintKVSLO(os.Stdout, "crash", prof, p.sc, pts, o)
 			fmt.Println()
 		}
 	}

@@ -21,22 +21,60 @@ import (
 	"xlupc/internal/transport"
 )
 
+// microFlags are the command's flag values that select and shape a
+// figure.
+type microFlags struct {
+	op                             string
+	reps                           int
+	absolute, miss, coalesce, gups bool
+	threads, nodes                 int
+	updates, words                 int64
+}
+
+// opFor checks the flags the selected figure reads and resolves -op,
+// which only Figure 6 reads, so that a bad value fails before any sweep
+// starts.
+func opFor(f microFlags) (bench.Op, error) {
+	if err := bench.ParseSweepFlags(f.reps); err != nil {
+		return 0, err
+	}
+	switch {
+	case f.gups:
+		if err := bench.ValidateScale(f.threads, f.nodes); err != nil {
+			return 0, err
+		}
+		if f.updates <= 0 || f.words <= 0 {
+			return 0, fmt.Errorf("-updates (%d) and -words (%d) must be positive", f.updates, f.words)
+		}
+	case f.absolute, f.miss, f.coalesce:
+	case f.op == "get":
+		return bench.OpGet, nil
+	case f.op == "put":
+		return bench.OpPut, nil
+	default:
+		return 0, fmt.Errorf("unknown op %q (want get or put)", f.op)
+	}
+	return 0, nil
+}
+
 func main() {
-	op := flag.String("op", "get", "operation for the Figure 6 sweep: get or put")
-	reps := flag.Int("reps", 20, "measured repetitions per point")
+	var f microFlags
+	flag.StringVar(&f.op, "op", "get", "operation for the Figure 6 sweep: get or put")
+	flag.IntVar(&f.reps, "reps", 20, "measured repetitions per point")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	absolute := flag.Bool("absolute", false, "emit Figure 7 (absolute latencies) instead")
-	miss := flag.Bool("missoverhead", false, "emit the miss-overhead measurement instead")
-	coalesce := flag.Bool("coalesce", false, "emit the split-phase coalescing batch-size figure instead")
-	gups := flag.Bool("gups", false, "emit the GUPS remote-atomic figure instead (GET+PUT vs split-phase vs remote-atomic)")
-	threads := flag.Int("threads", 8, "UPC threads for the GUPS figure")
-	nodes := flag.Int("nodes", 4, "cluster nodes for the GUPS figure")
-	updates := flag.Int64("updates", 96, "updates per thread for the GUPS figure")
-	words := flag.Int64("words", 256, "table words per thread for the GUPS figure")
+	flag.BoolVar(&f.absolute, "absolute", false, "emit Figure 7 (absolute latencies) instead")
+	flag.BoolVar(&f.miss, "missoverhead", false, "emit the miss-overhead measurement instead")
+	flag.BoolVar(&f.coalesce, "coalesce", false, "emit the split-phase coalescing batch-size figure instead")
+	flag.BoolVar(&f.gups, "gups", false, "emit the GUPS remote-atomic figure instead (GET+PUT vs split-phase vs remote-atomic)")
+	flag.IntVar(&f.threads, "threads", 8, "UPC threads for the GUPS figure")
+	flag.IntVar(&f.nodes, "nodes", 4, "cluster nodes for the GUPS figure")
+	flag.Int64Var(&f.updates, "updates", 96, "updates per thread for the GUPS figure")
+	flag.Int64Var(&f.words, "words", 256, "table words per thread for the GUPS figure")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	if err := bench.ParseSweepFlags(*reps); err != nil {
+	op, err := opFor(f)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
 		os.Exit(2)
 	}
@@ -45,41 +83,23 @@ func main() {
 	defer stopProf()
 
 	switch {
-	case *gups:
-		if err := bench.ValidateScale(*threads, *nodes); err != nil {
-			fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
-			os.Exit(2)
-		}
-		if *updates <= 0 || *words <= 0 {
-			fmt.Fprintf(os.Stderr, "xlupc-micro: -updates (%d) and -words (%d) must be positive\n", *updates, *words)
-			os.Exit(2)
-		}
-		o := bench.GUPSOpts{Words: *words, Updates: *updates, Seed: *seed}
-		sc := bench.Scale{Threads: *threads, Nodes: *nodes}
+	case f.gups:
+		o := bench.GUPSOpts{Words: f.words, Updates: f.updates, Seed: *seed}
+		sc := bench.Scale{Threads: f.threads, Nodes: f.nodes}
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 			bench.PrintGUPS(os.Stdout, prof, sc, o)
 			fmt.Println()
 		}
-	case *coalesce:
-		bench.PrintCoalesce(os.Stdout, *reps, *seed)
-	case *miss:
+	case f.coalesce:
+		bench.PrintCoalesce(os.Stdout, f.reps, *seed)
+	case f.miss:
 		fmt.Println("# Miss overhead: cache machinery enabled but every lookup missing")
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 			fmt.Printf("%8s %6.2f%%\n", prof.Name, bench.MissOverhead(prof, *seed))
 		}
-	case *absolute:
-		bench.PrintFig7(os.Stdout, *reps, *seed)
+	case f.absolute:
+		bench.PrintFig7(os.Stdout, f.reps, *seed)
 	default:
-		var o bench.Op
-		switch *op {
-		case "get":
-			o = bench.OpGet
-		case "put":
-			o = bench.OpPut
-		default:
-			fmt.Fprintf(os.Stderr, "xlupc-micro: unknown op %q (want get or put)\n", *op)
-			os.Exit(2)
-		}
-		bench.PrintFig6(os.Stdout, o, *reps, *seed)
+		bench.PrintFig6(os.Stdout, op, f.reps, *seed)
 	}
 }

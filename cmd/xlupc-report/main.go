@@ -5,10 +5,7 @@
 // EXPERIMENTS.md).
 //
 // The -full flag runs the sweeps at the paper's largest scales
-// (2048 threads / 512 nodes); the default is a faster subset. -host
-// appends a host-performance table (simulator cost per kernel event);
-// its columns are host-side and vary run to run, unlike everything
-// else the command prints.
+// (2048 threads / 512 nodes); the default is a faster subset.
 package main
 
 import (
@@ -31,18 +28,31 @@ func section(w io.Writer, title, expectation string) {
 	fmt.Fprintln(w, "==============================================================")
 }
 
+// machinesFor resolves -full and -reps into the largest machine of the
+// GM, LAPI and Figure 8 sweeps, so that a bad -reps fails before any
+// figure runs.
+func machinesFor(full bool, reps int) (maxGM, maxLAPI, maxFig8 int, err error) {
+	if err := bench.ParseSweepFlags(reps); err != nil {
+		return 0, 0, 0, err
+	}
+	if full {
+		return 2048, 448, 2048, nil
+	}
+	return 256, 128, 512, nil
+}
+
 func main() {
 	full := flag.Bool("full", false, "run at the paper's largest scales (slower)")
 	reps := flag.Int("reps", 10, "microbenchmark repetitions per point")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
-	host := flag.Bool("host", false, "append the host-performance table (wall clock, kernel events/s, allocs per event; host-side, not deterministic)")
 	scale := flag.Bool("scale", false, "append the big-scale sweep (32k threads / 1k nodes with -full, 8k / 256 otherwise); virtual columns are deterministic, host columns are not")
 	flightOn := flag.Bool("flight", false, "attach a flight recorder to the chaos/crash runs; a failing run dumps its last events per involved node to stderr (costs no virtual time: report figures are unchanged)")
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean report writes an on-demand representative capture there instead")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	if err := bench.ParseSweepFlags(*reps); err != nil {
+	maxGM, maxLAPI, maxFig8, err := machinesFor(*full, *reps)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
 	}
@@ -55,10 +65,6 @@ func main() {
 	}
 	stopProf := pf.MustStart("xlupc-report")
 
-	maxGM, maxLAPI, maxFig8 := 256, 128, 512
-	if *full {
-		maxGM, maxLAPI, maxFig8 = 2048, 448, 2048
-	}
 	// Everything goes through one buffered, flush-checked writer: a
 	// full disk or closed pipe must turn into a nonzero exit, not a
 	// silently truncated reproduction record.
@@ -126,14 +132,6 @@ func main() {
 	section(w, "Phase attribution (§4.6, telemetry)",
 		"the abnormal GM access times are target-CPU time: AM handlers stall behind the busy compute CPU; LAPI's dedicated comm processor absorbs them")
 	bench.PrintPhaseBreakdown(w, *seed)
-
-	if *host {
-		section(w, "Host performance (simulator cost; see PROFILING.md)",
-			"n/a — host-side figures, not from the paper; wall-clock columns vary run to run")
-		if _, err := bench.PrintHost(w, transport.GM(), bench.Scale{Threads: 16, Nodes: 4}, *seed); err != nil {
-			fail(err)
-		}
-	}
 
 	if *scale {
 		o := bench.DefaultBigOpts()

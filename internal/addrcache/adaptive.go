@@ -33,8 +33,6 @@ type AdaptiveConfig struct {
 	// Window is the number of lookups between re-apportionments;
 	// 0 means DefaultAdaptWindow.
 	Window int
-	// MinPer is the per-peer floor share; 0 means DefaultMinPer.
-	MinPer int
 }
 
 func (c AdaptiveConfig) effWindow() int {
@@ -42,13 +40,6 @@ func (c AdaptiveConfig) effWindow() int {
 		return DefaultAdaptWindow
 	}
 	return c.Window
-}
-
-func (c AdaptiveConfig) effMinPer() int {
-	if c.MinPer <= 0 {
-		return DefaultMinPer
-	}
-	return c.MinPer
 }
 
 // peerState is what adaptive sizing keeps per target node.
@@ -69,10 +60,9 @@ type adaptState struct {
 
 // NewAdaptive returns a cache whose capacity is cfg.Budget, divided
 // into per-peer shares that track observed hit rates. The replacement
-// policy within a share is LRU; seed is accepted for signature parity
-// with New but unused.
-func NewAdaptive(cfg AdaptiveConfig, seed int64) *Cache {
-	c := New(cfg.Budget, LRU, seed)
+// policy within a share is LRU.
+func NewAdaptive(cfg AdaptiveConfig) *Cache {
+	c := New(cfg.Budget, LRU, 0)
 	c.adapt = &adaptState{cfg: cfg}
 	return c
 }
@@ -85,7 +75,7 @@ func (c *Cache) Share(node int32) int {
 	if i, ok := c.adapt.find(node); ok {
 		return c.adapt.peers[i].share
 	}
-	return c.adapt.cfg.effMinPer()
+	return DefaultMinPer
 }
 
 // Resident reports how many cached entries target the peer.
@@ -112,7 +102,7 @@ func (a *adaptState) peer(node int32) *peerState {
 	if !ok {
 		a.peers = append(a.peers, peerState{})
 		copy(a.peers[i+1:], a.peers[i:])
-		a.peers[i] = peerState{node: node, share: a.cfg.effMinPer()}
+		a.peers[i] = peerState{node: node, share: DefaultMinPer}
 	}
 	return &a.peers[i]
 }
@@ -143,21 +133,17 @@ func (c *Cache) reapportion() {
 	if n == 0 || budget <= 0 {
 		return
 	}
-	minPer := a.cfg.effMinPer()
-	if minPer*n > budget {
+	if DefaultMinPer*n > budget {
 		// Budget can't even cover the floors: hand out floors in id
 		// order until it runs dry.
 		left := budget
 		for i := range a.peers {
-			s := minPer
-			if s > left {
-				s = left
-			}
+			s := min(DefaultMinPer, left)
 			a.peers[i].share = s
 			left -= s
 		}
 	} else {
-		extra := budget - minPer*n
+		extra := budget - DefaultMinPer*n
 		var hits int64
 		for i := range a.peers {
 			hits += a.peers[i].winHits
@@ -195,7 +181,7 @@ func (c *Cache) reapportion() {
 				claims[i].base++
 				given++
 			}
-			claims[i].p.share = minPer + claims[i].base
+			claims[i].p.share = DefaultMinPer + claims[i].base
 		}
 	}
 	for i := range a.peers {

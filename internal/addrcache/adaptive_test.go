@@ -21,7 +21,7 @@ func touch(c *Cache, k Key) bool {
 // hits, the re-apportionment hands that peer most of the budget while
 // the others keep the floor share.
 func TestAdaptiveSharesFollowHits(t *testing.T) {
-	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 16}, 1)
+	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 16})
 	if c.Share(1) != DefaultMinPer || c.Capacity() != 6 {
 		t.Fatal("adaptive cache misconfigured")
 	}
@@ -51,7 +51,7 @@ func TestAdaptiveSharesFollowHits(t *testing.T) {
 func TestAdaptiveEvictsOverSharePeer(t *testing.T) {
 	// Window wider than the burst: the hot peer's claim from the last
 	// re-apportionment stays in force while the pollution streams by.
-	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 32}, 1)
+	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 32})
 	// Establish the hot peer's claim over a full window.
 	for i := 0; i < 32; i++ {
 		touch(c, adaptKey(uint64(i%4), 1))
@@ -79,7 +79,7 @@ func TestAdaptiveEvictsOverSharePeer(t *testing.T) {
 // When the per-peer floor cannot fit the budget, floors are granted in
 // ascending peer order and the rest get nothing — deterministically.
 func TestAdaptiveFloorOverflowDeterministic(t *testing.T) {
-	c := NewAdaptive(AdaptiveConfig{Budget: 2, Window: 4, MinPer: 1}, 1)
+	c := NewAdaptive(AdaptiveConfig{Budget: 2, Window: 4})
 	for i := 0; i < 8; i++ {
 		touch(c, adaptKey(uint64(i), int32(1+i%4))) // four peers, one key each
 	}
@@ -96,7 +96,7 @@ func TestAdaptiveFloorOverflowDeterministic(t *testing.T) {
 // shares and residency, run after run — no map-iteration-order leaks.
 func TestAdaptiveDeterministic(t *testing.T) {
 	run := func() (Stats, []int, []int) {
-		c := NewAdaptive(AdaptiveConfig{Budget: 5, Window: 8}, 9)
+		c := NewAdaptive(AdaptiveConfig{Budget: 5, Window: 8})
 		x := uint64(88172645463325252)
 		for i := 0; i < 500; i++ {
 			x ^= x << 13
@@ -125,7 +125,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 
 // Invalidation keeps the per-peer residency accounting honest.
 func TestAdaptiveInvalidateAccounting(t *testing.T) {
-	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 8}, 1)
+	c := NewAdaptive(AdaptiveConfig{Budget: 6, Window: 8})
 	for i := 0; i < 3; i++ {
 		touch(c, adaptKey(uint64(i), 1))
 	}

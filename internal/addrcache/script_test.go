@@ -46,13 +46,11 @@ func scriptCases() []scriptCase {
 	}
 	for _, budget := range []int{6, 24} {
 		for _, window := range []int{16, 128} {
-			for _, minPer := range []int{1, 2} {
-				for _, peers := range []int{2, 5, 9} {
-					cfg := AdaptiveConfig{Budget: budget, Window: window, MinPer: minPer}
-					cs = append(cs, scriptCase{
-						fmt.Sprintf("adaptive-b%d-w%d-m%d-p%d", budget, window, minPer, peers),
-						func() *Cache { return NewAdaptive(cfg, 1) }, peers, 2*budget/peers + 3})
-				}
+			for _, peers := range []int{2, 5, 9} {
+				cfg := AdaptiveConfig{Budget: budget, Window: window}
+				cs = append(cs, scriptCase{
+					fmt.Sprintf("adaptive-b%d-w%d-m%d-p%d", budget, window, DefaultMinPer, peers),
+					func() *Cache { return NewAdaptive(cfg) }, peers, 2*budget/peers + 3})
 			}
 		}
 	}

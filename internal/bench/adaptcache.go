@@ -58,6 +58,19 @@ func DefaultAdapt() AdaptOpts {
 	}
 }
 
+// Validate checks the machine the figure needs: a valid hybrid scale
+// with a hot peer and at least one cold peer besides the reader's own
+// node, so at least three nodes.
+func (o AdaptOpts) Validate() error {
+	if err := ValidateScale(o.Scale.Threads, o.Scale.Nodes); err != nil {
+		return err
+	}
+	if o.Scale.Nodes < 3 {
+		return fmt.Errorf("-nodes (%d) must be at least 3: the adaptive figure reads a hot peer and cold peers besides its own node", o.Scale.Nodes)
+	}
+	return nil
+}
+
 // adaptTarget resolves step (i, j) of thread tid's access stream to an
 // (array, owner node) pair: hot-peer reads over the adaptHot-array hot
 // set, with every eighth step a burst of adaptBurst reads rotating over
@@ -146,21 +159,28 @@ func adaptCacheConfig(o AdaptOpts, adaptive bool) core.CacheConfig {
 }
 
 // AdaptSweep runs fixed and adaptive sizing at the identical budget and
-// verifies both computed the same checksum.
-func AdaptSweep(prof *transport.Profile, o AdaptOpts) (fixed, adaptive AdaptPoint) {
+// verifies both computed the same checksum. Options that fail Validate
+// are an error, before anything runs.
+func AdaptSweep(prof *transport.Profile, o AdaptOpts) (fixed, adaptive AdaptPoint, err error) {
+	if err := o.Validate(); err != nil {
+		return fixed, adaptive, err
+	}
 	pts := make([]AdaptPoint, 2)
 	parfor(2, func(i int) { pts[i] = runAdapt(prof, o, i == 1) })
 	if pts[0].Checksum != pts[1].Checksum {
 		panic(fmt.Sprintf("bench: adaptive cache changed program output: fixed=%#x adaptive=%#x",
 			pts[0].Checksum, pts[1].Checksum))
 	}
-	return pts[0], pts[1]
+	return pts[0], pts[1], nil
 }
 
 // PrintAdaptCache emits the adaptive address-cache figure with a
-// machine-readable "# gate" line for CI.
-func PrintAdaptCache(w io.Writer, prof *transport.Profile, o AdaptOpts) (fixed, adaptive AdaptPoint) {
-	fixed, adaptive = AdaptSweep(prof, o)
+// machine-readable "# gate" line.
+func PrintAdaptCache(w io.Writer, prof *transport.Profile, o AdaptOpts) error {
+	fixed, adaptive, err := AdaptSweep(prof, o)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "# Adaptive address-cache sizing on %s (%d threads / %d nodes, budget %d entries/node, window %d, hot %d keys, burst %d)\n",
 		prof.Name, o.Scale.Threads, o.Scale.Nodes, o.Budget, o.Window, adaptHot, adaptBurst)
 	fmt.Fprintf(w, "%9s %12s %8s %8s %8s %8s %9s\n",
@@ -172,5 +192,5 @@ func PrintAdaptCache(w io.Writer, prof *transport.Profile, o AdaptOpts) (fixed, 
 	}
 	fmt.Fprintf(w, "# gate adaptive-hit=%.3f fixed-hit=%.3f checksum=%#x\n",
 		adaptive.Run.Cache.HitRate(), fixed.Run.Cache.HitRate(), fixed.Checksum)
-	return fixed, adaptive
+	return nil
 }

@@ -112,18 +112,23 @@ func CoalesceSweep(prof *transport.Profile, sizes, batches []int, reps int, seed
 	return pts
 }
 
+// coalSizes and coalBatches are the element and batch sizes the
+// coalescing figure sweeps.
+var (
+	coalSizes   = []int{8, 64, 1024}
+	coalBatches = []int{1, 2, 4, 8, 16, 32}
+)
+
 // PrintCoalesce renders the batched-vs-unbatched figure for GM and
 // LAPI: per-element latency and throughput of small GETs against batch
 // size, blocking loop versus split-phase with coalescing.
 func PrintCoalesce(w io.Writer, reps int, seed int64) {
-	sizes := []int{8, 64, 1024}
-	batches := []int{1, 2, 4, 8, 16, 32}
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		fmt.Fprintf(w, "Split-phase GET coalescing — %s (per-element latency, µs)\n", prof.Name)
 		fmt.Fprintf(w, "%6s %6s %12s %12s %9s %12s %12s %9s %10s\n",
 			"size", "batch", "eager-block", "eager-coal", "impr%",
 			"rdma-block", "rdma-coal", "impr%", "coal MB/s")
-		for _, pt := range CoalesceSweep(prof, sizes, batches, reps, seed) {
+		for _, pt := range CoalesceSweep(prof, coalSizes, coalBatches, reps, seed) {
 			mbps := 0.0
 			if pt.RDMACoalUs > 0 {
 				mbps = float64(pt.Size) / pt.RDMACoalUs // bytes/µs = MB/s

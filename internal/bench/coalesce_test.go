@@ -9,18 +9,34 @@ import (
 
 // The acceptance criterion for the split-phase work: batched small GETs
 // (size ≤ 1 KB, batch ≥ 8) must beat the blocking loop's per-element
-// latency on both GM and LAPI, on the eager and RDMA paths alike.
+// latency on both GM and LAPI, on the eager and RDMA paths alike. The
+// second input is every batch ≥ 8 of what `xlupc-micro -coalesce -reps 3
+// -seed 7` prints.
 func TestCoalesceBeatsBlockingSmallBatches(t *testing.T) {
 	const reps = 3
-	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		for _, pt := range CoalesceSweep(prof, []int{8, 1024}, []int{8, 16}, reps, 1) {
-			if pt.EagerCoalUs >= pt.EagerBlockUs {
-				t.Errorf("%s size=%d batch=%d: eager coalesced %.2fµs not below blocking %.2fµs",
-					prof.Name, pt.Size, pt.Batch, pt.EagerCoalUs, pt.EagerBlockUs)
-			}
-			if pt.RDMACoalUs >= pt.RDMABlockUs {
-				t.Errorf("%s size=%d batch=%d: rdma coalesced %.2fµs not below blocking %.2fµs",
-					prof.Name, pt.Size, pt.Batch, pt.RDMACoalUs, pt.RDMABlockUs)
+	var figBatches []int
+	for _, b := range coalBatches {
+		if b >= 8 {
+			figBatches = append(figBatches, b)
+		}
+	}
+	for _, in := range []struct {
+		sizes, batches []int
+		seed           int64
+	}{
+		{[]int{8, 1024}, []int{8, 16}, 1},
+		{coalSizes, figBatches, 7},
+	} {
+		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
+			for _, pt := range CoalesceSweep(prof, in.sizes, in.batches, reps, in.seed) {
+				if pt.EagerCoalUs >= pt.EagerBlockUs {
+					t.Errorf("%s seed=%d size=%d batch=%d: eager coalesced %.2fµs not below blocking %.2fµs",
+						prof.Name, in.seed, pt.Size, pt.Batch, pt.EagerCoalUs, pt.EagerBlockUs)
+				}
+				if pt.RDMACoalUs >= pt.RDMABlockUs {
+					t.Errorf("%s seed=%d size=%d batch=%d: rdma coalesced %.2fµs not below blocking %.2fµs",
+						prof.Name, in.seed, pt.Size, pt.Batch, pt.RDMACoalUs, pt.RDMABlockUs)
+				}
 			}
 		}
 	}

@@ -46,20 +46,20 @@ func TestGUPSDeterminism(t *testing.T) {
 // workload checksums (GUPSSweep panics on divergence) and fewer
 // messages on the wire.
 func TestGUPSAtomicBeatsGetPut(t *testing.T) {
-	o := gupsOpts()
-	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		pts := GUPSSweep(prof, o.Scale, o)
-		base, atomic := pts[0].Result, pts[2].Result
-		if atomic.Checksum != base.Checksum {
-			t.Errorf("%s: atomic checksum %#x != getput %#x", prof.Name, atomic.Checksum, base.Checksum)
-		}
-		if atomic.Elapsed >= base.Elapsed {
-			t.Errorf("%s: atomic update phase %v not faster than getput %v",
-				prof.Name, atomic.Elapsed, base.Elapsed)
-		}
-		if atomic.Run.Messages >= base.Run.Messages {
-			t.Errorf("%s: atomic sent %d messages, getput %d — expected fewer",
-				prof.Name, atomic.Run.Messages, base.Run.Messages)
+	// The second input is what `xlupc-micro -gups -seed 7` prints.
+	cli := GUPSOpts{Scale: Scale{Threads: 8, Nodes: 4}, Words: 256, Updates: 96, Seed: 7}
+	for _, o := range []GUPSOpts{gupsOpts(), cli} {
+		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
+			pts := GUPSSweep(prof, o.Scale, o)
+			base, atomic := pts[0].Result, pts[2].Result
+			if atomic.Elapsed >= base.Elapsed {
+				t.Errorf("%s seed %d: atomic update phase %v not faster than getput %v",
+					prof.Name, o.Seed, atomic.Elapsed, base.Elapsed)
+			}
+			if atomic.Run.Messages >= base.Run.Messages {
+				t.Errorf("%s seed %d: atomic sent %d messages, getput %d — expected fewer",
+					prof.Name, o.Seed, atomic.Run.Messages, base.Run.Messages)
+			}
 		}
 	}
 }

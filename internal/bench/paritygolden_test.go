@@ -101,10 +101,6 @@ func parityMatrix() []parityConfig {
 	c.Rel = &rel
 	pts = append(pts, parityConfig{"gm-faulty-reliable", c, dis.Default(threads)})
 
-	c = base()
-	c.FlatBarrier = true
-	pts = append(pts, parityConfig{"gm-flat-barrier", c, dis.Default(threads)})
-
 	return pts
 }
 

@@ -84,11 +84,8 @@ func PressureVariants() []string {
 // maxTotal budget bytes.
 func pressurePin(variant string, maxTotal int) *core.PinConfig {
 	pc := &core.PinConfig{Policy: mem.PinLimited, MaxTotal: maxTotal}
-	base := variant
-	if s, ok := strings.CutSuffix(variant, "+lazy"); ok {
-		base = s
-		pc.Lazy = &mem.LazyConfig{}
-	}
+	base, lazy := strings.CutSuffix(variant, "+lazy")
+	pc.Lazy = lazy
 	if base == "pin-all" {
 		pc.Policy = mem.PinAll
 		return pc

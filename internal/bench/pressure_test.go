@@ -8,6 +8,7 @@ package bench
 // sweep across repeats and sweep parallelism.
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -54,11 +55,19 @@ func TestPressureSweepParallelismInvariant(t *testing.T) {
 }
 
 // TestPressureGates asserts the degradation story the figure exists to
-// show, at the published configuration: under a tight budget LRU
+// show, at the published configuration and at what `xlupc-cache
+// -pressure` prints (its -seed defaults to 1): under a tight budget LRU
 // thrashes while at least one adaptive rung holds up, and at a full
 // budget the lazy registration cache beats eager pin-all outright.
 func TestPressureGates(t *testing.T) {
-	o := DefaultPressure()
+	cli := DefaultPressure()
+	cli.Seed = 1
+	for _, o := range []PressureOpts{DefaultPressure(), cli} {
+		t.Run(fmt.Sprintf("seed%d", o.Seed), func(t *testing.T) { checkPressureGates(t, o) })
+	}
+}
+
+func checkPressureGates(t *testing.T, o PressureOpts) {
 	pts := PressureSweep(transport.GM(), o)
 	nv := len(o.variants())
 	row := func(fi int) []PressurePoint { return pts[fi*nv : (fi+1)*nv] }
@@ -101,6 +110,18 @@ func TestPressureGates(t *testing.T) {
 	if lazy.Run.Elapsed >= eager.Run.Elapsed {
 		t.Fatalf("lazy registration cache lost to eager pin-all: lazy=%v eager=%v", lazy.Run.Elapsed, eager.Run.Elapsed)
 	}
+	// The figure's "# gate" row: the best rung beyond pin-all and plain
+	// LRU beats both.
+	var best *PressurePoint
+	for i := range full {
+		if p := &full[i]; p.Variant != "pin-all" && p.Variant != "lru" && (best == nil || p.Run.Elapsed < best.Run.Elapsed) {
+			best = p
+		}
+	}
+	if lru := byName(full, "lru"); best.Run.Elapsed >= eager.Run.Elapsed || best.Run.Elapsed >= lru.Run.Elapsed {
+		t.Fatalf("best adaptive rung %s (%v) did not beat pin-all (%v) and lru (%v)",
+			best.Variant, best.Run.Elapsed, eager.Run.Elapsed, lru.Run.Elapsed)
+	}
 	// Output identity across the whole ladder (the sweep also panics on
 	// divergence; assert it visibly here).
 	for fi := range o.Fracs {
@@ -115,7 +136,10 @@ func TestPressureGates(t *testing.T) {
 
 func TestAdaptCacheGate(t *testing.T) {
 	o := DefaultAdapt()
-	fixed, adaptive := AdaptSweep(transport.GM(), o)
+	fixed, adaptive, err := AdaptSweep(transport.GM(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if adaptive.Run.Cache.HitRate() <= fixed.Run.Cache.HitRate() {
 		t.Fatalf("adaptive sizing did not raise the hit rate: adaptive=%.3f fixed=%.3f",
 			adaptive.Run.Cache.HitRate(), fixed.Run.Cache.HitRate())
@@ -128,10 +152,23 @@ func TestAdaptCacheGate(t *testing.T) {
 	}
 }
 
+// The figure reads a hot peer and cold peers besides the reader's own
+// node: a machine of fewer than three nodes is an error, not a divide
+// by zero.
+func TestAdaptSweepRejectsTooFewNodes(t *testing.T) {
+	o := DefaultAdapt()
+	for _, sc := range []Scale{{Threads: 2, Nodes: 2}, {Threads: 6, Nodes: 2}, {Threads: 4, Nodes: 1}} {
+		o.Scale = sc
+		if _, _, err := AdaptSweep(transport.GM(), o); err == nil {
+			t.Errorf("%s: adaptive sweep ran on %d nodes", sc, sc.Nodes)
+		}
+	}
+}
+
 func TestAdaptSweepDeterministic(t *testing.T) {
 	o := DefaultAdapt()
-	f0, a0 := AdaptSweep(transport.GM(), o)
-	f1, a1 := AdaptSweep(transport.GM(), o)
+	f0, a0, _ := AdaptSweep(transport.GM(), o)
+	f1, a1, _ := AdaptSweep(transport.GM(), o)
 	if f0 != f1 || a0 != a1 {
 		t.Fatalf("adapt sweep diverged:\n%+v %+v\nvs\n%+v %+v", f0, a0, f1, a1)
 	}

@@ -81,10 +81,10 @@ func ValidatePositive(flagName string, v int64) error {
 	return nil
 }
 
-// ParseSweepFlags checks the flag every figure of xlupc-micro and
-// xlupc-report depends on, before any sweep or host profile starts:
-// zero repetitions would not fail — every row of every table would
-// print as n/a, with exit status 0.
+// ParseSweepFlags checks the -reps flag of xlupc-micro, xlupc-report
+// and xlupc-dis before any sweep or host profile starts: zero
+// repetitions would not fail — every row of every table would print as
+// n/a, or one rep per point would run, with exit status 0.
 func ParseSweepFlags(reps int) error {
 	return ValidatePositive("-reps", int64(reps))
 }

@@ -10,21 +10,13 @@ import (
 // representative per node runs a dissemination barrier (ceil(log2 n)
 // rounds of point-to-point messages) across nodes, and finally the
 // representative releases its co-located threads. Dissemination keeps
-// the critical path logarithmic — a flat master/slave barrier is kept
-// as an ablation (see Config in internal/bench).
+// the critical path logarithmic.
 
-// barrierMsg is one barrier notification: a dissemination round, or an
-// arrive/release message of the flat (master/slave) ablation variant.
+// barrierMsg is one dissemination round's notification.
 type barrierMsg struct {
 	Epoch int64
-	Round int // dissemination distance; flatArrive/flatRelease otherwise
+	Round int // dissemination distance
 }
-
-// Sentinel rounds for the flat barrier.
-const (
-	flatArrive  = -1
-	flatRelease = -2
-)
 
 type dissKey struct {
 	epoch int64
@@ -43,23 +35,12 @@ type nodeBarrier struct {
 	mail mailbox[dissKey, struct{}]
 
 	// The representative's progress through the inter-node phase: the
-	// dissemination distance (or flat-release destination) it is at.
+	// dissemination distance it is at.
 	round int
-
-	// Flat-barrier master state (node 0 only).
-	flatCount     map[int64]int
-	flatWait      *sim.Completion
-	flatWaitEpoch int64
-	flatTarget    int
 }
 
 func newNodeBarrier(rt *Runtime, ns *nodeState) *nodeBarrier {
-	return &nodeBarrier{
-		rt:        rt,
-		ns:        ns,
-		mail:      newMailbox[dissKey, struct{}](),
-		flatCount: make(map[int64]int),
-	}
+	return &nodeBarrier{rt: rt, ns: ns, mail: newMailbox[dissKey, struct{}]()}
 }
 
 // mailbox holds the point-to-point messages of a node's barrier or
@@ -138,11 +119,7 @@ func (t *Thread) barrierArrive() {
 	// Last arriver is the representative: run the inter-node phase.
 	t.park(pcBarrierRelease)
 	nb.round = 1
-	if t.rt.cfg.FlatBarrier {
-		t.flat()
-	} else {
-		t.disseminate()
-	}
+	t.disseminate()
 }
 
 func (t *Thread) barrierRelease() {
@@ -200,61 +177,8 @@ func (t *Thread) await(key dissKey) {
 	t.c.Resume()
 }
 
-// flat is the master/slave barrier ablation: every representative
-// reports to node 0, which releases everyone once all have arrived.
-// O(n) messages serialized through one node — the scalability
-// bottleneck the dissemination design avoids.
-func (t *Thread) flat() {
-	nb := t.ns.barrier
-	if nb.ns.id != 0 {
-		t.barrierSend(0, flatArrive, pcFlatArrived)
-		return
-	}
-	// Master: collect n-1 arrivals, then release everyone.
-	if need := nb.rt.cfg.Nodes - 1; nb.flatCount[nb.epoch] < need {
-		c := sim.NewCompletion(nb.rt.K, "flat-barrier")
-		nb.flatWait = c
-		nb.flatWaitEpoch = nb.epoch
-		nb.flatTarget = need
-		c.WaitFn(t.c, t.after(pcFlatCollected))
-		return
-	}
-	t.flatCollected()
-}
-
-func (t *Thread) flatArrived() { t.await(dissKey{epoch: t.ns.barrier.epoch, round: flatRelease}) }
-
-func (t *Thread) flatCollected() {
-	nb := t.ns.barrier
-	delete(nb.flatCount, nb.epoch)
-	t.flatRelease()
-}
-
-// flatRelease releases node nb.round, then the ones after it.
-func (t *Thread) flatRelease() {
-	nb := t.ns.barrier
-	if nb.round >= nb.rt.cfg.Nodes {
-		t.c.Resume()
-		return
-	}
-	dst := nb.round
-	nb.round++
-	t.barrierSend(dst, flatRelease, pcFlatRelease)
-}
-
 func (rt *Runtime) handleBarrier(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
-	nb := rt.nodes[n.ID].barrier
 	m := msg.Meta.(*barrierMsg)
-	if m.Round == flatArrive {
-		nb.flatCount[m.Epoch]++
-		if nb.flatWait != nil && nb.flatWaitEpoch == m.Epoch && nb.flatCount[m.Epoch] >= nb.flatTarget {
-			c := nb.flatWait
-			nb.flatWait = nil
-			c.Complete(nil)
-		}
-		then()
-		return
-	}
-	nb.mail.deliver(dissKey{epoch: m.Epoch, round: m.Round}, struct{}{})
+	rt.nodes[n.ID].barrier.mail.deliver(dissKey{epoch: m.Epoch, round: m.Round}, struct{}{})
 	then()
 }

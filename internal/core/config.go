@@ -101,10 +101,6 @@ type Config struct {
 	// registration limits — the knob behind the pin-everything vs
 	// limited-pinning ablation (paper §3.1 and [10]).
 	Pin *PinConfig
-	// FlatBarrier replaces the hierarchical dissemination barrier with
-	// a centralized master/slave barrier (ablation only: O(n) messages
-	// serialized through node 0).
-	FlatBarrier bool
 	// Fault, when non-nil, injects deterministic wire hazards
 	// (drop/corrupt/duplicate/delay, NIC stalls) keyed by Seed, and
 	// implies the reliable-delivery layer. Nil keeps the perfectly
@@ -150,10 +146,11 @@ type PinConfig struct {
 	// Evictor selects the PinLimited victim policy; the zero value is
 	// the historical LRU, keeping default runs bit-identical.
 	Evictor mem.EvictorKind
-	// Lazy, when non-nil, enables the lazy-unpin registration cache:
-	// Unpin parks registrations in a bounded dead-list and a re-pin of
-	// a parked region is a free reuse hit. Nil keeps eager dereg.
-	Lazy *mem.LazyConfig
+	// Lazy enables the lazy-unpin registration cache: Unpin parks
+	// registrations in a bounded dead-list and a re-pin of a parked
+	// region is a free reuse hit (mem.PinTable.SetLazyUnpin). Off keeps
+	// eager dereg.
+	Lazy bool
 }
 
 // effectiveProfile applies any Pin override to a copy of the profile.

@@ -77,7 +77,7 @@ func TestEagerRunsReportNoLazyActivity(t *testing.T) {
 // KindPinReuse trail in the flight recorder.
 func TestLazyUnpinParksReusesAndRecords(t *testing.T) {
 	c := cfg(4, 2, transport.GM(), DefaultCache())
-	c.Pin = &PinConfig{Policy: mem.PinAll, Lazy: &mem.LazyConfig{}}
+	c.Pin = &PinConfig{Policy: mem.PinAll, Lazy: true}
 	c.Flight = &flight.Config{PerNode: 256}
 	rt, err := NewRuntime(c)
 	if err != nil {
@@ -111,12 +111,12 @@ func TestLazyUnpinParksReusesAndRecords(t *testing.T) {
 // same churn under eager and lazy unpinning returns identical data and
 // the lazy run never loses to the eager one on registration time.
 func TestLazyUnpinSavesRegistrationTime(t *testing.T) {
-	run := func(lazy *mem.LazyConfig) RunStats {
+	run := func(lazy bool) RunStats {
 		c := cfg(4, 2, transport.GM(), DefaultCache())
 		c.Pin = &PinConfig{Policy: mem.PinAll, Lazy: lazy}
 		return mustRun(t, c, pinChurn)
 	}
-	eager, lazy := run(nil), run(&mem.LazyConfig{})
+	eager, lazy := run(false), run(true)
 	if lazy.RegTime >= eager.RegTime {
 		t.Fatalf("lazy reuse saved no registration time: lazy=%v eager=%v", lazy.RegTime, eager.RegTime)
 	}

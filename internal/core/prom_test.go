@@ -47,7 +47,7 @@ func promConfigs() []promConfig {
 			c.Coalesce = &coal
 		}},
 		{name: "lazy+cost", tune: func(c *Config) {
-			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: 1024, Evictor: mem.EvictCost, Lazy: &mem.LazyConfig{}}
+			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: 1024, Evictor: mem.EvictCost, Lazy: true}
 		}},
 		{name: "adaptive", tune: func(c *Config) {
 			c.Cache = CacheConfig{Enabled: true, Adaptive: &addrcache.AdaptiveConfig{Budget: 16, Window: 16}}

@@ -142,7 +142,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		// off, exactly as a portable deployment would.
 		if cfg.Cache.Enabled && cfg.Profile.SupportsRDMA {
 			if cfg.Cache.Adaptive != nil {
-				ns.cache = addrcache.NewAdaptive(*cfg.Cache.Adaptive, cfg.Seed+int64(i))
+				ns.cache = addrcache.NewAdaptive(*cfg.Cache.Adaptive)
 			} else {
 				ns.cache = addrcache.New(cfg.Cache.Capacity, cfg.Cache.Policy, cfg.Seed+int64(i))
 			}
@@ -439,7 +439,7 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 	// Lazy-unpin and evictor extras only exist when the Pin config opts
 	// into them, so exporter output for default-policy runs stays
 	// identical.
-	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy != nil || rt.cfg.Pin.Evictor != mem.EvictLRU) {
+	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU) {
 		tel.Add("xlupc_pin_reuses_total", "", st.Reuses)
 		tel.Add("xlupc_pin_parked_total", "", st.PinStats.Parked)
 		tel.Add("xlupc_pin_reclaims_total", "", st.Reclaims)

@@ -199,9 +199,6 @@ const (
 	pcBarrierDone
 	pcBarrierSent
 	pcDisseminate
-	pcFlatArrived
-	pcFlatCollected
-	pcFlatRelease
 
 	pcAllocOpened
 	pcAllocInstall
@@ -282,9 +279,6 @@ func init() {
 		pcBarrierDone:    (*Thread).barrierDone,
 		pcBarrierSent:    (*Thread).barrierSent,
 		pcDisseminate:    (*Thread).disseminate,
-		pcFlatArrived:    (*Thread).flatArrived,
-		pcFlatCollected:  (*Thread).flatCollected,
-		pcFlatRelease:    (*Thread).flatRelease,
 
 		pcAllocOpened:  (*Thread).allocOpened,
 		pcAllocInstall: (*Thread).allocInstall,

@@ -85,12 +85,9 @@ const (
 type Options struct {
 	// Name labels the shared segment in the SVD (default "kv").
 	Name string
-	// NumKeys sizes the table: the key population Preload installs and
-	// the default shard sizing target.
+	// NumKeys sizes the table: the key population Preload installs, at
+	// ~25% slot load.
 	NumKeys int64
-	// BucketsPerShard overrides the shard size in bucket lines
-	// (0 sizes for NumKeys at ~25% slot load).
-	BucketsPerShard int64
 	// WriteWindow widens the seqlock's odd-sequence window (the
 	// vulnerable interval a one-sided read can land in). Zero leaves
 	// only the natural shared-memory write costs; tests widen it to
@@ -256,15 +253,9 @@ func normalize(o *Options, threads int) geom {
 	if o.NumKeys <= 0 {
 		panic("kv: Options.NumKeys must be positive")
 	}
-	b := o.BucketsPerShard
-	if b <= 0 {
-		// Size for ~25% slot load: 4·K/T slots per shard across
-		// 3-slot buckets, so probeWindow overflow stays negligible.
-		b = (4*o.NumKeys + 3*int64(threads) - 1) / (3 * int64(threads))
-	}
-	if b < probeWindow {
-		b = probeWindow
-	}
+	// Size for ~25% slot load: 4·K/T slots per shard across 3-slot
+	// buckets, so probeWindow overflow stays negligible.
+	b := max((4*o.NumKeys+3*int64(threads)-1)/(3*int64(threads)), probeWindow)
 	return geom{threads: threads, buckets: b, window: o.WriteWindow, lockKey: "kv:" + o.Name + ":lock"}
 }
 

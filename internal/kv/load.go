@@ -208,7 +208,7 @@ func PreloadC(t *core.Thread, tb *Table, numKeys int64, then func(n int64)) {
 	var next func(ok bool)
 	next = func(ok bool) {
 		if !ok {
-			panic(fmt.Sprintf("kv: preload overflow inserting key %d — grow BucketsPerShard", mine[n-1]))
+			panic(fmt.Sprintf("kv: preload overflow inserting key %d — its probe window is full", mine[n-1]))
 		}
 		if n == len(mine) {
 			t.BarrierC(func() { then(int64(n)) })

@@ -197,7 +197,7 @@ func TestCostGhostProtectionDegradesGracefully(t *testing.T) {
 func TestLazyUnpinParkRevive(t *testing.T) {
 	m := testModel()
 	pt := NewPinTable(0, m, PinAll)
-	pt.SetLazyUnpin(&LazyConfig{})
+	pt.SetLazyUnpin(true)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -232,29 +232,37 @@ func TestLazyUnpinParkRevive(t *testing.T) {
 	}
 }
 
-// The dead-list is bounded: parking beyond MaxEntries reclaims the
-// oldest parked registration, charging its deregistration then.
+// The dead-list is bounded: parking beyond DefaultLazyEntries reclaims
+// the oldest parked registration, charging its deregistration then.
 func TestLazyDeadListBounded(t *testing.T) {
 	m := testModel()
 	pt := NewPinTable(0, m, PinAll)
-	pt.SetLazyUnpin(&LazyConfig{MaxEntries: 2})
-	for i, base := range []Addr{0x1000, 0x2000, 0x3000} {
-		if _, err := pt.Pin(base, PageSize, uint64(i), sim.Time(i)); err != nil {
+	pt.SetLazyUnpin(true)
+	base := func(i int) Addr { return Addr(0x1000 * (i + 1)) }
+	for i := 0; i <= DefaultLazyEntries; i++ {
+		if _, err := pt.Pin(base(i), PageSize, uint64(i), sim.Time(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c := pt.Unpin(0x1000, 3); c != 0 {
-		t.Fatalf("first park charged %v", c)
+	for i := 0; i < DefaultLazyEntries; i++ {
+		if c := pt.Unpin(base(i), sim.Time(100+i)); c != 0 {
+			t.Fatalf("park %d charged %v", i, c)
+		}
 	}
-	if c := pt.Unpin(0x2000, 4); c != 0 {
-		t.Fatalf("second park charged %v", c)
-	}
-	c := pt.Unpin(0x3000, 5)
+	c := pt.Unpin(base(DefaultLazyEntries), 200)
 	if want := m.DeregCost(PageSize); c != want {
 		t.Fatalf("overflow park charged %v, want %v (oldest reclaimed)", c, want)
 	}
-	if pt.Dead() != 2 || pt.Reclaims != 1 {
+	if pt.Dead() != DefaultLazyEntries || pt.Reclaims != 1 {
 		t.Fatalf("dead=%d reclaims=%d", pt.Dead(), pt.Reclaims)
+	}
+	// The one reclaimed was parked first: re-pinning it pays in full,
+	// re-pinning the next one is a free reuse.
+	if c, _ := pt.Pin(base(0), PageSize, 0, 300); c == 0 {
+		t.Fatal("oldest parked registration was not the one reclaimed")
+	}
+	if c, _ := pt.Pin(base(1), PageSize, 1, 301); c != 0 {
+		t.Fatalf("second-oldest parked registration re-pinned at cost %v, want a free reuse", c)
 	}
 }
 
@@ -264,7 +272,7 @@ func TestLazyReclaimBeforeEviction(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
 	pt := NewPinTable(0, m, PinLimited)
-	pt.SetLazyUnpin(&LazyConfig{})
+	pt.SetLazyUnpin(true)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +298,7 @@ func TestPinAllLazyReclaimBeforeError(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
 	pt := NewPinTable(0, m, PinAll)
-	pt.SetLazyUnpin(&LazyConfig{})
+	pt.SetLazyUnpin(true)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +317,7 @@ func TestPinAllLazyReclaimBeforeError(t *testing.T) {
 // A crash drops parked registrations instantly and free of charge.
 func TestResetDropsParkedFree(t *testing.T) {
 	pt := NewPinTable(0, testModel(), PinAll)
-	pt.SetLazyUnpin(&LazyConfig{})
+	pt.SetLazyUnpin(true)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +372,7 @@ func evictorChurn(kind EvictorKind, lazy bool) ([]Addr, []int64, sim.Time) {
 	rec := &recordingEvictor{inner: kind.New(m)}
 	pt.SetEvictor(rec)
 	if lazy {
-		pt.SetLazyUnpin(&LazyConfig{MaxEntries: 4})
+		pt.SetLazyUnpin(true)
 	}
 	x := uint64(0x9E3779B97F4A7C15)
 	next := func(n uint64) uint64 {

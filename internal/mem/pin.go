@@ -95,31 +95,10 @@ func (p PinPolicy) String() string {
 	return "pin-all"
 }
 
-// DefaultLazyEntries bounds the lazy-unpin dead-list when LazyConfig
-// leaves MaxEntries at zero.
+// DefaultLazyEntries bounds the lazy-unpin dead-list: parking one more
+// registration deregisters the one parked longest ago. Parked bytes
+// count against the table's MaxTotal, so the pin budget bounds them.
 const DefaultLazyEntries = 64
-
-// LazyConfig enables the lazy-unpin registration cache: Unpin parks the
-// registration in a bounded dead-list instead of deregistering, a
-// re-pin of a parked region revives it for free, and the real
-// deregistration cost is paid only when the dead-list overflows or the
-// pin budget needs the room.
-type LazyConfig struct {
-	// MaxEntries bounds the dead-list population; 0 means
-	// DefaultLazyEntries, negative means unbounded.
-	MaxEntries int
-	// MaxBytes bounds the parked bytes; 0 or negative means unbounded
-	// (parked bytes still count against the table's MaxTotal, so the
-	// pin budget itself is never exceeded).
-	MaxBytes int
-}
-
-func (c LazyConfig) effEntries() int {
-	if c.MaxEntries == 0 {
-		return DefaultLazyEntries
-	}
-	return c.MaxEntries
-}
 
 // PinTable is a node's pinned address table.
 type PinTable struct {
@@ -132,11 +111,10 @@ type PinTable struct {
 	ev      Evictor
 	fr      *flight.Recorder // nil = no flight recording
 
-	// Lazy-unpin registration cache (nil = eager dereg, the default).
-	lazy      *LazyConfig
-	dead      map[Addr]*PinEntry
-	deadList  pinList // FIFO: head = parked longest ago
-	deadBytes int
+	// Lazy-unpin registration cache (off = eager dereg, the default).
+	lazy     bool
+	dead     map[Addr]*PinEntry
+	deadList pinList // FIFO: head = parked longest ago
 
 	PinStats
 }
@@ -196,14 +174,18 @@ func (t *PinTable) SetEvictor(ev Evictor) {
 	t.ev = ev
 }
 
-// SetLazyUnpin enables (or, with nil, disables) the lazy-unpin
-// registration cache. Like SetEvictor it must precede any pin traffic.
-func (t *PinTable) SetLazyUnpin(cfg *LazyConfig) {
+// SetLazyUnpin turns the lazy-unpin registration cache on or off: Unpin
+// parks the registration in a dead-list of at most DefaultLazyEntries
+// instead of deregistering, a re-pin of a parked region revives it for
+// free, and the real deregistration cost is paid only when the
+// dead-list overflows or the pin budget needs the room. Like SetEvictor
+// it must precede any pin traffic.
+func (t *PinTable) SetLazyUnpin(on bool) {
 	if len(t.entries) > 0 || t.deadList.len > 0 {
 		panic("mem: SetLazyUnpin on a non-empty pin table")
 	}
-	t.lazy = cfg
-	if cfg != nil && t.dead == nil {
+	t.lazy = on
+	if on && t.dead == nil {
 		t.dead = make(map[Addr]*PinEntry)
 	}
 }
@@ -284,7 +266,7 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 		cost += dc
 		t.DeregTime += dc
 		t.Repins++
-	} else if t.lazy != nil {
+	} else if t.lazy {
 		if e, ok := t.dead[base]; ok {
 			if e.Size == size {
 				return 0, t.revive(e, tag, now)
@@ -355,7 +337,6 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 func (t *PinTable) revive(e *PinEntry, tag uint64, now sim.Time) error {
 	t.deadList.unlink(e)
 	delete(t.dead, e.Base)
-	t.deadBytes -= e.Size
 	e.parked = false
 	e.Tag = tag
 	e.LastUse = now
@@ -381,7 +362,6 @@ func (t *PinTable) revive(e *PinEntry, tag uint64, now sim.Time) error {
 func (t *PinTable) reclaim(e *PinEntry) sim.Time {
 	t.deadList.unlink(e)
 	delete(t.dead, e.Base)
-	t.deadBytes -= e.Size
 	t.total -= e.Size
 	dc := t.model.DeregCost(e.Size)
 	t.DeregTime += dc
@@ -400,11 +380,10 @@ func (t *PinTable) Reset() int {
 	t.entries = make(map[Addr]*PinEntry)
 	t.total = 0
 	t.ev.Reset()
-	if t.lazy != nil {
+	if t.lazy {
 		t.dead = make(map[Addr]*PinEntry)
 	}
 	t.deadList = pinList{}
-	t.deadBytes = 0
 	return n
 }
 
@@ -421,7 +400,7 @@ func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 	t.ev.Remove(e)
 	delete(t.entries, base)
 	t.Unpins++
-	if t.lazy == nil {
+	if !t.lazy {
 		t.total -= e.Size
 		dc := t.model.DeregCost(e.Size)
 		t.DeregTime += dc
@@ -430,22 +409,14 @@ func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 	e.parked = true
 	t.dead[base] = e
 	t.deadList.pushBack(e)
-	t.deadBytes += e.Size
 	t.Parked++
 	t.fr.Record(t.node, flight.Event{
 		T: now, Kind: flight.KindPinPark, Class: flight.ClassDMA,
 		Src: int32(t.node), Dst: -1, Seq: e.Tag, Arg: int64(e.Size),
 	})
 	cost := sim.Time(0)
-	if max := t.lazy.effEntries(); max > 0 {
-		for t.deadList.len > max {
-			cost += t.reclaim(t.deadList.head)
-		}
-	}
-	if t.lazy.MaxBytes > 0 {
-		for t.deadBytes > t.lazy.MaxBytes && t.deadList.head != nil {
-			cost += t.reclaim(t.deadList.head)
-		}
+	for t.deadList.len > DefaultLazyEntries {
+		cost += t.reclaim(t.deadList.head)
 	}
 	return cost
 }

@@ -158,8 +158,8 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 		if prof.PinEvictor != mem.EvictLRU {
 			nd.Pins.SetEvictor(prof.PinEvictor.New(prof.Reg))
 		}
-		if prof.PinLazy != nil {
-			nd.Pins.SetLazyUnpin(prof.PinLazy)
+		if prof.PinLazy {
+			nd.Pins.SetLazyUnpin(true)
 		}
 		if prof.CommOverlap {
 			cap := prof.CommCapacity

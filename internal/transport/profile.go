@@ -69,10 +69,10 @@ type Profile struct {
 	// PinEvictor selects the pin-table victim policy under PinLimited;
 	// the zero value is the historical LRU.
 	PinEvictor mem.EvictorKind
-	// PinLazy, when non-nil, enables the lazy-unpin registration cache
-	// on every node's pin table. Nil keeps eager deregistration and the
-	// event stream bit-identical to the baseline.
-	PinLazy *mem.LazyConfig
+	// PinLazy enables the lazy-unpin registration cache on every node's
+	// pin table. Off keeps eager deregistration and the event stream
+	// bit-identical to the baseline.
+	PinLazy bool
 
 	// PutCacheEnabled reflects the paper's decision to disable the
 	// address cache for PUT operations on LAPI (§4.3).
