@@ -35,10 +35,14 @@ func fatal(err error) {
 }
 
 // fig8For resolves -mark and -maxthreads into the panels and scales of
-// Figure 8, so that a bad value fails before anything runs: a misspelt
-// stressmark, or a -maxthreads below the smallest machine, which would
-// print every panel with no rows.
-func fig8For(mark string, maxThreads int) (marks []string, scales []bench.Scale, err error) {
+// Figure 8, and checks -parallel, so that a bad value fails before
+// anything runs: a misspelt stressmark, a -maxthreads below the smallest
+// machine, which would print every panel with no rows, or a negative
+// worker count.
+func fig8For(mark string, maxThreads, parallel int) (marks []string, scales []bench.Scale, err error) {
+	if err := bench.ValidateParallel(parallel); err != nil {
+		return nil, nil, err
+	}
 	marks = []string{"pointer", "neighborhood"}
 	if mark != "both" {
 		if _, err := dis.ByName(mark); err != nil {
@@ -79,11 +83,11 @@ func main() {
 	threads := flag.Int("threads", 0, "UPC threads for -pressure/-adapt (0 = figure default)")
 	nodes := flag.Int("nodes", 0, "cluster nodes for -pressure/-adapt (0 = figure default)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+	parallel := bench.RegisterParallel(nil)
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	marks, scales, err := fig8For(*mark, *maxThreads)
-	if err != nil && !*pressure && !*adapt { // the other two figures read neither flag
+	marks, scales, err := fig8For(*mark, *maxThreads, *parallel)
+	if err != nil {
 		fatal(err)
 	}
 	bench.SetParallelism(*parallel)

@@ -9,22 +9,24 @@ func TestFig8For(t *testing.T) {
 	for _, c := range []struct {
 		mark       string
 		maxThreads int
+		parallel   int
 		marks      int    // panels
 		scales     int    // rows per panel
 		err        string // substring of the error; "" = accepted
 	}{
-		{"both", 512, 2, 7, ""},
-		{"pointer", 8, 1, 1, ""},
-		{"neighborhood", 64, 1, 4, ""},
-		{"field", 16, 1, 2, ""},
-		{"bogus", 8, 0, 0, `unknown stressmark "bogus"`},
-		{"", 512, 0, 0, `unknown stressmark ""`},
-		{"both", 4, 0, 0, "-maxthreads (4) must be at least 8"},
-		{"pointer", 7, 0, 0, "-maxthreads (7) must be at least 8"},
-		{"both", 0, 0, 0, "-maxthreads (0) must be at least 8"},
-		{"both", -1, 0, 0, "-maxthreads (-1) must be at least 8"},
+		{"both", 512, 0, 2, 7, ""},
+		{"pointer", 8, 0, 1, 1, ""},
+		{"neighborhood", 64, 0, 1, 4, ""},
+		{"field", 16, 0, 1, 2, ""},
+		{"bogus", 8, 0, 0, 0, `unknown stressmark "bogus"`},
+		{"", 512, 0, 0, 0, `unknown stressmark ""`},
+		{"both", 4, 0, 0, 0, "-maxthreads (4) must be at least 8"},
+		{"pointer", 7, 0, 0, 0, "-maxthreads (7) must be at least 8"},
+		{"both", 0, 0, 0, 0, "-maxthreads (0) must be at least 8"},
+		{"both", -1, 0, 0, 0, "-maxthreads (-1) must be at least 8"},
+		{"both", 512, -1, 0, 0, "-parallel (-1) must not be negative"},
 	} {
-		marks, scales, err := fig8For(c.mark, c.maxThreads)
+		marks, scales, err := fig8For(c.mark, c.maxThreads, c.parallel)
 		if c.err != "" {
 			if err == nil || !strings.Contains(err.Error(), c.err) {
 				t.Errorf("fig8For(%q, %d): error %v, want one mentioning %q", c.mark, c.maxThreads, err, c.err)

@@ -51,10 +51,13 @@ func parseRates(flagName, list string) []float64 {
 }
 
 // checkRun validates what every sweep of the command is built from —
-// the stressmark, the machine and the restart window — so that a bad
-// value fails before any run starts.
-func checkRun(mark string, threads, nodes int, restartUs float64) error {
+// the stressmark, the machine, the restart window and the worker count
+// — so that a bad value fails before any run starts.
+func checkRun(mark string, threads, nodes int, restartUs float64, parallel int) error {
 	if _, err := dis.ByName(mark); err != nil {
+		return err
+	}
+	if err := bench.ValidateParallel(parallel); err != nil {
 		return err
 	}
 	if err := bench.ValidateScale(threads, nodes); err != nil {
@@ -78,17 +81,16 @@ func main() {
 	crashList := flag.String("crashes", "", "comma-separated node crash rates; sweeps crash/restart recovery instead of packet loss")
 	restartUs := flag.Float64("restart-delay", 150, "maximum node restart delay in µs for -crashes")
 	seed := flag.Int64("seed", 1, "simulation seed (drives workload and every injected fault)")
-	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+	parallel := bench.RegisterParallel(nil)
 	flightOn := flag.Bool("flight", false, "attach a flight recorder to every run; a failing run dumps its last events per involved node to stderr (costs no virtual time: sweep figures are unchanged)")
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean sweep writes an on-demand representative capture there instead")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	bench.SetParallelism(*parallel)
-
-	if err := checkRun(*mark, *threads, *nodes, *restartUs); err != nil {
+	if err := checkRun(*mark, *threads, *nodes, *restartUs, *parallel); err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
 		os.Exit(2)
 	}
+	bench.SetParallelism(*parallel)
 	finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)

@@ -26,13 +26,13 @@ type sweep struct {
 	scales []bench.Scale
 }
 
-// sweepsFor resolves -profile, -maxthreads and -reps into the sweeps to
-// run, so that a bad value fails before any of them starts: an unknown
-// profile, a -maxthreads below a chosen profile's smallest machine,
-// which would print that profile's table with no rows, or fewer than
-// one rep per point.
-func sweepsFor(profName string, maxThreads, reps int) ([]sweep, error) {
-	if err := bench.ParseSweepFlags(reps); err != nil {
+// sweepsFor resolves -profile, -maxthreads, -reps and -parallel into
+// the sweeps to run, so that a bad value fails before any of them
+// starts: an unknown profile, a -maxthreads below a chosen profile's
+// smallest machine, which would print that profile's table with no
+// rows, fewer than one rep per point, or a negative worker count.
+func sweepsFor(profName string, maxThreads, reps, parallel int) ([]sweep, error) {
+	if err := bench.ParseSweepFlags(reps, parallel); err != nil {
 		return nil, err
 	}
 	names := []string{profName}
@@ -64,10 +64,10 @@ func main() {
 	maxThreads := flag.Int("maxthreads", 512, "largest thread count (paper: 2048 GM, 448 LAPI)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	reps := flag.Int("reps", 1, "independent runs per point; >1 adds 95% confidence intervals (the paper's methodology)")
-	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+	parallel := bench.RegisterParallel(nil)
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	sweeps, err := sweepsFor(*profName, *maxThreads, *reps)
+	sweeps, err := sweepsFor(*profName, *maxThreads, *reps, *parallel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-dis: %v\n", err)
 		os.Exit(2)

@@ -40,6 +40,7 @@ type kvFlags struct {
 	rate, sloUs, restartUs float64
 	losses, crashes        string
 	seed                   int64
+	parallel               int
 }
 
 // plan is what the flags resolve to: the transports, the machine, the
@@ -56,6 +57,9 @@ type plan struct {
 // that a bad value fails before any run starts.
 func planFor(f kvFlags) (plan, error) {
 	p := plan{sc: bench.Scale{Threads: f.threads, Nodes: f.nodes}}
+	if err := bench.ValidateParallel(f.parallel); err != nil {
+		return p, err
+	}
 	if err := bench.ValidateScale(f.threads, f.nodes); err != nil {
 		return p, err
 	}
@@ -123,15 +127,16 @@ func main() {
 	flag.StringVar(&f.crashes, "crashes", "0,0.1", "comma-separated node crash rates for the SLO curve (empty disables it)")
 	flag.Float64Var(&f.restartUs, "restart-delay", 150, "maximum node restart delay in µs for the crash curve")
 	flag.Int64Var(&f.seed, "seed", 1, "simulation seed (drives keys, mixes and every injected fault)")
-	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+	parallel := bench.RegisterParallel(nil)
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	bench.SetParallelism(*parallel)
+	f.parallel = *parallel
 	p, err := planFor(f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-kv: %v\n", err)
 		os.Exit(2)
 	}
+	bench.SetParallelism(f.parallel)
 
 	stopProf := pf.MustStart("xlupc-kv")
 	defer stopProf()

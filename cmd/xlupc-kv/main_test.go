@@ -42,6 +42,7 @@ func TestPlanFor(t *testing.T) {
 		{"restart delay over a second", func(f *kvFlags) { f.restartUs = 2e6 }, "bad -restart-delay 2e+06"},
 		{"certain loss", func(f *kvFlags) { f.losses = "0,1" }, `bad -losses value "1"`},
 		{"NaN crash rate", func(f *kvFlags) { f.crashes = "NaN" }, `bad -crashes value "NaN"`},
+		{"negative parallel", func(f *kvFlags) { f.parallel = -1 }, "-parallel (-1) must not be negative"},
 	} {
 		f := defaults()
 		c.edit(&f)

@@ -25,7 +25,7 @@ import (
 // figure.
 type microFlags struct {
 	op                             string
-	reps                           int
+	reps, parallel                 int
 	absolute, miss, coalesce, gups bool
 	threads, nodes                 int
 	updates, words                 int64
@@ -35,7 +35,7 @@ type microFlags struct {
 // which only Figure 6 reads, so that a bad value fails before any sweep
 // starts.
 func opFor(f microFlags) (bench.Op, error) {
-	if err := bench.ParseSweepFlags(f.reps); err != nil {
+	if err := bench.ParseSweepFlags(f.reps, f.parallel); err != nil {
 		return 0, err
 	}
 	switch {
@@ -70,15 +70,16 @@ func main() {
 	flag.IntVar(&f.nodes, "nodes", 4, "cluster nodes for the GUPS figure")
 	flag.Int64Var(&f.updates, "updates", 96, "updates per thread for the GUPS figure")
 	flag.Int64Var(&f.words, "words", 256, "table words per thread for the GUPS figure")
-	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+	parallel := bench.RegisterParallel(nil)
 	pf := hostprof.Register(nil)
 	flag.Parse()
+	f.parallel = *parallel
 	op, err := opFor(f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
 		os.Exit(2)
 	}
-	bench.SetParallelism(*parallel)
+	bench.SetParallelism(f.parallel)
 	stopProf := pf.MustStart("xlupc-micro")
 	defer stopProf()
 

@@ -27,6 +27,7 @@ func TestOpFor(t *testing.T) {
 		{"gups no updates", func(f *microFlags) { f.gups, f.updates = true, 0 }, 0, "-updates (0) and -words (256) must be positive"},
 		{"gups negative words", func(f *microFlags) { f.gups, f.words = true, -1 }, 0, "-updates (96) and -words (-1) must be positive"},
 		{"scale only read by gups", func(f *microFlags) { f.threads = 6 }, bench.OpGet, ""},
+		{"negative parallel", func(f *microFlags) { f.gups, f.parallel = true, -1 }, 0, "-parallel (-1) must not be negative"},
 	} {
 		f := defaults
 		c.edit(&f)

@@ -29,10 +29,10 @@ func section(w io.Writer, title, expectation string) {
 }
 
 // machinesFor resolves -full and -reps into the largest machine of the
-// GM, LAPI and Figure 8 sweeps, so that a bad -reps fails before any
-// figure runs.
-func machinesFor(full bool, reps int) (maxGM, maxLAPI, maxFig8 int, err error) {
-	if err := bench.ParseSweepFlags(reps); err != nil {
+// GM, LAPI and Figure 8 sweeps, so that a bad -reps or -parallel fails
+// before any figure runs.
+func machinesFor(full bool, reps, parallel int) (maxGM, maxLAPI, maxFig8 int, err error) {
+	if err := bench.ParseSweepFlags(reps, parallel); err != nil {
 		return 0, 0, 0, err
 	}
 	if full {
@@ -45,13 +45,13 @@ func main() {
 	full := flag.Bool("full", false, "run at the paper's largest scales (slower)")
 	reps := flag.Int("reps", 10, "microbenchmark repetitions per point")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+	parallel := bench.RegisterParallel(nil)
 	scale := flag.Bool("scale", false, "append the big-scale sweep (32k threads / 1k nodes with -full, 8k / 256 otherwise); virtual columns are deterministic, host columns are not")
 	flightOn := flag.Bool("flight", false, "attach a flight recorder to the chaos/crash runs; a failing run dumps its last events per involved node to stderr (costs no virtual time: report figures are unchanged)")
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean report writes an on-demand representative capture there instead")
 	pf := hostprof.Register(nil)
 	flag.Parse()
-	maxGM, maxLAPI, maxFig8, err := machinesFor(*full, *reps)
+	maxGM, maxLAPI, maxFig8, err := machinesFor(*full, *reps, *parallel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)

@@ -143,7 +143,7 @@ func ReliabilityTable(seed int64) []RelRow {
 // NACK→invalidate→AM-fallback path fires continuously.
 func runNackChurn(prof *transport.Profile, seed int64) core.RunStats {
 	const threads, nodes, arrays, elems = 8, 4, 6, 64
-	chunk := core.NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes(0)
+	chunk := core.NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes()
 	rt, err := core.NewRuntime(core.Config{
 		Threads: threads, Nodes: nodes, Profile: prof, Cache: core.DefaultCache(), Seed: seed,
 		Pin: &core.PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1},

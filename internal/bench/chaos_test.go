@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"xlupc/internal/transport"
@@ -57,5 +59,30 @@ func TestReliabilityTable(t *testing.T) {
 				t.Errorf("seed %d, %s: chaos run did no reliability work (%+v)", seed, r.Transport, r)
 			}
 		}
+	}
+}
+
+// What a clean -flight-dump run leaves behind is FlightCapture's dump:
+// JSONL records, a blank line, then a '#'-prefixed human-readable tail.
+// Every other line must parse as a JSON object, and there must be at
+// least one record.
+func TestFlightCaptureShape(t *testing.T) {
+	var buf bytes.Buffer
+	if err := FlightCapture(&buf, 7); err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for i, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d is not a JSON object: %q (%v)", i+1, line, err)
+		}
+		records++
+	}
+	if records == 0 {
+		t.Fatal("the capture holds no record")
 	}
 }

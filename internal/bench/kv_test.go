@@ -88,20 +88,21 @@ func TestParseRatesAndFracs(t *testing.T) {
 
 func TestParseSweepFlags(t *testing.T) {
 	for _, c := range []struct {
-		reps int
-		err  string // substring of the error; "" = accepted
+		reps, parallel int
+		err            string // substring of the error; "" = accepted
 	}{
-		{1, ""},
-		{20, ""},
-		{0, "-reps (0) must be positive"},
-		{-1, "-reps (-1) must be positive"},
+		{1, 0, ""},
+		{20, 1, ""},
+		{0, 0, "-reps (0) must be positive"},
+		{-1, 0, "-reps (-1) must be positive"},
+		{1, -1, "-parallel (-1) must not be negative"},
 	} {
-		err := ParseSweepFlags(c.reps)
+		err := ParseSweepFlags(c.reps, c.parallel)
 		switch {
 		case c.err == "" && err != nil:
-			t.Errorf("ParseSweepFlags(%d) = %v; want it accepted", c.reps, err)
+			t.Errorf("ParseSweepFlags(%d, %d) = %v; want it accepted", c.reps, c.parallel, err)
 		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
-			t.Errorf("ParseSweepFlags(%d): error %v, want one mentioning %q", c.reps, err, c.err)
+			t.Errorf("ParseSweepFlags(%d, %d): error %v, want one mentioning %q", c.reps, c.parallel, err, c.err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -81,12 +82,35 @@ func ValidatePositive(flagName string, v int64) error {
 	return nil
 }
 
-// ParseSweepFlags checks the -reps flag of xlupc-micro, xlupc-report
-// and xlupc-dis before any sweep or host profile starts: zero
-// repetitions would not fail — every row of every table would print as
-// n/a, or one rep per point would run, with exit status 0.
-func ParseSweepFlags(reps int) error {
-	return ValidatePositive("-reps", int64(reps))
+// ParseSweepFlags checks the -reps and -parallel flags of xlupc-micro,
+// xlupc-report and xlupc-dis before any sweep or host profile starts:
+// zero repetitions would not fail — every row of every table would
+// print as n/a, or one rep per point would run, with exit status 0.
+func ParseSweepFlags(reps, parallel int) error {
+	if err := ValidatePositive("-reps", int64(reps)); err != nil {
+		return err
+	}
+	return ValidateParallel(parallel)
+}
+
+// RegisterParallel installs the -parallel flag every sweeping command
+// shares on fs (flag.CommandLine when nil) and returns where its value
+// lands. Call it before flag.Parse; the command's flag check passes the
+// value through ValidateParallel before it reaches SetParallelism.
+func RegisterParallel(fs *flag.FlagSet) *int {
+	if fs == nil {
+		fs = flag.CommandLine
+	}
+	return fs.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
+}
+
+// ValidateParallel rejects a negative -parallel, which SetParallelism
+// would otherwise read as GOMAXPROCS with exit status 0.
+func ValidateParallel(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-parallel (%d) must not be negative", n)
+	}
+	return nil
 }
 
 // ParseFlightFlags applies the -flight / -flight-dump pair of

@@ -12,20 +12,6 @@ import (
 // object: SVD update plus heap allocation.
 const allocCPUCost = 2 * sim.Us
 
-// allocNotify is broadcast when a thread allocates non-collectively:
-// every replica registers the control block and allocates its piece
-// (paper §2.1: "each thread updates its own partition, and sends
-// notifications to other threads").
-type allocNotify struct {
-	H        svd.Handle
-	Kind     svd.Kind
-	Name     string
-	ElemSize int
-	Block    int64
-	NumElems int64
-	Home     int // -1: block-cyclic; otherwise upc_alloc home thread
-}
-
 // freeReq asks a node to drop an object: eagerly invalidate its
 // address-cache entries, deregister and free the local piece, and mark
 // the handle freed.
@@ -45,7 +31,7 @@ func (ns *nodeState) installArray(h svd.Handle, kind svd.Kind, name string, l La
 		Block:    l.Block,
 		NumElems: l.NumElems,
 	}
-	if size := l.NodeChunkBytes(ns.id); size > 0 {
+	if size := l.NodeChunkBytes(); size > 0 {
 		cb.HasLocal = true
 		cb.LocalSize = int(size)
 		cb.LocalBase = ns.tn.Mem.Alloc(int(size))
@@ -138,54 +124,6 @@ func (t *Thread) allocClosed() {
 	t.aspan.Finish(t.Now())
 	t.aspan = nil
 	t.c.Resume()
-}
-
-// GlobalAlloc is upc_global_alloc: a single thread allocates a
-// distributed shared array; the handle lands in the caller's SVD
-// partition and allocation notifications fan out asynchronously. As in
-// UPC, other threads may only use the result after synchronization
-// (the runtime tolerates in-flight notifications by retrying, but the
-// program should synchronize).
-func (t *Thread) GlobalAlloc(name string, numElems int64, elemSize int, block int64) *SharedArray {
-	if numElems <= 0 || elemSize <= 0 {
-		panic(fmt.Sprintf("core: GlobalAlloc(%s) with nonpositive size", name))
-	}
-	return t.ownAlloc("global", name, t.rt.layout(elemSize, block, numElems))
-}
-
-// LocalAlloc is upc_alloc: shared space with affinity entirely to the
-// calling thread. Remote threads can access it through the SVD like
-// any shared object.
-func (t *Thread) LocalAlloc(name string, numElems int64, elemSize int) *SharedArray {
-	if numElems <= 0 || elemSize <= 0 {
-		panic(fmt.Sprintf("core: LocalAlloc(%s) with nonpositive size", name))
-	}
-	l := t.rt.layout(elemSize, numElems, numElems)
-	l.Home = t.id
-	return t.ownAlloc("local", name, l)
-}
-
-// ownAlloc allocates an object of layout l in the thread's own SVD
-// partition: it installs it on the thread's node and notifies every
-// other node, waiting only for each notice to be on the wire. proto
-// labels the span.
-func (t *Thread) ownAlloc(proto, name string, l Layout) *SharedArray {
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
-	span.SetProto(proto)
-	h := svd.Handle{Part: int32(t.id), Index: t.ns.dir.NextIndex(int32(t.id))}
-	note := &allocNotify{H: h, Kind: svd.KindArray, Name: name,
-		ElemSize: l.ElemSize, Block: l.Block, NumElems: l.NumElems, Home: l.Home}
-	t.p.ParkWake()
-	t.c.Park(sim.Func(func() {
-		t.ns.installArray(h, svd.KindArray, name, l)
-		t.sendOthers(hAllocNotify, note, 32, func() {
-			span.Finish(t.Now())
-			t.c.Resume()
-		})
-	}), 0)
-	t.compute(allocCPUCost)
-	t.p.Await()
-	return &SharedArray{rt: t.rt, h: h, l: l, name: name}
 }
 
 // sendOthers sends meta to every other node, one active message after
@@ -308,30 +246,10 @@ func (d *dropOp) freed() {
 	ct.Resume()
 }
 
-func (rt *Runtime) handleAllocNotify(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
-	x := rt.serve(ct, n, msg, then)
-	ct.Sleep(allocCPUCost, x.after(hcAllocCharged))
-}
-
-func (x *amCtx) allocCharged() {
-	m := x.msg.Meta.(*allocNotify)
-	l := x.rt.layout(m.ElemSize, m.Block, m.NumElems)
-	l.Home = m.Home
-	x.ns.installArray(m.H, m.Kind, m.Name, l)
-	x.then()
-}
-
 func (rt *Runtime) handleFreeReq(ct *sim.Cont, n *transport.Node, msg *transport.Msg, then func()) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*freeReq)
-	if _, ok := ns.dir.LookupAny(m.H); !ok {
-		rt.requeue(ns, msg)
-		then()
-		return
-	}
 	x := rt.serve(ct, n, msg, then)
 	x.park(hcFreeDropped)
-	x.drop.start(ns, ct, m.H)
+	x.drop.start(x.ns, ct, msg.Meta.(*freeReq).H)
 }
 
 func (x *amCtx) freeDropped() {

@@ -91,50 +91,3 @@ func TestAnswerFillsOnce(t *testing.T) {
 		}
 	}
 }
-
-// TestTryLockNeverQueues pins upc_lock_attempt at the home node: a
-// remote TryLock on a held lock is answered false at once and leaves no
-// waiter behind, so the holder's Unlock frees the lock instead of
-// granting it to a thread that is not waiting.
-func TestTryLockNeverQueues(t *testing.T) {
-	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		rt, err := NewRuntime(cfg(2, 2, prof, DefaultCache()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		home := func(l *Lock) *lockHome { return rt.nodes[0].lockState(l.h) }
-		_, err = rt.Run(func(th *Thread) {
-			l := th.AllLockAlloc("L")
-			if th.ID() == 0 {
-				th.Lock(l)
-			}
-			th.Barrier()
-			if th.ID() == 1 {
-				if th.TryLock(l) {
-					t.Errorf("%s: TryLock on a held lock succeeded", prof.Name)
-				}
-				if lh := home(l); !lh.held || len(lh.queue) != 0 {
-					t.Errorf("%s: after the attempt: held=%v with %d waiters, want held with none", prof.Name, lh.held, len(lh.queue))
-				}
-			}
-			th.Barrier()
-			if th.ID() == 0 {
-				th.Unlock(l)
-				if lh := home(l); lh.held || len(lh.queue) != 0 {
-					t.Errorf("%s: after Unlock: held=%v with %d waiters, want the lock released", prof.Name, lh.held, len(lh.queue))
-				}
-			}
-			th.Barrier()
-			if th.ID() == 1 {
-				if !th.TryLock(l) {
-					t.Errorf("%s: TryLock on the released lock failed", prof.Name)
-				}
-				th.Unlock(l)
-			}
-			th.Barrier()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}

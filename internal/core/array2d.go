@@ -80,23 +80,6 @@ func (m *SharedArray2D) RowRun(r, c int64) int64 {
 	return run
 }
 
-// GetRow reads cols elements of row r starting at column c into dst,
-// splitting at tile boundaries.
-func (t *Thread) GetRow(m *SharedArray2D, r, c int64, dst []byte) {
-	es := int64(m.A.ElemSize())
-	n := int64(len(dst)) / es
-	for n > 0 {
-		run := m.RowRun(r, c)
-		if run > n {
-			run = n
-		}
-		t.GetBulk(dst[:run*es], m.At(r, c))
-		dst = dst[run*es:]
-		c += run
-		n -= run
-	}
-}
-
 // PutRow writes cols elements into row r starting at column c,
 // splitting at tile boundaries.
 func (t *Thread) PutRow(m *SharedArray2D, r, c int64, src []byte) {

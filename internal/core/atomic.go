@@ -9,9 +9,9 @@ package core
 // miss, stale epoch after a crash, deregistered region) is an active
 // message whose handler performs the combine on the target CPU and
 // piggybacks the fresh base address on the reply, so the next atomic
-// to the same object goes back to the NIC path. Three combines exist:
-// fetch-add, compare-swap, and accumulate (add with no result, the
-// tightest-batching one-message-per-update primitive).
+// to the same object goes back to the NIC path. Two combines exist:
+// fetch-add, and accumulate (add with no result, the tightest-batching
+// one-message-per-update primitive).
 
 import (
 	"fmt"
@@ -32,7 +32,7 @@ type atomicReq struct {
 	H        svd.Handle
 	Off      int64
 	Op       transport.AtomicOp
-	A, B     uint64          // delta, or (expected, replacement) for CAS
+	Delta    uint64
 	WantAddr bool            // piggyback the base address on the reply
 	Done     *sim.Completion // completes with the previous value (uint64)
 }
@@ -49,11 +49,11 @@ func checkAtomic(r Ref) {
 // rmw applies op on the 8-byte word at addr on this node, indivisibly:
 // the simulation kernel runs one process at a time, so the in-place
 // update cannot interleave — exactly like a processor LL/SC pair.
-func (ns *nodeState) rmw(addr mem.Addr, op transport.AtomicOp, a, b uint64) uint64 {
+func (ns *nodeState) rmw(addr mem.Addr, delta uint64) uint64 {
 	var w [8]byte
 	ns.tn.Mem.Read(w[:], addr)
 	old := byteOrder.Uint64(w[:])
-	byteOrder.PutUint64(w[:], op.Apply(old, a, b))
+	byteOrder.PutUint64(w[:], old+delta)
 	ns.tn.Mem.Write(addr, w[:])
 	return old
 }
@@ -62,12 +62,12 @@ func (ns *nodeState) rmw(addr mem.Addr, op transport.AtomicOp, a, b uint64) uint
 
 // FetchAdd atomically adds delta to the 8-byte element at r and
 // returns the element's previous value. Concurrent atomics from any
-// threads never lose updates (unlike a Get/Put pair, which needs a
-// Lock). On RDMA transports with a warm address cache this is one
-// NIC-executed message.
+// threads never lose updates (unlike a Get/Put pair). On RDMA
+// transports with a warm address cache this is one NIC-executed
+// message.
 func (t *Thread) FetchAdd(r Ref, delta uint64) uint64 {
 	t.p.ParkWake()
-	t.atomicRMW(r, transport.AtomicFetchAdd, delta, 0)
+	t.fetchAdd(r, delta)
 	t.p.Await()
 	return t.old
 }
@@ -76,39 +76,7 @@ func (t *Thread) FetchAdd(r Ref, delta uint64) uint64 {
 func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
 	t.thenT = then
 	t.park(pcThenOld)
-	t.atomicRMW(r, transport.AtomicFetchAdd, delta, 0)
-}
-
-// CompareSwap atomically installs swap in the 8-byte element at r iff
-// it currently equals expect, returning the previous value and whether
-// the swap happened.
-func (t *Thread) CompareSwap(r Ref, expect, swap uint64) (old uint64, swapped bool) {
-	t.p.ParkWake()
-	t.atomicRMW(r, transport.AtomicCompareSwap, expect, swap)
-	t.p.Await()
-	return t.old, t.old == expect
-}
-
-// CompareSwapC is CompareSwap in continuation-passing style.
-func (t *Thread) CompareSwapC(r Ref, expect, swap uint64, then func(old uint64, swapped bool)) {
-	t.thenT = then
-	t.park(pcThenCAS)
-	t.atomicRMW(r, transport.AtomicCompareSwap, expect, swap)
-}
-
-// Accumulate atomically adds delta to the 8-byte element at r without
-// fetching the previous value — the response carries no data word, so
-// accumulations batch tighter than FetchAdd.
-func (t *Thread) Accumulate(r Ref, delta uint64) {
-	t.p.ParkWake()
-	t.atomicRMW(r, transport.AtomicAccumulate, delta, 0)
-	t.p.Await()
-}
-
-// AccumulateC is Accumulate in continuation-passing style.
-func (t *Thread) AccumulateC(r Ref, delta uint64, then func()) {
-	t.c.Park(sim.Func(then), 0)
-	t.atomicRMW(r, transport.AtomicAccumulate, delta, 0)
+	t.fetchAdd(r, delta)
 }
 
 // AtomicAddU64 is the historical name of FetchAdd, kept for existing
@@ -117,14 +85,15 @@ func (t *Thread) AtomicAddU64(r Ref, delta uint64) uint64 {
 	return t.FetchAdd(r, delta)
 }
 
-// atomicRMW is the remote-atomic ladder: local fast path, cache-hit
+// fetchAdd is the remote-atomic ladder: local fast path, cache-hit
 // NIC descriptor, NACK healing, AM fallback — the one getRun climbs.
 // It leaves the element's previous value in t.old.
-func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) {
+func (t *Thread) fetchAdd(r Ref, delta uint64) {
 	checkAtomic(r)
 	a := r.A
 	rn := a.l.NodeOf(r.Idx)
-	t.a, t.off, t.aop, t.a1, t.a2 = a, a.l.ChunkOffset(r.Idx), op, a1, a2
+	op := transport.AtomicFetchAdd
+	t.a, t.off, t.aop, t.a1 = a, a.l.ChunkOffset(r.Idx), op, delta
 
 	if rn == t.ns.id {
 		// Home-node fast path: shared memory, no network.
@@ -134,29 +103,27 @@ func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) {
 
 	t.rn, t.start = rn, t.Now()
 	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", op.String(), 1)
-	t.remote(kindAtomic, op.OperandBytes())
+	t.remote(kindAtomic, transport.AtomicOperandBytes)
 }
 
 func (t *Thread) localAtomic() {
-	if !t.lookupLocal() {
-		t.park(pcLocalAtomic)
-		t.localCB()
-		return
-	}
+	t.lookupLocal()
 	t.c.Sleep(t.rt.cfg.Profile.ShmLatency+atomicCPUCost, t.after(pcLocalAtomicDone))
 }
 
 func (t *Thread) localAtomicDone() {
 	t.ops.LocalAtomics++
-	t.old = t.ns.rmw(t.cb.LocalBase+mem.Addr(t.off), t.aop, t.a1, t.a2)
+	t.old = t.ns.rmw(t.cb.LocalBase+mem.Addr(t.off), t.a1)
 	t.a, t.cb = nil, nil
 	t.c.Resume()
 }
 
-// atomicHit ships the NIC-executed descriptor.
+// atomicHit ships the NIC-executed descriptor. Its posted result buffer
+// is the thread's staging word, so a blocking fetch-add allocates
+// nothing.
 func (t *Thread) atomicHit(base mem.Addr, ep uint32) {
 	t.rt.M.RDMAAtomicSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-		t.aop, t.a1, t.a2, t.atomicFetchBuf(t.aop), ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
+		t.aop, t.a1, t.w64[:], ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
 }
 
 func (t *Thread) atomicMiss() {
@@ -174,29 +141,19 @@ func (t *Thread) atomicRDMADone() {
 	t.nacked("atomic", (*Thread).amAtomic)
 }
 
-// atomicFetchBuf is the posted 8-byte result buffer of a blocking NIC
-// atomic — the thread's staging word, so fetching atomics allocate
-// nothing; accumulations post none.
-func (t *Thread) atomicFetchBuf(op transport.AtomicOp) []byte {
-	if op.ResultBytes() == 0 {
-		return nil
-	}
-	return t.w64[:]
-}
-
 // amAtomic is the active-message atomic: the handler combines on the
 // target CPU and replies with the previous value.
 func (t *Thread) amAtomic() {
 	t.span.SetProto("am")
 	t.done = sim.NewCompletion(t.rt.K, "atomic")
-	t.request(pcAMAtomicDone, t.rn, hAtomic, t.atomicReq(), t.aop.OperandBytes())
+	t.request(pcAMAtomicDone, t.rn, hAtomic, t.atomicReq(), transport.AtomicOperandBytes)
 }
 
 // atomicReq returns a pooled request for the atomic t has set up; the
 // target handler puts it back.
 func (t *Thread) atomicReq() *atomicReq {
 	m := t.rt.hdr.atomic.Get()
-	*m = atomicReq{H: t.a.h, Off: t.off, Op: t.aop, A: t.a1, B: t.a2, WantAddr: t.ns.cache != nil, Done: t.done}
+	*m = atomicReq{H: t.a.h, Off: t.off, Op: t.aop, Delta: t.a1, WantAddr: t.ns.cache != nil, Done: t.done}
 	return m
 }
 
@@ -233,13 +190,6 @@ func (t *Thread) NbFetchAdd(r Ref, delta uint64, out *uint64) Handle {
 	return t.h
 }
 
-// NbFetchAddC is NbFetchAdd in continuation-passing style.
-func (t *Thread) NbFetchAddC(r Ref, delta uint64, out *uint64, then func(h Handle)) {
-	t.thenT = then
-	t.park(pcThenHandle)
-	t.nbAtomic(r, transport.AtomicFetchAdd, delta, out)
-}
-
 // NbAccumulate starts a split-phase accumulate (add, no result) on the
 // 8-byte element at r — the one-message-per-update primitive of the
 // RandomAccess/GUPS pattern.
@@ -248,13 +198,6 @@ func (t *Thread) NbAccumulate(r Ref, delta uint64) Handle {
 	t.nbAtomic(r, transport.AtomicAccumulate, delta, nil)
 	t.p.Await()
 	return t.h
-}
-
-// NbAccumulateC is NbAccumulate in continuation-passing style.
-func (t *Thread) NbAccumulateC(r Ref, delta uint64, then func(h Handle)) {
-	t.thenT = then
-	t.park(pcThenHandle)
-	t.nbAtomic(r, transport.AtomicAccumulate, delta, nil)
 }
 
 // nbAtomic issues one split-phase atomic and leaves its handle in t.h:
@@ -269,7 +212,7 @@ func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint
 	checkAtomic(r)
 	a := r.A
 	rn := a.l.NodeOf(r.Idx)
-	t.a, t.off, t.aop, t.a1, t.a2, t.out = a, a.l.ChunkOffset(r.Idx), aop, delta, 0, out
+	t.a, t.off, t.aop, t.a1, t.out = a, a.l.ChunkOffset(r.Idx), aop, delta, out
 	if rn == t.ns.id {
 		t.park(pcStoreOld)
 		t.localAtomic()
@@ -278,7 +221,7 @@ func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint
 
 	t.rn, t.start = rn, t.Now()
 	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", aop.String(), 1)
-	t.remote(kindNbAtomic, aop.OperandBytes())
+	t.remote(kindNbAtomic, transport.AtomicOperandBytes)
 }
 
 // storeOld delivers a split-phase atomic's previous value.
@@ -299,7 +242,7 @@ func (t *Thread) nbAtomicHit(base mem.Addr, ep uint32) {
 		fetch = make([]byte, 8)
 	}
 	t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-		t.aop, t.a1, t.a2, fetch, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
+		t.aop, t.a1, fetch, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
 }
 
 func (t *Thread) nbAtomicStarted() { t.issued(subAtomicRDMA, t.rdma.Done) }
@@ -308,7 +251,7 @@ func (t *Thread) nbAtomicAM() {
 	t.span.SetProto("am")
 	t.done = sim.NewCompletion(t.rt.K, "atomic")
 	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hAtomic, t.atomicReq(),
-		nil, t.aop.OperandBytes(), t.span, t.after(pcNbAtomicSent))
+		nil, transport.AtomicOperandBytes, t.span, t.after(pcNbAtomicSent))
 }
 
 func (t *Thread) nbAtomicSent() { t.issued(subAtomic, t.done) }
@@ -340,7 +283,7 @@ func (x *amCtx) atomicTranslated() {
 
 func (x *amCtx) atomicApplied() {
 	m := x.msg.Meta.(*atomicReq)
-	old := x.ns.rmw(x.cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
+	old := x.ns.rmw(x.cb.LocalBase+mem.Addr(m.Off), m.Delta)
 	rep, extra := reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: old}, m.Op.ResultBytes()
 	x.rt.hdr.atomic.Put(m)
 	x.answer(rep, nil, extra)

@@ -75,7 +75,6 @@ type collState struct {
 	acc     uint64
 	op      ReduceOp
 	data    []byte
-	parts   [][]byte // per-thread-slot staging for scatter/gather
 	release *sim.Completion
 
 	// Inter-node messages, keyed by (epoch, sender's relative rank).
@@ -162,13 +161,6 @@ func (t *Thread) AllReduceU64(v uint64, op ReduceOp) uint64 {
 	t.allReduce(v, op)
 	t.p.Await()
 	return t.old
-}
-
-// AllReduceU64C is AllReduceU64 in continuation-passing style.
-func (t *Thread) AllReduceU64C(v uint64, op ReduceOp, then func(r uint64)) {
-	t.thenT = then
-	t.park(pcThenOld)
-	t.allReduce(v, op)
 }
 
 // allReduce leaves the reduction in t.old.
@@ -262,16 +254,6 @@ func (t *Thread) AllReduceF64(v float64) float64 {
 	return math.Float64frombits(t.AllReduceU64(math.Float64bits(v), ReduceFSum))
 }
 
-// copyOut is the last step of a collective that hands each thread bytes
-// of its node's result: the thread pays the shared-memory copy of size
-// bytes, then takes its private copy of part.
-func (t *Thread) copyOut(size int, part []byte, out *[]byte) {
-	t.c.Sleep(sim.BytesTime(size, t.rt.cfg.Profile.ShmByteTime), func() {
-		*out = append([]byte(nil), part...)
-		t.c.Resume()
-	})
-}
-
 // Broadcast distributes root's data to every thread (upc_all_broadcast
 // shape, staged through node representatives). Non-root threads pass
 // nil; every thread returns its own copy.
@@ -288,125 +270,14 @@ func (t *Thread) Broadcast(root int, data []byte) (out []byte) {
 			release(m.Data)
 		})
 	}, func(r any) {
+		// Each thread pays the shared-memory copy of the node's result,
+		// then takes its private copy.
 		all := r.([]byte)
-		t.copyOut(len(all), all, &out)
-	})
-	t.p.Await()
-	return out
-}
-
-// Message tag spaces for the point-to-point collective waves (the
-// binomial trees use [0,n) upward and [n,2n) downward).
-func scatterTag(n, rel int) int { return 2*n + rel }
-func gatherTag(n, rel int) int  { return 3*n + rel }
-
-// Scatter splits root's data into Threads equal chunks and hands each
-// thread its own (upc_all_scatter shape). len(data) must divide by the
-// thread count; non-root threads pass nil.
-func (t *Thread) Scatter(root int, data []byte) (out []byte) {
-	n, tpn := t.rt.cfg.Nodes, t.rt.cfg.ThreadsPerNode()
-	rootNode := t.rt.nodeOfThread(root).id
-	if t.id == root && len(data)%t.Threads() != 0 {
-		panic(fmt.Sprintf("core: Scatter of %d bytes does not divide among %d threads", len(data), t.Threads()))
-	}
-	t.p.ParkWake()
-	t.collective(func(cs *collState) {
-		if t.id == root {
-			cs.data = append([]byte(nil), data...)
-		}
-	}, func(cs *collState, release func(any)) {
-		epoch := cs.epoch
-		if t.ns.id != rootNode {
-			rel := (t.ns.id - rootNode + n) % n
-			t.recvColl(collKey{epoch: epoch, from: scatterTag(n, rel)}, func(m *collMsg) { release(m.Data) })
-			return
-		}
-		all := cs.data
-		cs.data = nil
-		chunk := len(all) / t.rt.cfg.Threads
-		var nodeSlice []byte
-		dst := 0
-		sim.Loop(func(next func()) {
-			if dst == n {
-				release(nodeSlice)
-				return
-			}
-			d := dst
-			dst++
-			lo := d * tpn * chunk
-			part := all[lo : lo+tpn*chunk]
-			if d == t.ns.id {
-				nodeSlice = part
-				next()
-				return
-			}
-			t.sendColl(d, &collMsg{Epoch: epoch, From: scatterTag(n, (d-rootNode+n)%n), Data: part}, next)
-		})
-	}, func(r any) {
-		nodeSlice := r.([]byte)
-		chunk := len(nodeSlice) / tpn
-		slot := t.id % tpn
-		t.copyOut(chunk, nodeSlice[slot*chunk:(slot+1)*chunk], &out)
-	})
-	t.p.Await()
-	return out
-}
-
-// Gather collects one equal-sized chunk from every thread at root
-// (upc_all_gather shape): root receives the concatenation in thread
-// order; everyone else receives nil.
-func (t *Thread) Gather(root int, chunk []byte) (all []byte) {
-	n, tpn := t.rt.cfg.Nodes, t.rt.cfg.ThreadsPerNode()
-	rootNode := t.rt.nodeOfThread(root).id
-	t.p.ParkWake()
-	t.collective(func(cs *collState) {
-		if cs.parts == nil {
-			cs.parts = make([][]byte, tpn)
-		}
-		cs.parts[t.id%tpn] = append([]byte(nil), chunk...)
-	}, func(cs *collState, release func(any)) {
-		epoch := cs.epoch
-		var nodeBlob []byte
-		for _, p := range cs.parts {
-			nodeBlob = append(nodeBlob, p...)
-		}
-		cs.parts = nil
-		if t.ns.id != rootNode {
-			rel := (t.ns.id - rootNode + n) % n
-			t.sendColl(rootNode, &collMsg{Epoch: epoch, From: gatherTag(n, rel), Data: nodeBlob},
-				func() { release([]byte(nil)) })
-			return
-		}
-		blobs := make([][]byte, n)
-		blobs[t.ns.id] = nodeBlob
-		src := 0
-		sim.Loop(func(next func()) {
-			if src == t.ns.id {
-				src++
-			}
-			if src == n {
-				var all []byte
-				for _, b := range blobs {
-					all = append(all, b...)
-				}
-				release(all)
-				return
-			}
-			s := src
-			src++
-			t.recvColl(collKey{epoch: epoch, from: gatherTag(n, (s-rootNode+n)%n)}, func(m *collMsg) {
-				blobs[s] = m.Data
-				next()
-			})
-		})
-	}, func(r any) {
-		if t.id != root {
+		t.c.Sleep(sim.BytesTime(len(all), t.rt.cfg.Profile.ShmByteTime), func() {
+			out = append([]byte(nil), all...)
 			t.c.Resume()
-			return
-		}
-		all = r.([]byte)
-		t.c.Sleep(sim.BytesTime(len(all), t.rt.cfg.Profile.ShmByteTime), t.c.Resumer())
+		})
 	})
 	t.p.Await()
-	return all
+	return out
 }

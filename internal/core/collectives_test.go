@@ -162,105 +162,3 @@ func TestCollectiveCostScalesWithNodes(t *testing.T) {
 		t.Fatal("16-node reduction not slower than 2-node")
 	}
 }
-
-func TestScatter(t *testing.T) {
-	const threads, nodes, chunk = 8, 4, 4
-	for _, root := range []int{0, 5} {
-		root := root
-		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
-			data := make([]byte, threads*chunk)
-			for i := range data {
-				data[i] = byte(i)
-			}
-			mustRun(t, cfg(threads, nodes, transport.GM(), NoCache()), func(th *Thread) {
-				var in []byte
-				if th.ID() == root {
-					in = data
-				}
-				got := th.Scatter(root, in)
-				want := data[th.ID()*chunk : (th.ID()+1)*chunk]
-				if !bytes.Equal(got, want) {
-					t.Errorf("thread %d got %v, want %v", th.ID(), got, want)
-				}
-			})
-		})
-	}
-}
-
-func TestGather(t *testing.T) {
-	const threads, nodes, chunk = 8, 4, 3
-	for _, root := range []int{0, 6} {
-		root := root
-		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
-			mustRun(t, cfg(threads, nodes, transport.LAPI(), NoCache()), func(th *Thread) {
-				mine := make([]byte, chunk)
-				for i := range mine {
-					mine[i] = byte(th.ID()*10 + i)
-				}
-				got := th.Gather(root, mine)
-				if th.ID() != root {
-					if got != nil {
-						t.Errorf("thread %d received gather data", th.ID())
-					}
-					return
-				}
-				if len(got) != threads*chunk {
-					t.Fatalf("root got %d bytes, want %d", len(got), threads*chunk)
-				}
-				for id := 0; id < threads; id++ {
-					for i := 0; i < chunk; i++ {
-						if got[id*chunk+i] != byte(id*10+i) {
-							t.Errorf("gathered[%d][%d] = %d", id, i, got[id*chunk+i])
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-func TestScatterGatherRoundTrip(t *testing.T) {
-	const threads, nodes = 8, 2
-	data := make([]byte, threads*8)
-	for i := range data {
-		data[i] = byte(i * 3)
-	}
-	mustRun(t, cfg(threads, nodes, transport.GM(), DefaultCache()), func(th *Thread) {
-		var in []byte
-		if th.ID() == 2 {
-			in = data
-		}
-		chunk := th.Scatter(2, in)
-		// Transform locally, then gather back.
-		for i := range chunk {
-			chunk[i]++
-		}
-		out := th.Gather(2, chunk)
-		if th.ID() == 2 {
-			for i := range out {
-				if out[i] != data[i]+1 {
-					t.Errorf("roundtrip[%d] = %d, want %d", i, out[i], data[i]+1)
-				}
-			}
-		}
-	})
-}
-
-func TestScatterIndivisiblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	rt, err := NewRuntime(cfg(4, 2, transport.GM(), NoCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = rt.Run(func(th *Thread) {
-		var in []byte
-		if th.ID() == 0 {
-			in = make([]byte, 7) // not divisible by 4 threads
-		}
-		th.Scatter(0, in)
-	})
-}

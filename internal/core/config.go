@@ -2,9 +2,9 @@
 // top of the simulated transports: UPC threads mapped onto cluster
 // nodes in hybrid mode, shared objects named through the Shared
 // Variable Directory, blocking GET/PUT with the remote address cache
-// fast path, bulk transfers, fences, hierarchical barriers, shared
-// locks, and the dynamic allocation routines with eager cache
-// invalidation on free.
+// fast path, bulk transfers, fences, hierarchical barriers,
+// collectives, remote atomics, and collective allocation with eager
+// cache invalidation on free.
 package core
 
 import (
@@ -113,11 +113,11 @@ type Config struct {
 	Rel *transport.RelConfig
 	// Coalesce, when non-nil, enables per-destination small-message
 	// coalescing for the split-phase API: eager AMs and RDMA
-	// descriptors issued through NbGet/NbPut park in a per-(src,dst)
-	// buffer and travel as one wire frame, flushed on a size threshold,
-	// a virtual-time timer, or a sync/fence. Nil (the default) keeps
-	// every message individual and the event stream bit-identical to a
-	// build without coalescing.
+	// descriptors issued through NbGet and the split-phase atomics park
+	// in a per-(src,dst) buffer and travel as one wire frame, flushed on
+	// a size threshold, a virtual-time timer, or a sync/fence. Nil (the
+	// default) keeps every message individual and the event stream
+	// bit-identical to a build without coalescing.
 	Coalesce *transport.CoalConfig
 	// Crash, when non-nil, schedules deterministic node crash/restart
 	// events keyed by Seed and implies the reliable-delivery layer

@@ -11,8 +11,8 @@ import (
 // TestConsultRung pins where the address cache is consulted: every
 // remote operation that may use it looks it up exactly once, under one
 // cache_lookup phase, and goes one-sided on a hit; PUTs on a profile
-// that disables PUT caching (LAPI), blocking or split-phase, and every
-// operation of a cache-less run never look it up at all.
+// that disables PUT caching (LAPI), and every operation of a cache-less
+// run, never look it up at all.
 func TestConsultRung(t *testing.T) {
 	kinds := []struct {
 		name, op string
@@ -23,7 +23,6 @@ func TestConsultRung(t *testing.T) {
 		{"put", "put", true, func(th *Thread, r Ref) { th.PutUint64(r, 7) }},
 		{"atomic", "atomic", false, func(th *Thread, r Ref) { th.FetchAdd(r, 1) }},
 		{"nbget", "get", false, func(th *Thread, r Ref) { th.Sync(th.NbGet(make([]byte, 8), r)) }},
-		{"nbput", "put", true, func(th *Thread, r Ref) { th.Sync(th.NbPut(r, make([]byte, 8))) }},
 		{"nbatomic", "atomic", false, func(th *Thread, r Ref) {
 			var old uint64
 			th.Sync(th.NbFetchAdd(r, 1, &old))

@@ -77,44 +77,14 @@ func (d digest) final(th *core.Thread, a *core.SharedArray, elems int64) {
 	th.Barrier()
 }
 
-// finalC is final in continuation-passing style.
-func (d digest) finalC(th *core.Thread, a *core.SharedArray, elems int64, then func()) {
-	if th.ID() != 0 {
-		th.BarrierC(then)
-		return
-	}
-	buf := make([]byte, elems*8)
-	th.GetBulkC(buf, a.At(0), func() {
-		for i := 0; i < len(buf); i += 8 {
-			d.add(th, binary.LittleEndian.Uint64(buf[i:]))
-		}
-		th.BarrierC(then)
-	})
-}
-
-// computeC is what Compute does, in continuation-passing style (Compute
-// has no ...C form): hold one of the node's cores for d. It leaves out
-// only the telemetry compute interval, which no row reads.
-func computeC(th *core.Thread, d sim.Duration, then func()) {
-	cpu := th.Runtime().M.Nodes[th.Node()].CPU
-	th.AcquireC(cpu, func() {
-		th.SleepC(d, func() {
-			cpu.Release()
-			then()
-		})
-	})
-}
-
 // dispatchProgram is one program, of 16 threads on 4 nodes unless tune
 // says otherwise, whose AM traffic makes the target's dispatcher
 // contexts contend: for the AM queue, for Comm, for a lock taken inside
-// a handler. A program with a cont body is run in both API styles, and
-// the RunCont run must reproduce the blocking row exactly.
+// a handler.
 type dispatchProgram struct {
 	name string
 	tune func(c *core.Config)
 	body func(d digest) func(th *core.Thread)
-	cont func(d digest) core.ContBody
 }
 
 func dispatchPrograms() []dispatchProgram {
@@ -138,37 +108,9 @@ func dispatchPrograms() []dispatchProgram {
 				d.final(th, a, 64)
 			}
 		}},
-		// Requests reach nodes before the allocation notification of the
-		// object they name: the handler requeues them (200 ns) until it
-		// lands. (On LAPI the notification's handler is still running on
-		// one context while another serves the request.)
-		{name: "alloc_notify_race", body: func(d digest) func(th *core.Thread) {
-			var shared *core.SharedArray
-			return func(th *core.Thread) {
-				switch {
-				case th.ID() == 0:
-					a := th.GlobalAlloc("G", 64, 8, 4) // node 3: elements 48-63
-					shared = a
-					d.add(th, th.FetchAdd(a.At(60), 5))
-					d.add(th, th.GetUint64(a.At(44)))
-				case th.Node() == 1:
-					for shared == nil {
-						th.Sleep(100 * sim.Ns)
-					}
-					d.add(th, th.GetUint64(shared.At(int64(48+th.ID()))))
-					th.PutUint64(shared.At(int64(32+th.ID())), uint64(th.ID()))
-				}
-				th.Fence()
-				th.Barrier()
-				for shared == nil {
-					th.Sleep(100 * sim.Ns)
-				}
-				d.final(th, shared, 64)
-			}
-		}},
 		// Split-phase traffic under coalescing: frames served by the batch
-		// path, replies framed and flushed.
-		{name: "coalesced_nb", tune: func(c *core.Config) {
+		// path, replies framed and flushed, blocking PUTs between them.
+		{name: "coalesced_nbget", tune: func(c *core.Config) {
 			cc := transport.DefaultCoalConfig()
 			c.Coalesce = &cc
 		}, body: func(d digest) func(th *core.Thread) {
@@ -181,9 +123,7 @@ func dispatchPrograms() []dispatchProgram {
 						th.NbGet(bufs[j][:], a.At(int64((th.ID()*13+j*17+round)%256)))
 					}
 					for j := 0; j < 4; j++ {
-						w := make([]byte, 8)
-						binary.LittleEndian.PutUint64(w, uint64(th.ID()*1000+j+round))
-						th.NbPut(a.At(int64((th.ID()*29+j*31+round*7)%256)), w)
+						th.PutUint64(a.At(int64((th.ID()*29+j*31+round*7)%256)), uint64(th.ID()*1000+j+round))
 					}
 					th.SyncAll()
 					for j := range bufs {
@@ -216,66 +156,6 @@ func dispatchPrograms() []dispatchProgram {
 				d.final(th, a, 16*elems)
 			}
 		}},
-		// Lock contention: grants queue at the home node and are sent by
-		// the unlocking side (a thread there, or a handler).
-		{name: "lock_contention", body: func(d digest) func(th *core.Thread) {
-			return func(th *core.Thread) {
-				l := th.AllLockAlloc("L")
-				a := th.AllAlloc("K", 16, 8, 1)
-				th.Barrier()
-				for i := 0; i < 2; i++ {
-					th.Lock(l)
-					v := th.GetUint64(a.At(0))
-					d.add(th, v)
-					th.Compute(500 * sim.Ns)
-					th.PutUint64(a.At(0), v+1)
-					th.Fence()
-					th.Unlock(l)
-				}
-				got := th.TryLock(l)
-				d.add(th, b2u(got))
-				if got {
-					th.Unlock(l)
-				}
-				th.Barrier()
-				d.final(th, a, 16)
-			}
-		}, cont: func(d digest) core.ContBody {
-			return func(th *core.Thread, done func()) {
-				th.AllLockAllocC("L", func(l *core.Lock) {
-					th.AllAllocC("K", 16, 8, 1, func(a *core.SharedArray) {
-						th.BarrierC(func() {
-							i := 0
-							sim.Loop(func(next func()) {
-								if i == 2 {
-									th.TryLockC(l, func(got bool) {
-										d.add(th, b2u(got))
-										closing := func() { th.BarrierC(func() { d.finalC(th, a, 16, done) }) }
-										if got {
-											th.UnlockC(l, closing)
-											return
-										}
-										closing()
-									})
-									return
-								}
-								i++
-								th.LockC(l, func() {
-									th.GetUint64C(a.At(0), func(v uint64) {
-										d.add(th, v)
-										computeC(th, 500*sim.Ns, func() {
-											th.PutUint64C(a.At(0), v+1, func() {
-												th.FenceC(func() { th.UnlockC(l, next) })
-											})
-										})
-									})
-								})
-							})
-						})
-					})
-				})
-			}
-		}},
 		// Free of an object every node touched: each node's handler drops
 		// its cache entries and deregisters its piece.
 		{name: "free_touched", body: func(d digest) func(th *core.Thread) {
@@ -305,40 +185,21 @@ func dispatchPrograms() []dispatchProgram {
 					d.add(th, th.AllReduceU64(uint64(th.ID()*7+i), op))
 				}
 			}
-		}, cont: func(d digest) core.ContBody {
-			return func(th *core.Thread, done func()) {
-				i := 0
-				sim.Loop(func(next func()) {
-					if i == len(reduceOps) {
-						done()
-						return
-					}
-					v, op := uint64(th.ID()*7+i), reduceOps[i]
-					i++
-					th.AllReduceU64C(v, op, func(r uint64) {
-						d.add(th, r)
-						next()
-					})
-				})
-			}
 		}},
-		// A KV table under contended Put/Delete/Get of eight hot keys, reads
+		// A KV table under contended Put/Get of eight hot keys, reads
 		// through the lookup AM: handlers queue on the node's shard lock.
-		{name: "kv_contended", body: func(d digest) func(th *core.Thread) {
+		{name: "kv_contended_put_get", body: func(d digest) func(th *core.Thread) {
 			return func(th *core.Thread) {
 				tb := kv.New(th, kv.Options{Name: "kv", NumKeys: 256, ReadViaAM: true})
 				kv.Preload(th, tb, 256)
 				for i := 0; i < 12; i++ {
 					key := 1 + uint64((th.ID()*3+i)%8)
-					switch i % 3 {
-					case 0:
+					if i%2 == 0 {
 						d.add(th, b2u(tb.Put(th, key, uint64(th.ID()<<8|i))))
-					case 1:
-						v, ok := tb.Get(th, key)
-						d.add(th, v, b2u(ok))
-					default:
-						d.add(th, b2u(tb.Delete(th, key)))
+						continue
 					}
+					v, ok := tb.Get(th, key)
+					d.add(th, v, b2u(ok))
 				}
 				th.Barrier()
 				if th.ID() == 0 {
@@ -350,15 +211,14 @@ func dispatchPrograms() []dispatchProgram {
 				th.Barrier()
 			}
 		}},
-		{name: "collectives", body: collectives},
+		{name: "reduce_broadcast", body: reduceBroadcast},
 		// Twelve nodes: the binomial trees' src < n and dst < n edges.
-		{name: "collectives_48x12", tune: func(c *core.Config) { c.Threads, c.Nodes = 48, 12 }, body: collectives},
+		{name: "reduce_broadcast_48x12", tune: func(c *core.Config) { c.Threads, c.Nodes = 48, 12 }, body: reduceBroadcast},
 		// Cached PUTs through entries the limited-pinning policy has
-		// deregistered since: each is NACKed and retried over the AM path,
-		// blocking and split-phase.
-		{name: "put_nack_retry", tune: func(c *core.Config) {
+		// deregistered since: each is NACKed and retried over the AM path.
+		{name: "put_nack_retry_blocking", tune: func(c *core.Config) {
 			c.Cache.PutMode = core.PutCacheOn
-			chunk := core.NewLayout(16, 4, 8, 8, 128).NodeChunkBytes(0)
+			chunk := core.NewLayout(16, 4, 8, 8, 128).NodeChunkBytes()
 			c.Pin = &core.PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1}
 		}, body: func(d digest) func(th *core.Thread) {
 			return func(th *core.Thread) {
@@ -375,16 +235,9 @@ func dispatchPrograms() []dispatchProgram {
 						d.add(th, th.GetUint64(a.At(e)))
 					}
 					for i, a := range as {
-						v := uint64(th.ID()<<16 | round<<8 | i)
-						if round == 0 {
-							th.PutUint64(a.At(e), v)
-							continue
-						}
-						w := make([]byte, 8)
-						binary.LittleEndian.PutUint64(w, v)
-						th.NbPut(a.At(e), w)
+						th.PutUint64(a.At(e), uint64(th.ID()<<16|round<<8|i))
 					}
-					th.SyncAll()
+					th.Fence()
 				}
 				th.Barrier()
 				for _, a := range as {
@@ -419,51 +272,38 @@ func dispatchPrograms() []dispatchProgram {
 
 var reduceOps = []core.ReduceOp{core.ReduceSum, core.ReduceMax, core.ReduceXor}
 
-// collectives runs each collective once, rooted off node 0, plus one
-// LocalAlloc, whose notices fan out to every node, and one Sleep.
-func collectives(d digest) func(th *core.Thread) {
-	var local *core.SharedArray
+// reduceBroadcast runs the reduction and the broadcast once each, rooted
+// off node 0, then one thread PUTs into an object homed on node 0, and
+// every thread Sleeps.
+func reduceBroadcast(d digest) func(th *core.Thread) {
 	return func(th *core.Thread) {
 		n := th.Threads()
 		d.add(th, math.Float64bits(th.AllReduceF64(float64(th.ID())*0.5+0.25)))
-		var all []byte
-		if th.ID() == n/3 || th.ID() == n-1 {
-			all = make([]byte, n*8)
-			for i := range all {
-				all[i] = byte(i*7 + th.ID())
-			}
-		}
 		var bc []byte
 		if th.ID() == n/3 {
-			bc = all[:24]
+			bc = make([]byte, 24)
+			for i := range bc {
+				bc[i] = byte(i*7 + th.ID())
+			}
 		}
 		for _, b := range th.Broadcast(n/3, bc) {
 			d.add(th, uint64(b))
 		}
-		var sc []byte
+		obj := th.AllAlloc("L", 8, 8, 8)
 		if th.ID() == n-1 {
-			sc = all
-		}
-		d.add(th, binary.LittleEndian.Uint64(th.Scatter(n-1, sc)))
-		chunk := make([]byte, 8)
-		binary.LittleEndian.PutUint64(chunk, uint64(th.ID()*th.ID()+1))
-		for _, b := range th.Gather(n/2+1, chunk) {
-			d.add(th, uint64(b))
-		}
-		if th.ID() == n-1 {
-			local = th.LocalAlloc("L", 8, 8)
 			for i := int64(0); i < 8; i++ {
-				th.PutUint64(local.At(i), uint64(i+11))
+				th.PutUint64(obj.At(i), uint64(i+11))
 			}
 		}
 		th.Sleep(sim.Duration(th.ID()%3) * 100 * sim.Ns)
+		th.Fence()
 		th.Barrier()
-		d.final(th, local, 8)
+		d.final(th, obj, 8)
 	}
 }
 
 // runDispatch runs one program and reduces it to its golden row.
-func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cached, cont bool) dispatchRow {
+func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cached bool) dispatchRow {
 	t.Helper()
 	cc := core.NoCache()
 	if cached {
@@ -482,12 +322,7 @@ func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cach
 	for i := range d {
 		d[i] = 14695981039346656037
 	}
-	var st core.RunStats
-	if cont {
-		st, err = rt.RunCont(dp.cont(d))
-	} else {
-		st, err = rt.Run(dp.body(d))
-	}
+	st, err := rt.Run(dp.body(d))
 	if err != nil {
 		t.Fatalf("%s: %v", dp.name, err)
 	}
@@ -517,7 +352,8 @@ func runDispatch(t *testing.T, dp dispatchProgram, prof *transport.Profile, cach
 
 // TestDispatchGolden pins what the target side does under contention —
 // sixteen threads of AM traffic per program, dispatcher contexts
-// competing for the AM queue, Comm and locks taken inside handlers, on
+// competing for the AM queue, Comm and locks taken inside handlers (the
+// KV's shard lock), on
 // GM (one context per node) and LAPI (four), with and without the
 // address cache — to absolute values recorded while every dispatcher
 // context was still a process. Regenerate only for a deliberate model
@@ -540,12 +376,7 @@ func TestDispatchGolden(t *testing.T) {
 			for _, cached := range []bool{true, false} {
 				p := prof()
 				key := fmt.Sprintf("%s/%s/cache=%v", dp.name, p.Name, cached)
-				got[key] = runDispatch(t, dp, p, cached, false)
-				if dp.cont != nil {
-					if c := runDispatch(t, dp, p, cached, true); !reflect.DeepEqual(c, got[key]) {
-						t.Errorf("%s under RunCont:\n got  %+v\n want the blocking row %+v", key, c, got[key])
-					}
-				}
+				got[key] = runDispatch(t, dp, p, cached)
 				if update {
 					continue
 				}

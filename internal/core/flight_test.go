@@ -175,7 +175,7 @@ func TestFlightRecorderIsVirtualTimeInvisible(t *testing.T) {
 		}
 		if withFlight {
 			total := uint64(0)
-			for n := 0; n < rt.FlightRecorder().Nodes(); n++ {
+			for n := 0; n < rt.Config().Nodes; n++ {
 				total += rt.FlightRecorder().Recorded(n)
 			}
 			if total == 0 {

@@ -89,11 +89,10 @@ type getReq struct {
 
 // reply is the one header every answer travels under, whatever was
 // asked: what an answer can carry is a payload (an eager GET's data, a
-// user AM's reply), one value (an atomic's previous word, a lock
-// attempt's outcome, a rendezvous rtrResult), an arrival at a fence (a
-// PUT's or a free's ACK), a completion to fire, and the piggybacked base
-// address of H with the frame's extra pairs. handleReply retires them
-// all.
+// user AM's reply), one value (an atomic's previous word, a rendezvous
+// rtrResult), an arrival at a fence (a PUT's or a free's ACK), a
+// completion to fire, and the piggybacked base address of H with the
+// frame's extra pairs. handleReply retires them all.
 type reply struct {
 	H     svd.Handle
 	Base  mem.Addr // 0: not piggybacked (pin failed, or the request did not want it)
@@ -109,8 +108,7 @@ type putReq struct {
 	H        svd.Handle
 	Off      int64
 	WantAddr bool
-	Fence    *sim.Counter    // initiator thread's fence; Arrives on ACK
-	Done     *sim.Completion // split-phase handle; nil for blocking PUTs
+	Fence    *sim.Counter // initiator thread's fence; Arrives on ACK
 }
 
 // rts is the rendezvous request-to-send for large transfers: the
@@ -251,7 +249,7 @@ func (x *amCtx) putCopied() {
 	rt.hdr.bounce.Put(x.msg.Payload)
 	// The ACK may carry the base address too (the paper populates the
 	// cache "either on the data stream or on the ACK message").
-	rep := reply{H: m.H, Base: x.base, Epoch: x.epoch, Fence: m.Fence, Done: m.Done}
+	rep := reply{H: m.H, Base: x.base, Epoch: x.epoch, Fence: m.Fence}
 	rt.hdr.put.Put(m)
 	x.answer(rep, nil, 0)
 }
@@ -296,7 +294,6 @@ func init() {
 		kindGet:      {"get", false, false, (*Thread).getHit, (*Thread).getSlow},
 		kindPut:      {"put", false, true, (*Thread).putHit, (*Thread).putSlow},
 		kindNbGet:    {"get", true, false, (*Thread).nbGetHit, (*Thread).nbGetEager},
-		kindNbPut:    {"put", true, true, (*Thread).nbPutHit, (*Thread).nbPutEager},
 		kindAtomic:   {"atomic", false, false, (*Thread).atomicHit, (*Thread).atomicMiss},
 		kindNbAtomic: {"atomic", true, false, (*Thread).nbAtomicHit, (*Thread).nbAtomicAM},
 	}
@@ -344,12 +341,7 @@ func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
 
 	if rn == t.ns.id {
 		// Intra-node: shared memory, no network.
-		if t.lookupLocal() {
-			t.localGet()
-			return
-		}
-		t.park(pcLocalGet)
-		t.localCB()
+		t.localGet()
 		return
 	}
 
@@ -358,6 +350,7 @@ func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
 }
 
 func (t *Thread) localGet() {
+	t.lookupLocal()
 	prof := t.rt.cfg.Profile
 	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, t.start)
 	t.span.SetProto("local")
@@ -563,12 +556,7 @@ func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), src, t.Now()
 
 	if rn == t.ns.id {
-		if t.lookupLocal() {
-			t.localPut()
-			return
-		}
-		t.park(pcLocalPut)
-		t.localCB()
+		t.localPut()
 		return
 	}
 
@@ -580,6 +568,7 @@ func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 }
 
 func (t *Thread) localPut() {
+	t.lookupLocal()
 	prof := t.rt.cfg.Profile
 	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, t.start)
 	t.span.SetProto("local")
@@ -607,7 +596,7 @@ func (t *Thread) putRDMA(base mem.Addr, ep uint32) {
 
 func (t *Thread) putRDMADone() {
 	t.acks.Add(1)
-	t.watchPut(t.rdma.Done, t.a, t.rn, t.off, t.buf, t.span, nil)
+	t.watchPut(t.rdma.Done, t.a, t.rn, t.off, t.buf, t.span)
 	t.c.Resume()
 }
 
@@ -660,13 +649,9 @@ func (t *Thread) putRendezvoused() {
 	t.putRDMA(res.base, res.epoch)
 }
 
+// putFinish closes out the remote PUT and charges it to the thread.
 func (t *Thread) putFinish() {
 	t.a, t.buf = nil, nil
-	t.putRetired()
-}
-
-// putRetired charges a finished remote PUT to the thread.
-func (t *Thread) putRetired() {
 	t.span.Finish(t.Now())
 	t.span = nil
 	t.ops.Puts++
@@ -674,25 +659,20 @@ func (t *Thread) putRetired() {
 }
 
 // watchPut completes an asynchronous RDMA PUT under the thread's
-// fence (and, for split-phase PUTs, under the handle's completion). A
-// NACK (the limited-pinning policy deregistered the region mid-flight)
-// drops the stale cache entry and reissues the write over the
-// active-message path (putRetry); neither the fence nor the handle
-// releases until the retry's ACK lands, so fence semantics survive
-// eviction races. A stale-epoch NACK (the target restarted) first
-// flushes every cached address for the node, then retries with WantAddr
-// so the ACK re-piggybacks the fresh base — or aborts the run under
-// CrashFail.
-func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off int64, data []byte, span *telemetry.Span, done *sim.Completion) {
+// fence. A NACK (the limited-pinning policy deregistered the region
+// mid-flight) drops the stale cache entry and reissues the write over
+// the active-message path (putRetry); the fence does not release until
+// the retry's ACK lands, so fence semantics survive eviction races. A
+// stale-epoch NACK (the target restarted) first flushes every cached
+// address for the node, then retries with WantAddr so the ACK
+// re-piggybacks the fresh base — or aborts the run under CrashFail.
+func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off int64, data []byte, span *telemetry.Span) {
 	f := t.acks
 	remote.Then(func(v any) {
 		nk, isNack := v.(transport.Nack)
 		if !isNack {
 			t.rt.hdr.bounce.Put(data) // in place at the target: its last reader is done
 			f.Arrive()
-			if done != nil {
-				done.Complete(nil)
-			}
 			return
 		}
 		if nk.Stale {
@@ -705,7 +685,7 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 			t.rt.tel.Add("xlupc_put_retries_total", `reason="nack"`, 1)
 		}
 		r := &putRetry{t: t, rn: rn, data: data, span: span, nack: nk,
-			req: t.rt.newPutReq(putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f, Done: done})}
+			req: t.rt.newPutReq(putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f})}
 		r.ct = t.rt.K.SpawnService("put-retry", t.id, "", r, retryStart)
 	})
 }

@@ -18,10 +18,6 @@ type Layout struct {
 	ElemSize       int
 	Block          int64 // elements per block
 	NumElems       int64
-	// Home, when non-negative, pins the whole array to a single
-	// thread (upc_alloc semantics: affinity entirely to the caller).
-	// Negative means ordinary block-cyclic distribution.
-	Home int
 }
 
 // NewLayout builds a layout. A non-positive block size means
@@ -40,7 +36,6 @@ func NewLayout(threads, threadsPerNode, elemSize int, block, numElems int64) Lay
 		ElemSize:       elemSize,
 		Block:          block,
 		NumElems:       numElems,
-		Home:           -1,
 	}
 }
 
@@ -56,40 +51,24 @@ func (l Layout) ThreadRegionBytes() int64 {
 	return l.blocksPerThread() * l.Block * int64(l.ElemSize)
 }
 
-// NodeChunkBytes is the size of the chunk node must allocate: uniform
-// across nodes for block-cyclic arrays, everything on the home node
-// (and nothing elsewhere) for home-pinned ones.
-func (l Layout) NodeChunkBytes(node int) int64 {
-	if l.Home >= 0 {
-		if node == l.Home/l.ThreadsPerNode {
-			return l.NumElems * int64(l.ElemSize)
-		}
-		return 0
-	}
+// NodeChunkBytes is the size of the chunk every node allocates: one
+// region per resident thread.
+func (l Layout) NodeChunkBytes() int64 {
 	return int64(l.ThreadsPerNode) * l.ThreadRegionBytes()
 }
 
 // Owner reports the UPC thread element i has affinity to.
 func (l Layout) Owner(i int64) int {
-	if l.Home >= 0 {
-		return l.Home
-	}
 	return int((i / l.Block) % int64(l.Threads))
 }
 
 // NextOwned reports the smallest index ≥ i that is affine to thread,
 // or NumElems when there is none — the O(1) cursor every affinity walk
-// (Thread.ForAll, Thread.ForAllC) steps with, so enumerating a thread's
+// (Thread.ForAll) steps with, so enumerating a thread's
 // elements costs its share of the array rather than a test of every
 // index.
 func (l Layout) NextOwned(thread int, i int64) int64 {
 	if i >= l.NumElems {
-		return l.NumElems
-	}
-	if l.Home >= 0 {
-		if thread == l.Home {
-			return i
-		}
 		return l.NumElems
 	}
 	blk := i / l.Block
@@ -114,9 +93,6 @@ func (l Layout) Phase(i int64) int64 { return i % l.Block }
 // ChunkOffset reports the byte offset of element i within its owning
 // node's chunk.
 func (l Layout) ChunkOffset(i int64) int64 {
-	if l.Home >= 0 {
-		return i * int64(l.ElemSize)
-	}
 	owner := l.Owner(i)
 	slot := int64(owner % l.ThreadsPerNode)
 	localBlock := (i / l.Block) / int64(l.Threads)
@@ -131,7 +107,7 @@ func (l Layout) ChunkOffset(i int64) int64 {
 // block, so for Threads > 1 the run ends at the block boundary.
 func (l Layout) ContigRun(i int64) int64 {
 	rest := l.Block - l.Phase(i)
-	if l.Threads == 1 || l.Home >= 0 {
+	if l.Threads == 1 {
 		rest = l.NumElems - i // single affinity, fully contiguous
 	}
 	if max := l.NumElems - i; rest > max {

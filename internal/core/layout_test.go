@@ -37,8 +37,8 @@ func TestLayoutChunkOffsets(t *testing.T) {
 	if l.ThreadRegionBytes() != 16 {
 		t.Fatalf("region = %d", l.ThreadRegionBytes())
 	}
-	if l.NodeChunkBytes(0) != 32 {
-		t.Fatalf("chunk = %d", l.NodeChunkBytes(0))
+	if l.NodeChunkBytes() != 32 {
+		t.Fatalf("chunk = %d", l.NodeChunkBytes())
 	}
 	// Elements 0,1 → thread 0 block 0 → offsets 0,4.
 	// Elements 2,3 → thread 1 block 0 → offsets 16,20.
@@ -62,28 +62,11 @@ func TestLayoutIndefiniteBlock(t *testing.T) {
 	// region (2 threads/node × 100 elements × 8 bytes) even though
 	// only thread 0 holds data — the documented space/simplicity
 	// trade of the chunk scheme.
-	if l.NodeChunkBytes(0) != 1600 {
-		t.Fatalf("node 0 chunk = %d", l.NodeChunkBytes(0))
+	if l.NodeChunkBytes() != 1600 {
+		t.Fatalf("node 0 chunk = %d", l.NodeChunkBytes())
 	}
 	if l.ContigRun(0) != 100 {
 		t.Fatalf("contig run = %d", l.ContigRun(0))
-	}
-}
-
-func TestLayoutHome(t *testing.T) {
-	l := NewLayout(4, 2, 8, 10, 100)
-	l.Home = 3
-	if l.Owner(57) != 3 || l.NodeOf(57) != 1 {
-		t.Fatalf("home owner/node wrong: %d/%d", l.Owner(57), l.NodeOf(57))
-	}
-	if l.NodeChunkBytes(1) != 800 || l.NodeChunkBytes(0) != 0 {
-		t.Fatalf("home chunks wrong: %d/%d", l.NodeChunkBytes(1), l.NodeChunkBytes(0))
-	}
-	if l.ChunkOffset(13) != 13*8 {
-		t.Fatalf("home offset = %d", l.ChunkOffset(13))
-	}
-	if l.ContigRun(40) != 60 {
-		t.Fatalf("home contig run = %d", l.ContigRun(40))
 	}
 }
 
@@ -119,7 +102,7 @@ func TestPropertyLayoutBijective(t *testing.T) {
 		for i := int64(0); i < n; i++ {
 			node := int64(l.NodeOf(i))
 			off := l.ChunkOffset(i)
-			if off < 0 || off+int64(l.ElemSize) > l.NodeChunkBytes(int(node)) {
+			if off < 0 || off+int64(l.ElemSize) > l.NodeChunkBytes() {
 				return false
 			}
 			if off%int64(l.ElemSize) != 0 {
@@ -196,10 +179,9 @@ func FuzzLayoutChunkOffset(f *testing.F) {
 		if owner < 0 || owner >= threads {
 			t.Fatalf("owner %d out of range", owner)
 		}
-		node := l.NodeOf(i)
 		off := l.ChunkOffset(i)
-		if off < 0 || off+8 > l.NodeChunkBytes(node) {
-			t.Fatalf("offset %d outside chunk %d (i=%d)", off, l.NodeChunkBytes(node), i)
+		if off < 0 || off+8 > l.NodeChunkBytes() {
+			t.Fatalf("offset %d outside chunk %d (i=%d)", off, l.NodeChunkBytes(), i)
 		}
 		if off%8 != 0 {
 			t.Fatalf("offset %d misaligned", off)
@@ -232,11 +214,6 @@ func ownedWalk(l Layout, thread int) []int64 {
 	return out
 }
 
-func homeLayout(l Layout, home int) Layout {
-	l.Home = home
-	return l
-}
-
 func TestNextOwnedMatchesOwnerFilter(t *testing.T) {
 	cases := []struct {
 		name string
@@ -250,7 +227,6 @@ func TestNextOwnedMatchesOwnerFilter(t *testing.T) {
 		{"fewer blocks than threads", NewLayout(8, 2, 8, 4, 10)}, // threads 3..7 own nothing
 		{"block 1", NewLayout(3, 1, 8, 1, 10)},
 		{"one element", NewLayout(4, 2, 8, 3, 1)},
-		{"home 2 of 4", homeLayout(NewLayout(4, 2, 8, 10, 100), 2)},
 	}
 	for _, c := range cases {
 		covered := int64(0)
@@ -277,16 +253,13 @@ func TestNextOwnedMatchesOwnerFilter(t *testing.T) {
 	}
 }
 
-// Property, seeded: on random shapes (home-pinned one time in four)
-// the walk of every thread equals the Owner filter, in order.
+// Property, seeded: on random shapes the walk of every thread equals
+// the Owner filter, in order.
 func TestPropertyNextOwnedMatchesOwnerFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for iter := 0; iter < 300; iter++ {
 		threads := rng.Intn(16) + 1
 		l := NewLayout(threads, 1, 8, int64(rng.Intn(40)), int64(rng.Intn(600)+1))
-		if rng.Intn(4) == 0 {
-			l.Home = rng.Intn(threads)
-		}
 		for th := 0; th < threads; th++ {
 			if want, got := ownedNaive(l, th), ownedWalk(l, th); !slices.Equal(got, want) {
 				t.Fatalf("%+v: thread %d walks %v, owns %v", l, th, got, want)

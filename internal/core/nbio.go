@@ -7,13 +7,13 @@ import (
 	"xlupc/internal/transport"
 )
 
-// Handle identifies one split-phase operation started with NbGet or
-// NbPut. Sync retires it: for a GET, the destination buffer is valid
-// only after Sync returns; for a PUT, the source data is captured at
-// issue time, and Sync (or a fence/barrier, which retires every
-// outstanding handle) guarantees target visibility. The zero Handle —
-// returned for empty or fully local transfers whose work completed at
-// issue — is valid and retires as a no-op.
+// Handle identifies one split-phase operation started with NbGet,
+// NbFetchAdd or NbAccumulate. Sync retires it: the destination buffer
+// of a GET, and the previous value of a fetch-add, are valid only after
+// Sync returns (or a fence or barrier, which retires every outstanding
+// handle). The zero Handle — returned for empty or fully local
+// operations whose work completed at issue — is valid and retires as a
+// no-op.
 type Handle struct {
 	op  *nbOp
 	gen uint32
@@ -38,7 +38,6 @@ type nbOp struct {
 const (
 	subGet        = iota // eager GET: done carries the reply
 	subGetRDMA           // one-sided GET: done carries the data or a Nack
-	subPut               // PUT, either way: done fires at target visibility
 	subAtomic            // AM atomic: done carries the previous value
 	subAtomicRDMA        // NIC atomic: done carries it, or a Nack
 )
@@ -49,17 +48,17 @@ const (
 // redo over the active-message path after a Nack, the span to finish
 // and the issue time the thread's counters are charged from.
 type nbSub struct {
-	kind   int
-	done   *sim.Completion
-	a      *SharedArray
-	rn     int
-	off    int64
-	dst    []byte  // GET: the caller's buffer
-	out    *uint64 // atomic: where the previous value goes, if anywhere
-	aop    transport.AtomicOp
-	a1, a2 uint64
-	span   *telemetry.Span
-	start  sim.Time
+	kind  int
+	done  *sim.Completion
+	a     *SharedArray
+	rn    int
+	off   int64
+	dst   []byte  // GET: the caller's buffer
+	out   *uint64 // atomic: where the previous value goes, if anywhere
+	aop   transport.AtomicOp
+	a1    uint64
+	span  *telemetry.Span
+	start sim.Time
 }
 
 // newNbOp takes a descriptor from the thread's free list (or allocates
@@ -91,42 +90,15 @@ func (t *Thread) freeNbOp(op *nbOp) {
 // dst must not be read, and the array region not written, until Sync.
 func (t *Thread) NbGet(dst []byte, r Ref) Handle {
 	t.p.ParkWake()
-	t.nbIssue(kindNbGet, "NbGet", r, dst)
+	t.nbGet(dst, r)
 	t.p.Await()
 	return t.h
 }
 
-// NbGetC is NbGet in continuation-passing style.
-func (t *Thread) NbGetC(dst []byte, r Ref, then func(h Handle)) {
-	t.thenT = then
-	t.park(pcThenHandle)
-	t.nbIssue(kindNbGet, "NbGet", r, dst)
-}
-
-// NbPut starts a split-phase write of len(src) bytes of consecutive
-// elements at r (the non-blocking upc_memput). src is captured at
-// issue; Sync on the returned handle waits for target visibility,
-// stronger than a blocking Put (which only waits for local completion
-// and leaves visibility to the fence). Transfers above the eager limit
-// keep the blocking rendezvous pipeline and retire under the fence.
-func (t *Thread) NbPut(r Ref, src []byte) Handle {
-	t.p.ParkWake()
-	t.nbIssue(kindNbPut, "NbPut", r, src)
-	t.p.Await()
-	return t.h
-}
-
-// NbPutC is NbPut in continuation-passing style.
-func (t *Thread) NbPutC(r Ref, src []byte, then func(h Handle)) {
-	t.thenT = then
-	t.park(pcThenHandle)
-	t.nbIssue(kindNbPut, "NbPut", r, src)
-}
-
-// nbIssue issues a split-phase transfer run by run and leaves its
-// handle in t.h.
-func (t *Thread) nbIssue(kind int, name string, r Ref, buf []byte) {
-	n := runElems(name, len(buf), r)
+// nbGet issues a split-phase GET run by run and leaves its handle in
+// t.h.
+func (t *Thread) nbGet(dst []byte, r Ref) {
+	n := runElems("NbGet", len(dst), r)
 	if n == 0 {
 		t.h = Handle{}
 		t.c.Resume()
@@ -134,7 +106,7 @@ func (t *Thread) nbIssue(kind int, name string, r Ref, buf []byte) {
 	}
 	t.nb = t.newNbOp()
 	t.park(pcNbIssued)
-	t.bulk(kind, r, n, buf)
+	t.bulk(kindNbGet, r, n, dst)
 }
 
 // nbIssued finishes a split-phase issue: hand out a live handle, or
@@ -159,7 +131,7 @@ func (t *Thread) issued(kind int, done *sim.Completion) {
 	t.nb.subs = append(t.nb.subs, nbSub{
 		kind: kind, done: done,
 		a: t.a, rn: t.rn, off: t.off, dst: t.buf, out: t.out,
-		aop: t.aop, a1: t.a1, a2: t.a2,
+		aop: t.aop, a1: t.a1,
 		span: t.span, start: t.start,
 	})
 	t.a, t.buf, t.out, t.span, t.done = nil, nil, nil, nil, nil
@@ -173,12 +145,6 @@ func (t *Thread) Sync(h Handle) {
 	t.p.ParkWake()
 	t.sync(h)
 	t.p.Await()
-}
-
-// SyncC is Sync in continuation-passing style.
-func (t *Thread) SyncC(h Handle, then func()) {
-	t.c.Park(sim.Func(then), 0)
-	t.sync(h)
 }
 
 func (t *Thread) sync(h Handle) {
@@ -216,12 +182,6 @@ func (t *Thread) SyncAll() {
 	t.p.ParkWake()
 	t.syncAll()
 	t.p.Await()
-}
-
-// SyncAllC is SyncAll in continuation-passing style.
-func (t *Thread) SyncAllC(then func()) {
-	t.c.Park(sim.Func(then), 0)
-	t.syncAll()
 }
 
 func (t *Thread) syncAll() {
@@ -291,7 +251,7 @@ func (t *Thread) retireWoke() {
 	nk, nacked := val.(transport.Nack)
 	if nacked {
 		t.a, t.rn, t.off, t.buf, t.out = sub.a, sub.rn, sub.off, sub.dst, sub.out
-		t.aop, t.a1, t.a2 = sub.aop, sub.a1, sub.a2
+		t.aop, t.a1 = sub.aop, sub.a1
 		t.rdma.Nack = nk
 	}
 	switch sub.kind {
@@ -307,8 +267,6 @@ func (t *Thread) retireWoke() {
 		}
 		copy(sub.dst, data)
 		t.getRetired()
-	case subPut:
-		t.putRetired()
 	case subAtomic:
 		if sub.out != nil {
 			*sub.out = val.(uint64)
@@ -356,43 +314,3 @@ func (t *Thread) nbGetEager() {
 }
 
 func (t *Thread) nbGetSent() { t.issued(subGet, t.done) }
-
-// nbPutRun issues one single-affinity run of a split-phase PUT.
-func (t *Thread) nbPutRun(a *SharedArray, idx int64, src []byte) {
-	prof := t.rt.cfg.Profile
-	rn := a.l.NodeOf(idx)
-	if rn == t.ns.id || (len(src) > prof.EagerMax && prof.SupportsRDMA) {
-		t.putRun(a, idx, src) // local, or async under the fence, as always
-		return
-	}
-	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), src, t.Now()
-	t.done = sim.NewCompletion(t.rt.K, "nb-put")
-	t.remote(kindNbPut, len(src))
-}
-
-func (t *Thread) nbPutHit(base mem.Addr, ep uint32) {
-	t.buf = t.rt.bounceCopy(t.buf)
-	t.rt.M.RDMAPutStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off), t.buf, ep, t.span, &t.rdma, t.after(pcNbPutStarted))
-}
-
-func (t *Thread) nbPutStarted() {
-	t.acks.Add(1)
-	t.watchPut(t.rdma.Done, t.a, t.rn, t.off, t.buf, t.span, t.done)
-	t.issued(subPut, t.done)
-}
-
-func (t *Thread) nbPutEager() {
-	t.span.SetProto("eager")
-	t.t0 = t.Now()
-	t.c.Sleep(sim.BytesTime(len(t.buf), t.rt.cfg.Profile.CopyByteTime), t.after(pcNbPutCopied))
-}
-
-func (t *Thread) nbPutCopied() {
-	t.span.Phase(telemetry.PhaseCopy, t.t0, t.Now())
-	t.acks.Add(1)
-	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hPutReq,
-		t.rt.newPutReq(putReq{H: t.a.h, Off: t.off, WantAddr: t.ns.cache != nil, Fence: t.acks, Done: t.done}),
-		t.rt.bounceCopy(t.buf), 0, t.span, t.after(pcNbPutSent))
-}
-
-func (t *Thread) nbPutSent() { t.issued(subPut, t.done) }

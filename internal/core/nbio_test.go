@@ -69,50 +69,15 @@ func TestNbGetMatchesBlocking(t *testing.T) {
 	}
 }
 
-// Sync on a PUT handle guarantees target visibility: a remote reader
-// released right after the writer's Sync must observe the data.
-func TestNbPutSyncVisibility(t *testing.T) {
-	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		for _, coal := range []bool{false, true} {
-			name := fmt.Sprintf("%s/coal=%v", prof.Name, coal)
-			t.Run(name, func(t *testing.T) {
-				c := cfg(2, 2, prof, DefaultCache())
-				if coal {
-					coalc := transport.DefaultCoalConfig()
-					c.Coalesce = &coalc
-				}
-				mustRun(t, c, func(th *Thread) {
-					a := th.AllAlloc("A", 16, 8, 8) // elements 8.. on node 1
-					th.Barrier()
-					if th.ID() == 0 {
-						src := make([]byte, 4*8)
-						for i := range src {
-							src[i] = byte(i + 1)
-						}
-						h := th.NbPut(a.At(10), src)
-						th.Sync(h)
-						// Visibility proven from the issuing thread without a
-						// fence: a remote GET ordered after Sync must see it.
-						got := make([]byte, 4*8)
-						th.GetBulk(got, a.At(10))
-						if !bytes.Equal(got, src) {
-							t.Error("data not visible after Sync")
-						}
-					}
-					th.Barrier()
-				})
-			})
-		}
-	}
-}
-
 // Fence (and barrier, which implies it) retires every outstanding
-// split-phase handle: un-synced NbGets must hold valid data after it.
+// split-phase handle: un-synced NbGets must hold valid data after
+// either.
 func TestFenceRetiresOutstandingHandles(t *testing.T) {
 	mustRun(t, coalCfg(2, 2, transport.GM(), DefaultCache()), func(th *Thread) {
 		a := th.AllAlloc("A", 16, 8, 8)
 		if a.Owner(12) == th.ID() {
 			th.PutUint64(a.At(12), 777)
+			th.PutUint64(a.At(13), 888)
 		}
 		th.Barrier()
 		if th.ID() == 0 {
@@ -122,13 +87,13 @@ func TestFenceRetiresOutstandingHandles(t *testing.T) {
 			if got := byteOrder.Uint64(dst); got != 777 {
 				t.Errorf("after fence, un-synced NbGet buffer = %d, want 777", got)
 			}
-			src := make([]byte, 8)
-			byteOrder.PutUint64(src, 888)
-			th.NbPut(a.At(12), src) // retired by the barrier below
-		}
-		th.Barrier()
-		if got := th.GetUint64(a.At(12)); got != 888 {
-			t.Errorf("thread %d: un-synced NbPut invisible after barrier: %d", th.ID(), got)
+			th.NbGet(dst, a.At(13)) // retired by the barrier below
+			th.Barrier()
+			if got := byteOrder.Uint64(dst); got != 888 {
+				t.Errorf("after barrier, un-synced NbGet buffer = %d, want 888", got)
+			}
+		} else {
+			th.Barrier()
 		}
 		th.Barrier()
 	})

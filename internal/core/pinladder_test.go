@@ -46,7 +46,7 @@ func pinChurn(th *Thread) {
 func TestExplicitLRUMatchesDefaultEvictor(t *testing.T) {
 	run := func(kind mem.EvictorKind) RunStats {
 		c := cfg(4, 2, transport.GM(), DefaultCache())
-		chunk := NewLayout(4, 2, 8, 16, 64).NodeChunkBytes(0)
+		chunk := NewLayout(4, 2, 8, 16, 64).NodeChunkBytes()
 		c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(2 * chunk), Evictor: kind}
 		return mustRun(t, c, pinChurn)
 	}
@@ -60,7 +60,7 @@ func TestExplicitLRUMatchesDefaultEvictor(t *testing.T) {
 // every lazy/ghost counter, whatever else the run does.
 func TestEagerRunsReportNoLazyActivity(t *testing.T) {
 	c := cfg(4, 2, transport.GM(), DefaultCache())
-	chunk := NewLayout(4, 2, 8, 16, 64).NodeChunkBytes(0)
+	chunk := NewLayout(4, 2, 8, 16, 64).NodeChunkBytes()
 	c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1}
 	st := mustRun(t, c, pinChurn)
 	if st.Evicted == 0 {
@@ -94,7 +94,7 @@ func TestLazyUnpinParksReusesAndRecords(t *testing.T) {
 	// no RegTime beyond round 1's.
 	kinds := map[flight.Kind]int{}
 	fr := rt.FlightRecorder()
-	for n := 0; n < fr.Nodes(); n++ {
+	for n := 0; n < rt.Config().Nodes; n++ {
 		for _, e := range fr.Node(n) {
 			kinds[e.Kind]++
 		}

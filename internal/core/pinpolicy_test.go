@@ -16,7 +16,7 @@ func TestPinLimitedIntegrityUnderEviction(t *testing.T) {
 	c := cfg(threads, nodes, transport.GM(), DefaultCache())
 	// Budget fits roughly two chunks per node, forcing constant
 	// eviction churn across the six arrays.
-	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes(0)
+	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes()
 	c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(2*chunk) + 1}
 
 	mustRun(t, c, func(th *Thread) {
@@ -50,7 +50,7 @@ func TestPinLimitedIntegrityUnderEviction(t *testing.T) {
 func TestPinLimitedActuallyEvictsAndRecovers(t *testing.T) {
 	const threads, nodes, arrays, elems = 4, 2, 4, 32
 	c := cfg(threads, nodes, transport.GM(), DefaultCache())
-	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes(0)
+	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes()
 	c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1} // one chunk at a time
 	rt, err := NewRuntime(c)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestPinLimitedPutNackRetries(t *testing.T) {
 	const threads, nodes, arrays, elems = 4, 2, 4, 32
 	c := cfg(threads, nodes, transport.GM(), DefaultCache())
 	c.Cache.PutMode = PutCacheOn
-	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes(0)
+	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes()
 	c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1}
 	mustRun(t, c, func(th *Thread) {
 		var as []*SharedArray
@@ -136,7 +136,7 @@ func TestPinLimitedPutNackRetries(t *testing.T) {
 func TestPinLimitedGetNackFallsBack(t *testing.T) {
 	const threads, nodes, arrays, elems = 4, 2, 4, 32
 	c := cfg(threads, nodes, transport.GM(), DefaultCache())
-	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes(0)
+	chunk := NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes()
 	c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1}
 	st := mustRun(t, c, func(th *Thread) {
 		var as []*SharedArray

@@ -15,13 +15,16 @@ import (
 // of epochs, each a write phase and a read phase closed by barriers.
 // In a write phase every element has at most one writer, chosen up
 // front, and is written at most once; atomics on a counter come from
-// one thread, in one style (blocking, or split-phase without an
-// order-dependent result), except the last counter, which every
-// thread accumulates into. A thread reads its own writes back only
-// after a fence. Read phases read anything: nothing is written in
-// them. Midway the data array is freed and allocated afresh. So the
-// order threads run in cannot change any returned value, and a model
-// that executes the threads one after the other predicts all of them.
+// one thread, in one style (blocking, or split-phase), except the last
+// counter, which every thread adds to, and whose previous values are
+// not checked. A thread reads its own writes back only after a fence.
+// Read phases read anything: nothing is written in them. Midway the
+// data array is freed and allocated afresh. So the order threads run in
+// cannot change any checked value, and a model that executes the
+// threads one after the other predicts all of them.
+//
+// A program without split-phase operations uses only what both API
+// styles offer, so it runs under Run and under RunCont.
 
 const (
 	progThreads, progNodes = 8, 4
@@ -38,7 +41,6 @@ type stepKind int
 const (
 	stPut stepKind = iota
 	stPutBulk
-	stNbPut
 	stGet
 	stGetBulk
 	stNbGet
@@ -47,28 +49,27 @@ const (
 	stFence
 	stBarrier
 	stFetchAdd
-	stCompareSwap
-	stAccumulate
 	stNbFetchAdd
 	stNbAccumulate
 	stFreeRealloc // collective: thread 0 frees data, everyone allocates it afresh
 )
 
-var stepNames = [...]string{"Put", "PutBulk", "NbPut", "Get", "GetBulk", "NbGet", "Sync", "SyncAll",
-	"Fence", "Barrier", "FetchAdd", "CompareSwap", "Accumulate", "NbFetchAdd", "NbAccumulate", "Free+AllAlloc"}
+var stepNames = [...]string{"Put", "PutBulk", "Get", "GetBulk", "NbGet", "Sync", "SyncAll",
+	"Fence", "Barrier", "FetchAdd", "NbFetchAdd", "NbAccumulate", "Free+AllAlloc"}
 
 func (k stepKind) String() string { return stepNames[k] }
 
 // progStep is one operation of one thread's script, with the result
 // the model expects of it.
 type progStep struct {
-	kind   stepKind
-	arr    int      // 0 = data, 1 = ctr
-	idx    int64    // first element
-	vals   []uint64 // values to write (PUT kinds) or expected (GET kinds)
-	a1, a2 uint64   // atomic operands: delta, or (expect, swap)
-	want   uint64   // expected previous value of a fetching atomic
-	slot   int      // handle slot: set by split-phase issues, read by stSync
+	kind      stepKind
+	arr       int      // 0 = data, 1 = ctr
+	idx       int64    // first element
+	vals      []uint64 // values to write (PUT kinds) or expected (GET kinds)
+	a1        uint64   // atomic operand: the delta
+	want      uint64   // expected previous value of a fetching atomic
+	unordered bool     // the previous value depends on thread order: not checked
+	slot      int      // handle slot: set by split-phase issues, read by stSync
 }
 
 type program struct {
@@ -81,8 +82,8 @@ func progValue(epoch int, idx int64) uint64 {
 }
 
 // genProgram builds the scripts for seed, executing the model as it
-// goes.
-func genProgram(seed int64) *program {
+// goes. Without split, it emits no split-phase operation.
+func genProgram(seed int64, split bool) *program {
 	rng := rand.New(rand.NewSource(seed))
 	pr := &program{}
 	model := [2][]uint64{make([]uint64, progDataElems), make([]uint64, progCtrElems)}
@@ -105,7 +106,7 @@ func genProgram(seed int64) *program {
 		switch style := rng.Intn(3); {
 		case style == 0 && n == 1:
 			emit(th, progStep{kind: stGet, arr: arr, idx: idx, vals: want})
-		case style == 2:
+		case style == 2 && split:
 			slot := newSlot(th)
 			emit(th, progStep{kind: stNbGet, arr: arr, idx: idx, vals: want, slot: slot})
 			if rng.Intn(2) == 0 {
@@ -161,52 +162,34 @@ func genProgram(seed int64) *program {
 						vals[k] = progValue(e, tk.s.idx+int64(k))
 						model[0][tk.s.idx+int64(k)] = vals[k]
 					}
-					switch rng.Intn(3) {
-					case 0:
+					if rng.Intn(2) == 0 {
 						for k, v := range vals {
 							emit(th, progStep{kind: stPut, idx: tk.s.idx + int64(k), vals: []uint64{v}})
 						}
-					case 1:
+					} else {
 						emit(th, progStep{kind: stPutBulk, idx: tk.s.idx, vals: vals})
-					default:
-						slot := newSlot(th)
-						emit(th, progStep{kind: stNbPut, idx: tk.s.idx, vals: vals, slot: slot})
-						if rng.Intn(3) == 0 {
-							emit(th, progStep{kind: stSync, slot: slot})
-						}
 					}
 					continue
 				}
 				c := tk.ctr
 				cur := &model[1][c]
 				delta := func() uint64 { return uint64(1 + rng.Intn(1000)) }
-				style := rng.Intn(5)
-				if c == progCtrElems-1 {
-					style = 2 + 2*rng.Intn(2) // shared: accumulate only, either flavour
+				style := 0
+				if split {
+					style = rng.Intn(3)
+				}
+				shared := c == progCtrElems-1
+				if shared && split {
+					style = 2 // shared: accumulate, with no result to order
 				}
 				switch style {
 				case 0:
 					for k := 1 + rng.Intn(3); k > 0; k-- {
 						d := delta()
-						emit(th, progStep{kind: stFetchAdd, arr: 1, idx: c, a1: d, want: *cur})
+						emit(th, progStep{kind: stFetchAdd, arr: 1, idx: c, a1: d, want: *cur, unordered: shared})
 						*cur += d
 					}
 				case 1:
-					expect, swap := *cur, delta()
-					if rng.Intn(2) == 0 {
-						expect++ // must fail and leave the word alone
-					}
-					emit(th, progStep{kind: stCompareSwap, arr: 1, idx: c, a1: expect, a2: swap, want: *cur})
-					if expect == *cur {
-						*cur = swap
-					}
-				case 2:
-					for k := 1 + rng.Intn(3); k > 0; k-- {
-						d := delta()
-						emit(th, progStep{kind: stAccumulate, arr: 1, idx: c, a1: d})
-						*cur += d
-					}
-				case 3:
 					d := delta()
 					emit(th, progStep{kind: stNbFetchAdd, arr: 1, idx: c, a1: d, want: *cur, slot: newSlot(th)})
 					*cur += d
@@ -224,7 +207,7 @@ func genProgram(seed int64) *program {
 				s := segs[th][rng.Intn(len(segs[th]))]
 				read(th, 0, s.idx, s.n)
 			}
-			if rng.Intn(4) == 0 {
+			if split && rng.Intn(4) == 0 {
 				emit(th, progStep{kind: stSyncAll})
 			}
 		}
@@ -244,7 +227,7 @@ func genProgram(seed int64) *program {
 				}
 				read(th, arr, idx, n)
 			}
-			if rng.Intn(2) == 0 {
+			if split && rng.Intn(2) == 0 {
 				emit(th, progStep{kind: stSyncAll})
 			}
 		}
@@ -300,7 +283,8 @@ func (pt *progThread) checkBytes(step int, got []byte) {
 }
 
 func (pt *progThread) checkOld(step int, got uint64) {
-	if want := pt.pr.steps[pt.th.ID()][step].want; got != want {
+	s := &pt.pr.steps[pt.th.ID()][step]
+	if want := s.want; !s.unordered && got != want {
 		pt.fail(pt.th.ID(), step, fmt.Sprintf("previous value %d, model says %d", got, want))
 	}
 }
@@ -342,8 +326,6 @@ func (pr *program) runBlocking(th *Thread, fail func(thread, step int, msg strin
 			th.PutUint64(pt.ref(s), s.vals[0])
 		case stPutBulk:
 			th.PutBulk(pt.ref(s), pt.encode(s.vals))
-		case stNbPut:
-			pt.handles[s.slot] = th.NbPut(pt.ref(s), pt.encode(s.vals))
 		case stGet:
 			var b [8]byte
 			byteOrder.PutUint64(b[:], th.GetUint64(pt.ref(s)))
@@ -370,14 +352,6 @@ func (pr *program) runBlocking(th *Thread, fail func(thread, step int, msg strin
 			pt.retired(-1)
 		case stFetchAdd:
 			pt.checkOld(i, th.FetchAdd(pt.ref(s), s.a1))
-		case stCompareSwap:
-			old, swapped := th.CompareSwap(pt.ref(s), s.a1, s.a2)
-			pt.checkOld(i, old)
-			if swapped != (s.want == s.a1) {
-				fail(th.ID(), i, fmt.Sprintf("swapped = %v with previous %d, expect %d", swapped, old, s.a1))
-			}
-		case stAccumulate:
-			th.Accumulate(pt.ref(s), s.a1)
 		case stNbFetchAdd:
 			out := new(uint64)
 			pt.handles[s.slot] = th.NbFetchAdd(pt.ref(s), s.a1, out)
@@ -393,7 +367,8 @@ func (pr *program) runBlocking(th *Thread, fail func(thread, step int, msg strin
 	}
 }
 
-// runCont interprets the thread's script against the continuation API.
+// runCont interprets the thread's script, which has no split-phase
+// operation, against the continuation API.
 func (pr *program) runCont(th *Thread, fail func(thread, step int, msg string), done func()) {
 	pt := newProgThread(th, pr, fail)
 	steps := pr.steps[th.ID()]
@@ -412,11 +387,6 @@ func (pr *program) runCont(th *Thread, fail func(thread, step int, msg string), 
 				th.PutUint64C(pt.ref(s), s.vals[0], next)
 			case stPutBulk:
 				th.PutBulkC(pt.ref(s), pt.encode(s.vals), next)
-			case stNbPut:
-				th.NbPutC(pt.ref(s), pt.encode(s.vals), func(h Handle) {
-					pt.handles[s.slot] = h
-					next()
-				})
 			case stGet:
 				th.GetUint64C(pt.ref(s), func(v uint64) {
 					var b [8]byte
@@ -430,54 +400,15 @@ func (pr *program) runCont(th *Thread, fail func(thread, step int, msg string), 
 					pt.checkBytes(i, buf)
 					next()
 				})
-			case stNbGet:
-				buf := make([]byte, 8*len(s.vals))
-				th.NbGetC(buf, pt.ref(s), func(h Handle) {
-					pt.handles[s.slot] = h
-					pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, buf: buf})
-					next()
-				})
-			case stSync:
-				th.SyncC(pt.handles[s.slot], func() {
-					pt.retired(s.slot)
-					next()
-				})
-			case stSyncAll, stFence, stBarrier:
-				op := th.SyncAllC
-				if s.kind == stFence {
-					op = th.FenceC
-				} else if s.kind == stBarrier {
+			case stFence, stBarrier:
+				op := th.FenceC
+				if s.kind == stBarrier {
 					op = th.BarrierC
 				}
-				op(func() {
-					pt.retired(-1)
-					next()
-				})
+				op(next)
 			case stFetchAdd:
 				th.FetchAddC(pt.ref(s), s.a1, func(old uint64) {
 					pt.checkOld(i, old)
-					next()
-				})
-			case stCompareSwap:
-				th.CompareSwapC(pt.ref(s), s.a1, s.a2, func(old uint64, swapped bool) {
-					pt.checkOld(i, old)
-					if swapped != (s.want == s.a1) {
-						fail(th.ID(), i, fmt.Sprintf("swapped = %v with previous %d, expect %d", swapped, old, s.a1))
-					}
-					next()
-				})
-			case stAccumulate:
-				th.AccumulateC(pt.ref(s), s.a1, next)
-			case stNbFetchAdd:
-				out := new(uint64)
-				th.NbFetchAddC(pt.ref(s), s.a1, out, func(h Handle) {
-					pt.handles[s.slot] = h
-					pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, out: out})
-					next()
-				})
-			case stNbAccumulate:
-				th.NbAccumulateC(pt.ref(s), s.a1, func(h Handle) {
-					pt.handles[s.slot] = h
 					next()
 				})
 			case stFreeRealloc:

@@ -128,7 +128,7 @@ func TestPromGolden(t *testing.T) {
 	for _, pc := range promConfigs() {
 		for _, prof := range []func() *transport.Profile{transport.GM, transport.LAPI} {
 			p := prof()
-			key := pc.name + "/" + p.Name
+			key := p.Name + "/" + pc.name
 			_, snap := runProm(t, pc, p)
 			sum := sha256.Sum256([]byte(snap))
 			got[key] = promRow{SHA256: hex.EncodeToString(sum[:]), Families: promFamilies(snap)}

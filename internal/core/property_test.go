@@ -12,11 +12,11 @@ import (
 // synchronized UPC program returns exactly the values, and leaves
 // exactly the memory, a trivial sequential reference model predicts —
 // on both transports, with the cache off or tiny, with and without
-// coalescing — and does so identically (same RunStats) whether it is
-// written against the blocking API under Run or the continuation API
-// under RunCont. The program generator and its model are in
-// genProgram; the two interpreters below walk the same per-thread
-// scripts.
+// coalescing. A program with split-phase operations runs against the
+// blocking API under Run; one without runs under Run and against the
+// continuation API under RunCont, identically (same RunStats). The
+// program generator and its model are in genProgram; the two
+// interpreters walk the same per-thread scripts.
 func TestPropertyRandomProgramMatchesReference(t *testing.T) {
 	type variant struct {
 		name     string
@@ -44,7 +44,6 @@ func TestPropertyRandomProgramMatchesReference(t *testing.T) {
 	}
 	for _, v := range variants {
 		for seed := int64(1); seed <= 12; seed++ {
-			pr := genProgram(seed)
 			cfg := Config{
 				Threads: progThreads, Nodes: progNodes, Profile: v.prof(), Cache: v.cache, Seed: seed,
 			}
@@ -52,30 +51,29 @@ func TestPropertyRandomProgramMatchesReference(t *testing.T) {
 				cc := transport.DefaultCoalConfig()
 				cfg.Coalesce = &cc
 			}
-			fail := func(mode string) func(thread, step int, msg string) {
-				return func(thread, step int, msg string) {
+			run := func(pr *program, mode string) RunStats {
+				fail := func(thread, step int, msg string) {
 					t.Errorf("seed %d, config %s, %s: thread %d op %d (%v): %s",
 						seed, v.name, mode, thread, step, pr.steps[thread][step].kind, msg)
 				}
+				rt, err := NewRuntime(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st RunStats
+				if mode == "cont" {
+					st, err = rt.RunCont(func(th *Thread, done func()) { pr.runCont(th, fail, done) })
+				} else {
+					st, err = rt.Run(func(th *Thread) { pr.runBlocking(th, fail) })
+				}
+				if err != nil {
+					t.Fatalf("seed %d, config %s, %s: %v", seed, v.name, mode, err)
+				}
+				return st
 			}
-
-			rt, err := NewRuntime(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stG, err := rt.Run(func(th *Thread) { pr.runBlocking(th, fail("blocking")) })
-			if err != nil {
-				t.Fatalf("seed %d, config %s, blocking: %v", seed, v.name, err)
-			}
-
-			rt, err = NewRuntime(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stC, err := rt.RunCont(func(th *Thread, done func()) { pr.runCont(th, fail("cont"), done) })
-			if err != nil {
-				t.Fatalf("seed %d, config %s, cont: %v", seed, v.name, err)
-			}
+			run(genProgram(seed, true), "split-phase")
+			pr := genProgram(seed, false)
+			stG, stC := run(pr, "blocking"), run(pr, "cont")
 			if !reflect.DeepEqual(stG, stC) {
 				t.Errorf("seed %d, config %s: RunStats diverged:\n blocking: %+v\n cont:     %+v", seed, v.name, stG, stC)
 			}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"xlupc/internal/mem"
-	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
@@ -64,9 +63,9 @@ func callAM(th *Thread, a *SharedArray, rn int, argA, argB uint64, reply []byte)
 }
 
 // roundTrip is one tiny program: two threads on two nodes (thread 1 and
-// every element from `firstRemote` up live on node 1; locks are homed on
-// node 0), so whatever thread 0 does to a remote element, and whatever
-// thread 1 does to a lock, is exactly the round trip under test.
+// every element from `firstRemote` up live on node 1), so whatever
+// thread 0 does to a remote element is exactly the round trip under
+// test.
 type roundTrip struct {
 	name string
 	tune func(c *Config) // nil: the plain configuration
@@ -128,32 +127,6 @@ func roundTrips() []roundTrip {
 			}
 		}
 	}
-	lockHeld := func(try bool) func(t *testing.T, th *Thread, prof *transport.Profile) {
-		return func(t *testing.T, th *Thread, prof *transport.Profile) {
-			l := th.AllLockAlloc("L")
-			if th.ID() == 0 {
-				th.Lock(l)
-			}
-			th.Barrier()
-			switch {
-			case th.ID() == 0 && !try:
-				th.Compute(20 * sim.Us) // the request is queued by then
-				th.Unlock(l)
-			case th.ID() == 1 && !try:
-				th.Lock(l)
-				th.Unlock(l)
-			case th.ID() == 1:
-				if th.TryLock(l) {
-					t.Error("TryLock on a held lock succeeded")
-				}
-			}
-			th.Barrier()
-			if th.ID() == 0 && try {
-				th.Unlock(l)
-			}
-			th.Barrier()
-		}
-	}
 	return []roundTrip{
 		{name: "get_eager", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
 			a := roundTripArray(th, "A")
@@ -201,43 +174,16 @@ func roundTrips() []roundTrip {
 			}
 			th.Barrier()
 		}},
-		{name: "atomic_cas", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
+		{name: "nbaccumulate_sync", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
 			a := roundTripArray(th, "A")
 			if th.ID() == 0 {
-				if old, ok := th.CompareSwap(a.At(firstRemote+4), 100+firstRemote+4, 5000); !ok || old != 100+firstRemote+4 {
-					t.Errorf("CompareSwap = %d, %v", old, ok)
-				}
-				if old, ok := th.CompareSwap(a.At(firstRemote+4), 1, 2); ok || old != 5000 {
-					t.Errorf("failing CompareSwap = %d, %v", old, ok)
-				}
-			}
-			th.Barrier()
-		}},
-		{name: "atomic_accumulate", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
-			a := roundTripArray(th, "A")
-			if th.ID() == 0 {
-				th.Accumulate(a.At(firstRemote+5), 3)
-				th.Accumulate(a.At(firstRemote+5), 4)
+				th.Sync(th.NbAccumulate(a.At(firstRemote+5), 3))
+				th.Sync(th.NbAccumulate(a.At(firstRemote+5), 4))
 			}
 			th.Barrier()
 			if th.ID() == 1 {
 				if got := th.GetUint64(a.At(firstRemote + 5)); got != 100+firstRemote+5+7 {
-					t.Errorf("Accumulate left %d", got)
-				}
-			}
-		}},
-		{name: "nbput_sync", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
-			a := roundTripArray(th, "A")
-			if th.ID() == 0 {
-				for i := 0; i < 2; i++ {
-					th.Sync(th.NbPut(a.At(firstRemote+6), []byte{byte(i + 1), 0, 0, 0, 0, 0, 0, 0}))
-				}
-				th.Fence()
-			}
-			th.Barrier()
-			if th.ID() == 1 {
-				if got := th.GetUint64(a.At(firstRemote + 6)); got != 2 {
-					t.Errorf("NbPut left %d, want 2", got)
+					t.Errorf("NbAccumulate left %d", got)
 				}
 			}
 		}},
@@ -309,26 +255,6 @@ func roundTrips() []roundTrip {
 				}
 			}
 		}},
-		{name: "lock_free", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
-			l := th.AllLockAlloc("L")
-			if th.ID() == 1 {
-				th.Lock(l)
-				th.Unlock(l)
-			}
-			th.Barrier()
-		}},
-		{name: "lock_held_then_granted", body: lockHeld(false)},
-		{name: "trylock_free", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
-			l := th.AllLockAlloc("L")
-			if th.ID() == 1 {
-				if !th.TryLock(l) {
-					t.Error("TryLock on a free lock failed")
-				}
-				th.Unlock(l)
-			}
-			th.Barrier()
-		}},
-		{name: "trylock_held", body: lockHeld(true)},
 		{name: "free", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
 			a := roundTripArray(th, "A")
 			if th.ID() == 0 {

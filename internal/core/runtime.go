@@ -17,16 +17,18 @@ import (
 	"xlupc/internal/transport"
 )
 
-// Active-message handler ids used by the runtime's protocols.
+// Active-message handler ids used by the runtime's protocols. The blank
+// ones belonged to protocols that are gone; the others keep their
+// numbers.
 const (
 	hGetReq transport.HandlerID = iota + 1
 	hPutReq
 	hRTS // rendezvous request-to-send, for a GET or a PUT
-	hAllocNotify
+	_
 	hFreeReq
 	hBarrier
-	hLockReq // Lock and TryLock
-	hUnlockReq
+	_
+	_
 	hColl
 	hAtomic
 	hUserReq // user-level AM request (useram.go)
@@ -64,8 +66,8 @@ type Runtime struct {
 }
 
 // nodeState is the per-node runtime state layered over the transport
-// node: the SVD replica, the remote address cache, barrier and lock
-// bookkeeping.
+// node: the SVD replica, the remote address cache, barrier and
+// collective bookkeeping.
 type nodeState struct {
 	rt    *Runtime
 	id    int
@@ -75,7 +77,6 @@ type nodeState struct {
 
 	barrier *nodeBarrier
 	coll    *collState
-	locks   map[svd.Handle]*lockHome
 
 	// collective carries the node representative's result (e.g. the
 	// freshly allocated array) to the node's other threads across the
@@ -126,12 +127,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	ctxs := make([]amCtx, cfg.Nodes*nctx)
 	for i := 0; i < cfg.Nodes; i++ {
 		ns := &nodeState{
-			rt:    rt,
-			id:    i,
-			tn:    m.Nodes[i],
-			dir:   svd.NewDirectory(i, cfg.Threads),
-			locks: make(map[svd.Handle]*lockHome),
-			ctxs:  ctxs[i*nctx : (i+1)*nctx : (i+1)*nctx],
+			rt:   rt,
+			id:   i,
+			tn:   m.Nodes[i],
+			dir:  svd.NewDirectory(i, cfg.Threads),
+			ctxs: ctxs[i*nctx : (i+1)*nctx : (i+1)*nctx],
 		}
 		for c := range ns.ctxs {
 			x := &ns.ctxs[c]
@@ -159,9 +159,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 
 // Config returns the runtime's configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Node returns node n's runtime state (test and tooling hook).
-func (rt *Runtime) node(n int) *nodeState { return rt.nodes[n] }
 
 // nodeOfThread maps a UPC thread id to its node.
 func (rt *Runtime) nodeOfThread(t int) *nodeState {
@@ -519,11 +516,8 @@ func (rt *Runtime) registerHandlers() {
 	rt.M.Handle(hGetReq, rt.handleGetReq)
 	rt.M.Handle(hPutReq, rt.handlePutReq)
 	rt.M.Handle(hRTS, rt.handleRTS)
-	rt.M.Handle(hAllocNotify, rt.handleAllocNotify)
 	rt.M.Handle(hFreeReq, rt.handleFreeReq)
 	rt.M.Handle(hBarrier, rt.handleBarrier)
-	rt.M.Handle(hLockReq, rt.handleLockReq)
-	rt.M.Handle(hUnlockReq, rt.handleUnlockReq)
 	rt.M.Handle(hColl, rt.handleColl)
 	rt.M.Handle(hAtomic, rt.handleAtomic)
 	rt.M.Handle(hUserReq, rt.handleUserReq)
@@ -604,10 +598,7 @@ const (
 	hcReplyCopied
 	hcFill
 	hcReplyFilled
-	hcAllocCharged
 	hcFreeDropped
-	hcLockCharged
-	hcUnlockCharged
 
 	numAMSteps
 )
@@ -634,10 +625,7 @@ func init() {
 		hcReplyCopied:      (*amCtx).replyCopied,
 		hcFill:             (*amCtx).insertPiggyback,
 		hcReplyFilled:      (*amCtx).replyFilled,
-		hcAllocCharged:     (*amCtx).allocCharged,
 		hcFreeDropped:      (*amCtx).freeDropped,
-		hcLockCharged:      (*amCtx).lockCharged,
-		hcUnlockCharged:    (*amCtx).unlockCharged,
 	}
 }
 
@@ -670,24 +658,19 @@ func (rt *Runtime) serve(ct *sim.Cont, n *transport.Node, msg *transport.Msg, th
 // shared object: resolve handle h in the SVD and, when the initiator
 // wants the address, pin the chunk and leave the (base, epoch) pair to
 // piggyback on the reply in x; then the handler goes on at step next.
-// When the handle is not known yet the message is requeued and the
-// handler ends instead.
 func (x *amCtx) translate(h svd.Handle, want bool, next int) {
 	x.h, x.want, x.next, x.t0 = h, want, next, x.rt.K.Now()
 	x.ct.Sleep(x.rt.cfg.Profile.SVDLookupCost, x.after(hcResolved))
 }
 
-// resolved looks the handle up once the lookup cost is paid. If the
-// handle is not yet known (its allocation notification is still in
-// flight), the message is requeued after a short delay rather than
-// blocking the dispatcher.
+// resolved looks the handle up once the lookup cost is paid. Every
+// allocation is collective, so every node knows every object a request
+// can name: an unknown handle is a protocol bug.
 func (x *amCtx) resolved() {
 	ns := x.ns
 	cb, ok := ns.dir.LookupAny(x.h)
-	if !ok { // unknown: retry once the notification lands
-		x.rt.requeue(ns, x.msg)
-		x.then()
-		return
+	if !ok {
+		panic(fmt.Sprintf("core: node %d: remote access to unknown object %v", ns.id, x.h))
 	}
 	if cb.Freed {
 		panic(fmt.Sprintf("core: node %d: remote access to freed object %v (%s)", ns.id, x.h, cb.Name))
@@ -701,15 +684,6 @@ func (x *amCtx) resolved() {
 	}
 	x.t0 = x.rt.K.Now()
 	x.pinChunk()
-}
-
-// requeue redelivers msg to node ns after a short delay: the object it
-// names is not known there yet (its allocation notification is still in
-// flight).
-func (rt *Runtime) requeue(ns *nodeState, msg *transport.Msg) {
-	port := rt.M.Fab.Port(ns.id)
-	msg.Retain() // redelivered below; the dispatcher must not recycle it
-	rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
 }
 
 // pinChunk applies the greedy pin-everything policy on first remote

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"xlupc/internal/fault"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
-	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
 	"xlupc/internal/trace"
 	"xlupc/internal/transport"
@@ -97,26 +95,6 @@ func TestBulkTransfersSplitCorrectly(t *testing.T) {
 			th.GetBulk(mid, a.At(13))
 			if !bytes.Equal(mid, src[13:44]) {
 				t.Errorf("offset bulk mismatch")
-			}
-		}
-		th.Barrier()
-	})
-}
-
-func TestCopyBetweenArrays(t *testing.T) {
-	mustRun(t, cfg(4, 2, transport.LAPI(), DefaultCache()), func(th *Thread) {
-		a := th.AllAlloc("A", 40, 8, 5)
-		b := th.AllAlloc("B", 40, 8, 3)
-		if th.ID() == 1 {
-			for i := int64(0); i < 40; i++ {
-				th.PutUint64(a.At(i), uint64(i)+7)
-			}
-			th.Copy(b.At(0), a.At(0), 40)
-			th.Fence()
-			for i := int64(0); i < 40; i++ {
-				if got := th.GetUint64(b.At(i)); got != uint64(i)+7 {
-					t.Errorf("B[%d] = %d", i, got)
-				}
 			}
 		}
 		th.Barrier()
@@ -210,54 +188,6 @@ func TestLocalAccessesUseNoNetwork(t *testing.T) {
 	}
 }
 
-func TestGlobalAllocVisibleRemotely(t *testing.T) {
-	mustRun(t, cfg(4, 2, transport.GM(), DefaultCache()), func(th *Thread) {
-		var a *SharedArray
-		if th.ID() == 0 {
-			a = th.GlobalAlloc("G", 32, 8, 4)
-			th.ns.collective = a // share the Go reference for the test
-		}
-		th.Barrier()
-		if a == nil {
-			// Threads other than 0 fetch the reference their node rep
-			// stored (node 0) or read it via the test backdoor.
-			a = th.rt.nodes[0].collective.(*SharedArray)
-		}
-		if a.Owner(0) == th.ID() {
-			th.PutUint64(a.At(0), 99)
-		}
-		th.Barrier()
-		if got := th.GetUint64(a.At(0)); got != 99 {
-			t.Errorf("thread %d: G[0] = %d", th.ID(), got)
-		}
-		th.Barrier()
-	})
-}
-
-func TestLocalAllocRemoteAccess(t *testing.T) {
-	mustRun(t, cfg(4, 2, transport.LAPI(), DefaultCache()), func(th *Thread) {
-		var a *SharedArray
-		if th.ID() == 3 {
-			a = th.LocalAlloc("L", 16, 8)
-			for i := int64(0); i < 16; i++ {
-				th.PutUint64(a.At(i), uint64(100+i))
-			}
-			th.rt.nodes[0].collective = a
-		}
-		th.Barrier()
-		if a == nil {
-			a = th.rt.nodes[0].collective.(*SharedArray)
-		}
-		if a.Owner(5) != 3 {
-			t.Errorf("LocalAlloc owner = %d, want 3", a.Owner(5))
-		}
-		if got := th.GetUint64(a.At(5)); got != 105 {
-			t.Errorf("thread %d: L[5] = %d", th.ID(), got)
-		}
-		th.Barrier()
-	})
-}
-
 func TestFreeInvalidatesCacheEverywhere(t *testing.T) {
 	var entriesBefore, entriesAfter int
 	mustRun(t, cfg(2, 2, transport.GM(), DefaultCache()), func(th *Thread) {
@@ -339,14 +269,11 @@ func TestBlockingCallUnderRunContNamesItself(t *testing.T) {
 	const want = "blocking call on a continuation-mode thread"
 	for _, tc := range []struct {
 		name string
-		call func(th *Thread, a *SharedArray, lk *Lock)
+		call func(th *Thread, a *SharedArray)
 	}{
-		{"GetUint64", func(th *Thread, a *SharedArray, _ *Lock) { th.GetUint64(a.At(20)) }},
-		{"Lock", func(th *Thread, _ *SharedArray, lk *Lock) { th.Lock(lk) }},
-		{"TryLock", func(th *Thread, _ *SharedArray, lk *Lock) { th.TryLock(lk) }},
-		{"Unlock", func(th *Thread, _ *SharedArray, lk *Lock) { th.Unlock(lk) }},
-		{"AllReduceU64", func(th *Thread, _ *SharedArray, _ *Lock) { th.AllReduceU64(1, ReduceSum) }},
-		{"Sleep", func(th *Thread, _ *SharedArray, _ *Lock) { th.Sleep(sim.Us) }},
+		{"GetUint64", func(th *Thread, a *SharedArray) { th.GetUint64(a.At(20)) }},
+		{"AllReduceU64", func(th *Thread, _ *SharedArray) { th.AllReduceU64(1, ReduceSum) }},
+		{"Sleep", func(th *Thread, _ *SharedArray) { th.Sleep(sim.Us) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -359,13 +286,10 @@ func TestBlockingCallUnderRunContNamesItself(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.K.Shutdown()
-			// Homed on node 0 and called by thread 1 on node 1: every
-			// lock call takes its remote (AM) arm.
-			lk := &Lock{rt: rt, home: 0, name: "L"}
 			_, _ = rt.RunCont(func(th *Thread, done func()) {
 				th.AllAllocC("A", 32, 8, 16, func(a *SharedArray) {
 					if th.ID() == 1 {
-						tc.call(th, a, lk)
+						tc.call(th, a)
 					}
 					done()
 				})
@@ -413,51 +337,6 @@ func TestBarrierImpliesFence(t *testing.T) {
 			if got := th.GetUint64(a.At(2)); got != 42 {
 				t.Errorf("A[2] = %d after barrier", got)
 			}
-		}
-		th.Barrier()
-	})
-}
-
-func TestLockMutualExclusion(t *testing.T) {
-	const threads, nodes = 8, 4
-	inside := 0
-	maxInside := 0
-	mustRun(t, cfg(threads, nodes, transport.GM(), NoCache()), func(th *Thread) {
-		l := th.AllLockAlloc("L")
-		for i := 0; i < 3; i++ {
-			th.Lock(l)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			th.Compute(5 * sim.Us)
-			inside--
-			th.Unlock(l)
-		}
-		th.Barrier()
-	})
-	if maxInside != 1 {
-		t.Fatalf("lock admitted %d holders", maxInside)
-	}
-}
-
-func TestLockCriticalSectionCounter(t *testing.T) {
-	// A shared counter incremented under a lock must not lose updates.
-	const threads, nodes, per = 6, 3, 4
-	mustRun(t, cfg(threads, nodes, transport.LAPI(), DefaultCache()), func(th *Thread) {
-		a := th.AllAlloc("ctr", 1, 8, 1)
-		l := th.AllLockAlloc("L")
-		th.Barrier()
-		for i := 0; i < per; i++ {
-			th.Lock(l)
-			v := th.GetUint64(a.At(0))
-			th.PutUint64(a.At(0), v+1)
-			th.Fence()
-			th.Unlock(l)
-		}
-		th.Barrier()
-		if got := th.GetUint64(a.At(0)); got != threads*per {
-			t.Errorf("thread %d: counter = %d, want %d", th.ID(), got, threads*per)
 		}
 		th.Barrier()
 	})
@@ -661,96 +540,18 @@ func TestForAllCoversExactlyOwnedIndices(t *testing.T) {
 	if len(seen) != elems {
 		t.Fatalf("covered %d indices, want %d", len(seen), elems)
 	}
-
-	// ForAllC under RunCont must visit the same indices in the same
-	// order, and run then exactly once, after the last of them.
-	visitedC := make([][]int64, threads)
-	rt, err := NewRuntime(cfg(threads, nodes, transport.GM(), NoCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.RunCont(func(th *Thread, done func()) {
-		th.AllAllocC("A", elems, 8, 7, func(a *SharedArray) {
-			th.ForAllC(a, func(i int64, next func()) {
-				visitedC[th.ID()] = append(visitedC[th.ID()], i)
-				th.PutUint64C(a.At(i), uint64(i), next) // a real wait between steps
-			}, func() {
-				visitedC[th.ID()] = append(visitedC[th.ID()], -1)
-				th.BarrierC(done)
-			})
-		})
-	}); err != nil {
-		t.Fatalf("cont run: %v", err)
-	}
-	for id := range visited {
-		if want := append(visited[id], -1); !slices.Equal(visitedC[id], want) {
-			t.Errorf("thread %d: ForAllC visited %v, want ForAll's %v", id, visitedC[id], want)
-		}
-	}
-}
-
-func TestForAllHomeArray(t *testing.T) {
-	count := 0
-	mustRun(t, cfg(4, 2, transport.GM(), NoCache()), func(th *Thread) {
-		var a *SharedArray
-		if th.ID() == 2 {
-			a = th.LocalAlloc("L", 10, 8)
-			th.rt.nodes[0].collective = a
-		}
-		th.Barrier()
-		if a == nil {
-			a = th.rt.nodes[0].collective.(*SharedArray)
-		}
-		th.ForAll(a, func(i int64) { count++ })
-		th.Barrier()
-	})
-	if count != 10 {
-		t.Fatalf("home ForAll visited %d, want 10 (only the home thread)", count)
-	}
-}
-
-// A GET request can reach a node before the allocation notification
-// for its object: the handler must requeue the message and succeed
-// once the notification lands, not crash or drop it.
-func TestHandlerRequeuesUntilNotifyArrives(t *testing.T) {
-	rt, err := NewRuntime(cfg(3, 3, transport.GM(), NoCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := svd.Handle{Part: 0, Index: 0}
-	done := sim.NewCompletion(rt.K, "early-get")
-	rt.K.Spawn("injector", func(p *sim.Proc) {
-		rt.M.SendAMSpanC(p.Cont(), 0, 1, hGetReq, &getReq{H: h, Off: 0, Size: 8, Done: done}, nil, 0, nil, p.Wake())
-		p.Await()
-	})
-	rt.K.Spawn("late-alloc", func(p *sim.Proc) {
-		p.Sleep(50 * sim.Us) // long after the GET request arrived
-		l := rt.layout(8, 4, 8)
-		cb := rt.nodes[1].installArray(h, svd.KindArray, "late", l)
-		rt.nodes[1].tn.Mem.Write(cb.LocalBase, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	})
-	if err := rt.K.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done.Done() {
-		t.Fatal("requeued GET never completed")
-	}
-	if got := done.Bytes(); got[0] != 1 || got[7] != 8 {
-		t.Fatalf("requeued GET returned %v", got)
-	}
-	if done.CompletedAt() < 50*sim.Us {
-		t.Fatalf("GET completed at %v, before the allocation existed", done.CompletedAt())
-	}
 }
 
 // Portability: on transports without RDMA (BlueGene/L, TCP) the
 // runtime must stay correct with the cache requested — it simply never
 // engages — and large transfers stream through the eager path.
 func TestNonRDMATransportsPortable(t *testing.T) {
-	for _, prof := range []*transport.Profile{transport.BGL(), transport.TCP()} {
-		prof := prof
+	for _, tc := range []struct {
+		prof *transport.Profile
+		tpn  int // threads per node
+	}{{transport.BGL(), 2}, {transport.TCP(), 4}} {
+		prof, tpn := tc.prof, tc.tpn
 		t.Run(prof.Name, func(t *testing.T) {
-			tpn := prof.ThreadsPerNode
 			st := mustRun(t, cfg(4*tpn, 4, prof, DefaultCache()), func(th *Thread) {
 				a := th.AllAlloc("A", 256, 8, 8)
 				th.ForAll(a, func(i int64) { th.PutUint64(a.At(i), uint64(i)*3) })
@@ -935,77 +736,6 @@ func TestEagerRendezvousBoundary(t *testing.T) {
 	}
 }
 
-func TestFloatAccessorsAndFill(t *testing.T) {
-	mustRun(t, cfg(4, 2, transport.GM(), DefaultCache()), func(th *Thread) {
-		a := th.AllAlloc("F", 32, 8, 8)
-		th.Barrier()
-		if th.ID() == 0 {
-			th.PutFloat64(a.At(20), 3.25) // remote element
-			th.Fence()
-			if got := th.GetFloat64(a.At(20)); got != 3.25 {
-				t.Errorf("float roundtrip = %v", got)
-			}
-			th.Fill(a.At(8), 8, 0xAB) // spans threads 1 and 2
-			th.Fence()
-			for i := int64(8); i < 16; i++ {
-				b := th.Get(a.At(i))
-				for _, x := range b {
-					if x != 0xAB {
-						t.Errorf("Fill missed F[%d]: %v", i, b)
-					}
-				}
-			}
-		}
-		th.Barrier()
-	})
-}
-
-func TestTryLock(t *testing.T) {
-	mustRun(t, cfg(4, 2, transport.GM(), NoCache()), func(th *Thread) {
-		l := th.AllLockAlloc("TL")
-		th.Barrier()
-		if th.ID() == 0 { // home-node thread
-			if !th.TryLock(l) {
-				t.Error("first TryLock failed")
-			}
-		}
-		th.Barrier()
-		if th.ID() == 3 { // remote thread: lock is held
-			if th.TryLock(l) {
-				t.Error("TryLock acquired a held lock")
-			}
-		}
-		th.Barrier()
-		if th.ID() == 0 {
-			th.Unlock(l)
-		}
-		th.Barrier()
-		if th.ID() == 3 { // remote thread: now free
-			if !th.TryLock(l) {
-				t.Error("TryLock failed on a free lock")
-			}
-			th.Unlock(l)
-		}
-		th.Barrier()
-	})
-}
-
-// Under contention, exactly one TryLock in a simultaneous wave wins.
-func TestTryLockContention(t *testing.T) {
-	wins := 0
-	mustRun(t, cfg(8, 4, transport.LAPI(), NoCache()), func(th *Thread) {
-		l := th.AllLockAlloc("TLC")
-		th.Barrier()
-		if th.TryLock(l) {
-			wins++
-		}
-		th.Barrier()
-	})
-	if wins != 1 {
-		t.Fatalf("%d TryLocks succeeded, want exactly 1", wins)
-	}
-}
-
 // goroutinesAtMost samples runtime.NumGoroutine until it is at most
 // want, with settling retries (goroutine exits are asynchronous), and
 // returns the last reading.
@@ -1071,7 +801,7 @@ func TestNoServiceCoroutines(t *testing.T) {
 			// the AM path: on no goroutine either.
 			c := cfg(threads, nodes, p, DefaultCache())
 			c.Cache.PutMode = PutCacheOn
-			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(NewLayout(threads, threads/nodes, 8, 8, 64).NodeChunkBytes(0)) + 1}
+			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(NewLayout(threads, threads/nodes, 8, 8, 64).NodeChunkBytes()) + 1}
 			c.Crash = &CrashConfig{CrashConfig: fault.CrashConfig{
 				Prob: 0.1, Every: 50 * sim.Us, RestartMin: 20 * sim.Us, RestartMax: 40 * sim.Us,
 				Horizon: 5 * sim.Ms,

@@ -12,10 +12,9 @@ import (
 
 // telemetryWorkload is a small mixed workload exercising every
 // instrumented path: remote GETs and PUTs (cached fast path, eager and
-// rendezvous), local accesses, barriers, locks, alloc and free.
+// rendezvous), local accesses, barriers, alloc and free.
 func telemetryWorkload(th *Thread) {
 	a := th.AllAlloc("A", 256, 8, 4)
-	lk := th.AllLockAlloc("L")
 	n := th.Threads()
 	for i := 0; i < 20; i++ {
 		idx := int64((th.ID()*31 + i*7) % 256)
@@ -25,12 +24,10 @@ func telemetryWorkload(th *Thread) {
 	// Large transfers take the rendezvous path on RDMA transports.
 	buf := make([]byte, 32*8)
 	th.GetBulk(buf, a.At(int64((th.ID()*32)%(256-32))))
-	th.Lock(lk)
 	th.PutUint64(a.At(int64(th.ID())), uint64(n))
-	th.Unlock(lk)
 	th.Barrier()
+	b := th.AllAlloc("B", 64, 8, 8)
 	if th.ID() == 0 {
-		b := th.GlobalAlloc("B", 64, 8, 8)
 		_ = th.GetUint64(b.At(63))
 		th.Free(b)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"xlupc/internal/sim"
@@ -57,10 +56,6 @@ type Thread struct {
 	// (the pointer-chaser hot path) allocate nothing.
 	w64 [8]byte
 
-	// xfer is the reusable staging buffer Fill and Copy stream through
-	// in bounded chunks, instead of allocating n*elemSize up front.
-	xfer []byte
-
 	ops OpStats
 }
 
@@ -81,7 +76,7 @@ type opState struct {
 	rdma      transport.RDMAResult
 	rtr       rtrResult
 	aop       transport.AtomicOp
-	a1, a2    uint64
+	a1        uint64  // atomic: the operand
 	out       *uint64 // split-phase atomic: where the previous value goes
 
 	// The callback of a ...C method that passes the operation's result
@@ -135,7 +130,6 @@ func newThreads(rt *Runtime) []*Thread {
 const (
 	pcThenW64 = iota
 	pcThenOld
-	pcThenCAS
 	pcThenHandle
 	pcThenN
 	pcThenArray
@@ -146,12 +140,8 @@ const (
 	pcFenceDone
 	pcBulkNext
 
-	pcLocalCB
-	pcLocalGet
 	pcLocalGetDone
-	pcLocalPut
 	pcLocalPutDone
-	pcLocalAtomic
 	pcLocalAtomicDone
 	pcStoreOld
 
@@ -179,9 +169,6 @@ const (
 	pcNbIssued
 	pcNbGetStarted
 	pcNbGetSent
-	pcNbPutStarted
-	pcNbPutCopied
-	pcNbPutSent
 	pcNbAtomicStarted
 	pcNbAtomicSent
 
@@ -215,7 +202,6 @@ func init() {
 	steps = [numSteps]func(*Thread){
 		pcThenW64:    (*Thread).callThenW64,
 		pcThenOld:    (*Thread).callThenOld,
-		pcThenCAS:    (*Thread).callThenCAS,
 		pcThenHandle: (*Thread).callThenHandle,
 		pcThenN:      (*Thread).callThenN,
 		pcThenArray:  (*Thread).callThenArray,
@@ -226,12 +212,8 @@ func init() {
 		pcFenceDone:       (*Thread).fenceDone,
 		pcBulkNext:        (*Thread).bulkNext,
 
-		pcLocalCB:         (*Thread).localCB,
-		pcLocalGet:        (*Thread).localGet,
 		pcLocalGetDone:    (*Thread).localGetDone,
-		pcLocalPut:        (*Thread).localPut,
 		pcLocalPutDone:    (*Thread).localPutDone,
-		pcLocalAtomic:     (*Thread).localAtomic,
 		pcLocalAtomicDone: (*Thread).localAtomicDone,
 		pcStoreOld:        (*Thread).storeOld,
 
@@ -259,9 +241,6 @@ func init() {
 		pcNbIssued:        (*Thread).nbIssued,
 		pcNbGetStarted:    (*Thread).nbGetStarted,
 		pcNbGetSent:       (*Thread).nbGetSent,
-		pcNbPutStarted:    (*Thread).nbPutStarted,
-		pcNbPutCopied:     (*Thread).nbPutCopied,
-		pcNbPutSent:       (*Thread).nbPutSent,
 		pcNbAtomicStarted: (*Thread).nbAtomicStarted,
 		pcNbAtomicSent:    (*Thread).nbAtomicSent,
 
@@ -309,7 +288,6 @@ func (t *Thread) typed() any {
 
 func (t *Thread) callThenW64()    { t.typed().(func(uint64))(byteOrder.Uint64(t.w64[:])) }
 func (t *Thread) callThenOld()    { t.typed().(func(uint64))(t.old) }
-func (t *Thread) callThenCAS()    { t.typed().(func(uint64, bool))(t.old, t.old == t.a1) }
 func (t *Thread) callThenHandle() { t.typed().(func(Handle))(t.h) }
 func (t *Thread) callThenN()      { t.typed().(func(int))(t.n) }
 func (t *Thread) callThenArray()  { t.typed().(func(*SharedArray))(t.arr) }
@@ -434,28 +412,15 @@ func (t *Thread) fenceDone() {
 	t.c.Resume()
 }
 
-// localCB waits briefly for the allocation notification of t.a, still
-// in flight when lookupLocal failed, and resumes once it has landed.
-func (t *Thread) localCB() {
-	if t.lookupLocal() {
-		t.c.Resume()
-		return
-	}
-	t.c.Sleep(1*sim.Us, t.after(pcLocalCB))
-}
-
 // lookupLocal resolves the control block of t.a on the thread's own
-// node into t.cb, if the node knows the array yet.
-func (t *Thread) lookupLocal() bool {
+// node into t.cb. Every allocation is collective, so the node knows
+// every array a thread holds.
+func (t *Thread) lookupLocal() {
 	cb, ok := t.ns.dir.LookupAny(t.a.h)
-	if !ok {
-		return false
-	}
-	if cb.Freed {
+	if !ok || cb.Freed {
 		panic(fmt.Sprintf("core: thread %d: access to freed array %s", t.id, t.a.name))
 	}
 	t.cb = cb
-	return true
 }
 
 // ForAll runs body once for every index of a that is affine to this
@@ -467,23 +432,6 @@ func (t *Thread) ForAll(a *SharedArray, body func(i int64)) {
 	for i := l.NextOwned(t.id, 0); i < l.NumElems; i = l.NextOwned(t.id, i+1) {
 		body(i)
 	}
-}
-
-// ForAllC is ForAll in continuation-passing style: body runs for each
-// owned index in ascending order and calls next when its operations
-// have completed; then runs after the last one.
-func (t *Thread) ForAllC(a *SharedArray, body func(i int64, next func()), then func()) {
-	l := a.l
-	i := l.NextOwned(t.id, 0)
-	sim.Loop(func(next func()) {
-		if i >= l.NumElems {
-			then()
-			return
-		}
-		idx := i
-		i = l.NextOwned(t.id, idx+1)
-		body(idx, next)
-	})
 }
 
 // --- Element accessors -------------------------------------------------
@@ -532,65 +480,6 @@ func (t *Thread) PutUint64(r Ref, v uint64) {
 func (t *Thread) PutUint64C(r Ref, v uint64, then func()) {
 	byteOrder.PutUint64(t.w64[:], v)
 	t.PutBulkC(r, t.w64[:], then)
-}
-
-// GetFloat64 reads element r of an 8-byte-element array as a float64.
-func (t *Thread) GetFloat64(r Ref) float64 {
-	return math.Float64frombits(t.GetUint64(r))
-}
-
-// PutFloat64 writes element r of an 8-byte-element array as a float64.
-func (t *Thread) PutFloat64(r Ref, v float64) {
-	t.PutUint64(r, math.Float64bits(v))
-}
-
-// xferChunkBytes bounds the staging buffer Fill and Copy stream
-// through: big transfers reuse one per-thread scratch buffer of at
-// most this size instead of allocating the whole n*elemSize payload.
-const xferChunkBytes = 64 << 10
-
-// scratch returns the thread's reusable staging buffer, grown to at
-// least n bytes. Safe to reuse across PutBulk calls: every PUT path
-// (eager, rendezvous, RDMA, local) copies or deposits the source bytes
-// before returning.
-func (t *Thread) scratch(n int) []byte {
-	if cap(t.xfer) < n {
-		t.xfer = make([]byte, n)
-	}
-	return t.xfer[:n]
-}
-
-// Fill writes n consecutive elements starting at r with the byte b
-// repeated (upc_memset), splitting at affinity boundaries like the
-// bulk transfers. The fill streams through a bounded per-thread
-// staging buffer, so a gigabyte memset does not allocate a gigabyte.
-func (t *Thread) Fill(r Ref, n int64, b byte) {
-	if n <= 0 {
-		return
-	}
-	es := int64(r.A.ElemSize())
-	r.A.check(r.Idx + n - 1)
-	chunk := xferChunkBytes / es
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > n {
-		chunk = n
-	}
-	buf := t.scratch(int(chunk * es))
-	for i := range buf {
-		buf[i] = b
-	}
-	idx := r.Idx
-	for n > 0 {
-		c := chunk
-		if c > n {
-			c = n
-		}
-		t.PutBulk(Ref{A: r.A, Idx: idx}, buf[:c*es])
-		idx += c
-		n -= c
-	}
 }
 
 // GetBulk reads len(dst) bytes of consecutive elements starting at r
@@ -652,14 +541,13 @@ func runElems(op string, size int, r Ref) int64 {
 	return n
 }
 
-// The kinds of data operation: the four transfers that bulk splits into
-// single-affinity contiguous runs, and the atomics. A remote one
+// The kinds of data operation: the three transfers that bulk splits
+// into single-affinity contiguous runs, and the atomics. A remote one
 // consults the address cache by its row of remoteKinds.
 const (
 	kindGet = iota
 	kindPut
 	kindNbGet
-	kindNbPut
 	kindAtomic
 	kindNbAtomic
 	numKinds
@@ -705,40 +593,5 @@ func (t *Thread) run(kind int, a *SharedArray, idx int64, buf []byte) {
 		t.putRun(a, idx, buf)
 	case kindNbGet:
 		t.nbGetRun(a, idx, buf)
-	case kindNbPut:
-		t.nbPutRun(a, idx, buf)
-	}
-}
-
-// Copy moves n elements from src to dst (upc_memcpy), staging through
-// the initiator in bounded chunks of the thread's reusable scratch
-// buffer (each GetBulk completes before the paired PutBulk captures
-// the bytes, so the buffer can be recycled chunk to chunk).
-func (t *Thread) Copy(dst, src Ref, n int64) {
-	if n <= 0 {
-		return
-	}
-	es := int64(src.A.l.ElemSize)
-	if dst.A.l.ElemSize != src.A.l.ElemSize {
-		panic("core: Copy between arrays of different element sizes")
-	}
-	chunk := xferChunkBytes / es
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > n {
-		chunk = n
-	}
-	buf := t.scratch(int(chunk * es))
-	var done int64
-	for n > 0 {
-		c := chunk
-		if c > n {
-			c = n
-		}
-		t.GetBulk(buf[:c*es], Ref{A: src.A, Idx: src.Idx + done})
-		t.PutBulk(Ref{A: dst.A, Idx: dst.Idx + done}, buf[:c*es])
-		done += c
-		n -= c
 	}
 }

@@ -3,7 +3,7 @@ package core
 // User-level active messages: the registered-handler hook that lets a
 // layer above the runtime (internal/kv) ship its own request/reply
 // protocols over the same machinery the runtime's GET/PUT AMs use —
-// SVD resolution with requeue-on-unknown, base-address piggybacking
+// SVD resolution, base-address piggybacking
 // into the remote address cache, coalescing-aware reply framing and
 // span phase attribution all come for free. A handler is a ladder of
 // steps on the target node's AM dispatcher context, like the runtime's

@@ -220,14 +220,6 @@ func (r *Recorder) Record(node int, e Event) {
 	r.rings[node].record(e)
 }
 
-// Nodes reports how many per-node rings the recorder holds.
-func (r *Recorder) Nodes() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.rings)
-}
-
 // Recorded reports the total number of events node has recorded,
 // including any overwritten by ring wraparound.
 func (r *Recorder) Recorded(node int) uint64 {

@@ -15,8 +15,8 @@
 // write window observes an odd sequence, knows the line is torn, and
 // retries exactly once through a user-level active message executed at
 // the home node under the shard lock (authoritative by construction).
-// Puts and deletes from non-home nodes always ship as AMs; co-located
-// threads write directly under the same per-node lock.
+// Puts from non-home nodes always ship as AMs; co-located threads write
+// directly under the same per-node lock.
 //
 // In the simulation a 64-byte memory read is instantaneous at the
 // point of RDMA completion, so a line can never be half-copied; the
@@ -40,7 +40,6 @@ import (
 const (
 	hLookup core.UserHandlerID = 1 + iota
 	hPut
-	hDelete
 )
 
 // Bucket line geometry: 8 words of 8 bytes. Word 0 is the seqlock
@@ -56,28 +55,25 @@ const (
 	probeWindow = 4
 )
 
-// Key-word sentinels. Real keys must avoid both, so callers use keys
-// in [1, 2^63); the load generator's scrambler guarantees it.
-const (
-	emptyKey  = uint64(0)
-	tombstone = ^uint64(0)
-)
+// emptyKey is the key word of a free slot. Real keys must avoid it, so
+// callers use keys in [1, 2^63); the load generator's scrambler
+// guarantees it.
+const emptyKey = uint64(0)
 
 // rereadBackoff spaces the local torn-read re-read loop so it always
 // advances virtual time even on a zero-latency memory profile.
 const rereadBackoff = 100 * sim.Ns
 
-// Reply status bytes of the put/delete AMs.
+// Reply status bytes of the put AM.
 const (
 	statusOK   = 0
-	statusFail = 1 // put: window overflow; delete: key absent
+	statusFail = 1 // the probe window is full
 )
 
 // Wire sizes of the AM argument payloads beyond the fixed envelope.
 const (
 	lookupWireBytes = 8  // key
 	putWireBytes    = 16 // key + value
-	deleteWireBytes = 8  // key
 )
 
 // Options configures a Table. All threads must pass identical Options
@@ -103,8 +99,7 @@ type Options struct {
 // Stats are one thread's operation counters (each thread holds its own
 // Table instance, so counters need no synchronization).
 type Stats struct {
-	Gets, Puts, Deletes int64
-	Incrs               int64 // read-modify-writes shipped as remote atomics
+	Gets, Puts          int64
 	LocalOps, RemoteOps int64
 	Found, Misses       int64
 	TornRetries         int64 // remote reads that saw an odd sequence and retried via AM
@@ -118,8 +113,6 @@ type Stats struct {
 func (s *Stats) Add(o Stats) {
 	s.Gets += o.Gets
 	s.Puts += o.Puts
-	s.Deletes += o.Deletes
-	s.Incrs += o.Incrs
 	s.LocalOps += o.LocalOps
 	s.RemoteOps += o.RemoteOps
 	s.Found += o.Found
@@ -170,7 +163,7 @@ type slotRef struct {
 // segment; Stats and the scratch buffers are therefore thread-private.
 //
 // Every operation exists once, in continuation-passing style (GetC,
-// PutC, DeleteC, IncrC): a ladder of steps, each started by the core
+// PutC): a ladder of steps, each started by the core
 // operation the one before it waited in. A thread has one operation in
 // flight, so the ladder's state lives here, in op, and its steps are
 // func values bound once, in do — an operation allocates no closures.
@@ -184,12 +177,6 @@ type Table struct {
 	line [bucketBytes]byte // bucket-line scratch (one op in flight per thread)
 	rep  [8]byte           // AM reply scratch
 	w    [16]byte          // slot staging for writes
-
-	// loc memoizes key→slot for the Incr path (thread-private, like
-	// Stats). Valid only under Incr's stable-residency assumption: the
-	// memoized keys are never deleted, so a slot, once found, stays put
-	// (puts update in place).
-	loc map[uint64]slotRef
 
 	lk *sim.Resource // this node's shard lock, resolved on first write
 	op
@@ -205,8 +192,7 @@ type Table struct {
 // op is the operation in flight.
 type op struct {
 	t         *core.Thread
-	key, arg  uint64 // arg: Put's value, Incr's delta
-	del, incr bool   // which of Put/Delete, Get/Incr the shared steps serve
+	key, arg  uint64 // arg: Put's value
 	shard     int    // the key's owner thread
 	home      int    // ... and its node
 	local     bool
@@ -219,8 +205,8 @@ type op struct {
 	tgt slotRef
 	seq uint64
 
-	thenVal func(uint64, bool) // the caller's then: Get, Incr
-	thenOK  func(bool)         // ... Put, Delete
+	thenVal func(uint64, bool) // the caller's then: Get
+	thenOK  func(bool)         // ... Put
 }
 
 // steps are the methods an operation hands to core as its next step.
@@ -228,7 +214,6 @@ type steps struct {
 	probed, reread, scan, scanned                   func()
 	seqRead, seqOdd, inWindow, slotWritten, seqEven func()
 	lookedUp, wrote                                 func(n int)
-	added                                           func(old uint64)
 	keepVal                                         func(uint64, bool)
 	keepOK                                          func(bool)
 }
@@ -239,7 +224,7 @@ func newTable(a *core.SharedArray, g geom, o Options) *Table {
 		probed: tb.probed, reread: tb.reread, scan: tb.scan, scanned: tb.scanned,
 		seqRead: tb.seqRead, seqOdd: tb.seqOdd, inWindow: tb.inWindow,
 		slotWritten: tb.slotWritten, seqEven: tb.seqEven,
-		lookedUp: tb.lookedUp, wrote: tb.wrote, added: tb.added,
+		lookedUp: tb.lookedUp, wrote: tb.wrote,
 		keepVal: tb.keepVal, keepOK: tb.keepOK,
 	}
 	return tb
@@ -280,14 +265,6 @@ func New(t *core.Thread, o Options) (tb *Table) {
 	return tb
 }
 
-// ShardOf reports the owner thread of a key (load placement, tests).
-func (tb *Table) ShardOf(key uint64) int { return tb.g.shardOf(key) }
-
-// HomeNode reports the node a key's shard lives on.
-func (tb *Table) HomeNode(key uint64) int {
-	return tb.a.Layout().NodeOf(tb.g.lineIdx(tb.g.shardOf(key), 0))
-}
-
 // lock returns this node's shard lock: writers and AM lookups
 // serialize under it; one-sided readers never take it.
 func (tb *Table) lock() *sim.Resource {
@@ -300,7 +277,7 @@ func (tb *Table) lock() *sim.Resource {
 
 // --- Blocking forms -------------------------------------------------------
 
-// Get is GetC for a blocking body; likewise Put, Delete and Incr.
+// Get is GetC for a blocking body; likewise Put.
 func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
 	tb.wake = t.Wake()
 	tb.GetC(t, key, tb.do.keepVal)
@@ -313,20 +290,6 @@ func (tb *Table) Put(t *core.Thread, key, val uint64) bool {
 	tb.PutC(t, key, val, tb.do.keepOK)
 	t.Await()
 	return tb.found
-}
-
-func (tb *Table) Delete(t *core.Thread, key uint64) bool {
-	tb.wake = t.Wake()
-	tb.DeleteC(t, key, tb.do.keepOK)
-	t.Await()
-	return tb.found
-}
-
-func (tb *Table) Incr(t *core.Thread, key, delta uint64) (uint64, bool) {
-	tb.wake = t.Wake()
-	tb.IncrC(t, key, delta, tb.do.keepVal)
-	t.Await()
-	return tb.val, tb.found
 }
 
 func (tb *Table) keepVal(v uint64, ok bool) {
@@ -370,8 +333,8 @@ func (tb *Table) finishOK(ok bool) {
 }
 
 func checkKey(key uint64) {
-	if key == emptyKey || key == tombstone {
-		panic(fmt.Sprintf("kv: key %#x collides with a slot sentinel", key))
+	if key == emptyKey {
+		panic(fmt.Sprintf("kv: key %#x collides with the empty-slot sentinel", key))
 	}
 }
 
@@ -383,7 +346,7 @@ func checkKey(key uint64) {
 func (tb *Table) GetC(t *core.Thread, key uint64, then func(val uint64, ok bool)) {
 	tb.Stats.Gets++
 	tb.begin(t, key)
-	tb.incr, tb.thenVal = false, then
+	tb.thenVal = then
 	if !tb.local && tb.opts.ReadViaAM {
 		tb.amGet()
 		return
@@ -392,7 +355,7 @@ func (tb *Table) GetC(t *core.Thread, key uint64, then func(val uint64, ok bool)
 }
 
 // readLine reads the next line of the key's probe window with no lock
-// held (Get, and Incr resolving a key to its slot); probed looks at it.
+// held; probed looks at it.
 func (tb *Table) readLine() {
 	if tb.probe >= probeWindow {
 		tb.resolved(0, false)
@@ -406,20 +369,15 @@ func (tb *Table) reread() { tb.t.GetBulkC(tb.line[:], tb.a.At(tb.idx), tb.do.pro
 
 func (tb *Table) probed() {
 	if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-		switch {
-		case tb.incr:
-			// Incr has no slot-level AM to fall back to, and resolves a
-			// key once per thread: it re-reads like a local Get, uncounted.
-		case !tb.local:
+		if !tb.local {
 			// Torn one-sided read: the write landed mid-window. One AM
 			// retry is authoritative — the handler runs under the shard
 			// lock at the home node.
 			tb.Stats.TornRetries++
 			tb.amGet()
 			return
-		default:
-			tb.Stats.TornRereads++
 		}
+		tb.Stats.TornRereads++
 		// The writer finishes within its window, so a spaced re-read
 		// converges.
 		tb.t.SleepC(rereadBackoff, tb.do.reread)
@@ -436,26 +394,18 @@ func (tb *Table) probed() {
 // resolved ends the probe: the key is in slot of the line just read, or
 // nowhere.
 func (tb *Table) resolved(slot int, ok bool) {
-	switch {
-	case !ok:
+	if !ok {
 		tb.Stats.Misses++
 		tb.finishVal(0, false)
-	case tb.incr:
-		ref := slotRef{tb.idx, slot}
-		if tb.loc == nil {
-			tb.loc = make(map[uint64]slotRef)
-		}
-		tb.loc[tb.key] = ref
-		tb.add(ref)
-	default:
-		tb.Stats.Found++
-		tb.finishVal(binary.LittleEndian.Uint64(tb.line[16+16*slot:]), true)
+		return
 	}
+	tb.Stats.Found++
+	tb.finishVal(binary.LittleEndian.Uint64(tb.line[16+16*slot:]), true)
 }
 
 // findKey inspects a consistent bucket line for key: (slot, found,
-// stop). stop is false only when the line is full of other live keys
-// or tombstones, i.e. probing must continue.
+// stop). stop is false only when the line is full of other keys, i.e.
+// probing must continue.
 func findKey(line []byte, key uint64) (slot int, ok, stop bool) {
 	for s := 0; s < slotsPerBucket; s++ {
 		k := binary.LittleEndian.Uint64(line[8+16*s:])
@@ -463,9 +413,8 @@ func findKey(line []byte, key uint64) (slot int, ok, stop bool) {
 			return s, true, true
 		}
 		if k == emptyKey {
-			// Inserts fill the first free slot and deletes only ever
-			// write tombstones, so an empty slot proves the key is
-			// nowhere later in the window.
+			// Inserts fill the first free slot, so an empty slot proves
+			// the key is nowhere later in the window.
 			return 0, false, true
 		}
 	}
@@ -496,29 +445,14 @@ func (tb *Table) lookedUp(n int) {
 func (tb *Table) PutC(t *core.Thread, key, val uint64, then func(ok bool)) {
 	checkKey(key)
 	tb.Stats.Puts++
-	tb.write(t, key, val, false, then)
-}
-
-// DeleteC removes key, reporting whether it was present.
-func (tb *Table) DeleteC(t *core.Thread, key uint64, then func(ok bool)) {
-	checkKey(key)
-	tb.Stats.Deletes++
-	tb.write(t, key, 0, true, then)
-}
-
-func (tb *Table) write(t *core.Thread, key, val uint64, del bool, then func(ok bool)) {
 	tb.begin(t, key)
-	tb.arg, tb.del, tb.thenOK = val, del, then
+	tb.arg, tb.thenOK = val, then
 	if tb.local {
 		tb.ws = writeScan{}
 		t.AcquireC(tb.lock(), tb.do.scan)
 		return
 	}
-	id, wire, name := hPut, putWireBytes, "kv_put"
-	if del {
-		id, wire, name = hDelete, deleteWireBytes, "kv_delete"
-	}
-	t.CallAMC(tb.a, tb.home, id, key, val, wire, tb.rep[:], name, tb.do.wrote)
+	t.CallAMC(tb.a, tb.home, hPut, key, val, putWireBytes, tb.rep[:], "kv_put", tb.do.wrote)
 }
 
 func (tb *Table) wrote(n int) {
@@ -526,14 +460,14 @@ func (tb *Table) wrote(n int) {
 		panic(fmt.Sprintf("kv: write reply of %d bytes", n))
 	}
 	ok := tb.rep[0] == statusOK
-	if !ok && !tb.del {
+	if !ok {
 		tb.Stats.Overflows++
 	}
 	tb.finishOK(ok)
 }
 
 // scan walks the probe window under the shard lock, looking for the
-// key's slot and noting the first free (empty or tombstone) one. Reads
+// key's slot or the first free one. Reads
 // go through the thread's local GET path (it holds the shard's
 // home-node lock, so lines are consistent).
 func (tb *Table) scan() {
@@ -555,48 +489,35 @@ func (tb *Table) scanned() {
 }
 
 // writeScan is what the write path learns walking a key's probe window:
-// the key's slot if it is present, and the first free one.
+// the slot to write — the key's own, or the first free one — if any.
 type writeScan struct {
-	hit, free     slotRef
-	hitOK, freeOK bool
+	tgt   slotRef
+	found bool
 }
 
 // add folds in the consistent line at idx and reports whether the walk
-// is over: the key was found, or an empty slot proves it absent.
+// is over: the key was found, or an empty slot proves it absent and is
+// where it goes.
 func (ws *writeScan) add(line []byte, key uint64, idx int64) (stop bool) {
 	for s := 0; s < slotsPerBucket; s++ {
-		k := binary.LittleEndian.Uint64(line[8+16*s:])
-		if k == key {
-			ws.hit, ws.hitOK = slotRef{idx, s}, true
-			return true
-		}
-		if (k == emptyKey || k == tombstone) && !ws.freeOK {
-			ws.free, ws.freeOK = slotRef{idx, s}, true
-		}
-		if k == emptyKey {
+		if k := binary.LittleEndian.Uint64(line[8+16*s:]); k == key || k == emptyKey {
+			ws.tgt, ws.found = slotRef{idx, s}, true
 			return true
 		}
 	}
 	return false
 }
 
-// place ends the scan: write the key's slot, or the first free one for
-// a Put of a new key, and fail a Delete of an absent key or a Put that
-// found the window full.
+// place ends the scan: write the slot found, or fail a Put that found
+// the window full.
 func (tb *Table) place() {
-	switch {
-	case tb.ws.hitOK:
-		tb.tgt = tb.ws.hit
-	case tb.del || !tb.ws.freeOK:
+	if !tb.ws.found {
 		tb.lk.Release()
-		if !tb.del {
-			tb.Stats.Overflows++
-		}
+		tb.Stats.Overflows++
 		tb.finishOK(false)
 		return
-	default:
-		tb.tgt = tb.ws.free
 	}
+	tb.tgt = tb.ws.tgt
 	// The seqlock write protocol: seq goes odd, the slot is written
 	// inside the window, seq goes even.
 	tb.t.GetBulkC(tb.w[:8], tb.a.At(tb.tgt.line), tb.do.seqRead)
@@ -611,10 +532,6 @@ func (tb *Table) seqOdd() { tb.t.SleepC(tb.g.window, tb.do.inWindow) }
 
 func (tb *Table) inWindow() {
 	slot := tb.a.At(tb.tgt.line + int64(1+2*tb.tgt.slot))
-	if tb.del {
-		tb.t.PutUint64C(slot, tombstone, tb.do.slotWritten)
-		return
-	}
 	binary.LittleEndian.PutUint64(tb.w[0:8], tb.key)
 	binary.LittleEndian.PutUint64(tb.w[8:16], tb.arg)
 	tb.t.PutBulkC(slot, tb.w[:16], tb.do.slotWritten)
@@ -629,47 +546,10 @@ func (tb *Table) seqEven() {
 	tb.finishOK(true)
 }
 
-// --- Increment path (remote atomics) -------------------------------------
-
-// valueIdx is the global element index of slot tgt's value word (the
-// line's seq word, then (key, value) pairs: key at 1+2s, value at
-// 2+2s).
-func valueIdx(tgt slotRef) int64 { return tgt.line + int64(2+2*tgt.slot) }
-
-// IncrC atomically adds delta to key's value word with one FetchAdd
-// executed at the home node — a single message instead of the
-// GET+compute+PUT round trip — passing then the pre-add value and
-// whether the key was present. The slot is located with a probe read on
-// first use and memoized thread-locally, so a hot counter costs exactly
-// one atomic per Incr. This rides on a stable-residency assumption: keys
-// Incr touches must never be deleted (a tombstoned slot can be reused
-// by a different key, and a memoized reference would then adjust the
-// wrong value) — counter tables that never Delete satisfy it by
-// construction. Concurrent Incrs to one key never lose updates (the
-// add is indivisible at the target); racing Incr with Put on the same
-// key is the caller's bug, exactly as it would be in the native
-// runtime. The raw add does not preserve the load generator's
-// key-echo value encoding, so Incr tables are not checkValue tables.
-func (tb *Table) IncrC(t *core.Thread, key, delta uint64, then func(old uint64, ok bool)) {
-	checkKey(key)
-	tb.Stats.Incrs++
-	tb.begin(t, key)
-	tb.arg, tb.incr, tb.thenVal = delta, true, then
-	if ref, ok := tb.loc[key]; ok {
-		tb.add(ref)
-		return
-	}
-	tb.readLine()
-}
-
-func (tb *Table) add(ref slotRef) { tb.t.FetchAddC(tb.a.At(valueIdx(ref)), tb.arg, tb.do.added) }
-
-func (tb *Table) added(old uint64) { tb.finishVal(old, true) }
-
 // --- Home-node AM handlers ----------------------------------------------
 
 // server is the home-node side of the kv protocol, registered once per
-// run: three user-AM handlers that serialize with local writers under
+// run: two user-AM handlers that serialize with local writers under
 // the per-node shard lock, so everything they read is consistent (even
 // sequence words) and authoritative. Each request is one ladder of
 // steps, like a Table operation, over a record of its own (amOp) taken
@@ -681,7 +561,7 @@ type server struct {
 	free pool.Free[amOp]
 }
 
-// Reply payloads of the put and delete handlers: one status byte each,
+// Reply payloads of the put handler: one status byte each,
 // immutable, so no request builds its own.
 var (
 	okReply   = []byte{statusOK}
@@ -694,24 +574,22 @@ func registerHandlers(rt *core.Runtime, g geom) {
 	s := &server{g: g}
 	rt.HandleUser(hLookup, s.lookup)
 	rt.HandleUser(hPut, s.put)
-	rt.HandleUser(hDelete, s.delete)
 }
 
 func (s *server) lookup(c *core.UserCtx, reply func([]byte)) { s.start(hLookup, c, reply) }
 func (s *server) put(c *core.UserCtx, reply func([]byte))    { s.start(hPut, c, reply) }
-func (s *server) delete(c *core.UserCtx, reply func([]byte)) { s.start(hDelete, c, reply) }
 
 // amOp is one request in service at its home node: the handler side of
-// Table.op. A lookup walks the key's probe window for its slot; a put or
-// delete walks it as Table.scan does, then runs the seqlock write
-// protocol on the slot through the context's local-memory primitives.
+// Table.op. A lookup walks the key's probe window for its slot; a put
+// walks it as Table.scan does, then runs the seqlock write protocol on
+// the slot through the context's local-memory primitives.
 type amOp struct {
 	s     *server
 	c     *core.UserCtx
 	reply func([]byte)
 
 	id       core.UserHandlerID
-	key, val uint64 // val: tombstone for a delete, which writes the key word only
+	key, val uint64
 	lock     *sim.Resource
 	shard    int
 	b0       int64
@@ -747,9 +625,6 @@ func (s *server) start(id core.UserHandlerID, c *core.UserCtx, reply func([]byte
 	}
 	op.id, op.c, op.reply = id, c, reply
 	op.key, op.val = c.Args()
-	if id == hDelete {
-		op.val = tombstone
-	}
 	op.lock = ctxLock(c, s.g)
 	c.AcquireC(op.lock, op.do.locked)
 }
@@ -811,19 +686,14 @@ func (op *amOp) lineRead() {
 	op.readLine()
 }
 
-// place ends a write's scan: write the key's slot, or the first free one
-// for a put of a new key, and fail a delete of an absent key or a put
-// that found the window full.
+// place ends a put's scan: write the slot found, or fail a put that
+// found the window full.
 func (op *amOp) place() {
-	switch {
-	case op.ws.hitOK:
-		op.tgt = op.ws.hit
-	case op.id == hDelete || !op.ws.freeOK:
+	if !op.ws.found {
 		op.finish(failReply)
 		return
-	default:
-		op.tgt = op.ws.free
 	}
+	op.tgt = op.ws.tgt
 	// The seqlock write protocol: seq goes odd, the slot is written
 	// inside the window, seq goes even.
 	op.off = op.c.ChunkOffset(op.tgt.line)
@@ -840,11 +710,6 @@ func (op *amOp) seqOdd() { op.c.SleepC(op.s.g.window, op.do.inWindow) }
 
 func (op *amOp) inWindow() {
 	slotOff := op.off + int64(8+16*op.tgt.slot)
-	if op.val == tombstone {
-		binary.LittleEndian.PutUint64(op.w[:8], tombstone)
-		op.c.WriteLocalC(slotOff, op.w[:8], op.do.slotWritten)
-		return
-	}
 	binary.LittleEndian.PutUint64(op.w[0:8], op.key)
 	binary.LittleEndian.PutUint64(op.w[8:16], op.val)
 	op.c.WriteLocalC(slotOff, op.w[:16], op.do.slotWritten)

@@ -117,13 +117,12 @@ func TestCachedBeatsAMOnly(t *testing.T) {
 // step is one entry of a thread's script: a table operation, or a
 // sleep or barrier that places it in time.
 type step struct {
-	op       byte // 'g'et, 'p'ut, 'd'elete, 'i'ncr, 's'leep, 'b'arrier
+	op       byte // 'g'et, 'p'ut, 's'leep, 'b'arrier
 	key, arg uint64
 	d        sim.Duration
 }
 
-// outcome is what a table operation returned (val stays 0 for Put and
-// Delete).
+// outcome is what a table operation returned (val stays 0 for Put).
 type outcome struct {
 	val uint64
 	ok  bool
@@ -162,10 +161,6 @@ func runScript(t *testing.T, cps bool, cfg core.Config, o Options, preload int64
 					v, ok = tb.Get(th, s.key)
 				case 'p':
 					ok = tb.Put(th, s.key, s.arg)
-				case 'd':
-					ok = tb.Delete(th, s.key)
-				case 'i':
-					v, ok = tb.Incr(th, s.key, s.arg)
 				case 's':
 					th.Sleep(s.d)
 					continue
@@ -205,10 +200,6 @@ func runScript(t *testing.T, cps bool, cfg core.Config, o Options, preload int64
 						tb.GetC(th, s.key, val)
 					case 'p':
 						tb.PutC(th, s.key, s.arg, okOnly)
-					case 'd':
-						tb.DeleteC(th, s.key, okOnly)
-					case 'i':
-						tb.IncrC(th, s.key, s.arg, val)
 					case 's':
 						th.SleepC(s.d, next)
 					case 'b':
@@ -256,7 +247,7 @@ func bothStyles(t *testing.T, cfg core.Config, o Options, preload int64, script 
 // keyOnNode is the first key at or after from homed on node.
 func keyOnNode(tb *Table, from uint64, node int) uint64 {
 	for k := from; ; k++ {
-		if tb.HomeNode(k) == node {
+		if tb.a.Layout().NodeOf(tb.g.lineIdx(tb.g.shardOf(k), 0)) == node {
 			return k
 		}
 	}
@@ -278,7 +269,7 @@ func TestTornReadRetry(t *testing.T) {
 		// Deterministic key homed on node 1, read from node 0 and from
 		// the owner's node-mate.
 		key, absent = keyOnNode(tb, 1, 1), keyOnNode(tb, 1<<40, 1)
-		owner = tb.ShardOf(key)
+		owner = tb.g.shardOf(key)
 		mate = owner ^ 1
 		switch tid {
 		case owner:
@@ -337,12 +328,10 @@ func TestTornReadRetry(t *testing.T) {
 	}
 }
 
-// TestPutDeleteGet is the Put and Delete script: inserts, reads back,
-// deletes of present and absent keys, reads of the survivors, reuse of
-// the tombstoned slots, in-place updates, and a probe window filled
-// until a Put overflows — at the writer's own shard (direct, under the
-// lock) and at a remote one (by AM).
-func TestPutDeleteGet(t *testing.T) {
+// TestPutGet is the Put script: inserts, reads back, in-place updates,
+// and a probe window filled until a Put overflows — at the writer's own
+// shard (direct, under the lock) and at a remote one (by AM).
+func TestPutGet(t *testing.T) {
 	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 3}
 	// sameWindow lists n keys above 1000 that hash to one probe window of
 	// a shard on node.
@@ -369,13 +358,7 @@ func TestPutDeleteGet(t *testing.T) {
 		for k := uint64(1); k <= 32; k++ {
 			ss = append(ss, step{op: 'g', key: k})
 		}
-		for k := uint64(1); k <= 32; k += 2 {
-			ss = append(ss, step{op: 'd', key: k}, step{op: 'd', key: k})
-		}
-		for k := uint64(1); k <= 32; k++ {
-			ss = append(ss, step{op: 'g', key: k})
-		}
-		for k := uint64(1); k <= 32; k++ { // odd keys reuse tombstones, even ones update in place
+		for k := uint64(1); k <= 32; k++ { // every key updates in place
 			ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 10)})
 		}
 		for k := uint64(1); k <= 32; k++ {
@@ -388,7 +371,7 @@ func TestPutDeleteGet(t *testing.T) {
 		}
 		return ss
 	}
-	r := bothStyles(t, cfg, Options{Name: "pdg", NumKeys: 128}, 0, script)
+	r := bothStyles(t, cfg, Options{Name: "pg", NumKeys: 128}, 0, script)
 
 	out := r.Out[0]
 	take := func(n int) []outcome {
@@ -407,19 +390,8 @@ func TestPutDeleteGet(t *testing.T) {
 		}
 	}
 	for i, o := range take(32) {
-		if present := i%2 == 0; o.ok != present {
-			t.Fatalf("delete %d of key %d reported %v", i%2+1, 2*(i/2)+1, o.ok)
-		}
-	}
-	for i, o := range take(32) {
-		k := uint64(i + 1)
-		if want := (outcome{encodeValue(k, 9), true}); k%2 == 1 && o.ok || k%2 == 0 && o != want {
-			t.Fatalf("after the deletes key %d reads %+v", k, o)
-		}
-	}
-	for i, o := range take(32) {
 		if !o.ok {
-			t.Fatalf("rewrite of key %d failed (odd keys reuse a tombstone)", i+1)
+			t.Fatalf("rewrite of key %d failed", i+1)
 		}
 	}
 	for i, o := range take(32) {
@@ -438,8 +410,8 @@ func TestPutDeleteGet(t *testing.T) {
 	}
 }
 
-// TestStylesAgreeUnderContention runs a seeded random mix of all four
-// operations from every thread at once over a key space small enough
+// TestStylesAgreeUnderContention runs a seeded random mix of Gets and
+// Puts from every thread at once over a key space small enough
 // that writers queue on the shard locks and readers meet open write
 // windows, through both API styles.
 func TestStylesAgreeUnderContention(t *testing.T) {
@@ -449,16 +421,10 @@ func TestStylesAgreeUnderContention(t *testing.T) {
 		ss := make([]step, opsPerThread)
 		for i := range ss {
 			key := uint64(1 + rng.Intn(numKeys))
-			switch p := rng.Intn(10); {
-			case p < 5:
+			if rng.Intn(10) < 6 {
 				ss[i] = step{op: 'g', key: key}
-			case p < 8:
+			} else {
 				ss[i] = step{op: 'p', key: key, arg: encodeValue(key, uint32(i))}
-			case p < 9:
-				ss[i] = step{op: 'd', key: key}
-			default:
-				// Incr's keys are never deleted: above the Delete range.
-				ss[i] = step{op: 'i', key: numKeys + key, arg: 1}
 			}
 		}
 		return ss
@@ -469,7 +435,7 @@ func TestStylesAgreeUnderContention(t *testing.T) {
 	for _, st := range r.Table {
 		total.Add(st)
 	}
-	if total.TornRetries == 0 || total.TornRereads == 0 || total.Deletes == 0 || total.Incrs == 0 {
+	if total.TornRetries == 0 || total.TornRereads == 0 {
 		t.Fatalf("the mix did not reach every path: %+v", total)
 	}
 }
@@ -651,49 +617,5 @@ func TestPreloadContents(t *testing.T) {
 	}
 	if total != numKeys {
 		t.Fatalf("preload installed %d keys, want %d", total, numKeys)
-	}
-}
-
-// TestIncr is the Incr script: the FetchAdd-backed increment path
-// returns exact pre-add values, concurrent increments from every thread
-// never lose an update (the first locates the slot, the rest use the
-// memo), and absent keys report false.
-func TestIncr(t *testing.T) {
-	const numKeys = 64
-	const key, absent, perThread = uint64(7), uint64(numKeys + 100), 25
-	cfg := testConfig(core.DefaultCache())
-	owner := -1
-	script := func(tb *Table, tid int) []step {
-		owner = tb.ShardOf(key)
-		var ss []step
-		for i := 0; i < perThread; i++ {
-			ss = append(ss, step{op: 'i', key: key, arg: 2})
-		}
-		ss = append(ss, step{op: 'b'})
-		if tid == owner {
-			ss = append(ss, step{op: 'g', key: key})
-		}
-		return append(ss, step{op: 'i', key: absent, arg: 1})
-	}
-	r := bothStyles(t, cfg, Options{Name: "incr", NumKeys: numKeys}, numKeys, script)
-
-	seen := map[uint64]bool{}
-	for tid, out := range r.Out {
-		for _, o := range out[:perThread] {
-			if !o.ok || seen[o.val] {
-				t.Fatalf("thread %d: Incr returned (%#x, %v): a miss, or a pre-add value seen twice", tid, o.val, o.ok)
-			}
-			seen[o.val] = true
-		}
-		if last := out[len(out)-1]; last.ok {
-			t.Fatalf("thread %d: Incr of an absent key reported present", tid)
-		}
-		if st := r.Table[tid]; st.Incrs != perThread+1 || st.Misses != 1 {
-			t.Fatalf("thread %d counted %d incrs and %d misses, want %d and 1", tid, st.Incrs, st.Misses, perThread+1)
-		}
-	}
-	want := encodeValue(key, 0) + uint64(cfg.Threads*perThread)*2
-	if final := r.Out[owner][perThread]; final != (outcome{want, true}) {
-		t.Fatalf("final value %+v, want %#x (lost updates?)", final, want)
 	}
 }

@@ -19,9 +19,6 @@ type Sample struct {
 // Add appends one observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
-// AddAll appends many observations.
-func (s *Sample) AddAll(xs ...float64) { s.xs = append(s.xs, xs...) }
-
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
@@ -35,34 +32,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Min reports the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max reports the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Var reports the unbiased sample variance (n-1 denominator), or 0 for

@@ -44,14 +44,14 @@ const (
 )
 
 // Span records the lifecycle of one runtime operation: a GET, PUT,
-// barrier, lock, fence, alloc or free. The initiating thread opens it,
+// atomic, barrier, fence, alloc or free. The initiating thread opens it,
 // every layer that touches the operation appends phases (the span
 // rides along with the simulated message), and the initiator finishes
 // it. For asynchronous PUTs the span ends at local completion, the
 // paper's initiator-blocking cost; target-side phases of the in-flight
 // ACK keep accumulating afterwards and still count in attribution.
 type Span struct {
-	Op     string // "get", "put", "barrier", "lock", "fence", "alloc", "free"
+	Op     string // "get", "put", "atomic", "barrier", "fence", "alloc", "free", ...
 	Proto  string // protocol taken: "rdma", "eager", "rendezvous", "local", ...
 	Thread int    // initiating UPC thread
 	Node   int    // initiating node
@@ -60,8 +60,8 @@ type Span struct {
 	End    sim.Time // -1 while open
 	Phases []Phase
 
-	// Split marks a span opened by split-phase issue (NbGet, NbPut,
-	// NbFetchAdd): its thread runs on while it is open, so it is the
+	// Split marks a span opened by split-phase issue (NbGet, NbFetchAdd,
+	// NbAccumulate): its thread runs on while it is open, so it is the
 	// operation's latency, not time the thread waited.
 	Split bool
 

@@ -1,7 +1,7 @@
 // Package telemetry is the runtime's unified observability layer: a
 // virtual-time-aware metrics registry (counters, gauges, log-bucketed
 // latency histograms over sim.Time) plus per-operation spans recording
-// the lifecycle of GET/PUT/barrier/lock/alloc operations phase by
+// the lifecycle of GET/PUT/atomic/barrier/alloc operations phase by
 // phase — cache lookup, protocol selection, registration, wire,
 // target-handler, completion. Two exporters serialize a run: Chrome
 // trace-event JSON (chrome://tracing / Perfetto) and Prometheus text

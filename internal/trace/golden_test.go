@@ -63,7 +63,7 @@ func statesOf(t *testing.T, mark string, cfg core.Config, tune func(*dis.Params)
 // longest GET wait of every stressmark to the values the runtime's own
 // Begin/End recorder produced before it was deleted (PR 19): the span
 // view has to reproduce each row to the picosecond. The split-phase
-// rows pin that an NbGet/NbPut/NbFetchAdd span is not a wait — only
+// rows pin that an NbGet/NbFetchAdd span is not a wait — only
 // the Sync that retires it blocks. Regenerate deliberately with
 // `go test ./internal/trace -run TestStatesGolden -update`.
 func TestStatesGolden(t *testing.T) {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
@@ -19,40 +18,32 @@ import (
 // incarnations, and (via the reliable layer's receiver dedup keyed on
 // (src,dst,seq,epoch)) exactly-once under retransmit.
 
-// AtomicOp selects the target-side combine function of an RMW request.
+// AtomicOp selects what an RMW request returns. Both add the request's
+// delta to the 8-byte word at the target; the op numbers are the ones
+// flight records carry.
 type AtomicOp uint8
 
 const (
-	// AtomicFetchAdd adds Arg1 to the 8-byte word and returns the
-	// previous value.
-	AtomicFetchAdd AtomicOp = iota
-	// AtomicCompareSwap installs Arg2 iff the word equals Arg1, and
-	// returns the previous value either way.
-	AtomicCompareSwap
-	// AtomicAccumulate adds Arg1 and returns nothing — the response
-	// carries no data word, so accumulations batch tighter.
-	AtomicAccumulate
+	// AtomicFetchAdd returns the previous value.
+	AtomicFetchAdd AtomicOp = 0
+	// AtomicAccumulate returns nothing — the response carries no data
+	// word, so accumulations batch tighter.
+	AtomicAccumulate AtomicOp = 2
 )
 
 func (op AtomicOp) String() string {
 	switch op {
 	case AtomicFetchAdd:
 		return "fetchadd"
-	case AtomicCompareSwap:
-		return "cas"
 	case AtomicAccumulate:
 		return "accumulate"
 	}
 	return "unknown"
 }
 
-// OperandBytes is the operand payload riding with the descriptor.
-func (op AtomicOp) OperandBytes() int {
-	if op == AtomicCompareSwap {
-		return 16 // expected + replacement
-	}
-	return 8
-}
+// AtomicOperandBytes is the operand payload riding with an RMW request:
+// the delta.
+const AtomicOperandBytes = 8
 
 // ResultBytes is the data carried by the completion response.
 func (op AtomicOp) ResultBytes() int {
@@ -62,36 +53,22 @@ func (op AtomicOp) ResultBytes() int {
 	return 8
 }
 
-// Apply is the combine function, executed at the target engine.
-func (op AtomicOp) Apply(old, arg1, arg2 uint64) uint64 {
-	switch op {
-	case AtomicFetchAdd, AtomicAccumulate:
-		return old + arg1
-	case AtomicCompareSwap:
-		if old == arg1 {
-			return arg2
-		}
-		return old
-	}
-	panic(fmt.Sprintf("transport: bad atomic op %d", op))
-}
-
 // atomicOrder is the wire encoding of the 8-byte word, matching the
 // runtime's element encoding so NIC-side and CPU-side updates of the
 // same word agree.
 var atomicOrder = binary.LittleEndian
 
-// RDMAAtomicSpanC executes aop on the 8-byte word at raddr in dst's
+// RDMAAtomicSpanC adds delta to the 8-byte word at raddr in dst's
 // memory on behalf of thread ct: then runs once the result has
 // returned, with res.Old the word's previous value (zero for
 // AtomicAccumulate) or, when the target NACKed (stale epoch or
 // deregistered region), res.OK false and the caller left to heal and
 // fall back to the active-message path. fetch, when non-nil, is the
 // posted 8-byte result buffer. The steps are RDMAGetSpanC's.
-func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
+func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, delta uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	op := m.newDMA(dmaRMW, src, base, raddr, fetch, epoch, span)
-	op.aop, op.arg1, op.arg2 = aop, arg1, arg2
-	m.postRead(ct, txAtomic, src, dst, m.Prof.RDMADescBytes+aop.OperandBytes(), op, res, then)
+	op.aop, op.delta = aop, delta
+	m.postRead(ct, txAtomic, src, dst, m.Prof.RDMADescBytes+AtomicOperandBytes, op, res, then)
 }
 
 // RDMAAtomicStartC issues a NIC atomic without waiting for it: then
@@ -99,9 +76,9 @@ func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Ad
 // batch, so batched atomics to one destination share a single frame),
 // and res.Done fires at the initiator with the old value ([]byte, nil
 // for accumulations) or a Nack, after the RDMA-mode extra latency.
-func (m *Machine) RDMAAtomicStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
+func (m *Machine) RDMAAtomicStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, delta uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	op := m.newDMA(dmaRMW, src, base, raddr, fetch, epoch, span)
-	op.aop, op.arg1, op.arg2 = aop, arg1, arg2
+	op.aop, op.delta = aop, delta
 	res.Done = m.nbResult(op)
-	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+aop.OperandBytes(), op, then)
+	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+AtomicOperandBytes, op, then)
 }

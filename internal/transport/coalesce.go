@@ -187,8 +187,8 @@ func (o *txOp) appended() {
 }
 
 // take detaches a buffer for flushing: cancels its timer, removes it
-// from the map and marks it closed so a reference kept by a requeued
-// message falls back to the direct path.
+// from the map and marks it closed so a reference kept by a message
+// still in service falls back to the direct path.
 func (c *coalescer) take(b *coalBuf) bool {
 	if b.closed || len(b.ops) == 0 {
 		return false

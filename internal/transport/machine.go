@@ -48,10 +48,6 @@ type Msg struct {
 	// reply buffer while the message is served as part of a batch.
 	Batch *BatchScratch
 	reply *coalBuf
-
-	// retained marks a message requeued by its handler (see Retain);
-	// the dispatcher skips recycling it once, then clears the flag.
-	retained bool
 }
 
 // Machine is a simulated cluster: fabric plus per-node software state
@@ -348,7 +344,7 @@ func (e *amEngine) Step(pc int) {
 		m.handlers[e.msg.Handler](ct, e.nd, e.msg, ct.Then(e, amHandled))
 	case amHandled:
 		e.nd.Comm.Release()
-		m.served(e.msg)
+		m.freeMsg(e.msg)
 		e.msg = nil
 		e.pop()
 	case amBatchAcquired:
@@ -360,7 +356,7 @@ func (e *amEngine) Step(pc int) {
 		e.subReceived()
 	case amSubHandled:
 		e.msg.reply = nil
-		m.served(e.msg)
+		m.freeMsg(e.msg)
 		e.msg = nil
 		e.next++
 		e.serveSub()
@@ -392,17 +388,6 @@ func (e *amEngine) pop() {
 	msg.Span.Phase(telemetry.PhaseWire, msg.sent, msg.arrived)
 	e.msg, e.acq = msg, m.K.Now()
 	e.nd.Comm.AcquireCont(ct, ct.Then(e, amAcquired))
-}
-
-// served recycles a message its handler is done with — unless the
-// handler requeued it (see Retain), in which case it recycles after
-// redelivery.
-func (m *Machine) served(msg *Msg) {
-	if msg.retained {
-		msg.retained = false
-		return
-	}
-	m.freeMsg(msg)
 }
 
 // SendAMSpanC injects an active message from node src toward dst on

@@ -19,13 +19,6 @@ type pools struct {
 	txops pool.Free[txOp]
 }
 
-// Retain marks the message as requeued by its handler: the dispatcher
-// must not recycle it after the handler returns, because the handler
-// scheduled it for redelivery (the SVD-miss retry path). The flag is
-// consumed by the dispatcher, so the message is again eligible for
-// recycling after its next service.
-func (m *Msg) Retain() { m.retained = true }
-
 func (m *Machine) newMsg() *Msg { return m.pool.msgs.Get() }
 
 // freeMsg recycles a fully served message. Payload and Meta escape into

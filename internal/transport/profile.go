@@ -28,9 +28,8 @@ type Profile struct {
 	NewTopo func(nodes int) fabric.Topology
 
 	// Node shape.
-	Cores          int  // compute cores per node
-	ThreadsPerNode int  // default UPC threads per node in hybrid mode
-	CommOverlap    bool // true: AM handlers run on a dedicated comm
+	Cores       int  // compute cores per node
+	CommOverlap bool // true: AM handlers run on a dedicated comm
 	// processor and overlap with computation (LAPI); false: they
 	// steal compute CPU (GM, paper §4.6 Field analysis).
 	CommCapacity int // parallel AM handler contexts of the dedicated
@@ -100,10 +99,9 @@ func GM() *Profile {
 			HopLatency:  300 * sim.Ns,
 			ByteTime:    sim.PerByte(250), // 4 ns/B ≈ 250 MB/s
 		},
-		NewTopo:        func(nodes int) fabric.Topology { return fabric.DefaultCrossbar3(nodes) },
-		Cores:          4, // JS21: two dual-core PPC 970-MP
-		ThreadsPerNode: 4,
-		CommOverlap:    false,
+		NewTopo:     func(nodes int) fabric.Topology { return fabric.DefaultCrossbar3(nodes) },
+		Cores:       4, // JS21: two dual-core PPC 970-MP
+		CommOverlap: false,
 
 		SendOverhead:    500 * sim.Ns,
 		RecvOverhead:    1100 * sim.Ns,
@@ -152,11 +150,10 @@ func LAPI() *Profile {
 			HopLatency:  150 * sim.Ns,
 			ByteTime:    sim.PerByte(2000), // 0.5 ns/B ≈ 2 GB/s
 		},
-		NewTopo:        func(nodes int) fabric.Topology { return fabric.NewFlat(nodes, 2) },
-		Cores:          16, // 8 × 2-way SMT Power5
-		ThreadsPerNode: 16,
-		CommOverlap:    true,
-		CommCapacity:   4,
+		NewTopo:      func(nodes int) fabric.Topology { return fabric.NewFlat(nodes, 2) },
+		Cores:        16, // 8 × 2-way SMT Power5
+		CommOverlap:  true,
+		CommCapacity: 4,
 
 		SendOverhead:    600 * sim.Ns,
 		RecvOverhead:    1100 * sim.Ns,
@@ -204,10 +201,9 @@ func BGL() *Profile {
 			HopLatency:  100 * sim.Ns, // torus routes are many-hop
 			ByteTime:    sim.PerByte(150),
 		},
-		NewTopo:        func(nodes int) fabric.Topology { return fabric.DefaultTorus3D(nodes) },
-		Cores:          2, // two PPC440 cores
-		ThreadsPerNode: 2,
-		CommOverlap:    false,
+		NewTopo:     func(nodes int) fabric.Topology { return fabric.DefaultTorus3D(nodes) },
+		Cores:       2, // two PPC440 cores
+		CommOverlap: false,
 
 		SendOverhead:    400 * sim.Ns,
 		RecvOverhead:    800 * sim.Ns,
@@ -242,11 +238,10 @@ func TCP() *Profile {
 			HopLatency:  1 * sim.Us,
 			ByteTime:    sim.PerByte(110), // ~gigabit ethernet
 		},
-		NewTopo:        func(nodes int) fabric.Topology { return fabric.NewFlat(nodes, 2) },
-		Cores:          4,
-		ThreadsPerNode: 4,
-		CommOverlap:    true, // the kernel moves bytes concurrently
-		CommCapacity:   2,
+		NewTopo:      func(nodes int) fabric.Topology { return fabric.NewFlat(nodes, 2) },
+		Cores:        4,
+		CommOverlap:  true, // the kernel moves bytes concurrently
+		CommCapacity: 2,
 
 		SendOverhead:    4 * sim.Us, // syscall + TCP stack
 		RecvOverhead:    6 * sim.Us,

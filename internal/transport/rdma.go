@@ -49,8 +49,7 @@ type dmaOp struct {
 	buf  []byte
 	size int
 
-	arg1 uint64 // RMW: delta (fetch-add/accumulate) or expected (CAS)
-	arg2 uint64 // RMW: replacement (CAS only)
+	delta uint64 // RMW: what is added to the word
 
 	val any // completion: the Nack, if the target refused
 
@@ -336,16 +335,6 @@ func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr
 	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes, op, then)
 }
 
-// RDMAPutStartC issues a one-sided write without blocking the caller
-// through the RDMA-mode completion latency. res.Done fires when the
-// data is globally visible in target memory (or with a Nack); fences
-// and split-phase handles wait on it.
-func (m *Machine) RDMAPutStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
-	op := m.newDMA(dmaWrite, src, base, raddr, data, epoch, span)
-	res.Done = op.done
-	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+len(data), op, then)
-}
-
 // nbResult wraps a split-phase RDMA read's completion: the
 // caller-visible completion fires only after the transport's RDMA-mode
 // extra latency, and NACKs are counted when the initiator observes
@@ -560,7 +549,7 @@ func (e *dmaEngine) served() {
 	case dmaRMW:
 		e.nd.Mem.Read(e.w64[:], op.raddr)
 		old := atomicOrder.Uint64(e.w64[:])
-		atomicOrder.PutUint64(e.w64[:], op.aop.Apply(old, op.arg1, op.arg2))
+		atomicOrder.PutUint64(e.w64[:], old+op.delta)
 		e.nd.Mem.Write(op.raddr, e.w64[:])
 		m.FR.Record(e.nd.ID, flight.Event{
 			T: k.Now(), Kind: flight.KindAtomic, Class: flight.ClassDMA,
