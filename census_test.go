@@ -136,7 +136,6 @@ var codeCensusExceptions = map[string]string{
 	"addrcache.Cache.Keys":         "TestKeysMRUOrder",
 	"addrcache.Cache.Resident":     "TestAdaptiveEvictsOverSharePeer",
 	"addrcache.Cache.Share":        "TestAdaptiveSharesFollowHits",
-	"flight.Recorder.Recorded":     "TestRingWraparound",
 	"flight.Record":                "TestWriteJSONLRoundTrip",
 	"mem.PinTable.IsPinned":        "TestPinLimitedEvictsLRU",
 	"mem.Space.CheckInvariants":    "TestPropertyAllocatorIntegrity",

@@ -91,7 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	bench.SetParallelism(*parallel)
-	finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
+	fl, finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
 		os.Exit(2)
@@ -126,7 +126,7 @@ func main() {
 			os.Exit(2)
 		}
 		if crashing {
-			pts := bench.PrintCrash(os.Stdout, *mark, prof, sc, crashes, restart, *seed)
+			pts := bench.PrintCrash(os.Stdout, *mark, prof, sc, crashes, restart, *seed, fl)
 			for _, pt := range pts[1:] {
 				if pt.Checksum != pts[0].Checksum {
 					fmt.Fprintf(os.Stderr, "xlupc-chaos: %s/%s: checksum diverged at crash rate %g: %x vs %x\n",
@@ -135,7 +135,7 @@ func main() {
 				}
 			}
 		} else {
-			pts := bench.PrintChaos(os.Stdout, *mark, prof, sc, losses, *seed)
+			pts := bench.PrintChaos(os.Stdout, *mark, prof, sc, losses, *seed, fl)
 			for _, pt := range pts[1:] {
 				if pt.Checksum != pts[0].Checksum {
 					fmt.Fprintf(os.Stderr, "xlupc-chaos: %s/%s: checksum diverged at loss %g: %x vs %x\n",

@@ -58,7 +58,7 @@ func main() {
 	}
 	bench.SetParallelism(*parallel)
 
-	finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
+	fl, finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
@@ -119,7 +119,7 @@ func main() {
 
 	section(w, "Reliability: RDMA NACKs and chaos counters by transport",
 		"NACK/invalidate/fallback keeps pin-starved runs correct; reliable delivery absorbs 2% loss (see xlupc-chaos for curves)")
-	bench.PrintReliability(w, *seed)
+	bench.PrintReliability(w, *seed, fl)
 
 	section(w, "SVD metadata footprint (§2.1)",
 		"directory replicas stay O(objects) per node; the rejected full table is O(nodes x objects)")

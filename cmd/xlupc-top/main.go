@@ -45,20 +45,35 @@ import (
 )
 
 // checkRun validates what the runs are built from — the stressmark, the
-// transport and the machine — so that a bad value fails before the host
-// profiler starts or a header is printed, and returns the profile.
-func checkRun(mark, profName string, threads, nodes int) (*transport.Profile, error) {
+// transport and the machine — and creates the export files at outs, so
+// that a bad value or an unwritable path fails before the host profiler
+// starts or a header is printed. It returns the profile and one file per
+// out, nil where the path is empty.
+func checkRun(mark, profName string, threads, nodes int, outs ...string) (*transport.Profile, []*os.File, error) {
 	if _, err := dis.ByName(mark); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	prof := transport.ByName(profName)
 	if prof == nil {
-		return nil, fmt.Errorf("unknown profile %q", profName)
+		return nil, nil, fmt.Errorf("unknown profile %q", profName)
 	}
 	if err := bench.ValidateScale(threads, nodes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return prof, nil
+	files := make([]*os.File, len(outs))
+	for i, path := range outs {
+		if path == "" {
+			continue
+		}
+		var err error
+		if files[i], err = os.Create(path); err != nil {
+			for _, f := range files[:i] {
+				f.Close() // a nil *os.File's Close is a no-op error
+			}
+			return nil, nil, err
+		}
+	}
+	return prof, files, nil
 }
 
 func main() {
@@ -74,11 +89,12 @@ func main() {
 	pf := hostprof.Register(nil)
 	flag.Parse()
 
-	prof, err := checkRun(*mark, *profName, *threads, *nodes)
+	prof, files, err := checkRun(*mark, *profName, *threads, *nodes, *prv, *chrome, *prom)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-top: %v\n", err)
 		os.Exit(2)
 	}
+	prvFile, chromeFile, promFile := files[0], files[1], files[2]
 	sc := bench.Scale{Threads: *threads, Nodes: *nodes}
 	stopProf := pf.MustStart("xlupc-top")
 
@@ -138,20 +154,20 @@ func main() {
 		fmt.Fprintf(w, "\nGET wait time reduction from the cache: %.1f%%\n",
 			100*(float64(getWait[0])-float64(getWait[1]))/float64(getWait[0]))
 	}
-	if *prv != "" {
-		if err := writeExport(*prv, trace.FromSpans(cachedTel).WritePRV); err != nil {
+	if prvFile != nil {
+		if err := writeExport(prvFile, trace.FromSpans(cachedTel).WritePRV); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(w, "trace records written to %s\n", *prv)
 	}
-	if *chrome != "" {
-		if err := writeExport(*chrome, cachedTel.WriteChromeTrace); err != nil {
+	if chromeFile != nil {
+		if err := writeExport(chromeFile, cachedTel.WriteChromeTrace); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(w, "\nChrome trace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *chrome)
 	}
-	if *prom != "" {
-		if err := writeExport(*prom, cachedTel.WritePrometheus); err != nil {
+	if promFile != nil {
+		if err := writeExport(promFile, cachedTel.WritePrometheus); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(w, "Prometheus metrics written to %s\n", *prom)
@@ -164,20 +180,16 @@ func main() {
 	stopProf()
 }
 
-// writeExport writes one exporter's output to path, surfacing write
-// and close errors instead of dropping them: a full disk must not
-// leave a silently truncated trace behind.
-func writeExport(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+// writeExport writes one exporter's output to f and closes it,
+// surfacing write and close errors instead of dropping them: a full
+// disk must not leave a silently truncated trace behind.
+func writeExport(f *os.File, write func(w io.Writer) error) error {
 	if err := write(f); err != nil {
 		f.Close()
-		return fmt.Errorf("writing %s: %v", path, err)
+		return fmt.Errorf("writing %s: %v", f.Name(), err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("writing %s: %v", path, err)
+		return fmt.Errorf("writing %s: %v", f.Name(), err)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/stats"
@@ -49,13 +50,14 @@ type ChaosPoint struct {
 	Run         core.RunStats // the cached run: hit rate, hazards applied, reliability work
 }
 
-// runChaosMark runs one stressmark under the given fault config and
-// returns its stats, the combined self-verification checksum, and the
-// runtime (for flight-recorder post-mortems).
-func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, fc *fault.Config, seed int64) (core.RunStats, uint64, *core.Runtime) {
+// runChaosMark runs one stressmark under the given fault config, with
+// fl's rings when fl is set, and returns its stats, the combined
+// self-verification checksum, and the runtime (for flight-recorder
+// post-mortems).
+func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, fc *fault.Config, seed int64, fl *flight.Config) (core.RunStats, uint64, *core.Runtime) {
 	return runMark(mark, core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: seed,
-		Fault: fc, Flight: flightCfg.Load(),
+		Fault: fc, Flight: fl,
 	}, dis.Default(sc.Threads))
 }
 
@@ -63,16 +65,17 @@ func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheC
 // small-message microbenchmarks at each loss rate, all over the
 // reliable-delivery layer. Every point's checksum must match the
 // loss-free one — the fast path staying correct is the experiment's
-// whole claim — and a cache-on/cache-off divergence panics outright.
-func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64) []ChaosPoint {
+// whole claim — and a cache-on/cache-off divergence panics outright,
+// after a flight dump when fl gives the runs rings and a sink.
+func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64, fl *flight.Config) []ChaosPoint {
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	pts := make([]ChaosPoint, len(losses))
 	parfor(len(losses), func(i int) {
 		fc := ChaosFaults(losses[i])
-		z, zsum, _ := runChaosMark(mark, sc, prof, core.NoCache(), &fc, seed)
-		w, wsum, wrt := runChaosMark(mark, sc, prof, core.DefaultCache(), &fc, seed)
+		z, zsum, _ := runChaosMark(mark, sc, prof, core.NoCache(), &fc, seed, fl)
+		w, wsum, wrt := runChaosMark(mark, sc, prof, core.DefaultCache(), &fc, seed, fl)
 		if zsum != wsum {
 			divergenceDump(wrt, fmt.Sprintf("%s at loss %g: checksum changed by cache: %x vs %x",
 				mark, losses[i], zsum, wsum))
@@ -96,8 +99,8 @@ func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64
 }
 
 // PrintChaos emits one degradation-curve table and returns its points.
-func PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64) []ChaosPoint {
-	pts := ChaosSweep(mark, prof, sc, losses, seed)
+func PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64, fl *flight.Config) []ChaosPoint {
+	pts := ChaosSweep(mark, prof, sc, losses, seed, fl)
 	fmt.Fprintf(w, "# Chaos — %s on %s, %s: cache behaviour vs loss rate (reliable delivery on)\n",
 		mark, prof.Name, sc)
 	fmt.Fprintf(w, "%8s %9s %9s %9s %10s %7s %8s %6s %6s %8s %17s\n",
@@ -123,8 +126,8 @@ type RelRow struct {
 // ReliabilityTable measures the failure-handling machinery per
 // transport: a limited-pinning rotation that forces RDMA NACKs and
 // cache invalidations, and a pointer run at 2% loss exercising the
-// reliable-delivery layer.
-func ReliabilityTable(seed int64) []RelRow {
+// reliable-delivery layer, with fl's rings when fl is set.
+func ReliabilityTable(seed int64, fl *flight.Config) []RelRow {
 	profs := []*transport.Profile{transport.GM(), transport.LAPI()}
 	rows := make([]RelRow, len(profs))
 	parfor(len(profs), func(i int) {
@@ -132,7 +135,7 @@ func ReliabilityTable(seed int64) []RelRow {
 		nack := runNackChurn(prof, seed)
 		fc := ChaosFaults(0.02)
 		chaos, _, _ := runChaosMark("pointer", Scale{Threads: 8, Nodes: 4}, prof,
-			core.DefaultCache(), &fc, seed)
+			core.DefaultCache(), &fc, seed, fl)
 		rows[i] = RelRow{Transport: prof.Name, Nack: nack, Chaos: chaos}
 	})
 	return rows
@@ -176,8 +179,8 @@ func runNackChurn(prof *transport.Profile, seed int64) core.RunStats {
 
 // PrintReliability emits the per-transport reliability table (the
 // xlupc-report section behind the NACK and chaos counters).
-func PrintReliability(w io.Writer, seed int64) []RelRow {
-	rows := ReliabilityTable(seed)
+func PrintReliability(w io.Writer, seed int64, fl *flight.Config) []RelRow {
+	rows := ReliabilityTable(seed, fl)
 	fmt.Fprintf(w, "%10s %10s %12s %8s %9s %6s %6s %9s %7s\n",
 		"transport", "nacks", "invalidated", "drops", "corrupt", "dup", "retx", "dupsupp", "acks")
 	for _, r := range rows {

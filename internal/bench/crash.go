@@ -7,6 +7,7 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
@@ -41,14 +42,14 @@ type CrashPoint struct {
 }
 
 // runCrashMark runs one stressmark over the reliable layer with the
-// given crash schedule (nil = crash-free baseline), and returns its
-// stats, the combined self-verification checksum, and the runtime (for
-// flight-recorder post-mortems).
-func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.CrashConfig, seed int64) (core.RunStats, uint64, *core.Runtime) {
+// given crash schedule (nil = crash-free baseline), with fl's rings when
+// fl is set, and returns its stats, the combined self-verification
+// checksum, and the runtime (for flight-recorder post-mortems).
+func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.CrashConfig, seed int64, fl *flight.Config) (core.RunStats, uint64, *core.Runtime) {
 	rc := transport.DefaultRelConfig()
 	return runMark(mark, core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: core.DefaultCache(), Seed: seed,
-		Rel: &rc, Crash: cc, Flight: flightCfg.Load(),
+		Rel: &rc, Crash: cc, Flight: fl,
 	}, dis.Default(sc.Threads))
 }
 
@@ -56,15 +57,16 @@ func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.Crash
 // rate, all over the reliable-delivery layer, against a crash-free
 // baseline with the identical configuration. Crash recovery being
 // invisible to program semantics is the experiment's whole claim, so a
-// checksum diverging from the baseline panics outright.
-func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64) []CrashPoint {
+// checksum diverging from the baseline panics outright, after a flight
+// dump when fl gives the runs rings and a sink.
+func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64, fl *flight.Config) []CrashPoint {
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
-	base, baseSum, _ := runCrashMark(mark, sc, prof, nil, seed)
+	base, baseSum, _ := runCrashMark(mark, sc, prof, nil, seed, fl)
 	pts := make([]CrashPoint, len(rates))
 	parfor(len(rates), func(i int) {
-		st, sum, srt := runCrashMark(mark, sc, prof, CrashFaults(rates[i], restart), seed)
+		st, sum, srt := runCrashMark(mark, sc, prof, CrashFaults(rates[i], restart), seed, fl)
 		if sum != baseSum {
 			divergenceDump(srt, fmt.Sprintf("%s at crash rate %g: checksum diverged from crash-free run: %x vs %x",
 				mark, rates[i], sum, baseSum))
@@ -87,8 +89,8 @@ func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64,
 }
 
 // PrintCrash emits one recovery-curve table and returns its points.
-func PrintCrash(w io.Writer, mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64) []CrashPoint {
-	pts := CrashSweep(mark, prof, sc, rates, restart, seed)
+func PrintCrash(w io.Writer, mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64, fl *flight.Config) []CrashPoint {
+	pts := CrashSweep(mark, prof, sc, rates, restart, seed, fl)
 	fmt.Fprintf(w, "# Crash — %s on %s, %s: recovery behaviour vs crash rate (reliable delivery on, restart <= %v)\n",
 		mark, prof.Name, sc, restart)
 	fmt.Fprintf(w, "%8s %8s %7s %7s %8s %7s %6s %5s %10s %9s %17s\n",

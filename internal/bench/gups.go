@@ -107,7 +107,7 @@ func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: o.Prof,
-		Cache: core.DefaultCache(), Seed: o.Seed, Flight: flightCfg.Load(),
+		Cache: core.DefaultCache(), Seed: o.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {

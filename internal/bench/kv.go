@@ -70,7 +70,7 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: o.Prof, Cache: cc,
-		Seed: o.Seed, Fault: o.Fault, Crash: o.Crash, Flight: flightCfg.Load(),
+		Seed: o.Seed, Fault: o.Fault, Crash: o.Crash,
 	}
 	if o.Crash != nil {
 		rc := transport.DefaultRelConfig()
@@ -103,8 +103,6 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 		})
 	})
 	if err != nil {
-		// RunCont already auto-dumped the flight tail when a dump sink
-		// is configured; the panic carries the typed cause.
 		panic(fmt.Sprintf("bench: kv run failed: %v", err))
 	}
 	res := KVResult{Merged: kv.Merge(results), Run: st, Elapsed: st.Elapsed}

@@ -114,7 +114,7 @@ func TestParseFlightFlags(t *testing.T) {
 		on      bool
 		path    string
 		err     string // substring of the error; "" = accepted
-		flight  bool   // a recorder is attached to the sweeps afterwards
+		flight  bool   // the sweeps get rings
 		capture bool   // finish leaves a non-empty file at path
 	}{
 		{"off", false, "", "", false, false},
@@ -123,9 +123,7 @@ func TestParseFlightFlags(t *testing.T) {
 		{"both", true, filepath.Join(dir, "b.dump"), "", true, true},
 		{"bad path", false, filepath.Join(dir, "missing", "x.dump"), "no such file or directory", false, false},
 	} {
-		SetFlight(nil)
-		finish, err := ParseFlightFlags(c.on, c.path)
-		attached := SetFlight(nil) != nil
+		fl, finish, err := ParseFlightFlags(c.on, c.path)
 		switch {
 		case c.err != "":
 			if err == nil || !strings.Contains(err.Error(), c.err) {
@@ -136,8 +134,8 @@ func TestParseFlightFlags(t *testing.T) {
 			t.Errorf("%s: %v; want it accepted", c.name, err)
 			continue
 		}
-		if attached != c.flight {
-			t.Errorf("%s: recorder attached = %v, want %v", c.name, attached, c.flight)
+		if (fl != nil) != c.flight {
+			t.Errorf("%s: flight config %+v, want rings = %v", c.name, fl, c.flight)
 		}
 		if err := finish(1); err != nil {
 			t.Errorf("%s: finish: %v", c.name, err)

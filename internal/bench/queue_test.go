@@ -21,7 +21,7 @@ func TestQueueTrafficRecurs(t *testing.T) {
 		run  func() *core.Runtime
 	}{
 		{"pointer chase", 0.95, func() *core.Runtime {
-			_, _, rt := runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), nil, 3)
+			_, _, rt := runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), nil, 3, nil)
 			return rt
 		}},
 		{"kv", 0.95, func() *core.Runtime {
@@ -30,7 +30,7 @@ func TestQueueTrafficRecurs(t *testing.T) {
 			return rt
 		}},
 		{"lossy reliable pointer chase", 0.80, func() *core.Runtime {
-			_, _, rt := runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), &lossy, 3)
+			_, _, rt := runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), &lossy, 3, nil)
 			return rt
 		}},
 	}

@@ -113,27 +113,28 @@ func ValidateParallel(n int) error {
 	return nil
 }
 
-// ParseFlightFlags applies the -flight / -flight-dump pair of
-// xlupc-report and xlupc-chaos before any sweep starts: -flight
-// attaches a recorder to every chaos/crash run (SetFlight) dumping to
-// stderr; -flight-dump PATH implies it and dumps to PATH instead (an
-// unwritable PATH is a usage error: exit 2). The caller runs finish
-// after its sweeps: it adds a representative capture (FlightCapture)
-// so a clean run does not leave PATH empty, and closes the file.
-func ParseFlightFlags(on bool, dumpPath string) (finish func(seed int64) error, err error) {
+// ParseFlightFlags reads the -flight / -flight-dump pair of
+// xlupc-report and xlupc-chaos before any sweep starts, into the flight
+// configuration the caller hands its chaos/crash runs: -flight gives
+// them rings, dumping to stderr; -flight-dump PATH implies it and dumps
+// to PATH instead (an unwritable PATH is a usage error: exit 2). Both
+// off, it returns nil: no rings. The caller runs finish after its
+// sweeps: it adds a representative capture (FlightCapture) so a clean
+// run does not leave PATH empty, and closes the file.
+func ParseFlightFlags(on bool, dumpPath string) (fl *flight.Config, finish func(seed int64) error, err error) {
 	if dumpPath == "" {
 		if on {
-			SetFlight(&flight.Config{Dump: os.Stderr})
+			fl = &flight.Config{Dump: os.Stderr}
 		}
-		return func(int64) error { return nil }, nil
+		return fl, func(int64) error { return nil }, nil
 	}
 	f, err := os.Create(dumpPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	SetFlight(&flight.Config{Dump: f})
-	return func(seed int64) error {
-		err := FlightCapture(f, seed)
+	fl = &flight.Config{Dump: f}
+	return fl, func(seed int64) error {
+		err := FlightCapture(f, seed, fl)
 		if err != nil {
 			err = fmt.Errorf("flight capture: %v", err)
 		}

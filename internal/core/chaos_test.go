@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"xlupc/internal/fault"
 	"xlupc/internal/sim"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
@@ -98,6 +100,8 @@ func TestChaosDeadLinkFailsFast(t *testing.T) {
 	fc := fault.Config{Drop: 1}
 	c := chaosCfg(fc, transport.GM())
 	c.Rel = &transport.RelConfig{RTO: 20 * sim.Us, MaxRetries: 3, HeaderBytes: 8}
+	tel := telemetry.New()
+	c.Telemetry = tel
 	rt, err := NewRuntime(c)
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +118,18 @@ func TestChaosDeadLinkFailsFast(t *testing.T) {
 	}
 	if te.Attempts != 4 {
 		t.Fatalf("attempts %d, want 4", te.Attempts)
+	}
+	// The failed run exports its one failure, under the packet's class:
+	// no configuration of the Prometheus golden matrix fails a run.
+	var failures []string
+	for _, line := range strings.Split(tel.Snapshot(), "\n") {
+		if strings.HasPrefix(line, "xlupc_transport_failures_total{") {
+			failures = append(failures, line)
+		}
+	}
+	want := `xlupc_transport_failures_total{class="` + te.Class + `"} 1`
+	if len(failures) != 1 || failures[0] != want {
+		t.Fatalf("failure series %q, want exactly [%s]", failures, want)
 	}
 }
 

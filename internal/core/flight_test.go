@@ -142,51 +142,86 @@ func TestFlightDumpNamesCrashFailure(t *testing.T) {
 	}
 }
 
-// A recorder attached to a run must not change a single virtual-time
-// observable: RunStats must be bit-identical with and without it, on a
-// chaos-rich workload exercising drops, duplicates, crashes, evictions
-// and coalescing.
+// Rings must not change a single virtual-time observable: RunStats must
+// be bit-identical with and without them — on a chaos-rich workload
+// exercising drops, duplicates, crashes and evictions, and on the
+// Prometheus matrix's fault, crash and coalescing configurations. And
+// the counts are the record: with rings that never wrap, a node's count
+// of each kind equals the events of that kind its ring holds, and the
+// counts do not depend on whether rings exist.
 func TestFlightRecorderIsVirtualTimeInvisible(t *testing.T) {
-	run := func(withFlight bool) RunStats {
-		c := crashCfg(transport.GM())
-		c.Fault = &fault.Config{Drop: 0.05, Duplicate: 0.05, Delay: 0.1, DelayMax: 8 * sim.Us}
-		if withFlight {
-			c.Flight = &flight.Config{PerNode: 128}
+	type flightCase struct {
+		name string
+		c    Config
+		body func(th *Thread)
+	}
+	chaos := crashCfg(transport.GM())
+	chaos.Fault = &fault.Config{Drop: 0.05, Duplicate: 0.05, Delay: 0.1, DelayMax: 8 * sim.Us}
+	cases := []flightCase{{name: "chaos+crash", c: chaos, body: func(th *Thread) {
+		a := th.AllAlloc("A", 256, 8, 32)
+		for j := int64(0); j < 256; j++ {
+			if a.Owner(j) == th.ID() {
+				th.PutUint64(a.At(j), uint64(j)*5+3)
+			}
 		}
-		rt, err := NewRuntime(c)
-		if err != nil {
-			t.Fatal(err)
+		th.Barrier()
+		for i := 0; i < 150; i++ {
+			th.GetUint64(a.At(int64(th.Rand().Intn(256))))
 		}
-		st, err := rt.Run(func(th *Thread) {
-			a := th.AllAlloc("A", 256, 8, 32)
-			for j := int64(0); j < 256; j++ {
-				if a.Owner(j) == th.ID() {
-					th.PutUint64(a.At(j), uint64(j)*5+3)
+		th.Barrier()
+	}}}
+	for _, pc := range promConfigs() {
+		switch pc.name {
+		case "fault+rel", "crash", "coalesce":
+			c := cfg(8, 4, transport.GM(), DefaultCache())
+			pc.tune(&c)
+			cases = append(cases, flightCase{name: pc.name, c: c, body: promWorkload(pc.atomics)})
+		}
+	}
+	const perNode = 1 << 16 // no run here records this many events on a node
+	for _, fc := range cases {
+		run := func(rings *flight.Config) (RunStats, *flight.Recorder) {
+			c := fc.c
+			c.Flight = rings
+			rt, err := NewRuntime(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := rt.Run(fc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st, rt.FlightRecorder()
+		}
+		offSt, offFR := run(nil)
+		onSt, onFR := run(&flight.Config{PerNode: perNode})
+		if off, on := fmt.Sprintf("%+v", offSt), fmt.Sprintf("%+v", onSt); off != on {
+			t.Fatalf("%s: rings changed the run:\noff %s\non  %s", fc.name, off, on)
+		}
+		var total int
+		for n := 0; n < fc.c.Nodes; n++ {
+			evs := onFR.Node(n)
+			if len(evs) >= perNode {
+				t.Fatalf("%s: node %d's ring filled up; the comparison needs rings that never wrap", fc.name, n)
+			}
+			total += len(evs)
+			inRing := map[flight.Kind]int64{}
+			for _, e := range evs {
+				inRing[e.Kind]++
+			}
+			// Kind names end where String says "unknown".
+			for k := flight.Kind(0); k.String() != "unknown"; k++ {
+				if got := onFR.OfNode(n, k); got != inRing[k] {
+					t.Errorf("%s: node %d counts %d %s events, its ring holds %d", fc.name, n, got, k, inRing[k])
+				}
+				if got, want := offFR.OfNode(n, k), onFR.OfNode(n, k); got != want {
+					t.Errorf("%s: node %d counts %d %s events without rings, %d with", fc.name, n, got, k, want)
 				}
 			}
-			th.Barrier()
-			for i := 0; i < 150; i++ {
-				th.GetUint64(a.At(int64(th.Rand().Intn(256))))
-			}
-			th.Barrier()
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if withFlight {
-			total := uint64(0)
-			for n := 0; n < rt.Config().Nodes; n++ {
-				total += rt.FlightRecorder().Recorded(n)
-			}
-			if total == 0 {
-				t.Fatal("recorder attached but nothing recorded")
-			}
+		if total == 0 {
+			t.Fatalf("%s: rings attached but nothing recorded", fc.name)
 		}
-		return st
-	}
-	off, on := fmt.Sprintf("%+v", run(false)), fmt.Sprintf("%+v", run(true))
-	if off != on {
-		t.Fatalf("flight recorder changed the run:\noff %s\non  %s", off, on)
 	}
 }
 

@@ -42,7 +42,6 @@ type Runtime struct {
 	K       *sim.Kernel
 	M       *transport.Machine
 	tel     *telemetry.Telemetry // nil when telemetry is off
-	fr      *flight.Recorder     // nil when the flight recorder is off
 	nodes   []*nodeState
 	threads []*Thread
 
@@ -102,7 +101,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	k := sim.NewKernel()
 	cfg.Profile = cfg.effectiveProfile()
 	m := transport.NewMachine(k, cfg.Profile, cfg.Nodes)
-	m.Tel = cfg.Telemetry
 	if cfg.Fault != nil || cfg.Rel != nil || cfg.Crash != nil {
 		rc := transport.DefaultRelConfig()
 		if cfg.Rel != nil {
@@ -119,8 +117,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg, K: k, M: m, tel: cfg.Telemetry, putCache: cfg.putCacheEnabled()}
 	if cfg.Flight != nil {
-		rt.fr = flight.New(cfg.Nodes, cfg.Flight.EffPerNode())
-		m.SetFlightRecorder(rt.fr)
+		m.FR.AddRings(cfg.Flight.EffPerNode())
 	}
 	rt.nodes = make([]*nodeState, cfg.Nodes)
 	nctx := m.AMContexts()
@@ -264,8 +261,9 @@ func (rt *Runtime) finishRun(err error) (RunStats, error) {
 	return rt.stats(), err
 }
 
-// FlightRecorder returns the run's flight recorder (nil when off).
-func (rt *Runtime) FlightRecorder() *flight.Recorder { return rt.fr }
+// FlightRecorder returns the run's flight recorder: its counts always,
+// its rings when Config.Flight asked for them.
+func (rt *Runtime) FlightRecorder() *flight.Recorder { return rt.M.FR }
 
 // flightNodes extracts the nodes a failure involves: a TransportError
 // names its dead channel's endpoints, a CrashError the crashed target.
@@ -287,9 +285,9 @@ func (rt *Runtime) flightNodes(cause error) []int {
 // to w: the last Flight.Tail events of every involved node, as JSONL
 // records followed by a '#'-prefixed human-readable tail interleaved by
 // virtual time. A nil cause (an on-demand capture) dumps every node.
-// No-op when the recorder is off.
+// No-op when the recorder has no rings.
 func (rt *Runtime) WriteFlightDump(w io.Writer, cause error) error {
-	if rt.fr == nil {
+	if !rt.M.FR.HasRings() {
 		return nil
 	}
 	if cause != nil {
@@ -297,14 +295,14 @@ func (rt *Runtime) WriteFlightDump(w io.Writer, cause error) error {
 			return err
 		}
 	}
-	return rt.fr.WriteDump(w, rt.flightNodes(cause), rt.cfg.Flight.EffTail())
+	return rt.M.FR.WriteDump(w, rt.flightNodes(cause), rt.cfg.Flight.EffTail())
 }
 
 // recordCacheInval flight-records an address-cache invalidation on node:
 // rn is the remote node flushed (-1 for a handle-scoped invalidation on
 // free), key the epoch or handle key, n the entries dropped.
 func (rt *Runtime) recordCacheInval(node, rn int, key uint64, n int) {
-	rt.fr.Record(node, flight.Event{
+	rt.M.FR.Record(node, flight.Event{
 		T: rt.K.Now(), Kind: flight.KindCacheInval,
 		Src: int32(node), Dst: int32(rn), Seq: key, Arg: int64(n),
 	})
@@ -384,11 +382,12 @@ func (rt *Runtime) stats() RunStats {
 }
 
 // syncRegistry publishes the run's end-state — the RunStats structs,
-// each node's cache and pin table, resource utilization, queue depths —
-// into the telemetry registry, so exporters see the whole run without
-// every subsystem holding a registry reference during it. Labelled
-// per-class and per-node counters stay live at their sites. No-op when
-// telemetry is off.
+// the flight record's counts by class and node, the transport's counts
+// by opcode and flush trigger, each node's cache and pin table,
+// resource utilization, queue depths — into the telemetry registry, so
+// exporters see the whole run without every subsystem holding a
+// registry reference during it. A labelled series exists exactly when
+// its count is positive. No-op when telemetry is off.
 func (rt *Runtime) syncRegistry(st RunStats) {
 	tel := rt.tel
 	if tel == nil {
@@ -454,6 +453,25 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 	if rt.cfg.Coalesce != nil {
 		tel.Set("xlupc_coalesce_saved_bytes", "", float64(st.Coal.SavedBytes))
 	}
+	addPositive := func(name, key, value string, n int64) {
+		if n > 0 {
+			tel.Add(name, key+`="`+value+`"`, n)
+		}
+	}
+	fr := rt.M.FR
+	for _, c := range []flight.Class{flight.ClassAM, flight.ClassDMA} {
+		addPositive("xlupc_transport_parked_total", "class", c.String(), fr.OfClass(flight.KindPark, c))
+		addPositive("xlupc_transport_failures_total", "class", c.String(), fr.OfClass(flight.KindRetryFail, c))
+		addPositive("xlupc_transport_retransmits_total", "class", c.String(), fr.OfClass(flight.KindRetransmit, c))
+		addPositive("xlupc_transport_dup_suppressed_total", "class", c.String(), fr.OfClass(flight.KindDupSuppress, c))
+	}
+	rt.M.NacksByOp(func(op string, nacks, stale int64) {
+		addPositive("xlupc_rdma_nacks_total", "op", op, nacks)
+		addPositive("xlupc_stale_nacks_total", "op", op, stale)
+	})
+	rt.M.FlushesByReason(func(reason string, n int64) {
+		addPositive("xlupc_coalesce_flushes_total", "reason", reason, n)
+	})
 	// Atomic aggregates likewise only exist once an atomic was issued
 	// (the per-op xlupc_atomic_ops_total counters appear at issue time),
 	// so exporter output for atomic-free runs stays identical.
@@ -463,6 +481,7 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 		tel.Set("xlupc_atomic_blocked_seconds", "", st.AtomicTime.Secs())
 	}
 	for _, ns := range rt.nodes {
+		addPositive("xlupc_crash_total", "node", strconv.Itoa(ns.id), fr.OfNode(ns.id, flight.KindCrash))
 		node := `node="` + strconv.Itoa(ns.id) + `"`
 		if ns.cache != nil {
 			cs := ns.cache.Stats()

@@ -35,6 +35,15 @@ const (
 	ClassDMA
 )
 
+// Flight is the class's flight-recorder tag, whose String is its label
+// everywhere a class is named (counters, errors, dumps).
+func (c Class) Flight() flight.Class {
+	if c == ClassDMA {
+		return flight.ClassDMA
+	}
+	return flight.ClassAM
+}
+
 // Port is one node's attachment to the fabric.
 type Port struct {
 	// TX is the NIC injection port: a single engine all senders on
@@ -64,7 +73,8 @@ type Header struct {
 	Corrupt bool
 }
 
-// FaultStats counts the hazards the injector actually applied.
+// FaultStats counts the hazards the injector actually applied: a view
+// over the fabric's flight record, one field per event kind.
 type FaultStats struct {
 	Drops      int64 // packets vanished on the wire
 	Corrupts   int64 // packets delivered with a failing checksum
@@ -94,13 +104,13 @@ type Fabric struct {
 	// a nil check as their only overhead.
 	down []sim.Time
 
-	// Flight recorder (nil = off; every site is a nil-checked Record).
-	fr *flight.Recorder
+	// fr records every wire event; its counts are the fault stats. Held
+	// by value, so the run's only recorder allocation is its table.
+	fr flight.Recorder
 
 	// Accounting.
 	messages int64
 	bytes    int64
-	faults   FaultStats
 
 	// Free lists for the per-packet event records (see arrival/txSer):
 	// the wire's two scheduled events per packet — serialization and
@@ -112,7 +122,7 @@ type Fabric struct {
 
 // New builds a fabric over the given topology and wire model.
 func New(k *sim.Kernel, topo Topology, wire WireModel) *Fabric {
-	f := &Fabric{k: k, topo: topo, wire: wire}
+	f := &Fabric{k: k, topo: topo, wire: wire, fr: *flight.New(topo.Nodes())}
 	f.ports = make([]*Port, topo.Nodes())
 	for i := range f.ports {
 		f.ports[i] = &Port{
@@ -149,20 +159,30 @@ type Hook func(src, dst int, class Class, h Header, m any)
 // retransmits it.
 func (f *Fabric) SetDeliveryHook(fn Hook) { f.hook = fn }
 
+// Recorder returns the fabric's flight recorder, which the layers
+// above record into too: one per run, sized to the topology.
+func (f *Fabric) Recorder() *flight.Recorder { return &f.fr }
+
 // FaultStats reports the hazards applied so far.
-func (f *Fabric) FaultStats() FaultStats { return f.faults }
-
-// SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder. Recording is host-side only: it costs no virtual time and
-// never changes delivery behaviour.
-func (f *Fabric) SetFlightRecorder(fr *flight.Recorder) { f.fr = fr }
-
-// fclass maps the fabric arrival class onto the recorder's tag.
-func fclass(c Class) flight.Class {
-	if c == ClassDMA {
-		return flight.ClassDMA
+func (f *Fabric) FaultStats() FaultStats {
+	fr := &f.fr
+	return FaultStats{
+		Drops:      fr.Total(flight.KindDrop),
+		Corrupts:   fr.Total(flight.KindCorrupt),
+		Dups:       fr.Total(flight.KindDuplicate),
+		Delayed:    fr.Total(flight.KindDelay),
+		Stalled:    fr.Total(flight.KindStall),
+		CrashDrops: fr.Total(flight.KindCrashDrop),
 	}
-	return flight.ClassAM
+}
+
+// record flight-records one event of the packet seq (src -> dst) at
+// the receiving or, for a send, the sending node.
+func (f *Fabric) record(node int, k flight.Kind, seq uint64, src, dst int, class Class, arg int64) {
+	f.fr.Record(node, flight.Event{
+		T: f.k.Now(), Kind: k, Class: class.Flight(),
+		Src: int32(src), Dst: int32(dst), Seq: seq, Arg: arg,
+	})
 }
 
 // SetDown marks node n's NIC unreachable until the given time: every
@@ -183,17 +203,6 @@ func (f *Fabric) DownUntil(n int) sim.Time {
 		return 0
 	}
 	return f.down[n]
-}
-
-// dropDown drops an arrival landing inside dst's down window. It runs
-// at arrival time — a packet can be sent before a crash and arrive
-// mid-restart — so the check lives in the delivery callback.
-func (f *Fabric) dropDown(dst int) bool {
-	if f.down == nil || f.k.Now() >= f.down[dst] {
-		return false
-	}
-	f.faults.CrashDrops++
-	return true
 }
 
 // InjectC sends a message of size wire bytes from src to dst, arriving
@@ -217,12 +226,7 @@ func (f *Fabric) InjectHdrC(src, dst int, size int, class Class, h Header, m any
 	f.messages++
 	f.bytes += int64(size)
 	seq := uint64(f.messages)
-	if f.fr != nil {
-		f.fr.Record(src, flight.Event{
-			T: f.k.Now(), Kind: flight.KindSend, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-		})
-	}
+	f.record(src, flight.KindSend, seq, src, dst, class, int64(size))
 	ser := f.wire.Serialize(size)
 	if ser <= 0 { // zero-width message: no serialization event
 		done(f.deliver(seq, src, dst, size, class, h, m))
@@ -278,45 +282,25 @@ func (f *Fabric) deliver(seq uint64, src, dst, size int, class Class, h Header, 
 	}
 	d := f.inj.Decide(seq)
 	if d.Drop {
-		f.faults.Drops++
-		f.fr.Record(dst, flight.Event{
-			T: f.k.Now(), Kind: flight.KindDrop, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-		})
+		f.record(dst, flight.KindDrop, seq, src, dst, class, int64(size))
 		return arrive
 	}
 	at := arrive
 	if d.Delay > 0 {
-		f.faults.Delayed++
 		at += d.Delay
-		f.fr.Record(dst, flight.Event{
-			T: f.k.Now(), Kind: flight.KindDelay, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(d.Delay),
-		})
+		f.record(dst, flight.KindDelay, seq, src, dst, class, int64(d.Delay))
 	}
 	if clear := f.inj.StallClear(dst, at); clear > at {
-		f.faults.Stalled++
-		f.fr.Record(dst, flight.Event{
-			T: f.k.Now(), Kind: flight.KindStall, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(clear - at),
-		})
+		f.record(dst, flight.KindStall, seq, src, dst, class, int64(clear-at))
 		at = clear
 	}
 	if d.Corrupt {
-		f.faults.Corrupts++
-		f.fr.Record(dst, flight.Event{
-			T: f.k.Now(), Kind: flight.KindCorrupt, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-		})
+		f.record(dst, flight.KindCorrupt, seq, src, dst, class, int64(size))
 		h.Corrupt = true
 	}
 	f.arriveAt(at, seq, src, dst, size, class, h, m)
 	if d.Duplicate {
-		f.faults.Dups++
-		f.fr.Record(dst, flight.Event{
-			T: f.k.Now(), Kind: flight.KindDuplicate, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-		})
+		f.record(dst, flight.KindDuplicate, seq, src, dst, class, int64(size))
 		f.arriveAt(at+d.DupDelay, seq, src, dst, size, class, h, m)
 	}
 	return arrive
@@ -361,11 +345,14 @@ func (a *arrival) deliverNow() {
 	seq, src, dst, size, class, h, m := a.seq, a.src, a.dst, a.size, a.class, a.h, a.m
 	a.m = nil
 	f.apool.Put(a)
-	if f.dropDown(dst) {
-		f.recordCrashDrop(seq, src, dst, class)
+	// An arrival inside dst's down window is dropped at the dead NIC. The
+	// check runs at arrival time: a packet can be sent before a crash and
+	// arrive mid-restart.
+	if f.down != nil && f.k.Now() < f.down[dst] {
+		f.record(dst, flight.KindCrashDrop, seq, src, dst, class, 0)
 		return
 	}
-	f.recordRecv(seq, src, dst, size, class)
+	f.record(dst, flight.KindRecv, seq, src, dst, class, int64(size))
 	if hook := f.hook; hook != nil {
 		hook(src, dst, class, h, m)
 		return
@@ -379,24 +366,4 @@ func (a *arrival) deliverNow() {
 	default:
 		f.ports[dst].AM.Push(m)
 	}
-}
-
-func (f *Fabric) recordRecv(seq uint64, src, dst, size int, class Class) {
-	if f.fr == nil {
-		return
-	}
-	f.fr.Record(dst, flight.Event{
-		T: f.k.Now(), Kind: flight.KindRecv, Class: fclass(class),
-		Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-	})
-}
-
-func (f *Fabric) recordCrashDrop(seq uint64, src, dst int, class Class) {
-	if f.fr == nil {
-		return
-	}
-	f.fr.Record(dst, flight.Event{
-		T: f.k.Now(), Kind: flight.KindCrashDrop, Class: fclass(class),
-		Src: int32(src), Dst: int32(dst), Seq: seq,
-	})
 }

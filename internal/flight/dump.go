@@ -87,11 +87,8 @@ func (r *Recorder) interleave(nodes []int, tail int) []tagged {
 // and duplicates/out-of-range entries are cleaned so error-path callers
 // can pass whatever the failure named.
 func (r *Recorder) normNodes(nodes []int) []int {
-	if r == nil {
-		return nil
-	}
 	if len(nodes) == 0 {
-		nodes = make([]int, len(r.rings))
+		nodes = make([]int, r.nodes)
 		for i := range nodes {
 			nodes[i] = i
 		}
@@ -100,7 +97,7 @@ func (r *Recorder) normNodes(nodes []int) []int {
 	seen := make(map[int]bool, len(nodes))
 	var out []int
 	for _, n := range nodes {
-		if n >= 0 && n < len(r.rings) && !seen[n] {
+		if n >= 0 && n < r.nodes && !seen[n] {
 			seen[n] = true
 			out = append(out, n)
 		}
@@ -113,9 +110,6 @@ func (r *Recorder) normNodes(nodes []int) []int {
 // when the list is empty) as JSON Lines, interleaved by virtual time —
 // one self-contained JSON object per line, nothing else.
 func (r *Recorder) WriteJSONL(w io.Writer, nodes []int, tail int) error {
-	if r == nil {
-		return nil
-	}
 	for _, tg := range r.interleave(r.normNodes(nodes), tail) {
 		if _, err := io.WriteString(w, jsonLine(tg.node, tg.ev)+"\n"); err != nil {
 			return err
@@ -175,9 +169,6 @@ func tailLine(node int, e Event) string {
 // events of each listed node (all when empty), interleaved by virtual
 // time with one line per event.
 func (r *Recorder) WriteTail(w io.Writer, nodes []int, tail int) error {
-	if r == nil {
-		return nil
-	}
 	nodes = r.normNodes(nodes)
 	merged := r.interleave(nodes, tail)
 	var hdr strings.Builder
@@ -203,9 +194,10 @@ func (r *Recorder) WriteTail(w io.Writer, nodes []int, tail int) error {
 // WriteDump writes the combined failure dump: the JSONL records, then a
 // blank line, then the human tail with every line '#'-prefixed — so the
 // whole dump stays machine-parseable (every line starting with '{' is a
-// JSON object) while remaining readable in a terminal or CI log.
+// JSON object) while remaining readable in a terminal or CI log. A
+// recorder without rings writes nothing.
 func (r *Recorder) WriteDump(w io.Writer, nodes []int, tail int) error {
-	if r == nil {
+	if r.rings == nil {
 		return nil
 	}
 	if err := r.WriteJSONL(w, nodes, tail); err != nil {

@@ -1,21 +1,22 @@
-// Package flight is the simulation's flight recorder: a fixed-capacity,
-// zero-allocation per-node ring buffer of structured virtual-time
-// events. Aggregate metrics (telemetry counters, RunStats) explain
-// average cost; the flight recorder explains single-event mysteries — a
-// stale NACK, a retransmit parked against a restart timer, a checksum
-// divergence — by preserving the last N wire-level events each node saw
-// before a failure.
+// Package flight is the simulation's flight recorder: one record of
+// every structured virtual-time event the runtime has a Kind for. It
+// always keeps a count per (node, kind, class) — the only copy of those
+// counts: the fault, reliability, crash and coalescing stats a run
+// reports are views over it — and, when a run asks for them, a
+// fixed-capacity per-node ring of the events themselves. Aggregate
+// metrics explain average cost; the rings explain single-event
+// mysteries — a stale NACK, a retransmit parked against a restart
+// timer, a checksum divergence — by preserving the last N wire-level
+// events each node saw before a failure.
 //
-// Recording is host-side only and costs no virtual time: a run with a
-// recorder attached finishes at the identical virtual instant as one
-// without, and two identically-seeded runs record identical event
-// streams. Every instrumentation site guards with a nil check, so a
-// disabled recorder (the default) costs one pointer test and keeps the
-// event stream bit-identical to a build without this package.
+// Recording is host-side only and costs no virtual time: a run with
+// rings finishes at the identical virtual instant as one without, and
+// two identically-seeded runs record identical event streams. Without
+// rings a record is one table increment and one branch.
 //
-// Events are fixed-size values written into preallocated rings — the
-// steady-state recording path performs no heap allocation. Dumps (see
-// dump.go) serialize the tail as JSONL for machines and as a single
+// The table and the rings are allocated up front — the steady-state
+// recording path performs no heap allocation. Dumps (see dump.go)
+// serialize the ring tails as JSONL for machines and as a single
 // virtual-time-interleaved listing for humans.
 package flight
 
@@ -99,6 +100,7 @@ const (
 	ClassNone Class = iota
 	ClassAM
 	ClassDMA
+	classCount
 )
 
 func (c Class) String() string {
@@ -151,7 +153,7 @@ func (r *ring) snapshot(dst []Event) []Event {
 	return dst
 }
 
-// Config shapes a run's recorder and its failure dumps.
+// Config gives a run's recorder its rings and shapes its failure dumps.
 type Config struct {
 	// PerNode is the ring capacity per node; 0 means DefaultPerNode.
 	PerNode int
@@ -188,51 +190,79 @@ func (c *Config) EffTail() int {
 	return c.Tail
 }
 
-// Recorder is one run's flight recorder: a fixed ring per node. A nil
-// *Recorder is the disabled layer — Record is nil-safe and free — so
-// instrumentation sites hold one field and one check.
+// Recorder is one run's flight recorder: a count per (node, kind,
+// class), and a fixed ring per node once AddRings has run.
 type Recorder struct {
-	rings []ring
+	nodes  int
+	counts []int64 // by slot(node, kind, class)
+	rings  []ring  // nil: counting only
 }
 
-// New returns a recorder for n nodes with the given per-node capacity
-// (0 or negative means DefaultPerNode). All rings are allocated up
-// front; recording never allocates afterwards.
-func New(nodes, perNode int) *Recorder {
+// slot is the table index of node's count of kind k and class c.
+func slot(node int, k Kind, c Class) int {
+	return (node*int(kindCount)+int(k))*int(classCount) + int(c)
+}
+
+// New returns a counting recorder for n nodes. Its table is allocated
+// here, once; recording never allocates afterwards.
+func New(nodes int) *Recorder {
+	return &Recorder{nodes: nodes, counts: make([]int64, nodes*int(kindCount)*int(classCount))}
+}
+
+// AddRings gives every node a ring of the given capacity (0 or negative
+// means DefaultPerNode), so records are kept as well as counted. Call
+// before the simulation starts.
+func (r *Recorder) AddRings(perNode int) {
 	if perNode <= 0 {
 		perNode = DefaultPerNode
 	}
-	r := &Recorder{rings: make([]ring, nodes)}
-	buf := make([]Event, nodes*perNode) // one block, cache-friendly
+	r.rings = make([]ring, r.nodes)
+	buf := make([]Event, r.nodes*perNode) // one block, cache-friendly
 	for i := range r.rings {
 		r.rings[i].buf = buf[i*perNode : (i+1)*perNode : (i+1)*perNode]
 	}
-	return r
 }
 
-// Record appends one event to node's ring. Nil-safe (the disabled
-// recorder) and bounds-tolerant: events for out-of-range nodes are
-// dropped rather than panicking mid-dump of some other failure.
+// HasRings reports whether records are kept, not only counted.
+func (r *Recorder) HasRings() bool { return r.rings != nil }
+
+// Record counts one event of node and, when rings exist, appends it to
+// node's ring. A node out of range is a caller's bug and panics.
 func (r *Recorder) Record(node int, e Event) {
-	if r == nil || node < 0 || node >= len(r.rings) {
-		return
+	r.counts[slot(node, e.Kind, e.Class)]++
+	if r.rings != nil {
+		r.rings[node].record(e)
 	}
-	r.rings[node].record(e)
 }
 
-// Recorded reports the total number of events node has recorded,
-// including any overwritten by ring wraparound.
-func (r *Recorder) Recorded(node int) uint64 {
-	if r == nil || node < 0 || node >= len(r.rings) {
-		return 0
-	}
-	return r.rings[node].next
+// Total is how many events of kind k every node recorded, all classes.
+func (r *Recorder) Total(k Kind) int64 {
+	return r.OfClass(k, ClassNone) + r.OfClass(k, ClassAM) + r.OfClass(k, ClassDMA)
 }
 
-// Node returns node's surviving events in record order. The slice is
-// freshly allocated; mutating it does not affect the ring.
+// OfClass is how many events of kind k and class c every node recorded.
+func (r *Recorder) OfClass(k Kind, c Class) int64 {
+	var n int64
+	for node := 0; node < r.nodes; node++ {
+		n += r.counts[slot(node, k, c)]
+	}
+	return n
+}
+
+// OfNode is how many events of kind k node recorded, all classes.
+func (r *Recorder) OfNode(node int, k Kind) int64 {
+	var n int64
+	for c := ClassNone; c < classCount; c++ {
+		n += r.counts[slot(node, k, c)]
+	}
+	return n
+}
+
+// Node returns node's surviving events in record order (none without
+// rings). The slice is freshly allocated; mutating it does not affect
+// the ring.
 func (r *Recorder) Node(node int) []Event {
-	if r == nil || node < 0 || node >= len(r.rings) {
+	if r.rings == nil || node < 0 || node >= r.nodes {
 		return nil
 	}
 	return r.rings[node].snapshot(nil)

@@ -9,13 +9,20 @@ import (
 	"xlupc/internal/sim"
 )
 
+// ringed returns a recorder for nodes with rings of perNode events.
+func ringed(nodes, perNode int) *Recorder {
+	r := New(nodes)
+	r.AddRings(perNode)
+	return r
+}
+
 func TestRingWraparound(t *testing.T) {
-	r := New(2, 4)
+	r := ringed(2, 4)
 	for i := 0; i < 10; i++ {
 		r.Record(0, Event{T: sim.Time(i), Kind: KindSend, Seq: uint64(i)})
 	}
-	if got := r.Recorded(0); got != 10 {
-		t.Fatalf("Recorded(0) = %d, want 10", got)
+	if got := r.OfNode(0, KindSend); got != 10 {
+		t.Fatalf("OfNode(0, send) = %d, want 10: the count survives wraparound", got)
 	}
 	evs := r.Node(0)
 	if len(evs) != 4 {
@@ -34,22 +41,38 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(0, Event{Kind: KindSend}) // must not panic
-	if r.Recorded(0) != 0 || r.Node(0) != nil || len(r.Tail(0, 8)) != 0 {
-		t.Fatal("nil recorder should report emptiness everywhere")
+// Without rings a recorder still counts every event, by node, kind and
+// class, but keeps none: Node, Tail and WriteDump have nothing to show.
+func TestRinglessRecorderCounts(t *testing.T) {
+	r := New(2)
+	r.Record(0, Event{Kind: KindSend, Class: ClassAM})
+	r.Record(0, Event{Kind: KindSend, Class: ClassDMA})
+	r.Record(1, Event{Kind: KindSend, Class: ClassDMA})
+	r.Record(1, Event{Kind: KindCrash})
+	if r.HasRings() {
+		t.Fatal("New must not allocate rings")
+	}
+	for _, c := range []struct {
+		got, want int64
+		what      string
+	}{
+		{r.Total(KindSend), 3, "Total(send)"},
+		{r.OfClass(KindSend, ClassDMA), 2, "OfClass(send, dma)"},
+		{r.OfClass(KindSend, ClassAM), 1, "OfClass(send, am)"},
+		{r.OfNode(0, KindSend), 2, "OfNode(0, send)"},
+		{r.OfNode(1, KindCrash), 1, "OfNode(1, crash)"},
+		{r.Total(KindDrop), 0, "Total(drop)"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
+		}
+	}
+	if r.Node(0) != nil || len(r.Tail(1, 8)) != 0 {
+		t.Fatal("a ringless recorder must keep no events")
 	}
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf, nil, 8); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil recorder dump: err=%v len=%d, want silent no-op", err, buf.Len())
-	}
-	// Out-of-range nodes are dropped, not panics.
-	r2 := New(2, 4)
-	r2.Record(-1, Event{Kind: KindSend})
-	r2.Record(7, Event{Kind: KindSend})
-	if r2.Recorded(0)+r2.Recorded(1) != 0 {
-		t.Fatal("out-of-range records must be dropped")
+		t.Fatalf("ringless dump: err=%v len=%d, want silent no-op", err, buf.Len())
 	}
 }
 
@@ -65,7 +88,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestWriteJSONLRoundTrip(t *testing.T) {
-	r := New(3, 8)
+	r := ringed(3, 8)
 	r.Record(0, Event{T: 100, Kind: KindSend, Class: ClassAM, Src: 0, Dst: 2, Seq: 7, Arg: 4096})
 	r.Record(2, Event{T: 250, Kind: KindRetryFail, Class: ClassDMA, Src: 2, Dst: 0, Seq: 9, Arg: 9})
 	r.Record(1, Event{T: 150, Kind: KindCrash, Src: 1, Dst: -1, Seq: 2, Arg: 500})
@@ -102,7 +125,7 @@ func TestWriteJSONLRoundTrip(t *testing.T) {
 }
 
 func TestWriteJSONLNodeFilter(t *testing.T) {
-	r := New(4, 8)
+	r := ringed(4, 8)
 	for n := 0; n < 4; n++ {
 		r.Record(n, Event{T: sim.Time(n), Kind: KindRecv, Src: int32(n), Dst: int32(n)})
 	}
@@ -127,7 +150,7 @@ func TestWriteJSONLNodeFilter(t *testing.T) {
 }
 
 func TestWriteDumpShape(t *testing.T) {
-	r := New(2, 8)
+	r := ringed(2, 8)
 	r.Record(0, Event{T: 10, Kind: KindSend, Class: ClassDMA, Src: 0, Dst: 1, Seq: 1, Arg: 64})
 	r.Record(1, Event{T: 20, Kind: KindStaleNack, Class: ClassDMA, Src: 0, Dst: 1, Seq: 3})
 	var buf bytes.Buffer
@@ -169,22 +192,22 @@ func TestKindNamesComplete(t *testing.T) {
 	}
 }
 
-// BenchmarkRecordDisabled measures the disabled-recorder hook: the cost
-// every instrumentation site pays in a production (recorder-off) run.
-// It must stay at "a nil check" — zero allocations, sub-nanosecond.
-func BenchmarkRecordDisabled(b *testing.B) {
-	var r *Recorder
+// BenchmarkRecordCounting measures the ringless recorder: the cost
+// every instrumentation site pays in a production run. It must stay at
+// one table increment — zero allocations, about a nanosecond.
+func BenchmarkRecordCounting(b *testing.B) {
+	r := New(4)
 	e := Event{T: 1, Kind: KindSend, Class: ClassAM, Src: 0, Dst: 1, Seq: 1, Arg: 64}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Record(0, e)
+		r.Record(i&3, e)
 	}
 }
 
-// BenchmarkRecordEnabled measures the hot recording path with the
-// recorder on. It must not allocate.
+// BenchmarkRecordEnabled measures the hot recording path with rings.
+// It must not allocate.
 func BenchmarkRecordEnabled(b *testing.B) {
-	r := New(4, DefaultPerNode)
+	r := ringed(4, DefaultPerNode)
 	e := Event{T: 1, Kind: KindSend, Class: ClassAM, Src: 0, Dst: 1, Seq: 1, Arg: 64}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

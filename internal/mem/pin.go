@@ -109,7 +109,7 @@ type PinTable struct {
 	total   int // pinned bytes, live and parked: what the NIC holds registered
 	seq     int64
 	ev      Evictor
-	fr      *flight.Recorder // nil = no flight recording
+	fr      *flight.Recorder // the machine's; nil for a table built alone
 
 	// Lazy-unpin registration cache (off = eager dereg, the default).
 	lazy     bool
@@ -190,10 +190,21 @@ func (t *PinTable) SetLazyUnpin(on bool) {
 	}
 }
 
-// SetFlightRecorder attaches (or, with nil, detaches) a flight
-// recorder; evictions, parks and reuse hits are recorded on the owning
-// node's ring.
+// SetFlightRecorder attaches the machine's flight recorder: evictions,
+// parks and reuse hits are recorded on the owning node.
 func (t *PinTable) SetFlightRecorder(fr *flight.Recorder) { t.fr = fr }
+
+// record flight-records one event of entry e. A table built without a
+// machine — by mem's tests and the pin-pressure sweep — records nothing.
+func (t *PinTable) record(now sim.Time, k flight.Kind, e *PinEntry) {
+	if t.fr == nil {
+		return
+	}
+	t.fr.Record(t.node, flight.Event{
+		T: now, Kind: k, Class: flight.ClassDMA,
+		Src: int32(t.node), Dst: -1, Seq: e.Tag, Arg: int64(e.Size),
+	})
+}
 
 // TotalPinned reports the total registered bytes, live plus parked.
 func (t *PinTable) TotalPinned() int { return t.total }
@@ -310,10 +321,7 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 			t.DeregTime += dc
 			t.Evicted++
 			t.ev.Evicted(victim)
-			t.fr.Record(t.node, flight.Event{
-				T: now, Kind: flight.KindPinEvict, Class: flight.ClassDMA,
-				Src: int32(t.node), Dst: -1, Seq: victim.Tag, Arg: int64(victim.Size),
-			})
+			t.record(now, flight.KindPinEvict, victim)
 		}
 	}
 	t.seq++
@@ -351,10 +359,7 @@ func (t *PinTable) revive(e *PinEntry, tag uint64, now sim.Time) error {
 	if t.ev.Insert(e) {
 		t.GhostHits++
 	}
-	t.fr.Record(t.node, flight.Event{
-		T: now, Kind: flight.KindPinReuse, Class: flight.ClassDMA,
-		Src: int32(t.node), Dst: -1, Seq: e.Tag, Arg: int64(e.Size),
-	})
+	t.record(now, flight.KindPinReuse, e)
 	return nil
 }
 
@@ -410,10 +415,7 @@ func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 	t.dead[base] = e
 	t.deadList.pushBack(e)
 	t.Parked++
-	t.fr.Record(t.node, flight.Event{
-		T: now, Kind: flight.KindPinPark, Class: flight.ClassDMA,
-		Src: int32(t.node), Dst: -1, Seq: e.Tag, Arg: int64(e.Size),
-	})
+	t.record(now, flight.KindPinPark, e)
 	cost := sim.Time(0)
 	for t.deadList.len > DefaultLazyEntries {
 		cost += t.reclaim(t.deadList.head)

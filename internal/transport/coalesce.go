@@ -65,7 +65,8 @@ func (c CoalConfig) withDefaults() CoalConfig {
 	return c
 }
 
-// CoalStats counts the coalescer's work.
+// CoalStats counts the coalescer's work. Frames is a view over the
+// flight record's coalesce_flush events.
 type CoalStats struct {
 	Msgs       int64 // operations routed through the coalescer
 	Frames     int64 // wire frames injected
@@ -118,8 +119,21 @@ type coalescer struct {
 	cfg   CoalConfig
 	bufs  map[coalKey]*coalBuf
 	syncs pool.Free[coalSync]
-	stats CoalStats
+
+	msgs, savedBytes int64                  // CoalStats.Msgs and SavedBytes
+	flushes          [len(flushNames)]int64 // flushes by trigger
 }
+
+// The flush triggers: MaxOps or MaxBytes reached, the virtual-time
+// backstop, and an explicit Sync or fence or the end of a batch's
+// service.
+const (
+	flushSize = iota
+	flushTimer
+	flushSync
+)
+
+var flushNames = [...]string{flushSize: "size", flushTimer: "timer", flushSync: "sync"}
 
 // EnableCoalescing turns on per-destination message coalescing. Must be
 // called before the simulation starts; when never called the machine's
@@ -136,7 +150,18 @@ func (m *Machine) CoalStats() CoalStats {
 	if m.coal == nil {
 		return CoalStats{}
 	}
-	return m.coal.stats
+	return CoalStats{Msgs: m.coal.msgs, Frames: m.FR.Total(flight.KindCoalFlush), SavedBytes: m.coal.savedBytes}
+}
+
+// FlushesByReason calls each with every flush trigger's name and the
+// flushes it caused (none when coalescing is off).
+func (m *Machine) FlushesByReason(each func(reason string, n int64)) {
+	if m.coal == nil {
+		return
+	}
+	for r, name := range flushNames {
+		each(name, m.coal.flushes[r])
+	}
 }
 
 // buf returns (creating if needed) the buffer for key, arming the
@@ -178,9 +203,9 @@ func (o *txOp) appended() {
 	b.spans = append(b.spans, o.span)
 	b.queued = append(b.queued, c.m.K.Now())
 	b.bytes += o.wire
-	c.stats.Msgs++
+	c.msgs++
 	if !reply && (len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes) {
-		o.flush(b, "size")
+		o.flush(b, flushSize)
 		return
 	}
 	o.finish()
@@ -226,21 +251,15 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 		unbatched = wire
 		frame = &dmaFrame{ops: b.ops, wire: wire}
 	}
-	c.stats.Frames++
-	c.stats.SavedBytes += int64(unbatched - wire)
+	c.savedBytes += int64(unbatched - wire)
+	// The frame's ordinal in the run: the flushes recorded before it,
+	// plus one.
 	c.m.FR.Record(b.key.src, flight.Event{
-		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: flclass(b.key.class),
+		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: b.key.class.Flight(),
 		Src: int32(b.key.src), Dst: int32(b.key.dst),
-		Seq: uint64(c.stats.Frames), Arg: int64(n),
+		Seq: uint64(c.m.FR.Total(flight.KindCoalFlush)) + 1, Arg: int64(n),
 	})
 	return frame, wire
-}
-
-// noteFlush counts one flush under its trigger: "size" (MaxOps or
-// MaxBytes reached), "timer" (the virtual-time backstop) or an explicit
-// one (Sync, fence, end of batch service).
-func (c *coalescer) noteFlush(reason string) {
-	c.m.Tel.AddLabeled("xlupc_coalesce_flushes_total", "reason", reason, 1)
 }
 
 // stamp records the coalesce-flush phase (buffer residency) and the
@@ -262,18 +281,18 @@ func (b *coalBuf) stamp(frame any, flushStart, sent, arrived sim.Time) {
 // overhead, one TX acquisition, one serialization for the whole batch;
 // then runs once the frame is on the wire (at once when somebody else
 // already flushed the buffer).
-func (c *coalescer) flushCont(ct *sim.Cont, b *coalBuf, reason string, then func()) {
+func (c *coalescer) flushCont(ct *sim.Cont, b *coalBuf, reason int, then func()) {
 	c.m.newTxOp(ct, txFlush, 0, 0, 0, 0, nil, nil, then).flush(b, reason)
 }
 
 // flush turns the record into the flush of b.
-func (o *txOp) flush(b *coalBuf, reason string) {
+func (o *txOp) flush(b *coalBuf, reason int) {
 	c := o.m.coal
 	if !c.take(b) {
 		o.finish()
 		return
 	}
-	c.noteFlush(reason)
+	c.flushes[reason]++
 	o.kind, o.buf, o.span = txFlush, b, nil
 	o.src, o.dst, o.class = b.key.src, b.key.dst, b.key.class
 	o.t0 = c.m.K.Now()
@@ -287,7 +306,7 @@ func (c *coalescer) flushC(b *coalBuf) {
 	if !c.take(b) {
 		return
 	}
-	c.noteFlush("timer")
+	c.flushes[flushTimer]++
 	flushStart := c.m.K.Now()
 	frame, wire := c.frame(b)
 	tx := c.m.Fab.Port(b.key.src).TX
@@ -349,7 +368,7 @@ func (o *coalSync) Step(int) {
 		// Another thread of the node may have flushed (and so unmapped)
 		// the buffer while this one was busy with an earlier key.
 		if b := c.bufs[k]; b != nil {
-			c.flushCont(o.ct, b, "sync", o.ct.Then(o, 0))
+			c.flushCont(o.ct, b, flushSync, o.ct.Then(o, 0))
 			return
 		}
 	}
@@ -429,7 +448,7 @@ func (e *amEngine) serveSub() {
 	m, ct, b := e.m, e.ct, e.batch
 	if e.next == len(b.msgs) {
 		if len(e.reply.ops) > 0 {
-			m.coal.flushCont(ct, e.reply, "sync", ct.Then(e, amBatchFlushed))
+			m.coal.flushCont(ct, e.reply, flushSync, ct.Then(e, amBatchFlushed))
 			return
 		}
 		e.reply.closed = true

@@ -146,8 +146,8 @@ func describeSpan(s *telemetry.Span) string {
 	return b.String()
 }
 
-// dmaMachine builds the two-node machine every cell runs on, with a
-// flight recorder and a telemetry hub attached, and the target region
+// dmaMachine builds the two-node machine every cell runs on, with the
+// flight recorder's rings on, a telemetry hub for the spans, and the target region
 // allocated, patterned and pinned.
 func dmaMachine(t *testing.T, prof *Profile, chaos bool) (*sim.Kernel, *Machine, *flight.Recorder, *telemetry.Telemetry, mem.Addr) {
 	t.Helper()
@@ -157,10 +157,9 @@ func dmaMachine(t *testing.T, prof *Profile, chaos bool) (*sim.Kernel, *Machine,
 		// timer ever fires, but duplicates and delays exercise dedup.
 		m.EnableChaos(fault.New(7, fault.Config{Duplicate: 0.3, Delay: 0.3, DelayMax: 2 * sim.Us}), DefaultRelConfig())
 	}
-	fr := flight.New(2, 512)
-	m.SetFlightRecorder(fr)
+	fr := m.FR
+	fr.AddRings(512)
 	tel := telemetry.New()
-	m.Tel = tel
 	target := m.Nodes[1]
 	base := target.Mem.Alloc(dmaRegion)
 	target.Mem.Write(base, dmaPattern())

@@ -63,7 +63,11 @@ type Machine struct {
 
 	amCount   int64 // active messages sent
 	rdmaCount int64 // RDMA operations issued
-	nacks     int64 // RDMA operations NACKed at the target
+
+	// nacks counts, by opcode, the RDMA operations NACKed at the target
+	// as their initiators observe them, and staleNacks those the target
+	// refused for a stale epoch.
+	nacks, staleNacks [len(dmaLabel)]int64
 
 	// rel is the reliable-delivery layer; nil (the default) keeps the
 	// original fire-and-forget wire with zero added events.
@@ -78,27 +82,13 @@ type Machine struct {
 	// node ever crashes and every epoch check trivially passes.
 	crash *crashState
 
-	// Tel is the run's telemetry hub; nil disables all recording at
-	// zero virtual-time cost (phase recording never sleeps).
-	Tel *telemetry.Telemetry
-
-	// FR is the run's flight recorder; nil (the default) disables
-	// recording at the cost of a pointer check per site.
+	// FR is the fabric's flight recorder, which every layer of the
+	// machine records into: its counts are the reliability, crash and
+	// coalescing stats.
 	FR *flight.Recorder
 
 	// pool holds the descriptor free-lists (see pool.go).
 	pool pools
-}
-
-// SetFlightRecorder attaches fr to the machine and every layer that
-// records into it: the fabric (wire events) and each node's pin table
-// (evictions). Call before the simulation starts; nil detaches.
-func (m *Machine) SetFlightRecorder(fr *flight.Recorder) {
-	m.FR = fr
-	m.Fab.SetFlightRecorder(fr)
-	for _, nd := range m.Nodes {
-		nd.Pins.SetFlightRecorder(fr)
-	}
 }
 
 // Node is one cluster node as the transport sees it.
@@ -130,6 +120,7 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 		Prof: prof,
 		Fab:  fabric.New(k, prof.NewTopo(n), prof.Wire),
 	}
+	m.FR = m.Fab.Recorder()
 	m.Nodes = make([]*Node, n)
 	// Overlapping transports get one AM dispatcher per handler context;
 	// non-overlapping ones a single dispatcher (GM progress is
@@ -151,6 +142,7 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 			Pins: mem.NewPinTable(i, prof.Reg, prof.PinPolicy),
 			CPU:  sim.NewResourceIdx(k, "node", i, ".cpu", prof.Cores),
 		}
+		nd.Pins.SetFlightRecorder(m.FR)
 		if prof.PinEvictor != mem.EvictLRU {
 			nd.Pins.SetEvictor(prof.PinEvictor.New(prof.Reg))
 		}
@@ -188,9 +180,24 @@ func (m *Machine) Handle(id HandlerID, h Handler) {
 // AMCount, RDMACount and NackCount report operation totals.
 func (m *Machine) AMCount() int64   { return m.amCount }
 func (m *Machine) RDMACount() int64 { return m.rdmaCount }
-func (m *Machine) NackCount() int64 { return m.nacks }
+func (m *Machine) NackCount() int64 {
+	var n int64
+	for _, c := range m.nacks {
+		n += c
+	}
+	return n
+}
 
-// CrashStats counts crash/restart activity at the transport layer.
+// NacksByOp calls each with every RDMA opcode's name, the NACKs its
+// initiators observed and the stale-epoch NACKs its targets sent.
+func (m *Machine) NacksByOp(each func(op string, nacks, stale int64)) {
+	for k, op := range dmaLabel {
+		each(op, m.nacks[k], m.staleNacks[k])
+	}
+}
+
+// CrashStats counts crash/restart activity at the transport layer: a
+// view over the flight record, but for the recovery time it sums.
 type CrashStats struct {
 	Crashes      int64    // nodes taken down
 	StaleNacks   int64    // RDMA ops NACKed for a stale target epoch
@@ -203,16 +210,21 @@ type CrashStats struct {
 type crashState struct {
 	// recovery maps a node still awaiting its first successful inbound
 	// RDMA op since restart to its BackAt time.
-	recovery map[int]sim.Time
-	stats    CrashStats
+	recovery     map[int]sim.Time
+	recoveryTime sim.Time
 }
 
 // CrashStats reports crash activity (zero when no crash ever happened).
 func (m *Machine) CrashStats() CrashStats {
-	if m.crash == nil {
-		return CrashStats{}
+	st := CrashStats{
+		Crashes:    m.FR.Total(flight.KindCrash),
+		StaleNacks: m.FR.Total(flight.KindStaleNack),
+		Recovered:  m.FR.Total(flight.KindRestart),
 	}
-	return m.crash.stats
+	if m.crash != nil {
+		st.RecoveryTime = m.crash.recoveryTime
+	}
+	return st
 }
 
 // CrashNode takes node down at the current time until backAt: its
@@ -228,28 +240,16 @@ func (m *Machine) CrashNode(node int, backAt sim.Time) uint32 {
 	}
 	nd := m.Nodes[node]
 	nd.Epoch++
-	m.crash.stats.Crashes++
 	m.crash.recovery[node] = backAt
 	m.Fab.SetDown(node, backAt)
 	if m.rel != nil {
 		m.rel.peerReset(node)
 	}
-	m.Tel.AddLabeled("xlupc_crash_total", "node", strconv.Itoa(node), 1)
 	m.FR.Record(node, flight.Event{
 		T: m.K.Now(), Kind: flight.KindCrash,
 		Src: int32(node), Dst: -1, Seq: uint64(nd.Epoch), Arg: int64(backAt),
 	})
 	return nd.Epoch
-}
-
-// noteStale counts an RDMA operation NACKed at the target because its
-// descriptor carried a pre-crash epoch.
-func (m *Machine) noteStale(op string) {
-	if m.crash == nil {
-		return
-	}
-	m.crash.stats.StaleNacks++
-	m.Tel.AddLabeled("xlupc_stale_nacks_total", "op", op, 1)
 }
 
 // noteRecovered marks a restarted node as fully recovered the first
@@ -264,8 +264,7 @@ func (m *Machine) noteRecovered(node int) {
 		return
 	}
 	delete(m.crash.recovery, node)
-	m.crash.stats.Recovered++
-	m.crash.stats.RecoveryTime += m.K.Now() - backAt
+	m.crash.recoveryTime += m.K.Now() - backAt
 	m.FR.Record(node, flight.Event{
 		T: m.K.Now(), Kind: flight.KindRestart,
 		Src: int32(node), Dst: -1, Seq: uint64(m.Nodes[node].Epoch),

@@ -239,9 +239,9 @@ func (o *txOp) outcome() {
 	m.K.Recycle(o.done) // fully consumed: no reference survives this call
 	if nk, isNack := val.(Nack); isNack {
 		if o.kind == txAtomic {
-			m.noteNack("atomic")
+			m.nacks[dmaRMW]++
 		} else {
-			m.noteNack("get")
+			m.nacks[dmaRead]++
 		}
 		*o.res = RDMAResult{Nack: nk}
 		return
@@ -341,11 +341,11 @@ func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr
 // them, matching the blocking path's accounting.
 func (m *Machine) nbResult(op *dmaOp) *sim.Completion {
 	// Copied out now: the record is recycled before done fires.
-	done, opName, span := op.done, dmaLabel[op.kind], op.span
+	done, kind, span := op.done, op.kind, op.span
 	res := sim.NewCompletion(m.K, "rdma-nb")
 	done.Then(func(v any) {
 		if _, nack := v.(Nack); nack {
-			m.noteNack(opName)
+			m.nacks[kind]++
 		}
 		data := done.Bytes()
 		m.K.Recycle(done)
@@ -368,12 +368,6 @@ func (m *Machine) nbResult(op *dmaOp) *sim.Completion {
 		}
 	})
 	return res
-}
-
-// noteNack counts an RDMA NACK observed by the initiator.
-func (m *Machine) noteNack(op string) {
-	m.nacks++
-	m.Tel.AddLabeled("xlupc_rdma_nacks_total", "op", op, 1)
 }
 
 // recordNack flight-records an RDMA refusal at the target engine. For
@@ -513,7 +507,7 @@ func (e *dmaEngine) served() {
 		// address describes the pre-crash layout and must not be
 		// dereferenced. NACK with the current epoch so the initiator
 		// can flush everything it cached for this node.
-		m.noteStale(dmaLabel[op.kind])
+		m.staleNacks[op.kind]++
 		e.recordNack(flight.KindStaleNack, op.initiator, uint64(op.epoch))
 		e.answer(op, Nack{Stale: true, Epoch: e.nd.Epoch}, nil, 0)
 		return
@@ -528,7 +522,7 @@ func (e *dmaEngine) served() {
 		}
 		if op.kind == dmaWrite {
 			// No response travels back for the initiator to count it on.
-			m.noteNack("put")
+			m.nacks[dmaWrite]++
 		}
 		e.recordNack(flight.KindPinNack, op.initiator, uint64(op.base))
 		e.answer(op, Nack{}, nil, 0)

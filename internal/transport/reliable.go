@@ -38,7 +38,7 @@ func DefaultRelConfig() RelConfig {
 // one packet exhausted its retry budget. core.Runtime.Run converts it
 // into a clean abort of the whole run.
 type TransportError struct {
-	Class    string   // "am" or "dma"
+	Class    string   // "am" or "dma": the packet's flight.Class
 	Src, Dst int      // endpoints of the dead channel
 	Seq      uint64   // channel sequence number of the abandoned packet
 	Attempts int      // transmissions attempted (1 original + retries)
@@ -148,7 +148,8 @@ type relAck struct {
 	sent   func(arrive sim.Time)
 }
 
-// RelStats counts the reliable layer's work.
+// RelStats counts the reliable layer's work: a view over the flight
+// record, one field per event kind.
 type RelStats struct {
 	Retransmits   int64 // timer-driven re-injections
 	DupSuppressed int64 // replayed packets discarded at the target
@@ -175,7 +176,6 @@ type reliability struct {
 	coolHead int
 	acks     pool.Free[relAck]
 
-	stats  RelStats
 	failed *TransportError // first exhausted budget; ends the run
 }
 
@@ -201,10 +201,13 @@ func (m *Machine) EnableChaos(inj *fault.Injector, rc RelConfig) {
 
 // RelStats reports the reliable layer's counters (zero when disabled).
 func (m *Machine) RelStats() RelStats {
-	if m.rel == nil {
-		return RelStats{}
+	return RelStats{
+		Retransmits:   m.FR.Total(flight.KindRetransmit),
+		DupSuppressed: m.FR.Total(flight.KindDupSuppress),
+		Acks:          m.FR.Total(flight.KindAck),
+		CorruptDrops:  m.FR.Total(flight.KindCorruptDrop),
+		Parked:        m.FR.Total(flight.KindPark),
 	}
-	return m.rel.stats
 }
 
 // FatalError returns the transport failure that ended the run, if any.
@@ -213,21 +216,6 @@ func (m *Machine) FatalError() *TransportError {
 		return nil
 	}
 	return m.rel.failed
-}
-
-func classLabel(c fabric.Class) string {
-	if c == fabric.ClassDMA {
-		return "dma"
-	}
-	return "am"
-}
-
-// flclass maps the fabric arrival class onto the flight recorder's tag.
-func flclass(c fabric.Class) flight.Class {
-	if c == fabric.ClassDMA {
-		return flight.ClassDMA
-	}
-	return flight.ClassAM
 }
 
 // newPacket frames inner as the next packet of the (src,dst) channel,
@@ -339,10 +327,8 @@ func (pk *relPacket) expire() {
 		// packet against the restart timer instead — attempt count and
 		// RTO are untouched, and the real retransmit happens (and
 		// records its retry phase) once the peer is back.
-		rl.stats.Parked++
-		m.Tel.AddLabeled("xlupc_transport_parked_total", "class", classLabel(pk.class), 1)
 		m.FR.Record(int(key.src), flight.Event{
-			T: m.K.Now(), Kind: flight.KindPark, Class: flclass(pk.class),
+			T: m.K.Now(), Kind: flight.KindPark, Class: pk.class.Flight(),
 			Src: key.src, Dst: key.dst, Seq: key.seq, Arg: int64(du),
 		})
 		pk.arm(du - m.K.Now())
@@ -350,13 +336,12 @@ func (pk *relPacket) expire() {
 	}
 	if pk.attempt >= rl.cfg.MaxRetries {
 		rl.failed = &TransportError{
-			Class: classLabel(pk.class),
+			Class: pk.class.Flight().String(),
 			Src:   int(key.src), Dst: int(key.dst), Seq: key.seq,
 			Attempts: pk.attempt + 1, At: m.K.Now(),
 		}
-		m.Tel.AddLabeled("xlupc_transport_failures_total", "class", rl.failed.Class, 1)
 		m.FR.Record(int(key.src), flight.Event{
-			T: m.K.Now(), Kind: flight.KindRetryFail, Class: flclass(pk.class),
+			T: m.K.Now(), Kind: flight.KindRetryFail, Class: pk.class.Flight(),
 			Src: key.src, Dst: key.dst, Seq: key.seq, Arg: int64(pk.attempt + 1),
 		})
 		m.K.Stop()
@@ -364,10 +349,8 @@ func (pk *relPacket) expire() {
 	}
 	pk.attempt++
 	pk.rto *= 2
-	rl.stats.Retransmits++
-	m.Tel.AddLabeled("xlupc_transport_retransmits_total", "class", classLabel(pk.class), 1)
 	m.FR.Record(int(key.src), flight.Event{
-		T: m.K.Now(), Kind: flight.KindRetransmit, Class: flclass(pk.class),
+		T: m.K.Now(), Kind: flight.KindRetransmit, Class: pk.class.Flight(),
 		Src: key.src, Dst: key.dst, Seq: key.seq, Arg: int64(pk.attempt),
 	})
 	pk.span.Phase(telemetry.PhaseRetry, pk.lastTx, m.K.Now())
@@ -407,7 +390,6 @@ func (rl *reliability) deliver(src, dst int, class fabric.Class, h fabric.Header
 	case h.Corrupt:
 		// Integrity check failed: discard without ACK; the sender's
 		// timer retransmits. Applies to data and ACKs alike.
-		rl.stats.CorruptDrops++
 		if h.Ack {
 			rl.m.FR.Record(dst, flight.Event{
 				T: rl.m.K.Now(), Kind: flight.KindCorruptDrop,
@@ -416,7 +398,7 @@ func (rl *reliability) deliver(src, dst int, class fabric.Class, h fabric.Header
 			return
 		}
 		rl.m.FR.Record(dst, flight.Event{
-			T: rl.m.K.Now(), Kind: flight.KindCorruptDrop, Class: flclass(class),
+			T: rl.m.K.Now(), Kind: flight.KindCorruptDrop, Class: class.Flight(),
 			Src: int32(src), Dst: int32(dst), Seq: h.Seq,
 		})
 	case h.Ack:
@@ -441,10 +423,8 @@ func (rl *reliability) deliver(src, dst int, class fabric.Class, h fabric.Header
 			rl.seen[ch] = w
 		}
 		if w.deliver(h.Seq) {
-			rl.stats.DupSuppressed++
-			rl.m.Tel.AddLabeled("xlupc_transport_dup_suppressed_total", "class", classLabel(class), 1)
 			rl.m.FR.Record(dst, flight.Event{
-				T: rl.m.K.Now(), Kind: flight.KindDupSuppress, Class: flclass(class),
+				T: rl.m.K.Now(), Kind: flight.KindDupSuppress, Class: class.Flight(),
 				Src: int32(src), Dst: int32(dst), Seq: h.Seq,
 			})
 			return
@@ -464,10 +444,9 @@ func (rl *reliability) deliver(src, dst int, class fabric.Class, h fabric.Header
 // corruptible); a lost ACK costs one retransmission, which dedup
 // absorbs.
 func (rl *reliability) sendAck(src, dst int, class fabric.Class, h fabric.Header) {
-	rl.stats.Acks++
 	m := rl.m
 	m.FR.Record(dst, flight.Event{
-		T: m.K.Now(), Kind: flight.KindAck, Class: flclass(class),
+		T: m.K.Now(), Kind: flight.KindAck, Class: class.Flight(),
 		Src: int32(src), Dst: int32(dst), Seq: h.Seq,
 	})
 	a := rl.acks.Get()
