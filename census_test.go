@@ -145,9 +145,6 @@ var codeCensusExceptions = map[string]string{
 	"sim.Kernel.SetLimit":          "TestSetLimitStopsBeforeEvent",
 	"sim.NewQueue":                 "TestQueuePushPop",
 	"svd.HandleFromKey":            "TestHandleKeyRoundTrip",
-	"telemetry.Counter.Value":      "TestSpanAttribution",
-	"telemetry.Gauge.Value":        "core.TestTelemetryWithCoalescing",
-	"telemetry.Histogram.Min":      "TestHistogramZeroAndMax",
 	"telemetry.Telemetry.Snapshot": "TestPrometheusNoDuplicateFamilies",
 	"trace.Trace.ThreadTotal":      "TestTotalsAndThreadTotal",
 }

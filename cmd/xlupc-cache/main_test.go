@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"xlupc/internal/bench"
 )
 
 func TestFig8For(t *testing.T) {
@@ -64,6 +67,29 @@ func TestAdaptFor(t *testing.T) {
 		}
 		if err != nil || o.Scale.String() != c.scale {
 			t.Errorf("adaptFor(%d, %d) = %v, %v; want %s", c.threads, c.nodes, o.Scale, err, c.scale)
+		}
+	}
+}
+
+// TestFig8Header checks the column heads PrintFig8 gives each -caps
+// value: a negative capacity is the unbounded full-table ablation, not
+// a count of entries.
+func TestFig8Header(t *testing.T) {
+	for _, c := range []struct {
+		caps []int
+		head string // the header line after "threads-nodes"
+	}{
+		{[]int{4, 10, 100}, "  4 entries 10 entries 100 entries"},
+		{[]int{0}, "  0 entries"},
+		{[]int{-3}, "  unbounded"},
+		{[]int{10, -1}, " 10 entries  unbounded"},
+	} {
+		var out bytes.Buffer
+		bench.PrintFig8(&out, "pointer", []bench.Scale{{Threads: 8, Nodes: 2}}, c.caps, 1)
+		lines := strings.Split(out.String(), "\n")
+		got := strings.TrimPrefix(strings.TrimSpace(lines[1]), "threads-nodes")
+		if strings.TrimSpace(got) != strings.TrimSpace(c.head) {
+			t.Errorf("-caps %v: header %q, want %q", c.caps, lines[1], c.head)
 		}
 	}
 }

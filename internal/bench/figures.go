@@ -173,7 +173,11 @@ func PrintFig8(w io.Writer, mark string, scales []Scale, capacities []int, seed 
 	fmt.Fprintf(w, "# Figure 8 — %s: cache hit rate by cache size\n", mark)
 	fmt.Fprintf(w, "%14s", "threads-nodes")
 	for _, c := range capacities {
-		fmt.Fprintf(w, " %10s", fmt.Sprintf("%d entries", c))
+		label := "unbounded" // core.CacheConfig.Capacity: the full-table ablation
+		if c >= 0 {
+			label = fmt.Sprintf("%d entries", c)
+		}
+		fmt.Fprintf(w, " %10s", label)
 	}
 	fmt.Fprintln(w)
 	for i, sc := range scales {

@@ -102,7 +102,7 @@ func (t *Thread) fetchAdd(r Ref, delta uint64) {
 	}
 
 	t.rn, t.start = rn, t.Now()
-	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", op.String(), 1)
+	t.rt.atomicOps[op]++
 	t.remote(kindAtomic, transport.AtomicOperandBytes)
 }
 
@@ -220,7 +220,7 @@ func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint
 	}
 
 	t.rn, t.start = rn, t.Now()
-	t.rt.tel.AddLabeled("xlupc_atomic_ops_total", "op", aop.String(), 1)
+	t.rt.atomicOps[aop]++
 	t.remote(kindNbAtomic, transport.AtomicOperandBytes)
 }
 

@@ -402,7 +402,6 @@ func (t *Thread) nacked(op string, retry func(*Thread)) {
 	nk := t.rdma.Nack
 	if !nk.Stale {
 		t.ns.forget(t.a.h, t.rn)
-		t.rt.tel.Add("xlupc_"+op+"_fallbacks_total", `reason="nack"`, 1)
 		retry(t)
 		return
 	}
@@ -413,8 +412,7 @@ func (t *Thread) nacked(op string, retry func(*Thread)) {
 	}
 	t0, n := t.Now(), t.ns.flushNode(t.rn)
 	t.c.Sleep(sim.Time(n)*t.rt.cfg.Profile.CacheLookupCost, func() {
-		t.flushed(n, t.rn, nk.Epoch, op, t.span, t0)
-		t.rt.tel.Add("xlupc_"+op+"_fallbacks_total", `reason="stale_epoch"`, 1)
+		t.flushed(n, t.rn, nk.Epoch, t.span, t0)
 		retry(t)
 	})
 }
@@ -438,10 +436,9 @@ func (ns *nodeState) flushNode(rn int) int {
 
 // flushed accounts for a stale-epoch recovery that flushed n entries
 // for node rn, starting at t0.
-func (t *Thread) flushed(n, rn int, ep uint32, op string, span *telemetry.Span, t0 sim.Time) {
+func (t *Thread) flushed(n, rn int, ep uint32, span *telemetry.Span, t0 sim.Time) {
 	span.Phase(telemetry.PhaseEpochRecovery, t0, t.Now())
 	t.rt.staleInvalidated += int64(n)
-	t.rt.tel.AddLabeled("xlupc_stale_recoveries_total", "op", op, 1)
 	t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
 }
 
@@ -470,7 +467,7 @@ func (t *Thread) getSlowParked() {
 func (t *Thread) getRendezvoused() {
 	res := t.rtr
 	if !res.ok {
-		t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="pin_refused"`, 1)
+		t.rt.pinRefused[refusedGet]++
 		t.eagerGet() // registration refused: copy path
 		return
 	}
@@ -642,7 +639,7 @@ func (rt *Runtime) newPutReq(r putReq) *putReq {
 func (t *Thread) putRendezvoused() {
 	res := t.rtr
 	if !res.ok {
-		t.rt.tel.Add("xlupc_put_fallbacks_total", `reason="pin_refused"`, 1)
+		t.rt.pinRefused[refusedPut]++
 		t.putEager(pcPutCopiedNoAddr)
 		return
 	}
@@ -679,10 +676,8 @@ func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off in
 			if t.rt.staleAbort(rn, nk.Epoch, "put", t.rt.K.Now()) {
 				return
 			}
-			t.rt.tel.Add("xlupc_put_retries_total", `reason="stale_epoch"`, 1)
 		} else {
 			t.ns.forget(a.h, rn)
-			t.rt.tel.Add("xlupc_put_retries_total", `reason="nack"`, 1)
 		}
 		r := &putRetry{t: t, rn: rn, data: data, span: span, nack: nk,
 			req: t.rt.newPutReq(putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f})}
@@ -725,7 +720,7 @@ func (r *putRetry) Step(pc int) {
 		r.t0, r.n = t.Now(), ns.flushNode(r.rn)
 		ct.Sleep(sim.Time(r.n)*prof.CacheLookupCost, ct.Then(r, retryFlushed))
 	case retryFlushed:
-		t.flushed(r.n, r.rn, r.nack.Epoch, "put", r.span, r.t0)
+		t.flushed(r.n, r.rn, r.nack.Epoch, r.span, r.t0)
 		ct.Sleep(sim.BytesTime(len(r.data), prof.CopyByteTime), ct.Then(r, retryCopied))
 	case retryCopied:
 		t.rt.M.SendAMSpanC(ct, ns.id, r.rn, hPutReq, r.req, r.data, 0, r.span, func() {})

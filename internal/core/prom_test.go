@@ -23,7 +23,7 @@ import (
 const promGoldenFile = "testdata/prom_golden.json"
 
 // promConfig is one configuration of the Prometheus matrix: together
-// they make every gated block of syncRegistry emit.
+// they make every gated block of metricsTable emit.
 type promConfig struct {
 	name    string
 	tune    func(c *Config)
@@ -108,7 +108,7 @@ type promRow struct {
 }
 
 // TestPromGolden pins the run's Prometheus end-state — every series
-// syncRegistry publishes and every live counter — for each
+// metricsTable renders and every series the spans give — for each
 // configuration of the matrix on GM and LAPI, to the sha256 of the
 // snapshot and its family names (so a failure names what moved).
 // Regenerate only for a deliberate model or metric change:

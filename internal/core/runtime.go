@@ -62,7 +62,19 @@ type Runtime struct {
 	liveBodies       int          // program threads still running
 	crashErr         error        // first CrashFail abort
 	staleInvalidated int64        // cache entries flushed by stale-NACK recovery
+
+	// Counts that no lower layer keeps, each indexed by its label and
+	// written once where it happens: rendezvous transfers whose target
+	// refused the pin (they went eager), and remote atomics issued, by op.
+	pinRefused [2]int64 // refusedGet, refusedPut
+	atomicOps  [transport.AtomicAccumulate + 1]int64
 }
+
+// pinRefused indices.
+const (
+	refusedGet = iota
+	refusedPut
+)
 
 // nodeState is the per-node runtime state layered over the transport
 // node: the SVD replica, the remote address cache, barrier and
@@ -377,85 +389,90 @@ func (rt *Runtime) stats() RunStats {
 	for _, th := range rt.threads {
 		st.OpStats.Add(th.ops)
 	}
-	rt.syncRegistry(st)
+	if rt.tel != nil {
+		rt.tel.Publish(rt.metricsTable(st))
+	}
 	return st
 }
 
-// syncRegistry publishes the run's end-state — the RunStats structs,
-// the flight record's counts by class and node, the transport's counts
-// by opcode and flush trigger, each node's cache and pin table,
-// resource utilization, queue depths — into the telemetry registry, so
-// exporters see the whole run without every subsystem holding a
-// registry reference during it. A labelled series exists exactly when
-// its count is positive. No-op when telemetry is off.
-func (rt *Runtime) syncRegistry(st RunStats) {
-	tel := rt.tel
-	if tel == nil {
-		return
+// metricsTable renders the run's end-state as the telemetry hub's
+// end-of-run table: the RunStats structs, the flight record's counts by
+// class and node, the transport's counts by opcode and flush trigger,
+// core's own by label, each node's cache and pin table, resource
+// utilization, queue depths. Nothing writes a metric during a run: this
+// is where counts become series, once, when the run has ended. A
+// labelled series exists exactly when its count is positive.
+func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
+	var rows []telemetry.Row
+	counter := func(name, labels string, n int64) {
+		rows = append(rows, telemetry.Row{Name: name, Labels: labels, Kind: telemetry.KindCounter, Value: float64(n)})
 	}
-	tel.Set("xlupc_run_elapsed_seconds", "", st.Elapsed.Secs())
-	tel.Add("xlupc_net_messages_total", "", st.Messages)
-	tel.Add("xlupc_net_bytes_total", "", st.NetBytes)
-	tel.Add("xlupc_am_ops_total", "", st.AMOps)
-	tel.Add("xlupc_rdma_ops_total", "", st.RDMAOps)
+	gauge := func(name, labels string, v float64) {
+		rows = append(rows, telemetry.Row{Name: name, Labels: labels, Kind: telemetry.KindGauge, Value: v})
+	}
+	gauge("xlupc_run_elapsed_seconds", "", st.Elapsed.Secs())
+	counter("xlupc_net_messages_total", "", st.Messages)
+	counter("xlupc_net_bytes_total", "", st.NetBytes)
+	counter("xlupc_am_ops_total", "", st.AMOps)
+	counter("xlupc_rdma_ops_total", "", st.RDMAOps)
 	// Fault and reliability metrics only exist when chaos is configured,
 	// keeping exporter output bit-identical to main when it is off.
 	if rt.cfg.Fault != nil || rt.cfg.Rel != nil {
-		tel.Add("xlupc_fault_drops_total", "", st.Fault.Drops)
-		tel.Add("xlupc_fault_corrupts_total", "", st.Fault.Corrupts)
-		tel.Add("xlupc_fault_dups_total", "", st.Fault.Dups)
-		tel.Add("xlupc_fault_delays_total", "", st.Fault.Delayed)
-		tel.Add("xlupc_fault_stalls_total", "", st.Fault.Stalled)
-		tel.Add("xlupc_rel_retransmits_total", "", st.Rel.Retransmits)
-		tel.Add("xlupc_rel_dup_suppressed_total", "", st.Rel.DupSuppressed)
-		tel.Add("xlupc_rel_acks_total", "", st.Rel.Acks)
+		counter("xlupc_fault_drops_total", "", st.Fault.Drops)
+		counter("xlupc_fault_corrupts_total", "", st.Fault.Corrupts)
+		counter("xlupc_fault_dups_total", "", st.Fault.Dups)
+		counter("xlupc_fault_delays_total", "", st.Fault.Delayed)
+		counter("xlupc_fault_stalls_total", "", st.Fault.Stalled)
+		counter("xlupc_rel_retransmits_total", "", st.Rel.Retransmits)
+		counter("xlupc_rel_dup_suppressed_total", "", st.Rel.DupSuppressed)
+		counter("xlupc_rel_acks_total", "", st.Rel.Acks)
 	}
 	// These three exist exactly when something was counted, as the live
 	// counters they replace did.
 	if st.Rel.CorruptDrops > 0 {
-		tel.Add("xlupc_transport_corrupt_drops_total", "", st.Rel.CorruptDrops)
+		counter("xlupc_transport_corrupt_drops_total", "", st.Rel.CorruptDrops)
 	}
 	if st.Coal.Msgs > 0 {
-		tel.Add("xlupc_coalesce_msgs_total", "", st.Coal.Msgs)
+		counter("xlupc_coalesce_msgs_total", "", st.Coal.Msgs)
 	}
 	if st.Coal.Frames > 0 {
-		tel.Add("xlupc_coalesce_frames_total", "", st.Coal.Frames)
+		counter("xlupc_coalesce_frames_total", "", st.Coal.Frames)
 	}
 	// Crash metrics likewise only exist when a crash schedule is
 	// configured, so exporter output with Crash nil stays identical.
 	if rt.cfg.Crash != nil {
-		tel.Add("xlupc_crash_nodes_total", "", st.Crash.Crashes)
-		tel.Add("xlupc_crash_drops_total", "", st.Fault.CrashDrops)
-		tel.Add("xlupc_crash_stale_nacks_total", "", st.Crash.StaleNacks)
-		tel.Add("xlupc_crash_stale_invalidated_total", "", st.StaleInvalidated)
-		tel.Add("xlupc_crash_parked_retx_total", "", st.Rel.Parked)
-		tel.Add("xlupc_crash_recovered_total", "", st.Crash.Recovered)
-		tel.Set("xlupc_crash_recovery_seconds", "", st.Crash.RecoveryTime.Secs())
+		counter("xlupc_crash_nodes_total", "", st.Crash.Crashes)
+		counter("xlupc_crash_drops_total", "", st.Fault.CrashDrops)
+		counter("xlupc_crash_stale_nacks_total", "", st.Crash.StaleNacks)
+		counter("xlupc_crash_stale_invalidated_total", "", st.StaleInvalidated)
+		counter("xlupc_crash_parked_retx_total", "", st.Rel.Parked)
+		counter("xlupc_crash_recovered_total", "", st.Crash.Recovered)
+		gauge("xlupc_crash_recovery_seconds", "", st.Crash.RecoveryTime.Secs())
 	}
 	// Lazy-unpin and evictor extras only exist when the Pin config opts
 	// into them, so exporter output for default-policy runs stays
 	// identical.
 	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU) {
-		tel.Add("xlupc_pin_reuses_total", "", st.Reuses)
-		tel.Add("xlupc_pin_parked_total", "", st.PinStats.Parked)
-		tel.Add("xlupc_pin_reclaims_total", "", st.Reclaims)
-		tel.Add("xlupc_pin_ghost_hits_total", "", st.GhostHits)
-		tel.Add("xlupc_pin_repins_total", "", st.Repins)
+		counter("xlupc_pin_reuses_total", "", st.Reuses)
+		counter("xlupc_pin_parked_total", "", st.PinStats.Parked)
+		counter("xlupc_pin_reclaims_total", "", st.Reclaims)
+		counter("xlupc_pin_ghost_hits_total", "", st.GhostHits)
+		counter("xlupc_pin_repins_total", "", st.Repins)
 	}
 	// Adaptive cache re-apportionments likewise appear only when the
 	// cache runs in adaptive mode.
 	if rt.cfg.Cache.Adaptive != nil {
-		tel.Add("xlupc_addrcache_resizes_total", "", st.Cache.Resizes)
+		counter("xlupc_addrcache_resizes_total", "", st.Cache.Resizes)
 	}
 	// The header bytes coalescing kept off the wire: a gauge, because a
 	// one-message frame saves a negative amount (its sub-header) and the
 	// run's total moves both ways.
 	if rt.cfg.Coalesce != nil {
-		tel.Set("xlupc_coalesce_saved_bytes", "", float64(st.Coal.SavedBytes))
+		gauge("xlupc_coalesce_saved_bytes", "", float64(st.Coal.SavedBytes))
 	}
 	addPositive := func(name, key, value string, n int64) {
 		if n > 0 {
-			tel.Add(name, key+`="`+value+`"`, n)
+			counter(name, key+`="`+value+`"`, n)
 		}
 	}
 	fr := rt.M.FR
@@ -468,38 +485,55 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 	rt.M.NacksByOp(func(op string, nacks, stale int64) {
 		addPositive("xlupc_rdma_nacks_total", "op", op, nacks)
 		addPositive("xlupc_stale_nacks_total", "op", op, stale)
+		// Every NACKed operation went on over the active-message path —
+		// a GET or atomic falls back, a PUT is retried — a stale one
+		// after flushing what the node cached for its target (unless a
+		// CrashFail run stopped there). A read's or atomic's NACKs count
+		// as its initiator observes them, stale ones included; a PUT's
+		// plain ones count at the target.
+		family, plain := "xlupc_"+op+"_fallbacks_total", nacks-stale
+		if op == "put" {
+			family, plain = "xlupc_put_retries_total", nacks
+		}
+		addPositive(family, "reason", "nack", plain)
+		addPositive(family, "reason", "stale_epoch", stale)
+		addPositive("xlupc_stale_recoveries_total", "op", op, stale)
 	})
+	addPositive("xlupc_get_fallbacks_total", "reason", "pin_refused", rt.pinRefused[refusedGet])
+	addPositive("xlupc_put_fallbacks_total", "reason", "pin_refused", rt.pinRefused[refusedPut])
 	rt.M.FlushesByReason(func(reason string, n int64) {
 		addPositive("xlupc_coalesce_flushes_total", "reason", reason, n)
 	})
-	// Atomic aggregates likewise only exist once an atomic was issued
-	// (the per-op xlupc_atomic_ops_total counters appear at issue time),
+	for _, op := range []transport.AtomicOp{transport.AtomicFetchAdd, transport.AtomicAccumulate} {
+		addPositive("xlupc_atomic_ops_total", "op", op.String(), rt.atomicOps[op])
+	}
+	// Atomic aggregates likewise only exist once an atomic was issued,
 	// so exporter output for atomic-free runs stays identical.
 	if st.AtomicOps+st.LocalAtomics > 0 {
-		tel.Add("xlupc_atomic_remote_total", "", st.AtomicOps)
-		tel.Add("xlupc_atomic_local_total", "", st.LocalAtomics)
-		tel.Set("xlupc_atomic_blocked_seconds", "", st.AtomicTime.Secs())
+		counter("xlupc_atomic_remote_total", "", st.AtomicOps)
+		counter("xlupc_atomic_local_total", "", st.LocalAtomics)
+		gauge("xlupc_atomic_blocked_seconds", "", st.AtomicTime.Secs())
 	}
 	for _, ns := range rt.nodes {
 		addPositive("xlupc_crash_total", "node", strconv.Itoa(ns.id), fr.OfNode(ns.id, flight.KindCrash))
 		node := `node="` + strconv.Itoa(ns.id) + `"`
 		if ns.cache != nil {
 			cs := ns.cache.Stats()
-			tel.Add("xlupc_addrcache_hits_total", node, cs.Hits)
-			tel.Add("xlupc_addrcache_misses_total", node, cs.Misses)
-			tel.Add("xlupc_addrcache_inserts_total", node, cs.Inserts)
-			tel.Add("xlupc_addrcache_evictions_total", node, cs.Evictions)
-			tel.Add("xlupc_addrcache_invalidations_total", node, cs.Invalidations)
-			tel.Set("xlupc_addrcache_hit_rate", node, cs.HitRate())
-			tel.Set("xlupc_addrcache_entries", node, float64(ns.cache.Len()))
+			counter("xlupc_addrcache_hits_total", node, cs.Hits)
+			counter("xlupc_addrcache_misses_total", node, cs.Misses)
+			counter("xlupc_addrcache_inserts_total", node, cs.Inserts)
+			counter("xlupc_addrcache_evictions_total", node, cs.Evictions)
+			counter("xlupc_addrcache_invalidations_total", node, cs.Invalidations)
+			gauge("xlupc_addrcache_hit_rate", node, cs.HitRate())
+			gauge("xlupc_addrcache_entries", node, float64(ns.cache.Len()))
 		}
 		pins := ns.tn.Pins
-		tel.Add("xlupc_pin_registrations_total", node, pins.Pins)
-		tel.Add("xlupc_pin_deregistrations_total", node, pins.Unpins)
-		tel.Add("xlupc_pin_evictions_total", node, pins.Evicted)
-		tel.Set("xlupc_pin_peak_entries", node, float64(pins.MaxLive))
-		tel.Set("xlupc_pin_reg_seconds", node, pins.RegTime.Secs())
-		tel.Set("xlupc_pin_dereg_seconds", node, pins.DeregTime.Secs())
+		counter("xlupc_pin_registrations_total", node, pins.Pins)
+		counter("xlupc_pin_deregistrations_total", node, pins.Unpins)
+		counter("xlupc_pin_evictions_total", node, pins.Evicted)
+		gauge("xlupc_pin_peak_entries", node, float64(pins.MaxLive))
+		gauge("xlupc_pin_reg_seconds", node, pins.RegTime.Secs())
+		gauge("xlupc_pin_dereg_seconds", node, pins.DeregTime.Secs())
 		// Resource utilization: the CPU pool, the AM-handler resource
 		// (the CPU itself on non-overlapping transports) and the NIC
 		// injection port. Busy and queue-wait integrals answer "which
@@ -511,9 +545,9 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 		for _, r := range resources {
 			labels := node + `,resource="` + r.Name() + `"`
 			rs := r.Stats()
-			tel.Add("xlupc_resource_acquires_total", labels, rs.Acquires)
-			tel.Set("xlupc_resource_busy_seconds", labels, rs.BusyTime.Secs())
-			tel.Set("xlupc_resource_wait_seconds", labels, rs.TotalWait.Secs())
+			counter("xlupc_resource_acquires_total", labels, rs.Acquires)
+			gauge("xlupc_resource_busy_seconds", labels, rs.BusyTime.Secs())
+			gauge("xlupc_resource_wait_seconds", labels, rs.TotalWait.Secs())
 		}
 		port := rt.M.Fab.Port(ns.id)
 		for _, q := range []struct {
@@ -525,10 +559,11 @@ func (rt *Runtime) syncRegistry(st RunStats) {
 			{"dma", port.DMA.Pushes(), port.DMA.MaxLen()},
 		} {
 			labels := node + `,queue="` + q.name + `"`
-			tel.Add("xlupc_queue_pushes_total", labels, q.p)
-			tel.Set("xlupc_queue_max_depth", labels, float64(q.m))
+			counter("xlupc_queue_pushes_total", labels, q.p)
+			gauge("xlupc_queue_max_depth", labels, float64(q.m))
 		}
 	}
+	return rows
 }
 
 func (rt *Runtime) registerHandlers() {

@@ -860,9 +860,9 @@ func TestNoServiceCoroutines(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			reg := c.Telemetry.Registry()
+			retries := promSeriesValues(c.Telemetry.Snapshot())
 			for _, reason := range []string{"nack", "stale_epoch"} {
-				if reg.Counter("xlupc_put_retries_total", `reason="`+reason+`"`).Value() == 0 {
+				if retries[`xlupc_put_retries_total{reason="`+reason+`"}`] == 0 {
 					t.Errorf("no PUT retried for reason %s: the path under test never ran", reason)
 				}
 			}

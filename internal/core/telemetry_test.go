@@ -43,7 +43,7 @@ func runTelemetry(t *testing.T, c Config) (RunStats, *telemetry.Telemetry) {
 }
 
 // Two identically-seeded runs must produce identical telemetry — the
-// registry snapshot is the run's deterministic fingerprint.
+// Prometheus snapshot is the run's deterministic fingerprint.
 func TestTelemetryDeterministic(t *testing.T) {
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		c := cfg(4, 2, prof, DefaultCache())
@@ -174,11 +174,11 @@ func TestTelemetryGetAttribution(t *testing.T) {
 		}
 	}
 	// Protocol labels must cover both fast and slow paths in a cached run.
-	reg := tel.Registry()
-	if reg.Counter("xlupc_ops_total", `op="get",proto="rdma"`).Value() == 0 {
+	ops := promSeriesValues(tel.Snapshot())
+	if ops[`xlupc_ops_total{op="get",proto="rdma"}`] == 0 {
 		t.Error("no RDMA fast-path gets recorded")
 	}
-	if reg.Counter("xlupc_ops_total", `op="get",proto="eager"`).Value() == 0 {
+	if ops[`xlupc_ops_total{op="get",proto="eager"}`] == 0 {
 		t.Error("no eager gets recorded")
 	}
 }
@@ -216,7 +216,7 @@ func TestTelemetryWithCoalescing(t *testing.T) {
 	if plain.Coal.SavedBytes >= 0 {
 		t.Fatalf("workload saved %d bytes: it must send one-message frames", plain.Coal.SavedBytes)
 	}
-	if got := tel.Registry().Gauge("xlupc_coalesce_saved_bytes", "").Value(); got != float64(instr.Coal.SavedBytes) {
+	if got := promSeriesValues(tel.Snapshot())["xlupc_coalesce_saved_bytes"]; got != float64(instr.Coal.SavedBytes) {
 		t.Errorf("gauge %v, RunStats.Coal.SavedBytes %d", got, instr.Coal.SavedBytes)
 	}
 	if plain.Elapsed != instr.Elapsed || plain.KernelEvents != instr.KernelEvents || plain.Coal.SavedBytes != instr.Coal.SavedBytes {

@@ -18,7 +18,6 @@ import (
 
 	"xlupc/internal/core"
 	"xlupc/internal/sim"
-	"xlupc/internal/telemetry"
 )
 
 // DefaultSLO is the per-op latency bound availability is measured
@@ -251,7 +250,7 @@ func RunLoadC(t *core.Thread, tb *Table, w Workload, z *Zipf, then func(ThreadRe
 		panic(err)
 	}
 	l := &loader{
-		t: t, tb: tb, w: w, z: z, rng: t.Rand(), tel: t.Runtime().Config().Telemetry,
+		t: t, tb: tb, w: w, z: z, rng: t.Rand(),
 		interval: w.interval(), slo: w.slo(), start: t.Now(),
 		res: ThreadResult{Thread: t.ID()}, h: fnvOffset, then: then,
 	}
@@ -267,7 +266,6 @@ type loader struct {
 	w        Workload
 	z        *Zipf
 	rng      *rand.Rand
-	tel      *telemetry.Telemetry
 	interval sim.Time
 	slo      sim.Time
 	start    sim.Time
@@ -319,24 +317,24 @@ func (l *loader) got(val uint64, ok bool) {
 		l.res.Found++
 	}
 	l.res.Reads++
-	l.done(true, val, ok)
+	l.done(val, ok)
 }
 
 func (l *loader) put(ok bool) {
 	l.res.Writes++
-	l.done(false, l.val, ok)
+	l.done(l.val, ok)
 }
 
 // done accounts the operation in flight and goes on to the next.
-func (l *loader) done(read bool, val uint64, ok bool) {
+func (l *loader) done(val uint64, ok bool) {
 	lat := l.t.Now() - l.issue
-	l.h = accountOp(&l.res, l.tel, read, l.key, val, ok, lat, l.slo, l.h)
+	l.h = accountOp(&l.res, l.key, val, ok, lat, l.slo, l.h)
 	l.i++
 	l.iter()
 }
 
 // accountOp folds one completed op into the result and the digest.
-func accountOp(res *ThreadResult, tel *telemetry.Telemetry, read bool, key, val uint64, ok bool, lat, slo sim.Time, h uint64) uint64 {
+func accountOp(res *ThreadResult, key, val uint64, ok bool, lat, slo sim.Time, h uint64) uint64 {
 	res.Ops++
 	res.LatSum += lat
 	if lat > res.LatMax {
@@ -346,11 +344,6 @@ func accountOp(res *ThreadResult, tel *telemetry.Telemetry, read bool, key, val 
 		res.SLOMet++
 	}
 	res.Hist[bits.Len64(uint64(lat))]++
-	if read {
-		tel.Observe("xlupc_op_latency", `op="kv_get"`, lat)
-	} else {
-		tel.Observe("xlupc_op_latency", `op="kv_put"`, lat)
-	}
 	h = mix64(h, key)
 	h = mix64(h, val)
 	okw := uint64(0)

@@ -64,8 +64,6 @@ type Span struct {
 	// NbAccumulate): its thread runs on while it is open, so it is the
 	// operation's latency, not time the thread waited.
 	Split bool
-
-	tel *Telemetry
 }
 
 // SetProto records which protocol the operation took. The last call
@@ -108,20 +106,11 @@ func (s *Span) Dur() sim.Time {
 	return s.End - s.Start
 }
 
-// Finish closes the span at the given time and feeds the registry:
-// xlupc_ops_total and the xlupc_op_latency histogram, both labelled
-// with the operation and protocol.
+// Finish closes the span at the given time.
 func (s *Span) Finish(at sim.Time) {
-	if s == nil {
-		return
+	if s != nil {
+		s.End = at
 	}
-	s.End = at
-	labels := `op="` + s.Op + `"`
-	if s.Proto != "" {
-		labels += `,proto="` + s.Proto + `"`
-	}
-	s.tel.Add("xlupc_ops_total", labels, 1)
-	s.tel.Observe("xlupc_op_latency", labels, s.Dur())
 }
 
 // PhaseStat is one row of an attribution table.

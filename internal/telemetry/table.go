@@ -42,14 +42,17 @@ func TargetShare(a Attribution) float64 {
 }
 
 // WriteQuantiles prints the latency-quantile table: one row per
-// series of the xlupc_op_latency histogram family (every finished span
-// feeds it, labelled by op and protocol), with the sample count, mean,
+// (op, proto) group of finished spans — the series of the
+// xlupc_op_latency histogram family — with the sample count, mean,
 // P50/P95/P99 and max. Quantiles come from the log2 buckets, so they
 // are order-of-magnitude figures: enough to tell a 2 µs op population
 // from a 20 µs one, which is what the paper's §4.6 question needs.
 func (t *Telemetry) WriteQuantiles(w io.Writer) error {
-	series := t.Registry().Histograms("xlupc_op_latency")
-	if len(series) == 0 {
+	var groups []series
+	if t != nil {
+		groups = t.latencies()
+	}
+	if len(groups) == 0 {
 		_, err := fmt.Fprintln(w, "latency quantiles: no samples")
 		return err
 	}
@@ -57,10 +60,10 @@ func (t *Telemetry) WriteQuantiles(w io.Writer) error {
 		"latency series", "count", "mean", "p50", "p95", "p99", "max"); err != nil {
 		return err
 	}
-	for _, s := range series {
-		h := s.Hist
+	for _, g := range groups {
+		d := g.dist
 		if _, err := fmt.Fprintf(w, "  %-28s %8d %10v %10v %10v %10v %10v\n",
-			s.Labels, h.Count(), h.Mean(), h.P50(), h.P95(), h.P99(), h.Max()); err != nil {
+			g.Labels, d.Count, d.Mean(), d.Quantile(0.50), d.Quantile(0.95), d.Quantile(0.99), d.Max); err != nil {
 			return err
 		}
 	}

@@ -1,11 +1,17 @@
-// Package telemetry is the runtime's unified observability layer: a
-// virtual-time-aware metrics registry (counters, gauges, log-bucketed
-// latency histograms over sim.Time) plus per-operation spans recording
-// the lifecycle of GET/PUT/atomic/barrier/alloc operations phase by
-// phase — cache lookup, protocol selection, registration, wire,
-// target-handler, completion. Two exporters serialize a run: Chrome
-// trace-event JSON (chrome://tracing / Perfetto) and Prometheus text
-// format.
+// Package telemetry is the runtime's observability layer: per-operation
+// spans recording the lifecycle of GET/PUT/atomic/barrier/alloc
+// operations phase by phase — cache lookup, protocol selection,
+// registration, wire, target-handler, completion — the compute
+// intervals between them, and the run's end-of-run table of counts.
+// Two exporters serialize a run: Chrome trace-event JSON
+// (chrome://tracing / Perfetto) and Prometheus text format.
+//
+// Metrics are a view, not a store: nothing writes a metric while a run
+// is in progress. When the run ends the runtime hands the hub one
+// immutable table of (name, labels, kind, value) rows rendered from
+// what the run already recorded; the Prometheus export sorts it
+// together with the series it computes from the finished spans
+// (xlupc_ops_total and the xlupc_op_latency histograms).
 //
 // Telemetry costs no virtual time: recording never sleeps, so a run
 // with telemetry attached finishes at exactly the same virtual instant
@@ -21,34 +27,65 @@ import (
 	"xlupc/internal/sim"
 )
 
-// Telemetry is one run's telemetry hub: a metrics registry plus the
-// span store. Create with New; attach to a run via core.Config.
+// Telemetry is one run's telemetry hub: the span store, the compute
+// intervals and, once the run has ended, its table. Create with New;
+// attach to a run via core.Config.
 type Telemetry struct {
-	reg      Registry
 	spans    []*Span
 	computes []Compute
+	table    []Row
 }
 
 // Compute is one interval of modeled local computation: what the
 // spans do not cover of "where do the threads spend their time"
-// (§4.6). It is kept beside them, not as a span, so the exports and
-// metrics describe runtime operations only.
+// (§4.6). It is kept beside them, not as a span, so the exports
+// describe runtime operations only.
 type Compute struct {
 	Thread     int
 	Start, End sim.Time
 }
 
-// New returns an empty, enabled telemetry hub.
-func New() *Telemetry {
-	return &Telemetry{reg: Registry{metrics: make(map[string]*metric)}}
+// Kind is what a series is.
+type Kind uint8
+
+const (
+	KindCounter   Kind = iota // a count; never negative
+	KindGauge                 // a value that may move either way
+	kindHistogram             // a distribution; only spans produce one
+)
+
+func (k Kind) String() string {
+	switch k {
+	case KindGauge:
+		return "gauge"
+	case kindHistogram:
+		return "histogram"
+	default:
+		return "counter"
+	}
 }
 
-// Registry exposes the metrics registry, or nil when disabled.
-func (t *Telemetry) Registry() *Registry {
-	if t == nil {
-		return nil
+// Row is one series of the end-of-run table: a family name, its
+// pre-formatted label body (`key="value",...`, "" for none), its kind
+// and its value (a counter's is a whole number).
+type Row struct {
+	Name   string
+	Labels string
+	Kind   Kind
+	Value  float64
+}
+
+// New returns an empty, enabled telemetry hub.
+func New() *Telemetry {
+	return &Telemetry{}
+}
+
+// Publish hands the hub the run's end-of-run table, replacing any
+// earlier one. The hub keeps rows as given; the exporter orders them.
+func (t *Telemetry) Publish(rows []Row) {
+	if t != nil {
+		t.table = rows
 	}
-	return &t.reg
 }
 
 // Spans returns every span started so far, in start order.
@@ -66,7 +103,7 @@ func (t *Telemetry) StartSpan(op string, thread, node int, at sim.Time) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{tel: t, Op: op, Thread: thread, Node: node, Start: at, End: -1}
+	s := &Span{Op: op, Thread: thread, Node: node, Start: at, End: -1}
 	t.spans = append(t.spans, s)
 	return s
 }
@@ -85,38 +122,4 @@ func (t *Telemetry) Computes() []Compute {
 		return nil
 	}
 	return t.computes
-}
-
-// Add increments the counter name{labels} by n. labels is a
-// pre-formatted Prometheus label body (`key="value",...`) or "".
-func (t *Telemetry) Add(name, labels string, n int64) {
-	if t == nil {
-		return
-	}
-	t.reg.Counter(name, labels).Add(n)
-}
-
-// AddLabeled is Add for the series name{key="value"}; the label body
-// is built only when the hub is attached.
-func (t *Telemetry) AddLabeled(name, key, value string, n int64) {
-	if t == nil {
-		return
-	}
-	t.reg.Counter(name, key+`="`+value+`"`).Add(n)
-}
-
-// Set sets the gauge name{labels} to v.
-func (t *Telemetry) Set(name, labels string, v float64) {
-	if t == nil {
-		return
-	}
-	t.reg.Gauge(name, labels).Set(v)
-}
-
-// Observe records a virtual-time sample in the histogram name{labels}.
-func (t *Telemetry) Observe(name, labels string, v sim.Time) {
-	if t == nil {
-		return
-	}
-	t.reg.Histogram(name, labels).Observe(v)
 }

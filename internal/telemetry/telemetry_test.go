@@ -9,7 +9,7 @@ import (
 	"xlupc/internal/sim"
 )
 
-// --- histogram bucketing edge cases (zero, max, boundaries) ---
+// --- distribution bucketing edge cases (zero, max, boundaries) ---
 
 func TestBucketOfEdges(t *testing.T) {
 	cases := []struct {
@@ -59,49 +59,54 @@ func TestBucketUpperEdges(t *testing.T) {
 	}
 }
 
+// dist folds samples into a distribution.
+func dist(samples ...sim.Time) *Dist {
+	d := new(Dist)
+	for _, v := range samples {
+		d.fold(v)
+	}
+	return d
+}
+
 func TestHistogramZeroAndMax(t *testing.T) {
-	tel := New()
-	h := tel.Registry().Histogram("h", "")
-	h.Observe(0)
-	h.Observe(sim.Time(math.MaxInt64))
-	if h.Count() != 2 {
-		t.Fatalf("count = %d, want 2", h.Count())
+	h := dist(0, sim.Time(math.MaxInt64))
+	if h.Count != 2 {
+		t.Fatalf("count = %d, want 2", h.Count)
 	}
-	if h.Min() != 0 {
-		t.Errorf("min = %d, want 0", h.Min())
+	if h.Min != 0 {
+		t.Errorf("min = %d, want 0", h.Min)
 	}
-	if h.Max() != sim.Time(math.MaxInt64) {
-		t.Errorf("max = %d, want MaxInt64", h.Max())
+	if h.Max != sim.Time(math.MaxInt64) {
+		t.Errorf("max = %d, want MaxInt64", h.Max)
 	}
 	// Quantiles stay inside [min, max] even with extreme samples.
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
 		v := h.Quantile(q)
-		if v < h.Min() || v > h.Max() {
+		if v < h.Min || v > h.Max {
 			t.Errorf("Quantile(%v) = %d outside [min,max]", q, v)
 		}
 	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	tel := New()
-	h := tel.Registry().Histogram("lat", "")
-	if h.P50() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram must report zeros")
+	h := dist()
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+		t.Fatal("empty distribution must report zeros")
 	}
 	// 90 fast samples, 10 slow ones: p50 is fast-sized, p99 slow-sized.
 	for i := 0; i < 90; i++ {
-		h.Observe(1000) // ~1 ns
+		h.fold(1000) // ~1 ns
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(1000000) // ~1 µs
+		h.fold(1000000) // ~1 µs
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.Count != 100 {
+		t.Fatalf("count = %d", h.Count)
 	}
-	if p := h.P50(); p < 1000 || p >= 2048 {
+	if p := h.Quantile(0.5); p < 1000 || p >= 2048 {
 		t.Errorf("p50 = %d, want in fast bucket [1000,2048)", p)
 	}
-	if p := h.P99(); p < 524288 {
+	if p := h.Quantile(0.99); p < 524288 {
 		t.Errorf("p99 = %d, want slow-bucket scale", p)
 	}
 	if h.Mean() != sim.Time((90*1000+10*1000000)/100) {
@@ -110,10 +115,8 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	tel := New()
-
-	// Empty histogram: every quantile (in range or not) is 0.
-	empty := tel.Registry().Histogram("empty", "")
+	// Empty distribution: every quantile (in range or not) is 0.
+	empty := dist()
 	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
 		if v := empty.Quantile(q); v != 0 {
 			t.Errorf("empty Quantile(%v) = %d, want 0", q, v)
@@ -123,10 +126,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 	// Single occupied bucket: all samples in [1024, 2048). Every
 	// quantile must land inside the observed [min, max], not at the
 	// bucket's theoretical bounds.
-	one := tel.Registry().Histogram("one", "")
-	for _, v := range []sim.Time{1100, 1500, 1900} {
-		one.Observe(v)
-	}
+	one := dist(1100, 1500, 1900)
 	for _, q := range []float64{0.01, 0.5, 0.99} {
 		if v := one.Quantile(q); v < 1100 || v > 1900 {
 			t.Errorf("single-bucket Quantile(%v) = %d outside observed [1100,1900]", q, v)
@@ -151,18 +151,11 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 
 	// One sample: every quantile is that sample.
-	single := tel.Registry().Histogram("single", "")
-	single.Observe(12345)
+	single := dist(12345)
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
 		if v := single.Quantile(q); v != 12345 {
 			t.Errorf("one-sample Quantile(%v) = %d, want 12345", q, v)
 		}
-	}
-
-	// The P50/P95/P99 shortcuts agree with Quantile.
-	if single.P50() != single.Quantile(0.5) || single.P95() != single.Quantile(0.95) ||
-		single.P99() != single.Quantile(0.99) {
-		t.Error("P50/P95/P99 disagree with Quantile")
 	}
 }
 
@@ -201,38 +194,54 @@ func TestChromeTraceEscapesLabels(t *testing.T) {
 	}
 }
 
-func TestCounterPanicsOnDecrease(t *testing.T) {
+// A table the exporter cannot render faithfully fails the export (and
+// so panics Snapshot) instead of producing output.
+func mustRejectTable(t *testing.T, why string, rows []Row, spans ...string) {
+	t.Helper()
+	tel := New()
+	for _, op := range spans {
+		tel.StartSpan(op, 0, 0, 0).Finish(10)
+	}
+	tel.Publish(rows)
+	var sb strings.Builder
+	if err := tel.WritePrometheus(&sb); err == nil {
+		t.Fatalf("%s: exported\n%s", why, sb.String())
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative Add must panic")
+			t.Fatalf("%s: Snapshot did not panic", why)
 		}
 	}()
-	New().Registry().Counter("c", "").Add(-1)
+	tel.Snapshot()
+}
+
+func TestCounterPanicsOnDecrease(t *testing.T) {
+	mustRejectTable(t, "a negative counter", []Row{{Name: "c", Kind: KindCounter, Value: -1}})
 }
 
 func TestKindConflictPanics(t *testing.T) {
-	tel := New()
-	tel.Registry().Counter("x", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
-		}
-	}()
-	tel.Registry().Gauge("x", "")
+	mustRejectTable(t, "a counter and a gauge of one name", []Row{
+		{Name: "x", Kind: KindCounter, Value: 1},
+		{Name: "x", Labels: `k="v"`, Kind: KindGauge, Value: 2},
+	})
+	mustRejectTable(t, "a table counter named like the span histograms", []Row{
+		{Name: "xlupc_op_latency", Labels: `op="kv"`, Kind: KindCounter, Value: 1},
+	}, "get")
+	mustRejectTable(t, "one series twice", []Row{
+		{Name: "x", Labels: `k="v"`, Kind: KindCounter, Value: 1},
+		{Name: "x", Labels: `k="v"`, Kind: KindCounter, Value: 2},
+	})
 }
 
 // --- nil-safety: a disabled layer must be a no-op everywhere ---
 
 func TestNilTelemetryIsSafe(t *testing.T) {
 	var tel *Telemetry
-	tel.Add("a", "", 1)
-	tel.AddLabeled("a", "k", "v", 1)
+	tel.Publish([]Row{{Name: "a", Kind: KindCounter, Value: 1}})
 	tel.AddCompute(0, 0, 10)
 	if tel.Computes() != nil {
 		t.Fatal("nil Computes must be empty")
 	}
-	tel.Set("b", "", 2)
-	tel.Observe("c", "", 3)
 	s := tel.StartSpan("get", 0, 0, 0)
 	if s != nil {
 		t.Fatal("StartSpan on nil must return nil")
@@ -293,9 +302,9 @@ func TestSpanAttribution(t *testing.T) {
 	if sh := TargetShare(a); math.Abs(sh-500.0/900) > 1e-9 {
 		t.Errorf("target share = %v", sh)
 	}
-	// Finish fed the registry.
-	if n := tel.Registry().Counter("xlupc_ops_total", `op="get",proto="eager"`).Value(); n != 1 {
-		t.Errorf("ops counter = %d", n)
+	// The export counts the finished span, not the open one.
+	if snap := tel.Snapshot(); !strings.Contains(snap, `xlupc_ops_total{op="get",proto="eager"} 1`+"\n") {
+		t.Errorf("ops counter missing:\n%s", snap)
 	}
 	var sb strings.Builder
 	if err := tel.WriteAttribution(&sb, "get"); err != nil {
@@ -348,11 +357,13 @@ func TestChromeTraceValidAndMonotone(t *testing.T) {
 
 func TestPrometheusNoDuplicateFamilies(t *testing.T) {
 	tel := New()
-	tel.Add("xlupc_msgs_total", `profile="gm"`, 3)
-	tel.AddLabeled("xlupc_msgs_total", "profile", "lapi", 4) // the same series key as the pre-formatted form
-	tel.Set("xlupc_cache_hit_rate", "", 0.75)
-	tel.Observe("xlupc_op_latency", `op="get"`, 12345)
-	tel.Observe("xlupc_op_latency", `op="put"`, 54321)
+	tel.Publish([]Row{
+		{Name: "xlupc_msgs_total", Labels: `profile="lapi"`, Kind: KindCounter, Value: 4},
+		{Name: "xlupc_cache_hit_rate", Kind: KindGauge, Value: 0.75},
+		{Name: "xlupc_msgs_total", Labels: `profile="gm"`, Kind: KindCounter, Value: 3},
+	})
+	tel.StartSpan("get", 0, 0, 0).Finish(12345)
+	tel.StartSpan("put", 0, 0, 0).Finish(54321)
 	out := tel.Snapshot()
 
 	seenType := map[string]bool{}
