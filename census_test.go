@@ -1,7 +1,10 @@
 package xlupc
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -9,9 +12,15 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,8 +42,6 @@ var censusRoots = []struct{ pkg, name string }{
 // census too: the table holds exactly the survivors.
 var censusExceptions = map[string]string{
 	"kv.Options.WriteWindow":      "the test hook that widens the seqlock window to provoke torn reads deterministically",
-	"dis.Params.SplitPhase":       "pinned by trace/golden_test.go and the *splitphase rows of bench's parity_golden.json",
-	"dis.Params.Atomic":           "pinned by trace/golden_test.go and the *atomic* rows of bench's parity_golden.json",
 	"core.PinConfig.MaxPerObject": "pinned by the pin-refused row of core's roundtrip_golden.json",
 	"core.CrashConfig.Mode":       "selects the typed CrashError path: error handling, not a tuning knob",
 	"core.Config.Exec":            "assigned by the frozen benchmark/api.go, which must keep compiling; the runtime has one engine and reads it nowhere",
@@ -448,6 +455,410 @@ func (l *censusLoader) testReads(p *censusPkg, test, ident string) error {
 		}
 	}
 	return errors.New("no test " + test + " in " + dir)
+}
+
+// coverageCeiling is the number of statements under internal/ that no
+// shipped invocation executes. It only goes down: the change that lowers
+// the count lowers it too.
+const coverageCeiling = 773
+
+// coverageExceptions are the functions under internal/ of more than one
+// statement that no shipped invocation runs but that stay, each with the
+// reason. Functions named in codeCensusExceptions count as named here
+// too. An entry whose function some invocation runs after all, or that
+// no longer exists, fails the census.
+var coverageExceptions = map[string]string{
+	"bench.ScaleMark":              "the big-scale sweep: xlupc-report -scale takes minutes, so CI's bench smoke runs it through BenchmarkBigScaleCont and TestBenchSmoke32k",
+	"bench.PrintScale":             "prints the big-scale sweep of xlupc-report -scale (see bench.ScaleMark)",
+	"bench.bigChase":               "the big-scale sweep's body (see bench.ScaleMark)",
+	"bench.bigBodyC":               "the big-scale sweep's body (see bench.ScaleMark)",
+	"bench.bigHash":                "the big-scale sweep's body (see bench.ScaleMark)",
+	"bench.divergenceDump":         "dumps the flight records when a sweep's checksums diverge, which is a bug",
+	"sim.Kernel.deadlock":          "runs when the event queue drains with threads still blocked, which is a bug",
+	"sim.DeadlockError.Error":      "the message of a deadlock (see sim.Kernel.deadlock)",
+	"pool.Free.retire":             "the xlupcpoison build's retire check, a build no shipped binary uses",
+	"core.Thread.bulkNext":         "the second and later runs of a bulk transfer that crosses an affinity boundary, which no shipped workload issues",
+	"transport.coalescer.flushC":   "the coalescer's timer flush: the default 3 µs FlushDelay never expires before a SyncAll flushes the buffer in a shipped run",
+	"addrcache.Cache.Contains":     "skips the address pairs a coalesced frame already piggybacked, which only a frame answering GETs of several objects of one node carries; no shipped run sends one",
+	"mem.costEvictor.Reset":        "clears a crashed node's pin table under the cost evictor; the crash sweeps run the default LRU evictor",
+	"svd.Handle.String":            "names the object in core's panics on a broken invariant",
+	"svd.Kind.String":              "names the object kind in test output; no shipped output prints one",
+	"core.ReduceOp.String":         "names the reduction in test output; no shipped output prints one",
+	"mem.EvictorKind.String":       "names the evictor in test output; no shipped output prints one",
+	"mem.PinPolicy.String":         "names the pin policy in test output; no shipped output prints one",
+	"addrcache.EvictPolicy.String": "names the cache eviction policy in test output; no shipped output prints one",
+}
+
+// TestCoverageCensus builds every binary of the tree with coverage
+// counters, runs the shipped invocations (shippedRuns) under one
+// GOCOVERDIR, and fails when the statements under internal/ that none
+// of them executes outnumber coverageCeiling, or when a function of
+// more than one statement under internal/ runs under none of them and
+// no exception table names it.
+func TestCoverageCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs every binary with coverage counters")
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := t.TempDir()
+	bin, cov := filepath.Join(tmp, "bin"), filepath.Join(tmp, "cov")
+	if err := os.MkdirAll(cov, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	goCmd(t, root, "build", "-cover", "-coverpkg=./...", "-o", bin+string(filepath.Separator), "./cmd/...", "./examples/...")
+	goCmd(t, filepath.Join(root, "benchmark"), "build", "-cover", "-coverpkg=xlupc/...,.", "-o", filepath.Join(bin, "benchmark"), ".")
+
+	runs := shippedRuns(t, root)
+	var wg sync.WaitGroup
+	next := make(chan shippedRun)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range next {
+				if err := r.run(bin, cov); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for i, r := range runs {
+		if r.dir == "" {
+			r.dir = filepath.Join(tmp, "run"+strconv.Itoa(i))
+		}
+		next <- r
+	}
+	close(next)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	prof := filepath.Join(tmp, "cover.txt")
+	goCmd(t, root, "tool", "covdata", "textfmt", "-i="+cov, "-o="+prof)
+	blocks, err := readCoverBlocks(prof, "xlupc/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	total, never := 0, 0
+	pkgs := map[string][2]int{} // never executed, statements
+	for _, b := range blocks {
+		pkg := b.file[:strings.LastIndex(b.file, "/")]
+		n := pkgs[pkg]
+		total, n[1] = total+b.stmts, n[1]+b.stmts
+		if !b.hit {
+			never, n[0] = never+b.stmts, n[0]+b.stmts
+		}
+		pkgs[pkg] = n
+	}
+	var names []string
+	for pkg := range pkgs {
+		names = append(names, pkg)
+	}
+	sort.Strings(names)
+	for _, pkg := range names {
+		t.Logf("%s: %d of %d statements never executed", pkg, pkgs[pkg][0], pkgs[pkg][1])
+	}
+	t.Logf("%d invocations; %d of %d statements under internal/ never executed (ceiling %d)", len(runs), never, total, coverageCeiling)
+	switch {
+	case never > coverageCeiling:
+		t.Errorf("%d statements under internal/ are executed by no shipped invocation, over the ceiling of %d: run them from an invocation, or delete them", never, coverageCeiling)
+	case never < coverageCeiling:
+		t.Logf("lower coverageCeiling to %d", never)
+	}
+
+	l := newCensusLoader(t)
+	found := map[string]bool{}
+	for _, d := range newCodeGraph(l).decls {
+		fd, ok := d.node.(*ast.FuncDecl)
+		if !ok || fd.Body == nil || !d.reported(root) {
+			continue
+		}
+		pos, end := l.fset.Position(fd.Pos()), l.fset.Position(fd.End())
+		rel, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts, run := 0, false
+		for _, b := range blocks {
+			if b.file == "xlupc/"+filepath.ToSlash(rel) && b.within(pos, end) {
+				stmts += b.stmts
+				run = run || b.hit
+			}
+		}
+		if run || stmts <= 1 {
+			continue
+		}
+		found[d.name] = true
+		if _, ok := coverageExceptions[d.name]; ok {
+			continue
+		}
+		if _, ok := codeCensusExceptions[d.name]; ok {
+			continue
+		}
+		t.Errorf("%s (%s, %d statements) runs under no shipped invocation: run it from one, delete it, or list it in coverageExceptions with the reason", d.name, pos, stmts)
+	}
+	for name := range coverageExceptions {
+		if !found[name] {
+			t.Errorf("coverageExceptions lists %s, which a shipped invocation runs, has one statement, or no longer exists", name)
+		}
+	}
+}
+
+// flagExceptions are the flags of the CLIs that no line of the
+// invocation list passes, each with the reason: "xlupc-x -flag" for one
+// binary's, "-flag" for a flag every binary registers. An entry that a
+// line passes after all, or whose flag no binary registers, fails the
+// census.
+var flagExceptions = map[string]string{
+	"-pprof":                   "serves the host profiler over HTTP until the process exits",
+	"xlupc-report -full":       "runs the report at the paper's largest scales, which takes minutes",
+	"xlupc-report -scale":      "appends the big-scale sweep, which takes minutes; CI's bench smoke runs it through BenchmarkBigScaleCont",
+	"xlupc-report -flight":     "a report takes seconds, too long for the seed sweep; xlupc-chaos -flight runs the same bench.ParseFlightFlags path there",
+	"xlupc-report -memprofile": "written after the whole report; the seed sweep runs the memory profile of prof.Register through every other binary",
+}
+
+// TestFlagCensus fails on a flag of a CLI, as its -h output lists them,
+// that no line of the invocation list passes to that CLI — the seed
+// sweep (whose lines CI also passes -seed), the rejected flags and the
+// commands CI runs through go run — unless flagExceptions names it.
+func TestFlagCensus(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := t.TempDir()
+	goCmd(t, root, "build", "-o", bin+string(filepath.Separator), "./cmd/...")
+
+	passed := map[string]bool{}
+	pass := func(args []string) {
+		for _, a := range args[1:] {
+			if name, ok := strings.CutPrefix(a, "-"); ok {
+				name, _, _ = strings.Cut(name, "=")
+				passed[args[0]+" -"+name] = true
+			}
+		}
+	}
+	for _, args := range invocationList(t, "testdata/sweep.txt") {
+		pass(append(args, "-seed"))
+	}
+	for _, args := range invocationList(t, "testdata/rejected.txt") {
+		pass(args)
+	}
+	for _, args := range ciCommands(t, root) {
+		pass(args)
+	}
+
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, m := range mains {
+		tool := filepath.Base(filepath.Dir(m))
+		out, _ := exec.Command(filepath.Join(bin, tool), "-h").CombinedOutput()
+		n := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			name, ok := strings.CutPrefix(line, "  -")
+			if !ok {
+				continue
+			}
+			name, _, _ = strings.Cut(name, " ")
+			flag := tool + " -" + name
+			registered[flag], registered["-"+name] = true, true
+			n++
+			_, excepted := flagExceptions[flag]
+			if _, all := flagExceptions["-"+name]; !passed[flag] && !excepted && !all {
+				t.Errorf("%s is passed by no line of the invocation list: give it one in testdata/sweep.txt or rejected.txt, delete it, or list it in flagExceptions with the reason", flag)
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s -h lists no flags:\n%s", tool, out)
+		}
+	}
+	for flag := range flagExceptions {
+		if !registered[flag] || passed[flag] {
+			t.Errorf("flagExceptions lists %s, which a line passes or no binary registers", flag)
+		}
+	}
+}
+
+// goCmd runs the go command in dir and fails the test on an error.
+func goCmd(t *testing.T, dir string, args ...string) {
+	t.Helper()
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+}
+
+// shippedRun is one invocation of a built binary: its arguments, the
+// directory it runs in ("" = a fresh one), and the exit status it must
+// end with. A run that must exit 0 must not print the `!!` marker
+// either.
+type shippedRun struct {
+	args []string
+	dir  string
+	exit int
+}
+
+// run executes r with coverage counters going to cov.
+func (r shippedRun) run(bin, cov string) error {
+	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+		return err
+	}
+	cmd := exec.Command(filepath.Join(bin, r.args[0]), r.args[1:]...)
+	cmd.Dir = r.dir
+	cmd.Env = append(os.Environ(), "GOCOVERDIR="+cov)
+	out, err := cmd.CombinedOutput()
+	exit := 0
+	if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+		exit = ee.ExitCode()
+	} else if err != nil {
+		return err
+	}
+	if exit != r.exit || (r.exit == 0 && bytes.Contains(out, []byte("!!"))) {
+		if len(out) > 2000 {
+			out = out[len(out)-2000:]
+		}
+		return fmt.Errorf("%s: exit %d, want %d\n%s", strings.Join(r.args, " "), exit, r.exit, out)
+	}
+	return nil
+}
+
+// shippedRuns is the shipped invocation list: the seed sweep at seeds
+// 1 to 3 and the rejected flags (testdata/sweep.txt, rejected.txt, which
+// CI runs too), every command CI runs through `go run ./cmd/...`, the
+// examples, and benchmark/'s four workloads at smoke size with profile
+// attribution, run from the root of the checkout as benchmark/run.sh
+// runs them.
+func shippedRuns(t *testing.T, root string) []shippedRun {
+	var runs []shippedRun
+	for _, w := range []string{"report", "kv_mixed", "chase_am", "chase_cached"} {
+		runs = append(runs, shippedRun{args: []string{"benchmark", "-smoke", "-trace", "1", "-workload", w}, dir: root})
+	}
+	for _, args := range ciCommands(t, root) {
+		runs = append(runs, shippedRun{args: args})
+	}
+	for _, args := range invocationList(t, "testdata/sweep.txt") {
+		for seed := 1; seed <= 3; seed++ {
+			runs = append(runs, shippedRun{args: append(args[:len(args):len(args)], "-seed", strconv.Itoa(seed))})
+		}
+	}
+	for _, args := range invocationList(t, "testdata/rejected.txt") {
+		runs = append(runs, shippedRun{args: args, exit: 2})
+	}
+	examples, err := filepath.Glob(filepath.Join(root, "examples", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range examples {
+		runs = append(runs, shippedRun{args: []string{filepath.Base(filepath.Dir(ex))}})
+	}
+	return runs
+}
+
+// invocationList reads a checked-in invocation list: one command a line,
+// a binary name and its arguments, with blank lines and # comments.
+func invocationList(t *testing.T, path string) [][]string {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var cmds [][]string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" && !strings.HasPrefix(line, "#") {
+			cmds = append(cmds, strings.Fields(line))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return cmds
+}
+
+// ciCommand is one `go run ./cmd/<tool> args` of the CI workflow, up to
+// the first redirection, pipe or end of the command substitution.
+var ciCommand = regexp.MustCompile(`go run \./cmd/(xlupc-[a-z]+)([^>|)\n;&]*)`)
+
+// ciCommands returns the CLI invocations the CI workflow runs through
+// `go run`, continuation lines joined.
+func ciCommands(t *testing.T, root string) [][]string {
+	raw, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := regexp.MustCompile(`\\\n\s*`).ReplaceAllString(string(raw), " ")
+	var cmds [][]string
+	for _, m := range ciCommand.FindAllStringSubmatch(text, -1) {
+		cmds = append(cmds, append([]string{m[1]}, strings.Fields(m[2])...))
+	}
+	if len(cmds) == 0 {
+		t.Fatal("ci.yml runs no go run ./cmd/... command")
+	}
+	return cmds
+}
+
+// coverBlock is one basic block of a coverage profile, merged over every
+// binary and run that counted it.
+type coverBlock struct {
+	file                   string // import path of the package + file name
+	line0, col0, line, col int
+	stmts                  int
+	hit                    bool
+}
+
+// within reports whether the block starts inside [pos, end).
+func (b *coverBlock) within(pos, end token.Position) bool {
+	after := b.line0 > pos.Line || (b.line0 == pos.Line && b.col0 >= pos.Column)
+	before := b.line0 < end.Line || (b.line0 == end.Line && b.col0 < end.Column)
+	return after && before
+}
+
+// readCoverBlocks reads a textfmt coverage profile and returns the
+// blocks of the files under prefix, one per source range: a block that
+// several binaries counted is hit when any of them hit it.
+func readCoverBlocks(profile, prefix string) ([]*coverBlock, error) {
+	raw, err := os.ReadFile(profile)
+	if err != nil {
+		return nil, err
+	}
+	byKey := map[string]*coverBlock{}
+	var blocks []*coverBlock
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		// file:l0.c0,l1.c1 stmts count
+		var b coverBlock
+		var count int
+		key, rest, _ := strings.Cut(line, " ")
+		file, span, _ := strings.Cut(key, ":")
+		if _, err := fmt.Sscanf(span, "%d.%d,%d.%d", &b.line0, &b.col0, &b.line, &b.col); err != nil {
+			return nil, fmt.Errorf("%s: %q: %v", profile, line, err)
+		}
+		if _, err := fmt.Sscanf(rest, "%d %d", &b.stmts, &count); err != nil {
+			return nil, fmt.Errorf("%s: %q: %v", profile, line, err)
+		}
+		b.file, b.hit = file, count > 0
+		if old := byKey[key]; old != nil {
+			old.hit = old.hit || b.hit
+			continue
+		}
+		byKey[key] = &b
+		blocks = append(blocks, &b)
+	}
+	if len(blocks) == 0 {
+		return nil, fmt.Errorf("%s: no blocks under %s", profile, prefix)
+	}
+	return blocks, nil
 }
 
 // TestCacheSeamCallSites pins the address cache's one seam in core:

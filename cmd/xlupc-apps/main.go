@@ -64,7 +64,7 @@ func profileFor(name string, threads, nodes int) (*transport.Profile, error) {
 }
 
 func main() {
-	profName := flag.String("profile", "gm", "transport profile: gm, lapi, bgl, tcp")
+	profName := flag.String("profile", "gm", "transport profile: gm, lapi")
 	threads := flag.Int("threads", 16, "UPC threads")
 	nodes := flag.Int("nodes", 4, "cluster nodes")
 	seed := flag.Int64("seed", 1, "simulation seed")

@@ -13,8 +13,7 @@ func TestProfileFor(t *testing.T) {
 	}{
 		{"gm", 16, 4, ""},
 		{"lapi", 24, 6, ""},
-		{"bgl", 4, 4, ""},
-		{"tcp", 1, 1, ""},
+		{"bgl", 4, 4, `unknown profile "bgl"`},
 		{"myrinet", 16, 4, `unknown profile "myrinet"`},
 		{"", 16, 4, `unknown profile ""`},
 		{"gm", 10, 4, "-threads (10) must be a multiple of -nodes (4)"},

@@ -78,7 +78,7 @@ func checkRun(mark, profName string, threads, nodes int, outs ...string) (*trans
 
 func main() {
 	mark := flag.String("bench", "field", "DIS stressmark to profile")
-	profName := flag.String("profile", "gm", "transport profile (gm, lapi, bgl, tcp)")
+	profName := flag.String("profile", "gm", "transport profile (gm, lapi)")
 	threads := flag.Int("threads", 16, "UPC threads")
 	nodes := flag.Int("nodes", 4, "cluster nodes")
 	seed := flag.Int64("seed", 1, "simulation seed")

@@ -17,7 +17,7 @@ func TestCheckRun(t *testing.T) {
 		{"field", "gm", 16, 4, "", ""},
 		{"pointer", "lapi", 32, 8, "", ""},
 		{"update", "lapi", 16, 4, "", ""},
-		{"neighborhood", "tcp", 8, 2, "", ""},
+		{"neighborhood", "tcp", 8, 2, "", `unknown profile "tcp"`},
 		{"field", "gm", 16, 4, filepath.Join(dir, "p.prom"), ""},
 		{"bogus", "gm", 16, 4, "", `unknown stressmark "bogus"`},
 		{"", "gm", 16, 4, "", `unknown stressmark ""`},

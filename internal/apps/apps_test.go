@@ -97,15 +97,3 @@ func TestISCacheInvariant(t *testing.T) {
 		t.Fatalf("cache changed IS results: %+v vs %+v", z, w)
 	}
 }
-
-func TestAppsOnNonRDMATransport(t *testing.T) {
-	// The kernels must run unmodified on the RDMA-less transports.
-	_, cg := runCG(t, 4, 2, transport.BGL(), core.DefaultCache())
-	if !cg.Verified {
-		t.Errorf("CG on BGL failed: %v", cg)
-	}
-	_, is := runIS(t, 8, 2, transport.TCP(), core.DefaultCache())
-	if !is.Verified {
-		t.Errorf("IS on TCP failed: %+v", is)
-	}
-}

@@ -40,11 +40,11 @@ func parityRowOf(st core.RunStats, checksum uint64) parityRow {
 	}
 }
 
-// parityConfig is one (config, params) point of the golden matrix.
+// parityConfig is one configuration of the golden matrix; every
+// stressmark runs at its default parameters.
 type parityConfig struct {
 	name string
 	cfg  core.Config
-	p    dis.Params
 }
 
 func parityMatrix() []parityConfig {
@@ -60,46 +60,21 @@ func parityMatrix() []parityConfig {
 	pts := []parityConfig{}
 
 	c := base()
-	pts = append(pts, parityConfig{"gm-cached", c, dis.Default(threads)})
+	pts = append(pts, parityConfig{"gm-cached", c})
 
 	c = base()
 	c.Cache = core.NoCache()
-	pts = append(pts, parityConfig{"gm-nocache", c, dis.Default(threads)})
+	pts = append(pts, parityConfig{"gm-nocache", c})
 
 	c = base()
 	c.Profile = transport.LAPI()
-	pts = append(pts, parityConfig{"lapi-cached", c, dis.Default(threads)})
-
-	c = base()
-	cc := transport.DefaultCoalConfig()
-	c.Coalesce = &cc
-	p := dis.Default(threads)
-	p.SplitPhase = true
-	pts = append(pts, parityConfig{"gm-coalesce-splitphase", c, p})
-
-	c = base()
-	p = dis.Default(threads)
-	p.Atomic = true
-	pts = append(pts, parityConfig{"gm-atomic-update", c, p})
-
-	c = base()
-	c.Profile = transport.LAPI()
-	p = dis.Default(threads)
-	p.Atomic = true
-	pts = append(pts, parityConfig{"lapi-atomic-update", c, p})
-
-	c = base()
-	cc = transport.DefaultCoalConfig()
-	c.Coalesce = &cc
-	p = dis.Default(threads)
-	p.Atomic, p.SplitPhase = true, true
-	pts = append(pts, parityConfig{"gm-coalesce-atomic-splitphase", c, p})
+	pts = append(pts, parityConfig{"lapi-cached", c})
 
 	c = base()
 	c.Fault = &fault.Config{Drop: 0.01}
 	rel := transport.DefaultRelConfig()
 	c.Rel = &rel
-	pts = append(pts, parityConfig{"gm-faulty-reliable", c, dis.Default(threads)})
+	pts = append(pts, parityConfig{"gm-faulty-reliable", c})
 
 	return pts
 }
@@ -154,7 +129,7 @@ func checkParityRow(t *testing.T, want map[string]parityRow, key string, got par
 }
 
 func matrixRow(pc parityConfig, mark string) parityRow {
-	st, ck, _ := runMark(mark, pc.cfg, pc.p)
+	st, ck, _ := runMark(mark, pc.cfg, dis.Default(pc.cfg.Threads))
 	return parityRowOf(st, ck)
 }
 

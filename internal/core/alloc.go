@@ -209,7 +209,7 @@ func (d *dropOp) start(ns *nodeState, ct *sim.Cont, h svd.Handle) {
 		return
 	}
 	d.n = ns.cache.InvalidateHandle(h.Key())
-	ct.Sleep(sim.Time(d.n)*ns.rt.cfg.Profile.CacheLookupCost, ct.Then(d, dropInvalidated))
+	ct.Sleep(sim.Time(d.n)*transport.CacheLookupCost, ct.Then(d, dropInvalidated))
 }
 
 func (d *dropOp) Step(pc int) {

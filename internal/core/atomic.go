@@ -179,70 +179,42 @@ func (t *Thread) atomicRetired() {
 
 // --- Split-phase atomics -------------------------------------------------
 
-// NbFetchAdd starts a split-phase fetch-add on the 8-byte element at
-// r: the previous value is stored into *out when the handle retires
-// (Sync, a fence or a barrier). With coalescing enabled, batched
-// atomics to one destination share a single doorbell frame.
-func (t *Thread) NbFetchAdd(r Ref, delta uint64, out *uint64) Handle {
-	t.p.ParkWake()
-	t.nbAtomic(r, transport.AtomicFetchAdd, delta, out)
-	t.p.Await()
-	return t.h
-}
-
 // NbAccumulate starts a split-phase accumulate (add, no result) on the
 // 8-byte element at r — the one-message-per-update primitive of the
-// RandomAccess/GUPS pattern.
-func (t *Thread) NbAccumulate(r Ref, delta uint64) Handle {
+// RandomAccess/GUPS pattern. With coalescing enabled, batched
+// accumulates to one destination share a single doorbell frame; the
+// update is complete once SyncAll (or a fence or barrier) retires it.
+func (t *Thread) NbAccumulate(r Ref, delta uint64) {
 	t.p.ParkWake()
-	t.nbAtomic(r, transport.AtomicAccumulate, delta, nil)
+	t.nbAccumulate(r, delta)
 	t.p.Await()
-	return t.h
 }
 
-// nbAtomic issues one split-phase atomic and leaves its handle in t.h:
-// local combines complete at issue, remote ones go
-// NIC-descriptor (cache hit) or coalesced AM without waiting. NACK
-// healing happens at retire, inside Sync, where blocking is the
-// semantics.
-func (t *Thread) nbAtomic(r Ref, aop transport.AtomicOp, delta uint64, out *uint64) {
+// nbAccumulate issues one split-phase accumulate: a local combine
+// completes at issue, a remote one goes NIC-descriptor (cache hit) or
+// coalesced AM without waiting. NACK healing happens at retire, inside
+// SyncAll, where blocking is the semantics.
+func (t *Thread) nbAccumulate(r Ref, delta uint64) {
 	t.nb = t.newNbOp()
 	t.park(pcNbIssued)
 
 	checkAtomic(r)
 	a := r.A
 	rn := a.l.NodeOf(r.Idx)
-	t.a, t.off, t.aop, t.a1, t.out = a, a.l.ChunkOffset(r.Idx), aop, delta, out
+	t.a, t.off, t.aop, t.a1 = a, a.l.ChunkOffset(r.Idx), transport.AtomicAccumulate, delta
 	if rn == t.ns.id {
-		t.park(pcStoreOld)
 		t.localAtomic()
 		return
 	}
 
 	t.rn, t.start = rn, t.Now()
-	t.rt.atomicOps[aop]++
+	t.rt.atomicOps[t.aop]++
 	t.remote(kindNbAtomic, transport.AtomicOperandBytes)
 }
 
-// storeOld delivers a split-phase atomic's previous value.
-func (t *Thread) storeOld() {
-	if t.out != nil {
-		*t.out = t.old
-		t.out = nil
-	}
-	t.c.Resume()
-}
-
 func (t *Thread) nbAtomicHit(base mem.Addr, ep uint32) {
-	// Split-phase fetches need a result buffer that outlives the
-	// issue; the thread's staging word would alias across
-	// outstanding handles.
-	var fetch []byte
-	if t.aop.ResultBytes() > 0 {
-		fetch = make([]byte, 8)
-	}
 	t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-		t.aop, t.a1, fetch, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
+		t.aop, t.a1, nil, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
 }
 
 func (t *Thread) nbAtomicStarted() { t.issued(subAtomicRDMA, t.rdma.Done) }
@@ -255,13 +227,6 @@ func (t *Thread) nbAtomicAM() {
 }
 
 func (t *Thread) nbAtomicSent() { t.issued(subAtomic, t.done) }
-
-// redoneAtomic runs when a NIC atomic refused at retire has been redone
-// over the AM path.
-func (t *Thread) redoneAtomic() {
-	t.park(pcAtomicFinish)
-	t.storeOld()
-}
 
 // --- Target-side handlers ----------------------------------------------
 

@@ -113,9 +113,9 @@ type Config struct {
 	Rel *transport.RelConfig
 	// Coalesce, when non-nil, enables per-destination small-message
 	// coalescing for the split-phase API: eager AMs and RDMA
-	// descriptors issued through NbGet and the split-phase atomics park
+	// descriptors issued through NbGet and NbAccumulate park
 	// in a per-(src,dst) buffer and travel as one wire frame, flushed on
-	// a size threshold, a virtual-time timer, or a sync/fence. Nil (the
+	// a size threshold, a virtual-time timer, or a SyncAll/fence. Nil (the
 	// default) keeps every message individual and the event stream
 	// bit-identical to a build without coalescing.
 	Coalesce *transport.CoalConfig

@@ -22,10 +22,13 @@ func TestConsultRung(t *testing.T) {
 		{"get", "get", false, func(th *Thread, r Ref) { th.GetUint64(r) }},
 		{"put", "put", true, func(th *Thread, r Ref) { th.PutUint64(r, 7) }},
 		{"atomic", "atomic", false, func(th *Thread, r Ref) { th.FetchAdd(r, 1) }},
-		{"nbget", "get", false, func(th *Thread, r Ref) { th.Sync(th.NbGet(make([]byte, 8), r)) }},
+		{"nbget", "get", false, func(th *Thread, r Ref) {
+			th.NbGet(make([]byte, 8), r)
+			th.SyncAll()
+		}},
 		{"nbatomic", "atomic", false, func(th *Thread, r Ref) {
-			var old uint64
-			th.Sync(th.NbFetchAdd(r, 1, &old))
+			th.NbAccumulate(r, 1)
+			th.SyncAll()
 		}},
 	}
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {

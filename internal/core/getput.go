@@ -204,7 +204,7 @@ func (x *amCtx) replyFilled() {
 // has just been paid (-1: the replier's own; -2 on entry, none).
 func (x *amCtx) insertPiggyback() {
 	m, src, cache := x.msg.Meta.(*reply), x.msg.Src, x.ns.cache
-	cost := x.rt.cfg.Profile.CacheInsertCost
+	cost := transport.CacheInsertCost
 	switch {
 	case x.pi >= 0:
 		pr := m.Pairs[x.pi]
@@ -313,7 +313,7 @@ func (t *Thread) remote(kind, bytes int) {
 	t.span.SetBytes(bytes)
 	if t.ns.cache != nil && (!k.put || t.rt.putCache) {
 		t.kind, t.t0 = kind, t.Now()
-		t.c.Sleep(t.rt.cfg.Profile.CacheLookupCost, t.after(pcLookup))
+		t.c.Sleep(transport.CacheLookupCost, t.after(pcLookup))
 		return
 	}
 	k.miss(t)
@@ -406,12 +406,12 @@ func (t *Thread) nacked(op string, retry func(*Thread)) {
 		return
 	}
 	if t.rt.staleAbort(t.rn, nk.Epoch, op, t.Now()) {
-		t.old, t.out = 0, nil
+		t.old = 0
 		t.c.Resume()
 		return
 	}
 	t0, n := t.Now(), t.ns.flushNode(t.rn)
-	t.c.Sleep(sim.Time(n)*t.rt.cfg.Profile.CacheLookupCost, func() {
+	t.c.Sleep(sim.Time(n)*transport.CacheLookupCost, func() {
 		t.flushed(n, t.rn, nk.Epoch, t.span, t0)
 		retry(t)
 	})
@@ -451,10 +451,7 @@ func (t *Thread) getSlow() {
 // getSlowParked is getSlow with getFinish already parked, as everything
 // on the slow path expects.
 func (t *Thread) getSlowParked() {
-	prof := t.rt.cfg.Profile
-	if len(t.buf) <= prof.EagerMax || !prof.SupportsRDMA {
-		// Eager always; transports without one-sided hardware stream
-		// large transfers through the copy path too.
+	if len(t.buf) <= t.rt.cfg.Profile.EagerMax {
 		t.eagerGet()
 		return
 	}
@@ -600,8 +597,7 @@ func (t *Thread) putRDMADone() {
 // putSlow is everything after the PUT-cache attempt (or in its absence).
 func (t *Thread) putSlow() {
 	t.park(pcPutFinish)
-	prof := t.rt.cfg.Profile
-	if len(t.buf) <= prof.EagerMax || !prof.SupportsRDMA {
+	if len(t.buf) <= t.rt.cfg.Profile.EagerMax {
 		t.putEager(pcPutCopied)
 		return
 	}
@@ -718,7 +714,7 @@ func (r *putRetry) Step(pc int) {
 			return
 		}
 		r.t0, r.n = t.Now(), ns.flushNode(r.rn)
-		ct.Sleep(sim.Time(r.n)*prof.CacheLookupCost, ct.Then(r, retryFlushed))
+		ct.Sleep(sim.Time(r.n)*transport.CacheLookupCost, ct.Then(r, retryFlushed))
 	case retryFlushed:
 		t.flushed(r.n, r.rn, r.nack.Epoch, r.span, r.t0)
 		ct.Sleep(sim.BytesTime(len(r.data), prof.CopyByteTime), ct.Then(r, retryCopied))

@@ -7,31 +7,13 @@ import (
 	"xlupc/internal/transport"
 )
 
-// Handle identifies one split-phase operation started with NbGet,
-// NbFetchAdd or NbAccumulate. Sync retires it: the destination buffer
-// of a GET, and the previous value of a fetch-add, are valid only after
-// Sync returns (or a fence or barrier, which retires every outstanding
-// handle). The zero Handle — returned for empty or fully local
-// operations whose work completed at issue — is valid and retires as a
-// no-op.
-type Handle struct {
-	op  *nbOp
-	gen uint32
-}
-
-// Valid reports whether the handle refers to a still-tracked operation.
-// Handles to retired (and since recycled) operations report false.
-func (h Handle) Valid() bool { return h.op != nil && h.op.gen == h.gen }
-
-// nbOp is the per-handle state: one sub-operation per remote
-// single-affinity run of the transfer, retired in issue order.
-// Descriptors are recycled through the issuing thread's free list; gen
-// is bumped on recycle so a stale Handle can never alias a newer
-// operation.
+// nbOp is one split-phase operation started with NbGet or
+// NbAccumulate: one sub-operation per remote single-affinity run of
+// the transfer, retired in issue order by SyncAll (which every fence
+// and barrier calls). Descriptors are recycled through the issuing
+// thread's free list.
 type nbOp struct {
-	subs    []nbSub
-	retired bool
-	gen     uint32
+	subs []nbSub
 }
 
 // What a sub-operation is, which decides its retire work.
@@ -43,7 +25,7 @@ const (
 )
 
 // nbSub is one remote run of a split-phase operation: the completion
-// the issuing thread waits on at Sync, and what the retire work that
+// the issuing thread waits on at SyncAll, and what the retire work that
 // runs once it fires needs — where to copy the data out to, what to
 // redo over the active-message path after a Nack, the span to finish
 // and the issue time the thread's counters are charged from.
@@ -53,8 +35,7 @@ type nbSub struct {
 	a     *SharedArray
 	rn    int
 	off   int64
-	dst   []byte  // GET: the caller's buffer
-	out   *uint64 // atomic: where the previous value goes, if anywhere
+	dst   []byte // GET: the caller's buffer
 	aop   transport.AtomicOp
 	a1    uint64
 	span  *telemetry.Span
@@ -62,8 +43,7 @@ type nbSub struct {
 }
 
 // newNbOp takes a descriptor from the thread's free list (or allocates
-// the first time); freeNbOp returns one after retire, bumping the
-// generation so outstanding Handles to it turn invalid.
+// the first time); freeNbOp returns one after retire.
 func (t *Thread) newNbOp() *nbOp {
 	if n := len(t.nbPool); n > 0 {
 		op := t.nbPool[n-1]
@@ -75,8 +55,6 @@ func (t *Thread) newNbOp() *nbOp {
 }
 
 func (t *Thread) freeNbOp(op *nbOp) {
-	op.gen++
-	op.retired = false
 	clear(op.subs)
 	op.subs = op.subs[:0]
 	t.nbPool = append(t.nbPool, op)
@@ -87,20 +65,18 @@ func (t *Thread) freeNbOp(op *nbOp) {
 // into per-affinity runs like GetBulk; local runs complete
 // synchronously, remote ones are issued without waiting — small ones
 // through the coalescing buffers when the runtime has them enabled.
-// dst must not be read, and the array region not written, until Sync.
-func (t *Thread) NbGet(dst []byte, r Ref) Handle {
+// dst must not be read, and the array region not written, until
+// SyncAll (or a fence or barrier) has retired it.
+func (t *Thread) NbGet(dst []byte, r Ref) {
 	t.p.ParkWake()
 	t.nbGet(dst, r)
 	t.p.Await()
-	return t.h
 }
 
-// nbGet issues a split-phase GET run by run and leaves its handle in
-// t.h.
+// nbGet issues a split-phase GET run by run.
 func (t *Thread) nbGet(dst []byte, r Ref) {
 	n := runElems("NbGet", len(dst), r)
 	if n == 0 {
-		t.h = Handle{}
 		t.c.Resume()
 		return
 	}
@@ -109,75 +85,39 @@ func (t *Thread) nbGet(dst []byte, r Ref) {
 	t.bulk(kindNbGet, r, n, dst)
 }
 
-// nbIssued finishes a split-phase issue: hand out a live handle, or
-// free the descriptor when every run completed locally (the work is
-// already done).
+// nbIssued finishes a split-phase issue: queue the operation for
+// SyncAll, or free the descriptor when every run completed locally
+// (the work is already done).
 func (t *Thread) nbIssued() {
 	op := t.nb
 	t.nb = nil
 	if len(op.subs) == 0 {
 		t.freeNbOp(op)
-		t.h = Handle{}
 	} else {
 		t.nbOut = append(t.nbOut, op)
-		t.h = Handle{op: op, gen: op.gen}
 	}
 	t.c.Resume()
 }
 
-// issued records the run in flight as a sub-operation of the handle
-// being issued, to be retired through done.
+// issued records the run in flight as a sub-operation of the
+// operation being issued, to be retired through done.
 func (t *Thread) issued(kind int, done *sim.Completion) {
 	t.nb.subs = append(t.nb.subs, nbSub{
 		kind: kind, done: done,
-		a: t.a, rn: t.rn, off: t.off, dst: t.buf, out: t.out,
+		a: t.a, rn: t.rn, off: t.off, dst: t.buf,
 		aop: t.aop, a1: t.a1,
 		span: t.span, start: t.start,
 	})
-	t.a, t.buf, t.out, t.span, t.done = nil, nil, nil, nil, nil
+	t.a, t.buf, t.span, t.done = nil, nil, nil, nil
 	t.c.Resume()
 }
 
-// Sync blocks until the operation behind h has completed: the thread's
-// node flushes its coalescing buffers (parked sub-messages must leave)
-// and the handle's sub-operations are retired in issue order.
-func (t *Thread) Sync(h Handle) {
-	t.p.ParkWake()
-	t.sync(h)
-	t.p.Await()
-}
-
-func (t *Thread) sync(h Handle) {
-	op := h.op
-	if op == nil || op.gen != h.gen || op.retired {
-		t.c.Resume()
-		return
-	}
-	t.syncOp = op
-	t.rt.M.FlushCoalescedC(t.c, t.ns.id, t.after(pcSyncFlushed))
-}
-
-func (t *Thread) syncFlushed() {
-	t.park(pcSyncRetired)
-	t.retire(t.syncOp)
-}
-
-func (t *Thread) syncRetired() {
-	op := t.syncOp
-	t.syncOp = nil
-	for i, o := range t.nbOut {
-		if o == op {
-			t.nbOut = append(t.nbOut[:i], t.nbOut[i+1:]...)
-			break
-		}
-	}
-	t.freeNbOp(op)
-	t.c.Resume()
-}
-
-// SyncAll retires every outstanding split-phase handle of this thread,
-// in issue order. Fences and barriers call it first, so the blocking
-// memory-consistency points also cover split-phase traffic.
+// SyncAll retires every outstanding split-phase operation of this
+// thread, in issue order: the thread's node flushes its coalescing
+// buffers (parked sub-messages must leave), then each operation's
+// sub-operations are waited for and their retire work run. Fences and
+// barriers call it first, so the blocking memory-consistency points
+// also cover split-phase traffic.
 func (t *Thread) SyncAll() {
 	t.p.ParkWake()
 	t.syncAll()
@@ -203,7 +143,8 @@ func (t *Thread) syncAllNext() {
 		return
 	}
 	t.park(pcSyncAllRetired)
-	t.retire(t.nbOut[t.si])
+	t.rop, t.ri = t.nbOut[t.si], 0
+	t.retireNext()
 }
 
 func (t *Thread) syncAllRetired() {
@@ -213,18 +154,8 @@ func (t *Thread) syncAllRetired() {
 	t.syncAllNext()
 }
 
-// retire waits for op's sub-operations in issue order and runs the
-// retire work of each.
-func (t *Thread) retire(op *nbOp) {
-	if op.retired {
-		t.c.Resume()
-		return
-	}
-	op.retired = true
-	t.rop, t.ri = op, 0
-	t.retireNext()
-}
-
+// retireNext waits for the sub-operations of rop in issue order and
+// runs the retire work of each.
 func (t *Thread) retireNext() {
 	if t.ri == len(t.rop.subs) {
 		t.rop = nil
@@ -236,7 +167,7 @@ func (t *Thread) retireNext() {
 
 // retireWoke runs the retire work of the sub-operation whose completion
 // fired. A Nack means the run has to be redone over the active-message
-// path, synchronously — the thread is inside Sync, so blocking is the
+// path, synchronously — the thread is inside SyncAll, so blocking is the
 // semantics: a stale epoch (the target restarted) flushes the whole
 // node from the cache first; a plain Nack (the target deregistered the
 // region mid-flight) drops just the stale entry.
@@ -250,7 +181,7 @@ func (t *Thread) retireWoke() {
 	t.span, t.start = sub.span, sub.start
 	nk, nacked := val.(transport.Nack)
 	if nacked {
-		t.a, t.rn, t.off, t.buf, t.out = sub.a, sub.rn, sub.off, sub.dst, sub.out
+		t.a, t.rn, t.off, t.buf = sub.a, sub.rn, sub.off, sub.dst
 		t.aop, t.a1 = sub.aop, sub.a1
 		t.rdma.Nack = nk
 	}
@@ -268,18 +199,12 @@ func (t *Thread) retireWoke() {
 		copy(sub.dst, data)
 		t.getRetired()
 	case subAtomic:
-		if sub.out != nil {
-			*sub.out = val.(uint64)
-		}
 		t.atomicRetired()
 	case subAtomicRDMA:
 		if nacked {
-			t.park(pcRedoneAtomic)
+			t.park(pcAtomicFinish)
 			t.nacked("atomic", (*Thread).amAtomic)
 			return
-		}
-		if sub.out != nil && data != nil {
-			*sub.out = byteOrder.Uint64(data)
 		}
 		t.atomicRetired()
 	}
@@ -287,9 +212,8 @@ func (t *Thread) retireWoke() {
 
 // nbGetRun issues one single-affinity run of a split-phase GET.
 func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
-	prof := t.rt.cfg.Profile
 	rn := a.l.NodeOf(idx)
-	if rn == t.ns.id || (len(dst) > prof.EagerMax && prof.SupportsRDMA) {
+	if rn == t.ns.id || len(dst) > t.rt.cfg.Profile.EagerMax {
 		// Intra-node runs complete at issue, exactly like the blocking
 		// path: there is nothing to overlap. Rendezvous-sized transfers
 		// stay blocking too: nothing small to batch, and the zero-copy

@@ -53,13 +53,6 @@ func TestNbGetMatchesBlocking(t *testing.T) {
 							if !bytes.Equal(got, want) {
 								t.Error("split-phase GETs differ from blocking")
 							}
-							// Per-handle Sync as well.
-							one := make([]byte, 8)
-							h := th.NbGet(one, a.At(17))
-							th.Sync(h)
-							if !bytes.Equal(one, want[17*8:18*8]) {
-								t.Error("single NbGet+Sync differs from blocking")
-							}
 						}
 						th.Barrier()
 					})
@@ -70,7 +63,7 @@ func TestNbGetMatchesBlocking(t *testing.T) {
 }
 
 // Fence (and barrier, which implies it) retires every outstanding
-// split-phase handle: un-synced NbGets must hold valid data after
+// split-phase operation: un-synced NbGets must hold valid data after
 // either.
 func TestFenceRetiresOutstandingHandles(t *testing.T) {
 	mustRun(t, coalCfg(2, 2, transport.GM(), DefaultCache()), func(th *Thread) {
@@ -99,23 +92,33 @@ func TestFenceRetiresOutstandingHandles(t *testing.T) {
 	})
 }
 
-// Zero handles (empty or fully local transfers) and double Sync are
-// no-ops; SyncAll with nothing outstanding is free.
+// Empty and fully local transfers complete at issue and leave nothing
+// outstanding; SyncAll with nothing outstanding is free, and a second
+// one is the same as the first.
 func TestSyncEdgeCases(t *testing.T) {
 	mustRun(t, cfg(2, 1, transport.GM(), NoCache()), func(th *Thread) {
 		a := th.AllAlloc("A", 8, 8, 4)
+		own := a.At(int64(th.ID()) * 4)
+		th.PutUint64(own, 42+uint64(th.ID()))
 		th.Barrier()
-		if h := th.NbGet(nil, a.At(0)); h.Valid() {
-			t.Error("empty NbGet returned a live handle")
+		th.NbGet(nil, a.At(0))
+		if len(th.nbOut) != 0 {
+			t.Error("empty NbGet left an operation outstanding")
 		}
 		dst := make([]byte, 8)
-		h := th.NbGet(dst, a.At(int64(th.ID())*4)) // own element: local
-		if h.Valid() {
-			t.Error("fully local NbGet returned a live handle")
+		th.NbGet(dst, own)
+		if len(th.nbOut) != 0 {
+			t.Error("fully local NbGet left an operation outstanding")
 		}
-		th.Sync(h)
-		th.Sync(h) // double Sync of a zero handle
+		if got := byteOrder.Uint64(dst); got != 42+uint64(th.ID()) {
+			t.Errorf("fully local NbGet read %d at issue, want %d", got, 42+th.ID())
+		}
+		t0 := th.Now()
 		th.SyncAll()
+		th.SyncAll()
+		if th.Now() != t0 {
+			t.Errorf("SyncAll with nothing outstanding took %v", th.Now()-t0)
+		}
 		th.Barrier()
 	})
 }

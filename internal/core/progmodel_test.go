@@ -44,18 +44,16 @@ const (
 	stGet
 	stGetBulk
 	stNbGet
-	stSync
 	stSyncAll
 	stFence
 	stBarrier
 	stFetchAdd
-	stNbFetchAdd
 	stNbAccumulate
 	stFreeRealloc // collective: thread 0 frees data, everyone allocates it afresh
 )
 
-var stepNames = [...]string{"Put", "PutBulk", "Get", "GetBulk", "NbGet", "Sync", "SyncAll",
-	"Fence", "Barrier", "FetchAdd", "NbFetchAdd", "NbAccumulate", "Free+AllAlloc"}
+var stepNames = [...]string{"Put", "PutBulk", "Get", "GetBulk", "NbGet", "SyncAll",
+	"Fence", "Barrier", "FetchAdd", "NbAccumulate", "Free+AllAlloc"}
 
 func (k stepKind) String() string { return stepNames[k] }
 
@@ -69,12 +67,10 @@ type progStep struct {
 	a1        uint64   // atomic operand: the delta
 	want      uint64   // expected previous value of a fetching atomic
 	unordered bool     // the previous value depends on thread order: not checked
-	slot      int      // handle slot: set by split-phase issues, read by stSync
 }
 
 type program struct {
 	steps [progThreads][]progStep
-	slots [progThreads]int // handle slots each thread uses
 }
 
 func progValue(epoch int, idx int64) uint64 {
@@ -93,10 +89,6 @@ func genProgram(seed int64, split bool) *program {
 			emit(th, progStep{kind: k})
 		}
 	}
-	newSlot := func(th int) int {
-		pr.slots[th]++
-		return pr.slots[th] - 1
-	}
 	snapshot := func(arr int, idx int64, n int) []uint64 {
 		return append([]uint64(nil), model[arr][idx:idx+int64(n)]...)
 	}
@@ -107,10 +99,9 @@ func genProgram(seed int64, split bool) *program {
 		case style == 0 && n == 1:
 			emit(th, progStep{kind: stGet, arr: arr, idx: idx, vals: want})
 		case style == 2 && split:
-			slot := newSlot(th)
-			emit(th, progStep{kind: stNbGet, arr: arr, idx: idx, vals: want, slot: slot})
+			emit(th, progStep{kind: stNbGet, arr: arr, idx: idx, vals: want})
 			if rng.Intn(2) == 0 {
-				emit(th, progStep{kind: stSync, slot: slot})
+				emit(th, progStep{kind: stSyncAll})
 			}
 		default:
 			emit(th, progStep{kind: stGetBulk, arr: arr, idx: idx, vals: want})
@@ -191,12 +182,12 @@ func genProgram(seed int64, split bool) *program {
 					}
 				case 1:
 					d := delta()
-					emit(th, progStep{kind: stNbFetchAdd, arr: 1, idx: c, a1: d, want: *cur, slot: newSlot(th)})
+					emit(th, progStep{kind: stNbAccumulate, arr: 1, idx: c, a1: d})
 					*cur += d
 				default:
 					for k := 1 + rng.Intn(3); k > 0; k-- {
 						d := delta()
-						emit(th, progStep{kind: stNbAccumulate, arr: 1, idx: c, a1: d, slot: newSlot(th)})
+						emit(th, progStep{kind: stNbAccumulate, arr: 1, idx: c, a1: d})
 						*cur += d
 					}
 				}
@@ -245,22 +236,19 @@ func genProgram(seed int64, split bool) *program {
 }
 
 // progThread is the interpreter state of one thread, shared by both
-// interpreters: the arrays, the handle slots, and the split-phase
-// results still to be checked once their handle has retired.
+// interpreters: the arrays, and the split-phase GETs still to be
+// checked once they have retired.
 type progThread struct {
 	th      *Thread
 	pr      *program
 	fail    func(thread, step int, msg string)
 	arr     [2]*SharedArray
-	handles []Handle
 	pending []progPending
 }
 
 type progPending struct {
 	step int
-	slot int
-	buf  []byte  // NbGet destination
-	out  *uint64 // NbFetchAdd result
+	buf  []byte // NbGet destination
 }
 
 func (pt *progThread) encode(vals []uint64) []byte {
@@ -289,28 +277,19 @@ func (pt *progThread) checkOld(step int, got uint64) {
 	}
 }
 
-// retired checks the split-phase results whose handle has retired: the
-// one in slot, or all of them when slot < 0.
-func (pt *progThread) retired(slot int) {
-	keep := pt.pending[:0]
+// retired checks the split-phase GETs a SyncAll, fence or barrier has
+// just retired: all of them.
+func (pt *progThread) retired() {
 	for _, p := range pt.pending {
-		if slot >= 0 && p.slot != slot {
-			keep = append(keep, p)
-			continue
-		}
-		if p.buf != nil {
-			pt.checkBytes(p.step, p.buf)
-		} else {
-			pt.checkOld(p.step, *p.out)
-		}
+		pt.checkBytes(p.step, p.buf)
 	}
-	pt.pending = keep
+	pt.pending = pt.pending[:0]
 }
 
 func (pt *progThread) ref(s *progStep) Ref { return pt.arr[s.arr].At(s.idx) }
 
 func newProgThread(th *Thread, pr *program, fail func(thread, step int, msg string)) *progThread {
-	return &progThread{th: th, pr: pr, fail: fail, handles: make([]Handle, pr.slots[th.ID()])}
+	return &progThread{th: th, pr: pr, fail: fail}
 }
 
 // runBlocking interprets the thread's script against the blocking API.
@@ -336,28 +315,21 @@ func (pr *program) runBlocking(th *Thread, fail func(thread, step int, msg strin
 			pt.checkBytes(i, buf)
 		case stNbGet:
 			buf := make([]byte, 8*len(s.vals))
-			pt.handles[s.slot] = th.NbGet(buf, pt.ref(s))
-			pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, buf: buf})
-		case stSync:
-			th.Sync(pt.handles[s.slot])
-			pt.retired(s.slot)
+			th.NbGet(buf, pt.ref(s))
+			pt.pending = append(pt.pending, progPending{step: i, buf: buf})
 		case stSyncAll:
 			th.SyncAll()
-			pt.retired(-1)
+			pt.retired()
 		case stFence:
 			th.Fence()
-			pt.retired(-1)
+			pt.retired()
 		case stBarrier:
 			th.Barrier()
-			pt.retired(-1)
+			pt.retired()
 		case stFetchAdd:
 			pt.checkOld(i, th.FetchAdd(pt.ref(s), s.a1))
-		case stNbFetchAdd:
-			out := new(uint64)
-			pt.handles[s.slot] = th.NbFetchAdd(pt.ref(s), s.a1, out)
-			pt.pending = append(pt.pending, progPending{step: i, slot: s.slot, out: out})
 		case stNbAccumulate:
-			pt.handles[s.slot] = th.NbAccumulate(pt.ref(s), s.a1)
+			th.NbAccumulate(pt.ref(s), s.a1)
 		case stFreeRealloc:
 			if th.ID() == 0 {
 				th.Free(pt.arr[0])

@@ -177,8 +177,10 @@ func roundTrips() []roundTrip {
 		{name: "nbaccumulate_sync", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
 			a := roundTripArray(th, "A")
 			if th.ID() == 0 {
-				th.Sync(th.NbAccumulate(a.At(firstRemote+5), 3))
-				th.Sync(th.NbAccumulate(a.At(firstRemote+5), 4))
+				th.NbAccumulate(a.At(firstRemote+5), 3)
+				th.SyncAll()
+				th.NbAccumulate(a.At(firstRemote+5), 4)
+				th.SyncAll()
 			}
 			th.Barrier()
 			if th.ID() == 1 {
@@ -206,21 +208,6 @@ func roundTrips() []roundTrip {
 						if got := byteOrder.Uint64(bufs[i][:]); got != uint64(100+firstRemote+i) {
 							t.Errorf("round %d: NbGet %d = %d", round, i, got)
 						}
-					}
-				}
-			}
-			th.Barrier()
-		}},
-		{name: "nbfetchadd_coalesced", tune: withCoalesce, body: func(t *testing.T, th *Thread, _ *transport.Profile) {
-			a, b := roundTripArray(th, "A"), roundTripArray(th, "B")
-			if th.ID() == 0 {
-				for round := uint64(0); round < 2; round++ {
-					var oldA, oldB uint64
-					th.NbFetchAdd(a.At(firstRemote), 1000, &oldA)
-					th.NbFetchAdd(b.At(firstRemote+1), 1000, &oldB)
-					th.SyncAll()
-					if oldA != 100+firstRemote+1000*round || oldB != 100+firstRemote+1+1000*round {
-						t.Errorf("round %d: NbFetchAdd = %d, %d", round, oldA, oldB)
 					}
 				}
 			}

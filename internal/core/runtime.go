@@ -146,10 +146,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			x := &ns.ctxs[c]
 			x.rt, x.ns, x.user.x = rt, ns, x
 		}
-		// The cache only pays off where one-sided hardware exists; on
-		// RDMA-less transports (BlueGene/L, TCP) the runtime leaves it
-		// off, exactly as a portable deployment would.
-		if cfg.Cache.Enabled && cfg.Profile.SupportsRDMA {
+		if cfg.Cache.Enabled {
 			if cfg.Cache.Adaptive != nil {
 				ns.cache = addrcache.NewAdaptive(*cfg.Cache.Adaptive)
 			} else {

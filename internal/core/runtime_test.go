@@ -542,68 +542,6 @@ func TestForAllCoversExactlyOwnedIndices(t *testing.T) {
 	}
 }
 
-// Portability: on transports without RDMA (BlueGene/L, TCP) the
-// runtime must stay correct with the cache requested — it simply never
-// engages — and large transfers stream through the eager path.
-func TestNonRDMATransportsPortable(t *testing.T) {
-	for _, tc := range []struct {
-		prof *transport.Profile
-		tpn  int // threads per node
-	}{{transport.BGL(), 2}, {transport.TCP(), 4}} {
-		prof, tpn := tc.prof, tc.tpn
-		t.Run(prof.Name, func(t *testing.T) {
-			st := mustRun(t, cfg(4*tpn, 4, prof, DefaultCache()), func(th *Thread) {
-				a := th.AllAlloc("A", 256, 8, 8)
-				th.ForAll(a, func(i int64) { th.PutUint64(a.At(i), uint64(i)*3) })
-				th.Barrier()
-				for i := int64(0); i < 256; i += 17 {
-					if got := th.GetUint64(a.At(i)); got != uint64(i)*3 {
-						t.Errorf("A[%d] = %d", i, got)
-					}
-				}
-				// A transfer beyond EagerMax must stream eagerly, not
-				// attempt RDMA.
-				big := th.AllAlloc("big", int64(prof.EagerMax)*2+8192, 1, int64(prof.EagerMax)+4096)
-				th.Barrier()
-				if th.ID() == 0 {
-					buf := make([]byte, prof.EagerMax+4096)
-					th.GetBulk(buf, big.At(int64(prof.EagerMax)+4096))
-				}
-				th.Barrier()
-			})
-			if st.RDMAOps != 0 {
-				t.Fatalf("%s issued %d RDMA ops without hardware", prof.Name, st.RDMAOps)
-			}
-			if st.Cache.Lookups() != 0 {
-				t.Fatalf("%s consulted a cache that cannot help", prof.Name)
-			}
-		})
-	}
-}
-
-// On BlueGene/L's torus, farther nodes cost more hops; sanity-check
-// the route model feeds through to latency.
-func TestTorusDistanceMatters(t *testing.T) {
-	lat := func(dst int64) sim.Time {
-		var d sim.Time
-		mustRun(t, cfg(64, 64, transport.BGL(), NoCache()), func(th *Thread) {
-			a := th.AllAlloc("A", 64, 8, 1) // one element per thread/node
-			th.Barrier()
-			if th.ID() == 0 {
-				t0 := th.Now()
-				th.GetUint64(a.At(dst))
-				d = th.Now() - t0
-			}
-			th.Barrier()
-		})
-		return d
-	}
-	near, far := lat(1), lat(42) // node 42 = (2,2,2) in a 4x4x4 torus
-	if far <= near {
-		t.Fatalf("far torus GET %v not slower than near %v", far, near)
-	}
-}
-
 // Lock-free atomic increments must never lose updates, across nodes
 // and transports — including LAPI, whose parallel AM handler contexts
 // could otherwise interleave a read-modify-write.

@@ -206,7 +206,8 @@ func TestTelemetryWithCoalescing(t *testing.T) {
 		a := th.AllAlloc("A", 64, 8, 8)
 		th.Barrier()
 		var buf [8]byte
-		th.Sync(th.NbGet(buf[:], a.At(int64((th.ID()+2)%4)*8)))
+		th.NbGet(buf[:], a.At(int64((th.ID()+2)%4)*8))
+		th.SyncAll()
 		th.Barrier()
 	}
 	plain := mustRun(t, c, body)

@@ -43,13 +43,11 @@ type Thread struct {
 	rng  *rand.Rand
 
 	// nbOut is the issue-ordered list of outstanding split-phase
-	// handles; SyncAll (and through it every fence and barrier) drains
-	// it.
+	// operations; SyncAll (and through it every fence and barrier)
+	// drains it.
 	nbOut []*nbOp
 
-	// nbPool recycles retired split-phase descriptors; each descriptor
-	// carries a generation stamp that keeps stale Handles from aliasing
-	// a recycled one (see nbio.go).
+	// nbPool recycles retired split-phase descriptors (see nbio.go).
 	nbPool []*nbOp
 
 	// w64 stages single-element 8-byte transfers, so GetUint64/PutUint64
@@ -76,8 +74,7 @@ type opState struct {
 	rdma      transport.RDMAResult
 	rtr       rtrResult
 	aop       transport.AtomicOp
-	a1        uint64  // atomic: the operand
-	out       *uint64 // split-phase atomic: where the previous value goes
+	a1        uint64 // atomic: the operand
 
 	// The callback of a ...C method that passes the operation's result
 	// on — a func of whichever type that method takes. One is enough: a
@@ -88,7 +85,6 @@ type opState struct {
 	// typed ...C forms to hand to thenT.
 	old uint64       // atomic: previous value
 	n   int          // CallAMC: reply length
-	h   Handle       // split-phase issue
 	arr *SharedArray // collective allocation
 
 	// A transfer being split into per-affinity runs (see bulk).
@@ -98,14 +94,13 @@ type opState struct {
 	bulkN    int64
 	bulkBuf  []byte
 
-	// Split-phase bookkeeping: the handle being issued, the one a Sync
-	// is retiring, SyncAll's position in nbOut, and retire's position in
-	// the handle it is working on.
-	nb     *nbOp
-	syncOp *nbOp
-	si     int
-	rop    *nbOp
-	ri     int
+	// Split-phase bookkeeping: the operation being issued, SyncAll's
+	// position in nbOut, and the operation it is retiring with the
+	// position in it.
+	nb  *nbOp
+	si  int
+	rop *nbOp
+	ri  int
 
 	// Enclosing ladders: Compute's duration and the spans of a fence, a
 	// barrier and a collective allocation.
@@ -130,7 +125,6 @@ func newThreads(rt *Runtime) []*Thread {
 const (
 	pcThenW64 = iota
 	pcThenOld
-	pcThenHandle
 	pcThenN
 	pcThenArray
 
@@ -143,7 +137,6 @@ const (
 	pcLocalGetDone
 	pcLocalPutDone
 	pcLocalAtomicDone
-	pcStoreOld
 
 	pcLookup
 	pcGetRDMADone
@@ -172,13 +165,10 @@ const (
 	pcNbAtomicStarted
 	pcNbAtomicSent
 
-	pcSyncFlushed
-	pcSyncRetired
 	pcSyncAllNext
 	pcSyncAllRetired
 	pcRetireWoke
 	pcRetireNext
-	pcRedoneAtomic
 
 	pcBarrierFenced
 	pcBarrierArrive
@@ -200,11 +190,10 @@ var steps [numSteps]func(*Thread)
 
 func init() {
 	steps = [numSteps]func(*Thread){
-		pcThenW64:    (*Thread).callThenW64,
-		pcThenOld:    (*Thread).callThenOld,
-		pcThenHandle: (*Thread).callThenHandle,
-		pcThenN:      (*Thread).callThenN,
-		pcThenArray:  (*Thread).callThenArray,
+		pcThenW64:   (*Thread).callThenW64,
+		pcThenOld:   (*Thread).callThenOld,
+		pcThenN:     (*Thread).callThenN,
+		pcThenArray: (*Thread).callThenArray,
 
 		pcComputeAcquired: (*Thread).computeAcquired,
 		pcComputeDone:     (*Thread).computeDone,
@@ -215,7 +204,6 @@ func init() {
 		pcLocalGetDone:    (*Thread).localGetDone,
 		pcLocalPutDone:    (*Thread).localPutDone,
 		pcLocalAtomicDone: (*Thread).localAtomicDone,
-		pcStoreOld:        (*Thread).storeOld,
 
 		pcLookup:          (*Thread).lookup,
 		pcGetRDMADone:     (*Thread).getRDMADone,
@@ -244,13 +232,10 @@ func init() {
 		pcNbAtomicStarted: (*Thread).nbAtomicStarted,
 		pcNbAtomicSent:    (*Thread).nbAtomicSent,
 
-		pcSyncFlushed:    (*Thread).syncFlushed,
-		pcSyncRetired:    (*Thread).syncRetired,
 		pcSyncAllNext:    (*Thread).syncAllNext,
 		pcSyncAllRetired: (*Thread).syncAllRetired,
 		pcRetireWoke:     (*Thread).retireWoke,
 		pcRetireNext:     (*Thread).retireNext,
-		pcRedoneAtomic:   (*Thread).redoneAtomic,
 
 		pcBarrierFenced:  (*Thread).barrierFenced,
 		pcBarrierArrive:  (*Thread).barrierArrive,
@@ -286,11 +271,10 @@ func (t *Thread) typed() any {
 	return then
 }
 
-func (t *Thread) callThenW64()    { t.typed().(func(uint64))(byteOrder.Uint64(t.w64[:])) }
-func (t *Thread) callThenOld()    { t.typed().(func(uint64))(t.old) }
-func (t *Thread) callThenHandle() { t.typed().(func(Handle))(t.h) }
-func (t *Thread) callThenN()      { t.typed().(func(int))(t.n) }
-func (t *Thread) callThenArray()  { t.typed().(func(*SharedArray))(t.arr) }
+func (t *Thread) callThenW64()   { t.typed().(func(uint64))(byteOrder.Uint64(t.w64[:])) }
+func (t *Thread) callThenOld()   { t.typed().(func(uint64))(t.old) }
+func (t *Thread) callThenN()     { t.typed().(func(int))(t.n) }
+func (t *Thread) callThenArray() { t.typed().(func(*SharedArray))(t.arr) }
 
 // request sends an active message that will be answered by completing
 // t.done; step pc runs when the reply is in.
@@ -377,7 +361,7 @@ func (t *Thread) Wake() func() { return t.p.Wake() }
 func (t *Thread) Await()       { t.p.Await() }
 
 // Fence blocks until every PUT this thread issued has completed at its
-// target (upc_fence). Outstanding split-phase handles are retired
+// target (upc_fence). Outstanding split-phase operations are retired
 // first, so a fence is a full consistency point for non-blocking
 // traffic too.
 func (t *Thread) Fence() {

@@ -64,24 +64,6 @@ type Params struct {
 	// chasers.
 	HopCompute sim.Time
 
-	// SplitPhase routes the Pointer and Update inner loops through the
-	// runtime's non-blocking NbGet/Sync API instead of blocking Get —
-	// Update's per-hop reads are issued together and retired with one
-	// SyncAll, so they coalesce when the runtime batches messages. The
-	// checksums are identical either way; only timing may change. Off
-	// by default so golden runs match the blocking build bit for bit.
-	SplitPhase bool
-
-	// Atomic routes Update's read-modify-write hop through the remote
-	// atomic op class: the r==0 read and the trailing successor write
-	// collapse into one FetchAdd(pos, 0) executed at the target — one
-	// message per update instead of a GET+compute+PUT round trip. The
-	// fetch returns exactly the word the GET did and adding zero leaves
-	// memory bit-identical, so checksums match the other builds by
-	// construction. Composes with SplitPhase (NbFetchAdd issued
-	// alongside the hop's other reads, retired by one SyncAll).
-	Atomic bool
-
 	// Salt perturbs the deterministic workload generators, giving
 	// independent replications for confidence intervals while staying
 	// reproducible. The default (0) matches the figures.

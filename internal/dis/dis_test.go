@@ -50,7 +50,7 @@ func TestStressmarksCacheInvariant(t *testing.T) {
 				// shows it at or slightly below zero: one-time pin
 				// costs with no overlap benefit to recoup them).
 				bound := 1.02
-				if s.Name == "field" && prof.CommOverlap {
+				if s.Name == "field" && prof.CommCapacity > 0 {
 					bound = 1.05
 				}
 				if float64(tOn) > float64(tOff)*bound {

@@ -30,18 +30,8 @@ func Pointer(t *core.Thread, p Params) uint64 {
 
 	pos := int64(p.hash(uint64(t.ID())^0xBEEF) % uint64(n))
 	var check uint64
-	var buf [8]byte
 	for h := 0; h < p.PointerHops; h++ {
-		var next uint64
-		if p.SplitPhase {
-			// The chain is a strict dependency, so the handle retires
-			// immediately — this exercises the split-phase path without
-			// changing the access pattern or the checksum.
-			t.Sync(t.NbGet(buf[:], a.At(pos)))
-			next = byteOrder.Uint64(buf[:])
-		} else {
-			next = t.GetUint64(a.At(pos))
-		}
+		next := t.GetUint64(a.At(pos))
 		t.Compute(p.HopCompute)
 		check ^= next + uint64(h)
 		pos = int64(next)
@@ -68,66 +58,20 @@ func Update(t *core.Thread, p Params) uint64 {
 	var check uint64
 	if t.ID() == 0 {
 		pos := int64(p.hash(0x5EED) % uint64(n))
-		bufs := make([][8]byte, p.UpdateReads)
 		for h := 0; h < p.UpdateHops; h++ {
 			var next uint64
-			switch {
-			case p.Atomic && p.SplitPhase:
-				// One-message RMW, split-phase: the r==0 read and the
-				// trailing successor write fuse into NbFetchAdd(pos, 0),
-				// issued alongside the hop's other reads so the batch
-				// coalesces per destination and retires with one sync.
-				t.NbFetchAdd(a.At(pos), 0, &next)
-				for r := 1; r < p.UpdateReads; r++ {
-					at := (pos + int64(r)*97) % n
-					t.NbGet(bufs[r][:], a.At(at))
+			for r := 0; r < p.UpdateReads; r++ {
+				at := (pos + int64(r)*97) % n
+				v := t.GetUint64(a.At(at))
+				if r == 0 {
+					next = v
 				}
-				t.SyncAll()
-				check ^= next
-				for r := 1; r < p.UpdateReads; r++ {
-					check ^= byteOrder.Uint64(bufs[r][:]) + uint64(r)
-				}
-			case p.Atomic:
-				// One-message RMW: FetchAdd(pos, 0) returns the word the
-				// GET did and leaves memory bit-identical to the GET+PUT
-				// build (the update writes back the value it read).
-				next = t.FetchAdd(a.At(pos), 0)
-				check ^= next
-				for r := 1; r < p.UpdateReads; r++ {
-					at := (pos + int64(r)*97) % n
-					check ^= t.GetUint64(a.At(at)) + uint64(r)
-				}
-			case p.SplitPhase:
-				// Issue the hop's reads together and retire them with one
-				// sync: with coalescing on they share a wire frame.
-				for r := 0; r < p.UpdateReads; r++ {
-					at := (pos + int64(r)*97) % n
-					t.NbGet(bufs[r][:], a.At(at))
-				}
-				t.SyncAll()
-				for r := 0; r < p.UpdateReads; r++ {
-					v := byteOrder.Uint64(bufs[r][:])
-					if r == 0 {
-						next = v
-					}
-					check ^= v + uint64(r)
-				}
-			default:
-				for r := 0; r < p.UpdateReads; r++ {
-					at := (pos + int64(r)*97) % n
-					v := t.GetUint64(a.At(at))
-					if r == 0 {
-						next = v
-					}
-					check ^= v + uint64(r)
-				}
+				check ^= v + uint64(r)
 			}
 			t.Compute(p.UpdateHopCompute)
-			if !p.Atomic {
-				// Update one location, preserving the successor structure
-				// so reruns (and cache-on/off runs) traverse identically.
-				t.PutUint64(a.At(pos), next)
-			}
+			// Update one location, preserving the successor structure
+			// so reruns (and cache-on/off runs) traverse identically.
+			t.PutUint64(a.At(pos), next)
 			pos = int64(next)
 		}
 		t.Fence()

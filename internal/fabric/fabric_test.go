@@ -237,44 +237,3 @@ func TestMessagesArriveInOrderPerSender(t *testing.T) {
 		}
 	}
 }
-
-func TestTorus3DHops(t *testing.T) {
-	tor := NewTorus3D(4, 4, 4)
-	cases := []struct{ a, b, want int }{
-		{0, 1, 1},  // +x neighbour
-		{0, 3, 1},  // x wraparound: distance 1, not 3
-		{0, 4, 1},  // +y neighbour
-		{0, 16, 1}, // +z neighbour
-		{0, 21, 3}, // (1,1,1)
-		{0, 42, 6}, // (2,2,2): the torus diameter
-		{5, 5, 1},  // degenerate same-node guard
-	}
-	for _, c := range cases {
-		if got := tor.Hops(c.a, c.b); got != c.want {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestTorus3DSymmetric(t *testing.T) {
-	tor := DefaultTorus3D(60) // 4x4x4
-	if tor.Nodes() < 60 {
-		t.Fatalf("default torus too small: %d", tor.Nodes())
-	}
-	f := func(a, b uint8) bool {
-		x, y := int(a)%60, int(b)%60
-		return tor.Hops(x, y) == tor.Hops(y, x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTorus3DInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTorus3D(4, 0, 4)
-}

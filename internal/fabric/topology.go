@@ -78,59 +78,3 @@ func NewFlat(nodes, hops int) *Flat {
 func (f *Flat) Nodes() int        { return f.nodes }
 func (f *Flat) Name() string      { return "flat" }
 func (f *Flat) Hops(a, b int) int { return f.hops }
-
-// Torus3D is a three-dimensional torus, the BlueGene/L interconnect
-// the XLUPC runtime also targets (paper §2, [1]): routes take the
-// shortest wrap-around path per axis, so hop counts grow with machine
-// size instead of staying bounded like the crossbar's.
-type Torus3D struct {
-	x, y, z int
-}
-
-// NewTorus3D builds an x×y×z torus. Node i sits at coordinates
-// (i%x, (i/x)%y, i/(x*y)).
-func NewTorus3D(x, y, z int) *Torus3D {
-	if x <= 0 || y <= 0 || z <= 0 {
-		panic("fabric: invalid torus dimensions")
-	}
-	return &Torus3D{x: x, y: y, z: z}
-}
-
-// DefaultTorus3D picks near-cubic dimensions covering at least nodes
-// (the torus may be larger than the node count; spare coordinates are
-// simply unused, as on partially booted BlueGene partitions).
-func DefaultTorus3D(nodes int) *Torus3D {
-	d := 1
-	for d*d*d < nodes {
-		d++
-	}
-	return NewTorus3D(d, d, d)
-}
-
-func (t *Torus3D) Nodes() int   { return t.x * t.y * t.z }
-func (t *Torus3D) Name() string { return "torus3d" }
-
-func (t *Torus3D) coords(n int) (int, int, int) {
-	return n % t.x, (n / t.x) % t.y, n / (t.x * t.y)
-}
-
-func axisDist(a, b, dim int) int {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if w := dim - d; w < d {
-		d = w
-	}
-	return d
-}
-
-func (t *Torus3D) Hops(a, b int) int {
-	ax, ay, az := t.coords(a)
-	bx, by, bz := t.coords(b)
-	h := axisDist(ax, bx, t.x) + axisDist(ay, by, t.y) + axisDist(az, bz, t.z)
-	if h == 0 {
-		return 1 // distinct nodes at the same unused coordinate cannot occur
-	}
-	return h
-}

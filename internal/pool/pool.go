@@ -1,8 +1,9 @@
 // Package pool holds the free-list type the simulator's hot paths
 // recycle their per-operation records through: completions, message
 // and RDMA descriptors, fabric packet records, reliable-layer packets
-// and ACKs, protocol headers, bounce buffers. (Split-phase handles keep
-// their own list: a handle's generation check is their poison.) Every
+// and ACKs, protocol headers, bounce buffers. (Split-phase descriptors
+// keep their own list on each thread, which SyncAll puts them back on
+// once it has retired them.) Every
 // record type has one owner rule — a single site that puts it back
 // once its last reader is done — and the rule is written next to the
 // Put.

@@ -60,9 +60,10 @@ type Span struct {
 	End    sim.Time // -1 while open
 	Phases []Phase
 
-	// Split marks a span opened by split-phase issue (NbGet, NbFetchAdd,
-	// NbAccumulate): its thread runs on while it is open, so it is the
-	// operation's latency, not time the thread waited.
+	// Split marks a span opened by split-phase issue (NbGet,
+	// NbAccumulate): its thread runs on while it is open, until SyncAll
+	// (or a fence or barrier) retires it, so it is the operation's
+	// latency, not time the thread waited.
 	Split bool
 }
 

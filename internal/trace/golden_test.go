@@ -37,7 +37,7 @@ func rowOf(tr *trace.Trace) statesRow {
 }
 
 // statesOf runs one stressmark and returns its state view.
-func statesOf(t *testing.T, mark string, cfg core.Config, tune func(*dis.Params)) *trace.Trace {
+func statesOf(t *testing.T, mark string, cfg core.Config) *trace.Trace {
 	t.Helper()
 	fn, err := dis.ByName(mark)
 	if err != nil {
@@ -50,9 +50,6 @@ func statesOf(t *testing.T, mark string, cfg core.Config, tune func(*dis.Params)
 		t.Fatal(err)
 	}
 	p := dis.Default(cfg.Threads)
-	if tune != nil {
-		tune(&p)
-	}
 	if _, err := rt.Run(func(th *core.Thread) { fn(th, p) }); err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +59,7 @@ func statesOf(t *testing.T, mark string, cfg core.Config, tune func(*dis.Params)
 // TestStatesGolden pins the per-state totals, interval counts and the
 // longest GET wait of every stressmark to the values the runtime's own
 // Begin/End recorder produced before it was deleted (PR 19): the span
-// view has to reproduce each row to the picosecond. The split-phase
-// rows pin that an NbGet/NbFetchAdd span is not a wait — only
-// the Sync that retires it blocks. Regenerate deliberately with
+// view has to reproduce each row to the picosecond. Regenerate deliberately with
 // `go test ./internal/trace -run TestStatesGolden -update`.
 func TestStatesGolden(t *testing.T) {
 	scales := []struct {
@@ -82,19 +77,7 @@ func TestStatesGolden(t *testing.T) {
 		{"cache", core.DefaultCache()},
 		{"nocache", core.NoCache()},
 	}
-	marks := []struct {
-		name, mark string
-		tune       func(*dis.Params)
-	}{
-		{"pointer", "pointer", nil},
-		{"update", "update", nil},
-		{"neighborhood", "neighborhood", nil},
-		{"field", "field", nil},
-		{"pointer+split", "pointer", func(p *dis.Params) { p.SplitPhase = true }},
-		{"update+split", "update", func(p *dis.Params) { p.SplitPhase = true }},
-		{"update+atomic", "update", func(p *dis.Params) { p.Atomic = true }},
-		{"update+split+atomic", "update", func(p *dis.Params) { p.SplitPhase, p.Atomic = true, true }},
-	}
+	marks := []string{"pointer", "update", "neighborhood", "field"}
 
 	want := map[string]statesRow{}
 	if !*updateGolden {
@@ -111,12 +94,12 @@ func TestStatesGolden(t *testing.T) {
 	for _, m := range marks {
 		for _, sc := range scales {
 			for _, c := range caches {
-				key := m.name + "/" + sc.name + "/" + c.name
+				key := m + "/" + sc.name + "/" + c.name
 				cfg := core.Config{
 					Threads: sc.threads, Nodes: sc.nodes,
 					Profile: sc.prof(), Cache: c.cc, Seed: 1,
 				}
-				got[key] = rowOf(statesOf(t, m.mark, cfg, m.tune))
+				got[key] = rowOf(statesOf(t, m, cfg))
 				if *updateGolden {
 					continue
 				}

@@ -68,7 +68,7 @@ var atomicOrder = binary.LittleEndian
 func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, delta uint64, fetch []byte, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	op := m.newDMA(dmaRMW, src, base, raddr, fetch, epoch, span)
 	op.aop, op.delta = aop, delta
-	m.postRead(ct, txAtomic, src, dst, m.Prof.RDMADescBytes+AtomicOperandBytes, op, res, then)
+	m.postRead(ct, txAtomic, src, dst, RDMADescBytes+AtomicOperandBytes, op, res, then)
 }
 
 // RDMAAtomicStartC issues a NIC atomic without waiting for it: then
@@ -80,5 +80,5 @@ func (m *Machine) RDMAAtomicStartC(ct *sim.Cont, src, dst int, base, raddr mem.A
 	op := m.newDMA(dmaRMW, src, base, raddr, fetch, epoch, span)
 	op.aop, op.delta = aop, delta
 	res.Done = m.nbResult(op)
-	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes+AtomicOperandBytes, op, then)
+	m.startDMA(ct, src, dst, RDMADescBytes+AtomicOperandBytes, op, then)
 }

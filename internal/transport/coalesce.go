@@ -240,9 +240,9 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 		for i, op := range b.ops {
 			msgs[i] = op.(*Msg)
 		}
-		wire = c.m.Prof.AMHeaderBytes + b.bytes
+		wire = AMHeaderBytes + b.bytes
 		// Each sub-frame replaced a full AM header with SubHeaderBytes.
-		unbatched = wire + n*(c.m.Prof.AMHeaderBytes-c.cfg.SubHeaderBytes) - c.m.Prof.AMHeaderBytes
+		unbatched = wire + n*(AMHeaderBytes-c.cfg.SubHeaderBytes) - AMHeaderBytes
 		frame = &batchMsg{Src: b.key.src, Dst: b.key.dst, msgs: msgs, wire: wire}
 	} else {
 		// A doorbell batch: descriptors share one frame and one arrival;
@@ -470,7 +470,7 @@ func (e *amEngine) serveSub() {
 // paid.
 func (e *amEngine) subReceived() {
 	m, msg, b := e.m, e.msg, e.batch
-	msg.Span.Phase(telemetry.PhaseRecv, e.recv, e.recv+m.Prof.RecvOverhead)
+	msg.Span.Phase(telemetry.PhaseRecv, e.recv, e.recv+RecvOverhead)
 	msg.Span.Phase(telemetry.PhaseRecv, e.t0, m.K.Now())
 	msg.reply = e.reply
 	msg.Batch = e.scratch

@@ -126,10 +126,7 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 	// non-overlapping ones a single dispatcher (GM progress is
 	// single-threaded polling). Their name suffixes are shared by
 	// every node.
-	m.contexts = 1
-	if prof.CommOverlap && prof.CommCapacity > 1 {
-		m.contexts = prof.CommCapacity
-	}
+	m.contexts = max(prof.CommCapacity, 1)
 	disp := make([]string, m.contexts)
 	for c := range disp {
 		disp[c] = ".amdisp" + strconv.Itoa(c)
@@ -149,12 +146,8 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 		if prof.PinLazy {
 			nd.Pins.SetLazyUnpin(true)
 		}
-		if prof.CommOverlap {
-			cap := prof.CommCapacity
-			if cap <= 0 {
-				cap = 1
-			}
-			nd.Comm = sim.NewResourceIdx(k, "node", i, ".comm", cap)
+		if prof.CommCapacity > 0 {
+			nd.Comm = sim.NewResourceIdx(k, "node", i, ".comm", prof.CommCapacity)
 		} else {
 			nd.Comm = nd.CPU
 		}
@@ -337,7 +330,7 @@ func (e *amEngine) Step(pc int) {
 		e.msg.Span.Phase(telemetry.PhaseCPUWait, e.msg.arrived, e.acq)
 		e.msg.Span.Phase(telemetry.PhaseCPUWait, e.acq, now)
 		e.recv = now
-		ct.Sleep(m.Prof.RecvOverhead, ct.Then(e, amReceived))
+		ct.Sleep(RecvOverhead, ct.Then(e, amReceived))
 	case amReceived:
 		e.msg.Span.Phase(telemetry.PhaseRecv, e.recv, now)
 		m.handlers[e.msg.Handler](ct, e.nd, e.msg, ct.Then(e, amHandled))
@@ -348,7 +341,7 @@ func (e *amEngine) Step(pc int) {
 		e.pop()
 	case amBatchAcquired:
 		e.recv = now
-		ct.Sleep(m.Prof.RecvOverhead, ct.Then(e, amBatchNext))
+		ct.Sleep(RecvOverhead, ct.Then(e, amBatchNext))
 	case amBatchNext:
 		e.serveSub()
 	case amSubReceived:
@@ -407,7 +400,7 @@ func (m *Machine) SendAMSpanC(ct *sim.Cont, src, dst int, id HandlerID, meta any
 	m.amCount++
 	msg := m.newMsg()
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
-	msg.wire = m.Prof.AMHeaderBytes + len(payload) + extra
+	msg.wire = AMHeaderBytes + len(payload) + extra
 	msg.Span = span
 	m.newTxOp(ct, txAM, src, dst, msg.wire, fabric.ClassAM, msg, span, then).send(m.Prof.SendOverhead)
 }

@@ -16,6 +16,23 @@ import (
 	"xlupc/internal/sim"
 )
 
+// Costs and framing that both platforms share.
+const (
+	// RecvOverhead is the header-handler entry cost at the target.
+	RecvOverhead = 1100 * sim.Ns
+	// CacheLookupCost is a remote address cache probe.
+	CacheLookupCost = 30 * sim.Ns
+	// CacheInsertCost is a remote address cache fill.
+	CacheInsertCost = 40 * sim.Ns
+
+	// AMHeaderBytes is the wire overhead of an active message.
+	AMHeaderBytes = 64
+	// AckBytes is the wire size of an ACK.
+	AckBytes = 32
+	// RDMADescBytes is the wire size of an RDMA descriptor.
+	RDMADescBytes = 32
+)
+
 // Profile is the calibrated cost model of one platform. All times are
 // virtual; the values are calibrated so that the published qualitative
 // behaviour emerges (see DESIGN.md §6), not to match the original
@@ -28,28 +45,18 @@ type Profile struct {
 	NewTopo func(nodes int) fabric.Topology
 
 	// Node shape.
-	Cores       int  // compute cores per node
-	CommOverlap bool // true: AM handlers run on a dedicated comm
-	// processor and overlap with computation (LAPI); false: they
-	// steal compute CPU (GM, paper §4.6 Field analysis).
-	CommCapacity int // parallel AM handler contexts of the dedicated
-	// comm processor (LAPI's adapter threads); ignored when
-	// CommOverlap is false.
+	Cores        int // compute cores per node
+	CommCapacity int // parallel AM handler contexts of a dedicated
+	// comm processor (LAPI's adapter threads), on which handlers
+	// overlap with computation; 0: there is none, and handlers steal
+	// compute CPU (GM, paper §4.6 Field analysis).
 
 	// Software costs.
-	SendOverhead    sim.Time // CPU time to build+inject a message
-	RecvOverhead    sim.Time // header-handler entry cost at the target
-	SVDLookupCost   sim.Time // handle → local address translation
-	CacheLookupCost sim.Time // remote address cache probe
-	CacheInsertCost sim.Time // remote address cache fill
-	CopyByteTime    sim.Time // memcpy cost (bounce buffers), ps/byte
-	ShmLatency      sim.Time // intra-node shared-memory access latency
-	ShmByteTime     sim.Time // intra-node copy, ps/byte
-
-	// Message framing.
-	AMHeaderBytes int // wire overhead of an active message
-	AckBytes      int // wire size of an ACK
-	RDMADescBytes int // wire size of an RDMA descriptor
+	SendOverhead  sim.Time // CPU time to build+inject a message
+	SVDLookupCost sim.Time // handle → local address translation
+	CopyByteTime  sim.Time // memcpy cost (bounce buffers), ps/byte
+	ShmLatency    sim.Time // intra-node shared-memory access latency
+	ShmByteTime   sim.Time // intra-node copy, ps/byte
 
 	// RDMA engine.
 	RDMASetup        sim.Time // initiator descriptor-build cost
@@ -76,13 +83,6 @@ type Profile struct {
 	// PutCacheEnabled reflects the paper's decision to disable the
 	// address cache for PUT operations on LAPI (§4.3).
 	PutCacheEnabled bool
-
-	// SupportsRDMA marks transports with one-sided hardware. The
-	// XLUPC runtime also runs over transports without it (BlueGene/L
-	// messaging, TCP sockets — paper §2); there the remote address
-	// cache buys nothing and the runtime leaves it off, which is the
-	// portability property the paper claims the design preserves.
-	SupportsRDMA bool
 }
 
 // GM returns the Myrinet/GM profile (MareNostrum, paper §4.1/§3.3).
@@ -99,22 +99,14 @@ func GM() *Profile {
 			HopLatency:  300 * sim.Ns,
 			ByteTime:    sim.PerByte(250), // 4 ns/B ≈ 250 MB/s
 		},
-		NewTopo:     func(nodes int) fabric.Topology { return fabric.DefaultCrossbar3(nodes) },
-		Cores:       4, // JS21: two dual-core PPC 970-MP
-		CommOverlap: false,
+		NewTopo: func(nodes int) fabric.Topology { return fabric.DefaultCrossbar3(nodes) },
+		Cores:   4, // JS21: two dual-core PPC 970-MP
 
-		SendOverhead:    500 * sim.Ns,
-		RecvOverhead:    1100 * sim.Ns,
-		SVDLookupCost:   800 * sim.Ns,
-		CacheLookupCost: 30 * sim.Ns,
-		CacheInsertCost: 40 * sim.Ns,
-		CopyByteTime:    1500 * sim.Ps, // ~0.65 GB/s memcpy
-		ShmLatency:      200 * sim.Ns,
-		ShmByteTime:     400 * sim.Ps,
-
-		AMHeaderBytes: 64,
-		AckBytes:      32,
-		RDMADescBytes: 32,
+		SendOverhead:  500 * sim.Ns,
+		SVDLookupCost: 800 * sim.Ns,
+		CopyByteTime:  1500 * sim.Ps, // ~0.65 GB/s memcpy
+		ShmLatency:    200 * sim.Ns,
+		ShmByteTime:   400 * sim.Ps,
 
 		RDMASetup:        600 * sim.Ns,
 		RDMATargetCost:   500 * sim.Ns,
@@ -132,7 +124,6 @@ func GM() *Profile {
 		},
 		PinPolicy:       mem.PinAll,
 		PutCacheEnabled: true,
-		SupportsRDMA:    true,
 	}
 }
 
@@ -152,21 +143,13 @@ func LAPI() *Profile {
 		},
 		NewTopo:      func(nodes int) fabric.Topology { return fabric.NewFlat(nodes, 2) },
 		Cores:        16, // 8 × 2-way SMT Power5
-		CommOverlap:  true,
 		CommCapacity: 4,
 
-		SendOverhead:    600 * sim.Ns,
-		RecvOverhead:    1100 * sim.Ns,
-		SVDLookupCost:   1000 * sim.Ns,
-		CacheLookupCost: 30 * sim.Ns,
-		CacheInsertCost: 40 * sim.Ns,
-		CopyByteTime:    150 * sim.Ps, // ~6.6 GB/s streaming memcpy
-		ShmLatency:      150 * sim.Ns,
-		ShmByteTime:     100 * sim.Ps,
-
-		AMHeaderBytes: 64,
-		AckBytes:      32,
-		RDMADescBytes: 32,
+		SendOverhead:  600 * sim.Ns,
+		SVDLookupCost: 1000 * sim.Ns,
+		CopyByteTime:  150 * sim.Ps, // ~6.6 GB/s streaming memcpy
+		ShmLatency:    150 * sim.Ns,
+		ShmByteTime:   100 * sim.Ps,
 
 		RDMASetup:        500 * sim.Ns,
 		RDMATargetCost:   400 * sim.Ns,
@@ -184,84 +167,6 @@ func LAPI() *Profile {
 		},
 		PinPolicy:       mem.PinAll,
 		PutCacheEnabled: false, // §4.3: cache disabled for PUT on LAPI
-		SupportsRDMA:    true,
-	}
-}
-
-// BGL returns a BlueGene/L-style profile: a 3-D torus of small nodes
-// with low per-hop latency but no RDMA engine — the machine the SVD
-// design scaled to hundreds of thousands of threads on ([8]), and a
-// control showing the runtime stays correct and portable where the
-// address cache cannot help.
-func BGL() *Profile {
-	return &Profile{
-		Name: "bgl",
-		Wire: fabric.WireModel{
-			BaseLatency: 1000 * sim.Ns,
-			HopLatency:  100 * sim.Ns, // torus routes are many-hop
-			ByteTime:    sim.PerByte(150),
-		},
-		NewTopo:     func(nodes int) fabric.Topology { return fabric.DefaultTorus3D(nodes) },
-		Cores:       2, // two PPC440 cores
-		CommOverlap: false,
-
-		SendOverhead:    400 * sim.Ns,
-		RecvOverhead:    800 * sim.Ns,
-		SVDLookupCost:   900 * sim.Ns,
-		CacheLookupCost: 30 * sim.Ns,
-		CacheInsertCost: 40 * sim.Ns,
-		CopyByteTime:    1000 * sim.Ps,
-		ShmLatency:      150 * sim.Ns,
-		ShmByteTime:     400 * sim.Ps,
-
-		AMHeaderBytes: 32,
-		AckBytes:      16,
-		RDMADescBytes: 32,
-
-		EagerMax: 8 << 10,
-
-		Reg:             mem.CostModel{}, // no registration needed: no RDMA
-		PinPolicy:       mem.PinAll,
-		PutCacheEnabled: false,
-		SupportsRDMA:    false,
-	}
-}
-
-// TCP returns a commodity sockets profile (the runtime's lowest common
-// denominator transport): high software latency, kernel copies, no
-// RDMA.
-func TCP() *Profile {
-	return &Profile{
-		Name: "tcp",
-		Wire: fabric.WireModel{
-			BaseLatency: 25 * sim.Us,
-			HopLatency:  1 * sim.Us,
-			ByteTime:    sim.PerByte(110), // ~gigabit ethernet
-		},
-		NewTopo:      func(nodes int) fabric.Topology { return fabric.NewFlat(nodes, 2) },
-		Cores:        4,
-		CommOverlap:  true, // the kernel moves bytes concurrently
-		CommCapacity: 2,
-
-		SendOverhead:    4 * sim.Us, // syscall + TCP stack
-		RecvOverhead:    6 * sim.Us,
-		SVDLookupCost:   800 * sim.Ns,
-		CacheLookupCost: 30 * sim.Ns,
-		CacheInsertCost: 40 * sim.Ns,
-		CopyByteTime:    800 * sim.Ps,
-		ShmLatency:      200 * sim.Ns,
-		ShmByteTime:     400 * sim.Ps,
-
-		AMHeaderBytes: 96,
-		AckBytes:      64,
-		RDMADescBytes: 32,
-
-		EagerMax: 64 << 10,
-
-		Reg:             mem.CostModel{},
-		PinPolicy:       mem.PinAll,
-		PutCacheEnabled: false,
-		SupportsRDMA:    false,
 	}
 }
 
@@ -272,10 +177,6 @@ func ByName(name string) *Profile {
 		return GM()
 	case "lapi":
 		return LAPI()
-	case "bgl":
-		return BGL()
-	case "tcp":
-		return TCP()
 	}
 	return nil
 }

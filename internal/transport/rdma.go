@@ -308,7 +308,7 @@ func (m *Machine) startDMA(ct *sim.Cont, src, dst, wire int, op *dmaOp, then fun
 func (m *Machine) RDMAGetSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) {
 	op := m.newDMA(dmaRead, src, base, raddr, into, epoch, span)
 	op.size = size
-	m.postRead(ct, txRead, src, dst, m.Prof.RDMADescBytes, op, res, then)
+	m.postRead(ct, txRead, src, dst, RDMADescBytes, op, res, then)
 }
 
 // RDMAPutSpanC performs a one-sided write of data to raddr in dst's
@@ -321,7 +321,7 @@ func (m *Machine) RDMAPutSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr,
 	op := m.newDMA(dmaWrite, src, base, raddr, data, epoch, span)
 	res.Done = op.done
 	m.rdmaCount++
-	m.newTxOp(ct, txWrite, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span, then).send(m.Prof.RDMASetup)
+	m.newTxOp(ct, txWrite, src, dst, RDMADescBytes+len(data), fabric.ClassDMA, op, span, then).send(m.Prof.RDMASetup)
 }
 
 // RDMAGetStartC issues a one-sided read without waiting for it: then
@@ -332,7 +332,7 @@ func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr
 	op := m.newDMA(dmaRead, src, base, raddr, into, epoch, span)
 	op.size = size
 	res.Done = m.nbResult(op)
-	m.startDMA(ct, src, dst, m.Prof.RDMADescBytes, op, then)
+	m.startDMA(ct, src, dst, RDMADescBytes, op, then)
 }
 
 // nbResult wraps a split-phase RDMA read's completion: the
@@ -574,7 +574,7 @@ func (e *dmaEngine) answer(op *dmaOp, val any, data []byte, extra int) {
 	}
 	resp := m.newDMAOp()
 	resp.kind, resp.done, resp.val, resp.buf, resp.span = dmaCompletion, done, val, data, span
-	e.sendResp(initiator, m.Prof.RDMADescBytes+extra, resp)
+	e.sendResp(initiator, RDMADescBytes+extra, resp)
 }
 
 // sendResp streams an RDMA completion back to the initiator: acquire

@@ -459,7 +459,7 @@ func (rl *reliability) sendAck(src, dst int, class fabric.Class, h fabric.Header
 }
 
 func (a *relAck) injectNow() {
-	a.rl.m.Fab.InjectHdrC(a.from, a.to, a.rl.m.Prof.AckBytes, fabric.ClassDMA, a.h, nil, a.sent)
+	a.rl.m.Fab.InjectHdrC(a.from, a.to, AckBytes, fabric.ClassDMA, a.h, nil, a.sent)
 }
 
 func (a *relAck) onWire(sim.Time) {

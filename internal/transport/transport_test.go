@@ -72,7 +72,7 @@ func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
 
 func TestProfilesSane(t *testing.T) {
 	gm, lapi := GM(), LAPI()
-	if gm.CommOverlap || !lapi.CommOverlap {
+	if gm.CommCapacity != 0 || lapi.CommCapacity != 4 {
 		t.Fatal("overlap flags wrong")
 	}
 	if !gm.PutCacheEnabled || lapi.PutCacheEnabled {
@@ -402,34 +402,6 @@ func TestMemAndPinsAreDistinctPerNode(t *testing.T) {
 	}
 	if m.Nodes[0].Pins.Live() != 0 {
 		t.Fatal("pin leaked across nodes")
-	}
-}
-
-func TestNonRDMAProfilesSane(t *testing.T) {
-	for _, name := range []string{"bgl", "tcp"} {
-		p := ByName(name)
-		if p == nil {
-			t.Fatalf("profile %q missing", name)
-		}
-		if p.SupportsRDMA {
-			t.Errorf("%s claims RDMA support", name)
-		}
-		if p.PutCacheEnabled {
-			t.Errorf("%s enables PUT caching without RDMA", name)
-		}
-	}
-	if !ByName("gm").SupportsRDMA || !ByName("lapi").SupportsRDMA {
-		t.Error("RDMA transports mislabeled")
-	}
-}
-
-func TestBGLTorusLatencyGradient(t *testing.T) {
-	prof := BGL()
-	topo := prof.NewTopo(64)
-	near := prof.Wire.Latency(topo, 0, 1)
-	far := prof.Wire.Latency(topo, 0, 42)
-	if far <= near {
-		t.Fatalf("torus latency gradient missing: near %v far %v", near, far)
 	}
 }
 
