@@ -164,7 +164,7 @@ func BenchmarkAblationFullTable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := dis.Default(32)
+		p := dis.Params{}
 		st, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, p) })
 		if err != nil {
 			b.Fatal(err)
@@ -187,7 +187,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := dis.Default(64)
+		p := dis.Params{}
 		st, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, p) })
 		if err != nil {
 			b.Fatal(err)
@@ -269,14 +269,14 @@ func appImprovement(b *testing.B, kernel func(*core.Thread) bool) float64 {
 
 func BenchmarkAppCG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		imp := appImprovement(b, func(t *core.Thread) bool { return apps.CG(t, apps.DefaultCG()).Verified })
+		imp := appImprovement(b, func(t *core.Thread) bool { return apps.CG(t).Verified })
 		b.ReportMetric(imp, "improv%")
 	}
 }
 
 func BenchmarkAppIS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		imp := appImprovement(b, func(t *core.Thread) bool { return apps.IS(t, apps.DefaultIS()).Verified })
+		imp := appImprovement(b, func(t *core.Thread) bool { return apps.IS(t).Verified })
 		b.ReportMetric(imp, "improv%")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -34,11 +35,18 @@ var censusRoots = []struct{ pkg, name string }{
 	{"xlupc/internal/kv", "Workload"},
 	{"xlupc/internal/dis", "Params"},
 	{"xlupc/internal/transport", "Profile"},
+	{"xlupc/internal/bench", "MicroOpts"},
+	{"xlupc/internal/bench", "GUPSOpts"},
+	{"xlupc/internal/bench", "KVOpts"},
+	{"xlupc/internal/bench", "AdaptOpts"},
+	{"xlupc/internal/bench", "PressureOpts"},
+	{"xlupc/internal/bench", "BigOpts"},
 }
 
-// censusExceptions are the knobs that no non-test code sets, or that no
-// non-test code reads, but that stay, each with the reason. An entry
-// whose field is set and read after all, or no longer exists, fails the
+// censusExceptions are the knobs that no non-test code sets, that no
+// non-test code reads, or to which non-test code gives one value only,
+// but that stay, each with the reason. An entry whose field is set,
+// read and given two values after all, or no longer exists, fails the
 // census too: the table holds exactly the survivors.
 var censusExceptions = map[string]string{
 	"kv.Options.WriteWindow":      "the test hook that widens the seqlock window to provoke torn reads deterministically",
@@ -47,15 +55,40 @@ var censusExceptions = map[string]string{
 	"core.Config.Exec":            "assigned by the frozen benchmark/api.go, which must keep compiling; the runtime has one engine and reads it nowhere",
 }
 
+// valueExceptions are the knobs to which non-test code gives one value
+// only, but that stay because a test turns them to another, each with
+// that test (in the struct's own package, pkg.TestName for one in
+// internal/pkg, or xlupc.TestName for one of the root package). An entry
+// whose knob takes two values after all, or no longer exists, fails the
+// census, and so does one whose test is gone or no longer names the
+// field.
+var valueExceptions = map[string]string{
+	"addrcache.AdaptiveConfig.Budget": "TestAdaptiveFloorOverflowDeterministic",
+	"addrcache.AdaptiveConfig.Window": "TestAdaptiveFloorOverflowDeterministic",
+	"transport.RelConfig.RTO":         "TestAckDuringRetransmitDoesNotOrphanTimer",
+	"transport.RelConfig.MaxRetries":  "TestRetryBudgetExhaustionFailsFast",
+	"fault.CrashConfig.Every":         "core.TestStaleNackWithoutCache",
+	"fault.CrashConfig.Horizon":       "core.TestStaleNackWithoutCache",
+	"fault.CrashConfig.MaxPerNode":    "TestCrashScheduleMaxPerNode",
+	"kv.Options.Name":                 "TestTornReadRetry",
+	"core.CacheConfig.Policy":         "xlupc.BenchmarkAblationEviction",
+}
+
 // TestConfigCensus fails on any knob that no non-test .go file in the
 // tree (benchmark/ included) ever sets — by a composite literal, an
-// assignment, an increment or by taking its address — or ever reads. A
-// knob nothing but the tests can turn selects code no run reaches, and a
-// knob nothing reads selects nothing: it goes, together with that code,
-// or it earns an entry in censusExceptions.
+// assignment, an increment or by taking its address — or ever reads, or
+// to which all of them together give one value: each composite literal,
+// assignment and increment gives a knob its right-hand side, a literal
+// that leaves the knob out its zero value, and anything but a constant
+// (or taking the knob's address) a value that varies. A knob nothing but
+// the tests can turn selects code no run reaches, a knob nothing reads
+// selects nothing, and a knob every run holds at one value is a constant:
+// it goes, together with that code, or it earns an entry in
+// censusExceptions or valueExceptions.
 func TestConfigCensus(t *testing.T) {
 	l := newCensusLoader(t)
-	unset, unread := map[string]bool{}, map[string]bool{}
+	unset, unread, single := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	fields := map[string]*types.Var{}
 	seen := map[*types.Named]bool{}
 	var walk func(n *types.Named)
 	walk = func(n *types.Named) {
@@ -71,8 +104,11 @@ func TestConfigCensus(t *testing.T) {
 			if !f.Exported() {
 				continue
 			}
-			unset[name+"."+f.Name()] = !l.set[f]
-			unread[name+"."+f.Name()] = !l.read[f]
+			knob := name + "." + f.Name()
+			fields[knob] = f
+			unset[knob] = !l.set[f]
+			unread[knob] = !l.read[f]
+			single[knob] = !l.varying[f] && len(l.values[f]) < 2
 			if c := configStruct(f.Type()); c != nil {
 				walk(c)
 			}
@@ -89,28 +125,43 @@ func TestConfigCensus(t *testing.T) {
 		}
 		walk(obj.Type().(*types.Named))
 	}
+	t.Logf("%d knobs", len(unset))
 	var names []string
 	for name := range unset {
-		if unset[name] || unread[name] {
+		names = append(names, name)
+	}
+	for name := range censusExceptions {
+		if _, ok := unset[name]; !ok {
 			names = append(names, name)
 		}
 	}
-	for name := range censusExceptions {
-		if !unset[name] && !unread[name] {
+	for name := range valueExceptions {
+		if _, ok := unset[name]; !ok {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
 		_, excepted := censusExceptions[name]
+		test, valueExcepted := valueExceptions[name]
+		flagged := unset[name] || unread[name] || single[name]
 		switch {
-		case excepted && !unset[name] && !unread[name]:
-			t.Errorf("censusExceptions lists %s, which non-test code sets and reads or which no longer exists", name)
+		case excepted && !flagged:
+			t.Errorf("censusExceptions lists %s, which non-test code sets, reads and gives two values, or which no longer exists", name)
 		case excepted:
+		case valueExcepted && (unset[name] || unread[name] || !single[name]):
+			t.Errorf("valueExceptions lists %s, which non-test code gives two values, which it leaves unset or unread, or which no longer exists", name)
+		case valueExcepted:
+			f := fields[name]
+			if err := l.testReads(l.pkgs[f.Pkg().Path()], test, f.Name()); err != nil {
+				t.Errorf("valueExceptions: %s: %v", name, err)
+			}
 		case unset[name]:
 			t.Errorf("%s is set by no non-test code: delete it and what it selects, or give it a setter", name)
-		default:
+		case unread[name]:
 			t.Errorf("%s is read by no non-test code: delete it, or give it a reader", name)
+		case single[name]:
+			t.Errorf("%s is given one value by all non-test code (%s): make it a named constant, or list it in valueExceptions with the test that sets another", name, l.valueList(fields[name]))
 		}
 	}
 }
@@ -420,12 +471,16 @@ func (g *codeGraph) noteInterfaceCalls(o types.Object) {
 	}
 }
 
-// testReads reports why test — a test of p's directory, or pkg.TestName
-// for one in internal/pkg — is not a test that names ident, or nil.
+// testReads reports why test — a test of p's directory, pkg.TestName
+// for one in internal/pkg, or xlupc.TestName for one of the root
+// package — is not a test that names ident, or nil.
 func (l *censusLoader) testReads(p *censusPkg, test, ident string) error {
 	dir := p.dir
 	if pkg, name, ok := strings.Cut(test, "."); ok {
 		dir, test = filepath.Join(l.root, "internal", pkg), name
+		if pkg == "xlupc" {
+			dir = l.root
+		}
 	}
 	tests, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 	if err != nil {
@@ -460,7 +515,7 @@ func (l *censusLoader) testReads(p *censusPkg, test, ident string) error {
 // coverageCeiling is the number of statements under internal/ that no
 // shipped invocation executes. It only goes down: the change that lowers
 // the count lowers it too.
-const coverageCeiling = 773
+const coverageCeiling = 761
 
 // coverageExceptions are the functions under internal/ of more than one
 // statement that no shipped invocation runs but that stay, each with the
@@ -478,8 +533,8 @@ var coverageExceptions = map[string]string{
 	"sim.DeadlockError.Error":      "the message of a deadlock (see sim.Kernel.deadlock)",
 	"pool.Free.retire":             "the xlupcpoison build's retire check, a build no shipped binary uses",
 	"core.Thread.bulkNext":         "the second and later runs of a bulk transfer that crosses an affinity boundary, which no shipped workload issues",
-	"transport.coalescer.flushC":   "the coalescer's timer flush: the default 3 µs FlushDelay never expires before a SyncAll flushes the buffer in a shipped run",
-	"addrcache.Cache.Contains":     "skips the address pairs a coalesced frame already piggybacked, which only a frame answering GETs of several objects of one node carries; no shipped run sends one",
+	"transport.coalescer.flushC":   "the coalescer's timer flush: coalFlushDelay (3 µs) never expires before a SyncAll flushes the buffer in a shipped run, but the timer it arms stays, because deleting the arming moves all four coalesced_nbget rows of core's dispatch_golden.json (gm/cache=true: 427,570,800 → 432,804,000 ps, 3,617 → 3,634 events)",
+	"addrcache.Cache.Contains":     "skips the address pairs a coalesced frame already piggybacked, which only a frame answering GETs of several objects of one node carries; no shipped run sends one, but the pairs stay, because deleting them moves nbget_x8_coalesced/{gm,lapi}/cache=true of core's roundtrip_golden.json (NetBytes 4,464 → 4,288)",
 	"mem.costEvictor.Reset":        "clears a crashed node's pin table under the cost evictor; the crash sweeps run the default LRU evictor",
 	"svd.Handle.String":            "names the object in core's panics on a broken invariant",
 	"svd.Kind.String":              "names the object kind in test output; no shipped output prints one",
@@ -924,7 +979,8 @@ type censusPkg struct {
 
 // censusLoader type-checks every non-test package of the tree from
 // source (the files the default build context selects), recording each
-// struct field some statement sets and each one some expression reads.
+// struct field some statement sets, each one some expression reads, and
+// the values the statements give it.
 type censusLoader struct {
 	fset *token.FileSet
 	root string
@@ -932,6 +988,11 @@ type censusLoader struct {
 	pkgs map[string]*censusPkg
 	set  map[*types.Var]bool
 	read map[*types.Var]bool
+	// values holds each field's constant values (constant.Value's exact
+	// string, "nil", or the zero value's); varying, the fields some
+	// statement gives a value that is not a constant.
+	values  map[*types.Var]map[string]bool
+	varying map[*types.Var]bool
 }
 
 func newCensusLoader(t *testing.T) *censusLoader {
@@ -946,6 +1007,9 @@ func newCensusLoader(t *testing.T) *censusLoader {
 		pkgs: map[string]*censusPkg{},
 		set:  map[*types.Var]bool{},
 		read: map[*types.Var]bool{},
+
+		values:  map[*types.Var]map[string]bool{},
+		varying: map[*types.Var]bool{},
 	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -1022,7 +1086,11 @@ func (l *censusLoader) Import(path string) (*types.Package, error) {
 
 // record marks every struct field the statements of f set, and every
 // one its expressions read: each field selection that is not the target
-// of a plain assignment, and the embedded fields it passes through.
+// of a plain assignment, and the embedded fields it passes through. It
+// notes the value each setting gives the field too: a composite
+// literal's element or the zero value of a field it leaves out, the
+// right-hand side of a plain assignment, and a varying value for any
+// other assignment, an increment, or taking the field's address.
 func (l *censusLoader) record(f *ast.File, info *types.Info) {
 	assigned := map[*ast.SelectorExpr]bool{}
 	field := func(e ast.Expr) (*ast.SelectorExpr, *types.Selection) {
@@ -1033,9 +1101,21 @@ func (l *censusLoader) record(f *ast.File, info *types.Info) {
 		}
 		return nil, nil
 	}
-	target := func(e ast.Expr) {
+	give := func(v *types.Var, e ast.Expr) {
+		l.set[v] = true
+		tv := info.Types[e]
+		switch {
+		case e != nil && tv.Value != nil:
+			l.value(v, tv.Value.ExactString())
+		case e != nil && tv.IsNil():
+			l.value(v, "nil")
+		default:
+			l.varying[v] = true
+		}
+	}
+	target := func(e, rhs ast.Expr) {
 		if _, s := field(e); s != nil {
-			l.set[s.Obj().(*types.Var)] = true
+			give(s.Obj().(*types.Var), rhs)
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -1045,32 +1125,44 @@ func (l *censusLoader) record(f *ast.File, info *types.Info) {
 			if !ok {
 				break
 			}
+			given := map[*types.Var]bool{}
 			for i, elt := range n.Elts {
 				kv, ok := elt.(*ast.KeyValueExpr)
 				if !ok {
-					l.set[st.Field(i)] = true
+					give(st.Field(i), elt)
+					given[st.Field(i)] = true
 					continue
 				}
 				for j := 0; j < st.NumFields(); j++ {
 					if key, ok := kv.Key.(*ast.Ident); ok && st.Field(j).Name() == key.Name {
-						l.set[st.Field(j)] = true
+						give(st.Field(j), kv.Value)
+						given[st.Field(j)] = true
 					}
+				}
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if v := st.Field(i); !given[v] {
+					l.value(v, zeroValue(v.Type()))
 				}
 			}
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
-				for _, lhs := range n.Lhs {
-					target(lhs)
+				for i, lhs := range n.Lhs {
+					var rhs ast.Expr
+					if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+						rhs = n.Rhs[i]
+					}
+					target(lhs, rhs)
 					if sel, _ := field(lhs); sel != nil && n.Tok == token.ASSIGN {
 						assigned[sel] = true
 					}
 				}
 			}
 		case *ast.IncDecStmt:
-			target(n.X)
+			target(n.X, nil)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				target(n.X)
+				target(n.X, nil)
 			}
 		case *ast.SelectorExpr:
 			s := info.Selections[n]
@@ -1094,6 +1186,44 @@ func (l *censusLoader) record(f *ast.File, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// value notes that some statement gives field v the constant c.
+func (l *censusLoader) value(v *types.Var, c string) {
+	if l.values[v] == nil {
+		l.values[v] = map[string]bool{}
+	}
+	l.values[v][c] = true
+}
+
+// valueList is the values non-test code gives field v, sorted.
+func (l *censusLoader) valueList(v *types.Var) string {
+	var vals []string
+	for c := range l.values[v] {
+		vals = append(vals, c)
+	}
+	sort.Strings(vals)
+	return strings.Join(vals, ", ")
+}
+
+// zeroValue is the value a composite literal gives a field of type t
+// that it leaves out, spelled as an explicit constant of that type would
+// be.
+func zeroValue(t types.Type) string {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		switch {
+		case u.Info()&types.IsBoolean != 0:
+			return constant.MakeBool(false).ExactString()
+		case u.Info()&types.IsString != 0:
+			return constant.MakeString("").ExactString()
+		case u.Info()&types.IsNumeric != 0:
+			return constant.MakeInt64(0).ExactString()
+		}
+	case *types.Struct, *types.Array:
+		return "{}"
+	}
+	return "nil"
 }
 
 // derefStruct is the struct type t is or points to, or nil.

@@ -36,12 +36,12 @@ func run(kernel string, threads, nodes int, prof *transport.Profile, cc core.Cac
 	st, err := rt.Run(func(t *core.Thread) {
 		switch kernel {
 		case "cg":
-			r := apps.CG(t, apps.DefaultCG())
+			r := apps.CG(t)
 			if t.ID() == 0 {
 				summary, ok = r.String(), r.Verified
 			}
 		case "is":
-			r := apps.IS(t, apps.DefaultIS())
+			r := apps.IS(t)
 			if t.ID() == 0 {
 				summary, ok = fmt.Sprintf("%d keys", r.Total), r.Verified
 			}

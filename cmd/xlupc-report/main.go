@@ -41,6 +41,18 @@ func machinesFor(full bool, reps, parallel int) (maxGM, maxLAPI, maxFig8 int, er
 	return 256, 128, 512, nil
 }
 
+// bigOptsFor is the big-scale sweep point of -scale: 32k threads / 1k
+// nodes with -full, 8k / 256 otherwise, at -seed like every other
+// section.
+func bigOptsFor(full bool, seed int64) bench.BigOpts {
+	o := bench.DefaultBigOpts()
+	if !full {
+		o.Threads, o.Nodes = 8192, 256
+	}
+	o.Seed = seed
+	return o
+}
+
 func main() {
 	full := flag.Bool("full", false, "run at the paper's largest scales (slower)")
 	reps := flag.Int("reps", 10, "microbenchmark repetitions per point")
@@ -134,10 +146,7 @@ func main() {
 	bench.PrintPhaseBreakdown(w, *seed)
 
 	if *scale {
-		o := bench.DefaultBigOpts()
-		if !*full {
-			o.Threads, o.Nodes = 8192, 256
-		}
+		o := bigOptsFor(*full, *seed)
 		section(w, "Big-scale sweep: the simulator's own cost at scale",
 			"n/a — host-side scaling figure; only the virtual columns are deterministic")
 		if _, err := bench.PrintScale(w, o); err != nil {

@@ -32,3 +32,14 @@ func TestMachinesFor(t *testing.T) {
 		}
 	}
 }
+
+// -scale runs its sweep point at -seed, not at the default point's seed.
+func TestBigOptsFor(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		for _, seed := range []int64{1, 2} {
+			if o := bigOptsFor(full, seed); o.Seed != seed {
+				t.Errorf("bigOptsFor(%v, %d).Seed = %d", full, seed, o.Seed)
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@ func runCG(t *testing.T, threads, nodes int, prof *transport.Profile, cc core.Ca
 	}
 	var res CGResult
 	st, err := rt.Run(func(th *core.Thread) {
-		r := CG(th, DefaultCG())
+		r := CG(th)
 		if th.ID() == 0 {
 			res = r
 		}
@@ -39,7 +39,7 @@ func runIS(t *testing.T, threads, nodes int, prof *transport.Profile, cc core.Ca
 	}
 	var res ISResult
 	st, err := rt.Run(func(th *core.Thread) {
-		r := IS(th, DefaultIS())
+		r := IS(th)
 		if th.ID() == 0 {
 			res = r
 		}
@@ -84,7 +84,7 @@ func TestISSortsAndVerifies(t *testing.T) {
 		if !res.Verified {
 			t.Errorf("%s: IS verification failed: %+v", prof.Name, res)
 		}
-		if res.Total != 8*int64(DefaultIS().KeysPerThread) {
+		if res.Total != 8*isKeysPerThread {
 			t.Errorf("%s: lost keys: %d", prof.Name, res.Total)
 		}
 	}

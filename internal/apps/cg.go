@@ -4,7 +4,8 @@
 // paper's group used to characterize shared-variable usage (§4.5).
 // They exercise the full runtime surface — block-cyclic arrays, bulk
 // and element transfers, float reductions, atomics and barriers — and
-// self-verify their results.
+// self-verify their results. Their sizes are constants of the package:
+// a kernel takes nothing but the thread it runs on.
 package apps
 
 import (
@@ -15,18 +16,13 @@ import (
 	"xlupc/internal/sim"
 )
 
-// CGParams sizes the conjugate-gradient kernel.
-type CGParams struct {
-	RowsPerThread  int // matrix dimension = RowsPerThread * THREADS
-	NonzerosPerRow int
-	Iters          int
-	FlopCost       sim.Time // modeled time per multiply-add
-}
-
-// DefaultCG returns test-friendly sizes.
-func DefaultCG() CGParams {
-	return CGParams{RowsPerThread: 48, NonzerosPerRow: 6, Iters: 8, FlopCost: 2 * sim.Ns}
-}
+// The conjugate-gradient kernel's sizes, test-friendly.
+const (
+	cgRowsPerThread  = 48 // matrix dimension = cgRowsPerThread * THREADS
+	cgNonzerosPerRow = 6
+	cgIters          = 8
+	cgFlopCost       = 2 * sim.Ns // modeled time per multiply-add
+)
 
 // CGResult reports the solve.
 type CGResult struct {
@@ -47,11 +43,10 @@ func cgHash(x uint64) uint64 {
 // vector p is the only globally read shared array — its remote
 // accesses each matvec are the communication the address cache
 // accelerates. Every thread returns the same CGResult.
-func CG(t *core.Thread, p CGParams) CGResult {
-	n := int64(p.RowsPerThread * t.Threads())
-	rowsPer := int64(p.RowsPerThread)
+func CG(t *core.Thread) CGResult {
+	const rowsPer, nnz = cgRowsPerThread, cgNonzerosPerRow
+	n := int64(rowsPer * t.Threads())
 	lo := int64(t.ID()) * rowsPer
-	nnz := int64(p.NonzerosPerRow)
 
 	// Shared search vector; everything else lives in private memory.
 	ps := t.AllAlloc("cg.p", n, 8, rowsPer)
@@ -129,7 +124,7 @@ func CG(t *core.Thread, p CGParams) CGResult {
 	rho0 := rho
 	q := make([]float64, rowsPer)
 	pv := make([]byte, 8)
-	for it := 0; it < p.Iters; it++ {
+	for it := 0; it < cgIters; it++ {
 		// q = A p : remote gets of p for off-block columns.
 		flops := int64(0)
 		for rr := int64(0); rr < rowsPer; rr++ {
@@ -143,7 +138,7 @@ func CG(t *core.Thread, p CGParams) CGResult {
 			q[rr] = s
 			flops += int64(len(myCols[rr])) + 1
 		}
-		t.Compute(sim.Time(flops) * p.FlopCost)
+		t.Compute(sim.Time(flops) * cgFlopCost)
 
 		// alpha = rho / (p · q) over the owned block.
 		pDotQ := 0.0

@@ -7,17 +7,12 @@ import (
 	"xlupc/internal/sim"
 )
 
-// ISParams sizes the integer sort kernel.
-type ISParams struct {
-	KeysPerThread int
-	KeyRange      uint64   // keys are in [0, KeyRange)
-	CompareCost   sim.Time // modeled time per comparison in the local sort
-}
-
-// DefaultIS returns test-friendly sizes.
-func DefaultIS() ISParams {
-	return ISParams{KeysPerThread: 128, KeyRange: 1 << 16, CompareCost: 10 * sim.Ns}
-}
+// The integer sort kernel's sizes, test-friendly.
+const (
+	isKeysPerThread = 128
+	isKeyRange      = 1 << 16     // keys are in [0, isKeyRange)
+	isCompareCost   = 10 * sim.Ns // modeled time per comparison in the local sort
+)
 
 // ISResult reports the sort.
 type ISResult struct {
@@ -32,10 +27,10 @@ type ISResult struct {
 // lock-free coordination pattern the runtime's atomics exist for —
 // and each thread sorts its bucket locally. Every thread returns the
 // same verified result.
-func IS(t *core.Thread, p ISParams) ISResult {
+func IS(t *core.Thread) ISResult {
 	threads := int64(t.Threads())
-	perBucket := int64(p.KeysPerThread) * threads // worst-case bucket size
-	bucketWidth := (p.KeyRange + uint64(threads) - 1) / uint64(threads)
+	perBucket := int64(isKeysPerThread) * threads // worst-case bucket size
+	bucketWidth := (isKeyRange + uint64(threads) - 1) / uint64(threads)
 
 	// Shared: the bucket storage and one reservation counter per
 	// bucket (both block-distributed so bucket b and its counter live
@@ -46,9 +41,9 @@ func IS(t *core.Thread, p ISParams) ISResult {
 
 	// Generate and scatter keys: reserve a slot in the destination
 	// bucket with fetch-and-add, then PUT the key there.
-	keys := make([]uint64, p.KeysPerThread)
+	keys := make([]uint64, isKeysPerThread)
 	for i := range keys {
-		keys[i] = cgHash(uint64(t.ID())*100_003+uint64(i)) % p.KeyRange
+		keys[i] = cgHash(uint64(t.ID())*100_003+uint64(i)) % isKeyRange
 	}
 	for _, k := range keys {
 		b := int64(k / bucketWidth)
@@ -67,7 +62,7 @@ func IS(t *core.Thread, p ISParams) ISResult {
 	for i := int64(0); i < count; i++ {
 		local[i] = t.GetUint64(buckets.At(mine*perBucket + i))
 	}
-	t.Compute(sim.Time(count) * p.CompareCost * 8) // ~ n log n comparisons
+	t.Compute(sim.Time(count) * isCompareCost * 8) // ~ n log n comparisons
 	sort.Slice(local, func(i, j int) bool { return local[i] < local[j] })
 	for i := int64(0); i < count; i++ {
 		t.PutUint64(buckets.At(mine*perBucket+i), local[i])
@@ -79,7 +74,7 @@ func IS(t *core.Thread, p ISParams) ISResult {
 	loKey := uint64(mine) * bucketWidth
 	hiKey := loKey + bucketWidth
 	if mine == threads-1 {
-		hiKey = p.KeyRange
+		hiKey = isKeyRange
 	}
 	for i := int64(0); i < count; i++ {
 		if local[i] < loKey || local[i] >= hiKey {
@@ -93,6 +88,6 @@ func IS(t *core.Thread, p ISParams) ISResult {
 
 	total := int64(t.AllReduceU64(uint64(count), core.ReduceSum))
 	allOK := t.AllReduceU64(map[bool]uint64{true: 1, false: 0}[ok], core.ReduceMin)
-	verified := allOK == 1 && total == int64(p.KeysPerThread)*threads
+	verified := allOK == 1 && total == int64(isKeysPerThread)*threads
 	return ISResult{Total: total, Verified: verified}
 }

@@ -17,45 +17,36 @@ import (
 	"xlupc/internal/transport"
 )
 
-// adaptHot is how many arrays form the hot working set against the
-// fixed hot peer; adaptBurst is the pollution burst width (distinct
-// cold keys per burst). Burst width equals the budget in the default
-// configuration, which is exactly what defeats a global LRU.
+// The figure's workload and cache sizes. adaptHot is how many arrays
+// form the hot working set against the fixed hot peer; adaptBurst is the
+// pollution burst width (distinct cold keys per burst). Burst width
+// equals the budget, which is exactly what defeats a global LRU.
 const (
 	adaptHot   = 4
 	adaptBurst = 6
+	// adaptArrays are allocated: the hot set plus the pollution pool.
+	adaptArrays = adaptHot + adaptBurst
+	// adaptBlockElems is the per-thread block size in 8-byte elements.
+	adaptBlockElems = 4
+	// adaptIters is the per-thread access count; every eighth access is
+	// a burst of adaptBurst cold-peer reads.
+	adaptIters = 64
+	// adaptBudget is the per-node cache entry budget, identical for the
+	// fixed and adaptive variants.
+	adaptBudget = 6
+	// adaptWindow is the adaptive re-apportionment window in lookups.
+	adaptWindow = 32
 )
 
 // AdaptOpts shapes the adaptive address-cache workload.
 type AdaptOpts struct {
 	Scale Scale
-	// Arrays allocated (>= adaptHot + adaptBurst: the hot set plus the
-	// pollution pool).
-	Arrays int
-	// BlockElems is the per-thread block size in 8-byte elements.
-	BlockElems int
-	// Iters is the per-thread access count; every eighth access is a
-	// burst of adaptBurst cold-peer reads.
-	Iters int
-	// Budget is the per-node cache entry budget, identical for the
-	// fixed and adaptive variants.
-	Budget int
-	// Window is the adaptive re-apportionment window in lookups.
-	Window int
-	Seed   int64
+	Seed  int64
 }
 
 // DefaultAdapt returns the figure's published configuration.
 func DefaultAdapt() AdaptOpts {
-	return AdaptOpts{
-		Scale:      Scale{Threads: 8, Nodes: 4},
-		Arrays:     10,
-		BlockElems: 4,
-		Iters:      64,
-		Budget:     6,
-		Window:     32,
-		Seed:       11,
-	}
+	return AdaptOpts{Scale: Scale{Threads: 8, Nodes: 4}, Seed: 11}
 }
 
 // Validate checks the machine the figure needs: a valid hybrid scale
@@ -85,26 +76,26 @@ func adaptTarget(tid, i, j, nodes, tpn int) (ai, node int) {
 
 // adaptBody reads remote translations in the hot/pollution pattern and
 // checksums the values it fetched.
-func adaptBody(t *core.Thread, o AdaptOpts) uint64 {
+func adaptBody(t *core.Thread) uint64 {
 	nT := t.Threads()
 	tpn := t.ThreadsPerNode()
-	elems := int64(o.BlockElems) * int64(nT)
-	arrays := make([]*core.SharedArray, o.Arrays)
+	elems := adaptBlockElems * int64(nT)
+	arrays := make([]*core.SharedArray, adaptArrays)
 	for ai := range arrays {
-		arrays[ai] = t.AllAlloc(fmt.Sprintf("adapt-%d", ai), elems, 8, int64(o.BlockElems))
+		arrays[ai] = t.AllAlloc(fmt.Sprintf("adapt-%d", ai), elems, 8, adaptBlockElems)
 	}
 	for ai := range arrays {
-		t.PutUint64(arrays[ai].At(int64(t.ID())*int64(o.BlockElems)), pressMix(0, ai, t.ID(), 0))
+		t.PutUint64(arrays[ai].At(int64(t.ID())*adaptBlockElems), pressMix(0, ai, t.ID(), 0))
 	}
 	t.Barrier()
 	acc := pressMix(1, 0, t.ID(), 0) // per-thread salt: node-mates read identical streams
 	read := func(i, j int) {
 		ai, node := adaptTarget(t.ID(), i, j, nT/tpn, tpn)
 		owner := node * tpn
-		v := t.GetUint64(arrays[ai].At(int64(owner) * int64(o.BlockElems)))
+		v := t.GetUint64(arrays[ai].At(int64(owner) * adaptBlockElems))
 		acc ^= v + uint64(i)*0x9E3779B97F4A7C15
 	}
-	for i := 0; i < o.Iters; i++ {
+	for i := 0; i < adaptIters; i++ {
 		if i%8 == 7 {
 			for j := 0; j < adaptBurst; j++ {
 				read(i, j)
@@ -126,17 +117,16 @@ type AdaptPoint struct {
 
 // runAdapt runs the workload under one cache-sizing variant.
 func runAdapt(prof *transport.Profile, o AdaptOpts, adaptive bool) AdaptPoint {
-	cache := adaptCacheConfig(o, adaptive)
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: prof,
-		Cache: cache, Seed: o.Seed,
+		Cache: adaptCacheConfig(adaptive), Seed: o.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
 	checks := make([]uint64, cfg.Threads)
-	st, err := rt.Run(func(t *core.Thread) { checks[t.ID()] = adaptBody(t, o) })
+	st, err := rt.Run(func(t *core.Thread) { checks[t.ID()] = adaptBody(t) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: adapt run failed: %v", err))
 	}
@@ -149,13 +139,13 @@ func runAdapt(prof *transport.Profile, o AdaptOpts, adaptive bool) AdaptPoint {
 
 // adaptCacheConfig builds the cache configuration for one sizing
 // variant at the shared entry budget.
-func adaptCacheConfig(o AdaptOpts, adaptive bool) core.CacheConfig {
+func adaptCacheConfig(adaptive bool) core.CacheConfig {
 	if adaptive {
 		return core.CacheConfig{Enabled: true, Adaptive: &addrcache.AdaptiveConfig{
-			Budget: o.Budget, Window: o.Window,
+			Budget: adaptBudget, Window: adaptWindow,
 		}}
 	}
-	return core.CacheConfig{Enabled: true, Capacity: o.Budget, Policy: addrcache.LRU}
+	return core.CacheConfig{Enabled: true, Capacity: adaptBudget, Policy: addrcache.LRU}
 }
 
 // AdaptSweep runs fixed and adaptive sizing at the identical budget and
@@ -182,7 +172,7 @@ func PrintAdaptCache(w io.Writer, prof *transport.Profile, o AdaptOpts) error {
 		return err
 	}
 	fmt.Fprintf(w, "# Adaptive address-cache sizing on %s (%d threads / %d nodes, budget %d entries/node, window %d, hot %d keys, burst %d)\n",
-		prof.Name, o.Scale.Threads, o.Scale.Nodes, o.Budget, o.Window, adaptHot, adaptBurst)
+		prof.Name, o.Scale.Threads, o.Scale.Nodes, adaptBudget, adaptWindow, adaptHot, adaptBurst)
 	fmt.Fprintf(w, "%9s %12s %8s %8s %8s %8s %9s\n",
 		"variant", "elapsed(us)", "hits", "misses", "evict", "resizes", "hit-rate")
 	for _, p := range []AdaptPoint{fixed, adaptive} {

@@ -64,7 +64,7 @@ func TestFig6PutShapes(t *testing.T) {
 func TestLAPIPutCacheDisabledByDefault(t *testing.T) {
 	// Without ForcePutCache, LAPI PUTs must not regress: the runtime
 	// follows the paper and skips the cache for LAPI PUTs.
-	o := MicroOpts{Prof: transport.LAPI(), Size: 16, Reps: 4, Warm: 2, Seed: 1}
+	o := MicroOpts{Prof: transport.LAPI(), Size: 16, Reps: 4, Seed: 1}
 	z := MicroLatency(OpPut, false, o)
 	w := MicroLatency(OpPut, true, o)
 	if w.Mean() > z.Mean()*1.05 {

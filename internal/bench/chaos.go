@@ -58,7 +58,7 @@ func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheC
 	return runMark(mark, core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: seed,
 		Fault: fc, Flight: fl,
-	}, dis.Default(sc.Threads))
+	}, dis.Params{})
 }
 
 // ChaosSweep measures a degradation curve: the stressmark and the
@@ -82,7 +82,7 @@ func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64
 			panic(fmt.Sprintf("bench: %s at loss %g: checksum changed by cache: %x vs %x",
 				mark, losses[i], zsum, wsum))
 		}
-		mo := MicroOpts{Prof: prof, Size: 8, Reps: 12, Warm: 3, Seed: seed,
+		mo := MicroOpts{Prof: prof, Size: 8, Reps: 12, Seed: seed,
 			ForcePutCache: true, Fault: &fc}
 		get := MicroLatency(OpGet, true, mo)
 		put := MicroLatency(OpPut, true, mo)

@@ -50,7 +50,7 @@ func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.Crash
 	return runMark(mark, core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: core.DefaultCache(), Seed: seed,
 		Rel: &rc, Crash: cc, Flight: fl,
-	}, dis.Default(sc.Threads))
+	}, dis.Params{})
 }
 
 // CrashSweep measures a recovery curve: the stressmark at each crash

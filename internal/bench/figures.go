@@ -48,7 +48,7 @@ type LatencyPoint struct {
 func MicroSweep(op Op, prof *transport.Profile, sizes []int, reps int, seed int64) []LatencyPoint {
 	pts := make([]LatencyPoint, len(sizes))
 	parfor(len(sizes), func(i int) {
-		o := MicroOpts{Prof: prof, Size: sizes[i], Reps: reps, Warm: 3, Seed: seed,
+		o := MicroOpts{Prof: prof, Size: sizes[i], Reps: reps, Seed: seed,
 			ForcePutCache: op == OpPut}
 		zs := MicroLatency(op, false, o)
 		ws := MicroLatency(op, true, o)
@@ -140,7 +140,7 @@ func runMark(mark string, cfg core.Config, p dis.Params) (core.RunStats, uint64,
 func runStressmark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, seed int64) core.RunStats {
 	st, _, _ := runMark(mark, core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: seed,
-	}, dis.Default(sc.Threads))
+	}, dis.Params{})
 	return st
 }
 
@@ -246,8 +246,7 @@ func Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int, seed int64
 	imps := make([]float64, reps)
 	parfor(reps, func(r int) {
 		rs := seed + int64(r)*7919
-		p := dis.Default(sc.Threads)
-		p.Salt = uint64(rs)
+		p := dis.Params{Salt: uint64(rs)}
 		run := func(cc core.CacheConfig) core.RunStats {
 			st, _, _ := runMark(mark, core.Config{
 				Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: rs,

@@ -41,8 +41,7 @@ func FlightCapture(w io.Writer, seed int64, fl *flight.Config) error {
 	if err != nil {
 		return err
 	}
-	p := dis.Default(8)
-	if _, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, p) }); err != nil {
+	if _, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, dis.Params{}) }); err != nil {
 		// Even a failed capture run has a story to tell; dump it, then
 		// report the failure.
 		_ = rt.WriteFlightDump(w, err)

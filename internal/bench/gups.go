@@ -53,13 +53,15 @@ func (p GUPSProto) String() string {
 // GUPSProtos is the fixed figure order, baseline first.
 func GUPSProtos() []GUPSProto { return []GUPSProto{GUPSGetPut, GUPSSplit, GUPSAtomic} }
 
+// gupsBatch is the split-phase issue window between syncs.
+const gupsBatch = 8
+
 // GUPSOpts configures one GUPS run.
 type GUPSOpts struct {
 	Scale   Scale
 	Prof    *transport.Profile
 	Words   int64 // table words per thread
 	Updates int64 // updates per thread
-	Batch   int64 // split-phase issue window between syncs
 	Seed    int64
 }
 
@@ -90,13 +92,6 @@ func (o GUPSOpts) draw(tid int, k int64) (off int64, delta uint64) {
 func (o GUPSOpts) partner(tid int) int64 {
 	t := int64(o.Scale.Threads)
 	return (int64(tid) + t/2) % t
-}
-
-func (o GUPSOpts) batch() int64 {
-	if o.Batch <= 0 {
-		return 8
-	}
-	return o.Batch
 }
 
 // RunGUPS runs the update stream under one protocol. Same options, same
@@ -146,7 +141,7 @@ func gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span
 		for k := int64(0); k < o.Updates; k++ {
 			off, delta := o.draw(t.ID(), k)
 			t.NbAccumulate(a.At(pbase+off), delta)
-			if (k+1)%o.batch() == 0 {
+			if (k+1)%gupsBatch == 0 {
 				t.SyncAll()
 			}
 		}
@@ -216,7 +211,7 @@ func GUPSSweep(prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
 func PrintGUPS(w io.Writer, prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
 	pts := GUPSSweep(prof, sc, o)
 	fmt.Fprintf(w, "# GUPS — %s, %s: %d words/thread, %d updates/thread, batch %d (one-message-per-update vs GET+compute+PUT)\n",
-		prof.Name, sc, o.Words, o.Updates, o.batch())
+		prof.Name, sc, o.Words, o.Updates, gupsBatch)
 	fmt.Fprintf(w, "%8s %10s %12s %8s %10s %17s\n",
 		"protocol", "upd/ms", "elapsed(us)", "msgs", "improv(%)", "checksum")
 	for _, pt := range pts {

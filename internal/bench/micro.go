@@ -31,12 +31,15 @@ func (o Op) String() string {
 	return "get"
 }
 
+// microWarm is the number of warmup operations of a latency
+// microbenchmark (populate cache, pin memory).
+const microWarm = 3
+
 // MicroOpts configures a latency microbenchmark.
 type MicroOpts struct {
 	Prof *transport.Profile
 	Size int // transfer size in bytes
 	Reps int // measured repetitions (after warmup)
-	Warm int // warmup operations (populate cache, pin memory)
 	Seed int64
 	// ForcePutCache enables PUT caching regardless of the profile —
 	// how the paper obtained the (negative) LAPI PUT curve before
@@ -76,7 +79,7 @@ func MicroLatency(op Op, cached bool, o MicroOpts) stats.Sample {
 		if t.ID() == 0 {
 			buf := make([]byte, o.Size)
 			target := a.At(int64(o.Size)) // node 1's block
-			for i := 0; i < o.Warm; i++ {
+			for i := 0; i < microWarm; i++ {
 				runOp(t, op, target, buf)
 				t.Fence()
 			}

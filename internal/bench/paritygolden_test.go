@@ -129,7 +129,7 @@ func checkParityRow(t *testing.T, want map[string]parityRow, key string, got par
 }
 
 func matrixRow(pc parityConfig, mark string) parityRow {
-	st, ck, _ := runMark(mark, pc.cfg, dis.Default(pc.cfg.Threads))
+	st, ck, _ := runMark(mark, pc.cfg, dis.Params{})
 	return parityRowOf(st, ck)
 }
 

@@ -25,8 +25,7 @@ func PhaseRun(mark string, prof *transport.Profile, sc Scale, cc core.CacheConfi
 	if err != nil {
 		return nil, core.RunStats{}, err
 	}
-	p := dis.Default(sc.Threads)
-	st, err := rt.Run(func(t *core.Thread) { fn(t, p) })
+	st, err := rt.Run(func(t *core.Thread) { fn(t, dis.Params{}) })
 	if err != nil {
 		return nil, core.RunStats{}, err
 	}

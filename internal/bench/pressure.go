@@ -21,10 +21,22 @@ import (
 	"xlupc/internal/transport"
 )
 
-// pressW is how many elements of its block each thread seeds per array
-// per round; scans only read seeded slots, so checksums are value-
-// complete whatever the pin policy does.
-const pressW = 4
+// The churn storm's sizes.
+const (
+	// pressW is how many elements of its block each thread seeds per
+	// array per round; scans only read seeded slots, so checksums are
+	// value-complete whatever the pin policy does.
+	pressW = 4
+	// pressArrays are allocated per round; their per-node pinned chunks
+	// are the working set the pin budget is measured against.
+	pressArrays = 6
+	// pressBlockElems is the per-thread block size in 8-byte elements.
+	pressBlockElems = 8
+	// pressScans per round: cyclic reads over all arrays, mostly against
+	// a fixed hot neighbour with a periodic rotating cold sweep — the
+	// LRU-adversarial pattern.
+	pressScans = 8
+)
 
 // PressureOpts shapes the churn-storm workload.
 type PressureOpts struct {
@@ -33,17 +45,8 @@ type PressureOpts struct {
 	// first-fit allocator hands freed bases back out, which is what a
 	// lazy-unpin dead-list converts into free re-pins.
 	Rounds int
-	// Arrays allocated per round; their per-node pinned chunks are the
-	// working set the pin budget is measured against.
-	Arrays int
-	// BlockElems is the per-thread block size in 8-byte elements.
-	BlockElems int
-	// Scans per round: cyclic reads over all arrays, mostly against a
-	// fixed hot neighbour with a periodic rotating cold sweep — the
-	// LRU-adversarial pattern.
-	Scans int
 	// Fracs are the pin budgets swept, as fractions of the per-node
-	// pinned working set (Arrays × per-node chunk bytes).
+	// pinned working set (pressArrays × per-node chunk bytes).
 	Fracs []float64
 	// Variants optionally restricts the policy ladder (nil = the full
 	// PressureVariants ladder).
@@ -62,13 +65,10 @@ func (o PressureOpts) variants() []string {
 // DefaultPressure returns the figure's published configuration.
 func DefaultPressure() PressureOpts {
 	return PressureOpts{
-		Scale:      Scale{Threads: 8, Nodes: 4},
-		Rounds:     4,
-		Arrays:     6,
-		BlockElems: 8,
-		Scans:      8,
-		Fracs:      []float64{0.34, 0.67, 1.0},
-		Seed:       7,
+		Scale:  Scale{Threads: 8, Nodes: 4},
+		Rounds: 4,
+		Fracs:  []float64{0.34, 0.67, 1.0},
+		Seed:   7,
 	}
 }
 
@@ -126,12 +126,9 @@ func pressureVictim(tid, s, r, threads int) int {
 // hot set, the pattern that defeats pure recency: LRU lets the sweep
 // evict the hot set, while CLOCK's reference bits and the cost-aware
 // evictor's ghost-list protection keep it resident.
-func pressureArray(s, k, arrays int) int {
-	if arrays <= 2 {
-		return k % arrays
-	}
+func pressureArray(s, k int) int {
 	if s%4 == 0 {
-		return 2 + (k+s/4)%(arrays-2)
+		return 2 + (k+s/4)%(pressArrays-2)
 	}
 	return k % 2
 }
@@ -141,25 +138,25 @@ func pressureArray(s, k, arrays int) int {
 // frees everything — so the next round's allocations reuse the bases.
 func pressureBody(t *core.Thread, o PressureOpts) uint64 {
 	nT := t.Threads()
-	elems := int64(o.BlockElems) * int64(nT)
-	arrays := make([]*core.SharedArray, o.Arrays)
+	elems := pressBlockElems * int64(nT)
+	arrays := make([]*core.SharedArray, pressArrays)
 	var acc uint64
 	for r := 0; r < o.Rounds; r++ {
 		for ai := range arrays {
-			arrays[ai] = t.AllAlloc(fmt.Sprintf("press-%d-%d", r, ai), elems, 8, int64(o.BlockElems))
+			arrays[ai] = t.AllAlloc(fmt.Sprintf("press-%d-%d", r, ai), elems, 8, pressBlockElems)
 		}
-		base := int64(t.ID()) * int64(o.BlockElems)
+		base := int64(t.ID()) * pressBlockElems
 		for ai := range arrays {
 			for w := 0; w < pressW; w++ {
 				t.PutUint64(arrays[ai].At(base+int64(w)), pressMix(r, ai, t.ID(), w))
 			}
 		}
 		t.Barrier()
-		for s := 0; s < o.Scans; s++ {
+		for s := 0; s < pressScans; s++ {
 			victim := pressureVictim(t.ID(), s, r, nT)
-			vbase := int64(victim) * int64(o.BlockElems)
-			for k := 0; k < o.Arrays; k++ {
-				ai := pressureArray(s, k, o.Arrays)
+			vbase := int64(victim) * pressBlockElems
+			for k := 0; k < pressArrays; k++ {
+				ai := pressureArray(s, k)
 				v := t.GetUint64(arrays[ai].At(vbase + int64(s%pressW)))
 				acc ^= v + uint64(k)*0x9E3779B97F4A7C15
 			}
@@ -186,15 +183,15 @@ type PressurePoint struct {
 }
 
 // pressureWorkingSet is the per-node pinned working set in bytes: every
-// array contributes one local chunk of BlockElems×8 bytes per resident
-// thread.
+// array contributes one local chunk of pressBlockElems×8 bytes per
+// resident thread.
 func pressureWorkingSet(o PressureOpts) int {
-	return o.Arrays * o.BlockElems * 8 * (o.Scale.Threads / o.Scale.Nodes)
+	return pressArrays * pressBlockElems * 8 * (o.Scale.Threads / o.Scale.Nodes)
 }
 
 // runPressurePoint runs the churn storm once under one pin variant.
 func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, frac float64) PressurePoint {
-	chunk := o.BlockElems * 8 * (o.Scale.Threads / o.Scale.Nodes)
+	chunk := pressBlockElems * 8 * (o.Scale.Threads / o.Scale.Nodes)
 	mt := int(frac * float64(pressureWorkingSet(o)))
 	if mt < chunk {
 		mt = chunk // floor: at least one array's local chunk must fit
@@ -251,7 +248,7 @@ func PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []Press
 	pts := PressureSweep(prof, o)
 	variants := o.variants()
 	fmt.Fprintf(w, "# Memory pressure — alloc/free churn storm on %s (%d threads / %d nodes, %d rounds x %d arrays, budget as fraction of %d B working set)\n",
-		prof.Name, o.Scale.Threads, o.Scale.Nodes, o.Rounds, o.Arrays, pressureWorkingSet(o))
+		prof.Name, o.Scale.Threads, o.Scale.Nodes, o.Rounds, pressArrays, pressureWorkingSet(o))
 	fmt.Fprintf(w, "%5s %10s %12s %8s %7s %7s %7s %7s %7s %8s %6s %10s %9s\n",
 		"frac", "variant", "elapsed(us)", "pins", "evict", "nacks", "reuse", "parked", "reclaim", "dereg(us)", "peak", "reuse-rate", "impr(%)")
 	for fi, f := range o.Fracs {

@@ -22,7 +22,6 @@ import (
 func testPressureOpts() PressureOpts {
 	o := DefaultPressure()
 	o.Rounds = 2
-	o.Scans = 8
 	o.Fracs = []float64{0.34, 1.0}
 	return o
 }

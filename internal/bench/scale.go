@@ -23,37 +23,28 @@ import (
 	"xlupc/internal/transport"
 )
 
+// The big-scale workload's sizes, on the GM profile. 256 hops amortize
+// the Nodes compulsory cache misses each initiator node pays, so the
+// sweep's steady state is the cached one-sided RDMA path the figure is
+// about, not the cold-start eager-AM transient.
+const (
+	// bigElemsPerThread is the owned block length (8-byte elements).
+	bigElemsPerThread = 32
+	// bigHops is the pointer-chase length per thread.
+	bigHops = 256
+)
+
 // BigOpts sizes one big-scale sweep point.
 type BigOpts struct {
 	Threads int
 	Nodes   int
-	// ElemsPerThread is the owned block length (8-byte elements).
-	ElemsPerThread int64
-	// Hops is the pointer-chase length per thread.
-	Hops int
-	Prof *transport.Profile
-	Seed int64
-	// CacheCap sizes the per-node address cache. A chase over the whole
-	// array touches every node, so a capacity below Nodes thrashes the
-	// cache and pushes the steady state onto the eager AM path; the
-	// sweep sizes it to Nodes (one entry per (array, target) pair) so
-	// the measured regime is the cached RDMA fast path, as in the
-	// paper's large-configuration runs. Zero means Nodes.
-	CacheCap int
+	Seed    int64
 }
 
 // DefaultBigOpts is the checked-in Figure-8-style sweep point: 32k
 // threads across 1k nodes.
 func DefaultBigOpts() BigOpts {
-	return BigOpts{
-		Threads: 32768, Nodes: 1024,
-		// 256 hops amortize the Nodes compulsory cache misses each
-		// initiator node pays, so the sweep's steady state is the
-		// cached one-sided RDMA path the figure is about, not the
-		// cold-start eager-AM transient.
-		ElemsPerThread: 32, Hops: 256,
-		Prof: transport.GM(), Seed: 1,
-	}
+	return BigOpts{Threads: 32768, Nodes: 1024, Seed: 1}
 }
 
 // bigHash is splitmix64 — the same mixer the dis package uses, inlined
@@ -65,16 +56,16 @@ func bigHash(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// bigBodyC is the workload: fill the owned block, barrier, chase Hops
-// pointers (mostly remote GETs), barrier.
+// bigBodyC is the workload: fill the owned block, barrier, chase
+// bigHops pointers (mostly remote GETs), barrier.
 func bigBodyC(t *core.Thread, o BigOpts, done func(uint64)) {
-	n := o.ElemsPerThread * int64(t.Threads())
-	t.AllAllocC("big", n, 8, o.ElemsPerThread, func(a *core.SharedArray) {
-		lo := int64(t.ID()) * o.ElemsPerThread
+	n := bigElemsPerThread * int64(t.Threads())
+	t.AllAllocC("big", n, 8, bigElemsPerThread, func(a *core.SharedArray) {
+		lo := int64(t.ID()) * bigElemsPerThread
 		i := int64(0)
 		sim.Loop(func(next func()) {
-			if i == o.ElemsPerThread {
-				t.BarrierC(func() { bigChase(t, o, a, done) })
+			if i == bigElemsPerThread {
+				t.BarrierC(func() { bigChase(t, a, done) })
 				return
 			}
 			idx := lo + i
@@ -87,8 +78,8 @@ func bigBodyC(t *core.Thread, o BigOpts, done func(uint64)) {
 // bigChase drives the pointer chase with a single self-recursive step
 // closure per thread — no per-hop closures, so the chase itself adds
 // nothing to the allocation profile it measures.
-func bigChase(t *core.Thread, o BigOpts, a *core.SharedArray, done func(uint64)) {
-	n := o.ElemsPerThread * int64(t.Threads())
+func bigChase(t *core.Thread, a *core.SharedArray, done func(uint64)) {
+	n := bigElemsPerThread * int64(t.Threads())
 	pos := int64(bigHash(uint64(t.ID())^0xB16) % uint64(n))
 	var check uint64
 	h := 0
@@ -97,15 +88,11 @@ func bigChase(t *core.Thread, o BigOpts, a *core.SharedArray, done func(uint64))
 		check ^= v + uint64(h)
 		h++
 		pos = int64(v)
-		if h == o.Hops {
+		if h == bigHops {
 			t.BarrierC(func() { done(check) })
 			return
 		}
 		t.GetUint64C(a.At(pos), step)
-	}
-	if o.Hops == 0 {
-		t.BarrierC(func() { done(check) })
-		return
 	}
 	t.GetUint64C(a.At(pos), step)
 }
@@ -127,15 +114,17 @@ type ScalePoint struct {
 
 // ScaleMark runs the big-scale workload once and measures the host
 // cost (wall clock, allocations) of the run.
+//
+// A chase over the whole array touches every node, so a cache capacity
+// below Nodes would thrash and push the steady state onto the eager AM
+// path; the per-node address cache holds Nodes entries (one per
+// (array, target) pair) so the measured regime is the cached RDMA fast
+// path, as in the paper's large-configuration runs.
 func ScaleMark(o BigOpts) (ScalePoint, error) {
-	cap := o.CacheCap
-	if cap <= 0 {
-		cap = o.Nodes
-	}
 	cache := core.DefaultCache()
-	cache.Capacity = cap
+	cache.Capacity = o.Nodes
 	cfg := core.Config{
-		Threads: o.Threads, Nodes: o.Nodes, Profile: o.Prof,
+		Threads: o.Threads, Nodes: o.Nodes, Profile: transport.GM(),
 		Cache: cache, Seed: o.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
@@ -188,8 +177,8 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 // beside the host cost: events/sec, allocs per event and bytes per
 // thread.
 func PrintScale(w io.Writer, o BigOpts) (ScalePoint, error) {
-	fmt.Fprintf(w, "# Big-scale sweep — %s, %d threads / %d nodes, %d elems/thread, %d hops (host columns vary with machine load)\n",
-		o.Prof.Name, o.Threads, o.Nodes, o.ElemsPerThread, o.Hops)
+	fmt.Fprintf(w, "# Big-scale sweep — gm, %d threads / %d nodes, %d elems/thread, %d hops (host columns vary with machine load)\n",
+		o.Threads, o.Nodes, bigElemsPerThread, bigHops)
 	fmt.Fprintf(w, "%12s %12s %17s | %10s %12s %10s %12s\n",
 		"virt-time", "events", "checksum", "wall", "events/s", "allocs/ev", "bytes/thread")
 	sp, err := ScaleMark(o)

@@ -30,6 +30,24 @@ func TestScalePrint(t *testing.T) {
 	}
 }
 
+// The seed reaches the workload: the sweep point's checksum moves with
+// it (xlupc-report -scale passes its -seed through).
+func TestScaleSeed(t *testing.T) {
+	var sums [2]uint64
+	for i := range sums {
+		o := smallBig()
+		o.Seed = int64(i + 1)
+		sp, err := ScaleMark(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[i] = sp.Checksum
+	}
+	if sums[0] == sums[1] {
+		t.Errorf("seeds 1 and 2 give the same checksum %x", sums[0])
+	}
+}
+
 // BenchmarkBigScaleCont times the sweep point under -benchmem; the CI
 // smoke (ci_smoke_test.go) compares the full point against the
 // checked-in baseline. The default benchmark

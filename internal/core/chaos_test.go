@@ -99,7 +99,7 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 func TestChaosDeadLinkFailsFast(t *testing.T) {
 	fc := fault.Config{Drop: 1}
 	c := chaosCfg(fc, transport.GM())
-	c.Rel = &transport.RelConfig{RTO: 20 * sim.Us, MaxRetries: 3, HeaderBytes: 8}
+	c.Rel = &transport.RelConfig{RTO: 20 * sim.Us, MaxRetries: 3}
 	tel := telemetry.New()
 	c.Telemetry = tel
 	rt, err := NewRuntime(c)

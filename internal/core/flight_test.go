@@ -42,7 +42,7 @@ func TestFlightDumpNamesTransportFailure(t *testing.T) {
 	var dump bytes.Buffer
 	fc := fault.Config{Drop: 1}
 	c := chaosCfg(fc, transport.GM())
-	c.Rel = &transport.RelConfig{RTO: 20 * sim.Us, MaxRetries: 3, HeaderBytes: 8}
+	c.Rel = &transport.RelConfig{RTO: 20 * sim.Us, MaxRetries: 3}
 	c.Flight = &flight.Config{Dump: &dump}
 	rt, err := NewRuntime(c)
 	if err != nil {

@@ -125,7 +125,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		m.EnableChaos(inj, rc)
 	}
 	if cfg.Coalesce != nil {
-		m.EnableCoalescing(*cfg.Coalesce)
+		m.EnableCoalescing()
 	}
 	rt := &Runtime{cfg: cfg, K: k, M: m, tel: cfg.Telemetry, putCache: cfg.putCacheEnabled()}
 	if cfg.Flight != nil {

@@ -4,7 +4,9 @@
 // access patterns of data-intensive applications; the patterns — not
 // absolute problem sizes — are what exercise the remote address cache,
 // so the default sizes here are scaled down to keep simulations fast
-// (simulated time is unaffected by how long the simulator runs).
+// (simulated time is unaffected by how long the simulator runs). The
+// sizes are constants of the package; Params carries only the salt
+// that replicates a run.
 //
 // Every stressmark returns a checksum that must be identical with the
 // cache on and off: the optimization may only change timing.
@@ -17,88 +19,66 @@ import (
 	"xlupc/internal/sim"
 )
 
-// Params sizes the stressmarks.
-type Params struct {
-	// Pointer: each thread follows PointerHops pointers through a
-	// shared array of PointerLen words.
-	PointerLen  int64
-	PointerHops int
+// The stressmarks' sizes: simulation-friendly, scaled to the thread
+// count where they scale — enough work per thread for stable
+// statistics, small enough to sweep hundreds of configurations.
+const (
+	// Pointer: each thread follows pointerHops pointers through a
+	// shared array of pointerPerThread words per thread.
+	pointerPerThread = 256
+	pointerHops      = 96
 
-	// Update: thread 0 follows UpdateHops pointers, reading
-	// UpdateReads locations and writing one per hop, while the other
-	// threads idle in a barrier. UpdateHopCompute is the local work
-	// between hops.
-	UpdateLen        int64
-	UpdateHops       int
-	UpdateReads      int
-	UpdateHopCompute sim.Time
+	// Update: thread 0 follows updateHopsBase + updateHopsPerThread ×
+	// THREADS pointers through a shared array of updatePerThread words
+	// per thread, reading updateReads locations and writing one per
+	// hop, while the other threads idle in a barrier. The hop count
+	// grows with the machine so the one-time registration costs
+	// amortize the way the paper's convergence-length runs did.
+	// updateHopCompute is the local work between hops.
+	updatePerThread     = 256
+	updateHopsBase      = 192
+	updateHopsPerThread = 4
+	updateReads         = 3
+	updateHopCompute    = 8 * sim.Us
 
-	// Neighborhood: a pixel matrix of NeighborhoodRowsPer rows per
-	// thread by NeighborhoodCols columns, block-distributed row major;
-	// pixel pairs at stencil distance Dist are read for
-	// NeighborhoodSamples sample pixels per thread. A fixed band
+	// Neighborhood: a pixel matrix of neighborhoodRowsPer rows per
+	// thread by neighborhoodCols columns, block-distributed row major;
+	// pixel pairs at stencil distance neighborhoodDist are read for
+	// neighborhoodSamples sample pixels per thread. A fixed band
 	// height keeps the remote fraction of accesses constant as the
 	// machine grows (the paper's stencil makes ~3/16 of accesses
-	// potentially remote at every scale).
-	NeighborhoodRowsPer int64
-	NeighborhoodCols    int64
-	NeighborhoodDist    int64
-	NeighborhoodSamples int
+	// potentially remote at every scale: 53 rows with distance 10).
+	neighborhoodRowsPer = 53
+	neighborhoodCols    = 256
+	neighborhoodDist    = 10
+	neighborhoodSamples = 160
 
-	// Field: a string array of FieldBlock bytes per thread searched
-	// for FieldTokens successive tokens of FieldTokenLen bytes;
+	// Field: a string array of fieldBlock bytes per thread searched
+	// for fieldTokens successive tokens of fieldTokenLen bytes;
 	// matches update the delimiter in place. Scanning is modeled as
-	// local computation at FieldScanPerByte, split into FieldSegments
-	// segments with a remote statistics sample of FieldSampleBytes
+	// local computation at fieldScanPerByte, split into fieldSegments
+	// segments with a remote statistics sample of fieldSampleBytes
 	// read from the successor's block between segments — the
 	// data-intensive interleaving whose remote accesses the paper's
 	// Paraver traces showed stalling on busy target CPUs.
-	FieldBlock       int64
-	FieldTokens      int
-	FieldTokenLen    int64
-	FieldScanPerByte sim.Time
-	FieldSegments    int
-	FieldSampleBytes int
+	fieldBlock       = 64 << 10
+	fieldTokens      = 6
+	fieldTokenLen    = 8
+	fieldScanPerByte = 2 * sim.Ns
+	fieldSegments    = 3
+	fieldSampleBytes = 4096
 
-	// HopCompute models the per-access local work of the pointer
+	// hopCompute models the per-access local work of the pointer
 	// chasers.
-	HopCompute sim.Time
+	hopCompute = 300 * sim.Ns
+)
 
+// Params is what varies between runs of one stressmark at one size.
+type Params struct {
 	// Salt perturbs the deterministic workload generators, giving
 	// independent replications for confidence intervals while staying
 	// reproducible. The default (0) matches the figures.
 	Salt uint64
-}
-
-// Default returns simulation-friendly sizes scaled to the thread
-// count: enough work per thread for stable statistics, small enough to
-// sweep hundreds of configurations.
-func Default(threads int) Params {
-	return Params{
-		PointerLen:  int64(threads) * 256,
-		PointerHops: 96,
-
-		UpdateLen:  int64(threads) * 256,
-		UpdateHops: 192 + threads*4, // grows with the machine so the
-		// one-time registration costs amortize the way the paper's
-		// convergence-length runs did
-		UpdateReads:      3,
-		UpdateHopCompute: 8 * sim.Us,
-
-		NeighborhoodRowsPer: 53, // with Dist 10: ~3/16 of pairs remote
-		NeighborhoodCols:    256,
-		NeighborhoodDist:    10,
-		NeighborhoodSamples: 160,
-
-		FieldBlock:       64 << 10,
-		FieldTokens:      6,
-		FieldTokenLen:    8,
-		FieldScanPerByte: 2 * sim.Ns,
-		FieldSegments:    3,
-		FieldSampleBytes: 4096,
-
-		HopCompute: 300 * sim.Ns,
-	}
 }
 
 // Func is a stressmark body: run under core.Runtime.Run on every
@@ -145,9 +125,8 @@ func Checksum(checks []uint64) uint64 {
 }
 
 // hash derives the workload hash for a parameter set (splitmix64 over
-// the salted input). Pointer receiver: it runs once per byte of Field
-// and Neighborhood data, and Params is a 200-byte struct.
-func (p *Params) hash(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
+// the salted input).
+func (p Params) hash(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
 
 // splitmix64 provides a deterministic, thread-count-independent hash
 // used to initialize shared data so checksums are comparable across

@@ -17,7 +17,7 @@ func runOne(t *testing.T, fn Func, threads, nodes int, prof *transport.Profile, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Default(threads)
+	p := Params{}
 	checks := make([]uint64, threads)
 	st, err := rt.Run(func(th *core.Thread) {
 		checks[th.ID()] = fn(th, p)
@@ -125,7 +125,7 @@ func TestCacheWorkingSetContrast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Default(16)
+		p := Params{}
 		st, err := rt.Run(func(th *core.Thread) { fn(th, p) })
 		if err != nil {
 			t.Fatal(err)

@@ -25,7 +25,7 @@ import (
 // Paraver traces exposed; cached RDMA bypasses the CPU and the waits
 // vanish.
 func Field(t *core.Thread, p Params) uint64 {
-	blk := p.FieldBlock
+	const blk = fieldBlock
 	n := blk * int64(t.Threads())
 	a := t.AllAlloc("field", n, 1, blk)
 
@@ -35,7 +35,7 @@ func Field(t *core.Thread, p Params) uint64 {
 	// the overhang lands in edge, behind a copy of the block's tail, and
 	// appendMatches looks there for the one match that can straddle the
 	// boundary.
-	tokLen := p.FieldTokenLen
+	const tokLen = fieldTokenLen
 	local := make([]byte, blk)
 	edge := make([]byte, 2*(tokLen-1))
 
@@ -55,9 +55,9 @@ func Field(t *core.Thread, p Params) uint64 {
 	// the original benchmark's large data quantities.
 	sampleBase := ((int64(t.ID()) + int64(t.ThreadsPerNode())) % int64(t.Threads())) * blk
 	tok := make([]byte, tokLen)
-	sample := make([]byte, p.FieldSampleBytes)
+	sample := make([]byte, fieldSampleBytes)
 	var matches []int64
-	for round := 0; round < p.FieldTokens; round++ {
+	for round := 0; round < fieldTokens; round++ {
 		// The token for this round (same on every thread).
 		for i := range tok {
 			tok[i] = byte('a' + p.hash(uint64(round)*31+uint64(i))%4)
@@ -70,11 +70,11 @@ func Field(t *core.Thread, p Params) uint64 {
 		// The per-byte cost is data dependent (matches trigger extra
 		// work), desynchronizing the threads.
 		jitter := 700 + int64(p.hash(uint64(round)*1009+uint64(t.ID()))%601) // 0.7x..1.3x
-		segTime := sim.Time(blk) * p.FieldScanPerByte * sim.Time(jitter) / 1000 /
-			sim.Time(p.FieldSegments)
-		for seg := 0; seg < p.FieldSegments; seg++ {
+		segTime := sim.Time(blk) * fieldScanPerByte * sim.Time(jitter) / 1000 /
+			sim.Time(fieldSegments)
+		for seg := 0; seg < fieldSegments; seg++ {
 			t.Compute(segTime)
-			off := (int64(seg)*2311 + int64(round)*977) % (blk - int64(p.FieldSampleBytes))
+			off := (int64(seg)*2311 + int64(round)*977) % (blk - int64(fieldSampleBytes))
 			t.GetBulk(sample, a.At(sampleBase+off)) // next node's slot: remote
 			for _, b := range sample {
 				found += uint64(b) & 1

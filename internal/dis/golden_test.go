@@ -36,7 +36,7 @@ func runGolden(t *testing.T, mark string, cfg core.Config) goldenRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Default(cfg.Threads)
+	p := Params{}
 	checks := make([]uint64, cfg.Threads)
 	st, err := rt.Run(func(th *core.Thread) { checks[th.ID()] = fn(th, p) })
 	if err != nil {

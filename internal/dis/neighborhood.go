@@ -7,7 +7,7 @@ import (
 // Neighborhood is the Neighborhood Stressmark: a stencil prototype
 // over a two-dimensional pixel matrix, reading pixel pairs with a
 // fixed spatial relationship. The matrix is block-distributed row
-// major — one band of NeighborhoodRowsPer rows per thread — so
+// major — one band of neighborhoodRowsPer rows per thread — so
 // accesses are local or remote depending on the stencil distance and
 // pixel position: the vertical partner of a pixel in the bottom Dist
 // rows of a band lives in the next thread's band. With the paper's
@@ -16,8 +16,7 @@ import (
 // talks to its band neighbours — the well-behaved pattern whose cache
 // working set stays tiny (§4.5, Figure 8b).
 func Neighborhood(t *core.Thread, p Params) uint64 {
-	rowsPer := p.NeighborhoodRowsPer
-	cols := p.NeighborhoodCols
+	const rowsPer, cols = neighborhoodRowsPer, neighborhoodCols
 	rows := rowsPer * int64(t.Threads())
 	n := rows * cols
 	a := t.AllAlloc("pixels", n, 1, rowsPer*cols)
@@ -40,18 +39,18 @@ func Neighborhood(t *core.Thread, p Params) uint64 {
 	var sum uint64
 	var px [3]byte // the sample pixel and its two partners
 	myTopRow := int64(t.ID()) * rowsPer
-	for s := 0; s < p.NeighborhoodSamples; s++ {
+	for s := 0; s < neighborhoodSamples; s++ {
 		r := myTopRow + (int64(s)*131)%rowsPer
 		c := (int64(s)*197 + int64(t.ID())*13) % cols
-		r2 := r + p.NeighborhoodDist
-		c2 := (c + p.NeighborhoodDist) % cols
+		r2 := r + neighborhoodDist
+		c2 := (c + neighborhoodDist) % cols
 		if r2 >= rows {
 			r2 -= rows // wrap the bottom band to thread 0
 		}
 		t.GetBulk(px[0:1], a.At(r*cols+c))
 		t.GetBulk(px[1:2], a.At(r2*cols+c)) // vertical partner: possibly remote
 		t.GetBulk(px[2:3], a.At(r*cols+c2)) // horizontal partner: local band
-		t.Compute(p.HopCompute)
+		t.Compute(hopCompute)
 		sum += uint64(px[0])*3 + uint64(px[1])*5 + uint64(px[2])*7
 	}
 	t.Barrier()

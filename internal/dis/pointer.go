@@ -16,7 +16,7 @@ var byteOrder = binary.LittleEndian
 // application class whose address-cache working set grows with the
 // machine (§4.5, Figure 8a).
 func Pointer(t *core.Thread, p Params) uint64 {
-	n := p.PointerLen
+	n := int64(t.Threads()) * pointerPerThread
 	// Blocked distribution: one contiguous block per thread.
 	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
 	a := t.AllAlloc("pointer", n, 8, blk)
@@ -30,9 +30,9 @@ func Pointer(t *core.Thread, p Params) uint64 {
 
 	pos := int64(p.hash(uint64(t.ID())^0xBEEF) % uint64(n))
 	var check uint64
-	for h := 0; h < p.PointerHops; h++ {
+	for h := 0; h < pointerHops; h++ {
 		next := t.GetUint64(a.At(pos))
-		t.Compute(p.HopCompute)
+		t.Compute(hopCompute)
 		check ^= next + uint64(h)
 		pos = int64(next)
 	}
@@ -46,7 +46,7 @@ func Pointer(t *core.Thread, p Params) uint64 {
 // designed to measure the overhead of remote accesses to multiple
 // threads' memory.
 func Update(t *core.Thread, p Params) uint64 {
-	n := p.UpdateLen
+	n := int64(t.Threads()) * updatePerThread
 	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
 	a := t.AllAlloc("update", n, 8, blk)
 
@@ -58,9 +58,10 @@ func Update(t *core.Thread, p Params) uint64 {
 	var check uint64
 	if t.ID() == 0 {
 		pos := int64(p.hash(0x5EED) % uint64(n))
-		for h := 0; h < p.UpdateHops; h++ {
+		hops := updateHopsBase + updateHopsPerThread*t.Threads()
+		for h := 0; h < hops; h++ {
 			var next uint64
-			for r := 0; r < p.UpdateReads; r++ {
+			for r := 0; r < updateReads; r++ {
 				at := (pos + int64(r)*97) % n
 				v := t.GetUint64(a.At(at))
 				if r == 0 {
@@ -68,7 +69,7 @@ func Update(t *core.Thread, p Params) uint64 {
 				}
 				check ^= v + uint64(r)
 			}
-			t.Compute(p.UpdateHopCompute)
+			t.Compute(updateHopCompute)
 			// Update one location, preserving the successor structure
 			// so reruns (and cache-on/off runs) traverse identically.
 			t.PutUint64(a.At(pos), next)

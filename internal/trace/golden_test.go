@@ -49,7 +49,7 @@ func statesOf(t *testing.T, mark string, cfg core.Config) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := dis.Default(cfg.Threads)
+	p := dis.Params{}
 	if _, err := rt.Run(func(th *core.Thread) { fn(th, p) }); err != nil {
 		t.Fatal(err)
 	}

@@ -11,59 +11,40 @@ import (
 	"xlupc/internal/telemetry"
 )
 
-// CoalConfig parameterizes per-destination small-message coalescing:
-// instead of paying a full header, injection and doorbell per eager AM
-// or RDMA descriptor, outgoing operations park in a per-(src,dst)
-// buffer and travel in one wire frame — the paper's §6 "per-message
-// software overhead" left on the table, and the doorbell batching that
-// makes small RDMA ops cheap on modern NICs.
-type CoalConfig struct {
-	// MaxOps flushes a buffer once it holds this many operations.
-	MaxOps int
-	// MaxBytes flushes once the buffered sub-frames reach this size.
-	MaxBytes int
-	// FlushDelay bounds the time an operation may sit in a buffer: a
-	// cancellable virtual-time timer flushes whatever accumulated. Zero
-	// disables the timer (explicit sync/fence flushes only).
-	FlushDelay sim.Time
-	// SubHeaderBytes is the per-operation framing inside a batch frame,
-	// replacing the full AMHeaderBytes each message would have paid.
-	SubHeaderBytes int
-	// AppendCost is the initiator CPU time to append one operation to a
-	// buffer (descriptor build into the staged doorbell write).
-	AppendCost sim.Time
-	// SubRecvOverhead is the target-side handler entry cost per
+// Per-destination small-message coalescing: instead of paying a full
+// header, injection and doorbell per eager AM or RDMA descriptor,
+// outgoing operations park in a per-(src,dst) buffer and travel in one
+// wire frame — the paper's §6 "per-message software overhead" left on
+// the table, and the doorbell batching that makes small RDMA ops cheap
+// on modern NICs. The deployed parameters:
+const (
+	// coalMaxOps flushes a buffer once it holds this many operations.
+	coalMaxOps = 16
+	// coalMaxBytes flushes once the buffered sub-frames reach this size.
+	coalMaxBytes = 4096
+	// coalFlushDelay bounds the time an operation may sit in a buffer: a
+	// cancellable virtual-time timer flushes whatever accumulated.
+	coalFlushDelay = 3 * sim.Us
+	// coalSubHeaderBytes is the per-operation framing inside a batch
+	// frame, replacing the full AMHeaderBytes each message would have
+	// paid.
+	coalSubHeaderBytes = 16
+	// coalAppendCost is the initiator CPU time to append one operation
+	// to a buffer (descriptor build into the staged doorbell write).
+	coalAppendCost = 150 * sim.Ns
+	// coalSubRecvOverhead is the target-side handler entry cost per
 	// sub-message of a batch; the full RecvOverhead is paid once per
 	// frame.
-	SubRecvOverhead sim.Time
-}
+	coalSubRecvOverhead = 300 * sim.Ns
+)
 
-// DefaultCoalConfig returns the deployed coalescing parameters.
-func DefaultCoalConfig() CoalConfig {
-	return CoalConfig{
-		MaxOps:          16,
-		MaxBytes:        4096,
-		FlushDelay:      3 * sim.Us,
-		SubHeaderBytes:  16,
-		AppendCost:      150 * sim.Ns,
-		SubRecvOverhead: 300 * sim.Ns,
-	}
-}
+// CoalConfig switches coalescing on: a run coalesces when its
+// core.Config.Coalesce is non-nil. It holds no field — every parameter
+// is a constant above.
+type CoalConfig struct{}
 
-// withDefaults fills unset fields from DefaultCoalConfig.
-func (c CoalConfig) withDefaults() CoalConfig {
-	d := DefaultCoalConfig()
-	if c.MaxOps <= 0 {
-		c.MaxOps = d.MaxOps
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = d.MaxBytes
-	}
-	if c.SubHeaderBytes <= 0 {
-		c.SubHeaderBytes = d.SubHeaderBytes
-	}
-	return c
-}
+// DefaultCoalConfig returns the deployed coalescing configuration.
+func DefaultCoalConfig() CoalConfig { return CoalConfig{} }
 
 // CoalStats counts the coalescer's work. Frames is a view over the
 // flight record's coalesce_flush events.
@@ -116,7 +97,6 @@ type coalBuf struct {
 // during batch service.
 type coalescer struct {
 	m     *Machine
-	cfg   CoalConfig
 	bufs  map[coalKey]*coalBuf
 	syncs pool.Free[coalSync]
 
@@ -138,11 +118,11 @@ var flushNames = [...]string{flushSize: "size", flushTimer: "timer", flushSync: 
 // EnableCoalescing turns on per-destination message coalescing. Must be
 // called before the simulation starts; when never called the machine's
 // event stream is bit-identical to a build without this file.
-func (m *Machine) EnableCoalescing(cfg CoalConfig) {
+func (m *Machine) EnableCoalescing() {
 	if m.coal != nil {
 		panic("transport: EnableCoalescing called twice")
 	}
-	m.coal = &coalescer{m: m, cfg: cfg.withDefaults(), bufs: make(map[coalKey]*coalBuf)}
+	m.coal = &coalescer{m: m, bufs: make(map[coalKey]*coalBuf)}
 }
 
 // CoalStats reports the coalescer's counters (zero value when off).
@@ -184,7 +164,7 @@ func (c *coalescer) appendCont(ct *sim.Cont, key coalKey, op any, subwire int, s
 		panic(fmt.Sprintf("transport: node %d coalescing to itself", key.src))
 	}
 	o := c.m.newTxOp(ct, txAppend, key.src, key.dst, subwire, key.class, op, span, then)
-	ct.Sleep(c.cfg.AppendCost, ct.Then(o, txAppended))
+	ct.Sleep(coalAppendCost, ct.Then(o, txAppended))
 }
 
 // appended runs once the append cost is paid. A reply (o.buf set: the
@@ -195,8 +175,8 @@ func (o *txOp) appended() {
 	b, reply := o.buf, o.buf != nil
 	if !reply {
 		b = c.buf(coalKey{src: o.src, dst: o.dst, class: o.class})
-		if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
-			b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
+		if len(b.ops) == 0 {
+			b.timer = c.m.K.AfterTimer(coalFlushDelay, func() { c.flushC(b) })
 		}
 	}
 	b.ops = append(b.ops, o.obj)
@@ -204,7 +184,7 @@ func (o *txOp) appended() {
 	b.queued = append(b.queued, c.m.K.Now())
 	b.bytes += o.wire
 	c.msgs++
-	if !reply && (len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes) {
+	if !reply && (len(b.ops) >= coalMaxOps || b.bytes >= coalMaxBytes) {
 		o.flush(b, flushSize)
 		return
 	}
@@ -241,8 +221,8 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 			msgs[i] = op.(*Msg)
 		}
 		wire = AMHeaderBytes + b.bytes
-		// Each sub-frame replaced a full AM header with SubHeaderBytes.
-		unbatched = wire + n*(AMHeaderBytes-c.cfg.SubHeaderBytes) - AMHeaderBytes
+		// Each sub-frame replaced a full AM header with coalSubHeaderBytes.
+		unbatched = wire + n*(AMHeaderBytes-coalSubHeaderBytes) - AMHeaderBytes
 		frame = &batchMsg{Src: b.key.src, Dst: b.key.dst, msgs: msgs, wire: wire}
 	} else {
 		// A doorbell batch: descriptors share one frame and one arrival;
@@ -392,7 +372,7 @@ func (m *Machine) SendAMCoalescedC(ct *sim.Cont, src, dst int, id HandlerID, met
 		panic("transport: AM to self; intra-node traffic must use shared memory")
 	}
 	m.amCount++
-	sub := c.cfg.SubHeaderBytes + len(payload) + extra
+	sub := coalSubHeaderBytes + len(payload) + extra
 	msg := m.newMsg()
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
 	msg.wire = sub
@@ -414,14 +394,14 @@ func (m *Machine) ReplyToSpanC(ct *sim.Cont, req *Msg, id HandlerID, meta any, p
 	}
 	b := req.reply
 	m.amCount++
-	sub := c.cfg.SubHeaderBytes + len(payload) + extra
+	sub := coalSubHeaderBytes + len(payload) + extra
 	msg := m.newMsg()
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = b.key.src, b.key.dst, id, meta, payload
 	msg.wire = sub
 	msg.Span = span
 	o := m.newTxOp(ct, txAppend, b.key.src, b.key.dst, sub, fabric.ClassAM, msg, span, then)
 	o.buf = b
-	ct.Sleep(c.cfg.AppendCost, ct.Then(o, txAppended))
+	ct.Sleep(coalAppendCost, ct.Then(o, txAppended))
 }
 
 // startBatch starts serving a coalesced frame: every sub-message is
@@ -463,7 +443,7 @@ func (e *amEngine) serveSub() {
 	msg.Span.Phase(telemetry.PhaseCPUWait, b.arrived, e.acq)
 	msg.Span.Phase(telemetry.PhaseCPUWait, e.acq, e.recv)
 	e.msg, e.t0 = msg, m.K.Now()
-	ct.Sleep(m.coal.cfg.SubRecvOverhead, ct.Then(e, amSubReceived))
+	ct.Sleep(coalSubRecvOverhead, ct.Then(e, amSubReceived))
 }
 
 // subReceived runs the sub-message's handler once its entry cost is

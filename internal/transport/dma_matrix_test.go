@@ -239,7 +239,7 @@ func runDMACell(t *testing.T, prof *Profile, call dmaCall, outcome string, chaos
 func runDMADoorbell(t *testing.T, prof *Profile) dmaRow {
 	t.Helper()
 	k, m, fr, tel, base := dmaMachine(t, prof, false)
-	m.EnableCoalescing(DefaultCoalConfig())
+	m.EnableCoalescing()
 	var row dmaRow
 	k.Spawn("initiator", func(p *sim.Proc) {
 		type pending struct {

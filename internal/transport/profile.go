@@ -20,6 +20,9 @@ import (
 const (
 	// RecvOverhead is the header-handler entry cost at the target.
 	RecvOverhead = 1100 * sim.Ns
+	// RDMARecvCost is the initiator NIC's completion cost of an RDMA
+	// operation.
+	RDMARecvCost = 300 * sim.Ns
 	// CacheLookupCost is a remote address cache probe.
 	CacheLookupCost = 30 * sim.Ns
 	// CacheInsertCost is a remote address cache fill.
@@ -61,7 +64,6 @@ type Profile struct {
 	// RDMA engine.
 	RDMASetup        sim.Time // initiator descriptor-build cost
 	RDMATargetCost   sim.Time // target NIC service cost per op
-	RDMARecvCost     sim.Time // initiator NIC completion cost
 	RDMAExtraLatency sim.Time // extra latency of RDMA mode (HPS trait)
 
 	// Protocol switch: messages up to EagerMax bytes go eagerly
@@ -110,7 +112,6 @@ func GM() *Profile {
 
 		RDMASetup:        600 * sim.Ns,
 		RDMATargetCost:   500 * sim.Ns,
-		RDMARecvCost:     300 * sim.Ns,
 		RDMAExtraLatency: 0,
 
 		EagerMax: 16 << 10,
@@ -153,7 +154,6 @@ func LAPI() *Profile {
 
 		RDMASetup:        500 * sim.Ns,
 		RDMATargetCost:   400 * sim.Ns,
-		RDMARecvCost:     300 * sim.Ns,
 		RDMAExtraLatency: 1500 * sim.Ns,
 
 		EagerMax: 1 << 20,

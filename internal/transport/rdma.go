@@ -470,7 +470,7 @@ func (e *dmaEngine) serveNext() {
 	e.t0 = e.m.K.Now()
 	cost := e.m.Prof.RDMATargetCost
 	if op.kind == dmaCompletion {
-		cost = e.m.Prof.RDMARecvCost
+		cost = RDMARecvCost
 	}
 	e.m.K.After(cost, e.servedFn)
 }

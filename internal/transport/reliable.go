@@ -21,17 +21,18 @@ type RelConfig struct {
 	// MaxRetries bounds the retransmissions of one packet. Exceeding it
 	// fails the run fast with a TransportError.
 	MaxRetries int
-	// HeaderBytes is the wire overhead of the seq/ACK framing added to
-	// every packet.
-	HeaderBytes int
 }
+
+// relHeaderBytes is the wire overhead of the seq/ACK framing added to
+// every packet.
+const relHeaderBytes = 8
 
 // DefaultRelConfig returns the reliability parameters used by the
 // chaos tooling: an RTO comfortably above any profile's clean
 // roundtrip, and a budget deep enough that only a truly dead link
 // exhausts it (8 doublings of 40 µs ≈ 10 ms of patience).
 func DefaultRelConfig() RelConfig {
-	return RelConfig{RTO: 40 * sim.Us, MaxRetries: 8, HeaderBytes: 8}
+	return RelConfig{RTO: 40 * sim.Us, MaxRetries: 8}
 }
 
 // TransportError is the typed failure of the reliable-delivery layer:
@@ -232,7 +233,7 @@ func (rl *reliability) newPacket(src, dst int, wire int, class fabric.Class, inn
 	seq := rl.nextSeq[ch]
 	rl.nextSeq[ch] = seq + 1
 	pk.key = relKey{src: int32(src), dst: int32(dst), seq: seq, epoch: rl.m.Nodes[src].Epoch}
-	pk.class, pk.wire, pk.inner, pk.span = class, wire+rl.cfg.HeaderBytes, inner, span
+	pk.class, pk.wire, pk.inner, pk.span = class, wire+relHeaderBytes, inner, span
 	pk.attempt, pk.acked, pk.onTX = 0, false, false
 	return pk
 }

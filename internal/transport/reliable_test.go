@@ -137,7 +137,7 @@ func TestReliableRDMAUnderChaos(t *testing.T) {
 // TransportError that stops the kernel — fail-fast, not deadlock.
 func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 	fc := fault.Config{Drop: 1} // the wire eats everything
-	rc := RelConfig{RTO: 10 * sim.Us, MaxRetries: 3, HeaderBytes: 8}
+	rc := RelConfig{RTO: 10 * sim.Us, MaxRetries: 3}
 	k, m := chaosMachine(t, 2, fc, rc)
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { t.Error("delivered through Drop=1"); then() })
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -181,7 +181,7 @@ func TestRetryBudgetExhaustionFailsFast(t *testing.T) {
 // virtual end time of an acked exchange is the exchange itself, not
 // the dead timeout far behind it.
 func TestAckedTimersDoNotInflateElapsed(t *testing.T) {
-	k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: 50 * sim.Ms, MaxRetries: 2, HeaderBytes: 8})
+	k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: 50 * sim.Ms, MaxRetries: 2})
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { then() })
 	k.Spawn("sender", func(p *sim.Proc) {
 		sendAM(m, p, 0, 1, hPing, nil, nil, 0)
@@ -253,7 +253,7 @@ func TestCrashStaleEpochNackAndRecovery(t *testing.T) {
 // retry budget into a spurious TransportError. The packet is delivered
 // by the first real retransmit after the restart.
 func TestCrashParksRetransmitsAgainstRestart(t *testing.T) {
-	rc := RelConfig{RTO: 20 * sim.Us, MaxRetries: 2, HeaderBytes: 8}
+	rc := RelConfig{RTO: 20 * sim.Us, MaxRetries: 2}
 	k, m := chaosMachine(t, 2, fault.Config{}, rc)
 	got := 0
 	m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { got++; then() })
@@ -320,7 +320,7 @@ func TestAckDuringRetransmitDoesNotOrphanTimer(t *testing.T) {
 	// exchange runs one AM under rto and reports when the sender had the
 	// packet tracked and when the run drained.
 	exchange := func(rto sim.Time) (tracked, end sim.Time, m *Machine) {
-		k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: rto, MaxRetries: 3, HeaderBytes: 8})
+		k, m := chaosMachine(t, 2, fault.Config{}, RelConfig{RTO: rto, MaxRetries: 3})
 		delivered := 0
 		m.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { delivered++; then() })
 		k.Spawn("sender", func(p *sim.Proc) {
