@@ -32,28 +32,28 @@ func reportImprovement(b *testing.B, pts []bench.LatencyPoint, size int) {
 
 func BenchmarkFig6GetGM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := bench.MicroSweep(bench.OpGet, transport.GM(), []int{16, 4 << 10}, 4, 1)
+		pts := bench.Sweep{Seed: 1}.MicroSweep(bench.OpGet, transport.GM(), []int{16, 4 << 10}, 4)
 		reportImprovement(b, pts, 16)
 	}
 }
 
 func BenchmarkFig6GetLAPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := bench.MicroSweep(bench.OpGet, transport.LAPI(), []int{16, 4 << 10}, 4, 1)
+		pts := bench.Sweep{Seed: 1}.MicroSweep(bench.OpGet, transport.LAPI(), []int{16, 4 << 10}, 4)
 		reportImprovement(b, pts, 16)
 	}
 }
 
 func BenchmarkFig6PutGM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := bench.MicroSweep(bench.OpPut, transport.GM(), []int{16, 4 << 10}, 4, 1)
+		pts := bench.Sweep{Seed: 1}.MicroSweep(bench.OpPut, transport.GM(), []int{16, 4 << 10}, 4)
 		reportImprovement(b, pts, 4<<10)
 	}
 }
 
 func BenchmarkFig6PutLAPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := bench.MicroSweep(bench.OpPut, transport.LAPI(), []int{16, 4 << 10}, 4, 1)
+		pts := bench.Sweep{Seed: 1}.MicroSweep(bench.OpPut, transport.LAPI(), []int{16, 4 << 10}, 4)
 		reportImprovement(b, pts, 16) // the famous negative point
 	}
 }
@@ -62,7 +62,7 @@ func BenchmarkFig6PutLAPI(b *testing.B) {
 
 func BenchmarkFig7GetLatencyGM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := bench.MicroSweep(bench.OpGet, transport.GM(), []int{1, 1 << 10, 8 << 10}, 4, 1)
+		pts := bench.Sweep{Seed: 1}.MicroSweep(bench.OpGet, transport.GM(), []int{1, 1 << 10, 8 << 10}, 4)
 		b.ReportMetric(pts[0].WithUs, "cached_us")
 		b.ReportMetric(pts[0].WithoutUs, "uncached_us")
 	}
@@ -70,7 +70,7 @@ func BenchmarkFig7GetLatencyGM(b *testing.B) {
 
 func BenchmarkFig7GetLatencyLAPI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := bench.MicroSweep(bench.OpGet, transport.LAPI(), []int{1, 1 << 10, 8 << 10}, 4, 1)
+		pts := bench.Sweep{Seed: 1}.MicroSweep(bench.OpGet, transport.LAPI(), []int{1, 1 << 10, 8 << 10}, 4)
 		b.ReportMetric(pts[0].WithUs, "cached_us")
 		b.ReportMetric(pts[0].WithoutUs, "uncached_us")
 	}
@@ -81,7 +81,7 @@ func BenchmarkFig7GetLatencyLAPI(b *testing.B) {
 func BenchmarkFig8Pointer(b *testing.B) {
 	scales := bench.GMScales(64)
 	for i := 0; i < b.N; i++ {
-		pts := bench.Fig8("pointer", scales, []int{4, 100}, 1)
+		pts := bench.Sweep{Seed: 1}.Fig8("pointer", scales, []int{4, 100})
 		b.ReportMetric(pts[len(scales)-1].HitRate, "hit4@64-16")
 		b.ReportMetric(pts[2*len(scales)-1].HitRate, "hit100@64-16")
 	}
@@ -90,7 +90,7 @@ func BenchmarkFig8Pointer(b *testing.B) {
 func BenchmarkFig8Neighborhood(b *testing.B) {
 	scales := bench.GMScales(64)
 	for i := 0; i < b.N; i++ {
-		pts := bench.Fig8("neighborhood", scales, []int{4}, 1)
+		pts := bench.Sweep{Seed: 1}.Fig8("neighborhood", scales, []int{4})
 		b.ReportMetric(pts[len(scales)-1].HitRate, "hit4@64-16")
 	}
 }
@@ -110,7 +110,7 @@ func fig9Metric(b *testing.B, pts []bench.Fig9Point, mark string) {
 func BenchmarkFig9GM(b *testing.B) {
 	scales := bench.GMScales(16)
 	for i := 0; i < b.N; i++ {
-		pts := bench.Fig9(transport.GM(), scales, 1)
+		pts := bench.Sweep{Seed: 1}.Fig9(transport.GM(), scales)
 		for _, m := range []string{"pointer", "update", "neighborhood", "field"} {
 			fig9Metric(b, pts, m)
 		}
@@ -120,7 +120,7 @@ func BenchmarkFig9GM(b *testing.B) {
 func BenchmarkFig9LAPI(b *testing.B) {
 	scales := bench.LAPIScales(16)
 	for i := 0; i < b.N; i++ {
-		pts := bench.Fig9(transport.LAPI(), scales, 1)
+		pts := bench.Sweep{Seed: 1}.Fig9(transport.LAPI(), scales)
 		for _, m := range []string{"pointer", "update", "neighborhood", "field"} {
 			fig9Metric(b, pts, m)
 		}
@@ -131,14 +131,14 @@ func BenchmarkFig9LAPI(b *testing.B) {
 
 func BenchmarkMissOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(bench.MissOverhead(transport.GM(), 1), "gm%")
-		b.ReportMetric(bench.MissOverhead(transport.LAPI(), 1), "lapi%")
+		b.ReportMetric(bench.Sweep{Seed: 1}.MissOverhead(transport.GM()), "gm%")
+		b.ReportMetric(bench.Sweep{Seed: 1}.MissOverhead(transport.LAPI()), "lapi%")
 	}
 }
 
 func BenchmarkPinTableOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		peaks := bench.PinUsage(transport.GM(), bench.Scale{Threads: 8, Nodes: 2}, 1)
+		peaks := bench.Sweep{Seed: 1}.PinUsage(transport.GM(), bench.Scale{Threads: 8, Nodes: 2})
 		max := 0
 		for _, p := range peaks {
 			if p > max {

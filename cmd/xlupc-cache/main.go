@@ -57,17 +57,16 @@ func fig8For(mark string, maxThreads, parallel int) (marks []string, scales []be
 	return marks, scales, nil
 }
 
-// adaptFor resolves -threads, -nodes and -seed into the options of the
+// adaptFor resolves -threads and -nodes into the machine of the
 // adaptive-sizing figure, so that a machine it cannot run on (fewer than
 // three nodes: it needs a hot peer and a cold one besides its own) fails
 // before anything runs.
-func adaptFor(threads, nodes int, seed int64) (bench.AdaptOpts, error) {
-	o := bench.DefaultAdapt()
+func adaptFor(threads, nodes int) (bench.Scale, error) {
+	sc := bench.AdaptScale()
 	if threads > 0 || nodes > 0 {
-		o.Scale = bench.Scale{Threads: threads, Nodes: nodes}
+		sc = bench.Scale{Threads: threads, Nodes: nodes}
 	}
-	o.Seed = seed
-	return o, o.Validate()
+	return sc, bench.ValidateAdapt(sc)
 }
 
 func main() {
@@ -90,7 +89,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	bench.SetParallelism(*parallel)
+	s := bench.Sweep{Seed: *seed, Workers: *parallel}
 	stopProf := pf.MustStart("xlupc-cache")
 	defer stopProf()
 
@@ -113,7 +112,7 @@ func main() {
 		if err := bench.ValidateScale(o.Scale.Threads, o.Scale.Nodes); err != nil {
 			fatal(err)
 		}
-		if o.Seed = *seed; *pinPolicy != "all" {
+		if *pinPolicy != "all" {
 			v := *pinPolicy
 			if v != "pin-all" {
 				if _, err := mem.ParseEvictor(v); err != nil {
@@ -127,13 +126,13 @@ func main() {
 		} else if *lazyUnpin {
 			o.Variants = []string{"lru+lazy", "cost+lazy"}
 		}
-		bench.PrintPressure(os.Stdout, transport.GM(), o)
+		s.PrintPressure(os.Stdout, transport.GM(), o)
 	case *adapt:
-		o, err := adaptFor(*threads, *nodes, *seed)
+		sc, err := adaptFor(*threads, *nodes)
 		if err != nil {
 			fatal(err)
 		}
-		if err := bench.PrintAdaptCache(os.Stdout, transport.GM(), o); err != nil {
+		if err := s.PrintAdaptCache(os.Stdout, transport.GM(), sc); err != nil {
 			fatal(err)
 		}
 	default:
@@ -147,7 +146,7 @@ func main() {
 			caps = append(caps, v)
 		}
 		for _, m := range marks {
-			bench.PrintFig8(os.Stdout, m, scales, caps, *seed)
+			s.PrintFig8(os.Stdout, m, scales, caps)
 			fmt.Println()
 		}
 	}

@@ -58,15 +58,15 @@ func TestAdaptFor(t *testing.T) {
 		{5, 3, "", "must be a multiple of -nodes (3)"},
 		{8, 0, "", "need positive -threads (8) and -nodes (0)"},
 	} {
-		o, err := adaptFor(c.threads, c.nodes, 11)
+		sc, err := adaptFor(c.threads, c.nodes)
 		if c.err != "" {
 			if err == nil || !strings.Contains(err.Error(), c.err) {
 				t.Errorf("adaptFor(%d, %d): error %v, want one mentioning %q", c.threads, c.nodes, err, c.err)
 			}
 			continue
 		}
-		if err != nil || o.Scale.String() != c.scale {
-			t.Errorf("adaptFor(%d, %d) = %v, %v; want %s", c.threads, c.nodes, o.Scale, err, c.scale)
+		if err != nil || sc.String() != c.scale {
+			t.Errorf("adaptFor(%d, %d) = %v, %v; want %s", c.threads, c.nodes, sc, err, c.scale)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func TestFig8Header(t *testing.T) {
 		{[]int{10, -1}, " 10 entries  unbounded"},
 	} {
 		var out bytes.Buffer
-		bench.PrintFig8(&out, "pointer", []bench.Scale{{Threads: 8, Nodes: 2}}, c.caps, 1)
+		bench.Sweep{Seed: 1}.PrintFig8(&out, "pointer", []bench.Scale{{Threads: 8, Nodes: 2}}, c.caps)
 		lines := strings.Split(out.String(), "\n")
 		got := strings.TrimPrefix(strings.TrimSpace(lines[1]), "threads-nodes")
 		if strings.TrimSpace(got) != strings.TrimSpace(c.head) {

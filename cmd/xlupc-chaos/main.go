@@ -90,12 +90,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
 		os.Exit(2)
 	}
-	bench.SetParallelism(*parallel)
 	fl, finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
 		os.Exit(2)
 	}
+	s := bench.Sweep{Seed: *seed, Workers: *parallel, Flight: fl}
 	crashing := *crashList != ""
 	restart := sim.Time(*restartUs * float64(sim.Us))
 
@@ -126,7 +126,7 @@ func main() {
 			os.Exit(2)
 		}
 		if crashing {
-			pts := bench.PrintCrash(os.Stdout, *mark, prof, sc, crashes, restart, *seed, fl)
+			pts := s.PrintCrash(os.Stdout, *mark, prof, sc, crashes, restart)
 			for _, pt := range pts[1:] {
 				if pt.Checksum != pts[0].Checksum {
 					fmt.Fprintf(os.Stderr, "xlupc-chaos: %s/%s: checksum diverged at crash rate %g: %x vs %x\n",
@@ -135,7 +135,7 @@ func main() {
 				}
 			}
 		} else {
-			pts := bench.PrintChaos(os.Stdout, *mark, prof, sc, losses, *seed, fl)
+			pts := s.PrintChaos(os.Stdout, *mark, prof, sc, losses)
 			for _, pt := range pts[1:] {
 				if pt.Checksum != pts[0].Checksum {
 					fmt.Fprintf(os.Stderr, "xlupc-chaos: %s/%s: checksum diverged at loss %g: %x vs %x\n",
@@ -152,7 +152,7 @@ func main() {
 	} else {
 		run(*profName)
 	}
-	if err := finishFlight(*seed); err != nil {
+	if err := finishFlight(s); err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-chaos: %v\n", err)
 		ok = false
 	}

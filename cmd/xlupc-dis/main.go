@@ -72,15 +72,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xlupc-dis: %v\n", err)
 		os.Exit(2)
 	}
-	bench.SetParallelism(*parallel)
+	s := bench.Sweep{Seed: *seed, Workers: *parallel}
 	stopProf := pf.MustStart("xlupc-dis")
 	defer stopProf()
 
 	for _, sw := range sweeps {
 		if *reps > 1 {
-			bench.PrintFig9CI(os.Stdout, sw.prof, sw.scales, *reps, *seed)
+			s.PrintFig9CI(os.Stdout, sw.prof, sw.scales, *reps)
 		} else {
-			bench.PrintFig9(os.Stdout, sw.prof, sw.scales, *seed)
+			s.PrintFig9(os.Stdout, sw.prof, sw.scales)
 		}
 		fmt.Println()
 	}

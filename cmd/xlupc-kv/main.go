@@ -107,7 +107,7 @@ func planFor(f kvFlags) (plan, error) {
 	}
 	p.base = bench.KVOpts{
 		Ops: f.ops, Keys: f.keys, Rate: f.rate,
-		SLO: sim.Duration(f.sloUs * float64(sim.Us)), Seed: f.seed,
+		SLO: sim.Duration(f.sloUs * float64(sim.Us)),
 	}
 	return p, nil
 }
@@ -136,7 +136,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xlupc-kv: %v\n", err)
 		os.Exit(2)
 	}
-	bench.SetParallelism(f.parallel)
+	s := bench.Sweep{Seed: f.seed, Workers: f.parallel}
 
 	stopProf := pf.MustStart("xlupc-kv")
 	defer stopProf()
@@ -145,7 +145,7 @@ func main() {
 		for _, mix := range p.mixes {
 			o := p.base
 			o.ReadFrac = mix
-			bench.PrintKVSkew(os.Stdout, prof, p.sc, p.thetas, o)
+			s.PrintKVSkew(os.Stdout, prof, p.sc, p.thetas, o)
 			fmt.Println()
 		}
 		// The SLO curves run at the sweep's most skewed point (the
@@ -154,12 +154,12 @@ func main() {
 		o := p.base
 		o.ReadFrac, o.Theta = p.mixes[0], p.thetas[len(p.thetas)-1]
 		if len(p.losses) > 0 {
-			pts := bench.KVLossCurve(prof, p.sc, p.losses, o)
+			pts := s.KVLossCurve(prof, p.sc, p.losses, o)
 			bench.PrintKVSLO(os.Stdout, "loss", prof, p.sc, pts, o)
 			fmt.Println()
 		}
 		if len(p.crashes) > 0 {
-			pts := bench.KVCrashCurve(prof, p.sc, p.crashes, p.restart, o)
+			pts := s.KVCrashCurve(prof, p.sc, p.crashes, p.restart, o)
 			bench.PrintKVSLO(os.Stdout, "crash", prof, p.sc, pts, o)
 			fmt.Println()
 		}

@@ -79,28 +79,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
 		os.Exit(2)
 	}
-	bench.SetParallelism(f.parallel)
+	s := bench.Sweep{Seed: *seed, Workers: f.parallel}
 	stopProf := pf.MustStart("xlupc-micro")
 	defer stopProf()
 
 	switch {
 	case f.gups:
-		o := bench.GUPSOpts{Words: f.words, Updates: f.updates, Seed: *seed}
+		o := bench.GUPSOpts{Words: f.words, Updates: f.updates}
 		sc := bench.Scale{Threads: f.threads, Nodes: f.nodes}
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-			bench.PrintGUPS(os.Stdout, prof, sc, o)
+			s.PrintGUPS(os.Stdout, prof, sc, o)
 			fmt.Println()
 		}
 	case f.coalesce:
-		bench.PrintCoalesce(os.Stdout, f.reps, *seed)
+		s.PrintCoalesce(os.Stdout, f.reps)
 	case f.miss:
 		fmt.Println("# Miss overhead: cache machinery enabled but every lookup missing")
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-			fmt.Printf("%8s %6.2f%%\n", prof.Name, bench.MissOverhead(prof, *seed))
+			fmt.Printf("%8s %6.2f%%\n", prof.Name, s.MissOverhead(prof))
 		}
 	case f.absolute:
-		bench.PrintFig7(os.Stdout, f.reps, *seed)
+		s.PrintFig7(os.Stdout, f.reps)
 	default:
-		bench.PrintFig6(os.Stdout, op, f.reps, *seed)
+		s.PrintFig6(os.Stdout, op, f.reps)
 	}
 }

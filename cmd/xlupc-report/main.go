@@ -41,16 +41,14 @@ func machinesFor(full bool, reps, parallel int) (maxGM, maxLAPI, maxFig8 int, er
 	return 256, 128, 512, nil
 }
 
-// bigOptsFor is the big-scale sweep point of -scale: 32k threads / 1k
-// nodes with -full, 8k / 256 otherwise, at -seed like every other
-// section.
-func bigOptsFor(full bool, seed int64) bench.BigOpts {
-	o := bench.DefaultBigOpts()
-	if !full {
-		o.Threads, o.Nodes = 8192, 256
+// bigScaleFor is the machine of -scale's big-scale sweep point: 32k
+// threads / 1k nodes with -full, 8k / 256 otherwise. It runs at the
+// report's Sweep, so at -seed like every other section.
+func bigScaleFor(full bool) bench.Scale {
+	if full {
+		return bench.BigScale()
 	}
-	o.Seed = seed
-	return o
+	return bench.Scale{Threads: 8192, Nodes: 256}
 }
 
 func main() {
@@ -68,13 +66,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
 	}
-	bench.SetParallelism(*parallel)
-
 	fl, finishFlight, err := bench.ParseFlightFlags(*flightOn, *flightDump)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
 	}
+	s := bench.Sweep{Seed: *seed, Workers: *parallel, Flight: fl}
 	stopProf := pf.MustStart("xlupc-report")
 
 	// Everything goes through one buffered, flush-checked writer: a
@@ -90,48 +87,48 @@ func main() {
 
 	section(w, "Figure 6 (left): GET latency improvement",
 		"GM ~30% / LAPI ~16% small; ~40% mid (1-16KB); fading to 0 when bandwidth-bound")
-	bench.PrintFig6(w, bench.OpGet, *reps, *seed)
+	s.PrintFig6(w, bench.OpGet, *reps)
 
 	section(w, "Figure 6 (right): PUT latency improvement",
 		"GM ~0 small then positive mid; LAPI negative down to ~-200% (hence PUT cache disabled on LAPI)")
-	bench.PrintFig6(w, bench.OpPut, *reps, *seed)
+	s.PrintFig6(w, bench.OpPut, *reps)
 
 	section(w, "Figure 7: absolute GET latency, small messages",
 		"both transports in the few-microsecond range; cached consistently below uncached")
-	bench.PrintFig7(w, *reps, *seed)
+	s.PrintFig7(w, *reps)
 
 	section(w, "Figure 8a: Pointer hit rate vs scale and cache size",
 		"degrades with node count, earlier for smaller caches")
-	bench.PrintFig8(w, "pointer", bench.GMScales(maxFig8), []int{4, 10, 100}, *seed)
+	s.PrintFig8(w, "pointer", bench.GMScales(maxFig8), []int{4, 10, 100})
 
 	section(w, "Figure 8b: Neighborhood hit rate vs scale and cache size",
 		"insignificantly small working set: flat, high hit rate at every size")
-	bench.PrintFig8(w, "neighborhood", bench.GMScales(maxFig8), []int{4, 10, 100}, *seed)
+	s.PrintFig8(w, "neighborhood", bench.GMScales(maxFig8), []int{4, 10, 100})
 
 	section(w, "Figure 9a: DIS stressmarks, hybrid GM",
 		"Pointer 30-60%, Update 11-22%, Neighborhood 10-20%, Field 35-40%")
-	bench.PrintFig9(w, transport.GM(), bench.GMScales(maxGM), *seed)
+	s.PrintFig9(w, transport.GM(), bench.GMScales(maxGM))
 
 	section(w, "Figure 9b: DIS stressmarks, hybrid LAPI",
 		"Pointer/Update/Neighborhood comparable to GM; Field not measurable (~0)")
-	bench.PrintFig9(w, transport.LAPI(), bench.LAPIScales(maxLAPI), *seed)
+	s.PrintFig9(w, transport.LAPI(), bench.LAPIScales(maxLAPI))
 
 	section(w, "Miss overhead (conclusions, §6)",
 		"unsuccessful caching attempts cost typically 1.5%, never worse than 2%")
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		fmt.Fprintf(w, "%8s %6.2f%%\n", prof.Name, bench.MissOverhead(prof, *seed))
+		fmt.Fprintf(w, "%8s %6.2f%%\n", prof.Name, s.MissOverhead(prof))
 	}
 
 	section(w, "Pinned address table occupancy (§4.5)",
 		"a table of 10 entries is more than enough for well-behaved UPC applications")
-	peaks := bench.PinUsage(transport.GM(), bench.Scale{Threads: 16, Nodes: 4}, *seed)
+	peaks := s.PinUsage(transport.GM(), bench.Scale{Threads: 16, Nodes: 4})
 	for _, mark := range []string{"pointer", "update", "neighborhood", "field"} {
 		fmt.Fprintf(w, "%14s peak pinned entries: %d\n", mark, peaks[mark])
 	}
 
 	section(w, "Reliability: RDMA NACKs and chaos counters by transport",
 		"NACK/invalidate/fallback keeps pin-starved runs correct; reliable delivery absorbs 2% loss (see xlupc-chaos for curves)")
-	bench.PrintReliability(w, *seed, fl)
+	s.PrintReliability(w)
 
 	section(w, "SVD metadata footprint (§2.1)",
 		"directory replicas stay O(objects) per node; the rejected full table is O(nodes x objects)")
@@ -139,22 +136,21 @@ func main() {
 
 	section(w, "Field analysis (§4.6)",
 		"without the cache, remote access times at the overhangs are abnormally large on GM; RDMA removes the target CPU from the path")
-	bench.PrintFieldTrace(w, *seed)
+	s.PrintFieldTrace(w)
 
 	section(w, "Phase attribution (§4.6, telemetry)",
 		"the abnormal GM access times are target-CPU time: AM handlers stall behind the busy compute CPU; LAPI's dedicated comm processor absorbs them")
-	bench.PrintPhaseBreakdown(w, *seed)
+	s.PrintPhaseBreakdown(w)
 
 	if *scale {
-		o := bigOptsFor(*full, *seed)
 		section(w, "Big-scale sweep: the simulator's own cost at scale",
 			"n/a — host-side scaling figure; only the virtual columns are deterministic")
-		if _, err := bench.PrintScale(w, o); err != nil {
+		if _, err := s.PrintScale(w, bigScaleFor(*full)); err != nil {
 			fail(err)
 		}
 	}
 
-	if err := finishFlight(*seed); err != nil {
+	if err := finishFlight(s); err != nil {
 		fail(err)
 	}
 	if err := w.Flush(); err != nil {

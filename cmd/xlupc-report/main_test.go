@@ -33,13 +33,15 @@ func TestMachinesFor(t *testing.T) {
 	}
 }
 
-// -scale runs its sweep point at -seed, not at the default point's seed.
+// -scale's point is a machine only: it runs at the report's Sweep, so
+// at -seed, and -full picks the checked-in 32k / 1k point.
 func TestBigOptsFor(t *testing.T) {
-	for _, full := range []bool{false, true} {
-		for _, seed := range []int64{1, 2} {
-			if o := bigOptsFor(full, seed); o.Seed != seed {
-				t.Errorf("bigOptsFor(%v, %d).Seed = %d", full, seed, o.Seed)
-			}
+	for _, c := range []struct {
+		full  bool
+		scale string
+	}{{false, "8192-256"}, {true, "32768-1024"}} {
+		if sc := bigScaleFor(c.full); sc.String() != c.scale {
+			t.Errorf("bigScaleFor(%v) = %v, want %s", c.full, sc, c.scale)
 		}
 	}
 }

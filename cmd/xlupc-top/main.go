@@ -122,7 +122,7 @@ func main() {
 		if cached {
 			cc, label = core.DefaultCache(), "with cache"
 		}
-		tel, st, err := bench.PhaseRun(*mark, prof, sc, cc, *seed)
+		tel, st, err := bench.Sweep{Seed: *seed}.PhaseRun(*mark, prof, sc, cc)
 		if err != nil {
 			fail(err)
 		}

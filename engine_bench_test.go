@@ -111,7 +111,7 @@ func BenchmarkEngineProcessHandoff(b *testing.B) {
 func BenchmarkFig8PointerPaperScale(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		pts := bench.Fig8("pointer", []bench.Scale{{Threads: 256, Nodes: 64}}, []int{10}, 1)
+		pts := bench.Sweep{Seed: 1}.Fig8("pointer", []bench.Scale{{Threads: 256, Nodes: 64}}, []int{10})
 		b.ReportMetric(pts[0].HitRate, "hit%")
 	}
 }
@@ -121,10 +121,9 @@ func BenchmarkFig8PointerPaperScale(b *testing.B) {
 // are identical to the sequential run by construction.
 func BenchmarkFig9GMWide(b *testing.B) {
 	b.ReportAllocs()
-	prev := bench.SetParallelism(0) // 0 = GOMAXPROCS
-	defer bench.SetParallelism(prev)
+	s := bench.Sweep{Seed: 1, Workers: 0} // 0 = GOMAXPROCS
 	for i := 0; i < b.N; i++ {
-		pts := bench.Fig9(transport.GM(), bench.GMScales(16), 1)
+		pts := s.Fig9(transport.GM(), bench.GMScales(16))
 		for _, m := range []string{"pointer", "update", "neighborhood", "field"} {
 			fig9Metric(b, pts, m)
 		}

@@ -38,26 +38,18 @@ const (
 	adaptWindow = 32
 )
 
-// AdaptOpts shapes the adaptive address-cache workload.
-type AdaptOpts struct {
-	Scale Scale
-	Seed  int64
-}
+// AdaptScale is the machine of the figure's published configuration.
+func AdaptScale() Scale { return Scale{Threads: 8, Nodes: 4} }
 
-// DefaultAdapt returns the figure's published configuration.
-func DefaultAdapt() AdaptOpts {
-	return AdaptOpts{Scale: Scale{Threads: 8, Nodes: 4}, Seed: 11}
-}
-
-// Validate checks the machine the figure needs: a valid hybrid scale
-// with a hot peer and at least one cold peer besides the reader's own
-// node, so at least three nodes.
-func (o AdaptOpts) Validate() error {
-	if err := ValidateScale(o.Scale.Threads, o.Scale.Nodes); err != nil {
+// ValidateAdapt checks the machine the figure needs: a valid hybrid
+// scale with a hot peer and at least one cold peer besides the reader's
+// own node, so at least three nodes.
+func ValidateAdapt(sc Scale) error {
+	if err := ValidateScale(sc.Threads, sc.Nodes); err != nil {
 		return err
 	}
-	if o.Scale.Nodes < 3 {
-		return fmt.Errorf("-nodes (%d) must be at least 3: the adaptive figure reads a hot peer and cold peers besides its own node", o.Scale.Nodes)
+	if sc.Nodes < 3 {
+		return fmt.Errorf("-nodes (%d) must be at least 3: the adaptive figure reads a hot peer and cold peers besides its own node", sc.Nodes)
 	}
 	return nil
 }
@@ -115,11 +107,12 @@ type AdaptPoint struct {
 	Run      core.RunStats
 }
 
-// runAdapt runs the workload under one cache-sizing variant.
-func runAdapt(prof *transport.Profile, o AdaptOpts, adaptive bool) AdaptPoint {
+// runAdapt runs the workload on machine sc under one cache-sizing
+// variant.
+func (s Sweep) runAdapt(prof *transport.Profile, sc Scale, adaptive bool) AdaptPoint {
 	cfg := core.Config{
-		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: prof,
-		Cache: adaptCacheConfig(adaptive), Seed: o.Seed,
+		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof,
+		Cache: adaptCacheConfig(adaptive), Seed: s.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
@@ -148,15 +141,15 @@ func adaptCacheConfig(adaptive bool) core.CacheConfig {
 	return core.CacheConfig{Enabled: true, Capacity: adaptBudget, Policy: addrcache.LRU}
 }
 
-// AdaptSweep runs fixed and adaptive sizing at the identical budget and
-// verifies both computed the same checksum. Options that fail Validate
-// are an error, before anything runs.
-func AdaptSweep(prof *transport.Profile, o AdaptOpts) (fixed, adaptive AdaptPoint, err error) {
-	if err := o.Validate(); err != nil {
+// AdaptSweep runs fixed and adaptive sizing on machine sc at the
+// identical budget and verifies both computed the same checksum. A
+// machine that fails ValidateAdapt is an error, before anything runs.
+func (s Sweep) AdaptSweep(prof *transport.Profile, sc Scale) (fixed, adaptive AdaptPoint, err error) {
+	if err := ValidateAdapt(sc); err != nil {
 		return fixed, adaptive, err
 	}
 	pts := make([]AdaptPoint, 2)
-	parfor(2, func(i int) { pts[i] = runAdapt(prof, o, i == 1) })
+	s.parfor(2, func(i int) { pts[i] = s.runAdapt(prof, sc, i == 1) })
 	if pts[0].Checksum != pts[1].Checksum {
 		panic(fmt.Sprintf("bench: adaptive cache changed program output: fixed=%#x adaptive=%#x",
 			pts[0].Checksum, pts[1].Checksum))
@@ -166,13 +159,13 @@ func AdaptSweep(prof *transport.Profile, o AdaptOpts) (fixed, adaptive AdaptPoin
 
 // PrintAdaptCache emits the adaptive address-cache figure with a
 // machine-readable "# gate" line.
-func PrintAdaptCache(w io.Writer, prof *transport.Profile, o AdaptOpts) error {
-	fixed, adaptive, err := AdaptSweep(prof, o)
+func (s Sweep) PrintAdaptCache(w io.Writer, prof *transport.Profile, sc Scale) error {
+	fixed, adaptive, err := s.AdaptSweep(prof, sc)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "# Adaptive address-cache sizing on %s (%d threads / %d nodes, budget %d entries/node, window %d, hot %d keys, burst %d)\n",
-		prof.Name, o.Scale.Threads, o.Scale.Nodes, adaptBudget, adaptWindow, adaptHot, adaptBurst)
+		prof.Name, sc.Threads, sc.Nodes, adaptBudget, adaptWindow, adaptHot, adaptBurst)
 	fmt.Fprintf(w, "%9s %12s %8s %8s %8s %8s %9s\n",
 		"variant", "elapsed(us)", "hits", "misses", "evict", "resizes", "hit-rate")
 	for _, p := range []AdaptPoint{fixed, adaptive} {

@@ -33,7 +33,7 @@ func PrintFootprint(w io.Writer) {
 // PrintFieldTrace reproduces the §4.6 Paraver analysis in summary
 // form: the share of time the Field stressmark's threads spend blocked
 // in remote GETs on GM, with and without the address cache.
-func PrintFieldTrace(w io.Writer, seed int64) {
+func (s Sweep) PrintFieldTrace(w io.Writer) {
 	for _, cached := range []bool{false, true} {
 		cc := core.NoCache()
 		label := "without cache"
@@ -41,7 +41,7 @@ func PrintFieldTrace(w io.Writer, seed int64) {
 			cc = core.DefaultCache()
 			label = "with cache"
 		}
-		tel, _, err := PhaseRun("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, cc, seed)
+		tel, _, err := s.PhaseRun("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, cc)
 		if err != nil {
 			panic(err)
 		}

@@ -32,7 +32,7 @@ func TestPrintFootprintShape(t *testing.T) {
 
 func TestPrintFieldTraceShowsWaitReduction(t *testing.T) {
 	var sb strings.Builder
-	PrintFieldTrace(&sb, 1)
+	Sweep{Seed: 1}.PrintFieldTrace(&sb)
 	out := sb.String()
 	if !strings.Contains(out, "without cache") || !strings.Contains(out, "with cache") {
 		t.Fatalf("field trace output malformed:\n%s", out)

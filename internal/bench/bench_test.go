@@ -15,8 +15,8 @@ import (
 
 func TestFig6GetShapes(t *testing.T) {
 	sizes := []int{16, 4 << 10, 4 << 20}
-	gm := MicroSweep(OpGet, transport.GM(), sizes, 4, 1)
-	lapi := MicroSweep(OpGet, transport.LAPI(), sizes, 4, 1)
+	gm := Sweep{Seed: 1}.MicroSweep(OpGet, transport.GM(), sizes, 4)
+	lapi := Sweep{Seed: 1}.MicroSweep(OpGet, transport.LAPI(), sizes, 4)
 
 	// GM: ~30% small, ~40% mid, ~0 at 4MB.
 	if gm[0].Improvement < 25 || gm[0].Improvement > 45 {
@@ -44,8 +44,8 @@ func TestFig6GetShapes(t *testing.T) {
 
 func TestFig6PutShapes(t *testing.T) {
 	sizes := []int{16, 4 << 10}
-	gm := MicroSweep(OpPut, transport.GM(), sizes, 4, 1)
-	lapi := MicroSweep(OpPut, transport.LAPI(), sizes, 4, 1)
+	gm := Sweep{Seed: 1}.MicroSweep(OpPut, transport.GM(), sizes, 4)
+	lapi := Sweep{Seed: 1}.MicroSweep(OpPut, transport.LAPI(), sizes, 4)
 
 	// GM: no benefit for small PUTs, positive mid-size.
 	if gm[0].Improvement < -10 || gm[0].Improvement > 10 {
@@ -64,16 +64,16 @@ func TestFig6PutShapes(t *testing.T) {
 func TestLAPIPutCacheDisabledByDefault(t *testing.T) {
 	// Without ForcePutCache, LAPI PUTs must not regress: the runtime
 	// follows the paper and skips the cache for LAPI PUTs.
-	o := MicroOpts{Prof: transport.LAPI(), Size: 16, Reps: 4, Seed: 1}
-	z := MicroLatency(OpPut, false, o)
-	w := MicroLatency(OpPut, true, o)
+	o := MicroOpts{Prof: transport.LAPI(), Size: 16, Reps: 4}
+	z := Sweep{Seed: 1}.MicroLatency(OpPut, false, o)
+	w := Sweep{Seed: 1}.MicroLatency(OpPut, true, o)
 	if w.Mean() > z.Mean()*1.05 {
 		t.Errorf("default LAPI PUT with cache %.2fus regressed vs %.2fus", w.Mean(), z.Mean())
 	}
 }
 
 func TestFig7Envelope(t *testing.T) {
-	gm, lapi := PrintFig7(io.Discard, 4, 1)
+	gm, lapi := Sweep{Seed: 1}.PrintFig7(io.Discard, 4)
 	for _, p := range gm {
 		if p.WithUs >= p.WithoutUs {
 			t.Errorf("GM %dB: cached %.2fus not below uncached %.2fus", p.Size, p.WithUs, p.WithoutUs)
@@ -91,8 +91,8 @@ func TestFig7Envelope(t *testing.T) {
 func TestFig8Shapes(t *testing.T) {
 	scales := GMScales(64) // 8-2 … 64-16
 	caps := []int{4, 10, 100}
-	ptr := Fig8("pointer", scales, caps, 1)
-	nbr := Fig8("neighborhood", scales, caps, 1)
+	ptr := Sweep{Seed: 1}.Fig8("pointer", scales, caps)
+	nbr := Sweep{Seed: 1}.Fig8("neighborhood", scales, caps)
 
 	at := func(pts []HitRatePoint, capIdx, scaleIdx int) float64 {
 		return pts[capIdx*len(scales)+scaleIdx].HitRate
@@ -119,8 +119,8 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	gm := Fig9(transport.GM(), GMScales(32), 1)
-	lapi := Fig9(transport.LAPI(), LAPIScales(16), 1)
+	gm := Sweep{Seed: 1}.Fig9(transport.GM(), GMScales(32))
+	lapi := Sweep{Seed: 1}.Fig9(transport.LAPI(), LAPIScales(16))
 
 	byMark := func(pts []Fig9Point, mark string) []float64 {
 		var out []float64
@@ -167,7 +167,7 @@ func TestFig9Shapes(t *testing.T) {
 func TestMissOverheadClaim(t *testing.T) {
 	// §6: "typically 1.5% and never worse than 2%".
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		pct := MissOverhead(prof, 1)
+		pct := Sweep{Seed: 1}.MissOverhead(prof)
 		if pct > 2.0 {
 			t.Errorf("%s miss overhead %.2f%%, want <= 2%%", prof.Name, pct)
 		}
@@ -179,7 +179,7 @@ func TestMissOverheadClaim(t *testing.T) {
 
 func TestPinUsageClaim(t *testing.T) {
 	// §4.5: a pinned address table of 10 entries is more than enough.
-	peaks := PinUsage(transport.GM(), Scale{Threads: 16, Nodes: 4}, 1)
+	peaks := Sweep{Seed: 1}.PinUsage(transport.GM(), Scale{Threads: 16, Nodes: 4})
 	for mark, peak := range peaks {
 		if peak > 10 {
 			t.Errorf("%s peak pinned entries %d, want <= 10", mark, peak)
@@ -192,12 +192,12 @@ func TestPinUsageClaim(t *testing.T) {
 
 func TestPrintersProduceTables(t *testing.T) {
 	var sb strings.Builder
-	PrintFig8(&sb, "pointer", GMScales(16), []int{4}, 1)
+	Sweep{Seed: 1}.PrintFig8(&sb, "pointer", GMScales(16), []int{4})
 	if !strings.Contains(sb.String(), "threads-nodes") || !strings.Contains(sb.String(), "8-2") {
 		t.Errorf("Fig8 table malformed:\n%s", sb.String())
 	}
 	sb.Reset()
-	PrintFig9(&sb, transport.GM(), GMScales(8), 1)
+	Sweep{Seed: 1}.PrintFig9(&sb, transport.GM(), GMScales(8))
 	if !strings.Contains(sb.String(), "pointer") || !strings.Contains(sb.String(), "field") {
 		t.Errorf("Fig9 table malformed:\n%s", sb.String())
 	}
@@ -220,7 +220,7 @@ func TestScalesMatchPaperAxes(t *testing.T) {
 }
 
 func TestFig9CIMethodology(t *testing.T) {
-	s := Fig9CI("pointer", transport.GM(), Scale{Threads: 8, Nodes: 2}, 4, 1)
+	s := Sweep{Seed: 1}.Fig9CI("pointer", transport.GM(), Scale{Threads: 8, Nodes: 2}, 4)
 	if s.N() != 4 {
 		t.Fatalf("reps = %d", s.N())
 	}
@@ -231,7 +231,7 @@ func TestFig9CIMethodology(t *testing.T) {
 		t.Fatalf("ci %.2f out of range for mean %.2f", s.CI95(), s.Mean())
 	}
 	var sb strings.Builder
-	PrintFig9CI(&sb, transport.GM(), GMScales(8), 2, 1)
+	Sweep{Seed: 1}.PrintFig9CI(&sb, transport.GM(), GMScales(8), 2)
 	if !strings.Contains(sb.String(), "±") {
 		t.Fatalf("CI table lacks intervals:\n%s", sb.String())
 	}

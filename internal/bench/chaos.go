@@ -7,7 +7,6 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/fault"
-	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/stats"
@@ -51,13 +50,13 @@ type ChaosPoint struct {
 }
 
 // runChaosMark runs one stressmark under the given fault config, with
-// fl's rings when fl is set, and returns its stats, the combined
-// self-verification checksum, and the runtime (for flight-recorder
-// post-mortems).
-func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, fc *fault.Config, seed int64, fl *flight.Config) (core.RunStats, uint64, *core.Runtime) {
+// the sweep's flight rings when it has them, and returns its stats, the
+// combined self-verification checksum, and the runtime (for
+// flight-recorder post-mortems).
+func (s Sweep) runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, fc *fault.Config) (core.RunStats, uint64, *core.Runtime) {
 	return runMark(mark, core.Config{
-		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: seed,
-		Fault: fc, Flight: fl,
+		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: s.Seed,
+		Fault: fc, Flight: s.Flight,
 	}, dis.Params{})
 }
 
@@ -66,26 +65,25 @@ func runChaosMark(mark string, sc Scale, prof *transport.Profile, cc core.CacheC
 // reliable-delivery layer. Every point's checksum must match the
 // loss-free one — the fast path staying correct is the experiment's
 // whole claim — and a cache-on/cache-off divergence panics outright,
-// after a flight dump when fl gives the runs rings and a sink.
-func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64, fl *flight.Config) []ChaosPoint {
+// after a flight dump when s.Flight gives the runs rings and a sink.
+func (s Sweep) ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64) []ChaosPoint {
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	pts := make([]ChaosPoint, len(losses))
-	parfor(len(losses), func(i int) {
+	s.parfor(len(losses), func(i int) {
 		fc := ChaosFaults(losses[i])
-		z, zsum, _ := runChaosMark(mark, sc, prof, core.NoCache(), &fc, seed, fl)
-		w, wsum, wrt := runChaosMark(mark, sc, prof, core.DefaultCache(), &fc, seed, fl)
+		z, zsum, _ := s.runChaosMark(mark, sc, prof, core.NoCache(), &fc)
+		w, wsum, wrt := s.runChaosMark(mark, sc, prof, core.DefaultCache(), &fc)
 		if zsum != wsum {
 			divergenceDump(wrt, fmt.Sprintf("%s at loss %g: checksum changed by cache: %x vs %x",
 				mark, losses[i], zsum, wsum))
 			panic(fmt.Sprintf("bench: %s at loss %g: checksum changed by cache: %x vs %x",
 				mark, losses[i], zsum, wsum))
 		}
-		mo := MicroOpts{Prof: prof, Size: 8, Reps: 12, Seed: seed,
-			ForcePutCache: true, Fault: &fc}
-		get := MicroLatency(OpGet, true, mo)
-		put := MicroLatency(OpPut, true, mo)
+		mo := MicroOpts{Prof: prof, Size: 8, Reps: 12, ForcePutCache: true, Fault: &fc}
+		get := s.MicroLatency(OpGet, true, mo)
+		put := s.MicroLatency(OpPut, true, mo)
 		pts[i] = ChaosPoint{
 			Loss:        losses[i],
 			GetUs:       get.Mean(),
@@ -99,8 +97,8 @@ func ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64
 }
 
 // PrintChaos emits one degradation-curve table and returns its points.
-func PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc Scale, losses []float64, seed int64, fl *flight.Config) []ChaosPoint {
-	pts := ChaosSweep(mark, prof, sc, losses, seed, fl)
+func (s Sweep) PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc Scale, losses []float64) []ChaosPoint {
+	pts := s.ChaosSweep(mark, prof, sc, losses)
 	fmt.Fprintf(w, "# Chaos — %s on %s, %s: cache behaviour vs loss rate (reliable delivery on)\n",
 		mark, prof.Name, sc)
 	fmt.Fprintf(w, "%8s %9s %9s %9s %10s %7s %8s %6s %6s %8s %17s\n",
@@ -126,16 +124,17 @@ type RelRow struct {
 // ReliabilityTable measures the failure-handling machinery per
 // transport: a limited-pinning rotation that forces RDMA NACKs and
 // cache invalidations, and a pointer run at 2% loss exercising the
-// reliable-delivery layer, with fl's rings when fl is set.
-func ReliabilityTable(seed int64, fl *flight.Config) []RelRow {
+// reliable-delivery layer, with the sweep's flight rings when it has
+// them.
+func (s Sweep) ReliabilityTable() []RelRow {
 	profs := []*transport.Profile{transport.GM(), transport.LAPI()}
 	rows := make([]RelRow, len(profs))
-	parfor(len(profs), func(i int) {
+	s.parfor(len(profs), func(i int) {
 		prof := profs[i]
-		nack := runNackChurn(prof, seed)
+		nack := s.runNackChurn(prof)
 		fc := ChaosFaults(0.02)
-		chaos, _, _ := runChaosMark("pointer", Scale{Threads: 8, Nodes: 4}, prof,
-			core.DefaultCache(), &fc, seed, fl)
+		chaos, _, _ := s.runChaosMark("pointer", Scale{Threads: 8, Nodes: 4}, prof,
+			core.DefaultCache(), &fc)
 		rows[i] = RelRow{Transport: prof.Name, Nack: nack, Chaos: chaos}
 	})
 	return rows
@@ -144,11 +143,11 @@ func ReliabilityTable(seed int64, fl *flight.Config) []RelRow {
 // runNackChurn rotates GETs across more arrays than the registration
 // budget holds, so cached base addresses keep going stale and the
 // NACK→invalidate→AM-fallback path fires continuously.
-func runNackChurn(prof *transport.Profile, seed int64) core.RunStats {
+func (s Sweep) runNackChurn(prof *transport.Profile) core.RunStats {
 	const threads, nodes, arrays, elems = 8, 4, 6, 64
 	chunk := core.NewLayout(threads, threads/nodes, 8, elems/threads, elems).NodeChunkBytes()
 	rt, err := core.NewRuntime(core.Config{
-		Threads: threads, Nodes: nodes, Profile: prof, Cache: core.DefaultCache(), Seed: seed,
+		Threads: threads, Nodes: nodes, Profile: prof, Cache: core.DefaultCache(), Seed: s.Seed,
 		Pin: &core.PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1},
 	})
 	if err != nil {
@@ -179,8 +178,8 @@ func runNackChurn(prof *transport.Profile, seed int64) core.RunStats {
 
 // PrintReliability emits the per-transport reliability table (the
 // xlupc-report section behind the NACK and chaos counters).
-func PrintReliability(w io.Writer, seed int64, fl *flight.Config) []RelRow {
-	rows := ReliabilityTable(seed, fl)
+func (s Sweep) PrintReliability(w io.Writer) []RelRow {
+	rows := s.ReliabilityTable()
 	fmt.Fprintf(w, "%10s %10s %12s %8s %9s %6s %6s %9s %7s\n",
 		"transport", "nacks", "invalidated", "drops", "corrupt", "dup", "retx", "dupsupp", "acks")
 	for _, r := range rows {

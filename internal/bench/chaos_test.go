@@ -15,8 +15,8 @@ func TestPrintChaosDeterministic(t *testing.T) {
 	losses := []float64{0, 0.02}
 	sc := Scale{Threads: 8, Nodes: 4}
 	var a, b bytes.Buffer
-	PrintChaos(&a, "pointer", transport.GM(), sc, losses, 7, nil)
-	PrintChaos(&b, "pointer", transport.GM(), sc, losses, 7, nil)
+	Sweep{Seed: 7}.PrintChaos(&a, "pointer", transport.GM(), sc, losses)
+	Sweep{Seed: 7}.PrintChaos(&b, "pointer", transport.GM(), sc, losses)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("same seed, different output:\n%s\nvs\n%s", a.String(), b.String())
 	}
@@ -26,7 +26,7 @@ func TestPrintChaosDeterministic(t *testing.T) {
 // actually have injected something.
 func TestChaosChecksumsStableAcrossLoss(t *testing.T) {
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		pts := ChaosSweep("update", prof, Scale{Threads: 8, Nodes: 4}, []float64{0, 0.03}, 5, nil)
+		pts := Sweep{Seed: 5}.ChaosSweep("update", prof, Scale{Threads: 8, Nodes: 4}, []float64{0, 0.03})
 		if pts[1].Checksum != pts[0].Checksum {
 			t.Fatalf("%s: checksum moved with loss: %x vs %x", prof.Name, pts[0].Checksum, pts[1].Checksum)
 		}
@@ -47,7 +47,7 @@ func TestReliabilityTable(t *testing.T) {
 	// ACK overtaken by its own retransmit used to end that run with a
 	// delivered packet reported undeliverable (runChaosMark panics).
 	for _, seed := range []int64{7, 20} {
-		rows := ReliabilityTable(seed, nil)
+		rows := Sweep{Seed: seed}.ReliabilityTable()
 		if len(rows) != 2 {
 			t.Fatalf("seed %d: rows: %d", seed, len(rows))
 		}
@@ -68,7 +68,7 @@ func TestReliabilityTable(t *testing.T) {
 // least one record.
 func TestFlightCaptureShape(t *testing.T) {
 	var buf bytes.Buffer
-	if err := FlightCapture(&buf, 7, nil); err != nil {
+	if err := (Sweep{Seed: 7}).FlightCapture(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records := 0

@@ -39,8 +39,7 @@ func TestBenchSmoke32k(t *testing.T) {
 		t.Fatalf("parsing baseline: %v", err)
 	}
 
-	o := DefaultBigOpts()
-	sp, err := ScaleMark(o)
+	sp, err := Sweep{Seed: 1}.ScaleMark(BigScale())
 	if err != nil {
 		t.Fatal(err)
 	}

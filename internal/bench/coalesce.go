@@ -30,12 +30,12 @@ type CoalescePoint struct {
 // coalLatency measures mean per-element latency of `batch` GETs of
 // `size` bytes from node 0 against node 1's block: a blocking GetBulk
 // loop, or NbGet issue + one SyncAll with coalescing enabled.
-func coalLatency(prof *transport.Profile, size, batch, reps int, seed int64, split, cached bool) stats.Sample {
+func (s Sweep) coalLatency(prof *transport.Profile, size, batch, reps int, split, cached bool) stats.Sample {
 	cc := core.NoCache()
 	if cached {
 		cc = core.DefaultCache()
 	}
-	cfg := core.Config{Threads: 2, Nodes: 2, Profile: prof, Cache: cc, Seed: seed}
+	cfg := core.Config{Threads: 2, Nodes: 2, Profile: prof, Cache: cc, Seed: s.Seed}
 	if split {
 		coal := transport.DefaultCoalConfig()
 		cfg.Coalesce = &coal
@@ -91,16 +91,16 @@ func coalLatency(prof *transport.Profile, size, batch, reps int, seed int64, spl
 // CoalesceSweep produces the batch-size figure for one transport:
 // every (size, batch) combination, eager and RDMA paths, blocking
 // versus coalesced split-phase.
-func CoalesceSweep(prof *transport.Profile, sizes, batches []int, reps int, seed int64) []CoalescePoint {
+func (s Sweep) CoalesceSweep(prof *transport.Profile, sizes, batches []int, reps int) []CoalescePoint {
 	pts := make([]CoalescePoint, len(sizes)*len(batches))
-	parfor(len(pts), func(i int) {
+	s.parfor(len(pts), func(i int) {
 		size := sizes[i/len(batches)]
 		batch := batches[i%len(batches)]
 		pt := CoalescePoint{Size: size, Batch: batch}
-		eb := coalLatency(prof, size, batch, reps, seed, false, false)
-		ec := coalLatency(prof, size, batch, reps, seed, true, false)
-		rb := coalLatency(prof, size, batch, reps, seed, false, true)
-		rc := coalLatency(prof, size, batch, reps, seed, true, true)
+		eb := s.coalLatency(prof, size, batch, reps, false, false)
+		ec := s.coalLatency(prof, size, batch, reps, true, false)
+		rb := s.coalLatency(prof, size, batch, reps, false, true)
+		rc := s.coalLatency(prof, size, batch, reps, true, true)
 		pt.EagerBlockUs = eb.Mean()
 		pt.EagerCoalUs = ec.Mean()
 		pt.RDMABlockUs = rb.Mean()
@@ -112,23 +112,23 @@ func CoalesceSweep(prof *transport.Profile, sizes, batches []int, reps int, seed
 	return pts
 }
 
-// coalSizes and coalBatches are the element and batch sizes the
-// coalescing figure sweeps.
-var (
-	coalSizes   = []int{8, 64, 1024}
-	coalBatches = []int{1, 2, 4, 8, 16, 32}
-)
+// coalFigure returns the element and batch sizes the coalescing figure
+// sweeps.
+func coalFigure() (sizes, batches []int) {
+	return []int{8, 64, 1024}, []int{1, 2, 4, 8, 16, 32}
+}
 
 // PrintCoalesce renders the batched-vs-unbatched figure for GM and
 // LAPI: per-element latency and throughput of small GETs against batch
 // size, blocking loop versus split-phase with coalescing.
-func PrintCoalesce(w io.Writer, reps int, seed int64) {
+func (s Sweep) PrintCoalesce(w io.Writer, reps int) {
+	sizes, batches := coalFigure()
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		fmt.Fprintf(w, "Split-phase GET coalescing — %s (per-element latency, µs)\n", prof.Name)
 		fmt.Fprintf(w, "%6s %6s %12s %12s %9s %12s %12s %9s %10s\n",
 			"size", "batch", "eager-block", "eager-coal", "impr%",
 			"rdma-block", "rdma-coal", "impr%", "coal MB/s")
-		for _, pt := range CoalesceSweep(prof, coalSizes, coalBatches, reps, seed) {
+		for _, pt := range s.CoalesceSweep(prof, sizes, batches, reps) {
 			mbps := 0.0
 			if pt.RDMACoalUs > 0 {
 				mbps = float64(pt.Size) / pt.RDMACoalUs // bytes/µs = MB/s

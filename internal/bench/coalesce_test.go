@@ -14,8 +14,9 @@ import (
 // -seed 7` prints.
 func TestCoalesceBeatsBlockingSmallBatches(t *testing.T) {
 	const reps = 3
+	figSizes, allBatches := coalFigure()
 	var figBatches []int
-	for _, b := range coalBatches {
+	for _, b := range allBatches {
 		if b >= 8 {
 			figBatches = append(figBatches, b)
 		}
@@ -25,10 +26,10 @@ func TestCoalesceBeatsBlockingSmallBatches(t *testing.T) {
 		seed           int64
 	}{
 		{[]int{8, 1024}, []int{8, 16}, 1},
-		{coalSizes, figBatches, 7},
+		{figSizes, figBatches, 7},
 	} {
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-			for _, pt := range CoalesceSweep(prof, in.sizes, in.batches, reps, in.seed) {
+			for _, pt := range (Sweep{Seed: in.seed}).CoalesceSweep(prof, in.sizes, in.batches, reps) {
 				if pt.EagerCoalUs >= pt.EagerBlockUs {
 					t.Errorf("%s seed=%d size=%d batch=%d: eager coalesced %.2fµs not below blocking %.2fµs",
 						prof.Name, in.seed, pt.Size, pt.Batch, pt.EagerCoalUs, pt.EagerBlockUs)
@@ -47,7 +48,7 @@ func TestCoalesceBeatsBlockingSmallBatches(t *testing.T) {
 func TestPrintCoalesceDeterministic(t *testing.T) {
 	render := func() string {
 		var sb strings.Builder
-		PrintCoalesce(&sb, 2, 1)
+		Sweep{Seed: 1}.PrintCoalesce(&sb, 2)
 		return sb.String()
 	}
 	a, b := render(), render()

@@ -7,7 +7,6 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/fault"
-	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
@@ -42,14 +41,15 @@ type CrashPoint struct {
 }
 
 // runCrashMark runs one stressmark over the reliable layer with the
-// given crash schedule (nil = crash-free baseline), with fl's rings when
-// fl is set, and returns its stats, the combined self-verification
-// checksum, and the runtime (for flight-recorder post-mortems).
-func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.CrashConfig, seed int64, fl *flight.Config) (core.RunStats, uint64, *core.Runtime) {
+// given crash schedule (nil = crash-free baseline), with the sweep's
+// flight rings when it has them, and returns its stats, the combined
+// self-verification checksum, and the runtime (for flight-recorder
+// post-mortems).
+func (s Sweep) runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.CrashConfig) (core.RunStats, uint64, *core.Runtime) {
 	rc := transport.DefaultRelConfig()
 	return runMark(mark, core.Config{
-		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: core.DefaultCache(), Seed: seed,
-		Rel: &rc, Crash: cc, Flight: fl,
+		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: core.DefaultCache(), Seed: s.Seed,
+		Rel: &rc, Crash: cc, Flight: s.Flight,
 	}, dis.Params{})
 }
 
@@ -58,15 +58,15 @@ func runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *core.Crash
 // baseline with the identical configuration. Crash recovery being
 // invisible to program semantics is the experiment's whole claim, so a
 // checksum diverging from the baseline panics outright, after a flight
-// dump when fl gives the runs rings and a sink.
-func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64, fl *flight.Config) []CrashPoint {
+// dump when s.Flight gives the runs rings and a sink.
+func (s Sweep) CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time) []CrashPoint {
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
-	base, baseSum, _ := runCrashMark(mark, sc, prof, nil, seed, fl)
+	base, baseSum, _ := s.runCrashMark(mark, sc, prof, nil)
 	pts := make([]CrashPoint, len(rates))
-	parfor(len(rates), func(i int) {
-		st, sum, srt := runCrashMark(mark, sc, prof, CrashFaults(rates[i], restart), seed, fl)
+	s.parfor(len(rates), func(i int) {
+		st, sum, srt := s.runCrashMark(mark, sc, prof, CrashFaults(rates[i], restart))
 		if sum != baseSum {
 			divergenceDump(srt, fmt.Sprintf("%s at crash rate %g: checksum diverged from crash-free run: %x vs %x",
 				mark, rates[i], sum, baseSum))
@@ -89,8 +89,8 @@ func CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64,
 }
 
 // PrintCrash emits one recovery-curve table and returns its points.
-func PrintCrash(w io.Writer, mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, seed int64, fl *flight.Config) []CrashPoint {
-	pts := CrashSweep(mark, prof, sc, rates, restart, seed, fl)
+func (s Sweep) PrintCrash(w io.Writer, mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time) []CrashPoint {
+	pts := s.CrashSweep(mark, prof, sc, rates, restart)
 	fmt.Fprintf(w, "# Crash — %s on %s, %s: recovery behaviour vs crash rate (reliable delivery on, restart <= %v)\n",
 		mark, prof.Name, sc, restart)
 	fmt.Fprintf(w, "%8s %8s %7s %7s %8s %7s %6s %5s %10s %9s %17s\n",

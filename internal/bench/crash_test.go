@@ -20,7 +20,7 @@ func TestCrashSweepShapes(t *testing.T) {
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		render := func() ([]CrashPoint, string) {
 			var buf bytes.Buffer
-			pts := PrintCrash(&buf, "pointer", prof, sc, rates, 150*sim.Us, 1, nil)
+			pts := Sweep{Seed: 1}.PrintCrash(&buf, "pointer", prof, sc, rates, 150*sim.Us)
 			return pts, buf.String()
 		}
 		pts, out := render()

@@ -3,6 +3,7 @@ package bench
 import (
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"xlupc/internal/core"
@@ -19,9 +20,9 @@ import (
 // the same seed and requires identical RunStats, field for field.
 func TestRunStatsBitIdenticalAcrossRuns(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 2}
-	first := runStressmark("pointer", sc, transport.GM(), core.DefaultCache(), 7)
+	first := Sweep{Seed: 7}.runStressmark("pointer", sc, transport.GM(), core.DefaultCache())
 	for i := 0; i < 3; i++ {
-		again := runStressmark("pointer", sc, transport.GM(), core.DefaultCache(), 7)
+		again := Sweep{Seed: 7}.runStressmark("pointer", sc, transport.GM(), core.DefaultCache())
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d diverged:\nfirst: %+v\nagain: %+v", i, first, again)
 		}
@@ -34,9 +35,9 @@ func TestRunStatsBitIdenticalAcrossRuns(t *testing.T) {
 func TestRunStatsIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 2}
 	prev := runtime.GOMAXPROCS(1)
-	one := runStressmark("update", sc, transport.LAPI(), core.DefaultCache(), 3)
+	one := Sweep{Seed: 3}.runStressmark("update", sc, transport.LAPI(), core.DefaultCache())
 	runtime.GOMAXPROCS(8)
-	many := runStressmark("update", sc, transport.LAPI(), core.DefaultCache(), 3)
+	many := Sweep{Seed: 3}.runStressmark("update", sc, transport.LAPI(), core.DefaultCache())
 	runtime.GOMAXPROCS(prev)
 	if !reflect.DeepEqual(one, many) {
 		t.Fatalf("GOMAXPROCS changed results:\n1:    %+v\nmany: %+v", one, many)
@@ -49,12 +50,11 @@ func TestRunStatsIdenticalAcrossGOMAXPROCS(t *testing.T) {
 func TestSweepsSequentialVsParallelIdentical(t *testing.T) {
 	scales := []Scale{{8, 2}, {16, 4}}
 	run := func(workers int) (fig9 []Fig9Point, fig8 []HitRatePoint, micro []LatencyPoint, miss float64) {
-		prevWorkers := SetParallelism(workers)
-		defer SetParallelism(prevWorkers)
-		fig9 = Fig9(transport.GM(), scales, 5)
-		fig8 = Fig8("pointer", scales, []int{4, 100}, 5)
-		micro = MicroSweep(OpGet, transport.GM(), []int{8, 1024}, 3, 5)
-		miss = MissOverhead(transport.GM(), 5)
+		s := Sweep{Seed: 5, Workers: workers}
+		fig9 = s.Fig9(transport.GM(), scales)
+		fig8 = s.Fig8("pointer", scales, []int{4, 100})
+		micro = s.MicroSweep(OpGet, transport.GM(), []int{8, 1024}, 3)
+		miss = s.MissOverhead(transport.GM())
 		return
 	}
 	seq9, seq8, seqM, seqMiss := run(1)
@@ -73,16 +73,33 @@ func TestSweepsSequentialVsParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestSweepsSideBySide runs the same figure from two goroutines at once,
+// one sweep sequential and one eight wide: the worker count is each
+// sweep's own, so neither run sees the other's and both give the same
+// points.
+func TestSweepsSideBySide(t *testing.T) {
+	var pts [2][]HitRatePoint
+	var wg sync.WaitGroup
+	for i, workers := range []int{1, 8} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pts[i] = Sweep{Seed: 3, Workers: workers}.Fig8("pointer", GMScales(16), []int{4, 100})
+		}()
+	}
+	wg.Wait()
+	if len(pts[0]) == 0 || !reflect.DeepEqual(pts[0], pts[1]) {
+		t.Fatalf("side-by-side sweeps diverged:\nWorkers 1: %+v\nWorkers 8: %+v", pts[0], pts[1])
+	}
+}
+
 // TestFig9CISequentialVsParallelIdentical covers the replicated-run
 // driver: per-replication seeds and the aggregation order must not
 // depend on worker scheduling.
 func TestFig9CISequentialVsParallelIdentical(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 2}
-	prev := SetParallelism(1)
-	seq := Fig9CI("pointer", transport.GM(), sc, 4, 11)
-	SetParallelism(8)
-	par := Fig9CI("pointer", transport.GM(), sc, 4, 11)
-	SetParallelism(prev)
+	seq := Sweep{Seed: 11, Workers: 1}.Fig9CI("pointer", transport.GM(), sc, 4)
+	par := Sweep{Seed: 11, Workers: 8}.Fig9CI("pointer", transport.GM(), sc, 4)
 	if seq.Mean() != par.Mean() || seq.CI95() != par.CI95() {
 		t.Fatalf("Fig9CI diverged: seq mean %v ci %v, par mean %v ci %v",
 			seq.Mean(), seq.CI95(), par.Mean(), par.CI95())
@@ -92,15 +109,13 @@ func TestFig9CISequentialVsParallelIdentical(t *testing.T) {
 // TestParforPropagatesLowestPanic checks a parallel sweep surfaces the
 // same panic a sequential loop would have hit first.
 func TestParforPropagatesLowestPanic(t *testing.T) {
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
 	defer func() {
 		r := recover()
 		if r != "boom-1" {
 			t.Fatalf("recovered %v, want boom-1", r)
 		}
 	}()
-	parfor(8, func(i int) {
+	Sweep{Workers: 4}.parfor(8, func(i int) {
 		if i == 1 || i == 6 {
 			panic("boom-" + string(rune('0'+i)))
 		}

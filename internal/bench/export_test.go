@@ -12,10 +12,8 @@ import (
 // sweep parallelism and renders both exports.
 func exportsAt(t *testing.T, workers int) (chrome, prom string) {
 	t.Helper()
-	old := SetParallelism(workers)
-	defer SetParallelism(old)
-	tel, _, err := PhaseRun("pointer", transport.GM(), Scale{Threads: 8, Nodes: 4},
-		core.DefaultCache(), 7)
+	tel, _, err := Sweep{Seed: 7, Workers: workers}.PhaseRun("pointer", transport.GM(), Scale{Threads: 8, Nodes: 4},
+		core.DefaultCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,14 +44,13 @@ type LatencyPoint struct {
 }
 
 // MicroSweep measures a size sweep for op on prof. Points run across
-// the harness workers (SetParallelism) in deterministic output order.
-func MicroSweep(op Op, prof *transport.Profile, sizes []int, reps int, seed int64) []LatencyPoint {
+// the sweep's workers in deterministic output order.
+func (s Sweep) MicroSweep(op Op, prof *transport.Profile, sizes []int, reps int) []LatencyPoint {
 	pts := make([]LatencyPoint, len(sizes))
-	parfor(len(sizes), func(i int) {
-		o := MicroOpts{Prof: prof, Size: sizes[i], Reps: reps, Seed: seed,
-			ForcePutCache: op == OpPut}
-		zs := MicroLatency(op, false, o)
-		ws := MicroLatency(op, true, o)
+	s.parfor(len(sizes), func(i int) {
+		o := MicroOpts{Prof: prof, Size: sizes[i], Reps: reps, ForcePutCache: op == OpPut}
+		zs := s.MicroLatency(op, false, o)
+		ws := s.MicroLatency(op, true, o)
 		z, w := zs.Mean(), ws.Mean()
 		pts[i] = LatencyPoint{
 			Size: sizes[i], WithoutUs: z, WithUs: w, Improvement: stats.Improvement(z, w),
@@ -62,9 +61,9 @@ func MicroSweep(op Op, prof *transport.Profile, sizes []int, reps int, seed int6
 
 // PrintFig6 emits the improvement-vs-size series for both transports
 // (the two panels of Figure 6).
-func PrintFig6(w io.Writer, op Op, reps int, seed int64) ([]LatencyPoint, []LatencyPoint) {
-	gm := MicroSweep(op, transport.GM(), Fig6Sizes(), reps, seed)
-	lapi := MicroSweep(op, transport.LAPI(), Fig6Sizes(), reps, seed)
+func (s Sweep) PrintFig6(w io.Writer, op Op, reps int) ([]LatencyPoint, []LatencyPoint) {
+	gm := s.MicroSweep(op, transport.GM(), Fig6Sizes(), reps)
+	lapi := s.MicroSweep(op, transport.LAPI(), Fig6Sizes(), reps)
 	fmt.Fprintf(w, "# Figure 6 — xlupc_distr_%s latency improvement using the cache of SVD addresses\n", op)
 	fmt.Fprintf(w, "%12s %12s %12s\n", "size(B)", "GM(%)", "LAPI(%)")
 	for i := range gm {
@@ -75,9 +74,9 @@ func PrintFig6(w io.Writer, op Op, reps int, seed int64) ([]LatencyPoint, []Late
 
 // PrintFig7 emits absolute small-message GET latencies with and
 // without the cache for both transports (Figure 7).
-func PrintFig7(w io.Writer, reps int, seed int64) (gm, lapi []LatencyPoint) {
-	gm = MicroSweep(OpGet, transport.GM(), Fig7Sizes(), reps, seed)
-	lapi = MicroSweep(OpGet, transport.LAPI(), Fig7Sizes(), reps, seed)
+func (s Sweep) PrintFig7(w io.Writer, reps int) (gm, lapi []LatencyPoint) {
+	gm = s.MicroSweep(OpGet, transport.GM(), Fig7Sizes(), reps)
+	lapi = s.MicroSweep(OpGet, transport.LAPI(), Fig7Sizes(), reps)
 	fmt.Fprintf(w, "# Figure 7 — GET latency with and without the address cache (us)\n")
 	fmt.Fprintf(w, "%10s %14s %14s %14s %14s\n", "size(B)", "GM w/o", "GM w/", "LAPI w/o", "LAPI w/")
 	for i := range gm {
@@ -137,9 +136,9 @@ func runMark(mark string, cfg core.Config, p dis.Params) (core.RunStats, uint64,
 }
 
 // runStressmark runs one stressmark once and returns the run stats.
-func runStressmark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig, seed int64) core.RunStats {
+func (s Sweep) runStressmark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig) core.RunStats {
 	st, _, _ := runMark(mark, core.Config{
-		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: seed,
+		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: s.Seed,
 	}, dis.Params{})
 	return st
 }
@@ -153,23 +152,23 @@ type HitRatePoint struct {
 
 // Fig8 measures address-cache hit rates for a stressmark across scales
 // and cache capacities (4, 10, 100 in the paper).
-func Fig8(mark string, scales []Scale, capacities []int, seed int64) []HitRatePoint {
+func (s Sweep) Fig8(mark string, scales []Scale, capacities []int) []HitRatePoint {
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	out := make([]HitRatePoint, len(capacities)*len(scales))
-	parfor(len(out), func(i int) {
+	s.parfor(len(out), func(i int) {
 		capEntries, sc := capacities[i/len(scales)], scales[i%len(scales)]
 		cc := core.CacheConfig{Enabled: true, Capacity: capEntries}
-		st := runStressmark(mark, sc, transport.GM(), cc, seed)
+		st := s.runStressmark(mark, sc, transport.GM(), cc)
 		out[i] = HitRatePoint{Scale: sc, Capacity: capEntries, HitRate: st.Cache.HitRate()}
 	})
 	return out
 }
 
 // PrintFig8 emits one Figure 8 panel.
-func PrintFig8(w io.Writer, mark string, scales []Scale, capacities []int, seed int64) []HitRatePoint {
-	pts := Fig8(mark, scales, capacities, seed)
+func (s Sweep) PrintFig8(w io.Writer, mark string, scales []Scale, capacities []int) []HitRatePoint {
+	pts := s.Fig8(mark, scales, capacities)
 	fmt.Fprintf(w, "# Figure 8 — %s: cache hit rate by cache size\n", mark)
 	fmt.Fprintf(w, "%14s", "threads-nodes")
 	for _, c := range capacities {
@@ -199,15 +198,15 @@ type Fig9Point struct {
 
 // Fig9 measures the execution-time improvement of the address cache
 // for every stressmark across scales on one transport.
-func Fig9(prof *transport.Profile, scales []Scale, seed int64) []Fig9Point {
+func (s Sweep) Fig9(prof *transport.Profile, scales []Scale) []Fig9Point {
 	suite := dis.Suite()
 	out := make([]Fig9Point, len(suite)*len(scales))
-	parfor(len(out), func(i int) {
-		s, sc := suite[i/len(scales)], scales[i%len(scales)]
-		z := runStressmark(s.Name, sc, prof, core.NoCache(), seed)
-		w := runStressmark(s.Name, sc, prof, core.DefaultCache(), seed)
+	s.parfor(len(out), func(i int) {
+		m, sc := suite[i/len(scales)], scales[i%len(scales)]
+		z := s.runStressmark(m.Name, sc, prof, core.NoCache())
+		w := s.runStressmark(m.Name, sc, prof, core.DefaultCache())
 		out[i] = Fig9Point{
-			Scale: sc, Mark: s.Name,
+			Scale: sc, Mark: m.Name,
 			Improvement: stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs()),
 		}
 	})
@@ -215,8 +214,8 @@ func Fig9(prof *transport.Profile, scales []Scale, seed int64) []Fig9Point {
 }
 
 // PrintFig9 emits one Figure 9 panel.
-func PrintFig9(w io.Writer, prof *transport.Profile, scales []Scale, seed int64) []Fig9Point {
-	pts := Fig9(prof, scales, seed)
+func (s Sweep) PrintFig9(w io.Writer, prof *transport.Profile, scales []Scale) []Fig9Point {
+	pts := s.Fig9(prof, scales)
 	fmt.Fprintf(w, "# Figure 9 — DIS address cache evaluation, hybrid %s (%% improvement)\n", prof.Name)
 	fmt.Fprintf(w, "%14s", "threads-nodes")
 	marks := dis.Suite()
@@ -239,13 +238,13 @@ func PrintFig9(w io.Writer, prof *transport.Profile, scales []Scale, seed int64)
 // stressmark/scale point: the improvement is measured over reps
 // independent seeds and returned as a sample, from which the caller
 // reads the mean and the 95% confidence half-width.
-func Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int, seed int64) stats.Sample {
+func (s Sweep) Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int) stats.Sample {
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	imps := make([]float64, reps)
-	parfor(reps, func(r int) {
-		rs := seed + int64(r)*7919
+	s.parfor(reps, func(r int) {
+		rs := s.Seed + int64(r)*7919
 		p := dis.Params{Salt: uint64(rs)}
 		run := func(cc core.CacheConfig) core.RunStats {
 			st, _, _ := runMark(mark, core.Config{
@@ -256,15 +255,15 @@ func Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int, seed int64
 		z, w := run(core.NoCache()), run(core.DefaultCache())
 		imps[r] = stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs())
 	})
-	var s stats.Sample
+	var smp stats.Sample
 	for _, v := range imps {
-		s.Add(v) // replication order, independent of worker scheduling
+		smp.Add(v) // replication order, independent of worker scheduling
 	}
-	return s
+	return smp
 }
 
 // PrintFig9CI emits one Figure 9 panel with mean ± 95% CI columns.
-func PrintFig9CI(w io.Writer, prof *transport.Profile, scales []Scale, reps int, seed int64) {
+func (s Sweep) PrintFig9CI(w io.Writer, prof *transport.Profile, scales []Scale, reps int) {
 	fmt.Fprintf(w, "# Figure 9 — DIS address cache evaluation, hybrid %s (mean %% improvement ± 95%% CI over %d runs)\n",
 		prof.Name, reps)
 	marks := dis.Suite()
@@ -276,8 +275,8 @@ func PrintFig9CI(w io.Writer, prof *transport.Profile, scales []Scale, reps int,
 	for _, sc := range scales {
 		fmt.Fprintf(w, "%14s", sc)
 		for _, m := range marks {
-			s := Fig9CI(m.Name, prof, sc, reps, seed)
-			fmt.Fprintf(w, " %11.1f ± %4.1f", s.Mean(), s.CI95())
+			smp := s.Fig9CI(m.Name, prof, sc, reps)
+			fmt.Fprintf(w, " %11.1f ± %4.1f", smp.Mean(), smp.CI95())
 		}
 		fmt.Fprintln(w)
 	}
@@ -289,10 +288,10 @@ func PrintFig9CI(w io.Writer, prof *transport.Profile, scales []Scale, reps int,
 // misses, every reply piggybacks an address that is then dropped —
 // against the cache machinery disabled outright, on a random-access
 // workload.
-func MissOverhead(prof *transport.Profile, seed int64) (pct float64) {
+func (s Sweep) MissOverhead(prof *transport.Profile) (pct float64) {
 	run := func(cc core.CacheConfig) sim.Time {
 		rt, err := core.NewRuntime(core.Config{
-			Threads: 8, Nodes: 4, Profile: prof, Cache: cc, Seed: seed,
+			Threads: 8, Nodes: 4, Profile: prof, Cache: cc, Seed: s.Seed,
 		})
 		if err != nil {
 			panic(err)
@@ -312,22 +311,22 @@ func MissOverhead(prof *transport.Profile, seed int64) (pct float64) {
 	}
 	configs := []core.CacheConfig{core.NoCache(), {Enabled: true, Capacity: 0}}
 	times := make([]sim.Time, len(configs))
-	parfor(len(configs), func(i int) { times[i] = run(configs[i]) })
+	s.parfor(len(configs), func(i int) { times[i] = run(configs[i]) })
 	off, allMiss := times[0], times[1]
 	return 100 * (float64(allMiss) - float64(off)) / float64(off)
 }
 
 // PinUsage reports the peak pinned-table occupancy across nodes for
 // every stressmark (§4.5: ~10 entries suffice).
-func PinUsage(prof *transport.Profile, sc Scale, seed int64) map[string]int {
+func (s Sweep) PinUsage(prof *transport.Profile, sc Scale) map[string]int {
 	suite := dis.Suite()
 	peaks := make([]int, len(suite))
-	parfor(len(suite), func(i int) {
-		peaks[i] = runStressmark(suite[i].Name, sc, prof, core.DefaultCache(), seed).MaxLive
+	s.parfor(len(suite), func(i int) {
+		peaks[i] = s.runStressmark(suite[i].Name, sc, prof, core.DefaultCache()).MaxLive
 	})
 	out := make(map[string]int, len(suite))
-	for i, s := range suite {
-		out[s.Name] = peaks[i]
+	for i, m := range suite {
+		out[m.Name] = peaks[i]
 	}
 	return out
 }

@@ -25,18 +25,18 @@ func divergenceDump(rt *core.Runtime, what string) {
 
 // FlightCapture runs one deterministic, deliberately hazard-rich
 // workload (the pointer stressmark at 5%% loss with crash/restart
-// events, reliable delivery on) with rings sized by fl (nil: the
+// events, reliable delivery on) with rings sized by s.Flight (nil: the
 // defaults) and writes the all-node dump to w — the xlupc-chaos/-report
 // "-flight-dump PATH" on-demand capture, and a quick way to see what a
 // dump looks like without arranging a failure.
-func FlightCapture(w io.Writer, seed int64, fl *flight.Config) error {
+func (s Sweep) FlightCapture(w io.Writer) error {
 	fc := ChaosFaults(0.05)
 	rc := transport.DefaultRelConfig()
 	rt, err := core.NewRuntime(core.Config{
 		Threads: 8, Nodes: 4, Profile: transport.GM(), Cache: core.DefaultCache(),
-		Seed: seed, Fault: &fc, Rel: &rc,
+		Seed: s.Seed, Fault: &fc, Rel: &rc,
 		Crash:  CrashFaults(0.2, 60*sim.Us),
-		Flight: &flight.Config{PerNode: fl.EffPerNode(), Tail: fl.EffTail()},
+		Flight: &flight.Config{PerNode: s.Flight.EffPerNode(), Tail: s.Flight.EffTail()},
 	})
 	if err != nil {
 		return err

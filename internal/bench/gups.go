@@ -62,7 +62,6 @@ type GUPSOpts struct {
 	Prof    *transport.Profile
 	Words   int64 // table words per thread
 	Updates int64 // updates per thread
-	Seed    int64
 }
 
 // GUPSResult is one protocol's outcome.
@@ -82,11 +81,6 @@ func gupsHash(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (o GUPSOpts) draw(tid int, k int64) (off int64, delta uint64) {
-	h := gupsHash(uint64(o.Seed)*0x9E3779B9 ^ uint64(tid)<<32 ^ uint64(k))
-	return int64(h % uint64(o.Words)), gupsHash(h)%255 + 1
-}
-
 // partner picks the block thread tid updates: half the machine away,
 // so with more than one node every update crosses the wire.
 func (o GUPSOpts) partner(tid int) int64 {
@@ -96,13 +90,13 @@ func (o GUPSOpts) partner(tid int) int64 {
 
 // RunGUPS runs the update stream under one protocol. Same options, same
 // figures — bit for bit — whatever the host parallelism.
-func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
+func (s Sweep) RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	if o.Words <= 0 || o.Updates <= 0 {
 		panic(fmt.Sprintf("bench: gups needs positive words (%d) and updates (%d)", o.Words, o.Updates))
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: o.Prof,
-		Cache: core.DefaultCache(), Seed: o.Seed,
+		Cache: core.DefaultCache(), Seed: s.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
@@ -110,7 +104,7 @@ func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	}
 	checks := make([]uint64, cfg.Threads)
 	var span sim.Time
-	st, err := rt.Run(func(t *core.Thread) { gupsBody(t, proto, o, checks, &span) })
+	st, err := rt.Run(func(t *core.Thread) { s.gupsBody(t, proto, o, checks, &span) })
 	if err != nil {
 		panic(fmt.Sprintf("bench: gups run failed: %v", err))
 	}
@@ -126,12 +120,17 @@ func RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 }
 
 // gupsBody is the thread body.
-func gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span *sim.Time) {
+func (s Sweep) gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span *sim.Time) {
 	n := int64(t.Threads()) * o.Words
 	a := t.AllAlloc("gups", n, 8, o.Words)
 	base := int64(t.ID()) * o.Words
 	for i := int64(0); i < o.Words; i++ {
-		t.PutUint64(a.At(base+i), gupsHash(uint64(o.Seed)^uint64(base+i)))
+		t.PutUint64(a.At(base+i), gupsHash(uint64(s.Seed)^uint64(base+i)))
+	}
+	// draw is the protocol-independent (offset, delta) of update k.
+	draw := func(k int64) (off int64, delta uint64) {
+		h := gupsHash(uint64(s.Seed)*0x9E3779B9 ^ uint64(t.ID())<<32 ^ uint64(k))
+		return int64(h % uint64(o.Words)), gupsHash(h)%255 + 1
 	}
 	t.Barrier()
 	t0 := t.Now()
@@ -139,7 +138,7 @@ func gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span
 	switch proto {
 	case GUPSSplit:
 		for k := int64(0); k < o.Updates; k++ {
-			off, delta := o.draw(t.ID(), k)
+			off, delta := draw(k)
 			t.NbAccumulate(a.At(pbase+off), delta)
 			if (k+1)%gupsBatch == 0 {
 				t.SyncAll()
@@ -148,12 +147,12 @@ func gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []uint64, span
 		t.SyncAll()
 	case GUPSAtomic:
 		for k := int64(0); k < o.Updates; k++ {
-			off, delta := o.draw(t.ID(), k)
+			off, delta := draw(k)
 			t.FetchAdd(a.At(pbase+off), delta)
 		}
 	default: // GUPSGetPut
 		for k := int64(0); k < o.Updates; k++ {
-			off, delta := o.draw(t.ID(), k)
+			off, delta := draw(k)
 			at := a.At(pbase + off)
 			v := t.GetUint64(at)
 			t.PutUint64(at, v+delta)
@@ -183,16 +182,16 @@ type GUPSPoint struct {
 }
 
 // GUPSSweep runs the three protocols on one transport. The protocols
-// run across the harness workers in deterministic output order; the
+// run across the sweep's workers in deterministic output order; the
 // checksum is asserted identical across them (a protocol that loses an
 // update or misroutes one would diverge).
-func GUPSSweep(prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
+func (s Sweep) GUPSSweep(prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
 	protos := GUPSProtos()
 	results := make([]GUPSResult, len(protos))
-	parfor(len(protos), func(i int) {
+	s.parfor(len(protos), func(i int) {
 		p := o
 		p.Prof, p.Scale = prof, sc
-		results[i] = RunGUPS(protos[i], p)
+		results[i] = s.RunGUPS(protos[i], p)
 	})
 	base := results[0]
 	pts := make([]GUPSPoint, len(protos))
@@ -208,8 +207,8 @@ func GUPSSweep(prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
 }
 
 // PrintGUPS emits one transport's GUPS table and returns its points.
-func PrintGUPS(w io.Writer, prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
-	pts := GUPSSweep(prof, sc, o)
+func (s Sweep) PrintGUPS(w io.Writer, prof *transport.Profile, sc Scale, o GUPSOpts) []GUPSPoint {
+	pts := s.GUPSSweep(prof, sc, o)
 	fmt.Fprintf(w, "# GUPS — %s, %s: %d words/thread, %d updates/thread, batch %d (one-message-per-update vs GET+compute+PUT)\n",
 		prof.Name, sc, o.Words, o.Updates, gupsBatch)
 	fmt.Fprintf(w, "%8s %10s %12s %8s %10s %17s\n",

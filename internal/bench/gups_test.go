@@ -14,7 +14,7 @@ func gupsOpts() GUPSOpts {
 	return GUPSOpts{
 		Scale: Scale{Threads: 8, Nodes: 4},
 		Prof:  transport.GM(),
-		Words: 64, Updates: 48, Seed: 5,
+		Words: 64, Updates: 48,
 	}
 }
 
@@ -23,17 +23,18 @@ func gupsOpts() GUPSOpts {
 // elapsed time, and every RunStats field — including across GOMAXPROCS
 // settings.
 func TestGUPSDeterminism(t *testing.T) {
-	first := RunGUPS(GUPSAtomic, gupsOpts())
+	s := Sweep{Seed: 5}
+	first := s.RunGUPS(GUPSAtomic, gupsOpts())
 	for i := 0; i < 3; i++ {
-		again := RunGUPS(GUPSAtomic, gupsOpts())
+		again := s.RunGUPS(GUPSAtomic, gupsOpts())
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("repeat %d diverged:\nfirst: %+v\nagain: %+v", i, first, again)
 		}
 	}
 	prev := runtime.GOMAXPROCS(1)
-	one := RunGUPS(GUPSAtomic, gupsOpts())
+	one := s.RunGUPS(GUPSAtomic, gupsOpts())
 	runtime.GOMAXPROCS(8)
-	many := RunGUPS(GUPSAtomic, gupsOpts())
+	many := s.RunGUPS(GUPSAtomic, gupsOpts())
 	runtime.GOMAXPROCS(prev)
 	if !reflect.DeepEqual(one, many) {
 		t.Fatalf("GOMAXPROCS changed GUPS results:\n1:    %+v\nmany: %+v", one, many)
@@ -47,18 +48,22 @@ func TestGUPSDeterminism(t *testing.T) {
 // messages on the wire.
 func TestGUPSAtomicBeatsGetPut(t *testing.T) {
 	// The second input is what `xlupc-micro -gups -seed 7` prints.
-	cli := GUPSOpts{Scale: Scale{Threads: 8, Nodes: 4}, Words: 256, Updates: 96, Seed: 7}
-	for _, o := range []GUPSOpts{gupsOpts(), cli} {
+	cli := GUPSOpts{Scale: Scale{Threads: 8, Nodes: 4}, Words: 256, Updates: 96}
+	for _, c := range []struct {
+		s Sweep
+		o GUPSOpts
+	}{{Sweep{Seed: 5}, gupsOpts()}, {Sweep{Seed: 7}, cli}} {
+		o := c.o
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-			pts := GUPSSweep(prof, o.Scale, o)
+			pts := c.s.GUPSSweep(prof, o.Scale, o)
 			base, atomic := pts[0].Result, pts[2].Result
 			if atomic.Elapsed >= base.Elapsed {
 				t.Errorf("%s seed %d: atomic update phase %v not faster than getput %v",
-					prof.Name, o.Seed, atomic.Elapsed, base.Elapsed)
+					prof.Name, c.s.Seed, atomic.Elapsed, base.Elapsed)
 			}
 			if atomic.Run.Messages >= base.Run.Messages {
 				t.Errorf("%s seed %d: atomic sent %d messages, getput %d — expected fewer",
-					prof.Name, o.Seed, atomic.Run.Messages, base.Run.Messages)
+					prof.Name, c.s.Seed, atomic.Run.Messages, base.Run.Messages)
 			}
 		}
 	}

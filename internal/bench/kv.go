@@ -29,7 +29,6 @@ type KVOpts struct {
 	Cached bool
 	Fault  *fault.Config     // optional wire hazards (reliable delivery on)
 	Crash  *core.CrashConfig // optional crash/restart schedule
-	Seed   int64
 }
 
 func (o KVOpts) workload() kv.Workload {
@@ -52,14 +51,14 @@ type KVResult struct {
 // RunKV runs the sharded KV dataplane under the given options and
 // returns the merged result. Same options, same figures — bit for bit —
 // whatever the host parallelism.
-func RunKV(o KVOpts) KVResult {
-	res, _ := runKV(o)
+func (s Sweep) RunKV(o KVOpts) KVResult {
+	res, _ := s.runKV(o)
 	return res
 }
 
 // runKV is RunKV that also hands back the runtime, for tests that look
 // at the simulator underneath the figures.
-func runKV(o KVOpts) (KVResult, *core.Runtime) {
+func (s Sweep) runKV(o KVOpts) (KVResult, *core.Runtime) {
 	w := o.workload()
 	if err := w.Validate(); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
@@ -70,7 +69,7 @@ func runKV(o KVOpts) (KVResult, *core.Runtime) {
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: o.Prof, Cache: cc,
-		Seed: o.Seed, Fault: o.Fault, Crash: o.Crash,
+		Seed: s.Seed, Fault: o.Fault, Crash: o.Crash,
 	}
 	if o.Crash != nil {
 		rc := transport.DefaultRelConfig()
@@ -129,17 +128,17 @@ type KVSkewPoint struct {
 
 // KVSkewSweep measures the skew × transport experiment: at each theta,
 // the same offered load once through the cached one-sided read path
-// and once AM-only with the cache off. Points run across the harness
+// and once AM-only with the cache off. Points run across the sweep's
 // workers in deterministic output order.
-func KVSkewSweep(prof *transport.Profile, sc Scale, thetas []float64, o KVOpts) []KVSkewPoint {
+func (s Sweep) KVSkewSweep(prof *transport.Profile, sc Scale, thetas []float64, o KVOpts) []KVSkewPoint {
 	pts := make([]KVSkewPoint, len(thetas))
-	parfor(len(thetas), func(i int) {
+	s.parfor(len(thetas), func(i int) {
 		p := o
 		p.Prof, p.Scale, p.Theta = prof, sc, thetas[i]
 		p.Cached = true
-		cached := RunKV(p)
+		cached := s.RunKV(p)
 		p.Cached = false
-		am := RunKV(p)
+		am := s.RunKV(p)
 		zMean := float64(am.Merged.LatSum) / float64(am.Merged.Ops)
 		wMean := float64(cached.Merged.LatSum) / float64(cached.Merged.Ops)
 		pts[i] = KVSkewPoint{
@@ -151,8 +150,8 @@ func KVSkewSweep(prof *transport.Profile, sc Scale, thetas []float64, o KVOpts) 
 }
 
 // PrintKVSkew emits one skew-sweep table and returns its points.
-func PrintKVSkew(w io.Writer, prof *transport.Profile, sc Scale, thetas []float64, o KVOpts) []KVSkewPoint {
-	pts := KVSkewSweep(prof, sc, thetas, o)
+func (s Sweep) PrintKVSkew(w io.Writer, prof *transport.Profile, sc Scale, thetas []float64, o KVOpts) []KVSkewPoint {
+	pts := s.KVSkewSweep(prof, sc, thetas, o)
 	fmt.Fprintf(w, "# KV — %s, %s: %d keys, %d ops/thread, read mix %.2f, rate %.0f/s (cached one-sided vs AM-only)\n",
 		prof.Name, sc, o.Keys, o.Ops, o.ReadFrac, o.Rate)
 	fmt.Fprintf(w, "%6s %9s %9s %8s %8s %8s %8s %10s %6s %17s\n",
@@ -184,14 +183,14 @@ type KVSLOPoint struct {
 // loss: the cached dataplane at each loss rate over the reliable
 // layer. Every run must complete every op — crash-free loss never
 // loses data, only time — so Ops is asserted, not reported.
-func KVLossCurve(prof *transport.Profile, sc Scale, losses []float64, o KVOpts) []KVSLOPoint {
+func (s Sweep) KVLossCurve(prof *transport.Profile, sc Scale, losses []float64, o KVOpts) []KVSLOPoint {
 	pts := make([]KVSLOPoint, len(losses))
-	parfor(len(losses), func(i int) {
+	s.parfor(len(losses), func(i int) {
 		p := o
 		p.Prof, p.Scale, p.Cached = prof, sc, true
 		fc := ChaosFaults(losses[i])
 		p.Fault = &fc
-		r := RunKV(p)
+		r := s.RunKV(p)
 		if want := int64(sc.Threads) * o.Ops; r.Merged.Ops != want {
 			panic(fmt.Sprintf("bench: kv at loss %g completed %d/%d ops", losses[i], r.Merged.Ops, want))
 		}
@@ -204,13 +203,13 @@ func KVLossCurve(prof *transport.Profile, sc Scale, losses []float64, o KVOpts) 
 // KVCrashCurve is KVLossCurve against node crash/restart rates:
 // epoch-guarded RDMA, stale-cache recovery and parked retransmits
 // under open-loop KV load.
-func KVCrashCurve(prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, o KVOpts) []KVSLOPoint {
+func (s Sweep) KVCrashCurve(prof *transport.Profile, sc Scale, rates []float64, restart sim.Time, o KVOpts) []KVSLOPoint {
 	pts := make([]KVSLOPoint, len(rates))
-	parfor(len(rates), func(i int) {
+	s.parfor(len(rates), func(i int) {
 		p := o
 		p.Prof, p.Scale, p.Cached = prof, sc, true
 		p.Crash = CrashFaults(rates[i], restart)
-		r := RunKV(p)
+		r := s.RunKV(p)
 		if want := int64(sc.Threads) * o.Ops; r.Merged.Ops != want {
 			panic(fmt.Sprintf("bench: kv at crash rate %g completed %d/%d ops", rates[i], r.Merged.Ops, want))
 		}

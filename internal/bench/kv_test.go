@@ -17,8 +17,8 @@ import (
 // AM-only, and more so where the hit rate is high.
 func TestKVCachedBeatsAMOnlySweep(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 4}
-	pts := KVSkewSweep(transport.GM(), sc, []float64{0, 0.9, 0.99}, KVOpts{
-		Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0, Seed: 3,
+	pts := Sweep{Seed: 3}.KVSkewSweep(transport.GM(), sc, []float64{0, 0.9, 0.99}, KVOpts{
+		Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0,
 	})
 	for _, pt := range pts {
 		if pt.Improvement <= 0 {
@@ -38,10 +38,11 @@ func TestKVCachedBeatsAMOnlySweep(t *testing.T) {
 // every op (the curves panic otherwise) with nonzero availability.
 func TestKVCurvesCompleteUnderHazards(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 4}
-	o := KVOpts{Ops: 50, Keys: 512, Theta: 0.9, ReadFrac: 0.9, Rate: 120000, Seed: 9}
+	s := Sweep{Seed: 9}
+	o := KVOpts{Ops: 50, Keys: 512, Theta: 0.9, ReadFrac: 0.9, Rate: 120000}
 	curves := map[string][]KVSLOPoint{
-		"loss":  KVLossCurve(transport.GM(), sc, []float64{0, 0.02}, o),
-		"crash": KVCrashCurve(transport.GM(), sc, []float64{0, 0.2}, 150, o),
+		"loss":  s.KVLossCurve(transport.GM(), sc, []float64{0, 0.02}, o),
+		"crash": s.KVCrashCurve(transport.GM(), sc, []float64{0, 0.2}, 150, o),
 	}
 	for kind, pts := range curves {
 		for _, pt := range pts {
@@ -137,7 +138,7 @@ func TestParseFlightFlags(t *testing.T) {
 		if (fl != nil) != c.flight {
 			t.Errorf("%s: flight config %+v, want rings = %v", c.name, fl, c.flight)
 		}
-		if err := finish(1); err != nil {
+		if err := finish(Sweep{Seed: 1, Flight: fl}); err != nil {
 			t.Errorf("%s: finish: %v", c.name, err)
 		}
 		if c.capture {
@@ -158,8 +159,8 @@ func TestKVHitRateGolden(t *testing.T) {
 	got := make(map[string]float64)
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		for _, sc := range []Scale{{16, 4}, {64, 16}} {
-			pts := KVSkewSweep(prof, sc, []float64{0, 0.9, 0.99}, KVOpts{
-				Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0, Seed: 3,
+			pts := Sweep{Seed: 3}.KVSkewSweep(prof, sc, []float64{0, 0.9, 0.99}, KVOpts{
+				Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0,
 			})
 			for _, pt := range pts {
 				got[fmt.Sprintf("%s/%v/theta=%.2f", prof.Name, sc, pt.Theta)] = pt.Cached.HitRate

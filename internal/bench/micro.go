@@ -40,7 +40,6 @@ type MicroOpts struct {
 	Prof *transport.Profile
 	Size int // transfer size in bytes
 	Reps int // measured repetitions (after warmup)
-	Seed int64
 	// ForcePutCache enables PUT caching regardless of the profile —
 	// how the paper obtained the (negative) LAPI PUT curve before
 	// deciding to disable it.
@@ -56,7 +55,7 @@ type MicroOpts struct {
 // initiator on node 0 operating on node 1's half of a shared array
 // (GET is a blocking roundtrip; PUT is timed to local completion, the
 // initiator-blocking overhead).
-func MicroLatency(op Op, cached bool, o MicroOpts) stats.Sample {
+func (s Sweep) MicroLatency(op Op, cached bool, o MicroOpts) stats.Sample {
 	cc := core.NoCache()
 	if cached {
 		cc = core.DefaultCache()
@@ -65,7 +64,7 @@ func MicroLatency(op Op, cached bool, o MicroOpts) stats.Sample {
 		}
 	}
 	rt, err := core.NewRuntime(core.Config{
-		Threads: 2, Nodes: 2, Profile: o.Prof, Cache: cc, Seed: o.Seed,
+		Threads: 2, Nodes: 2, Profile: o.Prof, Cache: cc, Seed: s.Seed,
 		Fault: o.Fault,
 	})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 // PhaseRun executes one DIS stressmark with the telemetry layer
 // attached and returns the populated hub alongside the run statistics.
-func PhaseRun(mark string, prof *transport.Profile, sc Scale, cc core.CacheConfig, seed int64) (*telemetry.Telemetry, core.RunStats, error) {
+func (s Sweep) PhaseRun(mark string, prof *transport.Profile, sc Scale, cc core.CacheConfig) (*telemetry.Telemetry, core.RunStats, error) {
 	fn, err := dis.ByName(mark)
 	if err != nil {
 		return nil, core.RunStats{}, err
@@ -20,7 +20,7 @@ func PhaseRun(mark string, prof *transport.Profile, sc Scale, cc core.CacheConfi
 	tel := telemetry.New()
 	rt, err := core.NewRuntime(core.Config{
 		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc,
-		Seed: seed, Telemetry: tel,
+		Seed: s.Seed, Telemetry: tel,
 	})
 	if err != nil {
 		return nil, core.RunStats{}, err
@@ -59,10 +59,10 @@ func PrintPhaseTables(w io.Writer, tel *telemetry.Telemetry, ops ...string) erro
 // computing and the AM handlers wait for the CPU — while on LAPI the
 // dedicated communication processor absorbs the handlers and that
 // component shrinks.
-func PrintPhaseBreakdown(w io.Writer, seed int64) {
+func (s Sweep) PrintPhaseBreakdown(w io.Writer) {
 	sc := Scale{Threads: 16, Nodes: 4}
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		tel, st, err := PhaseRun("field", prof, sc, core.NoCache(), seed)
+		tel, st, err := s.PhaseRun("field", prof, sc, core.NoCache())
 		if err != nil {
 			panic(err)
 		}

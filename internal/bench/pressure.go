@@ -51,7 +51,6 @@ type PressureOpts struct {
 	// Variants optionally restricts the policy ladder (nil = the full
 	// PressureVariants ladder).
 	Variants []string
-	Seed     int64
 }
 
 // variants resolves the effective policy ladder.
@@ -68,7 +67,6 @@ func DefaultPressure() PressureOpts {
 		Scale:  Scale{Threads: 8, Nodes: 4},
 		Rounds: 4,
 		Fracs:  []float64{0.34, 0.67, 1.0},
-		Seed:   7,
 	}
 }
 
@@ -190,7 +188,7 @@ func pressureWorkingSet(o PressureOpts) int {
 }
 
 // runPressurePoint runs the churn storm once under one pin variant.
-func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, frac float64) PressurePoint {
+func (s Sweep) runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, frac float64) PressurePoint {
 	chunk := pressBlockElems * 8 * (o.Scale.Threads / o.Scale.Nodes)
 	mt := int(frac * float64(pressureWorkingSet(o)))
 	if mt < chunk {
@@ -198,7 +196,7 @@ func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, f
 	}
 	cfg := core.Config{
 		Threads: o.Scale.Threads, Nodes: o.Scale.Nodes, Profile: prof,
-		Cache: core.DefaultCache(), Seed: o.Seed,
+		Cache: core.DefaultCache(), Seed: s.Seed,
 		Pin: pressurePin(variant, mt),
 	}
 	rt, err := core.NewRuntime(cfg)
@@ -217,14 +215,14 @@ func runPressurePoint(prof *transport.Profile, o PressureOpts, variant string, f
 // verifies the correctness contract: within one budget fraction, every
 // pin policy must compute the identical value checksum. A divergence
 // panics — a pin policy that changes program output is a protocol bug,
-// not a performance trade-off. Points run across the harness workers in
+// not a performance trade-off. Points run across the sweep's workers in
 // deterministic output order (variant-major within each frac).
-func PressureSweep(prof *transport.Profile, o PressureOpts) []PressurePoint {
+func (s Sweep) PressureSweep(prof *transport.Profile, o PressureOpts) []PressurePoint {
 	variants := o.variants()
 	pts := make([]PressurePoint, len(o.Fracs)*len(variants))
-	parfor(len(pts), func(i int) {
+	s.parfor(len(pts), func(i int) {
 		f, v := o.Fracs[i/len(variants)], variants[i%len(variants)]
-		pts[i] = runPressurePoint(prof, o, v, f)
+		pts[i] = s.runPressurePoint(prof, o, v, f)
 	})
 	for fi := range o.Fracs {
 		row := pts[fi*len(variants) : (fi+1)*len(variants)]
@@ -244,8 +242,8 @@ func PressureSweep(prof *transport.Profile, o PressureOpts) []PressurePoint {
 // PrintPressure emits the churn-storm figure: one block per budget
 // fraction with the policy ladder's makespan, thrash and reuse columns,
 // plus a machine-readable "# gate" line per fraction for CI.
-func PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []PressurePoint {
-	pts := PressureSweep(prof, o)
+func (s Sweep) PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []PressurePoint {
+	pts := s.PressureSweep(prof, o)
 	variants := o.variants()
 	fmt.Fprintf(w, "# Memory pressure — alloc/free churn storm on %s (%d threads / %d nodes, %d rounds x %d arrays, budget as fraction of %d B working set)\n",
 		prof.Name, o.Scale.Threads, o.Scale.Nodes, o.Rounds, pressArrays, pressureWorkingSet(o))

@@ -28,13 +28,14 @@ func testPressureOpts() PressureOpts {
 
 func TestPressureSweepDeterministic(t *testing.T) {
 	o := testPressureOpts()
-	a := PressureSweep(transport.GM(), o)
-	b := PressureSweep(transport.GM(), o)
+	s := Sweep{Seed: 7}
+	a := s.PressureSweep(transport.GM(), o)
+	b := s.PressureSweep(transport.GM(), o)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("back-to-back pressure sweeps diverged:\n%+v\nvs\n%+v", a, b)
 	}
 	old := runtime.GOMAXPROCS(2)
-	c := PressureSweep(transport.GM(), o)
+	c := s.PressureSweep(transport.GM(), o)
 	runtime.GOMAXPROCS(old)
 	if !reflect.DeepEqual(a, c) {
 		t.Fatal("pressure sweep depends on GOMAXPROCS")
@@ -43,31 +44,26 @@ func TestPressureSweepDeterministic(t *testing.T) {
 
 func TestPressureSweepParallelismInvariant(t *testing.T) {
 	o := testPressureOpts()
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
-	seq := PressureSweep(transport.GM(), o)
-	SetParallelism(8)
-	par := PressureSweep(transport.GM(), o)
+	seq := Sweep{Seed: 7, Workers: 1}.PressureSweep(transport.GM(), o)
+	par := Sweep{Seed: 7, Workers: 8}.PressureSweep(transport.GM(), o)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("sweep results depend on sweep parallelism")
 	}
 }
 
 // TestPressureGates asserts the degradation story the figure exists to
-// show, at the published configuration and at what `xlupc-cache
-// -pressure` prints (its -seed defaults to 1): under a tight budget LRU
-// thrashes while at least one adaptive rung holds up, and at a full
-// budget the lazy registration cache beats eager pin-all outright.
+// show, at the published seed (7) and at what `xlupc-cache -pressure`
+// prints (its -seed defaults to 1): under a tight budget LRU thrashes
+// while at least one adaptive rung holds up, and at a full budget the
+// lazy registration cache beats eager pin-all outright.
 func TestPressureGates(t *testing.T) {
-	cli := DefaultPressure()
-	cli.Seed = 1
-	for _, o := range []PressureOpts{DefaultPressure(), cli} {
-		t.Run(fmt.Sprintf("seed%d", o.Seed), func(t *testing.T) { checkPressureGates(t, o) })
+	for _, s := range []Sweep{{Seed: 7}, {Seed: 1}} {
+		t.Run(fmt.Sprintf("seed%d", s.Seed), func(t *testing.T) { checkPressureGates(t, s, DefaultPressure()) })
 	}
 }
 
-func checkPressureGates(t *testing.T, o PressureOpts) {
-	pts := PressureSweep(transport.GM(), o)
+func checkPressureGates(t *testing.T, s Sweep, o PressureOpts) {
+	pts := s.PressureSweep(transport.GM(), o)
 	nv := len(o.variants())
 	row := func(fi int) []PressurePoint { return pts[fi*nv : (fi+1)*nv] }
 	byName := func(row []PressurePoint, name string) PressurePoint {
@@ -133,9 +129,11 @@ func checkPressureGates(t *testing.T, o PressureOpts) {
 	}
 }
 
+// adaptSeed is the adaptive figure's published seed.
+const adaptSeed = 11
+
 func TestAdaptCacheGate(t *testing.T) {
-	o := DefaultAdapt()
-	fixed, adaptive, err := AdaptSweep(transport.GM(), o)
+	fixed, adaptive, err := Sweep{Seed: adaptSeed}.AdaptSweep(transport.GM(), AdaptScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +153,16 @@ func TestAdaptCacheGate(t *testing.T) {
 // node: a machine of fewer than three nodes is an error, not a divide
 // by zero.
 func TestAdaptSweepRejectsTooFewNodes(t *testing.T) {
-	o := DefaultAdapt()
 	for _, sc := range []Scale{{Threads: 2, Nodes: 2}, {Threads: 6, Nodes: 2}, {Threads: 4, Nodes: 1}} {
-		o.Scale = sc
-		if _, _, err := AdaptSweep(transport.GM(), o); err == nil {
+		if _, _, err := (Sweep{Seed: adaptSeed}).AdaptSweep(transport.GM(), sc); err == nil {
 			t.Errorf("%s: adaptive sweep ran on %d nodes", sc, sc.Nodes)
 		}
 	}
 }
 
 func TestAdaptSweepDeterministic(t *testing.T) {
-	o := DefaultAdapt()
-	f0, a0, _ := AdaptSweep(transport.GM(), o)
-	f1, a1, _ := AdaptSweep(transport.GM(), o)
+	f0, a0, _ := Sweep{Seed: adaptSeed}.AdaptSweep(transport.GM(), AdaptScale())
+	f1, a1, _ := Sweep{Seed: adaptSeed}.AdaptSweep(transport.GM(), AdaptScale())
 	if f0 != f1 || a0 != a1 {
 		t.Fatalf("adapt sweep diverged:\n%+v %+v\nvs\n%+v %+v", f0, a0, f1, a1)
 	}

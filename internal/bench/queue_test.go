@@ -21,16 +21,16 @@ func TestQueueTrafficRecurs(t *testing.T) {
 		run  func() *core.Runtime
 	}{
 		{"pointer chase", 0.95, func() *core.Runtime {
-			_, _, rt := runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), nil, 3, nil)
+			_, _, rt := Sweep{Seed: 3}.runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), nil)
 			return rt
 		}},
 		{"kv", 0.95, func() *core.Runtime {
-			_, rt := runKV(KVOpts{Scale: sc, Prof: transport.GM(), Ops: 100, Keys: 4096,
-				Theta: 0.9, ReadFrac: 0.5, Cached: true, Seed: 3})
+			_, rt := Sweep{Seed: 3}.runKV(KVOpts{Scale: sc, Prof: transport.GM(), Ops: 100, Keys: 4096,
+				Theta: 0.9, ReadFrac: 0.5, Cached: true})
 			return rt
 		}},
 		{"lossy reliable pointer chase", 0.80, func() *core.Runtime {
-			_, _, rt := runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), &lossy, 3, nil)
+			_, _, rt := Sweep{Seed: 3}.runChaosMark("pointer", sc, transport.GM(), core.DefaultCache(), &lossy)
 			return rt
 		}},
 	}

@@ -34,18 +34,9 @@ const (
 	bigHops = 256
 )
 
-// BigOpts sizes one big-scale sweep point.
-type BigOpts struct {
-	Threads int
-	Nodes   int
-	Seed    int64
-}
-
-// DefaultBigOpts is the checked-in Figure-8-style sweep point: 32k
-// threads across 1k nodes.
-func DefaultBigOpts() BigOpts {
-	return BigOpts{Threads: 32768, Nodes: 1024, Seed: 1}
-}
+// BigScale is the checked-in Figure-8-style sweep point: 32k threads
+// across 1k nodes.
+func BigScale() Scale { return Scale{Threads: 32768, Nodes: 1024} }
 
 // bigHash is splitmix64 — the same mixer the dis package uses, inlined
 // here so the workload is self-contained.
@@ -58,7 +49,7 @@ func bigHash(x uint64) uint64 {
 
 // bigBodyC is the workload: fill the owned block, barrier, chase
 // bigHops pointers (mostly remote GETs), barrier.
-func bigBodyC(t *core.Thread, o BigOpts, done func(uint64)) {
+func (s Sweep) bigBodyC(t *core.Thread, done func(uint64)) {
 	n := bigElemsPerThread * int64(t.Threads())
 	t.AllAllocC("big", n, 8, bigElemsPerThread, func(a *core.SharedArray) {
 		lo := int64(t.ID()) * bigElemsPerThread
@@ -70,7 +61,7 @@ func bigBodyC(t *core.Thread, o BigOpts, done func(uint64)) {
 			}
 			idx := lo + i
 			i++
-			t.PutUint64C(a.At(idx), bigHash(uint64(idx)^uint64(o.Seed))%uint64(n), next)
+			t.PutUint64C(a.At(idx), bigHash(uint64(idx)^uint64(s.Seed))%uint64(n), next)
 		})
 	})
 }
@@ -112,33 +103,33 @@ type ScalePoint struct {
 	BytesPerThread float64 // host bytes allocated per simulated thread
 }
 
-// ScaleMark runs the big-scale workload once and measures the host
-// cost (wall clock, allocations) of the run.
+// ScaleMark runs the big-scale workload once on machine sc and measures
+// the host cost (wall clock, allocations) of the run.
 //
 // A chase over the whole array touches every node, so a cache capacity
 // below Nodes would thrash and push the steady state onto the eager AM
 // path; the per-node address cache holds Nodes entries (one per
 // (array, target) pair) so the measured regime is the cached RDMA fast
 // path, as in the paper's large-configuration runs.
-func ScaleMark(o BigOpts) (ScalePoint, error) {
+func (s Sweep) ScaleMark(sc Scale) (ScalePoint, error) {
 	cache := core.DefaultCache()
-	cache.Capacity = o.Nodes
+	cache.Capacity = sc.Nodes
 	cfg := core.Config{
-		Threads: o.Threads, Nodes: o.Nodes, Profile: transport.GM(),
-		Cache: cache, Seed: o.Seed,
+		Threads: sc.Threads, Nodes: sc.Nodes, Profile: transport.GM(),
+		Cache: cache, Seed: s.Seed,
 	}
 	rt, err := core.NewRuntime(cfg)
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	checks := make([]uint64, o.Threads)
+	checks := make([]uint64, sc.Threads)
 
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
 	st, err := rt.RunCont(func(t *core.Thread, done func()) {
-		bigBodyC(t, o, func(c uint64) {
+		s.bigBodyC(t, func(c uint64) {
 			checks[t.ID()] = c
 			done()
 		})
@@ -154,7 +145,7 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 		check ^= bigHash(c + uint64(i))
 	}
 	sp := ScalePoint{
-		Threads: o.Threads, Nodes: o.Nodes,
+		Threads: sc.Threads, Nodes: sc.Nodes,
 		Elapsed:      st.Elapsed,
 		KernelEvents: st.KernelEvents,
 		Checksum:     check,
@@ -167,21 +158,21 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 		}
 		sp.AllocsPerEv = float64(m1.Mallocs-m0.Mallocs) / ev
 	}
-	if o.Threads > 0 {
-		sp.BytesPerThread = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(o.Threads)
+	if sc.Threads > 0 {
+		sp.BytesPerThread = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(sc.Threads)
 	}
 	return sp, nil
 }
 
-// PrintScale runs the big-scale point and prints its virtual columns
-// beside the host cost: events/sec, allocs per event and bytes per
-// thread.
-func PrintScale(w io.Writer, o BigOpts) (ScalePoint, error) {
+// PrintScale runs the big-scale point on machine sc and prints its
+// virtual columns beside the host cost: events/sec, allocs per event and
+// bytes per thread.
+func (s Sweep) PrintScale(w io.Writer, sc Scale) (ScalePoint, error) {
 	fmt.Fprintf(w, "# Big-scale sweep — gm, %d threads / %d nodes, %d elems/thread, %d hops (host columns vary with machine load)\n",
-		o.Threads, o.Nodes, bigElemsPerThread, bigHops)
+		sc.Threads, sc.Nodes, bigElemsPerThread, bigHops)
 	fmt.Fprintf(w, "%12s %12s %17s | %10s %12s %10s %12s\n",
 		"virt-time", "events", "checksum", "wall", "events/s", "allocs/ev", "bytes/thread")
-	sp, err := ScaleMark(o)
+	sp, err := s.ScaleMark(sc)
 	if err != nil {
 		return sp, err
 	}

@@ -7,18 +7,13 @@ import (
 )
 
 // smallBig scales the checked-in sweep point down to test size.
-func smallBig() BigOpts {
-	o := DefaultBigOpts()
-	o.Threads = 256
-	o.Nodes = 16
-	return o
-}
+func smallBig() Scale { return Scale{Threads: 256, Nodes: 16} }
 
 // TestScalePrint exercises the printer at test scale (it is what
 // cmd/xlupc-report -scale runs at 32k).
 func TestScalePrint(t *testing.T) {
 	var out strings.Builder
-	sp, err := PrintScale(&out, smallBig())
+	sp, err := Sweep{Seed: 1}.PrintScale(&out, smallBig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +30,7 @@ func TestScalePrint(t *testing.T) {
 func TestScaleSeed(t *testing.T) {
 	var sums [2]uint64
 	for i := range sums {
-		o := smallBig()
-		o.Seed = int64(i + 1)
-		sp, err := ScaleMark(o)
+		sp, err := Sweep{Seed: int64(i + 1)}.ScaleMark(smallBig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,20 +46,18 @@ func TestScaleSeed(t *testing.T) {
 // checked-in baseline. The default benchmark
 // scale is reduced from the 32k acceptance point so `go test -bench`
 // stays affordable; set XLUPC_BENCH_FULL=1 to run the full point.
-func benchBigOpts() BigOpts {
-	o := DefaultBigOpts()
+func benchBigScale() Scale {
 	if os.Getenv("XLUPC_BENCH_FULL") == "" {
-		o.Threads = 8192
-		o.Nodes = 256
+		return Scale{Threads: 8192, Nodes: 256}
 	}
-	return o
+	return BigScale()
 }
 
 func BenchmarkBigScaleCont(b *testing.B) {
-	o := benchBigOpts()
+	sc := benchBigScale()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp, err := ScaleMark(o)
+		sp, err := Sweep{Seed: 1}.ScaleMark(sc)
 		if err != nil {
 			b.Fatal(err)
 		}

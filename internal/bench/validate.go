@@ -96,7 +96,7 @@ func ParseSweepFlags(reps, parallel int) error {
 // RegisterParallel installs the -parallel flag every sweeping command
 // shares on fs (flag.CommandLine when nil) and returns where its value
 // lands. Call it before flag.Parse; the command's flag check passes the
-// value through ValidateParallel before it reaches SetParallelism.
+// value through ValidateParallel before it becomes its Sweep's Workers.
 func RegisterParallel(fs *flag.FlagSet) *int {
 	if fs == nil {
 		fs = flag.CommandLine
@@ -104,8 +104,8 @@ func RegisterParallel(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 }
 
-// ValidateParallel rejects a negative -parallel, which SetParallelism
-// would otherwise read as GOMAXPROCS with exit status 0.
+// ValidateParallel rejects a negative -parallel, which a Sweep's
+// Workers would otherwise read as GOMAXPROCS with exit status 0.
 func ValidateParallel(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-parallel (%d) must not be negative", n)
@@ -115,26 +115,27 @@ func ValidateParallel(n int) error {
 
 // ParseFlightFlags reads the -flight / -flight-dump pair of
 // xlupc-report and xlupc-chaos before any sweep starts, into the flight
-// configuration the caller hands its chaos/crash runs: -flight gives
-// them rings, dumping to stderr; -flight-dump PATH implies it and dumps
-// to PATH instead (an unwritable PATH is a usage error: exit 2). Both
-// off, it returns nil: no rings. The caller runs finish after its
-// sweeps: it adds a representative capture (FlightCapture) so a clean
-// run does not leave PATH empty, and closes the file.
-func ParseFlightFlags(on bool, dumpPath string) (fl *flight.Config, finish func(seed int64) error, err error) {
+// configuration the caller's Sweep hands its chaos/crash runs: -flight
+// gives them rings, dumping to stderr; -flight-dump PATH implies it and
+// dumps to PATH instead (an unwritable PATH is a usage error: exit 2).
+// Both off, it returns nil: no rings. The caller runs finish with its
+// Sweep after its sweeps: it adds a representative capture
+// (Sweep.FlightCapture) so a clean run does not leave PATH empty, and
+// closes the file.
+func ParseFlightFlags(on bool, dumpPath string) (fl *flight.Config, finish func(Sweep) error, err error) {
 	if dumpPath == "" {
 		if on {
 			fl = &flight.Config{Dump: os.Stderr}
 		}
-		return fl, func(int64) error { return nil }, nil
+		return fl, func(Sweep) error { return nil }, nil
 	}
 	f, err := os.Create(dumpPath)
 	if err != nil {
 		return nil, nil, err
 	}
 	fl = &flight.Config{Dump: f}
-	return fl, func(seed int64) error {
-		err := FlightCapture(f, seed, fl)
+	return fl, func(s Sweep) error {
+		err := s.FlightCapture(f)
 		if err != nil {
 			err = fmt.Errorf("flight capture: %v", err)
 		}

@@ -22,10 +22,9 @@ type freeReq struct {
 
 // installArray registers the control block for layout l on node ns and
 // allocates the node's chunk if it owns part of the object.
-func (ns *nodeState) installArray(h svd.Handle, kind svd.Kind, name string, l Layout) *svd.ControlBlock {
+func (ns *nodeState) installArray(h svd.Handle, name string, l Layout) *svd.ControlBlock {
 	cb := &svd.ControlBlock{
 		Handle:   h,
-		Kind:     kind,
 		Name:     name,
 		ElemSize: l.ElemSize,
 		Block:    l.Block,
@@ -43,7 +42,6 @@ func (ns *nodeState) installArray(h svd.Handle, kind svd.Kind, name string, l La
 // allocReq is a collective allocation in progress on a node: what its
 // representative was asked for and, once chosen, under which handle.
 type allocReq struct {
-	kind     svd.Kind
 	name     string
 	elemSize int
 	block    int64
@@ -58,42 +56,30 @@ type allocReq struct {
 // everything affine to thread 0). All threads must call it with the
 // same arguments; all receive the same array.
 func (t *Thread) AllAlloc(name string, numElems int64, elemSize int, block int64) *SharedArray {
-	return t.AllAllocKind(svd.KindArray, name, numElems, elemSize, block)
-}
-
-// AllAllocC is AllAlloc in continuation-passing style.
-func (t *Thread) AllAllocC(name string, numElems int64, elemSize int, block int64, then func(a *SharedArray)) {
-	t.AllAllocKindC(svd.KindArray, name, numElems, elemSize, block, then)
-}
-
-// AllAllocKind is AllAlloc with an explicit SVD object kind, so layers
-// above the runtime (internal/kv) can label their segments distinctly
-// in every replica's directory.
-func (t *Thread) AllAllocKind(kind svd.Kind, name string, numElems int64, elemSize int, block int64) *SharedArray {
 	t.p.ParkWake()
-	t.allAlloc(kind, name, numElems, elemSize, block)
+	t.allAlloc(name, numElems, elemSize, block)
 	t.p.Await()
 	return t.arr
 }
 
-// AllAllocKindC is AllAllocKind in continuation-passing style.
-func (t *Thread) AllAllocKindC(kind svd.Kind, name string, numElems int64, elemSize int, block int64, then func(a *SharedArray)) {
+// AllAllocC is AllAlloc in continuation-passing style.
+func (t *Thread) AllAllocC(name string, numElems int64, elemSize int, block int64, then func(a *SharedArray)) {
 	t.thenT = then
 	t.park(pcThenArray)
-	t.allAlloc(kind, name, numElems, elemSize, block)
+	t.allAlloc(name, numElems, elemSize, block)
 }
 
 // allAlloc allocates collectively and leaves the array in t.arr: a
 // barrier, the node representatives install the object, and a closing
 // barrier carries it to their co-located threads.
-func (t *Thread) allAlloc(kind svd.Kind, name string, numElems int64, elemSize int, block int64) {
+func (t *Thread) allAlloc(name string, numElems int64, elemSize int, block int64) {
 	if numElems <= 0 || elemSize <= 0 {
 		panic(fmt.Sprintf("core: AllAlloc(%s) with nonpositive size", name))
 	}
 	t.aspan = t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.Now())
 	t.aspan.SetProto("collective")
 	if t.isNodeRep() {
-		t.ns.alloc = allocReq{kind: kind, name: name, elemSize: elemSize, block: block, numElems: numElems}
+		t.ns.alloc = allocReq{name: name, elemSize: elemSize, block: block, numElems: numElems}
 	}
 	t.park(pcAllocOpened)
 	t.barrier()
@@ -114,8 +100,8 @@ func (t *Thread) allocOpened() {
 
 func (t *Thread) allocInstall() {
 	ns, req := t.ns, &t.ns.alloc
-	ns.installArray(req.h, req.kind, req.name, req.l)
-	ns.collective = &SharedArray{rt: t.rt, h: req.h, l: req.l, name: req.name}
+	ns.installArray(req.h, req.name, req.l)
+	ns.collective = &SharedArray{h: req.h, l: req.l, name: req.name}
 	t.barrier()
 }
 

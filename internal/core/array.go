@@ -13,7 +13,6 @@ import (
 // local addresses live in each node's SVD replica, exactly as in the
 // paper's design.
 type SharedArray struct {
-	rt   *Runtime
 	h    svd.Handle
 	l    Layout
 	name string

@@ -153,28 +153,29 @@ type PinConfig struct {
 	Lazy bool
 }
 
-// effectiveProfile applies any Pin override to a copy of the profile.
-func (c *Config) effectiveProfile() *transport.Profile {
-	if c.Pin == nil {
-		return c.Profile
-	}
-	p := *c.Profile
-	p.PinPolicy = c.Pin.Policy
-	p.PinEvictor = c.Pin.Evictor
-	p.PinLazy = c.Pin.Lazy
+// pinTable builds node's pin table under the Pin override: the
+// profile's registration cost model with the override's limits, its
+// policy, evictor and unpin mode, recording to the machine's flight
+// recorder fr.
+func (c *Config) pinTable(node int, fr *flight.Recorder) *mem.PinTable {
+	reg := c.Profile.Reg
 	switch {
 	case c.Pin.MaxTotal > 0:
-		p.Reg.MaxTotal = c.Pin.MaxTotal
+		reg.MaxTotal = c.Pin.MaxTotal
 	case c.Pin.MaxTotal < 0:
-		p.Reg.MaxTotal = 0
+		reg.MaxTotal = 0
 	}
 	switch {
 	case c.Pin.MaxPerObject > 0:
-		p.Reg.MaxPerObject = c.Pin.MaxPerObject
+		reg.MaxPerObject = c.Pin.MaxPerObject
 	case c.Pin.MaxPerObject < 0:
-		p.Reg.MaxPerObject = 0
+		reg.MaxPerObject = 0
 	}
-	return &p
+	pt := mem.NewPinTable(node, reg, c.Pin.Policy)
+	pt.SetFlightRecorder(fr)
+	pt.SetEvictor(c.Pin.Evictor.New(reg))
+	pt.SetLazyUnpin(c.Pin.Lazy)
+	return pt
 }
 
 // ThreadsPerNode reports the hybrid fan-out.

@@ -116,7 +116,6 @@ type putReq struct {
 // rtrResult) so the transfer itself is zero-copy RDMA.
 type rts struct {
 	H    svd.Handle
-	Size int
 	Done *sim.Completion // completed with rtrResult at the initiator
 }
 
@@ -534,7 +533,7 @@ func (t *Thread) reply() {
 func (t *Thread) rendezvous() {
 	t.done = sim.NewCompletion(t.rt.K, "rts")
 	m := t.rt.hdr.rts.Get()
-	*m = rts{H: t.a.h, Size: len(t.buf), Done: t.done}
+	*m = rts{H: t.a.h, Done: t.done}
 	t.request(pcRTSDone, t.rn, hRTS, m, 0)
 }
 

@@ -111,8 +111,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	k := sim.NewKernel()
-	cfg.Profile = cfg.effectiveProfile()
 	m := transport.NewMachine(k, cfg.Profile, cfg.Nodes)
+	if cfg.Pin != nil {
+		for i, nd := range m.Nodes {
+			nd.Pins = cfg.pinTable(i, m.FR)
+		}
+	}
 	if cfg.Fault != nil || cfg.Rel != nil || cfg.Crash != nil {
 		rc := transport.DefaultRelConfig()
 		if cfg.Rel != nil {

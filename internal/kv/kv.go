@@ -31,7 +31,6 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/pool"
 	"xlupc/internal/sim"
-	"xlupc/internal/svd"
 )
 
 // Handler ids the kv subsystem claims in the runtime's user-AM table.
@@ -247,13 +246,13 @@ func normalize(o *Options, threads int) geom {
 // NewC collectively builds the table: thread 0 registers the AM
 // handlers (before the allocation's opening barrier, so no kv AM can
 // race registration) and every thread allocates the shared bucket
-// segment — one block per shard, labelled KindKV in every SVD replica.
+// segment — one block per shard, named o.Name in every SVD replica.
 func NewC(t *core.Thread, o Options, then func(*Table)) {
 	g := normalize(&o, t.Threads())
 	if t.ID() == 0 {
 		registerHandlers(t.Runtime(), g)
 	}
-	t.AllAllocKindC(svd.KindKV, o.Name, int64(g.threads)*g.shardWords(), 8, g.shardWords(),
+	t.AllAllocC(o.Name, int64(g.threads)*g.shardWords(), 8, g.shardWords(),
 		func(a *core.SharedArray) { then(newTable(a, g, o)) })
 }
 

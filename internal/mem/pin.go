@@ -56,7 +56,6 @@ type PinEntry struct {
 	prev, next *PinEntry
 	ref        bool // CLOCK reference bit
 	protected  bool // cost-aware ghost-list protection
-	parked     bool // in the dead-list: registered but logically freed
 }
 
 // ErrPinLimit is returned when a pin request cannot be satisfied
@@ -345,7 +344,6 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 func (t *PinTable) revive(e *PinEntry, tag uint64, now sim.Time) error {
 	t.deadList.unlink(e)
 	delete(t.dead, e.Base)
-	e.parked = false
 	e.Tag = tag
 	e.LastUse = now
 	t.seq++
@@ -411,7 +409,6 @@ func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 		t.DeregTime += dc
 		return dc
 	}
-	e.parked = true
 	t.dead[base] = e
 	t.deadList.pushBack(e)
 	t.Parked++

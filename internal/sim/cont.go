@@ -75,7 +75,6 @@ type Cont struct {
 	at         Time // argument of the pending ThenAt continuation
 	resumeAtFn func(Time)
 	lazyName
-	seq uint64
 }
 
 // Then parks step pc of s as the thread's innermost pending
@@ -177,8 +176,7 @@ func (k *Kernel) SpawnCIdx(prefix string, idx int, body func(c *Cont)) *Cont {
 }
 
 func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
-	k.procSeq++
-	c := &Cont{k: k, lazyName: lazyName{prefix, idx, ""}, seq: k.procSeq, state: "starting"}
+	c := &Cont{k: k, lazyName: lazyName{prefix, idx, ""}, state: "starting"}
 	if k.conts == nil {
 		k.conts = make(map[*Cont]struct{})
 	}

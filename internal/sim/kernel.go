@@ -364,9 +364,8 @@ type BlockedProc struct {
 // DeadlockError reports the set of processes left blocked when the
 // event queue drained.
 type DeadlockError struct {
-	At      Time          // virtual time the stall was detected
-	Blocked []string      // legacy "name: state" lines, sorted
-	Procs   []BlockedProc // full diagnostics, sorted by (Since, Name)
+	At    Time          // virtual time the stall was detected
+	Procs []BlockedProc // sorted by (Since, Name)
 }
 
 func (e *DeadlockError) Error() string {
@@ -374,32 +373,25 @@ func (e *DeadlockError) Error() string {
 	for _, bp := range e.Procs {
 		lines = append(lines, fmt.Sprintf("%s: %s (parked since %v)", bp.Name, bp.State, bp.Since))
 	}
-	if len(lines) == 0 {
-		lines = e.Blocked
-	}
 	return fmt.Sprintf("sim: deadlock at %v; %d blocked processes:\n  %s",
-		e.At, len(e.Blocked), strings.Join(lines, "\n  "))
+		e.At, len(e.Procs), strings.Join(lines, "\n  "))
 }
 
 func (k *Kernel) deadlock() error {
-	var blocked []string
 	var procs []BlockedProc
 	for p := range k.procs {
 		// What the awaited operation is blocked on now, which need not
 		// be what it was blocked on when the process parked.
-		blocked = append(blocked, p.Name()+": "+p.c.state)
 		procs = append(procs, BlockedProc{Name: p.Name(), State: p.c.state, Since: p.c.since})
 	}
 	for c := range k.conts {
-		blocked = append(blocked, c.Name()+": "+c.state)
 		procs = append(procs, BlockedProc{Name: c.Name(), State: c.state, Since: c.since})
 	}
-	sort.Strings(blocked)
 	sort.Slice(procs, func(i, j int) bool {
 		if procs[i].Since != procs[j].Since {
 			return procs[i].Since < procs[j].Since
 		}
 		return procs[i].Name < procs[j].Name
 	})
-	return &DeadlockError{At: k.now, Blocked: blocked, Procs: procs}
+	return &DeadlockError{At: k.now, Procs: procs}
 }

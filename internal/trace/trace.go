@@ -26,12 +26,11 @@ const (
 	StatePut                    // issuing a PUT (initiator overhead)
 	StateFenceWait              // waiting for PUT completions
 	StateBarrier                // in the barrier
-	StateLockWait               // acquiring a lock
 	numStates
 )
 
 var stateNames = [numStates]string{
-	"compute", "get-wait", "put", "fence-wait", "barrier", "lock-wait",
+	"compute", "get-wait", "put", "fence-wait", "barrier",
 }
 
 func (s State) String() string {
@@ -88,7 +87,6 @@ var waitStates = map[string]State{
 	"put":     StatePut,
 	"fence":   StateFenceWait,
 	"barrier": StateBarrier,
-	"lock":    StateLockWait,
 }
 
 // FromSpans builds the state view of the run tel recorded: one

@@ -57,18 +57,16 @@ type CoalStats struct {
 // batchMsg is one coalesced active-message frame: several logical AMs
 // sharing a single header, injection and delivery event.
 type batchMsg struct {
-	Src, Dst int
-	msgs     []*Msg
-	wire     int
-	sent     sim.Time
-	arrived  sim.Time
+	Src     int
+	msgs    []*Msg
+	sent    sim.Time
+	arrived sim.Time
 }
 
 // dmaFrame is one coalesced doorbell write: several RDMA descriptors
 // delivered to the target DMA engine as a single arrival.
 type dmaFrame struct {
-	ops  []any // *dmaOp requests
-	wire int
+	ops []any // *dmaOp requests
 }
 
 // BatchScratch is per-batch shared state the target-side handlers of
@@ -223,13 +221,13 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 		wire = AMHeaderBytes + b.bytes
 		// Each sub-frame replaced a full AM header with coalSubHeaderBytes.
 		unbatched = wire + n*(AMHeaderBytes-coalSubHeaderBytes) - AMHeaderBytes
-		frame = &batchMsg{Src: b.key.src, Dst: b.key.dst, msgs: msgs, wire: wire}
+		frame = &batchMsg{Src: b.key.src, msgs: msgs}
 	} else {
 		// A doorbell batch: descriptors share one frame and one arrival;
 		// the bytes are the descriptors themselves.
 		wire = b.bytes
 		unbatched = wire
-		frame = &dmaFrame{ops: b.ops, wire: wire}
+		frame = &dmaFrame{ops: b.ops}
 	}
 	c.savedBytes += int64(unbatched - wire)
 	// The frame's ordinal in the run: the flushes recorded before it,

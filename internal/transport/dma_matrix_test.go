@@ -149,9 +149,12 @@ func describeSpan(s *telemetry.Span) string {
 // dmaMachine builds the two-node machine every cell runs on, with the
 // flight recorder's rings on, a telemetry hub for the spans, and the target region
 // allocated, patterned and pinned.
-func dmaMachine(t *testing.T, prof *Profile, chaos bool) (*sim.Kernel, *Machine, *flight.Recorder, *telemetry.Telemetry, mem.Addr) {
+func dmaMachine(t *testing.T, prof *Profile, chaos, limited bool) (*sim.Kernel, *Machine, *flight.Recorder, *telemetry.Telemetry, mem.Addr) {
 	t.Helper()
 	k, m := newTestMachine(t, prof, 2)
+	if limited {
+		limitPins(m)
+	}
 	if chaos {
 		// Loss-free: nothing is dropped or corrupted, so no retransmit
 		// timer ever fires, but duplicates and delays exercise dedup.
@@ -205,10 +208,7 @@ func finishRow(k *sim.Kernel, m *Machine, fr *flight.Recorder, base mem.Addr, ro
 // region deregistered under limited pinning.
 func runDMACell(t *testing.T, prof *Profile, call dmaCall, outcome string, chaos bool) dmaRow {
 	t.Helper()
-	if outcome == "pinrefused" {
-		prof.PinPolicy = mem.PinLimited
-	}
-	k, m, fr, tel, base := dmaMachine(t, prof, chaos)
+	k, m, fr, tel, base := dmaMachine(t, prof, chaos, outcome == "pinrefused")
 	if outcome == "pinrefused" {
 		m.Nodes[1].Pins.Unpin(base, 0)
 	}
@@ -238,7 +238,7 @@ func runDMACell(t *testing.T, prof *Profile, call dmaCall, outcome string, chaos
 // served in order by the target engine.
 func runDMADoorbell(t *testing.T, prof *Profile) dmaRow {
 	t.Helper()
-	k, m, fr, tel, base := dmaMachine(t, prof, false)
+	k, m, fr, tel, base := dmaMachine(t, prof, false, false)
 	m.EnableCoalescing()
 	var row dmaRow
 	k.Spawn("initiator", func(p *sim.Proc) {

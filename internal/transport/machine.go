@@ -94,7 +94,6 @@ type Machine struct {
 // Node is one cluster node as the transport sees it.
 type Node struct {
 	ID   int
-	M    *Machine
 	Mem  *mem.Space
 	Pins *mem.PinTable
 
@@ -134,18 +133,11 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 	for i := 0; i < n; i++ {
 		nd := &Node{
 			ID:   i,
-			M:    m,
 			Mem:  mem.NewSpace(i),
-			Pins: mem.NewPinTable(i, prof.Reg, prof.PinPolicy),
+			Pins: mem.NewPinTable(i, prof.Reg, mem.PinAll),
 			CPU:  sim.NewResourceIdx(k, "node", i, ".cpu", prof.Cores),
 		}
 		nd.Pins.SetFlightRecorder(m.FR)
-		if prof.PinEvictor != mem.EvictLRU {
-			nd.Pins.SetEvictor(prof.PinEvictor.New(prof.Reg))
-		}
-		if prof.PinLazy {
-			nd.Pins.SetLazyUnpin(true)
-		}
 		if prof.CommCapacity > 0 {
 			nd.Comm = sim.NewResourceIdx(k, "node", i, ".comm", prof.CommCapacity)
 		} else {

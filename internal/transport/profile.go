@@ -71,16 +71,10 @@ type Profile struct {
 	// with zero-copy.
 	EagerMax int
 
-	// Memory registration.
-	Reg       mem.CostModel
-	PinPolicy mem.PinPolicy
-	// PinEvictor selects the pin-table victim policy under PinLimited;
-	// the zero value is the historical LRU.
-	PinEvictor mem.EvictorKind
-	// PinLazy enables the lazy-unpin registration cache on every node's
-	// pin table. Off keeps eager deregistration and the event stream
-	// bit-identical to the baseline.
-	PinLazy bool
+	// Memory registration. Every node's pin table pins all it is asked
+	// to (mem.PinAll) under these limits unless the runtime's
+	// core.Config.Pin installs another.
+	Reg mem.CostModel
 
 	// PutCacheEnabled reflects the paper's decision to disable the
 	// address cache for PUT operations on LAPI (§4.3).
@@ -123,7 +117,6 @@ func GM() *Profile {
 			DeregPerPage: 400 * sim.Ns,
 			MaxTotal:     1 << 30, // 1 GB DMAable memory (§3.3)
 		},
-		PinPolicy:       mem.PinAll,
 		PutCacheEnabled: true,
 	}
 }
@@ -165,7 +158,6 @@ func LAPI() *Profile {
 			DeregPerPage: 300 * sim.Ns,
 			MaxPerObject: 32 << 20, // 32 MB registration handle (§3.2)
 		},
-		PinPolicy:       mem.PinAll,
 		PutCacheEnabled: false, // §4.3: cache disabled for PUT on LAPI
 	}
 }

@@ -23,6 +23,16 @@ func newTestMachine(t *testing.T, prof *Profile, nodes int) (*sim.Kernel, *Machi
 	return k, NewMachine(k, prof, nodes)
 }
 
+// limitPins gives every node of m a limited-pinning table under the
+// profile's limits before any pin traffic, as core.Config.Pin does for a
+// runtime.
+func limitPins(m *Machine) {
+	for i, nd := range m.Nodes {
+		nd.Pins = mem.NewPinTable(i, m.Prof.Reg, mem.PinLimited)
+		nd.Pins.SetFlightRecorder(m.FR)
+	}
+}
+
 // rdmaGet and rdmaPut are how a test process performs a blocking
 // one-sided operation: the continuation form with the process's Wake,
 // then Await. epoch is the target incarnation the initiator believes
@@ -464,9 +474,8 @@ func TestGMHandlersSerialize(t *testing.T) {
 // NACK path: a GET to a region that was pinned and then evicted under
 // limited pinning returns ok=false instead of panicking.
 func TestRDMAGetNackUnderLimitedPinning(t *testing.T) {
-	prof := GM()
-	prof.PinPolicy = mem.PinLimited
-	k, m := newTestMachine(t, prof, 2)
+	k, m := newTestMachine(t, GM(), 2)
+	limitPins(m)
 	target := m.Nodes[1]
 	base := target.Mem.Alloc(64)
 	if _, err := target.Pins.Pin(base, 64, 7, 0); err != nil {
@@ -511,7 +520,11 @@ func TestMachineNamesInDeadlockReport(t *testing.T) {
 		t.Fatalf("want deadlock, got %v", err)
 	}
 	want := "hog: acquire node3.cpu|thief: pop nic2.am"
-	if got := strings.Join(de.Blocked, "|"); got != want {
+	var lines []string
+	for _, bp := range de.Procs {
+		lines = append(lines, bp.Name+": "+bp.State)
+	}
+	if got := strings.Join(lines, "|"); got != want {
 		t.Fatalf("blocked = %q, want %q", got, want)
 	}
 	k.Shutdown()
