@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"xlupc/internal/bench"
+	"xlupc/internal/kv"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
@@ -105,10 +106,10 @@ func planFor(f kvFlags) (plan, error) {
 	} else {
 		return p, fmt.Errorf("unknown profile %q", f.profile)
 	}
-	p.base = bench.KVOpts{
-		Ops: f.ops, Keys: f.keys, Rate: f.rate,
+	p.base = bench.KVOpts{Workload: kv.Workload{
+		Ops: f.ops, NumKeys: f.keys, Rate: f.rate,
 		SLO: sim.Duration(f.sloUs * float64(sim.Us)),
-	}
+	}}
 	return p, nil
 }
 

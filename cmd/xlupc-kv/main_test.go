@@ -72,7 +72,7 @@ func TestPlanForDefaults(t *testing.T) {
 	if len(p.thetas) != 3 || len(p.mixes) != 1 || len(p.losses) != 3 || len(p.crashes) != 2 {
 		t.Errorf("thetas %v mixes %v losses %v crashes %v", p.thetas, p.mixes, p.losses, p.crashes)
 	}
-	if p.base.Ops != 200 || p.base.Keys != 4096 || p.sc.Threads != 8 || p.sc.Nodes != 4 {
+	if p.base.Ops != 200 || p.base.NumKeys != 4096 || p.sc.Threads != 8 || p.sc.Nodes != 4 {
 		t.Errorf("base %+v on %s", p.base, p.sc)
 	}
 }

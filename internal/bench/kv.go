@@ -12,16 +12,12 @@ import (
 	"xlupc/internal/transport"
 )
 
-// KVOpts configures one key-value dataplane run.
+// KVOpts configures one key-value dataplane run: the workload every
+// thread offers, and the machine and hazards it runs on.
 type KVOpts struct {
-	Scale    Scale
-	Prof     *transport.Profile
-	Ops      int64   // operations per thread
-	Keys     int64   // key population
-	Theta    float64 // Zipfian skew in [0,1)
-	ReadFrac float64 // GET fraction in [0,1]
-	Rate     float64 // offered rate per thread, ops/s (0 = closed loop)
-	SLO      sim.Duration
+	kv.Workload
+	Scale Scale
+	Prof  *transport.Profile
 	// Cached selects the dataplane: true reads through the address
 	// cache over one-sided RDMA (the Storm read protocol); false turns
 	// the cache off and forces every remote read through the lookup AM
@@ -31,11 +27,6 @@ type KVOpts struct {
 	Crash  *core.CrashConfig // optional crash/restart schedule
 }
 
-func (o KVOpts) workload() kv.Workload {
-	return kv.Workload{Ops: o.Ops, NumKeys: o.Keys, Theta: o.Theta,
-		ReadFrac: o.ReadFrac, Rate: o.Rate, SLO: o.SLO}
-}
-
 // KVResult is one run's outcome: the merged generator result, the
 // aggregated table counters, and the run-level figures derived from
 // them.
@@ -43,7 +34,6 @@ type KVResult struct {
 	Merged   kv.ThreadResult
 	Table    kv.Stats
 	Run      core.RunStats
-	Elapsed  sim.Time
 	OpsPerMs float64 // completed ops per virtual millisecond, all threads
 	HitRate  float64 // address-cache hit rate; the kv object is all a KV run looks up
 }
@@ -59,7 +49,7 @@ func (s Sweep) RunKV(o KVOpts) KVResult {
 // runKV is RunKV that also hands back the runtime, for tests that look
 // at the simulator underneath the figures.
 func (s Sweep) runKV(o KVOpts) (KVResult, *core.Runtime) {
-	w := o.workload()
+	w := o.Workload
 	if err := w.Validate(); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
@@ -79,7 +69,7 @@ func (s Sweep) runKV(o KVOpts) (KVResult, *core.Runtime) {
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	ko := kv.Options{Name: "kv", NumKeys: o.Keys, ReadViaAM: !o.Cached}
+	ko := kv.Options{Name: "kv", NumKeys: w.NumKeys, ReadViaAM: !o.Cached}
 	results := make([]kv.ThreadResult, cfg.Threads)
 	tables := make([]kv.Stats, cfg.Threads)
 	z, err := kv.NewZipf(w.NumKeys, w.Theta)
@@ -104,7 +94,7 @@ func (s Sweep) runKV(o KVOpts) (KVResult, *core.Runtime) {
 	if err != nil {
 		panic(fmt.Sprintf("bench: kv run failed: %v", err))
 	}
-	res := KVResult{Merged: kv.Merge(results), Run: st, Elapsed: st.Elapsed}
+	res := KVResult{Merged: kv.Merge(results), Run: st}
 	for _, ts := range tables {
 		res.Table.Add(ts)
 	}
@@ -153,7 +143,7 @@ func (s Sweep) KVSkewSweep(prof *transport.Profile, sc Scale, thetas []float64, 
 func (s Sweep) PrintKVSkew(w io.Writer, prof *transport.Profile, sc Scale, thetas []float64, o KVOpts) []KVSkewPoint {
 	pts := s.KVSkewSweep(prof, sc, thetas, o)
 	fmt.Fprintf(w, "# KV — %s, %s: %d keys, %d ops/thread, read mix %.2f, rate %.0f/s (cached one-sided vs AM-only)\n",
-		prof.Name, sc, o.Keys, o.Ops, o.ReadFrac, o.Rate)
+		prof.Name, sc, o.NumKeys, o.Ops, o.ReadFrac, o.Rate)
 	fmt.Fprintf(w, "%6s %9s %9s %8s %8s %8s %8s %10s %6s %17s\n",
 		"theta", "hit-rate", "kops/ms", "p50(us)", "p95(us)", "p99(us)",
 		"am-p99", "improv(%)", "torn", "checksum")

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"xlupc/internal/kv"
 	"xlupc/internal/transport"
 )
 
@@ -17,9 +18,9 @@ import (
 // AM-only, and more so where the hit rate is high.
 func TestKVCachedBeatsAMOnlySweep(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 4}
-	pts := Sweep{Seed: 3}.KVSkewSweep(transport.GM(), sc, []float64{0, 0.9, 0.99}, KVOpts{
-		Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0,
-	})
+	pts := Sweep{Seed: 3}.KVSkewSweep(transport.GM(), sc, []float64{0, 0.9, 0.99}, KVOpts{Workload: kv.Workload{
+		Ops: 80, NumKeys: 1024, ReadFrac: 0.9, Rate: 0,
+	}})
 	for _, pt := range pts {
 		if pt.Improvement <= 0 {
 			t.Errorf("theta %.2f: cached path not faster (improvement %.1f%%)", pt.Theta, pt.Improvement)
@@ -39,7 +40,7 @@ func TestKVCachedBeatsAMOnlySweep(t *testing.T) {
 func TestKVCurvesCompleteUnderHazards(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 4}
 	s := Sweep{Seed: 9}
-	o := KVOpts{Ops: 50, Keys: 512, Theta: 0.9, ReadFrac: 0.9, Rate: 120000}
+	o := KVOpts{Workload: kv.Workload{Ops: 50, NumKeys: 512, Theta: 0.9, ReadFrac: 0.9, Rate: 120000}}
 	curves := map[string][]KVSLOPoint{
 		"loss":  s.KVLossCurve(transport.GM(), sc, []float64{0, 0.02}, o),
 		"crash": s.KVCrashCurve(transport.GM(), sc, []float64{0, 0.2}, 150, o),
@@ -159,9 +160,9 @@ func TestKVHitRateGolden(t *testing.T) {
 	got := make(map[string]float64)
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		for _, sc := range []Scale{{16, 4}, {64, 16}} {
-			pts := Sweep{Seed: 3}.KVSkewSweep(prof, sc, []float64{0, 0.9, 0.99}, KVOpts{
-				Ops: 80, Keys: 1024, ReadFrac: 0.9, Rate: 0,
-			})
+			pts := Sweep{Seed: 3}.KVSkewSweep(prof, sc, []float64{0, 0.9, 0.99}, KVOpts{Workload: kv.Workload{
+				Ops: 80, NumKeys: 1024, ReadFrac: 0.9, Rate: 0,
+			}})
 			for _, pt := range pts {
 				got[fmt.Sprintf("%s/%v/theta=%.2f", prof.Name, sc, pt.Theta)] = pt.Cached.HitRate
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/kv"
 	"xlupc/internal/transport"
 )
 
@@ -25,8 +26,8 @@ func TestQueueTrafficRecurs(t *testing.T) {
 			return rt
 		}},
 		{"kv", 0.95, func() *core.Runtime {
-			_, rt := Sweep{Seed: 3}.runKV(KVOpts{Scale: sc, Prof: transport.GM(), Ops: 100, Keys: 4096,
-				Theta: 0.9, ReadFrac: 0.5, Cached: true})
+			_, rt := Sweep{Seed: 3}.runKV(KVOpts{Scale: sc, Prof: transport.GM(), Cached: true,
+				Workload: kv.Workload{Ops: 100, NumKeys: 4096, Theta: 0.9, ReadFrac: 0.5}})
 			return rt
 		}},
 		{"lossy reliable pointer chase", 0.80, func() *core.Runtime {

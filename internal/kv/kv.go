@@ -15,8 +15,10 @@
 // write window observes an odd sequence, knows the line is torn, and
 // retries exactly once through a user-level active message executed at
 // the home node under the shard lock (authoritative by construction).
-// Puts from non-home nodes always ship as AMs; co-located threads write
-// directly under the same per-node lock.
+// Puts from non-home nodes ship as AMs; co-located threads write
+// directly under the same per-node lock. Both run one writer (walk):
+// the same probe pass and seqlock write, each over its own side of the
+// home node's memory.
 //
 // In the simulation a 64-byte memory read is instantaneous at the
 // point of RDMA completion, so a line can never be half-copied; the
@@ -150,13 +152,6 @@ func (g geom) lineIdx(shard int, b int64) int64 {
 	return int64(shard)*g.shardWords() + b*bucketWords
 }
 
-// slotRef names one slot: the global element index of its bucket
-// line's seq word plus the slot number within the line.
-type slotRef struct {
-	line int64
-	slot int
-}
-
 // Table is one thread's view of the shared key-value store. Each
 // thread constructs its own instance over the collectively allocated
 // segment; Stats and the scratch buffers are therefore thread-private.
@@ -164,68 +159,42 @@ type slotRef struct {
 // Every operation exists once, in continuation-passing style (GetC,
 // PutC): a ladder of steps, each started by the core
 // operation the one before it waited in. A thread has one operation in
-// flight, so the ladder's state lives here, in op, and its steps are
-// func values bound once, in do — an operation allocates no closures.
+// flight, so the ladder's state lives here, in walk and the fields
+// after it, and its steps are func values bound once, in do and in the
+// walk's step — an operation allocates no closures.
 // The blocking methods are those plus core.Thread's Wake and Await.
 type Table struct {
-	a     *core.SharedArray
-	g     geom
-	opts  Options
-	Stats Stats
+	threadMem // the thread and the table's array
+	walk      // the operation's probe pass and co-located write, over threadMem
+	opts      Options
+	Stats     Stats
 
-	line [bucketBytes]byte // bucket-line scratch (one op in flight per thread)
-	rep  [8]byte           // AM reply scratch
-	w    [16]byte          // slot staging for writes
+	rep [8]byte // AM reply scratch
 
-	lk *sim.Resource // this node's shard lock, resolved on first write
-	op
-	do steps
+	home    int // the key's home node
+	local   bool
+	thenVal func(uint64, bool) // the caller's then: Get
+	thenOK  func(bool)         // ... Put
+	do      steps
 
 	// What a blocking method parks for its ...C form to complete: the
 	// thread's wake, and where keepVal/keepOK leave the result.
-	wake  func()
-	val   uint64
-	found bool
-}
-
-// op is the operation in flight.
-type op struct {
-	t         *core.Thread
-	key, arg  uint64 // arg: Put's value
-	shard     int    // the key's owner thread
-	home      int    // ... and its node
-	local     bool
-	b0, probe int64 // the key's home bucket, and how far along its window
-	idx       int64 // the line probe reads
-
-	// Write path: the scan under the lock, the slot being written and
-	// its line's sequence word.
-	ws  writeScan
-	tgt slotRef
-	seq uint64
-
-	thenVal func(uint64, bool) // the caller's then: Get
-	thenOK  func(bool)         // ... Put
+	wake func()
+	got  uint64
+	ok   bool
 }
 
 // steps are the methods an operation hands to core as its next step.
 type steps struct {
-	probed, reread, scan, scanned                   func()
-	seqRead, seqOdd, inWindow, slotWritten, seqEven func()
-	lookedUp, wrote                                 func(n int)
-	keepVal                                         func(uint64, bool)
-	keepOK                                          func(bool)
+	lookupReplied, putReplied func(n int)
+	keepVal                   func(uint64, bool)
+	keepOK                    func(bool)
 }
 
 func newTable(a *core.SharedArray, g geom, o Options) *Table {
-	tb := &Table{a: a, g: g, opts: o}
-	tb.do = steps{
-		probed: tb.probed, reread: tb.reread, scan: tb.scan, scanned: tb.scanned,
-		seqRead: tb.seqRead, seqOdd: tb.seqOdd, inWindow: tb.inWindow,
-		slotWritten: tb.slotWritten, seqEven: tb.seqEven,
-		lookedUp: tb.lookedUp, wrote: tb.wrote,
-		keepVal: tb.keepVal, keepOK: tb.keepOK,
-	}
+	tb := &Table{threadMem: threadMem{a: a}, opts: o}
+	tb.bind(&tb.threadMem, tb, g)
+	tb.do = steps{lookupReplied: tb.lookupReplied, putReplied: tb.putReplied, keepVal: tb.keepVal, keepOK: tb.keepOK}
 	return tb
 }
 
@@ -264,16 +233,6 @@ func New(t *core.Thread, o Options) (tb *Table) {
 	return tb
 }
 
-// lock returns this node's shard lock: writers and AM lookups
-// serialize under it; one-sided readers never take it.
-func (tb *Table) lock() *sim.Resource {
-	if tb.lk == nil {
-		key := tb.g.lockKey
-		tb.lk = tb.t.NodeLocal(key, func(k *sim.Kernel) any { return sim.NewResource(k, key, 1) }).(*sim.Resource)
-	}
-	return tb.lk
-}
-
 // --- Blocking forms -------------------------------------------------------
 
 // Get is GetC for a blocking body; likewise Put.
@@ -281,23 +240,23 @@ func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
 	tb.wake = t.Wake()
 	tb.GetC(t, key, tb.do.keepVal)
 	t.Await()
-	return tb.val, tb.found
+	return tb.got, tb.ok
 }
 
 func (tb *Table) Put(t *core.Thread, key, val uint64) bool {
 	tb.wake = t.Wake()
 	tb.PutC(t, key, val, tb.do.keepOK)
 	t.Await()
-	return tb.found
+	return tb.ok
 }
 
 func (tb *Table) keepVal(v uint64, ok bool) {
-	tb.val, tb.found = v, ok
+	tb.got, tb.ok = v, ok
 	tb.wake()
 }
 
 func (tb *Table) keepOK(ok bool) {
-	tb.found = ok
+	tb.ok = ok
 	tb.wake()
 }
 
@@ -305,8 +264,8 @@ func (tb *Table) keepOK(ok bool) {
 
 // begin records who operates on which key, and where the key lives.
 func (tb *Table) begin(t *core.Thread, key uint64) {
-	tb.t, tb.key = t, key
-	tb.shard = tb.g.shardOf(key)
+	tb.t = t
+	tb.aim(key)
 	tb.home = tb.a.Layout().NodeOf(tb.g.lineIdx(tb.shard, 0))
 	tb.local = tb.home == t.Node()
 	if tb.local {
@@ -314,11 +273,11 @@ func (tb *Table) begin(t *core.Thread, key uint64) {
 	} else {
 		tb.Stats.RemoteOps++
 	}
-	tb.b0, tb.probe = tb.g.bucketOf(key), 0
 }
 
 // finishVal and finishOK complete the operation. The caller's then may
-// start the next one, so it is taken out of op first and called last.
+// start the next one, so it is taken out of the Table first and called
+// last.
 func (tb *Table) finishVal(v uint64, ok bool) {
 	then := tb.thenVal
 	tb.thenVal = nil
@@ -343,6 +302,7 @@ func checkKey(key uint64) {
 // are one-sided through the address cache; a torn line (odd seq)
 // retries exactly once through the authoritative lookup AM.
 func (tb *Table) GetC(t *core.Thread, key uint64, then func(val uint64, ok bool)) {
+	checkKey(key)
 	tb.Stats.Gets++
 	tb.begin(t, key)
 	tb.thenVal = then
@@ -350,208 +310,277 @@ func (tb *Table) GetC(t *core.Thread, key uint64, then func(val uint64, ok bool)
 		tb.amGet()
 		return
 	}
-	tb.readLine()
+	tb.storing = false
+	tb.next()
 }
 
-// readLine reads the next line of the key's probe window with no lock
-// held; probed looks at it.
-func (tb *Table) readLine() {
-	if tb.probe >= probeWindow {
-		tb.resolved(0, false)
+// torn is what a Get does with a line it read, with no lock held,
+// inside a writer's window.
+func (tb *Table) torn() {
+	if !tb.local {
+		// Torn one-sided read: the write landed mid-window. One AM
+		// retry is authoritative — the handler runs under the shard
+		// lock at the home node.
+		tb.Stats.TornRetries++
+		tb.amGet()
 		return
 	}
-	tb.idx = tb.g.lineIdx(tb.shard, (tb.b0+tb.probe)%tb.g.buckets)
-	tb.reread()
+	tb.Stats.TornRereads++
+	// The writer finishes within its window, so a spaced re-read of
+	// the same line converges.
+	tb.t.SleepC(rereadBackoff, tb.step.next)
 }
 
-func (tb *Table) reread() { tb.t.GetBulkC(tb.line[:], tb.a.At(tb.idx), tb.do.probed) }
+func (tb *Table) looked() { tb.gotVal(tb.hit()) }
 
-func (tb *Table) probed() {
-	if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-		if !tb.local {
-			// Torn one-sided read: the write landed mid-window. One AM
-			// retry is authoritative — the handler runs under the shard
-			// lock at the home node.
-			tb.Stats.TornRetries++
-			tb.amGet()
-			return
-		}
-		tb.Stats.TornRereads++
-		// The writer finishes within its window, so a spaced re-read
-		// converges.
-		tb.t.SleepC(rereadBackoff, tb.do.reread)
-		return
-	}
-	if slot, ok, stop := findKey(tb.line[:], tb.key); stop {
-		tb.resolved(slot, ok)
-		return
-	}
-	tb.probe++
-	tb.readLine()
+func (tb *Table) amGet() {
+	tb.Stats.AMLookups++
+	tb.t.CallAMC(tb.a, tb.home, hLookup, tb.key, 0, lookupWireBytes, tb.rep[:], "kv_lookup", tb.do.lookupReplied)
 }
 
-// resolved ends the probe: the key is in slot of the line just read, or
-// nowhere.
-func (tb *Table) resolved(slot int, ok bool) {
+func (tb *Table) lookupReplied(n int) { tb.gotVal(binary.LittleEndian.Uint64(tb.rep[:]), n != 0) }
+
+// gotVal ends a Get: the key holds v, or (!ok) is absent.
+func (tb *Table) gotVal(v uint64, ok bool) {
 	if !ok {
 		tb.Stats.Misses++
 		tb.finishVal(0, false)
 		return
 	}
 	tb.Stats.Found++
-	tb.finishVal(binary.LittleEndian.Uint64(tb.line[16+16*slot:]), true)
-}
-
-// findKey inspects a consistent bucket line for key: (slot, found,
-// stop). stop is false only when the line is full of other keys, i.e.
-// probing must continue.
-func findKey(line []byte, key uint64) (slot int, ok, stop bool) {
-	for s := 0; s < slotsPerBucket; s++ {
-		k := binary.LittleEndian.Uint64(line[8+16*s:])
-		if k == key {
-			return s, true, true
-		}
-		if k == emptyKey {
-			// Inserts fill the first free slot, so an empty slot proves
-			// the key is nowhere later in the window.
-			return 0, false, true
-		}
-	}
-	return 0, false, false
-}
-
-func (tb *Table) amGet() {
-	tb.Stats.AMLookups++
-	tb.t.CallAMC(tb.a, tb.home, hLookup, tb.key, 0, lookupWireBytes, tb.rep[:], "kv_lookup", tb.do.lookedUp)
-}
-
-func (tb *Table) lookedUp(n int) {
-	if n == 0 {
-		tb.Stats.Misses++
-		tb.finishVal(0, false)
-		return
-	}
-	tb.Stats.Found++
-	tb.finishVal(binary.LittleEndian.Uint64(tb.rep[:]), true)
+	tb.finishVal(v, true)
 }
 
 // --- Write path ---------------------------------------------------------
 
 // PutC installs (key, val), updating in place when the key exists. It
-// reports false when the probe window is full (overflow). Writes at
-// the home node go direct under the shard lock; remote writes ship as
-// AMs executed there.
+// reports false when the probe window is full (overflow). A co-located
+// thread runs the write itself, under the shard lock; a remote one
+// ships it as an AM the home node runs.
 func (tb *Table) PutC(t *core.Thread, key, val uint64, then func(ok bool)) {
 	checkKey(key)
 	tb.Stats.Puts++
 	tb.begin(t, key)
-	tb.arg, tb.thenOK = val, then
-	if tb.local {
-		tb.ws = writeScan{}
-		t.AcquireC(tb.lock(), tb.do.scan)
+	tb.thenOK = then
+	if !tb.local {
+		t.CallAMC(tb.a, tb.home, hPut, key, val, putWireBytes, tb.rep[:], "kv_put", tb.do.putReplied)
 		return
 	}
-	t.CallAMC(tb.a, tb.home, hPut, key, val, putWireBytes, tb.rep[:], "kv_put", tb.do.wrote)
+	if tb.lock == nil {
+		lk := tb.g.lockKey
+		tb.lock = t.NodeLocal(lk, func(k *sim.Kernel) any { return sim.NewResource(k, lk, 1) }).(*sim.Resource)
+	}
+	tb.val, tb.storing = val, true
+	t.AcquireC(tb.lock, tb.step.next)
 }
 
-func (tb *Table) wrote(n int) {
+func (tb *Table) putReplied(n int) {
 	if n != 1 {
 		panic(fmt.Sprintf("kv: write reply of %d bytes", n))
 	}
-	ok := tb.rep[0] == statusOK
+	tb.wrote(tb.rep[0] == statusOK)
+}
+
+// wrote ends a Put: false means the probe window was full.
+func (tb *Table) wrote(ok bool) {
 	if !ok {
 		tb.Stats.Overflows++
 	}
 	tb.finishOK(ok)
 }
 
-// scan walks the probe window under the shard lock, looking for the
-// key's slot or the first free one. Reads
-// go through the thread's local GET path (it holds the shard's
-// home-node lock, so lines are consistent).
-func (tb *Table) scan() {
-	if tb.probe >= probeWindow {
-		tb.place()
+// --- Memory sides -------------------------------------------------------
+
+// memSide is how a walk reaches the table's memory at the key's home
+// node, by global element index. Both sides pay a local access's
+// shared-memory cost; they differ in whose access it is.
+type memSide interface {
+	read(idx int64, dst []byte, then func())
+	write(idx int64, src []byte, then func())
+	sleep(d sim.Duration, then func())
+}
+
+// threadMem is a co-located thread's side: its own local GET and PUT on
+// the table's array, so each access counts, spans and costs events as
+// one of the thread's local operations.
+type threadMem struct {
+	t *core.Thread
+	a *core.SharedArray
+}
+
+func (m *threadMem) read(idx int64, dst []byte, then func())  { m.t.GetBulkC(dst, m.a.At(idx), then) }
+func (m *threadMem) write(idx int64, src []byte, then func()) { m.t.PutBulkC(m.a.At(idx), src, then) }
+func (m *threadMem) sleep(d sim.Duration, then func())        { m.t.SleepC(d, then) }
+
+// ctxMem is the home node's side: a user-AM context's accesses to its
+// node's chunk of the table.
+type ctxMem struct{ c *core.UserCtx }
+
+func (m *ctxMem) read(idx int64, dst []byte, then func()) {
+	m.c.ReadLocalC(m.c.ChunkOffset(idx), dst, then)
+}
+
+func (m *ctxMem) write(idx int64, src []byte, then func()) {
+	m.c.WriteLocalC(m.c.ChunkOffset(idx), src, then)
+}
+
+func (m *ctxMem) sleep(d sim.Duration, then func()) { m.c.SleepC(d, then) }
+
+// --- The walk: one probe pass, one writer ---------------------------------
+
+// walk is an operation at the key's home memory: one pass over the
+// key's probe window and, for a Put, the seqlock write of the slot the
+// pass stops at. Each step is written once and reaches memory through
+// m, so a co-located Table operation (over threadMem) and a request at
+// the home node (over ctxMem) run the same ladder, and each reports to
+// its owner. The owner binds it once, so walking allocates nothing.
+type walk struct {
+	m memSide
+	o owner
+	g geom
+
+	key, val  uint64 // val: what a write stores
+	storing   bool   // the pass ends in a write, not in o.looked
+	shard     int
+	b0, probe int64 // the key's home bucket, and how far along its window
+	idx       int64 // the line next reads
+	line      [bucketBytes]byte
+	slot      int // where the pass stopped in line; -1: the window is full
+
+	lock *sim.Resource // the shard lock a write holds
+	seq  uint64        // the written line's sequence word
+	w    [16]byte      // write staging
+
+	step walkSteps
+}
+
+// owner is what a walk works for — a Table operation or a home-node
+// request — and what it reports to: a line read inside a write window,
+// the end of a pass that only looks, and the end of a write (the shard
+// lock already released).
+type owner interface {
+	torn()
+	looked()
+	wrote(ok bool)
+}
+
+// walkSteps are the methods a walk hands to its memory side as its next
+// step.
+type walkSteps struct {
+	next, probed, seqRead, seqOdd, inWindow, slotWritten, seqEven func()
+}
+
+func (w *walk) bind(m memSide, o owner, g geom) {
+	w.m, w.o, w.g = m, o, g
+	w.step = walkSteps{
+		next: w.next, probed: w.probed, seqRead: w.seqRead, seqOdd: w.seqOdd,
+		inWindow: w.inWindow, slotWritten: w.slotWritten, seqEven: w.seqEven,
+	}
+}
+
+// aim points the walk at key's probe window. The owner then sets
+// storing — and, for a write, val and the held lock — and starts next.
+func (w *walk) aim(key uint64) {
+	w.key = key
+	w.shard, w.b0, w.probe = w.g.shardOf(key), w.g.bucketOf(key), 0
+}
+
+// next reads the window's next line, or stops the pass with slot -1
+// once the window is exhausted.
+func (w *walk) next() {
+	if w.probe >= probeWindow {
+		w.slot = -1
+		w.stop()
 		return
 	}
-	tb.idx = tb.g.lineIdx(tb.shard, (tb.b0+tb.probe)%tb.g.buckets)
-	tb.t.GetBulkC(tb.line[:], tb.a.At(tb.idx), tb.do.scanned)
+	w.idx = w.g.lineIdx(w.shard, (w.b0+w.probe)%w.g.buckets)
+	w.m.read(w.idx, w.line[:], w.step.probed)
 }
 
-func (tb *Table) scanned() {
-	if tb.ws.add(tb.line[:], tb.key, tb.idx) {
-		tb.place()
+// probed looks at the line just read. A consistent line stops the pass
+// at the first slot that holds the key or is free — inserts fill the
+// first free slot, so a free one proves the key is nowhere later in the
+// window — or sends it on to the next line.
+func (w *walk) probed() {
+	if binary.LittleEndian.Uint64(w.line[:8])&1 == 1 {
+		w.o.torn()
 		return
 	}
-	tb.probe++
-	tb.scan()
-}
-
-// writeScan is what the write path learns walking a key's probe window:
-// the slot to write — the key's own, or the first free one — if any.
-type writeScan struct {
-	tgt   slotRef
-	found bool
-}
-
-// add folds in the consistent line at idx and reports whether the walk
-// is over: the key was found, or an empty slot proves it absent and is
-// where it goes.
-func (ws *writeScan) add(line []byte, key uint64, idx int64) (stop bool) {
 	for s := 0; s < slotsPerBucket; s++ {
-		if k := binary.LittleEndian.Uint64(line[8+16*s:]); k == key || k == emptyKey {
-			ws.tgt, ws.found = slotRef{idx, s}, true
-			return true
+		if k := binary.LittleEndian.Uint64(w.line[8+16*s:]); k == w.key || k == emptyKey {
+			w.slot = s
+			w.stop()
+			return
 		}
 	}
-	return false
+	w.probe++
+	w.next()
 }
 
-// place ends the scan: write the slot found, or fail a Put that found
-// the window full.
-func (tb *Table) place() {
-	if !tb.ws.found {
-		tb.lk.Release()
-		tb.Stats.Overflows++
-		tb.finishOK(false)
+// stop ends the pass: a write goes on to place, a look reports.
+func (w *walk) stop() {
+	if w.storing {
+		w.place()
 		return
 	}
-	tb.tgt = tb.ws.tgt
+	w.o.looked()
+}
+
+// hit reports whether the pass stopped at the key's own slot, and the
+// value there.
+func (w *walk) hit() (uint64, bool) {
+	if w.slot < 0 || binary.LittleEndian.Uint64(w.line[8+16*w.slot:]) != w.key {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(w.line[16+16*w.slot:]), true
+}
+
+// place ends a write's pass: write the slot found, or fail a Put that
+// found the window full.
+func (w *walk) place() {
+	if w.slot < 0 {
+		w.end(false)
+		return
+	}
 	// The seqlock write protocol: seq goes odd, the slot is written
 	// inside the window, seq goes even.
-	tb.t.GetBulkC(tb.w[:8], tb.a.At(tb.tgt.line), tb.do.seqRead)
+	w.m.read(w.idx, w.w[:8], w.step.seqRead)
 }
 
-func (tb *Table) seqRead() {
-	tb.seq = binary.LittleEndian.Uint64(tb.w[:8])
-	tb.t.PutUint64C(tb.a.At(tb.tgt.line), tb.seq+1, tb.do.seqOdd)
+func (w *walk) seqRead() {
+	w.seq = binary.LittleEndian.Uint64(w.w[:8])
+	binary.LittleEndian.PutUint64(w.w[:8], w.seq+1)
+	w.m.write(w.idx, w.w[:8], w.step.seqOdd)
 }
 
-func (tb *Table) seqOdd() { tb.t.SleepC(tb.g.window, tb.do.inWindow) }
+func (w *walk) seqOdd() { w.m.sleep(w.g.window, w.step.inWindow) }
 
-func (tb *Table) inWindow() {
-	slot := tb.a.At(tb.tgt.line + int64(1+2*tb.tgt.slot))
-	binary.LittleEndian.PutUint64(tb.w[0:8], tb.key)
-	binary.LittleEndian.PutUint64(tb.w[8:16], tb.arg)
-	tb.t.PutBulkC(slot, tb.w[:16], tb.do.slotWritten)
+func (w *walk) inWindow() {
+	binary.LittleEndian.PutUint64(w.w[0:8], w.key)
+	binary.LittleEndian.PutUint64(w.w[8:16], w.val)
+	w.m.write(w.idx+int64(1+2*w.slot), w.w[:16], w.step.slotWritten)
 }
 
-func (tb *Table) slotWritten() {
-	tb.t.PutUint64C(tb.a.At(tb.tgt.line), tb.seq+2, tb.do.seqEven)
+func (w *walk) slotWritten() {
+	binary.LittleEndian.PutUint64(w.w[:8], w.seq+2)
+	w.m.write(w.idx, w.w[:8], w.step.seqEven)
 }
 
-func (tb *Table) seqEven() {
-	tb.lk.Release()
-	tb.finishOK(true)
+func (w *walk) seqEven() { w.end(true) }
+
+// end releases the shard lock and reports the write.
+func (w *walk) end(ok bool) {
+	w.lock.Release()
+	w.o.wrote(ok)
 }
 
 // --- Home-node AM handlers ----------------------------------------------
 
 // server is the home-node side of the kv protocol, registered once per
-// run: two user-AM handlers that serialize with local writers under
-// the per-node shard lock, so everything they read is consistent (even
-// sequence words) and authoritative. Each request is one ladder of
-// steps, like a Table operation, over a record of its own (amOp) taken
+// run: two user-AM handlers that serialize with co-located writers
+// under the per-node shard lock, so everything they read is consistent
+// (even sequence words) and authoritative. Each request runs a walk
+// over the context's memory side, on a record of its own (amOp) taken
 // from a free list — no more are ever in use than the run has
 // dispatcher contexts — so serving a request allocates nothing but a
 // found value's reply.
@@ -575,151 +604,65 @@ func registerHandlers(rt *core.Runtime, g geom) {
 	rt.HandleUser(hPut, s.put)
 }
 
-func (s *server) lookup(c *core.UserCtx, reply func([]byte)) { s.start(hLookup, c, reply) }
-func (s *server) put(c *core.UserCtx, reply func([]byte))    { s.start(hPut, c, reply) }
+func (s *server) lookup(c *core.UserCtx, reply func([]byte)) { s.start(c, reply, false) }
+func (s *server) put(c *core.UserCtx, reply func([]byte))    { s.start(c, reply, true) }
 
-// amOp is one request in service at its home node: the handler side of
-// Table.op. A lookup walks the key's probe window for its slot; a put
-// walks it as Table.scan does, then runs the seqlock write protocol on
-// the slot through the context's local-memory primitives.
+// amOp is one request in service at its home node: the walk a Table
+// would run there, over the context's memory side, and the reply it
+// owes.
 type amOp struct {
+	walk
+	ctxMem
 	s     *server
-	c     *core.UserCtx
 	reply func([]byte)
-
-	id       core.UserHandlerID
-	key, val uint64
-	lock     *sim.Resource
-	shard    int
-	b0       int64
-	probe    int64
-	idx      int64
-	line     [bucketBytes]byte
-
-	ws  writeScan
-	tgt slotRef
-	off int64 // the target line's byte offset in the chunk
-	seq uint64
-	w   [16]byte
-
-	do amSteps
-}
-
-// amSteps are the methods a request hands to its context as its next
-// step, bound once per record.
-type amSteps struct {
-	locked, lineRead, seqRead, seqOdd, inWindow, slotWritten, seqEven func()
 }
 
 // start takes a record and begins the request: everything it does
 // happens under the node's shard lock.
-func (s *server) start(id core.UserHandlerID, c *core.UserCtx, reply func([]byte)) {
+func (s *server) start(c *core.UserCtx, reply func([]byte), write bool) {
 	op := s.free.Get()
 	if op.s == nil {
 		op.s = s
-		op.do = amSteps{
-			locked: op.locked, lineRead: op.lineRead, seqRead: op.seqRead, seqOdd: op.seqOdd,
-			inWindow: op.inWindow, slotWritten: op.slotWritten, seqEven: op.seqEven,
-		}
+		op.bind(&op.ctxMem, op, s.g)
 	}
-	op.id, op.c, op.reply = id, c, reply
-	op.key, op.val = c.Args()
-	op.lock = ctxLock(c, s.g)
-	c.AcquireC(op.lock, op.do.locked)
+	op.c, op.reply = c, reply
+	key, val := c.Args()
+	op.aim(key)
+	op.val, op.storing = val, write
+	op.lock = c.NodeLocal(s.g.lockKey, func(k *sim.Kernel) any { return sim.NewResource(k, s.g.lockKey, 1) }).(*sim.Resource)
+	c.AcquireC(op.lock, op.step.next)
 }
 
-// finish releases the shard lock — every path of a request ends here —
-// returns the record and replies.
-func (op *amOp) finish(payload []byte) {
+// torn never happens at the home node: it reads only under the shard
+// lock, where no write window is ever open.
+func (op *amOp) torn() { panic("kv: odd sequence under the shard lock") }
+
+func (op *amOp) looked() {
 	op.lock.Release()
+	v, ok := op.hit()
+	if !ok {
+		op.finish(nil)
+		return
+	}
+	op.finish(binary.LittleEndian.AppendUint64(nil, v))
+}
+
+func (op *amOp) wrote(ok bool) {
+	if !ok {
+		op.finish(failReply)
+		return
+	}
+	op.finish(okReply)
+}
+
+// finish returns the record and replies; every request ends here, its
+// shard lock released.
+func (op *amOp) finish(payload []byte) {
 	reply := op.reply
 	op.c, op.reply, op.lock = nil, nil, nil
 	op.s.free.Put(op)
 	reply(payload)
 }
-
-func ctxLock(c *core.UserCtx, g geom) *sim.Resource {
-	return c.NodeLocal(g.lockKey, func(k *sim.Kernel) any { return sim.NewResource(k, g.lockKey, 1) }).(*sim.Resource)
-}
-
-func (op *amOp) locked() {
-	g := op.s.g
-	op.shard, op.b0, op.probe, op.ws = g.shardOf(op.key), g.bucketOf(op.key), 0, writeScan{}
-	op.readLine()
-}
-
-// readLine reads the next line of the key's probe window into line, or
-// ends the walk.
-func (op *amOp) readLine() {
-	g := op.s.g
-	if op.probe >= probeWindow {
-		if op.id == hLookup {
-			op.finish(nil)
-			return
-		}
-		op.place()
-		return
-	}
-	op.idx = g.lineIdx(op.shard, (op.b0+op.probe)%g.buckets)
-	op.c.ReadLocalC(op.c.ChunkOffset(op.idx), op.line[:], op.do.lineRead)
-}
-
-func (op *amOp) lineRead() {
-	if binary.LittleEndian.Uint64(op.line[:8])&1 == 1 {
-		panic("kv: odd sequence under the shard lock")
-	}
-	if op.id == hLookup {
-		if slot, ok, stop := findKey(op.line[:], op.key); stop {
-			if !ok {
-				op.finish(nil)
-				return
-			}
-			op.finish(append([]byte(nil), op.line[16+16*slot:][:8]...))
-			return
-		}
-	} else if op.ws.add(op.line[:], op.key, op.idx) {
-		op.place()
-		return
-	}
-	op.probe++
-	op.readLine()
-}
-
-// place ends a put's scan: write the slot found, or fail a put that
-// found the window full.
-func (op *amOp) place() {
-	if !op.ws.found {
-		op.finish(failReply)
-		return
-	}
-	op.tgt = op.ws.tgt
-	// The seqlock write protocol: seq goes odd, the slot is written
-	// inside the window, seq goes even.
-	op.off = op.c.ChunkOffset(op.tgt.line)
-	op.c.ReadLocalC(op.off, op.w[:8], op.do.seqRead)
-}
-
-func (op *amOp) seqRead() {
-	op.seq = binary.LittleEndian.Uint64(op.w[:8])
-	binary.LittleEndian.PutUint64(op.w[:8], op.seq+1)
-	op.c.WriteLocalC(op.off, op.w[:8], op.do.seqOdd)
-}
-
-func (op *amOp) seqOdd() { op.c.SleepC(op.s.g.window, op.do.inWindow) }
-
-func (op *amOp) inWindow() {
-	slotOff := op.off + int64(8+16*op.tgt.slot)
-	binary.LittleEndian.PutUint64(op.w[0:8], op.key)
-	binary.LittleEndian.PutUint64(op.w[8:16], op.val)
-	op.c.WriteLocalC(slotOff, op.w[:16], op.do.slotWritten)
-}
-
-func (op *amOp) slotWritten() {
-	binary.LittleEndian.PutUint64(op.w[:8], op.seq+2)
-	op.c.WriteLocalC(op.off, op.w[:8], op.do.seqEven)
-}
-
-func (op *amOp) seqEven() { op.finish(okReply) }
 
 // splitmix64 is the table's key hash (thread-count-independent, so the
 // same key population is comparable across machine sizes).

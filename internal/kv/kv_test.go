@@ -1,10 +1,12 @@
 package kv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"xlupc/internal/core"
@@ -114,10 +116,11 @@ func TestCachedBeatsAMOnly(t *testing.T) {
 	}
 }
 
-// step is one entry of a thread's script: a table operation, or a
-// sleep or barrier that places it in time.
+// step is one entry of a thread's script: a table operation, a sleep
+// or barrier that places it in time, or a raw read of the bucket line
+// whose sequence word is element key.
 type step struct {
-	op       byte // 'g'et, 'p'ut, 's'leep, 'b'arrier
+	op       byte // 'g'et, 'p'ut, 's'leep, 'b'arrier, 'l'ine
 	key, arg uint64
 	d        sim.Duration
 }
@@ -130,8 +133,9 @@ type outcome struct {
 
 // scriptRun is everything a scripted run can be compared on.
 type scriptRun struct {
-	Out   [][]outcome // per thread, in script order
-	Table []Stats     // per thread
+	Out   [][]outcome           // per thread, in script order
+	Lines [][][bucketBytes]byte // per thread, what its 'l' steps read
+	Table []Stats               // per thread
 	Run   core.RunStats
 }
 
@@ -145,7 +149,7 @@ func runScript(t *testing.T, cps bool, cfg core.Config, o Options, preload int64
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
-	r := scriptRun{Out: make([][]outcome, cfg.Threads), Table: make([]Stats, cfg.Threads)}
+	r := scriptRun{Out: make([][]outcome, cfg.Threads), Lines: make([][][bucketBytes]byte, cfg.Threads), Table: make([]Stats, cfg.Threads)}
 	if !cps {
 		r.Run, err = rt.Run(func(th *core.Thread) {
 			id := th.ID()
@@ -166,6 +170,11 @@ func runScript(t *testing.T, cps bool, cfg core.Config, o Options, preload int64
 					continue
 				case 'b':
 					th.Barrier()
+					continue
+				case 'l':
+					var ln [bucketBytes]byte
+					th.GetBulk(ln[:], tb.a.At(int64(s.key)))
+					r.Lines[id] = append(r.Lines[id], ln)
 					continue
 				}
 				r.Out[id] = append(r.Out[id], outcome{v, ok})
@@ -204,6 +213,12 @@ func runScript(t *testing.T, cps bool, cfg core.Config, o Options, preload int64
 						th.SleepC(s.d, next)
 					case 'b':
 						th.BarrierC(next)
+					case 'l':
+						ln := new([bucketBytes]byte)
+						th.GetBulkC(ln[:], tb.a.At(int64(s.key)), func() {
+							r.Lines[id] = append(r.Lines[id], *ln)
+							next()
+						})
 					}
 				}
 				start := func(int64) {
@@ -234,6 +249,9 @@ func bothStyles(t *testing.T, cfg core.Config, o Options, preload int64, script 
 	cps := runScript(t, true, cfg, o, preload, script)
 	if !reflect.DeepEqual(blocking.Out, cps.Out) {
 		t.Errorf("returned values diverged:\n blocking %+v\n cps      %+v", blocking.Out, cps.Out)
+	}
+	if !reflect.DeepEqual(blocking.Lines, cps.Lines) {
+		t.Errorf("raw lines diverged:\n blocking %x\n cps      %x", blocking.Lines, cps.Lines)
 	}
 	if !reflect.DeepEqual(blocking.Table, cps.Table) {
 		t.Errorf("table stats diverged:\n blocking %+v\n cps      %+v", blocking.Table, cps.Table)
@@ -330,7 +348,11 @@ func TestTornReadRetry(t *testing.T) {
 
 // TestPutGet is the Put script: inserts, reads back, in-place updates,
 // and a probe window filled until a Put overflows — at the writer's own
-// shard (direct, under the lock) and at a remote one (by AM).
+// shard (direct, under the lock) and at a remote one (by AM). Then it
+// reads back the raw bucket lines the Puts wrote: the co-located writer
+// and the home node's put handler must leave the same bytes a single
+// sequential writer would — the slots it fills, and a sequence word of
+// two per write that landed on the line.
 func TestPutGet(t *testing.T) {
 	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 3}
 	// sameWindow lists n keys above 1000 that hash to one probe window of
@@ -347,27 +369,73 @@ func TestPutGet(t *testing.T) {
 		return keys
 	}
 	const window = probeWindow * slotsPerBucket
+	// model is what one sequential writer leaves on each line it writes:
+	// its (key, value) slots and the writes that landed on it.
+	type lineModel struct {
+		slots  [slotsPerBucket][2]uint64
+		writes uint64
+	}
+	var model map[int64]*lineModel
+	var written []int64        // the lines model holds, in first-write order
+	var windows [2][]int64     // the window lines filled on node 0 and on node 1
+	var fill [2]map[uint64]int // each window key's place in its fill order
+	put := func(tb *Table, k, v uint64) {
+		s, b := tb.g.shardOf(k), tb.g.bucketOf(k)
+		for p := int64(0); p < probeWindow; p++ {
+			idx := tb.g.lineIdx(s, (b+p)%tb.g.buckets)
+			m := model[idx]
+			if m == nil {
+				m = &lineModel{}
+			}
+			for i, kv := range m.slots {
+				if kv[0] == k || kv[0] == emptyKey {
+					if model[idx] == nil {
+						model[idx] = m
+						written = append(written, idx)
+					}
+					m.slots[i] = [2]uint64{k, v}
+					m.writes++
+					return
+				}
+			}
+		}
+	}
 	script := func(tb *Table, tid int) []step {
 		if tid != 0 {
 			return nil
 		}
+		model, written = map[int64]*lineModel{}, nil
 		var ss []step
+		p := func(k, v uint64) {
+			ss = append(ss, step{op: 'p', key: k, arg: v})
+			put(tb, k, v)
+		}
 		for k := uint64(1); k <= 32; k++ {
-			ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 9)})
+			p(k, encodeValue(k, 9))
 		}
 		for k := uint64(1); k <= 32; k++ {
 			ss = append(ss, step{op: 'g', key: k})
 		}
 		for k := uint64(1); k <= 32; k++ { // every key updates in place
-			ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 10)})
+			p(k, encodeValue(k, 10))
 		}
 		for k := uint64(1); k <= 32; k++ {
 			ss = append(ss, step{op: 'g', key: k})
 		}
 		for node := 0; node < 2; node++ {
-			for _, k := range sameWindow(tb, node, window+1) {
-				ss = append(ss, step{op: 'p', key: k, arg: encodeValue(k, 11)})
+			keys := sameWindow(tb, node, window+1)
+			fill[node], windows[node] = map[uint64]int{}, nil
+			for i, k := range keys {
+				p(k, encodeValue(k, 11))
+				fill[node][k] = i
 			}
+			s, b := tb.g.shardOf(keys[0]), tb.g.bucketOf(keys[0])
+			for i := int64(0); i < probeWindow; i++ {
+				windows[node] = append(windows[node], tb.g.lineIdx(s, (b+i)%tb.g.buckets))
+			}
+		}
+		for _, idx := range written {
+			ss = append(ss, step{op: 'l', key: uint64(idx)})
 		}
 		return ss
 	}
@@ -407,6 +475,80 @@ func TestPutGet(t *testing.T) {
 	}
 	if st := r.Table[0]; st.Overflows < 2 || st.LocalOps == 0 || st.RemoteOps == 0 {
 		t.Fatalf("stats %+v: want overflows at both nodes, and both local and remote ops", st)
+	}
+
+	// The raw lines, against the sequential writer.
+	lines := map[int64][bucketBytes]byte{}
+	for i, idx := range written {
+		lines[idx] = r.Lines[0][i]
+	}
+	word := func(ln [bucketBytes]byte, w int) uint64 { return binary.LittleEndian.Uint64(ln[8*w:]) }
+	for _, idx := range written {
+		ln, m := lines[idx], model[idx]
+		if seq := word(ln, 0); seq%2 != 0 || seq != 2*m.writes {
+			t.Errorf("line %d: sequence word %d after %d writes, want %d", idx, seq, m.writes, 2*m.writes)
+		}
+		for i, kv := range m.slots {
+			if k, v := word(ln, 1+2*i), word(ln, 2+2*i); k != kv[0] || v != kv[1] {
+				t.Errorf("line %d slot %d holds (%d, %#x), want (%d, %#x)", idx, i, k, v, kv[0], kv[1])
+			}
+		}
+	}
+	// The filled windows: one written by the co-located writer, one by
+	// the home node's handler, and the same slot layout on both.
+	layout := func(node int) (l [probeWindow][slotsPerBucket]int) {
+		for p, idx := range windows[node] {
+			for i := range l[p] {
+				k := word(lines[idx], 1+2*i)
+				pos, ok := fill[node][k]
+				if !ok {
+					pos = -1
+				}
+				l[p][i] = pos
+			}
+		}
+		return l
+	}
+	if l0, l1 := layout(0), layout(1); l0 != l1 {
+		t.Errorf("window slot layouts differ: co-located writer %v, home-node handler %v", l0, l1)
+	}
+}
+
+// TestEmptyKeyRejected: key 0 is the empty-slot sentinel, so a Get of
+// it on a preloaded table fails the way a Put does, naming the
+// sentinel, instead of matching the first free slot of its window and
+// reporting an absent key present.
+func TestEmptyKeyRejected(t *testing.T) {
+	const want = "collides with the empty-slot sentinel"
+	for _, tc := range []struct {
+		name string
+		call func(tb *Table, th *core.Thread)
+	}{
+		{"Put", func(tb *Table, th *core.Thread) { tb.PutC(th, emptyKey, 1, func(bool) {}) }},
+		{"Get", func(tb *Table, th *core.Thread) { tb.GetC(th, emptyKey, func(uint64, bool) {}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), want) {
+					t.Fatalf("recovered %v, want a panic mentioning %q", r, want)
+				}
+			}()
+			rt, err := core.NewRuntime(testConfig(core.DefaultCache()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.K.Shutdown()
+			_, _ = rt.RunCont(func(th *core.Thread, done func()) {
+				NewC(th, Options{NumKeys: testKeys}, func(tb *Table) {
+					PreloadC(th, tb, testKeys, func(int64) {
+						if th.ID() == 0 {
+							tc.call(tb, th)
+						}
+						done()
+					})
+				})
+			})
+		})
 	}
 }
 
