@@ -164,8 +164,7 @@ func BenchmarkAblationFullTable(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := dis.Params{}
-		st, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, p) })
+		st, _, err := dis.Run(rt, dis.Pointer, dis.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,8 +186,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := dis.Params{}
-		st, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, p) })
+		st, _, err := dis.Run(rt, dis.Pointer, dis.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}

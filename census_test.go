@@ -514,7 +514,7 @@ func (l *censusLoader) testReads(p *censusPkg, test, ident string) error {
 // coverageCeiling is the number of statements under internal/ that no
 // shipped invocation executes. It only goes down: the change that lowers
 // the count lowers it too.
-const coverageCeiling = 737
+const coverageCeiling = 735
 
 // coverageExceptions are the functions under internal/ of more than one
 // statement that no shipped invocation runs but that stay, each with the

@@ -60,7 +60,7 @@ func main() {
 
 		// Accumulate via remote fetch-and-add (no lock),
 		// then cross-check with an AllReduce.
-		t.AtomicAddU64(hitCounter.At(0), hits)
+		t.FetchAdd(hitCounter.At(0), hits)
 		total := t.AllReduceU64(hits, core.ReduceSum)
 		t.Barrier()
 

@@ -50,7 +50,7 @@ func IS(t *core.Thread) ISResult {
 		if b >= threads {
 			b = threads - 1
 		}
-		slot := t.AtomicAddU64(counters.At(b), 1)
+		slot := t.FetchAdd(counters.At(b), 1)
 		t.PutUint64(buckets.At(b*perBucket+int64(slot)), k)
 	}
 	t.Barrier()

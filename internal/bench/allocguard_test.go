@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/dis"
 	"xlupc/internal/kv"
 	"xlupc/internal/pool"
 	"xlupc/internal/sim"
@@ -528,5 +529,100 @@ func TestAllocGuardKVLoad(t *testing.T) {
 	t.Logf("kv load loop: %.3f allocs per op", per)
 	if per > 0.05 {
 		t.Errorf("kv load loop allocates %.3f per op (> 0.05): its steps regressed to per-op closures", per)
+	}
+}
+
+// disBodyC runs mark reps times back to back on every thread under
+// RunCont, each repetition a whole program over a fresh array.
+func disBodyC(mark dis.Func, reps int) core.ContBody {
+	return func(th *core.Thread, done func()) {
+		left := reps
+		var next func(uint64)
+		next = func(uint64) {
+			if left == 0 {
+				done()
+				return
+			}
+			left--
+			mark(th, dis.Params{}, next)
+		}
+		next(0)
+	}
+}
+
+// collectivesC is a mark with the collective operations of one and
+// nothing else: an allocation, then barriers barriers.
+func collectivesC(barriers int) dis.Func {
+	return func(th *core.Thread, _ dis.Params, done func(uint64)) {
+		left := barriers
+		var next func()
+		next = func() {
+			if left == 0 {
+				done(0)
+				return
+			}
+			left--
+			th.BarrierC(next)
+		}
+		th.AllAllocC("guard", 256*int64(th.Threads()), 8, 256, func(*core.SharedArray) { next() })
+	}
+}
+
+// TestAllocGuardDIS bounds what each DIS stressmark allocates of its
+// own, on two threads of two nodes. A repetition of a mark — a whole
+// program, run back to back on a fresh array — is measured marginally;
+// from it are taken what its collectives allocate (collectivesC with
+// the mark's barriers) and what TestAllocGuardGetPut and
+// TestAllocGuardAM allow its remote PUTs and GETs. What is left is the
+// mark's state record, its steps bound once and its buffers, less
+// collectivesC's closures: a constant per thread (it reads at most 4;
+// Update's is negative, as its PUTs take 0.05 less than they are
+// allowed). A step
+// that allocated per hop, sample or segment would add 96, 160, 18 or
+// ≈100 per thread.
+func TestAllocGuardDIS(t *testing.T) {
+	skipPoison(t)
+	cfgFn := guardCfg(nil)
+	// perRep returns the allocations, remote GETs and remote PUTs of one
+	// repetition of mark.
+	perRep := func(mark dis.Func) (allocs, gets, puts float64) {
+		run := func(reps int) (float64, core.RunStats) {
+			var st core.RunStats
+			a := testing.AllocsPerRun(3, func() {
+				rt, err := core.NewRuntime(cfgFn())
+				if err != nil {
+					panic(err)
+				}
+				if st, err = rt.RunCont(disBodyC(mark, reps)); err != nil {
+					panic(err)
+				}
+			})
+			return a, st
+		}
+		const k = 4
+		a1, s1 := run(k)
+		a2, s2 := run(2 * k)
+		return (a2 - a1) / k, float64(s2.Gets-s1.Gets) / k, float64(s2.Puts-s1.Puts) / k
+	}
+	const threads, bound = 2, 8
+	for _, c := range []struct {
+		mark     string
+		barriers int
+	}{
+		{"pointer", 2}, {"update", 2}, {"neighborhood", 2}, {"field", 1 + 2*6},
+	} {
+		fn, err := dis.ByName(c.mark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per, gets, puts := perRep(fn)
+		coll, _, _ := perRep(collectivesC(c.barriers))
+		ops := 4.05*puts + 0.05*gets
+		own := (per - coll - ops) / threads
+		t.Logf("%s: %.2f allocs per repetition, collectives %.2f, %.0f remote PUTs and %.0f GETs %.2f: %.2f per thread of its own",
+			c.mark, per, coll, puts, gets, ops, own)
+		if own > bound {
+			t.Errorf("%s allocates %.2f per thread of its own (> %d): a step allocates per access", c.mark, own, bound)
+		}
 	}
 }

@@ -125,14 +125,13 @@ func runMark(mark string, cfg core.Config, p dis.Params) (core.RunStats, uint64,
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	checks := make([]uint64, cfg.Threads)
-	st, err := rt.Run(func(t *core.Thread) { checks[t.ID()] = fn(t, p) })
+	st, check, err := dis.Run(rt, fn, p)
 	if err != nil {
 		// Run already auto-dumped the flight tail when a dump sink is
 		// configured; the panic carries the typed cause.
 		panic(fmt.Sprintf("bench: %s run failed: %v", mark, err))
 	}
-	return st, dis.Checksum(checks), rt
+	return st, check, rt
 }
 
 // runStressmark runs one stressmark once and returns the run stats.

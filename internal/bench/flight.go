@@ -41,7 +41,7 @@ func (s Sweep) FlightCapture(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := rt.Run(func(t *core.Thread) { dis.Pointer(t, dis.Params{}) }); err != nil {
+	if _, _, err := dis.Run(rt, dis.Pointer, dis.Params{}); err != nil {
 		// Even a failed capture run has a story to tell; dump it, then
 		// report the failure.
 		_ = rt.WriteFlightDump(w, err)

@@ -25,7 +25,7 @@ func (s Sweep) PhaseRun(mark string, prof *transport.Profile, sc Scale, cc core.
 	if err != nil {
 		return nil, core.RunStats{}, err
 	}
-	st, err := rt.Run(func(t *core.Thread) { fn(t, dis.Params{}) })
+	st, _, err := dis.Run(rt, fn, dis.Params{})
 	if err != nil {
 		return nil, core.RunStats{}, err
 	}

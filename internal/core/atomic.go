@@ -79,12 +79,6 @@ func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
 	t.fetchAdd(r, delta)
 }
 
-// AtomicAddU64 is the historical name of FetchAdd, kept for existing
-// programs.
-func (t *Thread) AtomicAddU64(r Ref, delta uint64) uint64 {
-	return t.FetchAdd(r, delta)
-}
-
 // fetchAdd is the remote-atomic ladder: local fast path, cache-hit
 // NIC descriptor, NACK healing, AM fallback — the one getRun climbs.
 // It leaves the element's previous value in t.old.

@@ -59,7 +59,7 @@ func ExampleThread_AllReduceU64() {
 }
 
 // Lock-free remote accumulation with fetch-and-add.
-func ExampleThread_AtomicAddU64() {
+func ExampleThread_FetchAdd() {
 	rt, err := core.NewRuntime(core.Config{
 		Threads: 6, Nodes: 3, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 1,
 	})
@@ -69,7 +69,7 @@ func ExampleThread_AtomicAddU64() {
 	if _, err := rt.Run(func(t *core.Thread) {
 		ctr := t.AllAlloc("counter", 1, 8, 1)
 		t.Barrier()
-		t.AtomicAddU64(ctr.At(0), 10)
+		t.FetchAdd(ctr.At(0), 10)
 		t.Barrier()
 		if t.ID() == 0 {
 			fmt.Println("counter:", t.GetUint64(ctr.At(0)))

@@ -554,7 +554,7 @@ func TestAtomicAddNoLostUpdates(t *testing.T) {
 				ctr := th.AllAlloc("ctr", 4, 8, 1) // counter on thread 0 + spares
 				th.Barrier()
 				for i := 0; i < per; i++ {
-					th.AtomicAddU64(ctr.At(0), 1)
+					th.FetchAdd(ctr.At(0), 1)
 				}
 				th.Barrier()
 				if got := th.GetUint64(ctr.At(0)); got != threads*per {
@@ -572,10 +572,10 @@ func TestAtomicAddReturnsOldValue(t *testing.T) {
 		th.Barrier()
 		if th.ID() == 0 {
 			// Element 1 is on thread/node 1: remote.
-			if old := th.AtomicAddU64(a.At(1), 10); old != 0 {
+			if old := th.FetchAdd(a.At(1), 10); old != 0 {
 				t.Errorf("first old = %d", old)
 			}
-			if old := th.AtomicAddU64(a.At(1), 5); old != 10 {
+			if old := th.FetchAdd(a.At(1), 5); old != 10 {
 				t.Errorf("second old = %d", old)
 			}
 			if got := th.GetUint64(a.At(1)); got != 15 {
@@ -590,7 +590,7 @@ func TestAtomicAddLocalFastPath(t *testing.T) {
 	st := mustRun(t, cfg(2, 1, transport.GM(), NoCache()), func(th *Thread) {
 		a := th.AllAlloc("a", 2, 8, 1)
 		th.Barrier()
-		th.AtomicAddU64(a.At(int64(th.ID())), 1) // both elements node-local
+		th.FetchAdd(a.At(int64(th.ID())), 1) // both elements node-local
 		th.Barrier()
 	})
 	if st.Messages != 0 {

@@ -326,6 +326,12 @@ func (t *Thread) Compute(d sim.Duration) {
 	t.p.Await()
 }
 
+// ComputeC is Compute in continuation-passing style.
+func (t *Thread) ComputeC(d sim.Duration, then func()) {
+	t.c.Park(sim.Func(then), 0)
+	t.compute(d)
+}
+
 func (t *Thread) compute(d sim.Duration) {
 	if d <= 0 {
 		t.c.Resume()
@@ -425,16 +431,6 @@ func (t *Thread) Get(r Ref) []byte {
 	dst := make([]byte, r.A.l.ElemSize)
 	t.GetBulk(dst, r)
 	return dst
-}
-
-// Put writes one element's bytes at r. PUTs complete asynchronously;
-// Fence or Barrier waits for them.
-func (t *Thread) Put(r Ref, data []byte) {
-	if len(data) != r.A.l.ElemSize {
-		panic(fmt.Sprintf("core: Put of %d bytes into %s with element size %d",
-			len(data), r.A.name, r.A.l.ElemSize))
-	}
-	t.PutBulk(r, data)
 }
 
 // GetUint64 reads element r of an 8-byte-element array. It stages

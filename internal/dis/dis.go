@@ -8,7 +8,7 @@
 // sizes are constants of the package; Params carries only the salt
 // that replicates a run.
 //
-// Every stressmark returns a checksum that must be identical with the
+// Every stressmark produces a checksum that must be identical with the
 // cache on and off: the optimization may only change timing.
 package dis
 
@@ -81,9 +81,11 @@ type Params struct {
 	Salt uint64
 }
 
-// Func is a stressmark body: run under core.Runtime.Run on every
-// thread, returning the thread's checksum contribution.
-type Func func(t *core.Thread, p Params) uint64
+// Func is a stressmark: started on a thread under core.Runtime.RunCont,
+// it runs the thread's program as a continuation state machine — its
+// state in one record, its steps bound once, so an access builds no
+// closure — and passes done the thread's checksum contribution.
+type Func func(t *core.Thread, p Params, done func(check uint64))
 
 // Suite enumerates the implemented stressmarks in the paper's order.
 func Suite() []struct {
@@ -111,8 +113,21 @@ func ByName(name string) (Func, error) {
 	return nil, fmt.Errorf("dis: unknown stressmark %q", name)
 }
 
+// Run runs mark on every thread of rt under Runtime.RunCont and
+// returns the run's statistics and its checksum.
+func Run(rt *core.Runtime, mark Func, p Params) (core.RunStats, uint64, error) {
+	checks := make([]uint64, rt.Config().Threads)
+	st, err := rt.RunCont(func(t *core.Thread, done func()) {
+		mark(t, p, func(c uint64) {
+			checks[t.ID()] = c
+			done()
+		})
+	})
+	return st, Checksum(checks), err
+}
+
 // Checksum combines per-thread checksum contributions (slot i holding
-// thread i's return value) into the run's self-verification value.
+// thread i's) into the run's self-verification value.
 // The combination is position-sensitive but timing-independent: two
 // runs of the same workload must agree regardless of caching, transport
 // or injected faults.
@@ -123,6 +138,25 @@ func Checksum(checks []uint64) uint64 {
 	}
 	return sum
 }
+
+// mark is the state every stressmark's thread starts with: the thread,
+// the parameters, the shared array, the checksum contribution it
+// accumulates, and where that goes when the program ends.
+type mark struct {
+	t      *core.Thread
+	p      Params
+	a      *core.SharedArray
+	sum    uint64
+	done   func(uint64)
+	finish func() // bound end
+}
+
+func (m *mark) init(t *core.Thread, p Params, done func(uint64)) {
+	m.t, m.p, m.done = t, p, done
+	m.finish = m.end
+}
+
+func (m *mark) end() { m.done(m.sum) }
 
 // hash derives the workload hash for a parameter set (splitmix64 over
 // the salted input).

@@ -17,17 +17,9 @@ func runOne(t *testing.T, fn Func, threads, nodes int, prof *transport.Profile, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{}
-	checks := make([]uint64, threads)
-	st, err := rt.Run(func(th *core.Thread) {
-		checks[th.ID()] = fn(th, p)
-	})
+	st, sum, err := Run(rt, fn, Params{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var sum uint64
-	for i, c := range checks {
-		sum ^= c + uint64(i)*0x9E37
 	}
 	return st.Elapsed, sum
 }
@@ -125,8 +117,7 @@ func TestCacheWorkingSetContrast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Params{}
-		st, err := rt.Run(func(th *core.Thread) { fn(th, p) })
+		st, _, err := Run(rt, fn, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,79 +24,138 @@ import (
 // "abnormally large remote access times at the overhangs" the paper's
 // Paraver traces exposed; cached RDMA bypasses the CPU and the waits
 // vanish.
-func Field(t *core.Thread, p Params) uint64 {
+//
+//	my block B = h(...);  upc_barrier
+//	for (round = 0; round < fieldTokens; round++) {
+//		snapshot B
+//		repeat fieldSegments times: compute(segment);  sample successor node's block
+//		read the overhang;  find the round's token in B + overhang
+//		upc_barrier;  A[match] = 'Z' for each match;  upc_barrier
+//	}
+func Field(t *core.Thread, p Params, done func(uint64)) {
 	const blk = fieldBlock
-	n := blk * int64(t.Threads())
-	a := t.AllAlloc("field", n, 1, blk)
+	m := &field{}
+	m.init(t, p, done)
+	m.do.allocated, m.do.filled, m.do.round, m.do.snapped, m.do.scanned, m.do.sampled, m.do.overhung, m.do.write, m.do.next =
+		m.allocated, m.filled, m.round, m.snapped, m.scanned, m.sampled, m.overhung, m.write, m.next
+	m.n = blk * int64(t.Threads())
+	m.lo = int64(t.ID()) * blk
+	m.succ = (m.lo + blk) % m.n // start of the successor's block
+	// Statistics sample sets are drawn from the same block slot on the
+	// next node: always off-node, like the distributed sample sets of
+	// the original benchmark's large data quantities.
+	m.sampleBase = ((int64(t.ID()) + int64(t.ThreadsPerNode())) % int64(t.Threads())) * blk
+	t.AllAllocC("field", m.n, 1, blk, m.do.allocated)
+}
 
+type field struct {
+	mark
+	n, lo, succ, sampleBase  int64
+	local, edge, tok, sample []byte
+	matches                  []int64
+	rnd, seg, mi             int
+	segTime                  sim.Duration
+	do                       struct {
+		allocated                                                       func(*core.SharedArray)
+		filled, round, snapped, scanned, sampled, overhung, write, next func()
+	}
+}
+
+// allocated fills the thread's block: owners write hash-derived
+// "words" over a small alphabet so tokens genuinely occur.
+func (m *field) allocated(a *core.SharedArray) {
+	m.a = a
 	// One block-sized buffer per thread is the init image and every
 	// round's snapshot. It is exactly the block (64 KB is a whole number
 	// of pages; seven bytes more would cost every thread a ninth page):
 	// the overhang lands in edge, behind a copy of the block's tail, and
 	// appendMatches looks there for the one match that can straddle the
 	// boundary.
-	const tokLen = fieldTokenLen
-	local := make([]byte, blk)
-	edge := make([]byte, 2*(tokLen-1))
-
-	// Owners fill their block with hash-derived "words" over a small
-	// alphabet so tokens genuinely occur.
-	lo := int64(t.ID()) * blk
-	for i := range local {
-		local[i] = byte('a' + p.hash(uint64(lo)+uint64(i))%4)
+	m.local = make([]byte, fieldBlock)
+	m.edge = make([]byte, 2*(fieldTokenLen-1))
+	m.tok = make([]byte, fieldTokenLen)
+	m.sample = make([]byte, fieldSampleBytes)
+	for i := range m.local {
+		m.local[i] = byte('a' + m.p.hash(uint64(m.lo)+uint64(i))%4)
 	}
-	t.PutBulk(a.At(lo), local)
-	t.Barrier()
+	m.t.PutBulkC(a.At(m.lo), m.local, m.do.filled)
+}
 
-	var found uint64
-	succ := (lo + blk) % n // start of the successor's block
-	// Statistics sample sets are drawn from the same block slot on the
-	// next node: always off-node, like the distributed sample sets of
-	// the original benchmark's large data quantities.
-	sampleBase := ((int64(t.ID()) + int64(t.ThreadsPerNode())) % int64(t.Threads())) * blk
-	tok := make([]byte, tokLen)
-	sample := make([]byte, fieldSampleBytes)
-	var matches []int64
-	for round := 0; round < fieldTokens; round++ {
-		// The token for this round (same on every thread).
-		for i := range tok {
-			tok[i] = byte('a' + p.hash(uint64(round)*31+uint64(i))%4)
-		}
+func (m *field) filled() { m.t.BarrierC(m.do.round) }
 
-		// Snapshot the local block through shared memory.
-		t.GetBulk(local, a.At(lo))
+// round starts round m.rnd: the round's token (the same on every
+// thread), then a snapshot of the local block through shared memory.
+func (m *field) round() {
+	if m.rnd == fieldTokens {
+		m.end()
+		return
+	}
+	for i := range m.tok {
+		m.tok[i] = byte('a' + m.p.hash(uint64(m.rnd)*31+uint64(i))%4)
+	}
+	m.t.GetBulkC(m.local, m.a.At(m.lo), m.do.snapped)
+}
 
-		// Segmented scan with interleaved remote statistics samples.
-		// The per-byte cost is data dependent (matches trigger extra
-		// work), desynchronizing the threads.
-		jitter := 700 + int64(p.hash(uint64(round)*1009+uint64(t.ID()))%601) // 0.7x..1.3x
-		segTime := sim.Time(blk) * fieldScanPerByte * sim.Time(jitter) / 1000 /
-			sim.Time(fieldSegments)
-		for seg := 0; seg < fieldSegments; seg++ {
-			t.Compute(segTime)
-			off := (int64(seg)*2311 + int64(round)*977) % (blk - int64(fieldSampleBytes))
-			t.GetBulk(sample, a.At(sampleBase+off)) // next node's slot: remote
-			for _, b := range sample {
-				found += uint64(b) & 1
-			}
-		}
+// snapped starts the segmented scan with interleaved remote statistics
+// samples. The per-byte cost is data dependent (matches trigger extra
+// work), desynchronizing the threads.
+func (m *field) snapped() {
+	jitter := 700 + int64(m.p.hash(uint64(m.rnd)*1009+uint64(m.t.ID()))%601) // 0.7x..1.3x
+	m.segTime = sim.Time(fieldBlock) * fieldScanPerByte * sim.Time(jitter) / 1000 /
+		sim.Time(fieldSegments)
+	m.seg = 0
+	m.segment()
+}
 
+// segment scans segment m.seg, or reads the overhang once all are done.
+func (m *field) segment() {
+	if m.seg == fieldSegments {
 		// Overhang: extend the search across the block boundary.
-		t.GetBulk(edge[tokLen-1:], a.At(succ)) // wraps: last thread samples thread 0
-
-		matches = appendMatches(matches[:0], local, edge, tok, lo, n)
-		found += uint64(len(matches))
-		// All threads scanned the same snapshot; synchronize, then
-		// update the delimiter byte of every match ('Z' writes are
-		// idempotent, so overhang duplicates are harmless and the
-		// result is independent of timing and of the cache).
-		t.Barrier()
-		for _, pos := range matches {
-			t.Put(a.At(pos), fieldDelim)
-		}
-		t.Barrier() // the outer loop is sequential across rounds
+		m.t.GetBulkC(m.edge[fieldTokenLen-1:], m.a.At(m.succ), m.do.overhung) // wraps: last thread samples thread 0
+		return
 	}
-	return found
+	m.t.ComputeC(m.segTime, m.do.scanned)
+}
+
+func (m *field) scanned() {
+	off := (int64(m.seg)*2311 + int64(m.rnd)*977) % (fieldBlock - int64(fieldSampleBytes))
+	m.t.GetBulkC(m.sample, m.a.At(m.sampleBase+off), m.do.sampled) // next node's slot: remote
+}
+
+func (m *field) sampled() {
+	for _, b := range m.sample {
+		m.sum += uint64(b) & 1
+	}
+	m.seg++
+	m.segment()
+}
+
+// overhung searches the snapshot and the overhang. All threads scanned
+// the same snapshot; synchronize, then update the delimiter byte of
+// every match ('Z' writes are idempotent, so overhang duplicates are
+// harmless and the result is independent of timing and of the cache).
+func (m *field) overhung() {
+	m.matches = appendMatches(m.matches[:0], m.local, m.edge, m.tok, m.lo, m.n)
+	m.sum += uint64(len(m.matches))
+	m.mi = 0
+	m.t.BarrierC(m.do.write)
+}
+
+// write writes the next match's delimiter; after the last, the outer
+// loop is sequential across rounds.
+func (m *field) write() {
+	if m.mi == len(m.matches) {
+		m.t.BarrierC(m.do.next)
+		return
+	}
+	pos := m.matches[m.mi]
+	m.mi++
+	m.t.PutBulkC(m.a.At(pos), fieldDelim, m.do.write)
+}
+
+func (m *field) next() {
+	m.rnd++
+	m.round()
 }
 
 // appendMatches searches a thread's block snapshot (local, starting at

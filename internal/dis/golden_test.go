@@ -36,14 +36,12 @@ func runGolden(t *testing.T, mark string, cfg core.Config) goldenRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{}
-	checks := make([]uint64, cfg.Threads)
-	st, err := rt.Run(func(th *core.Thread) { checks[th.ID()] = fn(th, p) })
+	st, check, err := Run(rt, fn, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return goldenRow{
-		Checksum:     fmt.Sprintf("%016x", Checksum(checks)),
+		Checksum:     fmt.Sprintf("%016x", check),
 		ElapsedPs:    int64(st.Elapsed),
 		KernelEvents: st.KernelEvents,
 		Messages:     st.Messages,

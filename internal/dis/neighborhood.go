@@ -15,44 +15,94 @@ import (
 // potentially remote at every machine size, and each thread only ever
 // talks to its band neighbours — the well-behaved pattern whose cache
 // working set stays tiny (§4.5, Figure 8b).
-func Neighborhood(t *core.Thread, p Params) uint64 {
+//
+//	for each row i of my band: P[i][*] = h(i, *);  upc_barrier
+//	for (s = 0; s < neighborhoodSamples; s++) {
+//		(r, c) = sample s of my band
+//		a = P[r][c];  b = P[r+Dist][c];  d = P[r][c+Dist]
+//		compute(hopCompute);  sum += 3a + 5b + 7d
+//	}
+//	upc_barrier
+func Neighborhood(t *core.Thread, p Params, done func(uint64)) {
+	m := &neighborhood{}
+	m.init(t, p, done)
+	m.do.allocated, m.do.fill, m.do.sample, m.do.read, m.do.computed =
+		m.allocated, m.fill, m.sample, m.read, m.computed
+	const band = neighborhoodRowsPer * neighborhoodCols
+	t.AllAllocC("pixels", band*int64(t.Threads()), 1, band, m.do.allocated)
+}
+
+type neighborhood struct {
+	mark
+	i, hi int64    // fill: the next row's first pixel, and the band's end
+	row   []byte   // fill: the row being written
+	s     int      // the sample
+	k     int      // the sample's pixel being read
+	at    [3]int64 // the sample's pixels: itself and its two partners
+	px    [3]byte  // the sample pixel and its two partners
+	do    struct {
+		allocated                    func(*core.SharedArray)
+		fill, sample, read, computed func()
+	}
+}
+
+func (m *neighborhood) allocated(a *core.SharedArray) {
+	m.a, m.row = a, make([]byte, neighborhoodCols)
+	m.i = int64(m.t.ID()) * neighborhoodRowsPer * neighborhoodCols
+	m.hi = m.i + neighborhoodRowsPer*neighborhoodCols
+	m.fill()
+}
+
+// fill writes the band's next row, then enters the barrier.
+func (m *neighborhood) fill() {
+	if m.i == m.hi {
+		m.t.BarrierC(m.do.sample)
+		return
+	}
+	i := m.i
+	for c := range m.row {
+		m.row[c] = byte(m.p.hash(uint64(i) + uint64(c)))
+	}
+	m.i += neighborhoodCols
+	m.t.PutBulkC(m.a.At(i), m.row, m.do.fill)
+}
+
+// sample picks sample pixel m.s across the band and the pair at
+// stencil distance below and to the right of it, or ends the program.
+// The vertical partner is remote for the bottom Dist rows of the band.
+func (m *neighborhood) sample() {
+	if m.s == neighborhoodSamples {
+		m.t.BarrierC(m.finish)
+		return
+	}
 	const rowsPer, cols = neighborhoodRowsPer, neighborhoodCols
-	rows := rowsPer * int64(t.Threads())
-	n := rows * cols
-	a := t.AllAlloc("pixels", n, 1, rowsPer*cols)
-
-	// Owners fill their band.
-	lo := int64(t.ID()) * rowsPer * cols
-	hi := lo + rowsPer*cols
-	row := make([]byte, cols)
-	for i := lo; i < hi; i += cols {
-		for c := range row {
-			row[c] = byte(p.hash(uint64(i) + uint64(c)))
-		}
-		t.PutBulk(a.At(i), row)
+	rows := rowsPer * int64(m.t.Threads())
+	s := int64(m.s)
+	r := int64(m.t.ID())*rowsPer + (s*131)%rowsPer
+	c := (s*197 + int64(m.t.ID())*13) % cols
+	r2 := r + neighborhoodDist
+	c2 := (c + neighborhoodDist) % cols
+	if r2 >= rows {
+		r2 -= rows // wrap the bottom band to thread 0
 	}
-	t.Barrier()
+	m.at = [3]int64{r*cols + c, r2*cols + c, r*cols + c2} // vertical partner: possibly remote
+	m.k = 0
+	m.read()
+}
 
-	// Sample pixels across the band; for each, read the pair at
-	// stencil distance below and to the right. The vertical partner
-	// is remote for the bottom `Dist` rows of the band.
-	var sum uint64
-	var px [3]byte // the sample pixel and its two partners
-	myTopRow := int64(t.ID()) * rowsPer
-	for s := 0; s < neighborhoodSamples; s++ {
-		r := myTopRow + (int64(s)*131)%rowsPer
-		c := (int64(s)*197 + int64(t.ID())*13) % cols
-		r2 := r + neighborhoodDist
-		c2 := (c + neighborhoodDist) % cols
-		if r2 >= rows {
-			r2 -= rows // wrap the bottom band to thread 0
-		}
-		t.GetBulk(px[0:1], a.At(r*cols+c))
-		t.GetBulk(px[1:2], a.At(r2*cols+c)) // vertical partner: possibly remote
-		t.GetBulk(px[2:3], a.At(r*cols+c2)) // horizontal partner: local band
-		t.Compute(hopCompute)
-		sum += uint64(px[0])*3 + uint64(px[1])*5 + uint64(px[2])*7
+// read reads the sample's pixel m.k.
+func (m *neighborhood) read() {
+	if m.k == len(m.at) {
+		m.t.ComputeC(hopCompute, m.do.computed)
+		return
 	}
-	t.Barrier()
-	return sum
+	k := m.k
+	m.k++
+	m.t.GetBulkC(m.px[k:k+1], m.a.At(m.at[k]), m.do.read)
+}
+
+func (m *neighborhood) computed() {
+	m.sum += uint64(m.px[0])*3 + uint64(m.px[1])*5 + uint64(m.px[2])*7
+	m.s++
+	m.sample()
 }

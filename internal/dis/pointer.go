@@ -9,35 +9,93 @@ import (
 // byteOrder matches the runtime's shared-array element encoding.
 var byteOrder = binary.LittleEndian
 
+// successors is the initialisation Pointer and Update share: the
+// thread writes A[i] = h(i ^ key) mod n into every element with
+// affinity to it (upc_forall), enters the barrier, and runs then.
+type successors struct {
+	*mark
+	key  uint64
+	i    int64 // the next owned index
+	then func()
+	put  func() // bound step
+}
+
+func (f *successors) start(m *mark, key uint64, then func()) {
+	f.mark, f.key, f.then, f.put = m, key, then, f.step
+	f.i = m.a.Layout().NextOwned(m.t.ID(), 0)
+	f.step()
+}
+
+func (f *successors) step() {
+	l := f.a.Layout()
+	if f.i >= l.NumElems {
+		f.t.BarrierC(f.then)
+		return
+	}
+	i := f.i
+	f.i = l.NextOwned(f.t.ID(), i+1)
+	f.t.PutUint64C(f.a.At(i), f.p.hash(uint64(i)^f.key)%uint64(l.NumElems), f.put)
+}
+
 // Pointer is the Pointer Stressmark: each UPC thread repeatedly
 // follows pointers (hops) to randomized locations in a shared array,
 // starting from a thread-specific position. Hops land uniformly across
 // the whole array, so across nodes — the paper's example of the rare
 // application class whose address-cache working set grows with the
 // machine (§4.5, Figure 8a).
-func Pointer(t *core.Thread, p Params) uint64 {
-	n := int64(t.Threads()) * pointerPerThread
+//
+//	upc_forall (i; &A[i]) A[i] = h(i) % n;  upc_barrier
+//	pos = h(MYTHREAD)
+//	for (hop = 0; hop < pointerHops; hop++) {
+//		next = A[pos];  compute(hopCompute)
+//		check ^= next + hop;  pos = next
+//	}
+//	upc_barrier
+func Pointer(t *core.Thread, p Params, done func(uint64)) {
+	m := &pointer{}
+	m.init(t, p, done)
+	m.do.allocated, m.do.chase, m.do.got, m.do.hopped = m.allocated, m.chase, m.got, m.hopped
 	// Blocked distribution: one contiguous block per thread.
-	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
-	a := t.AllAlloc("pointer", n, 8, blk)
+	t.AllAllocC("pointer", int64(t.Threads())*pointerPerThread, 8, pointerPerThread, m.do.allocated)
+}
 
-	// Owners initialize their blocks with a hash-derived successor
-	// permutation-ish field: A[i] = h(i) mod n.
-	t.ForAll(a, func(i int64) {
-		t.PutUint64(a.At(i), p.hash(uint64(i)^0xF00D)%uint64(n))
-	})
-	t.Barrier()
-
-	pos := int64(p.hash(uint64(t.ID())^0xBEEF) % uint64(n))
-	var check uint64
-	for h := 0; h < pointerHops; h++ {
-		next := t.GetUint64(a.At(pos))
-		t.Compute(hopCompute)
-		check ^= next + uint64(h)
-		pos = int64(next)
+type pointer struct {
+	mark
+	fill successors
+	pos  int64
+	hop  int
+	next uint64
+	do   struct {
+		allocated     func(*core.SharedArray)
+		got           func(uint64)
+		chase, hopped func()
 	}
-	t.Barrier()
-	return check
+}
+
+func (m *pointer) allocated(a *core.SharedArray) {
+	m.a = a
+	m.fill.start(&m.mark, 0xF00D, m.do.chase)
+}
+
+func (m *pointer) chase() {
+	m.pos = int64(m.p.hash(uint64(m.t.ID())^0xBEEF) % uint64(m.a.Layout().NumElems))
+	m.t.GetUint64C(m.a.At(m.pos), m.do.got)
+}
+
+func (m *pointer) got(next uint64) {
+	m.next = next
+	m.t.ComputeC(hopCompute, m.do.hopped)
+}
+
+func (m *pointer) hopped() {
+	m.sum ^= m.next + uint64(m.hop)
+	m.pos = int64(m.next)
+	m.hop++
+	if m.hop == pointerHops {
+		m.t.BarrierC(m.finish)
+		return
+	}
+	m.t.GetUint64C(m.a.At(m.pos), m.do.got)
 }
 
 // Update is the Update Stressmark: a pointer-hopping benchmark where
@@ -45,38 +103,91 @@ func Pointer(t *core.Thread, p Params) uint64 {
 // performed by UPC thread 0 while the other threads idle in a barrier —
 // designed to measure the overhead of remote accesses to multiple
 // threads' memory.
-func Update(t *core.Thread, p Params) uint64 {
-	n := int64(t.Threads()) * updatePerThread
-	blk := (n + int64(t.Threads()) - 1) / int64(t.Threads())
-	a := t.AllAlloc("update", n, 8, blk)
-
-	t.ForAll(a, func(i int64) {
-		t.PutUint64(a.At(i), p.hash(uint64(i)^0xCAFE)%uint64(n))
-	})
-	t.Barrier()
-
-	var check uint64
-	if t.ID() == 0 {
-		pos := int64(p.hash(0x5EED) % uint64(n))
-		hops := updateHopsBase + updateHopsPerThread*t.Threads()
-		for h := 0; h < hops; h++ {
-			var next uint64
-			for r := 0; r < updateReads; r++ {
-				at := (pos + int64(r)*97) % n
-				v := t.GetUint64(a.At(at))
-				if r == 0 {
-					next = v
-				}
-				check ^= v + uint64(r)
-			}
-			t.Compute(updateHopCompute)
-			// Update one location, preserving the successor structure
-			// so reruns (and cache-on/off runs) traverse identically.
-			t.PutUint64(a.At(pos), next)
-			pos = int64(next)
-		}
-		t.Fence()
-	}
-	t.Barrier()
-	return check
+//
+//	upc_forall (i; &A[i]) A[i] = h(i) % n;  upc_barrier
+//	if (MYTHREAD == 0) {
+//		pos = h(seed)
+//		for (hop = 0; hop < hops; hop++) {
+//			for (r = 0; r < updateReads; r++) {
+//				v = A[(pos + 97r) % n];  check ^= v + r
+//				if (r == 0) next = v
+//			}
+//			compute(updateHopCompute)
+//			A[pos] = next;  pos = next
+//		}
+//		upc_fence
+//	}
+//	upc_barrier
+func Update(t *core.Thread, p Params, done func(uint64)) {
+	m := &update{}
+	m.init(t, p, done)
+	m.do.allocated, m.do.walk, m.do.got, m.do.computed, m.do.wrote, m.do.fenced =
+		m.allocated, m.walk, m.got, m.computed, m.wrote, m.fenced
+	t.AllAllocC("update", int64(t.Threads())*updatePerThread, 8, updatePerThread, m.do.allocated)
 }
+
+type update struct {
+	mark
+	fill         successors
+	n, pos       int64
+	hops, hop, r int
+	next         uint64
+	do           struct {
+		allocated                     func(*core.SharedArray)
+		got                           func(uint64)
+		walk, computed, wrote, fenced func()
+	}
+}
+
+func (m *update) allocated(a *core.SharedArray) {
+	m.a, m.n = a, a.Layout().NumElems
+	m.fill.start(&m.mark, 0xCAFE, m.do.walk)
+}
+
+func (m *update) walk() {
+	if m.t.ID() != 0 {
+		m.t.BarrierC(m.finish)
+		return
+	}
+	m.pos = int64(m.p.hash(0x5EED) % uint64(m.n))
+	m.hops = updateHopsBase + updateHopsPerThread*m.t.Threads()
+	m.step()
+}
+
+// step starts hop m.hop, or ends the walk.
+func (m *update) step() {
+	if m.hop == m.hops {
+		m.t.FenceC(m.do.fenced)
+		return
+	}
+	m.r = 0
+	m.read()
+}
+
+// read reads the hop's location r.
+func (m *update) read() { m.t.GetUint64C(m.a.At((m.pos+int64(m.r)*97)%m.n), m.do.got) }
+
+func (m *update) got(v uint64) {
+	if m.r == 0 {
+		m.next = v
+	}
+	m.sum ^= v + uint64(m.r)
+	m.r++
+	if m.r < updateReads {
+		m.read()
+		return
+	}
+	m.t.ComputeC(updateHopCompute, m.do.computed)
+}
+
+// computed updates one location, preserving the successor structure so
+// reruns (and cache-on/off runs) traverse identically.
+func (m *update) computed() { m.t.PutUint64C(m.a.At(m.pos), m.next, m.do.wrote) }
+
+func (m *update) wrote() {
+	m.pos = int64(m.next)
+	m.hop++
+	m.step()
+}
+
+func (m *update) fenced() { m.t.BarrierC(m.finish) }

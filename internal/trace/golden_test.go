@@ -49,8 +49,7 @@ func statesOf(t *testing.T, mark string, cfg core.Config) *trace.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := dis.Params{}
-	if _, err := rt.Run(func(th *core.Thread) { fn(th, p) }); err != nil {
+	if _, _, err := dis.Run(rt, fn, dis.Params{}); err != nil {
 		t.Fatal(err)
 	}
 	return trace.FromSpans(tel)
