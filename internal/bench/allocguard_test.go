@@ -107,6 +107,60 @@ func TestAllocGuardGetPut(t *testing.T) {
 	}
 }
 
+// bulkPutBody has thread 0 write size bytes into node 1's block ops
+// times, one fenced PutBulk each, after one PUT that warms the address
+// cache when there is one.
+func bulkPutBody(size int) func(th *core.Thread, ops int) {
+	return func(th *core.Thread, ops int) {
+		a := th.AllAlloc("guard", 2*int64(size), 1, int64(size))
+		th.Barrier()
+		if th.ID() == 0 {
+			src := make([]byte, size)
+			r := a.At(int64(size)) // node 1's block
+			for i := 0; i <= ops; i++ {
+				th.PutBulk(r, src)
+				th.Fence()
+			}
+		}
+		th.Barrier()
+	}
+}
+
+// TestAllocGuardBulkPut bounds a bulk PUT by the 8-byte one: a cached
+// 64 KiB RDMA PUT and an uncached 1 MiB rendezvous PUT each travel in a
+// bounce buffer, which pool.Bytes recycles up to 4 MiB, so neither
+// allocates more bytes per operation than the 8-byte cached PUT row
+// (pool growth aside), and the cached one no more allocations either.
+// The rendezvous PUT's own round trip adds two allocations, its
+// request-to-send's completion waiter and boxed answer. The tree whose
+// largest class was 4 KiB read one allocation more on both rows, and
+// the whole payload in bytes.
+func TestAllocGuardBulkPut(t *testing.T) {
+	skipPoison(t)
+	cached := guardCfg(nil)
+	uncached := guardCfg(func(c *core.Config) { c.Cache = core.NoCache() })
+	small, smallBytes := marginal(t, 64, cached, bulkPutBody(8)), marginalBytes(64, cached, bulkPutBody(8))
+	t.Logf("8-byte cached RDMA PUT: %.2f allocs, %.1f bytes", small, smallBytes)
+	for _, c := range []struct {
+		name  string
+		cfg   func() core.Config
+		size  int
+		round float64 // allocations of its own beyond the 8-byte row's
+	}{
+		{"64 KiB cached RDMA PUT", cached, 64 << 10, 0},
+		{"1 MiB uncached rendezvous PUT", uncached, 1 << 20, 2},
+	} {
+		per, bytes := marginal(t, 64, c.cfg, bulkPutBody(c.size)), marginalBytes(64, c.cfg, bulkPutBody(c.size))
+		t.Logf("%s: %.2f allocs, %.1f bytes", c.name, per, bytes)
+		if per > small+c.round+0.05 {
+			t.Errorf("%s allocates %.2f (> %.2f): its bounce buffer is not recycled", c.name, per, small+c.round)
+		}
+		if bytes > smallBytes+64 {
+			t.Errorf("%s allocates %.1f bytes (> the 8-byte PUT's %.1f + 64): its bounce buffer is not recycled", c.name, bytes, smallBytes)
+		}
+	}
+}
+
 // TestAllocGuardReliable bounds the reliable-layer send/ack path: the
 // same fast path over a Rel-enabled (lossless) wire, so every packet
 // takes the sequence/ack/retransmit-arming code.

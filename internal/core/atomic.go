@@ -85,9 +85,9 @@ func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
 func (t *Thread) fetchAdd(r Ref, delta uint64) {
 	checkAtomic(r)
 	a := r.A
-	rn := a.l.NodeOf(r.Idx)
+	rn, off := a.l.Locate(r.Idx)
 	op := transport.AtomicFetchAdd
-	t.a, t.off, t.aop, t.a1 = a, a.l.ChunkOffset(r.Idx), op, delta
+	t.a, t.off, t.aop, t.a1 = a, off, op, delta
 
 	if rn == t.ns.id {
 		// Home-node fast path: shared memory, no network.
@@ -194,8 +194,8 @@ func (t *Thread) nbAccumulate(r Ref, delta uint64) {
 
 	checkAtomic(r)
 	a := r.A
-	rn := a.l.NodeOf(r.Idx)
-	t.a, t.off, t.aop, t.a1 = a, a.l.ChunkOffset(r.Idx), transport.AtomicAccumulate, delta
+	rn, off := a.l.Locate(r.Idx)
+	t.a, t.off, t.aop, t.a1 = a, off, transport.AtomicAccumulate, delta
 	if rn == t.ns.id {
 		t.localAtomic()
 		return

@@ -335,8 +335,8 @@ func (t *Thread) lookup() {
 // getRun reads len(dst) bytes at element idx, which the caller
 // guarantees is a single-affinity contiguous run.
 func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
-	rn := a.l.NodeOf(idx)
-	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), dst, t.Now()
+	rn, off := a.l.Locate(idx)
+	t.a, t.off, t.buf, t.start = a, off, dst, t.Now()
 
 	if rn == t.ns.id {
 		// Intra-node: shared memory, no network.
@@ -545,8 +545,8 @@ func (t *Thread) rtsDone() {
 // putRun writes src at element idx (a single-affinity contiguous run).
 // Remote PUTs are asynchronous: they complete under the thread's fence.
 func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
-	rn := a.l.NodeOf(idx)
-	t.a, t.off, t.buf, t.start = a, a.l.ChunkOffset(idx), src, t.Now()
+	rn, off := a.l.Locate(idx)
+	t.a, t.off, t.buf, t.start = a, off, src, t.Now()
 
 	if rn == t.ns.id {
 		t.localPut()

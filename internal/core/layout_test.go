@@ -156,34 +156,67 @@ func TestPropertyContigRunSound(t *testing.T) {
 	}
 }
 
-// FuzzLayoutChunkOffset hardens the layout arithmetic against
-// arbitrary shapes: any in-range element must land inside its node's
-// chunk, aligned to the element size. Run with `go test -fuzz
-// FuzzLayoutChunkOffset ./internal/core` for exploration; the seed
-// corpus runs under plain `go test`.
+// blockCyclic is the oracle for Locate: the block-cyclic definition
+// written out one quantity at a time. Element i lies in block i/B,
+// which thread (i/B)%T owns as its (i/B)/T-th local block, at phase
+// i%B; the owner sits in slot owner%P of node owner/P, and every slot
+// reserves a region of the worst-case ceil(N/(B*T)) blocks.
+func blockCyclic(threads, perNode, elemSize int, block, elems, i int64) (owner, node int, off int64) {
+	owner = int((i / block) % int64(threads))
+	node = owner / perNode
+	slot := int64(owner % perNode)
+	localBlock := (i / block) / int64(threads)
+	phase := i % block
+	region := (elems + block*int64(threads) - 1) / (block * int64(threads)) * block * int64(elemSize)
+	return owner, node, slot*region + (localBlock*block+phase)*int64(elemSize)
+}
+
+// FuzzLayoutChunkOffset checks the layout arithmetic against the
+// block-cyclic definition on arbitrary shapes: Locate, NodeOf,
+// ChunkOffset and Owner all agree with blockCyclic, and any in-range
+// element lands inside its node's chunk, aligned to the element size.
+// CI runs it for ten seconds (`go test -run '^$' -fuzz
+// FuzzLayoutChunkOffset -fuzztime 10s ./internal/core`); the seed
+// corpus runs under plain `go test`, and includes the shapes the
+// figure sweeps allocate.
 func FuzzLayoutChunkOffset(f *testing.F) {
-	f.Add(uint8(4), uint8(2), uint8(3), uint16(100), uint16(17))
-	f.Add(uint8(1), uint8(1), uint8(1), uint16(1), uint16(0))
-	f.Add(uint8(16), uint8(4), uint8(32), uint16(5000), uint16(4999))
-	f.Fuzz(func(t *testing.T, th, tpn, blk uint8, n, idx uint16) {
-		threads := int(th%32) + 1
-		perNode := int(tpn%8) + 1
+	f.Add(uint16(3), uint8(1), uint8(7), uint32(2), uint32(99), uint32(17))
+	f.Add(uint16(0), uint8(0), uint8(0), uint32(0), uint32(0), uint32(0))
+	f.Add(uint16(15), uint8(3), uint8(7), uint32(31), uint32(4999), uint32(4999))
+	// Field: 64 KiB byte blocks at 256 threads on 64 nodes.
+	f.Add(uint16(255), uint8(3), uint8(0), uint32(64<<10-1), uint32(256*64<<10-1), uint32(5*64<<10+4095))
+	// Pointer: 256 8-byte words per thread at 512 threads on 128 nodes.
+	f.Add(uint16(511), uint8(3), uint8(7), uint32(255), uint32(512*256-1), uint32(300*256+17))
+	// The largest LAPI scale: 448 threads on 28 nodes.
+	f.Add(uint16(447), uint8(15), uint8(7), uint32(255), uint32(448*256-1), uint32(447*256+255))
+	f.Fuzz(func(t *testing.T, th uint16, tpn, esz uint8, blk, n, idx uint32) {
+		threads := int(th%1024) + 1
+		perNode := int(tpn%32) + 1
 		for threads%perNode != 0 {
 			perNode--
 		}
-		block := int64(blk%64) + 1
-		elems := int64(n%8192) + 1
+		elemSize := int(esz%16) + 1
+		block := int64(blk%(1<<17)) + 1
+		elems := int64(n%(1<<26)) + 1
 		i := int64(idx) % elems
-		l := NewLayout(threads, perNode, 8, block, elems)
-		owner := l.Owner(i)
-		if owner < 0 || owner >= threads {
-			t.Fatalf("owner %d out of range", owner)
+		l := NewLayout(threads, perNode, elemSize, block, elems)
+		owner, node, off := blockCyclic(threads, perNode, elemSize, block, elems, i)
+		if got := l.Owner(i); got != owner {
+			t.Fatalf("%+v: Owner(%d) = %d, want %d", l, i, got, owner)
 		}
-		off := l.ChunkOffset(i)
-		if off < 0 || off+8 > l.NodeChunkBytes() {
+		if gn, goff := l.Locate(i); gn != node || goff != off {
+			t.Fatalf("%+v: Locate(%d) = (%d, %d), want (%d, %d)", l, i, gn, goff, node, off)
+		}
+		if l.NodeOf(i) != node || l.ChunkOffset(i) != off {
+			t.Fatalf("%+v: NodeOf/ChunkOffset(%d) = %d/%d, want %d/%d", l, i, l.NodeOf(i), l.ChunkOffset(i), node, off)
+		}
+		if node < 0 || node >= threads/perNode {
+			t.Fatalf("node %d out of range", node)
+		}
+		if off < 0 || off+int64(elemSize) > l.NodeChunkBytes() {
 			t.Fatalf("offset %d outside chunk %d (i=%d)", off, l.NodeChunkBytes(), i)
 		}
-		if off%8 != 0 {
+		if off%int64(elemSize) != 0 {
 			t.Fatalf("offset %d misaligned", off)
 		}
 		run := l.ContigRun(i)

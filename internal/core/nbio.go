@@ -212,7 +212,7 @@ func (t *Thread) retireWoke() {
 
 // nbGetRun issues one single-affinity run of a split-phase GET.
 func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
-	rn := a.l.NodeOf(idx)
+	rn, off := a.l.Locate(idx)
 	if rn == t.ns.id || len(dst) > t.rt.cfg.Profile.EagerMax {
 		// Intra-node runs complete at issue, exactly like the blocking
 		// path: there is nothing to overlap. Rendezvous-sized transfers
@@ -221,7 +221,7 @@ func (t *Thread) nbGetRun(a *SharedArray, idx int64, dst []byte) {
 		t.getRun(a, idx, dst)
 		return
 	}
-	t.a, t.rn, t.off, t.buf, t.start = a, rn, a.l.ChunkOffset(idx), dst, t.Now()
+	t.a, t.rn, t.off, t.buf, t.start = a, rn, off, dst, t.Now()
 	t.remote(kindNbGet, len(dst))
 }
 

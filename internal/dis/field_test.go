@@ -59,3 +59,38 @@ func TestAppendMatchesEqualsContiguousScan(t *testing.T) {
 		t.Fatal("no case had a match across the block boundary; the test is vacuous")
 	}
 }
+
+// The word-wise sample statistic must equal the byte loop it replaces
+// on every kind of sample Field reads: random bytes, all ones, and the
+// mark's own 'a'..'d' words with 'Z' delimiters written into them — at
+// the sample's length and at shorter whole-word lengths.
+func TestLowBitsEqualsByteLoop(t *testing.T) {
+	byteLoop := func(b []byte) uint64 {
+		var n uint64
+		for _, c := range b {
+			n += uint64(c) & 1
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(16))
+	random := make([]byte, fieldSampleBytes)
+	rng.Read(random)
+	ones := bytes.Repeat([]byte{0xFF}, fieldSampleBytes)
+	words := make([]byte, fieldSampleBytes)
+	for i := range words {
+		words[i] = byte('a' + rng.Intn(4))
+		if rng.Intn(97) == 0 {
+			words[i] = 'Z'
+		}
+	}
+	for name, s := range map[string][]byte{"random": random, "0xFF": ones, "a..d with Z": words} {
+		for _, n := range []int{fieldSampleBytes, fieldSampleBytes - 8, 16, 8, 0} {
+			if got, want := lowBits(s[:n]), byteLoop(s[:n]); got != want {
+				t.Errorf("%s[:%d]: lowBits = %d, byte loop = %d", name, n, got, want)
+			}
+		}
+	}
+	if got := lowBits(ones); got != fieldSampleBytes {
+		t.Errorf("all-ones sample counts %d, want %d", got, fieldSampleBytes)
+	}
+}

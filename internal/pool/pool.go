@@ -15,7 +15,10 @@
 // which is what the goldens run under in CI.
 package pool
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Free is a LIFO free list of *T records. The zero value is ready to
 // use. The simulation kernel serializes every access, so it takes no
@@ -73,45 +76,45 @@ func (p *Free[T]) retire(x *T) {
 }
 
 // Bytes is a free list of byte buffers in power-of-two size classes,
-// for bounce buffers whose size varies per operation. Buffers larger
-// than the biggest class are allocated and dropped.
+// for bounce buffers whose size varies per operation. The classes reach
+// 4 MiB, the largest transfer the figure sweeps make, so a bulk RDMA or
+// rendezvous PUT recycles its bounce buffer too. Buffers larger than
+// that are allocated and dropped.
 type Bytes struct {
 	class [bytesClasses][][]byte
 }
 
 const (
 	bytesMinShift = 3  // smallest class: 8 bytes
-	bytesClasses  = 10 // largest class: 4 KiB
+	bytesClasses  = 20 // largest class: 4 MiB
 )
 
-// classOf returns the size class that holds n bytes, or -1.
+// classOf returns the size class that holds n bytes: bytesClasses or
+// more when none does.
 func classOf(n int) int {
-	for c := 0; c < bytesClasses; c++ {
-		if n <= 1<<(c+bytesMinShift) {
-			return c
-		}
-	}
-	return -1
+	return max(bits.Len(uint(n-1)), bytesMinShift) - bytesMinShift
 }
 
 // Get returns a buffer of length n, recycled when its class has one.
 // Its contents are whatever the last user left: the caller overwrites
 // all n bytes.
 func (p *Bytes) Get(n int) []byte {
-	c := classOf(n)
-	if c < 0 {
-		return make([]byte, n)
+	c, size := classOf(n), n
+	if c < bytesClasses {
+		if l := len(p.class[c]); l > 0 {
+			b := p.class[c][l-1]
+			p.class[c] = p.class[c][:l-1]
+			return b[:n]
+		}
+		size = 1 << (c + bytesMinShift)
 	}
-	if l := len(p.class[c]); l > 0 {
-		b := p.class[c][l-1]
-		p.class[c] = p.class[c][:l-1]
-		return b[:n]
-	}
-	return make([]byte, n, 1<<(c+bytesMinShift))
+	return make([]byte, n, size)
 }
 
-// Put recycles b, which must have come from Get. Under the poison build
-// its bytes are overwritten with 0xdb and it is never reused.
+// Put recycles b, which must have come from Get; a buffer of no class
+// (larger than the largest, or not one of ours) is let go. Under the
+// poison build its bytes are overwritten with 0xdb and it is never
+// reused.
 func (p *Bytes) Put(b []byte) {
 	if Poison {
 		b = b[:cap(b)]
@@ -120,9 +123,7 @@ func (p *Bytes) Put(b []byte) {
 		}
 		return
 	}
-	c := classOf(cap(b))
-	if c < 0 || cap(b) != 1<<(c+bytesMinShift) {
-		return // not one of ours: let it go
+	if c := classOf(cap(b)); c < bytesClasses && cap(b) == 1<<(c+bytesMinShift) {
+		p.class[c] = append(p.class[c], b[:0])
 	}
-	p.class[c] = append(p.class[c], b[:0])
 }

@@ -60,10 +60,10 @@ func TestFreeLive(t *testing.T) {
 }
 
 // Bytes hands out buffers of the asked length from power-of-two
-// classes, recycles them by class, and lets oversized ones go.
+// classes up to 4 MiB, recycles them by class, and lets larger ones go.
 func TestBytes(t *testing.T) {
 	var p Bytes
-	for _, c := range []struct{ n, cap int }{{1, 8}, {8, 8}, {9, 16}, {100, 128}, {4096, 4096}, {4097, 4097}} {
+	for _, c := range []struct{ n, cap int }{{1, 8}, {8, 8}, {9, 16}, {100, 128}, {4096, 4096}, {4097, 8192}, {4 << 20, 4 << 20}, {4<<20 + 1, 4<<20 + 1}} {
 		b := p.Get(c.n)
 		if len(b) != c.n || cap(b) != c.cap {
 			t.Errorf("Get(%d): len %d cap %d, want len %d cap %d", c.n, len(b), cap(b), c.n, c.cap)
@@ -88,5 +88,16 @@ func TestBytes(t *testing.T) {
 	p.Put(make([]byte, 24)) // cap 24 is no class of ours: dropped
 	if n := len(p.class[classOf(24)]); n != 0 {
 		t.Fatalf("a foreign buffer joined the pool (%d in class)", n)
+	}
+	big := p.Get(3 << 20)
+	p.Put(big)
+	p.Put(p.Get(4<<20 + 1)) // above the largest class: dropped
+	if again := p.Get(4 << 20); &again[0] != &big[0] {
+		t.Fatal("Get(4 MiB) after Put of a 3 MiB request's buffer did not reuse it")
+	}
+	for c := range p.class {
+		if n := len(p.class[c]); n != 0 {
+			t.Fatalf("class %d holds %d buffers after every one was taken back", c, n)
+		}
 	}
 }
