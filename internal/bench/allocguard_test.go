@@ -99,11 +99,13 @@ func TestAllocGuardGetPut(t *testing.T) {
 	per := marginal(t, 256, guardCfg(nil), getPutBody)
 	t.Logf("GET+PUT round: %.2f allocs", per)
 	// One cached round is RDMA both ways: pooled dma descriptors, w64
-	// staging, pooled packets and bounce buffer. What is left, 4.00, is
-	// the PUT's: its remote completion, the watcher that retires it under
-	// the fence, and their waiter records.
-	if per > 4.05 {
-		t.Errorf("cached GET/PUT round allocates %.2f (> 4.05): hot path regressed", per)
+	// staging, pooled packets and bounce buffer, and the PUT's remote
+	// completion, which the watcher recycles. What is left, 2.00, is the
+	// PUT's: the watcher that retires it under the fence, and its record
+	// in the completion's callback list. The tree whose watcher left the
+	// completion to the garbage collector read 4.00.
+	if per > 2.05 {
+		t.Errorf("cached GET/PUT round allocates %.2f (> 2.05): hot path regressed", per)
 	}
 }
 
@@ -130,11 +132,13 @@ func bulkPutBody(size int) func(th *core.Thread, ops int) {
 // 64 KiB RDMA PUT and an uncached 1 MiB rendezvous PUT each travel in a
 // bounce buffer, which pool.Bytes recycles up to 4 MiB, so neither
 // allocates more bytes per operation than the 8-byte cached PUT row
-// (pool growth aside), and the cached one no more allocations either.
-// The rendezvous PUT's own round trip adds two allocations, its
-// request-to-send's completion waiter and boxed answer. The tree whose
-// largest class was 4 KiB read one allocation more on both rows, and
-// the whole payload in bytes.
+// (pool growth aside), and no more allocations either: the rendezvous
+// PUT's request-to-send travels back as its own answer, and its
+// completion comes from the kernel's pool with room for its waiter. The
+// tree that boxed the answer and left each RDMA PUT's completion to the
+// garbage collector read two allocations more on the rendezvous row;
+// the one whose largest class was 4 KiB, one more on both rows, and the
+// whole payload in bytes.
 func TestAllocGuardBulkPut(t *testing.T) {
 	skipPoison(t)
 	cached := guardCfg(nil)
@@ -142,18 +146,17 @@ func TestAllocGuardBulkPut(t *testing.T) {
 	small, smallBytes := marginal(t, 64, cached, bulkPutBody(8)), marginalBytes(64, cached, bulkPutBody(8))
 	t.Logf("8-byte cached RDMA PUT: %.2f allocs, %.1f bytes", small, smallBytes)
 	for _, c := range []struct {
-		name  string
-		cfg   func() core.Config
-		size  int
-		round float64 // allocations of its own beyond the 8-byte row's
+		name string
+		cfg  func() core.Config
+		size int
 	}{
-		{"64 KiB cached RDMA PUT", cached, 64 << 10, 0},
-		{"1 MiB uncached rendezvous PUT", uncached, 1 << 20, 2},
+		{"64 KiB cached RDMA PUT", cached, 64 << 10},
+		{"1 MiB uncached rendezvous PUT", uncached, 1 << 20},
 	} {
 		per, bytes := marginal(t, 64, c.cfg, bulkPutBody(c.size)), marginalBytes(64, c.cfg, bulkPutBody(c.size))
 		t.Logf("%s: %.2f allocs, %.1f bytes", c.name, per, bytes)
-		if per > small+c.round+0.05 {
-			t.Errorf("%s allocates %.2f (> %.2f): its bounce buffer is not recycled", c.name, per, small+c.round)
+		if per > small+0.05 {
+			t.Errorf("%s allocates %.2f (> %.2f): its bounce buffer or its round trip's records are not recycled", c.name, per, small)
 		}
 		if bytes > smallBytes+64 {
 			t.Errorf("%s allocates %.1f bytes (> the 8-byte PUT's %.1f + 64): its bounce buffer is not recycled", c.name, bytes, smallBytes)
@@ -176,9 +179,9 @@ func TestAllocGuardReliable(t *testing.T) {
 	// the packets, and the wire copies carry their headers by value. The
 	// tree that allocated an envelope, a packet, a timer, an ACK and four
 	// closures per packet read 30.02 here; the bound is the unreliable
-	// round's 4.00 plus pool growth.
-	if per > 4.5 {
-		t.Errorf("reliable GET/PUT round allocates %.2f (> 4.5): send/ack path regressed", per)
+	// round's 2.00 plus pool growth.
+	if per > 2.5 {
+		t.Errorf("reliable GET/PUT round allocates %.2f (> 2.5): send/ack path regressed", per)
 	}
 }
 
@@ -671,7 +674,7 @@ func TestAllocGuardDIS(t *testing.T) {
 		}
 		per, gets, puts := perRep(fn)
 		coll, _, _ := perRep(collectivesC(c.barriers))
-		ops := 4.05*puts + 0.05*gets
+		ops := 2.05*puts + 0.05*gets
 		own := (per - coll - ops) / threads
 		t.Logf("%s: %.2f allocs per repetition, collectives %.2f, %.0f remote PUTs and %.0f GETs %.2f: %.2f per thread of its own",
 			c.mark, per, coll, puts, gets, ops, own)

@@ -27,7 +27,7 @@ func exportsAt(t *testing.T, workers int) (chrome, prom string) {
 	return cb.String(), pb.String()
 }
 
-// The exports feed byte-comparison tooling (CI determinism smokes,
+// The exports feed byte-comparison tooling (testdata/behaviour.sum,
 // diff-based regression checks), so a sequential run and a -parallel
 // run of the same seed must render byte-identical Chrome-trace and
 // Prometheus documents — host goroutine scheduling must never leak

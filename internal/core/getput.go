@@ -90,7 +90,7 @@ type getReq struct {
 // reply is the one header every answer travels under, whatever was
 // asked: what an answer can carry is a payload (an eager GET's data, a
 // user AM's reply), one value (an atomic's previous word, a rendezvous
-// rtrResult), an arrival at a fence (a PUT's or a free's ACK), a
+// request-to-send sent back), an arrival at a fence (a PUT's or a free's ACK), a
 // completion to fire, and the piggybacked base address of H with the
 // frame's extra pairs. handleReply retires them all.
 type reply struct {
@@ -112,17 +112,15 @@ type putReq struct {
 }
 
 // rts is the rendezvous request-to-send for large transfers: the
-// target translates and pins, then answers with the base address (an
-// rtrResult) so the transfer itself is zero-copy RDMA.
+// target translates and pins, fills in the base address and its epoch,
+// and sends the record back as the answer, so the transfer itself is
+// zero-copy RDMA. A record travels as an answer without boxing; the
+// initiator step that reads it puts it back.
 type rts struct {
-	H    svd.Handle
-	Done *sim.Completion // completed with rtrResult at the initiator
-}
-
-type rtrResult struct {
-	base  mem.Addr
-	epoch uint32
-	ok    bool // pinning succeeded; false forces the eager fallback
+	H     svd.Handle
+	Done  *sim.Completion // completed with this record at the initiator
+	Base  mem.Addr        // 0: pinning was refused, which forces the eager fallback
+	Epoch uint32          // target incarnation that pinned Base
 }
 
 // --- Target-side handlers ----------------------------------------------
@@ -260,8 +258,8 @@ func (rt *Runtime) handleRTS(ct *sim.Cont, n *transport.Node, msg *transport.Msg
 
 func (x *amCtx) rtsTranslated() {
 	rt, m, msg := x.rt, x.msg.Meta.(*rts), x.msg
-	rep := rt.newReply(reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: rtrResult{base: x.base, epoch: x.epoch, ok: x.base != 0}})
-	rt.hdr.rts.Put(m)
+	m.Base, m.Epoch = x.base, x.epoch
+	rep := rt.newReply(reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: m})
 	// Not through answer: the address is what was asked for, so its bytes
 	// are on the wire even when the pin was refused (base 0).
 	rt.M.SendAMSpanC(x.ct, msg.Dst, msg.Src, hReply, rep, nil, piggybackBytes, msg.Span, x.then)
@@ -461,13 +459,12 @@ func (t *Thread) getSlowParked() {
 }
 
 func (t *Thread) getRendezvoused() {
-	res := t.rtr
-	if !res.ok {
+	if t.rtrBase == 0 {
 		t.rt.pinRefused[refusedGet]++
 		t.eagerGet() // registration refused: copy path
 		return
 	}
-	t.rt.M.RDMAGetSpanC(t.c, t.ns.id, t.rn, res.base, res.base+mem.Addr(t.off), t.buf, len(t.buf), res.epoch, t.span, &t.rdma, t.after(pcGetRDMA2Done))
+	t.rt.M.RDMAGetSpanC(t.c, t.ns.id, t.rn, t.rtrBase, t.rtrBase+mem.Addr(t.off), t.buf, len(t.buf), t.rtrEpoch, t.span, &t.rdma, t.after(pcGetRDMA2Done))
 }
 
 // getRDMA2Done is getRDMADone after a rendezvous: the target restarted,
@@ -529,7 +526,7 @@ func (t *Thread) reply() {
 }
 
 // rendezvous asks the target to translate and pin the run's object,
-// leaving the answer in t.rtr.
+// leaving the answer in t.rtrBase and t.rtrEpoch.
 func (t *Thread) rendezvous() {
 	t.done = sim.NewCompletion(t.rt.K, "rts")
 	m := t.rt.hdr.rts.Get()
@@ -538,7 +535,9 @@ func (t *Thread) rendezvous() {
 }
 
 func (t *Thread) rtsDone() {
-	t.rtr = t.done.Value().(rtrResult)
+	m := t.done.Value().(*rts)
+	t.rtrBase, t.rtrEpoch = m.Base, m.Epoch
+	t.rt.hdr.rts.Put(m)
 	t.reply()
 }
 
@@ -632,13 +631,12 @@ func (rt *Runtime) newPutReq(r putReq) *putReq {
 }
 
 func (t *Thread) putRendezvoused() {
-	res := t.rtr
-	if !res.ok {
+	if t.rtrBase == 0 {
 		t.rt.pinRefused[refusedPut]++
 		t.putEager(pcPutCopiedNoAddr)
 		return
 	}
-	t.putRDMA(res.base, res.epoch)
+	t.putRDMA(t.rtrBase, t.rtrEpoch)
 }
 
 // putFinish closes out the remote PUT and charges it to the thread.
@@ -661,6 +659,7 @@ func (t *Thread) putFinish() {
 func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off int64, data []byte, span *telemetry.Span) {
 	f := t.acks
 	remote.Then(func(v any) {
+		t.rt.K.Recycle(remote) // this callback is its last reader
 		nk, isNack := v.(transport.Nack)
 		if !isNack {
 			t.rt.hdr.bounce.Put(data) // in place at the target: its last reader is done

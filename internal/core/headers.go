@@ -4,7 +4,9 @@ import "xlupc/internal/pool"
 
 // headers recycles the protocol headers and the eager bounce buffers.
 // Each has one retire site, the step that reads it last: a request
-// header is put back by the target handler's answering step, a reply by
+// header is put back by the target handler's answering step (a
+// rendezvous request-to-send, which travels back as its own answer, by
+// the initiator step that reads the answer), a reply by
 // handleReply, an eager GET's data by the initiator step that copies it
 // out, an eager PUT's by the handler step that writes it in place. Under
 // reliable delivery this holds too: dedup serves a message once, and a

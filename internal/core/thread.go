@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
@@ -72,7 +73,8 @@ type opState struct {
 	cb        *svd.ControlBlock // local access: the resolved control block
 	done      *sim.Completion   // the reply awaited (eager GET, RTS, AM atomic, user AM)
 	rdma      transport.RDMAResult
-	rtr       rtrResult
+	rtrBase   mem.Addr // rendezvous answer: the target's base (0: pinning refused)
+	rtrEpoch  uint32   // and the incarnation that pinned it
 	aop       transport.AtomicOp
 	a1        uint64 // atomic: the operand
 
