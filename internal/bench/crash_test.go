@@ -42,3 +42,19 @@ func TestCrashSweepShapes(t *testing.T) {
 		}
 	}
 }
+
+// Field reads and writes its block through a view of node memory
+// (core.Thread.Local). A crash restart relocates the node's chunks, so
+// the view stops aliasing node memory and every later snapshot must be
+// a real copy: the checksum under crashes must still be the crash-free
+// one, in transparent mode on GM at 16 threads on 4 nodes.
+func TestFieldCrashRelocation(t *testing.T) {
+	pts := Sweep{Seed: 1}.CrashSweep("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, []float64{0, 0.9}, 150*sim.Us)
+	if hit := pts[1].Run; hit.Crash.Crashes == 0 {
+		t.Fatalf("no node restarted: %+v", pts[1])
+	}
+	if pts[1].Checksum != pts[0].Checksum {
+		t.Fatalf("checksum under crashes %x, crash-free %x", pts[1].Checksum, pts[0].Checksum)
+	}
+	t.Logf("%d restarts, checksum %x", pts[1].Run.Crash.Crashes, pts[1].Checksum)
+}

@@ -101,7 +101,7 @@ func (t *Thread) fetchAdd(r Ref, delta uint64) {
 }
 
 func (t *Thread) localAtomic() {
-	t.lookupLocal()
+	t.cb = t.lookupLocal(t.a)
 	t.c.Sleep(t.rt.cfg.Profile.ShmLatency+atomicCPUCost, t.after(pcLocalAtomicDone))
 }
 

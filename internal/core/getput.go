@@ -347,7 +347,7 @@ func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
 }
 
 func (t *Thread) localGet() {
-	t.lookupLocal()
+	t.cb = t.lookupLocal(t.a)
 	prof := t.rt.cfg.Profile
 	t.span = t.rt.tel.StartSpan("get", t.id, t.ns.id, t.start)
 	t.span.SetProto("local")
@@ -560,7 +560,7 @@ func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
 }
 
 func (t *Thread) localPut() {
-	t.lookupLocal()
+	t.cb = t.lookupLocal(t.a)
 	prof := t.rt.cfg.Profile
 	t.span = t.rt.tel.StartSpan("put", t.id, t.ns.id, t.start)
 	t.span.SetProto("local")
@@ -657,26 +657,49 @@ func (t *Thread) putFinish() {
 // address for the node, then retries with WantAddr so the ACK
 // re-piggybacks the fresh base — or aborts the run under CrashFail.
 func (t *Thread) watchPut(remote *sim.Completion, a *SharedArray, rn int, off int64, data []byte, span *telemetry.Span) {
-	f := t.acks
-	remote.Then(func(v any) {
-		t.rt.K.Recycle(remote) // this callback is its last reader
-		nk, isNack := v.(transport.Nack)
-		if !isNack {
-			t.rt.hdr.bounce.Put(data) // in place at the target: its last reader is done
-			f.Arrive()
+	w := t.rt.hdr.watch.Get()
+	if w.fired == nil {
+		w.fired = w.retire
+	}
+	w.t, w.remote, w.h, w.rn, w.off, w.data, w.span = t, remote, a.h, rn, off, data, span
+	remote.Then(w.fired)
+}
+
+// putWatch is one RDMA PUT awaiting its remote completion: a pooled
+// record whose callback is bound once, so a PUT registers it without
+// building a closure. retire is its one reader and puts it back.
+type putWatch struct {
+	t      *Thread
+	remote *sim.Completion
+	h      svd.Handle
+	rn     int
+	off    int64
+	data   []byte
+	span   *telemetry.Span
+	fired  func(v any) // retire, bound once
+}
+
+func (w *putWatch) retire(v any) {
+	t, h, rn, off, data, span := w.t, w.h, w.rn, w.off, w.data, w.span
+	t.rt.K.Recycle(w.remote) // this callback is its last reader
+	w.t, w.remote, w.data, w.span = nil, nil, nil, nil
+	t.rt.hdr.watch.Put(w)
+	nk, isNack := v.(transport.Nack)
+	if !isNack {
+		t.rt.hdr.bounce.Put(data) // in place at the target: its last reader is done
+		t.acks.Arrive()
+		return
+	}
+	if nk.Stale {
+		if t.rt.staleAbort(rn, nk.Epoch, "put", t.rt.K.Now()) {
 			return
 		}
-		if nk.Stale {
-			if t.rt.staleAbort(rn, nk.Epoch, "put", t.rt.K.Now()) {
-				return
-			}
-		} else {
-			t.ns.forget(a.h, rn)
-		}
-		r := &putRetry{t: t, rn: rn, data: data, span: span, nack: nk,
-			req: t.rt.newPutReq(putReq{H: a.h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: f})}
-		r.ct = t.rt.K.SpawnService("put-retry", t.id, "", r, retryStart)
-	})
+	} else {
+		t.ns.forget(h, rn)
+	}
+	r := &putRetry{t: t, rn: rn, data: data, span: span, nack: nk,
+		req: t.rt.newPutReq(putReq{H: h, Off: off, WantAddr: nk.Stale && t.ns.cache != nil, Fence: t.acks})}
+	r.ct = t.rt.K.SpawnService("put-retry", t.id, "", r, retryStart)
 }
 
 // putRetry is the reissue of thread t's NACKed RDMA PUT, on a

@@ -19,6 +19,7 @@ type headers struct {
 	user   pool.Free[userReq]
 	atomic pool.Free[atomicReq]
 	reply  pool.Free[reply]
+	watch  pool.Free[putWatch]
 	bounce pool.Bytes
 }
 

@@ -106,8 +106,8 @@ func (l Layout) NodeOf(i int64) int {
 func (l Layout) Phase(i int64) int64 { return i % l.Block }
 
 // ChunkOffset reports the byte offset of element i within its owning
-// node's chunk.
-func (l Layout) ChunkOffset(i int64) int64 {
+// node's chunk. Like Locate, it takes a pointer.
+func (l *Layout) ChunkOffset(i int64) int64 {
 	_, off := l.Locate(i)
 	return off
 }

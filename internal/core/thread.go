@@ -404,15 +404,34 @@ func (t *Thread) fenceDone() {
 	t.c.Resume()
 }
 
-// lookupLocal resolves the control block of t.a on the thread's own
-// node into t.cb. Every allocation is collective, so the node knows
-// every array a thread holds.
-func (t *Thread) lookupLocal() {
-	cb, ok := t.ns.dir.LookupAny(t.a.h)
+// lookupLocal resolves the control block of a on the thread's own
+// node. Every allocation is collective, so the node knows every array a
+// thread holds.
+func (t *Thread) lookupLocal(a *SharedArray) *svd.ControlBlock {
+	cb, ok := t.ns.dir.LookupAny(a.h)
 	if !ok || cb.Freed {
-		panic(fmt.Sprintf("core: thread %d: access to freed array %s", t.id, t.a.name))
+		panic(fmt.Sprintf("core: thread %d: access to freed array %s", t.id, a.name))
 	}
-	t.cb = cb
+	return cb
+}
+
+// Local returns the node-memory bytes of the n-byte run at r, which
+// must be one affinity run on the caller's own node: UPC's cast of a
+// pointer-to-shared to a local pointer. Loads and stores through the
+// view are the node's memory itself and charge nothing; what the model
+// charges is the GetBulk and PutBulk the program issues, and one
+// between the view and its own bytes costs exactly what it would with a
+// private buffer (the host copy is of the bytes onto themselves). A
+// crash restart relocates the node's chunks (crashNode): the view keeps
+// the bytes it had and stops aliasing, which is what a private buffer
+// would have done, so a program correct with one is correct with the
+// view.
+func (t *Thread) Local(r Ref, n int) []byte {
+	rn, off := r.A.l.Locate(r.Idx)
+	if rn != t.ns.id || runElems("Local", n, r) > r.A.l.ContigRun(r.Idx) {
+		panic(fmt.Sprintf("core: thread %d: %v+%d bytes is not one run on its node %d", t.id, r, n, t.ns.id))
+	}
+	return t.ns.tn.Mem.View(t.lookupLocal(r.A).LocalBase+mem.Addr(off), n)
 }
 
 // ForAll runs body once for every index of a that is affine to this
@@ -480,11 +499,7 @@ func (t *Thread) GetBulkC(dst []byte, r Ref, then func()) {
 }
 
 func (t *Thread) getBulk(dst []byte, r Ref) {
-	if n := runElems("GetBulk", len(dst), r); n > 0 {
-		t.bulk(kindGet, r, n, dst)
-		return
-	}
-	t.c.Resume()
+	t.bulk(kindGet, r, runElems("GetBulk", len(dst), r), dst)
 }
 
 // PutBulk writes len(src) bytes of consecutive elements starting at r
@@ -502,11 +517,7 @@ func (t *Thread) PutBulkC(r Ref, src []byte, then func()) {
 }
 
 func (t *Thread) putBulk(r Ref, src []byte) {
-	if n := runElems("PutBulk", len(src), r); n > 0 {
-		t.bulk(kindPut, r, n, src)
-		return
-	}
-	t.c.Resume()
+	t.bulk(kindPut, r, runElems("PutBulk", len(src), r), src)
 }
 
 // runElems validates a bulk transfer of size bytes at r and returns
@@ -536,9 +547,9 @@ const (
 )
 
 // bulk performs a transfer of n elements at r, through buf, one run at
-// a time.
+// a time; an empty one (n == 0) resumes at once, at no cost.
 func (t *Thread) bulk(kind int, r Ref, n int64, buf []byte) {
-	if r.A.l.ContigRun(r.Idx) >= n {
+	if n > 0 && r.A.l.ContigRun(r.Idx) >= n {
 		// A single run — every element access and most bulk transfers.
 		t.run(kind, r.A, r.Idx, buf)
 		return

@@ -76,6 +76,11 @@ type UserCtx struct {
 	// The local access in progress: where, and the caller's buffer.
 	off int64
 	buf []byte
+
+	// The layout of the anchor lcb, built by the first ChunkOffset that
+	// names it.
+	l   Layout
+	lcb *svd.ControlBlock
 }
 
 // Args returns the request's two argument words.
@@ -146,10 +151,14 @@ func (c *UserCtx) NodeLocal(key string, build func(k *sim.Kernel) any) any {
 // into a byte offset inside this node's chunk, for ReadLocalC and
 // WriteLocalC. Handlers work in the same global indices initiators use;
 // the layout arithmetic (block-cyclic distribution, per-thread regions)
-// lives here.
+// lives here. A context keeps the layout of the last anchor it
+// translated for, so a handler's probe walk over one array builds it
+// once.
 func (c *UserCtx) ChunkOffset(idx int64) int64 {
-	l := NewLayout(c.x.rt.cfg.Threads, c.x.rt.cfg.ThreadsPerNode(), c.x.cb.ElemSize, c.x.cb.Block, c.x.cb.NumElems)
-	return l.ChunkOffset(idx)
+	if cb := c.x.cb; c.lcb != cb {
+		c.l, c.lcb = c.x.rt.layout(cb.ElemSize, cb.Block, cb.NumElems), cb
+	}
+	return c.l.ChunkOffset(idx)
 }
 
 func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {

@@ -160,7 +160,11 @@ func (m *mark) end() { m.done(m.sum) }
 
 // hash derives the workload hash for a parameter set (splitmix64 over
 // the salted input).
-func (p Params) hash(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
+func (p Params) hash(x uint64) uint64 { return splitmix64(x ^ p.mix()) }
+
+// mix is what hash folds into its input: a loop hashing many inputs
+// reads it once.
+func (p Params) mix() uint64 { return p.Salt * 0x9E3779B9 }
 
 // splitmix64 provides a deterministic, thread-count-independent hash
 // used to initialize shared data so checksums are comparable across

@@ -27,6 +27,19 @@ import (
 // Paraver traces exposed; cached RDMA bypasses the CPU and the waits
 // vanish.
 //
+// A thread holds its block through a privatized view of node memory
+// (core.Thread.Local), not a private copy: the init image is hashed
+// straight into the view, and the init PUT and every round's snapshot
+// GET are issued — they are what the model charges — but copy the bytes
+// onto themselves. The view always holds what a private copy
+// would have held, because a thread's matches start inside its own
+// block (appendMatches appends lo+i with i < len(local)), so no other
+// thread ever writes the block; nothing reads a block before the init
+// barrier; and no thread writes between a round's snapshot and its scan
+// (the 'Z' writes come after the next barrier). A crash restart that
+// relocates the chunk leaves the view a plain buffer, and the snapshot
+// becomes a real copy again.
+//
 //	my block B = h(...);  upc_barrier
 //	for (round = 0; round < fieldTokens; round++) {
 //		snapshot B
@@ -67,20 +80,19 @@ type field struct {
 // "words" over a small alphabet so tokens genuinely occur.
 func (m *field) allocated(a *core.SharedArray) {
 	m.a = a
-	// One block-sized buffer per thread is the init image and every
-	// round's snapshot. It is exactly the block (64 KB is a whole number
-	// of pages; seven bytes more would cost every thread a ninth page):
-	// the overhang lands in edge, behind a copy of the block's tail, and
-	// appendMatches looks there for the one match that can straddle the
-	// boundary.
-	m.local = make([]byte, fieldBlock)
+	// The view of the block is the init image and every round's
+	// snapshot. The overhang lands in edge, behind a copy of the block's
+	// tail, and appendMatches looks there for the one match that can
+	// straddle the boundary.
+	m.local = m.t.Local(a.At(m.lo), fieldBlock)
 	m.edge = make([]byte, 2*(fieldTokenLen-1))
 	m.tok = make([]byte, fieldTokenLen)
 	m.sample = make([]byte, fieldSampleBytes)
-	for i := range m.local {
-		m.local[i] = byte('a' + m.p.hash(uint64(m.lo)+uint64(i))%4)
+	local, lo, mix := m.local, uint64(m.lo), m.p.mix()
+	for i := range local {
+		local[i] = byte('a' + splitmix64((lo+uint64(i))^mix)%4)
 	}
-	m.t.PutBulkC(a.At(m.lo), m.local, m.do.filled)
+	m.t.PutBulkC(a.At(m.lo), local, m.do.filled)
 }
 
 func (m *field) filled() { m.t.BarrierC(m.do.round) }

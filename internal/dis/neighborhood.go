@@ -34,37 +34,43 @@ func Neighborhood(t *core.Thread, p Params, done func(uint64)) {
 
 type neighborhood struct {
 	mark
-	i, hi int64    // fill: the next row's first pixel, and the band's end
-	row   []byte   // fill: the row being written
-	s     int      // the sample
-	k     int      // the sample's pixel being read
-	at    [3]int64 // the sample's pixels: itself and its two partners
-	px    [3]byte  // the sample pixel and its two partners
-	do    struct {
+	i    int64    // fill: the next row's first pixel
+	band []byte   // fill: the view of the band's rows not yet written
+	s    int      // the sample
+	k    int      // the sample's pixel being read
+	at   [3]int64 // the sample's pixels: itself and its two partners
+	px   [3]byte  // the sample pixel and its two partners
+	do   struct {
 		allocated                    func(*core.SharedArray)
 		fill, sample, read, computed func()
 	}
 }
 
+// allocated takes the view of the thread's band (core.Thread.Local):
+// fill hashes each row straight into node memory and then issues its
+// PUT, which copies the bytes onto themselves. Nothing reads the band
+// before the barrier that ends the fill.
 func (m *neighborhood) allocated(a *core.SharedArray) {
-	m.a, m.row = a, make([]byte, neighborhoodCols)
-	m.i = int64(m.t.ID()) * neighborhoodRowsPer * neighborhoodCols
-	m.hi = m.i + neighborhoodRowsPer*neighborhoodCols
+	const band = neighborhoodRowsPer * neighborhoodCols
+	m.a = a
+	m.i = int64(m.t.ID()) * band
+	m.band = m.t.Local(a.At(m.i), band)
 	m.fill()
 }
 
 // fill writes the band's next row, then enters the barrier.
 func (m *neighborhood) fill() {
-	if m.i == m.hi {
+	if len(m.band) == 0 {
 		m.t.BarrierC(m.do.sample)
 		return
 	}
-	i := m.i
-	for c := range m.row {
-		m.row[c] = byte(m.p.hash(uint64(i) + uint64(c)))
+	i, row, mix := m.i, m.band[:neighborhoodCols], m.p.mix()
+	for c := range row {
+		row[c] = byte(splitmix64((uint64(i) + uint64(c)) ^ mix))
 	}
 	m.i += neighborhoodCols
-	m.t.PutBulkC(m.a.At(i), m.row, m.do.fill)
+	m.band = m.band[neighborhoodCols:]
+	m.t.PutBulkC(m.a.At(i), row, m.do.fill)
 }
 
 // sample picks sample pixel m.s across the band and the pair at

@@ -187,6 +187,15 @@ func (s *Space) Read(dst []byte, a Addr) {
 	copy(dst, seg.buf[off:off+len(dst)])
 }
 
+// View returns the n bytes at address a themselves, not a copy: a store
+// through the view is a store to the node's memory and a Write shows in
+// it, for as long as the segment lives. The whole range must lie in one
+// live segment.
+func (s *Space) View(a Addr, n int) []byte {
+	seg, off := s.resolve(a, n)
+	return seg.buf[off : off+n : off+n]
+}
+
 // ReadAlloc returns a fresh copy of n bytes at address a.
 func (s *Space) ReadAlloc(a Addr, n int) []byte {
 	dst := make([]byte, n)

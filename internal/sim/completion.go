@@ -11,9 +11,9 @@ type Completion struct {
 	done    bool
 	at      Time
 	val     any
-	bytes   []byte   // typed payload lane (CompleteBytes); unboxed []byte
-	waiters []func() // parked consumers, in registration order
-	thens   []func(v any)
+	bytes   []byte      // typed payload lane (CompleteBytes); unboxed []byte
+	waiters []func()    // parked consumers, in registration order
+	then    func(v any) // the one Then callback, if registered
 
 	ws    string // memoized park diagnostic ("waiting on <name>")
 	wsFor string // name ws was built for; survives Recycle, so pooled
@@ -67,7 +67,7 @@ func (k *Kernel) Recycle(c *Completion) {
 	c.val = nil
 	c.bytes = nil
 	c.waiters = c.waiters[:0]
-	c.thens = c.thens[:0]
+	c.then = nil
 	k.cpool.Put(c)
 }
 
@@ -111,12 +111,11 @@ func (c *Completion) Complete(v any) {
 		c.k.wake(w)
 	}
 	c.waiters = c.waiters[:0]
-	if len(c.thens) > 0 {
-		thens := c.thens
-		c.thens = nil // a Then registered from inside a callback runs inline
-		for _, fn := range thens {
-			fn(v)
-		}
+	if fn := c.then; fn != nil {
+		// Cleared before the call: the callback may recycle c, and a
+		// new owner may register its own Then before this returns.
+		c.then = nil
+		fn(v)
 	}
 }
 
@@ -143,7 +142,9 @@ func (c *Completion) WaitFn(ct *Cont, fn func()) {
 // in kernel context at completion time, inline from Complete (or
 // immediately, if the completion is already done): it must not block
 // (no Proc.Sleep or Await), but may schedule events, complete other
-// completions, and push to queues.
+// completions, and push to queues. A completion has one such consumer,
+// held without a list, so registering it allocates nothing; a second
+// Then before Complete panics.
 //
 // Then is NOT the way a continuation-mode thread waits — Then runs
 // inline at Complete time while a waiter (WaitFn) runs one
@@ -154,7 +155,10 @@ func (c *Completion) Then(fn func(v any)) {
 		fn(c.val)
 		return
 	}
-	c.thens = append(c.thens, fn)
+	if c.then != nil {
+		panic(fmt.Sprintf("sim: completion %q has a Then already", c.name))
+	}
+	c.then = fn
 }
 
 // CompleteAfter schedules the completion to complete with value v after

@@ -380,3 +380,34 @@ func TestThenRunsInlineInKernelContext(t *testing.T) {
 		t.Fatalf("then times = %v, want [7 7]", at)
 	}
 }
+
+// TestThenOneSlot checks the completion's one Then slot: a callback may
+// recycle its completion, whose next owner registers a Then of its own
+// before Complete returns (Complete empties the slot before the call,
+// so the new registration survives), and a second Then before Complete
+// panics.
+func TestThenOneSlot(t *testing.T) {
+	k := NewKernel()
+	c := NewCompletion(k, "first")
+	var d *Completion
+	var got []string
+	c.Then(func(any) {
+		got = append(got, "first")
+		k.Recycle(c) // the callback is c's last reader
+		d = NewCompletion(k, "second")
+		d.Then(func(any) { got = append(got, "second") })
+	})
+	c.Complete(nil)
+	d.Complete(nil)
+	if len(got) != 2 || got[1] != "second" {
+		t.Fatalf("callbacks ran %v, want [first second]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Then did not panic")
+		}
+	}()
+	e := NewCompletion(k, "third")
+	e.Then(func(any) {})
+	e.Then(func(any) {})
+}
