@@ -71,7 +71,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
 		os.Exit(2)
 	}
-	s := bench.Sweep{Seed: *seed, Workers: *parallel, Flight: fl}
+	s := bench.Sweep{Seed: *seed, Workers: *parallel, Flight: fl}.WithRunTable()
 	stopProf := pf.MustStart("xlupc-report")
 
 	// Everything goes through one buffered, flush-checked writer: a

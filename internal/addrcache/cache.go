@@ -107,22 +107,28 @@ type Cache struct {
 	head     int32         // most recently used
 	tail     int32         // least recently used
 	free     int32         // vacated slots, reused before slots grows
-	rng      *rand.Rand
+	rng      *rand.Rand    // RandomEvict's victim draws; nil under LRU
+	high     int           // the most entries the cache ever held
 	stats    Stats
 	adapt    *adaptState // nil = fixed capacity (the default); see adaptive.go
 }
 
-// New returns an empty cache. The seed only matters for RandomEvict.
+// New returns an empty cache. The seed only matters for RandomEvict,
+// the one policy that draws: only it pays for a random source (~5 KB,
+// and one cache per node of every runtime).
 func New(capacity int, policy EvictPolicy, seed int64) *Cache {
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
 		policy:   policy,
 		index:    make(map[Key]int32),
 		head:     none,
 		tail:     none,
 		free:     none,
-		rng:      rand.New(rand.NewSource(seed)),
 	}
+	if policy == RandomEvict {
+		c.rng = rand.New(rand.NewSource(seed))
+	}
+	return c
 }
 
 // Capacity returns the configured capacity.
@@ -133,6 +139,12 @@ func (c *Cache) Len() int { return len(c.index) }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
+
+// HighWater reports the most entries the cache ever held. Capacity acts
+// only on an insert that finds the cache full, so a run that never
+// evicted runs the same at any capacity of at least its high-water mark.
+// It is an observation, not a counter of Stats.
+func (c *Cache) HighWater() int { return c.high }
 
 func (c *Cache) unlink(i int32) {
 	s := &c.slots[i]
@@ -237,6 +249,7 @@ func (c *Cache) InsertEpoch(k Key, addr mem.Addr, epoch uint32) {
 	c.slots[i] = slot{key: k, addr: addr, epoch: epoch}
 	c.pushFront(i)
 	c.index[k] = i
+	c.high = max(c.high, len(c.index))
 	if c.adapt != nil {
 		c.adapt.peer(k.Node).count++
 	}

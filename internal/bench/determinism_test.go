@@ -20,9 +20,9 @@ import (
 // the same seed and requires identical RunStats, field for field.
 func TestRunStatsBitIdenticalAcrossRuns(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 2}
-	first := Sweep{Seed: 7}.runStressmark("pointer", sc, transport.GM(), core.DefaultCache())
+	first := runOnce(Sweep{Seed: 7}, "pointer", sc, transport.GM(), core.DefaultCache())
 	for i := 0; i < 3; i++ {
-		again := Sweep{Seed: 7}.runStressmark("pointer", sc, transport.GM(), core.DefaultCache())
+		again := runOnce(Sweep{Seed: 7}, "pointer", sc, transport.GM(), core.DefaultCache())
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d diverged:\nfirst: %+v\nagain: %+v", i, first, again)
 		}
@@ -35,9 +35,9 @@ func TestRunStatsBitIdenticalAcrossRuns(t *testing.T) {
 func TestRunStatsIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	sc := Scale{Threads: 8, Nodes: 2}
 	prev := runtime.GOMAXPROCS(1)
-	one := Sweep{Seed: 3}.runStressmark("update", sc, transport.LAPI(), core.DefaultCache())
+	one := runOnce(Sweep{Seed: 3}, "update", sc, transport.LAPI(), core.DefaultCache())
 	runtime.GOMAXPROCS(8)
-	many := Sweep{Seed: 3}.runStressmark("update", sc, transport.LAPI(), core.DefaultCache())
+	many := runOnce(Sweep{Seed: 3}, "update", sc, transport.LAPI(), core.DefaultCache())
 	runtime.GOMAXPROCS(prev)
 	if !reflect.DeepEqual(one, many) {
 		t.Fatalf("GOMAXPROCS changed results:\n1:    %+v\nmany: %+v", one, many)

@@ -134,14 +134,6 @@ func runMark(mark string, cfg core.Config, p dis.Params) (core.RunStats, uint64,
 	return st, check, rt
 }
 
-// runStressmark runs one stressmark once and returns the run stats.
-func (s Sweep) runStressmark(mark string, sc Scale, prof *transport.Profile, cc core.CacheConfig) core.RunStats {
-	st, _, _ := runMark(mark, core.Config{
-		Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: s.Seed,
-	}, dis.Params{})
-	return st
-}
-
 // HitRatePoint is one Figure 8 measurement.
 type HitRatePoint struct {
 	Scale    Scale
@@ -156,12 +148,14 @@ func (s Sweep) Fig8(mark string, scales []Scale, capacities []int) []HitRatePoin
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
 	out := make([]HitRatePoint, len(capacities)*len(scales))
-	s.parfor(len(out), func(i int) {
-		capEntries, sc := capacities[i/len(scales)], scales[i%len(scales)]
-		cc := core.CacheConfig{Enabled: true, Capacity: capEntries}
-		st := s.runStressmark(mark, sc, transport.GM(), cc)
-		out[i] = HitRatePoint{Scale: sc, Capacity: capEntries, HitRate: st.Cache.HitRate()}
-	})
+	pts := make([]runPoint, len(out))
+	for i := range out {
+		out[i] = HitRatePoint{Scale: scales[i%len(scales)], Capacity: capacities[i/len(scales)]}
+		pts[i] = s.point(mark, transport.GM(), out[i].Scale, core.CacheConfig{Enabled: true, Capacity: out[i].Capacity})
+	}
+	for i, r := range s.run(pts) {
+		out[i].HitRate = r.st.Cache.HitRate()
+	}
 	return out
 }
 
@@ -200,15 +194,18 @@ type Fig9Point struct {
 func (s Sweep) Fig9(prof *transport.Profile, scales []Scale) []Fig9Point {
 	suite := dis.Suite()
 	out := make([]Fig9Point, len(suite)*len(scales))
-	s.parfor(len(out), func(i int) {
-		m, sc := suite[i/len(scales)], scales[i%len(scales)]
-		z := s.runStressmark(m.Name, sc, prof, core.NoCache())
-		w := s.runStressmark(m.Name, sc, prof, core.DefaultCache())
-		out[i] = Fig9Point{
-			Scale: sc, Mark: m.Name,
-			Improvement: stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs()),
-		}
-	})
+	pts := make([]runPoint, 0, 2*len(out))
+	for i := range out {
+		out[i] = Fig9Point{Scale: scales[i%len(scales)], Mark: suite[i/len(scales)].Name}
+		pts = append(pts,
+			s.point(out[i].Mark, prof, out[i].Scale, core.NoCache()),
+			s.point(out[i].Mark, prof, out[i].Scale, core.DefaultCache()))
+	}
+	res := s.run(pts)
+	for i := range out {
+		z, w := res[2*i].st, res[2*i+1].st
+		out[i].Improvement = stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs())
+	}
 	return out
 }
 
@@ -241,22 +238,20 @@ func (s Sweep) Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int) 
 	if _, err := dis.ByName(mark); err != nil {
 		panic(err) // an invariant: every command resolves its -mark before it gets here
 	}
-	imps := make([]float64, reps)
-	s.parfor(reps, func(r int) {
+	pts := make([]runPoint, 0, 2*reps)
+	for r := 0; r < reps; r++ {
 		rs := s.Seed + int64(r)*7919
-		p := dis.Params{Salt: uint64(rs)}
-		run := func(cc core.CacheConfig) core.RunStats {
-			st, _, _ := runMark(mark, core.Config{
-				Threads: sc.Threads, Nodes: sc.Nodes, Profile: prof, Cache: cc, Seed: rs,
-			}, p)
-			return st
+		for _, cc := range []core.CacheConfig{core.NoCache(), core.DefaultCache()} {
+			pt := Sweep{Seed: rs}.point(mark, prof, sc, cc)
+			pt.p.Salt = uint64(rs)
+			pts = append(pts, pt)
 		}
-		z, w := run(core.NoCache()), run(core.DefaultCache())
-		imps[r] = stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs())
-	})
+	}
+	res := s.run(pts)
 	var smp stats.Sample
-	for _, v := range imps {
-		smp.Add(v) // replication order, independent of worker scheduling
+	for r := 0; r < reps; r++ { // replication order, independent of worker scheduling
+		z, w := res[2*r].st, res[2*r+1].st
+		smp.Add(stats.Improvement(z.Elapsed.Usecs(), w.Elapsed.Usecs()))
 	}
 	return smp
 }
@@ -319,13 +314,13 @@ func (s Sweep) MissOverhead(prof *transport.Profile) (pct float64) {
 // every stressmark (§4.5: ~10 entries suffice).
 func (s Sweep) PinUsage(prof *transport.Profile, sc Scale) map[string]int {
 	suite := dis.Suite()
-	peaks := make([]int, len(suite))
-	s.parfor(len(suite), func(i int) {
-		peaks[i] = s.runStressmark(suite[i].Name, sc, prof, core.DefaultCache()).MaxLive
-	})
-	out := make(map[string]int, len(suite))
+	pts := make([]runPoint, len(suite))
 	for i, m := range suite {
-		out[m.Name] = peaks[i]
+		pts[i] = s.point(m.Name, prof, sc, core.DefaultCache())
+	}
+	out := make(map[string]int, len(suite))
+	for i, r := range s.run(pts) {
+		out[suite[i].Name] = r.st.MaxLive
 	}
 	return out
 }

@@ -15,6 +15,16 @@ import (
 // are bit-identical to a sequential sweep whatever Workers is; only the
 // wall clock changes. Two sweeps with different settings may run side by
 // side in one process.
+//
+// Every stressmark point of Fig8, Fig9, Fig9CI and PinUsage is a view
+// over the sweep's run table (runTable): a run is keyed by its whole
+// configuration and simulated once, and a cache capacity that a larger
+// run never filled reads that run back. WithRunTable gives a sweep one
+// table for all its figures, which is how a command that prints several
+// shares a run between them (Fig. 9's cached GM runs are Fig. 8's
+// 100-entry runs, §4.5's pin usage is Fig. 9's); a Sweep literal has a
+// fresh table per figure. The table changes which runs are simulated,
+// never a result.
 type Sweep struct {
 	// Seed is the simulation seed every point of every figure runs at.
 	Seed int64
@@ -24,6 +34,8 @@ type Sweep struct {
 	// Flight, when non-nil, gives the chaos and crash runs flight rings,
 	// and a failing or diverging run dumps its tail to Flight.Dump.
 	Flight *flight.Config
+
+	tab *runTable // the run table WithRunTable made, or nil
 }
 
 // parfor runs fn(0..n-1), fanning out across the sweep's workers. fn

@@ -274,6 +274,18 @@ func (rt *Runtime) finishRun(err error) (RunStats, error) {
 	return rt.stats(), err
 }
 
+// CacheHighWater reports the most entries any node's address cache ever
+// held (addrcache.Cache.HighWater), 0 with the cache off.
+func (rt *Runtime) CacheHighWater() int {
+	high := 0
+	for _, ns := range rt.nodes {
+		if ns.cache != nil {
+			high = max(high, ns.cache.HighWater())
+		}
+	}
+	return high
+}
+
 // FlightRecorder returns the run's flight recorder: its counts always,
 // its rings when Config.Flight asked for them.
 func (rt *Runtime) FlightRecorder() *flight.Recorder { return rt.M.FR }

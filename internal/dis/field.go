@@ -47,7 +47,11 @@ import (
 //		read the overhang;  find the round's token in B + overhang
 //		upc_barrier;  A[match] = 'Z' for each match;  upc_barrier
 //	}
-func Field(t *core.Thread, p Params, done func(uint64)) {
+func Field(t *core.Thread, p Params, done func(uint64)) { startField(t, p, done) }
+
+// startField is Field returning the thread's state, through which a
+// test reads the array back when done is called.
+func startField(t *core.Thread, p Params, done func(uint64)) *field {
 	const blk = fieldBlock
 	m := &field{}
 	m.init(t, p, done)
@@ -61,6 +65,7 @@ func Field(t *core.Thread, p Params, done func(uint64)) {
 	// the original benchmark's large data quantities.
 	m.sampleBase = ((int64(t.ID()) + int64(t.ThreadsPerNode())) % int64(t.Threads())) * blk
 	t.AllAllocC("field", m.n, 1, blk, m.do.allocated)
+	return m
 }
 
 type field struct {

@@ -5,6 +5,11 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"xlupc/internal/core"
+	"xlupc/internal/fault"
+	"xlupc/internal/sim"
+	"xlupc/internal/transport"
 )
 
 // contiguousMatches is the scan appendMatches replaces: the block and
@@ -92,5 +97,128 @@ func TestLowBitsEqualsByteLoop(t *testing.T) {
 	}
 	if got := lowBits(ones); got != fieldSampleBytes {
 		t.Errorf("all-ones sample counts %d, want %d", got, fieldSampleBytes)
+	}
+}
+
+// fieldModel is Field without the machine: the whole array in one slice,
+// round by round, in plain Go. It returns the array at the start of
+// every round and, last, its final image — the init words and every 'Z'
+// — and the run's checksum. Every thread searches the round's start
+// state (its block plus the overhang) and samples it, and all of a
+// round's 'Z' writes land before the next round starts.
+func fieldModel(threads, perNode int, p Params) ([][]byte, uint64) {
+	n := fieldBlock * threads
+	a := make([]byte, n)
+	for i := range a {
+		a[i] = byte('a' + splitmix64(uint64(i)^(p.Salt*0x9E3779B9))%4)
+	}
+	var states [][]byte
+	sums := make([]uint64, threads)
+	tok := make([]byte, fieldTokenLen)
+	for rnd := 0; rnd < fieldTokens; rnd++ {
+		states = append(states, slices.Clone(a))
+		for i := range tok {
+			tok[i] = byte('a' + p.hash(uint64(rnd)*31+uint64(i))%4)
+		}
+		var writes []int
+		for th := 0; th < threads; th++ {
+			lo := th * fieldBlock
+			base := (th + perNode) % threads * fieldBlock
+			for seg := 0; seg < fieldSegments; seg++ {
+				off := (seg*2311 + rnd*977) % (fieldBlock - fieldSampleBytes)
+				for _, c := range a[base+off : base+off+fieldSampleBytes] {
+					sums[th] += uint64(c & 1)
+				}
+			}
+			succ := (lo + fieldBlock) % n
+			window := append(slices.Clone(a[lo:lo+fieldBlock]), a[succ:succ+fieldTokenLen-1]...)
+			for i := 0; i+fieldTokenLen <= len(window); {
+				j := bytes.Index(window[i:], tok)
+				if j < 0 {
+					break
+				}
+				i += j
+				writes = append(writes, (lo+i)%n)
+				sums[th]++
+				i += fieldTokenLen
+			}
+		}
+		for _, pos := range writes {
+			a[pos] = 'Z'
+		}
+	}
+	return append(states, a), Checksum(sums)
+}
+
+// TestFieldMatchesModel runs Field and compares it with fieldModel: the
+// block each thread scans in every round (its view, after the round's
+// snapshot), the checksum, and the array in node memory when the run
+// ends, byte for byte. It does so on GM and LAPI with the cache off and
+// on, salted, and under the crash/restart schedule of bench's
+// TestFieldCrashRelocation, whose restarts relocate chunks and leave a
+// thread's view a plain buffer that only the snapshot refreshes. Each
+// thread reads its block back when the mark calls done, after the last
+// barrier: nothing writes the array after that.
+func TestFieldMatchesModel(t *testing.T) {
+	rc := transport.DefaultRelConfig()
+	crash := &core.CrashConfig{CrashConfig: fault.CrashConfig{
+		Prob: 0.9, Every: 400 * sim.Us, RestartMin: 75 * sim.Us, RestartMax: 150 * sim.Us,
+		Horizon: 20 * sim.Ms, MaxPerNode: 3,
+	}}
+	cases := []struct {
+		name string
+		cfg  core.Config
+		p    Params
+	}{
+		{"gm/nocache", core.Config{Profile: transport.GM(), Cache: core.NoCache()}, Params{}},
+		{"gm/default", core.Config{Profile: transport.GM(), Cache: core.DefaultCache()}, Params{}},
+		{"lapi/nocache", core.Config{Profile: transport.LAPI(), Cache: core.NoCache()}, Params{}},
+		{"lapi/default", core.Config{Profile: transport.LAPI(), Cache: core.DefaultCache()}, Params{}},
+		{"gm/default/salted", core.Config{Profile: transport.GM(), Cache: core.DefaultCache()}, Params{Salt: 5}},
+		{"gm/crash-relocation", core.Config{Profile: transport.GM(), Cache: core.DefaultCache(), Rel: &rc, Crash: crash}, Params{}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Threads, cfg.Nodes, cfg.Seed = 16, 4, 1
+			rt, err := core.NewRuntime(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states, wantCheck := fieldModel(cfg.Threads, cfg.ThreadsPerNode(), c.p)
+			final := states[fieldTokens]
+			if !slices.Contains(final, 'Z') {
+				t.Fatal("the model wrote no 'Z': the comparison is vacuous")
+			}
+			image := make([]byte, len(final))
+			st, check, err := Run(rt, func(th *core.Thread, p Params, done func(uint64)) {
+				var m *field
+				m = startField(th, p, func(c uint64) {
+					copy(image[m.lo:], th.Local(m.a.At(m.lo), fieldBlock))
+					done(c)
+				})
+				scan := m.do.overhung
+				m.do.overhung = func() {
+					if want := states[m.rnd][m.lo : m.lo+fieldBlock]; !bytes.Equal(m.local, want) {
+						t.Errorf("thread %d scanned another block in round %d than the model", th.ID(), m.rnd)
+					}
+					scan()
+				}
+			}, c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.cfg.Crash != nil && st.Crash.Crashes == 0 {
+				t.Fatal("no node restarted: the crash case is vacuous")
+			}
+			if check != wantCheck {
+				t.Errorf("checksum %x, model %x", check, wantCheck)
+			}
+			for i := range final {
+				if image[i] != final[i] {
+					t.Fatalf("array[%d] (thread %d) = %q, model %q", i, i/fieldBlock, image[i], final[i])
+				}
+			}
+		})
 	}
 }

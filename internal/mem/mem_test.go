@@ -542,3 +542,35 @@ func TestSpaceAtBadOriginPanics(t *testing.T) {
 		}()
 	}
 }
+
+// A Read or Write whose slice is a View of the very range it moves
+// leaves the bytes as they are (Go's copy moves nothing when the two
+// slices start at one address: the compiler guards its memmove with
+// that compare); one whose slice only partly overlaps the range still
+// moves them, as memmove would.
+func TestReadWriteThroughOwnView(t *testing.T) {
+	s := NewSpace(0)
+	a := s.Alloc(64)
+	want := []byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ!?")
+	s.Write(a, want)
+	v := s.View(a, 64)
+	s.Read(v, a)
+	s.Write(a, v)
+	if !bytes.Equal(s.ReadAlloc(a, 64), want) {
+		t.Fatalf("aliased Read/Write changed the bytes: %q", s.ReadAlloc(a, 64))
+	}
+
+	// Forward: the destination starts inside the source.
+	s.Write(a+8, v[:32])
+	fwd := append(append(append([]byte{}, want[:8]...), want[:32]...), want[40:]...)
+	if got := s.ReadAlloc(a, 64); !bytes.Equal(got, fwd) {
+		t.Fatalf("overlapping Write: got %q, want %q", got, fwd)
+	}
+	// Backward: the source starts inside the destination.
+	s.Write(a, want)
+	s.Read(v[:32], a+8)
+	back := append(append([]byte{}, want[8:40]...), want[32:]...)
+	if got := s.ReadAlloc(a, 64); !bytes.Equal(got, back) {
+		t.Fatalf("overlapping Read: got %q, want %q", got, back)
+	}
+}
