@@ -512,7 +512,7 @@ func (l *censusLoader) testReads(p *censusPkg, test, ident string) error {
 // coverageCeiling is the number of statements under internal/ that no
 // shipped invocation executes. It only goes down: the change that lowers
 // the count lowers it too.
-const coverageCeiling = 735
+const coverageCeiling = 726
 
 // coverageExceptions are the functions under internal/ of more than one
 // statement that no shipped invocation runs but that stay, each with the
@@ -631,7 +631,6 @@ func TestCoverageCensus(t *testing.T) {
 // line passes after all, or whose flag no binary registers, fails the
 // census.
 var flagExceptions = map[string]string{
-	"-pprof":                   "serves the host profiler over HTTP until the process exits",
 	"xlupc-report -full":       "runs the report at the paper's largest scales, which takes minutes",
 	"xlupc-report -scale":      "appends the big-scale sweep, which takes minutes; CI's bench smoke runs it through BenchmarkBigScaleCont",
 	"xlupc-report -flight":     "a report takes seconds, too long for the seed sweep; xlupc-chaos -flight runs the same bench.ParseFlightFlags path there",
@@ -641,11 +640,21 @@ var flagExceptions = map[string]string{
 // TestFlagCensus fails on a flag of a CLI, as its -h output lists them,
 // that no line of the invocation list passes to that CLI — the seed
 // sweep (whose lines CI also passes -seed), the rejected flags and the
-// determinism invocations — unless flagExceptions names it.
+// determinism invocations — unless flagExceptions names it. It also
+// fails when a CLI depends on networking (linkedNetwork): no flag
+// serves anything, and a listener's imports would more than double the
+// size of every binary and the time to rebuild it.
 func TestFlagCensus(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	chains, err := linkedNetwork(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range chains {
+		t.Errorf("a CLI links networking: %s", c)
 	}
 	bin := t.TempDir()
 	if err := goCmd(root, "build", "-o", bin+string(filepath.Separator), "./cmd/..."); err != nil {
@@ -706,6 +715,52 @@ func TestFlagCensus(t *testing.T) {
 			t.Errorf("flagExceptions lists %s, which a line passes or no binary registers", flag)
 		}
 	}
+}
+
+// linkedNetwork returns the shortest import chain ("xlupc/cmd/x →
+// xlupc/internal/y → net") from a command under cmd/ to each package of
+// net, net/… or crypto/tls it depends on, stopping at the first such
+// package on each branch.
+func linkedNetwork(root string) ([]string, error) {
+	cmd := exec.Command("go", "list", "-deps", "-f", "{{.ImportPath}} {{.DepOnly}}{{range .Imports}} {{.}}{{end}}", "./cmd/...")
+	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -deps ./cmd/...: %v", err)
+	}
+	imports := map[string][]string{}
+	var queue []string
+	from := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		imports[f[0]] = f[2:]
+		if f[1] == "false" { // a command itself
+			queue = append(queue, f[0])
+			from[f[0]] = ""
+		}
+	}
+	var chains []string
+	for len(queue) > 0 {
+		pkg := queue[0]
+		queue = queue[1:]
+		if pkg == "net" || strings.HasPrefix(pkg, "net/") || pkg == "crypto/tls" {
+			chain := []string{pkg}
+			for p := from[pkg]; p != ""; p = from[p] {
+				chain = append([]string{p}, chain...)
+			}
+			chains = append(chains, strings.Join(chain, " → "))
+			continue // what it imports in turn is the same fault
+		}
+		for _, imp := range imports[pkg] {
+			if _, seen := from[imp]; !seen {
+				from[imp] = pkg
+				queue = append(queue, imp)
+			}
+		}
+	}
+	sort.Strings(chains)
+	return chains, nil
 }
 
 // goCmd runs the go command in dir.

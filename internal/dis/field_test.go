@@ -153,34 +153,24 @@ func fieldModel(threads, perNode int, p Params) ([][]byte, uint64) {
 // TestFieldMatchesModel runs Field and compares it with fieldModel: the
 // block each thread scans in every round (its view, after the round's
 // snapshot), the checksum, and the array in node memory when the run
-// ends, byte for byte. It does so on GM and LAPI with the cache off and
-// on, salted, and under the crash/restart schedule of bench's
-// TestFieldCrashRelocation, whose restarts relocate chunks and leave a
-// thread's view a plain buffer that only the snapshot refreshes. Each
-// thread reads its block back when the mark calls done, after the last
-// barrier: nothing writes the array after that.
+// ends, byte for byte. It does so on the modelCases and under the
+// crash/restart schedule of bench's TestFieldCrashRelocation, whose
+// restarts relocate chunks and leave a thread's view a plain buffer
+// that only the snapshot refreshes. Each thread reads its block back
+// when the mark calls done, after the last barrier: nothing writes the
+// array after that.
 func TestFieldMatchesModel(t *testing.T) {
 	rc := transport.DefaultRelConfig()
 	crash := &core.CrashConfig{CrashConfig: fault.CrashConfig{
 		Prob: 0.9, Every: 400 * sim.Us, RestartMin: 75 * sim.Us, RestartMax: 150 * sim.Us,
 		Horizon: 20 * sim.Ms, MaxPerNode: 3,
 	}}
-	cases := []struct {
-		name string
-		cfg  core.Config
-		p    Params
-	}{
-		{"gm/nocache", core.Config{Profile: transport.GM(), Cache: core.NoCache()}, Params{}},
-		{"gm/default", core.Config{Profile: transport.GM(), Cache: core.DefaultCache()}, Params{}},
-		{"lapi/nocache", core.Config{Profile: transport.LAPI(), Cache: core.NoCache()}, Params{}},
-		{"lapi/default", core.Config{Profile: transport.LAPI(), Cache: core.DefaultCache()}, Params{}},
-		{"gm/default/salted", core.Config{Profile: transport.GM(), Cache: core.DefaultCache()}, Params{Salt: 5}},
-		{"gm/crash-relocation", core.Config{Profile: transport.GM(), Cache: core.DefaultCache(), Rel: &rc, Crash: crash}, Params{}},
-	}
+	cases := append(modelCases[:len(modelCases):len(modelCases)],
+		modelCase{"gm/crash-relocation", core.Config{Profile: transport.GM(), Cache: core.DefaultCache(), Rel: &rc, Crash: crash}, Params{}})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
-			cfg.Threads, cfg.Nodes, cfg.Seed = 16, 4, 1
+			cfg.Threads, cfg.Nodes, cfg.Seed = modelThreads, modelNodes, 1
 			rt, err := core.NewRuntime(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -214,11 +204,7 @@ func TestFieldMatchesModel(t *testing.T) {
 			if check != wantCheck {
 				t.Errorf("checksum %x, model %x", check, wantCheck)
 			}
-			for i := range final {
-				if image[i] != final[i] {
-					t.Fatalf("array[%d] (thread %d) = %q, model %q", i, i/fieldBlock, image[i], final[i])
-				}
-			}
+			compareImage(t, image, final, fieldBlock)
 		})
 	}
 }

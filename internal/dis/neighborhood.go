@@ -23,13 +23,18 @@ import (
 //		compute(hopCompute);  sum += 3a + 5b + 7d
 //	}
 //	upc_barrier
-func Neighborhood(t *core.Thread, p Params, done func(uint64)) {
+func Neighborhood(t *core.Thread, p Params, done func(uint64)) { startNeighborhood(t, p, done) }
+
+// startNeighborhood is Neighborhood returning the thread's state,
+// through which a test reads the matrix back when done is called.
+func startNeighborhood(t *core.Thread, p Params, done func(uint64)) *neighborhood {
 	m := &neighborhood{}
 	m.init(t, p, done)
 	m.do.allocated, m.do.fill, m.do.sample, m.do.read, m.do.computed =
 		m.allocated, m.fill, m.sample, m.read, m.computed
 	const band = neighborhoodRowsPer * neighborhoodCols
 	t.AllAllocC("pixels", band*int64(t.Threads()), 1, band, m.do.allocated)
+	return m
 }
 
 type neighborhood struct {

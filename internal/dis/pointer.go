@@ -51,12 +51,17 @@ func (f *successors) step() {
 //		check ^= next + hop;  pos = next
 //	}
 //	upc_barrier
-func Pointer(t *core.Thread, p Params, done func(uint64)) {
+func Pointer(t *core.Thread, p Params, done func(uint64)) { startPointer(t, p, done) }
+
+// startPointer is Pointer returning the thread's state, through which a
+// test reads the array back when done is called.
+func startPointer(t *core.Thread, p Params, done func(uint64)) *pointer {
 	m := &pointer{}
 	m.init(t, p, done)
 	m.do.allocated, m.do.chase, m.do.got, m.do.hopped = m.allocated, m.chase, m.got, m.hopped
 	// Blocked distribution: one contiguous block per thread.
 	t.AllAllocC("pointer", int64(t.Threads())*pointerPerThread, 8, pointerPerThread, m.do.allocated)
+	return m
 }
 
 type pointer struct {

@@ -1,6 +1,10 @@
 // Package prof wires Go's host-side profilers into the xlupc
-// commands: CPU profiles, allocation profiles and an optional
-// net/http/pprof server, behind three flags shared by every binary.
+// commands: CPU profiles and allocation profiles, behind two flags
+// shared by every binary, read with go tool pprof after the run.
+//
+// It links no network code: a live HTTP view would bring net, net/http
+// and crypto/* into every binary, and the root TestFlagCensus fails if
+// any command depends on net.
 //
 // The simulator's own figures are virtual-time and fully
 // deterministic; prof measures the orthogonal question of what the
@@ -11,9 +15,6 @@ package prof
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof handlers for -pprof
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -25,12 +26,11 @@ import (
 type Flags struct {
 	CPUProfile string // -cpuprofile: CPU profile destination
 	MemProfile string // -memprofile: allocation profile destination
-	PprofAddr  string // -pprof: live net/http/pprof listen address
 }
 
-// Register installs the shared profiling flags -cpuprofile,
-// -memprofile and -pprof on fs (flag.CommandLine when nil) and
-// returns their destination. Call it before flag.Parse.
+// Register installs the shared profiling flags -cpuprofile and
+// -memprofile on fs (flag.CommandLine when nil) and returns their
+// destination. Call it before flag.Parse.
 func Register(fs *flag.FlagSet) *Flags {
 	if fs == nil {
 		fs = flag.CommandLine
@@ -38,7 +38,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile to `file` (inspect with go tool pprof)")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a host allocation profile to `file` on exit")
-	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof on `addr` (e.g. localhost:6060) for live inspection")
 	return f
 }
 
@@ -46,7 +45,7 @@ func Register(fs *flag.FlagSet) *Flags {
 // function that finishes it: stops the CPU profile and writes the
 // allocation profile. stop is idempotent and must run before the
 // process exits, or the CPU profile is truncated and the allocation
-// profile never written. The pprof server, if any, serves until exit.
+// profile never written.
 func (f *Flags) Start() (stop func() error, err error) {
 	var cpu *os.File
 	if f.CPUProfile != "" {
@@ -58,18 +57,6 @@ func (f *Flags) Start() (stop func() error, err error) {
 			cpu.Close()
 			return nil, err
 		}
-	}
-	if f.PprofAddr != "" {
-		ln, err := net.Listen("tcp", f.PprofAddr)
-		if err != nil {
-			if cpu != nil {
-				pprof.StopCPUProfile()
-				cpu.Close()
-			}
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving http://%s/debug/pprof/\n", ln.Addr())
-		go func() { _ = http.Serve(ln, nil) }()
 	}
 	var once sync.Once
 	var stopErr error

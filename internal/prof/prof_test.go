@@ -10,10 +10,10 @@ import (
 func TestRegisterInstallsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := Register(fs)
-	if err := fs.Parse([]string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out", "-pprof", "localhost:0"}); err != nil {
+	if err := fs.Parse([]string{"-cpuprofile", "cpu.out", "-memprofile", "mem.out"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.CPUProfile != "cpu.out" || f.MemProfile != "mem.out" || f.PprofAddr != "localhost:0" {
+	if f.CPUProfile != "cpu.out" || f.MemProfile != "mem.out" {
 		t.Fatalf("flags not bound: %+v", f)
 	}
 }
@@ -67,16 +67,5 @@ func TestStartFailsOnBadPath(t *testing.T) {
 	f := Flags{CPUProfile: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}
 	if _, err := f.Start(); err == nil {
 		t.Fatal("Start with an unwritable cpuprofile path did not fail")
-	}
-}
-
-func TestPprofServerStarts(t *testing.T) {
-	f := Flags{PprofAddr: "127.0.0.1:0"} // ephemeral port: never collides
-	stop, err := f.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stop(); err != nil {
-		t.Fatal(err)
 	}
 }
