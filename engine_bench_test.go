@@ -1,8 +1,9 @@
 // Engine throughput benchmarks: raw event rate and allocation profile
-// of the simulation kernel, plus a paper-scale sweep point. These gauge
-// the simulator itself (events/sec of the lane event queue and of its
-// overflow heap, callback fast paths, process handoff) rather than
-// reproducing a figure.
+// of the simulation kernel under a wide pending set, plus a paper-scale
+// sweep point. These gauge the simulator itself (events/sec of the lane
+// event queue and of its overflow heap) rather than reproducing a
+// figure; the one-callback and one-process paths are the sim.callback
+// and sim.handoff rows of internal/bench's BenchmarkOps.
 package xlupc
 
 import (
@@ -12,27 +13,6 @@ import (
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
-
-// BenchmarkEngineEventThroughput measures the pure callback event loop:
-// schedule-run-schedule with no processes, the kernel's fastest path.
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(10, tick)
-		}
-	}
-	k.After(10, tick)
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/sec")
-}
 
 // BenchmarkEngineFanout measures queue throughput under a wide pending
 // set with recurring delays, the model's usual traffic: 1024 concurrent
@@ -85,23 +65,6 @@ func benchFanout(b *testing.B, delays func(i int) func() sim.Duration) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkEngineProcessHandoff measures the goroutine-backed process
-// path: one park/resume rendezvous per simulated hop.
-func BenchmarkEngineProcessHandoff(b *testing.B) {
-	b.ReportAllocs()
-	k := sim.NewKernel()
-	k.Spawn("walker", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(10)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "switches/sec")
 }
 
 // BenchmarkFig8PointerPaperScale runs the Figure 8 Pointer sweep point

@@ -1,8 +1,9 @@
 package bench
 
 // CI bench smoke: runs the checked-in 32k-thread / 1k-node Figure-8
-// point and fails when a host metric regresses
-// more than 15% against testdata/big32k_baseline.json. The virtual
+// point once, logs the row xlupc-report -scale prints for it, and
+// fails when a host metric regresses more than 15% against
+// testdata/big32k_baseline.json. The virtual
 // columns (events, checksum) must match the baseline exactly — they
 // are deterministic, so any drift there is a semantics change, not a
 // performance regression.
@@ -16,6 +17,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +41,9 @@ func TestBenchSmoke32k(t *testing.T) {
 		t.Fatalf("parsing baseline: %v", err)
 	}
 
-	sp, err := Sweep{Seed: 1}.ScaleMark(BigScale())
+	var row strings.Builder
+	sp, err := Sweep{Seed: 1}.PrintScale(&row, BigScale())
+	t.Logf("\n%s", row.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -41,23 +40,13 @@ func TestScaleSeed(t *testing.T) {
 	}
 }
 
-// BenchmarkBigScaleCont times the sweep point under -benchmem; the CI
-// smoke (ci_smoke_test.go) compares the full point against the
-// checked-in baseline. The default benchmark
-// scale is reduced from the 32k acceptance point so `go test -bench`
-// stays affordable; set XLUPC_BENCH_FULL=1 to run the full point.
-func benchBigScale() Scale {
-	if os.Getenv("XLUPC_BENCH_FULL") == "" {
-		return Scale{Threads: 8192, Nodes: 256}
-	}
-	return BigScale()
-}
-
+// BenchmarkBigScaleCont times the sweep point at 8k threads on 256
+// nodes under -benchmem, a quarter of the 32k acceptance point so `go
+// test -bench` stays affordable; TestBenchSmoke32k runs the full point.
 func BenchmarkBigScaleCont(b *testing.B) {
-	sc := benchBigScale()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp, err := Sweep{Seed: 1}.ScaleMark(sc)
+		sp, err := Sweep{Seed: 1}.ScaleMark(Scale{Threads: 8192, Nodes: 256})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -106,6 +106,55 @@ func TestPointerMatchesModel(t *testing.T) {
 	}
 }
 
+// updateModel is Update without the machine: the array the fill writes
+// as little-endian words, updated by thread 0's walk, and the run's
+// checksum, thread 0's reads followed through the array in plain Go.
+func updateModel(threads int, p Params) ([]byte, uint64) {
+	salted := func(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
+	n := uint64(threads * updatePerThread)
+	a := make([]uint64, n)
+	for i := range a {
+		a[i] = salted(uint64(i)^0xCAFE) % n
+	}
+	sums := make([]uint64, threads)
+	pos := salted(0x5EED) % n
+	for hop := 0; hop < updateHopsBase+updateHopsPerThread*threads; hop++ {
+		var next uint64
+		for r := uint64(0); r < updateReads; r++ {
+			v := a[(pos+97*r)%n]
+			sums[0] ^= v + r
+			if r == 0 {
+				next = v
+			}
+		}
+		a[pos] = next
+		pos = next
+	}
+	image := make([]byte, 8*n)
+	for i, v := range a {
+		binary.LittleEndian.PutUint64(image[8*i:], v)
+	}
+	return image, Checksum(sums)
+}
+
+// TestUpdateMatchesModel runs Update and compares the checksum and the
+// array in node memory when the run ends with updateModel's, byte for
+// byte.
+func TestUpdateMatchesModel(t *testing.T) {
+	for _, c := range modelCases {
+		t.Run(c.name, func(t *testing.T) {
+			want, wantCheck := updateModel(modelThreads, c.p)
+			image, check := runReadBack(t, c.cfg, c.p, func(th *core.Thread, p Params, done func(uint64)) *mark {
+				return &startUpdate(th, p, done).mark
+			})
+			if check != wantCheck {
+				t.Errorf("checksum %x, model %x", check, wantCheck)
+			}
+			compareImage(t, image, want, updatePerThread*8)
+		})
+	}
+}
+
 // neighborhoodModel is Neighborhood without the machine: the pixel
 // matrix the fill writes (nothing writes it after), and the run's
 // checksum, every thread's samples read from the matrix in plain Go.

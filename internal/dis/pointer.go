@@ -123,12 +123,16 @@ func (m *pointer) hopped() {
 //		upc_fence
 //	}
 //	upc_barrier
-func Update(t *core.Thread, p Params, done func(uint64)) {
+func Update(t *core.Thread, p Params, done func(uint64)) { startUpdate(t, p, done) }
+
+// startUpdate is Update returning the thread's state (see startPointer).
+func startUpdate(t *core.Thread, p Params, done func(uint64)) *update {
 	m := &update{}
 	m.init(t, p, done)
 	m.do.allocated, m.do.walk, m.do.got, m.do.computed, m.do.wrote, m.do.fenced =
 		m.allocated, m.walk, m.got, m.computed, m.wrote, m.fenced
 	t.AllAllocC("update", int64(t.Threads())*updatePerThread, 8, updatePerThread, m.do.allocated)
+	return m
 }
 
 type update struct {

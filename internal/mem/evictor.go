@@ -85,7 +85,7 @@ func (k EvictorKind) New(model CostModel) Evictor {
 	case EvictClock:
 		return NewClockEvictor()
 	case EvictCost:
-		return NewCostEvictor(model, 0, 0)
+		return NewCostEvictor(model)
 	default:
 		return NewLRUEvictor()
 	}
@@ -256,28 +256,16 @@ const (
 // stops sacrificing regions it has already been punished for evicting,
 // which is what survives a cyclic scan that defeats pure LRU.
 type costEvictor struct {
-	model    CostModel
-	l        pinList // recency order like LRU
-	window   int
-	ghost    map[Addr]struct{}
-	fifo     []Addr // eviction order; stale heads skipped lazily
-	ghostCap int
-	stuck    int // consecutive all-protected refusals
+	model CostModel
+	l     pinList // recency order like LRU
+	ghost map[Addr]struct{}
+	fifo  []Addr // eviction order; stale heads skipped lazily
+	stuck int    // consecutive all-protected refusals
 }
 
-// NewCostEvictor returns the cost-aware policy. window and ghostCap
-// fall back to the defaults when <= 0.
-func NewCostEvictor(model CostModel, window, ghostCap int) Evictor {
-	if window <= 0 {
-		window = DefaultCostWindow
-	}
-	if ghostCap <= 0 {
-		ghostCap = DefaultGhostCap
-	}
-	return &costEvictor{
-		model: model, window: window,
-		ghost: make(map[Addr]struct{}), ghostCap: ghostCap,
-	}
+// NewCostEvictor returns the cost-aware policy.
+func NewCostEvictor(model CostModel) Evictor {
+	return &costEvictor{model: model, ghost: make(map[Addr]struct{})}
 }
 
 func (v *costEvictor) Name() string { return "cost" }
@@ -329,7 +317,7 @@ func (v *costEvictor) Victim(now sim.Time) *PinEntry {
 	}
 	var best *PinEntry
 	n := 0
-	for e := v.l.tail; e != nil && n < v.window; e, n = e.prev, n+1 {
+	for e := v.l.tail; e != nil && n < DefaultCostWindow; e, n = e.prev, n+1 {
 		if e.protected {
 			continue
 		}
@@ -351,7 +339,7 @@ func (v *costEvictor) Victim(now sim.Time) *PinEntry {
 		}
 		v.stuck = 0
 		n = 0
-		for e := v.l.tail; e != nil && n < v.window; e, n = e.prev, n+1 {
+		for e := v.l.tail; e != nil && n < DefaultCostWindow; e, n = e.prev, n+1 {
 			e.protected = false
 		}
 		best = v.l.tail
@@ -372,7 +360,7 @@ func (v *costEvictor) Evicted(e *PinEntry) {
 	}
 	v.ghost[e.Base] = struct{}{}
 	v.fifo = append(v.fifo, e.Base)
-	for len(v.ghost) > v.ghostCap {
+	for len(v.ghost) > DefaultGhostCap {
 		old := v.fifo[0]
 		v.fifo = v.fifo[1:]
 		delete(v.ghost, old) // stale duplicates impossible: one fifo slot per resident key

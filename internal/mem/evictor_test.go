@@ -123,7 +123,7 @@ func TestCostEvictorPrefersCheapDereg(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 5 * PageSize
 	pt := NewPinTable(0, m, PinLimited)
-	pt.SetEvictor(NewCostEvictor(m, 0, 0))
+	pt.SetEvictor(NewCostEvictor(m))
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCostGhostProtectionDegradesGracefully(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
 	pt := NewPinTable(0, m, PinLimited)
-	pt.SetEvictor(NewCostEvictor(m, 0, 0))
+	pt.SetEvictor(NewCostEvictor(m))
 	pin := func(base Addr, now sim.Time) error {
 		_, err := pt.Pin(base, PageSize, uint64(base), now)
 		return err

@@ -3,38 +3,9 @@ package sim
 import "testing"
 
 // The simulator's own speed bounds every experiment's wall-clock time;
-// these benchmarks track events/second for the three hot paths:
-// kernel callbacks, process context switches, and resource handoffs.
-
-func BenchmarkCallbackEvents(b *testing.B) {
-	k := NewKernel()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(1*Ns, tick)
-		}
-	}
-	k.Spawn("kick", func(p *Proc) { k.After(1*Ns, tick) })
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkProcessSwitch(b *testing.B) {
-	k := NewKernel()
-	k.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1 * Ns)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
+// these benchmarks track events/second for completion, resource and
+// queue handoffs (kernel callbacks and process switches are rows of
+// internal/bench's BenchmarkOps).
 
 func BenchmarkCompletionHandoff(b *testing.B) {
 	k := NewKernel()

@@ -148,7 +148,6 @@ type Kernel struct {
 	conts   map[*Cont]struct{} // live continuation-mode threads (see cont.go)
 	procSeq uint64             // spawn-order counter (deterministic shutdown)
 	stopped bool
-	limit   Time  // 0 = no limit
 	events  int64 // events processed by Run (host-profiling figure)
 
 	cpool      pool.Free[Completion] // recycled completions (see Recycle)
@@ -171,10 +170,6 @@ func (k *Kernel) Events() int64 { return k.events }
 // QueueStats reports where the event queue filed the events scheduled
 // so far (host-side; see QueueStats). Valid after Shutdown too.
 func (k *Kernel) QueueStats() QueueStats { return k.q.stats }
-
-// SetLimit makes Run stop (without error) once the clock would pass t.
-// A zero limit means no limit.
-func (k *Kernel) SetLimit(t Time) { k.limit = t }
 
 // Stop makes Run return after the current event completes. Pending
 // events are discarded.
@@ -256,10 +251,10 @@ func (k *Kernel) spawn(name lazyName, body func(p *Proc)) *Proc {
 	return p
 }
 
-// Run executes events until the event queue drains, Stop is called, or
-// the optional time limit is reached. It returns a DeadlockError if
-// live processes remain blocked with no pending events, which usually
-// indicates a protocol bug (a completion never completed).
+// Run executes events until the event queue drains or Stop is called.
+// It returns a DeadlockError if live processes remain blocked with no
+// pending events, which usually indicates a protocol bug (a completion
+// never completed).
 //
 // Run does not release the coroutines backing still-blocked processes;
 // callers that build many kernels must call Shutdown once the run (and
@@ -271,7 +266,7 @@ func (k *Kernel) Run() error {
 	for !k.stopped {
 		// Discard cancelled timers before inspecting the head: they
 		// must neither advance the clock nor hide an otherwise-drained
-		// queue from deadlock detection or the time limit.
+		// queue from deadlock detection.
 		for h != nil && h.tm != nil && h.tm.cancelled {
 			h.tm.queued = false
 			k.q.take(src)
@@ -283,9 +278,6 @@ func (k *Kernel) Run() error {
 			}
 			return nil
 		}
-		if k.limit > 0 && h.t > k.limit {
-			return nil
-		}
 		fn, tm := h.fn, h.tm
 		k.now = h.t
 		k.q.take(src)
@@ -295,9 +287,8 @@ func (k *Kernel) Run() error {
 		k.events++
 		fn()
 		h, src = k.q.head()
-		// The rest of the instant drains here, past the checks above:
-		// while the clock stands still the limit cannot be crossed, and
-		// a cancelled timer is dropped uncounted as it would be there.
+		// The rest of the instant drains here, past the checks above: a
+		// cancelled timer is dropped uncounted as it would be there.
 		for !k.stopped && h != nil && h.t == k.now {
 			fn, tm = h.fn, h.tm
 			live := tm == nil || !tm.cancelled
@@ -328,7 +319,7 @@ func (k *Kernel) finish(p *Proc) {
 // not yet started — by stopping each in spawn order, which
 // unwinds a parked body with a poison pill and cancels an unstarted
 // one. Call it once a kernel is done (after Run returns, whether
-// normally, by Stop/SetLimit, or with a deadlock); sweeps that build
+// normally, by Stop, or with a deadlock); sweeps that build
 // hundreds of runtimes would otherwise accumulate the parked
 // goroutines forever. The kernel must not be used again afterwards.
 func (k *Kernel) Shutdown() {

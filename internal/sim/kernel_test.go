@@ -491,22 +491,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestSetLimitStopsBeforeEvent(t *testing.T) {
-	k := NewKernel()
-	k.SetLimit(5 * Us)
-	reached := false
-	k.Spawn("a", func(p *Proc) {
-		p.Sleep(10 * Us)
-		reached = true
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if reached {
-		t.Fatal("event past the limit ran")
-	}
-}
-
 func TestSchedulingIntoPastPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

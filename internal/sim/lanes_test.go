@@ -13,7 +13,6 @@ type scheduler interface {
 	At(t Time, fn func())
 	After(d Duration, fn func())
 	AfterTimer(d Duration, fn func()) *Timer
-	SetLimit(t Time)
 	Stop()
 	Run() error
 }
@@ -24,14 +23,12 @@ type heapKernel struct {
 	now     Time
 	heap    eventHeap
 	seq     uint64
-	limit   Time
 	stopped bool
 	events  int64
 }
 
 func (k *heapKernel) Now() Time                   { return k.now }
 func (k *heapKernel) Events() int64               { return k.events }
-func (k *heapKernel) SetLimit(t Time)             { k.limit = t }
 func (k *heapKernel) Stop()                       { k.stopped = true }
 func (k *heapKernel) After(d Duration, fn func()) { k.At(k.now+d, fn) }
 
@@ -55,7 +52,7 @@ func (k *heapKernel) Run() error {
 			}
 			k.heap.popEv()
 		}
-		if k.heap.Len() == 0 || (k.limit > 0 && k.heap.peek().t > k.limit) {
+		if k.heap.Len() == 0 {
 			return nil
 		}
 		ev := k.heap.popEv()
@@ -153,9 +150,7 @@ func (r *scriptRun) op() {
 	case 14:
 		switch c := r.next(); {
 		case c < 0:
-		case c < 24:
-			s.SetLimit(s.Now() + Time(r.next()+1)*Ns)
-		case c < 26:
+		case c >= 24 && c < 26:
 			r.stopped = true
 			s.Stop()
 		default:
@@ -169,18 +164,13 @@ func (r *scriptRun) op() {
 }
 
 // run spends the whole script: it schedules a few events from outside
-// Run (the At-before-Run path), runs until the queue drains or the
-// limit stops it, lifts the limit and drains the rest, and starts over
-// while script is left.
+// Run (the At-before-Run path), runs until the queue drains, and
+// starts over while script is left.
 func (r *scriptRun) run() error {
 	for !r.stopped {
 		for n := (r.next() + 1) % 8; n >= 0; n-- {
 			r.s.At(r.s.Now()+Time(r.next()+1)*50, r.callback())
 		}
-		if err := r.s.Run(); err != nil {
-			return err
-		}
-		r.s.SetLimit(0)
 		if err := r.s.Run(); err != nil {
 			return err
 		}
