@@ -95,9 +95,7 @@ func main() {
 		s.PrintCoalesce(os.Stdout, f.reps)
 	case f.miss:
 		fmt.Println("# Miss overhead: cache machinery enabled but every lookup missing")
-		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-			fmt.Printf("%8s %6.2f%%\n", prof.Name, s.MissOverhead(prof))
-		}
+		s.PrintMissOverhead(os.Stdout)
 	case f.absolute:
 		s.PrintFig7(os.Stdout, f.reps)
 	default:

@@ -32,13 +32,6 @@ const (
 	sample  = 4 << 10 // cross-block statistics sample bytes
 )
 
-func hash(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 func run(prof *transport.Profile, cache core.CacheConfig) (sim.Time, uint64) {
 	rt, err := core.NewRuntime(core.Config{
 		Threads: threads, Nodes: nodes, Profile: prof, Cache: cache, Seed: 5,
@@ -56,7 +49,7 @@ func run(prof *transport.Profile, cache core.CacheConfig) (sim.Time, uint64) {
 		lo := int64(t.ID()) * block
 		buf := make([]byte, block)
 		for i := range buf {
-			buf[i] = byte('a' + hash(uint64(lo)+uint64(i))%4)
+			buf[i] = byte('a' + sim.SplitMix64(uint64(lo)+uint64(i))%4)
 		}
 		t.PutBulk(corpus.At(lo), buf)
 		t.Barrier()
@@ -65,13 +58,13 @@ func run(prof *transport.Profile, cache core.CacheConfig) (sim.Time, uint64) {
 		for round := 0; round < tokens; round++ {
 			tok := make([]byte, tokLen)
 			for i := range tok {
-				tok[i] = byte('a' + hash(uint64(round)*17+uint64(i))%4)
+				tok[i] = byte('a' + sim.SplitMix64(uint64(round)*17+uint64(i))%4)
 			}
 
 			// Local scan (modeled compute, data-dependent speed) ...
 			local := make([]byte, block)
 			t.GetBulk(local, corpus.At(lo))
-			jitter := 700 + sim.Time(hash(uint64(round)*131+uint64(t.ID()))%601)
+			jitter := 700 + sim.Time(sim.SplitMix64(uint64(round)*131+uint64(t.ID()))%601)
 			t.Compute(sim.Time(block) * 2 * sim.Ns * jitter / 1000)
 
 			// ... a statistics sample from the same slot on the next

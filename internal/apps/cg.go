@@ -30,13 +30,6 @@ type CGResult struct {
 	Verified       bool    // residual decreased by at least 10x
 }
 
-func cgHash(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // CG runs a fixed number of conjugate-gradient iterations on a
 // deterministic sparse, symmetric, diagonally dominant matrix
 // distributed by row blocks, solving A·x = b from x = 0. The search
@@ -58,7 +51,7 @@ func CG(t *core.Thread) CGResult {
 	cols := func(i int64) []int64 {
 		out := make([]int64, 0, nnz)
 		for k := int64(0); k < nnz; k++ {
-			out = append(out, int64(cgHash(uint64(i)*131+uint64(k))%uint64(n)))
+			out = append(out, int64(sim.SplitMix64(uint64(i)*131+uint64(k))%uint64(n)))
 		}
 		return out
 	}
@@ -70,7 +63,7 @@ func CG(t *core.Thread) CGResult {
 		if lo8 > hi8 {
 			lo8, hi8 = hi8, lo8
 		}
-		return 0.5 + float64(cgHash(uint64(lo8)*1_000_003+uint64(hi8))%1000)/2000
+		return 0.5 + float64(sim.SplitMix64(uint64(lo8)*1_000_003+uint64(hi8))%1000)/2000
 	}
 	// Symmetrized adjacency: row i touches j if j ∈ cols(i) or i ∈ cols(j).
 	// For simplicity each thread materializes its rows' neighbour sets.

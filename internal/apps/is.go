@@ -43,7 +43,7 @@ func IS(t *core.Thread) ISResult {
 	// bucket with fetch-and-add, then PUT the key there.
 	keys := make([]uint64, isKeysPerThread)
 	for i := range keys {
-		keys[i] = cgHash(uint64(t.ID())*100_003+uint64(i)) % isKeyRange
+		keys[i] = sim.SplitMix64(uint64(t.ID())*100_003+uint64(i)) % isKeyRange
 	}
 	for _, k := range keys {
 		b := int64(k / bucketWidth)

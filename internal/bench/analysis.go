@@ -6,7 +6,6 @@ import (
 
 	"xlupc/internal/core"
 	"xlupc/internal/svd"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -34,25 +33,13 @@ func PrintFootprint(w io.Writer) {
 // form: the share of time the Field stressmark's threads spend blocked
 // in remote GETs on GM, with and without the address cache.
 func (s Sweep) PrintFieldTrace(w io.Writer) {
-	for _, cached := range []bool{false, true} {
-		cc := core.NoCache()
+	for _, cc := range []core.CacheConfig{core.NoCache(), core.DefaultCache()} {
+		f := s.fieldRun(transport.GM(), cc)
 		label := "without cache"
-		if cached {
-			cc = core.DefaultCache()
+		if cc.Enabled {
 			label = "with cache"
 		}
-		tel, _, err := s.PhaseRun("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, cc)
-		if err != nil {
-			panic(err)
-		}
-		tr := trace.FromSpans(tel)
-		var gw trace.Profile
-		for _, p := range tr.Profiles() {
-			if p.State == trace.StateGetWait {
-				gw = p
-			}
-		}
 		fmt.Fprintf(w, "%-14s GET-wait %v (%.1f%% of traced time), longest single wait %v\n",
-			label, gw.Total, 100*gw.Share, tr.MaxInterval(trace.StateGetWait).Dur())
+			label, f.wait.Total, 100*f.wait.Share, f.longest)
 	}
 }

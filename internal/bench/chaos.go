@@ -67,9 +67,6 @@ func (s Sweep) runChaosMark(mark string, sc Scale, prof *transport.Profile, cc c
 // whole claim — and a cache-on/cache-off divergence panics outright,
 // after a flight dump when s.Flight gives the runs rings and a sink.
 func (s Sweep) ChaosSweep(mark string, prof *transport.Profile, sc Scale, losses []float64) []ChaosPoint {
-	if _, err := dis.ByName(mark); err != nil {
-		panic(err) // an invariant: every command resolves its -mark before it gets here
-	}
 	pts := make([]ChaosPoint, len(losses))
 	s.parfor(len(losses), func(i int) {
 		fc := ChaosFaults(losses[i])

@@ -60,9 +60,6 @@ func (s Sweep) runCrashMark(mark string, sc Scale, prof *transport.Profile, cc *
 // checksum diverging from the baseline panics outright, after a flight
 // dump when s.Flight gives the runs rings and a sink.
 func (s Sweep) CrashSweep(mark string, prof *transport.Profile, sc Scale, rates []float64, restart sim.Time) []CrashPoint {
-	if _, err := dis.ByName(mark); err != nil {
-		panic(err) // an invariant: every command resolves its -mark before it gets here
-	}
 	base, baseSum, _ := s.runCrashMark(mark, sc, prof, nil)
 	pts := make([]CrashPoint, len(rates))
 	s.parfor(len(rates), func(i int) {

@@ -144,9 +144,6 @@ type HitRatePoint struct {
 // Fig8 measures address-cache hit rates for a stressmark across scales
 // and cache capacities (4, 10, 100 in the paper).
 func (s Sweep) Fig8(mark string, scales []Scale, capacities []int) []HitRatePoint {
-	if _, err := dis.ByName(mark); err != nil {
-		panic(err) // an invariant: every command resolves its -mark before it gets here
-	}
 	out := make([]HitRatePoint, len(capacities)*len(scales))
 	pts := make([]runPoint, len(out))
 	for i := range out {
@@ -235,9 +232,6 @@ func (s Sweep) PrintFig9(w io.Writer, prof *transport.Profile, scales []Scale) [
 // independent seeds and returned as a sample, from which the caller
 // reads the mean and the 95% confidence half-width.
 func (s Sweep) Fig9CI(mark string, prof *transport.Profile, sc Scale, reps int) stats.Sample {
-	if _, err := dis.ByName(mark); err != nil {
-		panic(err) // an invariant: every command resolves its -mark before it gets here
-	}
 	pts := make([]runPoint, 0, 2*reps)
 	for r := 0; r < reps; r++ {
 		rs := s.Seed + int64(r)*7919
@@ -308,6 +302,13 @@ func (s Sweep) MissOverhead(prof *transport.Profile) (pct float64) {
 	s.parfor(len(configs), func(i int) { times[i] = run(configs[i]) })
 	off, allMiss := times[0], times[1]
 	return 100 * (float64(allMiss) - float64(off)) / float64(off)
+}
+
+// PrintMissOverhead emits the §6 miss overhead on both transports.
+func (s Sweep) PrintMissOverhead(w io.Writer) {
+	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
+		fmt.Fprintf(w, "%8s %6.2f%%\n", prof.Name, s.MissOverhead(prof))
+	}
 }
 
 // PinUsage reports the peak pinned-table occupancy across nodes for

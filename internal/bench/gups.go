@@ -73,14 +73,6 @@ type GUPSResult struct {
 	Run          core.RunStats
 }
 
-// gupsHash is the protocol-independent draw for targets and deltas.
-func gupsHash(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // partner picks the block thread tid updates: half the machine away,
 // so with more than one node every update crosses the wire.
 func (o GUPSOpts) partner(tid int) int64 {
@@ -125,12 +117,12 @@ func (s Sweep) gupsBody(t *core.Thread, proto GUPSProto, o GUPSOpts, checks []ui
 	a := t.AllAlloc("gups", n, 8, o.Words)
 	base := int64(t.ID()) * o.Words
 	for i := int64(0); i < o.Words; i++ {
-		t.PutUint64(a.At(base+i), gupsHash(uint64(s.Seed)^uint64(base+i)))
+		t.PutUint64(a.At(base+i), sim.SplitMix64(uint64(s.Seed)^uint64(base+i)))
 	}
 	// draw is the protocol-independent (offset, delta) of update k.
 	draw := func(k int64) (off int64, delta uint64) {
-		h := gupsHash(uint64(s.Seed)*0x9E3779B9 ^ uint64(t.ID())<<32 ^ uint64(k))
-		return int64(h % uint64(o.Words)), gupsHash(h)%255 + 1
+		h := sim.SplitMix64(uint64(s.Seed)*0x9E3779B9 ^ uint64(t.ID())<<32 ^ uint64(k))
+		return int64(h % uint64(o.Words)), sim.SplitMix64(h)%255 + 1
 	}
 	t.Barrier()
 	t0 := t.Now()

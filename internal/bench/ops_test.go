@@ -406,7 +406,7 @@ func computeBody(th *core.Thread, n int) {
 
 // kvGuardKey is a uniform key stream over the preloaded population.
 func kvGuardKey(tid, i int) uint64 {
-	return 1 + gupsHash(uint64(tid)<<32|uint64(i))%kvGuardKeys
+	return 1 + sim.SplitMix64(uint64(tid)<<32|uint64(i))%kvGuardKeys
 }
 
 const kvGuardKeys = 4096

@@ -6,7 +6,9 @@ import (
 
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
+	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
+	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -60,14 +62,49 @@ func PrintPhaseTables(w io.Writer, tel *telemetry.Telemetry, ops ...string) erro
 // dedicated communication processor absorbs the handlers and that
 // component shrinks.
 func (s Sweep) PrintPhaseBreakdown(w io.Writer) {
-	sc := Scale{Threads: 16, Nodes: 4}
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		tel, st, err := s.PhaseRun("field", prof, sc, core.NoCache())
-		if err != nil {
-			panic(err)
-		}
-		a := tel.Attribute("get")
+		f := s.fieldRun(prof, core.NoCache())
 		fmt.Fprintf(w, "%-6s uncached Field: %v virtual time, %d remote GETs; target-CPU/handler share of GET time %.1f%% (cpu_wait %.1f%%)\n",
-			prof.Name, st.Elapsed, a.Spans, 100*telemetry.TargetShare(a), 100*a.Share(telemetry.PhaseCPUWait))
+			prof.Name, f.elapsed, f.get.Spans, 100*telemetry.TargetShare(f.get), 100*f.get.Share(telemetry.PhaseCPUWait))
 	}
+}
+
+// fieldRun is what the two §4.6 sections read of one telemetry run of
+// the Field stressmark on 16 threads / 4 nodes: its virtual time, its
+// GETs' phase attribution and its GET-wait state profile. The hub is
+// dropped as soon as these are read from it.
+type fieldRun struct {
+	elapsed sim.Time
+	get     telemetry.Attribution
+	wait    trace.Profile
+	longest sim.Time // the longest single GET wait
+}
+
+// fieldRun returns §4.6's Field run on prof with cache cc through the
+// sweep's run table, which simulates each configuration once (under its
+// lock): both §4.6 sections read the uncached GM run. A failed run
+// panics, as a failed stressmark run of the table does (runMark).
+func (s Sweep) fieldRun(prof *transport.Profile, cc core.CacheConfig) fieldRun {
+	sc := Scale{Threads: 16, Nodes: 4}
+	tab, k := s.table(), s.point("field", prof, sc, cc).key()
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	tab.fieldRequests++
+	if f, ok := tab.field[k]; ok {
+		return f
+	}
+	tel, st, err := s.PhaseRun("field", prof, sc, cc)
+	if err != nil {
+		panic(fmt.Sprintf("bench: field run failed: %v", err))
+	}
+	tr := trace.FromSpans(tel)
+	f := fieldRun{elapsed: st.Elapsed, get: tel.Attribute("get"), longest: tr.MaxInterval(trace.StateGetWait).Dur()}
+	for _, p := range tr.Profiles() {
+		if p.State == trace.StateGetWait {
+			f.wait = p
+		}
+	}
+	tab.fieldSimulated++
+	tab.field[k] = f
+	return f
 }

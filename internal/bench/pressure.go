@@ -17,6 +17,7 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/mem"
+	"xlupc/internal/sim"
 	"xlupc/internal/stats"
 	"xlupc/internal/transport"
 )
@@ -99,11 +100,7 @@ func pressurePin(variant string, maxTotal int) *core.PinConfig {
 // pressMix derives the value thread tid writes at slot w of array ai in
 // round r — a pure function, so readers can be checked across variants.
 func pressMix(r, ai, tid, w int) uint64 {
-	x := uint64(r)<<48 ^ uint64(ai)<<32 ^ uint64(tid)<<16 ^ uint64(w)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return sim.SplitMix64(uint64(r)<<48 ^ uint64(ai)<<32 ^ uint64(tid)<<16 ^ uint64(w))
 }
 
 // pressureVictim picks the thread whose block scan s of round r reads:

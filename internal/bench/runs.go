@@ -98,10 +98,14 @@ type runTable struct {
 	// requests and simulated count the keys asked for and the runs
 	// made; the tests assert what the table saved.
 	requests, simulated int
+	// field are §4.6's Field telemetry runs (Sweep.fieldRun), with their
+	// own counts: a hub records what RunStats does not.
+	field                         map[runKey]fieldRun
+	fieldRequests, fieldSimulated int
 }
 
 func newRunTable() *runTable {
-	return &runTable{runs: map[runKey]*runResult{}, donors: map[runKey][]*runResult{}}
+	return &runTable{runs: map[runKey]*runResult{}, donors: map[runKey][]*runResult{}, field: map[runKey]fieldRun{}}
 }
 
 // get returns the result of pt, whose key is k: read back, reused from

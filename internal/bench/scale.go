@@ -2,15 +2,15 @@ package bench
 
 // Big-scale sweep: a Figure-8-style pointer-chase point sized for tens
 // of thousands of threads, used to measure the simulator's own cost.
-// The workload is deliberately not one of the dis stressmarks: their
-// initialisation loops scan the whole array per thread (O(threads²)
-// total), which is fine at benchmark scale but unusable at 32k
-// threads. Here each thread owns exactly one contiguous block and
-// initialises only that, so setup is O(total elements) and the run is
-// dominated by the remote GET fast path. The body is written in
-// continuation-passing style and runs under RunCont: a coroutine stack
-// per thread is what bounds the thread count, and reaching 32k–128k
-// threads is this point's purpose.
+// It is not dis's Pointer stressmark, whose sizes are the figures': 256
+// words and 96 hops per thread, each hop followed by hopCompute. At 32
+// threads per node 96 hops leave a third of a node's GETs on the cold
+// eager-AM path (one compulsory miss per target node). Here a thread
+// owns 32 words and chases 256 hops with no compute, so the cached
+// remote GET fast path dominates; whether the point should be a
+// stressmark of its own sizes is ROADMAP item 4(a)'s question. The body
+// runs under RunCont: a coroutine stack per thread would bound the
+// thread count, and reaching 32k–128k threads is this point's purpose.
 
 import (
 	"fmt"
@@ -38,15 +38,6 @@ const (
 // across 1k nodes.
 func BigScale() Scale { return Scale{Threads: 32768, Nodes: 1024} }
 
-// bigHash is splitmix64 — the same mixer the dis package uses, inlined
-// here so the workload is self-contained.
-func bigHash(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // bigBodyC is the workload: fill the owned block, barrier, chase
 // bigHops pointers (mostly remote GETs), barrier.
 func (s Sweep) bigBodyC(t *core.Thread, done func(uint64)) {
@@ -61,7 +52,7 @@ func (s Sweep) bigBodyC(t *core.Thread, done func(uint64)) {
 			}
 			idx := lo + i
 			i++
-			t.PutUint64C(a.At(idx), bigHash(uint64(idx)^uint64(s.Seed))%uint64(n), next)
+			t.PutUint64C(a.At(idx), sim.SplitMix64(uint64(idx)^uint64(s.Seed))%uint64(n), next)
 		})
 	})
 }
@@ -71,7 +62,7 @@ func (s Sweep) bigBodyC(t *core.Thread, done func(uint64)) {
 // nothing to the allocation profile it measures.
 func bigChase(t *core.Thread, a *core.SharedArray, done func(uint64)) {
 	n := bigElemsPerThread * int64(t.Threads())
-	pos := int64(bigHash(uint64(t.ID())^0xB16) % uint64(n))
+	pos := int64(sim.SplitMix64(uint64(t.ID())^0xB16) % uint64(n))
 	var check uint64
 	h := 0
 	var step func(v uint64)
@@ -142,7 +133,7 @@ func (s Sweep) ScaleMark(sc Scale) (ScalePoint, error) {
 
 	var check uint64
 	for i, c := range checks {
-		check ^= bigHash(c + uint64(i))
+		check ^= sim.SplitMix64(c + uint64(i))
 	}
 	sp := ScalePoint{
 		Threads: sc.Threads, Nodes: sc.Nodes,

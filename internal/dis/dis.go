@@ -158,20 +158,10 @@ func (m *mark) init(t *core.Thread, p Params, done func(uint64)) {
 
 func (m *mark) end() { m.done(m.sum) }
 
-// hash derives the workload hash for a parameter set (splitmix64 over
+// hash derives the workload hash for a parameter set (sim.SplitMix64 over
 // the salted input).
-func (p Params) hash(x uint64) uint64 { return splitmix64(x ^ p.mix()) }
+func (p Params) hash(x uint64) uint64 { return sim.SplitMix64(x ^ p.mix()) }
 
 // mix is what hash folds into its input: a loop hashing many inputs
 // reads it once.
 func (p Params) mix() uint64 { return p.Salt * 0x9E3779B9 }
-
-// splitmix64 provides a deterministic, thread-count-independent hash
-// used to initialize shared data so checksums are comparable across
-// configurations with the same array sizes.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -95,7 +95,7 @@ func (m *field) allocated(a *core.SharedArray) {
 	m.sample = make([]byte, fieldSampleBytes)
 	local, lo, mix := m.local, uint64(m.lo), m.p.mix()
 	for i := range local {
-		local[i] = byte('a' + splitmix64((lo+uint64(i))^mix)%4)
+		local[i] = byte('a' + sim.SplitMix64((lo+uint64(i))^mix)%4)
 	}
 	m.t.PutBulkC(a.At(m.lo), local, m.do.filled)
 }

@@ -110,7 +110,7 @@ func fieldModel(threads, perNode int, p Params) ([][]byte, uint64) {
 	n := fieldBlock * threads
 	a := make([]byte, n)
 	for i := range a {
-		a[i] = byte('a' + splitmix64(uint64(i)^(p.Salt*0x9E3779B9))%4)
+		a[i] = byte('a' + sim.SplitMix64(uint64(i)^(p.Salt*0x9E3779B9))%4)
 	}
 	var states [][]byte
 	sums := make([]uint64, threads)

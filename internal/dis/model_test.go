@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
 
@@ -66,7 +67,7 @@ func runReadBack(t *testing.T, cfg core.Config, p Params, start func(*core.Threa
 // run's checksum, every thread's chase followed through the array in
 // plain Go.
 func pointerModel(threads int, p Params) ([]byte, uint64) {
-	salted := func(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
+	salted := func(x uint64) uint64 { return sim.SplitMix64(x ^ p.Salt*0x9E3779B9) }
 	n := uint64(threads * pointerPerThread)
 	a := make([]uint64, n)
 	for i := range a {
@@ -110,7 +111,7 @@ func TestPointerMatchesModel(t *testing.T) {
 // as little-endian words, updated by thread 0's walk, and the run's
 // checksum, thread 0's reads followed through the array in plain Go.
 func updateModel(threads int, p Params) ([]byte, uint64) {
-	salted := func(x uint64) uint64 { return splitmix64(x ^ p.Salt*0x9E3779B9) }
+	salted := func(x uint64) uint64 { return sim.SplitMix64(x ^ p.Salt*0x9E3779B9) }
 	n := uint64(threads * updatePerThread)
 	a := make([]uint64, n)
 	for i := range a {
@@ -165,7 +166,7 @@ func neighborhoodModel(threads int, p Params) ([]byte, uint64) {
 	rows := rowsPer * threads
 	px := make([]byte, rows*cols)
 	for k := range px {
-		px[k] = byte(splitmix64(uint64(k) ^ p.Salt*0x9E3779B9))
+		px[k] = byte(sim.SplitMix64(uint64(k) ^ p.Salt*0x9E3779B9))
 	}
 	at := func(r, c int) uint64 { return uint64(px[r%rows*cols+c%cols]) }
 	sums := make([]uint64, threads)

@@ -2,6 +2,7 @@ package dis
 
 import (
 	"xlupc/internal/core"
+	"xlupc/internal/sim"
 )
 
 // Neighborhood is the Neighborhood Stressmark: a stencil prototype
@@ -71,7 +72,7 @@ func (m *neighborhood) fill() {
 	}
 	i, row, mix := m.i, m.band[:neighborhoodCols], m.p.mix()
 	for c := range row {
-		row[c] = byte(splitmix64((uint64(i) + uint64(c)) ^ mix))
+		row[c] = byte(sim.SplitMix64((uint64(i) + uint64(c)) ^ mix))
 	}
 	m.i += neighborhoodCols
 	m.band = m.band[neighborhoodCols:]

@@ -81,7 +81,7 @@ func CrashSchedule(seed int64, cfg CrashConfig, nodes int) []CrashEvent {
 	}
 	// Decorrelate from the packet injector and the workload generators:
 	// enabling crashes must not reshuffle their draws.
-	cs := splitmix64(uint64(seed) ^ 0xC4A5_11FE5D)
+	cs := sim.SplitMix64(uint64(seed) ^ 0xC4A5_11FE5D)
 	var evs []CrashEvent
 	for node := 0; node < nodes; node++ {
 		prevBack := sim.Time(0)
@@ -97,17 +97,17 @@ func CrashSchedule(seed int64, cfg CrashConfig, nodes int) []CrashEvent {
 			if winStart < prevBack {
 				continue // still down (or restarting) from the last crash
 			}
-			h := splitmix64(cs ^ uint64(node)*0xD1B54A32D192ED03 ^ uint64(w)*0x9E3779B97F4A7C15 ^ tagCrash<<56)
+			h := sim.SplitMix64(cs ^ uint64(node)*0xD1B54A32D192ED03 ^ uint64(w)*0x9E3779B97F4A7C15 ^ tagCrash<<56)
 			if unit(h) >= cfg.Prob {
 				continue
 			}
-			at := winStart + 1 + sim.Time(unit(splitmix64(h^tagCrashAt<<56))*float64(cfg.Every-1))
+			at := winStart + 1 + sim.Time(unit(sim.SplitMix64(h^tagCrashAt<<56))*float64(cfg.Every-1))
 			if at >= cfg.Horizon {
 				continue
 			}
 			delay := cfg.RestartMin
 			if spread := cfg.RestartMax - cfg.RestartMin; spread > 0 {
-				delay += sim.Time(unit(splitmix64(h^tagCrashLen<<56)) * float64(spread))
+				delay += sim.Time(unit(sim.SplitMix64(h^tagCrashLen<<56)) * float64(spread))
 			}
 			if delay < 1 {
 				delay = 1 // a restart takes nonzero time

@@ -75,7 +75,7 @@ func New(seed int64, cfg Config) *Injector {
 	// Decorrelate from other consumers of the run seed (workload
 	// generators, eviction tie-breaks) so enabling faults does not
 	// implicitly reshuffle them.
-	return &Injector{seed: splitmix64(uint64(seed) ^ 0xFA017_1E5D), cfg: cfg}
+	return &Injector{seed: sim.SplitMix64(uint64(seed) ^ 0xFA017_1E5D), cfg: cfg}
 }
 
 // Config returns the injector's hazard rates.
@@ -98,7 +98,7 @@ const (
 
 // draw returns a uniform [0,1) variate for (packet seq, hazard tag).
 func (in *Injector) draw(seq, tag uint64) float64 {
-	return unit(splitmix64(in.seed ^ seq*0x9E3779B97F4A7C15 ^ tag<<56))
+	return unit(sim.SplitMix64(in.seed ^ seq*0x9E3779B97F4A7C15 ^ tag<<56))
 }
 
 // Decide returns the hazards applied to the packet with the given
@@ -146,11 +146,11 @@ func (in *Injector) StallClear(node int, t sim.Time) sim.Time {
 		if k < 0 {
 			continue
 		}
-		h := splitmix64(in.seed ^ uint64(node)*0xD1B54A32D192ED03 ^ uint64(k)*0x9E3779B97F4A7C15 ^ tagStall<<56)
+		h := sim.SplitMix64(in.seed ^ uint64(node)*0xD1B54A32D192ED03 ^ uint64(k)*0x9E3779B97F4A7C15 ^ tagStall<<56)
 		if unit(h) >= c.StallProb {
 			continue
 		}
-		dur := 1 + sim.Time(unit(splitmix64(h^tagStallLen<<56))*float64(c.StallMax))
+		dur := 1 + sim.Time(unit(sim.SplitMix64(h^tagStallLen<<56))*float64(c.StallMax))
 		if end := sim.Time(k)*c.StallEvery + dur; end > clear {
 			clear = end
 		}
@@ -165,18 +165,10 @@ func (in *Injector) StallClear(node int, t sim.Time) sim.Time {
 func Mix(vals ...uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, v := range vals {
-		h = splitmix64(h ^ v*0xD1B54A32D192ED03)
+		h = sim.SplitMix64(h ^ v*0xD1B54A32D192ED03)
 	}
 	return h
 }
 
 // unit maps a 64-bit hash to a uniform [0,1) float.
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
-// splitmix64 is the mixing function behind every draw.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -136,12 +136,12 @@ type geom struct {
 func (g geom) shardWords() int64 { return g.buckets * bucketWords }
 
 // shardOf places a key on its owner thread.
-func (g geom) shardOf(key uint64) int { return int(splitmix64(key) % uint64(g.threads)) }
+func (g geom) shardOf(key uint64) int { return int(sim.SplitMix64(key) % uint64(g.threads)) }
 
 // bucketOf picks the key's home bucket line inside its shard, using
 // hash bits independent of the ones shardOf consumed.
 func (g geom) bucketOf(key uint64) int64 {
-	return int64((splitmix64(key) / uint64(g.threads)) % uint64(g.buckets))
+	return int64((sim.SplitMix64(key) / uint64(g.threads)) % uint64(g.buckets))
 }
 
 // lineIdx is the global element index of the seq word of bucket b in
@@ -662,13 +662,4 @@ func (op *amOp) finish(payload []byte) {
 	op.c, op.reply, op.lock = nil, nil, nil
 	op.s.free.Put(op)
 	reply(payload)
-}
-
-// splitmix64 is the table's key hash (thread-count-independent, so the
-// same key population is comparable across machine sizes).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

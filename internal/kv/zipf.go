@@ -7,13 +7,15 @@ package kv
 // host and shared immutably across threads. Rank r's probability is
 // proportional to 1/r^θ; θ = 0 degenerates to uniform, θ → 1
 // approaches the classic Zipf. Ranks are then scrambled through
-// splitmix64 so popular keys scatter across shards instead of
+// sim.SplitMix64 so popular keys scatter across shards instead of
 // clustering on low key values (YCSB's "scrambled Zipfian").
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"xlupc/internal/sim"
 )
 
 // Zipf is an immutable sampler over ranks [1, n] with skew theta in
@@ -84,5 +86,5 @@ func (z *Zipf) Next(rng *rand.Rand) int64 {
 // Distinct ranks may collide on one key (YCSB tolerates this); the
 // result always avoids the slot sentinels.
 func ScrambleKey(rank, numKeys int64) uint64 {
-	return 1 + splitmix64(uint64(rank))%uint64(numKeys)
+	return 1 + sim.SplitMix64(uint64(rank))%uint64(numKeys)
 }

@@ -50,34 +50,10 @@ type Interval struct {
 // Dur is the interval's length.
 func (iv Interval) Dur() sim.Time { return iv.End - iv.Start }
 
-// Trace accumulates the intervals of one run. The zero value is not
-// usable; call New or FromSpans.
+// Trace is the intervals of one run, each of positive length, in the
+// order they ended. The zero value is an empty trace.
 type Trace struct {
 	intervals []Interval
-	open      map[int]*Interval
-}
-
-// New returns an empty trace.
-func New() *Trace {
-	return &Trace{open: make(map[int]*Interval)}
-}
-
-// Begin opens a state interval for a thread, closing any interval that
-// was open (threads are in exactly one state at a time).
-func (tr *Trace) Begin(thread int, s State, at sim.Time) {
-	tr.End(thread, at)
-	tr.open[thread] = &Interval{Thread: thread, State: s, Start: at, End: -1}
-}
-
-// End closes the thread's open interval, if any, at the given time.
-func (tr *Trace) End(thread int, at sim.Time) {
-	if iv := tr.open[thread]; iv != nil {
-		iv.End = at
-		if iv.End > iv.Start { // drop zero-length intervals
-			tr.intervals = append(tr.intervals, *iv)
-		}
-		delete(tr.open, thread)
-	}
 }
 
 // waitStates maps a span's operation to the state its initiator is in
@@ -98,24 +74,21 @@ func FromSpans(tel *telemetry.Telemetry) *Trace {
 	var ivs []Interval
 	for _, s := range tel.Spans() {
 		st, ok := waitStates[s.Op]
-		if !ok || s.End < s.Start || s.Proto == "local" || s.Split {
+		if !ok || s.End <= s.Start || s.Proto == "local" || s.Split {
 			continue
 		}
 		ivs = append(ivs, Interval{Thread: s.Thread, State: st, Start: s.Start, End: s.End})
 	}
 	for _, c := range tel.Computes() {
-		ivs = append(ivs, Interval{Thread: c.Thread, State: StateCompute, Start: c.Start, End: c.End})
+		if c.End > c.Start {
+			ivs = append(ivs, Interval{Thread: c.Thread, State: StateCompute, Start: c.Start, End: c.End})
+		}
 	}
 	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].End < ivs[j].End })
-	tr := New()
-	for _, iv := range ivs {
-		tr.Begin(iv.Thread, iv.State, iv.Start)
-		tr.End(iv.Thread, iv.End)
-	}
-	return tr
+	return &Trace{intervals: ivs}
 }
 
-// Intervals returns the closed intervals in the order End closed them.
+// Intervals returns the intervals in the order they ended.
 func (tr *Trace) Intervals() []Interval { return tr.intervals }
 
 // TotalByState sums interval durations per state across all threads.

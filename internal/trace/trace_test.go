@@ -10,43 +10,9 @@ import (
 	"xlupc/internal/telemetry"
 )
 
-func TestBeginEndIntervals(t *testing.T) {
-	tr := New()
-	tr.Begin(0, StateCompute, 10*sim.Us)
-	tr.End(0, 25*sim.Us)
-	tr.Begin(0, StateGetWait, 25*sim.Us)
-	tr.End(0, 40*sim.Us)
-	ivs := tr.Intervals()
-	if len(ivs) != 2 {
-		t.Fatalf("intervals = %d", len(ivs))
-	}
-	if ivs[0].State != StateCompute || ivs[0].Dur() != 15*sim.Us {
-		t.Fatalf("first interval %+v", ivs[0])
-	}
-	if ivs[1].State != StateGetWait || ivs[1].Dur() != 15*sim.Us {
-		t.Fatalf("second interval %+v", ivs[1])
-	}
-}
-
-func TestBeginClosesOpenInterval(t *testing.T) {
-	tr := New()
-	tr.Begin(3, StateCompute, 0)
-	tr.Begin(3, StateBarrier, 5*sim.Us) // implicitly closes compute
-	tr.End(3, 9*sim.Us)
-	ivs := tr.Intervals()
-	if len(ivs) != 2 || ivs[0].End != 5*sim.Us || ivs[1].State != StateBarrier {
-		t.Fatalf("intervals %+v", ivs)
-	}
-}
-
-func TestZeroLengthIntervalsDropped(t *testing.T) {
-	tr := New()
-	tr.Begin(0, StateCompute, 5*sim.Us)
-	tr.End(0, 5*sim.Us)
-	if len(tr.Intervals()) != 0 {
-		t.Fatal("zero-length interval kept")
-	}
-}
+// of is the trace of the given intervals, already in end order: the
+// trace FromSpans builds of spans that closed as they did.
+func of(ivs ...Interval) *Trace { return &Trace{intervals: ivs} }
 
 // A detached hub (nil) gives an empty view whose queries and writer
 // work, so callers need no second nil check.
@@ -80,6 +46,7 @@ func TestFromSpans(t *testing.T) {
 	span("barrier", "", 1, 50, 55)
 	span("put", "rdma", 0, 31, 31) // zero length
 	tel.AddCompute(2, 9, 20)
+	tel.AddCompute(2, 20, 20) // zero length
 
 	want := []Interval{
 		{Thread: 2, State: StateCompute, Start: 9, End: 20},
@@ -98,13 +65,11 @@ func TestFromSpans(t *testing.T) {
 }
 
 func TestTotalsAndThreadTotal(t *testing.T) {
-	tr := New()
-	tr.Begin(0, StateGetWait, 0)
-	tr.End(0, 10*sim.Us)
-	tr.Begin(1, StateGetWait, 0)
-	tr.End(1, 5*sim.Us)
-	tr.Begin(1, StateCompute, 5*sim.Us)
-	tr.End(1, 8*sim.Us)
+	tr := of(
+		Interval{Thread: 1, State: StateGetWait, Start: 0, End: 5 * sim.Us},
+		Interval{Thread: 1, State: StateCompute, Start: 5 * sim.Us, End: 8 * sim.Us},
+		Interval{Thread: 0, State: StateGetWait, Start: 0, End: 10 * sim.Us},
+	)
 	tot := tr.TotalByState()
 	if tot[StateGetWait] != 15*sim.Us || tot[StateCompute] != 3*sim.Us {
 		t.Fatalf("totals %+v", tot)
@@ -115,11 +80,10 @@ func TestTotalsAndThreadTotal(t *testing.T) {
 }
 
 func TestMaxInterval(t *testing.T) {
-	tr := New()
-	tr.Begin(0, StateGetWait, 0)
-	tr.End(0, 3*sim.Us)
-	tr.Begin(1, StateGetWait, 10*sim.Us)
-	tr.End(1, 20*sim.Us)
+	tr := of(
+		Interval{Thread: 0, State: StateGetWait, Start: 0, End: 3 * sim.Us},
+		Interval{Thread: 1, State: StateGetWait, Start: 10 * sim.Us, End: 20 * sim.Us},
+	)
 	best := tr.MaxInterval(StateGetWait)
 	if best.Thread != 1 || best.Dur() != 10*sim.Us {
 		t.Fatalf("max interval %+v", best)
@@ -130,11 +94,10 @@ func TestMaxInterval(t *testing.T) {
 }
 
 func TestProfilesSorted(t *testing.T) {
-	tr := New()
-	tr.Begin(0, StateCompute, 0)
-	tr.End(0, 30*sim.Us)
-	tr.Begin(0, StateGetWait, 30*sim.Us)
-	tr.End(0, 40*sim.Us)
+	tr := of(
+		Interval{Thread: 0, State: StateCompute, Start: 0, End: 30 * sim.Us},
+		Interval{Thread: 0, State: StateGetWait, Start: 30 * sim.Us, End: 40 * sim.Us},
+	)
 	ps := tr.Profiles()
 	if len(ps) != 2 || ps[0].State != StateCompute || ps[1].State != StateGetWait {
 		t.Fatalf("profiles %+v", ps)
@@ -145,9 +108,7 @@ func TestProfilesSorted(t *testing.T) {
 }
 
 func TestWritePRVFormat(t *testing.T) {
-	tr := New()
-	tr.Begin(2, StateBarrier, 5*sim.Us)
-	tr.End(2, 7*sim.Us)
+	tr := of(Interval{Thread: 2, State: StateBarrier, Start: 5 * sim.Us, End: 7 * sim.Us})
 	var sb strings.Builder
 	if err := tr.WritePRV(&sb); err != nil {
 		t.Fatal(err)
@@ -167,37 +128,35 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of Begin/End calls per thread, total time
-// per state equals the sum of interval durations, and intervals of one
-// thread never overlap.
-func TestPropertyNoOverlap(t *testing.T) {
-	f := func(ops []uint8) bool {
-		tr := New()
-		now := map[int]sim.Time{}
-		for _, op := range ops {
-			th := int(op % 3)
-			now[th] += sim.Time(op%7+1) * sim.Us
+// Property: for any set of spans and compute intervals, FromSpans keeps
+// only intervals of positive length, in end order, and the per-state
+// totals are the sums of their durations.
+func TestPropertyFromSpans(t *testing.T) {
+	f := func(ops []uint16) bool {
+		tel := telemetry.New()
+		want := map[State]sim.Time{}
+		for i, op := range ops {
+			start, dur := sim.Time(op%13)*sim.Us, sim.Time(op/13%4)*sim.Us
 			if op%2 == 0 {
-				tr.Begin(th, State(op%uint8(numStates)), now[th])
-			} else {
-				tr.End(th, now[th])
-			}
-		}
-		for th := 0; th < 3; th++ {
-			tr.End(th, now[th]+sim.Us)
-		}
-		byThread := map[int][]Interval{}
-		for _, iv := range tr.Intervals() {
-			byThread[iv.Thread] = append(byThread[iv.Thread], iv)
-		}
-		for _, ivs := range byThread {
-			for i := 1; i < len(ivs); i++ {
-				if ivs[i].Start < ivs[i-1].End {
-					return false
+				tel.AddCompute(i%3, start, start+dur)
+				if dur > 0 {
+					want[StateCompute] += dur
 				}
+				continue
+			}
+			tel.StartSpan("get", i%3, 0, start).Finish(start + dur)
+			if dur > 0 {
+				want[StateGetWait] += dur
 			}
 		}
-		return true
+		tr := FromSpans(tel)
+		for i, iv := range tr.Intervals() {
+			if iv.Dur() <= 0 || i > 0 && iv.End < tr.Intervals()[i-1].End {
+				return false
+			}
+		}
+		got := tr.TotalByState()
+		return len(got) == len(want) && got[StateCompute] == want[StateCompute] && got[StateGetWait] == want[StateGetWait]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -227,13 +186,11 @@ type writerFullError struct{}
 func (*writerFullError) Error() string { return "device full" }
 
 func TestWritePRVPropagatesWriteErrors(t *testing.T) {
-	tr := New()
-	tr.Begin(0, StateCompute, 0)
-	tr.End(0, 10*sim.Us)
-	tr.Begin(1, StateGetWait, 5*sim.Us)
-	tr.End(1, 20*sim.Us)
-	tr.Begin(0, StateBarrier, 15*sim.Us)
-	tr.End(0, 16*sim.Us)
+	tr := of(
+		Interval{Thread: 0, State: StateCompute, Start: 0, End: 10 * sim.Us},
+		Interval{Thread: 0, State: StateBarrier, Start: 15 * sim.Us, End: 16 * sim.Us},
+		Interval{Thread: 1, State: StateGetWait, Start: 5 * sim.Us, End: 20 * sim.Us},
+	)
 
 	// Count how many writes a full dump takes, then fail at each
 	// earlier position in turn: every failure must surface.
