@@ -2,12 +2,10 @@
 // section in one run: Figures 6–9 plus the miss-overhead and
 // pinned-table claims, each annotated with the paper's published
 // expectation so the output doubles as a reproduction record (see
-// EXPERIMENTS.md). The sections and their order are bench.Report's; the
-// command parses the flags, prints each section over one Sweep with one
-// run table, and turns a failed section or write into a nonzero exit.
-//
-// The -full flag runs the sweeps at the paper's largest scales
-// (2048 threads / 512 nodes); the default is a faster subset.
+// EXPERIMENTS.md). The sections, their order and the machines -full picks
+// are bench.Report's; the command parses the flags, prints each section
+// over one Sweep with one run table, and turns a failed section or write
+// into a nonzero exit.
 package main
 
 import (

@@ -3,8 +3,12 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"xlupc/internal/bench"
 )
 
+// A bad -reps or -parallel fails before any section runs, and -full
+// picks the largest machine of the GM, LAPI and Figure 8 sweeps.
 func TestMachinesFor(t *testing.T) {
 	for _, c := range []struct {
 		full                    bool
@@ -19,15 +23,16 @@ func TestMachinesFor(t *testing.T) {
 		{true, -1, 0, 0, 0, 0, "-reps (-1) must be positive"},
 		{false, 10, -1, 0, 0, 0, "-parallel (-1) must not be negative"},
 	} {
-		gm, lapi, fig8, err := machinesFor(c.full, c.reps, c.parallel)
+		err := bench.ParseSweepFlags(c.reps, c.parallel)
 		if c.err != "" {
 			if err == nil || !strings.Contains(err.Error(), c.err) {
-				t.Errorf("machinesFor(%v, %d): error %v, want one mentioning %q", c.full, c.reps, err, c.err)
+				t.Errorf("-reps %d -parallel %d: error %v, want one mentioning %q", c.reps, c.parallel, err, c.err)
 			}
 			continue
 		}
+		gm, lapi, fig8, _ := bench.ReportMachines(c.full)
 		if err != nil || gm != c.maxGM || lapi != c.maxLAPI || fig8 != c.maxFig8 {
-			t.Errorf("machinesFor(%v, %d) = %d, %d, %d, %v; want %d, %d, %d",
+			t.Errorf("-full=%v -reps %d: %d, %d, %d, %v; want %d, %d, %d",
 				c.full, c.reps, gm, lapi, fig8, err, c.maxGM, c.maxLAPI, c.maxFig8)
 		}
 	}
@@ -40,8 +45,8 @@ func TestBigOptsFor(t *testing.T) {
 		full  bool
 		scale string
 	}{{false, "8192-256"}, {true, "32768-1024"}} {
-		if sc := bigScaleFor(c.full); sc.String() != c.scale {
-			t.Errorf("bigScaleFor(%v) = %v, want %s", c.full, sc, c.scale)
+		if _, _, _, sc := bench.ReportMachines(c.full); sc.String() != c.scale {
+			t.Errorf("big-scale point with -full=%v = %v, want %s", c.full, sc, c.scale)
 		}
 	}
 }

@@ -69,10 +69,8 @@ func (s Sweep) PrintPhaseBreakdown(w io.Writer) {
 	}
 }
 
-// fieldRun is what the two §4.6 sections read of one telemetry run of
-// the Field stressmark on 16 threads / 4 nodes: its virtual time, its
-// GETs' phase attribution and its GET-wait state profile. The hub is
-// dropped as soon as these are read from it.
+// fieldRun is what the two §4.6 sections read of one telemetry run of Field on
+// 16 threads / 4 nodes; the hub is dropped as soon as it is read.
 type fieldRun struct {
 	elapsed sim.Time
 	get     telemetry.Attribution

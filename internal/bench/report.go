@@ -22,18 +22,23 @@ func (sec ReportSection) Write(w io.Writer, s Sweep) error {
 	return sec.Print(s, w)
 }
 
-// Report is xlupc-report's sections in print order, at the paper's
-// largest machines (2048 threads / 512 nodes) with full, reps
-// repetitions per latency point, and the big-scale sweep last with
-// scale. Over one Sweep with a run table (WithRunTable) a section reads
-// back the runs an earlier one made, as §4.6's two do the uncached GM
-// Field run.
-func Report(full bool, reps int, scale bool) []ReportSection {
-	gm, lapi, fig8, big := GMScales(256), LAPIScales(128), GMScales(512), Scale{Threads: 8192, Nodes: 256}
+// ReportMachines is the largest machine of the report's GM, LAPI and Figure 8
+// sweeps and its big-scale point: the paper's largest with full.
+func ReportMachines(full bool) (maxGM, maxLAPI, maxFig8 int, big Scale) {
 	if full {
-		gm, lapi, fig8, big = GMScales(2048), LAPIScales(448), GMScales(2048), BigScale()
+		return 2048, 448, 2048, BigScale()
 	}
-	caps := []int{4, 10, 100}
+	return 256, 128, 512, Scale{Threads: 8192, Nodes: 256}
+}
+
+// Report is xlupc-report's sections in print order, at
+// ReportMachines(full), with reps repetitions per latency point and the
+// big-scale sweep last with scale. Over one Sweep with a run table
+// (WithRunTable) a section reads back the runs an earlier one made, as
+// §4.6's two do the uncached GM Field run.
+func Report(full bool, reps int, scale bool) []ReportSection {
+	maxGM, maxLAPI, maxFig8, big := ReportMachines(full)
+	gm, lapi, fig8, caps := GMScales(maxGM), LAPIScales(maxLAPI), GMScales(maxFig8), []int{4, 10, 100}
 	secs := []ReportSection{
 		{"Figure 6 (left): GET latency improvement",
 			"GM ~30% / LAPI ~16% small; ~40% mid (1-16KB); fading to 0 when bandwidth-bound",

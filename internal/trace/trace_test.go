@@ -14,6 +14,33 @@ import (
 // trace FromSpans builds of spans that closed as they did.
 func of(ivs ...Interval) *Trace { return &Trace{intervals: ivs} }
 
+// A span's begin and end bound one interval in the state of its
+// operation; a compute interval is one in StateCompute.
+func TestBeginEndIntervals(t *testing.T) {
+	tel := telemetry.New()
+	tel.AddCompute(0, 10*sim.Us, 25*sim.Us)
+	tel.StartSpan("get", 0, 1, 25*sim.Us).Finish(40 * sim.Us)
+	ivs := FromSpans(tel).Intervals()
+	if len(ivs) != 2 {
+		t.Fatalf("intervals = %d", len(ivs))
+	}
+	if ivs[0].State != StateCompute || ivs[0].Dur() != 15*sim.Us {
+		t.Fatalf("first interval %+v", ivs[0])
+	}
+	if ivs[1].State != StateGetWait || ivs[1].Dur() != 15*sim.Us {
+		t.Fatalf("second interval %+v", ivs[1])
+	}
+}
+
+func TestZeroLengthIntervalsDropped(t *testing.T) {
+	tel := telemetry.New()
+	tel.AddCompute(0, 5*sim.Us, 5*sim.Us)
+	tel.StartSpan("barrier", 0, 0, 5*sim.Us).Finish(5 * sim.Us)
+	if len(FromSpans(tel).Intervals()) != 0 {
+		t.Fatal("zero-length interval kept")
+	}
+}
+
 // A detached hub (nil) gives an empty view whose queries and writer
 // work, so callers need no second nil check.
 func TestNilTraceIsSafe(t *testing.T) {
@@ -46,7 +73,6 @@ func TestFromSpans(t *testing.T) {
 	span("barrier", "", 1, 50, 55)
 	span("put", "rdma", 0, 31, 31) // zero length
 	tel.AddCompute(2, 9, 20)
-	tel.AddCompute(2, 20, 20) // zero length
 
 	want := []Interval{
 		{Thread: 2, State: StateCompute, Start: 9, End: 20},
@@ -128,32 +154,37 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// Property: for any set of spans and compute intervals, FromSpans keeps
-// only intervals of positive length, in end order, and the per-state
-// totals are the sums of their durations.
-func TestPropertyFromSpans(t *testing.T) {
+// Property: for any sequence of compute intervals and GET spans per
+// thread, FromSpans keeps only intervals of positive length, in end
+// order, intervals of one thread never overlap, and the per-state totals
+// are the sums of their durations.
+func TestPropertyNoOverlap(t *testing.T) {
 	f := func(ops []uint16) bool {
 		tel := telemetry.New()
+		now := map[int]sim.Time{}
 		want := map[State]sim.Time{}
-		for i, op := range ops {
-			start, dur := sim.Time(op%13)*sim.Us, sim.Time(op/13%4)*sim.Us
-			if op%2 == 0 {
-				tel.AddCompute(i%3, start, start+dur)
-				if dur > 0 {
-					want[StateCompute] += dur
-				}
-				continue
+		for _, op := range ops {
+			th, dur := int(op%3), sim.Time(op/3%4)*sim.Us
+			start := now[th] + sim.Time(op/12%2)*sim.Us
+			now[th] = start + dur
+			st := StateGetWait
+			if op/24%2 == 0 {
+				st = StateCompute
+				tel.AddCompute(th, start, start+dur)
+			} else {
+				tel.StartSpan("get", th, 0, start).Finish(start + dur)
 			}
-			tel.StartSpan("get", i%3, 0, start).Finish(start + dur)
 			if dur > 0 {
-				want[StateGetWait] += dur
+				want[st] += dur
 			}
 		}
 		tr := FromSpans(tel)
+		last := map[int]sim.Time{}
 		for i, iv := range tr.Intervals() {
-			if iv.Dur() <= 0 || i > 0 && iv.End < tr.Intervals()[i-1].End {
+			if iv.Dur() <= 0 || i > 0 && iv.End < tr.Intervals()[i-1].End || iv.Start < last[iv.Thread] {
 				return false
 			}
+			last[iv.Thread] = iv.End
 		}
 		got := tr.TotalByState()
 		return len(got) == len(want) && got[StateCompute] == want[StateCompute] && got[StateGetWait] == want[StateGetWait]
