@@ -511,7 +511,7 @@ func (l *censusLoader) testReads(p *censusPkg, test, ident string) error {
 // coverageCeiling is the number of statements under internal/ that no
 // shipped invocation executes. It only goes down: the change that lowers
 // the count lowers it too.
-const coverageCeiling = 719
+const coverageCeiling = 703
 
 // coverageExceptions are the functions under internal/ of more than one
 // statement that no shipped invocation runs but that stay, each with the
@@ -629,7 +629,7 @@ func TestCoverageCensus(t *testing.T) {
 // line passes after all, or whose flag no binary registers, fails the
 // census.
 var flagExceptions = map[string]string{
-	"xlupc-report -full":       "runs the report at the paper's largest scales, which takes minutes",
+	"xlupc-report -full":       "runs the report at the paper's largest scales: 22.4-24.1 s at -parallel 1 on a 2-CPU host, so 64 seeds of it would take about 25 minutes, too slow for the seed sweep",
 	"xlupc-report -scale":      "appends the big-scale sweep, which takes minutes; CI's bench smoke runs its 32k point through TestBenchSmoke32k, which logs the row",
 	"xlupc-report -flight":     "a report takes seconds, too long for the seed sweep; xlupc-chaos -flight runs the same bench.ParseFlightFlags path there",
 	"xlupc-report -memprofile": "written after the whole report; the seed sweep runs the memory profile of prof.Register through every other binary",

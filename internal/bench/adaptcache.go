@@ -158,7 +158,8 @@ func (s Sweep) AdaptSweep(prof *transport.Profile, sc Scale) (fixed, adaptive Ad
 }
 
 // PrintAdaptCache emits the adaptive address-cache figure with a
-// machine-readable "# gate" line.
+// "# gate" summary line. TestAdaptCacheGate asserts the gate on the
+// typed points.
 func (s Sweep) PrintAdaptCache(w io.Writer, prof *transport.Profile, sc Scale) error {
 	fixed, adaptive, err := s.AdaptSweep(prof, sc)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/stats"
@@ -102,10 +103,11 @@ func (s Sweep) PrintChaos(w io.Writer, mark string, prof *transport.Profile, sc 
 		"loss", "hit-rate", "get(us)", "put(us)", "improv(%)",
 		"drops", "corrupt", "dup", "retx", "dupsupp", "checksum")
 	for _, pt := range pts {
-		f, r := pt.Run.Fault, pt.Run.Rel
+		fl := pt.Run.Flight
 		fmt.Fprintf(w, "%8.3f %9.2f %9.2f %9.2f %s %7d %8d %6d %6d %8d %17x\n",
 			pt.Loss, pt.Run.Cache.HitRate(), pt.GetUs, pt.PutUs, fmtImprov(10, pt.Improvement),
-			f.Drops, f.Corrupts, f.Dups, r.Retransmits, r.DupSuppressed, pt.Checksum)
+			fl[flight.KindDrop], fl[flight.KindCorrupt], fl[flight.KindDuplicate],
+			fl[flight.KindRetransmit], fl[flight.KindDupSuppress], pt.Checksum)
 	}
 	return pts
 }
@@ -180,10 +182,11 @@ func (s Sweep) PrintReliability(w io.Writer) []RelRow {
 	fmt.Fprintf(w, "%10s %10s %12s %8s %9s %6s %6s %9s %7s\n",
 		"transport", "nacks", "invalidated", "drops", "corrupt", "dup", "retx", "dupsupp", "acks")
 	for _, r := range rows {
-		f, rel := r.Chaos.Fault, r.Chaos.Rel
+		fl := r.Chaos.Flight
 		fmt.Fprintf(w, "%10s %10d %12d %8d %9d %6d %6d %9d %7d\n",
 			r.Transport, r.Nack.RDMANacks, r.Nack.Cache.Invalidations,
-			f.Drops, f.Corrupts, f.Dups, rel.Retransmits, rel.DupSuppressed, rel.Acks)
+			fl[flight.KindDrop], fl[flight.KindCorrupt], fl[flight.KindDuplicate],
+			fl[flight.KindRetransmit], fl[flight.KindDupSuppress], fl[flight.KindAck])
 	}
 	return rows
 }

@@ -7,6 +7,7 @@ import (
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )
@@ -71,8 +72,8 @@ func (s Sweep) CrashSweep(mark string, prof *transport.Profile, sc Scale, rates 
 				mark, rates[i], sum, baseSum))
 		}
 		recovery := 0.0
-		if st.Crash.Recovered > 0 {
-			recovery = st.Crash.RecoveryTime.Usecs() / float64(st.Crash.Recovered)
+		if n := st.Flight[flight.KindRestart]; n > 0 {
+			recovery = st.RecoveryTime.Usecs() / float64(n)
 		}
 		pts[i] = CrashPoint{
 			Rate:        rates[i],
@@ -93,10 +94,10 @@ func (s Sweep) PrintCrash(w io.Writer, mark string, prof *transport.Profile, sc 
 	fmt.Fprintf(w, "%8s %8s %7s %7s %8s %7s %6s %5s %10s %9s %17s\n",
 		"rate", "crashes", "drops", "stale", "invalid", "parked", "retx", "recov", "recov(us)", "slow(%)", "checksum")
 	for _, pt := range pts {
-		st := pt.Run
+		fl := pt.Run.Flight
 		fmt.Fprintf(w, "%8.3f %8d %7d %7d %8d %7d %6d %5d %10.2f %9.2f %17x\n",
-			pt.Rate, st.Crash.Crashes, st.Fault.CrashDrops, st.Crash.StaleNacks, st.StaleInvalidated,
-			st.Rel.Parked, st.Rel.Retransmits, st.Crash.Recovered, pt.RecoveryUs, pt.SlowdownPct, pt.Checksum)
+			pt.Rate, fl[flight.KindCrash], fl[flight.KindCrashDrop], fl[flight.KindStaleNack], pt.Run.StaleInvalidated,
+			fl[flight.KindPark], fl[flight.KindRetransmit], fl[flight.KindRestart], pt.RecoveryUs, pt.SlowdownPct, pt.Checksum)
 	}
 	return pts
 }

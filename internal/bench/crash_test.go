@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
@@ -25,16 +26,16 @@ func TestCrashSweepShapes(t *testing.T) {
 		}
 		pts, out := render()
 		base, hit := pts[0].Run, pts[1].Run
-		if base.Crash.Crashes != 0 || base.Crash.StaleNacks != 0 || pts[0].SlowdownPct != 0 {
+		if base.Flight[flight.KindCrash] != 0 || base.Flight[flight.KindStaleNack] != 0 || pts[0].SlowdownPct != 0 {
 			t.Fatalf("%s: rate-0 point is not the crash-free baseline: %+v", prof.Name, pts[0])
 		}
-		if hit.Crash.Crashes == 0 {
+		if hit.Flight[flight.KindCrash] == 0 {
 			t.Fatalf("%s: rate %g produced no crashes: %+v", prof.Name, rates[1], pts[1])
 		}
 		if pts[1].Checksum != pts[0].Checksum {
 			t.Fatalf("%s: checksum diverged across crash rates: %x vs %x", prof.Name, pts[1].Checksum, pts[0].Checksum)
 		}
-		if hit.Crash.Recovered == 0 || pts[1].RecoveryUs <= 0 {
+		if hit.Flight[flight.KindRestart] == 0 || pts[1].RecoveryUs <= 0 {
 			t.Fatalf("%s: no recoveries measured: %+v", prof.Name, pts[1])
 		}
 		if _, again := render(); out != again {
@@ -50,11 +51,11 @@ func TestCrashSweepShapes(t *testing.T) {
 // one, in transparent mode on GM at 16 threads on 4 nodes.
 func TestFieldCrashRelocation(t *testing.T) {
 	pts := Sweep{Seed: 1}.CrashSweep("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, []float64{0, 0.9}, 150*sim.Us)
-	if hit := pts[1].Run; hit.Crash.Crashes == 0 {
+	if hit := pts[1].Run; hit.Flight[flight.KindCrash] == 0 {
 		t.Fatalf("no node restarted: %+v", pts[1])
 	}
 	if pts[1].Checksum != pts[0].Checksum {
 		t.Fatalf("checksum under crashes %x, crash-free %x", pts[1].Checksum, pts[0].Checksum)
 	}
-	t.Logf("%d restarts, checksum %x", pts[1].Run.Crash.Crashes, pts[1].Checksum)
+	t.Logf("%d restarts, checksum %x", pts[1].Run.Flight[flight.KindCrash], pts[1].Checksum)
 }

@@ -18,6 +18,7 @@ import (
 	"io"
 
 	"xlupc/internal/core"
+	"xlupc/internal/dis"
 	"xlupc/internal/sim"
 	"xlupc/internal/stats"
 	"xlupc/internal/transport"
@@ -100,11 +101,7 @@ func (s Sweep) RunGUPS(proto GUPSProto, o GUPSOpts) GUPSResult {
 	if err != nil {
 		panic(fmt.Sprintf("bench: gups run failed: %v", err))
 	}
-	var sum uint64
-	for i, c := range checks {
-		sum ^= c + uint64(i)*0x9E37
-	}
-	res := GUPSResult{Proto: proto, Checksum: sum, Elapsed: span, Run: st}
+	res := GUPSResult{Proto: proto, Checksum: dis.Checksum(checks), Elapsed: span, Run: st}
 	if us := span.Usecs(); us > 0 {
 		res.UpdatesPerMs = float64(int64(cfg.Threads)*o.Updates) / (us / 1000)
 	}

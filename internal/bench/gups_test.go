@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
@@ -107,7 +108,7 @@ func TestGUPSAtomicExactlyOnceUnderLoss(t *testing.T) {
 	if want := uint64(threads * perThread); final != want {
 		t.Errorf("counter = %d, want exactly %d (lost or duplicated atomics)", final, want)
 	}
-	if st.Rel.Retransmits == 0 {
+	if st.Flight[flight.KindRetransmit] == 0 {
 		t.Error("no retransmits under 5%% loss: the test did not exercise the recovery path")
 	}
 	if st.AtomicOps+st.LocalAtomics == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/kv"
 	"xlupc/internal/sim"
 	"xlupc/internal/stats"
@@ -221,9 +222,10 @@ func PrintKVSLO(w io.Writer, kind string, prof *transport.Profile, sc Scale, pts
 	fmt.Fprintf(w, "%8s %8s %8s %9s %7s %8s %7s %7s %7s\n",
 		kind, "p50(us)", "p99(us)", "avail", "torn", "am-falls", "retx", "stale", "crashes")
 	for _, pt := range pts {
+		fl := pt.Result.Run.Flight
 		fmt.Fprintf(w, "%8.3f %8.2f %8.2f %9.4f %7d %8d %7d %7d %7d\n",
 			pt.Rate, pt.Result.Merged.Quantile(0.50).Usecs(), pt.P99Us, pt.Availability,
 			pt.Result.Table.TornRetries, pt.Result.Table.AMLookups,
-			pt.Result.Run.Rel.Retransmits, pt.Result.Run.Crash.StaleNacks, pt.Result.Run.Crash.Crashes)
+			fl[flight.KindRetransmit], fl[flight.KindStaleNack], fl[flight.KindCrash])
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/kv"
 	"xlupc/internal/transport"
@@ -53,10 +54,10 @@ func TestKVCurvesCompleteUnderHazards(t *testing.T) {
 		}
 	}
 	crash := curves["crash"]
-	if crash[0].Result.Run.Crash.Crashes != 0 {
-		t.Errorf("crash curve at rate 0 crashed %d nodes", crash[0].Result.Run.Crash.Crashes)
+	if crash[0].Result.Run.Flight[flight.KindCrash] != 0 {
+		t.Errorf("crash curve at rate 0 crashed %d nodes", crash[0].Result.Run.Flight[flight.KindCrash])
 	}
-	if crash[1].Result.Run.Crash.Crashes == 0 {
+	if crash[1].Result.Run.Flight[flight.KindCrash] == 0 {
 		t.Errorf("crash curve at rate 0.2 crashed no nodes — schedule not applied")
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
+	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/stats"
@@ -238,7 +239,8 @@ func (s Sweep) PressureSweep(prof *transport.Profile, o PressureOpts) []Pressure
 
 // PrintPressure emits the churn-storm figure: one block per budget
 // fraction with the policy ladder's makespan, thrash and reuse columns,
-// plus a machine-readable "# gate" line per fraction for CI.
+// plus a "# gate" summary line per fraction. TestPressureGates asserts
+// the gate on the typed points.
 func (s Sweep) PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []PressurePoint {
 	pts := s.PressureSweep(prof, o)
 	variants := o.variants()
@@ -251,14 +253,14 @@ func (s Sweep) PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpt
 		var pinAll, lru, bestAdaptive *PressurePoint
 		for j := range row {
 			p := &row[j]
-			st := p.Run
+			st, fl := p.Run, p.Run.Flight
 			rr := 0.0
 			if st.Pins > 0 {
-				rr = float64(st.Reuses) / float64(st.Pins)
+				rr = float64(fl[flight.KindPinReuse]) / float64(st.Pins)
 			}
 			fmt.Fprintf(w, "%5.2f %10s %12.1f %8d %7d %7d %7d %7d %7d %8.1f %6d %10.2f %s\n",
-				f, p.Variant, st.Elapsed.Usecs(), st.Pins, st.Evicted, st.RDMANacks,
-				st.Reuses, st.Parked, st.Reclaims, st.DeregTime.Usecs(), st.MaxLive, rr, fmtImprov(9, p.Improvement))
+				f, p.Variant, st.Elapsed.Usecs(), st.Pins, fl[flight.KindPinEvict], st.RDMANacks,
+				fl[flight.KindPinReuse], fl[flight.KindPinPark], st.Reclaims, st.DeregTime.Usecs(), st.MaxLive, rr, fmtImprov(9, p.Improvement))
 			switch p.Variant {
 			case "pin-all":
 				pinAll = p

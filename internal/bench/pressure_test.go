@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/transport"
 )
@@ -80,7 +81,7 @@ func checkPressureGates(t *testing.T, s Sweep, o PressureOpts) {
 	// LRU.
 	tight := row(0)
 	pinAll, lru, cost := byName(tight, "pin-all"), byName(tight, "lru"), byName(tight, "cost")
-	if lru.Run.Evicted == 0 {
+	if lru.Run.Flight[flight.KindPinEvict] == 0 {
 		t.Fatal("tight budget provoked no LRU evictions: workload too small to thrash")
 	}
 	if lru.Run.Elapsed <= pinAll.Run.Elapsed {
@@ -89,8 +90,8 @@ func checkPressureGates(t *testing.T, s Sweep, o PressureOpts) {
 	if cost.Run.Elapsed >= lru.Run.Elapsed {
 		t.Fatalf("cost-aware protection lost to LRU: cost=%v lru=%v", cost.Run.Elapsed, lru.Run.Elapsed)
 	}
-	if pinAll.Run.Evicted != 0 {
-		t.Fatalf("pin-all evicted %d registrations; it must degrade to AM, never evict", pinAll.Run.Evicted)
+	if pinAll.Run.Flight[flight.KindPinEvict] != 0 {
+		t.Fatalf("pin-all evicted %d registrations; it must degrade to AM, never evict", pinAll.Run.Flight[flight.KindPinEvict])
 	}
 	if pinAll.Run.MaxLive >= pressureWorkingSet(o) {
 		t.Fatal("tight budget did not constrain pin-all: peak pinned covers the working set")
@@ -99,7 +100,7 @@ func checkPressureGates(t *testing.T, s Sweep, o PressureOpts) {
 	// eager policies re-pay every round.
 	full := row(len(o.Fracs) - 1)
 	eager, lazy := byName(full, "pin-all"), byName(full, "lru+lazy")
-	if lazy.Run.Reuses == 0 {
+	if lazy.Run.Flight[flight.KindPinReuse] == 0 {
 		t.Fatal("lazy rung recorded no registration reuse")
 	}
 	if lazy.Run.Elapsed >= eager.Run.Elapsed {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/fault"
 	"xlupc/internal/sim"
@@ -58,10 +59,10 @@ func TestChaosRunStaysCorrect(t *testing.T) {
 		fc := fault.Config{Drop: 0.05, Corrupt: 0.02, Duplicate: 0.05, Delay: 0.1, DelayMax: 10 * sim.Us,
 			StallEvery: sim.Ms, StallProb: 0.3, StallMax: 50 * sim.Us}
 		_, st := workload(chaosCfg(fc, prof))
-		if st.Fault.Drops == 0 || st.Rel.Retransmits == 0 {
-			t.Fatalf("%s: hazards did not fire (drops %d, retx %d)", prof.Name, st.Fault.Drops, st.Rel.Retransmits)
+		if st.Flight[flight.KindDrop] == 0 || st.Flight[flight.KindRetransmit] == 0 {
+			t.Fatalf("%s: hazards did not fire (drops %d, retx %d)", prof.Name, st.Flight[flight.KindDrop], st.Flight[flight.KindRetransmit])
 		}
-		if st.Fault.Dups > 0 && st.Rel.DupSuppressed == 0 {
+		if st.Flight[flight.KindDuplicate] > 0 && st.Flight[flight.KindDupSuppress] == 0 {
 			t.Fatalf("%s: duplicates delivered but none suppressed", prof.Name)
 		}
 	}
@@ -84,12 +85,11 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		})
 	}
 	a, b := run(3), run(3)
-	if a.Elapsed != b.Elapsed || a.Fault.Drops != b.Fault.Drops || a.Rel.Retransmits != b.Rel.Retransmits ||
-		a.Messages != b.Messages || a.Rel.DupSuppressed != b.Rel.DupSuppressed {
+	if a.Elapsed != b.Elapsed || a.Messages != b.Messages || a.Flight != b.Flight {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 	c := run(4)
-	if c.Elapsed == a.Elapsed && c.Fault.Drops == a.Fault.Drops && c.Rel.Retransmits == a.Rel.Retransmits {
+	if c.Elapsed == a.Elapsed && c.Flight[flight.KindDrop] == a.Flight[flight.KindDrop] && c.Flight[flight.KindRetransmit] == a.Flight[flight.KindRetransmit] {
 		t.Fatal("different seed produced an identical run")
 	}
 }
@@ -150,10 +150,10 @@ func TestRelWithoutFaultsIsQuiet(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if st.Rel.Retransmits != 0 || st.Fault.Drops != 0 || st.Rel.DupSuppressed != 0 {
+	if st.Flight[flight.KindRetransmit] != 0 || st.Flight[flight.KindDrop] != 0 || st.Flight[flight.KindDupSuppress] != 0 {
 		t.Fatalf("clean wire produced reliability work: %+v", st)
 	}
-	if st.Rel.Acks == 0 {
+	if st.Flight[flight.KindAck] == 0 {
 		t.Fatal("reliable layer sent no ACKs; it was not engaged")
 	}
 }

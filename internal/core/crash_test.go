@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/fault"
 	"xlupc/internal/sim"
@@ -69,26 +70,26 @@ func TestCrashRunHealsWithIdenticalResults(t *testing.T) {
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		t.Run(prof.Name, func(t *testing.T) {
 			clean, cst := crashWorkload(t, cfg(8, 4, prof, DefaultCache()))
-			if cst.Crash.Crashes != 0 {
-				t.Fatalf("fault-free run recorded %d crashes", cst.Crash.Crashes)
+			if cst.Flight[flight.KindCrash] != 0 {
+				t.Fatalf("fault-free run recorded %d crashes", cst.Flight[flight.KindCrash])
 			}
 			sum, st := crashWorkload(t, crashCfg(prof))
 			if sum != clean {
 				t.Fatalf("crash run checksum %d, fault-free %d", sum, clean)
 			}
-			if st.Crash.Crashes == 0 {
+			if st.Flight[flight.KindCrash] == 0 {
 				t.Fatal("crash schedule never fired; parameters too timid")
 			}
-			if st.Fault.CrashDrops == 0 {
+			if st.Flight[flight.KindCrashDrop] == 0 {
 				t.Fatal("no arrivals dropped at a down NIC")
 			}
-			if st.Crash.StaleNacks == 0 || st.StaleInvalidated == 0 {
+			if st.Flight[flight.KindStaleNack] == 0 || st.StaleInvalidated == 0 {
 				t.Fatalf("stale-epoch path not exercised: %d nacks, %d invalidated",
-					st.Crash.StaleNacks, st.StaleInvalidated)
+					st.Flight[flight.KindStaleNack], st.StaleInvalidated)
 			}
-			if st.Crash.Recovered == 0 || st.Crash.RecoveryTime <= 0 {
+			if st.Flight[flight.KindRestart] == 0 || st.RecoveryTime <= 0 {
 				t.Fatalf("no recovery recorded: %d recovered, %v recovery time",
-					st.Crash.Recovered, st.Crash.RecoveryTime)
+					st.Flight[flight.KindRestart], st.RecoveryTime)
 			}
 		})
 	}
@@ -104,15 +105,12 @@ func TestCrashDeterministicPerSeed(t *testing.T) {
 	}
 	sa, a := run(3)
 	sb, b := run(3)
-	if sa != sb || a.Elapsed != b.Elapsed || a.Crash.Crashes != b.Crash.Crashes ||
-		a.Crash.StaleNacks != b.Crash.StaleNacks || a.StaleInvalidated != b.StaleInvalidated ||
-		a.Fault.CrashDrops != b.Fault.CrashDrops || a.Rel.Parked != b.Rel.Parked ||
-		a.Crash.Recovered != b.Crash.Recovered || a.Crash.RecoveryTime != b.Crash.RecoveryTime ||
-		a.Messages != b.Messages || a.Rel.Retransmits != b.Rel.Retransmits {
+	if sa != sb || a.Elapsed != b.Elapsed || a.Flight != b.Flight || a.StaleInvalidated != b.StaleInvalidated ||
+		a.RecoveryTime != b.RecoveryTime || a.Messages != b.Messages {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 	_, c := run(4)
-	if c.Elapsed == a.Elapsed && c.Crash.Crashes == a.Crash.Crashes && c.Crash.StaleNacks == a.Crash.StaleNacks {
+	if c.Elapsed == a.Elapsed && c.Flight[flight.KindCrash] == a.Flight[flight.KindCrash] && c.Flight[flight.KindStaleNack] == a.Flight[flight.KindStaleNack] {
 		t.Fatal("different seed produced an identical crash run")
 	}
 }
@@ -171,7 +169,7 @@ func TestInactiveCrashConfigIsFree(t *testing.T) {
 		st.NetBytes != cleanSt.NetBytes || st.RDMAOps != cleanSt.RDMAOps {
 		t.Fatalf("inactive crash config perturbed the run:\n%+v\n%+v", st, cleanSt)
 	}
-	if st.Crash.Crashes != 0 || st.Crash.StaleNacks != 0 || st.Rel.Parked != 0 {
+	if st.Flight[flight.KindCrash] != 0 || st.Flight[flight.KindStaleNack] != 0 || st.Flight[flight.KindPark] != 0 {
 		t.Fatalf("inactive crash config did crash work: %+v", st)
 	}
 }
@@ -232,8 +230,8 @@ func TestStaleNackWithoutCache(t *testing.T) {
 				}
 				th.Barrier()
 			})
-			stale += st.Crash.StaleNacks
-			if st.Crash.Crashes == 0 {
+			stale += st.Flight[flight.KindStaleNack]
+			if st.Flight[flight.KindCrash] == 0 {
 				t.Errorf("%s seed %d: crash schedule never fired", dir, seed)
 			}
 		}

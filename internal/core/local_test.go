@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/fault"
 	"xlupc/internal/sim"
@@ -148,7 +149,7 @@ func TestLocalViewAfterRelocation(t *testing.T) {
 			t.Errorf("thread %d: a GetBulk into the view did not update it", th.ID())
 		}
 	})
-	if st.Crash.Crashes != 2 {
-		t.Fatalf("%d restarts, want one per node", st.Crash.Crashes)
+	if st.Flight[flight.KindCrash] != 2 {
+		t.Fatalf("%d restarts, want one per node", st.Flight[flight.KindCrash])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
@@ -185,14 +186,14 @@ func TestCoalesceStatsAndDeterminism(t *testing.T) {
 	if tOn != tOn2 {
 		t.Fatalf("coalesced run non-deterministic: %v vs %v", tOn, tOn2)
 	}
-	if stOff.Coal.Msgs != 0 || stOff.Coal.Frames != 0 {
+	if stOff.Coal.Msgs != 0 || stOff.Flight[flight.KindCoalFlush] != 0 {
 		t.Fatalf("coalesce counters nonzero with feature off: %+v", stOff)
 	}
-	if stOn.Coal.Msgs == 0 || stOn.Coal.Frames == 0 {
-		t.Fatalf("no coalescing recorded: msgs=%d frames=%d", stOn.Coal.Msgs, stOn.Coal.Frames)
+	if stOn.Coal.Msgs == 0 || stOn.Flight[flight.KindCoalFlush] == 0 {
+		t.Fatalf("no coalescing recorded: msgs=%d frames=%d", stOn.Coal.Msgs, stOn.Flight[flight.KindCoalFlush])
 	}
-	if stOn.Coal.Frames >= stOn.Coal.Msgs {
-		t.Fatalf("no batching: %d frames for %d messages", stOn.Coal.Frames, stOn.Coal.Msgs)
+	if stOn.Flight[flight.KindCoalFlush] >= stOn.Coal.Msgs {
+		t.Fatalf("no batching: %d frames for %d messages", stOn.Flight[flight.KindCoalFlush], stOn.Coal.Msgs)
 	}
 	if !(tOn < tOff) {
 		t.Fatalf("coalesced split-phase not faster than blocking: on=%v off=%v", tOn, tOff)

@@ -63,12 +63,12 @@ func TestEagerRunsReportNoLazyActivity(t *testing.T) {
 	chunk := NewLayout(4, 2, 8, 16, 64).NodeChunkBytes()
 	c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: int(chunk) + 1}
 	st := mustRun(t, c, pinChurn)
-	if st.Evicted == 0 {
+	if st.Flight[flight.KindPinEvict] == 0 {
 		t.Fatal("churn never forced an eviction; budget too generous")
 	}
-	if st.Reuses != 0 || st.Parked != 0 || st.Reclaims != 0 {
+	if st.Flight[flight.KindPinReuse] != 0 || st.Flight[flight.KindPinPark] != 0 || st.Reclaims != 0 {
 		t.Fatalf("eager run shows lazy counters: reuses=%d parked=%d reclaims=%d",
-			st.Reuses, st.Parked, st.Reclaims)
+			st.Flight[flight.KindPinReuse], st.Flight[flight.KindPinPark], st.Reclaims)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestLazyUnpinParksReusesAndRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Parked == 0 || st.Reuses == 0 {
-		t.Fatalf("lazy churn did not park/reuse: parked=%d reuses=%d", st.Parked, st.Reuses)
+	if st.Flight[flight.KindPinPark] == 0 || st.Flight[flight.KindPinReuse] == 0 {
+		t.Fatalf("lazy churn did not park/reuse: parked=%d reuses=%d", st.Flight[flight.KindPinPark], st.Flight[flight.KindPinReuse])
 	}
 	// Reuse means the re-registration was free: round 2+ allocations pay
 	// no RegTime beyond round 1's.

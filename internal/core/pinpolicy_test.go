@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/mem"
 	"xlupc/internal/transport"
@@ -82,11 +83,7 @@ func TestPinLimitedActuallyEvictsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evicted := int64(0)
-	for _, nd := range rt.M.Nodes {
-		evicted += nd.Pins.Evicted
-	}
-	if evicted == 0 {
+	if rt.M.FR.Total(flight.KindPinEvict) == 0 {
 		t.Fatal("no evictions occurred; the test exercised nothing")
 	}
 }
@@ -169,7 +166,7 @@ func TestPinLimitedGetNackFallsBack(t *testing.T) {
 	if st.Cache.Invalidations == 0 {
 		t.Fatal("NACKs occurred but no stale cache entry was invalidated")
 	}
-	if st.Evicted == 0 {
+	if st.Flight[flight.KindPinEvict] == 0 {
 		t.Fatal("registration budget never forced an eviction")
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"xlupc/internal/addrcache"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
@@ -162,80 +163,108 @@ func TestPromGolden(t *testing.T) {
 }
 
 // promSeries names the family that exports each counter of RunStats,
-// by its field path. A family's value is the field summed over its
-// label sets (nodes, op classes), or for the peak gauge the largest.
+// by its field path, or for a flight kind's total "Flight." and the
+// kind's name. A family's value is the counter summed over its label
+// sets (nodes, op classes), or for the peak gauge the largest.
 var promSeries = map[string]string{
-	"Elapsed":              "xlupc_run_elapsed_seconds",
-	"Messages":             "xlupc_net_messages_total",
-	"NetBytes":             "xlupc_net_bytes_total",
-	"AMOps":                "xlupc_am_ops_total",
-	"RDMAOps":              "xlupc_rdma_ops_total",
-	"RDMANacks":            "xlupc_rdma_nacks_total",
-	"Cache.Hits":           "xlupc_addrcache_hits_total",
-	"Cache.Misses":         "xlupc_addrcache_misses_total",
-	"Cache.Inserts":        "xlupc_addrcache_inserts_total",
-	"Cache.Evictions":      "xlupc_addrcache_evictions_total",
-	"Cache.Invalidations":  "xlupc_addrcache_invalidations_total",
-	"Cache.Resizes":        "xlupc_addrcache_resizes_total",
-	"PinStats.Pins":        "xlupc_pin_registrations_total",
-	"PinStats.Unpins":      "xlupc_pin_deregistrations_total",
-	"PinStats.Evicted":     "xlupc_pin_evictions_total",
-	"PinStats.Reuses":      "xlupc_pin_reuses_total",
-	"PinStats.Parked":      "xlupc_pin_parked_total",
-	"PinStats.Reclaims":    "xlupc_pin_reclaims_total",
-	"PinStats.GhostHits":   "xlupc_pin_ghost_hits_total",
-	"PinStats.Repins":      "xlupc_pin_repins_total",
-	"PinStats.MaxLive":     "xlupc_pin_peak_entries",
-	"PinStats.RegTime":     "xlupc_pin_reg_seconds",
-	"PinStats.DeregTime":   "xlupc_pin_dereg_seconds",
-	"OpStats.AtomicOps":    "xlupc_atomic_remote_total",
-	"OpStats.LocalAtomics": "xlupc_atomic_local_total",
-	"OpStats.AtomicTime":   "xlupc_atomic_blocked_seconds",
-	"Fault.Drops":          "xlupc_fault_drops_total",
-	"Fault.Corrupts":       "xlupc_fault_corrupts_total",
-	"Fault.Dups":           "xlupc_fault_dups_total",
-	"Fault.Delayed":        "xlupc_fault_delays_total",
-	"Fault.Stalled":        "xlupc_fault_stalls_total",
-	"Fault.CrashDrops":     "xlupc_crash_drops_total",
-	"Rel.Retransmits":      "xlupc_rel_retransmits_total",
-	"Rel.DupSuppressed":    "xlupc_rel_dup_suppressed_total",
-	"Rel.Acks":             "xlupc_rel_acks_total",
-	"Rel.CorruptDrops":     "xlupc_transport_corrupt_drops_total",
-	"Rel.Parked":           "xlupc_crash_parked_retx_total",
-	"Coal.Msgs":            "xlupc_coalesce_msgs_total",
-	"Coal.Frames":          "xlupc_coalesce_frames_total",
-	"Coal.SavedBytes":      "xlupc_coalesce_saved_bytes",
-	"Crash.Crashes":        "xlupc_crash_nodes_total",
-	"Crash.StaleNacks":     "xlupc_crash_stale_nacks_total",
-	"Crash.Recovered":      "xlupc_crash_recovered_total",
-	"Crash.RecoveryTime":   "xlupc_crash_recovery_seconds",
-	"StaleInvalidated":     "xlupc_crash_stale_invalidated_total",
+	"Elapsed":               "xlupc_run_elapsed_seconds",
+	"Messages":              "xlupc_net_messages_total",
+	"NetBytes":              "xlupc_net_bytes_total",
+	"AMOps":                 "xlupc_am_ops_total",
+	"RDMAOps":               "xlupc_rdma_ops_total",
+	"RDMANacks":             "xlupc_rdma_nacks_total",
+	"Cache.Hits":            "xlupc_addrcache_hits_total",
+	"Cache.Misses":          "xlupc_addrcache_misses_total",
+	"Cache.Inserts":         "xlupc_addrcache_inserts_total",
+	"Cache.Evictions":       "xlupc_addrcache_evictions_total",
+	"Cache.Invalidations":   "xlupc_addrcache_invalidations_total",
+	"Cache.Resizes":         "xlupc_addrcache_resizes_total",
+	"PinStats.Pins":         "xlupc_pin_registrations_total",
+	"PinStats.Unpins":       "xlupc_pin_deregistrations_total",
+	"PinStats.Reclaims":     "xlupc_pin_reclaims_total",
+	"PinStats.GhostHits":    "xlupc_pin_ghost_hits_total",
+	"PinStats.Repins":       "xlupc_pin_repins_total",
+	"PinStats.MaxLive":      "xlupc_pin_peak_entries",
+	"PinStats.RegTime":      "xlupc_pin_reg_seconds",
+	"PinStats.DeregTime":    "xlupc_pin_dereg_seconds",
+	"OpStats.AtomicOps":     "xlupc_atomic_remote_total",
+	"OpStats.LocalAtomics":  "xlupc_atomic_local_total",
+	"OpStats.AtomicTime":    "xlupc_atomic_blocked_seconds",
+	"Coal.Msgs":             "xlupc_coalesce_msgs_total",
+	"Coal.SavedBytes":       "xlupc_coalesce_saved_bytes",
+	"Flight.send":           "xlupc_net_messages_total",
+	"Flight.drop":           "xlupc_fault_drops_total",
+	"Flight.corrupt":        "xlupc_fault_corrupts_total",
+	"Flight.duplicate":      "xlupc_fault_dups_total",
+	"Flight.delay":          "xlupc_fault_delays_total",
+	"Flight.stall":          "xlupc_fault_stalls_total",
+	"Flight.crash_drop":     "xlupc_crash_drops_total",
+	"Flight.ack":            "xlupc_rel_acks_total",
+	"Flight.retransmit":     "xlupc_rel_retransmits_total",
+	"Flight.park":           "xlupc_crash_parked_retx_total",
+	"Flight.dup_suppress":   "xlupc_rel_dup_suppressed_total",
+	"Flight.corrupt_drop":   "xlupc_transport_corrupt_drops_total",
+	"Flight.stale_nack":     "xlupc_crash_stale_nacks_total",
+	"Flight.coalesce_flush": "xlupc_coalesce_frames_total",
+	"Flight.pin_evict":      "xlupc_pin_evictions_total",
+	"Flight.crash":          "xlupc_crash_nodes_total",
+	"Flight.restart":        "xlupc_crash_recovered_total",
+	"Flight.pin_park":       "xlupc_pin_parked_total",
+	"Flight.pin_reuse":      "xlupc_pin_reuses_total",
+	"RecoveryTime":          "xlupc_crash_recovery_seconds",
+	"StaleInvalidated":      "xlupc_crash_stale_invalidated_total",
 }
 
 // notExported names the counters of RunStats no series carries, each
 // with the reason.
 var notExported = map[string]string{
-	"KernelEvents":      "a cost of the simulator, not of the modelled machine",
-	"OpStats.Gets":      "per-op spans export xlupc_ops_total and xlupc_op_latency",
-	"OpStats.Puts":      "per-op spans export xlupc_ops_total and xlupc_op_latency",
-	"OpStats.LocalGets": "per-op spans export xlupc_ops_total and xlupc_op_latency",
-	"OpStats.GetTime":   "per-op spans export xlupc_ops_total and xlupc_op_latency",
+	"KernelEvents":            "a cost of the simulator, not of the modelled machine",
+	"OpStats.Gets":            "per-op spans export xlupc_ops_total and xlupc_op_latency",
+	"OpStats.Puts":            "per-op spans export xlupc_ops_total and xlupc_op_latency",
+	"OpStats.LocalGets":       "per-op spans export xlupc_ops_total and xlupc_op_latency",
+	"OpStats.GetTime":         "per-op spans export xlupc_ops_total and xlupc_op_latency",
+	"Flight.recv":             "physical arrivals: the export carries the injections (Flight.send) and the hazards between the two",
+	"Flight.retry_fail":       "exported by class as xlupc_transport_failures_total, but a run that records one ends in a TransportError, so no golden configuration does",
+	"Flight.pin_nack":         "a sum of families (the reason=\"nack\" fallbacks and PUT retries), checked against them by TestCoreSeries; no golden configuration NACKs on a deregistered region",
+	"Flight.cache_invalidate": "one record per invalidation, whatever it dropped; xlupc_addrcache_invalidations_total counts the entries dropped",
+	"Flight.atomic":           "NIC-executed atomics only; xlupc_atomic_ops_total and xlupc_atomic_remote_total count every remote atomic, AM path included",
+}
+
+// counterAt locates one counter of RunStats: its field, and for a
+// flight kind's total the element.
+type counterAt struct {
+	field []int
+	elem  int // -1: the field itself
+}
+
+func (c counterAt) value(st RunStats) reflect.Value {
+	f := reflect.ValueOf(st).FieldByIndex(c.field)
+	if c.elem >= 0 {
+		f = f.Index(c.elem)
+	}
+	return f
 }
 
 // runStatsCounters returns the path of every integer field reachable
-// from RunStats ("Cache.Hits", "PinStats.MaxLive") with its index.
-func runStatsCounters() map[string][]int {
-	out := map[string][]int{}
+// from RunStats ("Cache.Hits", "PinStats.MaxLive") and of every flight
+// kind's total, by the kind's name ("Flight.drop"), with its location.
+func runStatsCounters() map[string]counterAt {
+	out := map[string]counterAt{}
+	totals := reflect.TypeOf(flight.Totals{})
 	var walk func(t reflect.Type, prefix string, index []int)
 	walk = func(t reflect.Type, prefix string, index []int) {
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
 			idx := append(append([]int(nil), index...), i)
-			switch f.Type.Kind() {
-			case reflect.Struct:
+			switch {
+			case f.Type.Kind() == reflect.Struct:
 				walk(f.Type, prefix+f.Name+".", idx)
-			case reflect.Int, reflect.Int64:
-				out[prefix+f.Name] = idx
+			case f.Type.Kind() == reflect.Int, f.Type.Kind() == reflect.Int64:
+				out[prefix+f.Name] = counterAt{idx, -1}
+			case f.Type == totals:
+				for k := 0; k < f.Type.Len(); k++ {
+					out[prefix+f.Name+"."+flight.Kind(k).String()] = counterAt{idx, k}
+				}
 			default:
 				panic("RunStats." + prefix + f.Name + ": not a counter")
 			}
@@ -299,12 +328,12 @@ func TestEveryCounterExported(t *testing.T) {
 		}
 	}
 	for path := range promSeries {
-		if counters[path] == nil {
+		if _, ok := counters[path]; !ok {
 			t.Errorf("promSeries names %s, which RunStats does not have", path)
 		}
 	}
 	for path := range notExported {
-		if counters[path] == nil {
+		if _, ok := counters[path]; !ok {
 			t.Errorf("notExported names %s, which RunStats does not have", path)
 		}
 	}
@@ -313,13 +342,12 @@ func TestEveryCounterExported(t *testing.T) {
 		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 			st, snap := runProm(t, pc, prof)
 			sum, peak := promValues(snap)
-			v := reflect.ValueOf(st)
 			for path, fam := range promSeries {
 				got, ok := sum[fam]
 				if !ok {
 					continue // a gated block that this configuration leaves out
 				}
-				f := v.FieldByIndex(counters[path])
+				f := counters[path].value(st)
 				want := float64(f.Int())
 				switch {
 				case f.Type() == timeType:

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"xlupc/internal/addrcache"
-	"xlupc/internal/fabric"
 	"xlupc/internal/fault"
 	"xlupc/internal/flight"
 	"xlupc/internal/mem"
@@ -333,9 +332,10 @@ func (rt *Runtime) recordCacheInval(node, rn int, key uint64, n int) {
 	})
 }
 
-// RunStats aggregates a finished run. Every count is declared once, in
-// the struct of the subsystem that keeps it; RunStats holds those
-// structs, summed over nodes and threads.
+// RunStats aggregates a finished run. Every count is declared once:
+// in the struct of the subsystem that keeps it, summed over nodes and
+// threads, or — for an occurrence that has a flight Kind — as that
+// kind's flight-record total.
 type RunStats struct {
 	Elapsed sim.Time // virtual makespan of the program
 
@@ -351,16 +351,19 @@ type RunStats struct {
 	RDMAOps   int64
 	RDMANacks int64 // RDMA operations NACKed by a deregistered or restarted target
 
-	Cache        addrcache.Stats // summed over nodes
-	mem.PinStats                 // summed over nodes; MaxLive is the fullest table's peak
-	OpStats                      // summed over threads
+	Cache        addrcache.Stats     // summed over nodes
+	mem.PinStats                     // summed over nodes; MaxLive is the fullest table's peak
+	OpStats                          // summed over threads
+	Coal         transport.CoalStats // all zero when Coalesce is nil
 
-	Fault fabric.FaultStats    // all zero when chaos is off
-	Rel   transport.RelStats   // all zero without reliable delivery
-	Coal  transport.CoalStats  // all zero when Coalesce is nil
-	Crash transport.CrashStats // all zero when Crash is nil
+	// Flight is the flight record's count of each kind, over all nodes
+	// and classes: hazards applied (st.Flight[flight.KindDrop]), the
+	// reliable layer's work, crashes and restarts, coalesced frames,
+	// pin evictions, parks and reuses.
+	Flight flight.Totals
 
-	StaleInvalidated int64 // cache entries flushed by stale-NACK recovery
+	RecoveryTime     sim.Time // summed over restarts: first inbound RDMA op minus BackAt
+	StaleInvalidated int64    // cache entries flushed by stale-NACK recovery
 }
 
 // OpStats is what a thread counts of its own operations.
@@ -389,9 +392,8 @@ func (rt *Runtime) stats() RunStats {
 		Elapsed: rt.K.Now(), KernelEvents: rt.K.Events(),
 		Messages: rt.M.Fab.Messages(), NetBytes: rt.M.Fab.Bytes(),
 		AMOps: rt.M.AMCount(), RDMAOps: rt.M.RDMACount(), RDMANacks: rt.M.NackCount(),
-		Fault: rt.M.Fab.FaultStats(), Rel: rt.M.RelStats(),
-		Coal: rt.M.CoalStats(), Crash: rt.M.CrashStats(),
-		StaleInvalidated: rt.staleInvalidated,
+		Coal: rt.M.CoalStats(), Flight: rt.M.FR.Totals(),
+		RecoveryTime: rt.M.RecoveryTime(), StaleInvalidated: rt.staleInvalidated,
 	}
 	for _, ns := range rt.nodes {
 		if ns.cache != nil {
@@ -406,6 +408,44 @@ func (rt *Runtime) stats() RunStats {
 		rt.tel.Publish(rt.metricsTable(st))
 	}
 	return st
+}
+
+// A familyGate says when a run exports a family. A layer's families
+// exist only in runs that configure it (and a whenCounted one only once
+// its count is positive), so a run without the layer exports what it
+// did before the layer existed.
+type familyGate uint8
+
+const (
+	whenCounted   familyGate = iota // the count is positive
+	whenChaos                       // Fault or Rel is configured
+	whenCrash                       // a crash schedule is configured
+	whenPinExtras                   // lazy unpinning or a non-LRU evictor
+)
+
+// kindFamilies are the families that export one flight kind's total.
+var kindFamilies = []struct {
+	name string
+	kind flight.Kind
+	when familyGate
+}{
+	{"xlupc_fault_drops_total", flight.KindDrop, whenChaos},
+	{"xlupc_fault_corrupts_total", flight.KindCorrupt, whenChaos},
+	{"xlupc_fault_dups_total", flight.KindDuplicate, whenChaos},
+	{"xlupc_fault_delays_total", flight.KindDelay, whenChaos},
+	{"xlupc_fault_stalls_total", flight.KindStall, whenChaos},
+	{"xlupc_rel_retransmits_total", flight.KindRetransmit, whenChaos},
+	{"xlupc_rel_dup_suppressed_total", flight.KindDupSuppress, whenChaos},
+	{"xlupc_rel_acks_total", flight.KindAck, whenChaos},
+	{"xlupc_transport_corrupt_drops_total", flight.KindCorruptDrop, whenCounted},
+	{"xlupc_coalesce_frames_total", flight.KindCoalFlush, whenCounted},
+	{"xlupc_crash_nodes_total", flight.KindCrash, whenCrash},
+	{"xlupc_crash_drops_total", flight.KindCrashDrop, whenCrash},
+	{"xlupc_crash_stale_nacks_total", flight.KindStaleNack, whenCrash},
+	{"xlupc_crash_parked_retx_total", flight.KindPark, whenCrash},
+	{"xlupc_crash_recovered_total", flight.KindRestart, whenCrash},
+	{"xlupc_pin_reuses_total", flight.KindPinReuse, whenPinExtras},
+	{"xlupc_pin_parked_total", flight.KindPinPark, whenPinExtras},
 }
 
 // metricsTable renders the run's end-state as the telemetry hub's
@@ -423,54 +463,33 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 	gauge := func(name, labels string, v float64) {
 		rows = append(rows, telemetry.Row{Name: name, Labels: labels, Kind: telemetry.KindGauge, Value: v})
 	}
+	fr := rt.M.FR
 	gauge("xlupc_run_elapsed_seconds", "", st.Elapsed.Secs())
 	counter("xlupc_net_messages_total", "", st.Messages)
 	counter("xlupc_net_bytes_total", "", st.NetBytes)
 	counter("xlupc_am_ops_total", "", st.AMOps)
 	counter("xlupc_rdma_ops_total", "", st.RDMAOps)
-	// Fault and reliability metrics only exist when chaos is configured,
-	// keeping exporter output bit-identical to main when it is off.
-	if rt.cfg.Fault != nil || rt.cfg.Rel != nil {
-		counter("xlupc_fault_drops_total", "", st.Fault.Drops)
-		counter("xlupc_fault_corrupts_total", "", st.Fault.Corrupts)
-		counter("xlupc_fault_dups_total", "", st.Fault.Dups)
-		counter("xlupc_fault_delays_total", "", st.Fault.Delayed)
-		counter("xlupc_fault_stalls_total", "", st.Fault.Stalled)
-		counter("xlupc_rel_retransmits_total", "", st.Rel.Retransmits)
-		counter("xlupc_rel_dup_suppressed_total", "", st.Rel.DupSuppressed)
-		counter("xlupc_rel_acks_total", "", st.Rel.Acks)
+	on := [...]bool{
+		whenChaos:     rt.cfg.Fault != nil || rt.cfg.Rel != nil,
+		whenCrash:     rt.cfg.Crash != nil,
+		whenPinExtras: rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU),
 	}
-	// These three exist exactly when something was counted, as the live
-	// counters they replace did.
-	if st.Rel.CorruptDrops > 0 {
-		counter("xlupc_transport_corrupt_drops_total", "", st.Rel.CorruptDrops)
+	for _, f := range kindFamilies {
+		if n := st.Flight[f.kind]; on[f.when] || f.when == whenCounted && n > 0 {
+			counter(f.name, "", n)
+		}
 	}
-	if st.Coal.Msgs > 0 {
-		counter("xlupc_coalesce_msgs_total", "", st.Coal.Msgs)
-	}
-	if st.Coal.Frames > 0 {
-		counter("xlupc_coalesce_frames_total", "", st.Coal.Frames)
-	}
-	// Crash metrics likewise only exist when a crash schedule is
-	// configured, so exporter output with Crash nil stays identical.
-	if rt.cfg.Crash != nil {
-		counter("xlupc_crash_nodes_total", "", st.Crash.Crashes)
-		counter("xlupc_crash_drops_total", "", st.Fault.CrashDrops)
-		counter("xlupc_crash_stale_nacks_total", "", st.Crash.StaleNacks)
+	if on[whenCrash] {
 		counter("xlupc_crash_stale_invalidated_total", "", st.StaleInvalidated)
-		counter("xlupc_crash_parked_retx_total", "", st.Rel.Parked)
-		counter("xlupc_crash_recovered_total", "", st.Crash.Recovered)
-		gauge("xlupc_crash_recovery_seconds", "", st.Crash.RecoveryTime.Secs())
+		gauge("xlupc_crash_recovery_seconds", "", st.RecoveryTime.Secs())
 	}
-	// Lazy-unpin and evictor extras only exist when the Pin config opts
-	// into them, so exporter output for default-policy runs stays
-	// identical.
-	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU) {
-		counter("xlupc_pin_reuses_total", "", st.Reuses)
-		counter("xlupc_pin_parked_total", "", st.PinStats.Parked)
+	if on[whenPinExtras] {
 		counter("xlupc_pin_reclaims_total", "", st.Reclaims)
 		counter("xlupc_pin_ghost_hits_total", "", st.GhostHits)
 		counter("xlupc_pin_repins_total", "", st.Repins)
+	}
+	if st.Coal.Msgs > 0 {
+		counter("xlupc_coalesce_msgs_total", "", st.Coal.Msgs)
 	}
 	// Adaptive cache re-apportionments likewise appear only when the
 	// cache runs in adaptive mode.
@@ -488,7 +507,6 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 			counter(name, key+`="`+value+`"`, n)
 		}
 	}
-	fr := rt.M.FR
 	for _, c := range []flight.Class{flight.ClassAM, flight.ClassDMA} {
 		addPositive("xlupc_transport_parked_total", "class", c.String(), fr.OfClass(flight.KindPark, c))
 		addPositive("xlupc_transport_failures_total", "class", c.String(), fr.OfClass(flight.KindRetryFail, c))
@@ -543,7 +561,7 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 		pins := ns.tn.Pins
 		counter("xlupc_pin_registrations_total", node, pins.Pins)
 		counter("xlupc_pin_deregistrations_total", node, pins.Unpins)
-		counter("xlupc_pin_evictions_total", node, pins.Evicted)
+		counter("xlupc_pin_evictions_total", node, fr.OfNode(ns.id, flight.KindPinEvict))
 		gauge("xlupc_pin_peak_entries", node, float64(pins.MaxLive))
 		gauge("xlupc_pin_reg_seconds", node, pins.RegTime.Secs())
 		gauge("xlupc_pin_dereg_seconds", node, pins.DeregTime.Secs())

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"xlupc/internal/flight"
 
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
@@ -198,7 +199,7 @@ func TestFieldMatchesModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.cfg.Crash != nil && st.Crash.Crashes == 0 {
+			if c.cfg.Crash != nil && st.Flight[flight.KindCrash] == 0 {
 				t.Fatal("no node restarted: the crash case is vacuous")
 			}
 			if check != wantCheck {

@@ -73,17 +73,6 @@ type Header struct {
 	Corrupt bool
 }
 
-// FaultStats counts the hazards the injector actually applied: a view
-// over the fabric's flight record, one field per event kind.
-type FaultStats struct {
-	Drops      int64 // packets vanished on the wire
-	Corrupts   int64 // packets delivered with a failing checksum
-	Dups       int64 // packets delivered twice
-	Delayed    int64 // packets given extra wire latency
-	Stalled    int64 // arrivals held by a NIC-stall window
-	CrashDrops int64 // arrivals dropped into a node's crash/restart window
-}
-
 // Fabric is the simulated interconnect instance.
 type Fabric struct {
 	k     *sim.Kernel
@@ -104,7 +93,7 @@ type Fabric struct {
 	// a nil check as their only overhead.
 	down []sim.Time
 
-	// fr records every wire event; its counts are the fault stats. Held
+	// fr records every wire event; its counts are the hazards applied. Held
 	// by value, so the run's only recorder allocation is its table.
 	fr flight.Recorder
 
@@ -162,19 +151,6 @@ func (f *Fabric) SetDeliveryHook(fn Hook) { f.hook = fn }
 // Recorder returns the fabric's flight recorder, which the layers
 // above record into too: one per run, sized to the topology.
 func (f *Fabric) Recorder() *flight.Recorder { return &f.fr }
-
-// FaultStats reports the hazards applied so far.
-func (f *Fabric) FaultStats() FaultStats {
-	fr := &f.fr
-	return FaultStats{
-		Drops:      fr.Total(flight.KindDrop),
-		Corrupts:   fr.Total(flight.KindCorrupt),
-		Dups:       fr.Total(flight.KindDuplicate),
-		Delayed:    fr.Total(flight.KindDelay),
-		Stalled:    fr.Total(flight.KindStall),
-		CrashDrops: fr.Total(flight.KindCrashDrop),
-	}
-}
 
 // record flight-records one event of the packet seq (src -> dst) at
 // the receiving or, for a send, the sending node.

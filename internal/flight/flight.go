@@ -1,13 +1,12 @@
 // Package flight is the simulation's flight recorder: one record of
 // every structured virtual-time event the runtime has a Kind for. It
 // always keeps a count per (node, kind, class) — the only copy of those
-// counts: the fault, reliability, crash and coalescing stats a run
-// reports are views over it — and, when a run asks for them, a
-// fixed-capacity per-node ring of the events themselves. Aggregate
-// metrics explain average cost; the rings explain single-event
-// mysteries — a stale NACK, a retransmit parked against a restart
-// timer, a checksum divergence — by preserving the last N wire-level
-// events each node saw before a failure.
+// counts: a run's stats read them as Totals, one per kind — and, when
+// a run asks for them, a fixed-capacity per-node ring of the events
+// themselves. Aggregate metrics explain average cost; the rings explain
+// single-event mysteries — a stale NACK, a retransmit parked against a
+// restart timer, a checksum divergence — by preserving the last N
+// wire-level events each node saw before a failure.
 //
 // Recording is host-side only and costs no virtual time: a run with
 // rings finishes at the identical virtual instant as one without, and
@@ -193,20 +192,14 @@ func (c *Config) EffTail() int {
 // Recorder is one run's flight recorder: a count per (node, kind,
 // class), and a fixed ring per node once AddRings has run.
 type Recorder struct {
-	nodes  int
-	counts []int64 // by slot(node, kind, class)
-	rings  []ring  // nil: counting only
-}
-
-// slot is the table index of node's count of kind k and class c.
-func slot(node int, k Kind, c Class) int {
-	return (node*int(kindCount)+int(k))*int(classCount) + int(c)
+	counts [][kindCount][classCount]int64 // by node, kind, class
+	rings  []ring                         // nil: counting only
 }
 
 // New returns a counting recorder for n nodes. Its table is allocated
 // here, once; recording never allocates afterwards.
 func New(nodes int) *Recorder {
-	return &Recorder{nodes: nodes, counts: make([]int64, nodes*int(kindCount)*int(classCount))}
+	return &Recorder{counts: make([][kindCount][classCount]int64, nodes)}
 }
 
 // AddRings gives every node a ring of the given capacity (0 or negative
@@ -216,8 +209,8 @@ func (r *Recorder) AddRings(perNode int) {
 	if perNode <= 0 {
 		perNode = DefaultPerNode
 	}
-	r.rings = make([]ring, r.nodes)
-	buf := make([]Event, r.nodes*perNode) // one block, cache-friendly
+	r.rings = make([]ring, len(r.counts))
+	buf := make([]Event, len(r.counts)*perNode) // one block, cache-friendly
 	for i := range r.rings {
 		r.rings[i].buf = buf[i*perNode : (i+1)*perNode : (i+1)*perNode]
 	}
@@ -229,10 +222,25 @@ func (r *Recorder) HasRings() bool { return r.rings != nil }
 // Record counts one event of node and, when rings exist, appends it to
 // node's ring. A node out of range is a caller's bug and panics.
 func (r *Recorder) Record(node int, e Event) {
-	r.counts[slot(node, e.Kind, e.Class)]++
+	r.counts[node][e.Kind][e.Class]++
 	if r.rings != nil {
 		r.rings[node].record(e)
 	}
+}
+
+// Totals is how many events of each kind every node recorded, all
+// classes, indexed by Kind.
+type Totals [kindCount]int64
+
+// Totals sums the table by kind in one pass.
+func (r *Recorder) Totals() Totals {
+	var t Totals
+	for node := range r.counts {
+		for k, byClass := range &r.counts[node] {
+			t[k] += byClass[ClassNone] + byClass[ClassAM] + byClass[ClassDMA]
+		}
+	}
+	return t
 }
 
 // Total is how many events of kind k every node recorded, all classes.
@@ -243,26 +251,23 @@ func (r *Recorder) Total(k Kind) int64 {
 // OfClass is how many events of kind k and class c every node recorded.
 func (r *Recorder) OfClass(k Kind, c Class) int64 {
 	var n int64
-	for node := 0; node < r.nodes; node++ {
-		n += r.counts[slot(node, k, c)]
+	for node := range r.counts {
+		n += r.counts[node][k][c]
 	}
 	return n
 }
 
 // OfNode is how many events of kind k node recorded, all classes.
 func (r *Recorder) OfNode(node int, k Kind) int64 {
-	var n int64
-	for c := ClassNone; c < classCount; c++ {
-		n += r.counts[slot(node, k, c)]
-	}
-	return n
+	byClass := &r.counts[node][k]
+	return byClass[ClassNone] + byClass[ClassAM] + byClass[ClassDMA]
 }
 
 // Node returns node's surviving events in record order (none without
 // rings). The slice is freshly allocated; mutating it does not affect
 // the ring.
 func (r *Recorder) Node(node int) []Event {
-	if r.rings == nil || node < 0 || node >= r.nodes {
+	if r.rings == nil || node < 0 || node >= len(r.counts) {
 		return nil
 	}
 	return r.rings[node].snapshot(nil)

@@ -49,6 +49,7 @@ func TestRinglessRecorderCounts(t *testing.T) {
 	r.Record(0, Event{Kind: KindSend, Class: ClassDMA})
 	r.Record(1, Event{Kind: KindSend, Class: ClassDMA})
 	r.Record(1, Event{Kind: KindCrash})
+	r.Record(1, Event{Kind: KindPinReuse, Class: ClassDMA})
 	if r.HasRings() {
 		t.Fatal("New must not allocate rings")
 	}
@@ -69,6 +70,15 @@ func TestRinglessRecorderCounts(t *testing.T) {
 	}
 	if r.Node(0) != nil || len(r.Tail(1, 8)) != 0 {
 		t.Fatal("a ringless recorder must keep no events")
+	}
+	tot := r.Totals()
+	for k := Kind(0); k < kindCount; k++ {
+		if tot[k] != r.Total(k) {
+			t.Errorf("Totals()[%s] = %d, Total(%s) = %d", k, tot[k], k, r.Total(k))
+		}
+	}
+	if tot[KindSend] != 3 || tot[KindCrash] != 1 || tot[KindPinReuse] != 1 {
+		t.Errorf("Totals() = %v", tot)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteDump(&buf, nil, 8); err != nil || buf.Len() != 0 {

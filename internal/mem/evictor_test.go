@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 )
 
@@ -145,7 +146,7 @@ func TestCostEvictorPrefersCheapDereg(t *testing.T) {
 func TestCostGhostProtectionDegradesGracefully(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
-	pt := NewPinTable(0, m, PinLimited)
+	pt := recordingTable(m, PinLimited)
 	pt.SetEvictor(NewCostEvictor(m))
 	pin := func(base Addr, now sim.Time) error {
 		_, err := pt.Pin(base, PageSize, uint64(base), now)
@@ -174,13 +175,13 @@ func TestCostGhostProtectionDegradesGracefully(t *testing.T) {
 	}
 	// Both residents are protected: new pins are refused (AM fallback)
 	// rather than thrashing the working set...
-	evicted := pt.Evicted
+	evicted := recorded(pt, flight.KindPinEvict)
 	for i := 0; i < costStuckLimit-1; i++ {
 		if err := pin(0xD000, sim.Time(5+i)); err == nil {
 			t.Fatalf("pin %d succeeded against a fully protected table", i)
 		}
 	}
-	if pt.Evicted != evicted || !pt.IsPinned(0xA000) || !pt.IsPinned(0xB000) {
+	if recorded(pt, flight.KindPinEvict) != evicted || !pt.IsPinned(0xA000) || !pt.IsPinned(0xB000) {
 		t.Fatal("protected set was sacrificed")
 	}
 	// ...until the stuck limit concludes the protected set is stale and
@@ -188,15 +189,15 @@ func TestCostGhostProtectionDegradesGracefully(t *testing.T) {
 	if err := pin(0xD000, 100); err != nil {
 		t.Fatalf("pin after stuck limit: %v", err)
 	}
-	if pt.Evicted != evicted+1 {
-		t.Fatalf("Evicted = %d, want %d", pt.Evicted, evicted+1)
+	if recorded(pt, flight.KindPinEvict) != evicted+1 {
+		t.Fatalf("Evicted = %d, want %d", recorded(pt, flight.KindPinEvict), evicted+1)
 	}
 }
 
 // Lazy unpinning parks the registration and revives it for free.
 func TestLazyUnpinParkRevive(t *testing.T) {
 	m := testModel()
-	pt := NewPinTable(0, m, PinAll)
+	pt := recordingTable(m, PinAll)
 	pt.SetLazyUnpin(true)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
@@ -204,8 +205,8 @@ func TestLazyUnpinParkRevive(t *testing.T) {
 	if c := pt.Unpin(0x1000, 1); c != 0 {
 		t.Fatalf("lazy unpin charged %v, want 0 (parked)", c)
 	}
-	if pt.Dead() != 1 || pt.Parked != 1 || pt.IsPinned(0x1000) {
-		t.Fatalf("park state: dead=%d parked=%d pinned=%v", pt.Dead(), pt.Parked, pt.IsPinned(0x1000))
+	if pt.Dead() != 1 || recorded(pt, flight.KindPinPark) != 1 || pt.IsPinned(0x1000) {
+		t.Fatalf("park state: dead=%d parked=%d pinned=%v", pt.Dead(), recorded(pt, flight.KindPinPark), pt.IsPinned(0x1000))
 	}
 	if pt.TotalPinned() != PageSize {
 		t.Fatalf("parked bytes left the NIC: total=%d", pt.TotalPinned())
@@ -214,8 +215,8 @@ func TestLazyUnpinParkRevive(t *testing.T) {
 	if err != nil || c != 0 {
 		t.Fatalf("revive cost=%v err=%v, want free", c, err)
 	}
-	if pt.Reuses != 1 || pt.Dead() != 0 || !pt.IsPinned(0x1000) {
-		t.Fatalf("revive state: reuses=%d dead=%d pinned=%v", pt.Reuses, pt.Dead(), pt.IsPinned(0x1000))
+	if recorded(pt, flight.KindPinReuse) != 1 || pt.Dead() != 0 || !pt.IsPinned(0x1000) {
+		t.Fatalf("revive state: reuses=%d dead=%d pinned=%v", recorded(pt, flight.KindPinReuse), pt.Dead(), pt.IsPinned(0x1000))
 	}
 	// A parked region re-pinned at a different size is worthless: the
 	// old handle is reclaimed and the region registered afresh.
@@ -271,7 +272,7 @@ func TestLazyDeadListBounded(t *testing.T) {
 func TestLazyReclaimBeforeEviction(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
-	pt := NewPinTable(0, m, PinLimited)
+	pt := recordingTable(m, PinLimited)
 	pt.SetLazyUnpin(true)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
@@ -287,8 +288,8 @@ func TestLazyReclaimBeforeEviction(t *testing.T) {
 	if want := m.DeregCost(PageSize) + m.RegCost(PageSize); cost != want {
 		t.Fatalf("cost = %v, want %v (reclaim parked + register)", cost, want)
 	}
-	if pt.Evicted != 0 || pt.Reclaims != 1 || !pt.IsPinned(0x2000) {
-		t.Fatalf("live region sacrificed: evicted=%d reclaims=%d", pt.Evicted, pt.Reclaims)
+	if recorded(pt, flight.KindPinEvict) != 0 || pt.Reclaims != 1 || !pt.IsPinned(0x2000) {
+		t.Fatalf("live region sacrificed: evicted=%d reclaims=%d", recorded(pt, flight.KindPinEvict), pt.Reclaims)
 	}
 }
 
@@ -368,7 +369,7 @@ func evictorChurn(kind EvictorKind, lazy bool) ([]Addr, []int64, sim.Time) {
 	m := testModel()
 	m.MaxTotal = 8 * PageSize
 	m.MaxPerObject = 0
-	pt := NewPinTable(0, m, PinLimited)
+	pt := recordingTable(m, PinLimited)
 	rec := &recordingEvictor{inner: kind.New(m)}
 	pt.SetEvictor(rec)
 	if lazy {
@@ -394,7 +395,7 @@ func evictorChurn(kind EvictorKind, lazy bool) ([]Addr, []int64, sim.Time) {
 			pt.Pin(base, size, uint64(base), now) // limit errors are part of the script
 		}
 	}
-	counters := []int64{pt.Pins, pt.Unpins, pt.Evicted, pt.Reuses, pt.Parked, pt.Reclaims, pt.GhostHits, pt.Repins}
+	counters := []int64{pt.Pins, pt.Unpins, recorded(pt, flight.KindPinEvict), recorded(pt, flight.KindPinReuse), recorded(pt, flight.KindPinPark), pt.Reclaims, pt.GhostHits, pt.Repins}
 	return rec.victims, counters, pt.DeregTime
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 )
 
@@ -163,6 +164,19 @@ func TestPropertyAllocatorIntegrity(t *testing.T) {
 	}
 }
 
+// recordingTable is a node-0 pin table with a flight recorder of its
+// own, as a machine's tables have: its evictions, parks and reuse hits
+// are counted there.
+func recordingTable(model CostModel, policy PinPolicy) *PinTable {
+	pt := NewPinTable(0, model, policy)
+	pt.SetFlightRecorder(flight.New(1))
+	return pt
+}
+
+// recorded is how many events of kind k pt's flight recorder holds for
+// its node: the count of its evictions, parks or reuse hits.
+func recorded(pt *PinTable, k flight.Kind) int64 { return pt.fr.OfNode(pt.node, k) }
+
 func testModel() CostModel {
 	return CostModel{
 		RegBase: 10 * sim.Us, RegPerPage: 1 * sim.Us,
@@ -227,7 +241,7 @@ func TestPinLimitedEvictsLRU(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 10 * PageSize
 	m.MaxPerObject = 0
-	pt := NewPinTable(0, m, PinLimited)
+	pt := recordingTable(m, PinLimited)
 	if _, err := pt.Pin(0x1000, 4*PageSize, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +264,8 @@ func TestPinLimitedEvictsLRU(t *testing.T) {
 	if !pt.IsPinned(0x1000) || !pt.IsPinned(0x20000) {
 		t.Fatal("wrong victim chosen")
 	}
-	if pt.Evicted != 1 {
-		t.Fatalf("evicted = %d", pt.Evicted)
+	if recorded(pt, flight.KindPinEvict) != 1 {
+		t.Fatalf("evicted = %d", recorded(pt, flight.KindPinEvict))
 	}
 }
 
@@ -387,7 +401,7 @@ func TestPinTimeAccounting(t *testing.T) {
 func TestPinLimitedEvictionTimeAccounting(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
-	pt := NewPinTable(0, m, PinLimited)
+	pt := recordingTable(m, PinLimited)
 	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +414,8 @@ func TestPinLimitedEvictionTimeAccounting(t *testing.T) {
 	if _, err := pt.Pin(0x3000, 2*PageSize, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	if pt.Evicted != 2 {
-		t.Fatalf("evicted = %d, want 2", pt.Evicted)
+	if recorded(pt, flight.KindPinEvict) != 2 {
+		t.Fatalf("evicted = %d, want 2", recorded(pt, flight.KindPinEvict))
 	}
 	want := 2 * m.DeregCost(PageSize)
 	if pt.DeregTime-before != want {
@@ -415,7 +429,7 @@ func TestPinLimitedEvictionTimeAccounting(t *testing.T) {
 func TestPinLimitedBackToBackEvictionsAtTotalLimit(t *testing.T) {
 	m := testModel()
 	m.MaxTotal = 2 * PageSize
-	pt := NewPinTable(0, m, PinLimited)
+	pt := recordingTable(m, PinLimited)
 	if _, err := pt.Pin(0x1000, 2*PageSize, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +447,8 @@ func TestPinLimitedBackToBackEvictionsAtTotalLimit(t *testing.T) {
 			t.Fatalf("pin %d: total=%d live=%d", i, pt.TotalPinned(), pt.Live())
 		}
 	}
-	if pt.Evicted != 3 {
-		t.Fatalf("evicted = %d, want 3", pt.Evicted)
+	if recorded(pt, flight.KindPinEvict) != 3 {
+		t.Fatalf("evicted = %d, want 3", recorded(pt, flight.KindPinEvict))
 	}
 	if pt.DeregTime != 3*m.DeregCost(2*PageSize) {
 		t.Fatalf("DeregTime = %v, want %v", pt.DeregTime, 3*m.DeregCost(2*PageSize))

@@ -118,15 +118,13 @@ type PinTable struct {
 	PinStats
 }
 
-// PinStats is what a pin table counts. The lazy-unpin and evictor
-// extras (Reuses through Repins) stay zero under the default eager-LRU
-// behaviour.
+// PinStats is what a pin table counts beside its flight records (the
+// pin_evict, pin_park and pin_reuse kinds). The lazy-unpin and evictor
+// extras (Reclaims through Repins) stay zero under the default
+// eager-LRU behaviour.
 type PinStats struct {
 	Pins      int64    // registrations performed
 	Unpins    int64    // explicit deregistrations
-	Evicted   int64    // PinLimited-policy deregistrations of live regions
-	Reuses    int64    // re-pins served for free from the dead-list
-	Parked    int64    // lazy unpins that parked instead of deregistering
 	Reclaims  int64    // parked registrations finally deregistered
 	GhostHits int64    // cost-aware policy: evicted bases that came back
 	Repins    int64    // size-mismatched re-pins (dereg + fresh register)
@@ -140,9 +138,6 @@ type PinStats struct {
 func (s *PinStats) Add(o PinStats) {
 	s.Pins += o.Pins
 	s.Unpins += o.Unpins
-	s.Evicted += o.Evicted
-	s.Reuses += o.Reuses
-	s.Parked += o.Parked
 	s.Reclaims += o.Reclaims
 	s.GhostHits += o.GhostHits
 	s.Repins += o.Repins
@@ -190,11 +185,12 @@ func (t *PinTable) SetLazyUnpin(on bool) {
 }
 
 // SetFlightRecorder attaches the machine's flight recorder: evictions,
-// parks and reuse hits are recorded on the owning node.
+// parks and reuse hits are recorded, and counted, there alone.
 func (t *PinTable) SetFlightRecorder(fr *flight.Recorder) { t.fr = fr }
 
-// record flight-records one event of entry e. A table built without a
-// machine — by mem's tests and the pin-pressure sweep — records nothing.
+// record flight-records one event of entry e on the table's node. A
+// table built without a machine (the benchmark's pin-table drivers)
+// neither records nor counts it.
 func (t *PinTable) record(now sim.Time, k flight.Kind, e *PinEntry) {
 	if t.fr == nil {
 		return
@@ -318,7 +314,6 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 			dc := t.model.DeregCost(victim.Size)
 			cost += dc
 			t.DeregTime += dc
-			t.Evicted++
 			t.ev.Evicted(victim)
 			t.record(now, flight.KindPinEvict, victim)
 		}
@@ -350,7 +345,6 @@ func (t *PinTable) revive(e *PinEntry, tag uint64, now sim.Time) error {
 	e.seq = t.seq
 	t.entries[e.Base] = e
 	t.Pins++
-	t.Reuses++
 	if len(t.entries) > t.MaxLive {
 		t.MaxLive = len(t.entries)
 	}
@@ -411,7 +405,6 @@ func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 	}
 	t.dead[base] = e
 	t.deadList.pushBack(e)
-	t.Parked++
 	t.record(now, flight.KindPinPark, e)
 	cost := sim.Time(0)
 	for t.deadList.len > DefaultLazyEntries {

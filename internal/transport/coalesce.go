@@ -46,11 +46,10 @@ type CoalConfig struct{}
 // DefaultCoalConfig returns the deployed coalescing configuration.
 func DefaultCoalConfig() CoalConfig { return CoalConfig{} }
 
-// CoalStats counts the coalescer's work. Frames is a view over the
-// flight record's coalesce_flush events.
+// CoalStats counts the coalescer's work. The frames it injected are
+// the flight record's coalesce_flush events.
 type CoalStats struct {
 	Msgs       int64 // operations routed through the coalescer
-	Frames     int64 // wire frames injected
 	SavedBytes int64 // header bytes the batching kept off the wire
 }
 
@@ -98,8 +97,8 @@ type coalescer struct {
 	bufs  map[coalKey]*coalBuf
 	syncs pool.Free[coalSync]
 
-	msgs, savedBytes int64                  // CoalStats.Msgs and SavedBytes
-	flushes          [len(flushNames)]int64 // flushes by trigger
+	st      CoalStats              // what CoalStats reports
+	flushes [len(flushNames)]int64 // flushes by trigger
 }
 
 // The flush triggers: MaxOps or MaxBytes reached, the virtual-time
@@ -128,7 +127,7 @@ func (m *Machine) CoalStats() CoalStats {
 	if m.coal == nil {
 		return CoalStats{}
 	}
-	return CoalStats{Msgs: m.coal.msgs, Frames: m.FR.Total(flight.KindCoalFlush), SavedBytes: m.coal.savedBytes}
+	return m.coal.st
 }
 
 // FlushesByReason calls each with every flush trigger's name and the
@@ -181,7 +180,7 @@ func (o *txOp) appended() {
 	b.spans = append(b.spans, o.span)
 	b.queued = append(b.queued, c.m.K.Now())
 	b.bytes += o.wire
-	c.msgs++
+	c.st.Msgs++
 	if !reply && (len(b.ops) >= coalMaxOps || b.bytes >= coalMaxBytes) {
 		o.flush(b, flushSize)
 		return
@@ -229,7 +228,7 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 		unbatched = wire
 		frame = &dmaFrame{ops: b.ops}
 	}
-	c.savedBytes += int64(unbatched - wire)
+	c.st.SavedBytes += int64(unbatched - wire)
 	// The frame's ordinal in the run: the flushes recorded before it,
 	// plus one.
 	c.m.FR.Record(b.key.src, flight.Event{

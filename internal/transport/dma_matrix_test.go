@@ -49,8 +49,15 @@ type dmaRow struct {
 	Bytes    int64        `json:"bytes"`
 	RDMAs    int64        `json:"rdmas"`
 	Nacks    int64        `json:"nacks"`
-	Crash    CrashStats   `json:"crash"`
+	Crash    dmaCrash     `json:"crash"`
 	Flight   []string     `json:"flight"` // everything recorded at the target node
+}
+
+// dmaCrash is a cell's crash activity: the machine's crash, stale-NACK
+// and restart records, and the recovery time it summed.
+type dmaCrash struct {
+	Crashes, StaleNacks, Recovered int64
+	RecoveryTime                   sim.Time
 }
 
 // dmaCall is one of the five entry points applied to one of the
@@ -195,7 +202,11 @@ func finishRow(k *sim.Kernel, m *Machine, fr *flight.Recorder, base mem.Addr, ro
 	row.Mem = hex.EncodeToString(m.Nodes[1].Mem.ReadAlloc(base+dmaOff-8, dmaSize+16))
 	row.EndPs, row.Events = int64(k.Now()), k.Events()
 	row.Messages, row.Bytes = m.Fab.Messages(), m.Fab.Bytes()
-	row.RDMAs, row.Nacks, row.Crash = m.RDMACount(), m.NackCount(), m.CrashStats()
+	row.RDMAs, row.Nacks = m.RDMACount(), m.NackCount()
+	row.Crash = dmaCrash{
+		Crashes: m.FR.Total(flight.KindCrash), StaleNacks: m.FR.Total(flight.KindStaleNack),
+		Recovered: m.FR.Total(flight.KindRestart), RecoveryTime: m.RecoveryTime(),
+	}
 	for _, e := range fr.Node(1) {
 		row.Flight = append(row.Flight, fmt.Sprintf("%s/%s %d>%d seq=%d arg=%d @%d", e.Kind, e.Class, e.Src, e.Dst, e.Seq, e.Arg, int64(e.T)))
 	}

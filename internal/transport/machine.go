@@ -181,15 +181,6 @@ func (m *Machine) NacksByOp(each func(op string, nacks, stale int64)) {
 	}
 }
 
-// CrashStats counts crash/restart activity at the transport layer: a
-// view over the flight record, but for the recovery time it sums.
-type CrashStats struct {
-	Crashes      int64    // nodes taken down
-	StaleNacks   int64    // RDMA ops NACKed for a stale target epoch
-	Recovered    int64    // restarts confirmed by a post-restart RDMA op
-	RecoveryTime sim.Time // sum over Recovered of (first RDMA op) - BackAt
-}
-
 // crashState is the machine's crash bookkeeping, allocated on first
 // CrashNode so crash-free runs carry a single nil check.
 type crashState struct {
@@ -199,17 +190,14 @@ type crashState struct {
 	recoveryTime sim.Time
 }
 
-// CrashStats reports crash activity (zero when no crash ever happened).
-func (m *Machine) CrashStats() CrashStats {
-	st := CrashStats{
-		Crashes:    m.FR.Total(flight.KindCrash),
-		StaleNacks: m.FR.Total(flight.KindStaleNack),
-		Recovered:  m.FR.Total(flight.KindRestart),
+// RecoveryTime is the sum over confirmed restarts of the time from a
+// node's BackAt to its first successful inbound RDMA op (zero when no
+// crash ever happened). The restarts themselves are flight records.
+func (m *Machine) RecoveryTime() sim.Time {
+	if m.crash == nil {
+		return 0
 	}
-	if m.crash != nil {
-		st.RecoveryTime = m.crash.recoveryTime
-	}
-	return st
+	return m.crash.recoveryTime
 }
 
 // CrashNode takes node down at the current time until backAt: its

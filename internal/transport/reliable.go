@@ -149,16 +149,6 @@ type relAck struct {
 	sent   func(arrive sim.Time)
 }
 
-// RelStats counts the reliable layer's work: a view over the flight
-// record, one field per event kind.
-type RelStats struct {
-	Retransmits   int64 // timer-driven re-injections
-	DupSuppressed int64 // replayed packets discarded at the target
-	Acks          int64 // acknowledgements sent
-	CorruptDrops  int64 // arrivals discarded by the integrity check
-	Parked        int64 // expiries deferred against a peer's restart timer
-}
-
 // reliability is the machine-wide reliable-delivery state. The
 // simulation kernel serializes all access, so no locking is needed.
 type reliability struct {
@@ -198,17 +188,6 @@ func (m *Machine) EnableChaos(inj *fault.Injector, rc RelConfig) {
 		m.Fab.SetInjector(inj)
 	}
 	m.Fab.SetDeliveryHook(rl.deliver)
-}
-
-// RelStats reports the reliable layer's counters (zero when disabled).
-func (m *Machine) RelStats() RelStats {
-	return RelStats{
-		Retransmits:   m.FR.Total(flight.KindRetransmit),
-		DupSuppressed: m.FR.Total(flight.KindDupSuppress),
-		Acks:          m.FR.Total(flight.KindAck),
-		CorruptDrops:  m.FR.Total(flight.KindCorruptDrop),
-		Parked:        m.FR.Total(flight.KindPark),
-	}
 }
 
 // FatalError returns the transport failure that ended the run, if any.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/pool"
 	"xlupc/internal/sim"
@@ -43,12 +44,12 @@ func TestReliableZeroLossNoRetransmits(t *testing.T) {
 	if got != pings {
 		t.Fatalf("delivered %d of %d", got, pings)
 	}
-	rs := m.RelStats()
-	if rs.Retransmits != 0 || rs.DupSuppressed != 0 || rs.CorruptDrops != 0 {
-		t.Fatalf("clean wire did reliability work: %+v", rs)
+	fl := m.FR.Totals()
+	if fl[flight.KindRetransmit] != 0 || fl[flight.KindDupSuppress] != 0 || fl[flight.KindCorruptDrop] != 0 {
+		t.Fatalf("clean wire did reliability work: %v", fl)
 	}
-	if rs.Acks != pings {
-		t.Fatalf("acks %d, want %d", rs.Acks, pings)
+	if fl[flight.KindAck] != pings {
+		t.Fatalf("acks %d, want %d", fl[flight.KindAck], pings)
 	}
 	if m.FatalError() != nil {
 		t.Fatalf("unexpected failure: %v", m.FatalError())
@@ -82,15 +83,14 @@ func TestReliableDeliversExactlyOnceUnderChaos(t *testing.T) {
 			t.Fatalf("message %d handled %d times", i, seen[i])
 		}
 	}
-	rs := m.RelStats()
-	fs := m.Fab.FaultStats()
-	if fs.Drops == 0 || fs.Corrupts == 0 || fs.Dups == 0 {
-		t.Fatalf("hazards never fired: %+v", fs)
+	fl := m.FR.Totals()
+	if fl[flight.KindDrop] == 0 || fl[flight.KindCorrupt] == 0 || fl[flight.KindDuplicate] == 0 {
+		t.Fatalf("hazards never fired: %v", fl)
 	}
-	if rs.Retransmits == 0 {
+	if fl[flight.KindRetransmit] == 0 {
 		t.Fatal("drops happened but nothing was retransmitted")
 	}
-	if rs.DupSuppressed == 0 {
+	if fl[flight.KindDupSuppress] == 0 {
 		t.Fatal("duplicates happened but none were suppressed")
 	}
 }
@@ -128,7 +128,7 @@ func TestReliableRDMAUnderChaos(t *testing.T) {
 	if m.FatalError() != nil {
 		t.Fatalf("budget exhausted unexpectedly: %v", m.FatalError())
 	}
-	if m.RelStats().Retransmits == 0 {
+	if m.FR.Total(flight.KindRetransmit) == 0 {
 		t.Fatal("chaos run needed no retransmissions; hazards not exercised")
 	}
 }
@@ -239,12 +239,12 @@ func TestCrashStaleEpochNackAndRecovery(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cs := m.CrashStats()
-	if cs.Crashes != 1 || cs.StaleNacks != 2 {
-		t.Fatalf("crash stats %+v, want 1 crash and 2 stale nacks", cs)
+	fl := m.FR.Totals()
+	if fl[flight.KindCrash] != 1 || fl[flight.KindStaleNack] != 2 {
+		t.Fatalf("crash records %v, want 1 crash and 2 stale nacks", fl)
 	}
-	if cs.Recovered != 1 || cs.RecoveryTime <= 0 {
-		t.Fatalf("crash stats %+v, want 1 recovery with positive recovery time", cs)
+	if fl[flight.KindRestart] != 1 || m.RecoveryTime() <= 0 {
+		t.Fatalf("crash records %v, recovery time %v: want 1 recovery with positive recovery time", fl, m.RecoveryTime())
 	}
 }
 
@@ -272,14 +272,14 @@ func TestCrashParksRetransmitsAgainstRestart(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("delivered %d pings, want 1", got)
 	}
-	rs := m.RelStats()
-	if rs.Parked == 0 {
+	fl := m.FR.Totals()
+	if fl[flight.KindPark] == 0 {
 		t.Fatal("no expiries parked during the down window")
 	}
-	if rs.Retransmits == 0 || rs.Retransmits > int64(rc.MaxRetries) {
-		t.Fatalf("retransmits %d, want within the untouched budget (1..%d)", rs.Retransmits, rc.MaxRetries)
+	if n := fl[flight.KindRetransmit]; n == 0 || n > int64(rc.MaxRetries) {
+		t.Fatalf("retransmits %d, want within the untouched budget (1..%d)", n, rc.MaxRetries)
 	}
-	if fs := m.Fab.FaultStats(); fs.CrashDrops == 0 {
+	if fl[flight.KindCrashDrop] == 0 {
 		t.Fatal("nothing dropped at the dead NIC; the down window never bit")
 	}
 }
@@ -305,8 +305,8 @@ func TestCrashRestartSeqRestartsInNewEpoch(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("delivered %d pings, want 2 (restarted seq 0 deduped as a replay?)", got)
 	}
-	if rs := m.RelStats(); rs.DupSuppressed != 0 {
-		t.Fatalf("restarted channel suppressed as duplicate: %+v", rs)
+	if n := m.FR.Total(flight.KindDupSuppress); n != 0 {
+		t.Fatalf("restarted channel: %d arrivals suppressed as duplicates", n)
 	}
 }
 
@@ -344,8 +344,8 @@ func TestAckDuringRetransmitDoesNotOrphanTimer(t *testing.T) {
 	if te := m.FatalError(); te != nil {
 		t.Fatalf("delivered and ACKed packet reported dead: %v", te)
 	}
-	if rs := m.RelStats(); rs.Retransmits != 1 || rs.DupSuppressed != 1 {
-		t.Fatalf("want exactly one retransmit, suppressed as a duplicate: %+v", rs)
+	if fl := m.FR.Totals(); fl[flight.KindRetransmit] != 1 || fl[flight.KindDupSuppress] != 1 {
+		t.Fatalf("want exactly one retransmit, suppressed as a duplicate: %v", fl)
 	}
 }
 
@@ -405,8 +405,8 @@ func TestReliablePacketsRecycle(t *testing.T) {
 		return mm
 	}
 	m := run(300)
-	if m.RelStats().Retransmits == 0 || m.RelStats().DupSuppressed == 0 {
-		t.Fatalf("hazards did not bite: %+v", m.RelStats())
+	if fl := m.FR.Totals(); fl[flight.KindRetransmit] == 0 || fl[flight.KindDupSuppress] == 0 {
+		t.Fatalf("hazards did not bite: %v", fl)
 	}
 	for ch, w := range m.rel.seen {
 		if len(w.above) != 0 {
