@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"xlupc/internal/flight"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/transport"
 )
 

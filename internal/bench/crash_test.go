@@ -3,8 +3,8 @@ package bench
 import (
 	"bytes"
 	"testing"
-	"xlupc/internal/flight"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )

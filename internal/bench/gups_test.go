@@ -4,10 +4,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"xlupc/internal/flight"
 
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/transport"
 )
 

@@ -8,8 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"xlupc/internal/flight"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/kv"
 	"xlupc/internal/transport"
 )

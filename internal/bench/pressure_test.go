@@ -12,8 +12,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"xlupc/internal/flight"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/transport"
 )
 

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"xlupc/internal/flight"
 
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"testing"
-	"xlupc/internal/flight"
 
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )

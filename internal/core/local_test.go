@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"xlupc/internal/flight"
 
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )

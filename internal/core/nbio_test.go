@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"xlupc/internal/flight"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
-	"xlupc/internal/flight"
 
+	"xlupc/internal/flight"
 	"xlupc/internal/mem"
 	"xlupc/internal/transport"
 )

@@ -410,43 +410,37 @@ func (rt *Runtime) stats() RunStats {
 	return st
 }
 
-// A familyGate says when a run exports a family. A layer's families
-// exist only in runs that configure it (and a whenCounted one only once
-// its count is positive), so a run without the layer exports what it
-// did before the layer existed.
-type familyGate uint8
-
-const (
-	whenCounted   familyGate = iota // the count is positive
-	whenChaos                       // Fault or Rel is configured
-	whenCrash                       // a crash schedule is configured
-	whenPinExtras                   // lazy unpinning or a non-LRU evictor
-)
-
-// kindFamilies are the families that export one flight kind's total.
-var kindFamilies = []struct {
+// A kindFamily exports one flight kind's total as an unlabelled
+// counter. Each layer's one-kind families sit in one list, which
+// metricsTable exports beside the layer's other lines.
+type kindFamily struct {
 	name string
 	kind flight.Kind
-	when familyGate
-}{
-	{"xlupc_fault_drops_total", flight.KindDrop, whenChaos},
-	{"xlupc_fault_corrupts_total", flight.KindCorrupt, whenChaos},
-	{"xlupc_fault_dups_total", flight.KindDuplicate, whenChaos},
-	{"xlupc_fault_delays_total", flight.KindDelay, whenChaos},
-	{"xlupc_fault_stalls_total", flight.KindStall, whenChaos},
-	{"xlupc_rel_retransmits_total", flight.KindRetransmit, whenChaos},
-	{"xlupc_rel_dup_suppressed_total", flight.KindDupSuppress, whenChaos},
-	{"xlupc_rel_acks_total", flight.KindAck, whenChaos},
-	{"xlupc_transport_corrupt_drops_total", flight.KindCorruptDrop, whenCounted},
-	{"xlupc_coalesce_frames_total", flight.KindCoalFlush, whenCounted},
-	{"xlupc_crash_nodes_total", flight.KindCrash, whenCrash},
-	{"xlupc_crash_drops_total", flight.KindCrashDrop, whenCrash},
-	{"xlupc_crash_stale_nacks_total", flight.KindStaleNack, whenCrash},
-	{"xlupc_crash_parked_retx_total", flight.KindPark, whenCrash},
-	{"xlupc_crash_recovered_total", flight.KindRestart, whenCrash},
-	{"xlupc_pin_reuses_total", flight.KindPinReuse, whenPinExtras},
-	{"xlupc_pin_parked_total", flight.KindPinPark, whenPinExtras},
 }
+
+var (
+	chaosFamilies = []kindFamily{
+		{"xlupc_fault_drops_total", flight.KindDrop},
+		{"xlupc_fault_corrupts_total", flight.KindCorrupt},
+		{"xlupc_fault_dups_total", flight.KindDuplicate},
+		{"xlupc_fault_delays_total", flight.KindDelay},
+		{"xlupc_fault_stalls_total", flight.KindStall},
+		{"xlupc_rel_retransmits_total", flight.KindRetransmit},
+		{"xlupc_rel_dup_suppressed_total", flight.KindDupSuppress},
+		{"xlupc_rel_acks_total", flight.KindAck},
+	}
+	crashFamilies = []kindFamily{
+		{"xlupc_crash_nodes_total", flight.KindCrash},
+		{"xlupc_crash_drops_total", flight.KindCrashDrop},
+		{"xlupc_crash_stale_nacks_total", flight.KindStaleNack},
+		{"xlupc_crash_parked_retx_total", flight.KindPark},
+		{"xlupc_crash_recovered_total", flight.KindRestart},
+	}
+	pinExtraFamilies = []kindFamily{
+		{"xlupc_pin_reuses_total", flight.KindPinReuse},
+		{"xlupc_pin_parked_total", flight.KindPinPark},
+	}
+)
 
 // metricsTable renders the run's end-state as the telemetry hub's
 // end-of-run table: the RunStats structs, the flight record's counts by
@@ -463,33 +457,46 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 	gauge := func(name, labels string, v float64) {
 		rows = append(rows, telemetry.Row{Name: name, Labels: labels, Kind: telemetry.KindGauge, Value: v})
 	}
-	fr := rt.M.FR
 	gauge("xlupc_run_elapsed_seconds", "", st.Elapsed.Secs())
 	counter("xlupc_net_messages_total", "", st.Messages)
 	counter("xlupc_net_bytes_total", "", st.NetBytes)
 	counter("xlupc_am_ops_total", "", st.AMOps)
 	counter("xlupc_rdma_ops_total", "", st.RDMAOps)
-	on := [...]bool{
-		whenChaos:     rt.cfg.Fault != nil || rt.cfg.Rel != nil,
-		whenCrash:     rt.cfg.Crash != nil,
-		whenPinExtras: rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU),
-	}
-	for _, f := range kindFamilies {
-		if n := st.Flight[f.kind]; on[f.when] || f.when == whenCounted && n > 0 {
-			counter(f.name, "", n)
+	kindCounters := func(fams []kindFamily) {
+		for _, f := range fams {
+			counter(f.name, "", st.Flight[f.kind])
 		}
 	}
-	if on[whenCrash] {
+	// Fault and reliability metrics only exist when chaos is configured,
+	// keeping exporter output bit-identical to main when it is off.
+	if rt.cfg.Fault != nil || rt.cfg.Rel != nil {
+		kindCounters(chaosFamilies)
+	}
+	// These three exist exactly when something was counted, as the live
+	// counters they replace did.
+	positive := func(name string, n int64) {
+		if n > 0 {
+			counter(name, "", n)
+		}
+	}
+	positive("xlupc_transport_corrupt_drops_total", st.Flight[flight.KindCorruptDrop])
+	positive("xlupc_coalesce_msgs_total", st.Coal.Msgs)
+	positive("xlupc_coalesce_frames_total", st.Flight[flight.KindCoalFlush])
+	// Crash metrics likewise only exist when a crash schedule is
+	// configured, so exporter output with Crash nil stays identical.
+	if rt.cfg.Crash != nil {
+		kindCounters(crashFamilies)
 		counter("xlupc_crash_stale_invalidated_total", "", st.StaleInvalidated)
 		gauge("xlupc_crash_recovery_seconds", "", st.RecoveryTime.Secs())
 	}
-	if on[whenPinExtras] {
+	// Lazy-unpin and evictor extras only exist when the Pin config opts
+	// into them, so exporter output for default-policy runs stays
+	// identical.
+	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU) {
+		kindCounters(pinExtraFamilies)
 		counter("xlupc_pin_reclaims_total", "", st.Reclaims)
 		counter("xlupc_pin_ghost_hits_total", "", st.GhostHits)
 		counter("xlupc_pin_repins_total", "", st.Repins)
-	}
-	if st.Coal.Msgs > 0 {
-		counter("xlupc_coalesce_msgs_total", "", st.Coal.Msgs)
 	}
 	// Adaptive cache re-apportionments likewise appear only when the
 	// cache runs in adaptive mode.
@@ -507,6 +514,7 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 			counter(name, key+`="`+value+`"`, n)
 		}
 	}
+	fr := rt.M.FR
 	for _, c := range []flight.Class{flight.ClassAM, flight.ClassDMA} {
 		addPositive("xlupc_transport_parked_total", "class", c.String(), fr.OfClass(flight.KindPark, c))
 		addPositive("xlupc_transport_failures_total", "class", c.String(), fr.OfClass(flight.KindRetryFail, c))

@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"xlupc/internal/flight"
 
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
+	"xlupc/internal/flight"
 	"xlupc/internal/sim"
 	"xlupc/internal/transport"
 )

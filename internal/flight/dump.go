@@ -88,7 +88,7 @@ func (r *Recorder) interleave(nodes []int, tail int) []tagged {
 // can pass whatever the failure named.
 func (r *Recorder) normNodes(nodes []int) []int {
 	if len(nodes) == 0 {
-		nodes = make([]int, len(r.counts))
+		nodes = make([]int, r.nodes)
 		for i := range nodes {
 			nodes[i] = i
 		}
@@ -97,7 +97,7 @@ func (r *Recorder) normNodes(nodes []int) []int {
 	seen := make(map[int]bool, len(nodes))
 	var out []int
 	for _, n := range nodes {
-		if n >= 0 && n < len(r.counts) && !seen[n] {
+		if n >= 0 && n < r.nodes && !seen[n] {
 			seen[n] = true
 			out = append(out, n)
 		}

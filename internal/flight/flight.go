@@ -192,14 +192,20 @@ func (c *Config) EffTail() int {
 // Recorder is one run's flight recorder: a count per (node, kind,
 // class), and a fixed ring per node once AddRings has run.
 type Recorder struct {
-	counts [][kindCount][classCount]int64 // by node, kind, class
-	rings  []ring                         // nil: counting only
+	nodes  int
+	counts []int64 // by slot(node, kind, class)
+	rings  []ring  // nil: counting only
+}
+
+// slot is the table index of node's count of kind k and class c.
+func slot(node int, k Kind, c Class) int {
+	return (node*int(kindCount)+int(k))*int(classCount) + int(c)
 }
 
 // New returns a counting recorder for n nodes. Its table is allocated
 // here, once; recording never allocates afterwards.
 func New(nodes int) *Recorder {
-	return &Recorder{counts: make([][kindCount][classCount]int64, nodes)}
+	return &Recorder{nodes: nodes, counts: make([]int64, nodes*int(kindCount)*int(classCount))}
 }
 
 // AddRings gives every node a ring of the given capacity (0 or negative
@@ -209,8 +215,8 @@ func (r *Recorder) AddRings(perNode int) {
 	if perNode <= 0 {
 		perNode = DefaultPerNode
 	}
-	r.rings = make([]ring, len(r.counts))
-	buf := make([]Event, len(r.counts)*perNode) // one block, cache-friendly
+	r.rings = make([]ring, r.nodes)
+	buf := make([]Event, r.nodes*perNode) // one block, cache-friendly
 	for i := range r.rings {
 		r.rings[i].buf = buf[i*perNode : (i+1)*perNode : (i+1)*perNode]
 	}
@@ -222,7 +228,7 @@ func (r *Recorder) HasRings() bool { return r.rings != nil }
 // Record counts one event of node and, when rings exist, appends it to
 // node's ring. A node out of range is a caller's bug and panics.
 func (r *Recorder) Record(node int, e Event) {
-	r.counts[node][e.Kind][e.Class]++
+	r.counts[slot(node, e.Kind, e.Class)]++
 	if r.rings != nil {
 		r.rings[node].record(e)
 	}
@@ -235,39 +241,44 @@ type Totals [kindCount]int64
 // Totals sums the table by kind in one pass.
 func (r *Recorder) Totals() Totals {
 	var t Totals
-	for node := range r.counts {
-		for k, byClass := range &r.counts[node] {
-			t[k] += byClass[ClassNone] + byClass[ClassAM] + byClass[ClassDMA]
-		}
+	for i, n := range r.counts {
+		t[i/int(classCount)%int(kindCount)] += n
 	}
 	return t
 }
 
 // Total is how many events of kind k every node recorded, all classes.
 func (r *Recorder) Total(k Kind) int64 {
-	return r.OfClass(k, ClassNone) + r.OfClass(k, ClassAM) + r.OfClass(k, ClassDMA)
+	var n int64
+	for c := ClassNone; c < classCount; c++ {
+		n += r.OfClass(k, c)
+	}
+	return n
 }
 
 // OfClass is how many events of kind k and class c every node recorded.
 func (r *Recorder) OfClass(k Kind, c Class) int64 {
 	var n int64
-	for node := range r.counts {
-		n += r.counts[node][k][c]
+	for node := 0; node < r.nodes; node++ {
+		n += r.counts[slot(node, k, c)]
 	}
 	return n
 }
 
 // OfNode is how many events of kind k node recorded, all classes.
 func (r *Recorder) OfNode(node int, k Kind) int64 {
-	byClass := &r.counts[node][k]
-	return byClass[ClassNone] + byClass[ClassAM] + byClass[ClassDMA]
+	var n int64
+	for c := ClassNone; c < classCount; c++ {
+		n += r.counts[slot(node, k, c)]
+	}
+	return n
 }
 
 // Node returns node's surviving events in record order (none without
 // rings). The slice is freshly allocated; mutating it does not affect
 // the ring.
 func (r *Recorder) Node(node int) []Event {
-	if r.rings == nil || node < 0 || node >= len(r.counts) {
+	if r.rings == nil || node < 0 || node >= r.nodes {
 		return nil
 	}
 	return r.rings[node].snapshot(nil)
