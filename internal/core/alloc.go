@@ -56,9 +56,7 @@ type allocReq struct {
 // everything affine to thread 0). All threads must call it with the
 // same arguments; all receive the same array.
 func (t *Thread) AllAlloc(name string, numElems int64, elemSize int, block int64) *SharedArray {
-	t.p.ParkWake()
-	t.allAlloc(name, numElems, elemSize, block)
-	t.p.Await()
+	t.p.Await(sim.Func(func() { t.allAlloc(name, numElems, elemSize, block) }), 0)
 	return t.arr
 }
 
@@ -140,8 +138,7 @@ func (rt *Runtime) layout(elemSize int, block, numElems int64) Layout {
 // RDMA can land in recycled memory. The program must quiesce accesses
 // to the object first (fence + barrier), as UPC requires.
 func (t *Thread) Free(a *SharedArray) {
-	t.FreeC(a, t.p.Wake())
-	t.p.Await()
+	t.p.Await(sim.Func(func() { t.FreeC(a, t.c.Resumer()) }), 0)
 }
 
 // FreeC is Free in continuation-passing style: fence, broadcast the

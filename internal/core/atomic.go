@@ -66,10 +66,15 @@ func (ns *nodeState) rmw(addr mem.Addr, delta uint64) uint64 {
 // transports with a warm address cache this is one NIC-executed
 // message.
 func (t *Thread) FetchAdd(r Ref, delta uint64) uint64 {
-	t.p.ParkWake()
-	t.fetchAdd(r, delta)
-	t.p.Await()
+	t.stage(r, nil)
+	t.a1 = delta
+	t.p.Await(t, pcStartFetchAdd)
 	return t.old
+}
+
+func (t *Thread) startFetchAdd() {
+	r, _ := t.unstage()
+	t.fetchAdd(r, t.a1)
 }
 
 // FetchAddC is FetchAdd in continuation-passing style.
@@ -179,9 +184,14 @@ func (t *Thread) atomicRetired() {
 // accumulates to one destination share a single doorbell frame; the
 // update is complete once SyncAll (or a fence or barrier) retires it.
 func (t *Thread) NbAccumulate(r Ref, delta uint64) {
-	t.p.ParkWake()
-	t.nbAccumulate(r, delta)
-	t.p.Await()
+	t.stage(r, nil)
+	t.a1 = delta
+	t.p.Await(t, pcStartNbAccumulate)
+}
+
+func (t *Thread) startNbAccumulate() {
+	r, _ := t.unstage()
+	t.nbAccumulate(r, t.a1)
 }
 
 // nbAccumulate issues one split-phase accumulate: a local combine

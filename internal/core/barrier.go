@@ -83,11 +83,7 @@ const localBarrierCost = 150 * sim.Ns
 
 // Barrier is upc_barrier: it implies a fence, combines intra-node, and
 // disseminates across nodes.
-func (t *Thread) Barrier() {
-	t.p.ParkWake()
-	t.barrier()
-	t.p.Await()
-}
+func (t *Thread) Barrier() { t.p.Await(t, pcStartBarrier) }
 
 // BarrierC is Barrier in continuation-passing style.
 func (t *Thread) BarrierC(then func()) {

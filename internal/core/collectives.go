@@ -157,9 +157,7 @@ func (t *Thread) collective(contribute func(cs *collState), rep func(cs *collSta
 // result on every thread (upc_all_reduce with UPC_IN_ALLSYNC |
 // UPC_OUT_ALLSYNC semantics).
 func (t *Thread) AllReduceU64(v uint64, op ReduceOp) uint64 {
-	t.p.ParkWake()
-	t.allReduce(v, op)
-	t.p.Await()
+	t.p.Await(sim.Func(func() { t.allReduce(v, op) }), 0)
 	return t.old
 }
 
@@ -259,7 +257,12 @@ func (t *Thread) AllReduceF64(v float64) float64 {
 // nil; every thread returns its own copy.
 func (t *Thread) Broadcast(root int, data []byte) (out []byte) {
 	rootNode := t.rt.nodeOfThread(root).id
-	t.p.ParkWake()
+	t.p.Await(sim.Func(func() { t.broadcast(root, rootNode, data, &out) }), 0)
+	return out
+}
+
+// broadcast leaves the thread's copy in *out.
+func (t *Thread) broadcast(root, rootNode int, data []byte, out *[]byte) {
 	t.collective(func(cs *collState) {
 		if t.id == root {
 			cs.data = append([]byte(nil), data...)
@@ -274,10 +277,8 @@ func (t *Thread) Broadcast(root int, data []byte) (out []byte) {
 		// then takes its private copy.
 		all := r.([]byte)
 		t.c.Sleep(sim.BytesTime(len(all), t.rt.cfg.Profile.ShmByteTime), func() {
-			out = append([]byte(nil), all...)
+			*out = append([]byte(nil), all...)
 			t.c.Resume()
 		})
 	})
-	t.p.Await()
-	return out
 }

@@ -68,9 +68,13 @@ func (t *Thread) freeNbOp(op *nbOp) {
 // dst must not be read, and the array region not written, until
 // SyncAll (or a fence or barrier) has retired it.
 func (t *Thread) NbGet(dst []byte, r Ref) {
-	t.p.ParkWake()
+	t.stage(r, dst)
+	t.p.Await(t, pcStartNbGet)
+}
+
+func (t *Thread) startNbGet() {
+	r, dst := t.unstage()
 	t.nbGet(dst, r)
-	t.p.Await()
 }
 
 // nbGet issues a split-phase GET run by run.
@@ -118,11 +122,7 @@ func (t *Thread) issued(kind int, done *sim.Completion) {
 // sub-operations are waited for and their retire work run. Fences and
 // barriers call it first, so the blocking memory-consistency points
 // also cover split-phase traffic.
-func (t *Thread) SyncAll() {
-	t.p.ParkWake()
-	t.syncAll()
-	t.p.Await()
-}
+func (t *Thread) SyncAll() { t.p.Await(t, pcStartSyncAll) }
 
 func (t *Thread) syncAll() {
 	if len(t.nbOut) == 0 {

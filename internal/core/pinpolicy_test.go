@@ -83,7 +83,7 @@ func TestPinLimitedActuallyEvictsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.M.FR.Total(flight.KindPinEvict) == 0 {
+	if rt.M.FR.Totals()[flight.KindPinEvict] == 0 {
 		t.Fatal("no evictions occurred; the test exercised nothing")
 	}
 }

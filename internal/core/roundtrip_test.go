@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xlupc/internal/mem"
+	"xlupc/internal/sim"
 	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
@@ -56,9 +57,9 @@ func userEchoAM(c *UserCtx, reply func([]byte)) {
 // callAM is CallAMC for a blocking body.
 func callAM(th *Thread, a *SharedArray, rn int, argA, argB uint64, reply []byte) int {
 	var got int
-	wake := th.Wake()
-	th.CallAMC(a, rn, userEcho, argA, argB, 16, reply, "user", func(n int) { got = n; wake() })
-	th.Await()
+	th.Await(sim.Func(func() {
+		th.CallAMC(a, rn, userEcho, argA, argB, 16, reply, "user", func(n int) { got = n; th.Resume() })
+	}), 0)
 	return got
 }
 

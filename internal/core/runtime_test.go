@@ -825,6 +825,51 @@ func TestNoServiceCoroutines(t *testing.T) {
 	}
 }
 
+// TestBlockingThreadStackFootprint checks that a blocking thread's
+// coroutine holds only its program: every operation it awaits starts on
+// the kernel's stack, so a thread parked in the middle of a remote GET
+// keeps the goroutine's starting stack instead of one grown to fit the
+// GET's ladder (cache probe, send, NIC, fabric, AM). With 1,024 threads
+// parked mid-GET, the stacks in use grow by at most 2.5 KiB per thread
+// over the run's start; when the ladders ran on the coroutines they
+// grew by ≈3.9 KiB.
+func TestBlockingThreadStackFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,024 coroutines")
+	}
+	const threads, nodes, elems = 1024, 16, 256
+	const bound = 2560 // bytes of stack per thread
+	rt, err := NewRuntime(cfg(threads, nodes, transport.GM(), NoCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, during runtime.MemStats
+	inflight, sampled := 0, -1
+	sample := func() {
+		runtime.ReadMemStats(&during)
+		sampled = inflight
+	}
+	runtime.ReadMemStats(&before)
+	mustRunRT(t, rt, func(th *Thread) {
+		a := th.AllAlloc("A", threads*elems, 8, elems)
+		th.Barrier()
+		buf := make([]byte, elems*8)
+		if inflight++; inflight == threads {
+			rt.K.After(0, sample) // once the last GET is parked too
+		}
+		th.GetBulk(buf, a.At(int64((th.ID()+threads/nodes)%threads*elems)))
+		inflight--
+	})
+	if sampled != threads {
+		t.Fatalf("%d of %d threads were mid-GET when the stacks were sampled", sampled, threads)
+	}
+	per := float64(during.StackInuse-before.StackInuse) / threads
+	t.Logf("StackInuse grew %.0f bytes per parked thread", per)
+	if per > bound {
+		t.Errorf("StackInuse grew %.0f bytes per thread parked mid-GET, over %d: an awaited operation ran on its coroutine", per, bound)
+	}
+}
+
 func mustRunRT(t *testing.T, rt *Runtime, body func(th *Thread)) {
 	t.Helper()
 	if _, err := rt.Run(body); err != nil {

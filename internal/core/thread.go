@@ -23,12 +23,15 @@ import (
 // kernel event that ends the wait, and the last one resumes whatever
 // the thread had parked beneath the ladder (sim.Cont.Then). What is
 // parked there decides the API style. The ...C methods park the
-// caller's then; the blocking methods park the wake of the process
-// they are called on, and Await it. Nested ladders (a barrier's fence,
-// a fence's SyncAll, a GET's eager leg) park their caller's next step.
-// A thread is sequential, so there is at most one ladder of each kind
-// in progress and its state lives here, in opState, rather than in a
-// closure per step.
+// caller's then and start the ladder; the blocking methods stage their
+// arguments in opState and Await a start step (pcStart...; the rare
+// collective ones a closure), which the kernel runs on its own stack
+// once the process has parked its wake, so a process's coroutine runs
+// only its body. Nested ladders (a barrier's
+// fence, a fence's SyncAll, a GET's eager leg) park their caller's next
+// step. A thread is sequential, so there is at most one ladder of each
+// kind in progress and its state lives here, in opState, rather than
+// in a closure per step.
 type Thread struct {
 	rt *Runtime
 	id int
@@ -89,7 +92,9 @@ type opState struct {
 	n   int          // CallAMC: reply length
 	arr *SharedArray // collective allocation
 
-	// A transfer being split into per-affinity runs (see bulk).
+	// A transfer being split into per-affinity runs (see bulk). A
+	// blocking transfer or atomic stages its target and buffer here for
+	// its start step (stage).
 	bulkKind int
 	bulkA    *SharedArray
 	bulkIdx  int64
@@ -104,8 +109,8 @@ type opState struct {
 	rop *nbOp
 	ri  int
 
-	// Enclosing ladders: Compute's duration and the spans of a fence, a
-	// barrier and a collective allocation.
+	// Enclosing ladders: Compute's (and a blocking Sleep's) duration and
+	// the spans of a fence, a barrier and a collective allocation.
 	d                   sim.Duration
 	fspan, bspan, aspan *telemetry.Span
 }
@@ -183,6 +188,18 @@ const (
 	pcAllocInstall
 	pcAllocClosed
 
+	// The blocking methods' starts.
+	pcStartCompute
+	pcStartSleep
+	pcStartFence
+	pcStartGetBulk
+	pcStartPutBulk
+	pcStartNbGet
+	pcStartSyncAll
+	pcStartFetchAdd
+	pcStartNbAccumulate
+	pcStartBarrier
+
 	numSteps
 )
 
@@ -249,6 +266,17 @@ func init() {
 		pcAllocOpened:  (*Thread).allocOpened,
 		pcAllocInstall: (*Thread).allocInstall,
 		pcAllocClosed:  (*Thread).allocClosed,
+
+		pcStartCompute:      (*Thread).startCompute,
+		pcStartSleep:        (*Thread).startSleep,
+		pcStartFence:        (*Thread).fence,
+		pcStartGetBulk:      (*Thread).startGetBulk,
+		pcStartPutBulk:      (*Thread).startPutBulk,
+		pcStartNbGet:        (*Thread).startNbGet,
+		pcStartSyncAll:      (*Thread).syncAll,
+		pcStartFetchAdd:     (*Thread).startFetchAdd,
+		pcStartNbAccumulate: (*Thread).startNbAccumulate,
+		pcStartBarrier:      (*Thread).barrier,
 	}
 }
 
@@ -323,10 +351,11 @@ func (t *Thread) Rand() *rand.Rand {
 // node's cores for d. On transports with no communication overlap this
 // is exactly the time the node cannot serve remote requests.
 func (t *Thread) Compute(d sim.Duration) {
-	t.p.ParkWake()
-	t.compute(d)
-	t.p.Await()
+	t.d = d
+	t.p.Await(t, pcStartCompute)
 }
+
+func (t *Thread) startCompute() { t.compute(t.d) }
 
 // ComputeC is Compute in continuation-passing style.
 func (t *Thread) ComputeC(d sim.Duration, then func()) {
@@ -353,30 +382,30 @@ func (t *Thread) computeDone() {
 
 // Sleep advances the thread without occupying a core (idle wait).
 func (t *Thread) Sleep(d sim.Duration) {
-	t.SleepC(d, t.p.Wake())
-	t.p.Await()
+	t.d = d
+	t.p.Await(t, pcStartSleep)
 }
+
+func (t *Thread) startSleep() { t.c.Sleep(t.d, t.c.Resumer()) }
 
 // SleepC is Sleep in continuation-passing style.
 func (t *Thread) SleepC(d sim.Duration, then func()) { t.c.Sleep(d, then) }
 
-// Wake and Await are how a layer above core gives an operation it wrote
-// in continuation form a blocking form too, the way every blocking
-// method here is built: pass Wake() as the then — call it before the
-// operation starts, once per operation — and Await returns when the
-// operation has run it. No kernel event is added. (See sim.Proc.Wake.)
-func (t *Thread) Wake() func() { return t.p.Wake() }
-func (t *Thread) Await()       { t.p.Await() }
+// Await and Resume are how a layer above core gives an operation it
+// wrote in continuation form a blocking form too, the way every
+// blocking method here is built: the body stages the operation's
+// arguments and calls Await(s, pc); once the body has parked, the
+// kernel runs step pc of s, which starts the operation with a then
+// that ends in Resume, and Await returns when that has run. No kernel
+// event is added. (See sim.Proc.Await.)
+func (t *Thread) Await(s sim.Stepper, pc int) { t.p.Await(s, pc) }
+func (t *Thread) Resume()                     { t.c.Resume() }
 
 // Fence blocks until every PUT this thread issued has completed at its
 // target (upc_fence). Outstanding split-phase operations are retired
 // first, so a fence is a full consistency point for non-blocking
 // traffic too.
-func (t *Thread) Fence() {
-	t.p.ParkWake()
-	t.fence()
-	t.p.Await()
-}
+func (t *Thread) Fence() { t.p.Await(t, pcStartFence) }
 
 // FenceC is Fence in continuation-passing style.
 func (t *Thread) FenceC(then func()) {
@@ -487,9 +516,23 @@ func (t *Thread) PutUint64C(r Ref, v uint64, then func()) {
 // (upc_memget). len(dst) must be a multiple of the element size. The
 // transfer is split into per-affinity contiguous runs.
 func (t *Thread) GetBulk(dst []byte, r Ref) {
-	t.p.ParkWake()
+	t.stage(r, dst)
+	t.p.Await(t, pcStartGetBulk)
+}
+
+func (t *Thread) startGetBulk() {
+	r, dst := t.unstage()
 	t.getBulk(dst, r)
-	t.p.Await()
+}
+
+// stage keeps a blocking transfer's or atomic's target and buffer for
+// its start step, which takes them back with unstage.
+func (t *Thread) stage(r Ref, buf []byte) { t.bulkA, t.bulkIdx, t.bulkBuf = r.A, r.Idx, buf }
+
+func (t *Thread) unstage() (Ref, []byte) {
+	r, buf := Ref{A: t.bulkA, Idx: t.bulkIdx}, t.bulkBuf
+	t.bulkA, t.bulkBuf = nil, nil
+	return r, buf
 }
 
 // GetBulkC is GetBulk in continuation-passing style.
@@ -505,10 +548,11 @@ func (t *Thread) getBulk(dst []byte, r Ref) {
 // PutBulk writes len(src) bytes of consecutive elements starting at r
 // (upc_memput). len(src) must be a multiple of the element size.
 func (t *Thread) PutBulk(r Ref, src []byte) {
-	t.p.ParkWake()
-	t.putBulk(r, src)
-	t.p.Await()
+	t.stage(r, src)
+	t.p.Await(t, pcStartPutBulk)
 }
+
+func (t *Thread) startPutBulk() { t.putBulk(t.unstage()) }
 
 // PutBulkC is PutBulk in continuation-passing style.
 func (t *Thread) PutBulkC(r Ref, src []byte, then func()) {

@@ -85,19 +85,26 @@ func TestWireLatencyBudget(t *testing.T) {
 	}
 }
 
-// inject is how a test process sends: InjectC with the process's Wake,
-// then Await. The caller holds src's TX port, and gets control back
-// when the message is serialized.
+// await is how a test process performs the continuation form of an
+// operation: once p has parked, the kernel runs start with p's
+// companion Cont and the then that wakes p.
+func await(p *sim.Proc, start func(c *sim.Cont, then func())) {
+	p.Await(sim.Func(func() { c := p.Cont(); start(c, c.Resumer()) }), 0)
+}
+
+// inject is how a test process sends: InjectC, awaited. The caller
+// holds src's TX port, and gets control back when the message is
+// serialized.
 func inject(f *Fabric, p *sim.Proc, src, dst, size int, class Class, m any) {
-	f.InjectC(src, dst, size, class, m, p.Cont().ThenAt(p, 0))
-	p.Await()
+	await(p, func(_ *sim.Cont, then func()) {
+		f.InjectC(src, dst, size, class, m, func(sim.Time) { then() })
+	})
 }
 
 // acquire and pop are a test process's blocking forms of
 // Resource.AcquireCont and Queue.WaitFn+TryPop, built the same way.
 func acquire(r *sim.Resource, p *sim.Proc) {
-	r.AcquireCont(p.Cont(), p.Wake())
-	p.Await()
+	await(p, r.AcquireCont)
 }
 
 func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
@@ -105,8 +112,7 @@ func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.WaitFn(p.Cont(), p.Wake())
-		p.Await()
+		await(p, q.WaitFn)
 	}
 }
 

@@ -247,15 +247,6 @@ func (r *Recorder) Totals() Totals {
 	return t
 }
 
-// Total is how many events of kind k every node recorded, all classes.
-func (r *Recorder) Total(k Kind) int64 {
-	var n int64
-	for c := ClassNone; c < classCount; c++ {
-		n += r.OfClass(k, c)
-	}
-	return n
-}
-
 // OfClass is how many events of kind k and class c every node recorded.
 func (r *Recorder) OfClass(k Kind, c Class) int64 {
 	var n int64

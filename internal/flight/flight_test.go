@@ -9,6 +9,16 @@ import (
 	"xlupc/internal/sim"
 )
 
+// Total is how many events of kind k every node recorded, all classes:
+// the oracle Totals is checked against.
+func (r *Recorder) Total(k Kind) int64 {
+	var n int64
+	for c := ClassNone; c < classCount; c++ {
+		n += r.OfClass(k, c)
+	}
+	return n
+}
+
 // ringed returns a recorder for nodes with rings of perNode events.
 func ringed(nodes, perNode int) *Recorder {
 	r := New(nodes)

@@ -162,7 +162,7 @@ func (g geom) lineIdx(shard int, b int64) int64 {
 // flight, so the ladder's state lives here, in walk and the fields
 // after it, and its steps are func values bound once, in do and in the
 // walk's step — an operation allocates no closures.
-// The blocking methods are those plus core.Thread's Wake and Await.
+// The blocking methods are those plus core.Thread's Await and Resume.
 type Table struct {
 	threadMem // the thread and the table's array
 	walk      // the operation's probe pass and co-located write, over threadMem
@@ -177,11 +177,9 @@ type Table struct {
 	thenOK  func(bool)         // ... Put
 	do      steps
 
-	// What a blocking method parks for its ...C form to complete: the
-	// thread's wake, and where keepVal/keepOK leave the result.
-	wake func()
-	got  uint64
-	ok   bool
+	// Where keepVal/keepOK leave a blocking method's result.
+	got uint64
+	ok  bool
 }
 
 // steps are the methods an operation hands to core as its next step.
@@ -227,37 +225,52 @@ func NewC(t *core.Thread, o Options, then func(*Table)) {
 
 // New is NewC for a blocking body.
 func New(t *core.Thread, o Options) (tb *Table) {
-	wake := t.Wake()
-	NewC(t, o, func(x *Table) { tb = x; wake() })
-	t.Await()
+	t.Await(sim.Func(func() {
+		NewC(t, o, func(x *Table) { tb = x; t.Resume() })
+	}), 0)
 	return tb
 }
 
 // --- Blocking forms -------------------------------------------------------
 
-// Get is GetC for a blocking body; likewise Put.
+// The starts of the blocking forms (Step).
+const (
+	startGet = iota
+	startPut
+)
+
+// Get is GetC for a blocking body; likewise Put. Each stages the
+// operation's thread, key and value where GetC and PutC put them, and
+// awaits its start.
 func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
-	tb.wake = t.Wake()
-	tb.GetC(t, key, tb.do.keepVal)
-	t.Await()
+	tb.t, tb.key = t, key
+	t.Await(tb, startGet)
 	return tb.got, tb.ok
 }
 
 func (tb *Table) Put(t *core.Thread, key, val uint64) bool {
-	tb.wake = t.Wake()
-	tb.PutC(t, key, val, tb.do.keepOK)
-	t.Await()
+	tb.t, tb.key, tb.val = t, key, val
+	t.Await(tb, startPut)
 	return tb.ok
+}
+
+// Step starts the operation a blocking form staged (core.Thread.Await).
+func (tb *Table) Step(pc int) {
+	if pc == startGet {
+		tb.GetC(tb.t, tb.key, tb.do.keepVal)
+		return
+	}
+	tb.PutC(tb.t, tb.key, tb.val, tb.do.keepOK)
 }
 
 func (tb *Table) keepVal(v uint64, ok bool) {
 	tb.got, tb.ok = v, ok
-	tb.wake()
+	tb.t.Resume()
 }
 
 func (tb *Table) keepOK(ok bool) {
 	tb.ok = ok
-	tb.wake()
+	tb.t.Resume()
 }
 
 // --- Starting and finishing an operation ---------------------------------

@@ -222,9 +222,9 @@ func PreloadC(t *core.Thread, tb *Table, numKeys int64, then func(n int64)) {
 
 // Preload is PreloadC for a blocking body.
 func Preload(t *core.Thread, tb *Table, numKeys int64) (n int64) {
-	wake := t.Wake()
-	PreloadC(t, tb, numKeys, func(m int64) { n = m; wake() })
-	t.Await()
+	t.Await(sim.Func(func() {
+		PreloadC(t, tb, numKeys, func(m int64) { n = m; t.Resume() })
+	}), 0)
 	return n
 }
 

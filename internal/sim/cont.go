@@ -16,10 +16,11 @@ package sim
 // path, and a run produces the same (time, seq) event stream, clock and
 // statistics whichever way its threads are written. Layers above build
 // each operation once, as a ladder of steps on a Cont. A process reaches
-// it through its companion Cont: it passes its Wake as the ladder's then
-// and parks in Await (Proc.Cont, Proc.Await). The service engines that
-// serve a node's queues, and the odd one-off job such as a retried PUT,
-// are Conts too (SpawnService).
+// it through its companion Cont: it parks in Await, naming the
+// operation's start, and the kernel starts the ladder on the Cont with
+// the process's wake beneath it (Proc.Cont, Proc.Await). The service
+// engines that serve a node's queues, and the odd one-off job such as a
+// retried PUT, are Conts too (SpawnService).
 
 // Stepper is something whose asynchronous steps are numbered: Step(pc)
 // runs step pc. A state machine that parks (s, pc) on a Cont with Then
@@ -55,8 +56,7 @@ const maxFrames = 12
 // A Cont also carries the one thing a sequential thread needs in place
 // of a stack: the frames of the continuations it has pending, innermost
 // last (see Then). Every Proc has a companion Cont (Proc.Cont), which
-// is what lets a process call the continuation form of an operation and
-// Await it.
+// is what lets a process Await the continuation form of an operation.
 type Cont struct {
 	// Every wait of every thread touches state, since, sp and the
 	// innermost frames, and at scale no two consecutive events belong

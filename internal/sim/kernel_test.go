@@ -9,24 +9,27 @@ import (
 	"testing/quick"
 )
 
+// await is how a test process performs the continuation form of an
+// operation: once p has parked, the kernel runs start with p's
+// companion Cont and the then that wakes p.
+func await(p *Proc, start func(c *Cont, then func())) {
+	p.Await(Func(func() { c := p.Cont(); start(c, c.Resumer()) }), 0)
+}
+
 // wait, waitCount, acquire, use and pop are the blocking forms a test
-// process calls: the continuation form with the process's Wake, then
-// Await, the way every process-side wait is built.
+// process calls, built on await the way every process-side wait is.
 func wait(p *Proc, c *Completion) {
-	c.WaitFn(p.Cont(), p.Wake())
-	p.Await()
+	await(p, c.WaitFn)
 }
 
 func waitCount(c *Counter, p *Proc) {
 	for c.Pending() > 0 {
-		c.WaitFn(p.Cont(), p.Wake())
-		p.Await()
+		await(p, c.WaitFn)
 	}
 }
 
 func acquire(r *Resource, p *Proc) {
-	r.AcquireCont(p.Cont(), p.Wake())
-	p.Await()
+	await(p, r.AcquireCont)
 }
 
 // use holds a slot of r for d.
@@ -41,8 +44,7 @@ func pop[T any](q *Queue[T], p *Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.WaitFn(p.Cont(), p.Wake())
-		p.Await()
+		await(p, q.WaitFn)
 	}
 }
 
@@ -76,7 +78,8 @@ func TestZeroAndNegativeSleepDoNotYield(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// "a" spawned first and never yields, so it finishes before "b" runs.
+	// "a" spawned first and its sleeps complete inside their starts, so
+	// no other event runs before it finishes: "b" runs after.
 	if got := strings.Join(order, ""); got != "ab" {
 		t.Fatalf("order %q, want ab", got)
 	}

@@ -158,20 +158,19 @@ func TestLazyNamesRenderInDiagnostics(t *testing.T) {
 
 // --- Await: a process calling the continuation form of an operation ---
 
-// An operation that completes synchronously — its then runs before the
-// process reaches Await — costs no park and no event.
+// An operation that completes inside its start — its then runs before
+// the kernel's start step returns — costs no event: the body continues
+// at the same instant.
 func TestWakeBeforeAwait(t *testing.T) {
 	k := NewKernel()
 	var after Time
 	k.Spawn("caller", func(p *Proc) {
 		events := k.Events()
-		p.Cont().Sleep(0, p.Wake()) // a zero-length sleep continues inline
-		p.Await()
-		if k.Events() != events {
-			t.Errorf("synchronous completion cost %d events", k.Events()-events)
+		await(p, func(c *Cont, then func()) { c.Sleep(0, then) }) // a zero-length sleep continues inline
+		if k.Events() != events || p.Now() != 0 {
+			t.Errorf("synchronous completion cost %d events and %v", k.Events()-events, p.Now())
 		}
-		p.Cont().Sleep(3*Us, p.Wake())
-		p.Await()
+		await(p, func(c *Cont, then func()) { c.Sleep(3*Us, then) })
 		after = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -186,6 +185,137 @@ func TestWakeBeforeAwait(t *testing.T) {
 	k.Shutdown()
 }
 
+// Starts that each complete synchronously are run by resumeFn's loop,
+// not by recursion: ten thousand of them start at one stack depth.
+func TestAwaitSynchronousStartsDoNotRecurse(t *testing.T) {
+	k := NewKernel()
+	pcs := make([]uintptr, 256)
+	lo, hi := len(pcs), 0
+	k.Spawn("caller", func(p *Proc) {
+		for i := 0; i < 10_000; i++ {
+			await(p, func(c *Cont, then func()) {
+				d := runtime.Callers(0, pcs)
+				lo, hi = min(lo, d), max(hi, d)
+				then()
+			})
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lo != hi {
+		t.Fatalf("starts ran at stack depths %d to %d, want one depth", lo, hi)
+	}
+	if k.Events() != 1 {
+		t.Fatalf("%d events, want 1 (the start event)", k.Events())
+	}
+	k.Shutdown()
+}
+
+// A start runs on the kernel's stack, not the process's coroutine, once
+// the body has parked and before any other event of the instant; the
+// body continues from the callback that completes the operation.
+func TestAwaitStartsOnKernelStack(t *testing.T) {
+	k := NewKernel()
+	var trail []string
+	var stack string
+	k.Spawn("caller", func(p *Proc) {
+		trail = append(trail, "parking")
+		await(p, func(c *Cont, then func()) {
+			trail = append(trail, "start")
+			buf := make([]byte, 64<<10)
+			stack = string(buf[:runtime.Stack(buf, false)])
+			c.Sleep(2*Us, then)
+		})
+		trail = append(trail, "resumed")
+	})
+	k.At(0, func() { trail = append(trail, "other") }) // filed behind the start event
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(trail, ","), "parking,start,other,resumed"; got != want {
+		t.Fatalf("trail %q, want %q", got, want)
+	}
+	if !strings.Contains(stack, "(*Kernel).Run") || strings.Contains(stack, "TestAwaitStartsOnKernelStack.func1(") {
+		t.Fatalf("start did not run on the kernel's stack:\n%s", stack)
+	}
+	if k.Now() != 2*Us || k.Events() != 3 {
+		t.Fatalf("ended at %v after %d events, want 2us and 3", k.Now(), k.Events())
+	}
+	k.Shutdown()
+}
+
+// A start that panics is the process's panic: its parked body is
+// unwound and the panic surfaces with the process named.
+func TestAwaitStartPanicNamesProcess(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	k := NewKernel()
+	unwound := false
+	k.SpawnIdx("upc", 3, func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(Us)
+		await(p, func(*Cont, func()) { panic("bad start") })
+		t.Error("Await returned")
+	})
+	func() {
+		defer func() {
+			want := `sim: process "upc3" panicked at 1.000us: bad start`
+			if r := recover(); r != want {
+				t.Fatalf("recover = %v, want %q", r, want)
+			}
+		}()
+		_ = k.Run()
+	}()
+	if !unwound {
+		t.Fatal("the parked body was not unwound")
+	}
+	if len(k.procs) != 0 {
+		t.Fatalf("%d processes still live", len(k.procs))
+	}
+	k.Shutdown()
+	if n := goroutinesSettleTo(t, baseline); n > baseline {
+		t.Fatalf("goroutines leaked: %d after, %d before", n, baseline)
+	}
+}
+
+// A process woken from a step that is itself inside its Cont's Resume
+// loop, whose next start completes synchronously, is not woken inside
+// that start: the nested Resume only flags the loop, which runs the
+// wake once the start has returned — at the same instant, no event.
+func TestAwaitStartWakeDeferredByNestedResume(t *testing.T) {
+	k := NewKernel()
+	var trail []string
+	k.Spawn("caller", func(p *Proc) {
+		await(p, func(c *Cont, then func()) {
+			c.Park(Func(func() { // a ladder's last step: it resumes the wake beneath it
+				trail = append(trail, "ladder-done")
+				c.Resume()
+			}), 0)
+			c.Sleep(Us, c.Resumer())
+		})
+		trail = append(trail, "resumed")
+		await(p, func(c *Cont, then func()) {
+			then() // inside the Resume loop of the sleep's event: only flags it
+			trail = append(trail, "start-returned")
+		})
+		trail = append(trail, "continued")
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "ladder-done,resumed,start-returned,continued"
+	if got := strings.Join(trail, ","); got != want {
+		t.Fatalf("trail %q, want %q", got, want)
+	}
+	if k.Now() != Us || k.Events() != 2 {
+		t.Fatalf("ended at %v after %d events, want 1us and 2", k.Now(), k.Events())
+	}
+	if len(k.procs) != 0 {
+		t.Fatalf("%d processes still live", len(k.procs))
+	}
+	k.Shutdown()
+}
+
 // The wake may come from arbitrarily deep inside a kernel callback —
 // here the second of two chained completions' Then callbacks — and the
 // process resumes right there, at that event's position.
@@ -194,16 +324,16 @@ func TestWakeFromNestedCallback(t *testing.T) {
 	a, b := NewCompletion(k, "a"), NewCompletion(k, "b")
 	var trail []string
 	k.Spawn("caller", func(p *Proc) {
-		wake := p.Wake()
-		a.Then(func(any) {
-			trail = append(trail, "a")
-			b.Then(func(any) {
-				trail = append(trail, "b")
-				wake()
-				trail = append(trail, "woken-returned")
+		await(p, func(_ *Cont, wake func()) {
+			a.Then(func(any) {
+				trail = append(trail, "a")
+				b.Then(func(any) {
+					trail = append(trail, "b")
+					wake()
+					trail = append(trail, "woken-returned")
+				})
 			})
 		})
-		p.Await()
 		trail = append(trail, "resumed")
 	})
 	k.After(1*Us, func() { a.Complete(nil) })
@@ -233,8 +363,7 @@ func TestWakeOnAnotherProcessStack(t *testing.T) {
 	c := NewCompletion(k, "handoff")
 	var trail []string
 	k.Spawn("waiter", func(p *Proc) {
-		c.Then(func(any) { p.Wake()() })
-		p.Await()
+		await(p, func(_ *Cont, wake func()) { c.Then(func(any) { wake() }) })
 		trail = append(trail, "waiter-resumed")
 		p.Sleep(1 * Us) // parks again, nested in the other process's Complete
 		trail = append(trail, "waiter-slept")
@@ -262,8 +391,7 @@ func TestWakeOnAnotherProcessStack(t *testing.T) {
 func TestBodyEndsInsideNestedResume(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("brief", func(p *Proc) {
-		p.Cont().Sleep(1*Us, p.Wake())
-		p.Await()
+		await(p, func(c *Cont, wake func()) { c.Sleep(1*Us, wake) })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -275,8 +403,7 @@ func TestBodyEndsInsideNestedResume(t *testing.T) {
 
 	k = NewKernel()
 	k.Spawn("doomed", func(p *Proc) {
-		p.Cont().Sleep(1*Us, p.Wake())
-		p.Await()
+		await(p, func(c *Cont, wake func()) { c.Sleep(1*Us, wake) })
 		panic("boom")
 	})
 	defer func() {
@@ -291,7 +418,8 @@ func TestBodyEndsInsideNestedResume(t *testing.T) {
 	_ = k.Run()
 }
 
-// Shutdown unwinds a process parked in Await like one parked anywhere.
+// Shutdown unwinds a process parked behind a pending operation like
+// one parked anywhere.
 func TestShutdownUnwindsAwait(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	k := NewKernel()
@@ -299,8 +427,7 @@ func TestShutdownUnwindsAwait(t *testing.T) {
 	unwound := false
 	k.Spawn("stuck", func(p *Proc) {
 		defer func() { unwound = true }()
-		never.WaitFn(p.Cont(), p.Wake())
-		p.Await()
+		await(p, never.WaitFn)
 		t.Error("Await returned")
 	})
 	if err := k.Run(); err == nil {
@@ -322,10 +449,9 @@ func TestDeadlockNamesAwaitedOperation(t *testing.T) {
 	k := NewKernel()
 	get := NewCompletion(k, "get")
 	k.Spawn("reader", func(p *Proc) {
-		ct := p.Cont()
-		wake := p.Wake()
-		ct.Sleep(2*Us, func() { get.WaitFn(ct, wake) }) // first sleeps, then waits forever
-		p.Await()
+		await(p, func(ct *Cont, wake func()) {
+			ct.Sleep(2*Us, func() { get.WaitFn(ct, wake) }) // first sleeps, then waits forever
+		})
 	})
 	err := k.Run()
 	var de *DeadlockError
@@ -435,11 +561,9 @@ func TestContFrameOverflowPanics(t *testing.T) {
 func TestProcessFormOnNilProcNamesItself(t *testing.T) {
 	var p *Proc
 	for name, call := range map[string]func(){
-		"Sleep":    func() { p.Sleep(Us) },
-		"Cont":     func() { p.Cont() },
-		"Wake":     func() { p.Wake() },
-		"ParkWake": func() { p.ParkWake() },
-		"Await":    func() { p.Await() },
+		"Sleep": func() { p.Sleep(Us) },
+		"Cont":  func() { p.Cont() },
+		"Await": func() { p.Await(Func(func() {}), 0) },
 	} {
 		func() {
 			defer func() {

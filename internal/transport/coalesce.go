@@ -229,12 +229,16 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 		frame = &dmaFrame{ops: b.ops}
 	}
 	c.st.SavedBytes += int64(unbatched - wire)
-	// The frame's ordinal in the run: the flushes recorded before it,
-	// plus one.
+	// The frame's ordinal in the run: every flush so far, this one
+	// included (both flush paths count it before building the frame).
+	var seq int64
+	for _, f := range c.flushes {
+		seq += f
+	}
 	c.m.FR.Record(b.key.src, flight.Event{
 		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: b.key.class.Flight(),
 		Src: int32(b.key.src), Dst: int32(b.key.dst),
-		Seq: uint64(c.m.FR.Total(flight.KindCoalFlush)) + 1, Arg: int64(n),
+		Seq: uint64(seq), Arg: int64(n),
 	})
 	return frame, wire
 }

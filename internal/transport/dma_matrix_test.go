@@ -63,7 +63,7 @@ type dmaCrash struct {
 // dmaCall is one of the five entry points applied to one of the
 // operations: it issues the call on p's Cont and reports the posted
 // buffer, if the operation has one.
-type dmaCall func(m *Machine, p *sim.Proc, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult) (posted []byte)
+type dmaCall func(m *Machine, c *sim.Cont, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) (posted []byte)
 
 // dmaOps are the operations in one form: blocking (span) or split-phase
 // (start). A PUT has no split-phase form.
@@ -73,7 +73,7 @@ func dmaOps(startForm bool) []struct {
 } {
 	payload := []byte("0123456789abcdef")
 	get := func(posted bool) dmaCall {
-		return func(m *Machine, p *sim.Proc, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult) []byte {
+		return func(m *Machine, c *sim.Cont, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) []byte {
 			var into []byte
 			if posted {
 				into = make([]byte, dmaSize)
@@ -82,16 +82,16 @@ func dmaOps(startForm bool) []struct {
 			if startForm {
 				f = m.RDMAGetStartC
 			}
-			f(p.Cont(), 0, 1, base, base+dmaOff, into, dmaSize, epoch, span, res, p.Wake())
+			f(c, 0, 1, base, base+dmaOff, into, dmaSize, epoch, span, res, then)
 			return into
 		}
 	}
-	put := func(m *Machine, p *sim.Proc, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult) []byte {
-		m.RDMAPutSpanC(p.Cont(), 0, 1, base, base+dmaOff, payload, epoch, span, res, p.Wake())
+	put := func(m *Machine, c *sim.Cont, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) []byte {
+		m.RDMAPutSpanC(c, 0, 1, base, base+dmaOff, payload, epoch, span, res, then)
 		return nil
 	}
 	atomic := func(aop AtomicOp, delta uint64) dmaCall {
-		return func(m *Machine, p *sim.Proc, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult) []byte {
+		return func(m *Machine, c *sim.Cont, base mem.Addr, epoch uint32, span *telemetry.Span, res *RDMAResult, then func()) []byte {
 			var fetch []byte
 			if aop.ResultBytes() > 0 {
 				fetch = make([]byte, 8)
@@ -100,7 +100,7 @@ func dmaOps(startForm bool) []struct {
 			if startForm {
 				f = m.RDMAAtomicStartC
 			}
-			f(p.Cont(), 0, 1, base, base+dmaOff, aop, delta, fetch, epoch, span, res, p.Wake())
+			f(c, 0, 1, base, base+dmaOff, aop, delta, fetch, epoch, span, res, then)
 			return fetch
 		}
 	}
@@ -184,8 +184,8 @@ func dmaMachine(t *testing.T, prof *Profile, chaos, limited bool) (*sim.Kernel, 
 func attempt(m *Machine, p *sim.Proc, tel *telemetry.Telemetry, call dmaCall, base mem.Addr, epoch uint32) dmaAttempt {
 	span := tel.StartSpan("dma", 0, 0, p.Now())
 	var res RDMAResult
-	posted := call(m, p, base, epoch, span, &res)
-	p.Await()
+	var posted []byte
+	await(p, func(c *sim.Cont, then func()) { posted = call(m, c, base, epoch, span, &res, then) })
 	a := dmaAttempt{ThenPs: int64(p.Now())}
 	if done := res.Done; done != nil {
 		wait(p, done)
@@ -204,8 +204,8 @@ func finishRow(k *sim.Kernel, m *Machine, fr *flight.Recorder, base mem.Addr, ro
 	row.Messages, row.Bytes = m.Fab.Messages(), m.Fab.Bytes()
 	row.RDMAs, row.Nacks = m.RDMACount(), m.NackCount()
 	row.Crash = dmaCrash{
-		Crashes: m.FR.Total(flight.KindCrash), StaleNacks: m.FR.Total(flight.KindStaleNack),
-		Recovered: m.FR.Total(flight.KindRestart), RecoveryTime: m.RecoveryTime(),
+		Crashes: m.FR.Totals()[flight.KindCrash], StaleNacks: m.FR.Totals()[flight.KindStaleNack],
+		Recovered: m.FR.Totals()[flight.KindRestart], RecoveryTime: m.RecoveryTime(),
 	}
 	for _, e := range fr.Node(1) {
 		row.Flight = append(row.Flight, fmt.Sprintf("%s/%s %d>%d seq=%d arg=%d @%d", e.Kind, e.Class, e.Src, e.Dst, e.Seq, e.Arg, int64(e.T)))
@@ -262,13 +262,13 @@ func runDMADoorbell(t *testing.T, prof *Profile) dmaRow {
 		var ops []*pending
 		for _, op := range dmaOps(true) {
 			o := &pending{span: tel.StartSpan(op.name, 0, 0, p.Now()), res: &RDMAResult{}}
-			o.posted = op.call(m, p, base, m.Nodes[1].Epoch, o.span, o.res)
-			p.Await()
+			await(p, func(c *sim.Cont, then func()) {
+				o.posted = op.call(m, c, base, m.Nodes[1].Epoch, o.span, o.res, then)
+			})
 			o.a.ThenPs = int64(p.Now())
 			ops = append(ops, o)
 		}
-		m.FlushCoalescedC(p.Cont(), 0, p.Wake())
-		p.Await()
+		await(p, func(c *sim.Cont, then func()) { m.FlushCoalescedC(c, 0, then) })
 		for _, o := range ops {
 			wait(p, o.res.Done)
 			o.a.DonePs, o.a.Value = int64(p.Now()), describeCompletion(o.res.Done)
@@ -371,8 +371,9 @@ func TestDMAUnregisteredUnderPinAllPanics(t *testing.T) {
 			}()
 			k.Spawn("initiator", func(p *sim.Proc) {
 				var res RDMAResult
-				op.call(m, p, base, m.Nodes[1].Epoch, nil, &res)
-				p.Await()
+				await(p, func(c *sim.Cont, then func()) {
+					op.call(m, c, base, m.Nodes[1].Epoch, nil, &res, then)
+				})
 			})
 			_ = k.Run()
 			t.Error("no panic")

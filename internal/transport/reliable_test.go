@@ -128,7 +128,7 @@ func TestReliableRDMAUnderChaos(t *testing.T) {
 	if m.FatalError() != nil {
 		t.Fatalf("budget exhausted unexpectedly: %v", m.FatalError())
 	}
-	if m.FR.Total(flight.KindRetransmit) == 0 {
+	if m.FR.Totals()[flight.KindRetransmit] == 0 {
 		t.Fatal("chaos run needed no retransmissions; hazards not exercised")
 	}
 }
@@ -305,7 +305,7 @@ func TestCrashRestartSeqRestartsInNewEpoch(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("delivered %d pings, want 2 (restarted seq 0 deduped as a replay?)", got)
 	}
-	if n := m.FR.Total(flight.KindDupSuppress); n != 0 {
+	if n := m.FR.Totals()[flight.KindDupSuppress]; n != 0 {
 		t.Fatalf("restarted channel: %d arrivals suppressed as duplicates", n)
 	}
 }
@@ -394,8 +394,11 @@ func TestReliablePacketsRecycle(t *testing.T) {
 		k, mm := chaosMachine(t, 2, fc, DefaultRelConfig())
 		mm.Handle(hPing, func(ct *sim.Cont, n *Node, msg *Msg, then func()) { then() })
 		k.Spawn("sender", func(p *sim.Proc) {
+			// sendAM's start, bound once: the ping itself allocates nothing.
+			c := p.Cont()
+			ping := sim.Func(func() { mm.SendAMSpanC(c, 0, 1, hPing, nil, nil, 0, nil, c.Resumer()) })
 			for i := 0; i < pings; i++ {
-				sendAM(mm, p, 0, 1, hPing, nil, nil, 0)
+				p.Await(ping, 0)
 				p.Sleep(100 * sim.Us) // one ping in flight: the population stays flat
 			}
 		})

@@ -33,41 +33,47 @@ func limitPins(m *Machine) {
 	}
 }
 
+// await is how a test process performs the continuation form of an
+// operation: once p has parked, the kernel runs start with p's
+// companion Cont and the then that wakes p.
+func await(p *sim.Proc, start func(c *sim.Cont, then func())) {
+	p.Await(sim.Func(func() { c := p.Cont(); start(c, c.Resumer()) }), 0)
+}
+
 // rdmaGet and rdmaPut are how a test process performs a blocking
-// one-sided operation: the continuation form with the process's Wake,
-// then Await. epoch is the target incarnation the initiator believes
-// in. rdmaPut returns the completion that fires when the data is
-// visible in target memory.
+// one-sided operation: the continuation form, awaited. epoch is the
+// target incarnation the initiator believes in. rdmaPut returns the
+// completion that fires when the data is visible in target memory.
 func rdmaGet(m *Machine, p *sim.Proc, src, dst int, base, raddr mem.Addr, size int, epoch uint32) (data []byte, nack Nack, ok bool) {
 	var res RDMAResult
-	m.RDMAGetSpanC(p.Cont(), src, dst, base, raddr, nil, size, epoch, nil, &res, p.Wake())
-	p.Await()
+	await(p, func(c *sim.Cont, then func()) {
+		m.RDMAGetSpanC(c, src, dst, base, raddr, nil, size, epoch, nil, &res, then)
+	})
 	return res.Data, res.Nack, res.OK
 }
 
 func rdmaPut(m *Machine, p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32) *sim.Completion {
 	var res RDMAResult
-	m.RDMAPutSpanC(p.Cont(), src, dst, base, raddr, data, epoch, nil, &res, p.Wake())
-	p.Await()
+	await(p, func(c *sim.Cont, then func()) {
+		m.RDMAPutSpanC(c, src, dst, base, raddr, data, epoch, nil, &res, then)
+	})
 	return res.Done
 }
 
 // sendAM, wait, acquire and pop are the blocking forms a test process
-// uses, built like rdmaGet: the continuation form with the process's
-// Wake, then Await.
+// uses, built like rdmaGet.
 func sendAM(m *Machine, p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
-	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, nil, p.Wake())
-	p.Await()
+	await(p, func(c *sim.Cont, then func()) {
+		m.SendAMSpanC(c, src, dst, id, meta, payload, extra, nil, then)
+	})
 }
 
 func wait(p *sim.Proc, c *sim.Completion) {
-	c.WaitFn(p.Cont(), p.Wake())
-	p.Await()
+	await(p, c.WaitFn)
 }
 
 func acquire(r *sim.Resource, p *sim.Proc) {
-	r.AcquireCont(p.Cont(), p.Wake())
-	p.Await()
+	await(p, r.AcquireCont)
 }
 
 func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
@@ -75,8 +81,7 @@ func pop[T any](q *sim.Queue[T], p *sim.Proc) T {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		q.WaitFn(p.Cont(), p.Wake())
-		p.Await()
+		await(p, q.WaitFn)
 	}
 }
 
