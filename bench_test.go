@@ -176,30 +176,6 @@ func BenchmarkAblationFullTable(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEviction compares LRU with random eviction on the
-// capacity-pressured Pointer working set.
-func BenchmarkAblationEviction(b *testing.B) {
-	run := func(policy core.CacheConfig) float64 {
-		rt, err := core.NewRuntime(core.Config{
-			Threads: 64, Nodes: 16, Profile: transport.GM(), Cache: policy, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, _, err := dis.Run(rt, dis.Pointer, dis.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st.Cache.HitRate()
-	}
-	for i := 0; i < b.N; i++ {
-		lru := core.CacheConfig{Enabled: true, Capacity: 8}
-		rnd := core.CacheConfig{Enabled: true, Capacity: 8, Policy: 1 /* RandomEvict */}
-		b.ReportMetric(run(lru), "lru_hit")
-		b.ReportMetric(run(rnd), "random_hit")
-	}
-}
-
 // BenchmarkAblationPinPolicy compares pin-everything with the
 // limited-pinning technique of [10] under registration pressure:
 // similar performance, bounded pinned memory.

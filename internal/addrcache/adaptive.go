@@ -15,31 +15,18 @@ package addrcache
 
 import "sort"
 
-// Adaptive sizing defaults.
-const (
-	// DefaultAdaptWindow is how many lookups pass between share
-	// re-apportionments when AdaptiveConfig.Window is zero.
-	DefaultAdaptWindow = 128
-	// DefaultMinPer is the floor share every known peer keeps, so a
-	// peer can always demonstrate reuse and earn its way back up.
-	DefaultMinPer = 1
-)
+// DefaultMinPer is the floor share every known peer keeps, so a peer
+// can always demonstrate reuse and earn its way back up.
+const DefaultMinPer = 1
 
 // AdaptiveConfig enables per-peer adaptive sizing of the address cache.
 type AdaptiveConfig struct {
 	// Budget is the global entry budget shared by all peers (the
 	// adaptive analogue of a fixed Capacity; must be positive).
 	Budget int
-	// Window is the number of lookups between re-apportionments;
-	// 0 means DefaultAdaptWindow.
+	// Window is the number of lookups between re-apportionments (must
+	// be positive).
 	Window int
-}
-
-func (c AdaptiveConfig) effWindow() int {
-	if c.Window <= 0 {
-		return DefaultAdaptWindow
-	}
-	return c.Window
 }
 
 // peerState is what adaptive sizing keeps per target node.
@@ -116,7 +103,7 @@ func (c *Cache) adaptNote(node int32, hit bool) {
 		p.winHits++
 	}
 	a.looks++
-	if a.looks >= a.cfg.effWindow() {
+	if a.looks >= a.cfg.Window {
 		c.reapportion()
 	}
 }

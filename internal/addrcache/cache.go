@@ -12,16 +12,11 @@
 // fields: a slab of slots that grows on demand to the capacity (the
 // limit is configurable — Figure 8 sweeps 4, 10 and 100), one map from
 // key to slot number, and the recency order, threaded through the slots
-// by number, that LRU eviction reads from the tail. Random eviction and
-// the unbounded table are ablations; per-peer adaptive sizing is in
-// adaptive.go.
+// by number, that LRU eviction reads from the tail. The unbounded table
+// is an ablation; per-peer adaptive sizing is in adaptive.go.
 package addrcache
 
-import (
-	"math/rand"
-
-	"xlupc/internal/mem"
-)
+import "xlupc/internal/mem"
 
 // Key identifies one cache entry: which shared object on which node.
 type Key struct {
@@ -29,23 +24,13 @@ type Key struct {
 	Node   int32
 }
 
-// EvictPolicy selects the replacement policy when the cache is full.
+// EvictPolicy, LRU and New's policy and seed arguments select nothing:
+// a full cache always evicts its least recently used entry. They stay
+// declared only because benchmark/api.go, which is frozen while its
+// baseline stands, still passes them; they go when it stops.
 type EvictPolicy int
 
-const (
-	// LRU evicts the least recently used entry (the default).
-	LRU EvictPolicy = iota
-	// RandomEvict evicts a uniformly random entry; used only to
-	// ablate the choice of policy.
-	RandomEvict
-)
-
-func (p EvictPolicy) String() string {
-	if p == RandomEvict {
-		return "random"
-	}
-	return "lru"
-}
+const LRU EvictPolicy = 0
 
 // slot is one cache entry, or a vacated one waiting on the free list
 // (chained through next).
@@ -93,42 +78,34 @@ func (s Stats) HitRate() float64 {
 
 // Cache is one node's remote address cache.
 //
-// Capacity semantics: a positive capacity bounds the entry count
-// (entries are evicted per the policy); capacity 0 disables storage
+// Capacity semantics: a positive capacity bounds the entry count (the
+// least recently used entry is evicted); capacity 0 disables storage
 // entirely — every lookup misses and inserts are dropped — which is
 // how the miss-overhead experiment forces the worst case; a negative
 // capacity means unbounded, which models the rejected full-table
 // design of paper §2.1 for the ablation study.
 type Cache struct {
 	capacity int
-	policy   EvictPolicy
 	slots    []slot        // grows on demand, to capacity when that is positive
 	index    map[Key]int32 // key -> its slot
 	head     int32         // most recently used
 	tail     int32         // least recently used
 	free     int32         // vacated slots, reused before slots grows
-	rng      *rand.Rand    // RandomEvict's victim draws; nil under LRU
 	high     int           // the most entries the cache ever held
 	stats    Stats
 	adapt    *adaptState // nil = fixed capacity (the default); see adaptive.go
 }
 
-// New returns an empty cache. The seed only matters for RandomEvict,
-// the one policy that draws: only it pays for a random source (~5 KB,
-// and one cache per node of every runtime).
-func New(capacity int, policy EvictPolicy, seed int64) *Cache {
-	c := &Cache{
+// New returns an empty cache of the given capacity; the policy and the
+// seed are unread (see EvictPolicy).
+func New(capacity int, _ EvictPolicy, _ int64) *Cache {
+	return &Cache{
 		capacity: capacity,
-		policy:   policy,
 		index:    make(map[Key]int32),
 		head:     none,
 		tail:     none,
 		free:     none,
 	}
-	if policy == RandomEvict {
-		c.rng = rand.New(rand.NewSource(seed))
-	}
-	return c
 }
 
 // Capacity returns the configured capacity.
@@ -170,11 +147,9 @@ func (c *Cache) pushFront(i int32) {
 	c.head = i
 }
 
-// touch makes slot i the most recently used. Only LRU reads the order
-// that way: under random eviction it stays the insertion order the
-// seeded walk from the tail counts along.
+// touch makes slot i the most recently used.
 func (c *Cache) touch(i int32) {
-	if c.policy == LRU && c.head != i {
+	if c.head != i {
 		c.unlink(i)
 		c.pushFront(i)
 	}
@@ -276,13 +251,7 @@ func (c *Cache) victim(node int32) int32 {
 	if c.adapt != nil {
 		return c.adaptVictim(node)
 	}
-	v := c.tail
-	if c.policy == RandomEvict {
-		for i := c.rng.Intn(len(c.index)); i > 0; i-- {
-			v = c.slots[v].prev
-		}
-	}
-	return v
+	return c.tail
 }
 
 // Remove drops the entry for k if present. Callers remove entries

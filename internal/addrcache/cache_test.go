@@ -139,19 +139,6 @@ func TestKeysMRUOrder(t *testing.T) {
 	}
 }
 
-func TestRandomEvictStaysBounded(t *testing.T) {
-	c := New(8, RandomEvict, 42)
-	for i := 0; i < 100; i++ {
-		c.Insert(key(uint64(i), 0), mem.Addr(i))
-		if c.Len() > 8 {
-			t.Fatalf("len %d exceeds capacity", c.Len())
-		}
-	}
-	if c.Stats().Evictions != 92 {
-		t.Fatalf("evictions = %d", c.Stats().Evictions)
-	}
-}
-
 // Steady-state LRU hit rate over K uniformly random keys with capacity
 // C approaches C/K — the analytical model behind the paper's Figure 8a
 // (Pointer stressmark hit-rate degradation with node count).

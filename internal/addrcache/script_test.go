@@ -39,11 +39,6 @@ func scriptCases() []scriptCase {
 		{"unbounded", func() *Cache { return New(-1, LRU, 1) }, 8, 64},
 		{"cap-0", func() *Cache { return New(0, LRU, 1) }, 3, 4},
 	}
-	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
-		cs = append(cs, scriptCase{fmt.Sprintf("random-8-seed%d", seed),
-			func() *Cache { return New(8, RandomEvict, seed) }, 4, 6})
-	}
 	for _, budget := range []int{6, 24} {
 		for _, window := range []int{16, 128} {
 			for _, peers := range []int{2, 5, 9} {
@@ -134,8 +129,8 @@ func checkpoint(h hash.Hash, c *Cache, peers int) {
 // TestScriptGolden replays a seeded script of mixed calls against every
 // cache configuration and compares what it saw with
 // testdata/script_golden.json, recorded from the map-and-pointer-list
-// cache before it became one slot table: the seeded random-eviction
-// sequence and the adaptive victim order are pinned call for call.
+// cache before it became one slot table: the LRU and adaptive victim
+// orders are pinned call for call.
 func TestScriptGolden(t *testing.T) {
 	got := make(map[string]scriptRow)
 	for _, sc := range scriptCases() {

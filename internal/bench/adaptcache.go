@@ -138,7 +138,7 @@ func adaptCacheConfig(adaptive bool) core.CacheConfig {
 			Budget: adaptBudget, Window: adaptWindow,
 		}}
 	}
-	return core.CacheConfig{Enabled: true, Capacity: adaptBudget, Policy: addrcache.LRU}
+	return core.CacheConfig{Enabled: true, Capacity: adaptBudget}
 }
 
 // AdaptSweep runs fixed and adaptive sizing on machine sc at the

@@ -40,21 +40,19 @@ type CacheConfig struct {
 	// miss-overhead experiment), and a negative value is unbounded
 	// (the full-table ablation).
 	Capacity int
-	// Policy is the eviction policy (LRU unless ablating).
-	Policy addrcache.EvictPolicy
 	// PutMode optionally overrides the profile's PUT-caching choice.
 	PutMode PutCacheMode
 	// Adaptive, when non-nil, replaces the fixed Capacity with per-peer
-	// adaptive sizing under Adaptive.Budget total entries (Capacity and
-	// Policy are then ignored). Nil keeps the fixed cache bit-identical
-	// to the baseline.
+	// adaptive sizing under Adaptive.Budget total entries (Capacity is
+	// then ignored). Nil keeps the fixed cache bit-identical to the
+	// baseline.
 	Adaptive *addrcache.AdaptiveConfig
 }
 
 // DefaultCache returns the paper's deployed configuration: enabled,
 // 100 entries, LRU.
 func DefaultCache() CacheConfig {
-	return CacheConfig{Enabled: true, Capacity: 100, Policy: addrcache.LRU}
+	return CacheConfig{Enabled: true, Capacity: 100}
 }
 
 // NoCache returns the baseline configuration.

@@ -153,7 +153,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			if cfg.Cache.Adaptive != nil {
 				ns.cache = addrcache.NewAdaptive(*cfg.Cache.Adaptive)
 			} else {
-				ns.cache = addrcache.New(cfg.Cache.Capacity, cfg.Cache.Policy, cfg.Seed+int64(i))
+				ns.cache = addrcache.New(cfg.Cache.Capacity, addrcache.LRU, 0)
 			}
 		}
 		ns.barrier = newNodeBarrier(rt, ns)

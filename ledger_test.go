@@ -71,7 +71,7 @@ func (r *shippedRun) record(stdout []byte) ([]ledgerOutput, error) {
 			return err
 		}
 		if len(b) == 0 {
-			return fmt.Errorf("%s: wrote an empty %s", strings.Join(r.args, " "), name)
+			return fmt.Errorf("%s: wrote an empty %s", r.line(), name)
 		}
 		outs = append(outs, ledgerOutput{filepath.ToSlash(name), sha(b)})
 		return nil
@@ -141,14 +141,14 @@ func TestBehaviourLedger(t *testing.T) {
 		if !r.variant {
 			base = r
 		}
-		cmd := strings.Join(r.args, " ")
+		cmd := r.line()
 		switch {
 		case r.err != nil:
 			t.Error(r.err)
 			continue
 		case r.variant && base.err == nil:
 			if diff := outputDiff(base.outputs, r.outputs, true); len(diff) > 0 {
-				t.Errorf("%s: a determinism variant of %s, but: %s%s%s", cmd, strings.Join(base.args, " "), strings.Join(diff, "; "), base.flightNote(), r.flightNote())
+				t.Errorf("%s: a determinism variant of %s, but: %s%s%s", cmd, base.line(), strings.Join(diff, "; "), base.flightNote(), r.flightNote())
 			}
 		}
 		if r.variant {
