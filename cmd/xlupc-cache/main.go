@@ -1,9 +1,8 @@
 // Command xlupc-cache runs the address-cache size study of the paper's
 // Figure 8: hit rates of the Pointer and Neighborhood stressmarks as
 // the machine grows, for cache capacities 4, 10 and 100. It also hosts
-// the two memory-pressure figures: the alloc/free churn storm over the
-// pin-policy ladder (-pressure) and the fixed-vs-adaptive address-cache
-// sizing comparison (-adapt).
+// the memory-pressure figure: the alloc/free churn storm over the
+// pin-policy ladder (-pressure).
 //
 // Usage:
 //
@@ -11,7 +10,6 @@
 //	xlupc-cache -mark pointer -maxthreads 2048
 //	xlupc-cache -pressure             # churn storm, full policy ladder
 //	xlupc-cache -pressure -pin-policy cost -lazy-unpin -pin-budget 0.5
-//	xlupc-cache -adapt                # adaptive cache sizing figure
 package main
 
 import (
@@ -57,30 +55,17 @@ func fig8For(mark string, maxThreads, parallel int) (marks []string, scales []be
 	return marks, scales, nil
 }
 
-// adaptFor resolves -threads and -nodes into the machine of the
-// adaptive-sizing figure, so that a machine it cannot run on (fewer than
-// three nodes: it needs a hot peer and a cold one besides its own) fails
-// before anything runs.
-func adaptFor(threads, nodes int) (bench.Scale, error) {
-	sc := bench.AdaptScale()
-	if threads > 0 || nodes > 0 {
-		sc = bench.Scale{Threads: threads, Nodes: nodes}
-	}
-	return sc, bench.ValidateAdapt(sc)
-}
-
 func main() {
 	mark := flag.String("mark", "both", "stressmark: pointer, neighborhood or both")
 	maxThreads := flag.Int("maxthreads", 512, "largest thread count of the sweep (paper: 2048)")
 	capsFlag := flag.String("caps", "4,10,100", "comma-separated cache capacities")
 	pressure := flag.Bool("pressure", false, "run the memory-pressure churn storm instead of Figure 8")
-	adapt := flag.Bool("adapt", false, "run the adaptive address-cache sizing figure instead of Figure 8")
 	pinPolicy := flag.String("pin-policy", "all", "pressure ladder rung: all, pin-all, lru, clock or cost")
 	pinBudget := flag.String("pin-budget", "0.34,0.67,1.0", "pressure pin budgets as fractions of the pinned working set")
 	lazyUnpin := flag.Bool("lazy-unpin", false, "add the lazy-unpin registration cache to the selected -pin-policy")
 	rounds := flag.Int("rounds", 0, "churn rounds per pressure run (0 = figure default)")
-	threads := flag.Int("threads", 0, "UPC threads for -pressure/-adapt (0 = figure default)")
-	nodes := flag.Int("nodes", 0, "cluster nodes for -pressure/-adapt (0 = figure default)")
+	threads := flag.Int("threads", 0, "UPC threads for -pressure (0 = figure default)")
+	nodes := flag.Int("nodes", 0, "cluster nodes for -pressure (0 = figure default)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := bench.RegisterParallel(nil)
 	pf := hostprof.Register(nil)
@@ -127,14 +112,6 @@ func main() {
 			o.Variants = []string{"lru+lazy", "cost+lazy"}
 		}
 		s.PrintPressure(os.Stdout, transport.GM(), o)
-	case *adapt:
-		sc, err := adaptFor(*threads, *nodes)
-		if err != nil {
-			fatal(err)
-		}
-		if err := s.PrintAdaptCache(os.Stdout, transport.GM(), sc); err != nil {
-			fatal(err)
-		}
 	default:
 		var caps []int
 		for _, c := range strings.Split(*capsFlag, ",") {

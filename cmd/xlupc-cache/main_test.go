@@ -43,34 +43,6 @@ func TestFig8For(t *testing.T) {
 	}
 }
 
-func TestAdaptFor(t *testing.T) {
-	for _, c := range []struct {
-		threads, nodes int
-		scale          string // the machine run; "" = the figure default
-		err            string // substring of the error; "" = accepted
-	}{
-		{0, 0, "8-4", ""},
-		{6, 3, "6-3", ""},
-		{12, 6, "12-6", ""},
-		{2, 2, "", "-nodes (2) must be at least 3"},
-		{6, 2, "", "-nodes (2) must be at least 3"},
-		{1, 1, "", "-nodes (1) must be at least 3"},
-		{5, 3, "", "must be a multiple of -nodes (3)"},
-		{8, 0, "", "need positive -threads (8) and -nodes (0)"},
-	} {
-		sc, err := adaptFor(c.threads, c.nodes)
-		if c.err != "" {
-			if err == nil || !strings.Contains(err.Error(), c.err) {
-				t.Errorf("adaptFor(%d, %d): error %v, want one mentioning %q", c.threads, c.nodes, err, c.err)
-			}
-			continue
-		}
-		if err != nil || sc.String() != c.scale {
-			t.Errorf("adaptFor(%d, %d) = %v, %v; want %s", c.threads, c.nodes, sc, err, c.scale)
-		}
-	}
-}
-
 // TestFig8Header checks the column heads PrintFig8 gives each -caps
 // value: a negative capacity is the unbounded full-table ablation, not
 // a count of entries.

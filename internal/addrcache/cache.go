@@ -13,7 +13,7 @@
 // limit is configurable — Figure 8 sweeps 4, 10 and 100), one map from
 // key to slot number, and the recency order, threaded through the slots
 // by number, that LRU eviction reads from the tail. The unbounded table
-// is an ablation; per-peer adaptive sizing is in adaptive.go.
+// is an ablation.
 package addrcache
 
 import "xlupc/internal/mem"
@@ -51,7 +51,6 @@ type Stats struct {
 	Inserts       int64
 	Evictions     int64
 	Invalidations int64 // entries dropped by eager invalidation
-	Resizes       int64 // adaptive share re-apportionments
 }
 
 // Add accumulates another cache's counts into s.
@@ -61,7 +60,6 @@ func (s *Stats) Add(o Stats) {
 	s.Inserts += o.Inserts
 	s.Evictions += o.Evictions
 	s.Invalidations += o.Invalidations
-	s.Resizes += o.Resizes
 }
 
 // Lookups is the total number of Lookup calls.
@@ -93,7 +91,6 @@ type Cache struct {
 	free     int32         // vacated slots, reused before slots grows
 	high     int           // the most entries the cache ever held
 	stats    Stats
-	adapt    *adaptState // nil = fixed capacity (the default); see adaptive.go
 }
 
 // New returns an empty cache of the given capacity; the policy and the
@@ -167,17 +164,11 @@ func (c *Cache) Lookup(k Key) (mem.Addr, bool) {
 // the target can NACK addresses minted by a pre-crash incarnation.
 func (c *Cache) LookupEpoch(k Key) (mem.Addr, uint32, bool) {
 	i, ok := c.index[k]
-	if ok {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
-	if c.adapt != nil {
-		c.adaptNote(k.Node, ok)
-	}
 	if !ok {
+		c.stats.Misses++
 		return 0, 0, false
 	}
+	c.stats.Hits++
 	c.touch(i)
 	return c.slots[i].addr, c.slots[i].epoch, true
 }
@@ -211,7 +202,7 @@ func (c *Cache) InsertEpoch(k Key, addr mem.Addr, epoch uint32) {
 		return
 	}
 	if c.capacity > 0 && len(c.index) >= c.capacity {
-		c.drop(c.victim(k.Node))
+		c.drop(c.tail)
 		c.stats.Evictions++
 	}
 	i := c.free
@@ -225,33 +216,17 @@ func (c *Cache) InsertEpoch(k Key, addr mem.Addr, epoch uint32) {
 	c.pushFront(i)
 	c.index[k] = i
 	c.high = max(c.high, len(c.index))
-	if c.adapt != nil {
-		c.adapt.peer(k.Node).count++
-	}
 	c.stats.Inserts++
 }
 
-// drop removes slot i's entry from the index, the recency order and the
-// adaptive residency counts and puts the slot on the free list — the
-// one place every removal path funnels through.
+// drop removes slot i's entry from the index and the recency order and
+// puts the slot on the free list — the one place every removal path
+// funnels through.
 func (c *Cache) drop(i int32) {
-	k := c.slots[i].key
 	c.unlink(i)
-	delete(c.index, k)
-	if c.adapt != nil {
-		c.adapt.peer(k.Node).count--
-	}
+	delete(c.index, c.slots[i].key)
 	c.slots[i] = slot{next: c.free}
 	c.free = i
-}
-
-// victim picks the entry a full cache gives up for an insert targeting
-// node.
-func (c *Cache) victim(node int32) int32 {
-	if c.adapt != nil {
-		return c.adaptVictim(node)
-	}
-	return c.tail
 }
 
 // Remove drops the entry for k if present. Callers remove entries
@@ -295,13 +270,4 @@ func (c *Cache) InvalidateHandle(handle uint64) int {
 // incarnation's layout. It returns the number of entries dropped.
 func (c *Cache) InvalidateNode(node int32) int {
 	return c.invalidate(func(k Key) bool { return k.Node == node })
-}
-
-// Keys returns the cached keys in MRU-to-LRU order (diagnostics).
-func (c *Cache) Keys() []Key {
-	out := make([]Key, 0, len(c.index))
-	for i := c.head; i != none; i = c.slots[i].next {
-		out = append(out, c.slots[i].key)
-	}
-	return out
 }

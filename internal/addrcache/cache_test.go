@@ -124,6 +124,16 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// Keys returns the cached keys in MRU-to-LRU order: how the tests see
+// the recency order.
+func (c *Cache) Keys() []Key {
+	out := make([]Key, 0, len(c.index))
+	for i := c.head; i != none; i = c.slots[i].next {
+		out = append(out, c.slots[i].key)
+	}
+	return out
+}
+
 func TestKeysMRUOrder(t *testing.T) {
 	c := New(10, LRU, 1)
 	c.Insert(key(1, 0), 1)
@@ -161,75 +171,128 @@ func TestLRUUniformHitRate(t *testing.T) {
 
 // Property: an LRU cache agrees with a simple reference model over
 // arbitrary lookup/insert/invalidate sequences.
+// TestPropertyLRUMatchesReference replays seeded random calls of the
+// whole API against a slice model kept MRU first, at capacity 4, 0 (no
+// storage) and -1 (unbounded): every result, the recency order and the
+// counters must match the model's after every call.
 func TestPropertyLRUMatchesReference(t *testing.T) {
 	type refEntry struct {
-		k Key
-		a mem.Addr
+		k  Key
+		a  mem.Addr
+		ep uint32
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const cap = 4
-		c := New(cap, LRU, 1)
-		var ref []refEntry // front = MRU
-		refFind := func(k Key) int {
-			for i, e := range ref {
-				if e.k == k {
-					return i
+	for _, capacity := range []int{4, 0, -1} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := New(capacity, LRU, 1)
+			var ref []refEntry // front = MRU
+			var want Stats
+			refFind := func(k Key) int {
+				for i, e := range ref {
+					if e.k == k {
+						return i
+					}
 				}
+				return -1
 			}
-			return -1
-		}
-		for op := 0; op < 400; op++ {
-			k := key(uint64(rng.Intn(6)), int32(rng.Intn(3)))
-			switch rng.Intn(4) {
-			case 0: // insert
-				a := mem.Addr(rng.Intn(1000))
-				c.Insert(k, a)
-				if i := refFind(k); i >= 0 {
-					ref = append(ref[:i], ref[i+1:]...)
-				} else if len(ref) == cap {
-					ref = ref[:len(ref)-1]
-				}
-				ref = append([]refEntry{{k, a}}, ref...)
-			case 1: // invalidate handle
-				c.InvalidateHandle(k.Handle)
+			toFront := func(i int) {
+				e := ref[i]
+				ref = append(ref[:i], ref[i+1:]...)
+				ref = append([]refEntry{e}, ref...)
+			}
+			// drop removes every model entry that match selects and
+			// returns how many there were.
+			drop := func(match func(Key) bool) int {
 				out := ref[:0]
 				for _, e := range ref {
-					if e.k.Handle != k.Handle {
+					if !match(e.k) {
 						out = append(out, e)
 					}
 				}
+				n := len(ref) - len(out)
 				ref = out
-			default: // lookup
-				a, ok := c.Lookup(k)
-				i := refFind(k)
-				if ok != (i >= 0) {
-					return false
-				}
-				if ok {
-					if a != ref[i].a {
+				want.Invalidations += int64(n)
+				return n
+			}
+			for op := 0; op < 400; op++ {
+				k := key(uint64(rng.Intn(6)), int32(rng.Intn(3)))
+				switch rng.Intn(9) {
+				case 0, 1: // insert, with or without an epoch
+					a, ep := mem.Addr(rng.Intn(1000)), uint32(rng.Intn(4))
+					if rng.Intn(2) == 0 {
+						c.Insert(k, a)
+						ep = 0
+					} else {
+						c.InsertEpoch(k, a, ep)
+					}
+					switch i := refFind(k); {
+					case capacity == 0:
+					case i >= 0:
+						ref[i].a, ref[i].ep = a, ep
+						toFront(i)
+					default:
+						if capacity > 0 && len(ref) == capacity {
+							ref = ref[:len(ref)-1]
+							want.Evictions++
+						}
+						ref = append([]refEntry{{k, a, ep}}, ref...)
+						want.Inserts++
+					}
+				case 2: // remove
+					c.Remove(k)
+					drop(func(x Key) bool { return x == k })
+				case 3: // invalidate handle
+					if c.InvalidateHandle(k.Handle) != drop(func(x Key) bool { return x.Handle == k.Handle }) {
 						return false
 					}
-					e := ref[i]
-					ref = append(ref[:i], ref[i+1:]...)
-					ref = append([]refEntry{e}, ref...)
+				case 4: // invalidate node
+					if c.InvalidateNode(k.Node) != drop(func(x Key) bool { return x.Node == k.Node }) {
+						return false
+					}
+				case 5: // contains
+					if c.Contains(k) != (refFind(k) >= 0) {
+						return false
+					}
+				default: // lookup, with or without the epoch
+					var a mem.Addr
+					var ep uint32
+					var ok bool
+					withEpoch := rng.Intn(2) == 0
+					if withEpoch {
+						a, ep, ok = c.LookupEpoch(k)
+					} else {
+						a, ok = c.Lookup(k)
+					}
+					i := refFind(k)
+					if ok != (i >= 0) {
+						return false
+					}
+					if !ok {
+						want.Misses++
+						break
+					}
+					want.Hits++
+					if a != ref[i].a || withEpoch && ep != ref[i].ep {
+						return false
+					}
+					toFront(i)
 				}
-			}
-			if c.Len() != len(ref) {
-				return false
-			}
-			// Full order check.
-			ks := c.Keys()
-			for i, e := range ref {
-				if ks[i] != e.k {
+				if c.Len() != len(ref) || c.Stats() != want {
 					return false
 				}
+				// Full order check.
+				ks := c.Keys()
+				for i, e := range ref {
+					if ks[i] != e.k {
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
+		}
 	}
 }
 

@@ -33,6 +33,10 @@ var footprints = []footprint{
 	// One UPC thread of a runtime that NewRuntime built and nothing ran.
 	// Reads 607.5 B.
 	{name: "core.thread", build: idleRuntime, k: 256, bound: 637},
+	// One node with one UPC thread, its empty address cache included,
+	// of a runtime that NewRuntime built and nothing ran. Reads 4206.0 B;
+	// the bound is 4222.0 B, its first reading, plus 4.9 %.
+	{name: "core.node", build: idleNodes, k: 64, bound: 4430},
 }
 
 // TestFootprint reads every row's live bytes per unit and fails one
@@ -78,8 +82,14 @@ func fullCache(n int) any {
 
 // idleRuntime is a runtime of n threads on 4 nodes with the default
 // cache.
-func idleRuntime(n int) any {
-	rt, err := core.NewRuntime(core.Config{Threads: n, Nodes: 4, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 1})
+func idleRuntime(n int) any { return idle(n, 4) }
+
+// idleNodes is a runtime of n nodes with one thread each and the
+// default cache.
+func idleNodes(n int) any { return idle(n, n) }
+
+func idle(threads, nodes int) *core.Runtime {
+	rt, err := core.NewRuntime(core.Config{Threads: threads, Nodes: nodes, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 1})
 	if err != nil {
 		panic(err)
 	}

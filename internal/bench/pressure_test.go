@@ -129,42 +129,3 @@ func checkPressureGates(t *testing.T, s Sweep, o PressureOpts) {
 		}
 	}
 }
-
-// adaptSeed is the adaptive figure's published seed.
-const adaptSeed = 11
-
-func TestAdaptCacheGate(t *testing.T) {
-	fixed, adaptive, err := Sweep{Seed: adaptSeed}.AdaptSweep(transport.GM(), AdaptScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adaptive.Run.Cache.HitRate() <= fixed.Run.Cache.HitRate() {
-		t.Fatalf("adaptive sizing did not raise the hit rate: adaptive=%.3f fixed=%.3f",
-			adaptive.Run.Cache.HitRate(), fixed.Run.Cache.HitRate())
-	}
-	if adaptive.Run.Cache.Resizes == 0 {
-		t.Fatal("adaptive cache never re-apportioned")
-	}
-	if fixed.Checksum != adaptive.Checksum {
-		t.Fatalf("sizing policy changed program output: %#x vs %#x", fixed.Checksum, adaptive.Checksum)
-	}
-}
-
-// The figure reads a hot peer and cold peers besides the reader's own
-// node: a machine of fewer than three nodes is an error, not a divide
-// by zero.
-func TestAdaptSweepRejectsTooFewNodes(t *testing.T) {
-	for _, sc := range []Scale{{Threads: 2, Nodes: 2}, {Threads: 6, Nodes: 2}, {Threads: 4, Nodes: 1}} {
-		if _, _, err := (Sweep{Seed: adaptSeed}).AdaptSweep(transport.GM(), sc); err == nil {
-			t.Errorf("%s: adaptive sweep ran on %d nodes", sc, sc.Nodes)
-		}
-	}
-}
-
-func TestAdaptSweepDeterministic(t *testing.T) {
-	f0, a0, _ := Sweep{Seed: adaptSeed}.AdaptSweep(transport.GM(), AdaptScale())
-	f1, a1, _ := Sweep{Seed: adaptSeed}.AdaptSweep(transport.GM(), AdaptScale())
-	if f0 != f1 || a0 != a1 {
-		t.Fatalf("adapt sweep diverged:\n%+v %+v\nvs\n%+v %+v", f0, a0, f1, a1)
-	}
-}

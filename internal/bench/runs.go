@@ -31,8 +31,7 @@ func (s Sweep) point(mark string, prof *transport.Profile, sc Scale, cc core.Cac
 // runKey is a runPoint's whole configuration, comparable: the profile
 // printed field by field but for NewTopo (a func prints as an address
 // that differs from one call site of transport.GM to the next; the
-// topology goes with the profile's name), an adaptive cache by its
-// *AdaptiveConfig (which no figure sets).
+// topology goes with the profile's name).
 type runKey struct {
 	mark           string
 	prof           string
@@ -60,9 +59,9 @@ func (k runKey) group() runKey {
 }
 
 // bound is k's capacity when the capacity rule applies to it — a fixed
-// positive capacity, enabled, not adaptive — and 0 otherwise.
+// positive capacity, enabled — and 0 otherwise.
 func (k runKey) bound() int {
-	if k.cache.Enabled && k.cache.Adaptive == nil && k.cache.Capacity > 0 {
+	if k.cache.Enabled && k.cache.Capacity > 0 {
 		return k.cache.Capacity
 	}
 	return 0

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"xlupc/internal/addrcache"
 	"xlupc/internal/fault"
 	"xlupc/internal/flight"
 	"xlupc/internal/mem"
@@ -42,11 +41,6 @@ type CacheConfig struct {
 	Capacity int
 	// PutMode optionally overrides the profile's PUT-caching choice.
 	PutMode PutCacheMode
-	// Adaptive, when non-nil, replaces the fixed Capacity with per-peer
-	// adaptive sizing under Adaptive.Budget total entries (Capacity is
-	// then ignored). Nil keeps the fixed cache bit-identical to the
-	// baseline.
-	Adaptive *addrcache.AdaptiveConfig
 }
 
 // DefaultCache returns the paper's deployed configuration: enabled,

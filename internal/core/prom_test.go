@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"xlupc/internal/addrcache"
 	"xlupc/internal/fault"
 	"xlupc/internal/flight"
 	"xlupc/internal/mem"
@@ -49,9 +48,6 @@ func promConfigs() []promConfig {
 		}},
 		{name: "lazy+cost", tune: func(c *Config) {
 			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: 1024, Evictor: mem.EvictCost, Lazy: true}
-		}},
-		{name: "adaptive", tune: func(c *Config) {
-			c.Cache = CacheConfig{Enabled: true, Adaptive: &addrcache.AdaptiveConfig{Budget: 16, Window: 16}}
 		}},
 		{name: "fetchadd", tune: func(*Config) {}, atomics: true},
 	}
@@ -178,7 +174,6 @@ var promSeries = map[string]string{
 	"Cache.Inserts":         "xlupc_addrcache_inserts_total",
 	"Cache.Evictions":       "xlupc_addrcache_evictions_total",
 	"Cache.Invalidations":   "xlupc_addrcache_invalidations_total",
-	"Cache.Resizes":         "xlupc_addrcache_resizes_total",
 	"PinStats.Pins":         "xlupc_pin_registrations_total",
 	"PinStats.Unpins":       "xlupc_pin_deregistrations_total",
 	"PinStats.Reclaims":     "xlupc_pin_reclaims_total",

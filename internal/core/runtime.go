@@ -150,11 +150,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			x.rt, x.ns, x.user.x = rt, ns, x
 		}
 		if cfg.Cache.Enabled {
-			if cfg.Cache.Adaptive != nil {
-				ns.cache = addrcache.NewAdaptive(*cfg.Cache.Adaptive)
-			} else {
-				ns.cache = addrcache.New(cfg.Cache.Capacity, addrcache.LRU, 0)
-			}
+			ns.cache = addrcache.New(cfg.Cache.Capacity, addrcache.LRU, 0)
 		}
 		ns.barrier = newNodeBarrier(rt, ns)
 		ns.coll = &collState{mail: newMailbox[collKey, *collMsg]()}
@@ -497,11 +493,6 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 		counter("xlupc_pin_reclaims_total", "", st.Reclaims)
 		counter("xlupc_pin_ghost_hits_total", "", st.GhostHits)
 		counter("xlupc_pin_repins_total", "", st.Repins)
-	}
-	// Adaptive cache re-apportionments likewise appear only when the
-	// cache runs in adaptive mode.
-	if rt.cfg.Cache.Adaptive != nil {
-		counter("xlupc_addrcache_resizes_total", "", st.Cache.Resizes)
 	}
 	// The header bytes coalescing kept off the wire: a gauge, because a
 	// one-message frame saves a negative amount (its sub-header) and the
