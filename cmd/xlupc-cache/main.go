@@ -9,7 +9,7 @@
 //	xlupc-cache                       # both Figure 8 panels up to 512-128
 //	xlupc-cache -mark pointer -maxthreads 2048
 //	xlupc-cache -pressure             # churn storm, full policy ladder
-//	xlupc-cache -pressure -pin-policy cost -lazy-unpin -pin-budget 0.5
+//	xlupc-cache -pressure -pin-policy cost -pin-budget 0.5
 package main
 
 import (
@@ -62,7 +62,6 @@ func main() {
 	pressure := flag.Bool("pressure", false, "run the memory-pressure churn storm instead of Figure 8")
 	pinPolicy := flag.String("pin-policy", "all", "pressure ladder rung: all, pin-all, lru, clock or cost")
 	pinBudget := flag.String("pin-budget", "0.34,0.67,1.0", "pressure pin budgets as fractions of the pinned working set")
-	lazyUnpin := flag.Bool("lazy-unpin", false, "add the lazy-unpin registration cache to the selected -pin-policy")
 	rounds := flag.Int("rounds", 0, "churn rounds per pressure run (0 = figure default)")
 	threads := flag.Int("threads", 0, "UPC threads for -pressure (0 = figure default)")
 	nodes := flag.Int("nodes", 0, "cluster nodes for -pressure (0 = figure default)")
@@ -97,19 +96,13 @@ func main() {
 		if err := bench.ValidateScale(o.Scale.Threads, o.Scale.Nodes); err != nil {
 			fatal(err)
 		}
-		if *pinPolicy != "all" {
-			v := *pinPolicy
+		if v := *pinPolicy; v != "all" {
 			if v != "pin-all" {
 				if _, err := mem.ParseEvictor(v); err != nil {
 					fatal(err)
 				}
 			}
-			if *lazyUnpin {
-				v += "+lazy"
-			}
 			o.Variants = []string{v}
-		} else if *lazyUnpin {
-			o.Variants = []string{"lru+lazy", "cost+lazy"}
 		}
 		s.PrintPressure(os.Stdout, transport.GM(), o)
 	default:

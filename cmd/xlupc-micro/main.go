@@ -8,7 +8,6 @@
 //	xlupc-micro -absolute          # Figure 7 (absolute small-message GET latency)
 //	xlupc-micro -missoverhead      # §6 miss-overhead claim
 //	xlupc-micro -coalesce          # split-phase batching vs blocking, per batch size
-//	xlupc-micro -gups              # remote-atomic GUPS figure (three protocols, both transports)
 package main
 
 import (
@@ -18,17 +17,14 @@ import (
 
 	"xlupc/internal/bench"
 	hostprof "xlupc/internal/prof"
-	"xlupc/internal/transport"
 )
 
 // microFlags are the command's flag values that select and shape a
 // figure.
 type microFlags struct {
-	op                             string
-	reps, parallel                 int
-	absolute, miss, coalesce, gups bool
-	threads, nodes                 int
-	updates, words                 int64
+	op                       string
+	reps, parallel           int
+	absolute, miss, coalesce bool
 }
 
 // opFor checks the flags the selected figure reads and resolves -op,
@@ -39,13 +35,6 @@ func opFor(f microFlags) (bench.Op, error) {
 		return 0, err
 	}
 	switch {
-	case f.gups:
-		if err := bench.ValidateScale(f.threads, f.nodes); err != nil {
-			return 0, err
-		}
-		if f.updates <= 0 || f.words <= 0 {
-			return 0, fmt.Errorf("-updates (%d) and -words (%d) must be positive", f.updates, f.words)
-		}
 	case f.absolute, f.miss, f.coalesce:
 	case f.op == "get":
 		return bench.OpGet, nil
@@ -65,11 +54,6 @@ func main() {
 	flag.BoolVar(&f.absolute, "absolute", false, "emit Figure 7 (absolute latencies) instead")
 	flag.BoolVar(&f.miss, "missoverhead", false, "emit the miss-overhead measurement instead")
 	flag.BoolVar(&f.coalesce, "coalesce", false, "emit the split-phase coalescing batch-size figure instead")
-	flag.BoolVar(&f.gups, "gups", false, "emit the GUPS remote-atomic figure instead (GET+PUT vs split-phase vs remote-atomic)")
-	flag.IntVar(&f.threads, "threads", 8, "UPC threads for the GUPS figure")
-	flag.IntVar(&f.nodes, "nodes", 4, "cluster nodes for the GUPS figure")
-	flag.Int64Var(&f.updates, "updates", 96, "updates per thread for the GUPS figure")
-	flag.Int64Var(&f.words, "words", 256, "table words per thread for the GUPS figure")
 	parallel := bench.RegisterParallel(nil)
 	pf := hostprof.Register(nil)
 	flag.Parse()
@@ -84,13 +68,6 @@ func main() {
 	defer stopProf()
 
 	switch {
-	case f.gups:
-		o := bench.GUPSOpts{Words: f.words, Updates: f.updates}
-		sc := bench.Scale{Threads: f.threads, Nodes: f.nodes}
-		for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-			s.PrintGUPS(os.Stdout, prof, sc, o)
-			fmt.Println()
-		}
 	case f.coalesce:
 		s.PrintCoalesce(os.Stdout, f.reps)
 	case f.miss:

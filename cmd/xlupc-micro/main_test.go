@@ -8,7 +8,7 @@ import (
 )
 
 func TestOpFor(t *testing.T) {
-	defaults := microFlags{op: "get", reps: 20, threads: 8, nodes: 4, updates: 96, words: 256}
+	defaults := microFlags{op: "get", reps: 20}
 	for _, c := range []struct {
 		name string
 		edit func(*microFlags)
@@ -18,16 +18,11 @@ func TestOpFor(t *testing.T) {
 		{"defaults", func(*microFlags) {}, bench.OpGet, ""},
 		{"put panel", func(f *microFlags) { f.op = "put" }, bench.OpPut, ""},
 		{"one rep", func(f *microFlags) { f.reps = 1 }, bench.OpGet, ""},
-		{"gups ignores -op", func(f *microFlags) { f.gups, f.op = true, "bogus" }, 0, ""},
 		{"figure 7 ignores -op", func(f *microFlags) { f.absolute, f.op = true, "bogus" }, 0, ""},
 		{"unknown op", func(f *microFlags) { f.op = "bogus" }, 0, `unknown op "bogus"`},
 		{"no reps", func(f *microFlags) { f.reps = 0 }, 0, "-reps (0) must be positive"},
 		{"negative reps", func(f *microFlags) { f.coalesce, f.reps = true, -2 }, 0, "-reps (-2) must be positive"},
-		{"gups threads not a multiple", func(f *microFlags) { f.gups, f.threads = true, 6 }, 0, "-threads (6) must be a multiple of -nodes (4)"},
-		{"gups no updates", func(f *microFlags) { f.gups, f.updates = true, 0 }, 0, "-updates (0) and -words (256) must be positive"},
-		{"gups negative words", func(f *microFlags) { f.gups, f.words = true, -1 }, 0, "-updates (96) and -words (-1) must be positive"},
-		{"scale only read by gups", func(f *microFlags) { f.threads = 6 }, bench.OpGet, ""},
-		{"negative parallel", func(f *microFlags) { f.gups, f.parallel = true, -1 }, 0, "-parallel (-1) must not be negative"},
+		{"negative parallel", func(f *microFlags) { f.coalesce, f.parallel = true, -1 }, 0, "-parallel (-1) must not be negative"},
 	} {
 		f := defaults
 		c.edit(&f)

@@ -64,10 +64,10 @@ var ops = []op{
 	// Every remote access takes the AM round trip without an address
 	// cache: the request header, the completion it is answered through,
 	// the answer's header and the eager GET's bounce buffer are pooled,
-	// so only an atomic's boxed previous value is left.
+	// and an atomic's request comes back as its answer with the
+	// previous value in it, so nothing is left.
 	{name: "core.get_uncached", run: blocking(noCache, amBody(false)), k: 256, bound: 0.05, byteBound: 12},
-	{name: "core.fetchadd_uncached", run: blocking(noCache, amBody(true)), k: 256,
-		allocs: 1, bound: 1.05, bytes: 8, byteBound: 8 + 12},
+	{name: "core.fetchadd_uncached", run: blocking(noCache, amBody(true)), k: 256, bound: 0.05, byteBound: 12},
 	// A user AM to a handler that sleeps, reads and writes locally:
 	// nothing per message on either side.
 	{name: "core.user_am", run: userAMRun, k: 256, bound: 0.05},

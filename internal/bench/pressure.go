@@ -1,18 +1,15 @@
 // Memory-pressure figure: an alloc/free churn storm that drives the
 // pinned address table far past its budget and compares the graceful-
 // degradation ladder — greedy pin-all (degrades to the AM path), LRU
-// limited pinning (thrashes on cyclic scans), CLOCK and cost-aware
-// evictors, and the lazy-unpin registration cache whose parked
-// registrations turn next-round re-pins into free reuse hits. Every
-// variant computes the same value checksum, so the figure doubles as a
-// correctness gate: policies may only change *when* work happens,
-// never *what* the program computes.
+// limited pinning (thrashes on cyclic scans), and the CLOCK and
+// cost-aware evictors. Every variant computes the same value checksum,
+// so the figure doubles as a correctness gate: policies may only change
+// *when* work happens, never *what* the program computes.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"xlupc/internal/core"
 	"xlupc/internal/dis"
@@ -43,9 +40,8 @@ const (
 // PressureOpts shapes the churn-storm workload.
 type PressureOpts struct {
 	Scale Scale
-	// Rounds of allocate → seed → scan → free. Across rounds the
-	// first-fit allocator hands freed bases back out, which is what a
-	// lazy-unpin dead-list converts into free re-pins.
+	// Rounds of allocate → seed → scan → free. Every round registers
+	// its arrays afresh: a freed object is deregistered at free.
 	Rounds int
 	// Fracs are the pin budgets swept, as fractions of the per-node
 	// pinned working set (pressArrays × per-node chunk bytes).
@@ -76,21 +72,18 @@ func DefaultPressure() PressureOpts {
 // order. The pin-all baseline degrades to the AM path when the budget
 // is exhausted; every other variant keeps RDMA alive by deregistering.
 func PressureVariants() []string {
-	return []string{"pin-all", "lru", "clock", "cost", "lru+lazy", "cost+lazy"}
+	return []string{"pin-all", "lru", "clock", "cost"}
 }
 
-// pressurePin builds the PinConfig for one ladder rung — a policy name
-// ("pin-all" or an evictor name), optionally suffixed "+lazy" — under
-// maxTotal budget bytes.
+// pressurePin builds the PinConfig for one ladder rung — "pin-all" or
+// an evictor name — under maxTotal budget bytes.
 func pressurePin(variant string, maxTotal int) *core.PinConfig {
 	pc := &core.PinConfig{Policy: mem.PinLimited, MaxTotal: maxTotal}
-	base, lazy := strings.CutSuffix(variant, "+lazy")
-	pc.Lazy = lazy
-	if base == "pin-all" {
+	if variant == "pin-all" {
 		pc.Policy = mem.PinAll
 		return pc
 	}
-	k, err := mem.ParseEvictor(base)
+	k, err := mem.ParseEvictor(variant)
 	if err != nil {
 		panic(fmt.Sprintf("bench: unknown pressure variant %q", variant))
 	}
@@ -238,7 +231,7 @@ func (s Sweep) PressureSweep(prof *transport.Profile, o PressureOpts) []Pressure
 }
 
 // PrintPressure emits the churn-storm figure: one block per budget
-// fraction with the policy ladder's makespan, thrash and reuse columns,
+// fraction with the policy ladder's makespan and thrash columns,
 // plus a "# gate" summary line per fraction. TestPressureGates asserts
 // the gate on the typed points.
 func (s Sweep) PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpts) []PressurePoint {
@@ -246,21 +239,17 @@ func (s Sweep) PrintPressure(w io.Writer, prof *transport.Profile, o PressureOpt
 	variants := o.variants()
 	fmt.Fprintf(w, "# Memory pressure — alloc/free churn storm on %s (%d threads / %d nodes, %d rounds x %d arrays, budget as fraction of %d B working set)\n",
 		prof.Name, o.Scale.Threads, o.Scale.Nodes, o.Rounds, pressArrays, pressureWorkingSet(o))
-	fmt.Fprintf(w, "%5s %10s %12s %8s %7s %7s %7s %7s %7s %8s %6s %10s %9s\n",
-		"frac", "variant", "elapsed(us)", "pins", "evict", "nacks", "reuse", "parked", "reclaim", "dereg(us)", "peak", "reuse-rate", "impr(%)")
+	fmt.Fprintf(w, "%5s %10s %12s %8s %7s %7s %8s %6s %9s\n",
+		"frac", "variant", "elapsed(us)", "pins", "evict", "nacks", "dereg(us)", "peak", "impr(%)")
 	for fi, f := range o.Fracs {
 		row := pts[fi*len(variants) : (fi+1)*len(variants)]
 		var pinAll, lru, bestAdaptive *PressurePoint
 		for j := range row {
 			p := &row[j]
-			st, fl := p.Run, p.Run.Flight
-			rr := 0.0
-			if st.Pins > 0 {
-				rr = float64(fl[flight.KindPinReuse]) / float64(st.Pins)
-			}
-			fmt.Fprintf(w, "%5.2f %10s %12.1f %8d %7d %7d %7d %7d %7d %8.1f %6d %10.2f %s\n",
-				f, p.Variant, st.Elapsed.Usecs(), st.Pins, fl[flight.KindPinEvict], st.RDMANacks,
-				fl[flight.KindPinReuse], fl[flight.KindPinPark], st.Reclaims, st.DeregTime.Usecs(), st.MaxLive, rr, fmtImprov(9, p.Improvement))
+			st := p.Run
+			fmt.Fprintf(w, "%5.2f %10s %12.1f %8d %7d %7d %8.1f %6d %s\n",
+				f, p.Variant, st.Elapsed.Usecs(), st.Pins, st.Flight[flight.KindPinEvict], st.RDMANacks,
+				st.DeregTime.Usecs(), st.MaxLive, fmtImprov(9, p.Improvement))
 			switch p.Variant {
 			case "pin-all":
 				pinAll = p

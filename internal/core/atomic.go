@@ -9,9 +9,8 @@ package core
 // miss, stale epoch after a crash, deregistered region) is an active
 // message whose handler performs the combine on the target CPU and
 // piggybacks the fresh base address on the reply, so the next atomic
-// to the same object goes back to the NIC path. Two combines exist:
-// fetch-add, and accumulate (add with no result, the tightest-batching
-// one-message-per-update primitive).
+// to the same object goes back to the NIC path. The one combine is
+// fetch-add.
 
 import (
 	"fmt"
@@ -26,15 +25,17 @@ import (
 // fast path and the AM-fallback handler).
 const atomicCPUCost = 200 * sim.Ns
 
-// atomicReq asks the target to apply Op on the 8-byte word at (H, Off)
-// and reply with the previous value — the AM fallback of the NIC path.
+// atomicReq asks the target to add Delta to the 8-byte word at
+// (H, Off) — the AM fallback of the NIC path. The target writes the
+// word's previous value into Old and sends the record back as the
+// answer, like an rts: the initiator step that reads it puts it back.
 type atomicReq struct {
 	H        svd.Handle
 	Off      int64
-	Op       transport.AtomicOp
 	Delta    uint64
 	WantAddr bool            // piggyback the base address on the reply
-	Done     *sim.Completion // completes with the previous value (uint64)
+	Done     *sim.Completion // completed with this record at the initiator
+	Old      uint64          // the word's previous value
 }
 
 // checkAtomic validates the element for the 8-byte atomics.
@@ -46,7 +47,7 @@ func checkAtomic(r Ref) {
 	r.A.check(r.Idx)
 }
 
-// rmw applies op on the 8-byte word at addr on this node, indivisibly:
+// rmw adds delta to the 8-byte word at addr on this node, indivisibly:
 // the simulation kernel runs one process at a time, so the in-place
 // update cannot interleave — exactly like a processor LL/SC pair.
 func (ns *nodeState) rmw(addr mem.Addr, delta uint64) uint64 {
@@ -91,8 +92,7 @@ func (t *Thread) fetchAdd(r Ref, delta uint64) {
 	checkAtomic(r)
 	a := r.A
 	rn, off := a.l.Locate(r.Idx)
-	op := transport.AtomicFetchAdd
-	t.a, t.off, t.aop, t.a1 = a, off, op, delta
+	t.a, t.off, t.a1 = a, off, delta
 
 	if rn == t.ns.id {
 		// Home-node fast path: shared memory, no network.
@@ -101,7 +101,7 @@ func (t *Thread) fetchAdd(r Ref, delta uint64) {
 	}
 
 	t.rn, t.start = rn, t.Now()
-	t.rt.atomicOps[op]++
+	t.rt.atomicOps++
 	t.remote(kindAtomic, transport.AtomicOperandBytes)
 }
 
@@ -122,7 +122,7 @@ func (t *Thread) localAtomicDone() {
 // nothing.
 func (t *Thread) atomicHit(base mem.Addr, ep uint32) {
 	t.rt.M.RDMAAtomicSpanC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-		t.aop, t.a1, t.w64[:], ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
+		t.a1, t.w64[:], ep, t.span, &t.rdma, t.after(pcAtomicRDMADone))
 }
 
 func (t *Thread) atomicMiss() {
@@ -141,96 +141,31 @@ func (t *Thread) atomicRDMADone() {
 }
 
 // amAtomic is the active-message atomic: the handler combines on the
-// target CPU and replies with the previous value.
+// target CPU and sends the pooled request back with the previous value.
 func (t *Thread) amAtomic() {
 	t.span.SetProto("am")
 	t.done = sim.NewCompletion(t.rt.K, "atomic")
-	t.request(pcAMAtomicDone, t.rn, hAtomic, t.atomicReq(), transport.AtomicOperandBytes)
-}
-
-// atomicReq returns a pooled request for the atomic t has set up; the
-// target handler puts it back.
-func (t *Thread) atomicReq() *atomicReq {
 	m := t.rt.hdr.atomic.Get()
-	*m = atomicReq{H: t.a.h, Off: t.off, Op: t.aop, Delta: t.a1, WantAddr: t.ns.cache != nil, Done: t.done}
-	return m
+	*m = atomicReq{H: t.a.h, Off: t.off, Delta: t.a1, WantAddr: t.ns.cache != nil, Done: t.done}
+	t.request(pcAMAtomicDone, t.rn, hAtomic, m, transport.AtomicOperandBytes)
 }
 
 func (t *Thread) amAtomicDone() {
-	t.old = t.done.Value().(uint64)
+	m := t.done.Value().(*atomicReq)
+	t.old = m.Old
+	t.rt.hdr.atomic.Put(m)
 	t.reply()
 }
 
 // atomicFinish closes out the remote atomic: span, counters.
 func (t *Thread) atomicFinish() {
 	t.a = nil
-	t.atomicRetired()
-}
-
-// atomicRetired charges a finished remote atomic to the thread.
-func (t *Thread) atomicRetired() {
 	t.span.Finish(t.Now())
 	t.ops.AtomicOps++
 	t.ops.AtomicTime += t.Now() - t.start
 	t.span = nil
 	t.c.Resume()
 }
-
-// --- Split-phase atomics -------------------------------------------------
-
-// NbAccumulate starts a split-phase accumulate (add, no result) on the
-// 8-byte element at r — the one-message-per-update primitive of the
-// RandomAccess/GUPS pattern. With coalescing enabled, batched
-// accumulates to one destination share a single doorbell frame; the
-// update is complete once SyncAll (or a fence or barrier) retires it.
-func (t *Thread) NbAccumulate(r Ref, delta uint64) {
-	t.stage(r, nil)
-	t.a1 = delta
-	t.p.Await(t, pcStartNbAccumulate)
-}
-
-func (t *Thread) startNbAccumulate() {
-	r, _ := t.unstage()
-	t.nbAccumulate(r, t.a1)
-}
-
-// nbAccumulate issues one split-phase accumulate: a local combine
-// completes at issue, a remote one goes NIC-descriptor (cache hit) or
-// coalesced AM without waiting. NACK healing happens at retire, inside
-// SyncAll, where blocking is the semantics.
-func (t *Thread) nbAccumulate(r Ref, delta uint64) {
-	t.nb = t.newNbOp()
-	t.park(pcNbIssued)
-
-	checkAtomic(r)
-	a := r.A
-	rn, off := a.l.Locate(r.Idx)
-	t.a, t.off, t.aop, t.a1 = a, off, transport.AtomicAccumulate, delta
-	if rn == t.ns.id {
-		t.localAtomic()
-		return
-	}
-
-	t.rn, t.start = rn, t.Now()
-	t.rt.atomicOps[t.aop]++
-	t.remote(kindNbAtomic, transport.AtomicOperandBytes)
-}
-
-func (t *Thread) nbAtomicHit(base mem.Addr, ep uint32) {
-	t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, t.rn, base, base+mem.Addr(t.off),
-		t.aop, t.a1, nil, ep, t.span, &t.rdma, t.after(pcNbAtomicStarted))
-}
-
-func (t *Thread) nbAtomicStarted() { t.issued(subAtomicRDMA, t.rdma.Done) }
-
-func (t *Thread) nbAtomicAM() {
-	t.span.SetProto("am")
-	t.done = sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMCoalescedC(t.c, t.ns.id, t.rn, hAtomic, t.atomicReq(),
-		nil, transport.AtomicOperandBytes, t.span, t.after(pcNbAtomicSent))
-}
-
-func (t *Thread) nbAtomicSent() { t.issued(subAtomic, t.done) }
 
 // --- Target-side handlers ----------------------------------------------
 
@@ -252,8 +187,6 @@ func (x *amCtx) atomicTranslated() {
 
 func (x *amCtx) atomicApplied() {
 	m := x.msg.Meta.(*atomicReq)
-	old := x.ns.rmw(x.cb.LocalBase+mem.Addr(m.Off), m.Delta)
-	rep, extra := reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: old}, m.Op.ResultBytes()
-	x.rt.hdr.atomic.Put(m)
-	x.answer(rep, nil, extra)
+	m.Old = x.ns.rmw(x.cb.LocalBase+mem.Addr(m.Off), m.Delta)
+	x.answer(reply{H: m.H, Base: x.base, Epoch: x.epoch, Done: m.Done, Val: m}, nil, transport.AtomicResultBytes)
 }

@@ -157,3 +157,49 @@ func TestRelWithoutFaultsIsQuiet(t *testing.T) {
 		t.Fatal("reliable layer sent no ACKs; it was not engaged")
 	}
 }
+
+// TestFetchAddExactlyOnceUnderLoss hammers one shared counter with
+// remote FetchAdds over a wire dropping 5% of packets under the
+// reliable layer. Exactly-once delivery means the counter lands on
+// precisely threads x perThread — a duplicated retransmit would
+// overshoot, a lost atomic would undershoot.
+func TestFetchAddExactlyOnceUnderLoss(t *testing.T) {
+	const threads, perThread = 8, 40
+	rel := transport.DefaultRelConfig()
+	cfg := Config{
+		Threads: threads, Nodes: 4,
+		Profile: transport.GM(),
+		Cache:   DefaultCache(),
+		Seed:    17,
+		Fault:   &fault.Config{Drop: 0.05},
+		Rel:     &rel,
+	}
+	rt, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final uint64
+	st, err := rt.Run(func(th *Thread) {
+		a := th.AllAlloc("counter", int64(th.Threads()), 8, 1)
+		th.Barrier()
+		for i := 0; i < perThread; i++ {
+			th.FetchAdd(a.At(0), 1)
+		}
+		th.Barrier()
+		if th.ID() == 0 {
+			final = th.GetUint64(a.At(0))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(threads * perThread); final != want {
+		t.Errorf("counter = %d, want exactly %d (lost or duplicated atomics)", final, want)
+	}
+	if st.Flight[flight.KindRetransmit] == 0 {
+		t.Error("no retransmits under 5%% loss: the test did not exercise the recovery path")
+	}
+	if st.AtomicOps+st.LocalAtomics == 0 {
+		t.Error("no atomic ops recorded")
+	}
+}

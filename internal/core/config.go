@@ -105,11 +105,11 @@ type Config struct {
 	Rel *transport.RelConfig
 	// Coalesce, when non-nil, enables per-destination small-message
 	// coalescing for the split-phase API: eager AMs and RDMA
-	// descriptors issued through NbGet and NbAccumulate park
-	// in a per-(src,dst) buffer and travel as one wire frame, flushed on
-	// a size threshold, a virtual-time timer, or a SyncAll/fence. Nil (the
-	// default) keeps every message individual and the event stream
-	// bit-identical to a build without coalescing.
+	// descriptors issued through NbGet park in a per-(src,dst) buffer
+	// and travel as one wire frame, flushed on a size threshold, a
+	// virtual-time timer, or a SyncAll/fence. Nil (the default) keeps
+	// every message individual and the event stream bit-identical to a
+	// build without coalescing.
 	Coalesce *transport.CoalConfig
 	// Crash, when non-nil, schedules deterministic node crash/restart
 	// events keyed by Seed and implies the reliable-delivery layer
@@ -138,16 +138,11 @@ type PinConfig struct {
 	// Evictor selects the PinLimited victim policy; the zero value is
 	// the historical LRU, keeping default runs bit-identical.
 	Evictor mem.EvictorKind
-	// Lazy enables the lazy-unpin registration cache: Unpin parks
-	// registrations in a bounded dead-list and a re-pin of a parked
-	// region is a free reuse hit (mem.PinTable.SetLazyUnpin). Off keeps
-	// eager dereg.
-	Lazy bool
 }
 
 // pinTable builds node's pin table under the Pin override: the
 // profile's registration cost model with the override's limits, its
-// policy, evictor and unpin mode, recording to the machine's flight
+// policy and evictor, recording to the machine's flight
 // recorder fr.
 func (c *Config) pinTable(node int, fr *flight.Recorder) *mem.PinTable {
 	reg := c.Profile.Reg
@@ -166,7 +161,6 @@ func (c *Config) pinTable(node int, fr *flight.Recorder) *mem.PinTable {
 	pt := mem.NewPinTable(node, reg, c.Pin.Policy)
 	pt.SetFlightRecorder(fr)
 	pt.SetEvictor(c.Pin.Evictor.New(reg))
-	pt.SetLazyUnpin(c.Pin.Lazy)
 	return pt
 }
 

@@ -26,10 +26,6 @@ func TestConsultRung(t *testing.T) {
 			th.NbGet(make([]byte, 8), r)
 			th.SyncAll()
 		}},
-		{"nbatomic", "atomic", false, func(th *Thread, r Ref) {
-			th.NbAccumulate(r, 1)
-			th.SyncAll()
-		}},
 	}
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		for _, cached := range []bool{true, false} {

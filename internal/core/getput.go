@@ -288,11 +288,10 @@ var remoteKinds [numKinds]remoteKind
 
 func init() {
 	remoteKinds = [numKinds]remoteKind{
-		kindGet:      {"get", false, false, (*Thread).getHit, (*Thread).getSlow},
-		kindPut:      {"put", false, true, (*Thread).putHit, (*Thread).putSlow},
-		kindNbGet:    {"get", true, false, (*Thread).nbGetHit, (*Thread).nbGetEager},
-		kindAtomic:   {"atomic", false, false, (*Thread).atomicHit, (*Thread).atomicMiss},
-		kindNbAtomic: {"atomic", true, false, (*Thread).nbAtomicHit, (*Thread).nbAtomicAM},
+		kindGet:    {"get", false, false, (*Thread).getHit, (*Thread).getSlow},
+		kindPut:    {"put", false, true, (*Thread).putHit, (*Thread).putSlow},
+		kindNbGet:  {"get", true, false, (*Thread).nbGetHit, (*Thread).nbGetEager},
+		kindAtomic: {"atomic", false, false, (*Thread).atomicHit, (*Thread).atomicMiss},
 	}
 }
 

@@ -7,9 +7,8 @@ import (
 	"xlupc/internal/transport"
 )
 
-// nbOp is one split-phase operation started with NbGet or
-// NbAccumulate: one sub-operation per remote single-affinity run of
-// the transfer, retired in issue order by SyncAll (which every fence
+// nbOp is one split-phase operation started with NbGet: one
+// sub-operation per remote single-affinity run of the transfer, retired in issue order by SyncAll (which every fence
 // and barrier calls). Descriptors are recycled through the issuing
 // thread's free list.
 type nbOp struct {
@@ -18,10 +17,8 @@ type nbOp struct {
 
 // What a sub-operation is, which decides its retire work.
 const (
-	subGet        = iota // eager GET: done carries the reply
-	subGetRDMA           // one-sided GET: done carries the data or a Nack
-	subAtomic            // AM atomic: done carries the previous value
-	subAtomicRDMA        // NIC atomic: done carries it, or a Nack
+	subGet     = iota // eager GET: done carries the reply
+	subGetRDMA        // one-sided GET: done carries the data or a Nack
 )
 
 // nbSub is one remote run of a split-phase operation: the completion
@@ -35,9 +32,7 @@ type nbSub struct {
 	a     *SharedArray
 	rn    int
 	off   int64
-	dst   []byte // GET: the caller's buffer
-	aop   transport.AtomicOp
-	a1    uint64
+	dst   []byte // the caller's buffer
 	span  *telemetry.Span
 	start sim.Time
 }
@@ -109,7 +104,6 @@ func (t *Thread) issued(kind int, done *sim.Completion) {
 	t.nb.subs = append(t.nb.subs, nbSub{
 		kind: kind, done: done,
 		a: t.a, rn: t.rn, off: t.off, dst: t.buf,
-		aop: t.aop, a1: t.a1,
 		span: t.span, start: t.start,
 	})
 	t.a, t.buf, t.span, t.done = nil, nil, nil, nil
@@ -179,35 +173,19 @@ func (t *Thread) retireWoke() {
 	val, data := done.Value(), done.Bytes()
 	t.rt.K.Recycle(done)
 	t.span, t.start = sub.span, sub.start
-	nk, nacked := val.(transport.Nack)
-	if nacked {
+	if nk, nacked := val.(transport.Nack); nacked {
+		// Only a one-sided GET is refused.
 		t.a, t.rn, t.off, t.buf = sub.a, sub.rn, sub.off, sub.dst
-		t.aop, t.a1 = sub.aop, sub.a1
 		t.rdma.Nack = nk
+		t.park(pcGetFinish)
+		t.nacked("get", (*Thread).eagerGet)
+		return
 	}
-	switch sub.kind {
-	case subGet:
-		copy(sub.dst, data)
+	copy(sub.dst, data)
+	if sub.kind == subGet {
 		t.rt.hdr.bounce.Put(data)
-		t.getRetired()
-	case subGetRDMA:
-		if nacked {
-			t.park(pcGetFinish)
-			t.nacked("get", (*Thread).eagerGet)
-			return
-		}
-		copy(sub.dst, data)
-		t.getRetired()
-	case subAtomic:
-		t.atomicRetired()
-	case subAtomicRDMA:
-		if nacked {
-			t.park(pcAtomicFinish)
-			t.nacked("atomic", (*Thread).amAtomic)
-			return
-		}
-		t.atomicRetired()
 	}
+	t.getRetired()
 }
 
 // nbGetRun issues one single-affinity run of a split-phase GET.

@@ -14,10 +14,9 @@ import (
 // PUTs, read with GETs) and ctr (updated with atomics) — and a number
 // of epochs, each a write phase and a read phase closed by barriers.
 // In a write phase every element has at most one writer, chosen up
-// front, and is written at most once; atomics on a counter come from
-// one thread, in one style (blocking, or split-phase), except the last
-// counter, which every thread adds to, and whose previous values are
-// not checked. A thread reads its own writes back only after a fence.
+// front, and is written at most once; the fetch-adds on a counter come
+// from one thread, except the last counter, which every thread adds to,
+// and whose previous values are not checked. A thread reads its own writes back only after a fence.
 // Read phases read anything: nothing is written in them. Midway the
 // data array is freed and allocated afresh. So the order threads run in
 // cannot change any checked value, and a model that executes the
@@ -48,12 +47,11 @@ const (
 	stFence
 	stBarrier
 	stFetchAdd
-	stNbAccumulate
 	stFreeRealloc // collective: thread 0 frees data, everyone allocates it afresh
 )
 
 var stepNames = [...]string{"Put", "PutBulk", "Get", "GetBulk", "NbGet", "SyncAll",
-	"Fence", "Barrier", "FetchAdd", "NbAccumulate", "Free+AllAlloc"}
+	"Fence", "Barrier", "FetchAdd", "Free+AllAlloc"}
 
 func (k stepKind) String() string { return stepNames[k] }
 
@@ -65,7 +63,7 @@ type progStep struct {
 	idx       int64    // first element
 	vals      []uint64 // values to write (PUT kinds) or expected (GET kinds)
 	a1        uint64   // atomic operand: the delta
-	want      uint64   // expected previous value of a fetching atomic
+	want      uint64   // expected previous value of a fetch-add
 	unordered bool     // the previous value depends on thread order: not checked
 }
 
@@ -164,32 +162,11 @@ func genProgram(seed int64, split bool) *program {
 				}
 				c := tk.ctr
 				cur := &model[1][c]
-				delta := func() uint64 { return uint64(1 + rng.Intn(1000)) }
-				style := 0
-				if split {
-					style = rng.Intn(3)
-				}
 				shared := c == progCtrElems-1
-				if shared && split {
-					style = 2 // shared: accumulate, with no result to order
-				}
-				switch style {
-				case 0:
-					for k := 1 + rng.Intn(3); k > 0; k-- {
-						d := delta()
-						emit(th, progStep{kind: stFetchAdd, arr: 1, idx: c, a1: d, want: *cur, unordered: shared})
-						*cur += d
-					}
-				case 1:
-					d := delta()
-					emit(th, progStep{kind: stNbAccumulate, arr: 1, idx: c, a1: d})
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					d := uint64(1 + rng.Intn(1000))
+					emit(th, progStep{kind: stFetchAdd, arr: 1, idx: c, a1: d, want: *cur, unordered: shared})
 					*cur += d
-				default:
-					for k := 1 + rng.Intn(3); k > 0; k-- {
-						d := delta()
-						emit(th, progStep{kind: stNbAccumulate, arr: 1, idx: c, a1: d})
-						*cur += d
-					}
 				}
 			}
 			// Read some of it back: own writes are ordered by a fence.
@@ -328,8 +305,6 @@ func (pr *program) runBlocking(th *Thread, fail func(thread, step int, msg strin
 			pt.retired()
 		case stFetchAdd:
 			pt.checkOld(i, th.FetchAdd(pt.ref(s), s.a1))
-		case stNbAccumulate:
-			th.NbAccumulate(pt.ref(s), s.a1)
 		case stFreeRealloc:
 			if th.ID() == 0 {
 				th.Free(pt.arr[0])

@@ -46,8 +46,8 @@ func promConfigs() []promConfig {
 			coal := transport.DefaultCoalConfig()
 			c.Coalesce = &coal
 		}},
-		{name: "lazy+cost", tune: func(c *Config) {
-			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: 1024, Evictor: mem.EvictCost, Lazy: true}
+		{name: "cost", tune: func(c *Config) {
+			c.Pin = &PinConfig{Policy: mem.PinLimited, MaxTotal: 1024, Evictor: mem.EvictCost}
 		}},
 		{name: "fetchadd", tune: func(*Config) {}, atomics: true},
 	}
@@ -176,7 +176,6 @@ var promSeries = map[string]string{
 	"Cache.Invalidations":   "xlupc_addrcache_invalidations_total",
 	"PinStats.Pins":         "xlupc_pin_registrations_total",
 	"PinStats.Unpins":       "xlupc_pin_deregistrations_total",
-	"PinStats.Reclaims":     "xlupc_pin_reclaims_total",
 	"PinStats.GhostHits":    "xlupc_pin_ghost_hits_total",
 	"PinStats.Repins":       "xlupc_pin_repins_total",
 	"PinStats.MaxLive":      "xlupc_pin_peak_entries",
@@ -204,8 +203,6 @@ var promSeries = map[string]string{
 	"Flight.pin_evict":      "xlupc_pin_evictions_total",
 	"Flight.crash":          "xlupc_crash_nodes_total",
 	"Flight.restart":        "xlupc_crash_recovered_total",
-	"Flight.pin_park":       "xlupc_pin_parked_total",
-	"Flight.pin_reuse":      "xlupc_pin_reuses_total",
 	"RecoveryTime":          "xlupc_crash_recovery_seconds",
 	"StaleInvalidated":      "xlupc_crash_stale_invalidated_total",
 }

@@ -167,28 +167,13 @@ func roundTrips() []roundTrip {
 			a := roundTripArray(th, "A")
 			if th.ID() == 0 {
 				for i := uint64(0); i < 2; i++ {
-					// A previous value above 255 is one the runtime has to box.
+					// A previous value above 255 is one an interface would box.
 					if got := th.FetchAdd(a.At(firstRemote+3), 1000); got != 100+firstRemote+3+1000*i {
 						t.Errorf("FetchAdd = %d", got)
 					}
 				}
 			}
 			th.Barrier()
-		}},
-		{name: "nbaccumulate_sync", body: func(t *testing.T, th *Thread, _ *transport.Profile) {
-			a := roundTripArray(th, "A")
-			if th.ID() == 0 {
-				th.NbAccumulate(a.At(firstRemote+5), 3)
-				th.SyncAll()
-				th.NbAccumulate(a.At(firstRemote+5), 4)
-				th.SyncAll()
-			}
-			th.Barrier()
-			if th.ID() == 1 {
-				if got := th.GetUint64(a.At(firstRemote + 5)); got != 100+firstRemote+5+7 {
-					t.Errorf("NbAccumulate left %d", got)
-				}
-			}
 		}},
 		// Eight split-phase GETs of eight objects leave in one frame: every
 		// answer shares the pairs the frame pinned so far, capped at

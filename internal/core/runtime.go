@@ -62,11 +62,11 @@ type Runtime struct {
 	crashErr         error        // first CrashFail abort
 	staleInvalidated int64        // cache entries flushed by stale-NACK recovery
 
-	// Counts that no lower layer keeps, each indexed by its label and
-	// written once where it happens: rendezvous transfers whose target
-	// refused the pin (they went eager), and remote atomics issued, by op.
+	// Counts that no lower layer keeps, written once where they happen:
+	// rendezvous transfers whose target refused the pin (they went
+	// eager), by direction, and remote fetch-adds issued.
 	pinRefused [2]int64 // refusedGet, refusedPut
-	atomicOps  [transport.AtomicAccumulate + 1]int64
+	atomicOps  int64
 }
 
 // pinRefused indices.
@@ -432,10 +432,6 @@ var (
 		{"xlupc_crash_parked_retx_total", flight.KindPark},
 		{"xlupc_crash_recovered_total", flight.KindRestart},
 	}
-	pinExtraFamilies = []kindFamily{
-		{"xlupc_pin_reuses_total", flight.KindPinReuse},
-		{"xlupc_pin_parked_total", flight.KindPinPark},
-	}
 )
 
 // metricsTable renders the run's end-state as the telemetry hub's
@@ -485,12 +481,10 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 		counter("xlupc_crash_stale_invalidated_total", "", st.StaleInvalidated)
 		gauge("xlupc_crash_recovery_seconds", "", st.RecoveryTime.Secs())
 	}
-	// Lazy-unpin and evictor extras only exist when the Pin config opts
-	// into them, so exporter output for default-policy runs stays
+	// Evictor extras only exist when the Pin config opts into another
+	// evictor, so exporter output for default-policy runs stays
 	// identical.
-	if rt.cfg.Pin != nil && (rt.cfg.Pin.Lazy || rt.cfg.Pin.Evictor != mem.EvictLRU) {
-		kindCounters(pinExtraFamilies)
-		counter("xlupc_pin_reclaims_total", "", st.Reclaims)
+	if rt.cfg.Pin != nil && rt.cfg.Pin.Evictor != mem.EvictLRU {
 		counter("xlupc_pin_ghost_hits_total", "", st.GhostHits)
 		counter("xlupc_pin_repins_total", "", st.Repins)
 	}
@@ -534,9 +528,7 @@ func (rt *Runtime) metricsTable(st RunStats) []telemetry.Row {
 	rt.M.FlushesByReason(func(reason string, n int64) {
 		addPositive("xlupc_coalesce_flushes_total", "reason", reason, n)
 	})
-	for _, op := range []transport.AtomicOp{transport.AtomicFetchAdd, transport.AtomicAccumulate} {
-		addPositive("xlupc_atomic_ops_total", "op", op.String(), rt.atomicOps[op])
-	}
+	addPositive("xlupc_atomic_ops_total", "op", "fetchadd", rt.atomicOps)
 	// Atomic aggregates likewise only exist once an atomic was issued,
 	// so exporter output for atomic-free runs stays identical.
 	if st.AtomicOps+st.LocalAtomics > 0 {

@@ -78,8 +78,7 @@ type opState struct {
 	rdma      transport.RDMAResult
 	rtrBase   mem.Addr // rendezvous answer: the target's base (0: pinning refused)
 	rtrEpoch  uint32   // and the incarnation that pinned it
-	aop       transport.AtomicOp
-	a1        uint64 // atomic: the operand
+	a1        uint64   // atomic: the operand
 
 	// The callback of a ...C method that passes the operation's result
 	// on — a func of whichever type that method takes. One is enough: a
@@ -169,8 +168,6 @@ const (
 	pcNbIssued
 	pcNbGetStarted
 	pcNbGetSent
-	pcNbAtomicStarted
-	pcNbAtomicSent
 
 	pcSyncAllNext
 	pcSyncAllRetired
@@ -197,7 +194,6 @@ const (
 	pcStartNbGet
 	pcStartSyncAll
 	pcStartFetchAdd
-	pcStartNbAccumulate
 	pcStartBarrier
 
 	numSteps
@@ -245,11 +241,9 @@ func init() {
 
 		pcUserDone: (*Thread).userDone,
 
-		pcNbIssued:        (*Thread).nbIssued,
-		pcNbGetStarted:    (*Thread).nbGetStarted,
-		pcNbGetSent:       (*Thread).nbGetSent,
-		pcNbAtomicStarted: (*Thread).nbAtomicStarted,
-		pcNbAtomicSent:    (*Thread).nbAtomicSent,
+		pcNbIssued:     (*Thread).nbIssued,
+		pcNbGetStarted: (*Thread).nbGetStarted,
+		pcNbGetSent:    (*Thread).nbGetSent,
 
 		pcSyncAllNext:    (*Thread).syncAllNext,
 		pcSyncAllRetired: (*Thread).syncAllRetired,
@@ -267,16 +261,15 @@ func init() {
 		pcAllocInstall: (*Thread).allocInstall,
 		pcAllocClosed:  (*Thread).allocClosed,
 
-		pcStartCompute:      (*Thread).startCompute,
-		pcStartSleep:        (*Thread).startSleep,
-		pcStartFence:        (*Thread).fence,
-		pcStartGetBulk:      (*Thread).startGetBulk,
-		pcStartPutBulk:      (*Thread).startPutBulk,
-		pcStartNbGet:        (*Thread).startNbGet,
-		pcStartSyncAll:      (*Thread).syncAll,
-		pcStartFetchAdd:     (*Thread).startFetchAdd,
-		pcStartNbAccumulate: (*Thread).startNbAccumulate,
-		pcStartBarrier:      (*Thread).barrier,
+		pcStartCompute:  (*Thread).startCompute,
+		pcStartSleep:    (*Thread).startSleep,
+		pcStartFence:    (*Thread).fence,
+		pcStartGetBulk:  (*Thread).startGetBulk,
+		pcStartPutBulk:  (*Thread).startPutBulk,
+		pcStartNbGet:    (*Thread).startNbGet,
+		pcStartSyncAll:  (*Thread).syncAll,
+		pcStartFetchAdd: (*Thread).startFetchAdd,
+		pcStartBarrier:  (*Thread).barrier,
 	}
 }
 

@@ -51,8 +51,6 @@ const (
 	KindCrash                   // node taken down (epoch bumped)
 	KindRestart                 // restart confirmed by a post-restart RDMA op
 	KindAtomic                  // NIC-executed atomic applied at the target
-	KindPinPark                 // lazy unpin parked a registration in the dead-list
-	KindPinReuse                // re-pin revived a parked registration for free
 	kindCount
 )
 
@@ -80,8 +78,6 @@ var kindNames = [kindCount]string{
 	KindCrash:       "crash",
 	KindRestart:     "restart",
 	KindAtomic:      "atomic",
-	KindPinPark:     "pin_park",
-	KindPinReuse:    "pin_reuse",
 }
 
 func (k Kind) String() string {

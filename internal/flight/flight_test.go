@@ -59,7 +59,7 @@ func TestRinglessRecorderCounts(t *testing.T) {
 	r.Record(0, Event{Kind: KindSend, Class: ClassDMA})
 	r.Record(1, Event{Kind: KindSend, Class: ClassDMA})
 	r.Record(1, Event{Kind: KindCrash})
-	r.Record(1, Event{Kind: KindPinReuse, Class: ClassDMA})
+	r.Record(1, Event{Kind: KindAtomic, Class: ClassDMA})
 	if r.HasRings() {
 		t.Fatal("New must not allocate rings")
 	}
@@ -87,7 +87,7 @@ func TestRinglessRecorderCounts(t *testing.T) {
 			t.Errorf("Totals()[%s] = %d, Total(%s) = %d", k, tot[k], k, r.Total(k))
 		}
 	}
-	if tot[KindSend] != 3 || tot[KindCrash] != 1 || tot[KindPinReuse] != 1 {
+	if tot[KindSend] != 3 || tot[KindCrash] != 1 || tot[KindAtomic] != 1 {
 		t.Errorf("Totals() = %v", tot)
 	}
 	var buf bytes.Buffer

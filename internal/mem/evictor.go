@@ -91,12 +91,10 @@ func (k EvictorKind) New(model CostModel) Evictor {
 	}
 }
 
-// pinList is the intrusive doubly-linked list over PinEntry. The same
-// links serve whichever single owner (evictor or dead-list) holds the
-// entry at a time.
+// pinList is the intrusive doubly-linked list over PinEntry that each
+// evictor keeps its entries on.
 type pinList struct {
 	head, tail *PinEntry
-	len        int
 }
 
 func (l *pinList) pushFront(e *PinEntry) {
@@ -107,7 +105,6 @@ func (l *pinList) pushFront(e *PinEntry) {
 		l.tail = e
 	}
 	l.head = e
-	l.len++
 }
 
 func (l *pinList) pushBack(e *PinEntry) {
@@ -118,7 +115,6 @@ func (l *pinList) pushBack(e *PinEntry) {
 		l.head = e
 	}
 	l.tail = e
-	l.len++
 }
 
 func (l *pinList) unlink(e *PinEntry) {
@@ -133,7 +129,6 @@ func (l *pinList) unlink(e *PinEntry) {
 		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-	l.len--
 }
 
 // lruEvictor keeps entries in recency order (head = most recent).

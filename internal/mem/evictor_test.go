@@ -194,155 +194,6 @@ func TestCostGhostProtectionDegradesGracefully(t *testing.T) {
 	}
 }
 
-// Lazy unpinning parks the registration and revives it for free.
-func TestLazyUnpinParkRevive(t *testing.T) {
-	m := testModel()
-	pt := recordingTable(m, PinAll)
-	pt.SetLazyUnpin(true)
-	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c := pt.Unpin(0x1000, 1); c != 0 {
-		t.Fatalf("lazy unpin charged %v, want 0 (parked)", c)
-	}
-	if pt.Dead() != 1 || recorded(pt, flight.KindPinPark) != 1 || pt.IsPinned(0x1000) {
-		t.Fatalf("park state: dead=%d parked=%d pinned=%v", pt.Dead(), recorded(pt, flight.KindPinPark), pt.IsPinned(0x1000))
-	}
-	if pt.TotalPinned() != PageSize {
-		t.Fatalf("parked bytes left the NIC: total=%d", pt.TotalPinned())
-	}
-	c, err := pt.Pin(0x1000, PageSize, 1, 2)
-	if err != nil || c != 0 {
-		t.Fatalf("revive cost=%v err=%v, want free", c, err)
-	}
-	if recorded(pt, flight.KindPinReuse) != 1 || pt.Dead() != 0 || !pt.IsPinned(0x1000) {
-		t.Fatalf("revive state: reuses=%d dead=%d pinned=%v", recorded(pt, flight.KindPinReuse), pt.Dead(), pt.IsPinned(0x1000))
-	}
-	// A parked region re-pinned at a different size is worthless: the
-	// old handle is reclaimed and the region registered afresh.
-	pt.Unpin(0x1000, 3)
-	c, err = pt.Pin(0x1000, 2*PageSize, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := m.DeregCost(PageSize) + m.RegCost(2*PageSize); c != want {
-		t.Fatalf("size-mismatched revive cost=%v, want %v", c, want)
-	}
-	if pt.Reclaims != 1 {
-		t.Fatalf("Reclaims = %d, want 1", pt.Reclaims)
-	}
-}
-
-// The dead-list is bounded: parking beyond DefaultLazyEntries reclaims
-// the oldest parked registration, charging its deregistration then.
-func TestLazyDeadListBounded(t *testing.T) {
-	m := testModel()
-	pt := NewPinTable(0, m, PinAll)
-	pt.SetLazyUnpin(true)
-	base := func(i int) Addr { return Addr(0x1000 * (i + 1)) }
-	for i := 0; i <= DefaultLazyEntries; i++ {
-		if _, err := pt.Pin(base(i), PageSize, uint64(i), sim.Time(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < DefaultLazyEntries; i++ {
-		if c := pt.Unpin(base(i), sim.Time(100+i)); c != 0 {
-			t.Fatalf("park %d charged %v", i, c)
-		}
-	}
-	c := pt.Unpin(base(DefaultLazyEntries), 200)
-	if want := m.DeregCost(PageSize); c != want {
-		t.Fatalf("overflow park charged %v, want %v (oldest reclaimed)", c, want)
-	}
-	if pt.Dead() != DefaultLazyEntries || pt.Reclaims != 1 {
-		t.Fatalf("dead=%d reclaims=%d", pt.Dead(), pt.Reclaims)
-	}
-	// The one reclaimed was parked first: re-pinning it pays in full,
-	// re-pinning the next one is a free reuse.
-	if c, _ := pt.Pin(base(0), PageSize, 0, 300); c == 0 {
-		t.Fatal("oldest parked registration was not the one reclaimed")
-	}
-	if c, _ := pt.Pin(base(1), PageSize, 1, 301); c != 0 {
-		t.Fatalf("second-oldest parked registration re-pinned at cost %v, want a free reuse", c)
-	}
-}
-
-// Budget pressure reclaims parked registrations (oldest first) before
-// sacrificing any live region.
-func TestLazyReclaimBeforeEviction(t *testing.T) {
-	m := testModel()
-	m.MaxTotal = 2 * PageSize
-	pt := recordingTable(m, PinLimited)
-	pt.SetLazyUnpin(true)
-	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pt.Pin(0x2000, PageSize, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	pt.Unpin(0x1000, 2) // parked; NIC still holds both pages
-	cost, err := pt.Pin(0x3000, PageSize, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := m.DeregCost(PageSize) + m.RegCost(PageSize); cost != want {
-		t.Fatalf("cost = %v, want %v (reclaim parked + register)", cost, want)
-	}
-	if recorded(pt, flight.KindPinEvict) != 0 || pt.Reclaims != 1 || !pt.IsPinned(0x2000) {
-		t.Fatalf("live region sacrificed: evicted=%d reclaims=%d", recorded(pt, flight.KindPinEvict), pt.Reclaims)
-	}
-}
-
-// PinAll with lazy unpinning reclaims parked registrations before
-// declaring the budget exhausted.
-func TestPinAllLazyReclaimBeforeError(t *testing.T) {
-	m := testModel()
-	m.MaxTotal = 2 * PageSize
-	pt := NewPinTable(0, m, PinAll)
-	pt.SetLazyUnpin(true)
-	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	pt.Unpin(0x1000, 1)
-	if _, err := pt.Pin(0x8000, 2*PageSize, 2, 2); err != nil {
-		t.Fatalf("pin after reclaim: %v", err)
-	}
-	if pt.Reclaims != 1 {
-		t.Fatalf("Reclaims = %d, want 1", pt.Reclaims)
-	}
-	if _, err := pt.Pin(0x20000, PageSize, 3, 3); err == nil {
-		t.Fatal("PinAll exceeded budget with nothing left to reclaim")
-	}
-}
-
-// A crash drops parked registrations instantly and free of charge.
-func TestResetDropsParkedFree(t *testing.T) {
-	pt := NewPinTable(0, testModel(), PinAll)
-	pt.SetLazyUnpin(true)
-	if _, err := pt.Pin(0x1000, PageSize, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pt.Pin(0x2000, PageSize, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	pt.Unpin(0x1000, 2)
-	dereg := pt.DeregTime
-	if n := pt.Reset(); n != 2 {
-		t.Fatalf("reset dropped %d, want 2 (one live + one parked)", n)
-	}
-	if pt.Dead() != 0 || pt.TotalPinned() != 0 || pt.DeregTime != dereg {
-		t.Fatalf("reset state: dead=%d total=%d dereg=%v", pt.Dead(), pt.TotalPinned(), pt.DeregTime)
-	}
-	// Table usable again; the dead-list too.
-	if _, err := pt.Pin(0x1000, PageSize, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	pt.Unpin(0x1000, 4)
-	if pt.Dead() != 1 {
-		t.Fatalf("post-reset park failed: dead=%d", pt.Dead())
-	}
-}
-
 // recordingEvictor wraps a policy and logs the victim sequence.
 type recordingEvictor struct {
 	inner   Evictor
@@ -365,16 +216,13 @@ func (r *recordingEvictor) Victim(now sim.Time) *PinEntry {
 
 // evictorChurn drives one scripted alloc/touch/unpin storm and returns
 // the victim sequence plus the table's counter fingerprint.
-func evictorChurn(kind EvictorKind, lazy bool) ([]Addr, []int64, sim.Time) {
+func evictorChurn(kind EvictorKind) ([]Addr, []int64, sim.Time) {
 	m := testModel()
 	m.MaxTotal = 8 * PageSize
 	m.MaxPerObject = 0
 	pt := recordingTable(m, PinLimited)
 	rec := &recordingEvictor{inner: kind.New(m)}
 	pt.SetEvictor(rec)
-	if lazy {
-		pt.SetLazyUnpin(true)
-	}
 	x := uint64(0x9E3779B97F4A7C15)
 	next := func(n uint64) uint64 {
 		x ^= x << 13
@@ -395,7 +243,7 @@ func evictorChurn(kind EvictorKind, lazy bool) ([]Addr, []int64, sim.Time) {
 			pt.Pin(base, size, uint64(base), now) // limit errors are part of the script
 		}
 	}
-	counters := []int64{pt.Pins, pt.Unpins, recorded(pt, flight.KindPinEvict), recorded(pt, flight.KindPinReuse), recorded(pt, flight.KindPinPark), pt.Reclaims, pt.GhostHits, pt.Repins}
+	counters := []int64{pt.Pins, pt.Unpins, recorded(pt, flight.KindPinEvict), pt.GhostHits, pt.Repins}
 	return rec.victims, counters, pt.DeregTime
 }
 
@@ -405,21 +253,19 @@ func evictorChurn(kind EvictorKind, lazy bool) ([]Addr, []int64, sim.Time) {
 // or scheduler dependence.
 func TestEvictorDeterminism(t *testing.T) {
 	for _, kind := range []EvictorKind{EvictLRU, EvictClock, EvictCost} {
-		for _, lazy := range []bool{false, true} {
-			v0, c0, d0 := evictorChurn(kind, lazy)
-			if len(v0) == 0 {
-				t.Fatalf("%v lazy=%v: churn produced no evictions — script too gentle", kind, lazy)
+		v0, c0, d0 := evictorChurn(kind)
+		if len(v0) == 0 {
+			t.Fatalf("%v: churn produced no evictions — script too gentle", kind)
+		}
+		for rep := 0; rep < 3; rep++ {
+			prev := runtime.GOMAXPROCS(1 + rep*3)
+			v, c, d := evictorChurn(kind)
+			runtime.GOMAXPROCS(prev)
+			if !reflect.DeepEqual(v0, v) {
+				t.Fatalf("%v rep %d: victim sequence diverged", kind, rep)
 			}
-			for rep := 0; rep < 3; rep++ {
-				prev := runtime.GOMAXPROCS(1 + rep*3)
-				v, c, d := evictorChurn(kind, lazy)
-				runtime.GOMAXPROCS(prev)
-				if !reflect.DeepEqual(v0, v) {
-					t.Fatalf("%v lazy=%v rep %d: victim sequence diverged", kind, lazy, rep)
-				}
-				if !reflect.DeepEqual(c0, c) || d0 != d {
-					t.Fatalf("%v lazy=%v rep %d: counters diverged: %v/%v vs %v/%v", kind, lazy, rep, c0, d0, c, d)
-				}
+			if !reflect.DeepEqual(c0, c) || d0 != d {
+				t.Fatalf("%v rep %d: counters diverged: %v/%v vs %v/%v", kind, rep, c0, d0, c, d)
 			}
 		}
 	}

@@ -235,6 +235,17 @@ func TestPinAllTotalLimitFails(t *testing.T) {
 	if _, err := pt.Pin(0x9000, 4*PageSize, 0, 1); err == nil {
 		t.Fatal("expected total limit error under PinAll")
 	}
+	// Unpin deregisters at once: the freed room takes the same pin, and
+	// a pin past what is left fails again.
+	if c := pt.Unpin(0x1000, 2); c != m.DeregCost(8*PageSize) {
+		t.Fatalf("unpin charged %v, want %v", c, m.DeregCost(8*PageSize))
+	}
+	if _, err := pt.Pin(0x9000, 4*PageSize, 0, 3); err != nil {
+		t.Fatalf("pin after unpin: %v", err)
+	}
+	if _, err := pt.Pin(0x20000, 8*PageSize, 0, 4); err == nil {
+		t.Fatal("PinAll exceeded the budget after an unpin")
+	}
 }
 
 func TestPinLimitedEvictsLRU(t *testing.T) {

@@ -50,9 +50,7 @@ type PinEntry struct {
 	LastUse sim.Time
 	seq     int64 // insertion order, for deterministic LRU ties
 
-	// Intrusive links: owned by exactly one list at a time — the
-	// evictor's recency/insertion list while live, the table's
-	// dead-list while parked under lazy unpinning.
+	// Intrusive links of the evictor's recency/insertion list.
 	prev, next *PinEntry
 	ref        bool // CLOCK reference bit
 	protected  bool // cost-aware ghost-list protection
@@ -94,38 +92,26 @@ func (p PinPolicy) String() string {
 	return "pin-all"
 }
 
-// DefaultLazyEntries bounds the lazy-unpin dead-list: parking one more
-// registration deregisters the one parked longest ago. Parked bytes
-// count against the table's MaxTotal, so the pin budget bounds them.
-const DefaultLazyEntries = 64
-
 // PinTable is a node's pinned address table.
 type PinTable struct {
 	node    int
 	model   CostModel
 	policy  PinPolicy
 	entries map[Addr]*PinEntry
-	total   int // pinned bytes, live and parked: what the NIC holds registered
+	total   int // pinned bytes: what the NIC holds registered
 	seq     int64
 	ev      Evictor
 	fr      *flight.Recorder // the machine's; nil for a table built alone
-
-	// Lazy-unpin registration cache (off = eager dereg, the default).
-	lazy     bool
-	dead     map[Addr]*PinEntry
-	deadList pinList // FIFO: head = parked longest ago
 
 	PinStats
 }
 
 // PinStats is what a pin table counts beside its flight records (the
-// pin_evict, pin_park and pin_reuse kinds). The lazy-unpin and evictor
-// extras (Reclaims through Repins) stay zero under the default
-// eager-LRU behaviour.
+// pin_evict kind). The evictor extras (GhostHits, Repins) stay zero
+// under the default LRU evictor.
 type PinStats struct {
 	Pins      int64    // registrations performed
 	Unpins    int64    // explicit deregistrations
-	Reclaims  int64    // parked registrations finally deregistered
 	GhostHits int64    // cost-aware policy: evicted bases that came back
 	Repins    int64    // size-mismatched re-pins (dereg + fresh register)
 	MaxLive   int      // high-water mark of simultaneously pinned entries
@@ -138,7 +124,6 @@ type PinStats struct {
 func (s *PinStats) Add(o PinStats) {
 	s.Pins += o.Pins
 	s.Unpins += o.Unpins
-	s.Reclaims += o.Reclaims
 	s.GhostHits += o.GhostHits
 	s.Repins += o.Repins
 	s.MaxLive = max(s.MaxLive, o.MaxLive)
@@ -162,30 +147,14 @@ func (t *PinTable) Policy() PinPolicy { return t.policy }
 // region is pinned — swapping policies mid-run would lose the evictor's
 // view of the live set.
 func (t *PinTable) SetEvictor(ev Evictor) {
-	if len(t.entries) > 0 || t.deadList.len > 0 {
+	if len(t.entries) > 0 {
 		panic("mem: SetEvictor on a non-empty pin table")
 	}
 	t.ev = ev
 }
 
-// SetLazyUnpin turns the lazy-unpin registration cache on or off: Unpin
-// parks the registration in a dead-list of at most DefaultLazyEntries
-// instead of deregistering, a re-pin of a parked region revives it for
-// free, and the real deregistration cost is paid only when the
-// dead-list overflows or the pin budget needs the room. Like SetEvictor
-// it must precede any pin traffic.
-func (t *PinTable) SetLazyUnpin(on bool) {
-	if len(t.entries) > 0 || t.deadList.len > 0 {
-		panic("mem: SetLazyUnpin on a non-empty pin table")
-	}
-	t.lazy = on
-	if on && t.dead == nil {
-		t.dead = make(map[Addr]*PinEntry)
-	}
-}
-
-// SetFlightRecorder attaches the machine's flight recorder: evictions,
-// parks and reuse hits are recorded, and counted, there alone.
+// SetFlightRecorder attaches the machine's flight recorder: evictions
+// are recorded, and counted, there alone.
 func (t *PinTable) SetFlightRecorder(fr *flight.Recorder) { t.fr = fr }
 
 // record flight-records one event of entry e on the table's node. A
@@ -201,22 +170,11 @@ func (t *PinTable) record(now sim.Time, k flight.Kind, e *PinEntry) {
 	})
 }
 
-// TotalPinned reports the total registered bytes, live plus parked.
+// TotalPinned reports the total registered bytes.
 func (t *PinTable) TotalPinned() int { return t.total }
 
-// Live reports the number of live (pinned, not parked) regions.
+// Live reports the number of pinned regions.
 func (t *PinTable) Live() int { return len(t.entries) }
-
-// Dead reports the number of parked registrations in the dead-list.
-func (t *PinTable) Dead() int { return t.deadList.len }
-
-// IsPinned reports whether the region based at base is live-pinned.
-// Parked regions are not pinned: they fail TouchOK like any other
-// deregistered region until a re-pin revives them.
-func (t *PinTable) IsPinned(base Addr) bool {
-	_, ok := t.entries[base]
-	return ok
-}
 
 // Touch records an RDMA use of the region at base (for recency) at time
 // now. Touching an unpinned region is a protocol bug and panics: it
@@ -245,15 +203,12 @@ func (t *PinTable) TouchOK(base Addr, now sim.Time) bool {
 // the caller must charge (registration plus any deregistrations).
 // Pinning an already-pinned region at its current size is free and
 // costless; a size mismatch deregisters the stale handle and registers
-// the region afresh (both costs charged). Under lazy unpinning a
-// re-pin of a parked region revives the retained registration for
-// free.
+// the region afresh (both costs charged).
 //
 // Per-object limits fail regardless of policy (the caller falls back
 // to non-RDMA transfer, as XLUPC does for over-large LAPI handles).
 // Total limits fail under PinAll and trigger evictor-chosen
-// deregistration under PinLimited; parked registrations are always
-// reclaimed before live ones are sacrificed.
+// deregistration under PinLimited.
 func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time, error) {
 	cost := sim.Time(0)
 	if e, ok := t.entries[base]; ok {
@@ -272,25 +227,12 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 		cost += dc
 		t.DeregTime += dc
 		t.Repins++
-	} else if t.lazy {
-		if e, ok := t.dead[base]; ok {
-			if e.Size == size {
-				return 0, t.revive(e, tag, now)
-			}
-			// Parked at the wrong size: worthless, reclaim it now.
-			cost += t.reclaim(e)
-		}
 	}
 	if t.model.MaxPerObject > 0 && size > t.model.MaxPerObject {
 		return cost, &ErrPinLimit{Base: base, Size: size, Reason: "exceeds per-object registration limit", Limit: t.model.MaxPerObject}
 	}
 	if t.model.MaxTotal > 0 && t.total+size > t.model.MaxTotal {
-		// Parked registrations are dead weight: reclaim them (oldest
-		// first) before failing or touching live regions.
-		for t.total+size > t.model.MaxTotal && t.deadList.head != nil {
-			cost += t.reclaim(t.deadList.head)
-		}
-		if t.total+size > t.model.MaxTotal && t.policy == PinAll {
+		if t.policy == PinAll {
 			return cost, &ErrPinLimit{Base: base, Size: size, Reason: "exceeds total DMAable memory", Limit: t.model.MaxTotal}
 		}
 		for t.total+size > t.model.MaxTotal {
@@ -334,61 +276,23 @@ func (t *PinTable) Pin(base Addr, size int, tag uint64, now sim.Time) (sim.Time,
 	return cost + rc, nil
 }
 
-// revive moves a parked registration back into the live set: the NIC
-// handle never went away, so the re-pin is free.
-func (t *PinTable) revive(e *PinEntry, tag uint64, now sim.Time) error {
-	t.deadList.unlink(e)
-	delete(t.dead, e.Base)
-	e.Tag = tag
-	e.LastUse = now
-	t.seq++
-	e.seq = t.seq
-	t.entries[e.Base] = e
-	t.Pins++
-	if len(t.entries) > t.MaxLive {
-		t.MaxLive = len(t.entries)
-	}
-	if t.ev.Insert(e) {
-		t.GhostHits++
-	}
-	t.record(now, flight.KindPinReuse, e)
-	return nil
-}
-
-// reclaim finally deregisters a parked entry and returns the cost.
-func (t *PinTable) reclaim(e *PinEntry) sim.Time {
-	t.deadList.unlink(e)
-	delete(t.dead, e.Base)
-	t.total -= e.Size
-	dc := t.model.DeregCost(e.Size)
-	t.DeregTime += dc
-	t.Reclaims++
-	return dc
-}
-
 // Reset empties the table without charging any virtual time: a node
 // crash loses the NIC's registration state outright — there is no
-// orderly deregistration to pay for, and parked registrations vanish
-// just as freely as live ones. Cumulative counters (Pins, Unpins,
+// orderly deregistration to pay for. Cumulative counters (Pins, Unpins,
 // RegTime, ...) survive, since they describe work the run really did.
-// It returns the number of entries dropped, live plus parked.
+// It returns the number of entries dropped.
 func (t *PinTable) Reset() int {
-	n := len(t.entries) + t.deadList.len
+	n := len(t.entries)
 	t.entries = make(map[Addr]*PinEntry)
 	t.total = 0
 	t.ev.Reset()
-	if t.lazy {
-		t.dead = make(map[Addr]*PinEntry)
-	}
-	t.deadList = pinList{}
 	return n
 }
 
 // Unpin releases the region at base at time now and returns the
 // deregistration cost the caller must charge, or 0 if the region was
-// not pinned (freeing an object that was never remotely accessed).
-// Under lazy unpinning the registration parks in the dead-list instead
-// and the returned cost covers only any dead-list overflow reclaims.
+// not pinned (freeing an object that was never remotely accessed). The
+// cost does not depend on now.
 func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 	e, ok := t.entries[base]
 	if !ok {
@@ -397,18 +301,8 @@ func (t *PinTable) Unpin(base Addr, now sim.Time) sim.Time {
 	t.ev.Remove(e)
 	delete(t.entries, base)
 	t.Unpins++
-	if !t.lazy {
-		t.total -= e.Size
-		dc := t.model.DeregCost(e.Size)
-		t.DeregTime += dc
-		return dc
-	}
-	t.dead[base] = e
-	t.deadList.pushBack(e)
-	t.record(now, flight.KindPinPark, e)
-	cost := sim.Time(0)
-	for t.deadList.len > DefaultLazyEntries {
-		cost += t.reclaim(t.deadList.head)
-	}
-	return cost
+	t.total -= e.Size
+	dc := t.model.DeregCost(e.Size)
+	t.DeregTime += dc
+	return dc
 }

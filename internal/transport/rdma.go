@@ -16,7 +16,7 @@ type dmaKind uint8
 const (
 	dmaRead       dmaKind = iota // fetch size bytes at raddr and stream them back
 	dmaWrite                     // deposit buf at raddr
-	dmaRMW                       // apply aop to the 8-byte word at raddr
+	dmaRMW                       // fetch-add on the 8-byte word at raddr
 	dmaCompletion                // carry a read's or RMW's outcome back to the initiator NIC
 )
 
@@ -34,8 +34,7 @@ var (
 // NACKs use the any-valued one.
 type dmaOp struct {
 	kind      dmaKind
-	aop       AtomicOp // RMW: the combine function
-	epoch     uint32   // target incarnation the initiator believes in
+	epoch     uint32 // target incarnation the initiator believes in
 	initiator int
 	base      mem.Addr // pinned-region base, for the pin-table check and LRU
 	raddr     mem.Addr
@@ -44,8 +43,8 @@ type dmaOp struct {
 	// buf is the read's posted receive buffer (the engine deposits the
 	// data there directly, like a real NIC; nil falls back to an
 	// allocated copy of size bytes), the write's payload, the RMW's
-	// posted 8-byte result word (nil for accumulations) or the
-	// completion's data, which aliases the request's buf.
+	// posted 8-byte result word or the completion's data, which aliases
+	// the request's buf.
 	buf  []byte
 	size int
 
@@ -90,7 +89,7 @@ type RDMAResult struct {
 	// eviction or a node-wide flush — before it falls back to the
 	// active-message path.
 	Data []byte // the data read; aliases the posted buffer, if any
-	Old  uint64 // an atomic's previous value (zero for AtomicAccumulate)
+	Old  uint64 // an atomic's previous value
 	Nack Nack
 	OK   bool
 }
@@ -247,7 +246,7 @@ func (o *txOp) outcome() {
 		return
 	}
 	*o.res = RDMAResult{Data: data, OK: true}
-	if o.kind == txAtomic && data != nil {
+	if o.kind == txAtomic {
 		o.res.Old = atomicOrder.Uint64(data)
 	}
 }
@@ -548,13 +547,10 @@ func (e *dmaEngine) served() {
 		m.FR.Record(e.nd.ID, flight.Event{
 			T: k.Now(), Kind: flight.KindAtomic, Class: flight.ClassDMA,
 			Src: int32(op.initiator), Dst: int32(e.nd.ID),
-			Seq: uint64(op.raddr), Arg: int64(op.aop),
+			Seq: uint64(op.raddr), Arg: atomicFetchAddArg,
 		})
-		if op.buf != nil {
-			atomicOrder.PutUint64(op.buf, old)
-			data = op.buf
-		}
-		extra = op.aop.ResultBytes()
+		atomicOrder.PutUint64(op.buf, old)
+		data, extra = op.buf, AtomicResultBytes
 	}
 	e.answer(op, nil, data, extra)
 }
